@@ -13,9 +13,6 @@ import (
 // unsampled; the padded counters make the byte accounting on the frame
 // paths contention-free.
 
-// lastOp is the highest op number; per-op metric arrays size off it.
-const lastOp = opAggregate
-
 // opHistograms builds one latency histogram per protocol op, indexed
 // by op byte.
 func opHistograms(reg *metrics.Registry, name, help string) [lastOp + 1]*metrics.Histogram {

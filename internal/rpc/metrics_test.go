@@ -1,10 +1,15 @@
 package rpc
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"strconv"
 	"strings"
 	"testing"
 
 	"dcdb/internal/metrics"
+	"dcdb/internal/store"
 )
 
 // TestStatsFullRoundTrip: the versioned Stats body carries the node's
@@ -132,5 +137,60 @@ func TestStatsFullLegacyServerFallback(t *testing.T) {
 	ins, q, entries := cl.Stats()
 	if ins != 0 || q < 0 || entries != 0 {
 		t.Fatalf("legacy Stats on empty node = %d/%d/%d", ins, q, entries)
+	}
+}
+
+// TestEveryOpHasNameAndHistogram walks the op* constants declared in
+// protocol.go (parsed from source: Go cannot enumerate constants) and
+// fails when one lacks a metric label or falls outside the per-op
+// histogram arrays — how insert_versioned, the op of every write, once
+// went without latency histograms on either side.
+func TestEveryOpHasNameAndHistogram(t *testing.T) {
+	file, err := parser.ParseFile(token.NewFileSet(), "protocol.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := map[string]byte{}
+	ast.Inspect(file, func(n ast.Node) bool {
+		vs, ok := n.(*ast.ValueSpec)
+		if !ok || len(vs.Names) != 1 || len(vs.Values) != 1 {
+			return true
+		}
+		name := vs.Names[0].Name
+		lit, ok := vs.Values[0].(*ast.BasicLit)
+		if !ok || !strings.HasPrefix(name, "op") || name[2] < 'A' || name[2] > 'Z' {
+			return true
+		}
+		v, err := strconv.ParseUint(lit.Value, 0, 8)
+		if err != nil {
+			t.Fatalf("%s = %s: %v", name, lit.Value, err)
+		}
+		ops[name] = byte(v)
+		return true
+	})
+	if len(ops) < 19 || ops["opInsertVersioned"] != opInsertVersioned {
+		t.Fatalf("parsed %d op constants from protocol.go: %v", len(ops), ops)
+	}
+	client, server := newClientMetrics(), NewServer(store.NewNode(0), true).met
+	labels := map[string]string{}
+	for name, op := range ops {
+		label := opName(op)
+		if label == "unknown" {
+			t.Errorf("%s (%d) has no opName", name, op)
+		}
+		if other, dup := labels[label]; dup {
+			t.Errorf("%s and %s share the label %q", name, other, label)
+		}
+		labels[label] = name
+		if op > lastOp {
+			t.Errorf("%s (%d) lies beyond lastOp (%d): it has no latency histogram", name, op, lastOp)
+			continue
+		}
+		if client.callLat[op] == nil || server.handleLat[op] == nil {
+			t.Errorf("%s (%d) has no client or server latency histogram", name, op)
+		}
+	}
+	if int(lastOp) != len(ops) {
+		t.Errorf("lastOp = %d but %d ops are declared", lastOp, len(ops))
 	}
 }

@@ -106,6 +106,10 @@ const (
 	// layer treats both as opaque bytes; a node without a registered
 	// gossip handler answers with an application error.
 	opGossip = 19
+
+	// lastOp is the highest op number; the per-op metric arrays size off
+	// it, so a new op must move it (TestEveryOpHasNameAndHistogram).
+	lastOp = opGossip
 )
 
 // opName names an op for metric labels and diagnostics. Unknown ops

@@ -13,7 +13,7 @@ import (
 // readings to the coordinator, an analysis fold (summary, integral,
 // downsample — see internal/fold) runs where the data lives and only
 // the finished state crosses the wire. On a storage node the fold
-// consumes the pull-based stream read path, so cold v2 blocks are
+// consumes the pull-based stream read path, so cold blocks are
 // decoded one at a time and the node's memory per aggregate is one
 // chunk plus the fold state, independent of the range length.
 

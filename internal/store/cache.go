@@ -17,7 +17,7 @@ import (
 // clock (second-chance) eviction. Memory becomes O(hot working set)
 // instead of O(retention) — the ROADMAP's "resident-set bound" item.
 //
-// runFile is the refcounted read handle of one v2 run file. The shard's
+// runFile is the refcounted read handle of one run file. The shard's
 // file list holds the owning reference; queries, streams and compactions
 // retain the file while they read it, so a compaction that retires the
 // file (release of the owning reference) cannot close it under a
@@ -28,16 +28,17 @@ type runFile struct {
 	refs    atomic.Int32
 	cache   *blockCache // purged of this file's blocks on final release
 	dataLen int64       // bytes before the index section; block bounds check
+	base    blockBase   // what the index says every block decodes against
 }
 
-// openRunFileHandle opens path for cold reads with one owning
-// reference.
-func openRunFileHandle(path string, dataLen int64, cache *blockCache) (*runFile, error) {
+// openRunFileHandle opens the file idx was read from for cold reads,
+// with one owning reference.
+func openRunFileHandle(path string, idx *runIndex, cache *blockCache) (*runFile, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	rf := &runFile{path: path, f: f, cache: cache, dataLen: dataLen}
+	rf := &runFile{path: path, f: f, cache: cache, dataLen: idx.dataLen, base: idx.base}
 	rf.refs.Store(1)
 	return rf, nil
 }
@@ -82,7 +83,7 @@ func (rf *runFile) decodeBlockAt(m blockMeta, scratch []byte, out *[]entry) ([]b
 	if err != nil {
 		return raw, err
 	}
-	if err := decodeBlock(raw, int(m.count), out); err != nil {
+	if err := decodeBlock(raw, int(m.count), m.min, rf.base, out); err != nil {
 		return raw, fmt.Errorf("store: %s: block at %d: %w", rf.path, m.off, err)
 	}
 	return raw, nil

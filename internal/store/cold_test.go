@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -14,7 +13,7 @@ import (
 	"dcdb/internal/core"
 )
 
-// Tests for the bounded-memory engine: the v2 block codec, the
+// Tests for the bounded-memory engine: the block codec, the
 // footer-indexed run-file format, the clock block cache, cold (evicted)
 // reads, and the streaming query path. The central property: a cold
 // read must be byte-identical to the hot read of the same data.
@@ -53,6 +52,15 @@ func max(a, b int) int {
 	return b
 }
 
+// codecRoundTrip encodes es against baseVer and decodes it back the way
+// a read does: count and first timestamp from the index entry, base
+// version from the file.
+func codecRoundTrip(es []entry, baseVer uint64) (enc []byte, got []entry, err error) {
+	enc = encodeBlock(nil, es, baseVer)
+	err = decodeBlock(enc, len(es), es[0].ts, blockBase{ver: baseVer}, &got)
+	return enc, got, err
+}
+
 func TestBlockCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	cases := [][]entry{
@@ -61,12 +69,11 @@ func TestBlockCodecRoundTrip(t *testing.T) {
 		{{ts: -100, val: math.Inf(1)}, {ts: 0, val: math.NaN()}, {ts: 100, val: -0.0}},
 	}
 	for i := 0; i < 50; i++ {
-		cases = append(cases, randomEntries(rng, 1+rng.Intn(2*blockEntries)))
+		cases = append(cases, randomEntries(rng, 1+rng.Intn(blockEntries)))
 	}
 	for ci, es := range cases {
-		enc := encodeBlock(nil, es)
-		var got []entry
-		if err := decodeBlock(enc, len(es), &got); err != nil {
+		enc, got, err := codecRoundTrip(es, 0)
+		if err != nil {
 			t.Fatalf("case %d: decode: %v", ci, err)
 		}
 		if len(got) != len(es) {
@@ -81,7 +88,7 @@ func TestBlockCodecRoundTrip(t *testing.T) {
 		}
 		// Wrong counts must error, not mis-decode.
 		var junk []entry
-		if err := decodeBlock(enc, len(es)+1, &junk); err == nil {
+		if err := decodeBlock(enc, len(es)+1, es[0].ts, blockBase{}, &junk); err == nil || len(junk) != 0 {
 			t.Fatalf("case %d: decode accepted an inflated count", ci)
 		}
 	}
@@ -94,13 +101,13 @@ func TestBlockCodecCompresses(t *testing.T) {
 	for i := range es {
 		es[i] = entry{ts: int64(i) * 1e9, val: 42 + float64(i%7)*0.25}
 	}
-	enc := encodeBlock(nil, es)
+	enc := encodeBlock(nil, es, 0)
 	if got, raw := len(enc), 24*len(es); got*4 > raw {
 		t.Fatalf("monitoring-shaped block encoded to %d bytes (raw %d); expected >4x compression", got, raw)
 	}
 }
 
-func TestRunFileV2RoundTripAndIndex(t *testing.T) {
+func TestRunFileRoundTripAndIndex(t *testing.T) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(2))
 	series := map[core.SensorID][]entry{
@@ -109,7 +116,7 @@ func TestRunFileV2RoundTripAndIndex(t *testing.T) {
 		sid(9, 0): randomEntries(rng, blockEntries),
 	}
 	tombs := map[core.SensorID]int64{sid(1, 2): 7}
-	meta, idx, err := writeRunFileV2(dir, 3, 9, series, tombs)
+	meta, idx, err := writeRunFile(dir, 3, 9, series, tombs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,23 +161,15 @@ func TestRunFileV2RoundTripAndIndex(t *testing.T) {
 			t.Fatalf("series %v: %d blocks, want %d", se.id, len(se.blocks), wantBlocks)
 		}
 	}
-	// A v1 file still decodes through the same entry point.
-	metaV1, err := writeRunFile(dir+string(os.PathSeparator), 10, 10, map[core.SensorID][]entry{sid(5, 5): {{ts: 1, val: 2}}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rc1, err := readRunFile(metaV1.path); err != nil || len(rc1.series) != 1 {
-		t.Fatalf("v1 decode: %v %+v", err, rc1)
-	}
 }
 
-// TestRunFileV2CorruptionRejected flips every byte of a small v2 file
+// TestRunFileCorruptionRejected flips every byte of a small run file
 // and requires the (index CRC + per-block CRC) layers to reject the
 // damage — never panic, never serve wrong data silently.
-func TestRunFileV2CorruptionRejected(t *testing.T) {
+func TestRunFileCorruptionRejected(t *testing.T) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(3))
-	meta, _, err := writeRunFileV2(dir, 1, 1, map[core.SensorID][]entry{
+	meta, _, err := writeRunFile(dir, 1, 1, map[core.SensorID][]entry{
 		sid(1, 1): randomEntries(rng, blockEntries+5),
 	}, nil)
 	if err != nil {
@@ -320,39 +319,6 @@ func TestColdEqualsHotDirect(t *testing.T) {
 	// on the reads above.
 	if _, misses, _ := cold.CacheStats(); misses == 0 {
 		t.Fatal("cold node never read a block from disk")
-	}
-}
-
-// TestV1FilesRecoverUnderCache writes a legacy v1 run file into a shard
-// directory and opens the node with a cache: Open migrates the file to
-// v2 in place (verified rewrite), and it serves alongside new data.
-func TestV1FilesRecoverUnderCache(t *testing.T) {
-	dir := t.TempDir()
-	id := sid(3, 3)
-	shardDir := filepath.Join(dir, fmt.Sprintf("shard-%02d", shardIndex(id)))
-	if err := os.MkdirAll(shardDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	meta, err := writeRunFile(shardDir, 1, 1, map[core.SensorID][]entry{
-		id: {{ts: 10, val: 1}, {ts: 20, val: 2}},
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := openedNode(t, dir, 0, coldOptions)
-	defer n.Close()
-	if head, err := os.ReadFile(meta.path); err != nil || string(head[:8]) != string(runMagic2) {
-		t.Fatalf("v1 file not migrated to v2 at open (err=%v magic=%q)", err, head[:8])
-	}
-	if err := n.Insert(id, core.Reading{Timestamp: 30, Value: 3}, 0); err != nil {
-		t.Fatal(err)
-	}
-	rs, err := n.Query(id, 0, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs) != 3 || rs[0].Value != 1 || rs[2].Value != 3 {
-		t.Fatalf("v1+v2 merge served %v", rs)
 	}
 }
 

@@ -168,7 +168,7 @@ func (s *spiller) close() error {
 	return err
 }
 
-// spillOne writes one flush's run file (format v2) and retires the WAL
+// spillOne writes one flush's run file and retires the WAL
 // segments it covers. On failure the segments are kept: the data stays
 // recoverable from the WAL and the in-memory run keeps serving queries.
 //
@@ -179,13 +179,13 @@ func (s *spiller) close() error {
 // node's memory stops growing the moment data reaches disk.
 func (n *Node) spillOne(j spillJob) error {
 	sh := &n.shards[j.shard]
-	meta, idx, err := writeRunFileV2(sh.disk.dir, j.seq, j.seq, j.series, j.tombs)
+	meta, idx, err := writeRunFile(sh.disk.dir, j.seq, j.seq, j.series, j.tombs)
 	if err != nil {
 		return err
 	}
 	meta.tombs = j.tombs
 	if n.cache != nil {
-		if rf, err := openRunFileHandle(meta.path, idx.dataLen, n.cache); err != nil {
+		if rf, err := openRunFileHandle(meta.path, idx, n.cache); err != nil {
 			// The file is durable; only eviction is lost. Keep the run
 			// hot rather than fail the spill.
 			log.Printf("store: opening %s for cold reads: %v (run stays resident)", meta.path, err)
@@ -410,11 +410,11 @@ func mergeWindowRuns(refs []windowRun, now int64, emit func(entry) error) error 
 
 // compactWindow merges one window of shard i's run files copy-aside:
 // the inputs are snapshotted under a read lock, merged and streamed
-// into a new v2 run file with no lock held, and swapped in under a
+// into a new run file with no lock held, and swapped in under a
 // brief write lock; the old files are deleted afterwards (write-new,
 // rename, delete-old). On a cache-bounded node the merge is cold
 // end-to-end — input blocks are decoded one at a time and output blocks
-// stream through the v2 writer, so compaction memory is O(blocks), not
+// stream through the run-file writer, so compaction memory is O(blocks), not
 // O(window) — and the merged run is registered cold. A DeleteBefore
 // racing with the merge bumps the shard's delVer and the merge aborts
 // rather than resurrect deleted rows. full selects every file
@@ -538,7 +538,7 @@ func (n *Node) compactWindow(i int, full bool) {
 	}
 	var newRF *runFile
 	if wrote && cold {
-		if newRF, err = openRunFileHandle(newMeta.path, newIdx.dataLen, n.cache); err != nil {
+		if newRF, err = openRunFileHandle(newMeta.path, newIdx, n.cache); err != nil {
 			log.Printf("store: opening %s for cold reads: %v (aborting swap)", newMeta.path, err)
 			// The old files remain live and the merged file's span
 			// covers theirs; recovery would retire them, but without a

@@ -1,13 +1,10 @@
 package store
 
 import (
-	"bufio"
-	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"log"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -21,39 +18,25 @@ import (
 // On-disk sorted runs: each memtable flush spills one immutable run
 // file per shard (`shard-<i>/run-<minSeq>-<maxSeq>.sst`); compaction
 // merges a contiguous sequence window of run files into one whose
-// header records the merged span, so a crash between writing the
+// index records the merged span, so a crash between writing the
 // merged file and deleting its inputs is recovered by dropping any
 // file whose span is contained in another's (write-new, rename,
-// delete-old — the rename is the commit point).
+// delete-old — the rename is the commit point). The byte layout of a
+// run file is runfile.go's; this file names, scans, migrates and
+// recovers them.
 //
-// File layout (integers big-endian, same record shape as the snapshot
-// format of persist.go):
-//
-//	magic "DCDBRUN1"
-//	version   u32
-//	minSeq    u64 | maxSeq u64     // flush-sequence span of the inputs
-//	tombCount u64 | seriesCount u64
-//	tombs  : tombCount  × (sidHi u64 | sidLo u64 | cutoff i64)
-//	series : seriesCount × header + entries
-//	  header : sidHi u64 | sidLo u64 | entryCount u64 | min i64 | max i64
-//	  entry  : ts i64 | value f64 | expire i64
-//	crc32(IEEE) u32 over everything above
-//
-// Tombstones persist DeleteBefore cutoffs issued while this file's
-// memtable was live; at recovery they are applied to every run file
-// with an older span, whose bytes still hold the deleted rows.
-
-var runMagic = []byte("DCDBRUN1")
-
-const runVersion = 1
+// A run file's tombstone section persists the DeleteBefore cutoffs
+// issued while its memtable was live; at recovery they are applied to
+// every run file with an older span, whose bytes still hold the deleted
+// rows.
 
 // runFileMeta describes one durable run file of a shard. tombs mirrors
 // the file's tombstone section so a compaction can carry the residual
 // cutoffs into its merged output without re-reading the inputs. rf is
 // the refcounted cold-read handle (nil when the file's contents are
-// fully resident — v1 files, or a node running without a cache); the
-// meta holds the owning reference, released when compaction retires
-// the file or the node closes.
+// fully resident — a node running without a cache); the meta holds the
+// owning reference, released when compaction retires the file or the
+// node closes.
 type runFileMeta struct {
 	path           string
 	minSeq, maxSeq uint64
@@ -87,110 +70,6 @@ type runContents struct {
 	series         map[core.SensorID][]entry
 }
 
-// writeRunFile persists series (and the delete cutoffs accumulated
-// while its memtable was live) atomically: write to a temp file, fsync,
-// rename into place, fsync the directory. The returned meta reflects
-// the final file.
-func writeRunFile(dir string, minSeq, maxSeq uint64, series map[core.SensorID][]entry, tombs map[core.SensorID]int64) (runFileMeta, error) {
-	final := filepath.Join(dir, runFileName(minSeq, maxSeq))
-	tmp := final + ".tmp"
-	f, err := fsutil.Disk.Create(tmp)
-	if err != nil {
-		return runFileMeta{}, err
-	}
-	crc := crc32.NewIEEE()
-	bw := bufio.NewWriter(io.MultiWriter(crc, f))
-
-	write := func(p []byte) error {
-		_, err := bw.Write(p)
-		return err
-	}
-	var scratch [40]byte
-	fail := func(err error) (runFileMeta, error) {
-		f.Close()
-		os.Remove(tmp)
-		return runFileMeta{}, err
-	}
-	if err := write(runMagic); err != nil {
-		return fail(err)
-	}
-	binary.BigEndian.PutUint32(scratch[0:], runVersion)
-	if err := write(scratch[:4]); err != nil {
-		return fail(err)
-	}
-	binary.BigEndian.PutUint64(scratch[0:], minSeq)
-	binary.BigEndian.PutUint64(scratch[8:], maxSeq)
-	binary.BigEndian.PutUint64(scratch[16:], uint64(len(tombs)))
-	binary.BigEndian.PutUint64(scratch[24:], uint64(len(series)))
-	if err := write(scratch[:32]); err != nil {
-		return fail(err)
-	}
-	// Deterministic order keeps byte-identical files for identical
-	// contents (useful for tests and debugging).
-	tombIDs := sortedIDs(len(tombs), func(yield func(core.SensorID)) {
-		for id := range tombs {
-			yield(id)
-		}
-	})
-	for _, id := range tombIDs {
-		binary.BigEndian.PutUint64(scratch[0:], id.Hi)
-		binary.BigEndian.PutUint64(scratch[8:], id.Lo)
-		binary.BigEndian.PutUint64(scratch[16:], uint64(tombs[id]))
-		if err := write(scratch[:24]); err != nil {
-			return fail(err)
-		}
-	}
-	seriesIDs := sortedIDs(len(series), func(yield func(core.SensorID)) {
-		for id := range series {
-			yield(id)
-		}
-	})
-	for _, id := range seriesIDs {
-		es := series[id]
-		binary.BigEndian.PutUint64(scratch[0:], id.Hi)
-		binary.BigEndian.PutUint64(scratch[8:], id.Lo)
-		binary.BigEndian.PutUint64(scratch[16:], uint64(len(es)))
-		binary.BigEndian.PutUint64(scratch[24:], uint64(es[0].ts))
-		binary.BigEndian.PutUint64(scratch[32:], uint64(es[len(es)-1].ts))
-		if err := write(scratch[:40]); err != nil {
-			return fail(err)
-		}
-		for _, e := range es {
-			binary.BigEndian.PutUint64(scratch[0:], uint64(e.ts))
-			binary.BigEndian.PutUint64(scratch[8:], math.Float64bits(e.val))
-			binary.BigEndian.PutUint64(scratch[16:], uint64(e.expire))
-			if err := write(scratch[:24]); err != nil {
-				return fail(err)
-			}
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return fail(err)
-	}
-	// The CRC trailer is written directly (not through the hasher).
-	binary.BigEndian.PutUint32(scratch[0:], crc.Sum32())
-	if _, err := f.Write(scratch[:4]); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return runFileMeta{}, err
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-		return runFileMeta{}, err
-	}
-	syncDir(dir)
-	return runFileMeta{path: final, minSeq: minSeq, maxSeq: maxSeq, size: st.Size()}, nil
-}
-
 // syncDir fsyncs a directory so a just-renamed file survives a crash.
 func syncDir(dir string) { fsutil.SyncDir(dir) }
 
@@ -199,96 +78,6 @@ func sortedIDs(n int, iter func(func(core.SensorID))) []core.SensorID {
 	iter(func(id core.SensorID) { ids = append(ids, id) })
 	sort.Slice(ids, func(i, j int) bool { return ids[i].Compare(ids[j]) < 0 })
 	return ids
-}
-
-// decodeRunFile parses run-file bytes of either format version: the
-// magic string dispatches between the v1 whole-file decoder below and
-// the block-indexed v2 decoder (diskv2.go). Counts are validated
-// against the remaining length before any allocation, so corrupt
-// headers error out instead of panicking or OOMing; a CRC mismatch
-// rejects the whole file. Series whose entries arrive unsorted are
-// sorted defensively (stable, preserving file order for duplicate
-// timestamps) because the merge-read path requires sorted runs.
-func decodeRunFile(data []byte) (*runContents, error) {
-	if len(data) >= len(runMagic2) && string(data[:len(runMagic2)]) == string(runMagic2) {
-		return decodeRunFileV2(data)
-	}
-	if len(data) < len(runMagic)+4+32+4 {
-		return nil, fmt.Errorf("store: run file truncated")
-	}
-	if string(data[:len(runMagic)]) != string(runMagic) {
-		return nil, fmt.Errorf("store: not a DCDB run file")
-	}
-	body, trailer := data[:len(data)-4], data[len(data)-4:]
-	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(trailer) {
-		return nil, fmt.Errorf("store: run file CRC mismatch")
-	}
-	off := len(runMagic)
-	version := binary.BigEndian.Uint32(body[off:])
-	if version != runVersion {
-		return nil, fmt.Errorf("store: unsupported run file version %d", version)
-	}
-	off += 4
-	rc := &runContents{
-		minSeq: binary.BigEndian.Uint64(body[off:]),
-		maxSeq: binary.BigEndian.Uint64(body[off+8:]),
-	}
-	tombCount := binary.BigEndian.Uint64(body[off+16:])
-	seriesCount := binary.BigEndian.Uint64(body[off+24:])
-	off += 32
-	if rc.minSeq > rc.maxSeq {
-		return nil, fmt.Errorf("store: run file span inverted")
-	}
-	rest := uint64(len(body) - off)
-	if tombCount > rest/24 {
-		return nil, fmt.Errorf("store: run file tombstone count overflows file")
-	}
-	if tombCount > 0 {
-		rc.tombs = make(map[core.SensorID]int64, tombCount)
-		for i := uint64(0); i < tombCount; i++ {
-			id := core.SensorID{Hi: binary.BigEndian.Uint64(body[off:]), Lo: binary.BigEndian.Uint64(body[off+8:])}
-			rc.tombs[id] = int64(binary.BigEndian.Uint64(body[off+16:]))
-			off += 24
-		}
-	}
-	if seriesCount > uint64(len(body)-off)/40 {
-		return nil, fmt.Errorf("store: run file series count overflows file")
-	}
-	rc.series = make(map[core.SensorID][]entry, seriesCount)
-	for i := uint64(0); i < seriesCount; i++ {
-		if len(body)-off < 40 {
-			return nil, fmt.Errorf("store: run file truncated in series header")
-		}
-		id := core.SensorID{Hi: binary.BigEndian.Uint64(body[off:]), Lo: binary.BigEndian.Uint64(body[off+8:])}
-		count := binary.BigEndian.Uint64(body[off+16:])
-		off += 40 // min/max are recomputed below; the stored copy is advisory
-		if count == 0 {
-			return nil, fmt.Errorf("store: run file has empty series")
-		}
-		if count > uint64(len(body)-off)/24 {
-			return nil, fmt.Errorf("store: run file entry count overflows file")
-		}
-		es := make([]entry, count)
-		for j := range es {
-			es[j] = entry{
-				ts:     int64(binary.BigEndian.Uint64(body[off:])),
-				val:    math.Float64frombits(binary.BigEndian.Uint64(body[off+8:])),
-				expire: int64(binary.BigEndian.Uint64(body[off+16:])),
-			}
-			off += 24
-		}
-		if !sort.SliceIsSorted(es, func(a, b int) bool { return es[a].ts < es[b].ts }) {
-			sort.SliceStable(es, func(a, b int) bool { return es[a].ts < es[b].ts })
-		}
-		if _, dup := rc.series[id]; dup {
-			return nil, fmt.Errorf("store: run file repeats sensor %v", id)
-		}
-		rc.series[id] = es
-	}
-	if off != len(body) {
-		return nil, fmt.Errorf("store: run file has %d trailing bytes", len(body)-off)
-	}
-	return rc, nil
 }
 
 // readRunFile loads and decodes one run file.
@@ -385,12 +174,10 @@ type DiskOptions struct {
 	// For tools inspecting a (possibly crashed) agent's directory.
 	ReadOnly bool
 	// CacheBytes > 0 bounds the node's resident run data: spilled and
-	// recovered v2 run files keep only their per-series [min,max] span
+	// recovered run files keep only their per-series [min,max] span
 	// headers and block indexes in memory, and decoded blocks are
 	// cached node-wide up to this budget with clock eviction. 0 keeps
-	// every run fully resident (the legacy behaviour — memory grows
-	// with retention). Legacy v1 files stay resident either way until
-	// compaction rewrites them as v2.
+	// every run fully resident (memory grows with retention).
 	CacheBytes int64
 }
 
@@ -484,59 +271,54 @@ func (n *Node) OpenOptions(dir string, o DiskOptions) error {
 	return nil
 }
 
-// migrateRunFileV1 rewrites a legacy v1 run file in format v2 so the
-// directory gets bounded-memory cold reads immediately, instead of
-// waiting for compaction to happen to rewrite it. The v2 copy is
-// written to a scratch directory next to the original, decoded back
-// and compared entry-for-entry against the v1 contents (every byte
-// re-read passes the v2 CRCs), and only then renamed over the v1 file
-// — a crash at any point leaves either the old file or the new one.
-// Reports whether a migration happened; a v2 file is a no-op.
-func migrateRunFileV1(m *runFileMeta) (bool, error) {
+// migrateRunFile rewrites a run file of the legacy format in the
+// current one, so a directory written by an older build sheds the old
+// layout at its first writable open instead of whenever compaction
+// happens to reach each file. The rewrite lands in a scratch directory
+// next to the original, is decoded back and compared entry-for-entry
+// against the original's contents (every byte re-read passes the new
+// file's CRCs), and only then renamed over it — a crash at any point
+// leaves either the old file or the new one. A file already in the
+// current format is a no-op.
+func migrateRunFile(m *runFileMeta) error {
 	f, err := os.Open(m.path)
 	if err != nil {
-		return false, err
+		return err
 	}
-	var magic [8]byte
+	var magic [runMagicLen]byte
 	_, rerr := io.ReadFull(f, magic[:])
 	f.Close()
 	scratch := m.path + ".migrate"
-	if rerr == nil && string(magic[:]) == string(runMagic2) {
-		// Already v2; clear any scratch a crashed migration left.
-		os.RemoveAll(scratch)
-		return false, nil
+	os.RemoveAll(scratch) // whatever a crashed migration left
+	if rerr == nil && string(magic[:]) == string(runMagic) {
+		return nil
 	}
-	data, err := os.ReadFile(m.path)
+	rc, err := readRunFile(m.path)
 	if err != nil {
-		return false, err
+		return err
 	}
-	rc, err := decodeRunFile(data)
-	if err != nil {
-		return false, fmt.Errorf("store: migrating %s: %w", m.path, err)
-	}
-	os.RemoveAll(scratch)
 	if err := os.MkdirAll(scratch, 0o755); err != nil {
-		return false, err
+		return err
 	}
 	defer os.RemoveAll(scratch)
-	meta2, _, err := writeRunFileV2(scratch, rc.minSeq, rc.maxSeq, rc.series, rc.tombs)
+	meta2, _, err := writeRunFile(scratch, rc.minSeq, rc.maxSeq, rc.series, rc.tombs)
 	if err != nil {
-		return false, err
+		return err
 	}
-	// Verify the rewrite before retiring the v1 original.
+	// Verify the rewrite before retiring the original.
 	rc2, err := readRunFile(meta2.path)
 	if err != nil {
-		return false, fmt.Errorf("store: verifying migrated %s: %w", m.path, err)
+		return fmt.Errorf("store: verifying migrated %s: %w", m.path, err)
 	}
 	if err := runContentsEqual(rc, rc2); err != nil {
-		return false, fmt.Errorf("store: migrated %s diverges from original: %w", m.path, err)
+		return fmt.Errorf("store: migrated %s diverges from original: %w", m.path, err)
 	}
 	if err := os.Rename(meta2.path, m.path); err != nil {
-		return false, err
+		return err
 	}
 	syncDir(filepath.Dir(m.path))
 	m.size = meta2.size
-	return true, nil
+	return nil
 }
 
 // runContentsEqual compares two decoded run files entry-for-entry.
@@ -569,13 +351,22 @@ func runContentsEqual(a, b *runContents) error {
 	return nil
 }
 
+// checkSpan requires the span a run file's index states to be the one
+// its name does.
+func (m *runFileMeta) checkSpan(minSeq, maxSeq uint64) error {
+	if minSeq != m.minSeq || maxSeq != m.maxSeq {
+		return fmt.Errorf("store: %s: header span [%d,%d] contradicts name", m.path, minSeq, maxSeq)
+	}
+	return nil
+}
+
 // recoverShard rebuilds shard i from its directory: run files first
 // (oldest to newest, applying each file's tombstones to the older
-// files' rows), then WAL segment replay into the memtable. Legacy v1
-// files are migrated to v2 first (verified rewrite; see
-// migrateRunFileV1) unless the node is read-only — a migration failure
-// is logged and the v1 file served resident, the pre-migration
-// behaviour. Single threaded; no locks needed.
+// files' rows), then WAL segment replay into the memtable. Files of the
+// legacy format are migrated first (verified rewrite; see
+// migrateRunFile) unless the node is read-only — a migration failure is
+// logged and the legacy file served in place, as a read-only open does.
+// Single threaded; no locks needed.
 func (n *Node) recoverShard(i int) error {
 	sh := &n.shards[i]
 	metas, err := scanRunFiles(sh.disk.dir)
@@ -585,62 +376,52 @@ func (n *Node) recoverShard(i int) error {
 	for mi := range metas {
 		m := &metas[mi]
 		if !n.opts.ReadOnly {
-			if _, err := migrateRunFileV1(m); err != nil {
-				log.Printf("store: run-file migration: %v (serving v1 original)", err)
+			if err := migrateRunFile(m); errors.Is(err, errRunFileV1) {
+				return err
+			} else if err != nil {
+				log.Printf("store: run-file migration: %v (serving the file as it is)", err)
 			}
 		}
 		if n.cache != nil {
-			// Resident-set-bounded recovery: v2 files contribute only
-			// their index (per-series bounds + block index); the data
-			// section stays on disk until a query pulls blocks through
-			// the cache. v1 files fall through to the full load below
-			// and stay resident until compaction rewrites them.
+			// Resident-set-bounded recovery: a file contributes only its
+			// index (per-series bounds + block index); the data section
+			// stays on disk until a query pulls blocks through the cache.
 			idx, err := readRunIndexFile(m.path)
-			if err == nil {
-				if idx.minSeq != m.minSeq || idx.maxSeq != m.maxSeq {
-					return fmt.Errorf("store: %s: header span [%d,%d] contradicts name", m.path, idx.minSeq, idx.maxSeq)
-				}
-				rf, err := openRunFileHandle(m.path, idx.dataLen, n.cache)
-				if err != nil {
-					return err
-				}
-				for id, cutoff := range idx.tombs {
-					sh.cutRunsLocked(id, cutoff, m.minSeq)
-				}
-				m.tombs = idx.tombs
-				m.rf = rf
-				for _, se := range idx.series {
-					sh.runs[se.id] = append(sh.runs[se.id], run{
-						min: se.min, max: se.max, seq: m.maxSeq,
-						cold: &coldRun{rf: rf, blocks: se.blocks, count: int(se.count)},
-					})
-					sh.flushedSize += int(se.count)
-				}
-				sh.disk.files = append(sh.disk.files, *m)
-				if m.maxSeq >= sh.disk.nextSeq {
-					sh.disk.nextSeq = m.maxSeq + 1
-				}
-				continue
-			} else if !isNotV2(err) {
+			if err != nil {
 				return err
 			}
-		}
-		rc, err := readRunFile(m.path)
-		if err != nil {
-			return err
-		}
-		if rc.minSeq != m.minSeq || rc.maxSeq != m.maxSeq {
-			return fmt.Errorf("store: %s: header span [%d,%d] contradicts name", m.path, rc.minSeq, rc.maxSeq)
+			if err := m.checkSpan(idx.minSeq, idx.maxSeq); err != nil {
+				return err
+			}
+			if m.rf, err = openRunFileHandle(m.path, idx, n.cache); err != nil {
+				return err
+			}
+			m.tombs = idx.tombs
+			for _, se := range idx.series {
+				sh.runs[se.id] = append(sh.runs[se.id], run{
+					min: se.min, max: se.max, seq: m.maxSeq,
+					cold: &coldRun{rf: m.rf, blocks: se.blocks, count: int(se.count)},
+				})
+				sh.flushedSize += int(se.count)
+			}
+		} else {
+			rc, err := readRunFile(m.path)
+			if err != nil {
+				return err
+			}
+			if err := m.checkSpan(rc.minSeq, rc.maxSeq); err != nil {
+				return err
+			}
+			m.tombs = rc.tombs
+			for id, es := range rc.series {
+				sh.runs[id] = append(sh.runs[id], run{es: es, min: es[0].ts, max: es[len(es)-1].ts, seq: m.maxSeq})
+				sh.flushedSize += len(es)
+			}
 		}
 		// Tombstones cover deletes issued while this file's memtable
 		// was live; older files still hold the deleted rows.
-		for id, cutoff := range rc.tombs {
+		for id, cutoff := range m.tombs {
 			sh.cutRunsLocked(id, cutoff, m.minSeq)
-		}
-		m.tombs = rc.tombs
-		for id, es := range rc.series {
-			sh.runs[id] = append(sh.runs[id], run{es: es, min: es[0].ts, max: es[len(es)-1].ts, seq: m.maxSeq})
-			sh.flushedSize += len(es)
 		}
 		sh.disk.files = append(sh.disk.files, *m)
 		if m.maxSeq >= sh.disk.nextSeq {

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"os"
 	"path/filepath"
@@ -18,19 +19,24 @@ import (
 // a record that fails its checksum.
 
 // validRunFileBytes builds a well-formed run file through the real
-// writer, used to seed the corpus.
+// writer — two blocks, an expire section, versions, a tombstone — to
+// seed the corpus.
 func validRunFileBytes(t interface{ Fatal(...any) }) []byte {
 	dir, err := os.MkdirTemp("", "dcdbfuzz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
+	long := make([]entry, blockEntries+30) // spans two blocks
+	for i := range long {
+		long[i] = entry{ts: int64(i) * 10, val: float64(i % 17), ver: 1<<50 + uint64(i)}
+	}
 	series := map[core.SensorID][]entry{
 		{Hi: 1, Lo: 2}: {{ts: 5, val: 1.5}, {ts: 9, val: -2, expire: 77}},
-		{Hi: 3, Lo: 4}: {{ts: 1, val: 42}},
+		{Hi: 3, Lo: 4}: long,
 	}
 	tombs := map[core.SensorID]int64{{Hi: 1, Lo: 2}: 3}
-	meta, err := writeRunFile(dir, 2, 4, series, tombs)
+	meta, _, err := writeRunFile(dir, 2, 4, series, tombs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,28 +47,10 @@ func validRunFileBytes(t interface{ Fatal(...any) }) []byte {
 	return data
 }
 
-// validRunFileV2Bytes builds a well-formed v2 (block-indexed) run file
-// through the real writer, seeding the v2 half of the corpus.
-func validRunFileV2Bytes(t interface{ Fatal(...any) }) []byte {
-	dir, err := os.MkdirTemp("", "dcdbfuzz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer os.RemoveAll(dir)
-	long := make([]entry, blockEntries+30) // spans two blocks
-	for i := range long {
-		long[i] = entry{ts: int64(i) * 10, val: float64(i % 17)}
-	}
-	series := map[core.SensorID][]entry{
-		{Hi: 1, Lo: 2}: {{ts: 5, val: 1.5}, {ts: 9, val: -2, expire: 77}},
-		{Hi: 3, Lo: 4}: long,
-	}
-	tombs := map[core.SensorID]int64{{Hi: 1, Lo: 2}: 3}
-	meta, _, err := writeRunFileV2(dir, 2, 4, series, tombs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(meta.path)
+// goldenV2Bytes is the checked-in legacy v2 file: the corpus seed of
+// the legacy read path, which no writer in this tree can produce.
+func goldenV2Bytes(t interface{ Fatal(...any) }) []byte {
+	data, err := os.ReadFile(goldenV2Path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,17 +59,15 @@ func validRunFileV2Bytes(t interface{ Fatal(...any) }) []byte {
 
 func FuzzRunFileDecode(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte("DCDBRUN1"))
 	f.Add([]byte("DCDBRUN2"))
-	f.Add(validRunFileBytes(f))
-	// A truncated valid file exercises every partial-header path.
-	valid := validRunFileBytes(f)
-	f.Add(valid[:len(valid)/2])
-	v2 := validRunFileV2Bytes(f)
-	f.Add(v2)
-	f.Add(v2[:len(v2)/2])      // torn data/index
-	f.Add(v2[:len(v2)-8])      // torn footer
-	f.Add(append(v2, 0, 1, 2)) // trailing garbage shifts the footer
+	f.Add([]byte("DCDBRUN3"))
+	for _, valid := range [][]byte{validRunFileBytes(f), goldenV2Bytes(f)} {
+		f.Add(valid)
+		f.Add(valid[:len(valid)/2])             // torn data/index
+		f.Add(valid[:len(valid)-8])             // torn footer
+		f.Add(append(valid, 0, 1, 2))           // trailing garbage shifts the footer
+		f.Add(valid[:runMagicLen+runFooterLen]) // magic and a footer-sized tail, nothing else
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rc, err := decodeRunFile(data)
 		if err != nil {
@@ -162,25 +148,41 @@ func FuzzWALReplay(f *testing.F) {
 	})
 }
 
-// FuzzBlockDecode hammers the v2 block decoder directly: torn,
+// FuzzBlockDecode hammers the block decoder directly, in both its
+// forms — index-anchored (v3) and self-contained (legacy v2): torn,
 // bit-flipped or hostile block bytes (which the per-block CRC would
 // normally reject before decode) must error — never panic, never
-// over-allocate, never return unsorted data. A round-trip seed checks
-// the valid path inside the fuzzer too.
+// over-allocate, never return unsorted data. Whatever decodes must
+// survive a v3 re-encode, which checks the valid path inside the
+// fuzzer too.
 func FuzzBlockDecode(f *testing.F) {
-	f.Add([]byte{}, uint16(1))
-	f.Add([]byte{0}, uint16(1))
-	es := []entry{{ts: 1, val: 1.5}, {ts: 1, val: -2}, {ts: 50, val: 1.5, expire: 9}}
-	f.Add(encodeBlock(nil, es), uint16(len(es)))
+	f.Add([]byte{}, uint16(1), int64(0), uint64(0), false)
+	f.Add([]byte{0}, uint16(1), int64(0), uint64(0), true)
+	es := []entry{{ts: 1, val: 1.5, ver: 900}, {ts: 1, val: -2, ver: 1100}, {ts: 50, val: 1.5, expire: 9}}
+	f.Add(encodeBlock(nil, es, 1000), uint16(len(es)), es[0].ts, uint64(1000), false)
+	f.Add(encodeBlock(nil, es[:1], 0), uint16(1), es[0].ts, uint64(0), false)
 	long := make([]entry, blockEntries)
 	for i := range long {
 		long[i] = entry{ts: int64(i) * 1000, val: float64(i) * 0.5}
 	}
-	f.Add(encodeBlock(nil, long), uint16(len(long)))
-	f.Fuzz(func(t *testing.T, data []byte, count16 uint16) {
+	f.Add(encodeBlock(nil, long, 0), uint16(len(long)), long[0].ts, uint64(0), false)
+	// Legacy blocks come out of the checked-in v2 file.
+	golden := goldenV2Bytes(f)
+	footer := golden[len(golden)-runFooterLen:]
+	indexOff := binary.BigEndian.Uint64(footer)
+	idx, err := parseRunIndexV2(golden[indexOff:len(golden)-runFooterLen], int64(indexOff))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, se := range idx.series {
+		for _, m := range se.blocks {
+			f.Add(golden[m.off:m.off+uint64(m.length)], uint16(m.count), m.min, uint64(0), true)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte, count16 uint16, first int64, baseVer uint64, legacy bool) {
 		count := int(count16)
 		out := make([]entry, 0, 64)
-		if err := decodeBlock(data, count, &out); err != nil {
+		if err := decodeBlock(data, count, first, blockBase{ver: baseVer, legacy: legacy}, &out); err != nil {
 			if len(out) != 0 {
 				t.Fatalf("failed decode left %d partial entries", len(out))
 			}
@@ -189,6 +191,9 @@ func FuzzBlockDecode(f *testing.F) {
 		if len(out) != count {
 			t.Fatalf("decoded %d entries, promised %d", len(out), count)
 		}
+		if !legacy && out[0].ts != first {
+			t.Fatalf("anchored block starts at %d, index says %d", out[0].ts, first)
+		}
 		for i := 1; i < len(out); i++ {
 			if out[i].ts < out[i-1].ts {
 				t.Fatalf("accepted unsorted block at %d", i)
@@ -196,13 +201,12 @@ func FuzzBlockDecode(f *testing.F) {
 		}
 		// Whatever decodes must re-encode and decode to the same
 		// entries (the codec is deterministic and lossless).
-		re := encodeBlock(nil, out)
-		var out2 []entry
-		if err := decodeBlock(re, count, &out2); err != nil {
+		_, out2, err := codecRoundTrip(out, baseVer)
+		if err != nil {
 			t.Fatalf("re-encode failed to decode: %v", err)
 		}
 		for i := range out {
-			if out[i].ts != out2[i].ts || out[i].expire != out2[i].expire ||
+			if out[i].ts != out2[i].ts || out[i].expire != out2[i].expire || out[i].ver != out2[i].ver ||
 				math.Float64bits(out[i].val) != math.Float64bits(out2[i].val) {
 				t.Fatalf("re-encode round trip diverged at %d: %+v vs %+v", i, out[i], out2[i])
 			}

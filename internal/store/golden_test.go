@@ -1,0 +1,82 @@
+package store
+
+import (
+	"math/rand"
+
+	"dcdb/internal/core"
+)
+
+// goldenV2Path is a run file in legacy format v2, written by the v2
+// writer of the last build that had one (PR 11) from exactly what
+// goldenV2Contents returns. It is the fixture for everything that must
+// keep reading v2: the decoder, the open-time migration, read-only
+// opens, the fuzz corpus. It cannot be regenerated from this tree — no
+// v2 writer remains — so goldenV2Contents must never change.
+const goldenV2Path = "testdata/run-v2.sst"
+
+// goldenV2Name is the name the file must carry inside a shard
+// directory (its index states the span [1,2]).
+var goldenV2Name = runFileName(1, 2)
+
+// goldenV2IDs returns the fixture's series ids, all hashing to one
+// shard (a run file belongs to a shard directory): a three-block
+// versioned counter, a two-block series with duplicate timestamps,
+// expiries and mixed zero/non-zero versions, a single unversioned
+// entry, and exactly one full block whose versions are all equal.
+func goldenV2IDs() (counter, messy, single, full core.SensorID) {
+	var ids []core.SensorID
+	for lo := uint64(1); len(ids) < 4; lo++ {
+		if id := sid(0x0001000200030004, lo<<32); shardIndex(id) == 5 {
+			ids = append(ids, id)
+		}
+	}
+	return ids[0], ids[1], ids[2], ids[3]
+}
+
+func goldenV2Contents() *runContents {
+	rng := rand.New(rand.NewSource(20190617))
+	counter, messy, single, full := goldenV2IDs()
+	const t0, v0 = int64(1_560_000_000_000_000_000), uint64(1_700_000_000_000_000_000)
+
+	ces := make([]entry, 2*blockEntries+17)
+	for i := range ces {
+		jitter := int64(rng.Intn(20_000_000)) - 10_000_000
+		ces[i] = entry{
+			ts:  t0 + int64(i)*1_000_000_000 + jitter,
+			val: float64(1000 + 37*i),
+			ver: v0 + uint64(i)*1_000_000_000 + uint64(rng.Intn(5_000_000)),
+		}
+	}
+
+	mes := make([]entry, blockEntries+9)
+	ts := t0 - 5_000
+	for i := range mes {
+		mes[i].ts = ts
+		if rng.Intn(8) != 0 { // occasional duplicate timestamps
+			ts += int64(rng.Intn(5000))
+		}
+		mes[i].val = rng.NormFloat64() * 1e3
+		if rng.Intn(5) == 0 {
+			mes[i].expire = int64(rng.Intn(1 << 30))
+		}
+		if rng.Intn(3) != 0 {
+			mes[i].ver = v0 - uint64(rng.Intn(1<<20))
+		}
+	}
+
+	fes := make([]entry, blockEntries)
+	for i := range fes {
+		fes[i] = entry{ts: t0 + int64(i)*250_000_000, val: 21.5 + float64(i%7)*0.25, ver: v0 + 42}
+	}
+
+	return &runContents{
+		minSeq: 1, maxSeq: 2,
+		tombs: map[core.SensorID]int64{counter: 5, sid(9, 9): 123},
+		series: map[core.SensorID][]entry{
+			counter: ces,
+			messy:   mes,
+			single:  {{ts: 17, val: -0.5}},
+			full:    fes,
+		},
+	}
+}

@@ -1,10 +1,13 @@
 package store
 
 import (
+	"errors"
 	"fmt"
-	"math/rand"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,110 +16,188 @@ import (
 	"dcdb/internal/fsutil"
 )
 
-// TestV1MigrationPreservesContents opens a node over legacy v1 run
-// files and requires the one-shot migration to leave byte-verified v2
-// files serving exactly the original data — including multi-block
-// series, duplicate timestamps, and tombstone sections — and to be
-// idempotent across reopens.
-func TestV1MigrationPreservesContents(t *testing.T) {
-	dir := t.TempDir()
-	rng := rand.New(rand.NewSource(42))
-	id := sid(7, 7)
-	shardDir := filepath.Join(dir, fmt.Sprintf("shard-%02d", shardIndex(id)))
+// placeGoldenV2 copies the checked-in legacy v2 run file into the shard
+// directory its series hash to under dir and returns where it landed.
+func placeGoldenV2(t *testing.T, dir string) string {
+	t.Helper()
+	data, err := os.ReadFile(goldenV2Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counter, _, _, _ := goldenV2IDs()
+	shardDir := filepath.Join(dir, fmt.Sprintf("shard-%02d", shardIndex(counter)))
 	if err := os.MkdirAll(shardDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	es := make([]entry, blockEntries*3+17) // force multiple v2 blocks
-	for i := range es {
-		es[i] = entry{ts: int64(i * 10), val: float64(i)}
+	path := filepath.Join(shardDir, goldenV2Name)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	// A second series with duplicate timestamps, expiries, and messy
-	// values exercises migration fidelity without query-time dedup.
-	messy := randomEntries(rng, blockEntries+9)
-	meta, err := writeRunFile(shardDir, 1, 2,
-		map[core.SensorID][]entry{id: es, sid(8, 8): messy},
-		map[core.SensorID]int64{sid(9, 9): 123})
+	return path
+}
+
+// dirSnapshot maps every file under dir to its bytes.
+func dirSnapshot(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	snap := map[string]string{}
+	err := filepath.Walk(dir, func(p string, info os.FileInfo, err error) error {
+		if err != nil || info.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(p)
+		snap[p] = string(data)
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := readRunFile(meta.path)
+	return snap
+}
+
+// servedVersioned reads every golden series back through the node.
+func servedVersioned(t *testing.T, n *Node, want *runContents) map[core.SensorID][]VersionedReading {
+	t.Helper()
+	got := map[core.SensorID][]VersionedReading{}
+	for id := range want.series {
+		vrs, err := n.QueryVersioned(id, math.MinInt64, math.MaxInt64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[id] = vrs
+	}
+	return got
+}
+
+func runMagicOf(t *testing.T, path string) string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil || len(data) < runMagicLen {
+		t.Fatalf("reading %s: %v", path, err)
+	}
+	return string(data[:runMagicLen])
+}
+
+// TestGoldenV2Decodes pins the legacy read path to a file written by
+// the last build that had a v2 writer: the whole-file decoder and the
+// index-only cold reader must both keep reading it, entry for entry.
+func TestGoldenV2Decodes(t *testing.T) {
+	data, err := os.ReadFile(goldenV2Path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A stale scratch directory from a crashed migration must not block
-	// the retry.
-	scratch := meta.path + ".migrate"
+	if string(data[:runMagicLen]) != string(runMagicV2) {
+		t.Fatalf("fixture carries magic %q", data[:runMagicLen])
+	}
+	want := goldenV2Contents()
+	got, err := decodeRunFile(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := runContentsEqual(want, got); err != nil {
+		t.Fatalf("golden v2 file decodes differently: %v", err)
+	}
+	idx, err := readRunIndexFile(goldenV2Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !idx.base.legacy || len(idx.series) != len(want.series) {
+		t.Fatalf("index-only read: legacy=%v, %d series", idx.base.legacy, len(idx.series))
+	}
+	if err := coldSeriesEqual(goldenV2Path, idx, want.series); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestV2MigrationPreservesContents opens a node over the legacy v2 run
+// file and requires the one-shot migration to leave a byte-verified v3
+// file serving exactly the original data — multi-block series,
+// duplicate timestamps, expiries, mixed versions, tombstones — to be
+// idempotent across reopens, to serve what a read-only open of the
+// untouched v2 file serves, and to survive the crash window between
+// the rewrite and the rename.
+func TestV2MigrationPreservesContents(t *testing.T) {
+	dir := t.TempDir()
+	path := placeGoldenV2(t, dir)
+	want := goldenV2Contents()
+	counter, _, _, _ := goldenV2IDs()
+
+	ro := coldOptions
+	ro.ReadOnly = true
+	n := openedNode(t, dir, 0, ro)
+	inPlace := servedVersioned(t, n, want)
+	n.Close()
+	if len(inPlace[counter]) != len(want.series[counter]) {
+		t.Fatalf("read-only open served %d counter readings, want %d", len(inPlace[counter]), len(want.series[counter]))
+	}
+
+	// A crash between the rewrite and the rename leaves the complete v3
+	// copy in the scratch directory beside the v2 original: exactly one
+	// file counts as a run file, and the retry must not trip over the
+	// leftover.
+	scratch := path + ".migrate"
 	if err := os.MkdirAll(scratch, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(scratch, "junk"), []byte("x"), 0o644); err != nil {
+	if _, _, err := writeRunFile(scratch, want.minSeq, want.maxSeq, want.series, want.tombs); err != nil {
 		t.Fatal(err)
+	}
+	if metas, err := scanRunFiles(filepath.Dir(path)); err != nil || len(metas) != 1 || metas[0].path != path {
+		t.Fatalf("crash window: scan sees %+v (%v), want only the original", metas, err)
 	}
 
 	check := func(o DiskOptions) {
 		t.Helper()
 		n := openedNode(t, dir, 0, o)
 		defer n.Close()
-		if head, err := os.ReadFile(meta.path); err != nil || string(head[:8]) != string(runMagic2) {
-			t.Fatalf("expected v2 magic after open (err=%v)", err)
+		if magic := runMagicOf(t, path); magic != string(runMagic) {
+			t.Fatalf("magic %q after a writable open, want the current format", magic)
 		}
 		if _, err := os.Stat(scratch); !os.IsNotExist(err) {
 			t.Fatalf("migration scratch dir left behind: %v", err)
 		}
-		got, err := readRunFile(meta.path)
+		got, err := readRunFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := runContentsEqual(want, got); err != nil {
 			t.Fatalf("migrated contents diverge: %v", err)
 		}
-		rs, err := n.Query(id, -1<<62, 1<<62)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rs) != len(es) {
-			t.Fatalf("query served %d readings, want %d", len(rs), len(es))
-		}
-		for i, r := range rs {
-			if r.Timestamp != es[i].ts || r.Value != es[i].val {
-				t.Fatalf("reading %d: got %+v want %+v", i, r, es[i])
-			}
+		if served := servedVersioned(t, n, want); !reflect.DeepEqual(served, inPlace) {
+			t.Fatal("migrated file serves different query results than the v2 original did")
 		}
 	}
 	check(coldOptions) // migrates, then cold-loads
-	check(noCompact)   // second open is a no-op, resident load
+	migrated := dirSnapshot(t, filepath.Dir(path))[path]
+	check(noCompact) // second open is a no-op, resident load
+	if dirSnapshot(t, filepath.Dir(path))[path] != migrated {
+		t.Fatal("reopening a migrated directory rewrote the run file")
+	}
 }
 
-// TestV1MigrationFailureServesOriginal injects a disk fault into the
+// TestV2MigrationFailureServesOriginal injects a disk fault into the
 // migration's scratch rewrite and requires the open to degrade — the
-// v1 file stays authoritative and fully served — instead of failing.
-func TestV1MigrationFailureServesOriginal(t *testing.T) {
+// v2 file stays authoritative and fully served — instead of failing.
+func TestV2MigrationFailureServesOriginal(t *testing.T) {
 	inj := faults.New(1)
 	orig := fsutil.Disk
 	fsutil.Disk = inj.FS(orig)
 	defer func() { fsutil.Disk = orig }()
 
 	dir := t.TempDir()
-	id := sid(5, 5)
-	shardDir := filepath.Join(dir, fmt.Sprintf("shard-%02d", shardIndex(id)))
-	if err := os.MkdirAll(shardDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	meta, err := writeRunFile(shardDir, 1, 1, map[core.SensorID][]entry{
-		id: {{ts: 5, val: 1}, {ts: 6, val: 2}},
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	path := placeGoldenV2(t, dir)
+	want := goldenV2Contents()
 	inj.AddRule(&faults.Rule{Ops: faults.FSOpen | faults.FSWrite, Match: ".migrate", Err: faults.ErrInjected})
-	n := openedNode(t, dir, 0, noCompact)
-	defer n.Close()
-	if head, err := os.ReadFile(meta.path); err != nil || string(head[:8]) != string(runMagic) {
-		t.Fatalf("failed migration must leave the v1 file authoritative (err=%v)", err)
-	}
-	rs, err := n.Query(id, 0, 100)
-	if err != nil || len(rs) != 2 {
-		t.Fatalf("v1 fallback query: %v %v", rs, err)
+	for _, o := range []DiskOptions{noCompact, coldOptions} {
+		n := openedNode(t, dir, 0, o)
+		if magic := runMagicOf(t, path); magic != string(runMagicV2) {
+			t.Fatalf("failed migration must leave the v2 file authoritative, found %q", magic)
+		}
+		for id, vrs := range servedVersioned(t, n, want) {
+			if len(vrs) == 0 || len(vrs) > len(want.series[id]) {
+				t.Fatalf("v2 fallback serves %d readings of %v", len(vrs), id)
+			}
+		}
+		n.Close()
 	}
 }
 
@@ -175,30 +256,63 @@ func TestBatchedSyncLoopDurability(t *testing.T) {
 	}
 }
 
-// TestV1MigrationSkippedReadOnly requires a read-only open to serve v1
-// files as-is without rewriting anything.
-func TestV1MigrationSkippedReadOnly(t *testing.T) {
+// TestV2ReadOnlyOpenLeavesDirectoryUntouched requires a read-only open
+// to serve legacy v2 files in place: after opening hot and cold and
+// querying everything, the directory is byte-identical. The messy
+// series is left to the migration test's before/after comparison: what
+// a query makes of its duplicates and long-past expiries is not this
+// test's subject.
+func TestV2ReadOnlyOpenLeavesDirectoryUntouched(t *testing.T) {
 	dir := t.TempDir()
-	id := sid(4, 4)
-	shardDir := filepath.Join(dir, fmt.Sprintf("shard-%02d", shardIndex(id)))
+	placeGoldenV2(t, dir)
+	want := goldenV2Contents()
+	_, messy, _, _ := goldenV2IDs()
+	before := dirSnapshot(t, dir)
+	for _, o := range []DiskOptions{noCompact, coldOptions} {
+		o.ReadOnly = true
+		n := openedNode(t, dir, 0, o)
+		for id, vrs := range servedVersioned(t, n, want) {
+			es := want.series[id]
+			if id == messy {
+				continue
+			}
+			if len(vrs) != len(es) {
+				t.Fatalf("read-only open serves %d readings of %v, want %d", len(vrs), id, len(es))
+			}
+			for i, vr := range vrs {
+				if vr.Timestamp != es[i].ts || vr.Value != es[i].val || vr.Version != es[i].ver {
+					t.Fatalf("series %v reading %d: %+v, want %+v", id, i, vr, es[i])
+				}
+			}
+		}
+		n.Close()
+	}
+	if after := dirSnapshot(t, dir); !reflect.DeepEqual(before, after) {
+		t.Fatal("read-only open changed the directory")
+	}
+}
+
+// TestV1RunFileRefused requires a format-v1 file — whose decoder is
+// gone — to fail the open with an error that names the way out, and to
+// be left alone.
+func TestV1RunFileRefused(t *testing.T) {
+	dir := t.TempDir()
+	shardDir := filepath.Join(dir, "shard-00")
 	if err := os.MkdirAll(shardDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	meta, err := writeRunFile(shardDir, 1, 1, map[core.SensorID][]entry{
-		id: {{ts: 5, val: 1}, {ts: 6, val: 2}},
-	}, nil)
-	if err != nil {
+	v1 := append([]byte("DCDBRUN1"), make([]byte, 64)...)
+	path := filepath.Join(shardDir, runFileName(1, 1))
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	o := noCompact
-	o.ReadOnly = true
-	n := openedNode(t, dir, 0, o)
-	defer n.Close()
-	if head, err := os.ReadFile(meta.path); err != nil || string(head[:8]) != string(runMagic) {
-		t.Fatalf("read-only open rewrote the v1 file (err=%v)", err)
-	}
-	rs, err := n.Query(id, 0, 100)
-	if err != nil || len(rs) != 2 {
-		t.Fatalf("read-only v1 query: %v %v", rs, err)
+	for _, o := range []DiskOptions{noCompact, coldOptions, {CompactInterval: -1, ReadOnly: true}} {
+		err := NewNode(0).OpenOptions(dir, o)
+		if !errors.Is(err, errRunFileV1) || !strings.Contains(err.Error(), "PR 11") {
+			t.Fatalf("open %+v over a v1 file: %v, want the refusal", o, err)
+		}
+		if got, _ := os.ReadFile(path); string(got) != string(v1) {
+			t.Fatal("refused v1 file was modified")
+		}
 	}
 }

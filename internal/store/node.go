@@ -78,7 +78,7 @@ type memSeries struct {
 // lists are ordered by ascending seq (oldest first).
 //
 // A run is either hot (es resident, read in place) or cold (es nil,
-// cold describing the v2 run-file blocks holding the entries; reads go
+// cold describing the run-file blocks holding the entries; reads go
 // through the node's block cache). Only the [min,max] bounds and the
 // per-block index stay resident for a cold run — that is the
 // resident-set bound. cut records a DeleteBefore applied to a cold run:

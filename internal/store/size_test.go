@@ -1,0 +1,93 @@
+package store
+
+import (
+	"math/rand"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"dcdb/internal/core"
+)
+
+// storedBytes pushes perSeries versioned readings of each of
+// nSeries monitoring-shaped sensors through a durable node — 1 s period
+// with ±1% jitter in ns, write versions in arrival order, the paper's
+// mix of counters, quantised gauges and set-points, SIDs from a
+// six-level hierarchy — flushes, compacts, closes, and returns the bytes
+// the node's directory holds. Deterministic: same bytes on every run.
+func storedBytes(t *testing.T, nSeries, perSeries int) int64 {
+	t.Helper()
+	dir := t.TempDir()
+	n := openedNode(t, dir, 1<<30, DiskOptions{SyncInterval: -1, CompactInterval: -1})
+	rng := rand.New(rand.NewSource(12))
+	const t0, v0 = int64(1_560_000_000_000_000_000), uint64(1_700_000_000_000_000_000)
+	ids := make([]core.SensorID, nSeries)
+	walk := make([]float64, nSeries)
+	for s := range ids {
+		// /site/rack/chassis/node/plugin/sensor
+		ids[s] = core.SensorID{}.WithLevel(0, 1).WithLevel(1, uint16(1+s/400)).WithLevel(2, uint16(1+s/100%4)).
+			WithLevel(3, uint16(1+s/10%10)).WithLevel(4, uint16(1+s/5%2)).WithLevel(5, uint16(1+s%5))
+		walk[s] = float64(20 + rng.Intn(60))
+	}
+	for i := 0; i < perSeries; i++ {
+		for s, id := range ids {
+			var val float64
+			switch k := s % 16; {
+			case k < 9: // monotone integer counter
+				val = float64(int64(s)*1_000_003 + int64(i)*int64(1000+s%977))
+			case k < 15: // quantised bounded random walk
+				walk[s] += float64(rng.Intn(5)-2) * 0.25
+				val = walk[s]
+			default: // set-point
+				val = 18.5
+			}
+			vr := VersionedReading{
+				Timestamp: t0 + int64(i)*1_000_000_000 + int64(rng.Intn(20_000_001)) - 10_000_000,
+				Value:     val,
+				Version:   v0 + uint64(i*nSeries+s)*166_667 + uint64(rng.Intn(50_000)),
+			}
+			if err := n.InsertVersioned(id, []VersionedReading{vr}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := n.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	n.Compact()
+	if err := n.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var total int64
+	err := filepath.Walk(dir, func(_ string, info os.FileInfo, err error) error {
+		if err == nil && !info.IsDir() {
+			total += info.Size()
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return total
+}
+
+// TestRunFileBytesPerReading is the size guard of the run-file format.
+// Fan-in — very many series with a handful of readings each per file —
+// is where a per-series index cost concentrates: format v2 spent 80
+// index bytes per series and 18 absolute header bytes per block, and
+// needed 30.4 B/reading for the first shape below. Long series must not
+// pay for the fan-in gain: the second shape may not outgrow what v2
+// needed for it.
+func TestRunFileBytesPerReading(t *testing.T) {
+	fanin := float64(storedBytes(t, 2000, 5)) / (2000 * 5)
+	t.Logf("fan-in shape: %.2f B/reading", fanin)
+	if fanin > 22 {
+		t.Errorf("fan-in shape: %.2f B/reading on disk, want <= 22", fanin)
+	}
+	const longV2 = 2_020_100 // bytes format v2 needed (measured at PR 11)
+	long := storedBytes(t, 50, 4096)
+	t.Logf("long series: %d bytes, %.3f B/reading", long, float64(long)/(50*4096))
+	if long > longV2 {
+		t.Errorf("long series: %d bytes on disk, format v2 needed %d", long, longV2)
+	}
+}

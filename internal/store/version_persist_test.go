@@ -8,7 +8,7 @@ import (
 )
 
 // Persistence-format coverage for write versions: the WAL's type-3
-// record, the v2 block codec's version stream, and the v2 snapshot
+// record, the block codec's version stream, and the v2 snapshot
 // record — each with its backward-compat path (legacy data loads as
 // version 0 and keeps losing to any versioned rewrite).
 
@@ -77,9 +77,15 @@ func TestBlockCodecVersionStream(t *testing.T) {
 		{ts: 2, val: 2, ver: 1<<40 + 3},
 		{ts: 3, val: 3, ver: 1 << 39, expire: 99}, // version delta goes negative
 	}
-	enc := encodeBlock(nil, es)
-	var got []entry
-	if err := decodeBlock(enc, len(es), &got); err != nil {
+	// The base the first version is coded against may lie on either
+	// side of it, or be absent (an unversioned file that gained versions).
+	for _, baseVer := range []uint64{1 << 40, 1<<40 + 77, 1 << 20, 0} {
+		if _, got, err := codecRoundTrip(es, baseVer); err != nil || len(got) != len(es) || got[0] != es[0] {
+			t.Fatalf("base %d: decoded %+v (%v)", baseVer, got, err)
+		}
+	}
+	_, got, err := codecRoundTrip(es, 1<<40)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != len(es) {
@@ -91,15 +97,14 @@ func TestBlockCodecVersionStream(t *testing.T) {
 		}
 	}
 	// All-version-0 blocks must not pay for (or advertise) the version
-	// section: their encoding is bit-compatible with pre-version files.
+	// section, whatever the file's base version is.
 	legacy := []entry{{ts: 1, val: 1}, {ts: 2, val: 2}}
-	lenc := encodeBlock(nil, legacy)
+	lenc, lgot, err := codecRoundTrip(legacy, 1<<40)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if lenc[0]&blockFlagVersion != 0 {
 		t.Fatal("version flag set on an all-version-0 block")
-	}
-	var lgot []entry
-	if err := decodeBlock(lenc, len(legacy), &lgot); err != nil {
-		t.Fatal(err)
 	}
 	for i := range legacy {
 		if lgot[i] != legacy[i] {
