@@ -192,8 +192,8 @@ func BenchmarkAblationBurst(b *testing.B) {
 	b.ReportMetric(float64(a.ContinuousMessages)/float64(a.BurstMessages), "msg-reduction-x")
 }
 
-// BenchmarkAblationPartitioner compares hierarchical vs hash
-// partitioning on subtree queries (paper §4.3).
+// BenchmarkAblationPartitioner compares ring placement keyed on the
+// subtree prefix vs the full SID on subtree queries (paper §4.3).
 func BenchmarkAblationPartitioner(b *testing.B) {
 	var a bench.PartitionerAblation
 	var err error
@@ -204,7 +204,7 @@ func BenchmarkAblationPartitioner(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	b.ReportMetric(a.HashNodesPerQuery/a.HierNodesPerQuery, "fanout-reduction-x")
+	b.ReportMetric(a.Rows[1].NodesPerQuery/a.Rows[0].NodesPerQuery, "fanout-reduction-x")
 }
 
 // BenchmarkAblationGrouping compares grouped vs per-sensor sampling.
@@ -411,7 +411,7 @@ func BenchmarkCacheStoreParallel(b *testing.B) {
 // (replication 3), where replica fan-out dominates.
 func BenchmarkClusterInsertReplicated(b *testing.B) {
 	nodes := []*store.Node{store.NewNode(0), store.NewNode(0), store.NewNode(0)}
-	c, err := store.NewCluster(nodes, nil, 3)
+	c, err := store.NewCluster(nodes, store.RingPartitioner{}, 3)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -24,6 +24,12 @@
 // ring and the agent rebalances its coordination (and streams moved
 // ranges) without a restart.
 //
+// However the nodes are named — a count, an address list or a seed —
+// placement is the same ring over the nodes' identities, keyed on the
+// first -depth levels of a sensor's topic, so a sub-tree of the
+// hierarchy shares one replica set (paper §4.3). -depth and
+// -replication must agree across every agent and tool of one cluster.
+//
 // With -metrics-addr (or -rest; both expose /metrics) the process
 // serves its Prometheus exposition: agent ingest counters, cluster
 // coordinator metrics, per-backend store or RPC-client metrics with a
@@ -72,105 +78,95 @@ func parseNodes(s string) (count int, addrs []string, desc string) {
 	return 0, addrs, fmt.Sprintf("%d RPC storage node(s) at %s", len(addrs), strings.Join(addrs, ","))
 }
 
-func main() {
-	listen := flag.String("listen", "127.0.0.1:1883", "MQTT listen address")
-	restAddr := flag.String("rest", "", "RESTful API listen address (empty = disabled)")
-	nodes := flag.String("nodes", "1", "storage backend: a node count for the embedded cluster, or a comma-separated host:port list of dcdbnode processes")
-	join := flag.String("join", "", "comma-separated seed dcdbnode addresses: discover the storage ring via gossip instead of listing every node with -nodes, follow joins/leaves live and rebalance through them (forces the ring partitioner)")
-	ringPoll := flag.Duration("ring-poll", time.Second, "membership poll cadence in -join mode")
-	replication := flag.Int("replication", 1, "copies of each row")
-	partitioner := flag.String("partitioner", "hierarchical", "hierarchical or hash")
-	depth := flag.Int("depth", 4, "hierarchy depth of the partition key")
-	writeCLFlag := flag.String("write-consistency", "one", "replicas that must ack a write: one or quorum")
-	readCLFlag := flag.String("read-consistency", "one", "replicas a read must reach: one or quorum")
-	dataDir := flag.String("data", "", "durable data directory (embedded: run files + WAL per node; remote: topic map + hinted-handoff queue; empty = not durable)")
-	antiEntropy := flag.Duration("anti-entropy", 0, "background digest-repair cadence: each round compares replica digests per sensor and re-inserts diverged readings with their write versions (0 = disabled; needs -replication >= 2)")
-	walSync := flag.Duration("wal-sync", 50*time.Millisecond, "WAL fsync batching interval; 0 syncs every write (embedded cluster only)")
-	cacheBytes := flag.String("cache-bytes", "0", "process-wide block cache budget (e.g. 256MB) for the embedded durable cluster, split evenly across -nodes: bounds resident run data; 0 keeps all runs resident")
-	snapshot := flag.String("snapshot", "", "legacy snapshot file prefix (empty = no snapshots)")
-	snapEvery := flag.Duration("snapshot-interval", 5*time.Minute, "periodic snapshot / topic-map save interval")
-	metricsAddr := flag.String("metrics-addr", "", "Prometheus /metrics listen address (empty = disabled; the -rest API also serves /metrics)")
-	pprofFlag := flag.Bool("pprof", false, "mount net/http/pprof on the -metrics-addr listener")
-	selfMonitor := flag.Duration("self-monitor", 0, "publish the agent's own metrics into the store as /dcdb/self/<host>/... sensors every interval (0 = disabled)")
-	flag.Parse()
+// flags is the parsed command line.
+type flags struct {
+	listen, restAddr, nodes, join string
+	ringPoll                      time.Duration
+	replication, depth            int
+	writeCL, readCL               string
+	dataDir                       string
+	antiEntropy, walSync          time.Duration
+	cacheBytes, snapshot          string
+	snapEvery                     time.Duration
+	metricsAddr                   string
+	pprof                         bool
+	selfMonitor                   time.Duration
+}
 
-	if *dataDir != "" && *snapshot != "" {
-		log.Fatal("collectagent: -data and -snapshot are mutually exclusive")
-	}
+func registerFlags(fs *flag.FlagSet) *flags {
+	f := &flags{}
+	fs.StringVar(&f.listen, "listen", "127.0.0.1:1883", "MQTT listen address")
+	fs.StringVar(&f.restAddr, "rest", "", "RESTful API listen address (empty = disabled)")
+	fs.StringVar(&f.nodes, "nodes", "1", "storage backend: a node count for the embedded cluster, or a comma-separated host:port list of dcdbnode processes, each spelled as the node advertises itself")
+	fs.StringVar(&f.join, "join", "", "comma-separated seed dcdbnode addresses: discover the storage ring via gossip instead of listing every node with -nodes, follow joins/leaves live and rebalance through them")
+	fs.DurationVar(&f.ringPoll, "ring-poll", time.Second, "membership poll cadence in -join mode")
+	fs.IntVar(&f.replication, "replication", 1, "copies of each row")
+	fs.IntVar(&f.depth, "depth", 4, "hierarchy levels forming the placement key: sensors sharing that prefix share a replica set (0 = hash the full SID); must agree across every agent and tool of one cluster")
+	fs.StringVar(&f.writeCL, "write-consistency", "one", "replicas that must ack a write: one or quorum")
+	fs.StringVar(&f.readCL, "read-consistency", "one", "replicas a read must reach: one or quorum")
+	fs.StringVar(&f.dataDir, "data", "", "durable data directory (embedded: run files + WAL per node; remote: topic map + hinted-handoff queue; empty = not durable)")
+	fs.DurationVar(&f.antiEntropy, "anti-entropy", 0, "background digest-repair cadence: each round compares replica digests per sensor and re-inserts diverged readings with their write versions (0 = disabled; needs -replication >= 2)")
+	fs.DurationVar(&f.walSync, "wal-sync", 50*time.Millisecond, "WAL fsync batching interval; 0 syncs every write (embedded cluster only)")
+	fs.StringVar(&f.cacheBytes, "cache-bytes", "0", "process-wide block cache budget (e.g. 256MB) for the embedded durable cluster, split evenly across -nodes: bounds resident run data; 0 keeps all runs resident")
+	fs.StringVar(&f.snapshot, "snapshot", "", "legacy snapshot file prefix (empty = no snapshots)")
+	fs.DurationVar(&f.snapEvery, "snapshot-interval", 5*time.Minute, "periodic snapshot / topic-map save interval")
+	fs.StringVar(&f.metricsAddr, "metrics-addr", "", "Prometheus /metrics listen address (empty = disabled; the -rest API also serves /metrics)")
+	fs.BoolVar(&f.pprof, "pprof", false, "mount net/http/pprof on the -metrics-addr listener")
+	fs.DurationVar(&f.selfMonitor, "self-monitor", 0, "publish the agent's own metrics into the store as /dcdb/self/<host>/... sensors every interval (0 = disabled)")
+	return f
+}
 
-	var part store.Partitioner
-	switch *partitioner {
-	case "hierarchical":
-		part = store.HierarchicalPartitioner{Depth: *depth}
-	case "hash":
-		part = store.HashPartitioner{}
-	default:
-		log.Fatalf("unknown partitioner %q", *partitioner)
-	}
-	writeCL, ok := store.ParseConsistency(*writeCLFlag)
+// openCluster builds the storage backend the flags select: an integer
+// -nodes runs the embedded cluster; an address list connects to that
+// many dcdbnode processes over RPC; -join discovers the node set from
+// gossip seeds instead and follows it.
+func openCluster(f *flags) (cluster *store.Cluster, watcher *membership.Watcher, nodeDesc string, err error) {
+	writeCL, ok := store.ParseConsistency(f.writeCL)
 	if !ok {
-		log.Fatalf("unknown write consistency %q", *writeCLFlag)
+		return nil, nil, "", fmt.Errorf("unknown write consistency %q", f.writeCL)
 	}
-	readCL, ok := store.ParseConsistency(*readCLFlag)
+	readCL, ok := store.ParseConsistency(f.readCL)
 	if !ok {
-		log.Fatalf("unknown read consistency %q", *readCLFlag)
+		return nil, nil, "", fmt.Errorf("unknown read consistency %q", f.readCL)
 	}
 	co := store.ClusterOptions{
-		Partitioner:         part,
-		Replication:         *replication,
+		Partitioner:         store.RingPartitioner{Depth: f.depth},
+		Replication:         f.replication,
 		WriteConsistency:    writeCL,
 		ReadConsistency:     readCL,
-		AntiEntropyInterval: *antiEntropy,
+		AntiEntropyInterval: f.antiEntropy,
 	}
-
-	// An integer -nodes runs the embedded cluster; an address list
-	// connects to that many dcdbnode processes over RPC; -join
-	// discovers the node set from gossip seeds instead.
-	nodeCount, remoteAddrs, nodeDesc := parseNodes(*nodes)
-	seeds := rpc.SplitAddrList(*join)
+	nodeCount, remoteAddrs, nodeDesc := parseNodes(f.nodes)
+	seeds := rpc.SplitAddrList(f.join)
 	if len(seeds) > 0 && remoteAddrs != nil {
-		log.Fatal("collectagent: -join and a -nodes address list are mutually exclusive — the seed discovers the node set")
+		return nil, nil, "", fmt.Errorf("-join and a -nodes address list are mutually exclusive — the seed discovers the node set")
 	}
-
-	var cluster *store.Cluster
-	var watcher *membership.Watcher
-	var err error
+	if f.dataDir != "" && (len(seeds) > 0 || remoteAddrs != nil) {
+		// The data directory holds no node data in remote mode — the
+		// topic map and the hinted-handoff queue live there.
+		if err := os.MkdirAll(f.dataDir, 0o755); err != nil {
+			return nil, nil, "", err
+		}
+		co.HintDir = collectagent.HintsDir(f.dataDir)
+	}
 	switch {
 	case len(seeds) > 0:
-		if *dataDir != "" {
-			if mkerr := os.MkdirAll(*dataDir, 0o755); mkerr != nil {
-				log.Fatal(mkerr)
-			}
-			co.HintDir = collectagent.HintsDir(*dataDir)
-		}
-		// Live membership needs placement every coordinator derives
-		// identically from the member set alone: the consistent-hash
-		// ring, regardless of -partitioner.
-		co.Partitioner = store.RingPartitioner{}
 		cluster, err = collectagent.OpenDiscoveredBackend(seeds, co, rpc.ClientOptions{})
 		if err == nil {
 			nodeDesc = fmt.Sprintf("%d RPC storage node(s) discovered via %s", len(cluster.Backends()), strings.Join(seeds, ","))
-			if watcher, err = collectagent.WatchMembership(cluster, seeds, *ringPoll); err != nil {
+			if watcher, err = collectagent.WatchMembership(cluster, seeds, f.ringPoll); err != nil {
 				cluster.Close()
 			}
 		}
 	case remoteAddrs != nil:
-		if *dataDir != "" {
-			// The data directory holds no node data in remote mode —
-			// the topic map and the hinted-handoff queue live there.
-			if mkerr := os.MkdirAll(*dataDir, 0o755); mkerr != nil {
-				log.Fatal(mkerr)
-			}
-			co.HintDir = collectagent.HintsDir(*dataDir)
-		}
 		cluster, err = collectagent.OpenRemoteBackend(remoteAddrs, co, rpc.ClientOptions{})
-	case *dataDir != "":
+	case f.dataDir != "":
 		var cache int64
-		if cache, err = store.ParseByteSize(*cacheBytes); err != nil {
-			log.Fatalf("collectagent: -cache-bytes: %v", err)
+		if cache, err = store.ParseByteSize(f.cacheBytes); err != nil {
+			return nil, nil, "", fmt.Errorf("-cache-bytes: %v", err)
 		}
-		cluster, err = collectagent.OpenBackendOptions(*dataDir, nodeCount,
-			store.DiskOptions{SyncInterval: *walSync, CacheBytes: cache}, co)
+		cluster, err = collectagent.OpenBackendOptions(f.dataDir, nodeCount,
+			store.DiskOptions{SyncInterval: f.walSync, CacheBytes: cache}, co)
 	default:
 		backends := make([]store.NodeBackend, nodeCount)
 		for i := range backends {
@@ -178,8 +174,19 @@ func main() {
 		}
 		cluster, err = store.NewClusterOptions(backends, co)
 	}
+	return cluster, watcher, nodeDesc, err
+}
+
+func main() {
+	f := registerFlags(flag.CommandLine)
+	flag.Parse()
+
+	if f.dataDir != "" && f.snapshot != "" {
+		log.Fatal("collectagent: -data and -snapshot are mutually exclusive")
+	}
+	cluster, watcher, nodeDesc, err := openCluster(f)
 	if err != nil {
-		log.Fatal(err)
+		log.Fatalf("collectagent: %v", err)
 	}
 
 	var agent *collectagent.Agent
@@ -189,9 +196,9 @@ func main() {
 	// the last writer always persists the newest map, so an in-flight
 	// stale save can never overwrite the shutdown save.
 	saver := newTopicSaver(func() error {
-		return collectagent.SaveTopics(*dataDir, agent.Mapper())
+		return collectagent.SaveTopics(f.dataDir, agent.Mapper())
 	})
-	if *dataDir != "" {
+	if f.dataDir != "" {
 		// A reading must never outlive its name: OnNewTopic fires
 		// before the reading is inserted (and thus before it can be
 		// WAL-acknowledged), and blocks until a save that began after
@@ -204,23 +211,23 @@ func main() {
 	}
 	agent = collectagent.New(cluster, nil, opts)
 	switch {
-	case *dataDir != "":
-		if err := collectagent.LoadTopics(*dataDir, agent.Mapper()); err != nil {
+	case f.dataDir != "":
+		if err := collectagent.LoadTopics(f.dataDir, agent.Mapper()); err != nil {
 			log.Printf("collectagent: topic map: %v", err)
 		}
-	case *snapshot != "":
-		loadSnapshots(cluster.Nodes(), agent, *snapshot)
+	case f.snapshot != "":
+		loadSnapshots(cluster.Nodes(), agent, f.snapshot)
 	}
-	if err := agent.Listen(*listen); err != nil {
+	if err := agent.Listen(f.listen); err != nil {
 		cluster.Close() // leave no half-open WAL segments behind
 		log.Fatal(err)
 	}
 	mode := "memory-only"
-	if *dataDir != "" {
-		mode = "durable at " + *dataDir
+	if f.dataDir != "" {
+		mode = "durable at " + f.dataDir
 	}
-	log.Printf("collectagent: MQTT broker on %s, %s, %s partitioner, write=%s read=%s, %s",
-		agent.Addr(), nodeDesc, part.Name(), writeCL, readCL, mode)
+	log.Printf("collectagent: MQTT broker on %s, %s, placement depth %d, write=%s read=%s, %s",
+		agent.Addr(), nodeDesc, f.depth, f.writeCL, f.readCL, mode)
 
 	// One exposition for the whole process: ingest counters, the
 	// cluster coordinator, and every backend (embedded store node or
@@ -236,10 +243,10 @@ func main() {
 		}
 	}
 
-	if *restAddr != "" {
+	if f.restAddr != "" {
 		api := rest.NewAgentAPI(agent)
 		api.MetricsParts = parts[1:] // Routes already includes the agent registry
-		if err := api.Listen(*restAddr); err != nil {
+		if err := api.Listen(f.restAddr); err != nil {
 			cluster.Close()
 			log.Fatal(err)
 		}
@@ -247,44 +254,44 @@ func main() {
 		log.Printf("collectagent: REST API on %s", api.Addr())
 	}
 
-	if *metricsAddr != "" {
-		msrv, mln, err := metrics.Serve(*metricsAddr, *pprofFlag,
+	if f.metricsAddr != "" {
+		msrv, mln, err := metrics.Serve(f.metricsAddr, f.pprof,
 			append(parts, metrics.Part{Reg: metrics.Runtime()})...)
 		if err != nil {
 			cluster.Close()
-			log.Fatalf("collectagent: metrics on %s: %v", *metricsAddr, err)
+			log.Fatalf("collectagent: metrics on %s: %v", f.metricsAddr, err)
 		}
 		defer msrv.Close()
 		log.Printf("collectagent: metrics on %s", mln.Addr())
 	}
 
 	stopSelf := func() {}
-	if *selfMonitor > 0 {
+	if f.selfMonitor > 0 {
 		host, err := os.Hostname()
 		if err != nil || host == "" {
 			host = "agent"
 		}
-		stopSelf = agent.StartSelfMonitor(host, *selfMonitor,
+		stopSelf = agent.StartSelfMonitor(host, f.selfMonitor,
 			append(parts, metrics.Part{Reg: metrics.Runtime()})...)
 		log.Printf("collectagent: self-monitoring as %s/%s every %s",
-			collectagent.SelfTopicPrefix, host, *selfMonitor)
+			collectagent.SelfTopicPrefix, host, f.selfMonitor)
 	}
 
 	persistTick := func() {
-		if *dataDir != "" {
+		if f.dataDir != "" {
 			// Readings are already durable; only the topic map needs a
 			// periodic save.
 			if err := saver.saveIncluding(); err != nil {
 				log.Printf("collectagent: topic map: %v", err)
 			}
-		} else if *snapshot != "" {
-			saveSnapshots(cluster.Nodes(), agent, *snapshot)
+		} else if f.snapshot != "" {
+			saveSnapshots(cluster.Nodes(), agent, f.snapshot)
 		}
 	}
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	tick := time.NewTicker(*snapEvery)
+	tick := time.NewTicker(f.snapEvery)
 	defer tick.Stop()
 	for {
 		select {

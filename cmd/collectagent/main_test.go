@@ -2,13 +2,18 @@ package main
 
 import (
 	"errors"
+	"flag"
+	"io"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"dcdb/internal/collectagent"
 	"dcdb/internal/core"
+	"dcdb/internal/membership/membershiptest"
 	"dcdb/internal/store"
 )
 
@@ -139,5 +144,73 @@ func TestTopicSaverPropagatesError(t *testing.T) {
 	}
 	if calls != 2 {
 		t.Errorf("%d saves for 2 sequential callers, want 2", calls)
+	}
+}
+
+// parseArgs parses a command line the way main does, without exiting.
+func parseArgs(args ...string) (*flags, error) {
+	fs := flag.NewFlagSet("collectagent", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	f := registerFlags(fs)
+	return f, fs.Parse(args)
+}
+
+// TestOpenClusterPlacementWiring builds the backend from each form of
+// the command line: an embedded count, an address list and a gossip
+// seed. The two remote forms must place every sensor identically at
+// every -depth, and -depth must reach the ring in all three.
+func TestOpenClusterPlacementWiring(t *testing.T) {
+	addrs := membershiptest.StartNodes(t, 3)
+	owners := func(args ...string) [][]string {
+		t.Helper()
+		f, err := parseArgs(append(args, "-replication", "2")...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cluster, watcher, _, err := openCluster(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cluster.Close()
+		if watcher != nil {
+			defer watcher.Stop()
+		}
+		if ms, _ := cluster.Members(); len(ms) != 3 {
+			t.Fatalf("%v: %d members, want 3", args, len(ms))
+		}
+		// Sixteen leaves under each of sixteen depth-4 subtrees.
+		var out [][]string
+		for i := uint64(0); i < 256; i++ {
+			out = append(out, cluster.Owners(core.SensorID{Hi: (i/16 + 1) * 0x9e3779b97f4a7c15, Lo: i * 0xbf58476d1ce4e5b9}))
+		}
+		return out
+	}
+	list, seed := strings.Join(addrs, ","), addrs[1]
+	for _, depth := range [][]string{nil, {"-depth", "0"}, {"-depth", "2"}} {
+		fromList := owners(append([]string{"-nodes", list}, depth...)...)
+		fromSeed := owners(append([]string{"-join", seed}, depth...)...)
+		if !reflect.DeepEqual(fromList, fromSeed) {
+			t.Errorf("%v: -nodes %s and -join %s place sensors differently", depth, list, seed)
+		}
+	}
+	for _, form := range [][]string{{"-nodes", "3"}, {"-nodes", list}, {"-join", seed}} {
+		def := owners(form...)
+		if !reflect.DeepEqual(def, owners(append(form, "-depth", "4")...)) {
+			t.Errorf("%v: the default is not -depth 4", form)
+		}
+		for i := range def {
+			if !reflect.DeepEqual(def[i], def[i-i%16]) {
+				t.Fatalf("%v: sensors %d and %d share four levels but not their owners", form, i, i-i%16)
+			}
+		}
+		if reflect.DeepEqual(def, owners(append(form, "-depth", "0")...)) {
+			t.Errorf("%v: -depth 0 changed nothing", form)
+		}
+	}
+}
+
+func TestPlacementHasNoPartitionerFlag(t *testing.T) {
+	if _, err := parseArgs("-partitioner", "hash"); err == nil || !strings.Contains(err.Error(), "not defined") {
+		t.Fatalf("-partitioner: %v, want an unknown-flag error", err)
 	}
 }

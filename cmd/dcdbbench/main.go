@@ -85,12 +85,18 @@ func main() {
 		any = true
 		fmt.Fprintln(w, "== Ablation: burst vs continuous forwarding (100 sensors, 30 intervals/flush) ==")
 		bench.RenderBurstAblation(w, bench.RunBurstAblation(100, 30))
-		fmt.Fprintln(w, "\n== Ablation: hierarchical vs hash partitioning (4 nodes, 12 subtrees x 32 sensors) ==")
+		fmt.Fprintln(w, "\n== Ablation: ring placement keyed on the SID prefix vs the full SID (4 nodes, 12 subtrees x 32 sensors) ==")
 		pa, err := bench.RunPartitionerAblation(4, 12, 32)
 		if err != nil {
 			log.Fatal(err)
 		}
 		bench.RenderPartitionerAblation(w, pa)
+		fmt.Fprintln(w, "\n== Ablation: primary ownership of the benchmark fleet shape on the ring ==")
+		fo, err := bench.RunFleetOwnership()
+		if err != nil {
+			log.Fatal(err)
+		}
+		bench.RenderFleetOwnership(w, fo)
 		fmt.Fprintln(w, "\n== Ablation: grouped vs per-sensor sampling (1000 sensors, 10 intervals) ==")
 		bench.RenderGroupingAblation(w, bench.RunGroupingAblation(1000, 50, 10))
 		fmt.Fprintln(w)

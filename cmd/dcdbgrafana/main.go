@@ -63,9 +63,9 @@ type series struct {
 func main() {
 	db := flag.String("db", "dcdb", "snapshot file prefix")
 	listen := flag.String("listen", "127.0.0.1:3001", "HTTP listen address")
-	nodesFlag := flag.String("nodes", "", "comma-separated dcdbnode addresses: serve from the live cluster instead of files")
+	nodesFlag := flag.String("nodes", "", "comma-separated dcdbnode addresses, each spelled as the node advertises itself: serve from the live cluster instead of files")
 	replication := flag.Int("replication", 1, "cluster replication factor (with -nodes; must match the agent)")
-	depth := flag.Int("depth", 4, "hierarchy depth of the partition key (with -nodes)")
+	depth := flag.Int("depth", 4, "hierarchy levels forming the placement key, 0 = full SID (with -nodes; must match the agent)")
 	consistency := flag.String("consistency", "one", "read consistency with -nodes: one or quorum")
 	flag.Parse()
 	var conn *libdcdb.Connection
@@ -79,7 +79,7 @@ func main() {
 		conn, cluster, err = tooldb.OpenRemote(*db, tooldb.RemoteOptions{
 			Addrs:           rpc.SplitAddrList(*nodesFlag),
 			Replication:     *replication,
-			Partitioner:     store.HierarchicalPartitioner{Depth: *depth},
+			Depth:           *depth,
 			ReadConsistency: readCL,
 		})
 		if err == nil {

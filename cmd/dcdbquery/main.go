@@ -24,8 +24,10 @@
 //	dcdbquery -db ... [-nodes ...] -op stats
 //
 // -join replaces the full -nodes list with gossip seed discovery: any
-// one live cluster member answers with the whole ring, and placement
-// follows the consistent-hash ring the gossip-aware coordinators use.
+// one live cluster member answers with the whole ring. Either way
+// placement is the consistent-hash ring over the nodes' advertised
+// addresses, keyed on the SID prefix of -depth levels — -replication
+// and -depth must match the agent's.
 //
 // -op stats takes no topics: it prints each storage node's counters
 // and full metrics snapshot (latency histograms as count/sum/p50/p99),
@@ -85,58 +87,66 @@ func printStats(w io.Writer, stats []store.NodeStats) {
 	}
 }
 
-func main() {
-	db := flag.String("db", "dcdb", "snapshot file prefix or agent data directory")
-	nodesFlag := flag.String("nodes", "", "comma-separated dcdbnode addresses: query the live cluster instead of files")
-	joinFlag := flag.String("join", "", "comma-separated gossip seed addresses: discover the live cluster's ring from any one member instead of listing every node (forces the ring partitioner)")
-	replication := flag.Int("replication", 1, "cluster replication factor (with -nodes; must match the agent)")
-	partitioner := flag.String("partitioner", "hierarchical", "hierarchical or hash (with -nodes; must match the agent)")
-	depth := flag.Int("depth", 4, "hierarchy depth of the partition key (with -nodes)")
-	consistency := flag.String("consistency", "one", "read consistency with -nodes: one or quorum")
-	fromStr := flag.String("from", "", "period start (RFC3339; empty = beginning)")
-	toStr := flag.String("to", "", "period end (RFC3339; empty = now)")
-	op := flag.String("op", "", "analysis operation: integral, derivative, summary or stats")
-	list := flag.Bool("list", false, "list sensors below the given path instead of querying")
-	flag.Parse()
+// flags is the parsed command line.
+type flags struct {
+	db, nodes, join    string
+	replication, depth int
+	consistency        string
+	from, to, op       string
+	list               bool
+}
 
-	var conn *libdcdb.Connection
-	var node *store.Node
-	var cluster *store.Cluster
-	var err error
-	if *nodesFlag != "" && *joinFlag != "" {
-		log.Fatal("dcdbquery: -nodes and -join are mutually exclusive — the seed discovers the node set")
+func registerFlags(fs *flag.FlagSet) *flags {
+	f := &flags{}
+	fs.StringVar(&f.db, "db", "dcdb", "snapshot file prefix or agent data directory")
+	fs.StringVar(&f.nodes, "nodes", "", "comma-separated dcdbnode addresses, each spelled as the node advertises itself: query the live cluster instead of files")
+	fs.StringVar(&f.join, "join", "", "comma-separated gossip seed addresses: discover the live cluster's ring from any one member instead of listing every node")
+	fs.IntVar(&f.replication, "replication", 1, "cluster replication factor (with -nodes or -join; must match the agent)")
+	fs.IntVar(&f.depth, "depth", 4, "hierarchy levels forming the placement key, 0 = full SID (with -nodes or -join; must match the agent)")
+	fs.StringVar(&f.consistency, "consistency", "one", "read consistency with -nodes or -join: one or quorum")
+	fs.StringVar(&f.from, "from", "", "period start (RFC3339; empty = beginning)")
+	fs.StringVar(&f.to, "to", "", "period end (RFC3339; empty = now)")
+	fs.StringVar(&f.op, "op", "", "analysis operation: integral, derivative, summary or stats")
+	fs.BoolVar(&f.list, "list", false, "list sensors below the given path instead of querying")
+	return f
+}
+
+// open connects to what the flags select: the live cluster with -nodes
+// or -join (cluster is non-nil and must be closed), the persisted files
+// under -db otherwise (node is non-nil).
+func open(f *flags) (conn *libdcdb.Connection, node *store.Node, cluster *store.Cluster, err error) {
+	if f.nodes == "" && f.join == "" {
+		conn, node, err = tooldb.Open(f.db)
+		return conn, node, nil, err
 	}
-	if *nodesFlag != "" || *joinFlag != "" {
-		var part store.Partitioner
-		switch *partitioner {
-		case "hierarchical":
-			part = store.HierarchicalPartitioner{Depth: *depth}
-		case "hash":
-			part = store.HashPartitioner{}
-		default:
-			log.Fatalf("dcdbquery: unknown partitioner %q", *partitioner)
-		}
-		readCL, ok := store.ParseConsistency(*consistency)
-		if !ok {
-			log.Fatalf("dcdbquery: unknown consistency %q", *consistency)
-		}
-		conn, cluster, err = tooldb.OpenRemote(*db, tooldb.RemoteOptions{
-			Addrs:           rpc.SplitAddrList(*nodesFlag),
-			Seeds:           rpc.SplitAddrList(*joinFlag),
-			Replication:     *replication,
-			Partitioner:     part,
-			ReadConsistency: readCL,
-		})
-		if err == nil {
-			defer cluster.Close()
-		}
-	} else {
-		conn, node, err = tooldb.Open(*db)
+	if f.nodes != "" && f.join != "" {
+		return nil, nil, nil, fmt.Errorf("-nodes and -join are mutually exclusive — the seed discovers the node set")
 	}
+	readCL, ok := store.ParseConsistency(f.consistency)
+	if !ok {
+		return nil, nil, nil, fmt.Errorf("unknown consistency %q", f.consistency)
+	}
+	conn, cluster, err = tooldb.OpenRemote(f.db, tooldb.RemoteOptions{
+		Addrs:           rpc.SplitAddrList(f.nodes),
+		Seeds:           rpc.SplitAddrList(f.join),
+		Replication:     f.replication,
+		Depth:           f.depth,
+		ReadConsistency: readCL,
+	})
+	return conn, nil, cluster, err
+}
+
+func main() {
+	f := registerFlags(flag.CommandLine)
+	flag.Parse()
+	conn, node, cluster, err := open(f)
 	if err != nil {
-		log.Fatal(err)
+		log.Fatalf("dcdbquery: %v", err)
 	}
-	if *op == "stats" {
+	if cluster != nil {
+		defer cluster.Close()
+	}
+	if f.op == "stats" {
 		if cluster != nil {
 			printStats(os.Stdout, cluster.ClusterStats())
 			return
@@ -148,7 +158,7 @@ func main() {
 		}})
 		return
 	}
-	if *list {
+	if f.list {
 		path := ""
 		if flag.NArg() > 0 {
 			path = flag.Arg(0)
@@ -163,21 +173,21 @@ func main() {
 	}
 	from := int64(0)
 	to := time.Now().UnixNano()
-	if *fromStr != "" {
-		t, err := time.Parse(time.RFC3339, *fromStr)
+	if f.from != "" {
+		t, err := time.Parse(time.RFC3339, f.from)
 		if err != nil {
 			log.Fatalf("dcdbquery: bad -from: %v", err)
 		}
 		from = t.UnixNano()
 	}
-	if *toStr != "" {
-		t, err := time.Parse(time.RFC3339, *toStr)
+	if f.to != "" {
+		t, err := time.Parse(time.RFC3339, f.to)
 		if err != nil {
 			log.Fatalf("dcdbquery: bad -to: %v", err)
 		}
 		to = t.UnixNano()
 	}
-	switch *op {
+	switch f.op {
 	case "":
 		if err := conn.ExportCSV(os.Stdout, flag.Args(), from, to); err != nil {
 			log.Fatal(err)
@@ -237,6 +247,6 @@ func main() {
 			log.Fatal("dcdbquery: all topics failed")
 		}
 	default:
-		log.Fatalf("dcdbquery: unknown operation %q", *op)
+		log.Fatalf("dcdbquery: unknown operation %q", f.op)
 	}
 }

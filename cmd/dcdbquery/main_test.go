@@ -3,9 +3,14 @@ package main
 import (
 	"bytes"
 	"errors"
+	"flag"
+	"io"
+	"reflect"
 	"strings"
 	"testing"
 
+	"dcdb/internal/core"
+	"dcdb/internal/membership/membershiptest"
 	"dcdb/internal/metrics"
 	"dcdb/internal/store"
 )
@@ -71,5 +76,68 @@ func TestPrintStats(t *testing.T) {
 	}
 	if !strings.Contains(out, "metrics unavailable: dial refused") {
 		t.Errorf("error line missing:\n%s", out)
+	}
+}
+
+// parseArgs parses a command line the way main does, without exiting.
+func parseArgs(args ...string) (*flags, error) {
+	fs := flag.NewFlagSet("dcdbquery", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	f := registerFlags(fs)
+	return f, fs.Parse(args)
+}
+
+// TestOpenPlacementWiring connects to one live cluster through an
+// address list and through a gossip seed: both must place every sensor
+// identically at every -depth, and -depth must reach the ring.
+func TestOpenPlacementWiring(t *testing.T) {
+	addrs := membershiptest.StartNodes(t, 3)
+	db := t.TempDir()
+	owners := func(args ...string) [][]string {
+		t.Helper()
+		f, err := parseArgs(append(args, "-db", db, "-replication", "2")...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, cluster, err := open(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cluster.Close()
+		if ms, _ := cluster.Members(); len(ms) != 3 {
+			t.Fatalf("%v: %d members, want 3", args, len(ms))
+		}
+		// Sixteen leaves under each of sixteen depth-4 subtrees.
+		var out [][]string
+		for i := uint64(0); i < 256; i++ {
+			out = append(out, cluster.Owners(core.SensorID{Hi: (i/16 + 1) * 0x9e3779b97f4a7c15, Lo: i * 0xbf58476d1ce4e5b9}))
+		}
+		return out
+	}
+	list, seed := strings.Join(addrs, ","), addrs[1]
+	byDepth := make(map[string][][]string)
+	for _, depth := range []string{"", "0", "2", "4"} {
+		var extra []string
+		if depth != "" {
+			extra = []string{"-depth", depth}
+		}
+		fromList := owners(append([]string{"-nodes", list}, extra...)...)
+		fromSeed := owners(append([]string{"-join", seed}, extra...)...)
+		if !reflect.DeepEqual(fromList, fromSeed) {
+			t.Errorf("-depth %q: -nodes %s and -join %s place sensors differently", depth, list, seed)
+		}
+		byDepth[depth] = fromList
+	}
+	if !reflect.DeepEqual(byDepth[""], byDepth["4"]) {
+		t.Error("the default is not -depth 4")
+	}
+	if reflect.DeepEqual(byDepth[""], byDepth["0"]) {
+		t.Error("-depth 0 changed nothing")
+	}
+}
+
+func TestPlacementHasNoPartitionerFlag(t *testing.T) {
+	if _, err := parseArgs("-partitioner", "hash"); err == nil || !strings.Contains(err.Error(), "not defined") {
+		t.Fatalf("-partitioner: %v, want an unknown-flag error", err)
 	}
 }

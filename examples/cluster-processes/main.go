@@ -75,7 +75,7 @@ func main() {
 	// The Collect Agent coordinates over RPC: replication 2, writes at
 	// ONE (availability), reads at QUORUM (completeness), hints on.
 	cluster, err := collectagent.OpenRemoteBackend(addrs, store.ClusterOptions{
-		Partitioner:        store.HierarchicalPartitioner{Depth: 2},
+		Partitioner:        store.RingPartitioner{Depth: 2},
 		Replication:        2,
 		WriteConsistency:   store.ConsistencyOne,
 		ReadConsistency:    store.ConsistencyQuorum,

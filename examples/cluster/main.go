@@ -1,10 +1,10 @@
 // Cluster: DCDB's distributed, hierarchical deployment (paper Figure
 // 1) in miniature — four Pushers on "compute nodes" of two racks, two
 // Collect Agents sharing one topic mapper, and a three-node Storage
-// Backend cluster with hierarchical partitioning and replication. The
-// example shows subtree locality (a rack's sensors land on one storage
-// node), cross-agent aggregation, and replica failover when a storage
-// node goes down.
+// Backend cluster placed on the consistent-hash ring by rack prefix,
+// with replication. The example shows subtree locality (a rack's
+// sensors share one replica set), cross-agent aggregation, and replica
+// failover when a storage node goes down.
 //
 // Run with:
 //
@@ -27,10 +27,10 @@ import (
 )
 
 func main() {
-	// Storage Backend: three nodes, hierarchical partitioning at rack
-	// depth, two replicas per row.
+	// Storage Backend: three nodes, placement keyed at rack depth, two
+	// replicas per row.
 	nodes := []*store.Node{store.NewNode(0), store.NewNode(0), store.NewNode(0)}
-	cluster, err := store.NewCluster(nodes, store.HierarchicalPartitioner{Depth: 2}, 2)
+	cluster, err := store.NewCluster(nodes, store.RingPartitioner{Depth: 2}, 2)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -102,7 +102,8 @@ func main() {
 
 	// Failover: kill the primary of rack00's subtree; reads survive.
 	id, _ := mapper.Lookup("/lrz/rack00/node0/s00000")
-	primary := cluster.Partitioner().NodeFor(id, len(nodes))
+	var primary int // in-process members are named node<i>
+	fmt.Sscanf(cluster.Owners(id)[0], "node%d", &primary)
 	nodes[primary].SetDown(true)
 	fmt.Printf("storage node %d (rack00 primary) marked down …\n", primary)
 	rs2, err := conn.Query("/lrz/rack00/node0/s00000", 0, now)

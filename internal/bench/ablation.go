@@ -55,96 +55,167 @@ func RenderBurstAblation(w io.Writer, a BurstAblation) {
 		float64(a.ContinuousMessages)/float64(a.BurstMessages), a.Readings)
 }
 
-// PartitionerAblation compares the hierarchical SID-prefix partitioner
-// against plain hashing on a subtree query workload (paper §4.3): the
-// hierarchical scheme keeps a subtree's sensors on one node, so
-// subtree queries touch a single server instead of all of them.
+// PartitionerAblation compares the ring keyed on the SID prefix at a
+// depth against the ring keyed on the full SID (depth 0) on a subtree
+// query workload (paper §4.3): the prefix key keeps a subtree's sensors
+// on one node, so the subtree's data lives on a single server instead
+// of all of them, at the price of a coarser ingest balance.
 type PartitionerAblation struct {
-	Nodes               int
-	SensorsPerSubtree   int
-	Subtrees            int
-	HierNodesPerQuery   float64 // nodes holding data for one subtree
-	HashNodesPerQuery   float64
-	HierMaxNodeFraction float64 // ingest balance: largest node's share
-	HashMaxNodeFraction float64
+	Nodes             int
+	SensorsPerSubtree int
+	Subtrees          int
+	Rows              []PartitionerRow // depth 2 (the subtree queried), then depth 0
 }
 
-// RunPartitionerAblation builds both cluster layouts with real stores
-// and measures node spread per subtree and ingest balance.
+// PartitionerRow is one placement-key depth's measurement.
+type PartitionerRow struct {
+	Depth           int
+	NodesPerQuery   float64 // nodes holding data for one subtree
+	MaxNodeFraction float64 // ingest balance: largest node's share
+}
+
+// ringOf builds a cluster of n empty in-process nodes at replication 1
+// to ask the real placement code who owns what.
+func ringOf(n, depth int) (*store.Cluster, error) {
+	ns := make([]*store.Node, n)
+	for i := range ns {
+		ns[i] = store.NewNode(0)
+	}
+	return store.NewCluster(ns, store.RingPartitioner{Depth: depth}, 1)
+}
+
+// RunPartitionerAblation asks Cluster.Owners where each sensor of each
+// subtree lands and measures node spread per subtree and ingest
+// balance.
 func RunPartitionerAblation(nodes, subtrees, sensorsPerSubtree int) (PartitionerAblation, error) {
 	res := PartitionerAblation{Nodes: nodes, SensorsPerSubtree: sensorsPerSubtree, Subtrees: subtrees}
-	for _, scheme := range []string{"hier", "hash"} {
-		var part store.Partitioner
-		if scheme == "hier" {
-			// Depth 2 = /sys/rackNN: the subtree granularity queried.
-			part = store.HierarchicalPartitioner{Depth: 2}
-		} else {
-			part = store.HashPartitioner{}
-		}
-		ns := make([]*store.Node, nodes)
-		for i := range ns {
-			ns[i] = store.NewNode(0)
-		}
-		cl, err := store.NewCluster(ns, part, 1)
+	mapper := core.NewTopicMapper()
+	// Depth 2 = /sys/rackNN: the subtree granularity queried.
+	for _, depth := range []int{2, 0} {
+		cl, err := ringOf(nodes, depth)
 		if err != nil {
 			return res, err
 		}
-		mapper := core.NewTopicMapper()
-		perSubtreeIDs := make([][]core.SensorID, subtrees)
-		for st := 0; st < subtrees; st++ {
-			for s := 0; s < sensorsPerSubtree; s++ {
-				topic := fmt.Sprintf("/sys/rack%02d/node%02d/metric%03d", st, s%16, s)
-				id, err := mapper.Map(topic)
-				if err != nil {
-					return res, err
-				}
-				perSubtreeIDs[st] = append(perSubtreeIDs[st], id)
-				if err := cl.Insert(id, core.Reading{Timestamp: int64(s), Value: 1}, 0); err != nil {
-					return res, err
-				}
-			}
-		}
-		// Nodes touched per subtree query.
+		perNode := make(map[string]int)
 		var totalTouched int
 		for st := 0; st < subtrees; st++ {
-			touched := make(map[int]bool)
-			for _, id := range perSubtreeIDs[st] {
-				touched[part.NodeFor(id, nodes)] = true
+			touched := make(map[string]bool)
+			for s := 0; s < sensorsPerSubtree; s++ {
+				id, err := mapper.Map(fmt.Sprintf("/sys/rack%02d/node%02d/metric%03d", st, s%16, s))
+				if err != nil {
+					cl.Close()
+					return res, err
+				}
+				owner := cl.Owners(id)[0]
+				touched[owner] = true
+				perNode[owner]++
 			}
 			totalTouched += len(touched)
 		}
-		avgTouched := float64(totalTouched) / float64(subtrees)
-		// Ingest balance.
-		var maxIns, totIns int64
-		for _, n := range ns {
-			ins, _, _ := n.Stats()
-			totIns += ins
-			if ins > maxIns {
-				maxIns = ins
-			}
-		}
-		frac := float64(maxIns) / float64(totIns)
-		if scheme == "hier" {
-			res.HierNodesPerQuery = avgTouched
-			res.HierMaxNodeFraction = frac
-		} else {
-			res.HashNodesPerQuery = avgTouched
-			res.HashMaxNodeFraction = frac
-		}
+		cl.Close()
+		res.Rows = append(res.Rows, PartitionerRow{
+			Depth:           depth,
+			NodesPerQuery:   float64(totalTouched) / float64(subtrees),
+			MaxNodeFraction: float64(maxCount(perNode)) / float64(subtrees*sensorsPerSubtree),
+		})
 	}
 	return res, nil
 }
 
+func maxCount(m map[string]int) int {
+	most := 0
+	for _, n := range m {
+		most = max(most, n)
+	}
+	return most
+}
+
 // RenderPartitionerAblation writes the comparison.
 func RenderPartitionerAblation(w io.Writer, a PartitionerAblation) {
-	header := []string{"Partitioner", "Nodes/subtree-query", "Max node ingest share"}
-	body := [][]string{
-		{"hierarchical(depth=2)", fmtF(a.HierNodesPerQuery, 2), fmtF(a.HierMaxNodeFraction, 3)},
-		{"hash", fmtF(a.HashNodesPerQuery, 2), fmtF(a.HashMaxNodeFraction, 3)},
+	header := []string{"Placement key", "Nodes/subtree-query", "Max node ingest share"}
+	var body [][]string
+	for _, r := range a.Rows {
+		body = append(body, []string{fmt.Sprintf("ring(depth=%d)", r.Depth), fmtF(r.NodesPerQuery, 2), fmtF(r.MaxNodeFraction, 3)})
 	}
 	writeTable(w, header, body)
-	fmt.Fprintf(w, "%d nodes, %d subtrees x %d sensors: hierarchical keeps subtree queries local\n",
+	fmt.Fprintf(w, "%d nodes, %d subtrees x %d sensors: a prefix key keeps a subtree on one node\n",
 		a.Nodes, a.Subtrees, a.SensorsPerSubtree)
+}
+
+// fleetKinds are the per-node sensors of the benchmark's synthetic
+// fleet (benchmark/gen.go), as <plugin>/<sensor>.
+var fleetKinds = [...]string{
+	"perfevents/instructions", "perfevents/cycles", "perfevents/cache-misses", "perfevents/branch-misses",
+	"perfevents/flops", "procfs/cpu_user", "procfs/ctxt", "procfs/intr", "procfs/memfree",
+	"sysfs/pkg_energy", "sysfs/cpu_temp", "sysfs/freq", "ipmi/power", "ipmi/inlet_temp", "ipmi/fan_rpm",
+	"facility/setpoint",
+}
+
+// FleetOwnership is the primary-ownership balance of the benchmark's
+// fleet shape (/bench/rackRR/chassisC/nodeNN/<plugin>/<sensor>, 16
+// nodes a chassis, 4 chassis a rack) on one ring: the number of
+// distinct placement keys the fleet has at that depth — the share of
+// the workload locality can act on — and how unevenly they fall.
+type FleetOwnership struct {
+	Sensors, Members, Depth int
+	Keys                    int     // distinct placement keys
+	MaxOverMean             float64 // busiest member's sensors / mean
+}
+
+// RunFleetOwnership measures the two fleet sizes the benchmark runs at
+// depth 0 and the tools' default depth 4, on 2, 3 and 8 members.
+func RunFleetOwnership() ([]FleetOwnership, error) {
+	var rows []FleetOwnership
+	for _, sensors := range []int{2000, 20000} {
+		mapper := core.NewTopicMapper()
+		ids := make([]core.SensorID, sensors)
+		for i := range ids {
+			node := i / len(fleetKinds)
+			chassis := node / 16
+			id, err := mapper.Map(fmt.Sprintf("/bench/rack%02d/chassis%d/node%02d/%s",
+				chassis/4, chassis%4, node%16, fleetKinds[i%len(fleetKinds)]))
+			if err != nil {
+				return nil, err
+			}
+			ids[i] = id
+		}
+		for _, depth := range []int{0, 4} {
+			keys := make(map[core.SensorID]struct{})
+			for _, id := range ids {
+				if depth > 0 {
+					id = id.Prefix(depth)
+				}
+				keys[id] = struct{}{}
+			}
+			for _, members := range []int{2, 3, 8} {
+				cl, err := ringOf(members, depth)
+				if err != nil {
+					return nil, err
+				}
+				perNode := make(map[string]int)
+				for _, id := range ids {
+					perNode[cl.Owners(id)[0]]++
+				}
+				cl.Close()
+				rows = append(rows, FleetOwnership{
+					Sensors: sensors, Members: members, Depth: depth, Keys: len(keys),
+					MaxOverMean: float64(maxCount(perNode)) * float64(members) / float64(sensors),
+				})
+			}
+		}
+	}
+	return rows, nil
+}
+
+// RenderFleetOwnership writes the ownership table.
+func RenderFleetOwnership(w io.Writer, rows []FleetOwnership) {
+	header := []string{"Sensors", "Depth", "Distinct keys", "Members", "Max/mean ownership"}
+	var body [][]string
+	for _, r := range rows {
+		body = append(body, []string{fmt.Sprint(r.Sensors), fmt.Sprint(r.Depth), fmt.Sprint(r.Keys),
+			fmt.Sprint(r.Members), fmtF(r.MaxOverMean, 3)})
+	}
+	writeTable(w, header, body)
 }
 
 // GroupingAblation compares grouped sampling (one collective read and

@@ -319,17 +319,45 @@ func TestPartitionerAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Hierarchical: exactly one node per subtree query.
-	if a.HierNodesPerQuery != 1 {
-		t.Errorf("hierarchical touches %v nodes per subtree", a.HierNodesPerQuery)
+	// Keyed on the subtree prefix: exactly one node per subtree query.
+	if a.Rows[0].Depth != 2 || a.Rows[0].NodesPerQuery != 1 {
+		t.Errorf("depth %d touches %v nodes per subtree", a.Rows[0].Depth, a.Rows[0].NodesPerQuery)
 	}
-	// Hash: spreads subtree queries over most nodes.
-	if a.HashNodesPerQuery < 2 {
-		t.Errorf("hash touches only %v nodes", a.HashNodesPerQuery)
+	// Keyed on the full SID: spreads subtree queries over most nodes.
+	if a.Rows[1].Depth != 0 || a.Rows[1].NodesPerQuery < 2 {
+		t.Errorf("depth %d touches only %v nodes", a.Rows[1].Depth, a.Rows[1].NodesPerQuery)
 	}
 	var buf bytes.Buffer
 	RenderPartitionerAblation(&buf, a)
-	if !strings.Contains(buf.String(), "hierarchical") {
+	if !strings.Contains(buf.String(), "ring(depth=2)") {
+		t.Error("render")
+	}
+}
+
+func TestFleetOwnership(t *testing.T) {
+	rows, err := RunFleetOwnership()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 12 {
+		t.Fatalf("%d rows, want 2 fleets x 2 depths x 3 member counts", len(rows))
+	}
+	for _, r := range rows {
+		// One key per sensor at depth 0, one per 16-sensor node at depth 4.
+		wantKeys := r.Sensors
+		if r.Depth == 4 {
+			wantKeys = r.Sensors / 16
+		}
+		if r.Keys != wantKeys {
+			t.Errorf("%+v: %d distinct keys, want %d", r, r.Keys, wantKeys)
+		}
+		if r.MaxOverMean < 1 || r.MaxOverMean > float64(r.Members) {
+			t.Errorf("%+v: max/mean outside [1, members]", r)
+		}
+	}
+	var buf bytes.Buffer
+	RenderFleetOwnership(&buf, rows)
+	if !strings.Contains(buf.String(), "Distinct keys") {
 		t.Error("render")
 	}
 }

@@ -386,7 +386,7 @@ func TestChaosStreamFailoverUnderConnFaults(t *testing.T) {
 	inj := faults.New(seed())
 	logSeed(t, inj)
 	addrs, clients := rpcNodes(t, 3)
-	part := store.HierarchicalPartitioner{Depth: 4}
+	part := store.RingPartitioner{Depth: 4}
 	clusterQ, err := store.NewClusterOptions(clients(fastClient(inj)), store.ClusterOptions{
 		Partitioner: part, Replication: 3,
 		WriteConsistency: store.ConsistencyQuorum,
@@ -468,10 +468,9 @@ func TestChaosStreamFailoverUnderConnFaults(t *testing.T) {
 
 	// ONE-level failover: partition the replica actually serving the
 	// stream (the primary — every replica is up at open).
-	primary := part.NodeFor(id, len(addrs))
 	cutPrimary := inj.AddRule(&faults.Rule{
 		Ops:   faults.Dial | faults.ConnRead | faults.ConnWrite,
-		Match: addrs[primary], Err: faults.ErrInjected,
+		Match: clusterOne.Owners(id)[0], Err: faults.ErrInjected,
 	})
 	cutPrimary.Disable()
 	st, err = clusterOne.QueryStream(id, 0, 1<<62)

@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -127,7 +128,7 @@ func TestChaosKillMidStreamProcesses(t *testing.T) {
 		}
 		return backends
 	}
-	part := store.HierarchicalPartitioner{Depth: 4}
+	part := store.RingPartitioner{Depth: 4}
 	clusterQ, err := store.NewClusterOptions(clients(), store.ClusterOptions{
 		Partitioner: part, Replication: 3,
 		WriteConsistency: store.ConsistencyQuorum,
@@ -206,7 +207,7 @@ func TestChaosKillMidStreamProcesses(t *testing.T) {
 	// ONE: SIGKILL the replica actually serving the stream (the
 	// primary — every replica is up at open). The failover must resume
 	// on a surviving replica with no gap and no repeat.
-	primary := part.NodeFor(id, len(procs))
+	primary := slices.Index(addrs, clusterOne.Owners(id)[0])
 	st, err = clusterOne.QueryStream(id, 0, 1<<62)
 	if err != nil {
 		t.Fatal(err)

@@ -226,7 +226,7 @@ func TestConcurrentHandle(t *testing.T) {
 func TestAgentDurableBackendSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	open := func() *store.Cluster {
-		c, err := OpenBackend(dir, 2, 2, nil, store.DiskOptions{CompactInterval: -1})
+		c, err := OpenBackend(dir, 2, 2, store.RingPartitioner{}, store.DiskOptions{CompactInterval: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -285,7 +285,7 @@ func TestAgentDurableBackendSurvivesRestart(t *testing.T) {
 func TestOpenBackendValidation(t *testing.T) {
 	dir := t.TempDir()
 	// A node count below one is clamped rather than rejected.
-	c, err := OpenBackend(dir, 0, 1, nil, store.DiskOptions{CompactInterval: -1})
+	c, err := OpenBackend(dir, 0, 1, store.RingPartitioner{}, store.DiskOptions{CompactInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestOpenBackendValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Reopening the same directory with the same shape succeeds.
-	c2, err := OpenBackend(dir, 1, 1, nil, store.DiskOptions{CompactInterval: -1})
+	c2, err := OpenBackend(dir, 1, 1, store.RingPartitioner{}, store.DiskOptions{CompactInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestOpenBackendValidation(t *testing.T) {
 
 func TestOpenBackendRejectsHiddenNodes(t *testing.T) {
 	dir := t.TempDir()
-	c, err := OpenBackend(dir, 2, 1, nil, store.DiskOptions{CompactInterval: -1})
+	c, err := OpenBackend(dir, 2, 1, store.RingPartitioner{}, store.DiskOptions{CompactInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func TestOpenBackendRejectsHiddenNodes(t *testing.T) {
 	}
 	// Reopening with fewer nodes than the directory holds must fail
 	// loudly instead of silently hiding node1's acknowledged data.
-	if _, err := OpenBackend(dir, 1, 1, nil, store.DiskOptions{CompactInterval: -1}); err == nil {
+	if _, err := OpenBackend(dir, 1, 1, store.RingPartitioner{}, store.DiskOptions{CompactInterval: -1}); err == nil {
 		t.Fatal("shrunken node count over a wider directory accepted")
 	}
 }
@@ -363,7 +363,7 @@ func TestOpenBackendOptionsHintedHandoffAcrossAgentRestart(t *testing.T) {
 	// cluster close/reopen (the hints live under <dir>/hints).
 	dir := t.TempDir()
 	co := store.ClusterOptions{
-		Partitioner: store.HashPartitioner{}, Replication: 2,
+		Partitioner: store.RingPartitioner{}, Replication: 2,
 		WriteConsistency:   store.ConsistencyOne,
 		HintReplayInterval: -1,
 	}
@@ -372,8 +372,8 @@ func TestOpenBackendOptionsHintedHandoffAcrossAgentRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := core.SensorID{Hi: 5, Lo: 5}
-	primary := c.Partitioner().NodeFor(id, 3)
-	backup := (primary + 1) % 3
+	var backup int // in-process members are named node<i>
+	fmt.Sscanf(c.Owners(id)[1], "node%d", &backup)
 	c.Nodes()[backup].SetDown(true)
 	if err := c.Insert(id, core.Reading{Timestamp: 1, Value: 1}, 0); err != nil {
 		t.Fatal(err)

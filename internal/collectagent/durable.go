@@ -81,7 +81,7 @@ func HintsDir(dir string) string { return filepath.Join(dir, "hints") }
 // rooted at dir with one subdirectory per node. Recovery of each node
 // happens here; the returned cluster must be Closed to flush and
 // detach cleanly.
-func OpenBackend(dir string, nodes, replication int, part store.Partitioner, o store.DiskOptions) (*store.Cluster, error) {
+func OpenBackend(dir string, nodes, replication int, part store.RingPartitioner, o store.DiskOptions) (*store.Cluster, error) {
 	return OpenBackendOptions(dir, nodes, o, store.ClusterOptions{Partitioner: part, Replication: replication})
 }
 
@@ -167,10 +167,11 @@ func OpenRemoteBackend(addrs []string, co store.ClusterOptions, ro rpc.ClientOpt
 // OpenDiscoveredBackend builds a live-membership cluster of RPC
 // storage nodes discovered from seed addresses: any one reachable
 // dcdbnode answers a gossip probe with the full member table, so the
-// agent needs a seed, not the complete node list. Placement is the
-// consistent-hash ring keyed by member identity — every coordinator
-// that discovers the same table derives the same placement. Pair with
-// WatchMembership to follow joins, leaves and failures live.
+// agent needs a seed, not the complete node list. Members are keyed by
+// the identity they advertise — every coordinator that discovers the
+// same table, or is handed the same addresses, derives the same
+// placement. Pair with WatchMembership to follow joins, leaves and
+// failures live.
 func OpenDiscoveredBackend(seeds []string, co store.ClusterOptions, ro rpc.ClientOptions) (*store.Cluster, error) {
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("collectagent: no seed addresses to discover from")
@@ -182,9 +183,6 @@ func OpenDiscoveredBackend(seeds []string, co store.ClusterOptions, ro rpc.Clien
 	ms := make([]store.MemberInfo, len(members))
 	for i, m := range members {
 		ms[i] = store.MemberInfo{ID: m.ID, Addr: m.Addr}
-	}
-	if co.Partitioner == nil {
-		co.Partitioner = store.RingPartitioner{}
 	}
 	co.BackendFactory = func(id, addr string) store.NodeBackend {
 		return rpc.NewClient(addr, ro)

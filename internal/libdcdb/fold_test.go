@@ -356,7 +356,7 @@ func TestDerivativeStreamMatchesDerivative(t *testing.T) {
 // through the Connection API.
 func TestQuerySummaryOverCluster(t *testing.T) {
 	nodes := []*store.Node{store.NewNode(0), store.NewNode(0), store.NewNode(0)}
-	cl, err := store.NewCluster(nodes, nil, 2)
+	cl, err := store.NewCluster(nodes, store.RingPartitioner{}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

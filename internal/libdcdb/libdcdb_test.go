@@ -369,7 +369,7 @@ func TestMergeIntervals(t *testing.T) {
 
 func TestClusterBackend(t *testing.T) {
 	nodes := []*store.Node{store.NewNode(0), store.NewNode(0)}
-	cl, err := store.NewCluster(nodes, nil, 2)
+	cl, err := store.NewCluster(nodes, store.RingPartitioner{}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

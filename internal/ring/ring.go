@@ -21,6 +21,7 @@ package ring
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -127,15 +128,14 @@ func (r *Ring) ReplicasFor(hash uint64, rf int) []string {
 	}
 	// First point at or after hash, wrapping.
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= hash })
+	// rf is a handful at most, so scanning out for a member already
+	// taken beats a set — and the lookup allocates only its result.
 	out := make([]string, 0, rf)
-	taken := make(map[int]struct{}, rf)
 	for n := 0; n < len(r.points) && len(out) < rf; n++ {
-		p := r.points[(i+n)%len(r.points)]
-		if _, dup := taken[p.member]; dup {
-			continue
+		id := r.ids[r.points[(i+n)%len(r.points)].member]
+		if !slices.Contains(out, id) {
+			out = append(out, id)
 		}
-		taken[p.member] = struct{}{}
-		out = append(out, r.ids[p.member])
 	}
 	return out
 }

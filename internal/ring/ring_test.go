@@ -72,6 +72,19 @@ func TestRingReplicasDistinctAndCapped(t *testing.T) {
 	}
 }
 
+// A lookup sits on every coordinated write: it may allocate its result
+// and nothing else.
+func TestRingReplicasForAllocatesOnlyItsResult(t *testing.T) {
+	r := New(ids(5), DefaultVNodes)
+	h := uint64(0)
+	if n := testing.AllocsPerRun(1000, func() {
+		h += 0x9e3779b97f4a7c15
+		r.ReplicasFor(h, 3)
+	}); n > 1 {
+		t.Fatalf("ReplicasFor allocates %v times per lookup, want at most 1", n)
+	}
+}
+
 // Adding one member must move only a bounded fraction of the keyspace:
 // every key whose replica set is unchanged keeps identical placement,
 // and the fraction that moves at all is near 1/(n+1), not a reshuffle.

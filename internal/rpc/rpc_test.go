@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -350,7 +351,7 @@ func TestRPCClusterOverLoopback(t *testing.T) {
 		backends = append(backends, cl)
 	}
 	c, err := store.NewClusterOptions(backends, store.ClusterOptions{
-		Partitioner: store.HashPartitioner{}, Replication: 2,
+		Partitioner: store.RingPartitioner{}, Replication: 2,
 		ReadConsistency: store.ConsistencyQuorum,
 		HintDir:         t.TempDir(), HintReplayInterval: -1,
 	})
@@ -358,8 +359,7 @@ func TestRPCClusterOverLoopback(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := sid(21, 9)
-	primary := c.Partitioner().NodeFor(id, 3)
-	backup := (primary + 1) % 3
+	backup := slices.IndexFunc(servers, func(s *Server) bool { return s.Addr() == c.Owners(id)[1] })
 
 	if err := c.InsertBatch(id, []core.Reading{rd(1, 1), rd(2, 2)}, 0); err != nil {
 		t.Fatal(err)

@@ -95,7 +95,7 @@ func TestClusterAggregateOne(t *testing.T) {
 		}
 	}
 	spec := fold.Spec{Op: fold.OpSummary, From: 0, To: 10}
-	reps := replicaSet(c, id, 3, 2)
+	reps := c.replicasFor(id)
 	nodes[reps[0]].SetDown(true)
 	st, err := c.Aggregate(id, spec)
 	if err != nil {
@@ -133,7 +133,7 @@ func TestClusterAggregateQuorumConverged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reps := replicaSet(c, id, 3, 2)
+	reps := c.replicasFor(id)
 	direct, err := nodes[reps[0]].Aggregate(id, spec)
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +160,7 @@ func TestClusterAggregateQuorumDivergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One replica gets an extra reading behind the coordinator's back.
-	reps := replicaSet(c, id, 3, 2)
+	reps := c.replicasFor(id)
 	if err := nodes[reps[1]].Insert(id, core.Reading{Timestamp: 3000, Value: 7}, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -181,6 +181,7 @@ func TestClusterAggregateQuorumDivergence(t *testing.T) {
 	// The fallback's quorum read repaired the stale replica, so the
 	// replicas now agree and the cheap consensus path serves the same
 	// answer.
+	c.repairWG.Wait()
 	st2, err := c.Aggregate(id, spec)
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +210,7 @@ func TestClusterAggregateQuorumNotMet(t *testing.T) {
 	if err := c.Insert(id, core.Reading{Timestamp: 1, Value: 1}, 0); err != nil {
 		t.Fatal(err)
 	}
-	reps := replicaSet(c, id, 3, 2)
+	reps := c.replicasFor(id)
 	nodes[reps[0]].SetDown(true)
 	if _, err := c.Aggregate(id, fold.Spec{Op: fold.OpSummary, From: 0, To: 10}); err == nil {
 		t.Fatal("quorum aggregate with a replica down succeeded")

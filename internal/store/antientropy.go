@@ -20,9 +20,9 @@ import (
 // Steady state costs O(sensors) digests and moves no reading data.
 
 // aeFrom/aeTo span the whole timestamp domain: a round compares each
-// sensor's full retention. Sensors are the repair granularity — the
-// hierarchical partitioner already maps a subtree to one replica set,
-// so a sensor is a range of the keyspace in the partition sense.
+// sensor's full retention. Sensors are the repair granularity — a
+// replica set is assigned per placement key, and a sensor never spans
+// two keys.
 const (
 	aeFrom = math.MinInt64
 	aeTo   = math.MaxInt64
@@ -57,16 +57,16 @@ func (c *Cluster) RepairRound() error {
 	}
 	var firstErr error
 	for _, id := range c.SensorIDs() {
-		if err := c.repairSensor(id); err != nil && firstErr == nil {
+		if err := c.repairSensor(id, aeFrom, aeTo); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	return firstErr
 }
 
-// repairSensor digest-compares one sensor's replicas and converges
-// them if they disagree.
-func (c *Cluster) repairSensor(id core.SensorID) error {
+// repairSensor digest-compares one sensor's replicas over [from, to]
+// and converges them if they disagree.
+func (c *Cluster) repairSensor(id core.SensorID, from, to int64) error {
 	t := c.top()
 	replicas := c.readReplicas(t, id)
 	fps := make([]uint64, len(replicas))
@@ -77,7 +77,7 @@ func (c *Cluster) repairSensor(id core.SensorID) error {
 		wg.Add(1)
 		go func(i, idx int) {
 			defer wg.Done()
-			fps[i], counts[i], errs[i] = t.members[idx].backend.Digest(id, aeFrom, aeTo)
+			fps[i], counts[i], errs[i] = t.members[idx].backend.Digest(id, from, to)
 		}(i, idx)
 	}
 	wg.Wait()
@@ -110,7 +110,7 @@ func (c *Cluster) repairSensor(id core.SensorID) error {
 		wg.Add(1)
 		go func(i, idx int) {
 			defer wg.Done()
-			results[i], errs[i] = t.members[idx].backend.QueryVersioned(id, aeFrom, aeTo)
+			results[i], errs[i] = t.members[idx].backend.QueryVersioned(id, from, to)
 		}(i, idx)
 	}
 	wg.Wait()
@@ -195,7 +195,7 @@ func mergeVersionedReadings(a, b []VersionedReading) []VersionedReading {
 }
 
 // versionedDelta returns the merged readings a replica's response is
-// missing or resolves to a different value — what must be re-inserted
+// missing or resolves to different value bits — what must be re-inserted
 // for that replica's reads to match the merged result bit for bit.
 func versionedDelta(merged, have []VersionedReading) []VersionedReading {
 	var delta []VersionedReading
@@ -204,7 +204,7 @@ func versionedDelta(merged, have []VersionedReading) []VersionedReading {
 		for j < len(have) && have[j].Timestamp < m.Timestamp {
 			j++
 		}
-		if j < len(have) && have[j].Timestamp == m.Timestamp && have[j].Value == m.Value {
+		if j < len(have) && have[j].Timestamp == m.Timestamp && math.Float64bits(have[j].Value) == math.Float64bits(m.Value) {
 			continue
 		}
 		delta = append(delta, m)

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -165,6 +166,84 @@ func TestReadRepairCarriesWriteVersions(t *testing.T) {
 	}
 	if len(got) != 1 || got[0].Value != 2 {
 		t.Fatalf("primary still serves %v after read repair (repair write lost the version race)", got)
+	}
+}
+
+// TestQuorumStreamRepairMovesVersionedReadings: the streamed QUORUM
+// read repairs through the anti-entropy routine, so a repaired reading
+// keeps its write version and expiry, a conflicting pair converges to
+// the newer version after one read, and replicas that agree bit for bit
+// — NaN included — queue nothing.
+func TestQuorumStreamRepairMovesVersionedReadings(t *testing.T) {
+	c, nodes := aeCluster(t, 2, ConsistencyQuorum)
+	id := sid(84, 1)
+	read := func() []core.Reading {
+		t.Helper()
+		st, err := c.QueryStream(id, 0, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs := drainStream(t, st)
+		c.repairWG.Wait()
+		return rs
+	}
+	versioned := func(n *Node) []VersionedReading {
+		t.Helper()
+		vrs, err := n.QueryVersioned(id, 0, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return vrs
+	}
+
+	// One replica misses a TTL'd write.
+	nodes[1].SetDown(true)
+	if err := c.Insert(id, core.Reading{Timestamp: 1, Value: 1}, time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	nodes[1].SetDown(false)
+	if rs := read(); len(rs) != 1 {
+		t.Fatalf("quorum stream served %v", rs)
+	}
+	want, got := versioned(nodes[0]), versioned(nodes[1])
+	if len(want) != 1 || want[0].Version == 0 || want[0].Expire == 0 {
+		t.Fatalf("the write itself carries no version or expiry: %+v", want)
+	}
+	if len(got) != 1 || got[0] != want[0] {
+		t.Fatalf("repaired replica holds %+v, want %+v (version and expiry intact)", got, want)
+	}
+
+	// A conflicting pair converges to the newer version after one read;
+	// the second read finds nothing to repair.
+	if err := nodes[0].InsertVersioned(id, []VersionedReading{{Timestamp: 2, Value: 10, Version: 5}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := nodes[1].InsertVersioned(id, []VersionedReading{{Timestamp: 2, Value: 20, Version: 6}}); err != nil {
+		t.Fatal(err)
+	}
+	read()
+	for i, n := range nodes {
+		if vrs := versioned(n); len(vrs) != 2 || vrs[1].Value != 20 || vrs[1].Version != 6 {
+			t.Fatalf("node %d holds %+v after the repairing read, want value 20 at version 6", i, vrs)
+		}
+	}
+	repairs := c.met.readRepairs.Load()
+	if rs := read(); len(rs) != 2 || rs[1].Value != 20 {
+		t.Fatalf("converged read served %v", rs)
+	}
+	if n := c.met.readRepairs.Load() - repairs; n != 0 {
+		t.Fatalf("a read of converged replicas queued %d repairs", n)
+	}
+
+	// NaN equals itself here: both replicas hold the same bits.
+	if err := c.Insert(id, core.Reading{Timestamp: 3, Value: math.NaN()}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if rs := read(); len(rs) != 3 {
+		t.Fatalf("read with a NaN reading served %v", rs)
+	}
+	if n := c.met.readRepairs.Load() - repairs; n != 0 {
+		t.Fatalf("a NaN reading both replicas hold queued %d repairs", n)
 	}
 }
 

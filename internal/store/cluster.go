@@ -18,82 +18,30 @@ import (
 // goroutine handoff.
 const parallelBatchMin = 16
 
-// Partitioner decides which of n nodes owns a sensor's primary replica.
-type Partitioner interface {
-	NodeFor(id core.SensorID, n int) int
-	Name() string
-}
-
-// HierarchicalPartitioner maps a sub-tree of the sensor hierarchy to a
-// particular database server by partitioning on the SID prefix at a
-// fixed depth (paper §4.3). All sensors of one rack/chassis/node land on
-// the same server, so inserts and queries for a subtree touch a single
-// node and avoid inter-server traffic.
-type HierarchicalPartitioner struct {
-	// Depth is the number of hierarchy levels forming the partition
-	// key (e.g. 4 = room/system/rack/chassis).
-	Depth int
-}
-
-// NodeFor implements Partitioner.
-func (p HierarchicalPartitioner) NodeFor(id core.SensorID, n int) int {
-	if n <= 1 {
-		return 0
-	}
-	pre := id.Prefix(p.Depth)
-	return int(fnvSID(pre) % uint64(n))
-}
-
-// Name implements Partitioner.
-func (p HierarchicalPartitioner) Name() string {
-	return fmt.Sprintf("hierarchical(depth=%d)", p.Depth)
-}
-
-// HashPartitioner spreads sensors uniformly by hashing the full SID.
-// It is the ablation baseline for the hierarchical scheme: ingest
-// balance is ideal but subtree queries fan out to every node.
-type HashPartitioner struct{}
-
-// NodeFor implements Partitioner.
-func (HashPartitioner) NodeFor(id core.SensorID, n int) int {
-	if n <= 1 {
-		return 0
-	}
-	return int(fnvSID(id) % uint64(n))
-}
-
-// Name implements Partitioner.
-func (HashPartitioner) Name() string { return "hash" }
-
-// RingPartitioner selects consistent-hash placement: sensors hash onto
-// a ring of member identities with VNodes virtual nodes per member
-// (internal/ring), so membership changes move only the ranges the
-// joining/leaving member owns and every coordinator holding the same
-// member set derives identical placement without coordination. The
-// interface's NodeFor is the degenerate static mapping (hash modulo n)
-// — ring clusters resolve placement through the topology snapshot, not
-// through this method.
+// RingPartitioner configures the one placement scheme: a sensor's
+// placement key hashes onto a consistent-hash ring of member identities
+// with VNodes virtual nodes per member (internal/ring), so membership
+// changes move only the ranges the joining/leaving member owns and
+// every coordinator holding the same member set and the same
+// RingPartitioner derives identical placement without coordination.
 type RingPartitioner struct {
 	// VNodes is the virtual-node count per member; <= 0 selects
 	// ring.DefaultVNodes.
 	VNodes int
+	// Depth is the number of hierarchy levels forming the placement key
+	// (e.g. 4 = room/system/rack/chassis): all sensors sharing that SID
+	// prefix land on one replica set, so a sub-tree of the sensor
+	// hierarchy maps to one database server (paper §4.3). 0 hashes the
+	// full SID — ideal ingest balance, no locality.
+	Depth int
 }
 
-// NodeFor implements Partitioner (static fallback only).
-func (p RingPartitioner) NodeFor(id core.SensorID, n int) int {
-	if n <= 1 {
-		return 0
+// placementKey is the only code that knows what a sensor hashes to.
+func (c *Cluster) placementKey(id core.SensorID) uint64 {
+	if c.depth > 0 {
+		id = id.Prefix(c.depth)
 	}
-	return int(fnvSID(id) % uint64(n))
-}
-
-// Name implements Partitioner.
-func (p RingPartitioner) Name() string {
-	v := p.VNodes
-	if v <= 0 {
-		v = ring.DefaultVNodes
-	}
-	return fmt.Sprintf("ring(vnodes=%d)", v)
+	return fnvSID(id)
 }
 
 func fnvSID(id core.SensorID) uint64 {
@@ -122,12 +70,12 @@ func fnvSID(id core.SensorID) uint64 {
 
 // ClusterOptions configure a Cluster beyond its member set.
 type ClusterOptions struct {
-	// Partitioner routes a sensor to its primary. nil defaults to the
-	// hierarchical scheme at depth 4. RingPartitioner selects live
-	// consistent-hash placement (required for SetMembers).
-	Partitioner Partitioner
+	// Partitioner configures placement; the zero value is the ring at
+	// its default virtual-node count keyed on the full SID.
+	Partitioner RingPartitioner
 	// Replication is the total number of copies of each row (1 = no
-	// redundancy); it is capped at the backend count.
+	// redundancy); a sensor never has more copies than the ring has
+	// members.
 	Replication int
 	// WriteConsistency is the number of replicas that must acknowledge
 	// a write (zero value = ConsistencyOne).
@@ -153,8 +101,8 @@ type ClusterOptions struct {
 	// the loop (RepairRound still works when called directly).
 	AntiEntropyInterval time.Duration
 	// BackendFactory builds the backend for a member SetMembers adds
-	// (typically an rpc.NewClient on the member's address). Required
-	// for live membership; static clusters never call it.
+	// (typically an rpc.NewClient on the member's address). A cluster
+	// whose member set never changes does not need one.
 	BackendFactory func(id, addr string) NodeBackend
 	// RebalanceThrottle is the pause between sensors during a
 	// background rebalance — the knob that keeps the copy stream below
@@ -168,12 +116,11 @@ type ClusterOptions struct {
 // multi-server Cassandra cluster (paper §4.3). Backends may be
 // in-process (*Node) or remote (rpc.Client), mixed freely. The member
 // set lives in an atomically swapped topology snapshot (topology.go),
-// so ring clusters can grow and shrink live via SetMembers while
-// static clusters behave exactly as before.
+// so a cluster can grow and shrink live via SetMembers.
 type Cluster struct {
 	topo        atomic.Pointer[topology]
 	topoMu      sync.Mutex // serialises SetMembers / cutover
-	part        Partitioner
+	depth       int        // placement-key depth, see placementKey
 	replication int
 	writeCL     Consistency
 	readCL      Consistency
@@ -209,9 +156,8 @@ type Cluster struct {
 }
 
 // NewCluster builds a cluster of in-process nodes with consistency
-// level ONE and no hinted handoff — the legacy embedded configuration.
-// A nil partitioner defaults to the hierarchical scheme at depth 4.
-func NewCluster(nodes []*Node, part Partitioner, replication int) (*Cluster, error) {
+// level ONE and no hinted handoff — the embedded configuration.
+func NewCluster(nodes []*Node, part RingPartitioner, replication int) (*Cluster, error) {
 	backends := make([]NodeBackend, len(nodes))
 	for i, n := range nodes {
 		backends[i] = n
@@ -220,44 +166,40 @@ func NewCluster(nodes []*Node, part Partitioner, replication int) (*Cluster, err
 }
 
 // NewClusterOptions builds a cluster of arbitrary backends (local
-// nodes, RPC clients, or a mix) with static placement: members are
-// named node0..nodeN-1 in construction order and the set never
-// changes. Pass a RingPartitioner to place the same fixed members on a
-// consistent-hash ring instead (useful for tests; live membership
-// wants NewClusterMembers).
+// nodes, RPC clients, or a mix). A member's identity on the ring is
+// its backend's address when it has one — so a coordinator handed an
+// address list and one that discovered the same nodes through gossip
+// derive identical placement — and node<i>, by construction order, for
+// an in-process node.
 func NewClusterOptions(backends []NodeBackend, o ClusterOptions) (*Cluster, error) {
 	if len(backends) == 0 {
 		return nil, fmt.Errorf("store: cluster needs at least one node")
 	}
 	members := make([]member, len(backends))
+	seen := make(map[string]struct{}, len(backends))
 	for i, b := range backends {
-		id := fmt.Sprintf("node%d", i)
-		addr := ""
-		if a, ok := b.(interface{ Addr() string }); ok {
-			addr = a.Addr()
+		m := member{id: fmt.Sprintf("node%d", i), backend: b}
+		if a, ok := b.(interface{ Addr() string }); ok && a.Addr() != "" {
+			m.id, m.addr = a.Addr(), a.Addr()
 		}
-		_, local := b.(*Node)
-		members[i] = member{id: id, addr: addr, backend: b, local: local}
+		if _, dup := seen[m.id]; dup {
+			return nil, fmt.Errorf("store: member %s listed twice", m.id)
+		}
+		seen[m.id] = struct{}{}
+		_, m.local = b.(*Node)
+		members[i] = m
 	}
-	return newCluster(members, o, false)
+	return newCluster(members, o)
 }
 
-// NewClusterMembers builds a live-membership cluster: members are
-// keyed by identity on a consistent-hash ring, backends are built with
-// o.BackendFactory, and SetMembers may change the set at runtime. The
-// partitioner defaults to (and must be) a RingPartitioner.
+// NewClusterMembers builds a cluster from member identities (as gossip
+// discovery reports them); backends are built with o.BackendFactory.
 func NewClusterMembers(ms []MemberInfo, o ClusterOptions) (*Cluster, error) {
 	if len(ms) == 0 {
 		return nil, fmt.Errorf("store: cluster needs at least one member")
 	}
 	if o.BackendFactory == nil {
 		return nil, fmt.Errorf("store: NewClusterMembers needs a BackendFactory")
-	}
-	if o.Partitioner == nil {
-		o.Partitioner = RingPartitioner{}
-	}
-	if _, ok := o.Partitioner.(RingPartitioner); !ok {
-		return nil, fmt.Errorf("store: live membership requires the ring partitioner, got %s", o.Partitioner.Name())
 	}
 	members := make([]member, 0, len(ms))
 	seen := make(map[string]struct{}, len(ms))
@@ -277,19 +219,14 @@ func NewClusterMembers(ms []MemberInfo, o ClusterOptions) (*Cluster, error) {
 		members = append(members, member{id: m.ID, addr: m.Addr, backend: b, local: local})
 	}
 	sort.Slice(members, func(i, j int) bool { return members[i].id < members[j].id })
-	return newCluster(members, o, true)
+	return newCluster(members, o)
 }
 
-// newCluster finishes construction for both placement modes.
-func newCluster(members []member, o ClusterOptions, ringMode bool) (*Cluster, error) {
-	if o.Partitioner == nil {
-		o.Partitioner = HierarchicalPartitioner{Depth: 4}
-	}
+// newCluster finishes construction: it places the members on the ring
+// and starts the background loops.
+func newCluster(members []member, o ClusterOptions) (*Cluster, error) {
 	if o.Replication < 1 {
 		o.Replication = 1
-	}
-	if !ringMode && o.Replication > len(members) {
-		o.Replication = len(members)
 	}
 	if o.WriteConsistency == 0 {
 		o.WriteConsistency = ConsistencyOne
@@ -301,22 +238,18 @@ func newCluster(members []member, o ClusterOptions, ringMode bool) (*Cluster, er
 		o.RebalanceThrottle = 2 * time.Millisecond
 	}
 	c := &Cluster{
-		part:        o.Partitioner,
+		depth:       o.Partitioner.Depth,
 		replication: o.Replication,
 		writeCL:     o.WriteConsistency,
 		readCL:      o.ReadConsistency,
 		factory:     o.BackendFactory,
 		rebThrottle: o.RebalanceThrottle,
 	}
-	var target *ring.Ring
-	if rp, ok := o.Partitioner.(RingPartitioner); ok {
-		ids := make([]string, len(members))
-		for i := range members {
-			ids[i] = members[i].id
-		}
-		target = ring.New(ids, rp.VNodes)
+	ids := make([]string, len(members))
+	for i := range members {
+		ids[i] = members[i].id
 	}
-	c.topo.Store(newTopology(members, target, nil))
+	c.topo.Store(newTopology(members, ring.New(ids, o.Partitioner.VNodes), nil))
 	c.met = newClusterMetrics(c)
 	if o.HintDir != "" {
 		hq, err := openHintQueue(o.HintDir)
@@ -387,8 +320,12 @@ func (c *Cluster) Backends() []NodeBackend {
 	return out
 }
 
-// Partitioner returns the active partitioning scheme.
-func (c *Cluster) Partitioner() Partitioner { return c.part }
+// Owners returns the member IDs holding a sensor's replicas, primary
+// first, as reads currently resolve them.
+func (c *Cluster) Owners(id core.SensorID) []string {
+	t := c.top()
+	return t.readRing().ReplicasFor(c.placementKey(id), c.replication)
+}
 
 // Replication returns the configured copies per row.
 func (c *Cluster) Replication() int { return c.replication }
@@ -620,14 +557,14 @@ func (c *Cluster) readRepair(t *topology, id core.SensorID, replicas []int, resu
 	}
 }
 
-// QueryPrefix implements Backend. With the hierarchical partitioner the
-// whole subtree lives on one replica set; with the hash or ring
-// partitioner the query fans out to all nodes and results are merged.
-// All nodes are queried concurrently; a sensor present on several
-// replicas has its copies merged newest-wins. At read consistency
-// QUORUM the query fails if any replica window (any possible replica
-// set) has fewer than a quorum of its members responding — a
-// conservative, exact bound over every sensor the prefix could own.
+// QueryPrefix implements Backend. The query fans out to every member
+// concurrently — a prefix shallower than the placement depth spans
+// replica sets, and a deeper one is not routed to its single set either
+// — and a sensor present on several replicas has its copies merged
+// newest-wins. At read consistency QUORUM the query fails if any
+// replica window (any possible replica set) has fewer than a quorum of
+// its members responding — a conservative, exact bound over every
+// sensor the prefix could own.
 func (c *Cluster) QueryPrefix(prefix core.SensorID, depth int, from, to int64) (map[core.SensorID][]core.Reading, error) {
 	t := c.top()
 	n := len(t.members)

@@ -86,7 +86,7 @@ func (c *Cluster) rebalance(gen uint64) {
 // provably on its new owners.
 func (c *Cluster) rebalanceRound(gen uint64) error {
 	t := c.top()
-	if t.prevRing == nil || t.ring == nil {
+	if t.prevRing == nil {
 		return nil // raced with a concurrent cutover; nothing to move
 	}
 	for _, id := range c.SensorIDs() {
@@ -106,7 +106,7 @@ func (c *Cluster) rebalanceRound(gen uint64) error {
 // moveSensor streams one sensor's history to the target-ring owners the
 // read ring does not already cover, then verifies the hand-off.
 func (c *Cluster) moveSensor(t *topology, id core.SensorID) error {
-	hash := fnvSID(id)
+	hash := c.placementKey(id)
 	readIDs := t.prevRing.ReplicasFor(hash, c.replication)
 	inRead := make(map[string]struct{}, len(readIDs))
 	for _, mid := range readIDs {
@@ -239,7 +239,7 @@ func (c *Cluster) cutover(gen uint64) bool {
 		return false
 	}
 	cur := c.top()
-	if cur.prevRing == nil || cur.ring == nil {
+	if cur.prevRing == nil {
 		return false
 	}
 	keep := make(map[string]struct{})

@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"io"
+	"math"
 	"sync"
 
 	"dcdb/internal/core"
@@ -11,22 +12,17 @@ import (
 // Streaming cluster reads: the coordinator consumes its replicas'
 // streams incrementally — chunks are pulled, merged newest-wins and
 // handed to the caller without the coordinator ever materializing a
-// whole replica response. Read repair is batched: divergent readings
-// accumulate per replica and are re-inserted in the background once a
-// batch fills (or the stream ends), so repairing a long-diverged
-// replica costs bounded coordinator memory too.
-
-// repairBatchReadings is the per-replica read-repair batch size: a
-// replica found missing this many readings is repaired in flight, and
-// the accumulator reset, so repair memory never grows with the result.
-const repairBatchReadings = StreamChunkReadings
+// whole replica response. Read repair is per merged chunk: the merge
+// only remembers the timestamp range over which replicas diverged, and
+// at the end of each chunk hands that range to the anti-entropy routine
+// in the background — so a repair moves versioned readings (original
+// write version and expiry) like every other convergence path, and
+// repairing a long-diverged replica costs bounded coordinator memory.
 
 // replicaCursor tracks one replica's stream inside a quorum merge.
 // A failed cursor is not final: the merge tries to re-open the
 // replica's stream at the merge horizon (tries bounds the attempts
 // between emissions; dead marks a replica that stayed unreachable).
-// The repair batch survives a re-open — divergence already observed is
-// real regardless of the transport's fate.
 type replicaCursor struct {
 	st     ReadingStream
 	buf    []core.Reading
@@ -35,8 +31,6 @@ type replicaCursor struct {
 	failed error
 	dead   bool
 	tries  int // reopen attempts since the merge last advanced
-
-	repair []core.Reading
 }
 
 // head returns the cursor's current reading, refilling from the stream
@@ -80,6 +74,10 @@ type quorumStream struct {
 	done     bool
 	lastTS   int64
 	emitted  bool
+
+	// Timestamp range of the divergence seen since the last flushRepair.
+	repairFrom, repairTo int64
+	repairPending        bool
 }
 
 // QueryStream implements the cluster's streaming read at the configured
@@ -88,7 +86,7 @@ type quorumStream struct {
 // (resuming past the last emitted timestamp) instead of erroring. At
 // QUORUM every replica's stream is merged incrementally (union of
 // timestamps, primary-most replica's value on ties), divergent replicas
-// are repaired in batches in the background, and a replica lost
+// are repaired chunk by chunk in the background, and a replica lost
 // mid-stream is re-opened at the merge horizon — the stream only fails
 // if a quorum is genuinely unreachable past the last merged timestamp.
 // The stream must be closed.
@@ -141,9 +139,8 @@ func (c *Cluster) QueryStream(id core.SensorID, from, to int64) (ReadingStream, 
 	return qs, nil
 }
 
-// reopen resumes cursor i's replica stream past the merge horizon,
-// keeping its accumulated repair batch. Reports whether the replica
-// answered.
+// reopen resumes cursor i's replica stream past the merge horizon.
+// Reports whether the replica answered.
 func (s *quorumStream) reopen(i int) bool {
 	rc := s.cursors[i]
 	rc.st.Close()
@@ -187,9 +184,9 @@ func (s *quorumStream) cursorHead(i int) (core.Reading, bool) {
 	}
 }
 
-// Next merges the next chunk. Replicas that miss a timestamp the merge
-// emits (or hold a different value for it) accumulate that reading in
-// their repair batch.
+// Next merges the next chunk. A live replica that misses a timestamp
+// the merge emits (or holds different value bits for it) puts that
+// timestamp in the chunk's repair range.
 func (s *quorumStream) Next() ([]core.Reading, error) {
 	if s.done {
 		return nil, io.EOF
@@ -245,7 +242,7 @@ func (s *quorumStream) Next() ([]core.Reading, error) {
 				return nil, fmt.Errorf("store: read consistency %s lost mid-stream (%d/%d replicas): %w",
 					s.c.readCL, live, s.required, lastErr)
 			}
-			s.finishRepair()
+			s.flushRepair()
 			s.done = true
 			for _, rc := range s.cursors {
 				rc.st.Close()
@@ -268,72 +265,60 @@ func (s *quorumStream) Next() ([]core.Reading, error) {
 			h, ok := rc.head()
 			if !ok {
 				if rc.failed == nil {
-					s.addRepair(rc, out)
+					s.noteRepair(out.Timestamp)
 				}
 				continue
 			}
-			if h.Timestamp == out.Timestamp {
-				if h.Value != out.Value {
-					s.addRepair(rc, out)
-				}
-				rc.pos++
-			} else {
-				s.addRepair(rc, out)
+			if h.Timestamp != out.Timestamp {
+				s.noteRepair(out.Timestamp)
+				continue
 			}
+			if math.Float64bits(h.Value) != math.Float64bits(out.Value) {
+				s.noteRepair(out.Timestamp)
+			}
+			rc.pos++
 		}
 		s.buf = append(s.buf, out)
 	}
+	s.flushRepair()
 	return s.buf, nil
 }
 
-// addRepair accumulates one divergent reading for a replica, flushing
-// the batch in the background when it fills.
-func (s *quorumStream) addRepair(rc *replicaCursor, r core.Reading) {
-	rc.repair = append(rc.repair, r)
-	if len(rc.repair) >= repairBatchReadings {
-		s.flushRepair(rc)
+// noteRepair widens the pending repair range to cover ts (the merge
+// emits in ascending order, so only the upper end moves).
+func (s *quorumStream) noteRepair(ts int64) {
+	if !s.repairPending {
+		s.repairFrom, s.repairPending = ts, true
 	}
+	s.repairTo = ts
 }
 
-func (s *quorumStream) flushRepair(rc *replicaCursor) {
-	if len(rc.repair) == 0 {
+// flushRepair converges the replicas over the pending repair range in
+// the background, through the same digest-compare and versioned
+// re-insert as an anti-entropy round.
+func (s *quorumStream) flushRepair() {
+	if !s.repairPending {
 		return
 	}
-	batch := rc.repair
-	rc.repair = nil
-	idx := 0
-	for i, c := range s.cursors {
-		if c == rc {
-			idx = s.backends[i]
-			break
-		}
-	}
-	b := s.top.members[idx].backend
-	id := s.id
-	s.c.repairWG.Add(1)
+	s.repairPending = false
+	c, id, from, to := s.c, s.id, s.repairFrom, s.repairTo
+	c.met.readRepairs.Inc()
+	c.repairWG.Add(1)
 	go func() {
-		defer s.c.repairWG.Done()
-		_ = b.InsertBatch(id, batch, 0) // best effort; the next read retries
+		defer c.repairWG.Done()
+		_ = c.repairSensor(id, from, to) // best effort; the next read retries
 	}()
 }
 
-func (s *quorumStream) finishRepair() {
-	for _, rc := range s.cursors {
-		if rc.failed == nil {
-			s.flushRepair(rc)
-		}
-	}
-}
-
 // Close implements ReadingStream; closing early cancels every replica
-// stream and flushes accumulated repairs — the divergence already
+// stream and flushes the pending repair — the divergence already
 // observed is real regardless of how far the consumer read.
 func (s *quorumStream) Close() error {
 	if s.done {
 		return nil
 	}
 	s.done = true
-	s.finishRepair()
+	s.flushRepair()
 	for _, rc := range s.cursors {
 		rc.st.Close()
 	}

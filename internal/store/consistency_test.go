@@ -15,7 +15,7 @@ import (
 // queueing/replay/durability, and newest-wins read repair.
 
 // threeNodeCluster builds 3 memory nodes with the given options
-// applied on top of {HashPartitioner, replication}.
+// applied on top of {full-SID placement, replication}.
 func threeNodeCluster(t *testing.T, replication int, o ClusterOptions) (*Cluster, []*Node) {
 	t.Helper()
 	nodes := []*Node{NewNode(0), NewNode(0), NewNode(0)}
@@ -23,7 +23,7 @@ func threeNodeCluster(t *testing.T, replication int, o ClusterOptions) (*Cluster
 	for i, n := range nodes {
 		backends[i] = n
 	}
-	o.Partitioner = HashPartitioner{}
+	o.Partitioner = RingPartitioner{}
 	o.Replication = replication
 	c, err := NewClusterOptions(backends, o)
 	if err != nil {
@@ -32,20 +32,10 @@ func threeNodeCluster(t *testing.T, replication int, o ClusterOptions) (*Cluster
 	return c, nodes
 }
 
-// replicaSet mirrors the coordinator's placement for a test sensor.
-func replicaSet(c *Cluster, id core.SensorID, n, rep int) []int {
-	primary := c.Partitioner().NodeFor(id, n)
-	out := make([]int, 0, rep)
-	for i := 0; i < rep; i++ {
-		out = append(out, (primary+i)%n)
-	}
-	return out
-}
-
 func TestWriteConsistencyOneSurvivesDownReplica(t *testing.T) {
 	c, nodes := threeNodeCluster(t, 2, ClusterOptions{WriteConsistency: ConsistencyOne})
 	id := sid(7, 1)
-	reps := replicaSet(c, id, 3, 2)
+	reps := c.replicasFor(id)
 	nodes[reps[1]].SetDown(true)
 	if err := c.Insert(id, rd(1, 1), 0); err != nil {
 		t.Fatalf("ONE write with one replica down: %v", err)
@@ -62,7 +52,7 @@ func TestWriteConsistencyQuorumBlocksOnDownReplica(t *testing.T) {
 	// must fail the write even though the other accepted it.
 	c, nodes := threeNodeCluster(t, 2, ClusterOptions{WriteConsistency: ConsistencyQuorum})
 	id := sid(7, 2)
-	reps := replicaSet(c, id, 3, 2)
+	reps := c.replicasFor(id)
 	nodes[reps[1]].SetDown(true)
 	if err := c.Insert(id, rd(1, 1), 0); err == nil {
 		t.Fatal("QUORUM write with a down replica (rf=2) succeeded")
@@ -105,7 +95,7 @@ func TestReadConsistencyMatrix(t *testing.T) {
 			if err := tc.c.Insert(id, rd(1, 1), 0); err != nil {
 				t.Fatal(err)
 			}
-			reps := replicaSet(tc.c, id, 3, 2)
+			reps := tc.c.replicasFor(id)
 			tc.nodes[reps[0]].SetDown(true)
 			rs, err := tc.c.Query(id, 0, 1<<60)
 			if tc.ok {
@@ -127,7 +117,7 @@ func TestHintedHandoffQueuesAndReplays(t *testing.T) {
 	})
 	defer c.Close()
 	id := sid(11, 4)
-	reps := replicaSet(c, id, 3, 2)
+	reps := c.replicasFor(id)
 	down := nodes[reps[1]]
 	down.SetDown(true)
 
@@ -178,7 +168,7 @@ func TestHintsSurviveCoordinatorRestart(t *testing.T) {
 		backends[i] = n
 	}
 	opts := ClusterOptions{
-		Partitioner: HashPartitioner{}, Replication: 2,
+		Partitioner: RingPartitioner{}, Replication: 2,
 		HintDir: hintDir, HintReplayInterval: -1,
 	}
 	c1, err := NewClusterOptions(backends, opts)
@@ -186,7 +176,7 @@ func TestHintsSurviveCoordinatorRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := sid(13, 5)
-	reps := replicaSet(c1, id, 3, 2)
+	reps := c1.replicasFor(id)
 	nodes[reps[1]].SetDown(true)
 	if err := c1.Insert(id, rd(42, 4.2), 0); err != nil {
 		t.Fatal(err)
@@ -223,7 +213,7 @@ func TestHintedWriteTTLSurvivesAsExpiry(t *testing.T) {
 	})
 	defer c.Close()
 	id := sid(17, 6)
-	reps := replicaSet(c, id, 3, 2)
+	reps := c.replicasFor(id)
 	nodes[reps[1]].SetDown(true)
 	// A TTL'd write hinted and replayed keeps a finite expiry.
 	if err := c.Insert(id, rd(1, 1), time.Hour); err != nil {
@@ -242,7 +232,7 @@ func TestHintedWriteTTLSurvivesAsExpiry(t *testing.T) {
 func TestReadRepairConvergesReplicas(t *testing.T) {
 	c, nodes := threeNodeCluster(t, 2, ClusterOptions{ReadConsistency: ConsistencyQuorum})
 	id := sid(19, 7)
-	reps := replicaSet(c, id, 3, 2)
+	reps := c.replicasFor(id)
 	healthy, stale := nodes[reps[0]], nodes[reps[1]]
 	// Diverge the replicas behind the coordinator's back: only one
 	// holds the data (a write the other missed without a hint).
@@ -278,7 +268,7 @@ func TestReadRepairConvergesReplicas(t *testing.T) {
 func TestQueryPrefixQuorumMergesDivergedReplicas(t *testing.T) {
 	c, nodes := threeNodeCluster(t, 2, ClusterOptions{ReadConsistency: ConsistencyQuorum})
 	id := sid(23, 8)
-	reps := replicaSet(c, id, 3, 2)
+	reps := c.replicasFor(id)
 	// Each replica holds a disjoint half of the series.
 	for ts := int64(1); ts <= 4; ts++ {
 		target := nodes[reps[ts%2]]
@@ -454,7 +444,7 @@ func TestHintBackgroundLoopDeliversWithoutManualReplay(t *testing.T) {
 	})
 	defer c.Close()
 	id := sid(43, 9)
-	reps := replicaSet(c, id, 3, 2)
+	reps := c.replicasFor(id)
 	nodes[reps[1]].SetDown(true)
 	if err := c.Insert(id, rd(1, 1), 0); err != nil {
 		t.Fatal(err)

@@ -191,7 +191,14 @@ func TestOneStreamFailsOverMidStream(t *testing.T) {
 	id := sid(13, 13)
 	// ONE rides the first replica whose stream opens — the primary when
 	// everyone is up — so that is the one to sabotage.
-	primary := HierarchicalPartitioner{Depth: 4}.NodeFor(id, 3)
+	// Placement depends on member names only, so an empty cluster of the
+	// same shape says which node that is.
+	probe, err := NewCluster([]*Node{NewNode(0), NewNode(0), NewNode(0)}, RingPartitioner{}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	primary := probe.replicasFor(id)[0]
+	probe.Close()
 	total := 3*StreamChunkReadings + 700
 	nodesCluster, flaky, want := func() (*Cluster, *flakyStreamBackend, []core.Reading) {
 		c, f, w := streamCluster(t, id, total, primary, false)

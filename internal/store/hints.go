@@ -27,14 +27,12 @@ import (
 //
 // The queue is keyed by member IDENTITY, not ring position: a
 // membership change that renumbers or reorders the ring can never
-// deliver a hint to the wrong node. Legacy static clusters name their
-// members node0..nodeN-1, which keeps the on-disk layout of
-// pre-membership coordinators readable unchanged. When the member a
-// hint is queued for has LEFT the ring (dead or departed), the replay
-// loop forwards the hint instead: the mutation is re-coordinated
-// through the sensor's current owners with its original write version,
-// so the data the departed node missed reaches whoever owns the range
-// now.
+// deliver a hint to the wrong node. When the member a hint is queued
+// for is NOT on the ring (dead, departed, or queued by an earlier
+// coordinator that named a remote member node<i>), the replay loop
+// forwards the hint instead: the mutation is re-coordinated through
+// the sensor's current owners with its original write version, so the
+// data that member missed reaches whoever owns the range now.
 //
 // Hint files reuse the WAL framing exactly: CRC32-framed records whose
 // payloads are the WAL's type-3 versioned insert (expiry already

@@ -195,34 +195,7 @@ func TestDeliverHintsDispositions(t *testing.T) {
 	}
 }
 
-// TestRingPartitionerStaticFallback pins RingPartitioner's Partitioner
-// face: the modulo fallback used only when a ring cluster is built
-// through the static constructor, and the self-describing name.
-func TestRingPartitionerStaticFallback(t *testing.T) {
-	p := RingPartitioner{}
-	if got := p.NodeFor(sid(1, 2), 1); got != 0 {
-		t.Fatalf("single node: NodeFor = %d", got)
-	}
-	counts := make(map[int]int)
-	for i := 0; i < 256; i++ {
-		n := p.NodeFor(sid(uint64(i), uint64(i*31)), 4)
-		if n < 0 || n >= 4 {
-			t.Fatalf("NodeFor out of range: %d", n)
-		}
-		counts[n]++
-	}
-	if len(counts) != 4 {
-		t.Fatalf("modulo fallback only used %d of 4 nodes", len(counts))
-	}
-	if got := p.Name(); got != "ring(vnodes=64)" {
-		t.Fatalf("default Name = %q", got)
-	}
-	if got := (RingPartitioner{VNodes: 16}).Name(); got != "ring(vnodes=16)" {
-		t.Fatalf("tuned Name = %q", got)
-	}
-}
-
-// TestRingScatterQuorumBound covers checkPrefixQuorum's ring branch: a
+// TestRingScatterQuorumBound covers checkPrefixQuorum: a
 // scatter read at QUORUM must fail while any replica window of the read
 // ring lacks a quorum of live members, and recover when the member
 // answers again.
@@ -246,6 +219,19 @@ func TestRingScatterQuorumBound(t *testing.T) {
 	}
 	if len(got) != len(ids) {
 		t.Fatalf("scatter read returned %d sensors, want %d", len(got), len(ids))
+	}
+
+	// Replication above the member count means "everywhere": the quorum
+	// is of the three copies that exist, so one member down still serves.
+	wide, wnodes := ringCluster(t, []string{"alpha", "bravo", "charlie"}, ClusterOptions{
+		Replication:     5,
+		ReadConsistency: ConsistencyQuorum,
+	})
+	defer wide.Close()
+	seedSensors(t, wide, 5, 2)
+	wnodes["bravo"].SetDown(true)
+	if got, err := wide.QueryPrefix(core.SensorID{}, 0, 0, 1<<60); err != nil || len(got) != 5 {
+		t.Fatalf("scatter read with 2 of 3 copies live: %d sensors, %v", len(got), err)
 	}
 }
 

@@ -171,7 +171,7 @@ func TestClusterMetricsOutcomes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reps := replicaSet(c, id, 3, 2)
+	reps := c.replicasFor(id)
 	nodes[reps[1]].SetDown(true)
 	if err := c.Insert(id, rd(2, 2), 0); err == nil {
 		t.Fatal("QUORUM write with a down replica succeeded")

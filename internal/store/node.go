@@ -7,11 +7,11 @@
 // runs (SSTables); queries merge the memtable with all runs. Data points
 // are <sensor, timestamp, reading> tuples keyed by the 128-bit SID.
 //
-// A Cluster distributes rows across Nodes using a pluggable partitioner.
-// The hierarchical partitioner maps a sub-tree of the sensor hierarchy
-// (a SID prefix) to a particular node, so a sensor's readings are stored
-// on the server nearest to it and queries are routed directly — exactly
-// the locality argument of §4.3. Replication provides redundancy.
+// A Cluster distributes rows across Nodes on a consistent-hash ring
+// keyed on a SID prefix: a sub-tree of the sensor hierarchy maps to one
+// replica set, so a sensor's readings are stored together with its
+// siblings' and its queries are routed directly — the locality argument
+// of §4.3. Replication provides redundancy.
 //
 // The memtable is lock-striped into shards keyed by SID hash so that
 // concurrent inserts and queries for different sensors proceed without

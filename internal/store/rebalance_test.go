@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -13,15 +14,12 @@ import (
 // rebalance with the digest-verified cutover, writes racing the
 // transition, and hint forwarding for departed members.
 
-// ringCluster builds a live-membership cluster over in-process nodes
-// named by the given IDs. The factory keeps creating nodes on demand,
-// so SetMembers can grow the cluster; the node map is returned for
-// direct inspection.
-func ringCluster(t *testing.T, ids []string, o ClusterOptions) (*Cluster, map[string]*Node) {
-	t.Helper()
+// nodeFactory returns a BackendFactory that creates in-process nodes on
+// demand, so SetMembers can grow a test cluster, and the map it fills.
+func nodeFactory() (func(id, addr string) NodeBackend, map[string]*Node) {
 	var mu sync.Mutex
 	nodes := make(map[string]*Node)
-	o.BackendFactory = func(id, addr string) NodeBackend {
+	return func(id, addr string) NodeBackend {
 		mu.Lock()
 		defer mu.Unlock()
 		n, ok := nodes[id]
@@ -30,19 +28,64 @@ func ringCluster(t *testing.T, ids []string, o ClusterOptions) (*Cluster, map[st
 			nodes[id] = n
 		}
 		return n
-	}
-	if o.RebalanceThrottle == 0 {
-		o.RebalanceThrottle = -1 // tests want fast transfers
-	}
+	}, nodes
+}
+
+// memberInfos names in-process members: the address is the ID.
+func memberInfos(ids ...string) []MemberInfo {
 	ms := make([]MemberInfo, len(ids))
 	for i, id := range ids {
 		ms[i] = MemberInfo{ID: id, Addr: id}
 	}
-	c, err := NewClusterMembers(ms, o)
+	return ms
+}
+
+// ringCluster builds a cluster from member identities over in-process
+// nodes named by the given IDs; the node map is returned for direct
+// inspection.
+func ringCluster(t *testing.T, ids []string, o ClusterOptions) (*Cluster, map[string]*Node) {
+	t.Helper()
+	var nodes map[string]*Node
+	o.BackendFactory, nodes = nodeFactory()
+	if o.RebalanceThrottle == 0 {
+		o.RebalanceThrottle = -1 // tests want fast transfers
+	}
+	c, err := NewClusterMembers(memberInfos(ids...), o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return c, nodes
+}
+
+// listCluster builds the same cluster from a backend list, which names
+// in-process members node<i>: ids must be node0, node1, ...
+func listCluster(t *testing.T, ids []string, o ClusterOptions) (*Cluster, map[string]*Node) {
+	t.Helper()
+	var nodes map[string]*Node
+	o.BackendFactory, nodes = nodeFactory()
+	if o.RebalanceThrottle == 0 {
+		o.RebalanceThrottle = -1
+	}
+	backends := make([]NodeBackend, len(ids))
+	for i, id := range ids {
+		backends[i] = o.BackendFactory(id, id)
+	}
+	c, err := NewClusterOptions(backends, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, nodes
+}
+
+// clusterShapes are the two ways a coordinator is handed its members;
+// a list-built cluster must grow and shrink like any other.
+var clusterShapes = []struct {
+	name  string
+	ids   []string // five member names, in ring-independent order
+	build func(*testing.T, []string, ClusterOptions) (*Cluster, map[string]*Node)
+}{
+	{"members", []string{"alpha", "bravo", "charlie", "delta", "echo"}, ringCluster},
+	{"list", []string{"node0", "node1", "node2", "node3", "node4"}, listCluster},
 }
 
 // waitRebalance blocks until the transition finishes, failing the test
@@ -112,72 +155,78 @@ func TestRingClusterReadsOwnWrites(t *testing.T) {
 }
 
 func TestJoinRebalanceMovesData(t *testing.T) {
-	c, nodes := ringCluster(t, []string{"alpha", "bravo", "charlie"}, ClusterOptions{
-		Replication:      2,
-		WriteConsistency: ConsistencyQuorum,
-		ReadConsistency:  ConsistencyQuorum,
-	})
-	defer c.Close()
-	ids := seedSensors(t, c, 60, 25)
-
-	err := c.SetMembers([]MemberInfo{
-		{ID: "alpha", Addr: "alpha"}, {ID: "bravo", Addr: "bravo"},
-		{ID: "charlie", Addr: "charlie"}, {ID: "delta", Addr: "delta"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitRebalance(t, c)
-
-	checkSensors(t, c, ids, 25)
-	// The joiner must actually own data now: with 4 members at 64
-	// vnodes it holds ~1/2 of all (sensor, replica) placements at rf=2.
-	delta := nodes["delta"]
-	if delta == nil {
-		t.Fatal("factory never built the joining member")
-	}
-	if ins, _, _ := delta.Stats(); ins == 0 {
-		t.Fatal("no data moved to the joining member")
-	}
-	// Post-cutover reads resolve against the new ring only: queries for
-	// sensors the joiner now serves must not need the old owners.
-	moved := 0
-	top := c.top()
-	for _, id := range ids {
-		for _, idx := range c.readReplicas(top, id) {
-			if top.members[idx].id == "delta" {
-				moved++
-				break
+	for _, sh := range clusterShapes {
+		t.Run(sh.name, func(t *testing.T) {
+			c, nodes := sh.build(t, sh.ids[:3], ClusterOptions{
+				Replication:      2,
+				WriteConsistency: ConsistencyQuorum,
+				ReadConsistency:  ConsistencyQuorum,
+			})
+			defer c.Close()
+			ids := seedSensors(t, c, 60, 25)
+			before := make([][]string, len(ids))
+			for i, id := range ids {
+				before[i] = c.Owners(id)
 			}
-		}
-	}
-	if moved == 0 {
-		t.Fatal("new ring assigns the joiner no sensors")
+
+			joiner := sh.ids[3]
+			if err := c.SetMembers(memberInfos(sh.ids[:4]...)); err != nil {
+				t.Fatal(err)
+			}
+			waitRebalance(t, c)
+
+			checkSensors(t, c, ids, 25)
+			// The joiner must actually own data now: with 4 members at 64
+			// vnodes it holds ~1/2 of all (sensor, replica) placements at
+			// rf=2.
+			if nodes[joiner] == nil {
+				t.Fatal("factory never built the joining member")
+			}
+			if ins, _, _ := nodes[joiner].Stats(); ins == 0 {
+				t.Fatal("no data moved to the joining member")
+			}
+			// Post-cutover reads resolve against the new ring only, and
+			// the join moved nothing it did not have to: a sensor the
+			// joiner does not serve keeps its owners.
+			moved := 0
+			for i, id := range ids {
+				after := c.Owners(id)
+				if slices.Contains(after, joiner) {
+					moved++
+				} else if !slices.Equal(after, before[i]) {
+					t.Fatalf("sensor %d moved from %v to %v without involving the joiner", i, before[i], after)
+				}
+			}
+			if moved == 0 {
+				t.Fatal("new ring assigns the joiner no sensors")
+			}
+		})
 	}
 }
 
 func TestLeaveRebalanceKeepsDataReadable(t *testing.T) {
-	c, _ := ringCluster(t, []string{"alpha", "bravo", "charlie"}, ClusterOptions{
-		Replication:      2,
-		WriteConsistency: ConsistencyQuorum,
-		ReadConsistency:  ConsistencyQuorum,
-	})
-	defer c.Close()
-	ids := seedSensors(t, c, 60, 25)
+	for _, sh := range clusterShapes {
+		t.Run(sh.name, func(t *testing.T) {
+			c, _ := sh.build(t, sh.ids[:3], ClusterOptions{
+				Replication:      2,
+				WriteConsistency: ConsistencyQuorum,
+				ReadConsistency:  ConsistencyQuorum,
+			})
+			defer c.Close()
+			ids := seedSensors(t, c, 60, 25)
 
-	err := c.SetMembers([]MemberInfo{
-		{ID: "alpha", Addr: "alpha"}, {ID: "bravo", Addr: "bravo"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitRebalance(t, c)
+			if err := c.SetMembers(memberInfos(sh.ids[:2]...)); err != nil {
+				t.Fatal(err)
+			}
+			waitRebalance(t, c)
 
-	ms, _ := c.Members()
-	if len(ms) != 2 {
-		t.Fatalf("after leave: %d members, want 2", len(ms))
+			ms, _ := c.Members()
+			if len(ms) != 2 {
+				t.Fatalf("after leave: %d members, want 2", len(ms))
+			}
+			checkSensors(t, c, ids, 25)
+		})
 	}
-	checkSensors(t, c, ids, 25)
 }
 
 func TestWritesDuringRebalanceStayReadable(t *testing.T) {
@@ -224,50 +273,40 @@ func TestWritesDuringRebalanceStayReadable(t *testing.T) {
 }
 
 func TestSetMembersRetargetConverges(t *testing.T) {
-	c, _ := ringCluster(t, []string{"alpha", "bravo", "charlie"}, ClusterOptions{
-		Replication:       2,
-		WriteConsistency:  ConsistencyQuorum,
-		ReadConsistency:   ConsistencyQuorum,
-		RebalanceThrottle: 200 * time.Microsecond,
-	})
-	defer c.Close()
-	ids := seedSensors(t, c, 40, 20)
+	for _, sh := range clusterShapes {
+		t.Run(sh.name, func(t *testing.T) {
+			c, _ := sh.build(t, sh.ids[:3], ClusterOptions{
+				Replication:       2,
+				WriteConsistency:  ConsistencyQuorum,
+				ReadConsistency:   ConsistencyQuorum,
+				RebalanceThrottle: 200 * time.Microsecond,
+			})
+			defer c.Close()
+			ids := seedSensors(t, c, 40, 20)
 
-	// Two membership changes back to back: the second supersedes the
-	// first mid-transfer, and reads keep anchoring to the original ring
-	// until the final cutover.
-	if err := c.SetMembers([]MemberInfo{
-		{ID: "alpha", Addr: "alpha"}, {ID: "bravo", Addr: "bravo"},
-		{ID: "charlie", Addr: "charlie"}, {ID: "delta", Addr: "delta"},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SetMembers([]MemberInfo{
-		{ID: "alpha", Addr: "alpha"}, {ID: "bravo", Addr: "bravo"},
-		{ID: "delta", Addr: "delta"}, {ID: "echo", Addr: "echo"},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	waitRebalance(t, c)
+			// Two membership changes back to back: the second supersedes
+			// the first mid-transfer, and reads keep anchoring to the
+			// original ring until the final cutover.
+			if err := c.SetMembers(memberInfos(sh.ids[:4]...)); err != nil {
+				t.Fatal(err)
+			}
+			departed := sh.ids[2]
+			if err := c.SetMembers(memberInfos(sh.ids[0], sh.ids[1], sh.ids[3], sh.ids[4])); err != nil {
+				t.Fatal(err)
+			}
+			waitRebalance(t, c)
 
-	ms, _ := c.Members()
-	if len(ms) != 4 {
-		t.Fatalf("after retarget: %d members, want 4", len(ms))
-	}
-	for _, m := range ms {
-		if m.ID == "charlie" {
-			t.Fatal("departed member still in topology after cutover")
-		}
-	}
-	checkSensors(t, c, ids, 20)
-}
-
-func TestSetMembersRejectsStaticCluster(t *testing.T) {
-	c, _ := threeNodeCluster(t, 2, ClusterOptions{})
-	defer c.Close()
-	err := c.SetMembers([]MemberInfo{{ID: "a", Addr: "a"}})
-	if err == nil {
-		t.Fatal("SetMembers on a static cluster succeeded")
+			ms, _ := c.Members()
+			if len(ms) != 4 {
+				t.Fatalf("after retarget: %d members, want 4", len(ms))
+			}
+			for _, m := range ms {
+				if m.ID == departed {
+					t.Fatal("departed member still in topology after cutover")
+				}
+			}
+			checkSensors(t, c, ids, 20)
+		})
 	}
 }
 

@@ -308,7 +308,7 @@ func TestClusterConcurrentReplicatedOps(t *testing.T) {
 	// Fan-out is always goroutine-per-replica for batches at or above
 	// parallelBatchMin, so the race detector covers the parallel paths.
 	nodes := []*Node{NewNode(128), NewNode(128), NewNode(128)}
-	c, err := NewCluster(nodes, HashPartitioner{}, 2)
+	c, err := NewCluster(nodes, RingPartitioner{}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,7 +493,7 @@ func TestSnapshotBadData(t *testing.T) {
 
 func TestClusterBasics(t *testing.T) {
 	nodes := []*Node{NewNode(0), NewNode(0), NewNode(0)}
-	c, err := NewCluster(nodes, HierarchicalPartitioner{Depth: 3}, 2)
+	c, err := NewCluster(nodes, RingPartitioner{Depth: 3}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -524,12 +524,12 @@ func TestClusterBasics(t *testing.T) {
 
 func TestClusterFailover(t *testing.T) {
 	nodes := []*Node{NewNode(0), NewNode(0), NewNode(0)}
-	c, _ := NewCluster(nodes, HashPartitioner{}, 2)
+	c, _ := NewCluster(nodes, RingPartitioner{}, 2)
 	id := sid(42, 7)
 	for ts := int64(0); ts < 5; ts++ {
 		c.Insert(id, rd(ts, 1), 0)
 	}
-	primary := c.part.NodeFor(id, 3)
+	primary := c.replicasFor(id)[0]
 	nodes[primary].SetDown(true)
 	rs, err := c.Query(id, 0, 100)
 	if err != nil || len(rs) != 5 {
@@ -553,7 +553,7 @@ func TestClusterFailover(t *testing.T) {
 
 func TestClusterQueryPrefixHierarchicalLocality(t *testing.T) {
 	nodes := []*Node{NewNode(0), NewNode(0), NewNode(0), NewNode(0)}
-	c, _ := NewCluster(nodes, HierarchicalPartitioner{Depth: 3}, 1)
+	c, _ := NewCluster(nodes, RingPartitioner{Depth: 3}, 1)
 	m := core.NewTopicMapper()
 	subtree := []string{"/s/r1/n1/power", "/s/r1/n1/temp", "/s/r1/n1/energy"}
 	for _, tp := range subtree {
@@ -562,7 +562,7 @@ func TestClusterQueryPrefixHierarchicalLocality(t *testing.T) {
 	}
 	// All three sensors share the prefix, so they live on one node.
 	id0, _ := m.Lookup(subtree[0])
-	holder := c.part.NodeFor(id0, 4)
+	holder := c.replicasFor(id0)[0]
 	ins, _, _ := nodes[holder].Stats()
 	if ins != 3 {
 		t.Fatalf("expected all 3 rows on node %d, it has %d", holder, ins)
@@ -574,18 +574,15 @@ func TestClusterQueryPrefixHierarchicalLocality(t *testing.T) {
 }
 
 func TestClusterValidation(t *testing.T) {
-	if _, err := NewCluster(nil, nil, 1); err == nil {
+	if _, err := NewCluster(nil, RingPartitioner{}, 1); err == nil {
 		t.Error("empty cluster accepted")
 	}
-	c, err := NewCluster([]*Node{NewNode(0)}, nil, 99)
+	c, err := NewCluster([]*Node{NewNode(0)}, RingPartitioner{}, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.replication != 1 {
-		t.Errorf("replication not capped: %d", c.replication)
-	}
-	if c.Partitioner().Name() == "" {
-		t.Error("default partitioner has no name")
+	if got := c.Owners(sid(1, 1)); len(got) != 1 {
+		t.Errorf("replication not capped at the member count: owners %v", got)
 	}
 	if err := c.Close(); err != nil {
 		t.Error(err)
@@ -593,7 +590,7 @@ func TestClusterValidation(t *testing.T) {
 }
 
 func TestClusterDeleteBefore(t *testing.T) {
-	c, _ := NewCluster([]*Node{NewNode(0), NewNode(0)}, nil, 2)
+	c, _ := NewCluster([]*Node{NewNode(0), NewNode(0)}, RingPartitioner{}, 2)
 	id := sid(1, 1)
 	for ts := int64(0); ts < 10; ts++ {
 		c.Insert(id, rd(ts, 1), 0)
@@ -604,47 +601,6 @@ func TestClusterDeleteBefore(t *testing.T) {
 	rs, _ := c.Query(id, 0, 100)
 	if len(rs) != 5 {
 		t.Fatalf("after delete: %d", len(rs))
-	}
-}
-
-func TestPartitionerProperties(t *testing.T) {
-	// Hierarchical: same prefix -> same node, regardless of leaf.
-	m := core.NewTopicMapper()
-	a, _ := m.Map("/s/r1/n1/power")
-	b, _ := m.Map("/s/r1/n1/temp")
-	p := HierarchicalPartitioner{Depth: 3}
-	if p.NodeFor(a, 7) != p.NodeFor(b, 7) {
-		t.Error("same subtree mapped to different nodes")
-	}
-	if p.NodeFor(a, 1) != 0 || (HashPartitioner{}).NodeFor(a, 1) != 0 {
-		t.Error("single-node cluster must map to 0")
-	}
-	if (HashPartitioner{}).Name() != "hash" {
-		t.Error("hash partitioner name")
-	}
-	// Quick: node index is always in range.
-	f := func(hi, lo uint64, n uint8) bool {
-		nodes := int(n%16) + 1
-		id := core.SensorID{Hi: hi, Lo: lo}
-		h := HashPartitioner{}.NodeFor(id, nodes)
-		g := HierarchicalPartitioner{Depth: 4}.NodeFor(id, nodes)
-		return h >= 0 && h < nodes && g >= 0 && g < nodes
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestHashPartitionerBalance(t *testing.T) {
-	counts := make([]int, 4)
-	for i := 0; i < 4000; i++ {
-		id := sid(rand.Uint64(), rand.Uint64())
-		counts[HashPartitioner{}.NodeFor(id, 4)]++
-	}
-	for i, c := range counts {
-		if c < 700 || c > 1300 {
-			t.Errorf("node %d has %d of 4000 sensors (imbalanced)", i, c)
-		}
 	}
 }
 

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"dcdb/internal/core"
@@ -11,18 +12,14 @@ import (
 // Topology: the cluster's member set is an immutable snapshot swapped
 // atomically, so every operation resolves its replicas against one
 // consistent view — a membership change mid-query can never mix two
-// rings inside one fan-out. Two placement modes exist behind the same
-// snapshot:
-//
-//   - static: the legacy fixed node list. Placement is the
-//     partitioner's modulo scheme over construction order; the member
-//     set never changes.
-//   - ring: members are keyed by stable identity (their advertised
-//     address) on a consistent-hash ring with virtual nodes
-//     (internal/ring). Any coordinator that learns the same member set
-//     — from gossip, from a seed node, from a config file — derives
-//     bit-identical placement, and SetMembers can grow or shrink the
-//     ring live.
+// rings inside one fan-out. There is one placement: members are keyed
+// by stable identity (their advertised address; node<i> for an
+// in-process node) on a consistent-hash ring with virtual nodes
+// (internal/ring), and a sensor is looked up by its placement key
+// (Cluster.placementKey). Any coordinator that learns the same member
+// set — from gossip, from a seed node, from an address list — derives
+// bit-identical placement, and SetMembers can grow or shrink the ring
+// live; a fixed node list is a ring that never changes.
 //
 // During a ring change the snapshot carries BOTH rings: prevRing (the
 // ring reads trust — every acknowledged write is there) and ring (the
@@ -55,8 +52,7 @@ type topology struct {
 	members  []member
 	byID     map[string]int
 	allLocal bool
-	// ring is the target placement; nil selects the static modulo
-	// scheme over members order.
+	// ring is the target placement.
 	ring *ring.Ring
 	// prevRing, when non-nil, marks an in-progress rebalance: reads
 	// resolve here, writes fan to the union of both rings.
@@ -94,24 +90,9 @@ func newTopology(members []member, target, prev *ring.Ring) *topology {
 func (c *Cluster) top() *topology { return c.topo.Load() }
 
 // readReplicas yields the member indices serving reads for a sensor,
-// primary first — static modulo order, or the read ring's clockwise
-// walk.
+// primary first: the read ring's clockwise walk from its placement key.
 func (c *Cluster) readReplicas(t *topology, id core.SensorID) []int {
-	r := t.readRing()
-	if r == nil {
-		n := len(t.members)
-		primary := c.part.NodeFor(id, n)
-		rf := c.replication
-		if rf > n {
-			rf = n
-		}
-		out := make([]int, 0, rf)
-		for i := 0; i < rf; i++ {
-			out = append(out, (primary+i)%n)
-		}
-		return out
-	}
-	ids := r.ReplicasFor(fnvSID(id), c.replication)
+	ids := t.readRing().ReplicasFor(c.placementKey(id), c.replication)
 	out := make([]int, 0, len(ids))
 	for _, mid := range ids {
 		if idx, ok := t.byID[mid]; ok {
@@ -129,24 +110,17 @@ func (c *Cluster) readReplicas(t *topology, id core.SensorID) []int {
 // the move) but their acks never count toward the consistency level —
 // an acked write must be readable NOW, on the read ring.
 func (c *Cluster) writeReplicas(t *topology, id core.SensorID) (idxs []int, readN int) {
-	read := c.readReplicas(t, id)
-	if t.prevRing == nil || t.ring == nil {
-		return read, len(read)
+	idxs = c.readReplicas(t, id)
+	readN = len(idxs)
+	if t.prevRing == nil {
+		return idxs, readN
 	}
-	idxs = read
-	seen := make(map[int]struct{}, len(read)+c.replication)
-	for _, i := range read {
-		seen[i] = struct{}{}
-	}
-	for _, mid := range t.ring.ReplicasFor(fnvSID(id), c.replication) {
-		if idx, ok := t.byID[mid]; ok {
-			if _, dup := seen[idx]; !dup {
-				seen[idx] = struct{}{}
-				idxs = append(idxs, idx)
-			}
+	for _, mid := range t.ring.ReplicasFor(c.placementKey(id), c.replication) {
+		if idx, ok := t.byID[mid]; ok && !slices.Contains(idxs[:readN], idx) {
+			idxs = append(idxs, idx)
 		}
 	}
-	return idxs, len(read)
+	return idxs, readN
 }
 
 // replicasFor yields the node indices holding a sensor, primary first,
@@ -158,41 +132,25 @@ func (c *Cluster) replicasFor(id core.SensorID) []int {
 }
 
 // checkPrefixQuorum applies the conservative prefix-read bound to a
-// fan-out's per-member error slots: every replica window the placement
-// could assign must retain a quorum of live members. Static placement
-// enumerates contiguous windows; ring placement enumerates the read
-// ring's distinct successor sets.
+// fan-out's per-member error slots: every replica set the read ring
+// could assign (its distinct successor sets) must retain a quorum of
+// live members.
 func (c *Cluster) checkPrefixQuorum(t *topology, errs []error, firstErr error) error {
-	required := c.readCL.required(c.replication)
+	r := t.readRing()
+	required := c.readCL.required(min(c.replication, r.Size()))
 	if required <= 1 {
 		return nil
 	}
-	if r := t.readRing(); r != nil {
-		for _, win := range r.Windows(c.replication) {
-			ok := 0
-			for _, mid := range win {
-				if idx, found := t.byID[mid]; found && errs[idx] == nil {
-					ok++
-				}
-			}
-			if ok < required {
-				return fmt.Errorf("store: read consistency %s not met for replica set %v (%d/%d): %w",
-					c.readCL, win, ok, required, firstErr)
-			}
-		}
-		return nil
-	}
-	n := len(t.members)
-	for p := 0; p < n; p++ {
+	for _, win := range r.Windows(c.replication) {
 		ok := 0
-		for r := 0; r < c.replication && r < n; r++ {
-			if errs[(p+r)%n] == nil {
+		for _, mid := range win {
+			if idx, found := t.byID[mid]; found && errs[idx] == nil {
 				ok++
 			}
 		}
 		if ok < required {
-			return fmt.Errorf("store: read consistency %s not met for replica set at node %d (%d/%d): %w",
-				c.readCL, p, ok, required, firstErr)
+			return fmt.Errorf("store: read consistency %s not met for replica set %v (%d/%d): %w",
+				c.readCL, win, ok, required, firstErr)
 		}
 	}
 	return nil
@@ -209,7 +167,7 @@ func (c *Cluster) Members() (ms []MemberInfo, transition bool) {
 	return ms, t.prevRing != nil
 }
 
-// SetMembers installs a new member set on a ring cluster. Backends for
+// SetMembers installs a new member set. Backends for
 // IDs already in the topology are reused; new members are built with
 // the cluster's BackendFactory. If placement changes, the swap is a
 // transition — reads stay on the old ring, writes fan to the union,
@@ -228,9 +186,6 @@ func (c *Cluster) SetMembers(ms []MemberInfo) error {
 		return fmt.Errorf("store: cluster closed")
 	}
 	cur := c.top()
-	if cur.ring == nil {
-		return fmt.Errorf("store: cluster uses static placement; membership changes need the ring partitioner")
-	}
 	ids := make([]string, 0, len(ms))
 	byID := make(map[string]MemberInfo, len(ms))
 	for _, m := range ms {

@@ -120,20 +120,18 @@ func finish(node *store.Node, topicsPath, metaPath string) (*libdcdb.Connection,
 
 // RemoteOptions configure a live-cluster connection for the tools.
 type RemoteOptions struct {
-	// Addrs are the dcdbnode RPC addresses, in the same ring order the
-	// Collect Agent uses. Leave empty and set Seeds to discover the
-	// node set from gossip instead.
+	// Addrs are the dcdbnode RPC addresses, spelled as the nodes
+	// advertise them (order is irrelevant). Leave empty and set Seeds
+	// to discover the node set from gossip instead.
 	Addrs []string
 	// Seeds are gossip seed addresses: any one live member answers with
 	// the full ring, so the tools need a seed, not the complete list.
-	// Discovery forces the ring partitioner — placement must match what
-	// gossip-following coordinators derive.
 	Seeds []string
-	// Replication and Partitioner must match the agent's configuration
-	// or queries route to the wrong replicas. Partitioner is ignored in
-	// Seeds mode.
+	// Replication and Depth (the placement-key depth, see
+	// store.RingPartitioner) must match the agent's configuration or
+	// queries route to the wrong replicas.
 	Replication int
-	Partitioner store.Partitioner
+	Depth       int
 	// ReadConsistency for queries (zero value = ONE).
 	ReadConsistency store.Consistency
 }
@@ -145,14 +143,13 @@ type RemoteOptions struct {
 // from the nodes. Close the connection's backend when done.
 func OpenRemote(topicsSource string, o RemoteOptions) (*libdcdb.Connection, *store.Cluster, error) {
 	co := store.ClusterOptions{
-		Partitioner:     o.Partitioner,
+		Partitioner:     store.RingPartitioner{Depth: o.Depth},
 		Replication:     o.Replication,
 		ReadConsistency: o.ReadConsistency,
 	}
 	var cluster *store.Cluster
 	var err error
 	if len(o.Seeds) > 0 {
-		co.Partitioner = store.RingPartitioner{}
 		cluster, err = collectagent.OpenDiscoveredBackend(o.Seeds, co, rpc.ClientOptions{})
 	} else {
 		cluster, err = collectagent.OpenRemoteBackend(o.Addrs, co, rpc.ClientOptions{})

@@ -120,7 +120,7 @@ func TestOpenDataDirectory(t *testing.T) {
 	dir := t.TempDir()
 	// Simulate an agent that wrote a durable two-node cluster and then
 	// crashed: node data recovered from run files and WALs.
-	c, err := collectagent.OpenBackend(dir, 2, 1, store.HashPartitioner{}, store.DiskOptions{CompactInterval: -1})
+	c, err := collectagent.OpenBackend(dir, 2, 1, store.RingPartitioner{}, store.DiskOptions{CompactInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestOpenRemoteQueriesLiveCluster(t *testing.T) {
 	// it, and a tool connection querying the live nodes.
 	mapper := core.NewTopicMapper()
 	topics := []string{"/dc/r1/power", "/dc/r1/temp", "/dc/r2/power"}
-	part := store.HierarchicalPartitioner{Depth: 2}
+	part := store.RingPartitioner{Depth: 2}
 
 	nodes := []*store.Node{store.NewNode(0), store.NewNode(0)}
 	var addrs []string
@@ -223,7 +223,7 @@ func TestOpenRemoteQueriesLiveCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	conn, cluster, err := OpenRemote(dir, RemoteOptions{
-		Addrs: addrs, Replication: 1, Partitioner: part,
+		Addrs: addrs, Replication: 1, Depth: part.Depth,
 	})
 	if err != nil {
 		t.Fatal(err)
