@@ -84,14 +84,18 @@ func TestEndToEndOverMQTT(t *testing.T) {
 	if err := client.Publish("/lrz/cm3/n1/power", core.EncodeReadings(rs), 1); err != nil {
 		t.Fatal(err)
 	}
-	// QoS 1: by PUBACK the broker handler has run.
-	id, ok := a.Mapper().Lookup("/lrz/cm3/n1/power")
-	if !ok {
-		t.Fatal("topic not mapped after publish")
+	// The broker sends the PUBACK before it calls the agent's handler,
+	// so the reading lands shortly after Publish returns, not before.
+	var got []core.Reading
+	for deadline := time.Now().Add(5 * time.Second); len(got) == 0 && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if id, ok := a.Mapper().Lookup("/lrz/cm3/n1/power"); ok {
+			if got, err = backend.Query(id, 0, 2000); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	got, err := backend.Query(id, 0, 2000)
-	if err != nil || len(got) != 1 || got[0].Value != 3.5 {
-		t.Fatalf("end-to-end readings = %v, %v", got, err)
+	if len(got) != 1 || got[0].Value != 3.5 {
+		t.Fatalf("end-to-end readings = %v", got)
 	}
 }
 

@@ -10,59 +10,43 @@ import (
 // and never materializes the queried series. Two execution plans exist,
 // chosen per sensor:
 //
-//   - Pushdown: physical sensors with no configured scaling on a
-//     backend that supports aggregation (store.Cluster, *store.Node,
-//     the RPC client) ship a fold.Spec to where the data lives and get
-//     one finished fold state back — a month-long summary over cold
+//   - Pushdown: physical sensors with no configured scaling ship a
+//     fold.Spec to where the data lives (store.Backend.Aggregate) and
+//     get one finished fold state back — a month-long summary over cold
 //     data transfers O(1) bytes per replica instead of the readings.
 //   - Client-side fold: everything else (virtual sensors, scaled
-//     sensors, exotic backends) folds the Connection's own QueryStream
-//     chunk by chunk, holding one chunk at most.
+//     sensors) folds the Connection's own QueryStream chunk by chunk,
+//     holding one chunk at most.
 //
 // Both plans run the identical fold arithmetic over the identical
 // reading sequence, so their results are bit-identical; scaling is the
 // one transform that is not post-hoc state-scalable bit-identically,
 // which is why a configured scale forces the client-side plan.
 
-// aggregator is the aggregation-pushdown capability of a Storage
-// Backend.
-type aggregator interface {
-	Aggregate(id core.SensorID, spec fold.Spec) (fold.State, error)
-}
-
 // pushdown resolves whether an analysis op on topic may run
-// server-side: the backend must support aggregation and the sensor
-// must be physical and unscaled (the pushed fold sees raw stored
-// values, so any client-side transform would break bit-identity with
-// the streamed plan).
-func (c *Connection) pushdown(topic string) (aggregator, core.SensorID, bool) {
+// server-side: the sensor must be physical and unscaled (the pushed
+// fold sees raw stored values, so any client-side transform would break
+// bit-identity with the streamed plan).
+func (c *Connection) pushdown(topic string) (core.SensorID, bool) {
 	t, err := core.CanonicalTopic(topic)
 	if err != nil {
-		return nil, core.SensorID{}, false
-	}
-	agg, ok := c.backend.(aggregator)
-	if !ok {
-		return nil, core.SensorID{}, false
+		return core.SensorID{}, false
 	}
 	c.mu.RLock()
 	m, hasMeta := c.meta[t]
 	c.mu.RUnlock()
 	if hasMeta && (m.Virtual || m.EffectiveScale() != 1) {
-		return nil, core.SensorID{}, false
+		return core.SensorID{}, false
 	}
-	id, ok := c.mapper.Lookup(t)
-	if !ok {
-		return nil, core.SensorID{}, false
-	}
-	return agg, id, true
+	return c.mapper.Lookup(t)
 }
 
 // foldQuery runs one fold over the sensor's readings in the spec's
 // range, pushed down when possible and folded over QueryStream
 // otherwise.
 func (c *Connection) foldQuery(topic string, spec fold.Spec) (fold.State, error) {
-	if agg, id, ok := c.pushdown(topic); ok {
-		return agg.Aggregate(id, spec)
+	if id, ok := c.pushdown(topic); ok {
+		return c.backend.Aggregate(id, spec)
 	}
 	st, err := fold.New(spec)
 	if err != nil {

@@ -133,7 +133,7 @@ func TestQuerySummaryPushdownEquivalence(t *testing.T) {
 	c := newConn(t)
 	insertSeries(t, c, "/p/s", 5000)
 	// The backend is a *store.Node, so this runs the pushdown plan.
-	if _, _, ok := c.pushdown("/p/s"); !ok {
+	if _, ok := c.pushdown("/p/s"); !ok {
 		t.Fatal("physical unscaled sensor did not qualify for pushdown")
 	}
 	got, err := c.QuerySummary("/p/s", 0, 1<<50)
@@ -227,7 +227,7 @@ func TestQuerySummaryScaledSensor(t *testing.T) {
 	}
 	c.Insert("/sc/x", rd(0, 1000))
 	c.Insert("/sc/x", rd(1000, 3000))
-	if _, _, ok := c.pushdown("/sc/x"); ok {
+	if _, ok := c.pushdown("/sc/x"); ok {
 		t.Fatal("scaled sensor qualified for pushdown")
 	}
 	a, err := c.QuerySummary("/sc/x", 0, 10000)
@@ -253,7 +253,7 @@ func TestQuerySummaryVirtualSensor(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := c.pushdown("/vm/sum"); ok {
+	if _, ok := c.pushdown("/vm/sum"); ok {
 		t.Fatal("virtual sensor qualified for pushdown")
 	}
 	got, err := c.QuerySummary("/vm/sum", 0, 1<<50)

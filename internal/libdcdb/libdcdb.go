@@ -185,15 +185,8 @@ func (c *Connection) Query(topic string, from, to int64) ([]core.Reading, error)
 	return c.query(topic, from, to, nil)
 }
 
-// queryStreamer is the streaming-read capability of a Storage Backend.
-// Node, Cluster and the RPC client all provide it; exotic backends
-// fall back to a materialized query.
-type queryStreamer interface {
-	QueryStream(id core.SensorID, from, to int64) (store.ReadingStream, error)
-}
-
 // sliceStream adapts a materialized result to the stream API for
-// backends (or sensor kinds) without native streaming.
+// virtual sensors whose expressions cannot be evaluated incrementally.
 type sliceStream struct {
 	rs   []core.Reading
 	done bool
@@ -249,13 +242,10 @@ func (c *Connection) QueryStream(topic string, from, to int64) (store.ReadingStr
 	c.mu.RLock()
 	m, hasMeta := c.meta[t]
 	c.mu.RUnlock()
-	streamer, ok := c.backend.(queryStreamer)
-	if ok && hasMeta && m.Virtual {
+	if hasMeta && m.Virtual {
 		if st, handled, err := c.queryVirtualStream(t, m, from, to); handled {
 			return st, err
 		}
-	}
-	if !ok || (hasMeta && m.Virtual) {
 		rs, err := c.Query(topic, from, to)
 		if err != nil {
 			return nil, err
@@ -266,7 +256,7 @@ func (c *Connection) QueryStream(topic string, from, to int64) (store.ReadingStr
 	if !ok {
 		return nil, fmt.Errorf("libdcdb: unknown sensor %q", topic)
 	}
-	st, err := streamer.QueryStream(id, from, to)
+	st, err := c.backend.QueryStream(id, from, to)
 	if err != nil {
 		return nil, err
 	}
@@ -361,7 +351,7 @@ func (c *Connection) queryVirtualStream(topic string, m core.Metadata, from, to 
 	c.mu.RUnlock()
 	if covered {
 		if id, ok := c.mapper.Lookup(topic); ok {
-			st, err := c.backend.(queryStreamer).QueryStream(id, from, to)
+			st, err := c.backend.QueryStream(id, from, to)
 			return st, true, err
 		}
 	}

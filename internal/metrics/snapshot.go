@@ -6,7 +6,7 @@ import (
 	"math"
 )
 
-// Binary sample codec: the versioned body the Stats RPC op carries so
+// Binary sample codec: the body the Stats RPC op carries so
 // a coordinator can pull a remote node's full metrics snapshot over
 // the same wire the data takes. Version 1 layout (big endian, like the
 // rest of the RPC protocol):
@@ -20,8 +20,8 @@ import (
 //	  histogram:     f64 sum | f64 scale | u8 bucket count | count×u64
 //
 // A decoder that sees a higher version than it knows rejects the body;
-// the caller (rpc.Client.StatsFull) degrades to the legacy three-number
-// stats rather than misreading bytes.
+// the caller (rpc.Client.StatsFull) reports that as an error rather
+// than misreading bytes.
 
 // snapshotVersion is the current codec version.
 const snapshotVersion = 1

@@ -511,25 +511,16 @@ func (c *Client) Gossip(state []byte) ([]byte, error) {
 	return c.call(opGossip, state)
 }
 
-// Query implements store.Backend.
+// Query implements store.Backend: a drain of QueryStream.
 func (c *Client) Query(id core.SensorID, from, to int64) ([]core.Reading, error) {
-	body := make([]byte, 0, 16+16)
-	body = appendSID(body, id)
-	body = appendI64(body, from)
-	body = appendI64(body, to)
-	resp, err := c.call(opQuery, body)
+	st, err := c.QueryStream(id, from, to)
 	if err != nil {
 		return nil, err
 	}
-	cur := &cursor{b: resp}
-	rs := cur.readings()
-	if err := cur.done(); err != nil {
-		return nil, err
-	}
-	return rs, nil
+	return store.Drain(st)
 }
 
-// Aggregate implements store.NodeBackend: the fold runs on the
+// Aggregate implements store.Backend: the fold runs on the
 // storage node over its streaming read path and only the finished
 // state crosses the wire, so the response is O(1) in the range length
 // (O(buckets) for a downsample).
@@ -547,28 +538,13 @@ func (c *Client) Aggregate(id core.SensorID, spec fold.Spec) (fold.State, error)
 	return fold.Decode(resp)
 }
 
-// QueryPrefix implements store.Backend.
+// QueryPrefix implements store.Backend: a drain of QueryPrefixStream.
 func (c *Client) QueryPrefix(prefix core.SensorID, depth int, from, to int64) (map[core.SensorID][]core.Reading, error) {
-	body := make([]byte, 0, 16+4+16)
-	body = appendSID(body, prefix)
-	body = appendU32(body, uint32(depth))
-	body = appendI64(body, from)
-	body = appendI64(body, to)
-	resp, err := c.call(opQueryPrefix, body)
+	st, err := c.QueryPrefixStream(prefix, depth, from, to)
 	if err != nil {
 		return nil, err
 	}
-	cur := &cursor{b: resp}
-	n := cur.u32()
-	out := make(map[core.SensorID][]core.Reading, n)
-	for i := uint32(0); i < n && cur.err == nil; i++ {
-		id := cur.sid()
-		out[id] = cur.readings()
-	}
-	if err := cur.done(); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return store.DrainKeyed(st)
 }
 
 // DeleteBefore implements store.Backend.
@@ -625,39 +601,21 @@ func (c *Client) SensorIDs() []core.SensorID {
 // Stats implements store.NodeBackend; zeros when the node is
 // unreachable (stats are advisory).
 func (c *Client) Stats() (inserts, queries int64, entries int) {
-	resp, err := c.call(opStats, nil)
-	if err != nil {
-		return 0, 0, 0
-	}
-	cur := &cursor{b: resp}
-	inserts = cur.i64()
-	queries = cur.i64()
-	entries = int(cur.i64())
-	if cur.done() != nil {
-		return 0, 0, 0
-	}
+	inserts, queries, entries, _, _ = c.StatsFull()
 	return inserts, queries, entries
 }
 
-// statsReqVersion is the Stats request body version this client sends
-// when asking for a metrics snapshot; servers answer any version >= 1
-// with everything they know.
+// statsReqVersion is the one-byte body of a Stats request. There is one
+// response shape — the three counters followed by the node's metrics
+// snapshot — and a server answers any version >= 1 with everything it
+// knows.
 const statsReqVersion = 1
 
-// StatsFull fetches the legacy counters plus the node's full metrics
-// snapshot via the versioned Stats body. Against a pre-versioning
-// server (which rejects the unexpected body byte) it falls back to the
-// legacy call and returns nil samples.
+// StatsFull fetches the node's counters and its full metrics snapshot.
 func (c *Client) StatsFull() (inserts, queries int64, entries int, samples []metrics.Sample, err error) {
 	resp, err := c.call(opStats, []byte{statsReqVersion})
 	if err != nil {
-		if errors.Is(err, ErrUnavailable) {
-			return 0, 0, 0, nil, err
-		}
-		// An old server answers the versioned body with a trailing-bytes
-		// decode error; retry the legacy shape before giving up.
-		ins, q, e := c.Stats()
-		return ins, q, e, nil, nil
+		return 0, 0, 0, nil, err
 	}
 	cur := &cursor{b: resp}
 	inserts = cur.i64()
@@ -675,7 +633,7 @@ func (c *Client) StatsFull() (inserts, queries int64, entries int, samples []met
 
 // MetricsSnapshot implements store.MetricsSource over the wire: the
 // remote node's gathered registry (merged with its server-side RPC
-// metrics), fetched through the versioned Stats op.
+// metrics), fetched through the Stats op.
 func (c *Client) MetricsSnapshot() ([]metrics.Sample, error) {
 	_, _, _, samples, err := c.StatsFull()
 	return samples, err
@@ -705,6 +663,10 @@ type clientStream struct {
 	nc net.Conn
 	id uint64
 
+	// op and start feed the call metrics when the stream ends.
+	op    byte
+	start time.Time
+
 	ch   chan streamMsg
 	done chan struct{}
 
@@ -714,7 +676,23 @@ type clientStream struct {
 
 	expectSeq uint32 // owned by the read loop
 	closed    atomic.Bool
-	finished  bool // terminal event consumed (owned by the consumer)
+	finished  bool // outcome recorded (owned by the consumer)
+}
+
+// finish records the stream's outcome, once, where a unary call records
+// its own (observeCall): nil for a stream read to its end, the error
+// for one that failed. A stream the consumer closes early never gets
+// here and counts as neither.
+func (st *clientStream) finish(err error) error {
+	st.finished = true
+	st.s.cl.met.observeCall(st.op, st.start, err)
+	return err
+}
+
+// fail cancels the stream and records err as its outcome.
+func (st *clientStream) fail(err error) error {
+	st.Close()
+	return st.finish(err)
 }
 
 // terminate fails the stream out of band (connection death).
@@ -747,22 +725,19 @@ func (st *clientStream) nextMsg() (streamMsg, error) {
 	select {
 	case m := <-st.ch:
 		if m.err != nil {
-			st.finished = true
-			return streamMsg{}, m.err
+			return streamMsg{}, st.finish(m.err)
 		}
 		if m.end {
-			st.finished = true
+			st.finish(nil)
 			return streamMsg{}, io.EOF
 		}
 		return m, nil
 	case <-st.term:
-		st.finished = true
-		return streamMsg{}, st.termErr
+		return streamMsg{}, st.finish(st.termErr)
 	case <-st.done:
 		return streamMsg{}, fmt.Errorf("rpc: stream closed")
 	case <-timer.C:
-		st.Close()
-		return streamMsg{}, fmt.Errorf("rpc: stream from %s stalled beyond %s", st.s.cl.addr, st.s.cl.o.CallTimeout)
+		return streamMsg{}, st.fail(fmt.Errorf("rpc: stream from %s stalled beyond %s", st.s.cl.addr, st.s.cl.o.CallTimeout))
 	}
 }
 
@@ -862,8 +837,7 @@ func (r *readingStream) Next() ([]core.Reading, error) {
 	cur := &cursor{b: m.body}
 	rs := cur.readings()
 	if err := cur.done(); err != nil {
-		r.st.Close()
-		return nil, err
+		return nil, r.st.fail(err)
 	}
 	return rs, nil
 }
@@ -882,45 +856,53 @@ func (k *keyedStream) Next() (core.SensorID, []core.Reading, error) {
 	id := cur.sid()
 	rs := cur.readings()
 	if err := cur.done(); err != nil {
-		k.st.Close()
-		return core.SensorID{}, nil, err
+		return core.SensorID{}, nil, k.st.fail(err)
 	}
 	return id, rs, nil
 }
 
 func (k *keyedStream) Close() error { return k.st.Close() }
 
-// QueryStream implements store.NodeBackend: the query result arrives
-// as sequence-checked chunk frames; Close cancels server-side
-// production.
-func (c *Client) QueryStream(id core.SensorID, from, to int64) (store.ReadingStream, error) {
+// openStream launches one streaming request on the next stream
+// connection. A failed open is a failed call; a successful one is
+// observed when the stream ends (clientStream.finish).
+func (c *Client) openStream(op byte, body []byte) (*clientStream, error) {
 	if c.closed.Load() {
 		return nil, fmt.Errorf("rpc: client closed")
 	}
+	start := time.Now()
+	slot := c.streamSlots[c.srr.Add(1)%uint32(len(c.streamSlots))]
+	st, err := slot.openStream(op, body)
+	if err != nil {
+		c.met.observeCall(op, start, err)
+		return nil, err
+	}
+	st.op, st.start = op, start
+	return st, nil
+}
+
+// QueryStream implements store.Backend: the query result arrives as
+// sequence-checked chunk frames; Close cancels server-side production.
+func (c *Client) QueryStream(id core.SensorID, from, to int64) (store.ReadingStream, error) {
 	body := make([]byte, 0, 16+16)
 	body = appendSID(body, id)
 	body = appendI64(body, from)
 	body = appendI64(body, to)
-	slot := c.streamSlots[c.srr.Add(1)%uint32(len(c.streamSlots))]
-	st, err := slot.openStream(opQueryStream, body)
+	st, err := c.openStream(opQueryStream, body)
 	if err != nil {
 		return nil, err
 	}
 	return &readingStream{st: st}, nil
 }
 
-// QueryPrefixStream implements store.NodeBackend.
+// QueryPrefixStream implements store.Backend.
 func (c *Client) QueryPrefixStream(prefix core.SensorID, depth int, from, to int64) (store.KeyedReadingStream, error) {
-	if c.closed.Load() {
-		return nil, fmt.Errorf("rpc: client closed")
-	}
 	body := make([]byte, 0, 16+4+16)
 	body = appendSID(body, prefix)
 	body = appendU32(body, uint32(depth))
 	body = appendI64(body, from)
 	body = appendI64(body, to)
-	slot := c.streamSlots[c.srr.Add(1)%uint32(len(c.streamSlots))]
-	st, err := slot.openStream(opQueryPrefixStream, body)
+	st, err := c.openStream(opQueryPrefixStream, body)
 	if err != nil {
 		return nil, err
 	}

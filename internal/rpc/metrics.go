@@ -18,6 +18,9 @@ import (
 func opHistograms(reg *metrics.Registry, name, help string) [lastOp + 1]*metrics.Histogram {
 	var hs [lastOp + 1]*metrics.Histogram
 	for op := byte(1); op <= lastOp; op++ {
+		if opName(op) == "unknown" {
+			continue // a reserved number (protocol.go)
+		}
 		hs[op] = reg.LatencyHistogram(
 			name+`{op="`+opName(op)+`"}`, help, 1)
 	}
@@ -46,7 +49,7 @@ func newClientMetrics() *clientMetrics {
 	reg := metrics.NewRegistry()
 	return &clientMetrics{
 		reg:     reg,
-		callLat: opHistograms(reg, "dcdb_rpc_client_call_latency_seconds", "Unary call round-trip latency per op."),
+		callLat: opHistograms(reg, "dcdb_rpc_client_call_latency_seconds", "Call round-trip latency per op; for the stream ops, open to end of stream."),
 		inFlight: reg.Gauge("dcdb_rpc_client_inflight_requests",
 			"Unary calls currently awaiting a response."),
 		netRead: reg.Counter("dcdb_rpc_client_net_read_bytes_total",
@@ -58,7 +61,7 @@ func newClientMetrics() *clientMetrics {
 		dialFailures: reg.Counter("dcdb_rpc_client_dial_failures_total",
 			"Dial attempts that failed (each opens a backoff window)."),
 		callErrors: reg.Counter("dcdb_rpc_client_call_errors_total",
-			"Unary calls that returned an error (transport or application)."),
+			"Calls that returned an error (transport or application); a stream that failed to open or mid-way is one call."),
 		streamChunks: reg.Counter("dcdb_rpc_client_stream_chunks_total",
 			"Stream chunk frames received."),
 		streamBytes: reg.Counter("dcdb_rpc_client_stream_bytes_total",
@@ -69,7 +72,8 @@ func newClientMetrics() *clientMetrics {
 // Metrics returns the client's metric registry for exporters.
 func (c *Client) Metrics() *metrics.Registry { return c.met.reg }
 
-// observeCall records one finished unary call.
+// observeCall records one finished call: a unary round trip, or a
+// stream from its open to its end.
 func (m *clientMetrics) observeCall(op byte, start time.Time, err error) {
 	if op <= lastOp && m.callLat[op] != nil {
 		m.callLat[op].ObserveSince(start)

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -116,35 +117,36 @@ func TestClientMetricsCounters(t *testing.T) {
 	}
 }
 
-// TestStatsFullLegacyServerFallback: a server that predates the
-// versioned body rejects the extra byte; StatsFull falls back to the
-// legacy call instead of failing.
-func TestStatsFullLegacyServerFallback(t *testing.T) {
-	n, srv, _ := testPair(t, ClientOptions{})
-	_ = n
-	// Simulate an old server by dialing through a shim client that
-	// targets the same server but sends the versioned body against a
-	// handler that rejects it — the real server accepts v1, so instead
-	// exercise the fallback by sending a body the server cannot parse
-	// as a version (two bytes -> trailing bytes error).
-	cl := NewClient(srv.Addr(), ClientOptions{})
-	defer cl.Close()
-	if _, err := cl.call(opStats, []byte{1, 2}); err == nil {
-		t.Fatal("server accepted a malformed stats body")
+// TestStatsOneRequestShape: Stats and StatsFull are the same request —
+// the three numbers Stats returns are the head of the one response —
+// and the server refuses a Stats body that is not exactly one version
+// byte >= 1 (the empty body of pre-versioning clients included).
+func TestStatsOneRequestShape(t *testing.T) {
+	n, _, cl := testPair(t, ClientOptions{})
+	if err := n.Insert(sid(2, 2), rd(1, 1), 0); err != nil {
+		t.Fatal(err)
 	}
-	// The public path still answers via fallback when the versioned
-	// call errors: monkey-level check by calling Stats directly.
 	ins, q, entries := cl.Stats()
-	if ins != 0 || q < 0 || entries != 0 {
-		t.Fatalf("legacy Stats on empty node = %d/%d/%d", ins, q, entries)
+	fins, fq, fentries, samples, err := cl.StatsFull()
+	if err != nil || len(samples) == 0 {
+		t.Fatalf("StatsFull: %d samples, %v", len(samples), err)
+	}
+	if ins != 1 || ins != fins || q != fq || entries != fentries {
+		t.Fatalf("Stats = %d/%d/%d, StatsFull = %d/%d/%d", ins, q, entries, fins, fq, fentries)
+	}
+	for _, body := range [][]byte{nil, {0}, {1, 2}} {
+		if _, err := cl.call(opStats, body); err == nil {
+			t.Fatalf("server accepted stats body %v", body)
+		}
 	}
 }
 
 // TestEveryOpHasNameAndHistogram walks the op* constants declared in
 // protocol.go (parsed from source: Go cannot enumerate constants) and
-// fails when one lacks a metric label or falls outside the per-op
+// fails when one lacks a metric label, falls outside the per-op
 // histogram arrays — how insert_versioned, the op of every write, once
-// went without latency histograms on either side.
+// went without latency histograms on either side — or reuses the number
+// of a retired op.
 func TestEveryOpHasNameAndHistogram(t *testing.T) {
 	file, err := parser.ParseFile(token.NewFileSet(), "protocol.go", nil, 0)
 	if err != nil {
@@ -168,12 +170,23 @@ func TestEveryOpHasNameAndHistogram(t *testing.T) {
 		ops[name] = byte(v)
 		return true
 	})
-	if len(ops) < 19 || ops["opInsertVersioned"] != opInsertVersioned {
+	if len(ops) < 17 || ops["opInsertVersioned"] != opInsertVersioned {
 		t.Fatalf("parsed %d op constants from protocol.go: %v", len(ops), ops)
 	}
+	// 4 and 5 were the one-frame Query and QueryPrefix. A peer that still
+	// sends them must get "unknown op", never another op's behaviour.
+	reserved := []byte{4, 5}
 	client, server := newClientMetrics(), NewServer(store.NewNode(0), true).met
 	labels := map[string]string{}
+	for _, op := range reserved {
+		if opName(op) != "unknown" || client.callLat[op] != nil || server.handleLat[op] != nil {
+			t.Errorf("reserved op number %d has a name or a histogram", op)
+		}
+	}
 	for name, op := range ops {
+		if slices.Contains(reserved, op) {
+			t.Errorf("%s reuses the reserved op number %d", name, op)
+		}
 		label := opName(op)
 		if label == "unknown" {
 			t.Errorf("%s (%d) has no opName", name, op)
@@ -190,7 +203,7 @@ func TestEveryOpHasNameAndHistogram(t *testing.T) {
 			t.Errorf("%s (%d) has no client or server latency histogram", name, op)
 		}
 	}
-	if int(lastOp) != len(ops) {
-		t.Errorf("lastOp = %d but %d ops are declared", lastOp, len(ops))
+	if int(lastOp) != len(ops)+len(reserved) {
+		t.Errorf("lastOp = %d but %d ops are declared and %d numbers reserved", lastOp, len(ops), len(reserved))
 	}
 }

@@ -26,6 +26,13 @@
 //	status 0 = ok (body is the op's result encoding)
 //	status 1 = application error (body is the error string)
 //
+// Reads are streams: opQueryStream/opQueryPrefixStream answer with
+// chunk frames (status 2) closed by an end frame (status 3), and
+// Client.Query/QueryPrefix are a drain of them — a result is never
+// materialised in one frame on either side, so its size is not bounded
+// by frameMax. The one-frame read ops 4 and 5 that preceded the streams
+// are retired; their numbers stay reserved.
+//
 // A frame whose CRC does not match its payload — a torn write, a
 // corrupted link, a non-DCDB peer — poisons the connection: the reader
 // closes it rather than guess at record boundaries, and the client
@@ -60,15 +67,14 @@ func SplitAddrList(s string) []string {
 	return addrs
 }
 
-// Ops of the node API. The numbering is part of the wire format. The
-// legacy one-frame opQuery/opQueryPrefix remain served for wire
-// compatibility with older clients; new clients stream.
+// Ops of the node API. The numbering is part of the wire format.
+// Numbers 4 and 5 (the retired one-frame Query and QueryPrefix) are
+// reserved and never reused: a peer that still sends them gets the
+// "rpc: unknown op" answer, not a different op's behaviour.
 const (
 	opPing         = 1
 	opInsert       = 2
 	opInsertBatch  = 3
-	opQuery        = 4
-	opQueryPrefix  = 5
 	opDeleteBefore = 6
 	opFlush        = 7
 	opSync         = 8
@@ -76,8 +82,7 @@ const (
 	opStats        = 10
 	opSensorIDs    = 11
 	// opQueryStream / opQueryPrefixStream answer with a sequence of
-	// chunk frames sharing the request id (see the status bytes below)
-	// instead of one materialized response frame.
+	// chunk frames sharing the request id (see the status bytes below).
 	opQueryStream       = 12
 	opQueryPrefixStream = 13
 	// opCancelStream carries the request id of an in-flight stream the
@@ -123,10 +128,6 @@ func opName(op byte) string {
 		return "insert"
 	case opInsertBatch:
 		return "insert_batch"
-	case opQuery:
-		return "query"
-	case opQueryPrefix:
-		return "query_prefix"
 	case opDeleteBefore:
 		return "delete_before"
 	case opFlush:

@@ -440,14 +440,17 @@ func TestRPCServerRejectsMalformedBodies(t *testing.T) {
 	body = appendI64(body, 0)
 	body = appendI64(body, 1<<60)
 	body = append(body, 0xff)
-	trailing := buildRequest(3, opQuery, 0, body)
+	trailing := buildRequest(3, opQueryVersioned, 0, body)
 	if resp := send(trailing); resp[8] != statusErr {
 		t.Fatalf("trailing bytes accepted: %v", resp)
 	}
-	// Unknown opcode.
-	unknown := buildRequest(4, 200, 0, nil)
-	if resp := send(unknown); resp[8] != statusErr {
-		t.Fatalf("unknown op accepted: %v", resp)
+	// Unknown opcode — which is also what the retired one-frame Query
+	// (4) and QueryPrefix (5) are to this server, well-formed body or not.
+	for i, op := range []byte{200, 4, 5} {
+		resp := send(buildRequest(uint64(10+i), op, 0, body[:len(body)-1]))
+		if resp[8] != statusErr || !strings.Contains(string(resp[9:]), "unknown op") {
+			t.Fatalf("op %d answered %q, want an unknown-op error", op, resp[9:])
+		}
 	}
 	// The connection stays healthy through application-level errors.
 	ping := buildRequest(5, opPing, 0, nil)

@@ -383,6 +383,8 @@ func (s *Server) handleStream(sc *serverConn, payload []byte, arrived time.Time)
 		return !canceled()
 	}
 
+	// next yields the body encoder of the stream's next chunk.
+	var next func() (func([]byte) []byte, error)
 	switch op {
 	case opQueryStream:
 		sid := cur.sid()
@@ -397,21 +399,9 @@ func (s *Server) handleStream(sc *serverConn, payload []byte, arrived time.Time)
 			return
 		}
 		defer st.Close()
-		for {
-			if canceled() {
-				return
-			}
+		next = func() (func([]byte) []byte, error) {
 			rs, err := st.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				fail(err)
-				return
-			}
-			if !emit(func(b []byte) []byte { return appendReadings(b, rs) }) {
-				return
-			}
+			return func(b []byte) []byte { return appendReadings(b, rs) }, err
 		}
 	case opQueryPrefixStream:
 		sid := cur.sid()
@@ -427,24 +417,25 @@ func (s *Server) handleStream(sc *serverConn, payload []byte, arrived time.Time)
 			return
 		}
 		defer st.Close()
-		for {
-			if canceled() {
-				return
-			}
+		next = func() (func([]byte) []byte, error) {
 			kid, rs, err := st.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				fail(err)
-				return
-			}
-			if !emit(func(b []byte) []byte {
-				b = appendSID(b, kid)
-				return appendReadings(b, rs)
-			}) {
-				return
-			}
+			return func(b []byte) []byte { return appendReadings(appendSID(b, kid), rs) }, err
+		}
+	}
+	for {
+		if canceled() {
+			return
+		}
+		body, err := next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			fail(err)
+			return
+		}
+		if !emit(body) {
+			return
 		}
 	}
 	if canceled() {
@@ -514,33 +505,6 @@ func (s *Server) handle(payload []byte, arrived time.Time) []byte {
 		if err := s.backend.InsertBatch(sid, rs, time.Duration(ttl)); err != nil {
 			return fail(err)
 		}
-	case opQuery:
-		sid := cur.sid()
-		from, to := cur.i64(), cur.i64()
-		if err := cur.done(); err != nil {
-			return fail(err)
-		}
-		rs, err := s.backend.Query(sid, from, to)
-		if err != nil {
-			return fail(err)
-		}
-		resp = appendReadings(resp, rs)
-	case opQueryPrefix:
-		sid := cur.sid()
-		depth := cur.u32()
-		from, to := cur.i64(), cur.i64()
-		if err := cur.done(); err != nil {
-			return fail(err)
-		}
-		m, err := s.backend.QueryPrefix(sid, int(depth), from, to)
-		if err != nil {
-			return fail(err)
-		}
-		resp = appendU32(resp, uint32(len(m)))
-		for id, rs := range m {
-			resp = appendSID(resp, id)
-			resp = appendReadings(resp, rs)
-		}
 	case opDeleteBefore:
 		sid := cur.sid()
 		cutoff := cur.i64()
@@ -570,34 +534,26 @@ func (s *Server) handle(payload []byte, arrived time.Time) []byte {
 		}
 		s.backend.Compact()
 	case opStats:
-		// Versioned request body: a legacy client sends an empty body
-		// and gets the legacy 3xi64 response; a v1+ client appends one
-		// version byte and gets a full metrics snapshot after them. The
-		// response prefix is identical either way, which is what keeps
-		// the op number stable across the upgrade.
-		wantMetrics := false
-		if cur.off < len(cur.b) {
-			v := cur.u8()
-			if err := cur.done(); err != nil {
-				return fail(err)
-			}
-			wantMetrics = v >= 1
-		} else if err := cur.done(); err != nil {
+		// One request shape (a version byte) and one response shape: the
+		// three counters, then the metrics snapshot.
+		v := cur.u8()
+		if err := cur.done(); err != nil {
 			return fail(err)
+		}
+		if v < 1 {
+			return fail(fmt.Errorf("rpc: stats request version %d", v))
 		}
 		ins, q, entries := s.backend.Stats()
 		resp = appendI64(resp, ins)
 		resp = appendI64(resp, q)
 		resp = appendI64(resp, int64(entries))
-		if wantMetrics {
-			samples := s.met.reg.Gather()
-			if src, ok := s.backend.(store.MetricsSource); ok {
-				if bs, err := src.MetricsSnapshot(); err == nil {
-					samples = metrics.MergeSamples(samples, bs)
-				}
+		samples := s.met.reg.Gather()
+		if src, ok := s.backend.(store.MetricsSource); ok {
+			if bs, err := src.MetricsSnapshot(); err == nil {
+				samples = metrics.MergeSamples(samples, bs)
 			}
-			resp = append(resp, metrics.EncodeSamples(samples)...)
 		}
+		resp = append(resp, metrics.EncodeSamples(samples)...)
 	case opAggregate:
 		sid := cur.sid()
 		spec := fold.Spec{Op: fold.Op(cur.u8())}

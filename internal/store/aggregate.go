@@ -3,7 +3,6 @@ package store
 import (
 	"fmt"
 	"io"
-	"sync"
 
 	"dcdb/internal/core"
 	"dcdb/internal/fold"
@@ -36,15 +35,14 @@ func FoldStream(st fold.State, rs ReadingStream) error {
 	}
 }
 
-// Aggregate implements NodeBackend: the fold runs over the node's
-// streaming read path (memtable shards merged with cold runs via the
-// pull iterator), holding one chunk at a time.
-func (n *Node) Aggregate(id core.SensorID, spec fold.Spec) (fold.State, error) {
+// foldRead folds a backend's own QueryStream over the spec's range — an
+// Aggregate wherever the fold cannot be pushed further down.
+func foldRead(b Backend, id core.SensorID, spec fold.Spec) (fold.State, error) {
 	st, err := fold.New(spec)
 	if err != nil {
 		return nil, err
 	}
-	rs, err := n.QueryStream(id, spec.From, spec.To)
+	rs, err := b.QueryStream(id, spec.From, spec.To)
 	if err != nil {
 		return nil, err
 	}
@@ -54,45 +52,46 @@ func (n *Node) Aggregate(id core.SensorID, spec fold.Spec) (fold.State, error) {
 	return st, nil
 }
 
+// Aggregate implements Backend: the fold runs over the node's read path
+// (memtable shards merged with cold runs via the pull iterator),
+// holding one chunk at a time.
+func (n *Node) Aggregate(id core.SensorID, spec fold.Spec) (fold.State, error) {
+	return foldRead(n, id, spec)
+}
+
 // Digest implements NodeBackend: the order-sensitive fold fingerprint
 // plus reading count of the sensor's deduplicated [from, to] range,
-// computed over the same streaming read path a query uses. Replicas
-// holding value-identical data produce identical digests regardless of
-// the write versions that got them there, so anti-entropy compares one
+// computed over the same read path a query uses. Replicas holding
+// value-identical data produce identical digests regardless of the
+// write versions that got them there, so anti-entropy compares one
 // (fp, count) pair per replica instead of shipping the range. The
 // count includes non-finite readings (the fingerprint covers every
 // consumed reading, so the pair changes whenever the data does).
 func (n *Node) Digest(id core.SensorID, from, to int64) (fp uint64, count int64, err error) {
-	st, err := fold.New(fold.Spec{Op: fold.OpSummary, From: from, To: to})
+	st, err := foldRead(n, id, fold.Spec{Op: fold.OpSummary, From: from, To: to})
 	if err != nil {
-		return 0, 0, err
-	}
-	rs, err := n.QueryStream(id, from, to)
-	if err != nil {
-		return 0, 0, err
-	}
-	if err := FoldStream(st, rs); err != nil {
 		return 0, 0, err
 	}
 	return st.Fingerprint(), st.Count() + st.Skipped(), nil
 }
 
-// Aggregate implements NodeBackend for the cluster: the fold is pushed
+// Aggregate implements Backend for the cluster: the fold is pushed
 // down to the sensor's replicas at the configured read consistency.
 //
 // At ONE the first replica that answers supplies the state — the same
-// availability-over-freshness trade the materialized read path makes.
+// availability-over-freshness trade a ONE read makes.
 //
 // At QUORUM every replica folds its own copy and ships one state; the
 // coordinator requires a quorum of answers and compares the states'
 // fingerprints. Converged replicas (the steady state) agree and the
 // answer ships O(1) bytes per replica. Divergent replicas cannot be
 // reconciled from aggregate states alone — a count of a union is not
-// the sum of counts — so the coordinator falls back to folding the
-// quorum-merged stream: exact (bit-identical to the materialized
-// quorum read), still bounded to one chunk of coordinator memory, and
-// its read repair converges the replicas so the next pushdown takes
-// the cheap path again.
+// the sum of counts — so the coordinator falls back to folding its own
+// QueryStream: the one QUORUM read, so the fold sees exactly the
+// readings Query would return (conflicts settled by write version),
+// still bounded to one chunk of coordinator memory, and its read repair
+// converges the replicas so the next pushdown takes the cheap path
+// again.
 func (c *Cluster) Aggregate(id core.SensorID, spec fold.Spec) (fold.State, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -112,16 +111,10 @@ func (c *Cluster) Aggregate(id core.SensorID, spec fold.Spec) (fold.State, error
 		return nil, fmt.Errorf("store: all replicas failed: %w", lastErr)
 	}
 	states := make([]fold.State, len(replicas))
-	errs := make([]error, len(replicas))
-	var wg sync.WaitGroup
-	for i, idx := range replicas {
-		wg.Add(1)
-		go func(i, idx int) {
-			defer wg.Done()
-			states[i], errs[i] = t.members[idx].backend.Aggregate(id, spec)
-		}(i, idx)
-	}
-	wg.Wait()
+	errs := c.fanOut(replicas, false, func(i, idx int) (err error) {
+		states[i], err = t.members[idx].backend.Aggregate(id, spec)
+		return err
+	})
 	ok := 0
 	var lastErr error
 	var first fold.State
@@ -147,19 +140,8 @@ func (c *Cluster) Aggregate(id core.SensorID, spec fold.Spec) (fold.State, error
 		c.met.aggConsensus.Inc()
 		return first, nil
 	}
-	// Divergence fallback: exact fold over the quorum merge (which
+	// Divergence fallback: exact fold over the QUORUM read (which
 	// repairs the replicas as a side effect).
 	c.met.aggFallback.Inc()
-	st, err := fold.New(spec)
-	if err != nil {
-		return nil, err
-	}
-	rs, err := c.QueryStream(id, spec.From, spec.To)
-	if err != nil {
-		return nil, err
-	}
-	if err := FoldStream(st, rs); err != nil {
-		return nil, err
-	}
-	return st, nil
+	return foldRead(c, id, spec)
 }

@@ -1,8 +1,8 @@
 package store
 
 import (
+	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"dcdb/internal/core"
@@ -65,22 +65,17 @@ func (c *Cluster) RepairRound() error {
 }
 
 // repairSensor digest-compares one sensor's replicas over [from, to]
-// and converges them if they disagree.
+// and, only if they disagree, reconciles them and re-inserts each
+// replica's delta.
 func (c *Cluster) repairSensor(id core.SensorID, from, to int64) error {
 	t := c.top()
 	replicas := c.readReplicas(t, id)
 	fps := make([]uint64, len(replicas))
 	counts := make([]int64, len(replicas))
-	errs := make([]error, len(replicas))
-	var wg sync.WaitGroup
-	for i, idx := range replicas {
-		wg.Add(1)
-		go func(i, idx int) {
-			defer wg.Done()
-			fps[i], counts[i], errs[i] = t.members[idx].backend.Digest(id, from, to)
-		}(i, idx)
-	}
-	wg.Wait()
+	errs := c.fanOut(replicas, false, func(i, idx int) (err error) {
+		fps[i], counts[i], err = t.members[idx].backend.Digest(id, from, to)
+		return err
+	})
 	c.met.aeChecked.Inc()
 	reachable, agree := 0, true
 	ref := -1
@@ -99,52 +94,103 @@ func (c *Cluster) repairSensor(id core.SensorID, from, to int64) error {
 		return nil // nothing to compare, or already converged
 	}
 	c.met.aeMismatched.Inc()
-
-	// Mismatch: fetch the versioned readings from every reachable
-	// replica and merge the winning write per timestamp.
-	results := make([][]VersionedReading, len(replicas))
-	for i, idx := range replicas {
-		if errs[i] != nil {
-			continue
-		}
-		wg.Add(1)
-		go func(i, idx int) {
-			defer wg.Done()
-			results[i], errs[i] = t.members[idx].backend.QueryVersioned(id, from, to)
-		}(i, idx)
-	}
-	wg.Wait()
-	var merged []VersionedReading
-	first := true
-	for i := range replicas {
-		if errs[i] != nil {
-			continue
-		}
-		if first {
-			merged = results[i]
-			first = false
-			continue
-		}
-		merged = mergeVersionedReadings(merged, results[i])
-	}
+	_, deltas, _, _ := c.reconcile(t, id, replicas, from, to)
 	var firstErr error
-	for i, idx := range replicas {
-		if errs[i] != nil {
-			continue
-		}
-		delta := versionedDelta(merged, results[i])
-		if len(delta) == 0 {
-			continue
-		}
-		if err := t.members[idx].backend.InsertVersioned(id, delta); err != nil {
+	for _, d := range deltas {
+		if err := t.members[d.member].backend.InsertVersioned(id, d.delta); err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
 			continue
 		}
-		c.met.aeRepaired.Add(int64(len(delta)))
+		c.met.aeRepaired.Add(int64(len(d.delta)))
 	}
 	return firstErr
+}
+
+// replicaDelta is what one replica must be sent to hold a reconciled
+// range: the merged readings it lacks or resolves to different bits.
+type replicaDelta struct {
+	member int // index into the topology's members
+	delta  []VersionedReading
+}
+
+// reconcile is the cluster's one quorum merge: it reads [from, to] of a
+// sensor from every listed replica with write versions, merges the
+// answers (highest version wins per timestamp, see winnerVersioned) and
+// works out what each answering replica is missing. Anti-entropy, the
+// read path's divergence handling and the rebalance copy all resolve
+// conflicting copies here and nowhere else, so they cannot disagree.
+// answered counts the replicas that responded; err is the last failure
+// among those that did not.
+func (c *Cluster) reconcile(t *topology, id core.SensorID, replicas []int, from, to int64) (merged []VersionedReading, deltas []replicaDelta, answered int, err error) {
+	results := make([][]VersionedReading, len(replicas))
+	errs := c.fanOut(replicas, false, func(i, idx int) (err error) {
+		results[i], err = t.members[idx].backend.QueryVersioned(id, from, to)
+		return err
+	})
+	for i := range replicas {
+		if errs[i] != nil {
+			err = errs[i]
+			continue
+		}
+		if answered == 0 {
+			merged = results[i]
+		} else {
+			merged = mergeVersionedReadings(merged, results[i])
+		}
+		answered++
+	}
+	for i, idx := range replicas {
+		if errs[i] != nil {
+			continue
+		}
+		if d := versionedDelta(merged, results[i]); len(d) > 0 {
+			deltas = append(deltas, replicaDelta{member: idx, delta: d})
+		}
+	}
+	return merged, deltas, answered, err
+}
+
+// resolveRead answers [from, to] of a sensor for a read that saw its
+// replicas disagree: the reconciled range, provided a read quorum of
+// the replica set answered. At QUORUM every lagging replica's delta is
+// queued for repair in the background — convergence is opportunistic,
+// the caller's latency is not taxed with the repair writes; a ONE read
+// (a prefix read merging the copies it happened to reach) never writes,
+// like every other ONE read. Repairs carry the winning readings'
+// original write versions and expiries, so a re-inserted duplicate
+// resolves at the replica's query-time dedup exactly where the original
+// write would have: above anything older, below any rewrite the replica
+// holds that the merge did not.
+//
+// This is what makes the read path's invariant hold: with a quorum of
+// the read set reachable, a QUORUM read never returns, for any
+// timestamp, a value whose write version is lower than one held by a
+// replica that answered.
+func (c *Cluster) resolveRead(t *topology, id core.SensorID, from, to int64) ([]core.Reading, error) {
+	replicas := c.readReplicas(t, id)
+	merged, deltas, answered, err := c.reconcile(t, id, replicas, from, to)
+	if required := c.readCL.required(len(replicas)); answered < required {
+		return nil, fmt.Errorf("store: read consistency %s not met resolving divergent replicas (%d/%d): %w",
+			c.readCL, answered, required, err)
+	}
+	if c.readCL == ConsistencyQuorum {
+		for _, d := range deltas {
+			b, delta := t.members[d.member].backend, d.delta
+			c.met.readRepairs.Inc()
+			c.repairWG.Add(1)
+			go func() {
+				defer c.repairWG.Done()
+				_ = b.InsertVersioned(id, delta) // best effort; the next read retries
+			}()
+		}
+	}
+	out := make([]core.Reading, len(merged))
+	for i, m := range merged {
+		out[i] = core.Reading{Timestamp: m.Timestamp, Value: m.Value}
+	}
+	return out, nil
 }
 
 // winnerVersioned resolves one timestamp's conflicting writes: highest

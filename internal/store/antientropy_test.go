@@ -134,46 +134,13 @@ func TestHintReplayResurrectionWindowClosed(t *testing.T) {
 	}
 }
 
-// TestReadRepairCarriesWriteVersions: a QUORUM read of diverged
-// replicas must both answer with the newest version — even when the
-// stale replica is the primary — and repair the lagging replica with
-// the winning write's original version so it actually converges.
-func TestReadRepairCarriesWriteVersions(t *testing.T) {
-	c, nodes := aeCluster(t, 2, ConsistencyQuorum)
-	id := sid(82, 1)
-	if err := c.Insert(id, core.Reading{Timestamp: 1, Value: 1}, 0); err != nil {
-		t.Fatal(err)
-	}
-	// The rewrite misses whichever replica the partitioner calls
-	// primary, so the stale copy is the one consulted first.
-	primary := c.replicasFor(id)[0]
-	nodes[primary].SetDown(true)
-	if err := c.Insert(id, core.Reading{Timestamp: 1, Value: 2}, 0); err != nil {
-		t.Fatal(err)
-	}
-	nodes[primary].SetDown(false)
-	rs, err := c.Query(id, 0, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs) != 1 || rs[0].Value != 2 {
-		t.Fatalf("quorum read served %v: the stale primary outranked the newer version", rs)
-	}
-	c.repairWG.Wait() // read repair is backgrounded
-	got, err := nodes[primary].Query(id, 0, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0].Value != 2 {
-		t.Fatalf("primary still serves %v after read repair (repair write lost the version race)", got)
-	}
-}
-
-// TestQuorumStreamRepairMovesVersionedReadings: the streamed QUORUM
-// read repairs through the anti-entropy routine, so a repaired reading
-// keeps its write version and expiry, a conflicting pair converges to
-// the newer version after one read, and replicas that agree bit for bit
-// — NaN included — queue nothing.
+// TestQuorumStreamRepairMovesVersionedReadings: the QUORUM read settles
+// divergence through the anti-entropy reconciliation, so a repaired
+// reading keeps its write version and expiry, a conflicting pair is
+// served at — and converges to — the newer version after one read, and
+// replicas that agree bit for bit — NaN included — queue nothing. (The
+// conflict table, TestReadFormsAgreeOnConflict, runs the stale-primary
+// case over every read form.)
 func TestQuorumStreamRepairMovesVersionedReadings(t *testing.T) {
 	c, nodes := aeCluster(t, 2, ConsistencyQuorum)
 	id := sid(84, 1)
@@ -221,7 +188,9 @@ func TestQuorumStreamRepairMovesVersionedReadings(t *testing.T) {
 	if err := nodes[1].InsertVersioned(id, []VersionedReading{{Timestamp: 2, Value: 20, Version: 6}}); err != nil {
 		t.Fatal(err)
 	}
-	read()
+	if rs := read(); len(rs) != 2 || rs[1].Value != 20 {
+		t.Fatalf("the read that found the conflict served %v, want the version-6 value 20 at ts 2", rs)
+	}
 	for i, n := range nodes {
 		if vrs := versioned(n); len(vrs) != 2 || vrs[1].Value != 20 || vrs[1].Version != 6 {
 			t.Fatalf("node %d holds %+v after the repairing read, want value 20 at version 6", i, vrs)

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"dcdb/internal/core"
-	"dcdb/internal/fold"
 )
 
 // NodeBackend is the full API of one storage node as the Cluster sees
@@ -35,23 +34,6 @@ type NodeBackend interface {
 	// Ping probes liveness cheaply; the hinted-handoff replayer uses it
 	// to decide when a replica is back.
 	Ping() error
-
-	// QueryStream is the streaming form of Query: the result arrives
-	// in bounded chunks pulled on demand, so neither the node nor the
-	// caller ever materializes a long retention's worth of readings.
-	// The stream must be closed (closing early cancels it).
-	QueryStream(id core.SensorID, from, to int64) (ReadingStream, error)
-	// QueryPrefixStream is the streaming form of QueryPrefix: sensors
-	// arrive in ascending SID order, each sensor's readings chunked in
-	// timestamp order (a sensor may span consecutive chunks).
-	QueryPrefixStream(prefix core.SensorID, depth int, from, to int64) (KeyedReadingStream, error)
-
-	// Aggregate runs an analysis fold (internal/fold) over the
-	// sensor's readings in the spec's range where the data lives and
-	// returns only the finished state — the aggregation pushdown path.
-	// The state is bit-identical to folding the node's QueryStream
-	// client-side.
-	Aggregate(id core.SensorID, spec fold.Spec) (fold.State, error)
 
 	// InsertVersioned stores readings carrying coordinator-assigned
 	// write versions (and absolute expiries). Query-time dedup resolves

@@ -135,35 +135,8 @@ func (c *Cluster) moveSensor(t *topology, id core.SensorID) error {
 			srcs = append(srcs, idx)
 		}
 	}
-	results := make([][]VersionedReading, len(srcs))
-	errs := c.fanOut(srcs, localOnly(t, srcs), func(idx int) error {
-		for i, s := range srcs {
-			if s == idx {
-				var err error
-				results[i], err = t.members[idx].backend.QueryVersioned(id, aeFrom, aeTo)
-				return err
-			}
-		}
-		return nil
-	})
+	merged, _, reachable, lastErr := c.reconcile(t, id, srcs, aeFrom, aeTo)
 	required := c.readCL.required(len(readIDs))
-	reachable := 0
-	var lastErr error
-	var merged []VersionedReading
-	first := true
-	for i, err := range errs {
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		reachable++
-		if first {
-			merged = results[i]
-			first = false
-			continue
-		}
-		merged = mergeVersionedReadings(merged, results[i])
-	}
 	if reachable < required {
 		return fmt.Errorf("read quorum of old owners unreachable (%d/%d): %w", reachable, required, lastErr)
 	}
@@ -320,7 +293,7 @@ func (c *Cluster) coordinateVersioned(id core.SensorID, vrs []VersionedReading) 
 	}
 	t := c.top()
 	replicas, readN := c.writeReplicas(t, id)
-	errs := c.fanOut(replicas, localOnly(t, replicas), func(idx int) error {
+	errs := c.fanOut(replicas, localOnly(t, replicas), func(_, idx int) error {
 		return t.members[idx].backend.InsertVersioned(id, vrs)
 	})
 	required := c.writeCL.required(readN)

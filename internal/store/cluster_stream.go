@@ -4,20 +4,46 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sync"
+	"slices"
+	"sort"
 
 	"dcdb/internal/core"
 )
 
-// Streaming cluster reads: the coordinator consumes its replicas'
-// streams incrementally — chunks are pulled, merged newest-wins and
+// The cluster's read path, and there is one: the coordinator consumes
+// its replicas' streams incrementally — chunks are pulled, merged and
 // handed to the caller without the coordinator ever materializing a
-// whole replica response. Read repair is per merged chunk: the merge
-// only remembers the timestamp range over which replicas diverged, and
-// at the end of each chunk hands that range to the anti-entropy routine
-// in the background — so a repair moves versioned readings (original
-// write version and expiry) like every other convergence path, and
-// repairing a long-diverged replica costs bounded coordinator memory.
+// whole replica response; Query and QueryPrefix are a drain of these
+// streams. Streams carry values only, so the merge itself cannot tell
+// which of two conflicting copies is newer. It does not have to: it
+// only remembers the timestamp range over which the replicas it reads
+// disagreed, and before a chunk leaves the coordinator that range is
+// re-read with write versions and settled by resolveRead
+// (antientropy.go) — the same reconciliation anti-entropy runs, which
+// also queues the lagging replicas' repairs. Converged replicas (the
+// steady state) never pay for versions; a long-diverged replica costs
+// one chunk of coordinator memory at a time.
+
+// readTally counts a cluster read once, when its stream ends, so a
+// streamed read and a drained one move dcdb_cluster_reads_total alike:
+// io.EOF is an ok read, any other error a failed one, and a stream the
+// caller closes early is neither.
+type readTally struct {
+	met     *clusterMetrics
+	counted bool
+}
+
+func (r *readTally) end(err error) {
+	if r.counted {
+		return
+	}
+	r.counted = true
+	if err == io.EOF {
+		r.met.readsOK.Inc()
+	} else if err != nil {
+		r.met.readsFailed.Inc()
+	}
+}
 
 // replicaCursor tracks one replica's stream inside a quorum merge.
 // A failed cursor is not final: the merge tries to re-open the
@@ -56,13 +82,14 @@ func (rc *replicaCursor) head() (core.Reading, bool) {
 	}
 }
 
-// quorumStream merges k replica streams newest-wins. from/to and the
-// merge horizon (lastTS, the last emitted timestamp) are kept so a
-// replica lost mid-stream can be resumed exactly where the merge
-// stands: every timestamp <= lastTS has been emitted, every cursor
-// position is >= lastTS, so re-opening the replica's stream at
-// lastTS+1 loses nothing and repeats nothing.
+// quorumStream merges k replica streams into the union of their
+// timestamps. from/to and the merge horizon (lastTS, the last emitted
+// timestamp) are kept so a replica lost mid-stream can be resumed
+// exactly where the merge stands: every timestamp <= lastTS has been
+// emitted, every cursor position is >= lastTS, so re-opening the
+// replica's stream at lastTS+1 loses nothing and repeats nothing.
 type quorumStream struct {
+	readTally
 	c        *Cluster
 	top      *topology // snapshot the stream was opened against
 	id       core.SensorID
@@ -75,21 +102,24 @@ type quorumStream struct {
 	lastTS   int64
 	emitted  bool
 
-	// Timestamp range of the divergence seen since the last flushRepair.
+	// Timestamp range over which the chunk being merged saw its
+	// replicas disagree; settled by resolve before the chunk is returned.
 	repairFrom, repairTo int64
 	repairPending        bool
 }
 
-// QueryStream implements the cluster's streaming read at the configured
+// QueryStream implements Backend: the cluster's read at the configured
 // read consistency. At ONE the first replica whose stream opens serves
 // the result, and a replica lost mid-stream fails over to the next one
 // (resuming past the last emitted timestamp) instead of erroring. At
-// QUORUM every replica's stream is merged incrementally (union of
-// timestamps, primary-most replica's value on ties), divergent replicas
-// are repaired chunk by chunk in the background, and a replica lost
-// mid-stream is re-opened at the merge horizon — the stream only fails
-// if a quorum is genuinely unreachable past the last merged timestamp.
-// The stream must be closed.
+// QUORUM every replica's stream is merged incrementally; where the
+// copies disagree — a timestamp one of them lacks, or holds different
+// value bits for — the answer is the highest write version any
+// answering replica holds (resolveRead), and the replicas that lagged
+// are repaired in the background. A replica lost mid-stream is
+// re-opened at the merge horizon — the stream only fails if a quorum is
+// genuinely unreachable past the last merged timestamp. The stream must
+// be closed.
 func (c *Cluster) QueryStream(id core.SensorID, from, to int64) (ReadingStream, error) {
 	t := c.top()
 	replicas := c.readReplicas(t, id)
@@ -99,27 +129,23 @@ func (c *Cluster) QueryStream(id core.SensorID, from, to int64) (ReadingStream, 
 			st, err := t.members[idx].backend.QueryStream(id, from, to)
 			if err == nil {
 				return &failoverStream{
-					c: c, top: t, id: id, from: from, to: to,
+					readTally: readTally{met: c.met},
+					top:       t, id: id, from: from, to: to,
 					st: st, rest: replicas[i+1:],
 				}, nil
 			}
 			lastErr = err
 		}
+		c.met.readsFailed.Inc()
 		return nil, fmt.Errorf("store: all replicas failed: %w", lastErr)
 	}
 	streams := make([]ReadingStream, len(replicas))
-	errs := make([]error, len(replicas))
-	var wg sync.WaitGroup
-	for i, idx := range replicas {
-		wg.Add(1)
-		go func(i, idx int) {
-			defer wg.Done()
-			streams[i], errs[i] = t.members[idx].backend.QueryStream(id, from, to)
-		}(i, idx)
-	}
-	wg.Wait()
+	errs := c.fanOut(replicas, false, func(i, idx int) (err error) {
+		streams[i], err = t.members[idx].backend.QueryStream(id, from, to)
+		return err
+	})
 	required := c.readCL.required(len(replicas))
-	qs := &quorumStream{c: c, top: t, id: id, from: from, to: to, required: required}
+	qs := &quorumStream{readTally: readTally{met: c.met}, c: c, top: t, id: id, from: from, to: to, required: required}
 	ok := 0
 	var lastErr error
 	for i := range streams {
@@ -133,6 +159,7 @@ func (c *Cluster) QueryStream(id core.SensorID, from, to int64) (ReadingStream, 
 	}
 	if ok < required {
 		qs.Close()
+		c.met.readsFailed.Inc()
 		return nil, fmt.Errorf("store: read consistency %s not met (%d/%d replicas): %w",
 			c.readCL, ok, required, lastErr)
 	}
@@ -187,17 +214,24 @@ func (s *quorumStream) cursorHead(i int) (core.Reading, bool) {
 // Next merges the next chunk. A live replica that misses a timestamp
 // the merge emits (or holds different value bits for it) puts that
 // timestamp in the chunk's repair range.
-func (s *quorumStream) Next() ([]core.Reading, error) {
+func (s *quorumStream) Next() (chunk []core.Reading, err error) {
 	if s.done {
 		return nil, io.EOF
 	}
+	defer func() {
+		if err != nil {
+			s.end(err)
+			s.Close()
+		}
+	}()
 	if s.buf == nil {
 		s.buf = make([]core.Reading, 0, StreamChunkReadings)
 	}
 	s.buf = s.buf[:0]
 	for len(s.buf) < StreamChunkReadings {
 		// Find the smallest pending timestamp across live cursors; the
-		// first (primary-most) cursor holding it supplies the value.
+		// first (primary-most) cursor holding it supplies the value
+		// unless another copy contradicts it (see resolve).
 		var out core.Reading
 		found := false
 		for i := range s.cursors {
@@ -238,18 +272,18 @@ func (s *quorumStream) Next() ([]core.Reading, error) {
 				}
 			}
 			if live < s.required {
-				s.Close()
 				return nil, fmt.Errorf("store: read consistency %s lost mid-stream (%d/%d replicas): %w",
 					s.c.readCL, live, s.required, lastErr)
 			}
-			s.flushRepair()
-			s.done = true
-			for _, rc := range s.cursors {
-				rc.st.Close()
+			if err := s.resolve(); err != nil {
+				return nil, err
 			}
 			if len(s.buf) == 0 {
 				return nil, io.EOF
 			}
+			// The final chunk completes the read.
+			s.end(io.EOF)
+			s.Close()
 			return s.buf, nil
 		}
 		// The merge advances: record the horizon first, so a cursor
@@ -280,7 +314,9 @@ func (s *quorumStream) Next() ([]core.Reading, error) {
 		}
 		s.buf = append(s.buf, out)
 	}
-	s.flushRepair()
+	if err := s.resolve(); err != nil {
+		return nil, err
+	}
 	return s.buf, nil
 }
 
@@ -293,32 +329,31 @@ func (s *quorumStream) noteRepair(ts int64) {
 	s.repairTo = ts
 }
 
-// flushRepair converges the replicas over the pending repair range in
-// the background, through the same digest-compare and versioned
-// re-insert as an anti-entropy round.
-func (s *quorumStream) flushRepair() {
+// resolve settles the chunk's divergent span before the chunk is
+// returned: the span is re-read with write versions, reconciled, and
+// spliced over what the value-only merge produced for it.
+func (s *quorumStream) resolve() error {
 	if !s.repairPending {
-		return
+		return nil
 	}
 	s.repairPending = false
-	c, id, from, to := s.c, s.id, s.repairFrom, s.repairTo
-	c.met.readRepairs.Inc()
-	c.repairWG.Add(1)
-	go func() {
-		defer c.repairWG.Done()
-		_ = c.repairSensor(id, from, to) // best effort; the next read retries
-	}()
+	span, err := s.c.resolveRead(s.top, s.id, s.repairFrom, s.repairTo)
+	if err != nil {
+		return err
+	}
+	lo := sort.Search(len(s.buf), func(i int) bool { return s.buf[i].Timestamp >= s.repairFrom })
+	hi := sort.Search(len(s.buf), func(i int) bool { return s.buf[i].Timestamp > s.repairTo })
+	s.buf = slices.Replace(s.buf, lo, hi, span...)
+	return nil
 }
 
 // Close implements ReadingStream; closing early cancels every replica
-// stream and flushes the pending repair — the divergence already
-// observed is real regardless of how far the consumer read.
+// stream.
 func (s *quorumStream) Close() error {
 	if s.done {
 		return nil
 	}
 	s.done = true
-	s.flushRepair()
 	for _, rc := range s.cursors {
 		rc.st.Close()
 	}
@@ -334,7 +369,7 @@ func (s *quorumStream) Close() error {
 // failover point that only the surviving replicas hold are skipped,
 // which ONE never promised to return.
 type failoverStream struct {
-	c        *Cluster
+	readTally
 	top      *topology // snapshot the stream was opened against
 	id       core.SensorID
 	from, to int64
@@ -356,6 +391,7 @@ func (f *failoverStream) Next() ([]core.Reading, error) {
 			return chunk, nil
 		}
 		if err == io.EOF {
+			f.end(err)
 			return nil, io.EOF
 		}
 		// Mid-stream failure: resume past everything already delivered
@@ -378,6 +414,7 @@ func (f *failoverStream) Next() ([]core.Reading, error) {
 			}
 		}
 		if !replaced {
+			f.end(err)
 			return nil, err
 		}
 	}
@@ -391,6 +428,7 @@ func (f *failoverStream) Close() error {
 	return f.st.Close()
 }
 
+// keyedCursor tracks one backend's keyed stream: each sensor is
 // accumulated fully (bounded by one sensor's window, not the prefix
 // result) so sensors can be merged across backends in SID order.
 type keyedCursor struct {
@@ -443,13 +481,18 @@ func (kc *keyedCursor) advance() {
 	}
 }
 
-// prefixMergeStream merges per-backend keyed streams in SID order,
-// deduplicating replicated sensors newest-wins.
+// prefixMergeStream merges per-backend keyed streams in SID order. A
+// replicated sensor whose copies agree is served from the first; one
+// whose copies disagree is answered by resolveRead, exactly as a
+// single-sensor QUORUM read would.
 type prefixMergeStream struct {
-	c       *Cluster
-	cursors []*keyedCursor
-	started bool
-	done    bool
+	readTally
+	c        *Cluster
+	top      *topology // snapshot the stream was opened against
+	from, to int64
+	cursors  []*keyedCursor
+	started  bool
+	done     bool
 
 	// current merged sensor, emitted in chunks
 	curID core.SensorID
@@ -457,69 +500,52 @@ type prefixMergeStream struct {
 	pos   int
 }
 
-// QueryPrefixStream implements the cluster's streaming subtree read.
-// Every backend is consulted (the prefix may span partitions); each
-// yields its sensors in ascending SID order, so the coordinator merges
-// sensor-at-a-time — memory is bounded by one sensor's result per
-// backend, never the whole subtree. At QUORUM the stream fails unless
-// every possible replica window retains a quorum of live streams, the
-// same conservative bound as the materializing QueryPrefix.
+// QueryPrefixStream implements Backend: the cluster's subtree read.
+// Every member is consulted concurrently — a prefix shallower than the
+// placement depth spans replica sets, and a deeper one is not routed to
+// its single set either; each yields its sensors in ascending SID
+// order, so the coordinator merges sensor-at-a-time — memory is bounded
+// by one sensor's result per backend, never the whole subtree. At
+// QUORUM the stream fails unless every replica set the read ring could
+// assign retains a quorum of live streams — a conservative, exact bound
+// over every sensor the prefix could own.
 func (c *Cluster) QueryPrefixStream(prefix core.SensorID, depth int, from, to int64) (KeyedReadingStream, error) {
 	t := c.top()
 	streams := make([]KeyedReadingStream, len(t.members))
-	errs := make([]error, len(t.members))
-	if len(t.members) == 1 {
-		streams[0], errs[0] = t.members[0].backend.QueryPrefixStream(prefix, depth, from, to)
-	} else {
-		var wg sync.WaitGroup
-		for i := range t.members {
-			wg.Add(1)
-			go func(i int, b NodeBackend) {
-				defer wg.Done()
-				streams[i], errs[i] = b.QueryPrefixStream(prefix, depth, from, to)
-			}(i, t.members[i].backend)
-		}
-		wg.Wait()
-	}
-	var firstErr error
-	failed := 0
-	for i := range t.members {
-		if errs[i] != nil {
-			failed++
-			if firstErr == nil {
-				firstErr = errs[i]
-			}
+	errs := eachMember(t, func(i int, b NodeBackend) (err error) {
+		streams[i], err = b.QueryPrefixStream(prefix, depth, from, to)
+		return err
+	})
+	ms := &prefixMergeStream{readTally: readTally{met: c.met}, c: c, top: t, from: from, to: to}
+	for _, st := range streams {
+		if st != nil {
+			ms.cursors = append(ms.cursors, &keyedCursor{st: st})
 		}
 	}
-	closeAll := func() {
-		for _, st := range streams {
-			if st != nil {
-				st.Close()
-			}
+	if firstErr := firstError(errs); firstErr != nil {
+		err := c.checkPrefixQuorum(t, errs, firstErr)
+		if len(ms.cursors) == 0 {
+			err = fmt.Errorf("store: all nodes failed: %w", firstErr)
 		}
-	}
-	if failed == len(t.members) {
-		return nil, fmt.Errorf("store: all nodes failed: %w", firstErr)
-	}
-	if failed > 0 {
-		if err := c.checkPrefixQuorum(t, errs, firstErr); err != nil {
-			closeAll()
+		if err != nil {
+			ms.Close()
+			c.met.readsFailed.Inc()
 			return nil, err
-		}
-	}
-	ms := &prefixMergeStream{c: c}
-	for i := range streams {
-		if streams[i] != nil {
-			ms.cursors = append(ms.cursors, &keyedCursor{st: streams[i]})
 		}
 	}
 	return ms, nil
 }
 
-func (s *prefixMergeStream) Next() (core.SensorID, []core.Reading, error) {
+func (s *prefixMergeStream) Next() (id core.SensorID, chunk []core.Reading, err error) {
 	if s.done {
 		return core.SensorID{}, nil, io.EOF
 	}
+	defer func() {
+		if err != nil {
+			s.end(err)
+			s.Close()
+		}
+	}()
 	if !s.started {
 		s.started = true
 		for _, kc := range s.cursors {
@@ -552,11 +578,10 @@ func (s *prefixMergeStream) Next() (core.SensorID, []core.Reading, error) {
 			}
 		}
 		if !found {
-			s.Close()
 			return core.SensorID{}, nil, io.EOF
 		}
 		var merged []core.Reading
-		first := true
+		first, agree := true, true
 		for _, kc := range s.cursors {
 			if !kc.have || kc.id != minID {
 				continue
@@ -564,17 +589,21 @@ func (s *prefixMergeStream) Next() (core.SensorID, []core.Reading, error) {
 			if first {
 				merged = kc.rs
 				first = false
-			} else {
-				merged = mergeReplicaReadings(merged, kc.rs)
+			} else if !sameReadings(merged, kc.rs) {
+				agree = false
+			}
+		}
+		if !agree {
+			var err error
+			if merged, err = s.c.resolveRead(s.top, minID, s.from, s.to); err != nil {
+				return core.SensorID{}, nil, err
 			}
 		}
 		for _, kc := range s.cursors {
 			if kc.have && kc.id == minID {
 				kc.advance()
 				if kc.failed != nil {
-					err := kc.failed
-					s.Close()
-					return core.SensorID{}, nil, fmt.Errorf("store: prefix stream replica failed: %w", err)
+					return core.SensorID{}, nil, fmt.Errorf("store: prefix stream replica failed: %w", kc.failed)
 				}
 			}
 		}
@@ -583,6 +612,20 @@ func (s *prefixMergeStream) Next() (core.SensorID, []core.Reading, error) {
 		}
 		s.curID, s.curRS, s.pos = minID, merged, 0
 	}
+}
+
+// sameReadings reports whether two copies of a series hold the same
+// timestamps and value bits (NaN equals itself here).
+func sameReadings(a, b []core.Reading) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Timestamp != b[i].Timestamp || math.Float64bits(a[i].Value) != math.Float64bits(b[i].Value) {
+			return false
+		}
+	}
+	return true
 }
 
 func (s *prefixMergeStream) Close() error {

@@ -487,9 +487,11 @@ func TestClusterQuorumStreamMergesAndRepairs(t *testing.T) {
 	}
 }
 
-// TestClusterPrefixStreamMatchesQueryPrefix checks the SID-ordered
-// keyed merge against the materializing QueryPrefix.
-func TestClusterPrefixStreamMatchesQueryPrefix(t *testing.T) {
+// TestClusterPrefixStreamOrderedAndComplete checks the SID-ordered
+// keyed merge against each sensor's own read. (QueryPrefix is a drain of
+// this stream; what the two must agree on under conflict is
+// TestReadFormsAgreeOnConflict's business.)
+func TestClusterPrefixStreamOrderedAndComplete(t *testing.T) {
 	nodes := []*Node{NewNode(0), NewNode(0)}
 	backends := make([]NodeBackend, len(nodes))
 	for i, n := range nodes {
@@ -510,9 +512,15 @@ func TestClusterPrefixStreamMatchesQueryPrefix(t *testing.T) {
 			}
 		}
 	}
-	want, err := c.QueryPrefix(prefix, 4, 0, 1000)
-	if err != nil {
-		t.Fatal(err)
+	want := make(map[core.SensorID][]core.Reading)
+	for s := uint64(0); s < 5; s++ {
+		id := prefix
+		id.Lo = s << 16
+		rs, err := c.Query(id, 0, 1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[id] = rs
 	}
 	st, err := c.QueryPrefixStream(prefix, 4, 0, 1000)
 	if err != nil {
@@ -658,7 +666,7 @@ func TestQuorumStreamEarlyClose(t *testing.T) {
 }
 
 // TestPrefixStreamQuorumNotMet: a down node must fail the quorum
-// prefix stream at open, like the materializing QueryPrefix.
+// prefix stream at open, like every QUORUM prefix read.
 func TestPrefixStreamQuorumNotMet(t *testing.T) {
 	nodes := []*Node{NewNode(0), NewNode(0)}
 	backends := make([]NodeBackend, len(nodes))

@@ -2,21 +2,24 @@ package store
 
 import (
 	"io"
+	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
 	"dcdb/internal/core"
+	"dcdb/internal/metrics"
 )
 
-// The pull-based read path: queries no longer materialize whole runs.
-// Each source of a sensor's entries — the memtable, a hot (resident)
-// run, a cold (evicted, file-backed) run — is wrapped in an iterator,
-// and a k-way merge pulls from them in timestamp order, so the memory
-// a query holds is O(one block per cold source + the memtable window),
-// not O(result). Node.Query drains the merge into a slice for the
-// legacy API; Node.QueryStream hands it out in bounded chunks, which
-// is what the streaming RPC path forwards frame by frame.
+// The node's read path, and there is one: each source of a sensor's
+// entries — the memtable, a hot (resident) run, a cold (evicted,
+// file-backed) run — is wrapped in an iterator, a k-way merge pulls from
+// them in timestamp order, winners resolves duplicates, and nodeStream
+// hands the result out in bounded chunks, so the memory a read holds is
+// O(one chunk + one block per cold source + the memtable window), not
+// O(result). Query and QueryPrefix are a Drain of the stream; the RPC
+// server forwards the same chunks frame by frame.
 
 // iterator yields one series' entries in timestamp order.
 type iterator interface {
@@ -345,8 +348,8 @@ func (m *entryMerge) close() {
 // the memtable window is copied out (memtable arrays are mutated by
 // later inserts, sorts and deletes, so they cannot be read unlocked).
 // sizeHint upper-bounds the merged entry count (pre-dedup/expiry) so
-// callers can size their output once. The caller must invoke the
-// returned release exactly once after draining. Caller holds sh.mu at
+// callers can size their output once. The caller owns one reference on
+// every retained file (winners.close drops them). Caller holds sh.mu at
 // least shared.
 func (n *Node) sensorItersLocked(sh *shard, id core.SensorID, from, to int64) (srcs []iterSource, retained []*runFile, sizeHint int) {
 	rs := sh.runs[id]
@@ -440,22 +443,117 @@ func (n *Node) sensorItersLocked(sh *shard, id core.SensorID, from, to int64) (s
 	return srcs, retained, sizeHint
 }
 
-// sensorMerge builds the merged, deduplicating cursor over one sensor.
-// The release closure closes iterators and drops file references; it
-// must be called exactly once.
-func (n *Node) sensorMerge(id core.SensorID, from, to int64) (*entryMerge, func(), int) {
+// winners is the one dedup loop of the read path. It walks an
+// entryMerge and yields, per timestamp, the entry that wins: expired
+// entries are dropped, the highest write version is kept, and equal
+// versions resolve newest-source-wins (sources arrive oldest first,
+// hence >=) — the legacy behaviour when every entry is unversioned.
+//
+// Winners come out in runs. Sequential merges (the monotonic-sensor
+// common case) hand over whole run windows and decoded blocks, and the
+// stretch of such a batch in which every entry is unexpired and has a
+// timestamp of its own is yielded in place — no copy, no per-entry
+// call. Only an entry whose successor is not yet known to differ (a
+// duplicate, or the last of its batch) is held back in pend.
+type winners struct {
+	m        *entryMerge
+	retained []*runFile // cold files the merge reads; released by close
+	now      int64
+	cur      []entry  // rest of the batch being consumed
+	one      [1]entry // backing store of a heap-mode (single-entry) batch
+	out      [1]entry // backing store of a held-back entry's run
+	pend     entry    // candidate winner of the timestamp being resolved
+	have     bool
+}
+
+// refill loads the next batch from the merge.
+func (w *winners) refill() bool {
+	if es, ok := w.m.nextSlice(); ok {
+		w.cur = es
+		return true
+	}
+	if e, ok := w.m.next(); ok {
+		w.one[0] = e
+		w.cur = w.one[:]
+		return true
+	}
+	return false
+}
+
+func (w *winners) expired(e *entry) bool { return e.expire != 0 && e.expire <= w.now }
+
+// nextRun yields the next run of winning entries in timestamp order,
+// nil when the merge is exhausted. The run aliases immutable source
+// data (or w.out) and is valid until the next call.
+func (w *winners) nextRun() []entry {
+	for {
+		if len(w.cur) == 0 && !w.refill() {
+			if !w.have {
+				return nil
+			}
+			w.have = false
+			w.out[0] = w.pend
+			return w.out[:]
+		}
+		cur := w.cur
+		if w.have {
+			// Resolve the held-back entry against the batch's head.
+			switch e := &cur[0]; {
+			case w.expired(e):
+			case e.ts != w.pend.ts:
+				w.have = false
+				w.out[0] = w.pend
+				return w.out[:]
+			case e.ver >= w.pend.ver:
+				w.pend = *e
+			}
+			w.cur = cur[1:]
+			continue
+		}
+		// cur[i] is a winner outright when it is unexpired and its
+		// successor in the batch carries a later timestamp.
+		i, succ, now := 0, cur[1:], w.now
+		// Four at a time while no entry carries an expiry at all and no
+		// timestamp repeats — the shape of nearly all monitoring data.
+		for ; i+4 <= len(succ); i += 4 {
+			c := cur[i : i+5 : i+5]
+			if c[0].expire|c[1].expire|c[2].expire|c[3].expire != 0 ||
+				c[0].ts == c[1].ts || c[1].ts == c[2].ts || c[2].ts == c[3].ts || c[3].ts == c[4].ts {
+				break
+			}
+		}
+		for i < len(succ) && cur[i].ts != succ[i].ts && (cur[i].expire == 0 || cur[i].expire > now) {
+			i++
+		}
+		if i > 0 {
+			w.cur = cur[i:]
+			return cur[:i]
+		}
+		if !w.expired(&cur[0]) {
+			w.pend, w.have = cur[0], true
+		}
+		w.cur = cur[1:]
+	}
+}
+
+// close releases the merge's buffers and file references. It must be
+// called exactly once.
+func (w *winners) close() {
+	w.m.close()
+	for _, rf := range w.retained {
+		rf.release()
+	}
+}
+
+// sensorWinners snapshots one sensor's sources and returns the
+// deduplicating cursor over them (to be closed by the caller), with an
+// upper bound on how many entries it can yield.
+func (n *Node) sensorWinners(id core.SensorID, from, to, now int64) (w winners, sizeHint int) {
 	sh := n.shardOf(id)
 	sh.mu.RLock()
 	srcs, retained, sizeHint := n.sensorItersLocked(sh, id, from, to)
 	sh.mu.RUnlock()
-	m := newEntryMerge(srcs)
-	release := func() {
-		m.close()
-		for _, rf := range retained {
-			rf.release()
-		}
-	}
-	return m, release, sizeHint
+	return winners{m: newEntryMerge(srcs), retained: retained, now: now}, sizeHint
 }
 
 // ReadingStream is a pull-based stream of one sensor's query result in
@@ -484,25 +582,81 @@ type KeyedReadingStream interface {
 // meaningful fraction of a long-retention result.
 const StreamChunkReadings = 4096
 
-// nodeStream adapts an entryMerge to the chunked ReadingStream API,
-// applying expiry filtering and highest-version-wins timestamp dedup
-// (equal versions: newest source wins, which is the legacy behaviour
-// when every entry is unversioned). The held-back pending reading
-// guarantees a duplicate timestamp can never straddle a chunk boundary
-// half-resolved.
-type nodeStream struct {
-	m       *entryMerge
-	release func()
-	now     int64
-	buf     []core.Reading
-	pending core.Reading
-	pendVer uint64
-	havePnd bool
-	done    bool
+// Drain reads st to its end, closes it, and returns everything it
+// yielded. Every materialised read in this package is a Drain of the
+// corresponding stream.
+func Drain(st ReadingStream) ([]core.Reading, error) {
+	if s, ok := st.(*nodeStream); ok {
+		return s.drain()
+	}
+	defer st.Close()
+	var out []core.Reading
+	for {
+		chunk, err := st.Next()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, chunk...)
+	}
 }
 
-func newNodeStream(m *entryMerge, release func(), now int64) *nodeStream {
-	return &nodeStream{m: m, release: release, now: now}
+// DrainKeyed is Drain for a prefix stream: the readings of every sensor
+// that has any, keyed by SID.
+func DrainKeyed(st KeyedReadingStream) (map[core.SensorID][]core.Reading, error) {
+	defer st.Close()
+	out := make(map[core.SensorID][]core.Reading)
+	for {
+		id, chunk, err := st.Next()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		out[id] = append(out[id], chunk...)
+	}
+}
+
+// nodeStream hands a sensor's winning entries out as readings: in
+// bounded chunks through Next, or all at once through drain. lat, when
+// set, is the shard's query-latency histogram: the stream observes
+// open → EOF, error or Close, so a streamed read and a drained one are
+// timed by the same code (prefix streams leave their per-sensor streams
+// untimed).
+type nodeStream struct {
+	w    winners
+	run  []entry // rest of the run being converted
+	hint int     // upper bound on the readings the stream can yield
+	buf  []core.Reading
+	done bool
+
+	lat   *metrics.Histogram
+	start time.Time
+}
+
+// fill appends winning readings to dst until it holds limit of them or
+// the stream is exhausted, in which case the stream closes itself.
+func (s *nodeStream) fill(dst []core.Reading, limit int) ([]core.Reading, error) {
+	for len(dst) < limit {
+		if len(s.run) == 0 {
+			if s.run = s.w.nextRun(); s.run == nil {
+				err := s.w.m.iterErr()
+				s.Close()
+				return dst, err
+			}
+		}
+		n := min(len(s.run), limit-len(dst))
+		dst = slices.Grow(dst, n)
+		run, out := s.run[:n], dst[len(dst):len(dst)+n]
+		for i := range out {
+			out[i] = core.Reading{Timestamp: run[i].ts, Value: run[i].val}
+		}
+		dst, s.run = dst[:len(dst)+n], s.run[n:]
+	}
+	return dst, nil
 }
 
 func (s *nodeStream) Next() ([]core.Reading, error) {
@@ -510,134 +664,80 @@ func (s *nodeStream) Next() ([]core.Reading, error) {
 		return nil, io.EOF
 	}
 	if s.buf == nil {
-		s.buf = make([]core.Reading, 0, StreamChunkReadings)
+		// A short result must not cost a full chunk buffer.
+		s.buf = make([]core.Reading, 0, min(s.hint, StreamChunkReadings))
 	}
-	s.buf = s.buf[:0]
-	for len(s.buf) < StreamChunkReadings {
-		e, ok := s.m.next()
-		if !ok {
-			if err := s.m.iterErr(); err != nil {
-				s.close()
-				return nil, err
-			}
-			if s.havePnd {
-				s.buf = append(s.buf, s.pending)
-				s.havePnd = false
-			}
-			s.close()
-			if len(s.buf) == 0 {
-				return nil, io.EOF
-			}
-			return s.buf, nil
-		}
-		if e.expire != 0 && e.expire <= s.now {
-			continue
-		}
-		if s.havePnd && s.pending.Timestamp == e.ts {
-			// Highest version wins; sources emit oldest-first, so >=
-			// keeps newest-source-wins among equal versions.
-			if e.ver >= s.pendVer {
-				s.pending.Value = e.val
-				s.pendVer = e.ver
-			}
-			continue
-		}
-		if s.havePnd {
-			s.buf = append(s.buf, s.pending)
-		}
-		s.pending = core.Reading{Timestamp: e.ts, Value: e.val}
-		s.pendVer = e.ver
-		s.havePnd = true
+	buf, err := s.fill(s.buf[:0], StreamChunkReadings)
+	if err != nil {
+		return nil, err
 	}
-	return s.buf, nil
+	if len(buf) == 0 {
+		return nil, io.EOF
+	}
+	s.buf = buf
+	return buf, nil
 }
 
-func (s *nodeStream) close() {
-	if !s.done {
-		s.done = true
-		if s.release != nil {
-			s.release()
-			s.release = nil
-		}
+// drain is Drain's shortcut for an unread nodeStream: the same fill,
+// straight into an output sized once from the hint, instead of chunk by
+// chunk through a buffer that Drain would copy out of.
+func (s *nodeStream) drain() ([]core.Reading, error) {
+	defer s.Close()
+	if s.done || s.hint == 0 {
+		return nil, nil
 	}
+	out, err := s.fill(make([]core.Reading, 0, s.hint), math.MaxInt)
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 func (s *nodeStream) Close() error {
-	s.close()
+	if !s.done {
+		s.done = true
+		s.w.close()
+		if s.lat != nil {
+			s.lat.ObserveSince(s.start)
+		}
+	}
 	return nil
 }
 
-// QueryStream implements NodeBackend: the streaming form of Query.
-// Chunks are produced on demand from the pull-based merge, so the
-// node's memory per open stream is one chunk plus one decoded block
-// per cold source — independent of the result size.
+// sensorStream opens the (untimed) stream of one sensor.
+func (n *Node) sensorStream(id core.SensorID, from, to, now int64) *nodeStream {
+	w, hint := n.sensorWinners(id, from, to, now)
+	return &nodeStream{w: w, hint: hint}
+}
+
+// QueryStream implements Backend: the node's one read implementation.
+// The sensor's sources are snapshotted under the shard's read lock and
+// merged without it, so a cold run's disk reads never stall the shard's
+// writers. Chunks are produced on demand, so the node's memory per open
+// stream is one chunk plus one decoded block per cold source —
+// independent of the result size.
 func (n *Node) QueryStream(id core.SensorID, from, to int64) (ReadingStream, error) {
 	if n.down.Load() {
 		return nil, ErrNodeDown
 	}
-	n.shardOf(id).queries.Add(1)
-	m, release, _ := n.sensorMerge(id, from, to)
-	return newNodeStream(m, release, time.Now().UnixNano()), nil
+	// The per-shard counter ticks once per stream; prefix streams have
+	// their own counter and their per-sensor streams stay silent.
+	i := shardIndex(id)
+	start := n.met.queryStart(n.shards[i].queries.Add(1))
+	s := n.sensorStream(id, from, to, time.Now().UnixNano())
+	if !start.IsZero() {
+		s.lat, s.start = n.met.queryLat[i], start
+	}
+	return s, nil
 }
 
-// queryAll drains one sensor's merge into a slice (the legacy
-// materializing API). The output is sized once from the snapshot's
-// entry-count hint, and sequential merges (the monotonic-sensor common
-// case) drain whole run windows and decoded blocks at a time instead
-// of paying a dynamic dispatch per entry.
-func (n *Node) queryAll(id core.SensorID, from, to, now int64) ([]core.Reading, error) {
-	m, release, sizeHint := n.sensorMerge(id, from, to)
-	defer release()
-	if sizeHint == 0 {
-		return nil, nil
-	}
-	out := make([]core.Reading, 0, sizeHint)
-	var pending core.Reading
-	var pendVer uint64
-	have := false
-	emit := func(e entry) {
-		if e.expire != 0 && e.expire <= now {
-			return
-		}
-		if have && pending.Timestamp == e.ts {
-			// Highest version wins; equal versions keep newest-source-
-			// wins (sources arrive oldest first).
-			if e.ver >= pendVer {
-				pending.Value = e.val
-				pendVer = e.ver
-			}
-			return
-		}
-		if have {
-			out = append(out, pending)
-		}
-		pending = core.Reading{Timestamp: e.ts, Value: e.val}
-		pendVer = e.ver
-		have = true
-	}
-	for {
-		es, ok := m.nextSlice()
-		if !ok {
-			break
-		}
-		for _, e := range es {
-			emit(e)
-		}
-	}
-	for {
-		e, ok := m.next()
-		if !ok {
-			break
-		}
-		emit(e)
-	}
-	if err := m.iterErr(); err != nil {
+// Query implements Backend.
+func (n *Node) Query(id core.SensorID, from, to int64) ([]core.Reading, error) {
+	st, err := n.QueryStream(id, from, to)
+	if err != nil {
 		return nil, err
 	}
-	if have {
-		out = append(out, pending)
-	}
-	return out, nil
+	return Drain(st)
 }
 
 // QueryVersioned implements NodeBackend: like Query, but each winning
@@ -649,52 +749,19 @@ func (n *Node) QueryVersioned(id core.SensorID, from, to int64) ([]VersionedRead
 		return nil, ErrNodeDown
 	}
 	n.shardOf(id).queries.Add(1)
-	now := time.Now().UnixNano()
-	m, release, sizeHint := n.sensorMerge(id, from, to)
-	defer release()
+	w, sizeHint := n.sensorWinners(id, from, to, time.Now().UnixNano())
+	defer w.close()
 	if sizeHint == 0 {
 		return nil, nil
 	}
 	out := make([]VersionedReading, 0, sizeHint)
-	var pending VersionedReading
-	have := false
-	emit := func(e entry) {
-		if e.expire != 0 && e.expire <= now {
-			return
-		}
-		if have && pending.Timestamp == e.ts {
-			if e.ver >= pending.Version {
-				pending.Value, pending.Version, pending.Expire = e.val, e.ver, e.expire
-			}
-			return
-		}
-		if have {
-			out = append(out, pending)
-		}
-		pending = VersionedReading{Timestamp: e.ts, Value: e.val, Version: e.ver, Expire: e.expire}
-		have = true
-	}
-	for {
-		es, ok := m.nextSlice()
-		if !ok {
-			break
-		}
-		for _, e := range es {
-			emit(e)
+	for run := w.nextRun(); run != nil; run = w.nextRun() {
+		for _, e := range run {
+			out = append(out, VersionedReading{Timestamp: e.ts, Value: e.val, Version: e.ver, Expire: e.expire})
 		}
 	}
-	for {
-		e, ok := m.next()
-		if !ok {
-			break
-		}
-		emit(e)
-	}
-	if err := m.iterErr(); err != nil {
+	if err := w.m.iterErr(); err != nil {
 		return nil, err
-	}
-	if have {
-		out = append(out, pending)
 	}
 	return out, nil
 }
@@ -742,8 +809,7 @@ func (s *prefixStream) Next() (core.SensorID, []core.Reading, error) {
 				s.done = true
 				return core.SensorID{}, nil, io.EOF
 			}
-			m, release, _ := s.n.sensorMerge(s.ids[s.curI], s.from, s.to)
-			s.cur = newNodeStream(m, release, s.now)
+			s.cur = s.n.sensorStream(s.ids[s.curI], s.from, s.to, s.now)
 		}
 		chunk, err := s.cur.Next()
 		if err == io.EOF {
@@ -768,9 +834,8 @@ func (s *prefixStream) Close() error {
 	return nil
 }
 
-// QueryPrefixStream implements NodeBackend: the streaming form of
-// QueryPrefix. Sensors arrive in ascending SID order, each sensor's
-// readings chunked in timestamp order.
+// QueryPrefixStream implements Backend. Sensors arrive in ascending SID
+// order, each sensor's readings chunked in timestamp order.
 func (n *Node) QueryPrefixStream(prefix core.SensorID, depth int, from, to int64) (KeyedReadingStream, error) {
 	if n.down.Load() {
 		return nil, ErrNodeDown
@@ -783,4 +848,13 @@ func (n *Node) QueryPrefixStream(prefix core.SensorID, depth int, from, to int64
 		n: n, ids: n.prefixSIDs(prefix, depth), from: from, to: to,
 		now: time.Now().UnixNano(),
 	}, nil
+}
+
+// QueryPrefix implements Backend.
+func (n *Node) QueryPrefix(prefix core.SensorID, depth int, from, to int64) (map[core.SensorID][]core.Reading, error) {
+	st, err := n.QueryPrefixStream(prefix, depth, from, to)
+	if err != nil {
+		return nil, err
+	}
+	return DrainKeyed(st)
 }

@@ -91,7 +91,7 @@ func newNodeMetrics(n *Node) *nodeMetrics {
 			"Insert/InsertBatch call latency per memtable shard.", insertSampleEvery)
 		m.queryLat[i] = reg.LatencyHistogram(
 			fmt.Sprintf(`dcdb_store_query_latency_seconds{shard="%d"}`, i),
-			"Query call latency per memtable shard.", querySampleEvery)
+			"Read latency per memtable shard: stream open to EOF, error or Close (a Query is a drained stream).", querySampleEvery)
 	}
 	m.wal.appends = reg.Counter("dcdb_store_wal_appends_total", "WAL records appended.")
 	m.wal.fsyncs = reg.Counter("dcdb_store_wal_fsyncs_total", "WAL fsyncs, including group commits.")
@@ -187,22 +187,16 @@ func (m *nodeMetrics) armTick(i int, before, after int64) {
 	}
 }
 
-// queryStart begins a query timing given the shard's post-increment
-// query count: every querySampleEvery-th call is timed, anchored so
-// the first query is always sampled (tests and cold starts see data
-// immediately).
+// queryStart begins a read timing given the shard's post-increment
+// query count: every querySampleEvery-th stream is timed, anchored so
+// the first is always sampled (tests and cold starts see data
+// immediately). The stream observes the sample when it ends
+// (nodeStream.Close).
 func (m *nodeMetrics) queryStart(count int64) time.Time {
 	if count&(querySampleEvery-1) != 1 || instrumentationOff.Load() {
 		return time.Time{}
 	}
 	return time.Now()
-}
-
-// queryDone finishes a query timing.
-func (m *nodeMetrics) queryDone(i int, start time.Time) {
-	if !start.IsZero() {
-		m.queryLat[i].ObserveSince(start)
-	}
 }
 
 // Metrics returns the node's metric registry for exporters.
@@ -217,8 +211,7 @@ func (n *Node) MetricsSnapshot() ([]metrics.Sample, error) {
 
 // MetricsSource is the optional backend capability of reporting a full
 // metrics snapshot. *Node implements it locally; rpc.Client implements
-// it over the versioned Stats RPC body; Cluster.ClusterStats fans it
-// out.
+// it over the Stats op; Cluster.ClusterStats fans it out.
 type MetricsSource interface {
 	MetricsSnapshot() ([]metrics.Sample, error)
 }
@@ -320,7 +313,7 @@ type NodeStats struct {
 	Queries int64
 	Entries int
 	// Samples is the backend's full metrics snapshot, nil when the
-	// backend predates the capability or could not be reached (Err).
+	// backend is not a MetricsSource or could not be reached (Err).
 	Samples []metrics.Sample
 	Err     error
 }
@@ -329,7 +322,7 @@ type NodeStats struct {
 // every backend concurrently (a dead node costs its dial timeout once,
 // not once per position). Backends that implement MetricsSource —
 // local *Node and rpc.Client both do — contribute full snapshots;
-// anything else reports the legacy counters only.
+// anything else reports the three Stats counters only.
 func (c *Cluster) ClusterStats() []NodeStats {
 	t := c.top()
 	out := make([]NodeStats, len(t.members))

@@ -221,6 +221,132 @@ func TestClusterMetricsOutcomes(t *testing.T) {
 	}
 }
 
+// readOutcomes reads the coordinator's read counters.
+func readOutcomes(t *testing.T, c *Cluster) (ok, failed float64) {
+	t.Helper()
+	samples := c.Metrics().Gather()
+	return sampleValue(t, samples, `dcdb_cluster_reads_total{outcome="ok"}`),
+		sampleValue(t, samples, `dcdb_cluster_reads_total{outcome="failed"}`)
+}
+
+// TestReadMetricsParity: a streamed read and a materialised one are
+// observed by the same code, so each moves the node's query counter and
+// latency histogram and the coordinator's read outcomes by the same
+// amount; a stream that fails mid-way is a failed read, and one the
+// caller closes early is neither.
+func TestReadMetricsParity(t *testing.T) {
+	id := sid(6, 6)
+	streamed := func(b Backend) error {
+		st, err := b.QueryStream(id, 0, 1<<60)
+		if err != nil {
+			return err
+		}
+		_, err = Drain(st)
+		return err
+	}
+	materialised := func(b Backend) error {
+		_, err := b.Query(id, 0, 1<<60)
+		return err
+	}
+	prefixStreamed := func(b Backend) error {
+		st, err := b.QueryPrefixStream(core.SensorID{}, 0, 0, 1<<60)
+		if err != nil {
+			return err
+		}
+		_, err = DrainKeyed(st)
+		return err
+	}
+	prefixMaterialised := func(b Backend) error {
+		_, err := b.QueryPrefix(core.SensorID{}, 0, 0, 1<<60)
+		return err
+	}
+
+	// Node: querySampleEvery reads of either form are one latency sample.
+	n := NewNode(0)
+	if err := n.Insert(id, rd(1, 1), 0); err != nil {
+		t.Fatal(err)
+	}
+	nodeCounts := func() (queries float64, sampled int64) {
+		samples, _ := n.MetricsSnapshot()
+		return sampleValue(t, samples, "dcdb_store_queries_total"), histCount(t, samples, "dcdb_store_query_latency_seconds")
+	}
+	for _, read := range []func(Backend) error{materialised, streamed} {
+		q0, h0 := nodeCounts()
+		for i := 0; i < querySampleEvery; i++ {
+			if err := read(n); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if q, h := nodeCounts(); q-q0 != querySampleEvery || h-h0 != 1 {
+			t.Fatalf("%d reads moved queries_total by %g and the latency histogram by %d, want %d and 1",
+				querySampleEvery, q-q0, h-h0, querySampleEvery)
+		}
+	}
+
+	// Coordinator, at both consistency levels, single-sensor and prefix.
+	for _, cl := range []Consistency{ConsistencyOne, ConsistencyQuorum} {
+		c, nodes := threeNodeCluster(t, 2, ClusterOptions{ReadConsistency: cl})
+		defer c.Close()
+		if err := c.Insert(id, rd(1, 1), 0); err != nil {
+			t.Fatal(err)
+		}
+		for i, read := range []func(Backend) error{materialised, streamed, prefixMaterialised, prefixStreamed} {
+			ok0, failed0 := readOutcomes(t, c)
+			if err := read(c); err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range nodes {
+				n.SetDown(true)
+			}
+			if err := read(c); err == nil {
+				t.Fatalf("%s read form %d succeeded with every node down", cl, i)
+			}
+			for _, n := range nodes {
+				n.SetDown(false)
+			}
+			if ok, failed := readOutcomes(t, c); ok-ok0 != 1 || failed-failed0 != 1 {
+				t.Fatalf("%s read form %d: one good and one failed read moved ok by %g and failed by %g", cl, i, ok-ok0, failed-failed0)
+			}
+		}
+	}
+
+	// Mid-stream failure and early close, on a stream of several chunks
+	// riding a single replica that dies after its first chunk.
+	flaky := &flakyStreamBackend{Node: NewNode(0), failAfter: 1}
+	c, err := NewClusterOptions([]NodeBackend{flaky}, ClusterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for ts := int64(0); ts < 3*StreamChunkReadings; ts += 1024 {
+		batch := make([]core.Reading, 1024)
+		for i := range batch {
+			batch[i] = rd(ts+int64(i), 1)
+		}
+		if err := c.InsertBatch(id, batch, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := streamed(c); err == nil {
+		t.Fatal("the scripted mid-stream failure did not surface")
+	}
+	if ok, failed := readOutcomes(t, c); ok != 0 || failed != 1 {
+		t.Fatalf("a stream that failed mid-way counted ok=%g failed=%g, want 0 and 1", ok, failed)
+	}
+	flaky.reopenOK = true // later opens are healthy
+	st, err := c.QueryStream(id, 0, 1<<60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Next(); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	if ok, failed := readOutcomes(t, c); ok != 0 || failed != 1 {
+		t.Fatalf("a stream closed early counted ok=%g failed=%g, want it to count as neither", ok, failed)
+	}
+}
+
 // TestWALMetricsGroupCommit checks the WAL counters on a durable node
 // with batched fsyncs.
 func TestWALMetricsGroupCommit(t *testing.T) {

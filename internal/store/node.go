@@ -28,23 +28,42 @@ import (
 	"time"
 
 	"dcdb/internal/core"
+	"dcdb/internal/fold"
 )
 
 // Backend is the storage interface the Collect Agent and libDCDB write
-// to and query from. Both Node and Cluster implement it, which is what
-// lets the whole backend be swapped out (paper §5.1).
+// to and query from. Node, Cluster and rpc.Client implement it, which
+// is what lets the whole backend be swapped out (paper §5.1).
+//
+// There is one read path: QueryStream and QueryPrefixStream. Query and
+// QueryPrefix are a drain of the corresponding stream (Drain,
+// DrainKeyed) and return exactly what the stream yields.
 type Backend interface {
 	// Insert stores one reading for the sensor. ttl of zero keeps the
 	// reading forever.
 	Insert(id core.SensorID, r core.Reading, ttl time.Duration) error
 	// InsertBatch stores several readings of one sensor at once.
 	InsertBatch(id core.SensorID, rs []core.Reading, ttl time.Duration) error
-	// Query returns the readings of a sensor with from <= ts <= to,
-	// in timestamp order.
+	// QueryStream streams the readings of a sensor with from <= ts <=
+	// to, in timestamp order, in bounded chunks pulled on demand, so
+	// neither the store nor the caller ever materializes a long
+	// retention's worth of readings. The stream must be closed (closing
+	// early cancels it).
+	QueryStream(id core.SensorID, from, to int64) (ReadingStream, error)
+	// QueryPrefixStream streams the readings of every sensor whose SID
+	// starts with the given prefix (depth levels): sensors arrive in
+	// ascending SID order, each sensor's readings chunked in timestamp
+	// order (a sensor may span consecutive chunks).
+	QueryPrefixStream(prefix core.SensorID, depth int, from, to int64) (KeyedReadingStream, error)
+	// Query is a drain of QueryStream.
 	Query(id core.SensorID, from, to int64) ([]core.Reading, error)
-	// QueryPrefix returns readings of every sensor whose SID starts
-	// with the given prefix (depth levels), keyed by SID.
+	// QueryPrefix is a drain of QueryPrefixStream, keyed by SID.
 	QueryPrefix(prefix core.SensorID, depth int, from, to int64) (map[core.SensorID][]core.Reading, error)
+	// Aggregate runs an analysis fold (internal/fold) over the sensor's
+	// readings in the spec's range where the data lives and returns only
+	// the finished state — the aggregation pushdown path. The state is
+	// bit-identical to folding QueryStream client-side.
+	Aggregate(id core.SensorID, spec fold.Spec) (fold.State, error)
 	// DeleteBefore removes readings older than the cutoff for one
 	// sensor (dcdbconfig's database-cleanup task).
 	DeleteBefore(id core.SensorID, cutoff int64) error
@@ -605,24 +624,6 @@ func (n *Node) flushShardLocked(i int) error {
 	return cerr
 }
 
-// Query implements Backend. The merge is pull-based (iter.go): the
-// sensor's sources are snapshotted under the shard's read lock, then
-// drained without it, so a cold run's disk reads never stall the
-// shard's writers.
-func (n *Node) Query(id core.SensorID, from, to int64) ([]core.Reading, error) {
-	if n.down.Load() {
-		return nil, ErrNodeDown
-	}
-	// The per-shard counter ticks once per Query call; QueryPrefix has
-	// its own counter and its per-sensor queryAll calls stay silent,
-	// matching the pre-streaming accounting.
-	i := shardIndex(id)
-	start := n.met.queryStart(n.shards[i].queries.Add(1))
-	rs, err := n.queryAll(id, from, to, time.Now().UnixNano())
-	n.met.queryDone(i, start)
-	return rs, err
-}
-
 // snapshotIndex returns the shard's sorted SID list, rebuilding it if
 // stale. The returned slice is immutable.
 func (sh *shard) snapshotIndex() []core.SensorID {
@@ -684,47 +685,6 @@ func prefixRange(prefix core.SensorID, depth int) (lo, hi core.SensorID, bounded
 		return prefix, core.SensorID{}, false
 	}
 	return prefix, hi, true
-}
-
-// QueryPrefix implements Backend. Each shard is consulted once: its
-// sorted SID index is range-scanned for the subtree (SIDs under one
-// prefix are contiguous in SID order) and all matching sensors are read
-// under a single lock acquisition.
-func (n *Node) QueryPrefix(prefix core.SensorID, depth int, from, to int64) (map[core.SensorID][]core.Reading, error) {
-	if n.down.Load() {
-		return nil, ErrNodeDown
-	}
-	if prefix.Prefix(depth) != prefix {
-		// A prefix with bits set below the depth cut can match no
-		// sensor.
-		return map[core.SensorID][]core.Reading{}, nil
-	}
-	now := time.Now().UnixNano()
-	lo, hi, bounded := prefixRange(prefix, depth)
-	out := make(map[core.SensorID][]core.Reading)
-	for i := range n.shards {
-		sh := &n.shards[i]
-		idx := sh.snapshotIndex()
-		start := sort.Search(len(idx), func(i int) bool { return idx[i].Compare(lo) >= 0 })
-		end := len(idx)
-		if bounded {
-			end = sort.Search(len(idx), func(i int) bool { return idx[i].Compare(hi) >= 0 })
-		}
-		if start >= end {
-			continue
-		}
-		for _, id := range idx[start:end] {
-			rs, err := n.queryAll(id, from, to, now)
-			if err != nil {
-				return nil, err
-			}
-			if len(rs) > 0 {
-				out[id] = rs
-			}
-		}
-	}
-	n.prefixQueries.Add(1)
-	return out, nil
 }
 
 // DeleteBefore implements Backend. On durable nodes the delete is

@@ -1,0 +1,114 @@
+// Package storetest holds the read-path contract tests that must pass
+// for every kind of replica — in-process nodes and nodes behind the RPC
+// client — so the store and rpc packages run the same table instead of
+// near-copies of it.
+package storetest
+
+import (
+	"testing"
+
+	"dcdb/internal/core"
+	"dcdb/internal/fold"
+	"dcdb/internal/store"
+)
+
+// Build returns a fresh cluster of three replicas per sensor (write
+// ONE, read QUORUM, no hinted handoff) and the node behind each member
+// ID. The caller of the table closes the cluster.
+type Build func(t *testing.T) (*store.Cluster, map[string]*store.Node)
+
+// ReadForms are the five ways to read one sensor's [0, 100] window from
+// a cluster. Each reports how many readings it was served and their
+// sum — all an Aggregate has to show for itself.
+var ReadForms = []struct {
+	Name string
+	Read func(c *store.Cluster, id core.SensorID) (n int, sum float64, err error)
+}{
+	{"Query", func(c *store.Cluster, id core.SensorID) (int, float64, error) {
+		return total(c.Query(id, 0, 100))
+	}},
+	{"QueryStream", func(c *store.Cluster, id core.SensorID) (int, float64, error) {
+		st, err := c.QueryStream(id, 0, 100)
+		if err != nil {
+			return 0, 0, err
+		}
+		return total(store.Drain(st))
+	}},
+	{"QueryPrefix", func(c *store.Cluster, id core.SensorID) (int, float64, error) {
+		m, err := c.QueryPrefix(core.SensorID{}, 0, 0, 100)
+		return total(m[id], err)
+	}},
+	{"QueryPrefixStream", func(c *store.Cluster, id core.SensorID) (int, float64, error) {
+		st, err := c.QueryPrefixStream(core.SensorID{}, 0, 0, 100)
+		if err != nil {
+			return 0, 0, err
+		}
+		m, err := store.DrainKeyed(st)
+		return total(m[id], err)
+	}},
+	{"Aggregate", func(c *store.Cluster, id core.SensorID) (int, float64, error) {
+		st, err := c.Aggregate(id, fold.Spec{Op: fold.OpSummary, From: 0, To: 100})
+		if err != nil {
+			return 0, 0, err
+		}
+		return int(st.Count()), st.(*fold.Summary).Sum, nil
+	}},
+}
+
+func total(rs []core.Reading, err error) (int, float64, error) {
+	sum := 0.0
+	for _, r := range rs {
+		sum += r.Value
+	}
+	return len(rs), sum, err
+}
+
+// ConflictTable is the read path's QUORUM invariant as a test: a
+// primary that missed the rewrite of a timestamp must not decide what a
+// read returns. For every read form, on a fresh cluster: write (ts=1,
+// v=1), take the primary down, rewrite (ts=1, v=2), bring it back — the
+// read serves v=2, and once the background repairs have landed every
+// replica holds v=2 at the rewrite's version.
+func ConflictTable(t *testing.T, build Build) {
+	id := core.SensorID{Hi: 82, Lo: 1}
+	for _, form := range ReadForms {
+		t.Run(form.Name, func(t *testing.T) {
+			c, nodes := build(t)
+			if err := c.Insert(id, core.Reading{Timestamp: 1, Value: 1}, 0); err != nil {
+				t.Fatal(err)
+			}
+			owners := c.Owners(id)
+			if len(owners) != 3 {
+				t.Fatalf("sensor has %d replicas, want 3", len(owners))
+			}
+			primary := nodes[owners[0]]
+			primary.SetDown(true)
+			if err := c.Insert(id, core.Reading{Timestamp: 1, Value: 2}, 0); err != nil {
+				t.Fatal(err)
+			}
+			primary.SetDown(false)
+			want, err := nodes[owners[1]].QueryVersioned(id, 0, 100)
+			if err != nil || len(want) != 1 || want[0].Value != 2 {
+				t.Fatalf("the rewrite did not land on a live replica: %+v, %v", want, err)
+			}
+
+			n, sum, err := form.Read(c, id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != 1 || sum != 2 {
+				t.Fatalf("served %d readings summing to %g, want the rewrite alone (v=2): the stale primary outranked the newer version", n, sum)
+			}
+			c.Close() // joins the background repairs
+			for _, member := range owners {
+				got, err := nodes[member].QueryVersioned(id, 0, 100)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != 1 || got[0] != want[0] {
+					t.Fatalf("replica %s holds %+v after the repairing read, want %+v", member, got, want)
+				}
+			}
+		})
+	}
+}
