@@ -45,18 +45,11 @@ func randomEntries(rng *rand.Rand, n int) []entry {
 	return es
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // codecRoundTrip encodes es against baseVer and decodes it back the way
 // a read does: count and first timestamp from the index entry, base
 // version from the file.
 func codecRoundTrip(es []entry, baseVer uint64) (enc []byte, got []entry, err error) {
-	enc = encodeBlock(nil, es, baseVer)
+	enc, _ = encodeBlock(nil, es, baseVer)
 	err = decodeBlock(enc, len(es), es[0].ts, blockBase{ver: baseVer}, &got)
 	return enc, got, err
 }
@@ -101,7 +94,7 @@ func TestBlockCodecCompresses(t *testing.T) {
 	for i := range es {
 		es[i] = entry{ts: int64(i) * 1e9, val: 42 + float64(i%7)*0.25}
 	}
-	enc := encodeBlock(nil, es, 0)
+	enc, _ := encodeBlock(nil, es, 0)
 	if got, raw := len(enc), 24*len(es); got*4 > raw {
 		t.Fatalf("monitoring-shaped block encoded to %d bytes (raw %d); expected >4x compression", got, raw)
 	}
@@ -116,7 +109,7 @@ func TestRunFileRoundTripAndIndex(t *testing.T) {
 		sid(9, 0): randomEntries(rng, blockEntries),
 	}
 	tombs := map[core.SensorID]int64{sid(1, 2): 7}
-	meta, idx, err := writeRunFile(dir, 3, 9, series, tombs)
+	meta, idx, err := writeRunFile(dir, 3, 9, series, tombs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +164,7 @@ func TestRunFileCorruptionRejected(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	meta, _, err := writeRunFile(dir, 1, 1, map[core.SensorID][]entry{
 		sid(1, 1): randomEntries(rng, blockEntries+5),
-	}, nil)
+	}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -179,7 +179,7 @@ func (s *spiller) close() error {
 // node's memory stops growing the moment data reaches disk.
 func (n *Node) spillOne(j spillJob) error {
 	sh := &n.shards[j.shard]
-	meta, idx, err := writeRunFile(sh.disk.dir, j.seq, j.seq, j.series, j.tombs)
+	meta, idx, err := writeRunFile(sh.disk.dir, j.seq, j.seq, j.series, j.tombs, &n.met.run)
 	if err != nil {
 		return err
 	}
@@ -488,7 +488,7 @@ func (n *Node) compactWindow(i int, full bool) {
 	if !cold {
 		merged = make(map[core.SensorID][]entry, len(series))
 	}
-	w, err := newRunFileWriter(sh.disk.dir, minSeq, maxSeq)
+	w, err := newRunFileWriter(sh.disk.dir, minSeq, maxSeq, &n.met.run)
 	if err != nil {
 		return // inputs untouched; retried next tick
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -301,7 +302,7 @@ func migrateRunFile(m *runFileMeta) error {
 		return err
 	}
 	defer os.RemoveAll(scratch)
-	meta2, _, err := writeRunFile(scratch, rc.minSeq, rc.maxSeq, rc.series, rc.tombs)
+	meta2, _, err := writeRunFile(scratch, rc.minSeq, rc.maxSeq, rc.series, rc.tombs, nil)
 	if err != nil {
 		return err
 	}
@@ -343,12 +344,18 @@ func runContentsEqual(a, b *runContents) error {
 			return fmt.Errorf("series %v: %d entries != %d", id, len(es), len(es2))
 		}
 		for i := range es {
-			if es[i] != es2[i] {
+			if !sameEntry(es[i], es2[i]) {
 				return fmt.Errorf("series %v entry %d: %+v != %+v", id, i, es[i], es2[i])
 			}
 		}
 	}
 	return nil
+}
+
+// sameEntry compares the value by its bits: == would pass a lost sign
+// of zero and fail a NaN against itself.
+func sameEntry(a, b entry) bool {
+	return a.ts == b.ts && a.expire == b.expire && a.ver == b.ver && math.Float64bits(a.val) == math.Float64bits(b.val)
 }
 
 // checkSpan requires the span a run file's index states to be the one

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/bits"
 	"math/rand"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -44,8 +46,7 @@ func coldSeriesEqual(path string, idx *runIndex, want map[core.SensorID][]entry)
 				}
 				break
 			}
-			if i >= len(es) || e.ts != es[i].ts || e.expire != es[i].expire || e.ver != es[i].ver ||
-				math.Float64bits(e.val) != math.Float64bits(es[i].val) {
+			if i >= len(es) || !sameEntry(e, es[i]) {
 				return fmt.Errorf("series %v entry %d: cold read %+v diverges from input", se.id, i, e)
 			}
 		}
@@ -54,44 +55,366 @@ func coldSeriesEqual(path string, idx *runIndex, want map[core.SensorID][]entry)
 	return nil
 }
 
-// TestRunFileRoundTripShapes is the format's round-trip property over
-// the shapes that sit on its edges: series of 1, 2, 511, 512 and 513
-// entries (no body, one delta, one short of a block, exactly one, one
-// over), duplicate timestamps, all-equal versions, mixed zero and
-// non-zero versions, versions below the file's base, expire sections.
-// Whatever goes in must come out entry for entry, hot and cold alike.
-func TestRunFileRoundTripShapes(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	const v0 = uint64(1_700_000_000_000_000_000)
-	shapes := []func(i int, e *entry){
-		func(i int, e *entry) {},                                                                      // unversioned, unique timestamps
-		func(i int, e *entry) { e.ts = int64(i/3) * 1000 },                                            // duplicate timestamps
-		func(i int, e *entry) { e.ver = v0 },                                                          // all-equal versions
-		func(i int, e *entry) { e.ver = v0 + uint64(i)*999 },                                          // rising versions
-		func(i int, e *entry) { e.ver = v0 - uint64(i)*12345 },                                        // falling: below the file's base
-		func(i int, e *entry) { e.ver = uint64(i%3) * v0 },                                            // mixed zero and non-zero
-		func(i int, e *entry) { e.expire = int64(i%5) * 1e12 },                                        // expire section
-		func(i int, e *entry) { e.ts = math.MinInt64 + int64(i); e.ver = math.MaxUint64 - uint64(i) }, // range ends
-		func(i int, e *entry) { // everything at once, far from the other series in time
-			e.ts -= 1 << 50
-			e.ver = v0 + uint64(rng.Intn(1<<30))
-			e.expire = int64(rng.Intn(1 << 40))
-		},
+// encodeBlockPR15 is the block encoder as it stood before the frame
+// codings (PR 15), verbatim: varint delta-of-delta timestamps, one
+// varint per stamp, Gorilla XOR values — flag bits 2-4 clear. It is the
+// reference the chooser is held against (a block is never longer than
+// this makes it) and the source of blocks an older build wrote.
+func encodeBlockPR15(dst []byte, es []entry, baseVer uint64) []byte {
+	var flags byte
+	for _, e := range es {
+		if e.expire != 0 {
+			flags |= blockFlagExpire
+		}
+		if e.ver != 0 {
+			flags |= blockFlagVersion
+		}
 	}
+	dst = append(dst, flags)
+	put := func(v uint64) { dst = binary.AppendUvarint(dst, v) }
+	prevTS, prevDelta := es[0].ts, int64(0)
+	for i, e := range es[1:] {
+		d := e.ts - prevTS
+		if i == 0 {
+			put(zigzag(d))
+		} else {
+			put(zigzag(d - prevDelta))
+		}
+		prevTS, prevDelta = e.ts, d
+	}
+	if flags&blockFlagExpire != 0 {
+		prev := int64(0)
+		for _, e := range es {
+			put(zigzag(e.expire - prev))
+			prev = e.expire
+		}
+	}
+	if flags&blockFlagVersion != 0 {
+		prev := baseVer
+		for _, e := range es {
+			put(zigzag(int64(e.ver - prev)))
+			prev = e.ver
+		}
+	}
+	bw := bitWriter{buf: dst}
+	var prevBits uint64
+	prevLead, prevSig := uint(0xff), uint(0)
+	for i, e := range es {
+		cur := math.Float64bits(e.val)
+		if i == 0 {
+			bw.writeBits(cur, 64)
+			prevBits = cur
+			continue
+		}
+		xor := prevBits ^ cur
+		prevBits = cur
+		if xor == 0 {
+			bw.writeBits(0, 1)
+			continue
+		}
+		lead := uint(bits.LeadingZeros64(xor))
+		if lead > 31 {
+			lead = 31
+		}
+		trail := uint(bits.TrailingZeros64(xor))
+		sig := 64 - lead - trail
+		if prevLead != 0xff && lead >= prevLead && trail >= 64-prevLead-prevSig {
+			bw.writeBits(0b10, 2)
+			bw.writeBits(xor>>(64-prevLead-prevSig), prevSig)
+			continue
+		}
+		bw.writeBits(0b11<<11|uint64(lead)<<6|uint64(sig-1), 13)
+		bw.writeBits(xor>>trail, sig)
+		prevLead, prevSig = lead, sig
+	}
+	return bw.finish()
+}
+
+func entriesEqual(got, want []entry) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d entries, want %d", len(got), len(want))
+	}
+	for i, w := range want {
+		if !sameEntry(got[i], w) {
+			return fmt.Errorf("entry %d: %+v, want %+v", i, got[i], w)
+		}
+	}
+	return nil
+}
+
+// blockShape is one way a series can look to the block codec: apply
+// dresses entry i of a series that is otherwise periodic (1 s), without
+// stamps, stepping through quarter values.
+type blockShape struct {
+	name  string
+	apply func(i int, e *entry)
+}
+
+const shapeT0, shapeV0 = int64(1_560_000_000_000_000_000), uint64(1_700_000_000_000_000_000)
+
+// blockShapes lists the shapes on the edges of the three streams' two
+// codings each: what makes a frame free, what makes it lose, where its
+// arithmetic wraps, and the values that must not pass for integers.
+func blockShapes() []blockShape {
+	rng := rand.New(rand.NewSource(9))
+	jitter := func(i int, e *entry) { e.ts += int64(rng.Intn(20_000_001)) - 10_000_000 }
+	return []blockShape{
+		// Timestamps.
+		{"exact period", func(i int, e *entry) {}},
+		{"jitter", jitter},
+		{"one gap in a periodic block", func(i int, e *entry) {
+			if i >= 300 {
+				e.ts += 100_000_000_000
+			}
+		}},
+		{"an outage in a jittered block", func(i int, e *entry) {
+			if jitter(i, e); i >= 300 {
+				e.ts += 1_000_000_000_000_000
+			}
+		}},
+		{"ms-quantised", func(i int, e *entry) { e.ts += int64(rng.Intn(21)-10) * 1_000_000 }},
+		{"duplicate timestamps", func(i int, e *entry) { e.ts = shapeT0 + int64(i/3)*1000 }},
+		{"whole int64 range", func(i int, e *entry) {
+			if e.ts = math.MinInt64 + int64(i); i >= 2 {
+				e.ts = math.MaxInt64 - 600 + int64(i)
+			}
+		}},
+		// Write stamps.
+		{"versions all equal", func(i int, e *entry) { e.ver = shapeV0 }},
+		{"64-entry version runs, short last", func(i int, e *entry) { e.ver = shapeV0 + uint64((i+40)/64)*1_000_000_123 }},
+		{"versions all distinct", func(i int, e *entry) { e.ver = shapeV0 + uint64(i)*999 + uint64(rng.Intn(500)) }},
+		{"versions falling below the base", func(i int, e *entry) { e.ver = shapeV0 - uint64(i)*12345 }},
+		{"versions mixed zero and non-zero", func(i int, e *entry) { e.ver = uint64(i%3) * shapeV0 }},
+		{"versions at the range ends", func(i int, e *entry) { e.ver = math.MaxUint64 - uint64(i%2)*(math.MaxUint64-1) }},
+		{"expiries in runs", func(i int, e *entry) { e.expire = shapeT0 + int64(i/64)*64_000_000_000 }},
+		{"expiries and versions in the same runs, outage", func(i int, e *entry) {
+			e.ver, e.expire = shapeV0+uint64(i/64)*977, int64(i/64%2)*1e12
+			if jitter(i, e); i >= 100 {
+				e.ts += 1_000_000_000_000_000
+			}
+		}},
+		{"scattered expiries", func(i int, e *entry) { e.expire = int64(i%5) * 1e12 }},
+		// Values.
+		{"integer counter", func(i int, e *entry) { e.val = float64(1_000_003 + i*1977 + rng.Intn(900)) }},
+		{"integer counter, once-stamped, outage", func(i int, e *entry) {
+			e.val, e.ver = float64(7*i), shapeV0
+			if jitter(i, e); i >= 100 {
+				e.ts += 1_000_000_000_000_000
+			}
+		}},
+		{"integer counter in 64-entry version runs", func(i int, e *entry) {
+			jitter(i, e)
+			e.val, e.ver = float64(1_000_003+i*1977+rng.Intn(900)), shapeV0+uint64(i/64)*1_000_000_123
+		}},
+		{"integer set-point with rare steps", func(i int, e *entry) { e.val = float64(40 + i/200) }},
+		{"constant integer", func(i int, e *entry) { e.val = 18 }},
+		{"2^53", func(i int, e *entry) { e.val = float64(int64(1<<53) * int64(1-i%3)) }},
+		{"2^53 and 2^53+2", func(i int, e *entry) { e.val = float64(int64(1<<53) + int64(i%2)*2) }},
+		{"-0.0 among integers", func(i int, e *entry) {
+			if e.val = float64(i % 4); i%4 == 0 {
+				e.val = math.Copysign(0, -1)
+			}
+		}},
+		{"NaN among integers", func(i int, e *entry) {
+			if e.val = float64(i); i%100 == 1 {
+				e.val = math.Float64frombits(0x7ff8_0000_dead_beef)
+			}
+		}},
+		{"±Inf among integers", func(i int, e *entry) {
+			if e.val = float64(i); i%100 == 1 {
+				e.val = math.Inf(i%200 - 100)
+			}
+		}},
+		{"multiples of 4096", func(i int, e *entry) { e.val = float64((9000 + rng.Intn(40)) * 4096) }},
+		{"negative integers", func(i int, e *entry) { e.val = float64(-1_000_000 - i*i) }},
+		// Everything at once, far from the other series in time.
+		{"everything random", func(i int, e *entry) {
+			e.ts -= 1 << 50
+			e.val = rng.NormFloat64()
+			e.ver = shapeV0 + uint64(rng.Intn(1<<30))
+			e.expire = int64(rng.Intn(1 << 40))
+		}},
+	}
+}
+
+func (sh blockShape) entries(n int) []entry {
+	es := make([]entry, n)
+	for i := range es {
+		es[i] = entry{ts: shapeT0 + int64(i)*1_000_000_000, val: float64(i%50) * 0.25}
+		sh.apply(i, &es[i])
+	}
+	return es
+}
+
+// codingSeeds returns, for each of the eight combinations of the three
+// coding choices, the smallest shaped series that makes the encoder
+// choose it — the fuzz corpora's way into every decoder arm.
+func codingSeeds(t interface{ Fatal(...any) }) map[byte][]entry {
+	const codings = blockFlagTSFrame | blockFlagStampRuns | blockFlagIntValues
+	seeds := map[byte][]entry{}
+	for _, n := range []int{1, 2, 130, blockEntries - 1} {
+		for _, sh := range blockShapes() {
+			es := sh.entries(n)
+			enc, _ := encodeBlock(nil, es, es[0].ver)
+			if _, ok := seeds[enc[0]&codings]; !ok {
+				seeds[enc[0]&codings] = es
+			}
+		}
+	}
+	if len(seeds) != 8 {
+		t.Fatal("shapes reach only", len(seeds), "of the 8 coding combinations")
+	}
+	return seeds
+}
+
+// TestBlockCodingsRoundTripAndNeverGrow holds every block the encoder
+// emits to the codec's two promises, over every shape at 1, 2, 511 and
+// 512 entries: it decodes to exactly what went in — timestamp, value
+// bits, expire, version — and it is never longer than the same entries
+// in the first codings alone, which must themselves still decode (they
+// are what every file written before the frame codings holds). All
+// eight combinations of the three choices must turn up.
+func TestBlockCodingsRoundTripAndNeverGrow(t *testing.T) {
+	const codings = blockFlagTSFrame | blockFlagStampRuns | blockFlagIntValues
+	seen := map[byte]string{}
+	for _, sh := range blockShapes() {
+		for _, n := range []int{1, 2, blockEntries - 1, blockEntries} {
+			es := sh.entries(n)
+			for _, baseVer := range []uint64{0, es[0].ver, shapeV0 + 5} {
+				enc, sz := encodeBlock(nil, es, baseVer)
+				if 1+sz.ts+sz.stamps+sz.values != len(enc) {
+					t.Fatalf("%s/%d: stream sizes %+v do not add up to the block's %d bytes", sh.name, n, sz, len(enc))
+				}
+				var got []entry
+				if err := decodeBlock(enc, n, es[0].ts, blockBase{ver: baseVer}, &got); err != nil {
+					t.Fatalf("%s/%d (flags %#x): %v", sh.name, n, enc[0], err)
+				}
+				if err := entriesEqual(got, es); err != nil {
+					t.Fatalf("%s/%d (flags %#x): %v", sh.name, n, enc[0], err)
+				}
+				old := encodeBlockPR15(nil, es, baseVer)
+				if len(enc) > len(old) {
+					t.Errorf("%s/%d: %d bytes with flags %#x, %d in the first codings", sh.name, n, len(enc), enc[0], len(old))
+				}
+				if enc[0]&codings == 0 && string(enc) != string(old) {
+					t.Errorf("%s/%d: a block with no coding bit set differs from what PR 15 wrote", sh.name, n)
+				}
+				got = got[:0]
+				if err := decodeBlock(old, n, es[0].ts, blockBase{ver: baseVer}, &got); err != nil {
+					t.Fatalf("%s/%d: PR 15 block: %v", sh.name, n, err)
+				}
+				if err := entriesEqual(got, es); err != nil {
+					t.Fatalf("%s/%d: PR 15 block: %v", sh.name, n, err)
+				}
+				if _, ok := seen[enc[0]&codings]; !ok {
+					seen[enc[0]&codings] = fmt.Sprintf("%s/%d", sh.name, n)
+				}
+			}
+		}
+	}
+	for c := byte(0); c <= codings; c += blockFlagTSFrame {
+		if _, ok := seen[c]; !ok {
+			t.Errorf("no shape chose coding combination %#x", c)
+		}
+	}
+	t.Logf("first shape per combination: %v", seen)
+}
+
+// TestBlockDecodeSurvivesDamage feeds the block decoder — behind the
+// per-block CRC in production, bare here — every prefix and every
+// single-byte corruption of a block of each coding combination. It may
+// accept damage the CRC exists to catch, but must never panic, read past
+// the block, or hand back a different count or unsorted timestamps; and
+// a block cut short must not pass for whole.
+func TestBlockDecodeSurvivesDamage(t *testing.T) {
+	for coding, es := range codingSeeds(t) {
+		enc, _ := encodeBlock(nil, es, es[0].ver)
+		base := blockBase{ver: es[0].ver}
+		check := func(what string, raw []byte) bool {
+			var out []entry
+			if err := decodeBlock(raw, len(es), es[0].ts, base, &out); err != nil {
+				if len(out) != 0 {
+					t.Fatalf("coding %#x, %s: failed decode left %d entries", coding, what, len(out))
+				}
+				return false
+			}
+			if len(out) != len(es) {
+				t.Fatalf("coding %#x, %s: %d entries, want %d", coding, what, len(out), len(es))
+			}
+			for i := 1; i < len(out); i++ {
+				if out[i].ts < out[i-1].ts {
+					t.Fatalf("coding %#x, %s: accepted unsorted timestamps", coding, what)
+				}
+			}
+			return true
+		}
+		if !check("intact", enc) {
+			t.Fatalf("coding %#x: intact block rejected", coding)
+		}
+		for n := 0; n < len(enc); n++ {
+			if check(fmt.Sprintf("cut to %d of %d bytes", n, len(enc)), enc[:n:n]) {
+				t.Errorf("coding %#x: block cut to %d of %d bytes accepted", coding, n, len(enc))
+			}
+		}
+		if check("one byte appended", append(enc[:len(enc):len(enc)], 0)) {
+			t.Errorf("coding %#x: trailing byte accepted", coding)
+		}
+		for i := range enc {
+			for _, flip := range []byte{0x01, 0x10, 0x80, 0xff} {
+				damaged := append([]byte(nil), enc...)
+				damaged[i] ^= flip
+				check(fmt.Sprintf("byte %d ^ %#x", i, flip), damaged)
+			}
+		}
+	}
+}
+
+// TestBlockCodingsPickTheObvious pins the chooser on the cases the
+// design is argued from.
+func TestBlockCodingsPickTheObvious(t *testing.T) {
+	flat := make([]entry, blockEntries) // periodic, stamped once, constant integer
+	for i := range flat {
+		flat[i] = entry{ts: shapeT0 + int64(i)*1_000_000_000, val: 42, ver: shapeV0, expire: 7}
+	}
+	enc, sz := encodeBlock(nil, flat, shapeV0)
+	if enc[0] != blockFlagsKnown || len(enc) > 32 || sz.ts > 8 {
+		t.Errorf("flat block: flags %#x, %d bytes, streams %+v; want every frame coding and a couple of dozen bytes", enc[0], len(enc), sz)
+	}
+	ms := make([]entry, blockEntries) // ms-quantised: the divisor takes the 10^6 out
+	rng := rand.New(rand.NewSource(3))
+	for i := range ms {
+		ms[i] = entry{ts: shapeT0 + int64(i)*1_000_000_000 + int64(rng.Intn(21))*1_000_000, val: 0.5}
+	}
+	if _, sz := encodeBlock(nil, ms, 0); sz.ts > 10+((blockEntries-1)*6+7)/8 {
+		t.Errorf("ms-quantised timestamps: %d bytes, want a header and 6 bits a delta", sz.ts)
+	}
+	binary := make([]entry, blockEntries) // a 0/1 state that flips rarely: XOR spends a bit, a frame two
+	for i := range binary {
+		binary[i] = entry{ts: int64(i), val: float64(i / 200 % 2)}
+	}
+	if enc, _ := encodeBlock(nil, binary, 0); enc[0]&blockFlagIntValues != 0 {
+		t.Error("rarely flipping 0/1 values: integer coding chosen although XOR is shorter")
+	}
+	few := []entry{{ts: shapeT0, val: 1.5, ver: shapeV0}, {ts: shapeT0 + 999_999_999, val: 2.5, ver: shapeV0 + 31_337}}
+	if enc, _ := encodeBlock(nil, few, shapeV0); enc[0] != blockFlagVersion {
+		t.Errorf("two-entry block: flags %#x, want the first codings throughout", enc[0])
+	}
+}
+
+// TestRunFileRoundTripShapes is the format's round-trip property over
+// every block shape at 1, 2, 511, 512 and 513 entries (no body, one
+// delta, one short of a block, exactly one, one over): whatever goes in
+// must come out entry for entry, hot (whole-file decode) and cold (index
+// + block at a time) alike.
+func TestRunFileRoundTripShapes(t *testing.T) {
 	series := map[core.SensorID][]entry{}
 	next := uint64(0)
-	for _, shape := range shapes {
+	for _, sh := range blockShapes() {
 		for _, n := range []int{1, 2, blockEntries - 1, blockEntries, blockEntries + 1} {
-			es := make([]entry, n)
-			for i := range es {
-				es[i] = entry{ts: int64(i) * 1_000_000_007, val: float64(i%50) * 0.5}
-				shape(i, &es[i])
-			}
 			// Spread the ids so prefix coding sees long and short shared
 			// prefixes, and trailing zero bytes.
 			next++
-			id := sid(next<<40, (next%3)<<56)
-			series[id] = es
+			series[sid(next<<40, (next%3)<<56)] = sh.entries(n)
 		}
 	}
 	// A series reaching the top of the timestamp range, so the index's
@@ -100,7 +423,7 @@ func TestRunFileRoundTripShapes(t *testing.T) {
 	tombs := map[core.SensorID]int64{sid(1, 0): math.MinInt64, sid(1, 1): math.MaxInt64, {}: -1}
 
 	dir := t.TempDir()
-	meta, idx, err := writeRunFile(dir, 7, 1<<40, series, tombs)
+	meta, idx, err := writeRunFile(dir, 7, 1<<40, series, tombs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,11 +464,14 @@ func forgedIndex(idx *runIndex, dataLen int64) error {
 }
 
 // TestRunIndexAllocationGuards forges the counts and lengths a parser
-// sizes allocations from. With the first entry anchored in the index a
-// block of count entries holds count-1 timestamp varints, so the bound
-// is count-1 <= len-9 (flags byte, first value), and no block exceeds
-// blockEntries; lengths and deltas are checked in subtraction form so
-// they cannot wrap past the check.
+// sizes allocations from. No block exceeds blockEntries, which caps
+// anything sized from a count; the bytes no longer bound the count — a
+// periodic, once-stamped, constant sensor is 512 entries in a dozen
+// bytes, and the index cannot see a block's flags — so a length need
+// only reach the shortest block there is. Lengths and deltas are checked
+// in subtraction form so they cannot wrap past the check. The other half
+// of the guard is decodeRunFile's: nothing is sized from the index's
+// summed claim, only from blocks that passed their CRC.
 func TestRunIndexAllocationGuards(t *testing.T) {
 	one := func(m blockMeta) *runIndex {
 		return &runIndex{minSeq: 1, maxSeq: 1, series: []seriesIndex{{id: sid(1, 1), blocks: []blockMeta{m}}}}
@@ -156,12 +482,11 @@ func TestRunIndexAllocationGuards(t *testing.T) {
 		dataLen int64
 		wantErr string
 	}{
-		{"smallest block", one(blockMeta{length: 9, count: 1}), 8 + 9, ""},
-		{"full block", one(blockMeta{length: 9 + blockEntries - 1, count: blockEntries}), 8 + 9 + blockEntries - 1, ""},
-		{"count beyond the bytes", one(blockMeta{length: 9, count: 2}), 8 + 9, "exceeds what 9 payload bytes"},
+		{"smallest block", one(blockMeta{length: blockMinLen, count: 1}), 8 + blockMinLen, ""},
+		{"full block in a dozen bytes", one(blockMeta{length: 12, count: blockEntries}), 8 + 12, ""},
 		{"count beyond a block", one(blockMeta{length: 4096, count: blockEntries + 1}), 8 + 4096, "outside [1,512]"},
 		{"zero count", one(blockMeta{length: 9, count: 0}), 8 + 9, "outside [1,512]"},
-		{"block too short for a value", one(blockMeta{length: 8, count: 1}), 8 + 8, "exceeds what 8 payload bytes"},
+		{"block too short for a value", one(blockMeta{length: 1, count: 1}), 8 + 1, "shorter than the shortest block"},
 		{"length beyond the data", one(blockMeta{length: 100, count: 1}), 8 + 99, "overflows data section"},
 		{"blocks leave a gap", one(blockMeta{length: 9, count: 1}), 8 + 10, "cover 9 of 10 data bytes"},
 		{"max below min wraps", one(blockMeta{length: 9, count: 1, min: 5, max: 4}), 8 + 9, "bounds overflow"},
@@ -205,16 +530,43 @@ func TestRunIndexAllocationGuards(t *testing.T) {
 			t.Errorf("forged %s accepted", name)
 		}
 	}
+
+	// A 64 KB file whose index claims 512 entries for each of a few
+	// thousand two-byte blocks — 100 MB of entries — none of which passes
+	// its CRC: the decode must fail having allocated next to nothing.
+	const blocks = 5000
+	forged := &runIndex{minSeq: 1, maxSeq: 1, series: []seriesIndex{{id: sid(1, 1), blocks: make([]blockMeta, blocks)}}}
+	for i := range forged.series[0].blocks {
+		forged.series[0].blocks[i] = blockMeta{length: blockMinLen, count: blockEntries, crc: 0xdeadbeef}
+	}
+	file := append([]byte(nil), runMagic...)
+	file = append(file, make([]byte, blocks*blockMinLen)...)
+	index := appendRunIndex(nil, forged)
+	footer, err := runFooter(uint64(len(file)), len(index), crc32.ChecksumIEEE(index))
+	if err != nil {
+		t.Fatal(err)
+	}
+	file = append(append(file, index...), footer[:]...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = decodeRunFile(file)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "CRC mismatch") {
+		t.Fatalf("forged %d-byte file claiming %d entries: %v, want a block CRC mismatch", len(file), blocks*blockEntries, err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
+		t.Errorf("decoding a forged %d-byte file allocated %d bytes before failing", len(file), grew)
+	}
 }
 
 // TestBlockDecodeCountGuard covers the decoder's own copy of the bound
-// (it is fuzzed without an index in front of it) in both forms: a v3
-// block of one entry has an empty timestamp stream, a legacy one does
-// not.
+// (it is fuzzed without an index in front of it): the shortest blocks
+// of both value codings and of the legacy form, a block whose entries
+// cost no bits, and counts the block cannot be.
 func TestBlockDecodeCountGuard(t *testing.T) {
-	single := encodeBlock(nil, []entry{{ts: 42, val: 1.5}}, 0)
-	if len(single) != blockFixedLen {
-		t.Fatalf("one-entry block is %d bytes, want %d: nothing but flags and the value", len(single), blockFixedLen)
+	single, _ := encodeBlock(nil, []entry{{ts: 42, val: 1.5}}, 0)
+	if len(single) != 1+8 {
+		t.Fatalf("one-entry block is %d bytes, want 9: nothing but flags and the raw value", len(single))
 	}
 	var out []entry
 	if err := decodeBlock(single, 1, 42, blockBase{}, &out); err != nil || len(out) != 1 || out[0] != (entry{ts: 42, val: 1.5}) {
@@ -231,9 +583,46 @@ func TestBlockDecodeCountGuard(t *testing.T) {
 	if err := decodeBlock(single, 1, 0, blockBase{legacy: true}, &out); err == nil {
 		t.Error("legacy decode accepted a block too short to state its first timestamp")
 	}
+	// Nor may a legacy block carry a coding bit: no v2 writer knew them.
+	framed := append([]byte{blockFlagTSFrame}, make([]byte, 16)...)
+	if err := decodeBlock(framed, 1, 0, blockBase{legacy: true}, &out); err == nil || !strings.Contains(err.Error(), "unknown flags") {
+		t.Errorf("legacy decode of a block with a coding bit: %v, want the unknown-flags refusal", err)
+	}
+	if err := decodeBlock([]byte{0x20, 0, 0, 0, 0, 0, 0, 0, 0}, 1, 0, blockBase{}, &out); err == nil || !strings.Contains(err.Error(), "unknown flags") {
+		t.Errorf("block with flag bit 5: %v, want the unknown-flags refusal", err)
+	}
+
+	small, _ := encodeBlock(nil, []entry{{ts: 42, val: 3}}, 0)
+	if len(small) != blockMinLen {
+		t.Fatalf("one-entry integer block is %d bytes, want %d", len(small), blockMinLen)
+	}
+	out = out[:0]
+	if err := decodeBlock(small, 1, 42, blockBase{}, &out); err != nil || len(out) != 1 || out[0] != (entry{ts: 42, val: 3}) {
+		t.Fatalf("one-entry integer block: %+v, %v", out, err)
+	}
+	if err := decodeBlock(small[:1], 1, 42, blockBase{}, &out); err == nil {
+		t.Error("a lone flags byte accepted as a block")
+	}
+
+	// 512 entries in a dozen bytes: legitimate, and only as many as the
+	// index says — but never more than a block holds.
+	flat := make([]entry, blockEntries)
+	for i := range flat {
+		flat[i] = entry{ts: int64(i) * 1_000_000_000, val: 7}
+	}
+	dozen, _ := encodeBlock(nil, flat, 0)
+	if len(dozen) > 12 {
+		t.Fatalf("periodic constant block is %d bytes, want at most 12", len(dozen))
+	}
+	out = out[:0]
+	if err := decodeBlock(dozen, blockEntries, 0, blockBase{}, &out); err != nil || entriesEqual(out, flat) != nil {
+		t.Fatalf("periodic constant block: %v, %v", err, entriesEqual(out, flat))
+	}
 	big := make([]byte, 1<<16)
-	if err := decodeBlock(big, blockEntries+1, 0, blockBase{}, &out); err == nil {
-		t.Error("count beyond blockEntries accepted")
+	for _, raw := range [][]byte{dozen, big} {
+		if err := decodeBlock(raw, blockEntries+1, 0, blockBase{}, &out); err == nil {
+			t.Error("count beyond blockEntries accepted")
+		}
 	}
 }
 
@@ -277,14 +666,17 @@ func TestGoldenV2ForgedCountRejected(t *testing.T) {
 }
 
 // benchBlocks returns full blocks of the three value shapes monitoring
-// data takes: a monotone integer counter, a quantised gauge walking in
-// quarter steps, and a set-point that never moves. All carry versions
-// and ns-jittered timestamps, as every write since PR 9 does.
+// data takes — a monotone integer counter, a quantised gauge walking in
+// quarter steps, a set-point that never moves — each written one
+// reading per call, and the burst shape: the integer counter forwarded
+// 64 readings a message, so 64 consecutive entries share a version. All
+// carry versions and ns-jittered timestamps, as every write since PR 9
+// does.
 func benchBlocks() map[string][]entry {
 	rng := rand.New(rand.NewSource(5))
 	const t0, v0 = int64(1_560_000_000_000_000_000), uint64(1_700_000_000_000_000_000)
 	shapes := map[string][]entry{}
-	for _, name := range []string{"counter", "gauge", "setpoint"} {
+	for _, name := range []string{"counter", "gauge", "setpoint", "burst"} {
 		es := make([]entry, blockEntries)
 		walk := 48.0
 		for i := range es {
@@ -298,8 +690,13 @@ func benchBlocks() map[string][]entry {
 			case "gauge":
 				walk += float64(rng.Intn(5)-2) * 0.25
 				es[i].val = walk
-			default:
+			case "setpoint":
 				es[i].val = 18.5
+			case "burst":
+				es[i].val = float64(1_000_003 + i*1977 + rng.Intn(1500))
+				if i%64 != 0 {
+					es[i].ver = es[i-1].ver
+				}
 			}
 		}
 		shapes[name] = es
@@ -313,7 +710,7 @@ func BenchmarkBlockEncode(b *testing.B) {
 			b.ReportAllocs()
 			var buf []byte
 			for i := 0; i < b.N; i++ {
-				buf = encodeBlock(buf[:0], es, es[0].ver)
+				buf, _ = encodeBlock(buf[:0], es, es[0].ver)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(es)), "ns/reading")
 			b.ReportMetric(float64(len(buf))/float64(len(es)), "B/reading")
@@ -325,7 +722,7 @@ func BenchmarkBlockDecode(b *testing.B) {
 	for name, es := range benchBlocks() {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
-			enc := encodeBlock(nil, es, es[0].ver)
+			enc, _ := encodeBlock(nil, es, es[0].ver)
 			out := make([]entry, 0, len(es))
 			for i := 0; i < b.N; i++ {
 				out = out[:0]

@@ -3,7 +3,6 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
-	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -19,8 +18,8 @@ import (
 // a record that fails its checksum.
 
 // validRunFileBytes builds a well-formed run file through the real
-// writer — two blocks, an expire section, versions, a tombstone — to
-// seed the corpus.
+// writer — two blocks, an expire section, versions, a tombstone, and a
+// series for every combination of block codings — to seed the corpus.
 func validRunFileBytes(t interface{ Fatal(...any) }) []byte {
 	dir, err := os.MkdirTemp("", "dcdbfuzz")
 	if err != nil {
@@ -35,8 +34,11 @@ func validRunFileBytes(t interface{ Fatal(...any) }) []byte {
 		{Hi: 1, Lo: 2}: {{ts: 5, val: 1.5}, {ts: 9, val: -2, expire: 77}},
 		{Hi: 3, Lo: 4}: long,
 	}
+	for coding, es := range codingSeeds(t) {
+		series[core.SensorID{Hi: 5, Lo: uint64(coding)}] = es
+	}
 	tombs := map[core.SensorID]int64{{Hi: 1, Lo: 2}: 3}
-	meta, _, err := writeRunFile(dir, 2, 4, series, tombs)
+	meta, _, err := writeRunFile(dir, 2, 4, series, tombs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,8 +51,10 @@ func validRunFileBytes(t interface{ Fatal(...any) }) []byte {
 
 // goldenV2Bytes is the checked-in legacy v2 file: the corpus seed of
 // the legacy read path, which no writer in this tree can produce.
-func goldenV2Bytes(t interface{ Fatal(...any) }) []byte {
-	data, err := os.ReadFile(goldenV2Path)
+func goldenV2Bytes(t interface{ Fatal(...any) }) []byte { return goldenBytes(t, goldenV2Path) }
+
+func goldenBytes(t interface{ Fatal(...any) }, path string) []byte {
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +65,7 @@ func FuzzRunFileDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("DCDBRUN2"))
 	f.Add([]byte("DCDBRUN3"))
-	for _, valid := range [][]byte{validRunFileBytes(f), goldenV2Bytes(f)} {
+	for _, valid := range [][]byte{validRunFileBytes(f), goldenBytes(f, goldenPR15Path), goldenV2Bytes(f)} {
 		f.Add(valid)
 		f.Add(valid[:len(valid)/2])             // torn data/index
 		f.Add(valid[:len(valid)-8])             // torn footer
@@ -158,14 +162,18 @@ func FuzzWALReplay(f *testing.F) {
 func FuzzBlockDecode(f *testing.F) {
 	f.Add([]byte{}, uint16(1), int64(0), uint64(0), false)
 	f.Add([]byte{0}, uint16(1), int64(0), uint64(0), true)
+	enc := func(es []entry, baseVer uint64) []byte { b, _ := encodeBlock(nil, es, baseVer); return b }
 	es := []entry{{ts: 1, val: 1.5, ver: 900}, {ts: 1, val: -2, ver: 1100}, {ts: 50, val: 1.5, expire: 9}}
-	f.Add(encodeBlock(nil, es, 1000), uint16(len(es)), es[0].ts, uint64(1000), false)
-	f.Add(encodeBlock(nil, es[:1], 0), uint16(1), es[0].ts, uint64(0), false)
+	f.Add(enc(es, 1000), uint16(len(es)), es[0].ts, uint64(1000), false)
+	f.Add(enc(es[:1], 0), uint16(1), es[0].ts, uint64(0), false)
 	long := make([]entry, blockEntries)
 	for i := range long {
 		long[i] = entry{ts: int64(i) * 1000, val: float64(i) * 0.5}
 	}
-	f.Add(encodeBlock(nil, long, 0), uint16(len(long)), long[0].ts, uint64(0), false)
+	f.Add(enc(long, 0), uint16(len(long)), long[0].ts, uint64(0), false)
+	for _, es := range codingSeeds(f) {
+		f.Add(enc(es, es[0].ver), uint16(len(es)), es[0].ts, es[0].ver, false)
+	}
 	// Legacy blocks come out of the checked-in v2 file.
 	golden := goldenV2Bytes(f)
 	footer := golden[len(golden)-runFooterLen:]
@@ -205,11 +213,8 @@ func FuzzBlockDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encode failed to decode: %v", err)
 		}
-		for i := range out {
-			if out[i].ts != out2[i].ts || out[i].expire != out2[i].expire || out[i].ver != out2[i].ver ||
-				math.Float64bits(out[i].val) != math.Float64bits(out2[i].val) {
-				t.Fatalf("re-encode round trip diverged at %d: %+v vs %+v", i, out[i], out2[i])
-			}
+		if err := entriesEqual(out2, out); err != nil {
+			t.Fatalf("re-encode round trip diverged: %v", err)
 		}
 	})
 }

@@ -14,6 +14,13 @@ import (
 // v2 writer remains — so goldenV2Contents must never change.
 const goldenV2Path = "testdata/run-v2.sst"
 
+// goldenPR15Path is a run file in the current format v3 holding the
+// same contents, written by the last build before the block codec's
+// frame codings (PR 15): the fixture for "every file written before them
+// stays valid as it is". It cannot be regenerated from this tree either
+// — the encoder now picks the frame codings for most of its blocks.
+const goldenPR15Path = "testdata/run-v3-pr15.sst"
+
 // goldenV2Name is the name the file must carry inside a shard
 // directory (its index states the span [1,2]).
 var goldenV2Name = runFileName(1, 2)

@@ -70,6 +70,32 @@ type walMetrics struct {
 	batch   *metrics.Histogram // records made durable per fsync
 }
 
+// runMetrics counts where the bytes of the run files a node commits
+// go — spills and compactions alike, so bytes rewritten count again.
+// Together with blocks (one flags byte each) the three streams are the
+// files' data sections; magic and footer are 24 bytes a file.
+type runMetrics struct {
+	ts, stamps, values, index *metrics.Counter
+	blocks                    [2][2]*metrics.Counter // as runBytes.blocks
+}
+
+// add counts one committed run file. A nil receiver counts nothing
+// (tests, and the open-time migration of a legacy file).
+func (m *runMetrics) add(b *runBytes) {
+	if m == nil {
+		return
+	}
+	m.ts.Add(int64(b.streams.ts))
+	m.stamps.Add(int64(b.streams.stamps))
+	m.values.Add(int64(b.streams.values))
+	m.index.Add(int64(b.index))
+	for i := range m.blocks {
+		for j, c := range m.blocks[i] {
+			c.Add(int64(b.blocks[i][j]))
+		}
+	}
+}
+
 // nodeMetrics is the per-Node metric set.
 type nodeMetrics struct {
 	reg        *metrics.Registry
@@ -78,6 +104,7 @@ type nodeMetrics struct {
 	wal        walMetrics
 	spillDur   *metrics.Histogram
 	compactDur *metrics.Histogram
+	run        runMetrics
 
 	ticks [numShards]latTick
 }
@@ -98,6 +125,18 @@ func newNodeMetrics(n *Node) *nodeMetrics {
 	m.wal.batch = reg.Histogram("dcdb_store_wal_group_commit_records", "WAL records made durable per group-commit fsync.")
 	m.spillDur = reg.LatencyHistogram("dcdb_store_spill_duration_seconds", "Memtable-flush run-file spill duration.", 1)
 	m.compactDur = reg.LatencyHistogram("dcdb_store_compaction_duration_seconds", "Run-file compaction window duration.", 1)
+	stream := func(name string) *metrics.Counter {
+		return reg.Counter(fmt.Sprintf(`dcdb_store_block_bytes_total{stream="%s"}`, name),
+			"Bytes of committed run-file blocks per stream: timestamps, write stamps (expire and version sections), values.")
+	}
+	m.run.ts, m.run.stamps, m.run.values = stream("ts"), stream("stamps"), stream("values")
+	m.run.index = reg.Counter("dcdb_store_run_index_bytes_total", "Index bytes of committed run files.")
+	for i, ts := range []string{"varint", "frame"} {
+		for j, values := range []string{"xor", "int"} {
+			m.run.blocks[i][j] = reg.Counter(fmt.Sprintf(`dcdb_store_blocks_total{ts="%s",values="%s"}`, ts, values),
+				"Blocks of committed run files by the coding their timestamp and value streams chose.")
+		}
+	}
 	reg.CounterFunc("dcdb_store_inserts_total", "Readings inserted.", func() float64 {
 		ins, _, _ := n.Stats()
 		return float64(ins)

@@ -1,6 +1,9 @@
 package store
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -378,4 +381,99 @@ func TestWALMetricsGroupCommit(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// TestRunBytesMetrics spills a known shape — one integer counter,
+// forwarded eight readings a call, of a full and a short block, one
+// fractional gauge of a handful of readings — and requires the where-the-bytes-go counters to have
+// moved by exactly the section lengths of the blocks the run file
+// holds, its index, and the codings those blocks chose; a compaction
+// then counts the rewritten bytes again.
+func TestRunBytesMetrics(t *testing.T) {
+	dir := t.TempDir()
+	n := openedNode(t, dir, 1<<30, DiskOptions{SyncInterval: -1, CompactInterval: -1})
+	defer n.Close()
+	counter, gauge, _, _ := goldenV2IDs() // of one shard: one run file
+	const t0, v0 = int64(1_560_000_000_000_000_000), uint64(1_700_000_000_000_000_000)
+	for i := 0; i < blockEntries+88; i += 8 {
+		vrs := make([]VersionedReading, 8)
+		for j := range vrs {
+			k := int64(i + j)
+			vrs[j] = VersionedReading{Timestamp: t0 + k*1_000_000_000 + k*k%977, Value: float64(5000 + 13*k + k*k%7), Version: v0 + uint64(i)}
+		}
+		if err := n.InsertVersioned(counter, vrs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := int64(0); i < 5; i++ {
+		vr := VersionedReading{Timestamp: t0 + i*999_999_937, Value: 20.25 + float64(i%3)*0.5, Version: v0 + uint64(i)*31}
+		if err := n.InsertVersioned(gauge, []VersionedReading{vr}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := n.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	n.sp.waitIdle()
+
+	files, err := scanRunFiles(filepath.Join(dir, fmt.Sprintf("shard-%02d", shardIndex(counter))))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("spilled files: %+v, %v", files, err)
+	}
+	data, err := os.ReadFile(files[0].path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc, err := decodeRunFile(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := readRunIndexFile(files[0].path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Re-encode what the file holds, block by block, for the lengths.
+	var want runBytes
+	for _, se := range idx.series {
+		es := rc.series[se.id]
+		for _, m := range se.blocks {
+			enc, sz := encodeBlock(nil, es[:m.count], idx.base.ver)
+			if string(enc) != string(data[m.off:m.off+uint64(m.length)]) {
+				t.Fatalf("block at %d is not the encoding of its entries", m.off)
+			}
+			want.count(enc[0], sz)
+			es = es[m.count:]
+		}
+	}
+	want.index = len(data) - int(idx.dataLen) - runFooterLen
+	if want.blocks[1][1] == 0 || want.blocks[0][0]+want.blocks[1][0] != 1 {
+		t.Fatalf("block codings %v: want the counter's full block frame/int and the gauge's XOR", want.blocks)
+	}
+	check := func(times float64) {
+		t.Helper()
+		samples, err := n.MetricsSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, v := range map[string]int{
+			`dcdb_store_block_bytes_total{stream="ts"}`:         want.streams.ts,
+			`dcdb_store_block_bytes_total{stream="stamps"}`:     want.streams.stamps,
+			`dcdb_store_block_bytes_total{stream="values"}`:     want.streams.values,
+			`dcdb_store_run_index_bytes_total`:                  want.index,
+			`dcdb_store_blocks_total{ts="varint",values="xor"}`: want.blocks[0][0],
+			`dcdb_store_blocks_total{ts="varint",values="int"}`: want.blocks[0][1],
+			`dcdb_store_blocks_total{ts="frame",values="xor"}`:  want.blocks[1][0],
+			`dcdb_store_blocks_total{ts="frame",values="int"}`:  want.blocks[1][1],
+		} {
+			if got := sampleValue(t, samples, name); got != times*float64(v) {
+				t.Errorf("%s = %g, want %g", name, got, times*float64(v))
+			}
+		}
+	}
+	check(1)
+	if total := want.streams.ts + want.streams.stamps + want.streams.values + 3 + want.index + runMagicLen + runFooterLen; total != len(data) {
+		t.Errorf("streams, flags bytes, index, magic and footer add up to %d of the file's %d bytes", total, len(data))
+	}
+	n.Compact() // one file, rewritten as it is
+	check(2)
 }

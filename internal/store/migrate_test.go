@@ -18,9 +18,13 @@ import (
 
 // placeGoldenV2 copies the checked-in legacy v2 run file into the shard
 // directory its series hash to under dir and returns where it landed.
-func placeGoldenV2(t *testing.T, dir string) string {
+func placeGoldenV2(t *testing.T, dir string) string { return placeGolden(t, dir, goldenV2Path) }
+
+// placeGolden does that for either checked-in file: both hold
+// goldenV2Contents.
+func placeGolden(t *testing.T, dir, golden string) string {
 	t.Helper()
-	data, err := os.ReadFile(goldenV2Path)
+	data, err := os.ReadFile(golden)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,6 +112,86 @@ func TestGoldenV2Decodes(t *testing.T) {
 	}
 }
 
+// TestPR15DirectoryServedAndKeptAsIs is the compatibility contract of
+// the frame codings, against a run file the last build without them
+// wrote (PR 15; format v3, every block with flag bits 2-4 clear): it
+// decodes entry for entry, hot and cold; a directory holding it opens
+// read-only and writable without a byte of it rewritten — there is no
+// migration, an old block is simply one that chose the first codings —
+// and serves the same answers either way; and after this build
+// compacts it, into blocks that do use the new codings, the answers
+// are still the same.
+func TestPR15DirectoryServedAndKeptAsIs(t *testing.T) {
+	data, err := os.ReadFile(goldenPR15Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := goldenV2Contents()
+	got, err := decodeRunFile(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := runContentsEqual(want, got); err != nil {
+		t.Fatalf("PR 15 file decodes differently: %v", err)
+	}
+	idx, err := readRunIndexFile(goldenPR15Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := coldSeriesEqual(goldenPR15Path, idx, want.series); err != nil {
+		t.Fatal(err)
+	}
+	for _, se := range idx.series {
+		for _, m := range se.blocks {
+			if flags := data[m.off]; flags&^blockFlagsLegacy != 0 {
+				t.Fatalf("fixture block at %d has flags %#x: not written by a build before the frame codings", m.off, flags)
+			}
+		}
+	}
+
+	dir := t.TempDir()
+	path := placeGolden(t, dir, goldenPR15Path)
+	ro, roCold := noCompact, coldOptions
+	ro.ReadOnly, roCold.ReadOnly = true, true
+	var served []map[core.SensorID][]VersionedReading
+	for _, o := range []DiskOptions{ro, roCold, noCompact, coldOptions} {
+		n := openedNode(t, dir, 0, o)
+		served = append(served, servedVersioned(t, n, want))
+		n.Close()
+		if dirSnapshot(t, dir)[path] != string(data) {
+			t.Fatalf("open %+v rewrote the PR 15 run file", o)
+		}
+	}
+	counter, _, _, _ := goldenV2IDs()
+	if len(served[0][counter]) != len(want.series[counter]) {
+		t.Fatalf("served %d counter readings, want %d", len(served[0][counter]), len(want.series[counter]))
+	}
+	for i, o := range []DiskOptions{noCompact, coldOptions} {
+		n := openedNode(t, dir, 0, o)
+		if i == 0 {
+			n.Compact()
+		}
+		served = append(served, servedVersioned(t, n, want))
+		n.Close()
+	}
+	for i := range served[1:] {
+		if !reflect.DeepEqual(served[i+1], served[0]) {
+			t.Fatalf("read %d serves different results than the first", i+1)
+		}
+	}
+	files, err := scanRunFiles(filepath.Dir(path))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("after the compaction: %+v, %v", files, err)
+	}
+	after, err := os.ReadFile(files[0].path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(after) >= len(data) {
+		t.Errorf("compacting the PR 15 file left %d bytes of its %d", len(after), len(data))
+	}
+}
+
 // TestV2MigrationPreservesContents opens a node over the legacy v2 run
 // file and requires the one-shot migration to leave a byte-verified v3
 // file serving exactly the original data — multi-block series,
@@ -138,7 +222,7 @@ func TestV2MigrationPreservesContents(t *testing.T) {
 	if err := os.MkdirAll(scratch, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := writeRunFile(scratch, want.minSeq, want.maxSeq, want.series, want.tombs); err != nil {
+	if _, _, err := writeRunFile(scratch, want.minSeq, want.maxSeq, want.series, want.tombs, nil); err != nil {
 		t.Fatal(err)
 	}
 	if metas, err := scanRunFiles(filepath.Dir(path)); err != nil || len(metas) != 1 || metas[0].path != path {

@@ -412,7 +412,7 @@ func TestScanRunFilesDropsCoveredSpans(t *testing.T) {
 	dir := t.TempDir()
 	mk := func(minSeq, maxSeq uint64, ts int64) {
 		series := map[core.SensorID][]entry{sid(1, 1): {{ts: ts, val: 1}}}
-		if _, _, err := writeRunFile(dir, minSeq, maxSeq, series, nil); err != nil {
+		if _, _, err := writeRunFile(dir, minSeq, maxSeq, series, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

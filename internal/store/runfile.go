@@ -127,9 +127,28 @@ type runFileWriter struct {
 	open     bool
 	buf      []entry // pending entries of the open series (≤ blockEntries)
 	blockBuf []byte  // encode scratch, reused across blocks
+
+	written runBytes    // so far
+	met     *runMetrics // told of written once the file is committed; may be nil
 }
 
-func newRunFileWriter(dir string, minSeq, maxSeq uint64) (*runFileWriter, error) {
+// runBytes is where the bytes of a run file went, besides the magic,
+// the footer and each block's flags byte.
+type runBytes struct {
+	streams blockSizes // summed over the blocks
+	index   int
+	blocks  [2][2]int // block count by [timestamps framed][values integer]
+}
+
+// count adds one block with the given flags byte and stream sizes.
+func (b *runBytes) count(flags byte, sz blockSizes) {
+	b.streams.ts += sz.ts
+	b.streams.stamps += sz.stamps
+	b.streams.values += sz.values
+	b.blocks[min(flags&blockFlagTSFrame, 1)][min(flags&blockFlagIntValues, 1)]++
+}
+
+func newRunFileWriter(dir string, minSeq, maxSeq uint64, met *runMetrics) (*runFileWriter, error) {
 	final := filepath.Join(dir, runFileName(minSeq, maxSeq))
 	tmp := final + ".tmp"
 	f, err := fsutil.Disk.Create(tmp)
@@ -140,6 +159,7 @@ func newRunFileWriter(dir string, minSeq, maxSeq uint64) (*runFileWriter, error)
 		f: f, bw: bufio.NewWriterSize(f, 1<<16), tmp: tmp, final: final, dir: dir,
 		minSeq: minSeq, maxSeq: maxSeq,
 		buf: make([]entry, 0, blockEntries),
+		met: met,
 	}
 	if _, err := w.bw.Write(runMagic); err != nil {
 		w.abort()
@@ -189,7 +209,9 @@ func (w *runFileWriter) flushBlock() error {
 			}
 		}
 	}
-	w.blockBuf = encodeBlock(w.blockBuf[:0], w.buf, w.baseVer)
+	var sz blockSizes
+	w.blockBuf, sz = encodeBlock(w.blockBuf[:0], w.buf, w.baseVer)
+	w.written.count(w.blockBuf[0], sz)
 	m := blockMeta{
 		off:    w.off,
 		length: uint32(len(w.blockBuf)),
@@ -258,6 +280,7 @@ func (w *runFileWriter) finish(tombs map[core.SensorID]int64) (runFileMeta, *run
 		dataLen: int64(w.off), base: blockBase{ver: w.baseVer},
 	}
 	indexBytes := appendRunIndex(nil, idx)
+	w.written.index = len(indexBytes)
 	footer, err := runFooter(w.off, len(indexBytes), crc32.ChecksumIEEE(indexBytes))
 	if err != nil {
 		return fail(err)
@@ -287,6 +310,7 @@ func (w *runFileWriter) finish(tombs map[core.SensorID]int64) (runFileMeta, *run
 		return runFileMeta{}, nil, err
 	}
 	syncDir(w.dir)
+	w.met.add(&w.written)
 	return runFileMeta{path: w.final, minSeq: w.minSeq, maxSeq: w.maxSeq, size: st.Size(), tombs: tombs}, idx, nil
 }
 
@@ -640,7 +664,10 @@ func decodeRunFile(data []byte) (*runContents, error) {
 		series: make(map[core.SensorID][]entry, len(idx.series)),
 	}
 	for _, se := range idx.series {
-		es := make([]entry, 0, se.count)
+		// Grown block by block as each passes its CRC, not sized from
+		// se.count: that is the index's claim, and a block of a dozen
+		// bytes may claim blockEntries entries.
+		var es []entry
 		for _, m := range se.blocks {
 			raw := data[m.off : m.off+uint64(m.length)]
 			if crc32.ChecksumIEEE(raw) != m.crc {
@@ -664,9 +691,9 @@ func decodeRunFile(data []byte) (*runContents, error) {
 // writeRunFile persists a spill's series map (and the delete cutoffs
 // accumulated while its memtable was live), returning the committed
 // meta and index (the index lets the caller swap hot runs cold without
-// re-reading the file).
-func writeRunFile(dir string, minSeq, maxSeq uint64, series map[core.SensorID][]entry, tombs map[core.SensorID]int64) (runFileMeta, *runIndex, error) {
-	w, err := newRunFileWriter(dir, minSeq, maxSeq)
+// re-reading the file). met, when not nil, is told where the bytes went.
+func writeRunFile(dir string, minSeq, maxSeq uint64, series map[core.SensorID][]entry, tombs map[core.SensorID]int64, met *runMetrics) (runFileMeta, *runIndex, error) {
+	w, err := newRunFileWriter(dir, minSeq, maxSeq, met)
 	if err != nil {
 		return runFileMeta{}, nil, err
 	}

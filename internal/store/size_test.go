@@ -11,11 +11,12 @@ import (
 
 // storedBytes pushes perSeries versioned readings of each of
 // nSeries monitoring-shaped sensors through a durable node — 1 s period
-// with ±1% jitter in ns, write versions in arrival order, the paper's
-// mix of counters, quantised gauges and set-points, SIDs from a
-// six-level hierarchy — flushes, compacts, closes, and returns the bytes
-// the node's directory holds. Deterministic: same bytes on every run.
-func storedBytes(t *testing.T, nSeries, perSeries int) int64 {
+// with ±1% jitter in ns, batch readings per InsertVersioned call under
+// one write version, versions in arrival order, the paper's mix of
+// counters, quantised gauges and set-points, SIDs from a six-level
+// hierarchy — flushes, compacts, closes, and returns the bytes the
+// node's directory holds. Deterministic: same bytes on every run.
+func storedBytes(t *testing.T, nSeries, perSeries, batch int) int64 {
 	t.Helper()
 	dir := t.TempDir()
 	n := openedNode(t, dir, 1<<30, DiskOptions{SyncInterval: -1, CompactInterval: -1})
@@ -29,24 +30,28 @@ func storedBytes(t *testing.T, nSeries, perSeries int) int64 {
 			WithLevel(3, uint16(1+s/10%10)).WithLevel(4, uint16(1+s/5%2)).WithLevel(5, uint16(1+s%5))
 		walk[s] = float64(20 + rng.Intn(60))
 	}
-	for i := 0; i < perSeries; i++ {
+	vrs := make([]VersionedReading, batch)
+	for i := 0; i < perSeries; i += batch {
 		for s, id := range ids {
-			var val float64
-			switch k := s % 16; {
-			case k < 9: // monotone integer counter
-				val = float64(int64(s)*1_000_003 + int64(i)*int64(1000+s%977))
-			case k < 15: // quantised bounded random walk
-				walk[s] += float64(rng.Intn(5)-2) * 0.25
-				val = walk[s]
-			default: // set-point
-				val = 18.5
+			version := v0 + uint64(i/batch*nSeries+s)*166_667 + uint64(rng.Intn(50_000))
+			for j := range vrs {
+				var val float64
+				switch k := s % 16; {
+				case k < 9: // monotone integer counter
+					val = float64(int64(s)*1_000_003 + int64(i+j)*int64(1000+s%977))
+				case k < 15: // quantised bounded random walk
+					walk[s] += float64(rng.Intn(5)-2) * 0.25
+					val = walk[s]
+				default: // set-point
+					val = 18.5
+				}
+				vrs[j] = VersionedReading{
+					Timestamp: t0 + int64(i+j)*1_000_000_000 + int64(rng.Intn(20_000_001)) - 10_000_000,
+					Value:     val,
+					Version:   version,
+				}
 			}
-			vr := VersionedReading{
-				Timestamp: t0 + int64(i)*1_000_000_000 + int64(rng.Intn(20_000_001)) - 10_000_000,
-				Value:     val,
-				Version:   v0 + uint64(i*nSeries+s)*166_667 + uint64(rng.Intn(50_000)),
-			}
-			if err := n.InsertVersioned(id, []VersionedReading{vr}); err != nil {
+			if err := n.InsertVersioned(id, vrs); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -77,17 +82,27 @@ func storedBytes(t *testing.T, nSeries, perSeries int) int64 {
 // index bytes per series and 18 absolute header bytes per block, and
 // needed 30.4 B/reading for the first shape below. Long series must not
 // pay for the fan-in gain: the second shape may not outgrow what v2
-// needed for it.
+// needed for it. The third is the burst shape — a Pusher forwarding 64
+// readings a message, so 64 consecutive entries of a block share one
+// write version — where the per-reading streams are all there is.
 func TestRunFileBytesPerReading(t *testing.T) {
-	fanin := float64(storedBytes(t, 2000, 5)) / (2000 * 5)
+	fanin := float64(storedBytes(t, 2000, 5, 1)) / (2000 * 5)
 	t.Logf("fan-in shape: %.2f B/reading", fanin)
-	if fanin > 22 {
-		t.Errorf("fan-in shape: %.2f B/reading on disk, want <= 22", fanin)
+	if fanin > 15 { // 14.75 measured; 16.01 before the frame codings (PR 15); it must not rise
+		t.Errorf("fan-in shape: %.2f B/reading on disk, want <= 15", fanin)
 	}
 	const longV2 = 2_020_100 // bytes format v2 needed (measured at PR 11)
-	long := storedBytes(t, 50, 4096)
+	long := storedBytes(t, 50, 4096, 1)
 	t.Logf("long series: %d bytes, %.3f B/reading", long, float64(long)/(50*4096))
 	if long > longV2 {
 		t.Errorf("long series: %d bytes on disk, format v2 needed %d", long, longV2)
+	}
+	// 6.84 B/reading before the frame codings: 3.9 of varint
+	// delta-of-delta timestamps, a version byte per reading, and an XOR
+	// stream smearing integer counters over the mantissa.
+	burst := float64(storedBytes(t, 50, 4096, 64)) / (50 * 4096)
+	t.Logf("burst shape: %.3f B/reading", burst)
+	if burst > 3.90 { // 3.714 measured, + 5%
+		t.Errorf("burst shape: %.3f B/reading on disk, want <= 3.90", burst)
 	}
 }
