@@ -7,6 +7,18 @@
 // cache holds the most recent readings of every connected Pusher and is
 // exposed via the RESTful API so legacy frameworks can consume all
 // sensors through one interface (§5.3).
+//
+// What a Pusher's acknowledgement means is the embedded broker's
+// contract (mqtt.Broker): QoS 0 is never acknowledged; the PUBACK of a
+// QoS 1 message proves every earlier message of that connection is
+// stored, the message itself being stored while the next one arrives.
+// "Stored" is: written to the Storage Backend at its write consistency
+// level, counted in dcdb_agent_readings_total and visible in the sensor
+// cache — or rejected and counted in dcdb_agent_errors_total. The agent
+// does the ordered part of a message (decode, topic → SID, persisting a
+// new name, stamping and queueing the write) as it is received and
+// waits for the replicas beside the next message's arrival whenever the
+// backend can begin a write without waiting for it (store.Cluster).
 package collectagent
 
 import (
@@ -28,9 +40,10 @@ type Options struct {
 	CacheWindow time.Duration
 	// Quiet suppresses per-message warnings (benchmarks).
 	Quiet bool
-	// OnNewTopic, when set, fires the first time a topic is mapped to
-	// a SID, before any reading of that topic is stored. A durable
-	// agent persists the topic map here, so the mapping of every
+	// OnNewTopic, when set, fires when mapping a topic to its SID made
+	// the topic dictionary grow (core.TopicMapper.MapFirst — not for
+	// every new topic), before any reading of that topic is stored. A
+	// durable agent persists the topic map here, so the mapping of every
 	// stored reading survives a crash alongside the reading itself;
 	// returning an error drops the message instead of storing a
 	// reading whose name could not be made durable. Called from the
@@ -54,6 +67,10 @@ type Agent struct {
 	cache   *cache.Cache
 	hier    *core.Hierarchy
 	opts    Options
+
+	// begin is the backend's two-half write (store.Cluster.BeginInsert),
+	// nil when it has none and every write is a plain InsertBatch.
+	begin func(id core.SensorID, rs []core.Reading, ttl time.Duration) (wait func() error)
 
 	messages atomic.Int64
 	readings atomic.Int64
@@ -80,7 +97,12 @@ func New(backend store.Backend, mapper *core.TopicMapper, opts Options) *Agent {
 		hier:    core.NewHierarchy(),
 		opts:    opts,
 	}
-	a.broker = mqtt.NewBroker(a.handle)
+	if b, ok := backend.(interface {
+		BeginInsert(core.SensorID, []core.Reading, time.Duration) func() error
+	}); ok {
+		a.begin = b.BeginInsert
+	}
+	a.broker = mqtt.NewReceiverBroker(a.receive)
 	// The ingest counters already exist as atomics (the Stats API);
 	// the registry mirrors them at scrape time instead of double
 	// counting on the message path.
@@ -145,11 +167,34 @@ func (a *Agent) Stats() Stats {
 // Close stops the broker.
 func (a *Agent) Close() error { return a.broker.Close() }
 
-// Handle processes one PUBLISH message (exported for in-process
-// pipelines and benchmarks that bypass TCP).
-func (a *Agent) Handle(topic string, payload []byte) { a.handle(topic, payload) }
+// Handle processes one PUBLISH message start to finish (exported for
+// in-process pipelines and benchmarks that bypass TCP): the
+// synchronous form of what the broker does in two halves.
+func (a *Agent) Handle(topic string, payload []byte) {
+	if id, rs, ok := a.admit(topic, payload); ok {
+		a.settle(topic, rs, a.backend.InsertBatch(id, rs, 0))
+	}
+}
 
-func (a *Agent) handle(topic string, payload []byte) {
+// receive is the broker's Receiver: admit and begin the write in
+// arrival order, settle once the replicas answered.
+func (a *Agent) receive(topic string, payload []byte) (stored func()) {
+	id, rs, ok := a.admit(topic, payload)
+	if !ok {
+		return nil
+	}
+	if a.begin == nil {
+		a.settle(topic, rs, a.backend.InsertBatch(id, rs, 0))
+		return nil
+	}
+	wait := a.begin(id, rs, 0)
+	return func() { a.settle(topic, rs, wait()) }
+}
+
+// admit is the ordered part of a message before its write: decode,
+// translate the topic, make a new name durable. ok is false when there
+// is nothing to store (the message was empty, or dropped and counted).
+func (a *Agent) admit(topic string, payload []byte) (id core.SensorID, rs []core.Reading, ok bool) {
 	a.messages.Add(1)
 	rs, err := core.DecodeReadings(payload)
 	if err != nil {
@@ -157,10 +202,10 @@ func (a *Agent) handle(topic string, payload []byte) {
 		if !a.opts.Quiet {
 			log.Printf("collectagent: dropping message on %q: %v", topic, err)
 		}
-		return
+		return id, nil, false
 	}
 	if len(rs) == 0 {
-		return
+		return id, nil, false
 	}
 	// Topic -> SID translation (paper §4.2): 1:1, hierarchical.
 	id, first, err := a.mapper.MapFirst(topic)
@@ -169,7 +214,7 @@ func (a *Agent) handle(topic string, payload []byte) {
 		if !a.opts.Quiet {
 			log.Printf("collectagent: unmappable topic %q: %v", topic, err)
 		}
-		return
+		return id, nil, false
 	}
 	if a.opts.OnNewTopic != nil {
 		if !first {
@@ -194,14 +239,21 @@ func (a *Agent) handle(topic string, payload []byte) {
 				if !a.opts.Quiet {
 					log.Printf("collectagent: dropping reading of %q: persisting topic map: %v", topic, err)
 				}
-				return
+				return id, nil, false
 			}
 			a.pendingMu.Lock()
 			delete(a.pendingTopics, topic)
 			a.pendingMu.Unlock()
 		}
 	}
-	if err := a.backend.InsertBatch(id, rs, 0); err != nil {
+	return id, rs, true
+}
+
+// settle accounts for a finished write: the readings count — and show
+// in the cache and the hierarchy — only once the write met the
+// backend's consistency level.
+func (a *Agent) settle(topic string, rs []core.Reading, err error) {
+	if err != nil {
 		a.errors.Add(1)
 		if !a.opts.Quiet {
 			log.Printf("collectagent: store write for %q failed: %v", topic, err)

@@ -84,8 +84,9 @@ func TestEndToEndOverMQTT(t *testing.T) {
 	if err := client.Publish("/lrz/cm3/n1/power", core.EncodeReadings(rs), 1); err != nil {
 		t.Fatal(err)
 	}
-	// The broker sends the PUBACK before it calls the agent's handler,
-	// so the reading lands shortly after Publish returns, not before.
+	// A PUBACK proves the messages BEFORE its own are stored (see
+	// mqtt.Broker); this first message lands shortly after Publish
+	// returns, not necessarily before.
 	var got []core.Reading
 	for deadline := time.Now().Add(5 * time.Second); len(got) == 0 && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
 		if id, ok := a.Mapper().Lookup("/lrz/cm3/n1/power"); ok {

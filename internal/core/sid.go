@@ -177,10 +177,14 @@ func (m *TopicMapper) Map(topic string) (SensorID, error) {
 	return id, err
 }
 
-// MapFirst is Map, additionally reporting whether the call assigned any
-// new level code — i.e. whether this topic was seen for the first
-// time. Consumers persisting the dictionary (a durable Collect Agent)
-// use it to save the map exactly when it grows.
+// MapFirst is Map, additionally reporting whether the call assigned a
+// new level CODE — whether the dictionary grew. That is not "this topic
+// is new": a topic never seen before whose components all have codes
+// already (a known sensor name under a known node) maps without one, so
+// 20 000 new topics of a regular hierarchy report first a few dozen
+// times. It is exactly what a consumer persisting the dictionary (a
+// durable Collect Agent) needs: the saved map is stale when, and only
+// when, first is true.
 func (m *TopicMapper) MapFirst(topic string) (SensorID, bool, error) {
 	parts, err := ParseTopic(topic)
 	if err != nil {

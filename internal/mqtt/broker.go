@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"log"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,16 +18,46 @@ import (
 // subscribes to everything.
 type Handler func(topic string, payload []byte)
 
+// Receiver is a Handler in two halves, for a consumer that can overlap
+// storing one message with reading the next. The broker calls it on the
+// connection's goroutine, in arrival order; it does whatever must
+// happen in that order and returns stored, which blocks until the
+// message is stored (nil: it already is). The broker calls stored
+// exactly once, after the stored of every earlier PUBLISH of the
+// connection has returned.
+type Receiver func(topic string, payload []byte) (stored func())
+
 // Broker is a minimal MQTT 3.1.1 broker. All PUBLISH traffic is passed
 // to the Handler; clients may additionally SUBSCRIBE and receive
 // forwarded messages.
+//
+// What an acknowledgement means here. A connection's messages are
+// received in order and stored in order. QoS 0 is never acknowledged.
+// PUBACK(m), the answer to a QoS 1 PUBLISH m, is sent once every
+// EARLIER PUBLISH of the same connection — of either QoS — is stored:
+// it proves m was received and everything before it is readable at the
+// backend's read consistency level; m itself is being stored while the
+// client sends m+1 and is covered by the next PUBACK. A client that
+// needs m itself stored waits for one more acknowledgement (any later
+// QoS 1 PUBLISH, however small). "Stored" is the Handler having
+// returned, or the Receiver's stored having returned; a message the
+// consumer rejects (undecodable, unmappable, write failed) counts as
+// settled — rejection is reported by the consumer's own error counters,
+// not by withholding the PUBACK. At most two messages of a connection
+// are in the consumer at once: the one being stored and the one being
+// received.
 type Broker struct {
-	handler Handler
+	receive Receiver
 
 	ln     net.Listener
 	mu     sync.Mutex
 	conns  map[*brokerConn]struct{}
 	closed bool
+
+	// subs counts the topic filters held by all connections, so that a
+	// PUBLISH nobody subscribed to — every one, in a plain Collect
+	// Agent — returns from fanout without the broker-wide lock.
+	subs atomic.Int64
 
 	// Stats counters (atomic).
 	published atomic.Int64
@@ -34,9 +65,22 @@ type Broker struct {
 }
 
 // NewBroker creates a broker delivering PUBLISH packets to handler
-// (which may be nil).
+// (which may be nil): the synchronous form of NewReceiverBroker — a
+// message is stored when handler returns.
 func NewBroker(handler Handler) *Broker {
-	return &Broker{handler: handler, conns: make(map[*brokerConn]struct{})}
+	if handler == nil {
+		return NewReceiverBroker(nil)
+	}
+	return NewReceiverBroker(func(topic string, payload []byte) func() {
+		handler(topic, payload)
+		return nil
+	})
+}
+
+// NewReceiverBroker creates a broker delivering PUBLISH packets to
+// receive (which may be nil).
+func NewReceiverBroker(receive Receiver) *Broker {
+	return &Broker{receive: receive, conns: make(map[*brokerConn]struct{})}
 }
 
 // Listen binds the broker to addr ("host:port"; port 0 picks a free
@@ -119,9 +163,44 @@ func (c *brokerConn) write(p *Packet) error {
 	return WritePacket(c.conn, p)
 }
 
+// inflight is a received PUBLISH on its way to the settler: what to
+// acknowledge and what to wait for.
+type inflight struct {
+	qos1   bool
+	id     uint16
+	stored func()
+}
+
+// settle is the second goroutine of a connection: for each received
+// PUBLISH, in order, it sends the PUBACK — every earlier message is
+// stored by then, this loop waited for it — and then waits for the
+// message itself. The hand-over channel is unbuffered, so the reader
+// runs at most one message ahead.
+func (c *brokerConn) settle(pipe <-chan inflight, done chan<- struct{}) {
+	defer close(done)
+	for m := range pipe {
+		if m.qos1 {
+			if err := c.write(&Packet{Type: PUBACK, ID: m.id}); err != nil {
+				c.conn.Close() // the reader stops; what it handed over is still settled
+			}
+		}
+		if m.stored != nil {
+			m.stored()
+		}
+	}
+}
+
 func (c *brokerConn) serve() {
+	pipe, settled := make(chan inflight), make(chan struct{})
+	go c.settle(pipe, settled)
 	defer func() {
+		close(pipe)
+		<-settled
 		c.conn.Close()
+		c.mu.Lock()
+		c.broker.subs.Add(-int64(len(c.filters)))
+		c.filters = nil
+		c.mu.Unlock()
 		c.broker.mu.Lock()
 		delete(c.broker.conns, c)
 		c.broker.mu.Unlock()
@@ -143,19 +222,17 @@ func (c *brokerConn) serve() {
 		case PUBLISH:
 			c.broker.published.Add(1)
 			c.broker.bytesIn.Add(int64(len(p.Payload)))
-			if p.PublishQoS() == 1 {
-				if err := c.write(&Packet{Type: PUBACK, ID: p.ID}); err != nil {
-					return
-				}
-			}
-			if h := c.broker.handler; h != nil {
-				h(p.Topic, p.Payload)
+			m := inflight{qos1: p.PublishQoS() == 1, id: p.ID}
+			if r := c.broker.receive; r != nil {
+				m.stored = r(p.Topic, p.Payload)
 			}
 			c.broker.fanout(p)
+			pipe <- m
 		case SUBSCRIBE:
 			c.mu.Lock()
 			c.filters = append(c.filters, p.Topics...)
 			c.mu.Unlock()
+			c.broker.subs.Add(int64(len(p.Topics)))
 			codes := make([]byte, len(p.Topics))
 			for i, q := range p.QoS {
 				if i < len(codes) && q > 1 {
@@ -171,17 +248,11 @@ func (c *brokerConn) serve() {
 			c.mu.Lock()
 			var kept []string
 			for _, f := range c.filters {
-				drop := false
-				for _, t := range p.Topics {
-					if t == f {
-						drop = true
-						break
-					}
-				}
-				if !drop {
+				if !slices.Contains(p.Topics, f) {
 					kept = append(kept, f)
 				}
 			}
+			c.broker.subs.Add(int64(len(kept) - len(c.filters)))
 			c.filters = kept
 			c.mu.Unlock()
 			if err := c.write(&Packet{Type: UNSUBACK, ID: p.ID}); err != nil {
@@ -201,6 +272,9 @@ func (c *brokerConn) serve() {
 
 // fanout forwards a PUBLISH to all subscribed connections at QoS 0.
 func (b *Broker) fanout(p *Packet) {
+	if b.subs.Load() == 0 {
+		return
+	}
 	b.mu.Lock()
 	var targets []*brokerConn
 	for c := range b.conns {

@@ -6,6 +6,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"dcdb/internal/timers"
 )
 
 // Client is an MQTT 3.1.1 client tailored to DCDB's Pushers: it
@@ -16,7 +18,8 @@ type Client struct {
 	conn net.Conn
 	r    *bufio.Reader
 
-	writeMu sync.Mutex // serialises WritePacket
+	writeMu sync.Mutex  // serialises WritePacket
+	idle    timers.Idle // the timeout timer its PUBACK and SUBACK waits reuse
 
 	mu      sync.Mutex
 	nextID  uint16
@@ -99,8 +102,13 @@ func (c *Client) write(p *Packet) error {
 	return WritePacket(c.conn, p)
 }
 
+// ackTimeout bounds the wait for a PUBACK or SUBACK.
+const ackTimeout = 30 * time.Second
+
 // Publish sends a message at the given QoS (0 or 1). QoS 1 blocks until
-// the broker acknowledges.
+// the broker acknowledges — which, from this package's Broker, means
+// the message was received and every earlier message of this client is
+// stored (see Broker).
 func (c *Client) Publish(topic string, payload []byte, qos byte) error {
 	if qos > 1 {
 		return fmt.Errorf("mqtt: QoS %d not supported", qos)
@@ -129,12 +137,14 @@ func (c *Client) Publish(topic string, payload []byte, qos byte) error {
 		c.mu.Unlock()
 		return err
 	}
+	timeout := c.idle.Get(ackTimeout)
+	defer c.idle.Put(timeout)
 	select {
 	case <-ch:
 		return nil
 	case <-c.done:
 		return fmt.Errorf("mqtt: connection lost waiting for PUBACK: %v", c.Err())
-	case <-time.After(30 * time.Second):
+	case <-timeout.C:
 		return fmt.Errorf("mqtt: PUBACK timeout for packet %d", id)
 	}
 }
@@ -160,12 +170,14 @@ func (c *Client) Subscribe(filter string, qos byte, handler func(topic string, p
 	if err := c.write(p); err != nil {
 		return err
 	}
+	timeout := c.idle.Get(ackTimeout)
+	defer c.idle.Put(timeout)
 	select {
 	case <-ch:
 		return nil
 	case <-c.done:
 		return fmt.Errorf("mqtt: connection lost waiting for SUBACK: %v", c.Err())
-	case <-time.After(30 * time.Second):
+	case <-timeout.C:
 		return fmt.Errorf("mqtt: SUBACK timeout")
 	}
 }

@@ -9,6 +9,15 @@
 // Supported packets: CONNECT, CONNACK, PUBLISH (QoS 0/1), PUBACK,
 // SUBSCRIBE, SUBACK, UNSUBSCRIBE, UNSUBACK, PINGREQ, PINGRESP,
 // DISCONNECT.
+//
+// What the two QoS levels acknowledge (the Broker type has the full
+// statement; TestAckContract* pin it): a QoS 0 PUBLISH is never
+// acknowledged. The PUBACK of a QoS 1 PUBLISH m says that m was
+// received and that every earlier PUBLISH of the same connection, of
+// either QoS, is stored; m itself is stored while the client sends its
+// next message, and the next PUBACK says so. The broker thus overlaps
+// one message's store with the next one's arrival and never holds more
+// than two messages of a connection.
 package mqtt
 
 import (
@@ -112,9 +121,21 @@ const (
 	ConnRefusedIdentifier = 2
 )
 
-// WritePacket encodes a packet onto w.
+// maxFixedHeader is the longest fixed header: the type/flags byte and a
+// four-byte remaining length.
+const maxFixedHeader = 5
+
+// WritePacket encodes a packet onto w with a single Write: on a bare
+// net.Conn that is one syscall and one TCP segment per packet, a
+// four-byte PUBACK included. The body is built behind room for the
+// longest fixed header, which is then written right-aligned in front
+// of it.
 func WritePacket(w io.Writer, p *Packet) error {
-	var body []byte
+	size := maxFixedHeader + 2
+	if p.Type == PUBLISH {
+		size += 2 + len(p.Topic) + len(p.Payload)
+	}
+	body := make([]byte, maxFixedHeader, size)
 	switch p.Type {
 	case CONNECT:
 		body = appendString(body, protocolName)
@@ -165,15 +186,15 @@ func WritePacket(w io.Writer, p *Packet) error {
 	default:
 		return fmt.Errorf("mqtt: cannot encode packet type %v", p.Type)
 	}
-	if len(body) > maxRemainingLength {
-		return fmt.Errorf("mqtt: packet too large (%d bytes)", len(body))
+	n := len(body) - maxFixedHeader
+	if n > maxRemainingLength {
+		return fmt.Errorf("mqtt: packet too large (%d bytes)", n)
 	}
-	header := []byte{byte(p.Type)<<4 | p.Flags&0x0f}
-	header = appendVarint(header, len(body))
-	if _, err := w.Write(header); err != nil {
-		return err
-	}
-	_, err := w.Write(body)
+	var hdr [maxFixedHeader]byte
+	header := appendVarint(append(hdr[:0], byte(p.Type)<<4|p.Flags&0x0f), n)
+	start := maxFixedHeader - len(header)
+	copy(body[start:], header)
+	_, err := w.Write(body[start:])
 	return err
 }
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -17,6 +16,7 @@ import (
 	"dcdb/internal/fold"
 	"dcdb/internal/metrics"
 	"dcdb/internal/store"
+	"dcdb/internal/timers"
 )
 
 // ClientOptions tune a Client. The zero value selects the defaults.
@@ -186,6 +186,8 @@ type clientConn struct {
 	streams map[uint64]*clientStream
 
 	nextID atomic.Uint64
+
+	idle timers.Idle // the timeout timer its calls and stream reads reuse
 }
 
 // ensure returns a live connection, dialing if necessary. Calls inside
@@ -389,8 +391,8 @@ func (s *clientConn) call(op byte, body []byte) ([]byte, error) {
 		s.cl.met.netWritten.Add(int64(len(payload)) + 8)
 	}
 
-	timer := time.NewTimer(time.Until(deadline))
-	defer timer.Stop()
+	timer := s.idle.Get(time.Until(deadline))
+	defer s.idle.Put(timer)
 	select {
 	case resp := <-ch:
 		if resp.err != nil {
@@ -430,37 +432,99 @@ func (c *Client) Ping() error {
 	return err
 }
 
-// Insert implements store.Backend.
+// WriteFrame implements store.FrameWriter: the entries travel as one
+// opWrite call — cut at an entry boundary into as many as frameMax
+// demands — and each entry gets the node's verdict on it; a call that
+// fails as a whole fails every entry it carried.
+func (c *Client) WriteFrame(entries []store.WriteEntry) []error {
+	var errs []error
+	fail := func(k int, err error) {
+		if errs == nil {
+			errs = make([]error, len(entries))
+		}
+		errs[k] = err
+	}
+	for start := 0; start < len(entries); {
+		n, size := frameCut(entries[start:], frameMax-reqHeaderLen)
+		end := start + n
+		if size > frameMax-reqHeaderLen {
+			// One entry larger than any frame: refuse it here, where that
+			// costs an error and not the connection.
+			fail(start, errFrameTooLarge)
+			start = end
+			continue
+		}
+		resp, err := c.call(opWrite, appendEntries(make([]byte, 0, size), entries[start:end]))
+		if err == nil {
+			cur := &cursor{b: resp}
+			for n := cur.u32(); n > 0 && cur.err == nil; n-- {
+				k, msg := int(cur.u32()), cur.bytes()
+				if cur.err != nil || k >= end-start {
+					cur.fail()
+					break
+				}
+				fail(start+k, fmt.Errorf("rpc: %s: %s", c.addr, msg))
+			}
+			err = cur.done()
+		}
+		if err != nil {
+			for k := start; k < end; k++ {
+				fail(k, err)
+			}
+		}
+		start = end
+	}
+	return errs
+}
+
+// Self implements store.RemoteWriter: it is how a cluster tells this
+// client from a backend that merely embeds one.
+func (c *Client) Self() store.NodeBackend { return c }
+
+// frameCut returns how many leading entries share a frame whose body
+// may hold limit bytes, and that body's size: as many as fit, and
+// always at least one — alone, an entry may exceed the limit.
+func frameCut(entries []store.WriteEntry, limit int) (n, size int) {
+	size = 4
+	for n < len(entries) && (n == 0 || size+entryLen(entries[n]) <= limit) {
+		size += entryLen(entries[n])
+		n++
+	}
+	return n, size
+}
+
+// write sends entries as one frame and reports the first failure.
+func (c *Client) write(entries []store.WriteEntry) error {
+	for _, err := range c.WriteFrame(entries) {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Insert implements store.Backend: an unversioned (version 0) entry of
+// one reading.
 func (c *Client) Insert(id core.SensorID, r core.Reading, ttl time.Duration) error {
-	body := make([]byte, 0, 16+8+16)
-	body = appendSID(body, id)
-	body = appendI64(body, int64(ttl))
-	body = appendI64(body, r.Timestamp)
-	body = appendU64(body, math.Float64bits(r.Value))
-	_, err := c.call(opInsert, body)
-	return err
+	return c.InsertBatch(id, []core.Reading{r}, ttl)
 }
 
-// InsertBatch implements store.Backend.
+// InsertBatch implements store.Backend: an unversioned (version 0)
+// entry, its TTL resolved to an absolute expiry here.
 func (c *Client) InsertBatch(id core.SensorID, rs []core.Reading, ttl time.Duration) error {
-	body := make([]byte, 0, 16+8+4+16*len(rs))
-	body = appendSID(body, id)
-	body = appendI64(body, int64(ttl))
-	body = appendReadings(body, rs)
-	_, err := c.call(opInsertBatch, body)
-	return err
+	if len(rs) == 0 {
+		return nil
+	}
+	return c.write([]store.WriteEntry{{ID: id, Expire: store.TTLToExpire(ttl), Readings: rs}})
 }
 
-// InsertVersioned implements store.NodeBackend: a write that carries
-// its coordinator-assigned version and absolute expiry across the
-// wire unchanged, so anti-entropy repair and hint replay land with the
-// ordering the original coordination decided.
+// InsertVersioned implements store.NodeBackend: readings that carry
+// their coordinator-assigned versions and absolute expiries across the
+// wire unchanged, one entry per run of equal stamps, so anti-entropy
+// repair and hint replay land with the ordering the original
+// coordination decided.
 func (c *Client) InsertVersioned(id core.SensorID, vrs []store.VersionedReading) error {
-	body := make([]byte, 0, 16+4+32*len(vrs))
-	body = appendSID(body, id)
-	body = appendVersionedReadings(body, vrs)
-	_, err := c.call(opInsertVersioned, body)
-	return err
+	return c.write(store.SplitStamps(id, vrs))
 }
 
 // QueryVersioned implements store.NodeBackend: the deduplicated range
@@ -720,8 +784,8 @@ func (st *clientStream) nextMsg() (streamMsg, error) {
 	if st.finished {
 		return streamMsg{}, io.EOF
 	}
-	timer := time.NewTimer(st.s.cl.o.CallTimeout)
-	defer timer.Stop()
+	timer := st.s.idle.Get(st.s.cl.o.CallTimeout)
+	defer st.s.idle.Put(timer)
 	select {
 	case m := <-st.ch:
 		if m.err != nil {
@@ -909,4 +973,7 @@ func (c *Client) QueryPrefixStream(prefix core.SensorID, depth int, from, to int
 	return &keyedStream{st: st}, nil
 }
 
-var _ store.NodeBackend = (*Client)(nil)
+var (
+	_ store.NodeBackend  = (*Client)(nil)
+	_ store.RemoteWriter = (*Client)(nil)
+)

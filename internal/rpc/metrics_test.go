@@ -144,9 +144,9 @@ func TestStatsOneRequestShape(t *testing.T) {
 // TestEveryOpHasNameAndHistogram walks the op* constants declared in
 // protocol.go (parsed from source: Go cannot enumerate constants) and
 // fails when one lacks a metric label, falls outside the per-op
-// histogram arrays — how insert_versioned, the op of every write, once
-// went without latency histograms on either side — or reuses the number
-// of a retired op.
+// histogram arrays — how the op of every write once went without
+// latency histograms on either side — or reuses the number of a retired
+// op.
 func TestEveryOpHasNameAndHistogram(t *testing.T) {
 	file, err := parser.ParseFile(token.NewFileSet(), "protocol.go", nil, 0)
 	if err != nil {
@@ -170,12 +170,14 @@ func TestEveryOpHasNameAndHistogram(t *testing.T) {
 		ops[name] = byte(v)
 		return true
 	})
-	if len(ops) < 17 || ops["opInsertVersioned"] != opInsertVersioned {
+	if len(ops) != 15 || ops["opWrite"] != opWrite {
 		t.Fatalf("parsed %d op constants from protocol.go: %v", len(ops), ops)
 	}
-	// 4 and 5 were the one-frame Query and QueryPrefix. A peer that still
-	// sends them must get "unknown op", never another op's behaviour.
-	reserved := []byte{4, 5}
+	// 2, 3 and 16 were Insert, InsertBatch and InsertVersioned (a write
+	// is an opWrite frame now), 4 and 5 the one-frame Query and
+	// QueryPrefix. A peer that still sends them must get "unknown op",
+	// never another op's behaviour.
+	reserved := []byte{2, 3, 4, 5, 16}
 	client, server := newClientMetrics(), NewServer(store.NewNode(0), true).met
 	labels := map[string]string{}
 	for _, op := range reserved {

@@ -26,12 +26,55 @@
 //	status 0 = ok (body is the op's result encoding)
 //	status 1 = application error (body is the error string)
 //
+// A write travels one way, as a write frame (opWrite). Its body is any
+// number of entries, each one coordinated write of one sensor — a
+// message's readings under the single stamp the coordinator gave them:
+//
+//	u32 entries | entries × ( sidHi u64 | sidLo u64 | version u64
+//	                        | expire i64 | n u32 | n × (ts i64 | value f64) )
+//
+// so a reading costs 16 bytes on the wire and its stamp is sent once
+// per message, not once per reading. Entries of different sensors, of
+// different messages, share a frame: a coordinator sends whatever
+// queued for the node while its previous frame was in flight
+// (store/cluster_write.go). The node applies a frame with one WAL
+// append per shard it touches and answers once, naming the entries it
+// could not apply:
+//
+//	u32 failed | failed × ( u32 entry index | u32 len | error string )
+//
+// Client.Insert, InsertBatch and InsertVersioned all encode entries —
+// version 0 for the first two, one entry per run of equal stamps for a
+// repair or hint batch — and a frame that would exceed frameMax is cut
+// at an entry boundary.
+//
+// A repair batch of fan-in data is one sensor's readings with no two
+// under one stamp, so one entry each. On the wire, one-reading entries
+// that follow one another on one sensor share a header — a stamped
+// run, the top bit of n set, the header's stamp unused and each reading
+// bringing its own:
+//
+//	sidHi | sidLo | 0 | 0 | n|1<<31 | n × (ts | value | version | expire)
+//
+// The receiver unfolds a run into the n entries it stands for, at the
+// indices they had, so a run is only ever a shorter spelling: such a
+// batch costs the 32 bytes a reading it did under the retired op 16.
+//
 // Reads are streams: opQueryStream/opQueryPrefixStream answer with
 // chunk frames (status 2) closed by an end frame (status 3), and
 // Client.Query/QueryPrefix are a drain of them — a result is never
 // materialised in one frame on either side, so its size is not bounded
-// by frameMax. The one-frame read ops 4 and 5 that preceded the streams
-// are retired; their numbers stay reserved.
+// by frameMax.
+//
+// The fifteen ops (numbers are the wire format; 2, 3, 4, 5 and 16 — the
+// one-reading, one-batch and per-reading-stamped inserts and the
+// one-frame Query and QueryPrefix — are retired and stay reserved):
+//
+//	1 ping            10 stats                15 aggregate
+//	6 delete_before   11 sensor_ids           17 query_versioned
+//	7 flush           12 query_stream         18 digest
+//	8 sync            13 query_prefix_stream  19 gossip
+//	9 compact         14 cancel_stream        20 write
 //
 // A frame whose CRC does not match its payload — a torn write, a
 // corrupted link, a non-DCDB peer — poisons the connection: the reader
@@ -46,6 +89,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 	"strings"
 
 	"dcdb/internal/core"
@@ -68,13 +112,13 @@ func SplitAddrList(s string) []string {
 }
 
 // Ops of the node API. The numbering is part of the wire format.
-// Numbers 4 and 5 (the retired one-frame Query and QueryPrefix) are
-// reserved and never reused: a peer that still sends them gets the
-// "rpc: unknown op" answer, not a different op's behaviour.
+// Numbers 2, 3 and 16 (the retired opInsert, opInsertBatch and
+// opInsertVersioned) and 4 and 5 (the retired one-frame Query and
+// QueryPrefix) are reserved and never reused: a peer that still sends
+// them gets the "rpc: unknown op" answer, not a different op's
+// behaviour.
 const (
 	opPing         = 1
-	opInsert       = 2
-	opInsertBatch  = 3
 	opDeleteBefore = 6
 	opFlush        = 7
 	opSync         = 8
@@ -94,13 +138,12 @@ const (
 	// month-long range answers with O(1) response bytes instead of
 	// millions of readings.
 	opAggregate = 15
-	// opInsertVersioned / opQueryVersioned carry coordinator-assigned
-	// write versions (store.VersionedReading, 32 bytes each on the
-	// wire): the anti-entropy repair path re-delivers a write with the
-	// version it was originally coordinated under, so a repair can never
-	// outrank a later rewrite.
-	opInsertVersioned = 16
-	opQueryVersioned  = 17
+	// opQueryVersioned answers with the sensor's deduplicated readings
+	// and the stamp each winning write carried (store.VersionedReading,
+	// 32 bytes each on the wire) — what anti-entropy repair fetches, to
+	// re-deliver a write under the version it was originally coordinated
+	// with, so a repair can never outrank a later rewrite.
+	opQueryVersioned = 17
 	// opDigest answers with one fold fingerprint + reading count for a
 	// sensor range — the O(1)-response comparison anti-entropy uses to
 	// decide whether replicas have diverged before moving any data.
@@ -111,10 +154,13 @@ const (
 	// layer treats both as opaque bytes; a node without a registered
 	// gossip handler answers with an application error.
 	opGossip = 19
+	// opWrite is the one write op: a frame of entries (see the package
+	// comment), answered once with the entries that failed.
+	opWrite = 20
 
 	// lastOp is the highest op number; the per-op metric arrays size off
 	// it, so a new op must move it (TestEveryOpHasNameAndHistogram).
-	lastOp = opGossip
+	lastOp = opWrite
 )
 
 // opName names an op for metric labels and diagnostics. Unknown ops
@@ -124,10 +170,6 @@ func opName(op byte) string {
 	switch op {
 	case opPing:
 		return "ping"
-	case opInsert:
-		return "insert"
-	case opInsertBatch:
-		return "insert_batch"
 	case opDeleteBefore:
 		return "delete_before"
 	case opFlush:
@@ -148,14 +190,14 @@ func opName(op byte) string {
 		return "cancel_stream"
 	case opAggregate:
 		return "aggregate"
-	case opInsertVersioned:
-		return "insert_versioned"
 	case opQueryVersioned:
 		return "query_versioned"
 	case opDigest:
 		return "digest"
 	case opGossip:
 		return "gossip"
+	case opWrite:
+		return "write"
 	default:
 		return "unknown"
 	}
@@ -275,11 +317,62 @@ func appendReadings(b []byte, rs []core.Reading) []byte {
 func appendVersionedReadings(b []byte, vrs []store.VersionedReading) []byte {
 	b = appendU32(b, uint32(len(vrs)))
 	for _, r := range vrs {
-		b = appendI64(b, r.Timestamp)
-		b = appendU64(b, math.Float64bits(r.Value))
-		b = appendU64(b, r.Version)
-		b = appendI64(b, r.Expire)
+		b = appendVersionedReading(b, core.Reading{Timestamp: r.Timestamp, Value: r.Value}, r.Version, r.Expire)
 	}
+	return b
+}
+
+func appendVersionedReading(b []byte, r core.Reading, version uint64, expire int64) []byte {
+	b = appendI64(b, r.Timestamp)
+	b = appendU64(b, math.Float64bits(r.Value))
+	b = appendU64(b, version)
+	return appendI64(b, expire)
+}
+
+// entryHeaderLen is what an entry costs before its readings: sid,
+// version, expire and the reading count.
+const entryHeaderLen = 16 + 8 + 8 + 4
+
+// entryLen bounds the encoded size of one write-frame entry: what it
+// costs on its own (inside a stamped run it costs less).
+func entryLen(e store.WriteEntry) int { return entryHeaderLen + 16*len(e.Readings) }
+
+// stampedRun, set on a wire entry's reading count, marks a run (see
+// the package comment): the header's stamp is unused and each reading
+// brings its own.
+const stampedRun = 1 << 31
+
+// appendEntries encodes a write frame's body. Entries of one reading
+// each that follow one another on one sensor — a repair batch of fan-in
+// data, every reading under the stamp of its own write — are folded
+// into a stamped run, which entries() unfolds into the same entries at
+// the same indices.
+func appendEntries(b []byte, es []store.WriteEntry) []byte {
+	count := len(b)
+	b = appendU32(b, 0)
+	items := uint32(0)
+	for k := 0; k < len(es); items++ {
+		e := es[k]
+		run := 1
+		for len(e.Readings) == 1 && k+run < len(es) && len(es[k+run].Readings) == 1 && es[k+run].ID == e.ID {
+			run++
+		}
+		b = appendSID(b, e.ID)
+		if run == 1 {
+			b = appendU64(b, e.Version)
+			b = appendI64(b, e.Expire)
+			b = appendReadings(b, e.Readings)
+		} else {
+			b = appendU64(b, 0)
+			b = appendI64(b, 0)
+			b = appendU32(b, uint32(run)|stampedRun)
+			for _, e := range es[k : k+run] {
+				b = appendVersionedReading(b, e.Readings[0], e.Version, e.Expire)
+			}
+		}
+		k += run
+	}
+	binary.BigEndian.PutUint32(b[count:], items)
 	return b
 }
 
@@ -326,14 +419,12 @@ func (c *cursor) sid() core.SensorID {
 	return core.SensorID{Hi: c.u64(), Lo: c.u64()}
 }
 
-func (c *cursor) readings() []core.Reading {
-	n := c.u32()
-	if c.err != nil {
-		return nil
-	}
+func (c *cursor) readings() []core.Reading { return c.readingsN(c.u32()) }
+
+func (c *cursor) readingsN(n uint32) []core.Reading {
 	// Each reading is 16 bytes; reject counts the payload cannot hold
 	// before allocating.
-	if uint64(n)*16 > uint64(len(c.b)-c.off) {
+	if c.err != nil || uint64(n)*16 > uint64(len(c.b)-c.off) {
 		c.fail()
 		return nil
 	}
@@ -365,6 +456,52 @@ func (c *cursor) versionedReadings() []store.VersionedReading {
 		}
 	}
 	return vrs
+}
+
+// bytes decodes a u32-length-prefixed byte string (aliasing the payload).
+func (c *cursor) bytes() []byte {
+	n := c.u32()
+	if c.err != nil || uint64(n) > uint64(len(c.b)-c.off) {
+		c.fail()
+		return nil
+	}
+	v := c.b[c.off : c.off+int(n)]
+	c.off += int(n)
+	return v
+}
+
+// entries decodes a write frame's body.
+func (c *cursor) entries() []store.WriteEntry {
+	items := c.u32()
+	// Reject counts the payload cannot hold before allocating.
+	if c.err != nil || uint64(items)*entryHeaderLen > uint64(len(c.b)-c.off) {
+		c.fail()
+		return nil
+	}
+	es := make([]store.WriteEntry, 0, items)
+	for ; items > 0 && c.err == nil; items-- {
+		e := store.WriteEntry{ID: c.sid(), Version: c.u64(), Expire: c.i64()}
+		n := c.u32()
+		if n&stampedRun == 0 {
+			e.Readings = c.readingsN(n)
+			es = append(es, e)
+			continue
+		}
+		// A stamped run: one entry per reading, as appendEntries found
+		// them, 32 bytes each.
+		if n &^= stampedRun; uint64(n)*32 > uint64(len(c.b)-c.off) {
+			c.fail()
+			break
+		}
+		rs := make([]core.Reading, n)
+		es = slices.Grow(es, len(rs))
+		for i := range rs {
+			rs[i] = core.Reading{Timestamp: c.i64(), Value: math.Float64frombits(c.u64())}
+			version, expire := c.u64(), c.i64()
+			es = append(es, store.WriteEntry{ID: e.ID, Version: version, Expire: expire, Readings: rs[i : i+1]})
+		}
+	}
+	return es
 }
 
 func (c *cursor) fail() {

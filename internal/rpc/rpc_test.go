@@ -422,16 +422,21 @@ func TestRPCServerRejectsMalformedBodies(t *testing.T) {
 		}
 		return resp
 	}
-	// Truncated insert body: must fail cleanly, not panic or misread.
-	short := buildRequest(1, opInsert, 0, []byte{1, 2, 3})
+	// Truncated write frame: must fail cleanly, not panic or misread.
+	short := buildRequest(1, opWrite, 0, []byte{0, 0, 0, 1, 2, 3})
 	if resp := send(short); resp[8] != statusErr {
-		t.Fatalf("truncated insert body accepted: %v", resp)
+		t.Fatalf("truncated write frame accepted: %v", resp)
 	}
-	// Readings count larger than the payload can hold.
-	body := appendSID(nil, sid(1, 1))
+	// Entry and readings counts larger than the payload can hold.
+	if resp := send(buildRequest(2, opWrite, 0, appendU32(nil, 1<<30))); resp[8] != statusErr {
+		t.Fatalf("overflowing entry count accepted: %v", resp)
+	}
+	body := appendU32(nil, 1)
+	body = appendSID(body, sid(1, 1))
+	body = appendU64(body, 7)
 	body = appendI64(body, 0)
 	body = appendU32(body, 1<<30) // claims a billion readings
-	huge := buildRequest(2, opInsertBatch, 0, body)
+	huge := buildRequest(2, opWrite, 0, body)
 	if resp := send(huge); resp[8] != statusErr {
 		t.Fatalf("overflowing readings count accepted: %v", resp)
 	}
@@ -444,9 +449,10 @@ func TestRPCServerRejectsMalformedBodies(t *testing.T) {
 	if resp := send(trailing); resp[8] != statusErr {
 		t.Fatalf("trailing bytes accepted: %v", resp)
 	}
-	// Unknown opcode — which is also what the retired one-frame Query
-	// (4) and QueryPrefix (5) are to this server, well-formed body or not.
-	for i, op := range []byte{200, 4, 5} {
+	// Unknown opcode — which is also what the retired inserts (2, 3, 16)
+	// and the retired one-frame Query (4) and QueryPrefix (5) are to this
+	// server, well-formed body or not.
+	for i, op := range []byte{200, 2, 3, 4, 5, 16} {
 		resp := send(buildRequest(uint64(10+i), op, 0, body[:len(body)-1]))
 		if resp[8] != statusErr || !strings.Contains(string(resp[9:]), "unknown op") {
 			t.Fatalf("op %d answered %q, want an unknown-op error", op, resp[9:])

@@ -6,13 +6,11 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"dcdb/internal/core"
 	"dcdb/internal/fold"
 	"dcdb/internal/metrics"
 	"dcdb/internal/store"
@@ -34,6 +32,7 @@ const writeStallTimeout = 30 * time.Second
 // the server a coordinator proxy.
 type Server struct {
 	backend store.NodeBackend
+	frames  store.FrameWriter // how opWrite reaches backend
 	quiet   bool
 	now     func() time.Time
 	gossip  func([]byte) ([]byte, error)
@@ -51,7 +50,7 @@ type Server struct {
 // NewServer wraps backend. quiet suppresses per-connection logging
 // (tests).
 func NewServer(backend store.NodeBackend, quiet bool) *Server {
-	s := &Server{backend: backend, quiet: quiet, now: time.Now, conns: make(map[net.Conn]struct{})}
+	s := &Server{backend: backend, frames: store.FramesOf(backend), quiet: quiet, now: time.Now, conns: make(map[net.Conn]struct{})}
 	s.met = newServerMetrics(s)
 	return s
 }
@@ -483,27 +482,26 @@ func (s *Server) handle(payload []byte, arrived time.Time) []byte {
 		if err := s.backend.Ping(); err != nil {
 			return fail(err)
 		}
-	case opInsert:
-		sid := cur.sid()
-		ttl := cur.i64()
-		ts := cur.i64()
-		val := cur.u64()
+	case opWrite:
+		entries := cur.entries()
 		if err := cur.done(); err != nil {
 			return fail(err)
 		}
-		r := core.Reading{Timestamp: ts, Value: math.Float64frombits(val)}
-		if err := s.backend.Insert(sid, r, time.Duration(ttl)); err != nil {
-			return fail(err)
+		errs := s.frames.WriteFrame(entries)
+		failed := 0
+		for _, err := range errs {
+			if err != nil {
+				failed++
+			}
 		}
-	case opInsertBatch:
-		sid := cur.sid()
-		ttl := cur.i64()
-		rs := cur.readings()
-		if err := cur.done(); err != nil {
-			return fail(err)
-		}
-		if err := s.backend.InsertBatch(sid, rs, time.Duration(ttl)); err != nil {
-			return fail(err)
+		resp = appendU32(resp, uint32(failed))
+		for k, err := range errs {
+			if err != nil {
+				msg := err.Error()
+				resp = appendU32(resp, uint32(k))
+				resp = appendU32(resp, uint32(len(msg)))
+				resp = append(resp, msg...)
+			}
 		}
 	case opDeleteBefore:
 		sid := cur.sid()
@@ -568,15 +566,6 @@ func (s *Server) handle(payload []byte, arrived time.Time) []byte {
 			return fail(err)
 		}
 		resp = fold.Append(resp, st)
-	case opInsertVersioned:
-		sid := cur.sid()
-		vrs := cur.versionedReadings()
-		if err := cur.done(); err != nil {
-			return fail(err)
-		}
-		if err := s.backend.InsertVersioned(sid, vrs); err != nil {
-			return fail(err)
-		}
 	case opQueryVersioned:
 		sid := cur.sid()
 		from, to := cur.i64(), cur.i64()

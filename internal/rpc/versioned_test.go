@@ -7,10 +7,10 @@ import (
 	"dcdb/internal/store"
 )
 
-// Wire coverage for the versioned ops anti-entropy rides on:
-// opInsertVersioned, opQueryVersioned and opDigest must round-trip
-// versions and digests exactly, because a version lost in transit
-// reopens the stale-resurrection window the versions exist to close.
+// Wire coverage for what anti-entropy rides on: InsertVersioned (an
+// opWrite frame), opQueryVersioned and opDigest must round-trip versions
+// and digests exactly, because a version lost in transit reopens the
+// stale-resurrection window the versions exist to close.
 
 func TestRPCVersionedInsertQueryRoundtrip(t *testing.T) {
 	n, _, cl := testPair(t, ClientOptions{})

@@ -1,0 +1,313 @@
+package rpc
+
+import (
+	"errors"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"dcdb/internal/core"
+	"dcdb/internal/store"
+)
+
+// entry builds a one-stamp write of n readings starting at ts.
+func entry(id core.SensorID, ver uint64, ts int64, n int) store.WriteEntry {
+	e := store.WriteEntry{ID: id, Version: ver}
+	for i := 0; i < n; i++ {
+		e.Readings = append(e.Readings, rd(ts+int64(i), float64(ts)+float64(i)))
+	}
+	return e
+}
+
+// TestWriteFrameRoundtrip: one opWrite call carries entries of several
+// sensors and stamps; every reading lands under its entry's stamp, and
+// the three NodeBackend write methods are that same call.
+func TestWriteFrameRoundtrip(t *testing.T) {
+	n, _, cl := testPair(t, ClientOptions{})
+	expire := time.Now().Add(time.Hour).UnixNano()
+	frame := []store.WriteEntry{
+		entry(sid(50, 1), 3000, 1, 4),
+		entry(sid(50, 2), 4000, 1, 1),
+		entry(sid(50, 1), 5000, 5, 2),
+		{ID: sid(50, 3), Version: 6000}, // nothing to store: not an error, not a sensor
+	}
+	frame[1].Expire = expire
+	if errs := cl.WriteFrame(frame); errs != nil {
+		t.Fatal(errs)
+	}
+	if calls, _ := callCounts(t, cl, "write"); calls != 1 {
+		t.Fatalf("a frame took %d write calls, want 1", calls)
+	}
+	got, err := n.QueryVersioned(sid(50, 1), 0, 100)
+	if err != nil || len(got) != 6 {
+		t.Fatalf("sensor 1: %+v, %v", got, err)
+	}
+	for i, v := range got {
+		want := store.VersionedReading{Timestamp: int64(i + 1), Value: float64(i + 1), Version: 3000}
+		if i >= 4 {
+			want.Value, want.Version = float64(5+i-4), 5000
+		}
+		if v != want {
+			t.Fatalf("sensor 1 reading %d = %+v, want %+v", i, v, want)
+		}
+	}
+	if got, _ := n.QueryVersioned(sid(50, 2), 0, 100); len(got) != 1 || got[0].Expire != expire || got[0].Version != 4000 {
+		t.Fatalf("sensor 2: %+v", got)
+	}
+	if ids := n.SensorIDs(); len(ids) != 2 {
+		t.Fatalf("node lists %v, want the two sensors with readings", ids)
+	}
+
+	// Insert and InsertBatch are version-0 entries with the TTL resolved
+	// by the caller; InsertVersioned is one entry per run of equal stamps.
+	if err := cl.Insert(sid(51, 1), rd(1, 1), time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.InsertBatch(sid(51, 1), []core.Reading{rd(2, 2), rd(3, 3)}, 0); err != nil {
+		t.Fatal(err)
+	}
+	mixed := []store.VersionedReading{
+		{Timestamp: 4, Value: 4, Version: 7000}, {Timestamp: 5, Value: 5, Version: 7000},
+		{Timestamp: 6, Value: 6, Version: 8000}, {Timestamp: 7, Value: 7, Version: 8000, Expire: expire},
+	}
+	if err := cl.InsertVersioned(sid(51, 1), mixed); err != nil {
+		t.Fatal(err)
+	}
+	if calls, _ := callCounts(t, cl, "write"); calls != 4 {
+		t.Fatalf("%d write calls after Insert, InsertBatch and InsertVersioned, want 4 in all", calls)
+	}
+	got, err = n.QueryVersioned(sid(51, 1), 0, 100)
+	if err != nil || len(got) != 7 {
+		t.Fatalf("sensor 51/1: %+v, %v", got, err)
+	}
+	if got[0].Version != 0 || got[0].Expire == 0 || got[1].Version != 0 || got[1].Expire != 0 {
+		t.Fatalf("unversioned inserts stored as %+v, %+v", got[0], got[1])
+	}
+	for i, v := range mixed {
+		if got[3+i] != v {
+			t.Fatalf("repair reading %d stored as %+v, want %+v", i, got[3+i], v)
+		}
+	}
+}
+
+// refusing fails the writes of one sensor. It embeds the interface, not
+// the node, so the server reaches it entry by entry through
+// InsertVersioned.
+type refusing struct {
+	store.NodeBackend
+	sensor core.SensorID
+}
+
+func (r refusing) InsertVersioned(id core.SensorID, vrs []store.VersionedReading) error {
+	if id == r.sensor {
+		return errors.New("injected: sensor refused")
+	}
+	return r.NodeBackend.InsertVersioned(id, vrs)
+}
+
+// TestWriteFramePerEntryVerdict: the one response names the entries
+// that failed, and only those fail at the caller.
+func TestWriteFramePerEntryVerdict(t *testing.T) {
+	n := store.NewNode(0)
+	srv := NewServer(refusing{NodeBackend: n, sensor: sid(52, 2)}, true)
+	if err := srv.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cl := NewClient(srv.Addr(), ClientOptions{})
+	defer cl.Close()
+
+	frame := []store.WriteEntry{entry(sid(52, 1), 1000, 1, 2), entry(sid(52, 2), 2000, 1, 2), entry(sid(52, 3), 3000, 1, 2), entry(sid(52, 2), 4000, 3, 1)}
+	errs := cl.WriteFrame(frame)
+	if len(errs) != len(frame) {
+		t.Fatalf("verdicts %v", errs)
+	}
+	for k, e := range frame {
+		refused := e.ID == sid(52, 2)
+		if (errs[k] != nil) != refused {
+			t.Fatalf("entry %d: error %v", k, errs[k])
+		}
+		if refused && !strings.Contains(errs[k].Error(), "sensor refused") {
+			t.Fatalf("entry %d failed with %v", k, errs[k])
+		}
+		if rs, _ := n.Query(e.ID, 0, 100); refused != (len(rs) == 0) {
+			t.Fatalf("entry %d: node holds %v", k, rs)
+		}
+	}
+	if _, errCount := callCounts(t, cl, "write"); errCount != 0 {
+		t.Fatalf("a frame with refused entries counted %v call errors; the call itself succeeded", errCount)
+	}
+
+	// A frame that fails as a whole fails every entry it carried.
+	srv.Close()
+	errs = cl.WriteFrame(frame)
+	for k := range frame {
+		if len(errs) != len(frame) || errs[k] == nil {
+			t.Fatalf("frame to a dead server answered %v", errs)
+		}
+	}
+}
+
+// TestWriteFrameStampedRun: one-reading entries that follow one another
+// on one sensor share a wire header and decode into the same entries at
+// the same indices, so a repair batch of fan-in data — a stamp per
+// reading — costs the 32 bytes a reading the retired op 16 did, and a
+// verdict still names the entry it is about.
+func TestWriteFrameStampedRun(t *testing.T) {
+	a, b := sid(53, 1), sid(53, 2)
+	expire := time.Now().Add(time.Hour).UnixNano()
+	es := []store.WriteEntry{
+		entry(a, 1000, 1, 1), entry(a, 2000, 2, 1), entry(a, 2000, 3, 1), // a run, equal stamps included
+		entry(b, 3000, 1, 1),                       // alone
+		entry(a, 4000, 4, 3),                       // three readings: never in a run
+		entry(a, 5000, 7, 1), entry(a, 6000, 8, 1), // a second run
+	}
+	es[1].Expire = expire
+	body := appendEntries(nil, es)
+	if want := 4 + (entryHeaderLen + 3*32) + (entryHeaderLen + 16) + (entryHeaderLen + 3*16) + (entryHeaderLen + 2*32); len(body) != want {
+		t.Fatalf("encoded %d bytes, want %d", len(body), want)
+	}
+	cur := &cursor{b: body}
+	got := cur.entries()
+	if err := cur.done(); err != nil || !reflect.DeepEqual(got, es) {
+		t.Fatalf("decoded %+v (%v), want %+v", got, err, es)
+	}
+	for cut := 0; cut < len(body); cut++ {
+		cur := &cursor{b: body[:cut]}
+		if cur.entries(); cur.done() == nil {
+			t.Fatalf("a frame cut at %d of %d bytes decoded", cut, len(body))
+		}
+	}
+
+	// Over the wire, behind a backend that refuses sensor b.
+	n := store.NewNode(0)
+	srv := NewServer(refusing{NodeBackend: n, sensor: b}, true)
+	if err := srv.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cl := NewClient(srv.Addr(), ClientOptions{})
+	defer cl.Close()
+	errs := cl.WriteFrame(es)
+	for k := range es {
+		if len(errs) != len(es) || (errs[k] != nil) != (k == 3) {
+			t.Fatalf("verdicts %v, want entry 3 alone refused", errs)
+		}
+	}
+	stored, err := n.QueryVersioned(a, 0, 100)
+	if err != nil || len(stored) != 8 || stored[1].Expire != expire || stored[2].Version != 2000 || stored[7].Version != 6000 {
+		t.Fatalf("sensor a holds %+v (%v)", stored, err)
+	}
+
+	// The repair batch itself: 1000 readings of one sensor, no two
+	// under one stamp, in one call.
+	const batch = 1000
+	vrs := make([]store.VersionedReading, batch)
+	for i := range vrs {
+		vrs[i] = store.VersionedReading{Timestamp: int64(1000 + i), Value: float64(i), Version: uint64(1000 * (i + 1))}
+	}
+	_, before := cl.NetBytes()
+	if err := cl.InsertVersioned(sid(53, 3), vrs); err != nil {
+		t.Fatal(err)
+	}
+	_, after := cl.NetBytes()
+	if perReading := float64(after-before) / batch; perReading > 32.1 {
+		t.Fatalf("a stamp-per-reading batch cost %.2f bytes a reading on the wire, want 32", perReading)
+	}
+	if calls, _ := callCounts(t, cl, "write"); calls != 2 {
+		t.Fatalf("%d write calls, want 2", calls)
+	}
+	back, err := n.QueryVersioned(sid(53, 3), 0, 1<<60)
+	if err != nil || !reflect.DeepEqual(back, vrs) {
+		t.Fatalf("the batch reads back as %d readings (%v), want the %d sent with their stamps", len(back), err, batch)
+	}
+}
+
+// TestFrameCutAtEntryBoundary: a frame over the size bound is cut
+// between entries, never inside one, and an entry that exceeds the
+// bound by itself still travels alone (the caller refuses it).
+func TestFrameCutAtEntryBoundary(t *testing.T) {
+	es := []store.WriteEntry{entry(sid(1, 1), 1, 1, 2), entry(sid(1, 2), 1, 1, 2), entry(sid(1, 3), 1, 1, 20), entry(sid(1, 4), 1, 1, 1)}
+	one := entryLen(es[0]) // 36 + 32
+	for _, tc := range []struct{ limit, n, size int }{
+		{1 << 20, 4, 4 + 2*one + entryLen(es[2]) + entryLen(es[3])},
+		{4 + 2*one, 2, 4 + 2*one},
+		{4 + 2*one - 1, 1, 4 + one},
+		{10, 1, 4 + one},
+	} {
+		if n, size := frameCut(es, tc.limit); n != tc.n || size != tc.size {
+			t.Errorf("limit %d: cut after %d entries, %d bytes; want %d, %d", tc.limit, n, size, tc.n, tc.size)
+		}
+	}
+	if n, size := frameCut(es[2:], 100); n != 1 || size != 4+entryLen(es[2]) {
+		t.Errorf("an oversized entry was cut as %d entries, %d bytes", n, size)
+	}
+	// What frameCut sized is what appendEntries writes.
+	if got := len(appendEntries(nil, es)); got != 4+2*one+entryLen(es[2])+entryLen(es[3]) {
+		t.Errorf("encoded %d bytes", got)
+	}
+}
+
+// TestWritesDuringRebalanceStayReadableOverRPC is the store's
+// union-write test with every member behind a loopback client: during
+// a ring change a write goes, through the members' queues and opWrite,
+// to the owners on both rings, its acknowledgement counted on the read
+// ring alone, so every acknowledged write is readable at QUORUM before,
+// during and after the cutover.
+func TestWritesDuringRebalanceStayReadableOverRPC(t *testing.T) {
+	var infos []store.MemberInfo
+	for i := 0; i < 4; i++ {
+		_, srv, _ := testPair(t, ClientOptions{})
+		infos = append(infos, store.MemberInfo{ID: srv.Addr(), Addr: srv.Addr()})
+	}
+	c, err := store.NewClusterMembers(infos[:3], store.ClusterOptions{
+		Replication:       2,
+		WriteConsistency:  store.ConsistencyQuorum,
+		ReadConsistency:   store.ConsistencyQuorum,
+		RebalanceThrottle: 500 * time.Microsecond,
+		BackendFactory: func(id, addr string) store.NodeBackend {
+			return NewClient(addr, ClientOptions{})
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	const sensors, seeded = 40, 20
+	ids := make([]core.SensorID, sensors)
+	for s := range ids {
+		ids[s] = sid(uint64(s+1), uint64(s*7+3))
+		if err := c.InsertBatch(ids[s], entry(ids[s], 0, 1, seeded).Readings, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.SetMembers(infos); err != nil {
+		t.Fatal(err)
+	}
+	extra := make(map[int]int)
+	midTransition := 0
+	for i := 0; i < 200; i++ {
+		s := i % sensors
+		if _, moving := c.Members(); moving {
+			midTransition++
+		}
+		if err := c.Insert(ids[s], rd(int64(1000+i), float64(i)), 0); err == nil {
+			extra[s]++
+		}
+	}
+	if midTransition == 0 {
+		t.Log("the transition closed before any racing write; union writes not exercised this run")
+	}
+	c.RebalanceWait()
+	for s, id := range ids {
+		rs, err := c.Query(id, 0, 1<<60)
+		if err != nil {
+			t.Fatalf("sensor %d: %v", s, err)
+		}
+		if want := seeded + extra[s]; len(rs) != want {
+			t.Fatalf("sensor %d: %d readings after the rebalance, want %d", s, len(rs), want)
+		}
+	}
+}

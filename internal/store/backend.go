@@ -65,6 +65,105 @@ type VersionedReading struct {
 	Expire    int64
 }
 
+// WriteEntry is one coordinated write of one sensor: a message's
+// readings under the one stamp — write version and absolute expiry —
+// the coordinator gave it. It is the unit a write travels in: the rpc
+// write frame carries entries, a node applies entries, the coordinator
+// tallies acknowledgements and queues hints per entry.
+type WriteEntry struct {
+	ID       core.SensorID
+	Version  uint64
+	Expire   int64
+	Readings []core.Reading
+}
+
+// Versioned expands the entry to one stamped reading each, the form the
+// NodeBackend API takes.
+func (e WriteEntry) Versioned() []VersionedReading {
+	vrs := make([]VersionedReading, len(e.Readings))
+	for i, r := range e.Readings {
+		vrs[i] = VersionedReading{Timestamp: r.Timestamp, Value: r.Value, Version: e.Version, Expire: e.Expire}
+	}
+	return vrs
+}
+
+// SplitStamps cuts versioned readings of one sensor into one entry per
+// run of equal stamps, order kept: a coordinated batch is one entry, a
+// repair or hint batch gathered from several writes is one per write.
+func SplitStamps(id core.SensorID, vrs []VersionedReading) []WriteEntry {
+	if len(vrs) == 0 {
+		return nil
+	}
+	runs := 1
+	for i := 1; i < len(vrs); i++ {
+		if vrs[i].Version != vrs[i-1].Version || vrs[i].Expire != vrs[i-1].Expire {
+			runs++
+		}
+	}
+	rs := make([]core.Reading, len(vrs))
+	out := make([]WriteEntry, 0, runs)
+	start := 0
+	for i, v := range vrs {
+		rs[i] = core.Reading{Timestamp: v.Timestamp, Value: v.Value}
+		if v.Version != vrs[start].Version || v.Expire != vrs[start].Expire {
+			out = append(out, WriteEntry{ID: id, Version: vrs[start].Version, Expire: vrs[start].Expire, Readings: rs[start:i]})
+			start = i
+		}
+	}
+	return append(out, WriteEntry{ID: id, Version: vrs[start].Version, Expire: vrs[start].Expire, Readings: rs[start:]})
+}
+
+// FrameWriter is the write half of a storage node: any number of
+// entries, of any sensors, applied in one call. *Node and rpc.Client
+// implement it. It is deliberately not part of NodeBackend: a backend
+// that decorates InsertVersioned (a test's fault injector, the
+// benchmark's tracer) must keep seeing every write it wraps, so frames
+// are only ever handed to the two implementations themselves — see
+// FramesOf and RemoteWriter.
+type FrameWriter interface {
+	// WriteFrame applies the entries and returns nil when all of them
+	// were, else one slot per entry (nil = applied).
+	WriteFrame(entries []WriteEntry) []error
+}
+
+// RemoteWriter is a FrameWriter on the far side of a connection
+// (rpc.Client): the member a cluster writes through a queue, coalescing
+// entries into frames (cluster_write.go). Self returns the writer, and
+// the cluster compares it with the backend it was given: a wrapper that
+// embeds a client inherits WriteFrame and Self alike, but Self still
+// answers with the client inside, so the wrapper is recognised as a
+// decoration and written through its own InsertVersioned.
+type RemoteWriter interface {
+	FrameWriter
+	Self() NodeBackend
+}
+
+// FramesOf returns how frames reach an in-process backend: a *Node
+// takes them itself, anything else — a decorated node included, whose
+// embedded WriteFrame would bypass the decoration — gets each entry
+// through InsertVersioned.
+func FramesOf(b NodeBackend) FrameWriter {
+	if n, ok := b.(*Node); ok {
+		return n
+	}
+	return versionedFrames{b}
+}
+
+type versionedFrames struct{ b NodeBackend }
+
+func (v versionedFrames) WriteFrame(entries []WriteEntry) []error {
+	var errs []error
+	for i, e := range entries {
+		if err := v.b.InsertVersioned(e.ID, e.Versioned()); err != nil {
+			if errs == nil {
+				errs = make([]error, len(entries))
+			}
+			errs[i] = err
+		}
+	}
+	return errs
+}
+
 // Consistency is the number-of-replicas contract of a cluster
 // operation, mirroring Cassandra's tunable consistency levels for the
 // two configurations that matter in monitoring deployments.

@@ -146,8 +146,13 @@ type Cluster struct {
 	// counter seeded from the wall clock and bumped per logical write,
 	// so versions are monotonic within a coordinator and (clock skew
 	// aside) ordered across coordinator restarts without persisting
-	// anything. Version 0 is reserved for legacy unversioned writes.
+	// anything (nextVersion). Version 0 is reserved for legacy
+	// unversioned writes.
 	ver atomic.Uint64
+
+	// writeWG tracks the running write-queue flushers so Close drains
+	// every queued entry before it closes the backends under them.
+	writeWG sync.WaitGroup
 
 	// repairWG tracks in-flight background read repairs so Close does
 	// not yank backends out from under them.
@@ -186,7 +191,6 @@ func NewClusterOptions(backends []NodeBackend, o ClusterOptions) (*Cluster, erro
 			return nil, fmt.Errorf("store: member %s listed twice", m.id)
 		}
 		seen[m.id] = struct{}{}
-		_, m.local = b.(*Node)
 		members[i] = m
 	}
 	return newCluster(members, o)
@@ -215,8 +219,7 @@ func NewClusterMembers(ms []MemberInfo, o ClusterOptions) (*Cluster, error) {
 		if b == nil {
 			return nil, fmt.Errorf("store: BackendFactory returned nil for member %s", m.ID)
 		}
-		_, local := b.(*Node)
-		members = append(members, member{id: m.ID, addr: m.Addr, backend: b, local: local})
+		members = append(members, member{id: m.ID, addr: m.Addr, backend: b})
 	}
 	sort.Slice(members, func(i, j int) bool { return members[i].id < members[j].id })
 	return newCluster(members, o)
@@ -247,6 +250,7 @@ func newCluster(members []member, o ClusterOptions) (*Cluster, error) {
 	}
 	ids := make([]string, len(members))
 	for i := range members {
+		c.wire(&members[i])
 		ids[i] = members[i].id
 	}
 	c.topo.Store(newTopology(members, ring.New(ids, o.Partitioner.VNodes), nil))
@@ -278,23 +282,6 @@ func newCluster(members []member, o ClusterOptions) (*Cluster, error) {
 func (c *Cluster) ensureStopBG() {
 	if c.stopBG == nil {
 		c.stopBG = make(chan struct{})
-	}
-}
-
-// nextVersion issues the next write version: strictly increasing, and
-// never behind the wall clock, so a restarted coordinator resumes above
-// everything it (or a reasonably synchronised peer) issued before.
-func (c *Cluster) nextVersion() uint64 {
-	now := uint64(time.Now().UnixNano())
-	for {
-		prev := c.ver.Load()
-		next := prev + 1
-		if now > next {
-			next = now
-		}
-		if c.ver.CompareAndSwap(prev, next) {
-			return next
-		}
 	}
 }
 
@@ -366,66 +353,6 @@ func localOnly(t *topology, replicas []int) bool {
 	return true
 }
 
-// Insert implements Backend: the reading is written to every replica
-// at the configured write consistency.
-func (c *Cluster) Insert(id core.SensorID, r core.Reading, ttl time.Duration) error {
-	return c.InsertBatch(id, []core.Reading{r}, ttl)
-}
-
-// InsertBatch implements Backend. The coordinator stamps the batch
-// with one write version, then writes it to every replica; the write
-// is acknowledged once WriteConsistency replicas of the READ set
-// accepted it (during a rebalance the fan-out also covers the target
-// ring's owners, whose acks never count — see writeReplicas). Replicas
-// that missed an acknowledged write get a durable hint (when handoff
-// is enabled) carrying the same version, replayed after they return —
-// so a replayed hint resolves exactly where the original write would
-// have, never above a later rewrite.
-func (c *Cluster) InsertBatch(id core.SensorID, rs []core.Reading, ttl time.Duration) error {
-	if len(rs) == 0 {
-		return nil
-	}
-	expire := TTLToExpire(ttl)
-	ver := c.nextVersion()
-	vrs := make([]VersionedReading, len(rs))
-	for i, r := range rs {
-		vrs[i] = VersionedReading{Timestamp: r.Timestamp, Value: r.Value, Version: ver, Expire: expire}
-	}
-	t := c.top()
-	replicas, readN := c.writeReplicas(t, id)
-	sequential := len(rs) < parallelBatchMin && localOnly(t, replicas)
-	errs := c.fanOut(replicas, sequential, func(_, idx int) error {
-		return t.members[idx].backend.InsertVersioned(id, vrs)
-	})
-	required := c.writeCL.required(readN)
-	acked, ackedAll := 0, 0
-	var lastErr error
-	for i, err := range errs {
-		if err == nil {
-			ackedAll++
-			if i < readN {
-				acked++
-			}
-		} else {
-			lastErr = err
-		}
-	}
-	if acked < required {
-		c.met.writesFailed.Inc()
-		return fmt.Errorf("store: write consistency %s not met (%d/%d replicas): %w",
-			c.writeCL, acked, required, lastErr)
-	}
-	c.met.writesOK.Inc()
-	if c.hints != nil && ackedAll < len(replicas) {
-		for i, idx := range replicas {
-			if errs[i] != nil {
-				c.hintInsert(t.members[idx].id, id, vrs)
-			}
-		}
-	}
-	return nil
-}
-
 // Query implements Backend: a drain of QueryStream.
 func (c *Cluster) Query(id core.SensorID, from, to int64) ([]core.Reading, error) {
 	t := c.top()
@@ -477,26 +404,11 @@ func (c *Cluster) DeleteBefore(id core.SensorID, cutoff int64) error {
 	errs := c.fanOut(replicas, localOnly(t, replicas), func(_, idx int) error {
 		return t.members[idx].backend.DeleteBefore(id, cutoff)
 	})
-	required := c.writeCL.required(readN)
-	acked, ackedAll := 0, 0
-	var lastErr error
-	for i, err := range errs {
-		if err == nil {
-			ackedAll++
-			if i < readN {
-				acked++
-			}
-		} else {
-			lastErr = err
-		}
+	missed, err := c.quorum(errs, readN)
+	if c.counted(err) != nil {
+		return err
 	}
-	if acked < required {
-		c.met.writesFailed.Inc()
-		return fmt.Errorf("store: write consistency %s not met (%d/%d replicas): %w",
-			c.writeCL, acked, required, lastErr)
-	}
-	c.met.writesOK.Inc()
-	if c.hints != nil && ackedAll < len(replicas) {
+	if c.hints != nil && missed > 0 {
 		for i, idx := range replicas {
 			if errs[i] != nil {
 				c.hintDelete(t.members[idx].id, id, cutoff)
@@ -570,6 +482,7 @@ func (c *Cluster) Close() error {
 	c.rebGen.Add(1) // invalidate any in-flight rebalance
 	c.rebWG.Wait()
 	c.repairWG.Wait()
+	c.writeWG.Wait()
 	var firstErr error
 	for _, m := range c.top().members {
 		if err := m.backend.Close(); err != nil && firstErr == nil {

@@ -282,43 +282,3 @@ func versionedMissing(merged, have []VersionedReading) []VersionedReading {
 	}
 	return missing
 }
-
-// coordinateVersioned writes already-versioned readings through the
-// cluster's normal replica fan-out — the delivery path for forwarded
-// hints (hints.go): readings keep their original write versions so the
-// forward resolves exactly where the original write would have.
-func (c *Cluster) coordinateVersioned(id core.SensorID, vrs []VersionedReading) error {
-	if len(vrs) == 0 {
-		return nil
-	}
-	t := c.top()
-	replicas, readN := c.writeReplicas(t, id)
-	errs := c.fanOut(replicas, localOnly(t, replicas), func(_, idx int) error {
-		return t.members[idx].backend.InsertVersioned(id, vrs)
-	})
-	required := c.writeCL.required(readN)
-	acked, ackedAll := 0, 0
-	var lastErr error
-	for i, err := range errs {
-		if err == nil {
-			ackedAll++
-			if i < readN {
-				acked++
-			}
-		} else {
-			lastErr = err
-		}
-	}
-	if acked < required {
-		return fmt.Errorf("store: write consistency %s not met (%d/%d replicas): %w",
-			c.writeCL, acked, required, lastErr)
-	}
-	if c.hints != nil && ackedAll < len(replicas) {
-		for i, idx := range replicas {
-			if errs[i] != nil {
-				c.hintInsert(t.members[idx].id, id, vrs)
-			}
-		}
-	}
-	return nil
-}

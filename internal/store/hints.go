@@ -3,7 +3,6 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"log"
 	"os"
 	"path/filepath"
@@ -240,9 +239,8 @@ func (q *hintQueue) enqueue(id string, payload []byte) error {
 		nh.f = f
 		nh.size = 0
 	}
-	var hdr [8]byte
-	binary.BigEndian.PutUint32(hdr[0:], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
+	var hdr [walFrameHeader]byte
+	putWALFrameHeader(hdr[:], payload)
 	if _, err := nh.f.Write(hdr[:]); err != nil {
 		nh.f.Close()
 		nh.f = nil // a torn frame ends the file; rotate to a fresh one
@@ -390,17 +388,21 @@ func (q *hintQueue) close() error {
 
 // --- Cluster-side plumbing ---
 
-// hintInsert queues a versioned insert hint, chunked like the WAL so
-// replay never sees an oversized record. The readings keep the write
-// version the failed fan-out carried, so replay cannot outrank a later
-// rewrite.
-func (c *Cluster) hintInsert(id string, sid core.SensorID, vrs []VersionedReading) {
-	for off := 0; off < len(vrs); off += walBatchChunk {
-		chunk := vrs[off:min(off+walBatchChunk, len(vrs))]
-		if err := c.hints.enqueue(id, encodeWALInsertV(nil, sid, chunk)); err != nil {
+// hintInsert queues an entry as a versioned insert hint, in records
+// chunked like the WAL's so replay never sees an oversized one. The
+// readings keep the write version the failed fan-out carried, so replay
+// cannot outrank a later rewrite.
+func (c *Cluster) hintInsert(id string, e WriteEntry) {
+	var b walInsertV
+	b.add(&e)
+	b.seal()
+	for rec := b.buf; len(rec) > 0; {
+		end := walFrameHeader + int(binary.BigEndian.Uint32(rec))
+		if err := c.hints.enqueue(id, rec[walFrameHeader:end]); err != nil {
 			log.Printf("store: hint for member %s lost: %v", id, err)
 			return
 		}
+		rec = rec[end:]
 	}
 }
 

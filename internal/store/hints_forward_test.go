@@ -409,6 +409,11 @@ func TestForwardedVersionedHintRehints(t *testing.T) {
 	if len(rs) != 1 || rs[0].Value != 1 {
 		t.Fatalf("re-hinted owner holds %v", rs)
 	}
+	// The client wrote once; neither the failed forward nor the one
+	// that succeeded is a write of its.
+	if ok, failed := c.met.writesOK.Load(), c.met.writesFailed.Load(); ok != 1 || failed != 0 {
+		t.Fatalf("write counters ok=%d failed=%d after one client write and two forwards, want 1 and 0", ok, failed)
+	}
 }
 
 // TestSaveFileErrorPaths: snapshot writes are atomic — a failed create

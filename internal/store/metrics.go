@@ -266,6 +266,12 @@ type clusterMetrics struct {
 	readsOK      *metrics.Counter
 	readsFailed  *metrics.Counter
 	readRepairs  *metrics.Counter
+
+	// Frames sent by the per-member write queues and the entries in
+	// them: entries ÷ frames is how much the combiner coalesced.
+	writeFrames       *metrics.Counter
+	writeFrameEntries *metrics.Counter
+
 	aggConsensus *metrics.Counter
 	aggFallback  *metrics.Counter
 
@@ -294,6 +300,10 @@ func newClusterMetrics(c *Cluster) *clusterMetrics {
 			"Reads that missed the configured consistency level."),
 		readRepairs: reg.Counter("dcdb_cluster_read_repairs_total",
 			"Background read repairs issued to lagging replicas."),
+		writeFrames: reg.Counter("dcdb_cluster_write_frames_total",
+			"Write frames sent to remote members by the per-member write queues."),
+		writeFrameEntries: reg.Counter("dcdb_cluster_write_frame_entries_total",
+			"Entries (one per message per replica) carried by those frames."),
 		aggConsensus: reg.Counter("dcdb_cluster_aggregate_consensus_total",
 			"Quorum aggregate pushdowns where replica states agreed (O(1)-byte answer)."),
 		aggFallback: reg.Counter("dcdb_cluster_aggregate_fallback_total",

@@ -299,22 +299,19 @@ type walPend struct {
 	pos uint64
 }
 
-// logDurable appends a WAL record for the mutation. In sync-every mode
-// it returns the record's durability obligation; the caller settles it
-// with syncTo after releasing the shard lock, so concurrent writers
-// group-commit into one fsync instead of serialising an fsync each
-// under the lock. Caller holds sh.mu exclusively. No-op on memory-only
-// nodes.
-func (n *Node) logDurable(i int, encode func([]byte) []byte) (walPend, error) {
+// walReady returns shard i's active WAL segment, ready to take an
+// append: nil (and no error) on memory-only nodes. Caller holds sh.mu
+// exclusively.
+func (n *Node) walReady(i int) (*wal, error) {
 	sh := &n.shards[i]
 	if !n.durable() {
-		return walPend{}, nil
+		return nil, nil
 	}
 	if n.opts.ReadOnly {
-		return walPend{}, ErrNodeReadOnly
+		return nil, ErrNodeReadOnly
 	}
 	if sh.disk.wal == nil {
-		return walPend{}, ErrNodeClosed
+		return nil, ErrNodeClosed
 	}
 	if sh.disk.wal.isBroken() {
 		// Self-heal after a transient write/fsync failure: every
@@ -324,19 +321,40 @@ func (n *Node) logDurable(i int, encode func([]byte) []byte) (walPend, error) {
 		// until then recovery replays them) lets a fresh segment take
 		// over instead of wedging the shard until restart.
 		if err := n.rotateBrokenWALLocked(i); err != nil {
-			return walPend{}, err
+			return nil, err
 		}
 		log.Printf("store: shard %d rotated a broken WAL segment", i)
 	}
+	return sh.disk.wal, nil
+}
+
+// owed is the durability obligation of a record appended to w at pos:
+// the record itself in sync-every mode, nothing in batched sync mode.
+func (n *Node) owed(w *wal, pos uint64) walPend {
+	if n.opts.SyncInterval == 0 {
+		return walPend{w: w, pos: pos}
+	}
+	return walPend{}
+}
+
+// logDurable appends a WAL record for the mutation. In sync-every mode
+// it returns the record's durability obligation; the caller settles it
+// with syncTo after releasing the shard lock, so concurrent writers
+// group-commit into one fsync instead of serialising an fsync each
+// under the lock. Caller holds sh.mu exclusively. No-op on memory-only
+// nodes.
+func (n *Node) logDurable(i int, encode func([]byte) []byte) (walPend, error) {
+	w, err := n.walReady(i)
+	if w == nil {
+		return walPend{}, err
+	}
+	sh := &n.shards[i]
 	sh.disk.walBuf = encode(sh.disk.walBuf)
-	pos, err := sh.disk.wal.append(sh.disk.walBuf)
+	pos, err := w.append(sh.disk.walBuf)
 	if err != nil {
 		return walPend{}, err
 	}
-	if n.opts.SyncInterval == 0 {
-		return walPend{w: sh.disk.wal, pos: pos}, nil
-	}
-	return walPend{}, nil
+	return n.owed(w, pos), nil
 }
 
 // rotateBrokenWALLocked retires the active (broken) segment into the
@@ -478,59 +496,135 @@ func (n *Node) InsertBatch(id core.SensorID, rs []core.Reading, ttl time.Duratio
 	return ferr
 }
 
-// InsertVersioned stores versioned readings of one sensor. It is the
-// coordinator-facing write path: Cluster assigns one monotonic version
-// per logical write and fans it out here, and hint replay re-delivers
-// the original version, so a replayed hint can never beat a later
-// rewrite at query-time dedup. Expiry is absolute per reading (0 =
-// never). Each chunk is WAL-logged as a type-3 record carrying the
-// versions; plain Insert/InsertBatch writes keep their unversioned
-// type-1 records and store version 0.
+// InsertVersioned stores versioned readings of one sensor — the
+// NodeBackend form of a write, which hint replay, anti-entropy repair
+// and the rebalance stream use to re-deliver readings under the stamps
+// they were coordinated with. It is WriteFrame of one entry per run of
+// equal stamps, which costs what one batch does: one lock hold, and the
+// entries of one sensor share their WAL records.
 func (n *Node) InsertVersioned(id core.SensorID, vrs []VersionedReading) error {
-	if len(vrs) == 0 {
+	return firstError(n.WriteFrame(SplitStamps(id, vrs)))
+}
+
+// WriteFrame implements FrameWriter: the coordinator-facing write path.
+// The entries are grouped by shard and each shard the frame touches is
+// written under one lock hold with one WAL append, so a frame of many
+// one-reading entries costs a node what one batch does. A shard that
+// fails fails its own entries only. The readings are WAL-logged in
+// type-3 records carrying their stamps; plain Insert/InsertBatch
+// writes keep their unversioned type-1 records and store version 0.
+func (n *Node) WriteFrame(entries []WriteEntry) []error {
+	if len(entries) == 0 {
 		return nil
 	}
 	if n.down.Load() {
-		return ErrNodeDown
+		return failAll(len(entries), ErrNodeDown)
 	}
-	i := shardIndex(id)
+	// One entry, or one sensor's repair batch: a single shard, nothing
+	// to group.
+	first, one := shardIndex(entries[0].ID), true
+	for k := 1; k < len(entries) && one; k++ {
+		one = entries[k].ID == entries[k-1].ID || shardIndex(entries[k].ID) == first
+	}
+	if one {
+		if err := n.writeShard(first, entries, nil); err != nil {
+			return failAll(len(entries), err)
+		}
+		return nil
+	}
+	shardOf := make([]uint8, len(entries))
+	var touched [numShards]bool
+	for k := range entries {
+		i := shardIndex(entries[k].ID)
+		shardOf[k], touched[i] = uint8(i), true
+	}
+	var errs []error
+	for i, hit := range touched {
+		if !hit {
+			continue
+		}
+		if err := n.writeShard(i, entries, shardOf); err != nil {
+			if errs == nil {
+				errs = make([]error, len(entries))
+			}
+			for k := range entries {
+				if int(shardOf[k]) == i {
+					errs[k] = err
+				}
+			}
+		}
+	}
+	return errs
+}
+
+// failAll is WriteFrame's answer when every one of n entries failed
+// the same way.
+func failAll(n int, err error) []error {
+	errs := make([]error, n)
+	for k := range errs {
+		errs[k] = err
+	}
+	return errs
+}
+
+// writeShard applies the entries of a frame that belong to shard i —
+// those with shardOf[k] == i; all of them when shardOf is nil — under
+// one lock hold and one WAL append. Records are chunked (walInsertV) so
+// none exceeds the replay-side bound (walMaxRecord): an oversized
+// record would be rejected at recovery and truncate every later record
+// in the segment. On an error nothing was applied to the memtable: the
+// write is not acknowledged (its records may replay after a crash, like
+// any unacknowledged write in flight).
+func (n *Node) writeShard(i int, entries []WriteEntry, shardOf []uint8) error {
 	start := n.met.insertStart(i)
 	sh := &n.shards[i]
 	sh.mu.Lock()
-	var pends []walPend
-	for off := 0; off < len(vrs); off += walBatchChunk {
-		chunk := vrs[off:min(off+walBatchChunk, len(vrs))]
-		pend, err := n.logDurable(i, func(buf []byte) []byte {
-			return encodeWALInsertV(buf, id, chunk)
-		})
+	w, err := n.walReady(i)
+	if err != nil {
+		sh.mu.Unlock()
+		return err
+	}
+	var pend walPend
+	if w != nil {
+		b := walInsertV{buf: sh.disk.walBuf[:0]}
+		for k := range entries {
+			if shardOf == nil || int(shardOf[k]) == i {
+				b.add(&entries[k])
+			}
+		}
+		b.seal()
+		sh.disk.walBuf = b.buf
+		pos, err := w.write(b.records, b.buf)
 		if err != nil {
 			sh.mu.Unlock()
 			return err
 		}
-		if pend.w != nil {
-			if len(pends) > 0 && pends[len(pends)-1].w == pend.w {
-				pends[len(pends)-1].pos = pend.pos
-			} else {
-				pends = append(pends, pend)
+		pend = n.owed(w, pos)
+	}
+	total := 0
+	for k := range entries {
+		e := &entries[k]
+		if (shardOf != nil && int(shardOf[k]) != i) || len(e.Readings) == 0 {
+			continue
+		}
+		s := sh.seriesFor(e.ID)
+		for _, r := range e.Readings {
+			if s.sorted && len(s.entries) > 0 && r.Timestamp < s.entries[len(s.entries)-1].ts {
+				s.sorted = false
 			}
+			s.entries = append(s.entries, entry{ts: r.Timestamp, val: r.Value, expire: e.Expire, ver: e.Version})
 		}
+		total += len(e.Readings)
 	}
-	s := sh.seriesFor(id)
-	for _, r := range vrs {
-		if s.sorted && len(s.entries) > 0 && r.Timestamp < s.entries[len(s.entries)-1].ts {
-			s.sorted = false
-		}
-		s.entries = append(s.entries, entry{ts: r.Timestamp, val: r.Value, expire: r.Expire, ver: r.Version})
-	}
-	sh.memSize += len(vrs)
-	sh.inserts += int64(len(vrs))
-	n.met.armTick(i, sh.inserts-int64(len(vrs)), sh.inserts)
+	sh.memSize += total
+	sh.inserts += int64(total)
+	n.met.armTick(i, sh.inserts-int64(total), sh.inserts)
 	var ferr error
 	if sh.memSize >= n.flushSize {
 		ferr = n.flushShardLocked(i)
 	}
 	sh.mu.Unlock()
-	for _, pend := range pends {
+	if pend.w != nil {
 		if serr := pend.w.syncTo(pend.pos); serr != nil {
 			return serr
 		}

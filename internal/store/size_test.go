@@ -12,11 +12,12 @@ import (
 // storedBytes pushes perSeries versioned readings of each of
 // nSeries monitoring-shaped sensors through a durable node — 1 s period
 // with ±1% jitter in ns, batch readings per InsertVersioned call under
-// one write version, versions in arrival order, the paper's mix of
-// counters, quantised gauges and set-points, SIDs from a six-level
-// hierarchy — flushes, compacts, closes, and returns the bytes the
-// node's directory holds. Deterministic: same bytes on every run.
-func storedBytes(t *testing.T, nSeries, perSeries, batch int) int64 {
+// one write version, versions in arrival order and whole multiples of
+// tick nanoseconds, the paper's mix of counters, quantised gauges and
+// set-points, SIDs from a six-level hierarchy — flushes, compacts,
+// closes, and returns the bytes the node's directory holds.
+// Deterministic: same bytes on every run.
+func storedBytes(t *testing.T, nSeries, perSeries, batch int, tick uint64) int64 {
 	t.Helper()
 	dir := t.TempDir()
 	n := openedNode(t, dir, 1<<30, DiskOptions{SyncInterval: -1, CompactInterval: -1})
@@ -34,6 +35,7 @@ func storedBytes(t *testing.T, nSeries, perSeries, batch int) int64 {
 	for i := 0; i < perSeries; i += batch {
 		for s, id := range ids {
 			version := v0 + uint64(i/batch*nSeries+s)*166_667 + uint64(rng.Intn(50_000))
+			version -= version % tick
 			for j := range vrs {
 				var val float64
 				switch k := s % 16; {
@@ -86,13 +88,13 @@ func storedBytes(t *testing.T, nSeries, perSeries, batch int) int64 {
 // readings a message, so 64 consecutive entries of a block share one
 // write version — where the per-reading streams are all there is.
 func TestRunFileBytesPerReading(t *testing.T) {
-	fanin := float64(storedBytes(t, 2000, 5, 1)) / (2000 * 5)
+	fanin := float64(storedBytes(t, 2000, 5, 1, 1)) / (2000 * 5)
 	t.Logf("fan-in shape: %.2f B/reading", fanin)
 	if fanin > 15 { // 14.75 measured; 16.01 before the frame codings (PR 15); it must not rise
 		t.Errorf("fan-in shape: %.2f B/reading on disk, want <= 15", fanin)
 	}
 	const longV2 = 2_020_100 // bytes format v2 needed (measured at PR 11)
-	long := storedBytes(t, 50, 4096, 1)
+	long := storedBytes(t, 50, 4096, 1, 1)
 	t.Logf("long series: %d bytes, %.3f B/reading", long, float64(long)/(50*4096))
 	if long > longV2 {
 		t.Errorf("long series: %d bytes on disk, format v2 needed %d", long, longV2)
@@ -100,9 +102,25 @@ func TestRunFileBytesPerReading(t *testing.T) {
 	// 6.84 B/reading before the frame codings: 3.9 of varint
 	// delta-of-delta timestamps, a version byte per reading, and an XOR
 	// stream smearing integer counters over the mantissa.
-	burst := float64(storedBytes(t, 50, 4096, 64)) / (50 * 4096)
+	burst := float64(storedBytes(t, 50, 4096, 64, 1)) / (50 * 4096)
 	t.Logf("burst shape: %.3f B/reading", burst)
 	if burst > 3.90 { // 3.714 measured, + 5%
 		t.Errorf("burst shape: %.3f B/reading on disk, want <= 3.90", burst)
+	}
+	// The open-loop fan-in shape — the production one: a message is one
+	// reading, so every reading has a stamp of its own, and a sensor has
+	// a block's worth of them by the time a file is written. The write
+	// stamps are then the largest stream of a block. The coordinator
+	// issues them on a whole-microsecond tick (versionTick), the block
+	// frame's divisor finds the factor, and each stamp is ten bits
+	// shorter than under the nanosecond clock of earlier builds.
+	nanos := float64(storedBytes(t, 2000, 22, 1, 1)) / (2000 * 22)
+	ticked := float64(storedBytes(t, 2000, 22, 1, versionTick)) / (2000 * 22)
+	t.Logf("open-loop fan-in shape: %.2f B/reading, %.2f with nanosecond stamps", ticked, nanos)
+	if ticked > 6.90 { // 6.72 measured; 7.88 with nanosecond stamps
+		t.Errorf("open-loop fan-in shape: %.2f B/reading on disk, want <= 6.90", ticked)
+	}
+	if nanos-ticked < 1 {
+		t.Errorf("open-loop fan-in shape: the microsecond tick saves %.2f B/reading (%.2f -> %.2f), want over 1", nanos-ticked, nanos, ticked)
 	}
 }

@@ -37,6 +37,27 @@ type member struct {
 	addr    string
 	backend NodeBackend
 	local   bool // backend is an in-process *Node
+
+	// The write plumbing, set by Cluster.wire and shared by every
+	// topology snapshot the member appears in: frames is how an entry
+	// is handed to the backend, queue — remote members whose backend
+	// takes whole frames — the combiner entries travel through instead
+	// (cluster_write.go).
+	frames FrameWriter
+	queue  *writeQueue
+}
+
+// wire gives a member that enters the topology its write plumbing. Both
+// choices are made on the backend's identity, never on its method set,
+// which a decorator that embeds a node or a client inherits: FramesOf
+// hands frames to a *Node only, and a queue is given to a RemoteWriter
+// only when the backend is that writer itself.
+func (c *Cluster) wire(m *member) {
+	_, m.local = m.backend.(*Node)
+	m.frames = FramesOf(m.backend)
+	if rw, ok := m.backend.(RemoteWriter); ok && rw.Self() == m.backend {
+		m.frames, m.queue = rw, &writeQueue{c: c, fw: rw}
+	}
 }
 
 // MemberInfo names one cluster member for SetMembers /
@@ -233,8 +254,9 @@ func (c *Cluster) SetMembers(ms []MemberInfo) error {
 		if b == nil {
 			return fmt.Errorf("store: BackendFactory returned nil for member %s", id)
 		}
-		_, local := b.(*Node)
-		members = append(members, member{id: info.ID, addr: info.Addr, backend: b, local: local})
+		m := member{id: info.ID, addr: info.Addr, backend: b}
+		c.wire(&m)
+		members = append(members, m)
 		return nil
 	}
 	for _, id := range ids {

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"testing"
 )
@@ -18,7 +19,20 @@ func TestWALVersionedRecordRoundtrip(t *testing.T) {
 		{Timestamp: 1, Value: 1.5, Version: 100, Expire: 0},
 		{Timestamp: 2, Value: -2.5, Version: 101, Expire: 1 << 40},
 	}
-	payload := encodeWALInsertV(nil, id, vrs)
+	// Two stamps are two entries, and one sensor's entries share a
+	// record: the type-3 record is where stamps are per reading.
+	var b walInsertV
+	for _, e := range SplitStamps(id, vrs) {
+		b.add(&e)
+	}
+	b.seal()
+	if b.records != 1 {
+		t.Fatalf("%d records for one sensor's two entries, want 1", b.records)
+	}
+	payload := b.buf[walFrameHeader:]
+	if n, crc := binary.BigEndian.Uint32(b.buf), binary.BigEndian.Uint32(b.buf[4:]); int(n) != len(payload) || crc != crc32.ChecksumIEEE(payload) {
+		t.Fatalf("record framed as %d bytes, crc %08x; payload is %d bytes, crc %08x", n, crc, len(payload), crc32.ChecksumIEEE(payload))
+	}
 	op, ok := decodeWALPayload(payload)
 	if !ok {
 		t.Fatal("versioned record did not decode")

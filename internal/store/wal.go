@@ -124,25 +124,30 @@ func (w *wal) isBroken() bool {
 // position for syncTo. The write is durable only after a sync covering
 // the position.
 func (w *wal) append(payload []byte) (uint64, error) {
+	var hdr [walFrameHeader]byte
+	putWALFrameHeader(hdr[:], payload)
+	return w.write(1, hdr[:], payload)
+}
+
+// write buffers n records given as the parts of their framed bytes —
+// append's header and payload, or the one buffer a write frame's
+// records for a shard were built in, framing included — and returns
+// the position of the last.
+func (w *wal) write(n int, parts ...[]byte) (uint64, error) {
 	w.lock()
 	defer w.unlock()
 	if w.broken {
 		return 0, fmt.Errorf("store: WAL segment %s is broken", w.path)
 	}
-	var hdr [8]byte
-	binary.BigEndian.PutUint32(hdr[0:], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
-	if _, err := w.bw.Write(hdr[:]); err != nil {
-		w.broken = true
-		return 0, err
+	for _, p := range parts {
+		if _, err := w.bw.Write(p); err != nil {
+			w.broken = true
+			return 0, err
+		}
 	}
-	if _, err := w.bw.Write(payload); err != nil {
-		w.broken = true
-		return 0, err
-	}
-	w.appended++
+	w.appended += uint64(n)
 	if w.met != nil {
-		w.met.appends.Inc()
+		w.met.appends.Add(int64(n))
 	}
 	return w.appended, nil
 }
@@ -291,28 +296,64 @@ func encodeWALInsert1(buf []byte, id core.SensorID, r core.Reading, expire int64
 	return buf
 }
 
-// encodeWALInsertV builds a type-3 record payload, reusing buf. Unlike
-// type 1, the expiry is absolute per reading and every reading carries
-// its coordinator-assigned write version.
-func encodeWALInsertV(buf []byte, id core.SensorID, vrs []VersionedReading) []byte {
-	need := 1 + 16 + 4 + 32*len(vrs)
-	if cap(buf) < need {
-		buf = make([]byte, need)
+// walFrameHeader is the length + CRC prefix of a framed record.
+const walFrameHeader = 8
+
+// putWALFrameHeader fills hdr with payload's framing.
+func putWALFrameHeader(hdr, payload []byte) {
+	binary.BigEndian.PutUint32(hdr[0:], uint32(len(payload)))
+	binary.BigEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
+}
+
+// walInsertV builds framed type-3 records in one buffer. A type-3
+// record is one sensor's readings, each with its own stamp: the expiry
+// is absolute and every reading carries its coordinator-assigned write
+// version. Entries of one sensor added back to back therefore share a
+// record (cut every walBatchChunk readings) — a repair batch, one
+// entry per stamp, costs the record a coordinated batch does.
+type walInsertV struct {
+	buf     []byte
+	records int
+	id      core.SensorID
+	at, n   int // the open record: offset of its frame header, readings in it (0 = none open)
+}
+
+func (b *walInsertV) add(e *WriteEntry) {
+	if e.ID != b.id {
+		b.seal()
+		b.id = e.ID
 	}
-	buf = buf[:need]
-	buf[0] = walRecInsertV
-	binary.BigEndian.PutUint64(buf[1:], id.Hi)
-	binary.BigEndian.PutUint64(buf[9:], id.Lo)
-	binary.BigEndian.PutUint32(buf[17:], uint32(len(vrs)))
-	off := 21
-	for _, r := range vrs {
-		binary.BigEndian.PutUint64(buf[off:], uint64(r.Timestamp))
-		binary.BigEndian.PutUint64(buf[off+8:], math.Float64bits(r.Value))
-		binary.BigEndian.PutUint64(buf[off+16:], uint64(r.Expire))
-		binary.BigEndian.PutUint64(buf[off+24:], r.Version)
-		off += 32
+	for _, r := range e.Readings {
+		if b.n == walBatchChunk {
+			b.seal()
+		}
+		if b.n == 0 {
+			b.at = len(b.buf)
+			b.buf = append(b.buf, make([]byte, walFrameHeader+21)...)
+			p := b.buf[b.at+walFrameHeader:]
+			p[0] = walRecInsertV
+			binary.BigEndian.PutUint64(p[1:], e.ID.Hi)
+			binary.BigEndian.PutUint64(p[9:], e.ID.Lo)
+		}
+		b.buf = binary.BigEndian.AppendUint64(b.buf, uint64(r.Timestamp))
+		b.buf = binary.BigEndian.AppendUint64(b.buf, math.Float64bits(r.Value))
+		b.buf = binary.BigEndian.AppendUint64(b.buf, uint64(e.Expire))
+		b.buf = binary.BigEndian.AppendUint64(b.buf, e.Version)
+		b.n++
 	}
-	return buf
+}
+
+// seal closes the open record — reading count, then framing — and must
+// follow the last add.
+func (b *walInsertV) seal() {
+	if b.n == 0 {
+		return
+	}
+	p := b.buf[b.at+walFrameHeader:]
+	binary.BigEndian.PutUint32(p[17:], uint32(b.n))
+	putWALFrameHeader(b.buf[b.at:], p)
+	b.records++
+	b.n = 0
 }
 
 // encodeWALDelete builds a type-2 record payload, reusing buf.
