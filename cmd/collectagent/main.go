@@ -3,13 +3,14 @@
 // and writes them to a Storage Backend (paper §4.2). The backend is an
 // in-process wide-column store cluster.
 //
-// With -data the cluster is durable: each node owns a subdirectory of
+// With -data the agent is durable, and the data directory is the one
+// thing it persists: each embedded node owns a subdirectory of
 // per-shard sorted run files and write-ahead logs, every accepted
 // reading is crash-safe once the WAL syncs (see -wal-sync), and the
 // directory is recovered on start, so restarts and crashes lose
-// nothing. The legacy -snapshot mode persists whole-node snapshot
-// files on a timer instead and remains for the query tools' file
-// format.
+// nothing. The topic map lives beside them and is saved before any
+// reading that needs a new name is stored. The query tools open the
+// same directory. Without -data the agent keeps everything in memory.
 //
 // Usage:
 //
@@ -86,8 +87,7 @@ type flags struct {
 	writeCL, readCL               string
 	dataDir                       string
 	antiEntropy, walSync          time.Duration
-	cacheBytes, snapshot          string
-	snapEvery                     time.Duration
+	cacheBytes                    string
 	metricsAddr                   string
 	pprof                         bool
 	selfMonitor                   time.Duration
@@ -108,8 +108,6 @@ func registerFlags(fs *flag.FlagSet) *flags {
 	fs.DurationVar(&f.antiEntropy, "anti-entropy", 0, "background digest-repair cadence: each round compares replica digests per sensor and re-inserts diverged readings with their write versions (0 = disabled; needs -replication >= 2)")
 	fs.DurationVar(&f.walSync, "wal-sync", 50*time.Millisecond, "WAL fsync batching interval; 0 syncs every write (embedded cluster only)")
 	fs.StringVar(&f.cacheBytes, "cache-bytes", "0", "process-wide block cache budget (e.g. 256MB) for the embedded durable cluster, split evenly across -nodes: bounds resident run data; 0 keeps all runs resident")
-	fs.StringVar(&f.snapshot, "snapshot", "", "legacy snapshot file prefix (empty = no snapshots)")
-	fs.DurationVar(&f.snapEvery, "snapshot-interval", 5*time.Minute, "periodic snapshot / topic-map save interval")
 	fs.StringVar(&f.metricsAddr, "metrics-addr", "", "Prometheus /metrics listen address (empty = disabled; the -rest API also serves /metrics)")
 	fs.BoolVar(&f.pprof, "pprof", false, "mount net/http/pprof on the -metrics-addr listener")
 	fs.DurationVar(&f.selfMonitor, "self-monitor", 0, "publish the agent's own metrics into the store as /dcdb/self/<host>/... sensors every interval (0 = disabled)")
@@ -181,9 +179,6 @@ func main() {
 	f := registerFlags(flag.CommandLine)
 	flag.Parse()
 
-	if f.dataDir != "" && f.snapshot != "" {
-		log.Fatal("collectagent: -data and -snapshot are mutually exclusive")
-	}
 	cluster, watcher, nodeDesc, err := openCluster(f)
 	if err != nil {
 		log.Fatalf("collectagent: %v", err)
@@ -191,32 +186,28 @@ func main() {
 
 	var agent *collectagent.Agent
 	opts := collectagent.Options{}
-	// Every topic-map save (first-sight, periodic tick, shutdown) is
-	// serialized through one mutex, and the Export happens inside it:
-	// the last writer always persists the newest map, so an in-flight
-	// stale save can never overwrite the shutdown save.
-	saver := newTopicSaver(func() error {
-		return collectagent.SaveTopics(f.dataDir, agent.Mapper())
-	})
 	if f.dataDir != "" {
 		// A reading must never outlive its name: OnNewTopic fires
-		// before the reading is inserted (and thus before it can be
+		// before a reading whose SID uses a level code not yet known
+		// durable is stored (and thus before it can be
 		// WAL-acknowledged), and blocks until a save that began after
-		// this topic was mapped has committed. Concurrent first-sights
-		// share one save (group commit), so onboarding a large fleet
-		// costs bounded rewrites, not one per topic.
+		// the call has committed. Every save is serialized and exports
+		// inside the lock, so the last writer persists the newest map;
+		// concurrent callers share one save (group commit), so
+		// onboarding a large fleet costs bounded rewrites, not one per
+		// topic.
+		saver := newTopicSaver(func() error {
+			return collectagent.SaveTopics(f.dataDir, agent.Mapper())
+		})
 		opts.OnNewTopic = func(string, core.SensorID) error {
 			return saver.saveIncluding()
 		}
 	}
 	agent = collectagent.New(cluster, nil, opts)
-	switch {
-	case f.dataDir != "":
+	if f.dataDir != "" {
 		if err := collectagent.LoadTopics(f.dataDir, agent.Mapper()); err != nil {
 			log.Printf("collectagent: topic map: %v", err)
 		}
-	case f.snapshot != "":
-		loadSnapshots(cluster.Nodes(), agent, f.snapshot)
 	}
 	if err := agent.Listen(f.listen); err != nil {
 		cluster.Close() // leave no half-open WAL segments behind
@@ -277,42 +268,20 @@ func main() {
 			collectagent.SelfTopicPrefix, host, f.selfMonitor)
 	}
 
-	persistTick := func() {
-		if f.dataDir != "" {
-			// Readings are already durable; only the topic map needs a
-			// periodic save.
-			if err := saver.saveIncluding(); err != nil {
-				log.Printf("collectagent: topic map: %v", err)
-			}
-		} else if f.snapshot != "" {
-			saveSnapshots(cluster.Nodes(), agent, f.snapshot)
-		}
-	}
-
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	tick := time.NewTicker(f.snapEvery)
-	defer tick.Stop()
-	for {
-		select {
-		case <-tick.C:
-			persistTick()
-		case <-stop:
-			stopSelf() // no self-publishes once the backend starts closing
-			if watcher != nil {
-				watcher.Stop() // no membership swaps once the backend starts closing
-			}
-			persistTick()
-			if err := cluster.Close(); err != nil {
-				log.Printf("collectagent: closing backend: %v", err)
-			}
-			st := agent.Stats()
-			log.Printf("collectagent: shutting down (%d messages, %d readings, %d errors)",
-				st.Messages, st.Readings, st.Errors)
-			agent.Close()
-			return
-		}
+	<-stop
+	stopSelf() // no self-publishes once the backend starts closing
+	if watcher != nil {
+		watcher.Stop() // no membership swaps once the backend starts closing
 	}
+	if err := cluster.Close(); err != nil {
+		log.Printf("collectagent: closing backend: %v", err)
+	}
+	st := agent.Stats()
+	log.Printf("collectagent: shutting down (%d messages, %d readings, %d errors)",
+		st.Messages, st.Readings, st.Errors)
+	agent.Close()
 }
 
 // topicSaver group-commits topic-map saves: saveIncluding returns once
@@ -360,42 +329,4 @@ func (s *topicSaver) saveIncluding() error {
 		}
 	}
 	return nil
-}
-
-func saveSnapshots(ns []*store.Node, agent *collectagent.Agent, prefix string) {
-	for i, n := range ns {
-		if err := n.SaveFile(fmt.Sprintf("%s.node%d.snap", prefix, i)); err != nil {
-			log.Printf("collectagent: snapshot node %d: %v", i, err)
-		}
-	}
-	lines := agent.Mapper().Export()
-	if err := os.WriteFile(prefix+".topics", []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
-		log.Printf("collectagent: topic map: %v", err)
-	}
-}
-
-func loadSnapshots(ns []*store.Node, agent *collectagent.Agent, prefix string) {
-	for i, n := range ns {
-		path := fmt.Sprintf("%s.node%d.snap", prefix, i)
-		if err := n.LoadFile(path); err != nil {
-			if !os.IsNotExist(err) {
-				log.Printf("collectagent: loading %s: %v", path, err)
-			}
-			continue
-		}
-		log.Printf("collectagent: restored %s", path)
-	}
-	data, err := os.ReadFile(prefix + ".topics")
-	if err != nil {
-		return
-	}
-	var lines []string
-	for _, ln := range strings.Split(string(data), "\n") {
-		if strings.TrimSpace(ln) != "" {
-			lines = append(lines, ln)
-		}
-	}
-	if err := agent.Mapper().Import(lines); err != nil {
-		log.Printf("collectagent: topic map import: %v", err)
-	}
 }

@@ -4,17 +4,14 @@ import (
 	"errors"
 	"flag"
 	"io"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
-	"dcdb/internal/collectagent"
 	"dcdb/internal/core"
 	"dcdb/internal/membership/membershiptest"
-	"dcdb/internal/store"
 )
 
 func TestParseNodes(t *testing.T) {
@@ -38,47 +35,6 @@ func TestParseNodes(t *testing.T) {
 	if desc == "" {
 		t.Error("empty description for an address list")
 	}
-}
-
-// TestSnapshotRoundTrip saves node snapshots plus the topic map and
-// restores them into a fresh agent/node set — the legacy -snapshot
-// persistence path.
-func TestSnapshotRoundTrip(t *testing.T) {
-	prefix := filepath.Join(t.TempDir(), "snap")
-	n := store.NewNode(0)
-	agent := collectagent.New(n, nil, collectagent.Options{Quiet: true})
-	agent.Handle("/rack0/chassis0/server0/power",
-		core.EncodeReadings([]core.Reading{{Timestamp: 1, Value: 451}}))
-	readings := -1.0
-	for _, s := range agent.Metrics().Gather() {
-		if s.Name == "dcdb_agent_readings_total" {
-			readings = s.Value
-		}
-	}
-	if readings != 1 {
-		t.Fatalf("dcdb_agent_readings_total = %g, want 1", readings)
-	}
-	saveSnapshots([]*store.Node{n}, agent, prefix)
-
-	n2 := store.NewNode(0)
-	agent2 := collectagent.New(n2, nil, collectagent.Options{Quiet: true})
-	loadSnapshots([]*store.Node{n2}, agent2, prefix)
-	id, ok := agent2.Mapper().Lookup("/rack0/chassis0/server0/power")
-	if !ok {
-		t.Fatal("topic map did not survive the round trip")
-	}
-	rs, err := n2.Query(id, 0, 1<<62)
-	if err != nil || len(rs) != 1 {
-		t.Fatalf("restored node query: %d readings, %v", len(rs), err)
-	}
-	if rs[0].Value != 451 {
-		t.Fatalf("restored reading = %g, want 451", rs[0].Value)
-	}
-
-	// Missing snapshot files are not an error (first boot).
-	n3 := store.NewNode(0)
-	loadSnapshots([]*store.Node{n3}, collectagent.New(n3, nil, collectagent.Options{Quiet: true}),
-		filepath.Join(t.TempDir(), "absent"))
 }
 
 func TestTopicSaverGroupsConcurrentSaves(t *testing.T) {
@@ -212,5 +168,15 @@ func TestOpenClusterPlacementWiring(t *testing.T) {
 func TestPlacementHasNoPartitionerFlag(t *testing.T) {
 	if _, err := parseArgs("-partitioner", "hash"); err == nil || !strings.Contains(err.Error(), "not defined") {
 		t.Fatalf("-partitioner: %v, want an unknown-flag error", err)
+	}
+}
+
+// TestSnapshotIsNotAFlag: the data directory is the agent's one way to
+// persist; the snapshot mode and its timer are gone.
+func TestSnapshotIsNotAFlag(t *testing.T) {
+	for _, args := range [][]string{{"-snapshot", "agent"}, {"-snapshot-interval", "5m"}} {
+		if _, err := parseArgs(args...); err == nil || !strings.Contains(err.Error(), "not defined") {
+			t.Fatalf("%s: %v, want an unknown-flag error", args[0], err)
+		}
 	}
 }

@@ -1,16 +1,17 @@
 // Command dcdbconfig performs database management and sensor
 // configuration tasks (paper §5.2): publishing sensor properties such
 // as units and scaling factors, defining virtual sensors, deleting old
-// data and compacting the Storage Backend.
+// data and compacting the Storage Backend. DIR is a Collect Agent's
+// data directory.
 //
 // Usage:
 //
-//	dcdbconfig -db PREFIX publish TOPIC [-unit U] [-scale S] [-ttl D] [-integrable]
-//	dcdbconfig -db PREFIX vsensor TOPIC EXPRESSION
-//	dcdbconfig -db PREFIX show TOPIC
-//	dcdbconfig -db PREFIX list [PATH]
-//	dcdbconfig -db PREFIX cleanup TOPIC BEFORE-RFC3339
-//	dcdbconfig -db PREFIX compact
+//	dcdbconfig -db DIR publish TOPIC [-unit U] [-scale S] [-ttl D] [-integrable]
+//	dcdbconfig -db DIR vsensor TOPIC EXPRESSION
+//	dcdbconfig -db DIR show TOPIC
+//	dcdbconfig -db DIR list [PATH]
+//	dcdbconfig -db DIR cleanup TOPIC BEFORE-RFC3339
+//	dcdbconfig -db DIR compact
 package main
 
 import (
@@ -24,7 +25,7 @@ import (
 )
 
 func main() {
-	db := flag.String("db", "dcdb", "snapshot file prefix")
+	db := flag.String("db", "dcdb", "agent data directory")
 	flag.Parse()
 	args := flag.Args()
 	if len(args) == 0 {

@@ -1,7 +1,7 @@
-// Command dcdbcsvimport bulk-loads CSV sensor data into a Storage
-// Backend snapshot (paper §5.2). The input format matches dcdbquery's
-// output: a "sensor,timestamp,value" header followed by one reading
-// per row with RFC3339 timestamps.
+// Command dcdbcsvimport bulk-loads CSV sensor data into a Collect
+// Agent's data directory (paper §5.2), creating it if needed. The input
+// format matches dcdbquery's output: a "sensor,timestamp,value" header
+// followed by one reading per row with RFC3339 timestamps.
 //
 // Usage:
 //
@@ -18,7 +18,7 @@ import (
 )
 
 func main() {
-	db := flag.String("db", "dcdb", "snapshot file prefix")
+	db := flag.String("db", "dcdb", "agent data directory")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		log.Fatal("dcdbcsvimport: need exactly one CSV file")

@@ -61,7 +61,7 @@ type series struct {
 }
 
 func main() {
-	db := flag.String("db", "dcdb", "snapshot file prefix")
+	db := flag.String("db", "dcdb", "agent data directory")
 	listen := flag.String("listen", "127.0.0.1:3001", "HTTP listen address")
 	nodesFlag := flag.String("nodes", "", "comma-separated dcdbnode addresses, each spelled as the node advertises itself: serve from the live cluster instead of files")
 	replication := flag.Int("replication", 1, "cluster replication factor (with -nodes; must match the agent)")

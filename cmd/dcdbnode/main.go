@@ -34,6 +34,7 @@ package main
 
 import (
 	"flag"
+	"fmt"
 	"log"
 	"os"
 	"os/signal"
@@ -48,45 +49,80 @@ import (
 	"dcdb/internal/store"
 )
 
-func main() {
-	listen := flag.String("listen", "127.0.0.1:4441", "RPC listen address")
-	dataDir := flag.String("data", "", "durable data directory (required)")
-	walSync := flag.Duration("wal-sync", 0, "WAL fsync batching interval; 0 syncs every write (safest for a storage tier that acknowledges to remote coordinators)")
-	flushSize := flag.Int("flush-size", 0, "memtable entries per flush (0 = default)")
-	cacheBytes := flag.String("cache-bytes", "0", "block cache budget (e.g. 256MB): bounds resident run data — memory stays O(cache), retention is limited by disk; 0 keeps all runs resident")
-	metricsAddr := flag.String("metrics-addr", "", "Prometheus /metrics listen address (empty = disabled)")
-	pprofFlag := flag.Bool("pprof", false, "mount net/http/pprof on the -metrics-addr listener")
-	join := flag.String("join", "", "comma-separated seed addresses: enable gossip membership and announce this node to the cluster (pass the node's own address, or nothing after the comma split, to bootstrap a new ring)")
-	advertise := flag.String("advertise", "", "address peers dial for this node; default = the bound listen address (set it when -listen is :0 or not routable)")
-	gossipInterval := flag.Duration("gossip-interval", 0, "gossip round cadence (0 = default)")
-	flag.Parse()
+// flags is the parsed command line.
+type flags struct {
+	listen, dataDir, cacheBytes string
+	walSync, gossipInterval     time.Duration
+	flushSize                   int
+	metricsAddr                 string
+	pprof                       bool
+	join, advertise             string
+}
 
-	if *dataDir == "" {
-		log.Fatal("dcdbnode: -data is required; a storage node without a data directory would lose everything it acknowledged")
+func registerFlags(fs *flag.FlagSet) *flags {
+	f := &flags{}
+	fs.StringVar(&f.listen, "listen", "127.0.0.1:4441", "RPC listen address")
+	fs.StringVar(&f.dataDir, "data", "", "durable data directory (required)")
+	fs.DurationVar(&f.walSync, "wal-sync", 0, "WAL fsync batching interval; 0 syncs every write (safest for a storage tier that acknowledges to remote coordinators)")
+	fs.IntVar(&f.flushSize, "flush-size", 0, "memtable entries per flush (0 = default)")
+	fs.StringVar(&f.cacheBytes, "cache-bytes", "0", "block cache budget (e.g. 256MB): bounds resident run data — memory stays O(cache), retention is limited by disk; 0 keeps all runs resident")
+	fs.StringVar(&f.metricsAddr, "metrics-addr", "", "Prometheus /metrics listen address (empty = disabled)")
+	fs.BoolVar(&f.pprof, "pprof", false, "mount net/http/pprof on the -metrics-addr listener")
+	fs.StringVar(&f.join, "join", "", "comma-separated seed addresses: enable gossip membership and announce this node to the cluster (pass the node's own address, or nothing after the comma split, to bootstrap a new ring)")
+	fs.StringVar(&f.advertise, "advertise", "", "address peers dial for this node; default = the bound listen address (set it when -listen is :0 or not routable)")
+	fs.DurationVar(&f.gossipInterval, "gossip-interval", 0, "gossip round cadence (0 = default)")
+	return f
+}
+
+// joinSeeds reduces a -join list to the seeds to dial: blanks, "self"
+// and the node's own address drop out, so "-join self" (or a list that
+// reduces to this node) bootstraps a new ring.
+func joinSeeds(join, self string) []string {
+	var seeds []string
+	for _, s := range strings.Split(join, ",") {
+		if s = strings.TrimSpace(s); s != "" && s != "self" && s != self {
+			seeds = append(seeds, s)
+		}
 	}
-	cache, err := store.ParseByteSize(*cacheBytes)
+	return seeds
+}
+
+// daemon is an opened storage node: recovered, served over RPC and,
+// with -join, gossiping.
+type daemon struct {
+	node   *store.Node
+	srv    *rpc.Server
+	gossip *membership.Agent // nil without -join
+}
+
+// open recovers the node's data directory, serves it on -listen and,
+// with -join, announces it to the cluster.
+func open(f *flags) (*daemon, error) {
+	if f.dataDir == "" {
+		return nil, fmt.Errorf("-data is required; a storage node without a data directory would lose everything it acknowledged")
+	}
+	cache, err := store.ParseByteSize(f.cacheBytes)
 	if err != nil {
-		log.Fatalf("dcdbnode: -cache-bytes: %v", err)
+		return nil, fmt.Errorf("-cache-bytes: %v", err)
 	}
 
-	node := store.NewNode(*flushSize)
+	node := store.NewNode(f.flushSize)
 	start := time.Now()
-	if err := node.OpenOptions(*dataDir, store.DiskOptions{SyncInterval: *walSync, CacheBytes: cache}); err != nil {
-		log.Fatalf("dcdbnode: opening %s: %v", *dataDir, err)
+	if err := node.OpenOptions(f.dataDir, store.DiskOptions{SyncInterval: f.walSync, CacheBytes: cache}); err != nil {
+		return nil, fmt.Errorf("opening %s: %v", f.dataDir, err)
 	}
 	_, _, entries := node.Stats()
-	log.Printf("dcdbnode: recovered %s (%d resident entries) in %s", *dataDir, entries, time.Since(start).Round(time.Millisecond))
+	log.Printf("dcdbnode: recovered %s (%d resident entries) in %s", f.dataDir, entries, time.Since(start).Round(time.Millisecond))
 
-	srv := rpc.NewServer(node, false)
+	d := &daemon{node: node, srv: rpc.NewServer(node, false)}
 	// The gossip handler must be registered before Listen, but the
 	// agent's ring identity defaults to the bound address — known only
 	// after Listen when -listen is :0. An atomic pointer bridges the
 	// gap: frames arriving before the agent exists are rejected, which
 	// peers simply retry on the next round.
 	var agent atomic.Pointer[membership.Agent]
-	gossiping := *join != ""
-	if gossiping {
-		srv.SetGossip(func(peerState []byte) ([]byte, error) {
+	if f.join != "" {
+		d.srv.SetGossip(func(peerState []byte) ([]byte, error) {
 			a := agent.Load()
 			if a == nil {
 				return nil, rpc.ErrGossipUnavailable
@@ -94,57 +130,71 @@ func main() {
 			return a.Handle(peerState)
 		})
 	}
-	if err := srv.Listen(*listen); err != nil {
+	if err := d.srv.Listen(f.listen); err != nil {
 		node.Close()
-		log.Fatalf("dcdbnode: listening on %s: %v", *listen, err)
+		return nil, fmt.Errorf("listening on %s: %v", f.listen, err)
 	}
-	log.Printf("dcdbnode: serving %s", srv.Addr())
-
-	if gossiping {
-		self := *advertise
-		if self == "" {
-			self = srv.Addr()
-		}
-		// "-join self" (or a list that reduces to this node's own
-		// address) bootstraps a new ring.
-		var seeds []string
-		for _, s := range strings.Split(*join, ",") {
-			if s = strings.TrimSpace(s); s != "" && s != "self" && s != self {
-				seeds = append(seeds, s)
-			}
-		}
-		a, err := membership.New(membership.Config{
-			ID:       self,
-			Addr:     self,
-			Interval: *gossipInterval,
-			Seeds:    seeds,
-		})
-		if err != nil {
-			srv.Close()
-			node.Close()
-			log.Fatalf("dcdbnode: membership: %v", err)
-		}
-		agent.Store(a)
-		if len(seeds) > 0 {
-			if err := a.Join(seeds...); err != nil {
-				// A seed being down is not fatal: the gossip loop keeps
-				// retrying the seeds until the cluster appears.
-				log.Printf("dcdbnode: join attempt failed (will keep retrying): %v", err)
-			}
-		}
-		a.Start()
-		log.Printf("dcdbnode: gossiping as %s (seeds %v)", self, seeds)
+	log.Printf("dcdbnode: serving %s", d.srv.Addr())
+	if f.join == "" {
+		return d, nil
 	}
 
-	if *metricsAddr != "" {
-		msrv, mln, err := metrics.Serve(*metricsAddr, *pprofFlag,
-			metrics.Part{Reg: node.Metrics()},
-			metrics.Part{Reg: srv.Metrics()},
+	self := f.advertise
+	if self == "" {
+		self = d.srv.Addr()
+	}
+	seeds := joinSeeds(f.join, self)
+	a, err := membership.New(membership.Config{
+		ID:       self,
+		Addr:     self,
+		Interval: f.gossipInterval,
+		Seeds:    seeds,
+	})
+	if err != nil {
+		d.close()
+		return nil, fmt.Errorf("membership: %v", err)
+	}
+	agent.Store(a)
+	d.gossip = a
+	if len(seeds) > 0 {
+		if err := a.Join(seeds...); err != nil {
+			// A seed being down is not fatal: the gossip loop keeps
+			// retrying the seeds until the cluster appears.
+			log.Printf("dcdbnode: join attempt failed (will keep retrying): %v", err)
+		}
+	}
+	a.Start()
+	log.Printf("dcdbnode: gossiping as %s (seeds %v)", self, seeds)
+	return d, nil
+}
+
+// close leaves the ring, stops serving and closes the node.
+func (d *daemon) close() error {
+	if d.gossip != nil {
+		// Disseminate a Left tombstone so peers shrink the ring now
+		// instead of waiting out the failure detector.
+		d.gossip.Leave()
+	}
+	d.srv.Close()
+	return d.node.Close()
+}
+
+func main() {
+	f := registerFlags(flag.CommandLine)
+	flag.Parse()
+	d, err := open(f)
+	if err != nil {
+		log.Fatalf("dcdbnode: %v", err)
+	}
+
+	if f.metricsAddr != "" {
+		msrv, mln, err := metrics.Serve(f.metricsAddr, f.pprof,
+			metrics.Part{Reg: d.node.Metrics()},
+			metrics.Part{Reg: d.srv.Metrics()},
 			metrics.Part{Reg: metrics.Runtime()})
 		if err != nil {
-			srv.Close()
-			node.Close()
-			log.Fatalf("dcdbnode: metrics on %s: %v", *metricsAddr, err)
+			d.close()
+			log.Fatalf("dcdbnode: metrics on %s: %v", f.metricsAddr, err)
 		}
 		defer msrv.Close()
 		log.Printf("dcdbnode: metrics on %s", mln.Addr())
@@ -153,15 +203,9 @@ func main() {
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	<-stop
-	if a := agent.Load(); a != nil {
-		// Disseminate a Left tombstone so peers shrink the ring now
-		// instead of waiting out the failure detector.
-		a.Leave()
-	}
-	srv.Close()
-	if err := node.Close(); err != nil {
+	if err := d.close(); err != nil {
 		log.Printf("dcdbnode: closing node: %v", err)
 	}
-	ins, q, entries := node.Stats()
+	ins, q, entries := d.node.Stats()
 	log.Printf("dcdbnode: shut down (%d inserts, %d queries, %d resident entries)", ins, q, entries)
 }

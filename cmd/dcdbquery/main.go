@@ -1,10 +1,9 @@
 // Command dcdbquery retrieves sensor data for a specified time period
 // in CSV format, optionally applying analysis operations such as
-// integrals and derivatives (paper §5.2). It operates on the snapshot
-// files or data directory persisted by a Collect Agent — or, with
-// -nodes, queries a running multi-process storage cluster live over
-// RPC (the topic map still comes from -db, which names the agent's
-// data directory or snapshot prefix).
+// integrals and derivatives (paper §5.2). It operates on the data
+// directory persisted by a Collect Agent — or, with -nodes, queries a
+// running multi-process storage cluster live over RPC (the topic map
+// still comes from -db, which names the agent's data directory).
 //
 // Analysis ops run as single-pass streaming folds; on a live cluster
 // they are pushed down to the storage nodes, which answer with one
@@ -98,7 +97,7 @@ type flags struct {
 
 func registerFlags(fs *flag.FlagSet) *flags {
 	f := &flags{}
-	fs.StringVar(&f.db, "db", "dcdb", "snapshot file prefix or agent data directory")
+	fs.StringVar(&f.db, "db", "dcdb", "agent data directory")
 	fs.StringVar(&f.nodes, "nodes", "", "comma-separated dcdbnode addresses, each spelled as the node advertises itself: query the live cluster instead of files")
 	fs.StringVar(&f.join, "join", "", "comma-separated gossip seed addresses: discover the live cluster's ring from any one member instead of listing every node")
 	fs.IntVar(&f.replication, "replication", 1, "cluster replication factor (with -nodes or -join; must match the agent)")

@@ -23,7 +23,8 @@ package collectagent
 
 import (
 	"log"
-	"sync"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -40,15 +41,19 @@ type Options struct {
 	CacheWindow time.Duration
 	// Quiet suppresses per-message warnings (benchmarks).
 	Quiet bool
-	// OnNewTopic, when set, fires when mapping a topic to its SID made
-	// the topic dictionary grow (core.TopicMapper.MapFirst — not for
-	// every new topic), before any reading of that topic is stored. A
-	// durable agent persists the topic map here, so the mapping of every
+	// OnNewTopic, when set, fires before a reading is stored whose SID
+	// uses a level code the agent does not yet know to be durable: one
+	// beyond the dictionary lengths it read before an earlier call
+	// returned nil. That is the first message after the dictionary grew
+	// (core.TopicMapper.MapFirst — not every new topic), on whichever
+	// connection it arrives, and the first message after start. A
+	// durable agent persists the topic map here and returns once a save
+	// that began after the call has committed, so the mapping of every
 	// stored reading survives a crash alongside the reading itself;
-	// returning an error drops the message instead of storing a
-	// reading whose name could not be made durable. Called from the
-	// message path — keep it cheap for steady state (it only fires
-	// when the sensor set grows).
+	// returning an error drops the message instead of storing a reading
+	// whose name could not be made durable, and the next message using
+	// the code calls again. Called from the message path — keep it cheap
+	// for steady state (it only fires when the sensor set grows).
 	OnNewTopic func(topic string, id core.SensorID) error
 }
 
@@ -77,12 +82,15 @@ type Agent struct {
 	errors   atomic.Int64
 	met      *metrics.Registry
 
-	// pendingTopics are topics whose OnNewTopic persistence failed;
-	// they retry on the topic's next message so no reading is ever
-	// stored without its name having been persisted.
-	pendingMu     sync.Mutex
-	pendingTopics map[string]struct{}
+	// durable holds the per-level dictionary lengths read before the
+	// OnNewTopic calls that returned nil, the largest of each level:
+	// every code at or below them is in a committed topic map.
+	durable atomic.Pointer[dictLens]
 }
+
+// dictLens are the lengths of the mapper's level dictionaries, which
+// are also their highest codes: codes are dense and start at 1.
+type dictLens [core.MaxTopicLevels]uint16
 
 // New creates an agent writing to backend. The mapper may be shared
 // with libDCDB connections; nil creates a fresh one.
@@ -97,6 +105,7 @@ func New(backend store.Backend, mapper *core.TopicMapper, opts Options) *Agent {
 		hier:    core.NewHierarchy(),
 		opts:    opts,
 	}
+	a.durable.Store(&dictLens{})
 	if b, ok := backend.(interface {
 		BeginInsert(core.SensorID, []core.Reading, time.Duration) func() error
 	}); ok {
@@ -208,7 +217,7 @@ func (a *Agent) admit(topic string, payload []byte) (id core.SensorID, rs []core
 		return id, nil, false
 	}
 	// Topic -> SID translation (paper §4.2): 1:1, hierarchical.
-	id, first, err := a.mapper.MapFirst(topic)
+	id, err = a.mapper.Map(topic)
 	if err != nil {
 		a.errors.Add(1)
 		if !a.opts.Quiet {
@@ -216,37 +225,64 @@ func (a *Agent) admit(topic string, payload []byte) (id core.SensorID, rs []core
 		}
 		return id, nil, false
 	}
-	if a.opts.OnNewTopic != nil {
-		if !first {
-			// A topic whose earlier persistence attempt failed must
-			// retry before any of its readings are stored.
-			a.pendingMu.Lock()
-			_, first = a.pendingTopics[topic]
-			a.pendingMu.Unlock()
-		}
-		if first {
-			if err := a.opts.OnNewTopic(topic, id); err != nil {
-				// Storing the reading without its durable name would
-				// let it resolve to the wrong sensor after a crash;
-				// drop it and retry on the topic's next message.
-				a.pendingMu.Lock()
-				if a.pendingTopics == nil {
-					a.pendingTopics = make(map[string]struct{})
-				}
-				a.pendingTopics[topic] = struct{}{}
-				a.pendingMu.Unlock()
-				a.errors.Add(1)
-				if !a.opts.Quiet {
-					log.Printf("collectagent: dropping reading of %q: persisting topic map: %v", topic, err)
-				}
-				return id, nil, false
+	if a.opts.OnNewTopic != nil && !a.durable.Load().covers(id) {
+		// Whether this call or another connection's assigned the new
+		// code, its reading waits for the map that holds it.
+		lens := readDictLens(a.mapper)
+		if err := a.opts.OnNewTopic(topic, id); err != nil {
+			// Storing the reading without its durable name would let
+			// it resolve to the wrong sensor after a crash; drop it.
+			a.errors.Add(1)
+			if !a.opts.Quiet {
+				log.Printf("collectagent: dropping reading of %q: persisting topic map: %v", topic, err)
 			}
-			a.pendingMu.Lock()
-			delete(a.pendingTopics, topic)
-			a.pendingMu.Unlock()
+			return id, nil, false
 		}
+		a.raiseDurable(lens)
 	}
 	return id, rs, true
+}
+
+// covers reports whether every level code of id is within d.
+func (d *dictLens) covers(id core.SensorID) bool {
+	for i := range d {
+		if id.Level(i) > d[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// raiseDurable merges lens, read before a successful OnNewTopic, into
+// the durable lengths. Calls finish out of order, so each level keeps
+// its largest length.
+func (a *Agent) raiseDurable(lens dictLens) {
+	for {
+		old := a.durable.Load()
+		next, grew := *old, false
+		for i, n := range lens {
+			if n > next[i] {
+				next[i], grew = n, true
+			}
+		}
+		if !grew || a.durable.CompareAndSwap(old, &next) {
+			return
+		}
+	}
+}
+
+// readDictLens reads the mapper's dictionary lengths from its export
+// ("level/component code" lines): the highest code of each level.
+func readDictLens(m *core.TopicMapper) (lens dictLens) {
+	for _, ln := range m.Export() {
+		level, rest, _ := strings.Cut(ln, "/")
+		lvl, err1 := strconv.Atoi(level)
+		code, err2 := strconv.ParseUint(rest[strings.LastIndexByte(rest, ' ')+1:], 10, 16)
+		if err1 == nil && err2 == nil && lvl >= 0 && lvl < len(lens) && uint16(code) > lens[lvl] {
+			lens[lvl] = uint16(code)
+		}
+	}
+	return lens
 }
 
 // settle accounts for a finished write: the readings count — and show

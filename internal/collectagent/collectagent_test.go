@@ -326,38 +326,103 @@ func TestOpenBackendRejectsHiddenNodes(t *testing.T) {
 
 func TestOnNewTopicVetoDropsMessage(t *testing.T) {
 	backend := store.NewNode(0)
-	vetoing := true
+	calls := 0
 	a := New(backend, nil, Options{
 		Quiet: true,
 		OnNewTopic: func(topic string, _ core.SensorID) error {
-			if vetoing && topic == "/veto/me" {
+			calls++
+			if topic == "/veto/me" {
 				return fmt.Errorf("injected persistence failure")
 			}
 			return nil
 		},
 	})
-	a.Handle("/veto/me", core.EncodeReadings([]core.Reading{{Timestamp: 1, Value: 1}}))
-	a.Handle("/keep/me", core.EncodeReadings([]core.Reading{{Timestamp: 1, Value: 2}}))
-	st := a.Stats()
-	if st.Errors != 1 || st.Readings != 1 {
-		t.Fatalf("stats = %+v, want 1 error (vetoed) and 1 stored reading", st)
+	stored := func(topic string) int {
+		id, _ := a.Mapper().Lookup(topic)
+		rs, _ := backend.Query(id, 0, 10)
+		return len(rs)
 	}
-	if id, ok := a.Mapper().Lookup("/veto/me"); ok {
-		if rs, _ := backend.Query(id, 0, 10); len(rs) != 0 {
-			t.Fatal("vetoed reading was stored anyway")
-		}
+	a.Handle("/veto/me", core.EncodeReadings([]core.Reading{{Timestamp: 1, Value: 1}}))
+	if st := a.Stats(); st.Errors != 1 || st.Readings != 0 || stored("/veto/me") != 0 {
+		t.Fatalf("stats = %+v, want the vetoed reading dropped", st)
 	}
 	// While persistence keeps failing, later readings of the topic are
 	// also dropped — nothing may be stored before its name is durable.
 	a.Handle("/veto/me", core.EncodeReadings([]core.Reading{{Timestamp: 2, Value: 3}}))
-	if st := a.Stats(); st.Errors != 2 || st.Readings != 1 {
-		t.Fatalf("stats while persistence failing = %+v", st)
+	if st := a.Stats(); st.Errors != 2 || st.Readings != 0 || calls != 2 {
+		t.Fatalf("stats while persistence failing = %+v after %d calls", st, calls)
 	}
-	// Once persistence recovers, the pending topic retries and stores.
-	vetoing = false
+	// A save that succeeds covers every code mapped before it was
+	// asked for, the vetoed topic's included: that topic then stores
+	// without another call.
+	a.Handle("/keep/me", core.EncodeReadings([]core.Reading{{Timestamp: 1, Value: 2}}))
 	a.Handle("/veto/me", core.EncodeReadings([]core.Reading{{Timestamp: 3, Value: 4}}))
-	if st := a.Stats(); st.Readings != 2 {
-		t.Fatalf("post-recovery stats = %+v", st)
+	if st := a.Stats(); st.Errors != 2 || st.Readings != 2 || calls != 3 || stored("/veto/me") != 1 {
+		t.Fatalf("stats after a successful save = %+v after %d calls", st, calls)
+	}
+}
+
+// TestCodeDurableBeforeStore: a reading whose SID uses a level code
+// that another connection's OnNewTopic is still persisting waits for a
+// save of its own. Stored before, it would resolve to whatever name a
+// crash let the code be assigned to next.
+func TestCodeDurableBeforeStore(t *testing.T) {
+	backend := store.NewNode(0)
+	entered := make(chan string, 4)
+	release := make(chan struct{})
+	a := New(backend, nil, Options{
+		Quiet: true,
+		OnNewTopic: func(topic string, _ core.SensorID) error {
+			entered <- topic
+			<-release
+			return nil
+		},
+	})
+	handle := func(topic string) <-chan struct{} {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			a.Handle(topic, core.EncodeReadings([]core.Reading{{Timestamp: 1, Value: 1}}))
+		}()
+		return done
+	}
+	await := func(want string) {
+		t.Helper()
+		select {
+		case got := <-entered:
+			if got != want {
+				t.Fatalf("OnNewTopic for %q, want %q", got, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("OnNewTopic never called for %q", want)
+		}
+	}
+	first := handle("/r/n0/s1")
+	await("/r/n0/s1")
+	release <- struct{}{}
+	<-first
+
+	// Connection 1 assigns n1 and s0 and blocks while the map is saved.
+	conn1 := handle("/r/n1/s0")
+	await("/r/n1/s0")
+	// Connection 2's topic is new, but every code of it is assigned.
+	conn2 := handle("/r/n1/s1")
+	select {
+	case got := <-entered:
+		if got != "/r/n1/s1" {
+			t.Fatalf("OnNewTopic for %q, want /r/n1/s1", got)
+		}
+	case <-conn2:
+		t.Fatal("a reading under n1 was stored while the map holding n1 was still being saved")
+	case <-time.After(5 * time.Second):
+		t.Fatal("connection 2 neither stored nor asked for a save")
+	}
+	release <- struct{}{}
+	release <- struct{}{}
+	<-conn1
+	<-conn2
+	if st := a.Stats(); st.Readings != 3 || st.Errors != 0 {
+		t.Fatalf("stats = %+v, want all three readings stored", st)
 	}
 }
 

@@ -1,5 +1,4 @@
-// Durable backend wiring: instead of periodically snapshotting every
-// node into one file, a Collect Agent can own a data directory in
+// Durable backend wiring: a Collect Agent owns a data directory in
 // which each storage node keeps per-shard run files and write-ahead
 // logs (internal/store). Opening the directory replays the WALs, so an
 // agent restart — clean or not — resumes with every acknowledged
@@ -218,33 +217,23 @@ func WatchMembership(c *store.Cluster, seeds []string, interval time.Duration) (
 // TopicsPath returns the topic-map file under a data directory.
 func TopicsPath(dir string) string { return filepath.Join(dir, "topics") }
 
-// SaveTopics atomically replaces the data directory's topic map.
-func SaveTopics(dir string, m *core.TopicMapper) error {
-	return SaveTopicsFile(TopicsPath(dir), m)
-}
-
-// SaveTopicsFile writes the topic map to an arbitrary path with the
-// same durability discipline as the run files (atomic replace with
+// SaveTopics atomically replaces the data directory's topic map, with
+// the same durability discipline as the run files (atomic replace with
 // fsyncs). Without them a crash after the rename could commit an empty
 // file, orphaning every stored SID.
-func SaveTopicsFile(path string, m *core.TopicMapper) error {
+func SaveTopics(dir string, m *core.TopicMapper) error {
 	data := []byte(strings.Join(m.Export(), "\n") + "\n")
-	return fsutil.WriteFileAtomic(path, func(w io.Writer) error {
+	return fsutil.WriteFileAtomic(TopicsPath(dir), func(w io.Writer) error {
 		_, err := w.Write(data)
 		return err
 	})
 }
 
 // LoadTopics imports a previously saved topic map; a missing file is a
-// fresh database, not an error.
+// fresh database, not an error. Temp files a crashed save left next to
+// it are removed — loading happens at startup, before any saver runs.
 func LoadTopics(dir string, m *core.TopicMapper) error {
-	return LoadTopicsFile(TopicsPath(dir), m)
-}
-
-// LoadTopicsFile imports the topic map at an arbitrary path (missing =
-// fresh database). Temp files a crashed save left next to it are
-// removed — loading happens at startup, before any saver runs.
-func LoadTopicsFile(path string, m *core.TopicMapper) error {
+	path := TopicsPath(dir)
 	fsutil.CleanTemps(path)
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -13,7 +13,7 @@ import (
 )
 
 // File is the writable-file surface the durable paths use: WAL
-// segments, run files, hint files, snapshots. It is the subset of
+// segments, run files, hint files, the topic map. It is the subset of
 // *os.File they actually touch, which is what lets a fault injector
 // interpose on writes and fsyncs.
 type File interface {

@@ -9,15 +9,14 @@ import (
 	"sync"
 )
 
-// Block codec of run-file format v3 (and, for reading only, of the
-// legacy format v2). A block holds up to blockEntries consecutive
-// entries of one series, compressed so a cold read pays I/O and decode
-// cost proportional to the queried window, not the retention. The block
-// is anchored in the run file's index: its entry count, its first
-// timestamp (the index entry's min) and the file-level base write
-// version all live there, so the body starts at the second entry and a
-// block of a handful of readings carries no absolute header fields of
-// its own.
+// Block codec of run-file format v3. A block holds up to blockEntries
+// consecutive entries of one series, compressed so a cold read pays I/O
+// and decode cost proportional to the queried window, not the
+// retention. The block is anchored in the run file's index: its entry
+// count, its first timestamp (the index entry's min) and the file-level
+// base write version all live there, so the body starts at the second
+// entry and a block of a handful of readings carries no absolute header
+// fields of its own.
 //
 // A block is a flags byte and three streams — timestamps, write stamps,
 // values — each byte-aligned, each in one of two codings. The first
@@ -74,12 +73,7 @@ import (
 //
 // A block with bits 2-4 clear is exactly what builds before the frame
 // codings wrote; they read it unchanged, and such a build refuses a
-// block with any of the three set ("unknown flags"). A legacy v2 block
-// differs from the all-clear form only in where the first entry comes
-// from: its timestamp stream opens with the zigzag-varint first
-// timestamp and its version section with the absolute uvarint first
-// version (blockBase.legacy). Nothing writes that form any more, and it
-// never carries bits 2-4.
+// block with any of the three set ("unknown flags").
 //
 // Corruption is caught by the caller's CRC check first; the decoder
 // itself must still survive arbitrary bytes (fuzzed) by erroring instead
@@ -99,22 +93,17 @@ const (
 	blockFlagStampRuns = 1 << 3
 	blockFlagIntValues = 1 << 4
 
-	blockFlagsLegacy = blockFlagExpire | blockFlagVersion
-	blockFlagsKnown  = blockFlagsLegacy | blockFlagTSFrame | blockFlagStampRuns | blockFlagIntValues
+	blockFlagsKnown = blockFlagExpire | blockFlagVersion | blockFlagTSFrame | blockFlagStampRuns | blockFlagIntValues
 
 	// blockMinLen is the smallest block there is: the flags byte and one
 	// integer value that fits a single varint byte.
 	blockMinLen = 2
-	// legacyBlockFixedLen is what every legacy block costs besides its
-	// timestamp stream: the flags byte and the first value's 64 raw bits.
-	legacyBlockFixedLen = 1 + 8
 )
 
 // blockBase is the file-level half of a block's anchor (the per-block
 // half is the index entry's count and min).
 type blockBase struct {
-	ver    uint64 // base write version of the file (v3)
-	legacy bool   // format v2: first timestamp and version sit in the block, absolute
+	ver uint64 // base write version of the file
 }
 
 // zigzag encodes a signed delta so small magnitudes of either sign
@@ -680,22 +669,16 @@ func putBlockScratch(s *[]entry) {
 	}
 }
 
-// checkBlockCount is the allocation guard shared by the index parsers
+// checkBlockCount is the allocation guard shared by the index parser
 // and the block decoder: a block never holds more than blockEntries
-// entries, so nothing sized from a count exceeds that. The bytes bound
-// the count only in a legacy block, where every entry costs at least one
-// timestamp-varint byte on top of the flags byte and the first value; a
-// current block of a periodic, once-stamped, constant sensor is
-// legitimately blockEntries entries in a dozen bytes — the index parser
-// cannot see the flags — so there the length need only reach the
-// smallest block there is. Subtraction form: count is at most
-// blockEntries by the time it is compared.
-func checkBlockCount(count uint64, length int, legacy bool) error {
+// entries, so nothing sized from a count exceeds that. The bytes do not
+// bound the count: a block of a periodic, once-stamped, constant sensor
+// is legitimately blockEntries entries in a dozen bytes — the index
+// parser cannot see the flags — so the length need only reach the
+// smallest block there is.
+func checkBlockCount(count uint64, length int) error {
 	if count == 0 || count > blockEntries {
 		return fmt.Errorf("store: block entry count %d outside [1,%d]", count, blockEntries)
-	}
-	if legacy && (length < legacyBlockFixedLen || int(count) > length-legacyBlockFixedLen) {
-		return fmt.Errorf("store: block entry count %d exceeds what %d payload bytes can hold", count, length)
 	}
 	if length < blockMinLen {
 		return fmt.Errorf("store: block of %d bytes is shorter than the shortest block", length)
@@ -704,17 +687,16 @@ func checkBlockCount(count uint64, length int, legacy bool) error {
 }
 
 // decodeBlock decodes a block of exactly count entries whose first
-// timestamp is first (the index entry's min; a legacy block restates it
-// and the argument is ignored) into out, appending. It validates that
-// the encoding is fully consumed (only zero-bit padding may remain),
-// that timestamps are sorted, and errors — never panics — on any
-// malformed input, leaving out as it was. The caller is expected to have
-// verified the block's CRC first, so an error here means either rot the
-// CRC missed or a software bug; both must reject the block rather than
-// serve wrong data.
+// timestamp is first (the index entry's min) into out, appending. It
+// validates that the encoding is fully consumed (only zero-bit padding
+// may remain), that timestamps are sorted, and errors — never panics —
+// on any malformed input, leaving out as it was. The caller is expected
+// to have verified the block's CRC first, so an error here means either
+// rot the CRC missed or a software bug; both must reject the block
+// rather than serve wrong data.
 func decodeBlock(raw []byte, count int, first int64, base blockBase, out *[]entry) error {
 	// A negative count converts to one far beyond blockEntries.
-	if err := checkBlockCount(uint64(count), len(raw), base.legacy); err != nil {
+	if err := checkBlockCount(uint64(count), len(raw)); err != nil {
 		return err
 	}
 	n := len(*out)
@@ -728,25 +710,21 @@ func decodeBlock(raw []byte, count int, first int64, base blockBase, out *[]entr
 
 func decodeBlockInto(raw []byte, es []entry, first int64, base blockBase) error {
 	flags := raw[0]
-	known := byte(blockFlagsKnown)
-	if base.legacy {
-		known = blockFlagsLegacy
-	}
-	if flags&^known != 0 {
+	if flags&^blockFlagsKnown != 0 {
 		return fmt.Errorf("store: block has unknown flags %#x", flags)
 	}
-	data, err := decodeTimestamps(raw[1:], es, first, flags&blockFlagTSFrame != 0, base.legacy)
+	data, err := decodeTimestamps(raw[1:], es, first, flags&blockFlagTSFrame != 0)
 	if err != nil {
 		return err
 	}
 	runs := flags&blockFlagStampRuns != 0
 	if flags&blockFlagExpire != 0 {
-		if data, err = decodeStamps(data, es, stampExpire, 0, runs, false); err != nil {
+		if data, err = decodeStamps(data, es, stampExpire, 0, runs); err != nil {
 			return err
 		}
 	}
 	if flags&blockFlagVersion != 0 {
-		if data, err = decodeStamps(data, es, stampVersion, base.ver, runs, base.legacy); err != nil {
+		if data, err = decodeStamps(data, es, stampVersion, base.ver, runs); err != nil {
 			return err
 		}
 	}
@@ -757,9 +735,9 @@ func decodeBlockInto(raw []byte, es []entry, first int64, base blockBase) error 
 }
 
 // decodeTimestamps fills in es[i].ts from the timestamp stream at the
-// head of data and returns what follows it. A legacy stream opens with
-// the first timestamp; otherwise that is first.
-func decodeTimestamps(data []byte, es []entry, first int64, framed, legacy bool) ([]byte, error) {
+// head of data and returns what follows it. The first timestamp is
+// first, not in the stream.
+func decodeTimestamps(data []byte, es []entry, first int64, framed bool) ([]byte, error) {
 	es[0].ts = first
 	if framed {
 		fr, rest, err := openFrame(data, len(es)-1)
@@ -776,13 +754,6 @@ func decodeTimestamps(data []byte, es []entry, first int64, framed, legacy bool)
 		return rest, fr.close()
 	}
 	off, delta := 0, int64(0)
-	if legacy {
-		u, n := binary.Uvarint(data)
-		if n <= 0 {
-			return nil, fmt.Errorf("store: block timestamp stream truncated")
-		}
-		es[0].ts, off = unzigzag(u), n
-	}
 	for i := 1; i < len(es); i++ {
 		u, n := binary.Uvarint(data[off:])
 		if n <= 0 {
@@ -813,9 +784,8 @@ func (c stampCol) fill(es []entry, v uint64) {
 var errStampsTruncated = errors.New("store: block stamp section truncated")
 
 // decodeStamps fills in one stamp column of es from the section at the
-// head of data and returns what follows it. absFirst is the legacy
-// version section, which opens with the absolute first version.
-func decodeStamps(data []byte, es []entry, col stampCol, base uint64, runs, absFirst bool) ([]byte, error) {
+// head of data and returns what follows it.
+func decodeStamps(data []byte, es []entry, col stampCol, base uint64, runs bool) ([]byte, error) {
 	if !runs {
 		off, prev := 0, base
 		for i := range es {
@@ -824,11 +794,7 @@ func decodeStamps(data []byte, es []entry, col stampCol, base uint64, runs, absF
 				return nil, errStampsTruncated
 			}
 			off += n
-			if i == 0 && absFirst {
-				prev = u
-			} else {
-				prev += uint64(unzigzag(u))
-			}
+			prev += uint64(unzigzag(u))
 			if col == stampVersion {
 				es[i].ver = prev
 			} else {

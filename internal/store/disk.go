@@ -1,11 +1,7 @@
 package store
 
 import (
-	"errors"
 	"fmt"
-	"io"
-	"log"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -23,8 +19,7 @@ import (
 // merged file and deleting its inputs is recovered by dropping any
 // file whose span is contained in another's (write-new, rename,
 // delete-old — the rename is the commit point). The byte layout of a
-// run file is runfile.go's; this file names, scans, migrates and
-// recovers them.
+// run file is runfile.go's; this file names, scans and recovers them.
 //
 // A run file's tombstone section persists the DeleteBefore cutoffs
 // issued while its memtable was live; at recovery they are applied to
@@ -272,92 +267,6 @@ func (n *Node) OpenOptions(dir string, o DiskOptions) error {
 	return nil
 }
 
-// migrateRunFile rewrites a run file of the legacy format in the
-// current one, so a directory written by an older build sheds the old
-// layout at its first writable open instead of whenever compaction
-// happens to reach each file. The rewrite lands in a scratch directory
-// next to the original, is decoded back and compared entry-for-entry
-// against the original's contents (every byte re-read passes the new
-// file's CRCs), and only then renamed over it — a crash at any point
-// leaves either the old file or the new one. A file already in the
-// current format is a no-op.
-func migrateRunFile(m *runFileMeta) error {
-	f, err := os.Open(m.path)
-	if err != nil {
-		return err
-	}
-	var magic [runMagicLen]byte
-	_, rerr := io.ReadFull(f, magic[:])
-	f.Close()
-	scratch := m.path + ".migrate"
-	os.RemoveAll(scratch) // whatever a crashed migration left
-	if rerr == nil && string(magic[:]) == string(runMagic) {
-		return nil
-	}
-	rc, err := readRunFile(m.path)
-	if err != nil {
-		return err
-	}
-	if err := os.MkdirAll(scratch, 0o755); err != nil {
-		return err
-	}
-	defer os.RemoveAll(scratch)
-	meta2, _, err := writeRunFile(scratch, rc.minSeq, rc.maxSeq, rc.series, rc.tombs, nil)
-	if err != nil {
-		return err
-	}
-	// Verify the rewrite before retiring the original.
-	rc2, err := readRunFile(meta2.path)
-	if err != nil {
-		return fmt.Errorf("store: verifying migrated %s: %w", m.path, err)
-	}
-	if err := runContentsEqual(rc, rc2); err != nil {
-		return fmt.Errorf("store: migrated %s diverges from original: %w", m.path, err)
-	}
-	if err := os.Rename(meta2.path, m.path); err != nil {
-		return err
-	}
-	syncDir(filepath.Dir(m.path))
-	m.size = meta2.size
-	return nil
-}
-
-// runContentsEqual compares two decoded run files entry-for-entry.
-func runContentsEqual(a, b *runContents) error {
-	if a.minSeq != b.minSeq || a.maxSeq != b.maxSeq {
-		return fmt.Errorf("span [%d,%d] != [%d,%d]", a.minSeq, a.maxSeq, b.minSeq, b.maxSeq)
-	}
-	if len(a.tombs) != len(b.tombs) {
-		return fmt.Errorf("%d tombstones != %d", len(a.tombs), len(b.tombs))
-	}
-	for id, cutoff := range a.tombs {
-		if b.tombs[id] != cutoff {
-			return fmt.Errorf("tombstone %v: %d != %d", id, cutoff, b.tombs[id])
-		}
-	}
-	if len(a.series) != len(b.series) {
-		return fmt.Errorf("%d series != %d", len(a.series), len(b.series))
-	}
-	for id, es := range a.series {
-		es2, ok := b.series[id]
-		if !ok || len(es) != len(es2) {
-			return fmt.Errorf("series %v: %d entries != %d", id, len(es), len(es2))
-		}
-		for i := range es {
-			if !sameEntry(es[i], es2[i]) {
-				return fmt.Errorf("series %v entry %d: %+v != %+v", id, i, es[i], es2[i])
-			}
-		}
-	}
-	return nil
-}
-
-// sameEntry compares the value by its bits: == would pass a lost sign
-// of zero and fail a NaN against itself.
-func sameEntry(a, b entry) bool {
-	return a.ts == b.ts && a.expire == b.expire && a.ver == b.ver && math.Float64bits(a.val) == math.Float64bits(b.val)
-}
-
 // checkSpan requires the span a run file's index states to be the one
 // its name does.
 func (m *runFileMeta) checkSpan(minSeq, maxSeq uint64) error {
@@ -369,11 +278,9 @@ func (m *runFileMeta) checkSpan(minSeq, maxSeq uint64) error {
 
 // recoverShard rebuilds shard i from its directory: run files first
 // (oldest to newest, applying each file's tombstones to the older
-// files' rows), then WAL segment replay into the memtable. Files of the
-// legacy format are migrated first (verified rewrite; see
-// migrateRunFile) unless the node is read-only — a migration failure is
-// logged and the legacy file served in place, as a read-only open does.
-// Single threaded; no locks needed.
+// files' rows), then WAL segment replay into the memtable. A run file
+// of a format before v3 fails the open and is left as it is
+// (errRunFileV1, errRunFileV2). Single threaded; no locks needed.
 func (n *Node) recoverShard(i int) error {
 	sh := &n.shards[i]
 	metas, err := scanRunFiles(sh.disk.dir)
@@ -382,13 +289,6 @@ func (n *Node) recoverShard(i int) error {
 	}
 	for mi := range metas {
 		m := &metas[mi]
-		if !n.opts.ReadOnly {
-			if err := migrateRunFile(m); errors.Is(err, errRunFileV1) {
-				return err
-			} else if err != nil {
-				log.Printf("store: run-file migration: %v (serving the file as it is)", err)
-			}
-		}
 		if n.cache != nil {
 			// Resident-set-bounded recovery: a file contributes only its
 			// index (per-series bounds + block index); the data section

@@ -7,7 +7,6 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
-	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -561,8 +560,8 @@ func TestRunIndexAllocationGuards(t *testing.T) {
 
 // TestBlockDecodeCountGuard covers the decoder's own copy of the bound
 // (it is fuzzed without an index in front of it): the shortest blocks
-// of both value codings and of the legacy form, a block whose entries
-// cost no bits, and counts the block cannot be.
+// of both value codings, a block whose entries cost no bits, and counts
+// the block cannot be.
 func TestBlockDecodeCountGuard(t *testing.T) {
 	single, _ := encodeBlock(nil, []entry{{ts: 42, val: 1.5}}, 0)
 	if len(single) != 1+8 {
@@ -577,16 +576,6 @@ func TestBlockDecodeCountGuard(t *testing.T) {
 		if err := decodeBlock(single, count, 42, blockBase{}, &out); err == nil || len(out) != 0 {
 			t.Errorf("count %d over a one-entry block: %+v, %v", count, out, err)
 		}
-	}
-	// The same nine bytes cannot be a legacy block: that form needs a
-	// timestamp byte for its first entry too.
-	if err := decodeBlock(single, 1, 0, blockBase{legacy: true}, &out); err == nil {
-		t.Error("legacy decode accepted a block too short to state its first timestamp")
-	}
-	// Nor may a legacy block carry a coding bit: no v2 writer knew them.
-	framed := append([]byte{blockFlagTSFrame}, make([]byte, 16)...)
-	if err := decodeBlock(framed, 1, 0, blockBase{legacy: true}, &out); err == nil || !strings.Contains(err.Error(), "unknown flags") {
-		t.Errorf("legacy decode of a block with a coding bit: %v, want the unknown-flags refusal", err)
 	}
 	if err := decodeBlock([]byte{0x20, 0, 0, 0, 0, 0, 0, 0, 0}, 1, 0, blockBase{}, &out); err == nil || !strings.Contains(err.Error(), "unknown flags") {
 		t.Errorf("block with flag bit 5: %v, want the unknown-flags refusal", err)
@@ -634,34 +623,6 @@ func TestRunFooterRejectsOversizedIndex(t *testing.T) {
 	}
 	if _, err := runFooter(8, math.MaxUint32+1, 0); err == nil {
 		t.Fatal("index longer than the footer's length field accepted")
-	}
-}
-
-// TestGoldenV2ForgedCountRejected patches the checked-in v2 file's
-// first block count — refreshing the footer CRC so only the guard can
-// object — to values the legacy bound must refuse.
-func TestGoldenV2ForgedCountRejected(t *testing.T) {
-	orig, err := os.ReadFile(goldenV2Path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	footer := orig[len(orig)-runFooterLen:]
-	indexOff := binary.BigEndian.Uint64(footer)
-	// index header, two tombstones, first series header, then the first
-	// block entry: off u64 | len u32 | count u32 | ...
-	entryOff := int(indexOff) + v2IndexFixedLen + 2*v2TombLen + v2SeriesHdrLen
-	length := binary.BigEndian.Uint32(orig[entryOff+8:])
-	if got := binary.BigEndian.Uint32(orig[entryOff+12:]); got != blockEntries {
-		t.Fatalf("fixture layout changed: first block count %d", got)
-	}
-	for _, forged := range []uint32{0, blockEntries + 1, length, math.MaxUint32} {
-		data := append([]byte(nil), orig...)
-		binary.BigEndian.PutUint32(data[entryOff+12:], forged)
-		index := data[indexOff : len(data)-runFooterLen]
-		binary.BigEndian.PutUint32(data[len(data)-4:], crc32.ChecksumIEEE(index))
-		if _, err := decodeRunFile(data); err == nil {
-			t.Errorf("legacy index with block count %d accepted", forged)
-		}
 	}
 }
 
@@ -735,9 +696,9 @@ func BenchmarkBlockDecode(b *testing.B) {
 	}
 }
 
-// TestRunIndexParsersSurviveDamage feeds both index parsers — behind
-// the footer CRC in production, bare here — every prefix of a valid
-// index and every single-byte corruption of it. A prefix must be
+// TestRunIndexParsersSurviveDamage feeds the index parser — behind the
+// footer CRC in production, bare here — every prefix of two valid
+// indexes and every single-byte corruption of them. A prefix must be
 // rejected; a corruption may parse (the CRC, not the parser, catches a
 // flipped bound) but must never panic or reach past the data section.
 func TestRunIndexParsersSurviveDamage(t *testing.T) {
@@ -746,21 +707,20 @@ func TestRunIndexParsersSurviveDamage(t *testing.T) {
 		return file[dataLen : len(file)-runFooterLen], dataLen
 	}
 	v3, v3Len := split(validRunFileBytes(t))
-	v2, v2Len := split(goldenV2Bytes(t))
+	old, oldLen := split(goldenBytes(t, goldenPR15Path))
 	for _, c := range []struct {
 		name    string
 		index   []byte
 		dataLen int64
-		parse   func([]byte, int64) (*runIndex, error)
 	}{
-		{"v3", v3, v3Len, parseRunIndex},
-		{"v2", v2, v2Len, parseRunIndexV2},
+		{"writer", v3, v3Len},
+		{"before the frame codings", old, oldLen},
 	} {
-		if _, err := c.parse(c.index, c.dataLen); err != nil {
+		if _, err := parseRunIndex(c.index, c.dataLen); err != nil {
 			t.Fatalf("%s: intact index rejected: %v", c.name, err)
 		}
 		for n := 0; n < len(c.index); n++ {
-			if _, err := c.parse(c.index[:n], c.dataLen); err == nil {
+			if _, err := parseRunIndex(c.index[:n], c.dataLen); err == nil {
 				t.Fatalf("%s: index truncated to %d of %d bytes accepted", c.name, n, len(c.index))
 			}
 		}
@@ -768,7 +728,7 @@ func TestRunIndexParsersSurviveDamage(t *testing.T) {
 			for _, flip := range []byte{0x01, 0x80, 0xff} {
 				damaged := append([]byte(nil), c.index...)
 				damaged[i] ^= flip
-				idx, err := c.parse(damaged, c.dataLen)
+				idx, err := parseRunIndex(damaged, c.dataLen)
 				if err != nil {
 					continue
 				}

@@ -6,26 +6,20 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"dcdb/internal/core"
 )
 
-// Fuzz targets for every on-disk decoder: the run-file reader, the WAL
-// replayer and the legacy snapshot loader all consume bytes that a
-// crash, a torn write or a hostile file can corrupt arbitrarily, so
-// none of them may panic, over-allocate from a forged count, or accept
-// a record that fails its checksum.
+// Fuzz targets for every on-disk decoder: the run-file reader, the
+// block decoder and the WAL replayer all consume bytes that a crash, a
+// torn write or a hostile file can corrupt arbitrarily, so none of them
+// may panic, over-allocate from a forged count, or accept a record that
+// fails its checksum.
 
 // validRunFileBytes builds a well-formed run file through the real
 // writer — two blocks, an expire section, versions, a tombstone, and a
 // series for every combination of block codings — to seed the corpus.
 func validRunFileBytes(t interface{ Fatal(...any) }) []byte {
-	dir, err := os.MkdirTemp("", "dcdbfuzz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer os.RemoveAll(dir)
 	long := make([]entry, blockEntries+30) // spans two blocks
 	for i := range long {
 		long[i] = entry{ts: int64(i) * 10, val: float64(i % 17), ver: 1<<50 + uint64(i)}
@@ -38,20 +32,23 @@ func validRunFileBytes(t interface{ Fatal(...any) }) []byte {
 		series[core.SensorID{Hi: 5, Lo: uint64(coding)}] = es
 	}
 	tombs := map[core.SensorID]int64{{Hi: 1, Lo: 2}: 3}
-	meta, _, err := writeRunFile(dir, 2, 4, series, tombs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(meta.path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
+	return writtenRunFileBytes(t, &runContents{minSeq: 2, maxSeq: 4, series: series, tombs: tombs})
 }
 
-// goldenV2Bytes is the checked-in legacy v2 file: the corpus seed of
-// the legacy read path, which no writer in this tree can produce.
-func goldenV2Bytes(t interface{ Fatal(...any) }) []byte { return goldenBytes(t, goldenV2Path) }
+// writtenRunFileBytes writes rc through the real writer and returns the
+// file.
+func writtenRunFileBytes(t interface{ Fatal(...any) }, rc *runContents) []byte {
+	dir, err := os.MkdirTemp("", "dcdbfuzz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	meta, _, err := writeRunFile(dir, rc.minSeq, rc.maxSeq, rc.series, rc.tombs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return goldenBytes(t, meta.path)
+}
 
 func goldenBytes(t interface{ Fatal(...any) }, path string) []byte {
 	data, err := os.ReadFile(path)
@@ -65,7 +62,9 @@ func FuzzRunFileDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("DCDBRUN2"))
 	f.Add([]byte("DCDBRUN3"))
-	for _, valid := range [][]byte{validRunFileBytes(f), goldenBytes(f, goldenPR15Path), goldenV2Bytes(f)} {
+	// The fixture's contents twice: as a build before the frame codings
+	// wrote them, and in the codings the encoder picks today.
+	for _, valid := range [][]byte{validRunFileBytes(f), goldenBytes(f, goldenPR15Path), writtenRunFileBytes(f, goldenContents())} {
 		f.Add(valid)
 		f.Add(valid[:len(valid)/2])             // torn data/index
 		f.Add(valid[:len(valid)-8])             // torn footer
@@ -152,45 +151,45 @@ func FuzzWALReplay(f *testing.F) {
 	})
 }
 
-// FuzzBlockDecode hammers the block decoder directly, in both its
-// forms — index-anchored (v3) and self-contained (legacy v2): torn,
+// FuzzBlockDecode hammers the block decoder directly: torn,
 // bit-flipped or hostile block bytes (which the per-block CRC would
 // normally reject before decode) must error — never panic, never
 // over-allocate, never return unsorted data. Whatever decodes must
-// survive a v3 re-encode, which checks the valid path inside the
-// fuzzer too.
+// survive a re-encode, which checks the valid path inside the fuzzer
+// too.
 func FuzzBlockDecode(f *testing.F) {
-	f.Add([]byte{}, uint16(1), int64(0), uint64(0), false)
-	f.Add([]byte{0}, uint16(1), int64(0), uint64(0), true)
+	f.Add([]byte{}, uint16(1), int64(0), uint64(0))
+	f.Add([]byte{0}, uint16(1), int64(0), uint64(0))
 	enc := func(es []entry, baseVer uint64) []byte { b, _ := encodeBlock(nil, es, baseVer); return b }
 	es := []entry{{ts: 1, val: 1.5, ver: 900}, {ts: 1, val: -2, ver: 1100}, {ts: 50, val: 1.5, expire: 9}}
-	f.Add(enc(es, 1000), uint16(len(es)), es[0].ts, uint64(1000), false)
-	f.Add(enc(es[:1], 0), uint16(1), es[0].ts, uint64(0), false)
+	f.Add(enc(es, 1000), uint16(len(es)), es[0].ts, uint64(1000))
+	f.Add(enc(es[:1], 0), uint16(1), es[0].ts, uint64(0))
 	long := make([]entry, blockEntries)
 	for i := range long {
 		long[i] = entry{ts: int64(i) * 1000, val: float64(i) * 0.5}
 	}
-	f.Add(enc(long, 0), uint16(len(long)), long[0].ts, uint64(0), false)
+	f.Add(enc(long, 0), uint16(len(long)), long[0].ts, uint64(0))
 	for _, es := range codingSeeds(f) {
-		f.Add(enc(es, es[0].ver), uint16(len(es)), es[0].ts, es[0].ver, false)
+		f.Add(enc(es, es[0].ver), uint16(len(es)), es[0].ts, es[0].ver)
 	}
-	// Legacy blocks come out of the checked-in v2 file.
-	golden := goldenV2Bytes(f)
+	// Blocks in the first codings only come out of the checked-in file
+	// of a build before the frame codings.
+	golden := goldenBytes(f, goldenPR15Path)
 	footer := golden[len(golden)-runFooterLen:]
 	indexOff := binary.BigEndian.Uint64(footer)
-	idx, err := parseRunIndexV2(golden[indexOff:len(golden)-runFooterLen], int64(indexOff))
+	idx, err := parseRunIndex(golden[indexOff:len(golden)-runFooterLen], int64(indexOff))
 	if err != nil {
 		f.Fatal(err)
 	}
 	for _, se := range idx.series {
 		for _, m := range se.blocks {
-			f.Add(golden[m.off:m.off+uint64(m.length)], uint16(m.count), m.min, uint64(0), true)
+			f.Add(golden[m.off:m.off+uint64(m.length)], uint16(m.count), m.min, idx.base.ver)
 		}
 	}
-	f.Fuzz(func(t *testing.T, data []byte, count16 uint16, first int64, baseVer uint64, legacy bool) {
+	f.Fuzz(func(t *testing.T, data []byte, count16 uint16, first int64, baseVer uint64) {
 		count := int(count16)
 		out := make([]entry, 0, 64)
-		if err := decodeBlock(data, count, first, blockBase{ver: baseVer, legacy: legacy}, &out); err != nil {
+		if err := decodeBlock(data, count, first, blockBase{ver: baseVer}, &out); err != nil {
 			if len(out) != 0 {
 				t.Fatalf("failed decode left %d partial entries", len(out))
 			}
@@ -199,7 +198,7 @@ func FuzzBlockDecode(f *testing.F) {
 		if len(out) != count {
 			t.Fatalf("decoded %d entries, promised %d", len(out), count)
 		}
-		if !legacy && out[0].ts != first {
+		if out[0].ts != first {
 			t.Fatalf("anchored block starts at %d, index says %d", out[0].ts, first)
 		}
 		for i := 1; i < len(out); i++ {
@@ -215,41 +214,6 @@ func FuzzBlockDecode(f *testing.F) {
 		}
 		if err := entriesEqual(out2, out); err != nil {
 			t.Fatalf("re-encode round trip diverged: %v", err)
-		}
-	})
-}
-
-func FuzzSnapshotLoad(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte("DCDBSNAP"))
-	var snap bytes.Buffer
-	{
-		n := NewNode(0)
-		id := core.SensorID{Hi: 1, Lo: 1}
-		n.Insert(id, core.Reading{Timestamp: 1, Value: 2}, 0)
-		n.Insert(id, core.Reading{Timestamp: 5, Value: 6}, time.Hour)
-		if err := n.Save(&snap); err != nil {
-			f.Fatal(err)
-		}
-	}
-	f.Add(snap.Bytes())
-	f.Add(snap.Bytes()[:snap.Len()-5])
-	f.Fuzz(func(t *testing.T, data []byte) {
-		n := NewNode(0)
-		if err := n.Load(bytes.NewReader(data)); err != nil {
-			return
-		}
-		// A loaded node must be fully usable.
-		for _, id := range n.SensorIDs() {
-			rs, err := n.Query(id, -1<<62, 1<<62)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 1; i < len(rs); i++ {
-				if rs[i].Timestamp <= rs[i-1].Timestamp {
-					t.Fatalf("loaded sensor %v serves unsorted readings", id)
-				}
-			}
 		}
 	})
 }

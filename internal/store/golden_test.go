@@ -6,31 +6,24 @@ import (
 	"dcdb/internal/core"
 )
 
-// goldenV2Path is a run file in legacy format v2, written by the v2
-// writer of the last build that had one (PR 11) from exactly what
-// goldenV2Contents returns. It is the fixture for everything that must
-// keep reading v2: the decoder, the open-time migration, read-only
-// opens, the fuzz corpus. It cannot be regenerated from this tree — no
-// v2 writer remains — so goldenV2Contents must never change.
-const goldenV2Path = "testdata/run-v2.sst"
-
-// goldenPR15Path is a run file in the current format v3 holding the
-// same contents, written by the last build before the block codec's
+// goldenPR15Path is a run file in the current format v3 holding
+// goldenContents, written by the last build before the block codec's
 // frame codings (PR 15): the fixture for "every file written before them
-// stays valid as it is". It cannot be regenerated from this tree either
-// — the encoder now picks the frame codings for most of its blocks.
+// stays valid as it is". It cannot be regenerated from this tree — the
+// encoder now picks the frame codings for most of its blocks — so
+// goldenContents must never change.
 const goldenPR15Path = "testdata/run-v3-pr15.sst"
 
-// goldenV2Name is the name the file must carry inside a shard
-// directory (its index states the span [1,2]).
-var goldenV2Name = runFileName(1, 2)
+// goldenName is the name the file must carry inside a shard directory
+// (its index states the span [1,2]).
+var goldenName = runFileName(1, 2)
 
-// goldenV2IDs returns the fixture's series ids, all hashing to one
+// goldenIDs returns the fixture's series ids, all hashing to one
 // shard (a run file belongs to a shard directory): a three-block
 // versioned counter, a two-block series with duplicate timestamps,
 // expiries and mixed zero/non-zero versions, a single unversioned
 // entry, and exactly one full block whose versions are all equal.
-func goldenV2IDs() (counter, messy, single, full core.SensorID) {
+func goldenIDs() (counter, messy, single, full core.SensorID) {
 	var ids []core.SensorID
 	for lo := uint64(1); len(ids) < 4; lo++ {
 		if id := sid(0x0001000200030004, lo<<32); shardIndex(id) == 5 {
@@ -40,9 +33,12 @@ func goldenV2IDs() (counter, messy, single, full core.SensorID) {
 	return ids[0], ids[1], ids[2], ids[3]
 }
 
-func goldenV2Contents() *runContents {
+// goldenContents is the fixture's contents: a fixed pseudo-random
+// spread of the shapes a decoder has to keep reading — multi-block
+// series, duplicate timestamps, expiries, mixed versions, tombstones.
+func goldenContents() *runContents {
 	rng := rand.New(rand.NewSource(20190617))
-	counter, messy, single, full := goldenV2IDs()
+	counter, messy, single, full := goldenIDs()
 	const t0, v0 = int64(1_560_000_000_000_000_000), uint64(1_700_000_000_000_000_000)
 
 	ces := make([]entry, 2*blockEntries+17)

@@ -415,17 +415,3 @@ func TestForwardedVersionedHintRehints(t *testing.T) {
 		t.Fatalf("write counters ok=%d failed=%d after one client write and two forwards, want 1 and 0", ok, failed)
 	}
 }
-
-// TestSaveFileErrorPaths: snapshot writes are atomic — a failed create
-// leaves nothing behind and surfaces the error.
-func TestSaveFileErrorPaths(t *testing.T) {
-	n := NewNode(0)
-	defer n.Close()
-	if err := n.SaveFile("/nonexistent-dir/snap"); err == nil {
-		t.Fatal("SaveFile into a missing directory succeeded")
-	}
-	path := t.TempDir() + "/ok.snap"
-	if err := n.SaveFile(path); err != nil {
-		t.Fatalf("SaveFile: %v", err)
-	}
-}

@@ -80,7 +80,7 @@ type runMetrics struct {
 }
 
 // add counts one committed run file. A nil receiver counts nothing
-// (tests, and the open-time migration of a legacy file).
+// (files tests write outside a node).
 func (m *runMetrics) add(b *runBytes) {
 	if m == nil {
 		return

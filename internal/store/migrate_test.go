@@ -12,50 +12,27 @@ import (
 	"time"
 
 	"dcdb/internal/core"
-	"dcdb/internal/faults"
-	"dcdb/internal/fsutil"
 )
 
-// placeGoldenV2 copies the checked-in legacy v2 run file into the shard
-// directory its series hash to under dir and returns where it landed.
-func placeGoldenV2(t *testing.T, dir string) string { return placeGolden(t, dir, goldenV2Path) }
-
-// placeGolden does that for either checked-in file: both hold
-// goldenV2Contents.
+// placeGolden copies a checked-in run file holding goldenContents into
+// the shard directory its series hash to under dir and returns where it
+// landed.
 func placeGolden(t *testing.T, dir, golden string) string {
 	t.Helper()
 	data, err := os.ReadFile(golden)
 	if err != nil {
 		t.Fatal(err)
 	}
-	counter, _, _, _ := goldenV2IDs()
+	counter, _, _, _ := goldenIDs()
 	shardDir := filepath.Join(dir, fmt.Sprintf("shard-%02d", shardIndex(counter)))
 	if err := os.MkdirAll(shardDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(shardDir, goldenV2Name)
+	path := filepath.Join(shardDir, goldenName)
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path
-}
-
-// dirSnapshot maps every file under dir to its bytes.
-func dirSnapshot(t *testing.T, dir string) map[string]string {
-	t.Helper()
-	snap := map[string]string{}
-	err := filepath.Walk(dir, func(p string, info os.FileInfo, err error) error {
-		if err != nil || info.IsDir() {
-			return err
-		}
-		data, err := os.ReadFile(p)
-		snap[p] = string(data)
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return snap
 }
 
 // servedVersioned reads every golden series back through the node.
@@ -72,46 +49,6 @@ func servedVersioned(t *testing.T, n *Node, want *runContents) map[core.SensorID
 	return got
 }
 
-func runMagicOf(t *testing.T, path string) string {
-	t.Helper()
-	data, err := os.ReadFile(path)
-	if err != nil || len(data) < runMagicLen {
-		t.Fatalf("reading %s: %v", path, err)
-	}
-	return string(data[:runMagicLen])
-}
-
-// TestGoldenV2Decodes pins the legacy read path to a file written by
-// the last build that had a v2 writer: the whole-file decoder and the
-// index-only cold reader must both keep reading it, entry for entry.
-func TestGoldenV2Decodes(t *testing.T) {
-	data, err := os.ReadFile(goldenV2Path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data[:runMagicLen]) != string(runMagicV2) {
-		t.Fatalf("fixture carries magic %q", data[:runMagicLen])
-	}
-	want := goldenV2Contents()
-	got, err := decodeRunFile(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := runContentsEqual(want, got); err != nil {
-		t.Fatalf("golden v2 file decodes differently: %v", err)
-	}
-	idx, err := readRunIndexFile(goldenV2Path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !idx.base.legacy || len(idx.series) != len(want.series) {
-		t.Fatalf("index-only read: legacy=%v, %d series", idx.base.legacy, len(idx.series))
-	}
-	if err := coldSeriesEqual(goldenV2Path, idx, want.series); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestPR15DirectoryServedAndKeptAsIs is the compatibility contract of
 // the frame codings, against a run file the last build without them
 // wrote (PR 15; format v3, every block with flag bits 2-4 clear): it
@@ -126,7 +63,7 @@ func TestPR15DirectoryServedAndKeptAsIs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := goldenV2Contents()
+	want := goldenContents()
 	got, err := decodeRunFile(data)
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +80,7 @@ func TestPR15DirectoryServedAndKeptAsIs(t *testing.T) {
 	}
 	for _, se := range idx.series {
 		for _, m := range se.blocks {
-			if flags := data[m.off]; flags&^blockFlagsLegacy != 0 {
+			if flags := data[m.off]; flags&^(blockFlagExpire|blockFlagVersion) != 0 {
 				t.Fatalf("fixture block at %d has flags %#x: not written by a build before the frame codings", m.off, flags)
 			}
 		}
@@ -158,11 +95,11 @@ func TestPR15DirectoryServedAndKeptAsIs(t *testing.T) {
 		n := openedNode(t, dir, 0, o)
 		served = append(served, servedVersioned(t, n, want))
 		n.Close()
-		if dirSnapshot(t, dir)[path] != string(data) {
+		if now, err := os.ReadFile(path); err != nil || string(now) != string(data) {
 			t.Fatalf("open %+v rewrote the PR 15 run file", o)
 		}
 	}
-	counter, _, _, _ := goldenV2IDs()
+	counter, _, _, _ := goldenIDs()
 	if len(served[0][counter]) != len(want.series[counter]) {
 		t.Fatalf("served %d counter readings, want %d", len(served[0][counter]), len(want.series[counter]))
 	}
@@ -192,102 +129,45 @@ func TestPR15DirectoryServedAndKeptAsIs(t *testing.T) {
 	}
 }
 
-// TestV2MigrationPreservesContents opens a node over the legacy v2 run
-// file and requires the one-shot migration to leave a byte-verified v3
-// file serving exactly the original data — multi-block series,
-// duplicate timestamps, expiries, mixed versions, tombstones — to be
-// idempotent across reopens, to serve what a read-only open of the
-// untouched v2 file serves, and to survive the crash window between
-// the rewrite and the rename.
-func TestV2MigrationPreservesContents(t *testing.T) {
-	dir := t.TempDir()
-	path := placeGoldenV2(t, dir)
-	want := goldenV2Contents()
-	counter, _, _, _ := goldenV2IDs()
-
-	ro := coldOptions
-	ro.ReadOnly = true
-	n := openedNode(t, dir, 0, ro)
-	inPlace := servedVersioned(t, n, want)
-	n.Close()
-	if len(inPlace[counter]) != len(want.series[counter]) {
-		t.Fatalf("read-only open served %d counter readings, want %d", len(inPlace[counter]), len(want.series[counter]))
+// runContentsEqual compares two decoded run files entry-for-entry.
+func runContentsEqual(a, b *runContents) error {
+	if a.minSeq != b.minSeq || a.maxSeq != b.maxSeq {
+		return fmt.Errorf("span [%d,%d] != [%d,%d]", a.minSeq, a.maxSeq, b.minSeq, b.maxSeq)
 	}
-
-	// A crash between the rewrite and the rename leaves the complete v3
-	// copy in the scratch directory beside the v2 original: exactly one
-	// file counts as a run file, and the retry must not trip over the
-	// leftover.
-	scratch := path + ".migrate"
-	if err := os.MkdirAll(scratch, 0o755); err != nil {
-		t.Fatal(err)
+	if len(a.tombs) != len(b.tombs) {
+		return fmt.Errorf("%d tombstones != %d", len(a.tombs), len(b.tombs))
 	}
-	if _, _, err := writeRunFile(scratch, want.minSeq, want.maxSeq, want.series, want.tombs, nil); err != nil {
-		t.Fatal(err)
-	}
-	if metas, err := scanRunFiles(filepath.Dir(path)); err != nil || len(metas) != 1 || metas[0].path != path {
-		t.Fatalf("crash window: scan sees %+v (%v), want only the original", metas, err)
-	}
-
-	check := func(o DiskOptions) {
-		t.Helper()
-		n := openedNode(t, dir, 0, o)
-		defer n.Close()
-		if magic := runMagicOf(t, path); magic != string(runMagic) {
-			t.Fatalf("magic %q after a writable open, want the current format", magic)
-		}
-		if _, err := os.Stat(scratch); !os.IsNotExist(err) {
-			t.Fatalf("migration scratch dir left behind: %v", err)
-		}
-		got, err := readRunFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := runContentsEqual(want, got); err != nil {
-			t.Fatalf("migrated contents diverge: %v", err)
-		}
-		if served := servedVersioned(t, n, want); !reflect.DeepEqual(served, inPlace) {
-			t.Fatal("migrated file serves different query results than the v2 original did")
+	for id, cutoff := range a.tombs {
+		if b.tombs[id] != cutoff {
+			return fmt.Errorf("tombstone %v: %d != %d", id, cutoff, b.tombs[id])
 		}
 	}
-	check(coldOptions) // migrates, then cold-loads
-	migrated := dirSnapshot(t, filepath.Dir(path))[path]
-	check(noCompact) // second open is a no-op, resident load
-	if dirSnapshot(t, filepath.Dir(path))[path] != migrated {
-		t.Fatal("reopening a migrated directory rewrote the run file")
+	if len(a.series) != len(b.series) {
+		return fmt.Errorf("%d series != %d", len(a.series), len(b.series))
 	}
-}
-
-// TestV2MigrationFailureServesOriginal injects a disk fault into the
-// migration's scratch rewrite and requires the open to degrade — the
-// v2 file stays authoritative and fully served — instead of failing.
-func TestV2MigrationFailureServesOriginal(t *testing.T) {
-	inj := faults.New(1)
-	orig := fsutil.Disk
-	fsutil.Disk = inj.FS(orig)
-	defer func() { fsutil.Disk = orig }()
-
-	dir := t.TempDir()
-	path := placeGoldenV2(t, dir)
-	want := goldenV2Contents()
-	inj.AddRule(&faults.Rule{Ops: faults.FSOpen | faults.FSWrite, Match: ".migrate", Err: faults.ErrInjected})
-	for _, o := range []DiskOptions{noCompact, coldOptions} {
-		n := openedNode(t, dir, 0, o)
-		if magic := runMagicOf(t, path); magic != string(runMagicV2) {
-			t.Fatalf("failed migration must leave the v2 file authoritative, found %q", magic)
+	for id, es := range a.series {
+		es2, ok := b.series[id]
+		if !ok || len(es) != len(es2) {
+			return fmt.Errorf("series %v: %d entries != %d", id, len(es), len(es2))
 		}
-		for id, vrs := range servedVersioned(t, n, want) {
-			if len(vrs) == 0 || len(vrs) > len(want.series[id]) {
-				t.Fatalf("v2 fallback serves %d readings of %v", len(vrs), id)
+		for i := range es {
+			if !sameEntry(es[i], es2[i]) {
+				return fmt.Errorf("series %v entry %d: %+v != %+v", id, i, es[i], es2[i])
 			}
 		}
-		n.Close()
 	}
+	return nil
 }
 
-// TestRunContentsEqualDetectsDivergence drives the migration verifier
-// through every mismatch class: a silent pass here is what would let a
-// bad rewrite retire a good v1 file.
+// sameEntry compares the value by its bits: == would pass a lost sign
+// of zero and fail a NaN against itself.
+func sameEntry(a, b entry) bool {
+	return a.ts == b.ts && a.expire == b.expire && a.ver == b.ver && math.Float64bits(a.val) == math.Float64bits(b.val)
+}
+
+// TestRunContentsEqualDetectsDivergence drives the comparison the
+// format tests rest on through every mismatch class: a silent pass here
+// would let a lossy codec pass them.
 func TestRunContentsEqualDetectsDivergence(t *testing.T) {
 	base := func() *runContents {
 		return &runContents{
@@ -340,63 +220,36 @@ func TestBatchedSyncLoopDurability(t *testing.T) {
 	}
 }
 
-// TestV2ReadOnlyOpenLeavesDirectoryUntouched requires a read-only open
-// to serve legacy v2 files in place: after opening hot and cold and
-// querying everything, the directory is byte-identical. The messy
-// series is left to the migration test's before/after comparison: what
-// a query makes of its duplicates and long-past expiries is not this
-// test's subject.
-func TestV2ReadOnlyOpenLeavesDirectoryUntouched(t *testing.T) {
-	dir := t.TempDir()
-	placeGoldenV2(t, dir)
-	want := goldenV2Contents()
-	_, messy, _, _ := goldenV2IDs()
-	before := dirSnapshot(t, dir)
-	for _, o := range []DiskOptions{noCompact, coldOptions} {
-		o.ReadOnly = true
-		n := openedNode(t, dir, 0, o)
-		for id, vrs := range servedVersioned(t, n, want) {
-			es := want.series[id]
-			if id == messy {
-				continue
-			}
-			if len(vrs) != len(es) {
-				t.Fatalf("read-only open serves %d readings of %v, want %d", len(vrs), id, len(es))
-			}
-			for i, vr := range vrs {
-				if vr.Timestamp != es[i].ts || vr.Value != es[i].val || vr.Version != es[i].ver {
-					t.Fatalf("series %v reading %d: %+v, want %+v", id, i, vr, es[i])
-				}
-			}
+// TestOldRunFormatsRefused requires a run file of either format before
+// v3 — whose decoders are gone — to fail every kind of open with an
+// error that names the file and the way out, and to be left as it was.
+func TestOldRunFormatsRefused(t *testing.T) {
+	for _, tc := range []struct {
+		magic string
+		err   error
+		way   string // what the refusal must say
+	}{
+		{"DCDBRUN1", errRunFileV1, "a build that still reads v1, then once with a build that still reads v2"},
+		{"DCDBRUN2", errRunFileV2, "a build that still reads v2; it rewrites the files as v3"},
+	} {
+		dir := t.TempDir()
+		shardDir := filepath.Join(dir, "shard-00")
+		if err := os.MkdirAll(shardDir, 0o755); err != nil {
+			t.Fatal(err)
 		}
-		n.Close()
-	}
-	if after := dirSnapshot(t, dir); !reflect.DeepEqual(before, after) {
-		t.Fatal("read-only open changed the directory")
-	}
-}
-
-// TestV1RunFileRefused requires a format-v1 file — whose decoder is
-// gone — to fail the open with an error that names the way out, and to
-// be left alone.
-func TestV1RunFileRefused(t *testing.T) {
-	dir := t.TempDir()
-	shardDir := filepath.Join(dir, "shard-00")
-	if err := os.MkdirAll(shardDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	v1 := append([]byte("DCDBRUN1"), make([]byte, 64)...)
-	path := filepath.Join(shardDir, runFileName(1, 1))
-	if err := os.WriteFile(path, v1, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, o := range []DiskOptions{noCompact, coldOptions, {CompactInterval: -1, ReadOnly: true}} {
-		err := NewNode(0).OpenOptions(dir, o)
-		if !errors.Is(err, errRunFileV1) || !strings.Contains(err.Error(), "PR 11") {
-			t.Fatalf("open %+v over a v1 file: %v, want the refusal", o, err)
+		old := append([]byte(tc.magic), make([]byte, 64)...)
+		path := filepath.Join(shardDir, runFileName(1, 1))
+		if err := os.WriteFile(path, old, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		if got, _ := os.ReadFile(path); string(got) != string(v1) {
-			t.Fatal("refused v1 file was modified")
+		for _, o := range []DiskOptions{noCompact, coldOptions, {CompactInterval: -1, ReadOnly: true}} {
+			err := NewNode(0).OpenOptions(dir, o)
+			if !errors.Is(err, tc.err) || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), tc.way) {
+				t.Fatalf("open %+v over a %s file: %v, want the refusal naming %s", o, tc.magic, err, path)
+			}
+			if got, _ := os.ReadFile(path); string(got) != string(old) {
+				t.Fatalf("refused %s file was modified", tc.magic)
+			}
 		}
 	}
 }

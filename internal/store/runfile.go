@@ -48,22 +48,25 @@ import (
 // block carries its own CRC in the index, so a cold read verifies
 // exactly what it touches.
 //
-// Format v2 ("DCDBRUN2": the same data/index/footer frame with a
-// fixed-width index and self-contained blocks) is the one legacy format:
-// a writable Open rewrites it as v3 (migrateRunFile), a read-only Open
-// serves it in place through parseRunIndexV2 and the legacy arm of
-// decodeBlock. Format v1 is refused (errRunFileV1).
+// v3 is the only format a node opens. The two before it are refused
+// with the way out (errRunFileV1, errRunFileV2), and their files are
+// left as they are: the builds that read them rewrote them, one format
+// forward, at a writable open.
 
+var runMagic = []byte("DCDBRUN3")
+
+// errRunFileV1 and errRunFileV2 refuse the formats whose decoders are
+// gone: v1, the uncompressed whole-file format of the first durable
+// builds, and v2, the fixed-width index with self-contained blocks.
+// internal/store/README.md names the builds of the upgrade path.
 var (
-	runMagic   = []byte("DCDBRUN3")
-	runMagicV2 = []byte("DCDBRUN2")
-	runMagicV1 = []byte("DCDBRUN1")
+	errRunFileV1 = errors.New("run file is in format v1 (DCDBRUN1), which this build no longer reads: " +
+		"open the directory once, writable, with a build that still reads v1, then once with a build " +
+		"that still reads v2; each rewrites the files one format forward (see \"Upgrading old run files\" in internal/store/README.md)")
+	errRunFileV2 = errors.New("run file is in format v2 (DCDBRUN2), which this build no longer reads: " +
+		"open the directory once, writable, with a build that still reads v2; it rewrites the files as v3 " +
+		"(see \"Upgrading old run files\" in internal/store/README.md)")
 )
-
-// errRunFileV1 refuses the uncompressed whole-file format of the first
-// durable builds, whose decoder is gone.
-var errRunFileV1 = errors.New("run file is in format v1 (DCDBRUN1), which this build no longer reads: " +
-	"open the directory once, writable, with a build of PR 11 or earlier to migrate it")
 
 const (
 	runMagicLen  = 8
@@ -541,7 +544,7 @@ func parseRunIndex(b []byte, dataLen int64) (*runIndex, error) {
 			if length > math.MaxUint32 || length > uint64(dataLen)-off {
 				return nil, fmt.Errorf("store: run index block overflows data section")
 			}
-			if err := checkBlockCount(count, int(length), false); err != nil {
+			if err := checkBlockCount(count, int(length)); err != nil {
 				return nil, err
 			}
 			min, ok1 := addDelta(last, dMin)
@@ -566,26 +569,24 @@ func parseRunIndex(b []byte, dataLen int64) (*runIndex, error) {
 	return idx, nil
 }
 
-// runFormat reads a run file's magic: legacy reports the one legacy
-// format (v2); a v1 or foreign magic is an error.
-func runFormat(magic []byte) (legacy bool, err error) {
+// runFormat accepts a v3 magic; a v1, v2 or foreign one is an error.
+func runFormat(magic []byte) error {
 	switch string(magic) {
 	case string(runMagic):
-		return false, nil
-	case string(runMagicV2):
-		return true, nil
-	case string(runMagicV1):
-		return false, errRunFileV1
+		return nil
+	case "DCDBRUN2":
+		return errRunFileV2
+	case "DCDBRUN1":
+		return errRunFileV1
 	}
-	return false, fmt.Errorf("not a DCDB run file")
+	return fmt.Errorf("not a DCDB run file")
 }
 
-// parseRunFrame validates the frame both formats share — magic, footer,
-// index CRC — from the file's size, its first runMagicLen and its last
+// parseRunFrame validates a run file's frame — magic, footer, index
+// CRC — from the file's size, its first runMagicLen and its last
 // runFooterLen bytes, and parses the index that readIndex fetches.
 func parseRunFrame(size int64, magic, footer []byte, readIndex func(off int64, n uint32) ([]byte, error)) (*runIndex, error) {
-	legacy, err := runFormat(magic)
-	if err != nil {
+	if err := runFormat(magic); err != nil {
 		return nil, err
 	}
 	indexOff := binary.BigEndian.Uint64(footer[0:])
@@ -603,9 +604,6 @@ func parseRunFrame(size int64, magic, footer []byte, readIndex func(off int64, n
 	}
 	if crc32.ChecksumIEEE(indexBytes) != indexCRC {
 		return nil, fmt.Errorf("run index CRC mismatch")
-	}
-	if legacy {
-		return parseRunIndexV2(indexBytes, int64(indexOff))
 	}
 	return parseRunIndex(indexBytes, int64(indexOff))
 }
@@ -645,11 +643,11 @@ func readRunIndexFile(path string) (*runIndex, error) {
 	return idx, nil
 }
 
-// decodeRunFile decodes a whole run file held in memory, current or
-// legacy format — the fuzz surface, the migration's reader and the hot
-// (cache-less) recovery path. Counts are validated against the remaining
-// length before any allocation, so corrupt input errors out instead of
-// panicking or OOMing; a CRC mismatch rejects the file.
+// decodeRunFile decodes a whole run file held in memory — the fuzz
+// surface and the hot (cache-less) recovery path. Counts are validated
+// against the remaining length before any allocation, so corrupt input
+// errors out instead of panicking or OOMing; a CRC mismatch rejects the
+// file.
 func decodeRunFile(data []byte) (*runContents, error) {
 	if len(data) < runMagicLen+runFooterLen {
 		return nil, fmt.Errorf("store: run file truncated")

@@ -1,10 +1,7 @@
 package store
 
 import (
-	"bytes"
 	"fmt"
-	"math/rand"
-	"path/filepath"
 	"sort"
 	"sync"
 	"testing"
@@ -361,68 +358,6 @@ func TestClusterConcurrentReplicatedOps(t *testing.T) {
 	}
 }
 
-func TestSnapshotRoundtrip(t *testing.T) {
-	n := NewNode(7)
-	rng := rand.New(rand.NewSource(42))
-	want := make(map[core.SensorID][]core.Reading)
-	for s := 0; s < 5; s++ {
-		id := sid(uint64(s+1), uint64(s))
-		for i := int64(0); i < 50; i++ {
-			r := rd(i*100, rng.Float64())
-			n.Insert(id, r, 0)
-			want[id] = append(want[id], r)
-		}
-	}
-	var buf bytes.Buffer
-	if err := n.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	n2 := NewNode(0)
-	if err := n2.Load(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for id, rs := range want {
-		got, err := n2.Query(id, 0, 1<<60)
-		if err != nil || len(got) != len(rs) {
-			t.Fatalf("sensor %v: got %d readings, err %v", id, len(got), err)
-		}
-		for i := range rs {
-			if got[i] != rs[i] {
-				t.Fatalf("sensor %v reading %d: %v != %v", id, i, got[i], rs[i])
-			}
-		}
-	}
-}
-
-func TestSnapshotInterleavedRunsStaySorted(t *testing.T) {
-	// Save concatenates a sensor's runs from several SSTables; the
-	// restored single run must be sorted or the merge read path
-	// returns out-of-order results.
-	n := NewNode(0)
-	id := sid(1, 1)
-	n.Insert(id, rd(100, 1), 0)
-	n.Flush()
-	n.Insert(id, rd(50, 2), 0)
-	n.Flush()
-	var buf bytes.Buffer
-	if err := n.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	n2 := NewNode(0)
-	if err := n2.Load(&buf); err != nil {
-		t.Fatal(err)
-	}
-	rs, err := n2.Query(id, 0, 200)
-	if err != nil || len(rs) != 2 || rs[0].Timestamp != 50 || rs[1].Timestamp != 100 {
-		t.Fatalf("restored query = %v, %v; want sorted [50 100]", rs, err)
-	}
-	// Window narrowing relies on sortedness too.
-	rs, _ = n2.Query(id, 60, 200)
-	if len(rs) != 1 || rs[0].Timestamp != 100 {
-		t.Fatalf("restored window query = %v", rs)
-	}
-}
-
 func TestCompactRetiresDeadSensors(t *testing.T) {
 	// A sensor whose data fully expires must vanish from SensorIDs
 	// and the prefix index after compaction, even though flush keeps
@@ -451,43 +386,6 @@ func TestCompactRetiresDeadSensors(t *testing.T) {
 	}
 	if rs, _ := n.Query(dead, 0, 10); len(rs) != 1 {
 		t.Fatalf("revived sensor query = %v", rs)
-	}
-}
-
-func TestSnapshotFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "node.snap")
-	n := NewNode(0)
-	n.Insert(sid(1, 1), rd(5, 7), 0)
-	if err := n.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	n2 := NewNode(0)
-	if err := n2.LoadFile(path); err != nil {
-		t.Fatal(err)
-	}
-	rs, _ := n2.Query(sid(1, 1), 0, 10)
-	if len(rs) != 1 || rs[0].Value != 7 {
-		t.Fatalf("file roundtrip: %v", rs)
-	}
-	if err := n2.LoadFile(filepath.Join(dir, "missing")); err == nil {
-		t.Error("missing file accepted")
-	}
-}
-
-func TestSnapshotBadData(t *testing.T) {
-	n := NewNode(0)
-	if err := n.Load(bytes.NewReader([]byte("NOTASNAP"))); err == nil {
-		t.Error("bad magic accepted")
-	}
-	if err := n.Load(bytes.NewReader(nil)); err == nil {
-		t.Error("empty snapshot accepted")
-	}
-	var buf bytes.Buffer
-	buf.Write(snapMagic)
-	buf.Write([]byte{0, 0, 0, 99}) // bad version
-	if err := n.Load(&buf); err == nil {
-		t.Error("bad version accepted")
 	}
 }
 

@@ -1,17 +1,13 @@
 package store
 
 import (
-	"bytes"
 	"encoding/binary"
 	"hash/crc32"
-	"math"
 	"testing"
 )
 
 // Persistence-format coverage for write versions: the WAL's type-3
-// record, the block codec's version stream, and the v2 snapshot
-// record — each with its backward-compat path (legacy data loads as
-// version 0 and keeps losing to any versioned rewrite).
+// record and the block codec's version stream.
 
 func TestWALVersionedRecordRoundtrip(t *testing.T) {
 	id := sid(90, 1)
@@ -124,86 +120,6 @@ func TestBlockCodecVersionStream(t *testing.T) {
 		if lgot[i] != legacy[i] {
 			t.Fatalf("legacy entry %d: %+v, want %+v", i, lgot[i], legacy[i])
 		}
-	}
-}
-
-func TestSnapshotRoundtripPreservesVersions(t *testing.T) {
-	n := NewNode(0)
-	id := sid(90, 3)
-	if err := n.InsertVersioned(id, []VersionedReading{
-		{Timestamp: 1, Value: 10, Version: 7},
-		{Timestamp: 2, Value: 20, Version: 8},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := n.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	n2 := NewNode(0)
-	if err := n2.Load(&buf); err != nil {
-		t.Fatal(err)
-	}
-	vrs, err := n2.QueryVersioned(id, 0, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vrs) != 2 || vrs[0].Version != 7 || vrs[1].Version != 8 {
-		t.Fatalf("restored versions %+v", vrs)
-	}
-	// A stale-versioned rewrite into the restored node must still lose.
-	if err := n2.InsertVersioned(id, []VersionedReading{{Timestamp: 2, Value: 99, Version: 5}}); err != nil {
-		t.Fatal(err)
-	}
-	rs, err := n2.Query(id, 0, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs[1].Value != 20 {
-		t.Fatalf("restored version lost to an older rewrite: %v", rs)
-	}
-}
-
-func TestSnapshotV1LoadsAsVersionZero(t *testing.T) {
-	// Hand-build a version-1 snapshot (24-byte records, no version
-	// field): one sensor, two readings.
-	id := sid(90, 4)
-	var buf bytes.Buffer
-	buf.WriteString("DCDBSNAP")
-	binary.Write(&buf, binary.BigEndian, uint32(1)) // format version 1
-	binary.Write(&buf, binary.BigEndian, uint64(1)) // one series
-	binary.Write(&buf, binary.BigEndian, id.Hi)
-	binary.Write(&buf, binary.BigEndian, id.Lo)
-	binary.Write(&buf, binary.BigEndian, uint64(2)) // two entries
-	for i, v := range []float64{1.25, 2.5} {
-		binary.Write(&buf, binary.BigEndian, uint64(i+1))
-		binary.Write(&buf, binary.BigEndian, math.Float64bits(v))
-		binary.Write(&buf, binary.BigEndian, uint64(0)) // expire
-	}
-	n := NewNode(0)
-	if err := n.Load(&buf); err != nil {
-		t.Fatal(err)
-	}
-	vrs, err := n.QueryVersioned(id, 0, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vrs) != 2 || vrs[0].Version != 0 || vrs[1].Version != 0 {
-		t.Fatalf("v1 snapshot loaded as %+v, want two version-0 readings", vrs)
-	}
-	if vrs[0].Value != 1.25 || vrs[1].Value != 2.5 {
-		t.Fatalf("v1 snapshot values %+v", vrs)
-	}
-	// Legacy data loses to any versioned write at the same timestamp.
-	if err := n.InsertVersioned(id, []VersionedReading{{Timestamp: 1, Value: 9, Version: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	rs, err := n.Query(id, 0, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs[0].Value != 9 {
-		t.Fatalf("version-0 legacy entry outranked a versioned write: %v", rs)
 	}
 }
 

@@ -1,14 +1,15 @@
 // Package tooldb gives the command-line tools (dcdbquery, dcdbconfig,
 // dcdbcsvimport, dcdbgrafana) access to a Storage Backend persisted by
-// a Collect Agent. Two layouts are understood: the legacy snapshot set
-// (<prefix>.nodeN.snap plus <prefix>.topics / <prefix>.meta) and a
-// durable data directory written by an agent running with -data (one
-// node<i>/ directory of run files and WALs, plus topics / meta files
-// inside the directory). Either way the contents are loaded into an
-// in-process backend wrapped in a libDCDB connection.
+// a Collect Agent. A database has one layout, the agent's data
+// directory (-data): one node<i>/ directory of run files and WALs per
+// embedded storage node, plus the topics and meta files. Open loads its
+// contents into an in-process backend wrapped in a libDCDB connection;
+// OpenRemote takes only the topic map from it and queries a running
+// storage cluster live.
 package tooldb
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -29,35 +30,31 @@ var (
 	toolWriteOptions = store.DiskOptions{SyncInterval: -1, CompactInterval: -1}
 )
 
-// Open loads the database under prefix — a snapshot-file prefix or a
-// durable data directory. Missing files mean a fresh database.
-func Open(prefix string) (*libdcdb.Connection, *store.Node, error) {
-	if st, err := os.Stat(prefix); err == nil && st.IsDir() {
-		return openDataDir(prefix)
-	}
-	node := store.NewNode(0)
-	for i := 0; ; i++ {
-		path := fmt.Sprintf("%s.node%d.snap", prefix, i)
-		tmp := store.NewNode(0)
-		if err := tmp.LoadFile(path); err != nil {
-			if os.IsNotExist(err) {
-				break
-			}
-			return nil, nil, fmt.Errorf("tooldb: loading %s: %w", path, err)
-		}
-		if err := mergeInto(node, tmp); err != nil {
-			return nil, nil, err
+// errSnapshotPrefix refuses the snapshot files (<prefix>.node<i>.snap,
+// <prefix>.topics) that agents once wrote instead of a data directory.
+var errSnapshotPrefix = errors.New("is a snapshot file prefix, which this build no longer reads: " +
+	"export its readings with dcdbquery from a build that still reads snapshots, " +
+	"then load the CSV into an agent data directory with dcdbcsvimport")
+
+// refuseSnapshots fails when dir names a snapshot prefix.
+func refuseSnapshots(dir string) error {
+	for _, p := range []string{dir + ".node0.snap", dir + ".topics"} {
+		if _, err := os.Stat(p); err == nil {
+			return fmt.Errorf("tooldb: %s %w (found %s)", dir, errSnapshotPrefix, p)
 		}
 	}
-	return finish(node, prefix+".topics", prefix+".meta")
+	return nil
 }
 
-// openDataDir recovers every node directory of a durable agent data
-// directory and merges them into one tool-side memory node. The
-// recovery path is identical to the agent's: run files are mapped and
-// WAL segments replayed, so the tools see every acknowledged write,
-// including those from a crashed agent.
-func openDataDir(dir string) (*libdcdb.Connection, *store.Node, error) {
+// Open recovers every node directory of the agent data directory dir
+// and merges them into one tool-side memory node; a dir that does not
+// exist is an empty database. The recovery path is identical to the
+// agent's: run files are mapped and WAL segments replayed, so the tools
+// see every acknowledged write, including those from a crashed agent.
+func Open(dir string) (*libdcdb.Connection, *store.Node, error) {
+	if err := refuseSnapshots(dir); err != nil {
+		return nil, nil, err
+	}
 	if err := collectagent.HealInterruptedSave(dir); err != nil {
 		return nil, nil, fmt.Errorf("tooldb: healing interrupted save: %w", err)
 	}
@@ -79,7 +76,7 @@ func openDataDir(dir string) (*libdcdb.Connection, *store.Node, error) {
 			return nil, nil, err
 		}
 	}
-	return finish(node, collectagent.TopicsPath(dir), filepath.Join(dir, "meta"))
+	return finish(node, dir)
 }
 
 // mergeInto copies every reading of src into dst.
@@ -97,10 +94,10 @@ func mergeInto(dst, src *store.Node) error {
 }
 
 // finish wraps the merged node in a connection and loads the topic map
-// and metadata files.
-func finish(node *store.Node, topicsPath, metaPath string) (*libdcdb.Connection, *store.Node, error) {
+// and metadata files of dir.
+func finish(node *store.Node, dir string) (*libdcdb.Connection, *store.Node, error) {
 	mapper := core.NewTopicMapper()
-	if err := collectagent.LoadTopicsFile(topicsPath, mapper); err != nil {
+	if err := collectagent.LoadTopics(dir, mapper); err != nil {
 		return nil, nil, fmt.Errorf("tooldb: topic map: %w", err)
 	}
 	conn := libdcdb.Connect(node, mapper)
@@ -112,7 +109,7 @@ func finish(node *store.Node, topicsPath, metaPath string) (*libdcdb.Connection,
 			}
 		}
 	}
-	if err := conn.LoadMetadataFile(metaPath); err != nil {
+	if err := conn.LoadMetadataFile(filepath.Join(dir, "meta")); err != nil {
 		return nil, nil, fmt.Errorf("tooldb: metadata: %w", err)
 	}
 	return conn, node, nil
@@ -138,10 +135,13 @@ type RemoteOptions struct {
 
 // OpenRemote connects to a running multi-process storage cluster
 // instead of loading persisted files. Topic names live with the agent,
-// not the storage tier, so topicsSource — an agent data directory or a
-// snapshot prefix — supplies the topic map; readings are queried live
-// from the nodes. Close the connection's backend when done.
-func OpenRemote(topicsSource string, o RemoteOptions) (*libdcdb.Connection, *store.Cluster, error) {
+// not the storage tier, so the agent data directory dir supplies the
+// topic map; readings are queried live from the nodes. Close the
+// connection's backend when done.
+func OpenRemote(dir string, o RemoteOptions) (*libdcdb.Connection, *store.Cluster, error) {
+	if err := refuseSnapshots(dir); err != nil {
+		return nil, nil, err
+	}
 	co := store.ClusterOptions{
 		Partitioner:     store.RingPartitioner{Depth: o.Depth},
 		Replication:     o.Replication,
@@ -158,11 +158,7 @@ func OpenRemote(topicsSource string, o RemoteOptions) (*libdcdb.Connection, *sto
 		return nil, nil, err
 	}
 	mapper := core.NewTopicMapper()
-	topicsPath := topicsSource + ".topics"
-	if st, serr := os.Stat(topicsSource); serr == nil && st.IsDir() {
-		topicsPath = collectagent.TopicsPath(topicsSource)
-	}
-	if err := collectagent.LoadTopicsFile(topicsPath, mapper); err != nil {
+	if err := collectagent.LoadTopics(dir, mapper); err != nil {
 		cluster.Close()
 		return nil, nil, fmt.Errorf("tooldb: topic map: %w", err)
 	}
@@ -181,31 +177,20 @@ func OpenRemote(topicsSource string, o RemoteOptions) (*libdcdb.Connection, *sto
 	return conn, cluster, nil
 }
 
-// Save persists the tool-side node and metadata back under prefix. For
-// a snapshot prefix the node collapses into .node0.snap; for a data
-// directory it is rewritten as a single durable node0 (run files +
-// clean WAL), which the agent recovers like any other directory. Not
-// safe against an agent concurrently owning the directory.
-func Save(conn *libdcdb.Connection, node *store.Node, prefix string) error {
-	if st, err := os.Stat(prefix); err == nil && st.IsDir() {
-		return saveDataDir(conn, node, prefix)
-	}
-	if err := node.SaveFile(prefix + ".node0.snap"); err != nil {
+// Save persists the tool-side node and metadata back into the data
+// directory dir, creating it if needed. The node is rewritten as a
+// single durable node0 (run files + clean WAL), which the agent
+// recovers like any other directory. Not safe against an agent
+// concurrently owning the directory.
+func Save(conn *libdcdb.Connection, node *store.Node, dir string) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	if err := collectagent.SaveTopicsFile(prefix+".topics", conn.Mapper()); err != nil {
-		return err
-	}
-	return conn.SaveMetadataFile(prefix + ".meta")
-}
-
-func saveDataDir(conn *libdcdb.Connection, node *store.Node, dir string) error {
-	// Collapse into node0, mirroring the snapshot path — but never
-	// touch the existing node directories until the replacement is
-	// complete and durable. The new node0 is built under a staging
+	// Never touch the existing node directories until the replacement
+	// is complete and durable. The new node0 is built under a staging
 	// name, renamed to the ".ready" commit marker, and only then
 	// swapped in; a crash at any point either keeps the old database
-	// or is finished by healInterruptedSave on the next open.
+	// or is finished by HealInterruptedSave on the next open.
 	building := filepath.Join(dir, collectagent.BuildingDir)
 	os.RemoveAll(building)
 	os.RemoveAll(filepath.Join(dir, collectagent.ReadyDir))

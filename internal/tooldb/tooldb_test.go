@@ -1,8 +1,11 @@
 package tooldb
 
 import (
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -73,47 +76,71 @@ func TestSaveOpenRoundtrip(t *testing.T) {
 	}
 }
 
-func TestOpenMultiNodeSnapshots(t *testing.T) {
-	dir := t.TempDir()
-	prefix := filepath.Join(dir, "cluster")
-	mapper := core.NewTopicMapper()
-	// Two separate node snapshots, disjoint sensors.
-	for i := 0; i < 2; i++ {
-		n := store.NewNode(0)
-		topic := "/c/n" + string(rune('0'+i)) + "/v"
-		id, err := mapper.Map(topic)
-		if err != nil {
+// TestOpenRefusesSnapshotPrefix: the snapshot files agents once wrote
+// instead of a data directory are refused, by every open, with the way
+// out — and left as they are.
+func TestOpenRefusesSnapshotPrefix(t *testing.T) {
+	for _, suffix := range []string{".node0.snap", ".topics"} {
+		prefix := filepath.Join(t.TempDir(), "cluster")
+		file := prefix + suffix
+		if err := os.WriteFile(file, []byte("DCDBSNAP"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		n.Insert(id, core.Reading{Timestamp: 1, Value: float64(i + 1)}, 0)
-		if err := n.SaveFile(prefix + ".node" + string(rune('0'+i)) + ".snap"); err != nil {
-			t.Fatal(err)
+		_, _, err := Open(prefix)
+		if !errors.Is(err, errSnapshotPrefix) || !strings.Contains(err.Error(), "dcdbcsvimport") {
+			t.Fatalf("Open over %s: %v, want the snapshot refusal", file, err)
 		}
-	}
-	// Topic map file.
-	lines := mapper.Export()
-	text := ""
-	for _, l := range lines {
-		text += l + "\n"
-	}
-	if err := writeFile(prefix+".topics", text); err != nil {
-		t.Fatal(err)
-	}
-	conn, _, err := Open(prefix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		topic := "/c/n" + string(rune('0'+i)) + "/v"
-		rs, err := conn.Query(topic, 0, 10)
-		if err != nil || len(rs) != 1 || rs[0].Value != float64(i+1) {
-			t.Fatalf("node %d sensor: %v, %v", i, rs, err)
+		if _, _, err := OpenRemote(prefix, RemoteOptions{Addrs: []string{"127.0.0.1:1"}}); !errors.Is(err, errSnapshotPrefix) {
+			t.Fatalf("OpenRemote over %s: %v, want the snapshot refusal", file, err)
+		}
+		if got, _ := os.ReadFile(file); string(got) != "DCDBSNAP" {
+			t.Fatalf("refused %s was modified", file)
+		}
+		if _, err := os.Stat(prefix); !os.IsNotExist(err) {
+			t.Fatalf("refusal created the directory %s: %v", prefix, err)
 		}
 	}
 }
 
-func writeFile(path, content string) error {
-	return os.WriteFile(path, []byte(content), 0o644)
+// TestImportIntoFreshDirectory is the way out the refusal names, from
+// its second step: a path that does not exist opens as an empty
+// database, takes a dcdbquery CSV export, and after Save reopens with
+// every reading.
+func TestImportIntoFreshDirectory(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "agent")
+	conn, node, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var csv strings.Builder
+	csv.WriteString("sensor,timestamp,value\n")
+	topics := []string{"/c/n0/v", "/c/n1/v"}
+	for i, tp := range topics {
+		for ts := int64(1); ts <= 3; ts++ {
+			fmt.Fprintf(&csv, "%s,%s,%d\n", tp, time.Unix(0, ts).UTC().Format(time.RFC3339Nano), 10*i+int(ts))
+		}
+	}
+	if n, err := conn.ImportCSV(strings.NewReader(csv.String())); err != nil || n != 6 {
+		t.Fatalf("imported %d readings: %v", n, err)
+	}
+	if err := Save(conn, node, dir); err != nil {
+		t.Fatal(err)
+	}
+	conn2, _, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, tp := range topics {
+		rs, err := conn2.Query(tp, 0, 10)
+		if err != nil || len(rs) != 3 {
+			t.Fatalf("%s after reopen: %v, %v", tp, rs, err)
+		}
+		for j, r := range rs {
+			if r.Timestamp != int64(j+1) || r.Value != float64(10*i+j+1) {
+				t.Fatalf("%s reading %d: %+v", tp, j, r)
+			}
+		}
+	}
 }
 
 func TestOpenDataDirectory(t *testing.T) {

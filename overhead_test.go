@@ -9,7 +9,10 @@
 // thermal, noisy neighbours, GC phase — moves both halves of a pair
 // together and cancels in the delta, where comparing two independent
 // medians would see the full drift. A small absolute slack keeps
-// sub-100ns/op workloads from tripping on timer granularity.
+// sub-100ns/op workloads from tripping on timer granularity. A busy
+// machine can still push one run's median over the line, so a workload
+// over budget is measured again, up to twice, and fails only when every
+// attempt is over.
 package main_test
 
 import (
@@ -34,22 +37,45 @@ func median(xs []float64) float64 {
 	return s[len(s)/2]
 }
 
-// assertBudget fails when the median paired delta (instrumented minus
-// uninstrumented, same repetition) exceeds 5% of the uninstrumented
-// median plus an 8ns/op absolute floor.
-func assertBudget(t *testing.T, name string, on, off []float64) {
+const (
+	reps     = 15 // interleaved on/off pairs per attempt
+	attempts = 3  // a workload fails only when every attempt is over budget
+)
+
+// assertBudget measures a workload in reps interleaved pairs and fails
+// when, in every one of up to attempts runs, the median paired delta
+// (instrumented minus uninstrumented, same repetition) exceeds 5% of
+// the uninstrumented median plus an 8ns/op absolute floor.
+func assertBudget(t *testing.T, name string, measure func() float64) {
 	t.Helper()
-	deltas := make([]float64, len(on))
-	for i := range on {
-		deltas[i] = on[i] - off[i]
-	}
-	delta, base := median(deltas), median(off)
-	budget := base*0.05 + 8
-	t.Logf("%s: uninstrumented %.1f ns/op, instrumentation delta %+.1f ns/op (%+.2f%%), budget %.1f ns/op",
-		name, base, delta, 100*delta/base, budget)
-	if delta > budget {
-		t.Errorf("%s: instrumentation costs %.1f ns/op against a %.1f ns/op budget — the hot path regressed",
-			name, delta, budget)
+	for attempt := 1; ; attempt++ {
+		deltas := make([]float64, reps)
+		off := make([]float64, reps)
+		for rep := 0; rep < reps; rep++ {
+			// Alternate which mode goes first so cache warm-up and drift
+			// hit both sides equally.
+			first := rep%2 == 0
+			store.SetInstrumentation(first)
+			a := measure()
+			store.SetInstrumentation(!first)
+			b := measure()
+			if !first {
+				a, b = b, a
+			}
+			deltas[rep], off[rep] = a-b, b
+		}
+		delta, base := median(deltas), median(off)
+		budget := base*0.05 + 8
+		t.Logf("%s attempt %d/%d: uninstrumented %.1f ns/op, instrumentation delta %+.1f ns/op (%+.2f%%), budget %.1f ns/op",
+			name, attempt, attempts, base, delta, 100*delta/base, budget)
+		if delta <= budget {
+			return
+		}
+		if attempt == attempts {
+			t.Errorf("%s: instrumentation costs %.1f ns/op against a %.1f ns/op budget in all %d attempts — the hot path regressed",
+				name, delta, budget, attempts)
+			return
+		}
 	}
 }
 
@@ -63,7 +89,6 @@ func TestInstrumentationOverheadBudget(t *testing.T) {
 	defer store.SetInstrumentation(true)
 
 	const (
-		reps      = 15
 		insertOps = 100_000
 		queryOps  = 2_000
 	)
@@ -105,28 +130,6 @@ func TestInstrumentationOverheadBudget(t *testing.T) {
 		})
 	}
 
-	var insertOn, insertOff, queryOn, queryOff []float64
-	for rep := 0; rep < reps; rep++ {
-		// Alternate which mode goes first so cache warm-up and drift
-		// hit both sides equally.
-		modes := []bool{true, false}
-		if rep%2 == 1 {
-			modes = []bool{false, true}
-		}
-		for _, instrumented := range modes {
-			store.SetInstrumentation(instrumented)
-			ins := insertRep()
-			q := queryRep(queryNode)
-			if instrumented {
-				insertOn = append(insertOn, ins)
-				queryOn = append(queryOn, q)
-			} else {
-				insertOff = append(insertOff, ins)
-				queryOff = append(queryOff, q)
-			}
-		}
-	}
-
-	assertBudget(t, "StoreInsert", insertOn, insertOff)
-	assertBudget(t, "StoreQuery", queryOn, queryOff)
+	assertBudget(t, "StoreInsert", insertRep)
+	assertBudget(t, "StoreQuery", func() float64 { return queryRep(queryNode) })
 }
