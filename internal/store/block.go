@@ -13,28 +13,35 @@ import (
 // consecutive entries of one series, compressed so a cold read pays I/O
 // and decode cost proportional to the queried window, not the
 // retention. The block is anchored in the run file's index: its entry
-// count, its first timestamp (the index entry's min) and the file-level
-// base write version all live there, so the body starts at the second
-// entry and a block of a handful of readings carries no absolute header
-// fields of its own.
+// count, its first and last timestamps (the index entry's min and max)
+// and the file-level base write version all live there, so the body
+// starts at the second entry, stops before the last, and a block of a
+// handful of readings carries no absolute header fields of its own.
 //
 // A block is a flags byte and three streams — timestamps, write stamps,
-// values — each byte-aligned, each in one of two codings. The first
-// coding of every stream costs whole bytes or control bits per entry and
-// wins on blocks of a handful of entries; the second is built on the
-// frame (below) and fits what monitoring data looks like: sensors sample
-// on a period, a batch is stamped once, readings are integers. The
-// encoder sizes both and writes the smaller, per stream, per block; the
-// choice is recorded in the flags, never configured:
+// values — each byte-aligned, each in one of two or three codings. The
+// first coding of every stream costs whole bytes or control bits per
+// entry and wins on blocks of a handful of entries; the others fit what
+// monitoring data looks like: sensors sample on a period, a batch is
+// stamped once, the coordinator stamps on a microsecond clock, readings
+// are integers. The encoder sizes every coding and writes the shortest,
+// per stream, per block; the choice is recorded in the flags, never
+// configured:
 //
 //	byte 0  : flags
 //	          bit 0: block carries a non-zero expire section
 //	          bit 1: block carries a non-zero write-version section
 //	          bit 2: timestamps are a frame (else varints)
-//	          bit 3: the stamp sections are run-length coded (else varints)
+//	          bit 3: the stamp sections are run-length coded
 //	          bit 4: values are integer deltas in a frame (else XOR)
-//	          bits 5-7: zero; a decoder refuses what it does not know
-//	ts      : the count-1 deltas between consecutive timestamps, as
+//	          bit 5: the stamp sections are clock coded (bits 3 and 5
+//	            clear: varints; both set is malformed)
+//	          bit 6: the last timestamp is the index entry's max — set
+//	            on every block of two or more entries this build writes
+//	          bit 7: zero; a decoder refuses what it does not know
+//	ts      : the deltas between consecutive timestamps — count-1 of
+//	          them, or count-2 with bit 6, the last one following from
+//	          the max — as
 //	          varints: zigzag first delta (entry 1 - index min), then
 //	            zigzag delta-of-deltas; or as
 //	          frame : one frame of the deltas — a perfectly periodic
@@ -48,7 +55,14 @@ import (
 //	          runs  : run count uv | first stamp - base zz | frame of the
 //	            run lengths | frame of the run-count-1 deltas between
 //	            consecutive runs' stamps — a batch is stamped once, so
-//	            a 64-reading message is one run
+//	            a 64-reading message is one run; or both as
+//	          clock : one zigzag varint per entry in units of
+//	            versionTick: the first stamp's distance from the base,
+//	            the first delta, then delta-of-deltas — a sensor written
+//	            once a round costs its loop's jitter, not the round.
+//	            Only when every stamp and the base are whole multiples
+//	            of the tick, each tested on its own: a stamp below the
+//	            base wraps in uint64, so (v-base)%tick says nothing.
 //	          A block without a section decodes as expire 0 / version 0.
 //	values  : all count values, as
 //	          XOR   : Gorilla-style bit stream, first value raw; or as
@@ -71,9 +85,11 @@ import (
 // timestamps spanning the whole int64 range and falling versions
 // survive.
 //
-// A block with bits 2-4 clear is exactly what builds before the frame
-// codings wrote; they read it unchanged, and such a build refuses a
-// block with any of the three set ("unknown flags").
+// A block with bits 2-6 clear is exactly what builds before the frame
+// codings wrote, one with bits 5-6 clear what builds before the clock
+// and the anchored last timestamp wrote; both read unchanged, and an
+// older build refuses a block with a bit it does not know ("unknown
+// flags").
 //
 // Corruption is caught by the caller's CRC check first; the decoder
 // itself must still survive arbitrary bytes (fuzzed) by erroring instead
@@ -87,13 +103,16 @@ import (
 const blockEntries = 512
 
 const (
-	blockFlagExpire    = 1 << 0
-	blockFlagVersion   = 1 << 1
-	blockFlagTSFrame   = 1 << 2
-	blockFlagStampRuns = 1 << 3
-	blockFlagIntValues = 1 << 4
+	blockFlagExpire     = 1 << 0
+	blockFlagVersion    = 1 << 1
+	blockFlagTSFrame    = 1 << 2
+	blockFlagStampRuns  = 1 << 3
+	blockFlagIntValues  = 1 << 4
+	blockFlagStampClock = 1 << 5
+	blockFlagLastTS     = 1 << 6
 
-	blockFlagsKnown = blockFlagExpire | blockFlagVersion | blockFlagTSFrame | blockFlagStampRuns | blockFlagIntValues
+	blockFlagsKnown = blockFlagExpire | blockFlagVersion | blockFlagTSFrame | blockFlagStampRuns | blockFlagIntValues |
+		blockFlagStampClock | blockFlagLastTS
 
 	// blockMinLen is the smallest block there is: the flags byte and one
 	// integer value that fits a single varint byte.
@@ -101,7 +120,7 @@ const (
 )
 
 // blockBase is the file-level half of a block's anchor (the per-block
-// half is the index entry's count and min).
+// half is the index entry: count, min and max).
 type blockBase struct {
 	ver uint64 // base write version of the file
 }
@@ -383,8 +402,8 @@ type blockSizes struct{ ts, stamps, values int }
 // encodeBlock appends the encoded form of es (sorted by timestamp, at
 // most blockEntries long) to dst and returns it with the lengths of its
 // three streams. The caller records len(es) and the [minTs,maxTs] bounds
-// in the block index — the decoder gets the first timestamp back from
-// there — and baseVer in the file's index header.
+// in the block index — the decoder gets the first and the last
+// timestamp back from there — and baseVer in the file's index header.
 func encodeBlock(dst []byte, es []entry, baseVer uint64) ([]byte, blockSizes) {
 	var flags byte
 	for _, e := range es {
@@ -402,14 +421,21 @@ func encodeBlock(dst []byte, es []entry, baseVer uint64) ([]byte, blockSizes) {
 	dst = append(dst, 0) // the flags, once the codings are chosen
 	var sz blockSizes
 
-	dst, framed := appendTimestamps(dst, es)
+	// The index entry's max is the last timestamp: the stream stops one
+	// entry short of it.
+	body := es
+	if len(es) > 1 {
+		flags |= blockFlagLastTS
+		body = es[:len(es)-1]
+	}
+	dst, framed := appendTimestamps(dst, body)
 	if framed {
 		flags |= blockFlagTSFrame
 	}
 	sz.ts = len(dst) - at - 1
 
 	if flags&(blockFlagExpire|blockFlagVersion) != 0 {
-		var exp, ver stampStats
+		var exp, ver stampStats // a section left out costs nothing and is on the tick
 		if flags&blockFlagExpire != 0 {
 			exp = scanStamps(es, stampExpire, 0)
 		}
@@ -418,15 +444,19 @@ func encodeBlock(dst []byte, es []entry, baseVer uint64) ([]byte, blockSizes) {
 		}
 		// One choice for both sections: they are stamped by the same
 		// calls, so their runs coincide.
-		runs := exp.runsLen+ver.runsLen < exp.varintLen+ver.varintLen
-		if runs {
-			flags |= blockFlagStampRuns
+		coding, best := byte(0), exp.varintLen+ver.varintLen
+		if n := exp.runsLen + ver.runsLen; n < best {
+			coding, best = blockFlagStampRuns, n
 		}
+		if n := exp.clockLen + ver.clockLen; n < best && !exp.offTick && !ver.offTick {
+			coding = blockFlagStampClock
+		}
+		flags |= coding
 		if flags&blockFlagExpire != 0 {
-			dst = appendStamps(dst, es, stampExpire, 0, runs, &exp)
+			dst = appendStamps(dst, es, stampExpire, 0, coding, &exp)
 		}
 		if flags&blockFlagVersion != 0 {
-			dst = appendStamps(dst, es, stampVersion, baseVer, runs, &ver)
+			dst = appendStamps(dst, es, stampVersion, baseVer, coding, &ver)
 		}
 	}
 	sz.stamps = len(dst) - at - 1 - sz.ts
@@ -492,16 +522,20 @@ func (c stampCol) runEnd(es []entry, i int) int {
 	return i
 }
 
-// stampStats sizes one stamp section under both codings.
+// stampStats sizes one stamp section under the three codings. Its zero
+// value is an absent section: no bytes in any coding, and on the tick.
 type stampStats struct {
-	varintLen, runsLen int
-	runs               int
-	lens, deltas       frame // of the run lengths, of the runs-1 steps between runs
+	varintLen, runsLen, clockLen int
+	offTick                      bool // the clock coding is out: a stamp or the base is off the tick
+	runs                         int
+	lens, deltas                 frame // of the run lengths, of the runs-1 steps between runs
 }
 
 func scanStamps(es []entry, col stampCol, base uint64) (s stampStats) {
 	lens, deltas := newFrameStats(), newFrameStats()
 	prev := base
+	s.offTick = base%versionTick != 0
+	step := int64(0) // the clock coding's previous delta, in ticks
 	for i := 0; i < len(es); {
 		end := col.runEnd(es, i)
 		v := col.of(&es[i])
@@ -515,6 +549,19 @@ func scanStamps(es []entry, col stampCol, base uint64) (s stampStats) {
 		} else {
 			deltas.add(d)
 		}
+		// The clock coding pays the run's delta-of-delta, then, within
+		// the run, one for stopping and a zero byte for every further
+		// entry. The first stamp's distance from the base is no delta.
+		s.offTick = s.offTick || v%versionTick != 0
+		dt := int64(v/versionTick - prev/versionTick)
+		s.clockLen += uvarintLen(zigzag(dt - step))
+		if step = dt; i == 0 {
+			step = 0
+		}
+		if n := end - i; n > 1 {
+			s.clockLen += uvarintLen(zigzag(-step)) + n - 2
+			step = 0
+		}
 		prev, i = v, end
 	}
 	s.runs, s.lens, s.deltas = lens.n, lens.frame(), deltas.frame()
@@ -522,14 +569,28 @@ func scanStamps(es []entry, col stampCol, base uint64) (s stampStats) {
 	return s
 }
 
-// appendStamps writes one stamp section of es, counted from base.
-func appendStamps(dst []byte, es []entry, col stampCol, base uint64, runs bool, s *stampStats) []byte {
-	if !runs {
+// appendStamps writes one stamp section of es, counted from base, in
+// the coding named by its flag bit (0 for the varints).
+func appendStamps(dst []byte, es []entry, col stampCol, base uint64, coding byte, s *stampStats) []byte {
+	switch coding {
+	case 0:
 		prev := base
 		for i := range es {
 			v := col.of(&es[i])
 			dst = binary.AppendUvarint(dst, zigzag(int64(v-prev)))
 			prev = v
+		}
+		return dst
+	case blockFlagStampClock:
+		prev, step := base/versionTick, int64(0)
+		for i := range es {
+			q := col.of(&es[i]) / versionTick
+			d := int64(q - prev)
+			dst = binary.AppendUvarint(dst, zigzag(d-step))
+			if i > 0 {
+				step = d
+			}
+			prev = q
 		}
 		return dst
 	}
@@ -686,45 +747,62 @@ func checkBlockCount(count uint64, length int) error {
 	return nil
 }
 
-// decodeBlock decodes a block of exactly count entries whose first
-// timestamp is first (the index entry's min) into out, appending. It
+// decodeBlock decodes the block described by the index entry m — its
+// entry count, its first timestamp (min) and, for a block with the
+// anchored last timestamp, its last (max) — into out, appending. It
 // validates that the encoding is fully consumed (only zero-bit padding
 // may remain), that timestamps are sorted, and errors — never panics —
 // on any malformed input, leaving out as it was. The caller is expected
 // to have verified the block's CRC first, so an error here means either
 // rot the CRC missed or a software bug; both must reject the block
 // rather than serve wrong data.
-func decodeBlock(raw []byte, count int, first int64, base blockBase, out *[]entry) error {
-	// A negative count converts to one far beyond blockEntries.
-	if err := checkBlockCount(uint64(count), len(raw)); err != nil {
+func decodeBlock(raw []byte, m blockMeta, base blockBase, out *[]entry) error {
+	if err := checkBlockCount(uint64(m.count), len(raw)); err != nil {
 		return err
 	}
 	n := len(*out)
-	*out = append(*out, make([]entry, count)...)
-	if err := decodeBlockInto(raw, (*out)[n:], first, base); err != nil {
+	*out = append(*out, make([]entry, m.count)...)
+	if err := decodeBlockInto(raw, (*out)[n:], m.min, m.max, base); err != nil {
 		*out = (*out)[:n]
 		return err
 	}
 	return nil
 }
 
-func decodeBlockInto(raw []byte, es []entry, first int64, base blockBase) error {
+func decodeBlockInto(raw []byte, es []entry, first, last int64, base blockBase) error {
 	flags := raw[0]
 	if flags&^blockFlagsKnown != 0 {
 		return fmt.Errorf("store: block has unknown flags %#x", flags)
 	}
-	data, err := decodeTimestamps(raw[1:], es, first, flags&blockFlagTSFrame != 0)
+	coding := flags & (blockFlagStampRuns | blockFlagStampClock)
+	if coding == blockFlagStampRuns|blockFlagStampClock {
+		return fmt.Errorf("store: block stamps are both run-length and clock coded")
+	}
+	body := es
+	if flags&blockFlagLastTS != 0 {
+		if len(es) < 2 {
+			return fmt.Errorf("store: one-entry block anchors its last timestamp")
+		}
+		body = es[:len(es)-1]
+	}
+	data, err := decodeTimestamps(raw[1:], body, first, flags&blockFlagTSFrame != 0)
 	if err != nil {
 		return err
 	}
-	runs := flags&blockFlagStampRuns != 0
+	if len(body) < len(es) {
+		// The index's max is covered by the index CRC; a negative last
+		// delta is a forged or rotted one.
+		if es[len(es)-1].ts = last; last < es[len(es)-2].ts {
+			return fmt.Errorf("store: block max %d lies below its second-to-last timestamp %d", last, es[len(es)-2].ts)
+		}
+	}
 	if flags&blockFlagExpire != 0 {
-		if data, err = decodeStamps(data, es, stampExpire, 0, runs); err != nil {
+		if data, err = decodeStamps(data, es, stampExpire, 0, coding); err != nil {
 			return err
 		}
 	}
 	if flags&blockFlagVersion != 0 {
-		if data, err = decodeStamps(data, es, stampVersion, base.ver, runs); err != nil {
+		if data, err = decodeStamps(data, es, stampVersion, base.ver, coding); err != nil {
 			return err
 		}
 	}
@@ -768,6 +846,15 @@ func decodeTimestamps(data []byte, es []entry, first int64, framed bool) ([]byte
 	return data[off:], nil
 }
 
+// set sets e's stamp to v.
+func (c stampCol) set(e *entry, v uint64) {
+	if c == stampVersion {
+		e.ver = v
+	} else {
+		e.expire = int64(v)
+	}
+}
+
 // fill sets the stamp of every entry of es to v.
 func (c stampCol) fill(es []entry, v uint64) {
 	if c == stampVersion {
@@ -784,9 +871,11 @@ func (c stampCol) fill(es []entry, v uint64) {
 var errStampsTruncated = errors.New("store: block stamp section truncated")
 
 // decodeStamps fills in one stamp column of es from the section at the
-// head of data and returns what follows it.
-func decodeStamps(data []byte, es []entry, col stampCol, base uint64, runs bool) ([]byte, error) {
-	if !runs {
+// head of data, in the coding named by its flag bit (0 for the
+// varints), and returns what follows it.
+func decodeStamps(data []byte, es []entry, col stampCol, base uint64, coding byte) ([]byte, error) {
+	switch coding {
+	case 0:
 		off, prev := 0, base
 		for i := range es {
 			u, n := binary.Uvarint(data[off:])
@@ -795,11 +884,27 @@ func decodeStamps(data []byte, es []entry, col stampCol, base uint64, runs bool)
 			}
 			off += n
 			prev += uint64(unzigzag(u))
-			if col == stampVersion {
-				es[i].ver = prev
-			} else {
-				es[i].expire = int64(prev)
+			col.set(&es[i], prev)
+		}
+		return data[off:], nil
+	case blockFlagStampClock:
+		if base%versionTick != 0 {
+			return nil, fmt.Errorf("store: block stamps clock coded against base %d, off the tick", base)
+		}
+		off, q, step := 0, base/versionTick, int64(0)
+		for i := range es {
+			u, n := binary.Uvarint(data[off:])
+			if n <= 0 {
+				return nil, errStampsTruncated
 			}
+			off += n
+			if i == 0 {
+				q += uint64(unzigzag(u))
+			} else {
+				step += unzigzag(u)
+				q += uint64(step)
+			}
+			col.set(&es[i], q*versionTick)
 		}
 		return data[off:], nil
 	}

@@ -83,7 +83,7 @@ func (rf *runFile) decodeBlockAt(m blockMeta, scratch []byte, out *[]entry) ([]b
 	if err != nil {
 		return raw, err
 	}
-	if err := decodeBlock(raw, int(m.count), m.min, rf.base, out); err != nil {
+	if err := decodeBlock(raw, m, rf.base, out); err != nil {
 		return raw, fmt.Errorf("store: %s: block at %d: %w", rf.path, m.off, err)
 	}
 	return raw, nil

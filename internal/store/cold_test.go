@@ -45,12 +45,19 @@ func randomEntries(rng *rand.Rand, n int) []entry {
 	return es
 }
 
+// metaOf is the index entry the writer records for a block of es:
+// count and timestamp bounds (offset, length and CRC do not reach the
+// decoder).
+func metaOf(es []entry) blockMeta {
+	return blockMeta{count: uint32(len(es)), min: es[0].ts, max: es[len(es)-1].ts}
+}
+
 // codecRoundTrip encodes es against baseVer and decodes it back the way
-// a read does: count and first timestamp from the index entry, base
+// a read does: count and timestamp bounds from the index entry, base
 // version from the file.
 func codecRoundTrip(es []entry, baseVer uint64) (enc []byte, got []entry, err error) {
 	enc, _ = encodeBlock(nil, es, baseVer)
-	err = decodeBlock(enc, len(es), es[0].ts, blockBase{ver: baseVer}, &got)
+	err = decodeBlock(enc, metaOf(es), blockBase{ver: baseVer}, &got)
 	return enc, got, err
 }
 
@@ -81,7 +88,9 @@ func TestBlockCodecRoundTrip(t *testing.T) {
 		}
 		// Wrong counts must error, not mis-decode.
 		var junk []entry
-		if err := decodeBlock(enc, len(es)+1, es[0].ts, blockBase{}, &junk); err == nil || len(junk) != 0 {
+		inflated := metaOf(es)
+		inflated.count++
+		if err := decodeBlock(enc, inflated, blockBase{}, &junk); err == nil || len(junk) != 0 {
 			t.Fatalf("case %d: decode accepted an inflated count", ci)
 		}
 	}

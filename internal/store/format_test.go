@@ -129,6 +129,67 @@ func encodeBlockPR15(dst []byte, es []entry, baseVer uint64) []byte {
 	return bw.finish()
 }
 
+// encodeBlockFrames is the block encoder as it stood before the clock
+// coding and the anchored last timestamp, verbatim but for the stamp
+// coding being passed to appendStamps as its flag bit and the stream
+// sizes left out: the frame codings, chosen per stream, flag bits 5-6
+// clear. It is the second
+// reference the chooser is held against; that it is the build it stands
+// for is checked block by block against the file that build wrote
+// (TestFrameCodingsDirectoryServedAndKeptAsIs).
+func encodeBlockFrames(dst []byte, es []entry, baseVer uint64) []byte {
+	var flags byte
+	for _, e := range es {
+		if e.expire != 0 {
+			flags |= blockFlagExpire
+		}
+		if e.ver != 0 {
+			flags |= blockFlagVersion
+		}
+		if flags == blockFlagExpire|blockFlagVersion {
+			break
+		}
+	}
+	at := len(dst)
+	dst = append(dst, 0) // the flags, once the codings are chosen
+
+	dst, framed := appendTimestamps(dst, es)
+	if framed {
+		flags |= blockFlagTSFrame
+	}
+
+	if flags&(blockFlagExpire|blockFlagVersion) != 0 {
+		var exp, ver stampStats
+		if flags&blockFlagExpire != 0 {
+			exp = scanStamps(es, stampExpire, 0)
+		}
+		if flags&blockFlagVersion != 0 {
+			ver = scanStamps(es, stampVersion, baseVer)
+		}
+		// One choice for both sections: they are stamped by the same
+		// calls, so their runs coincide.
+		runs := exp.runsLen+ver.runsLen < exp.varintLen+ver.varintLen
+		coding := byte(0)
+		if runs {
+			flags |= blockFlagStampRuns
+			coding = blockFlagStampRuns
+		}
+		if flags&blockFlagExpire != 0 {
+			dst = appendStamps(dst, es, stampExpire, 0, coding, &exp)
+		}
+		if flags&blockFlagVersion != 0 {
+			dst = appendStamps(dst, es, stampVersion, baseVer, coding, &ver)
+		}
+	}
+
+	dst, ints := appendValues(dst, es)
+	if ints {
+		flags |= blockFlagIntValues
+	}
+	dst[at] = flags
+	return dst
+}
+
 func entriesEqual(got, want []entry) error {
 	if len(got) != len(want) {
 		return fmt.Errorf("%d entries, want %d", len(got), len(want))
@@ -157,6 +218,10 @@ const shapeT0, shapeV0 = int64(1_560_000_000_000_000_000), uint64(1_700_000_000_
 func blockShapes() []blockShape {
 	rng := rand.New(rand.NewSource(9))
 	jitter := func(i int, e *entry) { e.ts += int64(rng.Intn(20_000_001)) - 10_000_000 }
+	// A fan-in sensor's write stamps: one reading a write, a round of
+	// the loop 2.9 s, ms jitter, on the coordinator's tick.
+	clock := func(i int) uint64 { return shapeV0 + uint64(i)*2_900_000_000 + uint64(rng.Intn(3000))*versionTick }
+	const hour = 3_600_000_000_000
 	return []blockShape{
 		// Timestamps.
 		{"exact period", func(i int, e *entry) {}},
@@ -193,6 +258,27 @@ func blockShapes() []blockShape {
 			}
 		}},
 		{"scattered expiries", func(i int, e *entry) { e.expire = int64(i%5) * 1e12 }},
+		// Write stamps on the clock.
+		{"clock stamps, ms jitter", func(i int, e *entry) { e.ver = clock(i) }},
+		{"clock stamps, an outage", func(i int, e *entry) {
+			if e.ver = clock(i); i >= 300 {
+				e.ts, e.ver = e.ts+hour, e.ver+hour
+			}
+		}},
+		// Below shapeV0, a base the round trip tries: v-base wraps.
+		{"clock stamps below the base", func(i int, e *entry) { e.ver = clock(i) - 300*2_900_000_000 }},
+		{"clock stamps, one off the tick", func(i int, e *entry) {
+			if e.ver = clock(i); i == 200 {
+				e.ver++
+			}
+		}},
+		{"clock stamps and expiries, integer counter, an outage", func(i int, e *entry) {
+			e.ver, e.val = clock(i), float64(1_000_003+i*1977+rng.Intn(900))
+			if i >= 300 {
+				e.ts, e.ver = e.ts+hour, e.ver+hour
+			}
+			e.expire = int64(e.ver) + 720*hour
+		}},
 		// Values.
 		{"integer counter", func(i int, e *entry) { e.val = float64(1_000_003 + i*1977 + rng.Intn(900)) }},
 		{"integer counter, once-stamped, outage", func(i int, e *entry) {
@@ -245,78 +331,133 @@ func (sh blockShape) entries(n int) []entry {
 	return es
 }
 
-// codingSeeds returns, for each of the eight combinations of the three
+// blockCodings are the flag bits of the coding choices: timestamps
+// varints or a frame, stamps varints, runs or clock, values XOR or
+// integers — twelve combinations.
+const blockCodings = blockFlagTSFrame | blockFlagStampRuns | blockFlagStampClock | blockFlagIntValues
+
+// everyCoding calls f with each of the twelve combinations.
+func everyCoding(f func(c byte)) {
+	for _, ts := range []byte{0, blockFlagTSFrame} {
+		for _, stamps := range []byte{0, blockFlagStampRuns, blockFlagStampClock} {
+			for _, values := range []byte{0, blockFlagIntValues} {
+				f(ts | stamps | values)
+			}
+		}
+	}
+}
+
+// codingSeeds returns, for each of the twelve combinations of the three
 // coding choices, the smallest shaped series that makes the encoder
 // choose it — the fuzz corpora's way into every decoder arm.
 func codingSeeds(t interface{ Fatal(...any) }) map[byte][]entry {
-	const codings = blockFlagTSFrame | blockFlagStampRuns | blockFlagIntValues
 	seeds := map[byte][]entry{}
 	for _, n := range []int{1, 2, 130, blockEntries - 1} {
 		for _, sh := range blockShapes() {
 			es := sh.entries(n)
 			enc, _ := encodeBlock(nil, es, es[0].ver)
-			if _, ok := seeds[enc[0]&codings]; !ok {
-				seeds[enc[0]&codings] = es
+			if _, ok := seeds[enc[0]&blockCodings]; !ok {
+				seeds[enc[0]&blockCodings] = es
 			}
 		}
 	}
-	if len(seeds) != 8 {
-		t.Fatal("shapes reach only", len(seeds), "of the 8 coding combinations")
+	if len(seeds) != 12 {
+		t.Fatal("shapes reach only", len(seeds), "of the 12 coding combinations")
 	}
 	return seeds
 }
 
 // TestBlockCodingsRoundTripAndNeverGrow holds every block the encoder
-// emits to the codec's two promises, over every shape at 1, 2, 511 and
-// 512 entries: it decodes to exactly what went in — timestamp, value
-// bits, expire, version — and it is never longer than the same entries
-// in the first codings alone, which must themselves still decode (they
-// are what every file written before the frame codings holds). All
-// eight combinations of the three choices must turn up.
+// emits to the codec's promises, over every shape at 1, 2, 511 and 512
+// entries and against bases on, off and above the stamps: it decodes to
+// exactly what went in — timestamp, value bits, expire, version — it
+// anchors its last timestamp exactly when it has two entries or more,
+// and it is never longer than the same entries as the builds before the
+// frame codings and before the clock coding wrote them, which must
+// themselves still decode (they are what every older file holds). A
+// block using none of the codings a reference lacks is byte for byte
+// what the reference writes. All twelve combinations of the three
+// choices must turn up.
 func TestBlockCodingsRoundTripAndNeverGrow(t *testing.T) {
-	const codings = blockFlagTSFrame | blockFlagStampRuns | blockFlagIntValues
 	seen := map[byte]string{}
 	for _, sh := range blockShapes() {
 		for _, n := range []int{1, 2, blockEntries - 1, blockEntries} {
 			es := sh.entries(n)
-			for _, baseVer := range []uint64{0, es[0].ver, shapeV0 + 5} {
+			for _, baseVer := range []uint64{0, es[0].ver, shapeV0, shapeV0 + 5} {
 				enc, sz := encodeBlock(nil, es, baseVer)
 				if 1+sz.ts+sz.stamps+sz.values != len(enc) {
 					t.Fatalf("%s/%d: stream sizes %+v do not add up to the block's %d bytes", sh.name, n, sz, len(enc))
 				}
-				var got []entry
-				if err := decodeBlock(enc, n, es[0].ts, blockBase{ver: baseVer}, &got); err != nil {
-					t.Fatalf("%s/%d (flags %#x): %v", sh.name, n, enc[0], err)
+				if anchored := enc[0]&blockFlagLastTS != 0; anchored != (n > 1) {
+					t.Fatalf("%s/%d: flags %#x", sh.name, n, enc[0])
 				}
-				if err := entriesEqual(got, es); err != nil {
-					t.Fatalf("%s/%d (flags %#x): %v", sh.name, n, enc[0], err)
+				for _, ref := range []struct {
+					name  string
+					enc   []byte
+					newer byte // flag bits the reference never sets
+				}{
+					{"this build", enc, 0},
+					{"the first codings", encodeBlockPR15(nil, es, baseVer), blockCodings | blockFlagLastTS},
+					{"the frame codings", encodeBlockFrames(nil, es, baseVer), blockFlagStampClock | blockFlagLastTS},
+				} {
+					var got []entry
+					if err := decodeBlock(ref.enc, metaOf(es), blockBase{ver: baseVer}, &got); err != nil {
+						t.Fatalf("%s/%d (flags %#x), %s: %v", sh.name, n, ref.enc[0], ref.name, err)
+					}
+					if err := entriesEqual(got, es); err != nil {
+						t.Fatalf("%s/%d (flags %#x), %s: %v", sh.name, n, ref.enc[0], ref.name, err)
+					}
+					if len(enc) > len(ref.enc) {
+						t.Errorf("%s/%d: %d bytes with flags %#x, %d in %s", sh.name, n, len(enc), enc[0], len(ref.enc), ref.name)
+					}
+					if enc[0]&ref.newer == 0 && string(enc) != string(ref.enc) {
+						t.Errorf("%s/%d: a block with flags %#x differs from what %s wrote", sh.name, n, enc[0], ref.name)
+					}
 				}
-				old := encodeBlockPR15(nil, es, baseVer)
-				if len(enc) > len(old) {
-					t.Errorf("%s/%d: %d bytes with flags %#x, %d in the first codings", sh.name, n, len(enc), enc[0], len(old))
-				}
-				if enc[0]&codings == 0 && string(enc) != string(old) {
-					t.Errorf("%s/%d: a block with no coding bit set differs from what PR 15 wrote", sh.name, n)
-				}
-				got = got[:0]
-				if err := decodeBlock(old, n, es[0].ts, blockBase{ver: baseVer}, &got); err != nil {
-					t.Fatalf("%s/%d: PR 15 block: %v", sh.name, n, err)
-				}
-				if err := entriesEqual(got, es); err != nil {
-					t.Fatalf("%s/%d: PR 15 block: %v", sh.name, n, err)
-				}
-				if _, ok := seen[enc[0]&codings]; !ok {
-					seen[enc[0]&codings] = fmt.Sprintf("%s/%d", sh.name, n)
+				if _, ok := seen[enc[0]&blockCodings]; !ok {
+					seen[enc[0]&blockCodings] = fmt.Sprintf("%s/%d", sh.name, n)
 				}
 			}
 		}
 	}
-	for c := byte(0); c <= codings; c += blockFlagTSFrame {
+	everyCoding(func(c byte) {
 		if _, ok := seen[c]; !ok {
 			t.Errorf("no shape chose coding combination %#x", c)
 		}
-	}
+	})
 	t.Logf("first shape per combination: %v", seen)
+}
+
+// TestBlockStampSizesAreExact holds the stamp chooser to its inputs:
+// the size scanStamps predicts for each coding is the size appendStamps
+// writes, and the clock coding is ruled out exactly when the base or a
+// stamp, each tested on its own, is off the tick.
+func TestBlockStampSizesAreExact(t *testing.T) {
+	for _, sh := range blockShapes() {
+		for _, n := range []int{1, 2, 5, blockEntries} {
+			es := sh.entries(n)
+			for _, base := range []uint64{0, es[0].ver, shapeV0, shapeV0 + 5} {
+				for _, col := range []stampCol{stampExpire, stampVersion} {
+					s := scanStamps(es, col, base)
+					offTick := base%versionTick != 0
+					for i := range es {
+						offTick = offTick || col.of(&es[i])%versionTick != 0
+					}
+					if s.offTick != offTick {
+						t.Fatalf("%s/%d, base %d: offTick %v, want %v", sh.name, n, base, s.offTick, offTick)
+					}
+					for coding, want := range map[byte]int{0: s.varintLen, blockFlagStampRuns: s.runsLen, blockFlagStampClock: s.clockLen} {
+						if coding == blockFlagStampClock && offTick {
+							continue
+						}
+						if got := len(appendStamps(nil, es, col, base, coding, &s)); got != want {
+							t.Fatalf("%s/%d, base %d, coding %#x: %d bytes written, %d predicted", sh.name, n, base, coding, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestBlockDecodeSurvivesDamage feeds the block decoder — behind the
@@ -331,7 +472,7 @@ func TestBlockDecodeSurvivesDamage(t *testing.T) {
 		base := blockBase{ver: es[0].ver}
 		check := func(what string, raw []byte) bool {
 			var out []entry
-			if err := decodeBlock(raw, len(es), es[0].ts, base, &out); err != nil {
+			if err := decodeBlock(raw, metaOf(es), base, &out); err != nil {
 				if len(out) != 0 {
 					t.Fatalf("coding %#x, %s: failed decode left %d entries", coding, what, len(out))
 				}
@@ -376,8 +517,8 @@ func TestBlockCodingsPickTheObvious(t *testing.T) {
 		flat[i] = entry{ts: shapeT0 + int64(i)*1_000_000_000, val: 42, ver: shapeV0, expire: 7}
 	}
 	enc, sz := encodeBlock(nil, flat, shapeV0)
-	if enc[0] != blockFlagsKnown || len(enc) > 32 || sz.ts > 8 {
-		t.Errorf("flat block: flags %#x, %d bytes, streams %+v; want every frame coding and a couple of dozen bytes", enc[0], len(enc), sz)
+	if enc[0] != blockFlagsKnown&^blockFlagStampClock || len(enc) > 32 || sz.ts > 8 {
+		t.Errorf("flat block: flags %#x, %d bytes, streams %+v; want every frame coding, the anchor and a couple of dozen bytes", enc[0], len(enc), sz)
 	}
 	ms := make([]entry, blockEntries) // ms-quantised: the divisor takes the 10^6 out
 	rng := rand.New(rand.NewSource(3))
@@ -395,8 +536,74 @@ func TestBlockCodingsPickTheObvious(t *testing.T) {
 		t.Error("rarely flipping 0/1 values: integer coding chosen although XOR is shorter")
 	}
 	few := []entry{{ts: shapeT0, val: 1.5, ver: shapeV0}, {ts: shapeT0 + 999_999_999, val: 2.5, ver: shapeV0 + 31_337}}
-	if enc, _ := encodeBlock(nil, few, shapeV0); enc[0] != blockFlagVersion {
-		t.Errorf("two-entry block: flags %#x, want the first codings throughout", enc[0])
+	if enc, sz := encodeBlock(nil, few, shapeV0); enc[0] != blockFlagVersion|blockFlagLastTS || sz.ts != 0 {
+		t.Errorf("two-entry block: flags %#x, %d timestamp bytes; want the first codings throughout and both timestamps from the index", enc[0], sz.ts)
+	}
+}
+
+// TestBlockClockCodesFanInStamps pins the clock coding on the block it
+// exists for: five readings of one sensor, one a round of the writer's
+// loop, stamped on the clock against a base another sensor set, which
+// lies above the first two stamps (where (v-base)%tick would wrongly
+// say off the tick). The clock coding wins there, and nowhere the tick
+// is missed: a stamp or the base off it.
+func TestBlockClockCodesFanInStamps(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	fan := make([]entry, 5)
+	for i := range fan {
+		fan[i] = entry{
+			ts:  shapeT0 + int64(i)*1_000_000_000 + int64(rng.Intn(20_000_001)) - 10_000_000,
+			val: float64(500 + 7*i),
+			ver: shapeV0 - 5_000_000_000 + uint64(i)*2_900_000_000 + uint64(rng.Intn(3000))*versionTick,
+		}
+	}
+	enc, sz := encodeBlock(nil, fan, shapeV0)
+	// Four bytes for the first stamp, four for the first delta, two for
+	// each ms of jitter: 14, where nanosecond varints spend 25.
+	if want := byte(blockFlagVersion | blockFlagStampClock | blockFlagIntValues | blockFlagLastTS); enc[0] != want || sz.stamps > 4+4+3*2 {
+		t.Errorf("fan-in block: flags %#x, %d stamp bytes; want %#x and at most 14", enc[0], sz.stamps, want)
+	}
+	if enc, _ := encodeBlock(nil, fan, shapeV0+1); enc[0]&blockFlagStampClock != 0 {
+		t.Error("fan-in block against a base off the tick: clock coded")
+	}
+	fan[3].ver++
+	if enc, _ := encodeBlock(nil, fan, shapeV0); enc[0]&blockFlagStampClock != 0 {
+		t.Error("fan-in block with a stamp off the tick: clock coded")
+	}
+}
+
+// TestBlockAnchorRejectsForgedMax: the last timestamp of an anchored
+// block is the index entry's max. A max below the second-to-last
+// timestamp — a negative last delta — is refused, one equal to it (a
+// duplicate timestamp) served, and a one-entry block may not claim the
+// anchor. One- and two-entry blocks carry no timestamp bytes at all
+// (TestRunFileRoundTripShapes round-trips them through a file, hot and
+// cold).
+func TestBlockAnchorRejectsForgedMax(t *testing.T) {
+	for _, sh := range blockShapes() {
+		for _, n := range []int{2, 5, blockEntries} {
+			es := sh.entries(n)
+			enc, _ := encodeBlock(nil, es, es[0].ver)
+			base := blockBase{ver: es[0].ver}
+			m := metaOf(es)
+			var out []entry
+			if m.max = es[n-2].ts - 1; es[n-2].ts > math.MinInt64 && (decodeBlock(enc, m, base, &out) == nil || len(out) != 0) {
+				t.Fatalf("%s/%d: a max below the second-to-last timestamp accepted", sh.name, n)
+			}
+			if m.max = es[n-2].ts; decodeBlock(enc, m, base, &out) != nil || out[n-1].ts != m.max {
+				t.Fatalf("%s/%d: a max equal to the second-to-last timestamp not served as the last", sh.name, n)
+			}
+		}
+		one := sh.entries(1)
+		enc, sz := encodeBlock(nil, one, one[0].ver)
+		if sz.ts != 0 || enc[0]&blockFlagLastTS != 0 {
+			t.Fatalf("%s/1: flags %#x, %d timestamp bytes", sh.name, enc[0], sz.ts)
+		}
+		enc[0] |= blockFlagLastTS
+		var out []entry
+		if err := decodeBlock(enc, metaOf(one), blockBase{ver: one[0].ver}, &out); err == nil {
+			t.Fatalf("%s/1: a one-entry block claiming the anchor accepted", sh.name)
+		}
 	}
 }
 
@@ -567,18 +774,23 @@ func TestBlockDecodeCountGuard(t *testing.T) {
 	if len(single) != 1+8 {
 		t.Fatalf("one-entry block is %d bytes, want 9: nothing but flags and the raw value", len(single))
 	}
+	at42 := blockMeta{count: 1, min: 42, max: 42}
 	var out []entry
-	if err := decodeBlock(single, 1, 42, blockBase{}, &out); err != nil || len(out) != 1 || out[0] != (entry{ts: 42, val: 1.5}) {
+	if err := decodeBlock(single, at42, blockBase{}, &out); err != nil || len(out) != 1 || out[0] != (entry{ts: 42, val: 1.5}) {
 		t.Fatalf("one-entry block: %+v, %v", out, err)
 	}
-	for _, count := range []int{-1, 0, 2, blockEntries + 1, math.MaxInt32} {
+	for _, count := range []uint32{0, 2, blockEntries + 1, math.MaxUint32} {
 		out = out[:0]
-		if err := decodeBlock(single, count, 42, blockBase{}, &out); err == nil || len(out) != 0 {
+		if err := decodeBlock(single, blockMeta{count: count, min: 42, max: 42}, blockBase{}, &out); err == nil || len(out) != 0 {
 			t.Errorf("count %d over a one-entry block: %+v, %v", count, out, err)
 		}
 	}
-	if err := decodeBlock([]byte{0x20, 0, 0, 0, 0, 0, 0, 0, 0}, 1, 0, blockBase{}, &out); err == nil || !strings.Contains(err.Error(), "unknown flags") {
-		t.Errorf("block with flag bit 5: %v, want the unknown-flags refusal", err)
+	if err := decodeBlock([]byte{0x80, 0, 0, 0, 0, 0, 0, 0, 0}, at42, blockBase{}, &out); err == nil || !strings.Contains(err.Error(), "unknown flags") {
+		t.Errorf("block with flag bit 7: %v, want the unknown-flags refusal", err)
+	}
+	both := []byte{blockFlagVersion | blockFlagStampRuns | blockFlagStampClock, 0, 0, 0, 0, 0, 0, 0, 0, 0}
+	if err := decodeBlock(both, at42, blockBase{}, &out); err == nil || len(out) != 0 {
+		t.Errorf("stamps both run-length and clock coded: %v", err)
 	}
 
 	small, _ := encodeBlock(nil, []entry{{ts: 42, val: 3}}, 0)
@@ -586,10 +798,10 @@ func TestBlockDecodeCountGuard(t *testing.T) {
 		t.Fatalf("one-entry integer block is %d bytes, want %d", len(small), blockMinLen)
 	}
 	out = out[:0]
-	if err := decodeBlock(small, 1, 42, blockBase{}, &out); err != nil || len(out) != 1 || out[0] != (entry{ts: 42, val: 3}) {
+	if err := decodeBlock(small, at42, blockBase{}, &out); err != nil || len(out) != 1 || out[0] != (entry{ts: 42, val: 3}) {
 		t.Fatalf("one-entry integer block: %+v, %v", out, err)
 	}
-	if err := decodeBlock(small[:1], 1, 42, blockBase{}, &out); err == nil {
+	if err := decodeBlock(small[:1], at42, blockBase{}, &out); err == nil {
 		t.Error("a lone flags byte accepted as a block")
 	}
 
@@ -604,12 +816,14 @@ func TestBlockDecodeCountGuard(t *testing.T) {
 		t.Fatalf("periodic constant block is %d bytes, want at most 12", len(dozen))
 	}
 	out = out[:0]
-	if err := decodeBlock(dozen, blockEntries, 0, blockBase{}, &out); err != nil || entriesEqual(out, flat) != nil {
+	if err := decodeBlock(dozen, metaOf(flat), blockBase{}, &out); err != nil || entriesEqual(out, flat) != nil {
 		t.Fatalf("periodic constant block: %v, %v", err, entriesEqual(out, flat))
 	}
 	big := make([]byte, 1<<16)
+	over := metaOf(flat)
+	over.count++
 	for _, raw := range [][]byte{dozen, big} {
-		if err := decodeBlock(raw, blockEntries+1, 0, blockBase{}, &out); err == nil {
+		if err := decodeBlock(raw, over, blockBase{}, &out); err == nil {
 			t.Error("count beyond blockEntries accepted")
 		}
 	}
@@ -632,7 +846,9 @@ func TestRunFooterRejectsOversizedIndex(t *testing.T) {
 // reading per call, and the burst shape: the integer counter forwarded
 // 64 readings a message, so 64 consecutive entries share a version. All
 // carry versions and ns-jittered timestamps, as every write since PR 9
-// does.
+// does. The fan-in shape is the block a file holds of one of very many
+// sensors: five readings of an integer counter, one a round of the
+// writer's loop, stamped on the coordinator's clock.
 func benchBlocks() map[string][]entry {
 	rng := rand.New(rand.NewSource(5))
 	const t0, v0 = int64(1_560_000_000_000_000_000), uint64(1_700_000_000_000_000_000)
@@ -662,6 +878,15 @@ func benchBlocks() map[string][]entry {
 		}
 		shapes[name] = es
 	}
+	fanin := make([]entry, 5)
+	for i := range fanin {
+		fanin[i] = entry{
+			ts:  t0 + int64(i)*1_000_000_000 + int64(rng.Intn(20_000_001)) - 10_000_000,
+			val: float64(1_000_003 + i*1977),
+			ver: v0 + uint64(i)*2_900_000_000 + uint64(rng.Intn(3000))*versionTick,
+		}
+	}
+	shapes["fanin"] = fanin
 	return shapes
 }
 
@@ -687,7 +912,7 @@ func BenchmarkBlockDecode(b *testing.B) {
 			out := make([]entry, 0, len(es))
 			for i := 0; i < b.N; i++ {
 				out = out[:0]
-				if err := decodeBlock(enc, len(es), es[0].ts, blockBase{ver: es[0].ver}, &out); err != nil {
+				if err := decodeBlock(enc, metaOf(es), blockBase{ver: es[0].ver}, &out); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -697,7 +922,7 @@ func BenchmarkBlockDecode(b *testing.B) {
 }
 
 // TestRunIndexParsersSurviveDamage feeds the index parser — behind the
-// footer CRC in production, bare here — every prefix of two valid
+// footer CRC in production, bare here — every prefix of three valid
 // indexes and every single-byte corruption of them. A prefix must be
 // rejected; a corruption may parse (the CRC, not the parser, catches a
 // flipped bound) but must never panic or reach past the data section.
@@ -708,6 +933,7 @@ func TestRunIndexParsersSurviveDamage(t *testing.T) {
 	}
 	v3, v3Len := split(validRunFileBytes(t))
 	old, oldLen := split(goldenBytes(t, goldenPR15Path))
+	frames, framesLen := split(goldenBytes(t, goldenFramesPath))
 	for _, c := range []struct {
 		name    string
 		index   []byte
@@ -715,6 +941,7 @@ func TestRunIndexParsersSurviveDamage(t *testing.T) {
 	}{
 		{"writer", v3, v3Len},
 		{"before the frame codings", old, oldLen},
+		{"before the clock coding", frames, framesLen},
 	} {
 		if _, err := parseRunIndex(c.index, c.dataLen); err != nil {
 			t.Fatalf("%s: intact index rejected: %v", c.name, err)

@@ -58,13 +58,25 @@ func goldenBytes(t interface{ Fatal(...any) }, path string) []byte {
 	return data
 }
 
+// fileIndex parses the index of a whole run file held in memory.
+func fileIndex(t interface{ Fatal(...any) }, data []byte) *runIndex {
+	indexOff := binary.BigEndian.Uint64(data[len(data)-runFooterLen:])
+	idx, err := parseRunIndex(data[indexOff:len(data)-runFooterLen], int64(indexOff))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return idx
+}
+
 func FuzzRunFileDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("DCDBRUN2"))
 	f.Add([]byte("DCDBRUN3"))
-	// The fixture's contents twice: as a build before the frame codings
-	// wrote them, and in the codings the encoder picks today.
-	for _, valid := range [][]byte{validRunFileBytes(f), goldenBytes(f, goldenPR15Path), writtenRunFileBytes(f, goldenContents())} {
+	// The fixtures' contents as the builds before the frame codings and
+	// before the clock coding wrote them, and in the codings the encoder
+	// picks today.
+	for _, valid := range [][]byte{validRunFileBytes(f), goldenBytes(f, goldenPR15Path), goldenBytes(f, goldenFramesPath),
+		writtenRunFileBytes(f, goldenFramesContents())} {
 		f.Add(valid)
 		f.Add(valid[:len(valid)/2])             // torn data/index
 		f.Add(valid[:len(valid)-8])             // torn footer
@@ -158,48 +170,53 @@ func FuzzWALReplay(f *testing.F) {
 // survive a re-encode, which checks the valid path inside the fuzzer
 // too.
 func FuzzBlockDecode(f *testing.F) {
-	f.Add([]byte{}, uint16(1), int64(0), uint64(0))
-	f.Add([]byte{0}, uint16(1), int64(0), uint64(0))
-	enc := func(es []entry, baseVer uint64) []byte { b, _ := encodeBlock(nil, es, baseVer); return b }
+	f.Add([]byte{}, uint16(1), int64(0), int64(0), uint64(0))
+	f.Add([]byte{0}, uint16(1), int64(0), int64(0), uint64(0))
+	add := func(es []entry, baseVer uint64) {
+		b, _ := encodeBlock(nil, es, baseVer)
+		f.Add(b, uint16(len(es)), es[0].ts, es[len(es)-1].ts, baseVer)
+	}
 	es := []entry{{ts: 1, val: 1.5, ver: 900}, {ts: 1, val: -2, ver: 1100}, {ts: 50, val: 1.5, expire: 9}}
-	f.Add(enc(es, 1000), uint16(len(es)), es[0].ts, uint64(1000))
-	f.Add(enc(es[:1], 0), uint16(1), es[0].ts, uint64(0))
+	add(es, 1000)
+	add(es[:1], 0)
 	long := make([]entry, blockEntries)
 	for i := range long {
 		long[i] = entry{ts: int64(i) * 1000, val: float64(i) * 0.5}
 	}
-	f.Add(enc(long, 0), uint16(len(long)), long[0].ts, uint64(0))
+	add(long, 0)
 	for _, es := range codingSeeds(f) {
-		f.Add(enc(es, es[0].ver), uint16(len(es)), es[0].ts, es[0].ver)
+		add(es, es[0].ver)
 	}
 	// Blocks in the first codings only come out of the checked-in file
-	// of a build before the frame codings.
-	golden := goldenBytes(f, goldenPR15Path)
-	footer := golden[len(golden)-runFooterLen:]
-	indexOff := binary.BigEndian.Uint64(footer)
-	idx, err := parseRunIndex(golden[indexOff:len(golden)-runFooterLen], int64(indexOff))
-	if err != nil {
-		f.Fatal(err)
-	}
-	for _, se := range idx.series {
-		for _, m := range se.blocks {
-			f.Add(golden[m.off:m.off+uint64(m.length)], uint16(m.count), m.min, idx.base.ver)
+	// of a build before the frame codings, blocks in the frame codings
+	// without the anchored last timestamp out of the one before the
+	// clock coding.
+	for _, path := range []string{goldenPR15Path, goldenFramesPath} {
+		golden := goldenBytes(f, path)
+		idx := fileIndex(f, golden)
+		for _, se := range idx.series {
+			for _, m := range se.blocks {
+				f.Add(golden[m.off:m.off+uint64(m.length)], uint16(m.count), m.min, m.max, idx.base.ver)
+			}
 		}
 	}
-	f.Fuzz(func(t *testing.T, data []byte, count16 uint16, first int64, baseVer uint64) {
-		count := int(count16)
+	f.Fuzz(func(t *testing.T, data []byte, count16 uint16, first, last int64, baseVer uint64) {
+		m := blockMeta{count: uint32(count16), min: first, max: last}
 		out := make([]entry, 0, 64)
-		if err := decodeBlock(data, count, first, blockBase{ver: baseVer}, &out); err != nil {
+		if err := decodeBlock(data, m, blockBase{ver: baseVer}, &out); err != nil {
 			if len(out) != 0 {
 				t.Fatalf("failed decode left %d partial entries", len(out))
 			}
 			return
 		}
-		if len(out) != count {
-			t.Fatalf("decoded %d entries, promised %d", len(out), count)
+		if len(out) != int(m.count) {
+			t.Fatalf("decoded %d entries, promised %d", len(out), m.count)
 		}
 		if out[0].ts != first {
 			t.Fatalf("anchored block starts at %d, index says %d", out[0].ts, first)
+		}
+		if data[0]&blockFlagLastTS != 0 && out[len(out)-1].ts != last {
+			t.Fatalf("anchored block ends at %d, index says %d", out[len(out)-1].ts, last)
 		}
 		for i := 1; i < len(out); i++ {
 			if out[i].ts < out[i-1].ts {

@@ -14,23 +14,59 @@ import (
 // goldenContents must never change.
 const goldenPR15Path = "testdata/run-v3-pr15.sst"
 
+// goldenFramesPath is a run file in format v3 holding
+// goldenFramesContents, written by the last build before the clock-coded
+// stamps and the anchored last timestamp (block flag bits 5-6): the
+// fixture for the frame codings (bits 2-4), which the file above
+// predates. It cannot be regenerated from this tree either — the encoder
+// now anchors every block of two or more entries — so
+// goldenFramesContents must never change.
+const goldenFramesPath = "testdata/run-v3-frames.sst"
+
 // goldenName is the name the file must carry inside a shard directory
 // (its index states the span [1,2]).
 var goldenName = runFileName(1, 2)
 
-// goldenIDs returns the fixture's series ids, all hashing to one
-// shard (a run file belongs to a shard directory): a three-block
-// versioned counter, a two-block series with duplicate timestamps,
-// expiries and mixed zero/non-zero versions, a single unversioned
-// entry, and exactly one full block whose versions are all equal.
-func goldenIDs() (counter, messy, single, full core.SensorID) {
+// goldenShardIDs returns the first n ids of the fixtures' SID family
+// that hash to one shard (a run file belongs to a shard directory).
+func goldenShardIDs(n int) []core.SensorID {
 	var ids []core.SensorID
-	for lo := uint64(1); len(ids) < 4; lo++ {
+	for lo := uint64(1); len(ids) < n; lo++ {
 		if id := sid(0x0001000200030004, lo<<32); shardIndex(id) == 5 {
 			ids = append(ids, id)
 		}
 	}
+	return ids
+}
+
+// goldenIDs returns the series ids of goldenContents: a three-block
+// versioned counter, a two-block series with duplicate timestamps,
+// expiries and mixed zero/non-zero versions, a single unversioned
+// entry, and exactly one full block whose versions are all equal.
+func goldenIDs() (counter, messy, single, full core.SensorID) {
+	ids := goldenShardIDs(4)
 	return ids[0], ids[1], ids[2], ids[3]
+}
+
+// goldenFramesContents is goldenContents plus, last in SID order, one
+// series stamped the way the coordinator stamps a fan-in sensor: one
+// reading per write, versions on the microsecond tick, rounds ~2.9 s
+// apart with ms jitter — a full block and a five-entry one. The file's
+// base version is the counter's first, which is off the tick.
+func goldenFramesContents() *runContents {
+	rc := goldenContents()
+	rng := rand.New(rand.NewSource(23))
+	const t0, v0 = int64(1_560_000_000_000_000_000), uint64(1_700_000_000_000_000_000)
+	es := make([]entry, blockEntries+5)
+	for i := range es {
+		es[i] = entry{
+			ts:  t0 + int64(i)*1_000_000_000 + int64(rng.Intn(20_000_001)) - 10_000_000,
+			val: float64(4000 + 3*i + rng.Intn(3)),
+			ver: v0 + uint64(i)*2_900_000_000 + uint64(rng.Intn(5000))*versionTick,
+		}
+	}
+	rc.series[goldenShardIDs(5)[4]] = es
+	return rc
 }
 
 // goldenContents is the fixture's contents: a fixed pseudo-random

@@ -77,6 +77,7 @@ type walMetrics struct {
 type runMetrics struct {
 	ts, stamps, values, index *metrics.Counter
 	blocks                    [2][2]*metrics.Counter // as runBytes.blocks
+	stamped                   [3]*metrics.Counter    // as runBytes.stamped
 }
 
 // add counts one committed run file. A nil receiver counts nothing
@@ -93,6 +94,9 @@ func (m *runMetrics) add(b *runBytes) {
 		for j, c := range m.blocks[i] {
 			c.Add(int64(b.blocks[i][j]))
 		}
+	}
+	for i, c := range m.stamped {
+		c.Add(int64(b.stamped[i]))
 	}
 }
 
@@ -136,6 +140,10 @@ func newNodeMetrics(n *Node) *nodeMetrics {
 			m.run.blocks[i][j] = reg.Counter(fmt.Sprintf(`dcdb_store_blocks_total{ts="%s",values="%s"}`, ts, values),
 				"Blocks of committed run files by the coding their timestamp and value streams chose.")
 		}
+	}
+	for i, coding := range []string{"varint", "runs", "clock"} {
+		m.run.stamped[i] = reg.Counter(fmt.Sprintf(`dcdb_store_stamp_blocks_total{coding="%s"}`, coding),
+			"Blocks of committed run files that carry write stamps, by the coding their stamp sections chose.")
 	}
 	reg.CounterFunc("dcdb_store_inserts_total", "Readings inserted.", func() float64 {
 		ins, _, _ := n.Stats()

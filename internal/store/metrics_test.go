@@ -385,15 +385,17 @@ func TestWALMetricsGroupCommit(t *testing.T) {
 
 // TestRunBytesMetrics spills a known shape — one integer counter,
 // forwarded eight readings a call, of a full and a short block, one
-// fractional gauge of a handful of readings — and requires the where-the-bytes-go counters to have
-// moved by exactly the section lengths of the blocks the run file
-// holds, its index, and the codings those blocks chose; a compaction
-// then counts the rewritten bytes again.
+// fractional gauge of a handful of readings stamped off the tick, one
+// integer sensor of as many written a round apart on the tick — and
+// requires the where-the-bytes-go counters to have moved by exactly the
+// section lengths of the blocks the run file holds, its index, and the
+// codings those blocks chose; a compaction then counts the rewritten
+// bytes again.
 func TestRunBytesMetrics(t *testing.T) {
 	dir := t.TempDir()
 	n := openedNode(t, dir, 1<<30, DiskOptions{SyncInterval: -1, CompactInterval: -1})
 	defer n.Close()
-	counter, gauge, _, _ := goldenIDs() // of one shard: one run file
+	counter, gauge, clocked, _ := goldenIDs() // of one shard: one run file
 	const t0, v0 = int64(1_560_000_000_000_000_000), uint64(1_700_000_000_000_000_000)
 	for i := 0; i < blockEntries+88; i += 8 {
 		vrs := make([]VersionedReading, 8)
@@ -408,6 +410,10 @@ func TestRunBytesMetrics(t *testing.T) {
 	for i := int64(0); i < 5; i++ {
 		vr := VersionedReading{Timestamp: t0 + i*999_999_937, Value: 20.25 + float64(i%3)*0.5, Version: v0 + uint64(i)*31}
 		if err := n.InsertVersioned(gauge, []VersionedReading{vr}); err != nil {
+			t.Fatal(err)
+		}
+		vr = VersionedReading{Timestamp: t0 + i*1_000_000_000, Value: float64(90 + i), Version: v0 + uint64(i)*2_900_000_000 + uint64(i*i)*versionTick}
+		if err := n.InsertVersioned(clocked, []VersionedReading{vr}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -449,6 +455,9 @@ func TestRunBytesMetrics(t *testing.T) {
 	if want.blocks[1][1] == 0 || want.blocks[0][0]+want.blocks[1][0] != 1 {
 		t.Fatalf("block codings %v: want the counter's full block frame/int and the gauge's XOR", want.blocks)
 	}
+	if want.stamped != [3]int{1, 2, 1} {
+		t.Fatalf("stamp codings %v: want the gauge's varints, the counter's runs and the clocked sensor's clock", want.stamped)
+	}
 	check := func(times float64) {
 		t.Helper()
 		samples, err := n.MetricsSnapshot()
@@ -464,6 +473,9 @@ func TestRunBytesMetrics(t *testing.T) {
 			`dcdb_store_blocks_total{ts="varint",values="int"}`: want.blocks[0][1],
 			`dcdb_store_blocks_total{ts="frame",values="xor"}`:  want.blocks[1][0],
 			`dcdb_store_blocks_total{ts="frame",values="int"}`:  want.blocks[1][1],
+			`dcdb_store_stamp_blocks_total{coding="varint"}`:    want.stamped[0],
+			`dcdb_store_stamp_blocks_total{coding="runs"}`:      want.stamped[1],
+			`dcdb_store_stamp_blocks_total{coding="clock"}`:     want.stamped[2],
 		} {
 			if got := sampleValue(t, samples, name); got != times*float64(v) {
 				t.Errorf("%s = %g, want %g", name, got, times*float64(v))
@@ -471,7 +483,7 @@ func TestRunBytesMetrics(t *testing.T) {
 		}
 	}
 	check(1)
-	if total := want.streams.ts + want.streams.stamps + want.streams.values + 3 + want.index + runMagicLen + runFooterLen; total != len(data) {
+	if total := want.streams.ts + want.streams.stamps + want.streams.values + 4 + want.index + runMagicLen + runFooterLen; total != len(data) {
 		t.Errorf("streams, flags bytes, index, magic and footer add up to %d of the file's %d bytes", total, len(data))
 	}
 	n.Compact() // one file, rewritten as it is

@@ -57,27 +57,9 @@ func servedVersioned(t *testing.T, n *Node, want *runContents) map[core.SensorID
 // migration, an old block is simply one that chose the first codings —
 // and serves the same answers either way; and after this build
 // compacts it, into blocks that do use the new codings, the answers
-// are still the same.
+// are still the same (servedAndKeptAsIs).
 func TestPR15DirectoryServedAndKeptAsIs(t *testing.T) {
-	data, err := os.ReadFile(goldenPR15Path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := goldenContents()
-	got, err := decodeRunFile(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := runContentsEqual(want, got); err != nil {
-		t.Fatalf("PR 15 file decodes differently: %v", err)
-	}
-	idx, err := readRunIndexFile(goldenPR15Path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := coldSeriesEqual(goldenPR15Path, idx, want.series); err != nil {
-		t.Fatal(err)
-	}
+	data, idx, _ := servedAndKeptAsIs(t, goldenPR15Path, goldenContents())
 	for _, se := range idx.series {
 		for _, m := range se.blocks {
 			if flags := data[m.off]; flags&^(blockFlagExpire|blockFlagVersion) != 0 {
@@ -85,9 +67,84 @@ func TestPR15DirectoryServedAndKeptAsIs(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFrameCodingsDirectoryServedAndKeptAsIs is the same contract for
+// the clock-coded stamps and the anchored last timestamp, against a run
+// file the last build without them wrote: every block has flag bits 5-6
+// clear, and the file uses each of the frame codings (bits 2-4), so it
+// pins what they decode to as well. Every block is byte for byte what
+// encodeBlockFrames makes of its entries, which is what lets that
+// reference stand for the build that wrote it. Its base version is off
+// the tick, so this build's compaction anchors every block of two or
+// more entries but clock codes none.
+func TestFrameCodingsDirectoryServedAndKeptAsIs(t *testing.T) {
+	want := goldenFramesContents()
+	data, idx, compacted := servedAndKeptAsIs(t, goldenFramesPath, want)
+	var used byte
+	for _, se := range idx.series {
+		es := want.series[se.id]
+		for _, m := range se.blocks {
+			raw := data[m.off : m.off+uint64(m.length)]
+			if raw[0]&(blockFlagStampClock|blockFlagLastTS) != 0 {
+				t.Fatalf("fixture block at %d has flags %#x: not written by a build before the clock coding", m.off, raw[0])
+			}
+			if ref := encodeBlockFrames(nil, es[:m.count], idx.base.ver); string(ref) != string(raw) {
+				t.Fatalf("fixture block at %d is not what encodeBlockFrames makes of its entries", m.off)
+			}
+			used |= raw[0]
+			es = es[m.count:]
+		}
+	}
+	if frames := byte(blockFlagTSFrame | blockFlagStampRuns | blockFlagIntValues); used&frames != frames {
+		t.Fatalf("fixture blocks use flags %#x, not every frame coding", used)
+	}
+
+	if idx.base.ver%versionTick == 0 {
+		t.Fatalf("fixture base version %d is on the tick", idx.base.ver)
+	}
+	idx = fileIndex(t, compacted)
+	for _, se := range idx.series {
+		for _, m := range se.blocks {
+			flags := compacted[m.off]
+			if anchored := flags&blockFlagLastTS != 0; anchored != (m.count > 1) {
+				t.Errorf("compacted block of %d entries has flags %#x", m.count, flags)
+			}
+			if flags&blockFlagStampClock != 0 {
+				t.Errorf("compacted block has flags %#x: clock coded against a base off the tick", flags)
+			}
+		}
+	}
+}
+
+// servedAndKeptAsIs is the compatibility contract against a checked-in
+// run file an older build wrote, holding want: it decodes entry for
+// entry, hot and cold; a directory holding it opens read-only and
+// writable without a byte of it rewritten — there is no migration, an
+// old block is simply one that chose the codings the older build had —
+// and serves the same answers either way; and after this build compacts
+// it, into blocks that do use the newer codings, the answers are still
+// the same and the file is smaller. It returns the fixture, its index
+// and the file the compaction wrote.
+func servedAndKeptAsIs(t *testing.T, golden string, want *runContents) (data []byte, idx *runIndex, compacted []byte) {
+	t.Helper()
+	data = goldenBytes(t, golden)
+	got, err := decodeRunFile(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := runContentsEqual(want, got); err != nil {
+		t.Fatalf("%s decodes differently: %v", golden, err)
+	}
+	if idx, err = readRunIndexFile(golden); err != nil {
+		t.Fatal(err)
+	}
+	if err := coldSeriesEqual(golden, idx, want.series); err != nil {
+		t.Fatal(err)
+	}
 
 	dir := t.TempDir()
-	path := placeGolden(t, dir, goldenPR15Path)
+	path := placeGolden(t, dir, golden)
 	ro, roCold := noCompact, coldOptions
 	ro.ReadOnly, roCold.ReadOnly = true, true
 	var served []map[core.SensorID][]VersionedReading
@@ -96,7 +153,7 @@ func TestPR15DirectoryServedAndKeptAsIs(t *testing.T) {
 		served = append(served, servedVersioned(t, n, want))
 		n.Close()
 		if now, err := os.ReadFile(path); err != nil || string(now) != string(data) {
-			t.Fatalf("open %+v rewrote the PR 15 run file", o)
+			t.Fatalf("open %+v rewrote %s", o, golden)
 		}
 	}
 	counter, _, _, _ := goldenIDs()
@@ -120,13 +177,10 @@ func TestPR15DirectoryServedAndKeptAsIs(t *testing.T) {
 	if err != nil || len(files) != 1 {
 		t.Fatalf("after the compaction: %+v, %v", files, err)
 	}
-	after, err := os.ReadFile(files[0].path)
-	if err != nil {
-		t.Fatal(err)
+	if compacted = goldenBytes(t, files[0].path); len(compacted) >= len(data) {
+		t.Errorf("compacting %s left %d bytes of its %d", golden, len(compacted), len(data))
 	}
-	if len(after) >= len(data) {
-		t.Errorf("compacting the PR 15 file left %d bytes of its %d", len(after), len(data))
-	}
+	return data, idx, compacted
 }
 
 // runContentsEqual compares two decoded run files entry-for-entry.

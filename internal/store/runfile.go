@@ -40,9 +40,10 @@ import (
 // from the previous block's max (the first block of a series from the
 // file-level baseTS, the smallest timestamp in the file), a series'
 // count and bounds are those of its blocks. The blocks in turn are
-// anchored in the index — first timestamp = min, first write version
-// relative to baseVer — so a file of many tiny series, the fan-in
-// shape, pays a few bytes per series instead of eighty.
+// anchored in the index — first timestamp = min, and with block flag
+// bit 6 the last timestamp = max; first write version relative to
+// baseVer — so a file of many tiny series, the fan-in shape, pays a few
+// bytes per series instead of eighty, and no timestamp twice.
 //
 // Integrity is layered: the footer CRC covers the index, and every
 // block carries its own CRC in the index, so a cold read verifies
@@ -141,6 +142,7 @@ type runBytes struct {
 	streams blockSizes // summed over the blocks
 	index   int
 	blocks  [2][2]int // block count by [timestamps framed][values integer]
+	stamped [3]int    // blocks with a stamp section by its coding: varints, runs, clock
 }
 
 // count adds one block with the given flags byte and stream sizes.
@@ -149,6 +151,9 @@ func (b *runBytes) count(flags byte, sz blockSizes) {
 	b.streams.stamps += sz.stamps
 	b.streams.values += sz.values
 	b.blocks[min(flags&blockFlagTSFrame, 1)][min(flags&blockFlagIntValues, 1)]++
+	if flags&(blockFlagExpire|blockFlagVersion) != 0 {
+		b.stamped[min(flags&blockFlagStampRuns, 1)+2*min(flags&blockFlagStampClock, 1)]++
+	}
 }
 
 func newRunFileWriter(dir string, minSeq, maxSeq uint64, met *runMetrics) (*runFileWriter, error) {
@@ -672,11 +677,14 @@ func decodeRunFile(data []byte) (*runContents, error) {
 				return nil, fmt.Errorf("store: block at %d CRC mismatch", m.off)
 			}
 			n := len(es)
-			if err := decodeBlock(raw, int(m.count), m.min, idx.base, &es); err != nil {
+			if err := decodeBlock(raw, m, idx.base, &es); err != nil {
 				return nil, err
 			}
 			// The index's bounds are the always-resident rejection
-			// data; they must agree with the decoded payload.
+			// data; they must agree with the decoded payload. The
+			// decoder took the first timestamp from them, and the last
+			// one of an anchored block, so what this checks is the last
+			// timestamp of a block written without the anchor.
 			if es[n].ts != m.min || es[len(es)-1].ts != m.max {
 				return nil, fmt.Errorf("store: block at %d bounds contradict its index entry", m.off)
 			}
