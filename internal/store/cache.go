@@ -57,36 +57,49 @@ func (rf *runFile) release() {
 	}
 }
 
-// readBlock reads and CRC-checks one raw block. buf is reused when
-// large enough.
-func (rf *runFile) readBlock(m blockMeta, buf []byte) ([]byte, error) {
-	if int64(m.off)+int64(m.length) > rf.dataLen {
-		return nil, fmt.Errorf("store: %s: block at %d overflows data section", rf.path, m.off)
+// pageScratch pools the buffers cold reads fetch pages into: a page of
+// small blocks is 1-2 KiB, a full block a page of its own.
+var pageScratch = sync.Pool{New: func() any { b := make([]byte, 0, 2*pageMin); return &b }}
+
+func getPageScratch() *[]byte { return pageScratch.Get().(*[]byte) }
+
+func putPageScratch(b *[]byte) {
+	if cap(*b) <= 16*pageMin { // don't pool oversized one-offs
+		pageScratch.Put(b)
 	}
-	if cap(buf) < int(m.length) {
-		buf = make([]byte, m.length)
+}
+
+// readBlock reads and CRC-checks the page holding block m and returns
+// the page, in buf when it is large enough, and the block within it.
+func (rf *runFile) readBlock(m blockMeta, buf []byte) (page, raw []byte, err error) {
+	if int64(m.pageOff)+int64(m.pageLen) > rf.dataLen {
+		return buf, nil, fmt.Errorf("store: %s: page at %d overflows data section", rf.path, m.pageOff)
 	}
-	buf = buf[:m.length]
-	if _, err := rf.f.ReadAt(buf, int64(m.off)); err != nil {
-		return nil, fmt.Errorf("store: %s: reading block at %d: %w", rf.path, m.off, err)
+	if cap(buf) < int(m.pageLen) {
+		buf = make([]byte, m.pageLen)
 	}
-	if crc32.ChecksumIEEE(buf) != m.crc {
-		return nil, fmt.Errorf("store: %s: block at %d CRC mismatch", rf.path, m.off)
+	page = buf[:m.pageLen]
+	if _, err := rf.f.ReadAt(page, int64(m.pageOff)); err != nil {
+		return page, nil, fmt.Errorf("store: %s: reading page at %d: %w", rf.path, m.pageOff, err)
 	}
-	return buf, nil
+	if crc32.ChecksumIEEE(page) != m.crc {
+		return page, nil, fmt.Errorf("store: %s: page at %d CRC mismatch", rf.path, m.pageOff)
+	}
+	at := m.off - m.pageOff
+	return page, page[at : at+uint64(m.length)], nil
 }
 
 // decodeBlockAt reads, checks and decodes one block of rf, appending
-// the entries to out.
+// the entries to out. It returns the page buffer for the next read.
 func (rf *runFile) decodeBlockAt(m blockMeta, scratch []byte, out *[]entry) ([]byte, error) {
-	raw, err := rf.readBlock(m, scratch)
+	page, raw, err := rf.readBlock(m, scratch)
 	if err != nil {
-		return raw, err
+		return page, err
 	}
 	if err := decodeBlock(raw, m, rf.base, out); err != nil {
-		return raw, fmt.Errorf("store: %s: block at %d: %w", rf.path, m.off, err)
+		return page, fmt.Errorf("store: %s: block at %d: %w", rf.path, m.off, err)
 	}
-	return raw, nil
+	return page, nil
 }
 
 // blockKey identifies one cached decoded block. The runFile pointer is

@@ -7,6 +7,8 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"os"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -662,11 +664,243 @@ func TestRunFileRoundTripShapes(t *testing.T) {
 	}
 }
 
+// TestRunIndexRoundTrip is format v4's index property. Series of 1, 2,
+// 511, 512, 513 and 1025 entries — no body, one delta, a block but one,
+// a block, one over, two and one over — under SIDs whose level codes
+// take one, two and three varint bytes, with zero levels inside and at
+// the end, and under random 128-bit SIDs, beside tombstones on the same
+// kinds of SID, come back hot and cold as they went in. The index the
+// writer keeps and the one read back agree field for field, pages
+// included, and a periodic file codes its bounds against its period.
+func TestRunIndexRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	lv := func(codes ...uint16) (id core.SensorID) {
+		for l, c := range codes {
+			id = id.WithLevel(l, c)
+		}
+		return id
+	}
+	ids := []core.SensorID{
+		lv(1), lv(1, 127), lv(1, 127, 128), lv(1, 128, 16383), lv(1, 128, 16384, 0xffff),
+		lv(1, 0, 0, 5), lv(1, 0, 0, 5, 0, 0, 0, 1), lv(2, 0xffff, 0, 0, 0, 0, 0, 0xffff), lv(0xffff),
+	}
+	for len(ids) < 36 {
+		ids = append(ids, core.SensorID{Hi: rng.Uint64(), Lo: rng.Uint64()})
+	}
+	sizes := []int{1, 2, blockEntries - 1, blockEntries, blockEntries + 1, 2*blockEntries + 1}
+	series := map[core.SensorID][]entry{}
+	tombs := map[core.SensorID]int64{{}: -1, lv(1, 0, 3): 1 << 62}
+	for i, id := range ids {
+		es := make([]entry, sizes[i%len(sizes)])
+		for j := range es {
+			es[j] = entry{
+				ts:  shapeT0 + int64(j)*2_900_000_000 + int64(rng.Intn(6_000_001)) - 3_000_000,
+				val: float64(i*1_000_003 + j*977),
+				ver: shapeV0 + uint64(j)*2_900_000_000 + uint64(rng.Intn(3000))*versionTick,
+			}
+		}
+		series[id] = es
+		if i%4 == 0 {
+			tombs[id] = int64(i) * 1e15
+		}
+	}
+	meta, idx, err := writeRunFile(t.TempDir(), 3, 9, series, tombs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hot, err := readRunFile(meta.path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := runContentsEqual(&runContents{minSeq: 3, maxSeq: 9, tombs: tombs, series: series}, hot); err != nil {
+		t.Fatalf("hot decode diverges from input: %v", err)
+	}
+	reread, err := readRunIndexFile(meta.path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(idx, reread) {
+		t.Fatalf("the index read back differs from the writer's:\n%+v\n%+v", reread, idx)
+	}
+	if err := coldSeriesEqual(meta.path, reread, series); err != nil {
+		t.Fatalf("cold read diverges from input: %v", err)
+	}
+	if err := blocksInBounds(reread); err != nil {
+		t.Fatal(err)
+	}
+	if reread.period < 2_899_000_000 || reread.period > 2_901_000_000 {
+		t.Errorf("period %d, want the series' 2.9 s", reread.period)
+	}
+}
+
+// TestRunIndexPeriodChoice: the writer codes bounds against the median
+// step of the file's blocks only where that makes the index shorter, and
+// never against a period a full block's span cannot be predicted with.
+func TestRunIndexPeriodChoice(t *testing.T) {
+	block := func(count uint32, span int64) blockMeta { return blockMeta{count: count, min: 0, max: span} }
+	for _, c := range []struct {
+		name   string
+		blocks []blockMeta
+		want   uint64
+	}{
+		{"no block of two entries", []blockMeta{block(1, 0)}, 0},
+		{"periodic", []blockMeta{block(5, 4_000_000_123), block(5, 3_999_999_000), block(2, 1_000_000_321)}, 1_000_000_030},
+		{"the median would lengthen the index", []blockMeta{block(2, 3), block(2, 1e9)}, 0},
+		{"a step too long for a full block", []blockMeta{block(2, math.MaxInt64/400), block(2, math.MaxInt64/400)}, 0},
+	} {
+		var series []seriesIndex
+		for _, m := range c.blocks {
+			series = append(series, seriesIndex{blocks: []blockMeta{m}})
+		}
+		if got := choosePeriod(series); got != c.want {
+			t.Errorf("%s: period %d, want %d", c.name, got, c.want)
+		}
+	}
+}
+
+// v4IndexHeader is a format v4 index header: minSeq 1, span, baseTS and
+// baseVer 0.
+func v4IndexHeader(period, tombs, series uint64) []byte {
+	b := binary.AppendUvarint(nil, 1)
+	b = append(b, 0, 0, 0)
+	return binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(b, period), tombs), series)
+}
+
+// TestRunFilePages holds pages to their rule: a page closes at the first
+// block end 1 KiB or more past its start — exactly at 1 KiB too — and
+// before a block of 1 KiB or more, which stands alone; the last closes
+// at the end of the data. The parser refuses an index that closes a page
+// elsewhere or leaves the last one without its CRC. In a written file,
+// flipping any byte of a page fails the reads of that page's blocks and
+// of no other block.
+func TestRunFilePages(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		lens  []uint32
+		pages [][2]uint64 // offset in the data section, length
+	}{
+		{"closes exactly at 1 KiB", []uint32{1000, 24, 5}, [][2]uint64{{0, 1024}, {1024, 5}}},
+		{"a byte short of 1 KiB", []uint32{1000, 23, 5}, [][2]uint64{{0, 1028}}},
+		{"a block over 1 KiB stands alone", []uint32{5, 2000, 5}, [][2]uint64{{0, 5}, {5, 2000}, {2005, 5}}},
+		{"blocks of 1 KiB back to back", []uint32{5, 1024, 1024, 3}, [][2]uint64{{0, 5}, {5, 1024}, {1029, 1024}, {2053, 3}}},
+		{"one block", []uint32{7}, [][2]uint64{{0, 7}}},
+	} {
+		idx := &runIndex{minSeq: 1, maxSeq: 1}
+		dataLen := int64(runMagicLen)
+		for i, n := range c.lens {
+			idx.series = append(idx.series, seriesIndex{id: sid(1, uint64(i)), count: 1, blocks: []blockMeta{{length: n, count: 1}}})
+			dataLen += int64(n)
+		}
+		got, err := forgedIndex(idx, dataLen)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		var pages [][2]uint64
+		for _, se := range got.series {
+			m := se.blocks[0]
+			if p := [2]uint64{m.pageOff - runMagicLen, uint64(m.pageLen)}; len(pages) == 0 || pages[len(pages)-1] != p {
+				pages = append(pages, p)
+			}
+		}
+		if !reflect.DeepEqual(pages, c.pages) {
+			t.Errorf("%s: pages %v, want %v", c.name, pages, c.pages)
+		}
+	}
+
+	// Five-byte blocks, one a series, closing their pages as flagged.
+	closing := func(closes ...bool) []byte {
+		b := v4IndexHeader(0, 0, uint64(len(closes)))
+		for i, c := range closes {
+			b = append(b, 0x01, byte(i+1), 1, 5<<1, 0, 0) // SID /i+1, one entry, 5 bytes
+			if c {
+				b[len(b)-3] |= 1
+				b = append(b, 0, 0, 0, 0)
+			}
+		}
+		return b
+	}
+	for _, c := range []struct {
+		closes  []bool
+		wantErr string
+	}{
+		{[]bool{true}, ""},
+		{[]bool{false, true}, ""},
+		{[]bool{true, true}, "page rule"},
+		{[]bool{false, false}, "without a CRC"},
+	} {
+		_, err := parseRunIndex(closing(c.closes...), runMagicLen+5*int64(len(c.closes)), 4)
+		if (err == nil) != (c.wantErr == "") || err != nil && !strings.Contains(err.Error(), c.wantErr) {
+			t.Errorf("pages closed %v: %v, want %q", c.closes, err, c.wantErr)
+		}
+	}
+
+	// A fan-in file: forty five-reading series around a full block of a
+	// gauge, which is over 1 KiB.
+	rng := rand.New(rand.NewSource(11))
+	series := map[core.SensorID][]entry{}
+	for s := 0; s < 41; s++ {
+		es := blockShape{"fan-in", func(i int, e *entry) {
+			e.ts += int64(i)*1_900_000_000 + int64(rng.Intn(3_000_000))
+			e.val, e.ver = float64(s*1000+i), shapeV0+uint64(i)*2_900_000_000+uint64(rng.Intn(3000))*versionTick
+		}}.entries(5)
+		if s == 20 {
+			es = blockShapes()[1].entries(blockEntries) // jittered XOR gauge
+		}
+		series[faninID(s)] = es
+	}
+	meta, idx, err := writeRunFile(t.TempDir(), 1, 1, series, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared, alone := 0, 0
+	for _, se := range idx.series {
+		for _, m := range se.blocks {
+			if m.length >= pageMin && (m.pageOff != m.off || m.pageLen != m.length) {
+				t.Fatalf("block of %d bytes shares its page [%d,+%d)", m.length, m.pageOff, m.pageLen)
+			}
+			if m.pageLen > m.length {
+				shared++
+			} else if m.length >= pageMin {
+				alone++
+			}
+		}
+	}
+	if shared < 30 || alone != 1 {
+		t.Fatalf("%d blocks share a page, %d of 1 KiB or more stand alone", shared, alone)
+	}
+	rf, err := openRunFileHandle(meta.path, idx, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rf.release()
+	f, err := os.OpenFile(meta.path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	b := make([]byte, 1)
+	for off := int64(runMagicLen); off < idx.dataLen; off++ {
+		f.ReadAt(b, off)
+		b[0] ^= 0x20
+		f.WriteAt(b, off)
+		for _, se := range idx.series {
+			for _, m := range se.blocks {
+				var out []entry
+				_, err := rf.decodeBlockAt(m, nil, &out)
+				if inPage := uint64(off) >= m.pageOff && uint64(off) < m.pageOff+uint64(m.pageLen); (err != nil) != inPage {
+					t.Fatalf("byte %d flipped: read of the block at %d (page [%d,+%d)): %v", off, m.off, m.pageOff, m.pageLen, err)
+				}
+			}
+		}
+		b[0] ^= 0x20
+		f.WriteAt(b, off)
+	}
+}
+
 // forgedIndex serialises idx as it stands — appendRunIndex does not
 // validate — and parses it back against a data section of dataLen.
-func forgedIndex(idx *runIndex, dataLen int64) error {
-	_, err := parseRunIndex(appendRunIndex(nil, idx), dataLen)
-	return err
+func forgedIndex(idx *runIndex, dataLen int64) (*runIndex, error) {
+	return parseRunIndex(appendRunIndex(nil, idx), dataLen, 4)
 }
 
 // TestRunIndexAllocationGuards forges the counts and lengths a parser
@@ -674,13 +908,20 @@ func forgedIndex(idx *runIndex, dataLen int64) error {
 // anything sized from a count; the bytes no longer bound the count — a
 // periodic, once-stamped, constant sensor is 512 entries in a dozen
 // bytes, and the index cannot see a block's flags — so a length need
-// only reach the shortest block there is. Lengths and deltas are checked
-// in subtraction form so they cannot wrap past the check. The other half
-// of the guard is decodeRunFile's: nothing is sized from the index's
-// summed claim, only from blocks that passed their CRC.
+// only reach the shortest block there is. A series' count sizes its
+// block list, so it must fit the index's remaining bytes. Lengths,
+// deltas and the period's predictions are checked in subtraction or
+// division form so they cannot wrap past the check. The other half of
+// the guard is decodeRunFile's: nothing is sized from the index's summed
+// claim, only from blocks that passed their page's CRC.
 func TestRunIndexAllocationGuards(t *testing.T) {
 	one := func(m blockMeta) *runIndex {
-		return &runIndex{minSeq: 1, maxSeq: 1, series: []seriesIndex{{id: sid(1, 1), blocks: []blockMeta{m}}}}
+		return &runIndex{minSeq: 1, maxSeq: 1, series: []seriesIndex{{id: sid(1, 1), count: uint64(m.count), blocks: []blockMeta{m}}}}
+	}
+	periodic := func(period uint64) *runIndex {
+		idx := one(blockMeta{length: 12, count: blockEntries, min: 0, max: blockEntries - 1})
+		idx.period = period
+		return idx
 	}
 	cases := []struct {
 		name    string
@@ -690,24 +931,28 @@ func TestRunIndexAllocationGuards(t *testing.T) {
 	}{
 		{"smallest block", one(blockMeta{length: blockMinLen, count: 1}), 8 + blockMinLen, ""},
 		{"full block in a dozen bytes", one(blockMeta{length: 12, count: blockEntries}), 8 + 12, ""},
-		{"count beyond a block", one(blockMeta{length: 4096, count: blockEntries + 1}), 8 + 4096, "outside [1,512]"},
-		{"zero count", one(blockMeta{length: 9, count: 0}), 8 + 9, "outside [1,512]"},
+		{"series count beyond its blocks", one(blockMeta{length: 4096, count: blockEntries + 1}), 8 + 4096, "truncated"},
+		{"zero count", one(blockMeta{length: 9, count: 0}), 8 + 9, "empty series"},
 		{"block too short for a value", one(blockMeta{length: 1, count: 1}), 8 + 1, "shorter than the shortest block"},
 		{"length beyond the data", one(blockMeta{length: 100, count: 1}), 8 + 99, "overflows data section"},
 		{"blocks leave a gap", one(blockMeta{length: 9, count: 1}), 8 + 10, "cover 9 of 10 data bytes"},
 		{"max below min wraps", one(blockMeta{length: 9, count: 1, min: 5, max: 4}), 8 + 9, "bounds overflow"},
 		{"min below base wraps", &runIndex{series: []seriesIndex{
-			{id: sid(1, 1), min: math.MaxInt64, blocks: []blockMeta{{length: 9, count: 1, min: math.MaxInt64, max: math.MaxInt64}}},
-			{id: sid(1, 2), min: math.MaxInt64, blocks: []blockMeta{{length: 9, count: 1, min: 0, max: 0}}},
+			{id: sid(1, 1), count: 1, min: math.MaxInt64, blocks: []blockMeta{{length: 9, count: 1, min: math.MaxInt64, max: math.MaxInt64}}},
+			{id: sid(1, 2), count: 1, min: math.MaxInt64, blocks: []blockMeta{{length: 9, count: 1, min: 0, max: 0}}},
 		}}, 8 + 18, "bounds overflow"},
 		{"series out of order", &runIndex{series: []seriesIndex{
-			{id: sid(1, 2), blocks: []blockMeta{{length: 9, count: 1}}},
-			{id: sid(1, 1), blocks: []blockMeta{{length: 9, count: 1}}},
+			{id: sid(1, 2), count: 1, blocks: []blockMeta{{length: 9, count: 1}}},
+			{id: sid(1, 1), count: 1, blocks: []blockMeta{{length: 9, count: 1}}},
 		}}, 8 + 18, "series out of order"},
 		{"index inside the magic", one(blockMeta{length: 9, count: 1}), 7, "inside the magic"},
+		{"a period a full block's span can take", periodic(math.MaxInt64 / (blockEntries - 1)), 8 + 12, ""},
+		{"(count-1)·period beyond int64", periodic(math.MaxInt64/(blockEntries-1) + 1), 8 + 12, "prediction overflows"},
+		{"period beyond int64", periodic(math.MaxInt64 + 1), 8 + 12, "period overflows"},
+		{"period at 2^64-1", periodic(math.MaxUint64), 8 + 12, "period overflows"},
 	}
 	for _, c := range cases {
-		err := forgedIndex(c.idx, c.dataLen)
+		_, err := forgedIndex(c.idx, c.dataLen)
 		if c.wantErr == "" && err != nil {
 			t.Errorf("%s: rejected: %v", c.name, err)
 		}
@@ -716,32 +961,60 @@ func TestRunIndexAllocationGuards(t *testing.T) {
 		}
 	}
 
-	// Counts no byte string of that size could back up, and a length
-	// near 2^64 that an additive bound check would wrap past.
-	hdr := func(tombs, series uint64) []byte {
-		b := binary.AppendUvarint(nil, 1) // minSeq
-		b = append(b, 0, 0, 0)            // span, baseTS, baseVer
-		b = binary.AppendUvarint(b, tombs)
-		return binary.AppendUvarint(b, series)
+	// Counts no byte string of that size could back up, lengths and
+	// spans near 2^64 that an additive bound check would wrap past, in
+	// both formats' layouts.
+	uv := binary.AppendUvarint
+	v3hdr := func(tombs, series uint64) []byte {
+		b := uv(nil, 1)        // minSeq
+		b = append(b, 0, 0, 0) // span, baseTS, baseVer
+		return uv(uv(b, tombs), series)
 	}
-	raw := map[string][]byte{
-		"tombstone count": hdr(1<<40, 0),
-		"series count":    hdr(0, 1<<40),
-		"block count":     binary.AppendUvarint(append(hdr(0, 1), 0x00, 0x01), 1<<40),
-		"block length":    append(binary.AppendUvarint(append(hdr(0, 1), 0x00, 0x01, 0x01), math.MaxUint64-3), 1, 0, 0, 0, 0, 0, 0),
-		"span":            append(binary.AppendUvarint(binary.AppendUvarint(nil, 2), math.MaxUint64), 0, 0, 0, 0),
+	v4hdr := v4IndexHeader
+	crc := []byte{0, 0, 0, 0}
+	// One series, SID /1, of count entries, whose first block is the
+	// bytes block.
+	v4series := func(period, count uint64, block ...byte) []byte {
+		return append(uv(append(v4hdr(period, 0, 1), 0x01, 0x01), count), block...)
 	}
-	for name, b := range raw {
-		if _, err := parseRunIndex(b, 1<<20); err == nil {
-			t.Errorf("forged %s accepted", name)
+	for _, c := range []struct {
+		format int
+		name   string
+		index  []byte
+	}{
+		{3, "tombstone count", v3hdr(1<<40, 0)},
+		{3, "series count", v3hdr(0, 1<<40)},
+		{3, "block count", uv(append(v3hdr(0, 1), 0x00, 0x01), 1<<40)},
+		{3, "block length", append(uv(append(v3hdr(0, 1), 0x00, 0x01, 0x01), math.MaxUint64-3), 1, 0, 0, 0, 0, 0, 0)},
+		{3, "span", append(uv(uv(nil, 2), math.MaxUint64), 0, 0, 0, 0)},
+		{4, "tombstone count", v4hdr(0, 1<<40, 0)},
+		{4, "series count", v4hdr(0, 0, 1<<40)},
+		{4, "entry count", v4series(0, 1<<50)},
+		{4, "entry count 2^64-1", v4series(0, math.MaxUint64)},
+		{4, "block length", v4series(0, 1, append(uv(nil, math.MaxUint64), append([]byte{0, 0}, crc...)...)...)},
+		{4, "span", append(uv(uv(nil, 2), math.MaxUint64), 0, 0, 0, 0, 0)},
+		{4, "block span past int64", v4series(0, 1, append(append([]byte{2<<1 | 1, 1}, uv(nil, zigzag(math.MaxInt64))...), crc...)...)},
+		{4, "gap past int64", v4series(0, 1, append(append(uv(nil, 2<<1|1), uv(nil, math.MaxUint64)...), append([]byte{0}, crc...)...)...)},
+		{4, "(count-1)·period beyond int64", v4series(math.MaxInt64/7, 9, append([]byte{2<<1 | 1, 0, 0}, crc...)...)},
+		{4, "period beyond int64", v4series(1<<63, 1, append([]byte{2<<1 | 1, 0, 0}, crc...)...)},
+		{4, "level code above 0xffff", append(uv(append(v4hdr(0, 0, 1), 0x01), 1<<16), append([]byte{1, 2<<1 | 1, 0, 0}, crc...)...)},
+		{4, "more levels than a SID has", append(v4hdr(0, 0, 1), append([]byte{0x54, 1, 1, 1, 1, 1, 2<<1 | 1, 0, 0}, crc...)...)},
+	} {
+		if _, err := parseRunIndex(c.index, 8+2, c.format); err == nil {
+			t.Errorf("v%d: forged %s accepted", c.format, c.name)
 		}
+	}
+	// The v4 layout above is what the parser reads: unforged, it passes.
+	if _, err := parseRunIndex(v4series(0, 1, append([]byte{2<<1 | 1, 0, 0}, crc...)...), 8+2, 4); err != nil {
+		t.Fatalf("the forged cases' well-formed base rejected: %v", err)
 	}
 
 	// A 64 KB file whose index claims 512 entries for each of a few
-	// thousand two-byte blocks — 100 MB of entries — none of which passes
-	// its CRC: the decode must fail having allocated next to nothing.
+	// thousand two-byte blocks — 100 MB of entries — none of whose pages
+	// passes its CRC: the decode must fail having allocated next to
+	// nothing.
 	const blocks = 5000
-	forged := &runIndex{minSeq: 1, maxSeq: 1, series: []seriesIndex{{id: sid(1, 1), blocks: make([]blockMeta, blocks)}}}
+	forged := &runIndex{minSeq: 1, maxSeq: 1, series: []seriesIndex{{id: sid(1, 1), count: blocks * blockEntries, blocks: make([]blockMeta, blocks)}}}
 	for i := range forged.series[0].blocks {
 		forged.series[0].blocks[i] = blockMeta{length: blockMinLen, count: blockEntries, crc: 0xdeadbeef}
 	}
@@ -758,7 +1031,7 @@ func TestRunIndexAllocationGuards(t *testing.T) {
 	_, err = decodeRunFile(file)
 	runtime.ReadMemStats(&after)
 	if err == nil || !strings.Contains(err.Error(), "CRC mismatch") {
-		t.Fatalf("forged %d-byte file claiming %d entries: %v, want a block CRC mismatch", len(file), blocks*blockEntries, err)
+		t.Fatalf("forged %d-byte file claiming %d entries: %v, want a page CRC mismatch", len(file), blocks*blockEntries, err)
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
 		t.Errorf("decoding a forged %d-byte file allocated %d bytes before failing", len(file), grew)
@@ -921,6 +1194,51 @@ func BenchmarkBlockDecode(b *testing.B) {
 	}
 }
 
+// BenchmarkQueryColdFanIn prices a cold point read of a fan-in file:
+// one reading of one of 20 000 five-reading series, through a block
+// cache far smaller than the file, so nearly every read misses and
+// fetches, checks and decodes the page holding its block.
+func BenchmarkQueryColdFanIn(b *testing.B) {
+	const sensors = 20_000
+	rng := rand.New(rand.NewSource(20))
+	series := make(map[core.SensorID][]entry, sensors)
+	for s := 0; s < sensors; s++ {
+		es := make([]entry, 5)
+		for i := range es {
+			es[i] = entry{
+				ts:  shapeT0 + int64(i)*2_900_000_000 + int64(rng.Intn(3_000_000)),
+				val: float64(s*1_000_003 + i*977),
+				ver: shapeV0 + uint64(i)*2_900_000_000 + uint64(rng.Intn(3000))*versionTick,
+			}
+		}
+		series[faninID(s)] = es
+	}
+	meta, idx, err := writeRunFile(b.TempDir(), 1, 1, series, nil, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rf, err := openRunFileHandle(meta.path, idx, newBlockCache(64<<10))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer rf.release()
+	runs, points := make([]coldRun, sensors), make([]int64, sensors)
+	for s, se := range idx.series {
+		runs[s], points[s] = coldRun{rf: rf, blocks: se.blocks, count: int(se.count)}, series[se.id][2].ts
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := i * 7919 % sensors
+		at := points[s]
+		it := makeColdIter(&runs[s], rf.cache, at, at)
+		if e, ok := it.next(); !ok || e.ts != at {
+			b.Fatalf("point read of series %d at %d: %+v, %v", s, at, e, it.err)
+		}
+		it.close()
+	}
+}
+
 // TestRunIndexParsersSurviveDamage feeds the index parser — behind the
 // footer CRC in production, bare here — every prefix of three valid
 // indexes and every single-byte corruption of them. A prefix must be
@@ -931,23 +1249,28 @@ func TestRunIndexParsersSurviveDamage(t *testing.T) {
 		dataLen = int64(binary.BigEndian.Uint64(file[len(file)-runFooterLen:]))
 		return file[dataLen : len(file)-runFooterLen], dataLen
 	}
-	v3, v3Len := split(validRunFileBytes(t))
+	v4, v4Len := split(validRunFileBytes(t))
+	fanin, faninLen := split(writtenRunFileBytes(t, goldenClockContents()))
 	old, oldLen := split(goldenBytes(t, goldenPR15Path))
 	frames, framesLen := split(goldenBytes(t, goldenFramesPath))
+	clock, clockLen := split(goldenBytes(t, goldenClockPath))
 	for _, c := range []struct {
 		name    string
+		format  int
 		index   []byte
 		dataLen int64
 	}{
-		{"writer", v3, v3Len},
-		{"before the frame codings", old, oldLen},
-		{"before the clock coding", frames, framesLen},
+		{"writer", 4, v4, v4Len},
+		{"writer, fan-in", 4, fanin, faninLen},
+		{"before the frame codings", 3, old, oldLen},
+		{"before the clock coding", 3, frames, framesLen},
+		{"before format v4", 3, clock, clockLen},
 	} {
-		if _, err := parseRunIndex(c.index, c.dataLen); err != nil {
+		if _, err := parseRunIndex(c.index, c.dataLen, c.format); err != nil {
 			t.Fatalf("%s: intact index rejected: %v", c.name, err)
 		}
 		for n := 0; n < len(c.index); n++ {
-			if _, err := parseRunIndex(c.index[:n], c.dataLen); err == nil {
+			if _, err := parseRunIndex(c.index[:n], c.dataLen, c.format); err == nil {
 				t.Fatalf("%s: index truncated to %d of %d bytes accepted", c.name, n, len(c.index))
 			}
 		}
@@ -955,18 +1278,37 @@ func TestRunIndexParsersSurviveDamage(t *testing.T) {
 			for _, flip := range []byte{0x01, 0x80, 0xff} {
 				damaged := append([]byte(nil), c.index...)
 				damaged[i] ^= flip
-				idx, err := parseRunIndex(damaged, c.dataLen)
+				idx, err := parseRunIndex(damaged, c.dataLen, c.format)
 				if err != nil {
 					continue
 				}
-				for _, se := range idx.series {
-					for _, m := range se.blocks {
-						if m.off < runMagicLen || m.off+uint64(m.length) > uint64(c.dataLen) || m.count == 0 || m.count > blockEntries {
-							t.Fatalf("%s: byte %d ^ %#x: accepted block %+v outside the %d-byte data section", c.name, i, flip, m, c.dataLen)
-						}
-					}
+				if err := blocksInBounds(idx); err != nil {
+					t.Fatalf("%s: byte %d ^ %#x: %v", c.name, i, flip, err)
 				}
 			}
 		}
 	}
+}
+
+// blocksInBounds checks what a parsed index promises the readers: every
+// block lies inside its page, every page inside the data section, the
+// pages tile it, and no count exceeds a block.
+func blocksInBounds(idx *runIndex) error {
+	end := uint64(runMagicLen) // of the last page seen
+	for _, se := range idx.series {
+		for _, m := range se.blocks {
+			if m.count == 0 || m.count > blockEntries || m.off < m.pageOff ||
+				m.off+uint64(m.length) > m.pageOff+uint64(m.pageLen) || m.pageOff+uint64(m.pageLen) > uint64(idx.dataLen) {
+				return fmt.Errorf("accepted block %+v outside its page or the %d-byte data section", m, idx.dataLen)
+			}
+			if m.pageOff != end && m.pageOff+uint64(m.pageLen) != end {
+				return fmt.Errorf("accepted block %+v in a page that does not follow the one ending at %d", m, end)
+			}
+			end = m.pageOff + uint64(m.pageLen)
+		}
+	}
+	if end != uint64(idx.dataLen) {
+		return fmt.Errorf("pages end at %d of %d data bytes", end, idx.dataLen)
+	}
+	return nil
 }

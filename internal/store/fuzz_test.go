@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
@@ -60,8 +59,8 @@ func goldenBytes(t interface{ Fatal(...any) }, path string) []byte {
 
 // fileIndex parses the index of a whole run file held in memory.
 func fileIndex(t interface{ Fatal(...any) }, data []byte) *runIndex {
-	indexOff := binary.BigEndian.Uint64(data[len(data)-runFooterLen:])
-	idx, err := parseRunIndex(data[indexOff:len(data)-runFooterLen], int64(indexOff))
+	idx, err := parseRunFrame(int64(len(data)), data[:runMagicLen], data[len(data)-runFooterLen:],
+		func(off int64, n uint32) ([]byte, error) { return data[off : off+int64(n)], nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,11 +71,12 @@ func FuzzRunFileDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("DCDBRUN2"))
 	f.Add([]byte("DCDBRUN3"))
-	// The fixtures' contents as the builds before the frame codings and
-	// before the clock coding wrote them, and in the codings the encoder
-	// picks today.
+	f.Add([]byte("DCDBRUN4"))
+	// The fixtures' contents as the builds before the frame codings,
+	// before the clock coding and before format v4 wrote them (v3), and
+	// as this build writes them (v4).
 	for _, valid := range [][]byte{validRunFileBytes(f), goldenBytes(f, goldenPR15Path), goldenBytes(f, goldenFramesPath),
-		writtenRunFileBytes(f, goldenFramesContents())} {
+		goldenBytes(f, goldenClockPath), writtenRunFileBytes(f, goldenFramesContents()), writtenRunFileBytes(f, goldenClockContents())} {
 		f.Add(valid)
 		f.Add(valid[:len(valid)/2])             // torn data/index
 		f.Add(valid[:len(valid)-8])             // torn footer
@@ -190,9 +190,10 @@ func FuzzBlockDecode(f *testing.F) {
 	// Blocks in the first codings only come out of the checked-in file
 	// of a build before the frame codings, blocks in the frame codings
 	// without the anchored last timestamp out of the one before the
-	// clock coding.
-	for _, path := range []string{goldenPR15Path, goldenFramesPath} {
-		golden := goldenBytes(f, path)
+	// clock coding; the last v3 build's fan-in file clock codes against
+	// an on-tick base, and so does this build's v4 file of the same.
+	for _, golden := range [][]byte{goldenBytes(f, goldenPR15Path), goldenBytes(f, goldenFramesPath),
+		goldenBytes(f, goldenClockPath), writtenRunFileBytes(f, goldenClockContents())} {
 		idx := fileIndex(f, golden)
 		for _, se := range idx.series {
 			for _, m := range se.blocks {

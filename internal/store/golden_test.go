@@ -23,6 +23,14 @@ const goldenPR15Path = "testdata/run-v3-pr15.sst"
 // goldenFramesContents must never change.
 const goldenFramesPath = "testdata/run-v3-frames.sst"
 
+// goldenClockPath is a run file in format v3 holding
+// goldenClockContents, written by the last build of format v3: the
+// fixture for the clock-coded stamps and the anchored last timestamp
+// (block flag bits 5-6) on an on-tick base, and for the per-block index
+// that format v4 replaced. It cannot be regenerated from this tree — the
+// writer now writes v4 — so goldenClockContents must never change.
+const goldenClockPath = "testdata/run-v3-clock.sst"
+
 // goldenName is the name the file must carry inside a shard directory
 // (its index states the span [1,2]).
 var goldenName = runFileName(1, 2)
@@ -66,6 +74,62 @@ func goldenFramesContents() *runContents {
 		}
 	}
 	rc.series[goldenShardIDs(5)[4]] = es
+	return rc
+}
+
+// goldenClockContents is the fan-in shape as the coordinator stamps it:
+// forty-one sensors of five readings each and one of a single reading, one
+// reading per write, versions on the microsecond tick a round of the
+// writer's loop (~2.9 s) apart with ms jitter — some of them below the
+// file's base — behind a series of a full block and nine readings more
+// that is first in SID order, so the base version is on the tick. Some
+// sensors are integer counters, some gauges, one carries expiries, one
+// no versions at all; two tombstones.
+func goldenClockContents() *runContents {
+	rng := rand.New(rand.NewSource(24))
+	ids := goldenShardIDs(43)
+	const t0, v0 = int64(1_560_000_000_000_000_000), uint64(1_700_000_000_000_000_000)
+	stamp := func(round int, skew uint64) uint64 {
+		return v0 - skew + uint64(round)*2_900_000_000 + uint64(rng.Intn(3000))*versionTick
+	}
+	rc := &runContents{
+		minSeq: 1, maxSeq: 2,
+		tombs:  map[core.SensorID]int64{ids[0]: 5, sid(9, 9): 123},
+		series: map[core.SensorID][]entry{},
+	}
+	long := make([]entry, blockEntries+9)
+	for i := range long {
+		long[i] = entry{
+			ts:  t0 + int64(i)*1_000_000_000 + int64(rng.Intn(20_000_001)) - 10_000_000,
+			val: float64(90_000 + 11*i + rng.Intn(7)),
+			ver: stamp(i, 0),
+		}
+	}
+	rc.series[ids[0]] = long
+	for s := 1; s < len(ids); s++ {
+		n := 5
+		if s == 41 {
+			n = 1
+		}
+		es := make([]entry, n)
+		walk := float64(20 + rng.Intn(60))
+		for i := range es {
+			es[i] = entry{ts: t0 + int64(i)*1_000_000_000 + int64(rng.Intn(20_000_001)) - 10_000_000}
+			if s%3 == 0 {
+				walk += float64(rng.Intn(5)-2) * 0.25
+				es[i].val = walk
+			} else {
+				es[i].val = float64(s*1_000_003 + i*(1000+s))
+			}
+			if s != 42 {
+				es[i].ver = stamp(i, uint64(s%4)*1_000_000_000)
+			}
+			if s == 7 { // expiring in 2100, so every reading is served
+				es[i].expire = 4_102_444_800_000_000_000
+			}
+		}
+		rc.series[ids[s]] = es
+	}
 	return rc
 }
 

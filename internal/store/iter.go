@@ -87,7 +87,7 @@ type coldIter struct {
 	cur     []entry
 	pos     int
 	scratch *[]entry // bypass decode buffer (pooled)
-	raw     []byte   // raw block read buffer (bypass / cache miss)
+	page    *[]byte  // page read buffer (bypass / cache miss; pooled)
 	err     error
 }
 
@@ -118,7 +118,8 @@ func (it *coldIter) loadNext() bool {
 				// every later reader, so it cannot come from a pool.
 				es = make([]entry, 0, m.count)
 				var err error
-				it.raw, err = it.rf.decodeBlockAt(m, it.raw, &es)
+				page := it.pagePtr()
+				*page, err = it.rf.decodeBlockAt(m, *page, &es)
 				if err != nil {
 					it.err = err
 					return false
@@ -131,7 +132,8 @@ func (it *coldIter) loadNext() bool {
 			}
 			*it.scratch = (*it.scratch)[:0]
 			var err error
-			it.raw, err = it.rf.decodeBlockAt(m, it.raw, it.scratch)
+			page := it.pagePtr()
+			*page, err = it.rf.decodeBlockAt(m, *page, it.scratch)
 			if err != nil {
 				it.err = err
 				return false
@@ -148,6 +150,15 @@ func (it *coldIter) loadNext() bool {
 		}
 	}
 	return false
+}
+
+// pagePtr returns the iterator's page buffer, taking one from the pool
+// on the first read.
+func (it *coldIter) pagePtr() *[]byte {
+	if it.page == nil {
+		it.page = getPageScratch()
+	}
+	return it.page
 }
 
 // blocksHi clamps the current block's readable range.
@@ -169,8 +180,11 @@ func (it *coldIter) close() {
 		putBlockScratch(it.scratch)
 		it.scratch = nil
 	}
+	if it.page != nil {
+		putPageScratch(it.page)
+		it.page = nil
+	}
 	it.cur = nil
-	it.raw = nil
 }
 
 // iterSource pairs an iterator with the clamped bounds of what it can

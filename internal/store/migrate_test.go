@@ -117,15 +117,52 @@ func TestFrameCodingsDirectoryServedAndKeptAsIs(t *testing.T) {
 	}
 }
 
+// TestClockDirectoryServedAndKeptAsIs is the same contract for format
+// v4, against a run file the last build of format v3 wrote: a fan-in
+// file, its index stating every block's count and CRC and every SID by
+// bytes. Its base version is on the tick, so its blocks clock code their
+// stamps (flag bit 5) and every block of two or more entries anchors
+// its last timestamp (bit 6) — the codings no other fixture holds. Its
+// blocks are byte for byte what this build's encoder makes of their
+// entries: format v4 changed the index, not the blocks.
+func TestClockDirectoryServedAndKeptAsIs(t *testing.T) {
+	want := goldenClockContents()
+	data, idx, _ := servedAndKeptAsIs(t, goldenClockPath, want)
+	if idx.base.ver%versionTick != 0 {
+		t.Fatalf("fixture base version %d is off the tick", idx.base.ver)
+	}
+	clocked := 0
+	for _, se := range idx.series {
+		es := want.series[se.id]
+		for _, m := range se.blocks {
+			raw := data[m.off : m.off+uint64(m.length)]
+			if anchored := raw[0]&blockFlagLastTS != 0; anchored != (m.count > 1) {
+				t.Fatalf("fixture block of %d entries at %d has flags %#x", m.count, m.off, raw[0])
+			}
+			if raw[0]&blockFlagStampClock != 0 {
+				clocked++
+			}
+			if enc, _ := encodeBlock(nil, es[:m.count], idx.base.ver); string(enc) != string(raw) {
+				t.Fatalf("fixture block at %d is not what this build encodes of its entries", m.off)
+			}
+			es = es[m.count:]
+		}
+	}
+	if clocked < len(idx.series)/2 {
+		t.Fatalf("%d of the fixture's %d series have clock-coded blocks", clocked, len(idx.series))
+	}
+}
+
 // servedAndKeptAsIs is the compatibility contract against a checked-in
 // run file an older build wrote, holding want: it decodes entry for
 // entry, hot and cold; a directory holding it opens read-only and
 // writable without a byte of it rewritten — there is no migration, an
-// old block is simply one that chose the codings the older build had —
-// and serves the same answers either way; and after this build compacts
-// it, into blocks that do use the newer codings, the answers are still
-// the same and the file is smaller. It returns the fixture, its index
-// and the file the compaction wrote.
+// old block is simply one that chose the codings the older build had,
+// an old index one in format v3 — and serves the same answers either
+// way; and after this build compacts it, into format v4 and blocks that
+// do use the newer codings, the answers are still the same and the file
+// is smaller. It returns the fixture, its index and the file the
+// compaction wrote.
 func servedAndKeptAsIs(t *testing.T, golden string, want *runContents) (data []byte, idx *runIndex, compacted []byte) {
 	t.Helper()
 	data = goldenBytes(t, golden)
@@ -179,6 +216,9 @@ func servedAndKeptAsIs(t *testing.T, golden string, want *runContents) (data []b
 	}
 	if compacted = goldenBytes(t, files[0].path); len(compacted) >= len(data) {
 		t.Errorf("compacting %s left %d bytes of its %d", golden, len(compacted), len(data))
+	}
+	if string(data[:runMagicLen]) != "DCDBRUN3" || string(compacted[:runMagicLen]) != string(runMagic) {
+		t.Errorf("%s is %q and compacts into %q, want DCDBRUN3 into %s", golden, data[:runMagicLen], compacted[:runMagicLen], runMagic)
 	}
 	return data, idx, compacted
 }
@@ -302,6 +342,46 @@ func TestOldRunFormatsRefused(t *testing.T) {
 				t.Fatalf("open %+v over a %s file: %v, want the refusal naming %s", o, tc.magic, err, path)
 			}
 			if got, _ := os.ReadFile(path); string(got) != string(old) {
+				t.Fatalf("refused %s file was modified", tc.magic)
+			}
+		}
+	}
+}
+
+// TestNewerRunFormatRefused: a run file of a format newer than this
+// build reads — a DCDBRUN<n> above 4 — fails every kind of open with an
+// error that names its format and says it is newer, and is left as it
+// was; a magic that is no run file's at all says so.
+func TestNewerRunFormatRefused(t *testing.T) {
+	for _, tc := range []struct {
+		magic string
+		want  string
+	}{
+		{"DCDBRUN5", "format v5 (DCDBRUN5)"},
+		{"DCDBRUN9", "format v9 (DCDBRUN9)"},
+		{"DCDBRUN0", "not a DCDB run file"},
+		{"DCDBRUNX", "not a DCDB run file"},
+		{"DCDBFILE", "not a DCDB run file"},
+	} {
+		dir := t.TempDir()
+		shardDir := filepath.Join(dir, "shard-00")
+		if err := os.MkdirAll(shardDir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		newer := append([]byte(tc.magic), make([]byte, 64)...)
+		path := filepath.Join(shardDir, runFileName(1, 1))
+		if err := os.WriteFile(path, newer, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range []DiskOptions{noCompact, coldOptions, {CompactInterval: -1, ReadOnly: true}} {
+			err := NewNode(0).OpenOptions(dir, o)
+			if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("open %+v over a %s file: %v, want an error naming %s and %q", o, tc.magic, err, path, tc.want)
+			}
+			if isNewer := strings.HasPrefix(tc.want, "format"); errors.Is(err, errRunFileNewer) != isNewer {
+				t.Fatalf("open over a %s file: %v; errors.Is(errRunFileNewer) should be %v", tc.magic, err, isNewer)
+			}
+			if got, _ := os.ReadFile(path); string(got) != string(newer) {
 				t.Fatalf("refused %s file was modified", tc.magic)
 			}
 		}

@@ -9,57 +9,77 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"dcdb/internal/core"
 	"dcdb/internal/fsutil"
 )
 
-// Run-file format v3: block-indexed, compressed, cold-readable — and
+// Run-file format v4: block-indexed, compressed, cold-readable — and
 // the only format written. Data comes first so the writer can stream
 // blocks as a merge produces them; the index lives at the tail, closed
 // by a fixed-size footer, so recovery reads O(index) bytes — not the
-// data — and a cold query reads only the blocks whose [minTs,maxTs]
-// overlap its window:
+// data — and a cold query reads only the pages holding the blocks whose
+// [minTs,maxTs] overlap its window:
 //
-//	magic "DCDBRUN3"
+//	magic "DCDBRUN4"
 //	data   : concatenated blocks (see block.go) in index order, no gaps
 //	index  : minSeq uv | maxSeq-minSeq uv | baseTS zz | baseVer uv |
-//	         tombCount uv | seriesCount uv
+//	         period uv | tombCount uv | seriesCount uv
 //	         tombs  : tombCount × (sid | cutoff zz), sorted by SID
-//	         series : seriesCount × (sid | blockCount uv | blocks), sorted by SID
-//	           block : len uv | count uv | min-prev uv | max-min uv | crc u32
-//	         sid    : u8 (shared<<4 | n-1) | n bytes — the SID's first
-//	                  `shared` bytes repeat the previous SID of the same
-//	                  list (all zero before the first), n explicit bytes
-//	                  follow, the rest are zero
+//	         series : seriesCount × (sid | count uv | blocks), sorted by SID
+//	           blocks: ⌈count/512⌉ of them, 512 entries each but the last
+//	           block : len<<1 | closesPage uv | gap | span zz |
+//	                   crc32(page) u32 — only when closesPage
+//	           gap   : first block of a series: min-baseTS uv; a later
+//	                   one: (min - previous max) - period, zz
+//	           span  : (max-min) - (count-1)·period, zz
+//	         sid    : u8 (shared<<4 | n) | n × level code uv — the SID's
+//	                  first `shared` 16-bit levels repeat the previous SID
+//	                  of the same list (all zero before the first), n
+//	                  levels follow, the rest are zero
 //	footer : indexOff u64 | indexLen u32 | crc32(index) u32
 //
 // (uv = uvarint, zz = zigzag uvarint, fixed-width integers big-endian.)
-// The index is delta-coded against what it already knows: a block's
-// offset is the running sum of the lengths before it, its min counts
-// from the previous block's max (the first block of a series from the
-// file-level baseTS, the smallest timestamp in the file), a series'
-// count and bounds are those of its blocks. The blocks in turn are
-// anchored in the index — first timestamp = min, and with block flag
-// bit 6 the last timestamp = max; first write version relative to
+// The index stores only what it cannot derive. A block's offset is the
+// running sum of the lengths before it, its min counts from the
+// previous block's max (the first block of a series from the file-level
+// baseTS, the smallest timestamp in the file); a series' blocks and
+// their counts follow from its count, because the writer cuts every
+// series into blocks of blockEntries; a series' bounds are those of its
+// blocks. Monitoring data is periodic, so a block's span and the gap to
+// the block before it are coded as their distance from what the file's
+// period predicts — the sensor's jitter, not its period. The blocks in
+// turn are anchored in the index — first timestamp = min, and with block
+// flag bit 6 the last timestamp = max; first write version relative to
 // baseVer — so a file of many tiny series, the fan-in shape, pays a few
-// bytes per series instead of eighty, and no timestamp twice.
+// bytes per series, and no timestamp twice.
 //
-// Integrity is layered: the footer CRC covers the index, and every
-// block carries its own CRC in the index, so a cold read verifies
-// exactly what it touches.
+// Integrity is layered: the footer CRC covers the index, and every page
+// carries its CRC in the index, so a cold read verifies exactly what it
+// touches — the page of the block it wants. A page is a run of
+// consecutive blocks in file order (pageMin, closesPage), so the many
+// tiny blocks of a fan-in file share a CRC while a full block keeps its
+// own.
 //
-// v3 is the only format a node opens. The two before it are refused
-// with the way out (errRunFileV1, errRunFileV2), and their files are
-// left as they are: the builds that read them rewrote them, one format
-// forward, at a writable open.
+// Format v3, the one before, is read through the same parser: its
+// blocks, data and footer are v4's; its index has no period (0), states
+// every block's count (series: sid | blockCount uv | blocks; block:
+// len uv | count uv | min-prev uv | max-min uv | crc u32), so every
+// block is a page of its own, and codes SIDs by bytes (u8 (shared<<4 |
+// n-1) | n bytes). Compaction rewrites v3 into v4; nothing else does.
+// The two formats before v3 are refused with the way out (errRunFileV1,
+// errRunFileV2), and their files are left as they are: the builds that
+// read them rewrote them, one format forward, at a writable open. A
+// format newer than v4 is refused by name (errRunFileNewer).
 
-var runMagic = []byte("DCDBRUN3")
+var runMagic = []byte("DCDBRUN4")
 
 // errRunFileV1 and errRunFileV2 refuse the formats whose decoders are
 // gone: v1, the uncompressed whole-file format of the first durable
 // builds, and v2, the fixed-width index with self-contained blocks.
 // internal/store/README.md names the builds of the upgrade path.
+// errRunFileNewer refuses a format a newer build wrote.
 var (
 	errRunFileV1 = errors.New("run file is in format v1 (DCDBRUN1), which this build no longer reads: " +
 		"open the directory once, writable, with a build that still reads v1, then once with a build " +
@@ -67,27 +87,48 @@ var (
 	errRunFileV2 = errors.New("run file is in format v2 (DCDBRUN2), which this build no longer reads: " +
 		"open the directory once, writable, with a build that still reads v2; it rewrites the files as v3 " +
 		"(see \"Upgrading old run files\" in internal/store/README.md)")
+	errRunFileNewer = errors.New("run file is in a format newer than this build reads (v3 and v4)")
 )
 
 const (
 	runMagicLen  = 8
 	runFooterLen = 16
 
-	// Smallest encodings, for validating counts before allocating.
-	minTombLen      = 2 + 1                   // sid, cutoff
-	minBlockMetaLen = 1 + 1 + 1 + 1 + 4       // len, count, min, span, crc
-	minSeriesLen    = 2 + 1 + minBlockMetaLen // sid, blockCount, one block
+	// Smallest encodings, for validating counts before allocating — v4's
+	// (a SID may be its header byte alone, a block's CRC closes a page
+	// only), then v3's.
+	minTombLen        = 1 + 1                   // sid, cutoff
+	minBlockMetaLen   = 1 + 1 + 1               // len, gap, span
+	minSeriesLen      = 1 + 1 + minBlockMetaLen // sid, count, one block
+	minTombLenV3      = 2 + 1
+	minBlockMetaLenV3 = 1 + 1 + 1 + 1 + 4 // len, count, min, span, crc
+	minSeriesLenV3    = 2 + 1 + minBlockMetaLenV3
+
+	// pageMin is the length at which a page closes (closesPage).
+	pageMin = 1 << 10
 )
 
+// closesPage is the page rule: a page that starts at start closes at
+// end, the end of one of its blocks, when end lies pageMin or more past
+// start or the next block — of length next, 0 after the last — is
+// pageMin or longer, and so a page of its own. The last page closes at
+// the end of the data.
+func closesPage(start, end, next uint64) bool {
+	return end-start >= pageMin || next >= pageMin || next == 0
+}
+
 // blockMeta locates one block inside a run file and carries the
-// always-resident rejection data: entry count, [min,max] timestamp
-// bounds, and the block's CRC.
+// always-resident rejection data: entry count and [min,max] timestamp
+// bounds. A cold read fetches and checks the block's page, which it
+// carries too: offset, length and CRC.
 type blockMeta struct {
 	off      uint64
 	length   uint32
 	count    uint32
 	min, max int64
-	crc      uint32
+	pageOff  uint64
+	pageLen  uint32
+	crc      uint32 // of the page
 }
 
 // seriesIndex is one series' slice of a run file's index.
@@ -106,6 +147,7 @@ type runIndex struct {
 	series         []seriesIndex // sorted by SID
 	dataLen        int64         // bytes before the index (block bounds)
 	base           blockBase     // what the file's blocks decode against
+	period         uint64        // what block spans and gaps are coded against
 }
 
 // runFileWriter streams a run file: blocks are written as the caller
@@ -132,8 +174,18 @@ type runFileWriter struct {
 	buf      []entry // pending entries of the open series (≤ blockEntries)
 	blockBuf []byte  // encode scratch, reused across blocks
 
+	pageOff uint64        // where the open page starts
+	pageCRC uint32        // of the open page's bytes so far
+	pages   []writtenPage // the closed ones
+
 	written runBytes    // so far
 	met     *runMetrics // told of written once the file is committed; may be nil
+}
+
+// writtenPage is one closed page of the file being written.
+type writtenPage struct {
+	off      uint64
+	len, crc uint32
 }
 
 // runBytes is where the bytes of a run file went, besides the magic,
@@ -173,7 +225,7 @@ func newRunFileWriter(dir string, minSeq, maxSeq uint64, met *runMetrics) (*runF
 		w.abort()
 		return nil, err
 	}
-	w.off = runMagicLen
+	w.off, w.pageOff = runMagicLen, runMagicLen
 	return w, nil
 }
 
@@ -220,17 +272,20 @@ func (w *runFileWriter) flushBlock() error {
 	var sz blockSizes
 	w.blockBuf, sz = encodeBlock(w.blockBuf[:0], w.buf, w.baseVer)
 	w.written.count(w.blockBuf[0], sz)
+	if w.off > w.pageOff && closesPage(w.pageOff, w.off, uint64(len(w.blockBuf))) {
+		w.closePage()
+	}
 	m := blockMeta{
 		off:    w.off,
 		length: uint32(len(w.blockBuf)),
 		count:  uint32(len(w.buf)),
 		min:    w.buf[0].ts,
 		max:    w.buf[len(w.buf)-1].ts,
-		crc:    crc32.ChecksumIEEE(w.blockBuf),
 	}
 	if _, err := w.bw.Write(w.blockBuf); err != nil {
 		return err
 	}
+	w.pageCRC = crc32.Update(w.pageCRC, crc32.IEEETable, w.blockBuf)
 	w.off += uint64(len(w.blockBuf))
 	if w.cur.count == 0 {
 		w.cur.min = m.min
@@ -240,6 +295,28 @@ func (w *runFileWriter) flushBlock() error {
 	w.cur.blocks = append(w.cur.blocks, m)
 	w.buf = w.buf[:0]
 	return nil
+}
+
+// closePage seals the open page, which ends where the next block will
+// start.
+func (w *runFileWriter) closePage() {
+	w.pages = append(w.pages, writtenPage{off: w.pageOff, len: uint32(w.off - w.pageOff), crc: w.pageCRC})
+	w.pageOff, w.pageCRC = w.off, 0
+}
+
+// placeBlocks tells every block of the file which page it lies in, once
+// the last page is closed.
+func (w *runFileWriter) placeBlocks() {
+	p := 0
+	for i := range w.series {
+		for j := range w.series[i].blocks {
+			m := &w.series[i].blocks[j]
+			for m.off >= w.pages[p].off+uint64(w.pages[p].len) {
+				p++
+			}
+			m.pageOff, m.pageLen, m.crc = w.pages[p].off, w.pages[p].len, w.pages[p].crc
+		}
+	}
 }
 
 // endSeries seals the open series into the index.
@@ -283,9 +360,13 @@ func (w *runFileWriter) finish(tombs map[core.SensorID]int64) (runFileMeta, *run
 		w.abort()
 		return runFileMeta{}, nil, err
 	}
+	if w.off > w.pageOff {
+		w.closePage()
+	}
+	w.placeBlocks()
 	idx := &runIndex{
 		minSeq: w.minSeq, maxSeq: w.maxSeq, tombs: tombs, series: w.series,
-		dataLen: int64(w.off), base: blockBase{ver: w.baseVer},
+		dataLen: int64(w.off), base: blockBase{ver: w.baseVer}, period: choosePeriod(w.series),
 	}
 	indexBytes := appendRunIndex(nil, idx)
 	w.written.index = len(indexBytes)
@@ -337,29 +418,114 @@ func runFooter(indexOff uint64, indexLen int, indexCRC uint32) ([runFooterLen]by
 	return footer, nil
 }
 
-// sidBytes is id in its sort order's byte form.
-func sidBytes(id core.SensorID) (b [16]byte) {
-	binary.BigEndian.PutUint64(b[0:], id.Hi)
-	binary.BigEndian.PutUint64(b[8:], id.Lo)
+// appendSID level-codes id against the previous SID of its list.
+func appendSID(b []byte, prev, id core.SensorID) []byte {
+	shared := 0
+	for shared < core.MaxTopicLevels && id.Level(shared) == prev.Level(shared) {
+		shared++
+	}
+	end := core.MaxTopicLevels
+	for end > shared && id.Level(end-1) == 0 {
+		end--
+	}
+	b = append(b, byte(shared<<4|(end-shared)))
+	for l := shared; l < end; l++ {
+		b = binary.AppendUvarint(b, uint64(id.Level(l)))
+	}
 	return b
 }
 
-// appendSID prefix-codes id against the previous SID of its list.
-func appendSID(b []byte, prev, id core.SensorID) []byte {
-	p, s := sidBytes(prev), sidBytes(id)
-	shared := 0
-	for shared < 15 && s[shared] == p[shared] {
-		shared++
+// predictedSpan is the span a block of count entries has at the given
+// period, (count-1)·period; false when that leaves int64.
+func predictedSpan(count, period uint64) (uint64, bool) {
+	if count < 2 {
+		return 0, true
 	}
-	end := 16
-	for end > shared+1 && s[end-1] == 0 {
-		end--
+	if period > math.MaxInt64/(count-1) {
+		return 0, false
 	}
-	b = append(b, byte(shared<<4|(end-shared-1)))
-	return append(b, s[shared:end]...)
+	return (count - 1) * period, true
 }
 
-// appendRunIndex serialises an index section.
+// spanCode and gapCode are a block's span and its distance from the
+// previous block of its series as the index codes them against period:
+// the 64-bit difference from the prediction, zigzag-coded, so any pair
+// of bounds round-trips.
+func spanCode(m blockMeta, period uint64) uint64 {
+	pred, _ := predictedSpan(uint64(m.count), period)
+	return zigzag(int64(uint64(m.max) - uint64(m.min) - pred))
+}
+
+func gapCode(prevMax, min int64, period uint64) uint64 {
+	return zigzag(int64(uint64(min) - uint64(prevMax) - period))
+}
+
+// choosePeriod picks the period an index codes its bounds against: the
+// median step (max-min)/(count-1) over the blocks of two or more
+// entries, or 0, whichever makes the index shorter. A period too long
+// to predict a full block's span with is no candidate.
+func choosePeriod(series []seriesIndex) uint64 {
+	var steps []uint64
+	for _, se := range series {
+		for _, m := range se.blocks {
+			if m.count > 1 {
+				steps = append(steps, (uint64(m.max)-uint64(m.min))/uint64(m.count-1))
+			}
+		}
+	}
+	if len(steps) == 0 {
+		return 0
+	}
+	slices.Sort(steps)
+	p := steps[len(steps)/2]
+	if _, ok := predictedSpan(blockEntries, p); !ok || boundsLen(series, p) >= boundsLen(series, 0) {
+		return 0
+	}
+	return p
+}
+
+// boundsLen is what the fields that depend on the period take in an
+// index with period p: the period, every span and every gap within a
+// series.
+func boundsLen(series []seriesIndex, p uint64) int {
+	n := uvarintLen(p)
+	for _, se := range series {
+		for j, m := range se.blocks {
+			n += uvarintLen(spanCode(m, p))
+			if j > 0 {
+				n += uvarintLen(gapCode(se.blocks[j-1].max, m.min, p))
+			}
+		}
+	}
+	return n
+}
+
+// pageCloses applies the page rule to the blocks of series in file
+// order: whether each one closes its page.
+func pageCloses(series []seriesIndex) []bool {
+	var lens []uint64
+	for _, se := range series {
+		for _, m := range se.blocks {
+			lens = append(lens, uint64(m.length))
+		}
+	}
+	closes := make([]bool, len(lens))
+	start, end := uint64(0), uint64(0)
+	for i, n := range lens {
+		end += n
+		next := uint64(0)
+		if i+1 < len(lens) {
+			next = lens[i+1]
+		}
+		if closes[i] = closesPage(start, end, next); closes[i] {
+			start = end
+		}
+	}
+	return closes
+}
+
+// appendRunIndex serialises an index section in format v4. Every block
+// of a page carries the page's CRC; the one that closes it states it.
 func appendRunIndex(b []byte, idx *runIndex) []byte {
 	// The smallest first-block min is the smallest timestamp in the file.
 	baseTS := int64(0)
@@ -372,6 +538,7 @@ func appendRunIndex(b []byte, idx *runIndex) []byte {
 	b = binary.AppendUvarint(b, idx.maxSeq-idx.minSeq)
 	b = binary.AppendUvarint(b, zigzag(baseTS))
 	b = binary.AppendUvarint(b, idx.base.ver)
+	b = binary.AppendUvarint(b, idx.period)
 	b = binary.AppendUvarint(b, uint64(len(idx.tombs)))
 	b = binary.AppendUvarint(b, uint64(len(idx.series)))
 	tombIDs := sortedIDs(len(idx.tombs), func(yield func(core.SensorID)) {
@@ -385,19 +552,29 @@ func appendRunIndex(b []byte, idx *runIndex) []byte {
 		b = binary.AppendUvarint(b, zigzag(idx.tombs[id]))
 		prev = id
 	}
+	closes := pageCloses(idx.series)
 	prev = core.SensorID{}
 	for _, se := range idx.series {
 		b = appendSID(b, prev, se.id)
 		prev = se.id
-		b = binary.AppendUvarint(b, uint64(len(se.blocks)))
-		last := baseTS
-		for _, m := range se.blocks {
-			b = binary.AppendUvarint(b, uint64(m.length))
-			b = binary.AppendUvarint(b, uint64(m.count))
-			b = binary.AppendUvarint(b, uint64(m.min)-uint64(last))
-			b = binary.AppendUvarint(b, uint64(m.max)-uint64(m.min))
-			b = binary.BigEndian.AppendUint32(b, m.crc)
-			last = m.max
+		b = binary.AppendUvarint(b, se.count)
+		for j, m := range se.blocks {
+			closed := closes[0]
+			closes = closes[1:]
+			lc := uint64(m.length) << 1
+			if closed {
+				lc |= 1
+			}
+			b = binary.AppendUvarint(b, lc)
+			if j == 0 {
+				b = binary.AppendUvarint(b, uint64(m.min)-uint64(baseTS))
+			} else {
+				b = binary.AppendUvarint(b, gapCode(se.blocks[j-1].max, m.min, idx.period))
+			}
+			b = binary.AppendUvarint(b, spanCode(m, idx.period))
+			if closed {
+				b = binary.BigEndian.AppendUint32(b, m.crc)
+			}
 		}
 	}
 	return b
@@ -406,9 +583,10 @@ func appendRunIndex(b []byte, idx *runIndex) []byte {
 // indexReader walks an index section; the first malformed field sets
 // err and every later read returns zero.
 type indexReader struct {
-	b   []byte
-	off int
-	err error
+	b      []byte
+	off    int
+	err    error
+	levels bool // SIDs are level-coded (v4), else byte-coded (v3)
 }
 
 func (r *indexReader) fail(format string, args ...any) {
@@ -445,7 +623,7 @@ func (r *indexReader) u32() uint32 {
 	return v
 }
 
-// sid decodes one prefix-coded SID against prev.
+// sid decodes one SID coded against prev.
 func (r *indexReader) sid(prev core.SensorID) core.SensorID {
 	if r.err != nil {
 		return core.SensorID{}
@@ -455,12 +633,39 @@ func (r *indexReader) sid(prev core.SensorID) core.SensorID {
 		return core.SensorID{}
 	}
 	h := r.b[r.off]
+	if !r.levels {
+		return r.sidBytes(prev, h)
+	}
+	shared, n := int(h>>4), int(h&15)
+	if shared+n > core.MaxTopicLevels {
+		r.fail("has a malformed sensor id at byte %d", r.off)
+		return core.SensorID{}
+	}
+	r.off++
+	id := prev.Prefix(shared)
+	for l := shared; l < shared+n; l++ {
+		at := r.off
+		code := r.uvarint()
+		if code > math.MaxUint16 {
+			r.fail("has a sensor id level code above 0xffff at byte %d", at)
+		}
+		id = id.WithLevel(l, uint16(code))
+	}
+	return id
+}
+
+// sidBytes decodes a v3 SID, whose header h is at the reader's offset:
+// the first `shared` bytes of prev, then n explicit bytes, the rest
+// zero.
+func (r *indexReader) sidBytes(prev core.SensorID, h byte) core.SensorID {
 	shared, n := int(h>>4), int(h&15)+1
 	if shared+n > 16 || r.rest() < uint64(1+n) {
 		r.fail("has a malformed sensor id at byte %d", r.off)
 		return core.SensorID{}
 	}
-	s := sidBytes(prev)
+	var s [16]byte
+	binary.BigEndian.PutUint64(s[0:], prev.Hi)
+	binary.BigEndian.PutUint64(s[8:], prev.Lo)
 	clear(s[shared:])
 	copy(s[shared:], r.b[r.off+1:r.off+1+n])
 	r.off += 1 + n
@@ -474,20 +679,30 @@ func addDelta(base int64, d uint64) (int64, bool) {
 	return v, v >= base
 }
 
-// parseRunIndex decodes and validates a v3 index section. dataLen is
-// the file offset where the index begins; the blocks must tile the data
-// section exactly. Every count is checked against the bytes that remain
-// before anything is sized from it.
-func parseRunIndex(b []byte, dataLen int64) (*runIndex, error) {
+// parseRunIndex decodes and validates an index section of the given
+// format (3 or 4). dataLen is the file offset where the index begins;
+// the blocks must tile the data section exactly, and in v4 the pages
+// must follow the page rule. Every count is checked against the bytes
+// that remain before anything is sized from it, every product and bound
+// against overflow.
+func parseRunIndex(b []byte, dataLen int64, format int) (*runIndex, error) {
 	if dataLen < runMagicLen {
 		return nil, fmt.Errorf("store: run index starts inside the magic")
 	}
-	r := &indexReader{b: b}
+	v4 := format == 4
+	minTomb, minSeries, minBlock := uint64(minTombLen), uint64(minSeriesLen), uint64(minBlockMetaLen)
+	if !v4 {
+		minTomb, minSeries, minBlock = minTombLenV3, minSeriesLenV3, minBlockMetaLenV3
+	}
+	r := &indexReader{b: b, levels: v4}
 	idx := &runIndex{dataLen: dataLen}
 	idx.minSeq = r.uvarint()
 	span := r.uvarint()
 	baseTS := unzigzag(r.uvarint())
 	idx.base.ver = r.uvarint()
+	if v4 {
+		idx.period = r.uvarint()
+	}
 	tombCount := r.uvarint()
 	seriesCount := r.uvarint()
 	if r.err != nil {
@@ -496,7 +711,10 @@ func parseRunIndex(b []byte, dataLen int64) (*runIndex, error) {
 	if idx.maxSeq = idx.minSeq + span; idx.maxSeq < idx.minSeq {
 		return nil, fmt.Errorf("store: run index span overflows")
 	}
-	if tombCount > r.rest()/minTombLen {
+	if idx.period > math.MaxInt64 {
+		return nil, fmt.Errorf("store: run index period overflows")
+	}
+	if tombCount > r.rest()/minTomb {
 		return nil, fmt.Errorf("store: run index tombstone count overflows index")
 	}
 	if tombCount > 0 {
@@ -514,15 +732,26 @@ func parseRunIndex(b []byte, dataLen int64) (*runIndex, error) {
 			idx.tombs[id], prev = cutoff, id
 		}
 	}
-	if seriesCount > r.rest()/minSeriesLen {
+	if seriesCount > r.rest()/minSeries {
 		return nil, fmt.Errorf("store: run index series count overflows index")
 	}
 	idx.series = make([]seriesIndex, 0, seriesCount)
 	var prev core.SensorID
 	off := uint64(runMagicLen) // blocks tile the data section in index order
+	// The open page starts at pageStart and holds the pending blocks;
+	// closed says whether the block before this one closed its page.
+	pageStart, closed := off, true
+	var pending []*blockMeta
 	for i := uint64(0); i < seriesCount; i++ {
 		se := seriesIndex{id: r.sid(prev)}
-		blockCount := r.uvarint()
+		var blockCount uint64
+		if v4 {
+			if se.count = r.uvarint(); se.count > 0 {
+				blockCount = (se.count-1)/blockEntries + 1
+			}
+		} else {
+			blockCount = r.uvarint()
+		}
 		if r.err != nil {
 			return nil, r.err
 		}
@@ -533,15 +762,36 @@ func parseRunIndex(b []byte, dataLen int64) (*runIndex, error) {
 		if blockCount == 0 {
 			return nil, fmt.Errorf("store: run index has empty series")
 		}
-		if blockCount > r.rest()/minBlockMetaLen {
+		if blockCount > r.rest()/minBlock {
 			return nil, fmt.Errorf("store: run index block count overflows index")
 		}
 		se.blocks = make([]blockMeta, blockCount)
 		last := baseTS
+		left := se.count
 		for j := range se.blocks {
-			length, count := r.uvarint(), r.uvarint()
-			dMin, dMax := r.uvarint(), r.uvarint()
-			crc := r.u32()
+			var length, count, gap, span uint64
+			closes := true
+			if v4 {
+				lc := r.uvarint()
+				length, closes = lc>>1, lc&1 != 0
+				count = min(left, blockEntries)
+				left -= count
+				if gap = r.uvarint(); j > 0 {
+					gap = idx.period + uint64(unzigzag(gap))
+				}
+				pred, ok := predictedSpan(count, idx.period)
+				if !ok {
+					return nil, fmt.Errorf("store: run index block span prediction overflows")
+				}
+				span = pred + uint64(unzigzag(r.uvarint()))
+			} else {
+				length, count = r.uvarint(), r.uvarint()
+				gap, span = r.uvarint(), r.uvarint()
+			}
+			var crc uint32
+			if closes {
+				crc = r.u32()
+			}
 			if r.err != nil {
 				return nil, r.err
 			}
@@ -552,15 +802,30 @@ func parseRunIndex(b []byte, dataLen int64) (*runIndex, error) {
 			if err := checkBlockCount(count, int(length)); err != nil {
 				return nil, err
 			}
-			min, ok1 := addDelta(last, dMin)
-			max, ok2 := addDelta(min, dMax)
+			lo, ok1 := addDelta(last, gap)
+			hi, ok2 := addDelta(lo, span)
 			if !ok1 || !ok2 {
 				return nil, fmt.Errorf("store: run index block bounds overflow")
 			}
-			se.blocks[j] = blockMeta{off: off, length: uint32(length), count: uint32(count), min: min, max: max, crc: crc}
+			if v4 && off > runMagicLen && closed != closesPage(pageStart, off, length) {
+				return nil, fmt.Errorf("store: run index pages break the page rule at data byte %d", off)
+			}
+			if closed {
+				pageStart = off
+			}
+			se.blocks[j] = blockMeta{off: off, length: uint32(length), count: uint32(count), min: lo, max: hi, pageOff: pageStart}
+			pending = append(pending, &se.blocks[j])
 			off += length
-			se.count += count
-			last = max
+			if closed = closes; closed {
+				for _, m := range pending {
+					m.pageLen, m.crc = uint32(off-pageStart), crc
+				}
+				pending = pending[:0]
+			}
+			if !v4 {
+				se.count += count
+			}
+			last = hi
 		}
 		se.min, se.max = se.blocks[0].min, last
 		idx.series = append(idx.series, se)
@@ -571,27 +836,37 @@ func parseRunIndex(b []byte, dataLen int64) (*runIndex, error) {
 	if off != uint64(dataLen) {
 		return nil, fmt.Errorf("store: run index blocks cover %d of %d data bytes", off-runMagicLen, dataLen-runMagicLen)
 	}
+	if !closed {
+		return nil, fmt.Errorf("store: run index leaves its last page without a CRC")
+	}
 	return idx, nil
 }
 
-// runFormat accepts a v3 magic; a v1, v2 or foreign one is an error.
-func runFormat(magic []byte) error {
+// runFormat returns the format (3 or 4) of a run file's magic; v1, v2,
+// a newer format and a foreign magic are errors.
+func runFormat(magic []byte) (int, error) {
 	switch string(magic) {
 	case string(runMagic):
-		return nil
+		return 4, nil
+	case "DCDBRUN3":
+		return 3, nil
 	case "DCDBRUN2":
-		return errRunFileV2
+		return 0, errRunFileV2
 	case "DCDBRUN1":
-		return errRunFileV1
+		return 0, errRunFileV1
 	}
-	return fmt.Errorf("not a DCDB run file")
+	if v := magic[runMagicLen-1]; string(magic[:runMagicLen-1]) == "DCDBRUN" && v > '4' && v <= '9' {
+		return 0, fmt.Errorf("%w: it is format v%c (%s); open it with the build that wrote it or a newer one", errRunFileNewer, v, magic)
+	}
+	return 0, fmt.Errorf("not a DCDB run file")
 }
 
 // parseRunFrame validates a run file's frame — magic, footer, index
 // CRC — from the file's size, its first runMagicLen and its last
 // runFooterLen bytes, and parses the index that readIndex fetches.
 func parseRunFrame(size int64, magic, footer []byte, readIndex func(off int64, n uint32) ([]byte, error)) (*runIndex, error) {
-	if err := runFormat(magic); err != nil {
+	format, err := runFormat(magic)
+	if err != nil {
 		return nil, err
 	}
 	indexOff := binary.BigEndian.Uint64(footer[0:])
@@ -610,7 +885,7 @@ func parseRunFrame(size int64, magic, footer []byte, readIndex func(off int64, n
 	if crc32.ChecksumIEEE(indexBytes) != indexCRC {
 		return nil, fmt.Errorf("run index CRC mismatch")
 	}
-	return parseRunIndex(indexBytes, int64(indexOff))
+	return parseRunIndex(indexBytes, int64(indexOff), format)
 }
 
 // readRunIndexFile reads only a run file's footer and index — the cold
@@ -666,18 +941,21 @@ func decodeRunFile(data []byte) (*runContents, error) {
 		minSeq: idx.minSeq, maxSeq: idx.maxSeq, tombs: idx.tombs,
 		series: make(map[core.SensorID][]entry, len(idx.series)),
 	}
+	checked := uint64(0) // the last page that passed its CRC; no page starts at 0
 	for _, se := range idx.series {
 		// Grown block by block as each passes its CRC, not sized from
 		// se.count: that is the index's claim, and a block of a dozen
 		// bytes may claim blockEntries entries.
 		var es []entry
 		for _, m := range se.blocks {
-			raw := data[m.off : m.off+uint64(m.length)]
-			if crc32.ChecksumIEEE(raw) != m.crc {
-				return nil, fmt.Errorf("store: block at %d CRC mismatch", m.off)
+			if m.pageOff != checked {
+				if crc32.ChecksumIEEE(data[m.pageOff:m.pageOff+uint64(m.pageLen)]) != m.crc {
+					return nil, fmt.Errorf("store: page at %d CRC mismatch", m.pageOff)
+				}
+				checked = m.pageOff
 			}
 			n := len(es)
-			if err := decodeBlock(raw, m, idx.base, &es); err != nil {
+			if err := decodeBlock(data[m.off:m.off+uint64(m.length)], m, idx.base, &es); err != nil {
 				return nil, err
 			}
 			// The index's bounds are the always-resident rejection

@@ -1,9 +1,11 @@
 package store
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"dcdb/internal/core"
@@ -20,14 +22,22 @@ type stamping struct {
 // nsStamps is a nanosecond clock taking 6 000 writes a second.
 var nsStamps = stamping{gap: 166_667, tick: 1, jitter: 50_000}
 
+// faninID is the SID of sensor s of a fan-in of up to 20 000 sensors
+// in a six-level hierarchy, /site/rack/chassis/node/plugin/sensor.
+func faninID(s int) core.SensorID {
+	return core.SensorID{}.WithLevel(0, 1).WithLevel(1, uint16(1+s/400)).WithLevel(2, uint16(1+s/100%4)).
+		WithLevel(3, uint16(1+s/10%10)).WithLevel(4, uint16(1+s/5%2)).WithLevel(5, uint16(1+s%5))
+}
+
 // storedBytes pushes perSeries versioned readings of each of
 // nSeries monitoring-shaped sensors through a durable node — 1 s period
 // with ±1% jitter in ns, batch readings per InsertVersioned call under
 // one write version stamped as st says, the paper's mix of counters,
 // quantised gauges and set-points, SIDs from a six-level hierarchy —
 // flushes, compacts, closes, and returns the bytes the node's directory
-// holds. Deterministic: same bytes on every run.
-func storedBytes(t *testing.T, nSeries, perSeries, batch int, st stamping) int64 {
+// holds and, of them, the bytes of the run files' indexes.
+// Deterministic: same bytes on every run.
+func storedBytes(t *testing.T, nSeries, perSeries, batch int, st stamping) (total, index int64) {
 	t.Helper()
 	dir := t.TempDir()
 	n := openedNode(t, dir, 1<<30, DiskOptions{SyncInterval: -1, CompactInterval: -1})
@@ -36,9 +46,7 @@ func storedBytes(t *testing.T, nSeries, perSeries, batch int, st stamping) int64
 	ids := make([]core.SensorID, nSeries)
 	walk := make([]float64, nSeries)
 	for s := range ids {
-		// /site/rack/chassis/node/plugin/sensor
-		ids[s] = core.SensorID{}.WithLevel(0, 1).WithLevel(1, uint16(1+s/400)).WithLevel(2, uint16(1+s/100%4)).
-			WithLevel(3, uint16(1+s/10%10)).WithLevel(4, uint16(1+s/5%2)).WithLevel(5, uint16(1+s%5))
+		ids[s] = faninID(s)
 		walk[s] = float64(20 + rng.Intn(60))
 	}
 	vrs := make([]VersionedReading, batch)
@@ -75,17 +83,24 @@ func storedBytes(t *testing.T, nSeries, perSeries, batch int, st stamping) int64
 	if err := n.Close(); err != nil {
 		t.Fatal(err)
 	}
-	var total int64
-	err := filepath.Walk(dir, func(_ string, info os.FileInfo, err error) error {
-		if err == nil && !info.IsDir() {
-			total += info.Size()
+	err := filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
+		if err != nil || info.IsDir() {
+			return err
 		}
-		return err
+		total += info.Size()
+		if strings.HasSuffix(path, ".sst") {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			index += int64(binary.BigEndian.Uint32(data[len(data)-runFooterLen+8:]))
+		}
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return total
+	return total, index
 }
 
 // TestRunFileBytesPerReading is the size guard of the run-file format.
@@ -98,13 +113,14 @@ func storedBytes(t *testing.T, nSeries, perSeries, batch int, st stamping) int64
 // readings a message, so 64 consecutive entries of a block share one
 // write version — where the per-reading streams are all there is.
 func TestRunFileBytesPerReading(t *testing.T) {
-	fanin := float64(storedBytes(t, 2000, 5, 1, nsStamps)) / (2000 * 5)
+	perReading := func(total, _ int64) float64 { return float64(total) }
+	fanin := perReading(storedBytes(t, 2000, 5, 1, nsStamps)) / (2000 * 5)
 	t.Logf("fan-in shape: %.2f B/reading", fanin)
-	if fanin > 14.40 { // 13.96 measured, + 3%; 14.75 before the anchored last timestamp, 16.01 before the frame codings
-		t.Errorf("fan-in shape: %.2f B/reading on disk, want <= 14.40", fanin)
+	if fanin > 12.80 { // 12.42 measured, + 3%; 13.96 before format v4, 14.75 before the anchored last timestamp, 16.01 before the frame codings
+		t.Errorf("fan-in shape: %.2f B/reading on disk, want <= 12.80", fanin)
 	}
 	const longV2 = 2_020_100 // bytes format v2 needed (measured at PR 11)
-	long := storedBytes(t, 50, 4096, 1, nsStamps)
+	long, _ := storedBytes(t, 50, 4096, 1, nsStamps)
 	t.Logf("long series: %d bytes, %.3f B/reading", long, float64(long)/(50*4096))
 	if long > longV2 {
 		t.Errorf("long series: %d bytes on disk, format v2 needed %d", long, longV2)
@@ -112,9 +128,9 @@ func TestRunFileBytesPerReading(t *testing.T) {
 	// 6.84 B/reading before the frame codings: 3.9 of varint
 	// delta-of-delta timestamps, a version byte per reading, and an XOR
 	// stream smearing integer counters over the mantissa.
-	burst := float64(storedBytes(t, 50, 4096, 64, nsStamps)) / (50 * 4096)
+	burst := perReading(storedBytes(t, 50, 4096, 64, nsStamps)) / (50 * 4096)
 	t.Logf("burst shape: %.3f B/reading", burst)
-	if burst > 3.90 { // 3.708 measured (3.714 before the anchored last timestamp), + 5%
+	if burst > 3.90 { // 3.698 measured (3.708 before format v4, 3.714 before the anchored last timestamp), + 5%
 		t.Errorf("burst shape: %.3f B/reading on disk, want <= 3.90", burst)
 	}
 	// The open-loop fan-in shape — the production one: a message is one
@@ -124,13 +140,13 @@ func TestRunFileBytesPerReading(t *testing.T) {
 	// issues them on a whole-microsecond tick (versionTick), the block
 	// frame's divisor finds the factor, and each stamp is ten bits
 	// shorter than under the nanosecond clock of earlier builds.
-	nanos := float64(storedBytes(t, 2000, 22, 1, nsStamps)) / (2000 * 22)
+	nanos := perReading(storedBytes(t, 2000, 22, 1, nsStamps)) / (2000 * 22)
 	ticks := nsStamps
 	ticks.tick = versionTick
-	ticked := float64(storedBytes(t, 2000, 22, 1, ticks)) / (2000 * 22)
+	ticked := perReading(storedBytes(t, 2000, 22, 1, ticks)) / (2000 * 22)
 	t.Logf("open-loop fan-in shape: %.2f B/reading, %.2f with nanosecond stamps", ticked, nanos)
-	if ticked > 6.40 { // 6.21 measured, + 3%; 6.72 before the clock coding and the anchor, 7.73 with nanosecond stamps
-		t.Errorf("open-loop fan-in shape: %.2f B/reading on disk, want <= 6.40", ticked)
+	if ticked > 6.09 { // 5.91 measured, + 3%; 6.21 before format v4, 6.72 before the clock coding and the anchor, 7.73 with nanosecond stamps
+		t.Errorf("open-loop fan-in shape: %.2f B/reading on disk, want <= 6.09", ticked)
 	}
 	if nanos-ticked < 1 {
 		t.Errorf("open-loop fan-in shape: the microsecond tick saves %.2f B/reading (%.2f -> %.2f), want over 1", nanos-ticked, nanos, ticked)
@@ -140,10 +156,17 @@ func TestRunFileBytesPerReading(t *testing.T) {
 	// readings of each, one a round, and the loop's ms jitter is all
 	// that varies between rounds. The clock coding stores that jitter in
 	// ticks instead of each round's length in ns, and the index's max
-	// stands in for each block's last timestamp.
-	closed := float64(storedBytes(t, 20_000, 5, 1, stamping{gap: 145_000, tick: versionTick, jitter: 3_000_000})) / (20_000 * 5)
-	t.Logf("closed-loop fan-in shape: %.2f B/reading", closed)
-	if closed > 12.29 { // 11.93 measured, + 3%; 14.59 before the clock coding and the anchor
-		t.Errorf("closed-loop fan-in shape: %.2f B/reading on disk, want <= 12.29", closed)
+	// stands in for each block's last timestamp. What is left of the
+	// index is the SID, the count, the block's length and its two bounds
+	// coded against the file's period — and a share of a page's CRC.
+	const sensors = 20_000
+	total, index := storedBytes(t, sensors, 5, 1, stamping{gap: 145_000, tick: versionTick, jitter: 3_000_000})
+	closed, perSeries := float64(total)/(sensors*5), float64(index)/sensors
+	t.Logf("closed-loop fan-in shape: %.2f B/reading, %.2f index bytes per series", closed, perSeries)
+	if closed > 10.68 { // 10.37 measured, + 3%; 11.93 before format v4, 14.59 before the clock coding and the anchor
+		t.Errorf("closed-loop fan-in shape: %.2f B/reading on disk, want <= 10.68", closed)
+	}
+	if perSeries > 14.19 { // 13.78 measured, + 3%; 21.55 before format v4
+		t.Errorf("closed-loop fan-in shape: %.2f index bytes per series, want <= 14.19", perSeries)
 	}
 }
