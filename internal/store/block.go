@@ -9,44 +9,49 @@ import (
 	"sync"
 )
 
-// Block codec of run-file format v3. A block holds up to blockEntries
+// Block codec of run-file format v5. A block holds up to blockEntries
 // consecutive entries of one series, compressed so a cold read pays I/O
 // and decode cost proportional to the queried window, not the
 // retention. The block is anchored in the run file's index: its entry
 // count, its first and last timestamps (the index entry's min and max)
-// and the file-level base write version all live there, so the body
-// starts at the second entry, stops before the last, and a block of a
-// handful of readings carries no absolute header fields of its own.
+// and the file-level base write version and stamp period all live
+// there, so the body starts at the second entry, stops before the last,
+// and a block of a handful of readings carries no absolute header
+// fields of its own.
 //
 // A block is a flags byte and three streams — timestamps, write stamps,
-// values — each byte-aligned, each in one of two or three codings. The
+// values — each byte-aligned, each in one of up to four codings. The
 // first coding of every stream costs whole bytes or control bits per
 // entry and wins on blocks of a handful of entries; the others fit what
-// monitoring data looks like: sensors sample on a period, a batch is
-// stamped once, the coordinator stamps on a microsecond clock, readings
-// are integers. The encoder sizes every coding and writes the shortest,
-// per stream, per block; the choice is recorded in the flags, never
-// configured:
+// monitoring data looks like: sensors sample on a period, so a series
+// is a line plus jitter; a batch is stamped once; the coordinator
+// stamps on a microsecond clock; readings are integers. The encoder
+// sizes every coding and writes the shortest, per stream, per block
+// (ties to the lower selector); the choice is recorded in the flags,
+// never configured:
 //
 //	byte 0  : flags
-//	          bit 0: block carries a non-zero expire section
-//	          bit 1: block carries a non-zero write-version section
-//	          bit 2: timestamps are a frame (else varints)
-//	          bit 3: the stamp sections are run-length coded
-//	          bit 4: values are integer deltas in a frame (else XOR)
-//	          bit 5: the stamp sections are clock coded (bits 3 and 5
-//	            clear: varints; both set is malformed)
-//	          bit 6: the last timestamp is the index entry's max — set
-//	            on every block of two or more entries this build writes
-//	          bit 7: zero; a decoder refuses what it does not know
-//	ts      : the deltas between consecutive timestamps — count-1 of
-//	          them, or count-2 with bit 6, the last one following from
-//	          the max — as
+//	          bit 0   : block carries a non-zero expire section
+//	          bit 1   : block carries a non-zero write-version section
+//	          bits 2-3: timestamps — 0 delta-of-delta varints, 1 delta
+//	                    frame, 2 line varints, 3 line frame
+//	          bits 4-5: values — 0 XOR, 1 integer delta frame, 2
+//	                    integer line varints, 3 integer line frame
+//	          bits 6-7: stamps — 0 varints, 1 runs, 2 clock; 3 is
+//	                    malformed
+//	          Every block of two or more entries is anchored: its last
+//	          timestamp is the index entry's max.
+//	ts      : entries 1..count-2 (none for a block of one entry), as
 //	          varints: zigzag first delta (entry 1 - index min), then
 //	            zigzag delta-of-deltas; or as
 //	          frame : one frame of the deltas — a perfectly periodic
 //	            sensor costs no bits per entry, a ms-quantised one
-//	            divides its 10^6 out
+//	            divides its 10^6 out; or as residuals from the line
+//	            through min and max (see line), r_i = ts_i - line_i,
+//	          line  : one zigzag varint per residual; or as
+//	          line frame: one frame of the residuals. Against its
+//	            neighbour an entry's jitter counts twice, against the
+//	            line once.
 //	stamps  : the expire section (only with flag bit 0; counted from 0)
 //	          and the version section (only with flag bit 1; counted
 //	          from the file's base version), in that order, both as
@@ -58,22 +63,28 @@ import (
 //	            a 64-reading message is one run; or both as
 //	          clock : one zigzag varint per entry in units of
 //	            versionTick: the first stamp's distance from the base,
-//	            the first delta, then delta-of-deltas — a sensor written
-//	            once a round costs its loop's jitter, not the round.
-//	            Only when every stamp and the base are whole multiples
-//	            of the tick, each tested on its own: a stamp below the
-//	            base wraps in uint64, so (v-base)%tick says nothing.
+//	            then delta-of-deltas, the first of them against the
+//	            file's stamp period — a sensor written once a round
+//	            costs its loop's jitter, not the round. Only when every
+//	            stamp and the base are whole multiples of the tick, each
+//	            tested on its own: a stamp below the base wraps in
+//	            uint64, so (v-base)%tick says nothing.
 //	          A block without a section decodes as expire 0 / version 0.
 //	values  : all count values, as
-//	          XOR   : Gorilla-style bit stream, first value raw; or as
-//	          ints  : first value zz | frame of the count-1 deltas —
-//	            only when every value of the block is integral: finite,
+//	          XOR   : Gorilla-style bit stream, first value raw; or, only
+//	            when every value of the block is integral — finite,
 //	            |v| <= 2^53, and float64(int64(v)) has v's exact bits
 //	            (so not -0.0, not NaN, not ±Inf), which is what makes
-//	            the coding bit-identical
+//	            the integer codings bit-identical — as
+//	          ints  : first value zz | frame of the count-1 deltas; or as
+//	          line  : first zz | last-first zz | one zigzag varint per
+//	            residual of values 1..count-2 from the line through
+//	            first and last; or as
+//	          line frame: first zz | last-first zz | one frame of those
+//	            residuals
 //
-// (uv = uvarint, zz = zigzag uvarint.) The frame is the one primitive
-// the three second codings share. It stores n integers as
+// (uv = uvarint, zz = zigzag uvarint.) The frame is the primitive the
+// codings after the first share. It stores n integers as
 //
 //	min zz | divisor uv | width u8 | n × width bits, MSB-first, zero-
 //	padded to a byte
@@ -81,15 +92,15 @@ import (
 // where min is the smallest value, divisor the gcd of the values'
 // distances from it (1 when they are all equal) and every value is
 // min + q·divisor with q below 2^width; width is at most 64. A frame of
-// no values is no bytes. Arithmetic is modulo 2^64 throughout, so
-// timestamps spanning the whole int64 range and falling versions
-// survive.
+// no values is no bytes. Point i of the line through a first and a last
+// point count-1 steps apart is first + ⌊i·|last-first|/(count-1)⌋,
+// towards last. Arithmetic is modulo 2^64 throughout, so timestamps
+// spanning the whole int64 range and falling versions survive.
 //
-// A block with bits 2-6 clear is exactly what builds before the frame
-// codings wrote, one with bits 5-6 clear what builds before the clock
-// and the anchored last timestamp wrote; both read unchanged, and an
-// older build refuses a block with a bit it does not know ("unknown
-// flags").
+// Formats v3 and v4 gave each coding a bit of its own (blockFlagTSFrame
+// and the rest below); their blocks are read by the same decoder, their
+// bits mapped onto the selectors (readFlags). A build before v5 never
+// sees a v5 block: it refuses the file's magic by name.
 //
 // Corruption is caught by the caller's CRC check first; the decoder
 // itself must still survive arbitrary bytes (fuzzed) by erroring instead
@@ -103,26 +114,120 @@ import (
 const blockEntries = 512
 
 const (
-	blockFlagExpire     = 1 << 0
-	blockFlagVersion    = 1 << 1
-	blockFlagTSFrame    = 1 << 2
-	blockFlagStampRuns  = 1 << 3
-	blockFlagIntValues  = 1 << 4
-	blockFlagStampClock = 1 << 5
-	blockFlagLastTS     = 1 << 6
+	blockFlagExpire  = 1 << 0
+	blockFlagVersion = 1 << 1
 
-	blockFlagsKnown = blockFlagExpire | blockFlagVersion | blockFlagTSFrame | blockFlagStampRuns | blockFlagIntValues |
-		blockFlagStampClock | blockFlagLastTS
+	// Where the flags byte holds each stream's coding selector.
+	blockTSShift     = 2
+	blockValuesShift = 4
+	blockStampsShift = 6
 
 	// blockMinLen is the smallest block there is: the flags byte and one
 	// integer value that fits a single varint byte.
 	blockMinLen = 2
 )
 
+// The selectors of the timestamp and the value stream.
+const (
+	codingFirst     = 0 // ts: delta-of-delta varints; values: XOR
+	codingFrame     = 1 // a frame of the deltas (values: integers only)
+	codingLine      = 2 // residuals from the line through the ends, varints
+	codingLineFrame = 3 // the same residuals in a frame
+)
+
+// The selectors of the stamp sections; 3 is malformed.
+const (
+	stampVarints = 0
+	stampRuns    = 1
+	stampClock   = 2
+)
+
+// The flags of formats v3 and v4, one bit a coding: a timestamp frame,
+// run-length stamps, integer values, clock-coded stamps, and the
+// anchored last timestamp. Bit 7 was never set.
+const (
+	blockFlagTSFrame    = 1 << 2
+	blockFlagStampRuns  = 1 << 3
+	blockFlagIntValues  = 1 << 4
+	blockFlagStampClock = 1 << 5
+	blockFlagLastTS     = 1 << 6
+
+	blockFlagsKnownV4 = blockFlagExpire | blockFlagVersion | blockFlagTSFrame | blockFlagStampRuns | blockFlagIntValues |
+		blockFlagStampClock | blockFlagLastTS
+)
+
 // blockBase is the file-level half of a block's anchor (the per-block
 // half is the index entry: count, min and max).
 type blockBase struct {
-	ver uint64 // base write version of the file
+	ver         uint64 // base write version of the file
+	stampPeriod int64  // in ticks: what a clock-coded section's first delta is coded against
+	v4Flags     bool   // the file is format v3 or v4: its blocks give each coding a flag bit
+}
+
+// blockCoding is what a flags byte says: the stamp sections a block
+// carries and each stream's coding. Four fields at most, so the
+// compiler keeps it in registers.
+type blockCoding struct {
+	sections           byte // blockFlagExpire | blockFlagVersion
+	ts, values, stamps byte // selectors
+}
+
+// flags is c's flags byte in the v5 layout.
+func (c blockCoding) flags() byte {
+	return c.sections | c.ts<<blockTSShift | c.values<<blockValuesShift | c.stamps<<blockStampsShift
+}
+
+// codingOf reads a flags byte in the v5 layout as it is, unchecked.
+func codingOf(flags byte) blockCoding {
+	return blockCoding{
+		sections: flags & (blockFlagExpire | blockFlagVersion),
+		ts:       flags >> blockTSShift & 3,
+		values:   flags >> blockValuesShift & 3,
+		stamps:   flags >> blockStampsShift,
+	}
+}
+
+// readFlags reads and checks the flags byte of a block of count entries,
+// in the v5 layout or, with v4, in that of formats v3 and v4, and says
+// whether the block is anchored: whether its last timestamp is the index
+// entry's max.
+func readFlags(flags byte, count int, v4 bool) (c blockCoding, anchored bool, err error) {
+	c.sections = flags & (blockFlagExpire | blockFlagVersion)
+	if v4 {
+		if flags&^blockFlagsKnownV4 != 0 {
+			return c, false, fmt.Errorf("store: block has unknown flags %#x", flags)
+		}
+		if flags&(blockFlagStampRuns|blockFlagStampClock) == blockFlagStampRuns|blockFlagStampClock {
+			return c, false, fmt.Errorf("store: block stamps are both run-length and clock coded")
+		}
+		c.ts, c.values = flags>>2&1, flags>>4&1
+		c.stamps = flags>>3&1 | flags>>5&1<<1
+		if anchored = flags&blockFlagLastTS != 0; anchored && count < 2 {
+			return c, false, fmt.Errorf("store: one-entry block anchors its last timestamp")
+		}
+		return c, anchored, nil
+	}
+	c = codingOf(flags)
+	anchored = count > 1
+	if c.stamps > stampClock {
+		return c, false, fmt.Errorf("store: block has stamp coding %d", c.stamps)
+	}
+	if !anchored && (c.ts >= codingLine || c.values >= codingLine) {
+		return c, false, fmt.Errorf("store: one-entry block coded against a line")
+	}
+	return c, anchored, nil
+}
+
+// shortest returns the index of the smallest of sizes, the first of
+// equals: the older coding wins a tie.
+func shortest(sizes []int) byte {
+	best := 0
+	for i, n := range sizes {
+		if n < sizes[best] {
+			best = i
+		}
+	}
+	return byte(best)
 }
 
 // zigzag encodes a signed delta so small magnitudes of either sign
@@ -330,59 +435,66 @@ func (f frame) pack(w *bitWriter, v int64) {
 type frameReader struct {
 	min, div uint64
 	width    uint
-	buf      []byte // exactly the packed values
-	bit      uint   // where in buf the next value starts
+	buf      []byte   // exactly the packed values
+	bit      uint     // where in buf the next value starts
+	padAt    uint     // where in buf pad starts: fewer than nine bytes remain from there
+	pad      [16]byte // buf[padAt:], zero-padded
 }
 
-// openFrame parses the frame of n values at the head of data and
-// returns a reader over it and the bytes that follow it.
-func openFrame(data []byte, n int) (fr frameReader, rest []byte, err error) {
+// open parses the frame of n values at the head of data into fr, a
+// reader over it, and returns the bytes that follow it. (A method, not a
+// constructor: the reader is filled where it lives.)
+func (fr *frameReader) open(data []byte, n int) (rest []byte, err error) {
 	if n == 0 {
-		return fr, data, nil
+		return data, nil
 	}
 	m, k := binary.Uvarint(data)
 	if k <= 0 {
-		return fr, nil, errFrameTruncated
+		return nil, errFrameTruncated
 	}
 	off := k
 	fr.min = uint64(unzigzag(m))
 	if fr.div, k = binary.Uvarint(data[off:]); k <= 0 || off+k >= len(data) {
-		return fr, nil, errFrameTruncated
+		return nil, errFrameTruncated
 	}
 	off += k
 	fr.width = uint(data[off])
 	off++
 	if fr.div == 0 || fr.width > 64 {
-		return fr, nil, fmt.Errorf("store: block frame has divisor %d, width %d", fr.div, fr.width)
+		return nil, fmt.Errorf("store: block frame has divisor %d, width %d", fr.div, fr.width)
 	}
 	packed := (n*int(fr.width) + 7) / 8 // n <= blockEntries: cannot overflow
 	if packed > len(data)-off {
-		return fr, nil, errFrameTruncated
+		return nil, errFrameTruncated
 	}
 	fr.buf = data[off : off+packed]
-	return fr, data[off+packed:], nil
+	if packed >= 8 {
+		fr.padAt = uint(packed - 8)
+		binary.BigEndian.PutUint64(fr.pad[:], binary.BigEndian.Uint64(fr.buf[fr.padAt:]))
+	} else {
+		for i, b := range fr.buf {
+			fr.pad[i] = b
+		}
+	}
+	return data[off+packed:], nil
 }
 
 var errFrameTruncated = errors.New("store: block frame truncated")
 
 // next returns the frame's next value; the caller asks for no more than
-// the n the frame was opened with. Fixed width makes this a load, two
-// shifts and a multiply — no per-value branch on the data.
+// the n the frame was opened with. Fixed width makes this a load, a few
+// shifts and a multiply — no per-value branch on the data — and small
+// enough to inline into the decoders' loops. Nine bytes hold any value
+// that starts in the first; near the frame's end they are read from
+// its zero-padded copy.
 func (f *frameReader) next() uint64 {
 	at, shift := f.bit>>3, f.bit&7
 	f.bit += f.width
-	var w uint64
-	if at+8 <= uint(len(f.buf)) {
-		w = binary.BigEndian.Uint64(f.buf[at:]) << shift
-		if shift+f.width > 64 { // the value ends in a ninth byte
-			w |= uint64(f.buf[at+8]) >> (8 - shift)
-		}
-	} else {
-		for i, b := range f.buf[at:] {
-			w |= uint64(b) << (56 - 8*uint(i))
-		}
-		w <<= shift
+	src := f.buf
+	if at >= f.padAt {
+		src, at = f.pad[:], at-f.padAt
 	}
+	w := binary.BigEndian.Uint64(src[at:])<<shift | uint64(src[at+8])>>(8-shift)
 	return f.min + w>>(64-f.width)*f.div
 }
 
@@ -395,6 +507,73 @@ func (f *frameReader) close() error {
 	return nil
 }
 
+// line walks the line through a first and a last point n-1 steps
+// apart: point i is first + ⌊i·|span|/(n-1)⌋, towards last, modulo
+// 2^64. |span| is divided by n-1 once, into a quotient and a remainder;
+// the remainder's share, ⌊i·rem/(n-1)⌋, is carried as a fixed-point
+// number with 32 fraction bits. Each step adds the quotient to the
+// point and the fraction to the share — two adds and a shift, no
+// division, no 128-bit product, and no compare for a decode loop to
+// wait on.
+//
+// The fraction is rem·⌈2^32/(n-1)⌉, so i steps of it overshoot
+// i·rem/(n-1) by less than 511·510/2^32 < 2^-13, while a share that is
+// not a whole number lies at least 1/(n-1) >= 1/511 below the next
+// one: for every n up to blockEntries the share floors to the exact
+// integer. A falling line counts its share down from just below 1
+// (2^32-1, see next), where the arithmetic shift floors it to -⌊share⌋.
+type line struct {
+	at, step  uint64 // i·quotient past the first point, signed towards last
+	acc, frac int64  // the share in 32.32 fixed point, and its step, signed alike
+}
+
+// lineFracs[d] is ⌈2^32/d⌉ for every d a line divides by.
+var lineFracs = func() (t [blockEntries]int64) {
+	for d := int64(1); d < blockEntries; d++ {
+		t[d] = (1<<32 + d - 1) / d
+	}
+	return t
+}()
+
+// newLine starts a line at from; span is last-first modulo 2^64, down
+// says it is negative. n is at least 2 and at most blockEntries.
+func newLine(from, span uint64, down bool, n int) line {
+	n1 := uint64(n - 1)
+	if down {
+		span = -span
+	}
+	l := line{at: from, step: span / n1, frac: int64(span%n1) * lineFracs[n1]}
+	if down {
+		l.step, l.frac, l.acc = -l.step, -l.frac, 1<<32-1
+	}
+	return l
+}
+
+// tsLine is the line of a block's n timestamps: from the index min to
+// the index max, never down — a max below min fails the sortedness
+// checks.
+func tsLine(lo, hi int64, n int) line {
+	return newLine(uint64(lo), uint64(hi)-uint64(lo), false, n)
+}
+
+// valueLine is the line of a block's n integer values from first to
+// first+span.
+func valueLine(first, span int64, n int) line {
+	return newLine(uint64(first), uint64(span), span < 0, n)
+}
+
+// next steps to the next point and returns it. The share's integer
+// part is its arithmetic shift: ⌊share⌋ rising; falling, from
+// 2^32-1-i·frac, exactly -⌊i·frac/2^32⌋.
+func (l *line) next() uint64 {
+	l.at += l.step
+	l.acc += l.frac
+	return l.at + uint64(l.acc>>32)
+}
+
+// residual steps to the next point and returns v's distance from it.
+func (l *line) residual(v int64) int64 { return int64(uint64(v) - l.next()) }
+
 // blockSizes is where an encoded block's bytes went, besides the one
 // flags byte.
 type blockSizes struct{ ts, stamps, values int }
@@ -403,17 +582,17 @@ type blockSizes struct{ ts, stamps, values int }
 // most blockEntries long) to dst and returns it with the lengths of its
 // three streams. The caller records len(es) and the [minTs,maxTs] bounds
 // in the block index — the decoder gets the first and the last
-// timestamp back from there — and baseVer in the file's index header.
-func encodeBlock(dst []byte, es []entry, baseVer uint64) ([]byte, blockSizes) {
-	var flags byte
+// timestamp back from there — and base in the file's index header.
+func encodeBlock(dst []byte, es []entry, base blockBase) ([]byte, blockSizes) {
+	var c blockCoding
 	for _, e := range es {
 		if e.expire != 0 {
-			flags |= blockFlagExpire
+			c.sections |= blockFlagExpire
 		}
 		if e.ver != 0 {
-			flags |= blockFlagVersion
+			c.sections |= blockFlagVersion
 		}
-		if flags == blockFlagExpire|blockFlagVersion {
+		if c.sections == blockFlagExpire|blockFlagVersion {
 			break
 		}
 	}
@@ -423,79 +602,130 @@ func encodeBlock(dst []byte, es []entry, baseVer uint64) ([]byte, blockSizes) {
 
 	// The index entry's max is the last timestamp: the stream stops one
 	// entry short of it.
-	body := es
 	if len(es) > 1 {
-		flags |= blockFlagLastTS
-		body = es[:len(es)-1]
-	}
-	dst, framed := appendTimestamps(dst, body)
-	if framed {
-		flags |= blockFlagTSFrame
+		ts := scanTimestamps(es, true)
+		c.ts = shortest(ts.sizes[:])
+		dst = appendTimestamps(dst, es, true, c.ts, &ts)
 	}
 	sz.ts = len(dst) - at - 1
 
-	if flags&(blockFlagExpire|blockFlagVersion) != 0 {
+	if c.sections != 0 {
 		var exp, ver stampStats // a section left out costs nothing and is on the tick
-		if flags&blockFlagExpire != 0 {
-			exp = scanStamps(es, stampExpire, 0)
+		if c.sections&blockFlagExpire != 0 {
+			exp = scanStamps(es, stampExpire, 0, base.stampPeriod)
 		}
-		if flags&blockFlagVersion != 0 {
-			ver = scanStamps(es, stampVersion, baseVer)
+		if c.sections&blockFlagVersion != 0 {
+			ver = scanStamps(es, stampVersion, base.ver, base.stampPeriod)
 		}
 		// One choice for both sections: they are stamped by the same
 		// calls, so their runs coincide.
-		coding, best := byte(0), exp.varintLen+ver.varintLen
-		if n := exp.runsLen + ver.runsLen; n < best {
-			coding, best = blockFlagStampRuns, n
+		var sizes [3]int
+		for i := range sizes {
+			sizes[i] = exp.sizes[i] + ver.sizes[i]
 		}
-		if n := exp.clockLen + ver.clockLen; n < best && !exp.offTick && !ver.offTick {
-			coding = blockFlagStampClock
+		if exp.offTick || ver.offTick {
+			sizes[stampClock] = math.MaxInt
 		}
-		flags |= coding
-		if flags&blockFlagExpire != 0 {
-			dst = appendStamps(dst, es, stampExpire, 0, coding, &exp)
+		c.stamps = shortest(sizes[:])
+		if c.sections&blockFlagExpire != 0 {
+			dst = appendStamps(dst, es, stampExpire, 0, base.stampPeriod, c.stamps, &exp)
 		}
-		if flags&blockFlagVersion != 0 {
-			dst = appendStamps(dst, es, stampVersion, baseVer, coding, &ver)
+		if c.sections&blockFlagVersion != 0 {
+			dst = appendStamps(dst, es, stampVersion, base.ver, base.stampPeriod, c.stamps, &ver)
 		}
 	}
 	sz.stamps = len(dst) - at - 1 - sz.ts
 
-	dst, ints := appendValues(dst, es)
-	if ints {
-		flags |= blockFlagIntValues
-	}
+	vs := scanValues(es)
+	dst, c.values = appendValues(dst, es, &vs)
 	sz.values = len(dst) - at - 1 - sz.ts - sz.stamps
-	dst[at] = flags
+	dst[at] = c.flags()
 	return dst, sz
 }
 
-// appendTimestamps writes the timestamp stream — the deltas from the
-// second entry on — as a frame when that is shorter than the varint
-// delta-of-deltas, and reports which it wrote.
-func appendTimestamps(dst []byte, es []entry) (_ []byte, framed bool) {
-	st := newFrameStats()
-	varintLen, prev := 0, int64(0)
-	for i := 1; i < len(es); i++ {
-		d := es[i].ts - es[i-1].ts
-		st.add(d)
-		varintLen += uvarintLen(zigzag(d - prev))
-		prev = d
+// tsStats sizes the timestamp stream under its four codings, in one
+// pass.
+type tsStats struct {
+	sizes         [4]int // by selector
+	deltas, resid frame
+}
+
+// scanTimestamps sizes the timestamp stream of es: the deltas from
+// es[0], the index min, on — to the last entry, or with anchored to the
+// one before it, the index max standing for the last — and, anchored,
+// the residuals from the line through the min and the max.
+func scanTimestamps(es []entry, anchored bool) (s tsStats) {
+	body, ln := tsBody(es, anchored)
+	if !anchored {
+		s.sizes[codingLine], s.sizes[codingLineFrame] = math.MaxInt, math.MaxInt // no line
 	}
-	if f := st.frame(); f.size(st.n) < varintLen {
-		bw := f.begin(dst)
-		for i := 1; i < len(es) && f.width > 0; i++ {
-			f.pack(&bw, es[i].ts-es[i-1].ts)
+	deltas, resid := newFrameStats(), newFrameStats()
+	prev := int64(0)
+	for i := 1; i < len(body); i++ {
+		d := body[i].ts - body[i-1].ts
+		deltas.add(d)
+		s.sizes[codingFirst] += uvarintLen(zigzag(d - prev))
+		prev = d
+		if anchored {
+			r := ln.residual(body[i].ts)
+			resid.add(r)
+			s.sizes[codingLine] += uvarintLen(zigzag(r))
 		}
-		return bw.finish(), true
 	}
-	prev = 0
-	for i := 1; i < len(es); i++ {
-		d := es[i].ts - es[i-1].ts
-		dst = binary.AppendUvarint(dst, zigzag(d-prev))
-		prev = d
+	s.deltas, s.resid = deltas.frame(), resid.frame()
+	s.sizes[codingFrame] = s.deltas.size(deltas.n)
+	if anchored {
+		s.sizes[codingLineFrame] = s.resid.size(resid.n)
 	}
-	return dst, false
+	return s
+}
+
+// tsBody returns the entries of es whose timestamps the stream
+// carries, from the index min on, and — anchored — the line through the
+// min and the max.
+func tsBody(es []entry, anchored bool) (body []entry, ln line) {
+	if !anchored {
+		return es, ln
+	}
+	n := len(es)
+	return es[:n-1], tsLine(es[0].ts, es[n-1].ts, n)
+}
+
+// appendTimestamps writes the stream scanTimestamps sized in the given
+// coding; the line codings need anchored.
+func appendTimestamps(dst []byte, es []entry, anchored bool, coding byte, s *tsStats) []byte {
+	body, ln := tsBody(es, anchored)
+	switch coding {
+	case codingFirst:
+		prev := int64(0)
+		for i := 1; i < len(body); i++ {
+			d := body[i].ts - body[i-1].ts
+			dst = binary.AppendUvarint(dst, zigzag(d-prev))
+			prev = d
+		}
+		return dst
+	case codingLine:
+		for i := 1; i < len(body); i++ {
+			dst = binary.AppendUvarint(dst, zigzag(ln.residual(body[i].ts)))
+		}
+		return dst
+	}
+	if len(body) < 2 {
+		return dst // a frame of no values
+	}
+	f := s.deltas
+	if coding == codingLineFrame {
+		f = s.resid
+	}
+	bw := f.begin(dst)
+	for i := 1; i < len(body) && f.width > 0; i++ {
+		if coding == codingFrame {
+			f.pack(&bw, body[i].ts-body[i-1].ts)
+		} else {
+			f.pack(&bw, ln.residual(body[i].ts))
+		}
+	}
+	return bw.finish()
 }
 
 // stampCol names one of an entry's two write stamps: both are set once
@@ -525,27 +755,29 @@ func (c stampCol) runEnd(es []entry, i int) int {
 // stampStats sizes one stamp section under the three codings. Its zero
 // value is an absent section: no bytes in any coding, and on the tick.
 type stampStats struct {
-	varintLen, runsLen, clockLen int
-	offTick                      bool // the clock coding is out: a stamp or the base is off the tick
-	runs                         int
-	lens, deltas                 frame // of the run lengths, of the runs-1 steps between runs
+	sizes        [3]int // by selector
+	offTick      bool   // the clock coding is out: a stamp or the base is off the tick
+	runs         int
+	lens, deltas frame // of the run lengths, of the runs-1 steps between runs
 }
 
-func scanStamps(es []entry, col stampCol, base uint64) (s stampStats) {
+// scanStamps sizes one stamp section of es, counted from base; period is
+// the file's stamp period, in ticks.
+func scanStamps(es []entry, col stampCol, base uint64, period int64) (s stampStats) {
 	lens, deltas := newFrameStats(), newFrameStats()
 	prev := base
 	s.offTick = base%versionTick != 0
-	step := int64(0) // the clock coding's previous delta, in ticks
+	step := period // the clock coding's previous delta, in ticks
 	for i := 0; i < len(es); {
 		end := col.runEnd(es, i)
 		v := col.of(&es[i])
 		d := int64(v - prev)
 		// A run costs the varint coding its step and a zero byte for
 		// every further entry.
-		s.varintLen += uvarintLen(zigzag(d)) + end - i - 1
+		s.sizes[stampVarints] += uvarintLen(zigzag(d)) + end - i - 1
 		lens.add(int64(end - i))
 		if i == 0 {
-			s.runsLen = uvarintLen(zigzag(d))
+			s.sizes[stampRuns] = uvarintLen(zigzag(d))
 		} else {
 			deltas.add(d)
 		}
@@ -554,26 +786,28 @@ func scanStamps(es []entry, col stampCol, base uint64) (s stampStats) {
 		// entry. The first stamp's distance from the base is no delta.
 		s.offTick = s.offTick || v%versionTick != 0
 		dt := int64(v/versionTick - prev/versionTick)
-		s.clockLen += uvarintLen(zigzag(dt - step))
-		if step = dt; i == 0 {
-			step = 0
+		if i == 0 {
+			s.sizes[stampClock] += uvarintLen(zigzag(dt))
+		} else {
+			s.sizes[stampClock] += uvarintLen(zigzag(dt - step))
+			step = dt
 		}
 		if n := end - i; n > 1 {
-			s.clockLen += uvarintLen(zigzag(-step)) + n - 2
+			s.sizes[stampClock] += uvarintLen(zigzag(-step)) + n - 2
 			step = 0
 		}
 		prev, i = v, end
 	}
 	s.runs, s.lens, s.deltas = lens.n, lens.frame(), deltas.frame()
-	s.runsLen += uvarintLen(uint64(s.runs)) + s.lens.size(s.runs) + s.deltas.size(s.runs-1)
+	s.sizes[stampRuns] += uvarintLen(uint64(s.runs)) + s.lens.size(s.runs) + s.deltas.size(s.runs-1)
 	return s
 }
 
 // appendStamps writes one stamp section of es, counted from base, in
-// the coding named by its flag bit (0 for the varints).
-func appendStamps(dst []byte, es []entry, col stampCol, base uint64, coding byte, s *stampStats) []byte {
+// the given coding; period is the file's stamp period.
+func appendStamps(dst []byte, es []entry, col stampCol, base uint64, period int64, coding byte, s *stampStats) []byte {
 	switch coding {
-	case 0:
+	case stampVarints:
 		prev := base
 		for i := range es {
 			v := col.of(&es[i])
@@ -581,13 +815,15 @@ func appendStamps(dst []byte, es []entry, col stampCol, base uint64, coding byte
 			prev = v
 		}
 		return dst
-	case blockFlagStampClock:
-		prev, step := base/versionTick, int64(0)
+	case stampClock:
+		prev, step := base/versionTick, period
 		for i := range es {
 			q := col.of(&es[i]) / versionTick
 			d := int64(q - prev)
-			dst = binary.AppendUvarint(dst, zigzag(d-step))
-			if i > 0 {
+			if i == 0 {
+				dst = binary.AppendUvarint(dst, zigzag(d))
+			} else {
+				dst = binary.AppendUvarint(dst, zigzag(d-step))
 				step = d
 			}
 			prev = q
@@ -625,53 +861,120 @@ func integral(v float64) (int64, bool) {
 	return n, math.Float64bits(float64(n)) == math.Float64bits(v)
 }
 
-// appendValues writes the value stream: Gorilla XOR, or — when every
-// value is integral and it comes out shorter — integer deltas in a
-// frame. It reports which.
-func appendValues(dst []byte, es []entry) (_ []byte, ints bool) {
-	st := newFrameStats() // of the deltas
-	first, prev := int64(0), int64(0)
-	// A floor under the XOR stream's bits, so that in the common case
-	// the integer coding is known to win without writing both: a
-	// repeated value costs XOR one bit, any other at least two control
-	// bits and the bits its window must span.
-	xorBits, prevBits := 64, uint64(0)
-	for i := range es {
-		n, ok := integral(es[i].val)
+// valueStats sizes the value stream under its four codings, in one
+// pass. The integer codings exist only for an integral block, and what
+// it has for XOR is a floor.
+type valueStats struct {
+	integral      bool
+	first, last   int64
+	sizes         [4]int // by selector; the XOR one a floor
+	deltas, resid frame
+}
+
+// scanValues sizes the value stream of es. The floor under the XOR
+// stream's bits lets the common case — an integral block — be known to
+// take an integer coding without writing XOR too: a repeated value
+// costs XOR one bit, any other at least two control bits and the bits
+// its window must span.
+func scanValues(es []entry) (s valueStats) {
+	n := len(es)
+	first, ok := integral(es[0].val)
+	last, ok2 := integral(es[n-1].val)
+	if !ok || !ok2 {
+		return s
+	}
+	deltas, resid := newFrameStats(), newFrameStats()
+	var ln line
+	if n > 1 {
+		ln = valueLine(first, last-first, n)
+	}
+	xorBits, lineLen := 64, 0
+	prev, prevBits := first, math.Float64bits(es[0].val)
+	for i := 1; i < n; i++ {
+		v, ok := integral(es[i].val)
 		if !ok {
-			return appendXORValues(dst, es), false
+			return valueStats{}
 		}
 		cur := math.Float64bits(es[i].val)
-		if i == 0 {
-			first = n
-		} else if st.add(n - prev); n == prev {
+		if deltas.add(v - prev); v == prev {
 			xorBits++
 		} else {
 			x := cur ^ prevBits
 			xorBits += 2 + 64 - min(bits.LeadingZeros64(x), 31) - bits.TrailingZeros64(x)
 		}
-		prev, prevBits = n, cur
+		if i < n-1 {
+			r := ln.residual(v)
+			resid.add(r)
+			lineLen += uvarintLen(zigzag(r))
+		}
+		prev, prevBits = v, cur
 	}
-	f, at := st.frame(), len(dst)
-	size := uvarintLen(zigzag(first)) + f.size(st.n)
-	if size > (xorBits+7)/8 {
-		if dst = appendXORValues(dst, es); size >= len(dst)-at {
-			return dst, false
+	s = valueStats{integral: true, first: first, last: last, deltas: deltas.frame(), resid: resid.frame()}
+	s.sizes[codingFirst] = (xorBits + 7) / 8
+	s.sizes[codingFrame] = uvarintLen(zigzag(first)) + s.deltas.size(deltas.n)
+	if n == 1 {
+		s.sizes[codingLine], s.sizes[codingLineFrame] = math.MaxInt, math.MaxInt // no line through one point
+		return s
+	}
+	head := uvarintLen(zigzag(first)) + uvarintLen(zigzag(last-first))
+	s.sizes[codingLine], s.sizes[codingLineFrame] = head+lineLen, head+s.resid.size(resid.n)
+	return s
+}
+
+// appendValues writes the value stream scanValues sized and returns its
+// coding: XOR, or the shortest integer coding of an integral block
+// unless XOR comes out no longer. The integer sizes are exact, XOR's
+// only a floor, so XOR is written — and measured — only when the floor
+// lies below the integer coding.
+func appendValues(dst []byte, es []entry, s *valueStats) ([]byte, byte) {
+	if !s.integral {
+		return appendXORValues(dst, es), codingFirst
+	}
+	coding := codingFrame + shortest(s.sizes[codingFrame:])
+	if s.sizes[coding] > s.sizes[codingFirst] {
+		at := len(dst)
+		if dst = appendXORValues(dst, es); s.sizes[coding] >= len(dst)-at {
+			return dst, codingFirst
 		}
 		dst = dst[:at]
 	}
-	dst = binary.AppendUvarint(dst, zigzag(first))
-	if st.n == 0 {
-		return dst, true
+	return appendIntValues(dst, es, coding, s), coding
+}
+
+// appendIntValues writes the value stream of an integral block in one of
+// the integer codings.
+func appendIntValues(dst []byte, es []entry, coding byte, s *valueStats) []byte {
+	n := len(es)
+	dst = binary.AppendUvarint(dst, zigzag(s.first))
+	if coding == codingFrame {
+		if n == 1 {
+			return dst // a frame of no deltas
+		}
+		f := s.deltas
+		bw := f.begin(dst)
+		for i := 1; i < n && f.width > 0; i++ {
+			f.pack(&bw, int64(es[i].val)-int64(es[i-1].val))
+		}
+		return bw.finish()
 	}
+	// A line coding: the block has two entries or more.
+	dst = binary.AppendUvarint(dst, zigzag(s.last-s.first))
+	ln := valueLine(s.first, s.last-s.first, n)
+	if coding == codingLine {
+		for i := 1; i < n-1; i++ {
+			dst = binary.AppendUvarint(dst, zigzag(ln.residual(int64(es[i].val))))
+		}
+		return dst
+	}
+	if n == 2 {
+		return dst // a frame of no residuals
+	}
+	f := s.resid
 	bw := f.begin(dst)
-	prev = first
-	for i := 1; i < len(es) && f.width > 0; i++ {
-		n := int64(es[i].val)
-		f.pack(&bw, n-prev)
-		prev = n
+	for i := 1; i < n-1 && f.width > 0; i++ {
+		f.pack(&bw, ln.residual(int64(es[i].val)))
 	}
-	return bw.finish(), true
+	return bw.finish()
 }
 
 // appendXORValues writes the Gorilla XOR stream. Control bit 0 = same
@@ -748,14 +1051,14 @@ func checkBlockCount(count uint64, length int) error {
 }
 
 // decodeBlock decodes the block described by the index entry m — its
-// entry count, its first timestamp (min) and, for a block with the
-// anchored last timestamp, its last (max) — into out, appending. It
-// validates that the encoding is fully consumed (only zero-bit padding
-// may remain), that timestamps are sorted, and errors — never panics —
-// on any malformed input, leaving out as it was. The caller is expected
-// to have verified the block's CRC first, so an error here means either
-// rot the CRC missed or a software bug; both must reject the block
-// rather than serve wrong data.
+// entry count, its first timestamp (min) and, for an anchored block,
+// its last (max) — into out, appending. It validates that the encoding
+// is fully consumed (only zero-bit padding may remain), that timestamps
+// are sorted, and errors — never panics — on any malformed input,
+// leaving out as it was. The caller is expected to have verified the
+// block's CRC first, so an error here means either rot the CRC missed
+// or a software bug; both must reject the block rather than serve wrong
+// data.
 func decodeBlock(raw []byte, m blockMeta, base blockBase, out *[]entry) error {
 	if err := checkBlockCount(uint64(m.count), len(raw)); err != nil {
 		return err
@@ -770,77 +1073,91 @@ func decodeBlock(raw []byte, m blockMeta, base blockBase, out *[]entry) error {
 }
 
 func decodeBlockInto(raw []byte, es []entry, first, last int64, base blockBase) error {
-	flags := raw[0]
-	if flags&^blockFlagsKnown != 0 {
-		return fmt.Errorf("store: block has unknown flags %#x", flags)
-	}
-	coding := flags & (blockFlagStampRuns | blockFlagStampClock)
-	if coding == blockFlagStampRuns|blockFlagStampClock {
-		return fmt.Errorf("store: block stamps are both run-length and clock coded")
-	}
-	body := es
-	if flags&blockFlagLastTS != 0 {
-		if len(es) < 2 {
-			return fmt.Errorf("store: one-entry block anchors its last timestamp")
-		}
-		body = es[:len(es)-1]
-	}
-	data, err := decodeTimestamps(raw[1:], body, first, flags&blockFlagTSFrame != 0)
+	c, anchored, err := readFlags(raw[0], len(es), base.v4Flags)
 	if err != nil {
 		return err
 	}
-	if len(body) < len(es) {
+	body := es
+	if anchored {
+		body = es[:len(es)-1]
+	}
+	data, err := decodeTimestamps(raw[1:], body, first, last, c.ts)
+	if err != nil {
+		return err
+	}
+	if anchored {
 		// The index's max is covered by the index CRC; a negative last
 		// delta is a forged or rotted one.
 		if es[len(es)-1].ts = last; last < es[len(es)-2].ts {
 			return fmt.Errorf("store: block max %d lies below its second-to-last timestamp %d", last, es[len(es)-2].ts)
 		}
 	}
-	if flags&blockFlagExpire != 0 {
-		if data, err = decodeStamps(data, es, stampExpire, 0, coding); err != nil {
+	if c.sections&blockFlagExpire != 0 {
+		if data, err = decodeStamps(data, es, stampExpire, 0, base.stampPeriod, c.stamps); err != nil {
 			return err
 		}
 	}
-	if flags&blockFlagVersion != 0 {
-		if data, err = decodeStamps(data, es, stampVersion, base.ver, coding); err != nil {
+	if c.sections&blockFlagVersion != 0 {
+		if data, err = decodeStamps(data, es, stampVersion, base.ver, base.stampPeriod, c.stamps); err != nil {
 			return err
 		}
 	}
-	if flags&blockFlagIntValues != 0 {
-		return decodeIntValues(data, es)
+	if c.values == codingFirst {
+		return decodeXORValues(data, es)
 	}
-	return decodeXORValues(data, es)
+	return decodeIntValues(data, es, c.values)
 }
 
-// decodeTimestamps fills in es[i].ts from the timestamp stream at the
+var errTimestampsUnsorted = errors.New("store: block timestamps unsorted")
+
+// decodeTimestamps fills in body[i].ts from the timestamp stream at the
 // head of data and returns what follows it. The first timestamp is
-// first, not in the stream.
-func decodeTimestamps(data []byte, es []entry, first int64, framed bool) ([]byte, error) {
-	es[0].ts = first
-	if framed {
-		fr, rest, err := openFrame(data, len(es)-1)
+// first, not in the stream; the line codings run to last, the entry
+// after body.
+func decodeTimestamps(data []byte, body []entry, first, last int64, coding byte) ([]byte, error) {
+	body[0].ts = first
+	var ln line
+	if coding >= codingLine {
+		ln = tsLine(first, last, len(body)+1)
+	}
+	if coding == codingFrame || coding == codingLineFrame {
+		var fr frameReader
+		rest, err := fr.open(data, len(body)-1)
 		if err != nil {
 			return nil, err
 		}
-		for i := 1; i < len(es); i++ {
-			// The delta is unsigned: a sum past MaxInt64 wraps below its
-			// predecessor and fails the same test a forged order does.
-			if es[i].ts = es[i-1].ts + int64(fr.next()); es[i].ts < es[i-1].ts {
-				return nil, fmt.Errorf("store: block timestamps unsorted")
+		// The sums are unsigned: one past MaxInt64 wraps below its
+		// predecessor and fails the same test a forged order does.
+		if coding == codingFrame {
+			for i := 1; i < len(body); i++ {
+				if body[i].ts = body[i-1].ts + int64(fr.next()); body[i].ts < body[i-1].ts {
+					return nil, errTimestampsUnsorted
+				}
+			}
+		} else {
+			for i := 1; i < len(body); i++ {
+				if body[i].ts = int64(ln.next() + fr.next()); body[i].ts < body[i-1].ts {
+					return nil, errTimestampsUnsorted
+				}
 			}
 		}
 		return rest, fr.close()
 	}
 	off, delta := 0, int64(0)
-	for i := 1; i < len(es); i++ {
+	for i := 1; i < len(body); i++ {
 		u, n := binary.Uvarint(data[off:])
 		if n <= 0 {
 			return nil, fmt.Errorf("store: block timestamp stream truncated")
 		}
 		off += n
-		delta += unzigzag(u)
-		if es[i].ts = es[i-1].ts + delta; es[i].ts < es[i-1].ts {
-			return nil, fmt.Errorf("store: block timestamps unsorted")
+		if coding == codingFirst {
+			delta += unzigzag(u)
+			body[i].ts = body[i-1].ts + delta
+		} else {
+			body[i].ts = int64(ln.next() + uint64(unzigzag(u)))
+		}
+		if body[i].ts < body[i-1].ts {
+			return nil, errTimestampsUnsorted
 		}
 	}
 	return data[off:], nil
@@ -871,11 +1188,10 @@ func (c stampCol) fill(es []entry, v uint64) {
 var errStampsTruncated = errors.New("store: block stamp section truncated")
 
 // decodeStamps fills in one stamp column of es from the section at the
-// head of data, in the coding named by its flag bit (0 for the
-// varints), and returns what follows it.
-func decodeStamps(data []byte, es []entry, col stampCol, base uint64, coding byte) ([]byte, error) {
+// head of data, in the given coding, and returns what follows it.
+func decodeStamps(data []byte, es []entry, col stampCol, base uint64, period int64, coding byte) ([]byte, error) {
 	switch coding {
-	case 0:
+	case stampVarints:
 		off, prev := 0, base
 		for i := range es {
 			u, n := binary.Uvarint(data[off:])
@@ -887,11 +1203,11 @@ func decodeStamps(data []byte, es []entry, col stampCol, base uint64, coding byt
 			col.set(&es[i], prev)
 		}
 		return data[off:], nil
-	case blockFlagStampClock:
+	case stampClock:
 		if base%versionTick != 0 {
 			return nil, fmt.Errorf("store: block stamps clock coded against base %d, off the tick", base)
 		}
-		off, q, step := 0, base/versionTick, int64(0)
+		off, q, step := 0, base/versionTick, period
 		for i := range es {
 			u, n := binary.Uvarint(data[off:])
 			if n <= 0 {
@@ -919,12 +1235,12 @@ func decodeStamps(data []byte, es []entry, col stampCol, base uint64, coding byt
 	if k <= 0 {
 		return nil, errStampsTruncated
 	}
-	lens, data, err := openFrame(data[n+k:], int(nRuns))
+	var lens, deltas frameReader
+	data, err := lens.open(data[n+k:], int(nRuns))
 	if err != nil {
 		return nil, err
 	}
-	deltas, data, err := openFrame(data, int(nRuns)-1)
-	if err != nil {
+	if data, err = deltas.open(data, int(nRuns)-1); err != nil {
 		return nil, err
 	}
 	// Run lengths are at least 1 and sum to exactly the entry count.
@@ -949,26 +1265,70 @@ func decodeStamps(data []byte, es []entry, col stampCol, base uint64, coding byt
 	return data, deltas.close()
 }
 
-func decodeIntValues(data []byte, es []entry) error {
-	u, n := binary.Uvarint(data)
-	if n <= 0 {
-		return fmt.Errorf("store: block value stream truncated")
+// decodeIntValues decodes a value stream in one of the integer codings,
+// which must end with the block.
+func decodeIntValues(data []byte, es []entry, coding byte) error {
+	n := len(es)
+	first, k := binary.Uvarint(data)
+	if k <= 0 {
+		return errValuesTruncated
 	}
-	fr, rest, err := openFrame(data[n:], len(es)-1)
+	data = data[k:]
+	v := unzigzag(first)
+	es[0].val = float64(v)
+	if coding == codingFrame {
+		var fr frameReader
+		rest, err := fr.open(data, n-1)
+		if err != nil {
+			return err
+		}
+		if len(rest) != 0 {
+			return fmt.Errorf("store: %d trailing bytes after block values", len(rest))
+		}
+		for i := 1; i < n; i++ {
+			v += int64(fr.next())
+			es[i].val = float64(v)
+		}
+		return fr.close()
+	}
+	// A line coding: readFlags let it through only for two entries or
+	// more.
+	span, k := binary.Uvarint(data)
+	if k <= 0 {
+		return errValuesTruncated
+	}
+	data = data[k:]
+	es[n-1].val = float64(v + unzigzag(span))
+	ln := valueLine(v, unzigzag(span), n)
+	if coding == codingLine {
+		for i := 1; i < n-1; i++ {
+			u, k := binary.Uvarint(data)
+			if k <= 0 {
+				return errValuesTruncated
+			}
+			data = data[k:]
+			es[i].val = float64(int64(ln.next() + uint64(unzigzag(u))))
+		}
+		if len(data) != 0 {
+			return fmt.Errorf("store: %d trailing bytes after block values", len(data))
+		}
+		return nil
+	}
+	var fr frameReader
+	rest, err := fr.open(data, n-2)
 	if err != nil {
 		return err
 	}
 	if len(rest) != 0 {
 		return fmt.Errorf("store: %d trailing bytes after block values", len(rest))
 	}
-	v := unzigzag(u)
-	es[0].val = float64(v)
-	for i := 1; i < len(es); i++ {
-		v += int64(fr.next())
-		es[i].val = float64(v)
+	for i := 1; i < n-1; i++ {
+		es[i].val = float64(int64(ln.next() + fr.next()))
 	}
 	return fr.close()
 }
+
+var errValuesTruncated = errors.New("store: block value stream truncated")
 
 func decodeXORValues(data []byte, es []entry) error {
 	br := bitReader{buf: data}

@@ -52,12 +52,12 @@ func metaOf(es []entry) blockMeta {
 	return blockMeta{count: uint32(len(es)), min: es[0].ts, max: es[len(es)-1].ts}
 }
 
-// codecRoundTrip encodes es against baseVer and decodes it back the way
-// a read does: count and timestamp bounds from the index entry, base
-// version from the file.
-func codecRoundTrip(es []entry, baseVer uint64) (enc []byte, got []entry, err error) {
-	enc, _ = encodeBlock(nil, es, baseVer)
-	err = decodeBlock(enc, metaOf(es), blockBase{ver: baseVer}, &got)
+// codecRoundTrip encodes es against base and decodes it back the way a
+// read does: count and timestamp bounds from the index entry, base
+// version and stamp period from the file.
+func codecRoundTrip(es []entry, base blockBase) (enc []byte, got []entry, err error) {
+	enc, _ = encodeBlock(nil, es, base)
+	err = decodeBlock(enc, metaOf(es), base, &got)
 	return enc, got, err
 }
 
@@ -72,7 +72,7 @@ func TestBlockCodecRoundTrip(t *testing.T) {
 		cases = append(cases, randomEntries(rng, 1+rng.Intn(blockEntries)))
 	}
 	for ci, es := range cases {
-		enc, got, err := codecRoundTrip(es, 0)
+		enc, got, err := codecRoundTrip(es, blockBase{})
 		if err != nil {
 			t.Fatalf("case %d: decode: %v", ci, err)
 		}
@@ -103,7 +103,7 @@ func TestBlockCodecCompresses(t *testing.T) {
 	for i := range es {
 		es[i] = entry{ts: int64(i) * 1e9, val: 42 + float64(i%7)*0.25}
 	}
-	enc, _ := encodeBlock(nil, es, 0)
+	enc, _ := encodeBlock(nil, es, blockBase{})
 	if got, raw := len(enc), 24*len(es); got*4 > raw {
 		t.Fatalf("monitoring-shaped block encoded to %d bytes (raw %d); expected >4x compression", got, raw)
 	}

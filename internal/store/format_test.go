@@ -16,7 +16,7 @@ import (
 	"dcdb/internal/core"
 )
 
-// Tests of run-file format v3 itself: round trips over block shapes
+// Tests of run-file format v5 itself: round trips over block shapes
 // (hot whole-file decode and cold index + block-at-a-time reads must
 // both return the input), and the allocation guards that keep a forged
 // index or block from sizing anything before it is proven plausible.
@@ -131,15 +131,33 @@ func encodeBlockPR15(dst []byte, es []entry, baseVer uint64) []byte {
 	return bw.finish()
 }
 
-// encodeBlockFrames is the block encoder as it stood before the clock
-// coding and the anchored last timestamp, verbatim but for the stamp
-// coding being passed to appendStamps as its flag bit and the stream
-// sizes left out: the frame codings, chosen per stream, flag bits 5-6
-// clear. It is the second
-// reference the chooser is held against; that it is the build it stands
-// for is checked block by block against the file that build wrote
+// encodeBlockFrames is the block encoder of the builds between the frame
+// codings and the clock coding: per stream the shorter of the
+// first coding and the frame, stamps varints or runs, no anchor —
+// format v3's flags, flag bits 5-6 clear. It is the second reference the
+// chooser is held against; that it is the build it stands for is checked
+// block by block against the file that build wrote
 // (TestFrameCodingsDirectoryServedAndKeptAsIs).
 func encodeBlockFrames(dst []byte, es []entry, baseVer uint64) []byte {
+	return encodeBlockOneBit(dst, es, baseVer, false)
+}
+
+// encodeBlockV4 is the block encoder of formats v3 (since the clock
+// coding) and v4: encodeBlockFrames plus clock-coded stamps,
+// their first step counted from 0, and the anchored last timestamp
+// (flag bits 5-6). It is the third reference; that it is those builds
+// is checked block by block against the files they wrote
+// (TestClockDirectoryServedAndKeptAsIs, TestV4DirectoryServedAndKeptAsIs).
+func encodeBlockV4(dst []byte, es []entry, baseVer uint64) []byte {
+	return encodeBlockOneBit(dst, es, baseVer, true)
+}
+
+// encodeBlockOneBit makes the choices of the builds that gave a coding
+// one flag bit, over this build's coding primitives: timestamps and
+// values in their first coding or a frame of the deltas, stamps in
+// varints, runs or — with clock — the clock; with clock, blocks of two
+// or more entries anchor their last timestamp.
+func encodeBlockOneBit(dst []byte, es []entry, baseVer uint64, clock bool) []byte {
 	var flags byte
 	for _, e := range es {
 		if e.expire != 0 {
@@ -148,45 +166,62 @@ func encodeBlockFrames(dst []byte, es []entry, baseVer uint64) []byte {
 		if e.ver != 0 {
 			flags |= blockFlagVersion
 		}
-		if flags == blockFlagExpire|blockFlagVersion {
-			break
-		}
 	}
 	at := len(dst)
 	dst = append(dst, 0) // the flags, once the codings are chosen
 
-	dst, framed := appendTimestamps(dst, es)
-	if framed {
-		flags |= blockFlagTSFrame
+	anchored := clock && len(es) > 1
+	if anchored {
+		flags |= blockFlagLastTS
 	}
+	ts := scanTimestamps(es, anchored)
+	coding := byte(codingFirst)
+	if ts.sizes[codingFrame] < ts.sizes[codingFirst] {
+		flags |= blockFlagTSFrame
+		coding = codingFrame
+	}
+	dst = appendTimestamps(dst, es, anchored, coding, &ts)
 
 	if flags&(blockFlagExpire|blockFlagVersion) != 0 {
 		var exp, ver stampStats
 		if flags&blockFlagExpire != 0 {
-			exp = scanStamps(es, stampExpire, 0)
+			exp = scanStamps(es, stampExpire, 0, 0)
 		}
 		if flags&blockFlagVersion != 0 {
-			ver = scanStamps(es, stampVersion, baseVer)
+			ver = scanStamps(es, stampVersion, baseVer, 0)
 		}
 		// One choice for both sections: they are stamped by the same
 		// calls, so their runs coincide.
-		runs := exp.runsLen+ver.runsLen < exp.varintLen+ver.varintLen
-		coding := byte(0)
-		if runs {
-			flags |= blockFlagStampRuns
-			coding = blockFlagStampRuns
+		coding, best := byte(stampVarints), exp.sizes[stampVarints]+ver.sizes[stampVarints]
+		if n := exp.sizes[stampRuns] + ver.sizes[stampRuns]; n < best {
+			coding, best = stampRuns, n
 		}
+		if n := exp.sizes[stampClock] + ver.sizes[stampClock]; clock && n < best && !exp.offTick && !ver.offTick {
+			coding = stampClock
+		}
+		flags |= [3]byte{0, blockFlagStampRuns, blockFlagStampClock}[coding]
 		if flags&blockFlagExpire != 0 {
-			dst = appendStamps(dst, es, stampExpire, 0, coding, &exp)
+			dst = appendStamps(dst, es, stampExpire, 0, 0, coding, &exp)
 		}
 		if flags&blockFlagVersion != 0 {
-			dst = appendStamps(dst, es, stampVersion, baseVer, coding, &ver)
+			dst = appendStamps(dst, es, stampVersion, baseVer, 0, coding, &ver)
 		}
 	}
 
-	dst, ints := appendValues(dst, es)
-	if ints {
+	vs := scanValues(es)
+	ints, x := vs.integral, len(dst)
+	if ints && vs.sizes[codingFrame] > vs.sizes[codingFirst] {
+		dst = appendXORValues(dst, es)
+		if ints = vs.sizes[codingFrame] < len(dst)-x; ints {
+			dst = dst[:x]
+		}
+	}
+	switch {
+	case ints:
 		flags |= blockFlagIntValues
+		dst = appendIntValues(dst, es, codingFrame, &vs)
+	case len(dst) == x:
+		dst = appendXORValues(dst, es)
 	}
 	dst[at] = flags
 	return dst
@@ -224,7 +259,7 @@ func blockShapes() []blockShape {
 	// the loop 2.9 s, ms jitter, on the coordinator's tick.
 	clock := func(i int) uint64 { return shapeV0 + uint64(i)*2_900_000_000 + uint64(rng.Intn(3000))*versionTick }
 	const hour = 3_600_000_000_000
-	return []blockShape{
+	shapes := []blockShape{
 		// Timestamps.
 		{"exact period", func(i int, e *entry) {}},
 		{"jitter", jitter},
@@ -322,6 +357,95 @@ func blockShapes() []blockShape {
 			e.expire = int64(rng.Intn(1 << 40))
 		}},
 	}
+	return append(shapes, codingShapes()...)
+}
+
+// codingShapes returns one shape for each of the 48 combinations of the
+// three streams' codings: each stream dressed the way that makes the
+// encoder choose one of its codings at 64 entries.
+func codingShapes() []blockShape {
+	// hash is a fixed pseudo-random function of the entry (splitmix64's
+	// finaliser): a shape's entries do not depend on how many were made
+	// before.
+	hash := func(i int) int {
+		x := uint64(i+1) * 0x9e3779b97f4a7c15
+		x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+		x = (x ^ x>>27) * 0x94d049bb133111eb
+		return int((x ^ x>>31) >> 33)
+	}
+	ts := []struct {
+		name  string
+		apply func(i int, e *entry)
+	}{
+		// The period grows 50 ns a reading: only the delta-of-deltas
+		// stay small.
+		{"chirp", func(i int, e *entry) { e.ts += int64(25*i*(i-1) + hash(i)%4) }},
+		// Deltas of 0 and 1 µs: a frame of one bit each.
+		{"duplicates", func(i int, e *entry) { e.ts = shapeT0 + int64(i/3)*1000 }},
+		// On the line but for rare spikes: residuals mostly zero.
+		{"spiked", func(i int, e *entry) {
+			if i%7 == 3 {
+				e.ts += 1_000_000 - int64(i)
+			}
+		}},
+		// ±10 ms: twice that against a neighbour, once against the line.
+		{"jitter", func(i int, e *entry) { e.ts += int64(hash(i)%20_000_001) - 10_000_000 }},
+	}
+	values := []struct {
+		name  string
+		apply func(i int, e *entry)
+	}{
+		{"quarters", func(i int, e *entry) {}},
+		// A counter stepping by one of two increments: a frame of one bit
+		// each of the deltas, a random walk away from the line.
+		{"two steps", func(i int, e *entry) {
+			e.val = float64(1000 + 1977*i)
+			for k := 0; k < i; k++ {
+				e.val += float64(900 * (hash(k) % 2))
+			}
+		}},
+		// On the line but for two outliers.
+		{"outliers", func(i int, e *entry) {
+			switch e.val = float64(1000 + 7*i); i {
+			case 7:
+				e.val += 5000
+			case 40:
+				e.val -= 3001
+			}
+		}},
+		// A counter with noise that does not accumulate.
+		{"noisy counter", func(i int, e *entry) { e.val = float64(1_000_003 + 1977*i + hash(i)%900) }},
+	}
+	stamps := []struct {
+		name  string
+		apply func(i int, e *entry)
+	}{
+		// A few ns apart but for rare jumps no frame can afford.
+		{"jumping", func(i int, e *entry) {
+			e.ver = shapeV0 + uint64(3*i)
+			for k := 1; k <= i/16; k++ {
+				e.ver += 1_000_000_000_000 + uint64(hash(-k))
+			}
+		}},
+		{"once", func(i int, e *entry) { e.ver = shapeV0 }},
+		// On the tick, a round of 2.9 s that drifts 40 µs a round.
+		{"drifting round", func(i int, e *entry) {
+			e.ver = shapeV0 + uint64(i*2_900_000+20*i*i+hash(i)%10)*versionTick
+		}},
+	}
+	var shapes []blockShape
+	for _, t := range ts {
+		for _, v := range values {
+			for _, s := range stamps {
+				shapes = append(shapes, blockShape{fmt.Sprintf("%s ts, %s values, %s stamps", t.name, v.name, s.name), func(i int, e *entry) {
+					t.apply(i, e)
+					v.apply(i, e)
+					s.apply(i, e)
+				}})
+			}
+		}
+	}
+	return shapes
 }
 
 func (sh blockShape) entries(n int) []entry {
@@ -333,91 +457,105 @@ func (sh blockShape) entries(n int) []entry {
 	return es
 }
 
-// blockCodings are the flag bits of the coding choices: timestamps
-// varints or a frame, stamps varints, runs or clock, values XOR or
-// integers — twelve combinations.
-const blockCodings = blockFlagTSFrame | blockFlagStampRuns | blockFlagStampClock | blockFlagIntValues
+// blockCodings are the flag bits of the coding selectors: timestamps and
+// values four codings each, stamps three — 48 combinations.
+const blockCodings = 0xff &^ (blockFlagExpire | blockFlagVersion)
 
-// everyCoding calls f with each of the twelve combinations.
+// everyCoding calls f with each of the 48 combinations.
 func everyCoding(f func(c byte)) {
-	for _, ts := range []byte{0, blockFlagTSFrame} {
-		for _, stamps := range []byte{0, blockFlagStampRuns, blockFlagStampClock} {
-			for _, values := range []byte{0, blockFlagIntValues} {
-				f(ts | stamps | values)
+	for ts := byte(0); ts < 4; ts++ {
+		for values := byte(0); values < 4; values++ {
+			for stamps := byte(0); stamps <= stampClock; stamps++ {
+				f(blockCoding{ts: ts, values: values, stamps: stamps}.flags())
 			}
 		}
 	}
 }
 
-// codingSeeds returns, for each of the twelve combinations of the three
+// codingSeeds returns, for each of the 48 combinations of the three
 // coding choices, the smallest shaped series that makes the encoder
 // choose it — the fuzz corpora's way into every decoder arm.
 func codingSeeds(t interface{ Fatal(...any) }) map[byte][]entry {
 	seeds := map[byte][]entry{}
-	for _, n := range []int{1, 2, 130, blockEntries - 1} {
+	for _, n := range []int{1, 2, 3, 64, 130, blockEntries - 1} {
 		for _, sh := range blockShapes() {
 			es := sh.entries(n)
-			enc, _ := encodeBlock(nil, es, es[0].ver)
+			enc, _ := encodeBlock(nil, es, blockBase{ver: es[0].ver})
 			if _, ok := seeds[enc[0]&blockCodings]; !ok {
 				seeds[enc[0]&blockCodings] = es
 			}
 		}
 	}
-	if len(seeds) != 12 {
-		t.Fatal("shapes reach only", len(seeds), "of the 12 coding combinations")
+	if len(seeds) != 48 {
+		t.Fatal("shapes reach only", len(seeds), "of the 48 coding combinations")
 	}
 	return seeds
 }
 
 // TestBlockCodingsRoundTripAndNeverGrow holds every block the encoder
-// emits to the codec's promises, over every shape at 1, 2, 511 and 512
-// entries and against bases on, off and above the stamps: it decodes to
-// exactly what went in — timestamp, value bits, expire, version — it
-// anchors its last timestamp exactly when it has two entries or more,
-// and it is never longer than the same entries as the builds before the
-// frame codings and before the clock coding wrote them, which must
-// themselves still decode (they are what every older file holds). A
-// block using none of the codings a reference lacks is byte for byte
-// what the reference writes. All twelve combinations of the three
-// choices must turn up.
+// emits to the codec's promises, over every shape at 1, 2, 3, 64, 511
+// and 512 entries, against bases on, off and above the stamps and with
+// and without a stamp period: it decodes to exactly what went in —
+// timestamp, value bits, expire, version — and it is never longer than
+// the same entries as the builds before the frame codings, before the
+// clock coding and of format v4 wrote them, which must themselves still
+// decode (they are what every older file holds). Format v4's clock
+// started its step at 0, so against it the bound holds at a stamp period
+// of 0. A block using none of the codings a reference lacks is, but for
+// its flags byte's layout, byte for byte what the reference writes. All
+// 48 combinations of the three choices must turn up.
 func TestBlockCodingsRoundTripAndNeverGrow(t *testing.T) {
 	seen := map[byte]string{}
 	for _, sh := range blockShapes() {
-		for _, n := range []int{1, 2, blockEntries - 1, blockEntries} {
+		for _, n := range []int{1, 2, 3, 64, blockEntries - 1, blockEntries} {
 			es := sh.entries(n)
 			for _, baseVer := range []uint64{0, es[0].ver, shapeV0, shapeV0 + 5} {
-				enc, sz := encodeBlock(nil, es, baseVer)
-				if 1+sz.ts+sz.stamps+sz.values != len(enc) {
-					t.Fatalf("%s/%d: stream sizes %+v do not add up to the block's %d bytes", sh.name, n, sz, len(enc))
-				}
-				if anchored := enc[0]&blockFlagLastTS != 0; anchored != (n > 1) {
-					t.Fatalf("%s/%d: flags %#x", sh.name, n, enc[0])
-				}
-				for _, ref := range []struct {
-					name  string
-					enc   []byte
-					newer byte // flag bits the reference never sets
-				}{
-					{"this build", enc, 0},
-					{"the first codings", encodeBlockPR15(nil, es, baseVer), blockCodings | blockFlagLastTS},
-					{"the frame codings", encodeBlockFrames(nil, es, baseVer), blockFlagStampClock | blockFlagLastTS},
-				} {
-					var got []entry
-					if err := decodeBlock(ref.enc, metaOf(es), blockBase{ver: baseVer}, &got); err != nil {
-						t.Fatalf("%s/%d (flags %#x), %s: %v", sh.name, n, ref.enc[0], ref.name, err)
+				for _, period := range []int64{0, 2_900_000} {
+					base := blockBase{ver: baseVer, stampPeriod: period}
+					enc, sz := encodeBlock(nil, es, base)
+					if 1+sz.ts+sz.stamps+sz.values != len(enc) {
+						t.Fatalf("%s/%d: stream sizes %+v do not add up to the block's %d bytes", sh.name, n, sz, len(enc))
 					}
-					if err := entriesEqual(got, es); err != nil {
-						t.Fatalf("%s/%d (flags %#x), %s: %v", sh.name, n, ref.enc[0], ref.name, err)
+					c, _, err := readFlags(enc[0], n, false)
+					if err != nil {
+						t.Fatalf("%s/%d: %v", sh.name, n, err)
 					}
-					if len(enc) > len(ref.enc) {
-						t.Errorf("%s/%d: %d bytes with flags %#x, %d in %s", sh.name, n, len(enc), enc[0], len(ref.enc), ref.name)
+					old := blockBase{ver: baseVer, v4Flags: true}
+					for _, ref := range []struct {
+						name  string
+						enc   []byte
+						base  blockBase
+						bound bool // the block is no longer
+						same  bool // the block is the reference's
+					}{
+						{"this build", enc, base, false, false},
+						{"the first codings", encodeBlockPR15(nil, es, baseVer), old, true,
+							n == 1 && c.ts == codingFirst && c.values == codingFirst && c.stamps == stampVarints},
+						{"the frame codings", encodeBlockFrames(nil, es, baseVer), old, true,
+							n == 1 && c.values <= codingFrame && c.stamps <= stampRuns},
+						{"format v4", encodeBlockV4(nil, es, baseVer), old, period == 0,
+							period == 0 && c.ts <= codingFrame && c.values <= codingFrame},
+					} {
+						var got []entry
+						if err := decodeBlock(ref.enc, metaOf(es), ref.base, &got); err != nil {
+							t.Fatalf("%s/%d (flags %#x), %s: %v", sh.name, n, ref.enc[0], ref.name, err)
+						}
+						if err := entriesEqual(got, es); err != nil {
+							t.Fatalf("%s/%d (flags %#x), %s: %v", sh.name, n, ref.enc[0], ref.name, err)
+						}
+						if ref.bound && len(enc) > len(ref.enc) {
+							t.Errorf("%s/%d: %d bytes with flags %#x, %d in %s", sh.name, n, len(enc), enc[0], len(ref.enc), ref.name)
+						}
+						if !ref.same {
+							continue
+						}
+						if rc, _, _ := readFlags(ref.enc[0], n, true); rc != c || string(enc[1:]) != string(ref.enc[1:]) {
+							t.Errorf("%s/%d: a block with flags %#x differs from what %s wrote", sh.name, n, enc[0], ref.name)
+						}
 					}
-					if enc[0]&ref.newer == 0 && string(enc) != string(ref.enc) {
-						t.Errorf("%s/%d: a block with flags %#x differs from what %s wrote", sh.name, n, enc[0], ref.name)
+					if _, ok := seen[enc[0]&blockCodings]; !ok {
+						seen[enc[0]&blockCodings] = fmt.Sprintf("%s/%d", sh.name, n)
 					}
-				}
-				if _, ok := seen[enc[0]&blockCodings]; !ok {
-					seen[enc[0]&blockCodings] = fmt.Sprintf("%s/%d", sh.name, n)
 				}
 			}
 		}
@@ -432,28 +570,31 @@ func TestBlockCodingsRoundTripAndNeverGrow(t *testing.T) {
 
 // TestBlockStampSizesAreExact holds the stamp chooser to its inputs:
 // the size scanStamps predicts for each coding is the size appendStamps
-// writes, and the clock coding is ruled out exactly when the base or a
-// stamp, each tested on its own, is off the tick.
+// writes, with and without a stamp period, and the clock coding is ruled
+// out exactly when the base or a stamp, each tested on its own, is off
+// the tick.
 func TestBlockStampSizesAreExact(t *testing.T) {
 	for _, sh := range blockShapes() {
 		for _, n := range []int{1, 2, 5, blockEntries} {
 			es := sh.entries(n)
 			for _, base := range []uint64{0, es[0].ver, shapeV0, shapeV0 + 5} {
 				for _, col := range []stampCol{stampExpire, stampVersion} {
-					s := scanStamps(es, col, base)
-					offTick := base%versionTick != 0
-					for i := range es {
-						offTick = offTick || col.of(&es[i])%versionTick != 0
-					}
-					if s.offTick != offTick {
-						t.Fatalf("%s/%d, base %d: offTick %v, want %v", sh.name, n, base, s.offTick, offTick)
-					}
-					for coding, want := range map[byte]int{0: s.varintLen, blockFlagStampRuns: s.runsLen, blockFlagStampClock: s.clockLen} {
-						if coding == blockFlagStampClock && offTick {
-							continue
+					for _, period := range []int64{0, 2_900_000, -7} {
+						s := scanStamps(es, col, base, period)
+						offTick := base%versionTick != 0
+						for i := range es {
+							offTick = offTick || col.of(&es[i])%versionTick != 0
 						}
-						if got := len(appendStamps(nil, es, col, base, coding, &s)); got != want {
-							t.Fatalf("%s/%d, base %d, coding %#x: %d bytes written, %d predicted", sh.name, n, base, coding, got, want)
+						if s.offTick != offTick {
+							t.Fatalf("%s/%d, base %d: offTick %v, want %v", sh.name, n, base, s.offTick, offTick)
+						}
+						for coding, want := range s.sizes {
+							if coding == stampClock && offTick {
+								continue
+							}
+							if got := len(appendStamps(nil, es, col, base, period, byte(coding), &s)); got != want {
+								t.Fatalf("%s/%d, base %d, period %d, coding %d: %d bytes written, %d predicted", sh.name, n, base, period, coding, got, want)
+							}
 						}
 					}
 				}
@@ -470,8 +611,8 @@ func TestBlockStampSizesAreExact(t *testing.T) {
 // a block cut short must not pass for whole.
 func TestBlockDecodeSurvivesDamage(t *testing.T) {
 	for coding, es := range codingSeeds(t) {
-		enc, _ := encodeBlock(nil, es, es[0].ver)
 		base := blockBase{ver: es[0].ver}
+		enc, _ := encodeBlock(nil, es, base)
 		check := func(what string, raw []byte) bool {
 			var out []entry
 			if err := decodeBlock(raw, metaOf(es), base, &out); err != nil {
@@ -518,28 +659,46 @@ func TestBlockCodingsPickTheObvious(t *testing.T) {
 	for i := range flat {
 		flat[i] = entry{ts: shapeT0 + int64(i)*1_000_000_000, val: 42, ver: shapeV0, expire: 7}
 	}
-	enc, sz := encodeBlock(nil, flat, shapeV0)
-	if enc[0] != blockFlagsKnown&^blockFlagStampClock || len(enc) > 32 || sz.ts > 8 {
-		t.Errorf("flat block: flags %#x, %d bytes, streams %+v; want every frame coding, the anchor and a couple of dozen bytes", enc[0], len(enc), sz)
+	// On its line a periodic sensor's residuals are all zero: a frame of
+	// them is its three header bytes, where one of the deltas states the
+	// period.
+	enc, sz := encodeBlock(nil, flat, blockBase{ver: shapeV0})
+	want := blockCoding{sections: blockFlagExpire | blockFlagVersion, ts: codingLineFrame, values: codingFrame, stamps: stampRuns}
+	if enc[0] != want.flags() || len(enc) > 28 || sz.ts != 3 {
+		t.Errorf("flat block: flags %#x, %d bytes, streams %+v; want %#x, a line frame of timestamps and two dozen bytes", enc[0], len(enc), sz, want.flags())
 	}
 	ms := make([]entry, blockEntries) // ms-quantised: the divisor takes the 10^6 out
 	rng := rand.New(rand.NewSource(3))
 	for i := range ms {
 		ms[i] = entry{ts: shapeT0 + int64(i)*1_000_000_000 + int64(rng.Intn(21))*1_000_000, val: 0.5}
 	}
-	if _, sz := encodeBlock(nil, ms, 0); sz.ts > 10+((blockEntries-1)*6+7)/8 {
+	if _, sz := encodeBlock(nil, ms, blockBase{}); sz.ts > 10+((blockEntries-1)*6+7)/8 {
 		t.Errorf("ms-quantised timestamps: %d bytes, want a header and 6 bits a delta", sz.ts)
 	}
-	binary := make([]entry, blockEntries) // a 0/1 state that flips rarely: XOR spends a bit, a frame two
+	// A 0/1 state that flips rarely: against its line a bit a reading,
+	// which XOR spends too, on top of its raw first value; the deltas take
+	// two bits each.
+	binary := make([]entry, blockEntries)
 	for i := range binary {
-		binary[i] = entry{ts: int64(i), val: float64(i / 200 % 2)}
+		binary[i] = entry{ts: int64(i), val: float64(i / 170 % 2)}
 	}
-	if enc, _ := encodeBlock(nil, binary, 0); enc[0]&blockFlagIntValues != 0 {
-		t.Error("rarely flipping 0/1 values: integer coding chosen although XOR is shorter")
+	if enc, sz := encodeBlock(nil, binary, blockBase{}); enc[0]>>blockValuesShift&3 != codingLineFrame || sz.values > 2+3+(blockEntries-2+7)/8 {
+		t.Errorf("rarely flipping 0/1 values: flags %#x, %d value bytes; want a line frame of a bit a reading", enc[0], sz.values)
 	}
 	few := []entry{{ts: shapeT0, val: 1.5, ver: shapeV0}, {ts: shapeT0 + 999_999_999, val: 2.5, ver: shapeV0 + 31_337}}
-	if enc, sz := encodeBlock(nil, few, shapeV0); enc[0] != blockFlagVersion|blockFlagLastTS || sz.ts != 0 {
+	if enc, sz := encodeBlock(nil, few, blockBase{ver: shapeV0}); enc[0] != blockFlagVersion || sz.ts != 0 {
 		t.Errorf("two-entry block: flags %#x, %d timestamp bytes; want the first codings throughout and both timestamps from the index", enc[0], sz.ts)
+	}
+	// Five readings of a fan-in sensor, ±10 ms on a 1 s period, and of an
+	// integer counter with noise that does not accumulate: against the
+	// line through their ends, neither stream pays a first delta.
+	fan := make([]entry, 5)
+	for i := range fan {
+		fan[i] = entry{ts: shapeT0 + int64(i)*1_000_000_000 + int64(rng.Intn(20_000_001)) - 10_000_000, val: float64(1_000_003 + 1977*i + rng.Intn(40))}
+	}
+	enc, sz = encodeBlock(nil, fan, blockBase{})
+	if want := (blockCoding{ts: codingLine, values: codingLine}).flags(); enc[0] != want || sz.ts > 3*4 || sz.values > 3+3+3 {
+		t.Errorf("fan-in block: flags %#x, streams %+v; want %#x: line varints, four bytes a timestamp, a byte a value", enc[0], sz, want)
 	}
 }
 
@@ -548,7 +707,8 @@ func TestBlockCodingsPickTheObvious(t *testing.T) {
 // loop, stamped on the clock against a base another sensor set, which
 // lies above the first two stamps (where (v-base)%tick would wrongly
 // say off the tick). The clock coding wins there, and nowhere the tick
-// is missed: a stamp or the base off it.
+// is missed: a stamp or the base off it. Against the file's stamp period
+// — the round — the first delta is jitter too.
 func TestBlockClockCodesFanInStamps(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	fan := make([]entry, 5)
@@ -559,52 +719,207 @@ func TestBlockClockCodesFanInStamps(t *testing.T) {
 			ver: shapeV0 - 5_000_000_000 + uint64(i)*2_900_000_000 + uint64(rng.Intn(3000))*versionTick,
 		}
 	}
-	enc, sz := encodeBlock(nil, fan, shapeV0)
-	// Four bytes for the first stamp, four for the first delta, two for
-	// each ms of jitter: 14, where nanosecond varints spend 25.
-	if want := byte(blockFlagVersion | blockFlagStampClock | blockFlagIntValues | blockFlagLastTS); enc[0] != want || sz.stamps > 4+4+3*2 {
-		t.Errorf("fan-in block: flags %#x, %d stamp bytes; want %#x and at most 14", enc[0], sz.stamps, want)
+	// Four bytes for the first stamp, four for the first delta — two
+	// against the period — and two for each ms of jitter: 14, or 12, where
+	// nanosecond varints spend 25.
+	for period, most := range map[int64]int{0: 4 + 4 + 3*2, 2_900_000: 4 + 2 + 3*2} {
+		enc, sz := encodeBlock(nil, fan, blockBase{ver: shapeV0, stampPeriod: period})
+		if c, _, _ := readFlags(enc[0], len(fan), false); c.sections != blockFlagVersion || c.stamps != stampClock || sz.stamps > most {
+			t.Errorf("fan-in block, stamp period %d: flags %#x, %d stamp bytes; want the version section clock coded in at most %d", period, enc[0], sz.stamps, most)
+		}
 	}
-	if enc, _ := encodeBlock(nil, fan, shapeV0+1); enc[0]&blockFlagStampClock != 0 {
+	if enc, _ := encodeBlock(nil, fan, blockBase{ver: shapeV0 + 1}); enc[0]>>blockStampsShift == stampClock {
 		t.Error("fan-in block against a base off the tick: clock coded")
 	}
 	fan[3].ver++
-	if enc, _ := encodeBlock(nil, fan, shapeV0); enc[0]&blockFlagStampClock != 0 {
+	if enc, _ := encodeBlock(nil, fan, blockBase{ver: shapeV0}); enc[0]>>blockStampsShift == stampClock {
 		t.Error("fan-in block with a stamp off the tick: clock coded")
 	}
 }
 
-// TestBlockAnchorRejectsForgedMax: the last timestamp of an anchored
-// block is the index entry's max. A max below the second-to-last
-// timestamp — a negative last delta — is refused, one equal to it (a
-// duplicate timestamp) served, and a one-entry block may not claim the
-// anchor. One- and two-entry blocks carry no timestamp bytes at all
-// (TestRunFileRoundTripShapes round-trips them through a file, hot and
-// cold).
+// TestBlockAnchorRejectsForgedMax: the last timestamp of a block of two
+// or more entries is the index entry's max. A max below the
+// second-to-last timestamp — a negative last delta — is refused, one
+// equal to it (a duplicate timestamp) served, in the codings that take
+// no line through it. A line-coded block decodes its body against the
+// max, so under any forged max it is refused or served sorted, ending at
+// that max — never unsorted, the line's wrapped span (a max below the
+// min) included. A one-entry block may not claim the anchor in format
+// v4, nor a line in v5. One- and two-entry blocks carry no timestamp
+// bytes at all (TestRunFileRoundTripShapes round-trips them through a
+// file, hot and cold).
 func TestBlockAnchorRejectsForgedMax(t *testing.T) {
 	for _, sh := range blockShapes() {
 		for _, n := range []int{2, 5, blockEntries} {
 			es := sh.entries(n)
-			enc, _ := encodeBlock(nil, es, es[0].ver)
 			base := blockBase{ver: es[0].ver}
+			enc, _ := encodeBlock(nil, es, base)
 			m := metaOf(es)
 			var out []entry
-			if m.max = es[n-2].ts - 1; es[n-2].ts > math.MinInt64 && (decodeBlock(enc, m, base, &out) == nil || len(out) != 0) {
-				t.Fatalf("%s/%d: a max below the second-to-last timestamp accepted", sh.name, n)
+			if enc[0]>>blockTSShift&3 < codingLine {
+				if m.max = es[n-2].ts - 1; es[n-2].ts > math.MinInt64 && (decodeBlock(enc, m, base, &out) == nil || len(out) != 0) {
+					t.Fatalf("%s/%d: a max below the second-to-last timestamp accepted", sh.name, n)
+				}
+				if m.max = es[n-2].ts; decodeBlock(enc, m, base, &out) != nil || out[n-1].ts != m.max {
+					t.Fatalf("%s/%d: a max equal to the second-to-last timestamp not served as the last", sh.name, n)
+				}
+				continue
 			}
-			if m.max = es[n-2].ts; decodeBlock(enc, m, base, &out) != nil || out[n-1].ts != m.max {
-				t.Fatalf("%s/%d: a max equal to the second-to-last timestamp not served as the last", sh.name, n)
+			for _, forged := range []int64{es[0].ts - 1, math.MinInt64, es[n-2].ts - 1, es[n-2].ts, es[n-1].ts + 1, math.MaxInt64} {
+				out, m.max = out[:0], forged
+				if err := decodeBlock(enc, m, base, &out); err != nil {
+					continue
+				}
+				if len(out) != n || out[0].ts != m.min || out[n-1].ts != forged {
+					t.Fatalf("%s/%d: forged max %d served %d entries over [%d, %d]", sh.name, n, forged, len(out), out[0].ts, out[len(out)-1].ts)
+				}
+				for i := 1; i < n; i++ {
+					if out[i].ts < out[i-1].ts {
+						t.Fatalf("%s/%d: forged max %d served unsorted at %d", sh.name, n, forged, i)
+					}
+				}
+				if forged < m.min {
+					t.Fatalf("%s/%d: a max below the min served", sh.name, n)
+				}
 			}
 		}
 		one := sh.entries(1)
-		enc, sz := encodeBlock(nil, one, one[0].ver)
-		if sz.ts != 0 || enc[0]&blockFlagLastTS != 0 {
+		base := blockBase{ver: one[0].ver}
+		enc, sz := encodeBlock(nil, one, base)
+		if sz.ts != 0 || enc[0]>>blockTSShift&3 != codingFirst {
 			t.Fatalf("%s/1: flags %#x, %d timestamp bytes", sh.name, enc[0], sz.ts)
 		}
-		enc[0] |= blockFlagLastTS
+		anchored := encodeBlockV4(nil, one, base.ver)
+		anchored[0] |= blockFlagLastTS
 		var out []entry
-		if err := decodeBlock(enc, metaOf(one), blockBase{ver: one[0].ver}, &out); err == nil {
-			t.Fatalf("%s/1: a one-entry block claiming the anchor accepted", sh.name)
+		for _, forged := range []struct {
+			raw  []byte
+			base blockBase
+		}{
+			{append([]byte{enc[0] | codingLine<<blockTSShift}, enc[1:]...), base},
+			{append([]byte{enc[0] | codingLineFrame<<blockValuesShift}, enc[1:]...), base},
+			{anchored, blockBase{ver: base.ver, v4Flags: true}},
+		} {
+			if err := decodeBlock(forged.raw, metaOf(one), forged.base, &out); err == nil {
+				t.Fatalf("%s/1: a one-entry block with flags %#x accepted", sh.name, forged.raw[0])
+			}
+		}
+	}
+}
+
+// TestLineStepsExactly holds the line's incremental steps — two adds and
+// a shift each — to the exact 128-bit point first + ⌊i·|span|/(n-1)⌋, in
+// both directions, modulo 2^64, over spans that fill 64 bits, and at
+// every n a block can have over a span whose remainder is the largest
+// (|span| ≡ -1 mod n-1): where the fixed-point share comes closest to the
+// next whole number.
+func TestLineStepsExactly(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	spans := []uint64{0, 1, 2, 510, 511, 1 << 54, 1<<63 - 1, 1 << 63, math.MaxUint64}
+	for len(spans) < 40 {
+		spans = append(spans, rng.Uint64()>>rng.Intn(64))
+	}
+	check := func(n int, span uint64) {
+		for _, down := range []bool{false, true} {
+			from := rng.Uint64()
+			signed := span
+			if down {
+				signed = -span
+			}
+			ln := newLine(from, signed, down, n)
+			var got uint64
+			for i := 1; i < n; i++ {
+				hi, lo := bits.Mul64(uint64(i), span)
+				q, _ := bits.Div64(hi, lo, uint64(n-1))
+				want := from + q
+				if down {
+					want = from - q
+				}
+				if got = ln.next(); got != want {
+					t.Fatalf("n %d, span %d, down %v: point %d is %d, want %d", n, span, down, i, got, want)
+				}
+			}
+			if got != from+signed {
+				t.Fatalf("n %d, span %d, down %v: the line ends at %d, not at its last point", n, span, down, got)
+			}
+		}
+	}
+	for _, n := range []int{2, 3, 5, blockEntries - 1, blockEntries} {
+		for _, span := range spans {
+			check(n, span)
+		}
+	}
+	for n := 3; n <= blockEntries; n++ {
+		n1 := uint64(n - 1)
+		check(n, rng.Uint64()>>1/n1*n1+n1-1)
+		check(n, n1-1)
+	}
+}
+
+// TestBlockLineCodingsRoundTrip: blocks coded against their lines come
+// back exactly at 3, 511 and 512 entries — timestamps spanning the whole
+// int64 range, integer values spanning ±2^54 in both directions, and
+// ends that are equal. A forged index max below the min makes the line's
+// span wrap modulo 2^64, and so every residual sum: the block is
+// refused, never served unsorted.
+func TestBlockLineCodingsRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	noise := func(k int) int64 { return int64(rng.Intn(2*k+1) - k) }
+	for _, n := range []int{3, blockEntries - 1, blockEntries} {
+		cases := map[string][]entry{}
+		whole := make([]entry, n) // timestamps from MinInt64 to MaxInt64
+		ln := tsLine(math.MinInt64, math.MaxInt64, n)
+		for i := range whole {
+			whole[i] = entry{ts: math.MinInt64, val: 0.5}
+			if i > 0 {
+				whole[i].ts = int64(ln.next())
+			}
+			if i > 0 && i < n-1 {
+				whole[i].ts += noise(1000)
+			}
+		}
+		cases["whole int64 range"] = whole
+		for _, dir := range []int64{1, -1} {
+			es := make([]entry, n) // values from ∓2^53 to ±2^53
+			ln := valueLine(-dir<<53, dir<<54, n)
+			for i := range es {
+				v := -dir << 53
+				if i > 0 {
+					v = int64(ln.next())
+				}
+				if i > 0 && i < n-1 {
+					v += noise(500)
+				}
+				es[i] = entry{ts: shapeT0 + int64(i)*1_000_000_000, val: float64(v)}
+			}
+			cases[fmt.Sprintf("values spanning %+d·2^54", dir)] = es
+		}
+		equal := make([]entry, n) // the same first and last value and timestamp
+		for i := range equal {
+			equal[i] = entry{ts: shapeT0, val: float64(100 + noise(50))}
+		}
+		equal[0].val, equal[n-1].val = 100, 100
+		cases["equal ends"] = equal
+		for name, es := range cases {
+			base := blockBase{}
+			enc, got, err := codecRoundTrip(es, base)
+			if err != nil {
+				t.Fatalf("%s/%d: %v", name, n, err)
+			}
+			if err := entriesEqual(got, es); err != nil {
+				t.Fatalf("%s/%d: %v", name, n, err)
+			}
+			c, _, _ := readFlags(enc[0], n, false)
+			if name != "equal ends" && c.ts < codingLine && c.values < codingLine {
+				t.Errorf("%s/%d: flags %#x, no stream coded against its line", name, n, enc[0])
+			}
+			m := metaOf(es)
+			if m.max = m.min - 1; m.min > math.MinInt64 {
+				var out []entry
+				if err := decodeBlock(enc, m, base, &out); err == nil || len(out) != 0 {
+					t.Errorf("%s/%d: a max below the min served", name, n)
+				}
+			}
 		}
 	}
 }
@@ -900,7 +1215,7 @@ func TestRunFilePages(t *testing.T) {
 // forgedIndex serialises idx as it stands — appendRunIndex does not
 // validate — and parses it back against a data section of dataLen.
 func forgedIndex(idx *runIndex, dataLen int64) (*runIndex, error) {
-	return parseRunIndex(appendRunIndex(nil, idx), dataLen, 4)
+	return parseRunIndex(appendRunIndex(nil, idx), dataLen, 5)
 }
 
 // TestRunIndexAllocationGuards forges the counts and lengths a parser
@@ -1043,7 +1358,7 @@ func TestRunIndexAllocationGuards(t *testing.T) {
 // of both value codings, a block whose entries cost no bits, and counts
 // the block cannot be.
 func TestBlockDecodeCountGuard(t *testing.T) {
-	single, _ := encodeBlock(nil, []entry{{ts: 42, val: 1.5}}, 0)
+	single, _ := encodeBlock(nil, []entry{{ts: 42, val: 1.5}}, blockBase{})
 	if len(single) != 1+8 {
 		t.Fatalf("one-entry block is %d bytes, want 9: nothing but flags and the raw value", len(single))
 	}
@@ -1058,15 +1373,30 @@ func TestBlockDecodeCountGuard(t *testing.T) {
 			t.Errorf("count %d over a one-entry block: %+v, %v", count, out, err)
 		}
 	}
-	if err := decodeBlock([]byte{0x80, 0, 0, 0, 0, 0, 0, 0, 0}, at42, blockBase{}, &out); err == nil || !strings.Contains(err.Error(), "unknown flags") {
-		t.Errorf("block with flag bit 7: %v, want the unknown-flags refusal", err)
+	// Stamp coding 3 does not exist; neither did flag bit 7 before v5,
+	// nor both stamp bits.
+	v4 := blockBase{v4Flags: true}
+	for _, c := range []struct {
+		raw  []byte
+		base blockBase
+		want string
+	}{
+		{[]byte{blockFlagVersion | 3<<blockStampsShift, 0, 0, 0, 0, 0, 0, 0, 0, 0}, blockBase{}, "stamp coding 3"},
+		{[]byte{3 << blockStampsShift, 0, 0, 0, 0, 0, 0, 0, 0}, blockBase{}, "stamp coding 3"},
+		{[]byte{0x80, 0, 0, 0, 0, 0, 0, 0, 0}, v4, "unknown flags"},
+		{[]byte{blockFlagVersion | blockFlagStampRuns | blockFlagStampClock, 0, 0, 0, 0, 0, 0, 0, 0, 0}, v4, "both run-length and clock"},
+	} {
+		if err := decodeBlock(c.raw, at42, c.base, &out); err == nil || !strings.Contains(err.Error(), c.want) || len(out) != 0 {
+			t.Errorf("flags %#x (v4 layout %v): %v, want %q", c.raw[0], c.base.v4Flags, err, c.want)
+		}
 	}
-	both := []byte{blockFlagVersion | blockFlagStampRuns | blockFlagStampClock, 0, 0, 0, 0, 0, 0, 0, 0, 0}
-	if err := decodeBlock(both, at42, blockBase{}, &out); err == nil || len(out) != 0 {
-		t.Errorf("stamps both run-length and clock coded: %v", err)
+	// Bit 7 in v5 is half the stamp selector: clock, of no section here.
+	if err := decodeBlock([]byte{0x80, 0, 0, 0, 0, 0, 0, 0, 0}, at42, blockBase{}, &out); err != nil || len(out) != 1 {
+		t.Errorf("flags 0x80 in v5: %v", err)
 	}
+	out = out[:0]
 
-	small, _ := encodeBlock(nil, []entry{{ts: 42, val: 3}}, 0)
+	small, _ := encodeBlock(nil, []entry{{ts: 42, val: 3}}, blockBase{})
 	if len(small) != blockMinLen {
 		t.Fatalf("one-entry integer block is %d bytes, want %d", len(small), blockMinLen)
 	}
@@ -1084,7 +1414,7 @@ func TestBlockDecodeCountGuard(t *testing.T) {
 	for i := range flat {
 		flat[i] = entry{ts: int64(i) * 1_000_000_000, val: 7}
 	}
-	dozen, _ := encodeBlock(nil, flat, 0)
+	dozen, _ := encodeBlock(nil, flat, blockBase{})
 	if len(dozen) > 12 {
 		t.Fatalf("periodic constant block is %d bytes, want at most 12", len(dozen))
 	}
@@ -1121,7 +1451,10 @@ func TestRunFooterRejectsOversizedIndex(t *testing.T) {
 // carry versions and ns-jittered timestamps, as every write since PR 9
 // does. The fan-in shape is the block a file holds of one of very many
 // sensors: five readings of an integer counter, one a round of the
-// writer's loop, stamped on the coordinator's clock.
+// writer's loop, stamped on the coordinator's clock. The line shape is a
+// full block coded against its line in both streams: the counter with
+// noise that does not accumulate, sampled with ±1 ms of jitter, its two
+// ends on the grid.
 func benchBlocks() map[string][]entry {
 	rng := rand.New(rand.NewSource(5))
 	const t0, v0 = int64(1_560_000_000_000_000_000), uint64(1_700_000_000_000_000_000)
@@ -1160,6 +1493,19 @@ func benchBlocks() map[string][]entry {
 		}
 	}
 	shapes["fanin"] = fanin
+	line := make([]entry, blockEntries)
+	for i := range line {
+		jitter, noise := rng.Intn(2_000_001)-1_000_000, rng.Intn(900)
+		if i == 0 || i == blockEntries-1 { // the ends on the grid: the line is the grid
+			jitter, noise = 0, 0
+		}
+		line[i] = entry{
+			ts:  t0 + int64(i)*1_000_000_000 + int64(jitter),
+			val: float64(1_000_003 + i*1977 + noise),
+			ver: v0 + uint64(i)*1_000_000_000 + uint64(rng.Intn(50_000)),
+		}
+	}
+	shapes["line"] = line
 	return shapes
 }
 
@@ -1169,7 +1515,7 @@ func BenchmarkBlockEncode(b *testing.B) {
 			b.ReportAllocs()
 			var buf []byte
 			for i := 0; i < b.N; i++ {
-				buf, _ = encodeBlock(buf[:0], es, es[0].ver)
+				buf, _ = encodeBlock(buf[:0], es, blockBase{ver: es[0].ver})
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(es)), "ns/reading")
 			b.ReportMetric(float64(len(buf))/float64(len(es)), "B/reading")
@@ -1181,11 +1527,15 @@ func BenchmarkBlockDecode(b *testing.B) {
 	for name, es := range benchBlocks() {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
-			enc, _ := encodeBlock(nil, es, es[0].ver)
+			base := blockBase{ver: es[0].ver}
+			enc, _ := encodeBlock(nil, es, base)
+			if c, _, _ := readFlags(enc[0], len(es), false); name == "line" && (c.ts != codingLineFrame || c.values != codingLineFrame) {
+				b.Fatalf("line shape coded %+v", c)
+			}
 			out := make([]entry, 0, len(es))
 			for i := 0; i < b.N; i++ {
 				out = out[:0]
-				if err := decodeBlock(enc, metaOf(es), blockBase{ver: es[0].ver}, &out); err != nil {
+				if err := decodeBlock(enc, metaOf(es), base, &out); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -1240,7 +1590,7 @@ func BenchmarkQueryColdFanIn(b *testing.B) {
 }
 
 // TestRunIndexParsersSurviveDamage feeds the index parser — behind the
-// footer CRC in production, bare here — every prefix of three valid
+// footer CRC in production, bare here — every prefix of six valid
 // indexes and every single-byte corruption of them. A prefix must be
 // rejected; a corruption may parse (the CRC, not the parser, catches a
 // flipped bound) but must never panic or reach past the data section.
@@ -1249,22 +1599,24 @@ func TestRunIndexParsersSurviveDamage(t *testing.T) {
 		dataLen = int64(binary.BigEndian.Uint64(file[len(file)-runFooterLen:]))
 		return file[dataLen : len(file)-runFooterLen], dataLen
 	}
-	v4, v4Len := split(validRunFileBytes(t))
+	v5, v5Len := split(validRunFileBytes(t))
 	fanin, faninLen := split(writtenRunFileBytes(t, goldenClockContents()))
 	old, oldLen := split(goldenBytes(t, goldenPR15Path))
 	frames, framesLen := split(goldenBytes(t, goldenFramesPath))
 	clock, clockLen := split(goldenBytes(t, goldenClockPath))
+	v4, v4Len := split(goldenBytes(t, goldenV4Path))
 	for _, c := range []struct {
 		name    string
 		format  int
 		index   []byte
 		dataLen int64
 	}{
-		{"writer", 4, v4, v4Len},
-		{"writer, fan-in", 4, fanin, faninLen},
+		{"writer", 5, v5, v5Len},
+		{"writer, fan-in", 5, fanin, faninLen},
 		{"before the frame codings", 3, old, oldLen},
 		{"before the clock coding", 3, frames, framesLen},
 		{"before format v4", 3, clock, clockLen},
+		{"before format v5", 4, v4, v4Len},
 	} {
 		if _, err := parseRunIndex(c.index, c.dataLen, c.format); err != nil {
 			t.Fatalf("%s: intact index rejected: %v", c.name, err)

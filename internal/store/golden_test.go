@@ -31,6 +31,61 @@ const goldenFramesPath = "testdata/run-v3-frames.sst"
 // writer now writes v4 — so goldenClockContents must never change.
 const goldenClockPath = "testdata/run-v3-clock.sst"
 
+// goldenV4Path is a run file in format v4 holding goldenV4Contents,
+// written by the last build of format v4: the fixture for v4's index —
+// pages of blocks under one CRC, entry counts from the series, SIDs by
+// hierarchy level, block bounds against the file's period — and for its
+// blocks, which gave each coding one flag bit. It cannot be regenerated
+// from this tree — the writer now writes v5 — so goldenV4Contents must
+// never change.
+const goldenV4Path = "testdata/run-v4.sst"
+
+// goldenV4Contents is a closed-loop fan-in as the coordinator stamps it:
+// sixty sensors of five or six readings each, one a round of the
+// writer's loop (~1.1 s), versions on the microsecond tick with ms
+// jitter, behind a series of 1025 readings (two full blocks and one
+// over) that is first in SID order, so the base version is on the tick;
+// and a tombstone. Two in three sensors are integer counters, the rest
+// gauges in quarter steps; one carries expiries.
+func goldenV4Contents() *runContents {
+	rng := rand.New(rand.NewSource(25))
+	ids := goldenShardIDs(61)
+	const t0, v0, round = int64(1_560_000_000_000_000_000), uint64(1_700_000_000_000_000_000), 1_100_000_000
+	stamp := func(i int) uint64 { return v0 + uint64(i)*round + uint64(rng.Intn(3000))*versionTick }
+	rc := &runContents{
+		minSeq: 1, maxSeq: 2,
+		tombs:  map[core.SensorID]int64{ids[3]: 77, sid(9, 9): 123},
+		series: map[core.SensorID][]entry{},
+	}
+	long := make([]entry, 2*blockEntries+1)
+	for i := range long {
+		long[i] = entry{
+			ts:  t0 + int64(i)*round + int64(rng.Intn(2_000_001)) - 1_000_000,
+			val: float64(50_000 + 13*i + rng.Intn(9)),
+			ver: stamp(i),
+		}
+	}
+	rc.series[ids[0]] = long
+	for s := 1; s < len(ids); s++ {
+		es := make([]entry, 5+s%2)
+		walk := float64(20 + rng.Intn(60))
+		for i := range es {
+			es[i] = entry{ts: t0 + int64(i)*round + int64(rng.Intn(20_000_001)) - 10_000_000, ver: stamp(i)}
+			if s%3 == 0 {
+				walk += float64(rng.Intn(5)-2) * 0.25
+				es[i].val = walk
+			} else {
+				es[i].val = float64(s*1_000_003 + i*(1000+s) + rng.Intn(30))
+			}
+			if s == 7 { // expiring in 2100, so every reading is served
+				es[i].expire = 4_102_444_800_000_000_000
+			}
+		}
+		rc.series[ids[s]] = es
+	}
+	return rc
+}
+
 // goldenName is the name the file must carry inside a shard directory
 // (its index states the span [1,2]).
 var goldenName = runFileName(1, 2)

@@ -76,7 +76,7 @@ type walMetrics struct {
 // files' data sections; magic and footer are 24 bytes a file.
 type runMetrics struct {
 	ts, stamps, values, index *metrics.Counter
-	blocks                    [2][2]*metrics.Counter // as runBytes.blocks
+	blocks                    [4][4]*metrics.Counter // as runBytes.blocks
 	stamped                   [3]*metrics.Counter    // as runBytes.stamped
 }
 
@@ -135,8 +135,10 @@ func newNodeMetrics(n *Node) *nodeMetrics {
 	}
 	m.run.ts, m.run.stamps, m.run.values = stream("ts"), stream("stamps"), stream("values")
 	m.run.index = reg.Counter("dcdb_store_run_index_bytes_total", "Index bytes of committed run files.")
-	for i, ts := range []string{"varint", "frame"} {
-		for j, values := range []string{"xor", "int"} {
+	// By selector (block.go): the first coding, the frame of the deltas,
+	// the line's residuals as varints and in a frame.
+	for i, ts := range []string{"varint", "frame", "line", "line_frame"} {
+		for j, values := range []string{"xor", "int", "line", "line_frame"} {
 			m.run.blocks[i][j] = reg.Counter(fmt.Sprintf(`dcdb_store_blocks_total{ts="%s",values="%s"}`, ts, values),
 				"Blocks of committed run files by the coding their timestamp and value streams chose.")
 		}

@@ -412,7 +412,7 @@ func TestRunBytesMetrics(t *testing.T) {
 		if err := n.InsertVersioned(gauge, []VersionedReading{vr}); err != nil {
 			t.Fatal(err)
 		}
-		vr = VersionedReading{Timestamp: t0 + i*1_000_000_000, Value: float64(90 + i), Version: v0 + uint64(i)*2_900_000_000 + uint64(i*i)*versionTick}
+		vr = VersionedReading{Timestamp: t0 + i*1_000_000_000, Value: float64(1_000_003 + 1977*i + i*i*7%31), Version: v0 + uint64(i)*2_900_000_000 + uint64(i*i)*versionTick}
 		if err := n.InsertVersioned(clocked, []VersionedReading{vr}); err != nil {
 			t.Fatal(err)
 		}
@@ -443,7 +443,7 @@ func TestRunBytesMetrics(t *testing.T) {
 	for _, se := range idx.series {
 		es := rc.series[se.id]
 		for _, m := range se.blocks {
-			enc, sz := encodeBlock(nil, es[:m.count], idx.base.ver)
+			enc, sz := encodeBlock(nil, es[:m.count], idx.base)
 			if string(enc) != string(data[m.off:m.off+uint64(m.length)]) {
 				t.Fatalf("block at %d is not the encoding of its entries", m.off)
 			}
@@ -452,8 +452,12 @@ func TestRunBytesMetrics(t *testing.T) {
 		}
 	}
 	want.index = len(data) - int(idx.dataLen) - runFooterLen
-	if want.blocks[1][1] == 0 || want.blocks[0][0]+want.blocks[1][0] != 1 {
-		t.Fatalf("block codings %v: want the counter's full block frame/int and the gauge's XOR", want.blocks)
+	// The counter's blocks frame their timestamps' residuals from the
+	// line and their values' deltas; the five-reading series code their
+	// timestamps against the line, the gauge its values as XOR, the
+	// clocked sensor its values against their line too.
+	if want.blocks[codingLineFrame][codingFrame] != 2 || want.blocks[codingLine][codingFirst] != 1 || want.blocks[codingLine][codingLine] != 1 {
+		t.Fatalf("block codings %v: want the counter's line frame/int, the gauge's line/XOR and the clocked sensor's line/line", want.blocks)
 	}
 	if want.stamped != [3]int{1, 2, 1} {
 		t.Fatalf("stamp codings %v: want the gauge's varints, the counter's runs and the clocked sensor's clock", want.stamped)
@@ -464,19 +468,21 @@ func TestRunBytesMetrics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, v := range map[string]int{
-			`dcdb_store_block_bytes_total{stream="ts"}`:         want.streams.ts,
-			`dcdb_store_block_bytes_total{stream="stamps"}`:     want.streams.stamps,
-			`dcdb_store_block_bytes_total{stream="values"}`:     want.streams.values,
-			`dcdb_store_run_index_bytes_total`:                  want.index,
-			`dcdb_store_blocks_total{ts="varint",values="xor"}`: want.blocks[0][0],
-			`dcdb_store_blocks_total{ts="varint",values="int"}`: want.blocks[0][1],
-			`dcdb_store_blocks_total{ts="frame",values="xor"}`:  want.blocks[1][0],
-			`dcdb_store_blocks_total{ts="frame",values="int"}`:  want.blocks[1][1],
-			`dcdb_store_stamp_blocks_total{coding="varint"}`:    want.stamped[0],
-			`dcdb_store_stamp_blocks_total{coding="runs"}`:      want.stamped[1],
-			`dcdb_store_stamp_blocks_total{coding="clock"}`:     want.stamped[2],
-		} {
+		counts := map[string]int{
+			`dcdb_store_block_bytes_total{stream="ts"}`:      want.streams.ts,
+			`dcdb_store_block_bytes_total{stream="stamps"}`:  want.streams.stamps,
+			`dcdb_store_block_bytes_total{stream="values"}`:  want.streams.values,
+			`dcdb_store_run_index_bytes_total`:               want.index,
+			`dcdb_store_stamp_blocks_total{coding="varint"}`: want.stamped[stampVarints],
+			`dcdb_store_stamp_blocks_total{coding="runs"}`:   want.stamped[stampRuns],
+			`dcdb_store_stamp_blocks_total{coding="clock"}`:  want.stamped[stampClock],
+		}
+		for i, ts := range []string{"varint", "frame", "line", "line_frame"} {
+			for j, values := range []string{"xor", "int", "line", "line_frame"} {
+				counts[fmt.Sprintf(`dcdb_store_blocks_total{ts="%s",values="%s"}`, ts, values)] = want.blocks[i][j]
+			}
+		}
+		for name, v := range counts {
 			if got := sampleValue(t, samples, name); got != times*float64(v) {
 				t.Errorf("%s = %g, want %g", name, got, times*float64(v))
 			}

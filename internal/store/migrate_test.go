@@ -59,7 +59,7 @@ func servedVersioned(t *testing.T, n *Node, want *runContents) map[core.SensorID
 // compacts it, into blocks that do use the new codings, the answers
 // are still the same (servedAndKeptAsIs).
 func TestPR15DirectoryServedAndKeptAsIs(t *testing.T) {
-	data, idx, _ := servedAndKeptAsIs(t, goldenPR15Path, goldenContents())
+	data, idx, _ := servedAndKeptAsIs(t, goldenPR15Path, "DCDBRUN3", goldenContents())
 	for _, se := range idx.series {
 		for _, m := range se.blocks {
 			if flags := data[m.off]; flags&^(blockFlagExpire|blockFlagVersion) != 0 {
@@ -76,11 +76,10 @@ func TestPR15DirectoryServedAndKeptAsIs(t *testing.T) {
 // pins what they decode to as well. Every block is byte for byte what
 // encodeBlockFrames makes of its entries, which is what lets that
 // reference stand for the build that wrote it. Its base version is off
-// the tick, so this build's compaction anchors every block of two or
-// more entries but clock codes none.
+// the tick, so this build's compaction clock codes no block.
 func TestFrameCodingsDirectoryServedAndKeptAsIs(t *testing.T) {
 	want := goldenFramesContents()
-	data, idx, compacted := servedAndKeptAsIs(t, goldenFramesPath, want)
+	data, idx, compacted := servedAndKeptAsIs(t, goldenFramesPath, "DCDBRUN3", want)
 	var used byte
 	for _, se := range idx.series {
 		es := want.series[se.id]
@@ -106,11 +105,7 @@ func TestFrameCodingsDirectoryServedAndKeptAsIs(t *testing.T) {
 	idx = fileIndex(t, compacted)
 	for _, se := range idx.series {
 		for _, m := range se.blocks {
-			flags := compacted[m.off]
-			if anchored := flags&blockFlagLastTS != 0; anchored != (m.count > 1) {
-				t.Errorf("compacted block of %d entries has flags %#x", m.count, flags)
-			}
-			if flags&blockFlagStampClock != 0 {
+			if flags := compacted[m.off]; flags>>blockStampsShift == stampClock {
 				t.Errorf("compacted block has flags %#x: clock coded against a base off the tick", flags)
 			}
 		}
@@ -118,16 +113,55 @@ func TestFrameCodingsDirectoryServedAndKeptAsIs(t *testing.T) {
 }
 
 // TestClockDirectoryServedAndKeptAsIs is the same contract for format
-// v4, against a run file the last build of format v3 wrote: a fan-in
-// file, its index stating every block's count and CRC and every SID by
-// bytes. Its base version is on the tick, so its blocks clock code their
-// stamps (flag bit 5) and every block of two or more entries anchors
-// its last timestamp (bit 6) — the codings no other fixture holds. Its
-// blocks are byte for byte what this build's encoder makes of their
-// entries: format v4 changed the index, not the blocks.
+// v4's index, against a run file the last build of format v3 wrote: a
+// fan-in file, its index stating every block's count and CRC and every
+// SID by bytes. Its base version is on the tick, so its blocks clock
+// code their stamps (flag bit 5) and every block of two or more entries
+// anchors its last timestamp (bit 6) — the codings the two fixtures
+// before it lack. Its blocks are byte for byte what encodeBlockV4 makes
+// of their entries: format v4 changed the index, not the blocks.
 func TestClockDirectoryServedAndKeptAsIs(t *testing.T) {
-	want := goldenClockContents()
-	data, idx, _ := servedAndKeptAsIs(t, goldenClockPath, want)
+	oneBitBlocksAreV4s(t, goldenClockPath, "DCDBRUN3", goldenClockContents())
+}
+
+// TestV4DirectoryServedAndKeptAsIs is the same contract for format v5,
+// against a run file the last build of format v4 wrote: a fan-in file
+// beside a series of two full blocks and one entry more, its index in
+// pages, counts from the series, SIDs by level and bounds against the
+// period, its blocks in the flags layout of one bit a coding, their
+// clock coding started from a step of 0. Its blocks are byte for byte
+// what encodeBlockV4 makes of their entries. This build compacts it
+// into blocks coded against their lines, the stamp clock against the
+// file's round.
+func TestV4DirectoryServedAndKeptAsIs(t *testing.T) {
+	want := goldenV4Contents()
+	idx, compacted := oneBitBlocksAreV4s(t, goldenV4Path, "DCDBRUN4", want)
+	if idx.period == 0 {
+		t.Fatalf("fixture index has no period")
+	}
+	idx = fileIndex(t, compacted)
+	if round := int64(1_100_000_000 / versionTick); idx.base.stampPeriod < round-3000 || idx.base.stampPeriod > round+3000 {
+		t.Errorf("compacted file's stamp period is %d ticks, want the round's %d", idx.base.stampPeriod, round)
+	}
+	var used [4]int
+	for _, se := range idx.series {
+		for _, m := range se.blocks {
+			used[compacted[m.off]>>blockTSShift&3]++
+		}
+	}
+	if used[codingLine] < len(idx.series)/2 || used[codingLineFrame] == 0 {
+		t.Errorf("compacted blocks by timestamp coding %v: want the fan-in series' line varints and the long series' line frames", used)
+	}
+}
+
+// oneBitBlocksAreV4s runs servedAndKeptAsIs on a fixture whose base
+// version is on the tick, checks that its blocks are what encodeBlockV4
+// makes of their entries — every block of two or more entries anchored,
+// most series' stamps clock coded — and returns its index and the file
+// its compaction wrote.
+func oneBitBlocksAreV4s(t *testing.T, golden, magic string, want *runContents) (*runIndex, []byte) {
+	t.Helper()
+	data, idx, compacted := servedAndKeptAsIs(t, golden, magic, want)
 	if idx.base.ver%versionTick != 0 {
 		t.Fatalf("fixture base version %d is off the tick", idx.base.ver)
 	}
@@ -142,8 +176,8 @@ func TestClockDirectoryServedAndKeptAsIs(t *testing.T) {
 			if raw[0]&blockFlagStampClock != 0 {
 				clocked++
 			}
-			if enc, _ := encodeBlock(nil, es[:m.count], idx.base.ver); string(enc) != string(raw) {
-				t.Fatalf("fixture block at %d is not what this build encodes of its entries", m.off)
+			if enc := encodeBlockV4(nil, es[:m.count], idx.base.ver); string(enc) != string(raw) {
+				t.Fatalf("fixture block at %d is not what encodeBlockV4 makes of its entries", m.off)
 			}
 			es = es[m.count:]
 		}
@@ -151,19 +185,20 @@ func TestClockDirectoryServedAndKeptAsIs(t *testing.T) {
 	if clocked < len(idx.series)/2 {
 		t.Fatalf("%d of the fixture's %d series have clock-coded blocks", clocked, len(idx.series))
 	}
+	return idx, compacted
 }
 
 // servedAndKeptAsIs is the compatibility contract against a checked-in
-// run file an older build wrote, holding want: it decodes entry for
-// entry, hot and cold; a directory holding it opens read-only and
-// writable without a byte of it rewritten — there is no migration, an
-// old block is simply one that chose the codings the older build had,
-// an old index one in format v3 — and serves the same answers either
-// way; and after this build compacts it, into format v4 and blocks that
-// do use the newer codings, the answers are still the same and the file
-// is smaller. It returns the fixture, its index and the file the
-// compaction wrote.
-func servedAndKeptAsIs(t *testing.T, golden string, want *runContents) (data []byte, idx *runIndex, compacted []byte) {
+// run file an older build wrote in the format of magic, holding want:
+// it decodes entry for entry, hot and cold; a directory holding it opens
+// read-only and writable without a byte of it rewritten — there is no
+// migration, an old block is simply one that chose the codings the older
+// build had, an old index one in format v3 or v4 — and serves the same
+// answers either way; and after this build compacts it, into format v5
+// and blocks that do use the newer codings, the answers are still the
+// same and the file is smaller. It returns the fixture, its index and
+// the file the compaction wrote.
+func servedAndKeptAsIs(t *testing.T, golden, magic string, want *runContents) (data []byte, idx *runIndex, compacted []byte) {
 	t.Helper()
 	data = goldenBytes(t, golden)
 	got, err := decodeRunFile(data)
@@ -217,8 +252,8 @@ func servedAndKeptAsIs(t *testing.T, golden string, want *runContents) (data []b
 	if compacted = goldenBytes(t, files[0].path); len(compacted) >= len(data) {
 		t.Errorf("compacting %s left %d bytes of its %d", golden, len(compacted), len(data))
 	}
-	if string(data[:runMagicLen]) != "DCDBRUN3" || string(compacted[:runMagicLen]) != string(runMagic) {
-		t.Errorf("%s is %q and compacts into %q, want DCDBRUN3 into %s", golden, data[:runMagicLen], compacted[:runMagicLen], runMagic)
+	if string(data[:runMagicLen]) != magic || string(compacted[:runMagicLen]) != string(runMagic) {
+		t.Errorf("%s is %q and compacts into %q, want %s into %s", golden, data[:runMagicLen], compacted[:runMagicLen], magic, runMagic)
 	}
 	return data, idx, compacted
 }
@@ -349,7 +384,7 @@ func TestOldRunFormatsRefused(t *testing.T) {
 }
 
 // TestNewerRunFormatRefused: a run file of a format newer than this
-// build reads — a DCDBRUN<n> above 4 — fails every kind of open with an
+// build reads — a DCDBRUN<n> above 5 — fails every kind of open with an
 // error that names its format and says it is newer, and is left as it
 // was; a magic that is no run file's at all says so.
 func TestNewerRunFormatRefused(t *testing.T) {
@@ -357,7 +392,7 @@ func TestNewerRunFormatRefused(t *testing.T) {
 		magic string
 		want  string
 	}{
-		{"DCDBRUN5", "format v5 (DCDBRUN5)"},
+		{"DCDBRUN6", "format v6 (DCDBRUN6)"},
 		{"DCDBRUN9", "format v9 (DCDBRUN9)"},
 		{"DCDBRUN0", "not a DCDB run file"},
 		{"DCDBRUNX", "not a DCDB run file"},

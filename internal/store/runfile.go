@@ -15,17 +15,17 @@ import (
 	"dcdb/internal/fsutil"
 )
 
-// Run-file format v4: block-indexed, compressed, cold-readable — and
+// Run-file format v5: block-indexed, compressed, cold-readable — and
 // the only format written. Data comes first so the writer can stream
 // blocks as a merge produces them; the index lives at the tail, closed
 // by a fixed-size footer, so recovery reads O(index) bytes — not the
 // data — and a cold query reads only the pages holding the blocks whose
 // [minTs,maxTs] overlap its window:
 //
-//	magic "DCDBRUN4"
+//	magic "DCDBRUN5"
 //	data   : concatenated blocks (see block.go) in index order, no gaps
 //	index  : minSeq uv | maxSeq-minSeq uv | baseTS zz | baseVer uv |
-//	         period uv | tombCount uv | seriesCount uv
+//	         period uv | stampPeriod zz | tombCount uv | seriesCount uv
 //	         tombs  : tombCount × (sid | cutoff zz), sorted by SID
 //	         series : seriesCount × (sid | count uv | blocks), sorted by SID
 //	           blocks: ⌈count/512⌉ of them, 512 entries each but the last
@@ -50,10 +50,13 @@ import (
 // blocks. Monitoring data is periodic, so a block's span and the gap to
 // the block before it are coded as their distance from what the file's
 // period predicts — the sensor's jitter, not its period. The blocks in
-// turn are anchored in the index — first timestamp = min, and with block
-// flag bit 6 the last timestamp = max; first write version relative to
-// baseVer — so a file of many tiny series, the fan-in shape, pays a few
-// bytes per series, and no timestamp twice.
+// turn are anchored in the index — first timestamp = min, the last one
+// of a block of two or more entries = max, and the line through them is
+// what the line codings store their residuals against; the first write
+// version relative to baseVer, a clock-coded section's first step
+// against stampPeriod (in ticks: the writer's round, see
+// runFileWriter) — so a file of many tiny series, the fan-in shape,
+// pays a few bytes per series, and no timestamp twice.
 //
 // Integrity is layered: the footer CRC covers the index, and every page
 // carries its CRC in the index, so a cold read verifies exactly what it
@@ -62,18 +65,23 @@ import (
 // tiny blocks of a fan-in file share a CRC while a full block keeps its
 // own.
 //
-// Format v3, the one before, is read through the same parser: its
-// blocks, data and footer are v4's; its index has no period (0), states
-// every block's count (series: sid | blockCount uv | blocks; block:
-// len uv | count uv | min-prev uv | max-min uv | crc u32), so every
-// block is a page of its own, and codes SIDs by bytes (u8 (shared<<4 |
-// n-1) | n bytes). Compaction rewrites v3 into v4; nothing else does.
+// Formats v4 and v3, the ones before, are read through the same parser
+// and block decoder. Their data and footer are v5's; their blocks carry
+// the same streams under the flags layout of one bit a coding, which the
+// decoder maps onto v5's selectors (blockBase.v4Flags), and their
+// clock-coded sections start their step at 0: their stampPeriod is 0,
+// which is how they were written. v4's index is v5's without
+// stampPeriod. v3's index has no period (0) either, states every
+// block's count (series: sid | blockCount uv | blocks; block: len uv |
+// count uv | min-prev uv | max-min uv | crc u32), so every block is a
+// page of its own, and codes SIDs by bytes (u8 (shared<<4 | n-1) | n
+// bytes). Compaction rewrites v3 and v4 into v5; nothing else does.
 // The two formats before v3 are refused with the way out (errRunFileV1,
 // errRunFileV2), and their files are left as they are: the builds that
 // read them rewrote them, one format forward, at a writable open. A
-// format newer than v4 is refused by name (errRunFileNewer).
+// format newer than v5 is refused by name (errRunFileNewer).
 
-var runMagic = []byte("DCDBRUN4")
+var runMagic = []byte("DCDBRUN5")
 
 // errRunFileV1 and errRunFileV2 refuse the formats whose decoders are
 // gone: v1, the uncompressed whole-file format of the first durable
@@ -87,7 +95,7 @@ var (
 	errRunFileV2 = errors.New("run file is in format v2 (DCDBRUN2), which this build no longer reads: " +
 		"open the directory once, writable, with a build that still reads v2; it rewrites the files as v3 " +
 		"(see \"Upgrading old run files\" in internal/store/README.md)")
-	errRunFileNewer = errors.New("run file is in a format newer than this build reads (v3 and v4)")
+	errRunFileNewer = errors.New("run file is in a format newer than this build reads (v3 to v5)")
 )
 
 const (
@@ -95,8 +103,8 @@ const (
 	runFooterLen = 16
 
 	// Smallest encodings, for validating counts before allocating — v4's
-	// (a SID may be its header byte alone, a block's CRC closes a page
-	// only), then v3's.
+	// and v5's (a SID may be its header byte alone, a block's CRC closes a
+	// page only), then v3's.
 	minTombLen        = 1 + 1                   // sid, cutoff
 	minBlockMetaLen   = 1 + 1 + 1               // len, gap, span
 	minSeriesLen      = 1 + 1 + minBlockMetaLen // sid, count, one block
@@ -146,7 +154,7 @@ type runIndex struct {
 	tombs          map[core.SensorID]int64
 	series         []seriesIndex // sorted by SID
 	dataLen        int64         // bytes before the index (block bounds)
-	base           blockBase     // what the file's blocks decode against
+	base           blockBase     // what the file's blocks decode against, and how
 	period         uint64        // what block spans and gaps are coded against
 }
 
@@ -164,10 +172,16 @@ type runFileWriter struct {
 
 	minSeq, maxSeq uint64
 	series         []seriesIndex
-	// baseVer is fixed by the first block that carries a version
-	// section (to that block's first non-zero version): blocks stream out
-	// before the file's version range is known.
-	baseVer uint64
+	// The blocks stream out before the file's version range is known, so
+	// base is fixed by the blocks as they come: its version by the first
+	// block that carries a version section (to that block's first
+	// non-zero version), its stamp period by the first block of two or
+	// more entries that carries a stamp section (to the distance in ticks
+	// between its first two versions — a round of the writer's loop on a
+	// fan-in load — or 0 when either is off the tick). No block before
+	// that one has a clock-coded section that takes a step.
+	base       blockBase
+	stampFixed bool
 
 	cur      seriesIndex
 	open     bool
@@ -193,18 +207,20 @@ type writtenPage struct {
 type runBytes struct {
 	streams blockSizes // summed over the blocks
 	index   int
-	blocks  [2][2]int // block count by [timestamps framed][values integer]
-	stamped [3]int    // blocks with a stamp section by its coding: varints, runs, clock
+	blocks  [4][4]int // block count by [timestamp coding][value coding]
+	stamped [3]int    // blocks with a stamp section by its coding
 }
 
-// count adds one block with the given flags byte and stream sizes.
+// count adds one block with the given flags byte (v5 layout) and stream
+// sizes.
 func (b *runBytes) count(flags byte, sz blockSizes) {
 	b.streams.ts += sz.ts
 	b.streams.stamps += sz.stamps
 	b.streams.values += sz.values
-	b.blocks[min(flags&blockFlagTSFrame, 1)][min(flags&blockFlagIntValues, 1)]++
-	if flags&(blockFlagExpire|blockFlagVersion) != 0 {
-		b.stamped[min(flags&blockFlagStampRuns, 1)+2*min(flags&blockFlagStampClock, 1)]++
+	c := codingOf(flags)
+	b.blocks[c.ts][c.values]++
+	if c.sections != 0 {
+		b.stamped[c.stamps]++
 	}
 }
 
@@ -261,16 +277,9 @@ func (w *runFileWriter) flushBlock() error {
 	if len(w.buf) == 0 {
 		return nil
 	}
-	if w.baseVer == 0 {
-		for _, e := range w.buf {
-			if e.ver != 0 {
-				w.baseVer = e.ver
-				break
-			}
-		}
-	}
+	w.fixBase()
 	var sz blockSizes
-	w.blockBuf, sz = encodeBlock(w.blockBuf[:0], w.buf, w.baseVer)
+	w.blockBuf, sz = encodeBlock(w.blockBuf[:0], w.buf, w.base)
 	w.written.count(w.blockBuf[0], sz)
 	if w.off > w.pageOff && closesPage(w.pageOff, w.off, uint64(len(w.blockBuf))) {
 		w.closePage()
@@ -295,6 +304,25 @@ func (w *runFileWriter) flushBlock() error {
 	w.cur.blocks = append(w.cur.blocks, m)
 	w.buf = w.buf[:0]
 	return nil
+}
+
+// fixBase fixes what of the file's base the pending block is the first
+// to decide (see runFileWriter.base).
+func (w *runFileWriter) fixBase() {
+	if w.base.ver != 0 && w.stampFixed {
+		return
+	}
+	for _, e := range w.buf {
+		if w.base.ver == 0 && e.ver != 0 {
+			w.base.ver = e.ver
+		}
+		if !w.stampFixed && len(w.buf) > 1 && (e.ver != 0 || e.expire != 0) {
+			w.stampFixed = true
+			if v0, v1 := w.buf[0].ver, w.buf[1].ver; v0%versionTick == 0 && v1%versionTick == 0 {
+				w.base.stampPeriod = int64(v1/versionTick - v0/versionTick)
+			}
+		}
+	}
 }
 
 // closePage seals the open page, which ends where the next block will
@@ -366,7 +394,7 @@ func (w *runFileWriter) finish(tombs map[core.SensorID]int64) (runFileMeta, *run
 	w.placeBlocks()
 	idx := &runIndex{
 		minSeq: w.minSeq, maxSeq: w.maxSeq, tombs: tombs, series: w.series,
-		dataLen: int64(w.off), base: blockBase{ver: w.baseVer}, period: choosePeriod(w.series),
+		dataLen: int64(w.off), base: w.base, period: choosePeriod(w.series),
 	}
 	indexBytes := appendRunIndex(nil, idx)
 	w.written.index = len(indexBytes)
@@ -524,7 +552,7 @@ func pageCloses(series []seriesIndex) []bool {
 	return closes
 }
 
-// appendRunIndex serialises an index section in format v4. Every block
+// appendRunIndex serialises an index section in format v5. Every block
 // of a page carries the page's CRC; the one that closes it states it.
 func appendRunIndex(b []byte, idx *runIndex) []byte {
 	// The smallest first-block min is the smallest timestamp in the file.
@@ -539,6 +567,7 @@ func appendRunIndex(b []byte, idx *runIndex) []byte {
 	b = binary.AppendUvarint(b, zigzag(baseTS))
 	b = binary.AppendUvarint(b, idx.base.ver)
 	b = binary.AppendUvarint(b, idx.period)
+	b = binary.AppendUvarint(b, zigzag(idx.base.stampPeriod))
 	b = binary.AppendUvarint(b, uint64(len(idx.tombs)))
 	b = binary.AppendUvarint(b, uint64(len(idx.series)))
 	tombIDs := sortedIDs(len(idx.tombs), func(yield func(core.SensorID)) {
@@ -586,7 +615,7 @@ type indexReader struct {
 	b      []byte
 	off    int
 	err    error
-	levels bool // SIDs are level-coded (v4), else byte-coded (v3)
+	levels bool // SIDs are level-coded (v4, v5), else byte-coded (v3)
 }
 
 func (r *indexReader) fail(format string, args ...any) {
@@ -680,8 +709,8 @@ func addDelta(base int64, d uint64) (int64, bool) {
 }
 
 // parseRunIndex decodes and validates an index section of the given
-// format (3 or 4). dataLen is the file offset where the index begins;
-// the blocks must tile the data section exactly, and in v4 the pages
+// format (3 to 5). dataLen is the file offset where the index begins;
+// the blocks must tile the data section exactly, and after v3 the pages
 // must follow the page rule. Every count is checked against the bytes
 // that remain before anything is sized from it, every product and bound
 // against overflow.
@@ -689,7 +718,7 @@ func parseRunIndex(b []byte, dataLen int64, format int) (*runIndex, error) {
 	if dataLen < runMagicLen {
 		return nil, fmt.Errorf("store: run index starts inside the magic")
 	}
-	v4 := format == 4
+	v4 := format >= 4 // the index layout of v4 and v5, else v3's
 	minTomb, minSeries, minBlock := uint64(minTombLen), uint64(minSeriesLen), uint64(minBlockMetaLen)
 	if !v4 {
 		minTomb, minSeries, minBlock = minTombLenV3, minSeriesLenV3, minBlockMetaLenV3
@@ -702,6 +731,9 @@ func parseRunIndex(b []byte, dataLen int64, format int) (*runIndex, error) {
 	idx.base.ver = r.uvarint()
 	if v4 {
 		idx.period = r.uvarint()
+	}
+	if idx.base.v4Flags = format < 5; !idx.base.v4Flags {
+		idx.base.stampPeriod = unzigzag(r.uvarint())
 	}
 	tombCount := r.uvarint()
 	seriesCount := r.uvarint()
@@ -842,11 +874,13 @@ func parseRunIndex(b []byte, dataLen int64, format int) (*runIndex, error) {
 	return idx, nil
 }
 
-// runFormat returns the format (3 or 4) of a run file's magic; v1, v2,
+// runFormat returns the format (3 to 5) of a run file's magic; v1, v2,
 // a newer format and a foreign magic are errors.
 func runFormat(magic []byte) (int, error) {
 	switch string(magic) {
 	case string(runMagic):
+		return 5, nil
+	case "DCDBRUN4":
 		return 4, nil
 	case "DCDBRUN3":
 		return 3, nil
@@ -855,7 +889,7 @@ func runFormat(magic []byte) (int, error) {
 	case "DCDBRUN1":
 		return 0, errRunFileV1
 	}
-	if v := magic[runMagicLen-1]; string(magic[:runMagicLen-1]) == "DCDBRUN" && v > '4' && v <= '9' {
+	if v := magic[runMagicLen-1]; string(magic[:runMagicLen-1]) == "DCDBRUN" && v > '5' && v <= '9' {
 		return 0, fmt.Errorf("%w: it is format v%c (%s); open it with the build that wrote it or a newer one", errRunFileNewer, v, magic)
 	}
 	return 0, fmt.Errorf("not a DCDB run file")

@@ -90,11 +90,11 @@ func TestBlockCodecVersionStream(t *testing.T) {
 	// The base the first version is coded against may lie on either
 	// side of it, or be absent (an unversioned file that gained versions).
 	for _, baseVer := range []uint64{1 << 40, 1<<40 + 77, 1 << 20, 0} {
-		if _, got, err := codecRoundTrip(es, baseVer); err != nil || len(got) != len(es) || got[0] != es[0] {
+		if _, got, err := codecRoundTrip(es, blockBase{ver: baseVer}); err != nil || len(got) != len(es) || got[0] != es[0] {
 			t.Fatalf("base %d: decoded %+v (%v)", baseVer, got, err)
 		}
 	}
-	_, got, err := codecRoundTrip(es, 1<<40)
+	_, got, err := codecRoundTrip(es, blockBase{ver: 1 << 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestBlockCodecVersionStream(t *testing.T) {
 	// All-version-0 blocks must not pay for (or advertise) the version
 	// section, whatever the file's base version is.
 	legacy := []entry{{ts: 1, val: 1}, {ts: 2, val: 2}}
-	lenc, lgot, err := codecRoundTrip(legacy, 1<<40)
+	lenc, lgot, err := codecRoundTrip(legacy, blockBase{ver: 1 << 40})
 	if err != nil {
 		t.Fatal(err)
 	}
