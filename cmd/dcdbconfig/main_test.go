@@ -1,0 +1,210 @@
+package main
+
+import (
+	"bytes"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"dcdb/internal/collectagent"
+	"dcdb/internal/core"
+	"dcdb/internal/store"
+	"dcdb/internal/tooldb"
+)
+
+var topics = []string{"/dc/r1/power", "/dc/r1/temp", "/dc/r2/power"}
+
+// t0 is the first reading's timestamp; the readings of a topic follow
+// a second apart.
+var t0 = time.Unix(1_560_000_000, 0)
+
+// agentDir writes the data directory an agent of two embedded storage
+// nodes leaves behind: run files holding ten readings of each topic,
+// and the topic map.
+func agentDir(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	c, err := collectagent.OpenBackend(dir, 2, 1, store.RingPartitioner{}, store.DiskOptions{CompactInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapper := core.NewTopicMapper()
+	for i, tp := range topics {
+		id, err := mapper.Map(tp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < 10; k++ {
+			r := core.Reading{Timestamp: t0.Add(time.Duration(k) * time.Second).UnixNano(), Value: float64(100*i + k)}
+			if err := c.Insert(id, r, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := collectagent.SaveTopics(dir, mapper); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// runOK runs one command line and returns what it printed.
+func runOK(t *testing.T, args ...string) string {
+	t.Helper()
+	var out bytes.Buffer
+	if err := run(args, &out); err != nil {
+		t.Fatalf("dcdbconfig %s: %v", strings.Join(args, " "), err)
+	}
+	return out.String()
+}
+
+// answers reads every topic of the directory back.
+func answers(t *testing.T, dir string) map[string][]core.Reading {
+	t.Helper()
+	conn, _, err := tooldb.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string][]core.Reading{}
+	for _, tp := range topics {
+		rs, err := conn.Query(tp, 0, 1<<62)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[tp] = rs
+	}
+	return got
+}
+
+// runFileMagics returns the magic of every run file under dir.
+func runFileMagics(t *testing.T, dir string) []string {
+	t.Helper()
+	var magics []string
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || filepath.Ext(path) != ".sst" {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		magics = append(magics, string(data[:8]))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return magics
+}
+
+// TestCommands drives every command over one agent data directory:
+// publish and show a sensor's properties, list a subtree, delete the
+// head of one series, and compact, after which every run file is in
+// the current format and every topic answers as before.
+func TestCommands(t *testing.T) {
+	dir := agentDir(t)
+	want := answers(t, dir)
+	if len(want[topics[0]]) != 10 {
+		t.Fatalf("the directory serves %d readings of %s, want 10", len(want[topics[0]]), topics[0])
+	}
+
+	if out := runOK(t, "-db", dir, "publish", "/dc/r1/power", "-unit", "W", "-scale", "0.5", "-integrable"); out != "published /dc/r1/power\n" {
+		t.Errorf("publish printed %q", out)
+	}
+	for i := range want["/dc/r1/power"] {
+		want["/dc/r1/power"][i].Value *= 0.5 // reads apply the published scale
+	}
+	if got := answers(t, dir); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after publish the directory serves %v, want %v", got, want)
+	}
+	out := runOK(t, "-db", dir, "show", "/dc/r1/power")
+	for _, line := range []string{"unit: W", "scale: 0.5", "integrable: true", "virtual: false"} {
+		if !strings.Contains(out, line+"\n") {
+			t.Errorf("show printed %q, want a line %q", out, line)
+		}
+	}
+	if out := runOK(t, "-db", dir, "vsensor", "/dc/r1/double", "</dc/r1/power> * 2"); !strings.Contains(out, "defined virtual sensor /dc/r1/double") {
+		t.Errorf("vsensor printed %q", out)
+	}
+	if out := runOK(t, "-db", dir, "list", "/dc/r1"); out != "/dc/r1/double\n/dc/r1/power\n/dc/r1/temp\n" {
+		t.Errorf("list /dc/r1 printed %q", out)
+	}
+
+	cutoff := t0.Add(3 * time.Second).UTC().Format(time.RFC3339)
+	if out := runOK(t, "-db", dir, "cleanup", "/dc/r2/power", cutoff); out != "deleted /dc/r2/power readings before "+cutoff+"\n" {
+		t.Errorf("cleanup printed %q", out)
+	}
+	want["/dc/r2/power"] = want["/dc/r2/power"][3:]
+	if got := answers(t, dir); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after cleanup the directory serves %v, want %v", got, want)
+	}
+
+	if out := runOK(t, "-db", dir, "compact"); out != "compacted\n" {
+		t.Errorf("compact printed %q", out)
+	}
+	magics := runFileMagics(t, dir)
+	if len(magics) == 0 {
+		t.Fatal("no run file after the compaction")
+	}
+	for _, m := range magics {
+		if m != "DCDBRUN5" {
+			t.Errorf("a run file after the compaction is %q", m)
+		}
+	}
+	if got := answers(t, dir); !reflect.DeepEqual(got, want) {
+		t.Errorf("after compact the directory serves %v, want %v", got, want)
+	}
+	if out := runOK(t, "-db", dir, "show", "/dc/r1/double"); !strings.Contains(out, "expression: </dc/r1/power> * 2\n") {
+		t.Errorf("the virtual sensor did not survive the rewrites: %q", out)
+	}
+}
+
+// TestErrors: a command line that cannot be carried out is an error,
+// never an exit from inside run — among them a run file in a format
+// this build refuses, whose error names the way out.
+func TestErrors(t *testing.T) {
+	dir := agentDir(t)
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-db", dir}, "no command"},
+		{[]string{"-db", dir, "frobnicate"}, `unknown command "frobnicate"`},
+		{[]string{"-db", dir, "publish"}, "missing topic"},
+		{[]string{"-db", dir, "publish", "/dc/r1/power", "-scale", "x"}, "invalid value"},
+		{[]string{"-db", dir, "vsensor", "/dc/v"}, "need TOPIC EXPRESSION"},
+		{[]string{"-db", dir, "show"}, "missing topic"},
+		{[]string{"-db", dir, "show", "/dc/r9/none"}, "no metadata for /dc/r9/none"},
+		{[]string{"-db", dir, "cleanup", "/dc/r1/power"}, "need TOPIC BEFORE"},
+		{[]string{"-db", dir, "cleanup", "/dc/r1/power", "yesterday"}, "bad cutoff"},
+		{[]string{"-no-such-flag"}, "flag provided but not defined"},
+	} {
+		err := run(c.args, &bytes.Buffer{})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("dcdbconfig %s: %v, want an error containing %q", strings.Join(c.args, " "), err, c.want)
+		}
+	}
+
+	old := filepath.Join(dir, "node1", "shard-00", "run-0000000000000001-0000000000000001.sst")
+	if err := os.MkdirAll(filepath.Dir(old), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	data := append([]byte("DCDBRUN4"), make([]byte, 64)...)
+	if err := os.WriteFile(old, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := run([]string{"-db", dir, "compact"}, &bytes.Buffer{})
+	if err == nil || !strings.Contains(err.Error(), old) || !strings.Contains(err.Error(), "format v4 (DCDBRUN4)") ||
+		!strings.Contains(err.Error(), "dcdbconfig -db DIR compact") {
+		t.Errorf("compact over a v4 run file: %v, want the refusal naming the file and the way out", err)
+	}
+	if got, _ := os.ReadFile(old); !bytes.Equal(got, data) {
+		t.Error("the refused v4 file was modified")
+	}
+}

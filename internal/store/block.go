@@ -97,10 +97,9 @@ import (
 // towards last. Arithmetic is modulo 2^64 throughout, so timestamps
 // spanning the whole int64 range and falling versions survive.
 //
-// Formats v3 and v4 gave each coding a bit of its own (blockFlagTSFrame
-// and the rest below); their blocks are read by the same decoder, their
-// bits mapped onto the selectors (readFlags). A build before v5 never
-// sees a v5 block: it refuses the file's magic by name.
+// This is the only block layout read: run files of the formats before
+// v5 are refused at open (runFormat), and a build before v5 refuses a
+// v5 file's magic.
 //
 // Corruption is caught by the caller's CRC check first; the decoder
 // itself must still survive arbitrary bytes (fuzzed) by erroring instead
@@ -142,26 +141,11 @@ const (
 	stampClock   = 2
 )
 
-// The flags of formats v3 and v4, one bit a coding: a timestamp frame,
-// run-length stamps, integer values, clock-coded stamps, and the
-// anchored last timestamp. Bit 7 was never set.
-const (
-	blockFlagTSFrame    = 1 << 2
-	blockFlagStampRuns  = 1 << 3
-	blockFlagIntValues  = 1 << 4
-	blockFlagStampClock = 1 << 5
-	blockFlagLastTS     = 1 << 6
-
-	blockFlagsKnownV4 = blockFlagExpire | blockFlagVersion | blockFlagTSFrame | blockFlagStampRuns | blockFlagIntValues |
-		blockFlagStampClock | blockFlagLastTS
-)
-
 // blockBase is the file-level half of a block's anchor (the per-block
 // half is the index entry: count, min and max).
 type blockBase struct {
 	ver         uint64 // base write version of the file
 	stampPeriod int64  // in ticks: what a clock-coded section's first delta is coded against
-	v4Flags     bool   // the file is format v3 or v4: its blocks give each coding a flag bit
 }
 
 // blockCoding is what a flags byte says: the stamp sections a block
@@ -172,12 +156,12 @@ type blockCoding struct {
 	ts, values, stamps byte // selectors
 }
 
-// flags is c's flags byte in the v5 layout.
+// flags is c's flags byte.
 func (c blockCoding) flags() byte {
 	return c.sections | c.ts<<blockTSShift | c.values<<blockValuesShift | c.stamps<<blockStampsShift
 }
 
-// codingOf reads a flags byte in the v5 layout as it is, unchecked.
+// codingOf reads a flags byte as it is, unchecked.
 func codingOf(flags byte) blockCoding {
 	return blockCoding{
 		sections: flags & (blockFlagExpire | blockFlagVersion),
@@ -187,35 +171,16 @@ func codingOf(flags byte) blockCoding {
 	}
 }
 
-// readFlags reads and checks the flags byte of a block of count entries,
-// in the v5 layout or, with v4, in that of formats v3 and v4, and says
-// whether the block is anchored: whether its last timestamp is the index
-// entry's max.
-func readFlags(flags byte, count int, v4 bool) (c blockCoding, anchored bool, err error) {
-	c.sections = flags & (blockFlagExpire | blockFlagVersion)
-	if v4 {
-		if flags&^blockFlagsKnownV4 != 0 {
-			return c, false, fmt.Errorf("store: block has unknown flags %#x", flags)
-		}
-		if flags&(blockFlagStampRuns|blockFlagStampClock) == blockFlagStampRuns|blockFlagStampClock {
-			return c, false, fmt.Errorf("store: block stamps are both run-length and clock coded")
-		}
-		c.ts, c.values = flags>>2&1, flags>>4&1
-		c.stamps = flags>>3&1 | flags>>5&1<<1
-		if anchored = flags&blockFlagLastTS != 0; anchored && count < 2 {
-			return c, false, fmt.Errorf("store: one-entry block anchors its last timestamp")
-		}
-		return c, anchored, nil
-	}
-	c = codingOf(flags)
-	anchored = count > 1
+// readFlags reads and checks the flags byte of a block of count entries.
+func readFlags(flags byte, count int) (blockCoding, error) {
+	c := codingOf(flags)
 	if c.stamps > stampClock {
-		return c, false, fmt.Errorf("store: block has stamp coding %d", c.stamps)
+		return c, fmt.Errorf("store: block has stamp coding %d", c.stamps)
 	}
-	if !anchored && (c.ts >= codingLine || c.values >= codingLine) {
-		return c, false, fmt.Errorf("store: one-entry block coded against a line")
+	if count < 2 && (c.ts >= codingLine || c.values >= codingLine) {
+		return c, fmt.Errorf("store: one-entry block coded against a line")
 	}
-	return c, anchored, nil
+	return c, nil
 }
 
 // shortest returns the index of the smallest of sizes, the first of
@@ -603,9 +568,9 @@ func encodeBlock(dst []byte, es []entry, base blockBase) ([]byte, blockSizes) {
 	// The index entry's max is the last timestamp: the stream stops one
 	// entry short of it.
 	if len(es) > 1 {
-		ts := scanTimestamps(es, true)
+		ts := scanTimestamps(es)
 		c.ts = shortest(ts.sizes[:])
-		dst = appendTimestamps(dst, es, true, c.ts, &ts)
+		dst = appendTimestamps(dst, es, c.ts, &ts)
 	}
 	sz.ts = len(dst) - at - 1
 
@@ -650,15 +615,12 @@ type tsStats struct {
 	deltas, resid frame
 }
 
-// scanTimestamps sizes the timestamp stream of es: the deltas from
-// es[0], the index min, on — to the last entry, or with anchored to the
-// one before it, the index max standing for the last — and, anchored,
-// the residuals from the line through the min and the max.
-func scanTimestamps(es []entry, anchored bool) (s tsStats) {
-	body, ln := tsBody(es, anchored)
-	if !anchored {
-		s.sizes[codingLine], s.sizes[codingLineFrame] = math.MaxInt, math.MaxInt // no line
-	}
+// scanTimestamps sizes the timestamp stream of es, two entries or more:
+// the deltas from es[0], the index min, to the entry before the last,
+// the index max standing for the last, and the residuals from the line
+// through the min and the max.
+func scanTimestamps(es []entry) (s tsStats) {
+	body, ln := tsBody(es)
 	deltas, resid := newFrameStats(), newFrameStats()
 	prev := int64(0)
 	for i := 1; i < len(body); i++ {
@@ -666,35 +628,28 @@ func scanTimestamps(es []entry, anchored bool) (s tsStats) {
 		deltas.add(d)
 		s.sizes[codingFirst] += uvarintLen(zigzag(d - prev))
 		prev = d
-		if anchored {
-			r := ln.residual(body[i].ts)
-			resid.add(r)
-			s.sizes[codingLine] += uvarintLen(zigzag(r))
-		}
+		r := ln.residual(body[i].ts)
+		resid.add(r)
+		s.sizes[codingLine] += uvarintLen(zigzag(r))
 	}
 	s.deltas, s.resid = deltas.frame(), resid.frame()
 	s.sizes[codingFrame] = s.deltas.size(deltas.n)
-	if anchored {
-		s.sizes[codingLineFrame] = s.resid.size(resid.n)
-	}
+	s.sizes[codingLineFrame] = s.resid.size(resid.n)
 	return s
 }
 
-// tsBody returns the entries of es whose timestamps the stream
-// carries, from the index min on, and — anchored — the line through the
-// min and the max.
-func tsBody(es []entry, anchored bool) (body []entry, ln line) {
-	if !anchored {
-		return es, ln
-	}
+// tsBody returns the entries of es, two or more, whose timestamps the
+// stream carries — from the index min to the one before the index max —
+// and the line through the min and the max.
+func tsBody(es []entry) (body []entry, ln line) {
 	n := len(es)
 	return es[:n-1], tsLine(es[0].ts, es[n-1].ts, n)
 }
 
 // appendTimestamps writes the stream scanTimestamps sized in the given
-// coding; the line codings need anchored.
-func appendTimestamps(dst []byte, es []entry, anchored bool, coding byte, s *tsStats) []byte {
-	body, ln := tsBody(es, anchored)
+// coding.
+func appendTimestamps(dst []byte, es []entry, coding byte, s *tsStats) []byte {
+	body, ln := tsBody(es)
 	switch coding {
 	case codingFirst:
 		prev := int64(0)
@@ -1073,10 +1028,11 @@ func decodeBlock(raw []byte, m blockMeta, base blockBase, out *[]entry) error {
 }
 
 func decodeBlockInto(raw []byte, es []entry, first, last int64, base blockBase) error {
-	c, anchored, err := readFlags(raw[0], len(es), base.v4Flags)
+	c, err := readFlags(raw[0], len(es))
 	if err != nil {
 		return err
 	}
+	anchored := len(es) > 1
 	body := es
 	if anchored {
 		body = es[:len(es)-1]

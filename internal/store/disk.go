@@ -279,8 +279,8 @@ func (m *runFileMeta) checkSpan(minSeq, maxSeq uint64) error {
 // recoverShard rebuilds shard i from its directory: run files first
 // (oldest to newest, applying each file's tombstones to the older
 // files' rows), then WAL segment replay into the memtable. A run file
-// of a format before v3 fails the open and is left as it is
-// (errRunFileV1, errRunFileV2). Single threaded; no locks needed.
+// of a format before v5 fails the open and is left as it is
+// (errRunFileOld). Single threaded; no locks needed.
 func (n *Node) recoverShard(i int) error {
 	sh := &n.shards[i]
 	metas, err := scanRunFiles(sh.disk.dir)

@@ -56,12 +56,13 @@ func coldSeriesEqual(path string, idx *runIndex, want map[core.SensorID][]entry)
 	return nil
 }
 
-// encodeBlockPR15 is the block encoder as it stood before the frame
-// codings (PR 15), verbatim: varint delta-of-delta timestamps, one
-// varint per stamp, Gorilla XOR values — flag bits 2-4 clear. It is the
-// reference the chooser is held against (a block is never longer than
-// this makes it) and the source of blocks an older build wrote.
-func encodeBlockPR15(dst []byte, es []entry, baseVer uint64) []byte {
+// encodeBlockFirstCodings is the block encoder as it stood before the
+// frame codings, verbatim: varint delta-of-delta timestamps from the
+// first to the last, one varint per stamp, Gorilla XOR values. It is
+// the bound the chooser is held to — a block is never longer than this
+// makes it — and is compared by size only: its blocks are in a layout
+// this build no longer reads.
+func encodeBlockFirstCodings(dst []byte, es []entry, baseVer uint64) []byte {
 	var flags byte
 	for _, e := range es {
 		if e.expire != 0 {
@@ -129,102 +130,6 @@ func encodeBlockPR15(dst []byte, es []entry, baseVer uint64) []byte {
 		prevLead, prevSig = lead, sig
 	}
 	return bw.finish()
-}
-
-// encodeBlockFrames is the block encoder of the builds between the frame
-// codings and the clock coding: per stream the shorter of the
-// first coding and the frame, stamps varints or runs, no anchor —
-// format v3's flags, flag bits 5-6 clear. It is the second reference the
-// chooser is held against; that it is the build it stands for is checked
-// block by block against the file that build wrote
-// (TestFrameCodingsDirectoryServedAndKeptAsIs).
-func encodeBlockFrames(dst []byte, es []entry, baseVer uint64) []byte {
-	return encodeBlockOneBit(dst, es, baseVer, false)
-}
-
-// encodeBlockV4 is the block encoder of formats v3 (since the clock
-// coding) and v4: encodeBlockFrames plus clock-coded stamps,
-// their first step counted from 0, and the anchored last timestamp
-// (flag bits 5-6). It is the third reference; that it is those builds
-// is checked block by block against the files they wrote
-// (TestClockDirectoryServedAndKeptAsIs, TestV4DirectoryServedAndKeptAsIs).
-func encodeBlockV4(dst []byte, es []entry, baseVer uint64) []byte {
-	return encodeBlockOneBit(dst, es, baseVer, true)
-}
-
-// encodeBlockOneBit makes the choices of the builds that gave a coding
-// one flag bit, over this build's coding primitives: timestamps and
-// values in their first coding or a frame of the deltas, stamps in
-// varints, runs or — with clock — the clock; with clock, blocks of two
-// or more entries anchor their last timestamp.
-func encodeBlockOneBit(dst []byte, es []entry, baseVer uint64, clock bool) []byte {
-	var flags byte
-	for _, e := range es {
-		if e.expire != 0 {
-			flags |= blockFlagExpire
-		}
-		if e.ver != 0 {
-			flags |= blockFlagVersion
-		}
-	}
-	at := len(dst)
-	dst = append(dst, 0) // the flags, once the codings are chosen
-
-	anchored := clock && len(es) > 1
-	if anchored {
-		flags |= blockFlagLastTS
-	}
-	ts := scanTimestamps(es, anchored)
-	coding := byte(codingFirst)
-	if ts.sizes[codingFrame] < ts.sizes[codingFirst] {
-		flags |= blockFlagTSFrame
-		coding = codingFrame
-	}
-	dst = appendTimestamps(dst, es, anchored, coding, &ts)
-
-	if flags&(blockFlagExpire|blockFlagVersion) != 0 {
-		var exp, ver stampStats
-		if flags&blockFlagExpire != 0 {
-			exp = scanStamps(es, stampExpire, 0, 0)
-		}
-		if flags&blockFlagVersion != 0 {
-			ver = scanStamps(es, stampVersion, baseVer, 0)
-		}
-		// One choice for both sections: they are stamped by the same
-		// calls, so their runs coincide.
-		coding, best := byte(stampVarints), exp.sizes[stampVarints]+ver.sizes[stampVarints]
-		if n := exp.sizes[stampRuns] + ver.sizes[stampRuns]; n < best {
-			coding, best = stampRuns, n
-		}
-		if n := exp.sizes[stampClock] + ver.sizes[stampClock]; clock && n < best && !exp.offTick && !ver.offTick {
-			coding = stampClock
-		}
-		flags |= [3]byte{0, blockFlagStampRuns, blockFlagStampClock}[coding]
-		if flags&blockFlagExpire != 0 {
-			dst = appendStamps(dst, es, stampExpire, 0, 0, coding, &exp)
-		}
-		if flags&blockFlagVersion != 0 {
-			dst = appendStamps(dst, es, stampVersion, baseVer, 0, coding, &ver)
-		}
-	}
-
-	vs := scanValues(es)
-	ints, x := vs.integral, len(dst)
-	if ints && vs.sizes[codingFrame] > vs.sizes[codingFirst] {
-		dst = appendXORValues(dst, es)
-		if ints = vs.sizes[codingFrame] < len(dst)-x; ints {
-			dst = dst[:x]
-		}
-	}
-	switch {
-	case ints:
-		flags |= blockFlagIntValues
-		dst = appendIntValues(dst, es, codingFrame, &vs)
-	case len(dst) == x:
-		dst = appendXORValues(dst, es)
-	}
-	dst[at] = flags
-	return dst
 }
 
 func entriesEqual(got, want []entry) error {
@@ -496,14 +401,12 @@ func codingSeeds(t interface{ Fatal(...any) }) map[byte][]entry {
 // emits to the codec's promises, over every shape at 1, 2, 3, 64, 511
 // and 512 entries, against bases on, off and above the stamps and with
 // and without a stamp period: it decodes to exactly what went in —
-// timestamp, value bits, expire, version — and it is never longer than
-// the same entries as the builds before the frame codings, before the
-// clock coding and of format v4 wrote them, which must themselves still
-// decode (they are what every older file holds). Format v4's clock
-// started its step at 0, so against it the bound holds at a stamp period
-// of 0. A block using none of the codings a reference lacks is, but for
-// its flags byte's layout, byte for byte what the reference writes. All
-// 48 combinations of the three choices must turn up.
+// timestamp, value bits, expire, version — its stream sizes add up to
+// it, and it is never longer than the same entries in the first codings
+// alone (encodeBlockFirstCodings): each stream is the shortest of
+// codings whose sizes are exact (TestBlockStreamSizesAreExact,
+// TestBlockStampSizesAreExact), the first codings among them. All 48
+// combinations of the three choices must turn up.
 func TestBlockCodingsRoundTripAndNeverGrow(t *testing.T) {
 	seen := map[byte]string{}
 	for _, sh := range blockShapes() {
@@ -516,42 +419,15 @@ func TestBlockCodingsRoundTripAndNeverGrow(t *testing.T) {
 					if 1+sz.ts+sz.stamps+sz.values != len(enc) {
 						t.Fatalf("%s/%d: stream sizes %+v do not add up to the block's %d bytes", sh.name, n, sz, len(enc))
 					}
-					c, _, err := readFlags(enc[0], n, false)
-					if err != nil {
-						t.Fatalf("%s/%d: %v", sh.name, n, err)
+					var got []entry
+					if err := decodeBlock(enc, metaOf(es), base, &got); err != nil {
+						t.Fatalf("%s/%d (flags %#x): %v", sh.name, n, enc[0], err)
 					}
-					old := blockBase{ver: baseVer, v4Flags: true}
-					for _, ref := range []struct {
-						name  string
-						enc   []byte
-						base  blockBase
-						bound bool // the block is no longer
-						same  bool // the block is the reference's
-					}{
-						{"this build", enc, base, false, false},
-						{"the first codings", encodeBlockPR15(nil, es, baseVer), old, true,
-							n == 1 && c.ts == codingFirst && c.values == codingFirst && c.stamps == stampVarints},
-						{"the frame codings", encodeBlockFrames(nil, es, baseVer), old, true,
-							n == 1 && c.values <= codingFrame && c.stamps <= stampRuns},
-						{"format v4", encodeBlockV4(nil, es, baseVer), old, period == 0,
-							period == 0 && c.ts <= codingFrame && c.values <= codingFrame},
-					} {
-						var got []entry
-						if err := decodeBlock(ref.enc, metaOf(es), ref.base, &got); err != nil {
-							t.Fatalf("%s/%d (flags %#x), %s: %v", sh.name, n, ref.enc[0], ref.name, err)
-						}
-						if err := entriesEqual(got, es); err != nil {
-							t.Fatalf("%s/%d (flags %#x), %s: %v", sh.name, n, ref.enc[0], ref.name, err)
-						}
-						if ref.bound && len(enc) > len(ref.enc) {
-							t.Errorf("%s/%d: %d bytes with flags %#x, %d in %s", sh.name, n, len(enc), enc[0], len(ref.enc), ref.name)
-						}
-						if !ref.same {
-							continue
-						}
-						if rc, _, _ := readFlags(ref.enc[0], n, true); rc != c || string(enc[1:]) != string(ref.enc[1:]) {
-							t.Errorf("%s/%d: a block with flags %#x differs from what %s wrote", sh.name, n, enc[0], ref.name)
-						}
+					if err := entriesEqual(got, es); err != nil {
+						t.Fatalf("%s/%d (flags %#x): %v", sh.name, n, enc[0], err)
+					}
+					if first := len(encodeBlockFirstCodings(nil, es, baseVer)); len(enc) > first {
+						t.Errorf("%s/%d: %d bytes with flags %#x, %d in the first codings", sh.name, n, len(enc), enc[0], first)
 					}
 					if _, ok := seen[enc[0]&blockCodings]; !ok {
 						seen[enc[0]&blockCodings] = fmt.Sprintf("%s/%d", sh.name, n)
@@ -600,6 +476,49 @@ func TestBlockStampSizesAreExact(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestBlockStreamSizesAreExact holds the timestamp and the value
+// chooser to their inputs, as TestBlockStampSizesAreExact does the stamp
+// one: over every shape at 1, 2, 5 and 512 entries, the size
+// scanTimestamps predicts for each coding is the size appendTimestamps
+// writes, and the sizes scanValues predicts for the integer codings of
+// an integral block are the sizes appendIntValues writes — the XOR one
+// a floor under what appendXORValues writes.
+func TestBlockStreamSizesAreExact(t *testing.T) {
+	integral := 0
+	for _, sh := range blockShapes() {
+		for _, n := range []int{1, 2, 5, blockEntries} {
+			es := sh.entries(n)
+			if n > 1 { // a one-entry block has no timestamp stream
+				s := scanTimestamps(es)
+				for coding, want := range s.sizes {
+					if got := len(appendTimestamps(nil, es, byte(coding), &s)); got != want {
+						t.Fatalf("%s/%d, timestamp coding %d: %d bytes written, %d predicted", sh.name, n, coding, got, want)
+					}
+				}
+			}
+			s := scanValues(es)
+			if !s.integral {
+				continue
+			}
+			integral++
+			if xor := len(appendXORValues(nil, es)); s.sizes[codingFirst] > xor {
+				t.Fatalf("%s/%d: XOR floor of %d bytes above the %d written", sh.name, n, s.sizes[codingFirst], xor)
+			}
+			for coding := codingFrame; coding < len(s.sizes); coding++ {
+				if n == 1 && coding >= codingLine {
+					continue // no line through one point
+				}
+				if got := len(appendIntValues(nil, es, byte(coding), &s)); got != s.sizes[coding] {
+					t.Fatalf("%s/%d, value coding %d: %d bytes written, %d predicted", sh.name, n, coding, got, s.sizes[coding])
+				}
+			}
+		}
+	}
+	if integral < 100 {
+		t.Fatalf("only %d integral blocks among the shapes", integral)
 	}
 }
 
@@ -724,7 +643,7 @@ func TestBlockClockCodesFanInStamps(t *testing.T) {
 	// nanosecond varints spend 25.
 	for period, most := range map[int64]int{0: 4 + 4 + 3*2, 2_900_000: 4 + 2 + 3*2} {
 		enc, sz := encodeBlock(nil, fan, blockBase{ver: shapeV0, stampPeriod: period})
-		if c, _, _ := readFlags(enc[0], len(fan), false); c.sections != blockFlagVersion || c.stamps != stampClock || sz.stamps > most {
+		if c, _ := readFlags(enc[0], len(fan)); c.sections != blockFlagVersion || c.stamps != stampClock || sz.stamps > most {
 			t.Errorf("fan-in block, stamp period %d: flags %#x, %d stamp bytes; want the version section clock coded in at most %d", period, enc[0], sz.stamps, most)
 		}
 	}
@@ -744,10 +663,10 @@ func TestBlockClockCodesFanInStamps(t *testing.T) {
 // no line through it. A line-coded block decodes its body against the
 // max, so under any forged max it is refused or served sorted, ending at
 // that max — never unsorted, the line's wrapped span (a max below the
-// min) included. A one-entry block may not claim the anchor in format
-// v4, nor a line in v5. One- and two-entry blocks carry no timestamp
-// bytes at all (TestRunFileRoundTripShapes round-trips them through a
-// file, hot and cold).
+// min) included. A one-entry block may not claim a line. One- and
+// two-entry blocks carry no timestamp bytes at all
+// (TestRunFileRoundTripShapes round-trips them through a file, hot and
+// cold).
 func TestBlockAnchorRejectsForgedMax(t *testing.T) {
 	for _, sh := range blockShapes() {
 		for _, n := range []int{2, 5, blockEntries} {
@@ -789,19 +708,13 @@ func TestBlockAnchorRejectsForgedMax(t *testing.T) {
 		if sz.ts != 0 || enc[0]>>blockTSShift&3 != codingFirst {
 			t.Fatalf("%s/1: flags %#x, %d timestamp bytes", sh.name, enc[0], sz.ts)
 		}
-		anchored := encodeBlockV4(nil, one, base.ver)
-		anchored[0] |= blockFlagLastTS
 		var out []entry
-		for _, forged := range []struct {
-			raw  []byte
-			base blockBase
-		}{
-			{append([]byte{enc[0] | codingLine<<blockTSShift}, enc[1:]...), base},
-			{append([]byte{enc[0] | codingLineFrame<<blockValuesShift}, enc[1:]...), base},
-			{anchored, blockBase{ver: base.ver, v4Flags: true}},
+		for _, forged := range [][]byte{
+			append([]byte{enc[0] | codingLine<<blockTSShift}, enc[1:]...),
+			append([]byte{enc[0] | codingLineFrame<<blockValuesShift}, enc[1:]...),
 		} {
-			if err := decodeBlock(forged.raw, metaOf(one), forged.base, &out); err == nil {
-				t.Fatalf("%s/1: a one-entry block with flags %#x accepted", sh.name, forged.raw[0])
+			if err := decodeBlock(forged, metaOf(one), base, &out); err == nil {
+				t.Fatalf("%s/1: a one-entry block with flags %#x accepted", sh.name, forged[0])
 			}
 		}
 	}
@@ -909,7 +822,7 @@ func TestBlockLineCodingsRoundTrip(t *testing.T) {
 			if err := entriesEqual(got, es); err != nil {
 				t.Fatalf("%s/%d: %v", name, n, err)
 			}
-			c, _, _ := readFlags(enc[0], n, false)
+			c, _ := readFlags(enc[0], n)
 			if name != "equal ends" && c.ts < codingLine && c.values < codingLine {
 				t.Errorf("%s/%d: flags %#x, no stream coded against its line", name, n, enc[0])
 			}
@@ -979,7 +892,7 @@ func TestRunFileRoundTripShapes(t *testing.T) {
 	}
 }
 
-// TestRunIndexRoundTrip is format v4's index property. Series of 1, 2,
+// TestRunIndexRoundTrip is the index's round-trip property. Series of 1, 2,
 // 511, 512, 513 and 1025 entries — no body, one delta, a block but one,
 // a block, one over, two and one over — under SIDs whose level codes
 // take one, two and three varint bytes, with zero levels inside and at
@@ -1073,12 +986,13 @@ func TestRunIndexPeriodChoice(t *testing.T) {
 	}
 }
 
-// v4IndexHeader is a format v4 index header: minSeq 1, span, baseTS and
-// baseVer 0.
-func v4IndexHeader(period, tombs, series uint64) []byte {
+// indexHeader is an index header: minSeq 1, span, baseTS and baseVer 0,
+// the given period, stampPeriod 0.
+func indexHeader(period, tombs, series uint64) []byte {
 	b := binary.AppendUvarint(nil, 1)
 	b = append(b, 0, 0, 0)
-	return binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(b, period), tombs), series)
+	b = append(binary.AppendUvarint(b, period), 0)
+	return binary.AppendUvarint(binary.AppendUvarint(b, tombs), series)
 }
 
 // TestRunFilePages holds pages to their rule: a page closes at the first
@@ -1124,7 +1038,7 @@ func TestRunFilePages(t *testing.T) {
 
 	// Five-byte blocks, one a series, closing their pages as flagged.
 	closing := func(closes ...bool) []byte {
-		b := v4IndexHeader(0, 0, uint64(len(closes)))
+		b := indexHeader(0, 0, uint64(len(closes)))
 		for i, c := range closes {
 			b = append(b, 0x01, byte(i+1), 1, 5<<1, 0, 0) // SID /i+1, one entry, 5 bytes
 			if c {
@@ -1143,7 +1057,7 @@ func TestRunFilePages(t *testing.T) {
 		{[]bool{true, true}, "page rule"},
 		{[]bool{false, false}, "without a CRC"},
 	} {
-		_, err := parseRunIndex(closing(c.closes...), runMagicLen+5*int64(len(c.closes)), 4)
+		_, err := parseRunIndex(closing(c.closes...), runMagicLen+5*int64(len(c.closes)))
 		if (err == nil) != (c.wantErr == "") || err != nil && !strings.Contains(err.Error(), c.wantErr) {
 			t.Errorf("pages closed %v: %v, want %q", c.closes, err, c.wantErr)
 		}
@@ -1215,7 +1129,7 @@ func TestRunFilePages(t *testing.T) {
 // forgedIndex serialises idx as it stands — appendRunIndex does not
 // validate — and parses it back against a data section of dataLen.
 func forgedIndex(idx *runIndex, dataLen int64) (*runIndex, error) {
-	return parseRunIndex(appendRunIndex(nil, idx), dataLen, 5)
+	return parseRunIndex(appendRunIndex(nil, idx), dataLen)
 }
 
 // TestRunIndexAllocationGuards forges the counts and lengths a parser
@@ -1251,7 +1165,7 @@ func TestRunIndexAllocationGuards(t *testing.T) {
 		{"block too short for a value", one(blockMeta{length: 1, count: 1}), 8 + 1, "shorter than the shortest block"},
 		{"length beyond the data", one(blockMeta{length: 100, count: 1}), 8 + 99, "overflows data section"},
 		{"blocks leave a gap", one(blockMeta{length: 9, count: 1}), 8 + 10, "cover 9 of 10 data bytes"},
-		{"max below min wraps", one(blockMeta{length: 9, count: 1, min: 5, max: 4}), 8 + 9, "bounds overflow"},
+		{"max below min wraps", one(blockMeta{length: 9, count: 2, min: 5, max: 4}), 8 + 9, "bounds overflow"},
 		{"min below base wraps", &runIndex{series: []seriesIndex{
 			{id: sid(1, 1), count: 1, min: math.MaxInt64, blocks: []blockMeta{{length: 9, count: 1, min: math.MaxInt64, max: math.MaxInt64}}},
 			{id: sid(1, 2), count: 1, min: math.MaxInt64, blocks: []blockMeta{{length: 9, count: 1, min: 0, max: 0}}},
@@ -1277,50 +1191,37 @@ func TestRunIndexAllocationGuards(t *testing.T) {
 	}
 
 	// Counts no byte string of that size could back up, lengths and
-	// spans near 2^64 that an additive bound check would wrap past, in
-	// both formats' layouts.
+	// spans near 2^64 that an additive bound check would wrap past.
 	uv := binary.AppendUvarint
-	v3hdr := func(tombs, series uint64) []byte {
-		b := uv(nil, 1)        // minSeq
-		b = append(b, 0, 0, 0) // span, baseTS, baseVer
-		return uv(uv(b, tombs), series)
-	}
-	v4hdr := v4IndexHeader
 	crc := []byte{0, 0, 0, 0}
 	// One series, SID /1, of count entries, whose first block is the
 	// bytes block.
-	v4series := func(period, count uint64, block ...byte) []byte {
-		return append(uv(append(v4hdr(period, 0, 1), 0x01, 0x01), count), block...)
+	series := func(period, count uint64, block ...byte) []byte {
+		return append(uv(append(indexHeader(period, 0, 1), 0x01, 0x01), count), block...)
 	}
 	for _, c := range []struct {
-		format int
-		name   string
-		index  []byte
+		name  string
+		index []byte
 	}{
-		{3, "tombstone count", v3hdr(1<<40, 0)},
-		{3, "series count", v3hdr(0, 1<<40)},
-		{3, "block count", uv(append(v3hdr(0, 1), 0x00, 0x01), 1<<40)},
-		{3, "block length", append(uv(append(v3hdr(0, 1), 0x00, 0x01, 0x01), math.MaxUint64-3), 1, 0, 0, 0, 0, 0, 0)},
-		{3, "span", append(uv(uv(nil, 2), math.MaxUint64), 0, 0, 0, 0)},
-		{4, "tombstone count", v4hdr(0, 1<<40, 0)},
-		{4, "series count", v4hdr(0, 0, 1<<40)},
-		{4, "entry count", v4series(0, 1<<50)},
-		{4, "entry count 2^64-1", v4series(0, math.MaxUint64)},
-		{4, "block length", v4series(0, 1, append(uv(nil, math.MaxUint64), append([]byte{0, 0}, crc...)...)...)},
-		{4, "span", append(uv(uv(nil, 2), math.MaxUint64), 0, 0, 0, 0, 0)},
-		{4, "block span past int64", v4series(0, 1, append(append([]byte{2<<1 | 1, 1}, uv(nil, zigzag(math.MaxInt64))...), crc...)...)},
-		{4, "gap past int64", v4series(0, 1, append(append(uv(nil, 2<<1|1), uv(nil, math.MaxUint64)...), append([]byte{0}, crc...)...)...)},
-		{4, "(count-1)·period beyond int64", v4series(math.MaxInt64/7, 9, append([]byte{2<<1 | 1, 0, 0}, crc...)...)},
-		{4, "period beyond int64", v4series(1<<63, 1, append([]byte{2<<1 | 1, 0, 0}, crc...)...)},
-		{4, "level code above 0xffff", append(uv(append(v4hdr(0, 0, 1), 0x01), 1<<16), append([]byte{1, 2<<1 | 1, 0, 0}, crc...)...)},
-		{4, "more levels than a SID has", append(v4hdr(0, 0, 1), append([]byte{0x54, 1, 1, 1, 1, 1, 2<<1 | 1, 0, 0}, crc...)...)},
+		{"tombstone count", indexHeader(0, 1<<40, 0)},
+		{"series count", indexHeader(0, 0, 1<<40)},
+		{"entry count", series(0, 1<<50)},
+		{"entry count 2^64-1", series(0, math.MaxUint64)},
+		{"block length", series(0, 1, append(uv(nil, math.MaxUint64), append([]byte{0, 0}, crc...)...)...)},
+		{"span", append(uv(uv(nil, 2), math.MaxUint64), 0, 0, 0, 0, 0, 0)},
+		{"block span past int64", series(0, 2, append(append([]byte{2<<1 | 1, 1}, uv(nil, zigzag(math.MaxInt64))...), crc...)...)},
+		{"gap past int64", series(0, 1, append(append(uv(nil, 2<<1|1), uv(nil, math.MaxUint64)...), append([]byte{0}, crc...)...)...)},
+		{"(count-1)·period beyond int64", series(math.MaxInt64/7, 9, append([]byte{2<<1 | 1, 0, 0}, crc...)...)},
+		{"period beyond int64", series(1<<63, 1, append([]byte{2<<1 | 1, 0, 0}, crc...)...)},
+		{"level code above 0xffff", append(uv(append(indexHeader(0, 0, 1), 0x01), 1<<16), append([]byte{1, 2<<1 | 1, 0, 0}, crc...)...)},
+		{"more levels than a SID has", append(indexHeader(0, 0, 1), append([]byte{0x54, 1, 1, 1, 1, 1, 2<<1 | 1, 0, 0}, crc...)...)},
 	} {
-		if _, err := parseRunIndex(c.index, 8+2, c.format); err == nil {
-			t.Errorf("v%d: forged %s accepted", c.format, c.name)
+		if _, err := parseRunIndex(c.index, 8+2); err == nil {
+			t.Errorf("forged %s accepted", c.name)
 		}
 	}
-	// The v4 layout above is what the parser reads: unforged, it passes.
-	if _, err := parseRunIndex(v4series(0, 1, append([]byte{2<<1 | 1, 0, 0}, crc...)...), 8+2, 4); err != nil {
+	// The layout above is what the parser reads: unforged, it passes.
+	if _, err := parseRunIndex(series(0, 1, append([]byte{2<<1 | 1, 0, 0}, crc...)...), 8+2); err != nil {
 		t.Fatalf("the forged cases' well-formed base rejected: %v", err)
 	}
 
@@ -1353,6 +1254,42 @@ func TestRunIndexAllocationGuards(t *testing.T) {
 	}
 }
 
+// oneEntrySpanFile is a run file whose index gives its one block, of
+// one entry, a span of 5 ns, the index CRC made to match: only the
+// index parser can tell.
+func oneEntrySpanFile(t interface{ Fatal(...any) }) []byte {
+	file := writtenRunFileBytes(t, &runContents{minSeq: 1, maxSeq: 2, series: map[core.SensorID][]entry{
+		goldenShardIDs(1)[0]: {{ts: shapeT0, val: 21.5, ver: shapeV0}},
+	}})
+	idx := fileIndex(t, file)
+	idx.series[0].blocks[0].max += 5
+	index := appendRunIndex(nil, idx)
+	footer, err := runFooter(uint64(idx.dataLen), len(index), crc32.ChecksumIEEE(index))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(append(file[:idx.dataLen:idx.dataLen], index...), footer[:]...)
+}
+
+// TestRunFileOneEntrySpanRefused: a block of one entry has no span, its
+// one timestamp being both its bounds. A file whose index gives it one
+// fails the hot (cache-less) and the cold open alike — the cold one
+// never decodes the block, so it is the parser that refuses it.
+func TestRunFileOneEntrySpanRefused(t *testing.T) {
+	dir := t.TempDir()
+	placeRunFile(t, dir, oneEntrySpanFile(t))
+	for _, o := range []DiskOptions{noCompact, coldOptions} {
+		n := NewNode(0)
+		err := n.OpenOptions(dir, o)
+		if err == nil {
+			n.Close()
+		}
+		if err == nil || !strings.Contains(err.Error(), "one-entry block a span of 5") {
+			t.Errorf("open %+v over a one-entry block with a span: %v", o, err)
+		}
+	}
+}
+
 // TestBlockDecodeCountGuard covers the decoder's own copy of the bound
 // (it is fuzzed without an index in front of it): the shortest blocks
 // of both value codings, a block whose entries cost no bits, and counts
@@ -1373,26 +1310,18 @@ func TestBlockDecodeCountGuard(t *testing.T) {
 			t.Errorf("count %d over a one-entry block: %+v, %v", count, out, err)
 		}
 	}
-	// Stamp coding 3 does not exist; neither did flag bit 7 before v5,
-	// nor both stamp bits.
-	v4 := blockBase{v4Flags: true}
-	for _, c := range []struct {
-		raw  []byte
-		base blockBase
-		want string
-	}{
-		{[]byte{blockFlagVersion | 3<<blockStampsShift, 0, 0, 0, 0, 0, 0, 0, 0, 0}, blockBase{}, "stamp coding 3"},
-		{[]byte{3 << blockStampsShift, 0, 0, 0, 0, 0, 0, 0, 0}, blockBase{}, "stamp coding 3"},
-		{[]byte{0x80, 0, 0, 0, 0, 0, 0, 0, 0}, v4, "unknown flags"},
-		{[]byte{blockFlagVersion | blockFlagStampRuns | blockFlagStampClock, 0, 0, 0, 0, 0, 0, 0, 0, 0}, v4, "both run-length and clock"},
+	// Stamp coding 3 does not exist, with a section or without one.
+	for _, raw := range [][]byte{
+		{blockFlagVersion | 3<<blockStampsShift, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+		{3 << blockStampsShift, 0, 0, 0, 0, 0, 0, 0, 0},
 	} {
-		if err := decodeBlock(c.raw, at42, c.base, &out); err == nil || !strings.Contains(err.Error(), c.want) || len(out) != 0 {
-			t.Errorf("flags %#x (v4 layout %v): %v, want %q", c.raw[0], c.base.v4Flags, err, c.want)
+		if err := decodeBlock(raw, at42, blockBase{}, &out); err == nil || !strings.Contains(err.Error(), "stamp coding 3") || len(out) != 0 {
+			t.Errorf("flags %#x: %v, want stamp coding 3 refused", raw[0], err)
 		}
 	}
-	// Bit 7 in v5 is half the stamp selector: clock, of no section here.
+	// Bit 7 alone is stamp coding 2, the clock, of no section here.
 	if err := decodeBlock([]byte{0x80, 0, 0, 0, 0, 0, 0, 0, 0}, at42, blockBase{}, &out); err != nil || len(out) != 1 {
-		t.Errorf("flags 0x80 in v5: %v", err)
+		t.Errorf("flags 0x80: %v", err)
 	}
 	out = out[:0]
 
@@ -1529,7 +1458,7 @@ func BenchmarkBlockDecode(b *testing.B) {
 			b.ReportAllocs()
 			base := blockBase{ver: es[0].ver}
 			enc, _ := encodeBlock(nil, es, base)
-			if c, _, _ := readFlags(enc[0], len(es), false); name == "line" && (c.ts != codingLineFrame || c.values != codingLineFrame) {
+			if c, _ := readFlags(enc[0], len(es)); name == "line" && (c.ts != codingLineFrame || c.values != codingLineFrame) {
 				b.Fatalf("line shape coded %+v", c)
 			}
 			out := make([]entry, 0, len(es))
@@ -1590,8 +1519,9 @@ func BenchmarkQueryColdFanIn(b *testing.B) {
 }
 
 // TestRunIndexParsersSurviveDamage feeds the index parser — behind the
-// footer CRC in production, bare here — every prefix of six valid
-// indexes and every single-byte corruption of them. A prefix must be
+// footer CRC in production, bare here — every prefix of three valid
+// indexes, the writer's over every coding, a fan-in file's and the
+// fixture's, and every single-byte corruption of them. A prefix must be
 // rejected; a corruption may parse (the CRC, not the parser, catches a
 // flipped bound) but must never panic or reach past the data section.
 func TestRunIndexParsersSurviveDamage(t *testing.T) {
@@ -1599,43 +1529,30 @@ func TestRunIndexParsersSurviveDamage(t *testing.T) {
 		dataLen = int64(binary.BigEndian.Uint64(file[len(file)-runFooterLen:]))
 		return file[dataLen : len(file)-runFooterLen], dataLen
 	}
-	v5, v5Len := split(validRunFileBytes(t))
-	fanin, faninLen := split(writtenRunFileBytes(t, goldenClockContents()))
-	old, oldLen := split(goldenBytes(t, goldenPR15Path))
-	frames, framesLen := split(goldenBytes(t, goldenFramesPath))
-	clock, clockLen := split(goldenBytes(t, goldenClockPath))
-	v4, v4Len := split(goldenBytes(t, goldenV4Path))
-	for _, c := range []struct {
-		name    string
-		format  int
-		index   []byte
-		dataLen int64
-	}{
-		{"writer", 5, v5, v5Len},
-		{"writer, fan-in", 5, fanin, faninLen},
-		{"before the frame codings", 3, old, oldLen},
-		{"before the clock coding", 3, frames, framesLen},
-		{"before format v4", 3, clock, clockLen},
-		{"before format v5", 4, v4, v4Len},
+	for name, file := range map[string][]byte{
+		"writer":         validRunFileBytes(t),
+		"writer, fan-in": writtenRunFileBytes(t, skewedFanInContents()),
+		"fixture":        goldenBytes(t, goldenV5Path),
 	} {
-		if _, err := parseRunIndex(c.index, c.dataLen, c.format); err != nil {
-			t.Fatalf("%s: intact index rejected: %v", c.name, err)
+		index, dataLen := split(file)
+		if _, err := parseRunIndex(index, dataLen); err != nil {
+			t.Fatalf("%s: intact index rejected: %v", name, err)
 		}
-		for n := 0; n < len(c.index); n++ {
-			if _, err := parseRunIndex(c.index[:n], c.dataLen, c.format); err == nil {
-				t.Fatalf("%s: index truncated to %d of %d bytes accepted", c.name, n, len(c.index))
+		for n := 0; n < len(index); n++ {
+			if _, err := parseRunIndex(index[:n], dataLen); err == nil {
+				t.Fatalf("%s: index truncated to %d of %d bytes accepted", name, n, len(index))
 			}
 		}
-		for i := range c.index {
+		for i := range index {
 			for _, flip := range []byte{0x01, 0x80, 0xff} {
-				damaged := append([]byte(nil), c.index...)
+				damaged := append([]byte(nil), index...)
 				damaged[i] ^= flip
-				idx, err := parseRunIndex(damaged, c.dataLen, c.format)
+				idx, err := parseRunIndex(damaged, dataLen)
 				if err != nil {
 					continue
 				}
 				if err := blocksInBounds(idx); err != nil {
-					t.Fatalf("%s: byte %d ^ %#x: %v", c.name, i, flip, err)
+					t.Fatalf("%s: byte %d ^ %#x: %v", name, i, flip, err)
 				}
 			}
 		}
@@ -1644,11 +1561,15 @@ func TestRunIndexParsersSurviveDamage(t *testing.T) {
 
 // blocksInBounds checks what a parsed index promises the readers: every
 // block lies inside its page, every page inside the data section, the
-// pages tile it, and no count exceeds a block.
+// pages tile it, no count exceeds a block, and a block of one entry has
+// no span.
 func blocksInBounds(idx *runIndex) error {
 	end := uint64(runMagicLen) // of the last page seen
 	for _, se := range idx.series {
 		for _, m := range se.blocks {
+			if m.count == 1 && m.min != m.max {
+				return fmt.Errorf("accepted a one-entry block over [%d,%d]", m.min, m.max)
+			}
 			if m.count == 0 || m.count > blockEntries || m.off < m.pageOff ||
 				m.off+uint64(m.length) > m.pageOff+uint64(m.pageLen) || m.pageOff+uint64(m.pageLen) > uint64(idx.dataLen) {
 				return fmt.Errorf("accepted block %+v outside its page or the %d-byte data section", m, idx.dataLen)

@@ -73,17 +73,19 @@ func FuzzRunFileDecode(f *testing.F) {
 	f.Add([]byte("DCDBRUN3"))
 	f.Add([]byte("DCDBRUN4"))
 	f.Add([]byte("DCDBRUN5"))
-	// The fixtures' contents as the builds before the frame codings,
-	// before the clock coding and before format v4 wrote them (v3), as
-	// the last build of v4 wrote them, and as this build writes them (v5).
-	for _, valid := range [][]byte{validRunFileBytes(f), goldenBytes(f, goldenPR15Path), goldenBytes(f, goldenFramesPath),
-		goldenBytes(f, goldenClockPath), goldenBytes(f, goldenV4Path), writtenRunFileBytes(f, goldenFramesContents()),
-		writtenRunFileBytes(f, goldenClockContents()), writtenRunFileBytes(f, goldenV4Contents())} {
+	// Files as this build writes them, the checked-in fixture, and a
+	// forged one whose one-entry block claims a span — each whole, torn,
+	// and under the magic of every format refused by name.
+	for _, valid := range [][]byte{validRunFileBytes(f), goldenBytes(f, goldenV5Path),
+		writtenRunFileBytes(f, skewedFanInContents()), oneEntrySpanFile(f)} {
 		f.Add(valid)
 		f.Add(valid[:len(valid)/2])             // torn data/index
 		f.Add(valid[:len(valid)-8])             // torn footer
 		f.Add(append(valid, 0, 1, 2))           // trailing garbage shifts the footer
 		f.Add(valid[:runMagicLen+runFooterLen]) // magic and a footer-sized tail, nothing else
+		for _, magic := range []string{"DCDBRUN1", "DCDBRUN2", "DCDBRUN3", "DCDBRUN4", "DCDBRUN6"} {
+			f.Add(append([]byte(magic), valid[runMagicLen:]...))
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rc, err := decodeRunFile(data)
@@ -91,6 +93,9 @@ func FuzzRunFileDecode(f *testing.F) {
 			return
 		}
 		// Accepted files must uphold the reader invariants.
+		if string(data[:runMagicLen]) != string(runMagic) {
+			t.Fatalf("accepted a file with magic %q", data[:runMagicLen])
+		}
 		if rc.minSeq > rc.maxSeq {
 			t.Fatalf("accepted inverted span [%d,%d]", rc.minSeq, rc.maxSeq)
 		}
@@ -168,16 +173,15 @@ func FuzzWALReplay(f *testing.F) {
 // FuzzBlockDecode hammers the block decoder directly: torn,
 // bit-flipped or hostile block bytes (which the per-block CRC would
 // normally reject before decode) must error — never panic, never
-// over-allocate, never return unsorted data — in either flags layout,
-// against any base and stamp period. Whatever decodes must survive a
-// re-encode, which checks the valid path inside the fuzzer too.
+// over-allocate, never return unsorted data — against any base and
+// stamp period. Whatever decodes must survive a re-encode, which checks
+// the valid path inside the fuzzer too.
 func FuzzBlockDecode(f *testing.F) {
-	f.Add([]byte{}, uint16(1), int64(0), int64(0), uint64(0), int64(0), false)
-	f.Add([]byte{0}, uint16(1), int64(0), int64(0), uint64(0), int64(0), false)
-	f.Add([]byte{0}, uint16(1), int64(0), int64(0), uint64(0), int64(0), true)
+	f.Add([]byte{}, uint16(1), int64(0), int64(0), uint64(0), int64(0))
+	f.Add([]byte{0}, uint16(1), int64(0), int64(0), uint64(0), int64(0))
 	add := func(es []entry, base blockBase) {
 		b, _ := encodeBlock(nil, es, base)
-		f.Add(b, uint16(len(es)), es[0].ts, es[len(es)-1].ts, base.ver, base.stampPeriod, false)
+		f.Add(b, uint16(len(es)), es[0].ts, es[len(es)-1].ts, base.ver, base.stampPeriod)
 	}
 	es := []entry{{ts: 1, val: 1.5, ver: 900}, {ts: 1, val: -2, ver: 1100}, {ts: 50, val: 1.5, expire: 9}}
 	add(es, blockBase{ver: 1000})
@@ -191,25 +195,27 @@ func FuzzBlockDecode(f *testing.F) {
 		add(es, blockBase{ver: es[0].ver})
 		add(es, blockBase{ver: es[0].ver, stampPeriod: 2_900_000})
 	}
-	// Blocks in the first codings only come out of the checked-in file
-	// of a build before the frame codings, blocks in the frame codings
-	// without the anchored last timestamp out of the one before the
-	// clock coding; the last v3 build's and the last v4 build's fan-in
-	// files clock code against an on-tick base, and this build's v5 files
-	// of the same code against their lines and their rounds.
-	for _, golden := range [][]byte{goldenBytes(f, goldenPR15Path), goldenBytes(f, goldenFramesPath),
-		goldenBytes(f, goldenClockPath), goldenBytes(f, goldenV4Path),
-		writtenRunFileBytes(f, goldenClockContents()), writtenRunFileBytes(f, goldenV4Contents())} {
+	// Every shape at the sizes of a fan-in block, where the index's two
+	// ends carry most of it.
+	for _, sh := range blockShapes() {
+		for _, n := range []int{2, 5} {
+			es := sh.entries(n)
+			add(es, blockBase{ver: es[0].ver})
+		}
+	}
+	// The blocks of fan-in files as they lie in them: the fixture's, and
+	// those of one whose stamps partly fall below the file's base.
+	for _, golden := range [][]byte{goldenBytes(f, goldenV5Path), writtenRunFileBytes(f, skewedFanInContents())} {
 		idx := fileIndex(f, golden)
 		for _, se := range idx.series {
 			for _, m := range se.blocks {
-				f.Add(golden[m.off:m.off+uint64(m.length)], uint16(m.count), m.min, m.max, idx.base.ver, idx.base.stampPeriod, idx.base.v4Flags)
+				f.Add(golden[m.off:m.off+uint64(m.length)], uint16(m.count), m.min, m.max, idx.base.ver, idx.base.stampPeriod)
 			}
 		}
 	}
-	f.Fuzz(func(t *testing.T, data []byte, count16 uint16, first, last int64, baseVer uint64, stampPeriod int64, v4Flags bool) {
+	f.Fuzz(func(t *testing.T, data []byte, count16 uint16, first, last int64, baseVer uint64, stampPeriod int64) {
 		m := blockMeta{count: uint32(count16), min: first, max: last}
-		base := blockBase{ver: baseVer, stampPeriod: stampPeriod, v4Flags: v4Flags}
+		base := blockBase{ver: baseVer, stampPeriod: stampPeriod}
 		out := make([]entry, 0, 64)
 		if err := decodeBlock(data, m, base, &out); err != nil {
 			if len(out) != 0 {
@@ -223,7 +229,7 @@ func FuzzBlockDecode(f *testing.F) {
 		if out[0].ts != first {
 			t.Fatalf("anchored block starts at %d, index says %d", out[0].ts, first)
 		}
-		if _, anchored, _ := readFlags(data[0], len(out), v4Flags); anchored && out[len(out)-1].ts != last {
+		if len(out) > 1 && out[len(out)-1].ts != last {
 			t.Fatalf("anchored block ends at %d, index says %d", out[len(out)-1].ts, last)
 		}
 		for i := 1; i < len(out); i++ {
@@ -233,7 +239,6 @@ func FuzzBlockDecode(f *testing.F) {
 		}
 		// Whatever decodes must re-encode and decode to the same
 		// entries (the codec is deterministic and lossless).
-		base.v4Flags = false
 		_, out2, err := codecRoundTrip(out, base)
 		if err != nil {
 			t.Fatalf("re-encode failed to decode: %v", err)

@@ -6,48 +6,20 @@ import (
 	"dcdb/internal/core"
 )
 
-// goldenPR15Path is a run file in the current format v3 holding
-// goldenContents, written by the last build before the block codec's
-// frame codings (PR 15): the fixture for "every file written before them
-// stays valid as it is". It cannot be regenerated from this tree — the
-// encoder now picks the frame codings for most of its blocks — so
-// goldenContents must never change.
-const goldenPR15Path = "testdata/run-v3-pr15.sst"
+// goldenV5Path is a run file in format v5 holding goldenFanInContents,
+// written by the first build of format v5: the fixture that pins the
+// format — every later build must serve it as it is, and write the same
+// contents to the same bytes — so goldenFanInContents must never change.
+const goldenV5Path = "testdata/run-v5.sst"
 
-// goldenFramesPath is a run file in format v3 holding
-// goldenFramesContents, written by the last build before the clock-coded
-// stamps and the anchored last timestamp (block flag bits 5-6): the
-// fixture for the frame codings (bits 2-4), which the file above
-// predates. It cannot be regenerated from this tree either — the encoder
-// now anchors every block of two or more entries — so
-// goldenFramesContents must never change.
-const goldenFramesPath = "testdata/run-v3-frames.sst"
-
-// goldenClockPath is a run file in format v3 holding
-// goldenClockContents, written by the last build of format v3: the
-// fixture for the clock-coded stamps and the anchored last timestamp
-// (block flag bits 5-6) on an on-tick base, and for the per-block index
-// that format v4 replaced. It cannot be regenerated from this tree — the
-// writer now writes v4 — so goldenClockContents must never change.
-const goldenClockPath = "testdata/run-v3-clock.sst"
-
-// goldenV4Path is a run file in format v4 holding goldenV4Contents,
-// written by the last build of format v4: the fixture for v4's index —
-// pages of blocks under one CRC, entry counts from the series, SIDs by
-// hierarchy level, block bounds against the file's period — and for its
-// blocks, which gave each coding one flag bit. It cannot be regenerated
-// from this tree — the writer now writes v5 — so goldenV4Contents must
-// never change.
-const goldenV4Path = "testdata/run-v4.sst"
-
-// goldenV4Contents is a closed-loop fan-in as the coordinator stamps it:
-// sixty sensors of five or six readings each, one a round of the
+// goldenFanInContents is a closed-loop fan-in as the coordinator stamps
+// it: sixty sensors of five or six readings each, one a round of the
 // writer's loop (~1.1 s), versions on the microsecond tick with ms
 // jitter, behind a series of 1025 readings (two full blocks and one
 // over) that is first in SID order, so the base version is on the tick;
 // and a tombstone. Two in three sensors are integer counters, the rest
 // gauges in quarter steps; one carries expiries.
-func goldenV4Contents() *runContents {
+func goldenFanInContents() *runContents {
 	rng := rand.New(rand.NewSource(25))
 	ids := goldenShardIDs(61)
 	const t0, v0, round = int64(1_560_000_000_000_000_000), uint64(1_700_000_000_000_000_000), 1_100_000_000
@@ -102,45 +74,15 @@ func goldenShardIDs(n int) []core.SensorID {
 	return ids
 }
 
-// goldenIDs returns the series ids of goldenContents: a three-block
-// versioned counter, a two-block series with duplicate timestamps,
-// expiries and mixed zero/non-zero versions, a single unversioned
-// entry, and exactly one full block whose versions are all equal.
-func goldenIDs() (counter, messy, single, full core.SensorID) {
-	ids := goldenShardIDs(4)
-	return ids[0], ids[1], ids[2], ids[3]
-}
-
-// goldenFramesContents is goldenContents plus, last in SID order, one
-// series stamped the way the coordinator stamps a fan-in sensor: one
-// reading per write, versions on the microsecond tick, rounds ~2.9 s
-// apart with ms jitter — a full block and a five-entry one. The file's
-// base version is the counter's first, which is off the tick.
-func goldenFramesContents() *runContents {
-	rc := goldenContents()
-	rng := rand.New(rand.NewSource(23))
-	const t0, v0 = int64(1_560_000_000_000_000_000), uint64(1_700_000_000_000_000_000)
-	es := make([]entry, blockEntries+5)
-	for i := range es {
-		es[i] = entry{
-			ts:  t0 + int64(i)*1_000_000_000 + int64(rng.Intn(20_000_001)) - 10_000_000,
-			val: float64(4000 + 3*i + rng.Intn(3)),
-			ver: v0 + uint64(i)*2_900_000_000 + uint64(rng.Intn(5000))*versionTick,
-		}
-	}
-	rc.series[goldenShardIDs(5)[4]] = es
-	return rc
-}
-
-// goldenClockContents is the fan-in shape as the coordinator stamps it:
-// forty-one sensors of five readings each and one of a single reading, one
-// reading per write, versions on the microsecond tick a round of the
+// skewedFanInContents is the fan-in shape as the coordinator stamps it:
+// forty-one sensors of five readings each and one of a single reading,
+// one reading per write, versions on the microsecond tick a round of the
 // writer's loop (~2.9 s) apart with ms jitter — some of them below the
 // file's base — behind a series of a full block and nine readings more
 // that is first in SID order, so the base version is on the tick. Some
 // sensors are integer counters, some gauges, one carries expiries, one
 // no versions at all; two tombstones.
-func goldenClockContents() *runContents {
+func skewedFanInContents() *runContents {
 	rng := rand.New(rand.NewSource(24))
 	ids := goldenShardIDs(43)
 	const t0, v0 = int64(1_560_000_000_000_000_000), uint64(1_700_000_000_000_000_000)
@@ -186,55 +128,4 @@ func goldenClockContents() *runContents {
 		rc.series[ids[s]] = es
 	}
 	return rc
-}
-
-// goldenContents is the fixture's contents: a fixed pseudo-random
-// spread of the shapes a decoder has to keep reading — multi-block
-// series, duplicate timestamps, expiries, mixed versions, tombstones.
-func goldenContents() *runContents {
-	rng := rand.New(rand.NewSource(20190617))
-	counter, messy, single, full := goldenIDs()
-	const t0, v0 = int64(1_560_000_000_000_000_000), uint64(1_700_000_000_000_000_000)
-
-	ces := make([]entry, 2*blockEntries+17)
-	for i := range ces {
-		jitter := int64(rng.Intn(20_000_000)) - 10_000_000
-		ces[i] = entry{
-			ts:  t0 + int64(i)*1_000_000_000 + jitter,
-			val: float64(1000 + 37*i),
-			ver: v0 + uint64(i)*1_000_000_000 + uint64(rng.Intn(5_000_000)),
-		}
-	}
-
-	mes := make([]entry, blockEntries+9)
-	ts := t0 - 5_000
-	for i := range mes {
-		mes[i].ts = ts
-		if rng.Intn(8) != 0 { // occasional duplicate timestamps
-			ts += int64(rng.Intn(5000))
-		}
-		mes[i].val = rng.NormFloat64() * 1e3
-		if rng.Intn(5) == 0 {
-			mes[i].expire = int64(rng.Intn(1 << 30))
-		}
-		if rng.Intn(3) != 0 {
-			mes[i].ver = v0 - uint64(rng.Intn(1<<20))
-		}
-	}
-
-	fes := make([]entry, blockEntries)
-	for i := range fes {
-		fes[i] = entry{ts: t0 + int64(i)*250_000_000, val: 21.5 + float64(i%7)*0.25, ver: v0 + 42}
-	}
-
-	return &runContents{
-		minSeq: 1, maxSeq: 2,
-		tombs: map[core.SensorID]int64{counter: 5, sid(9, 9): 123},
-		series: map[core.SensorID][]entry{
-			counter: ces,
-			messy:   mes,
-			single:  {{ts: 17, val: -0.5}},
-			full:    fes,
-		},
-	}
 }

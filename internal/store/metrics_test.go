@@ -395,7 +395,8 @@ func TestRunBytesMetrics(t *testing.T) {
 	dir := t.TempDir()
 	n := openedNode(t, dir, 1<<30, DiskOptions{SyncInterval: -1, CompactInterval: -1})
 	defer n.Close()
-	counter, gauge, clocked, _ := goldenIDs() // of one shard: one run file
+	ids := goldenShardIDs(3) // of one shard: one run file
+	counter, gauge, clocked := ids[0], ids[1], ids[2]
 	const t0, v0 = int64(1_560_000_000_000_000_000), uint64(1_700_000_000_000_000_000)
 	for i := 0; i < blockEntries+88; i += 8 {
 		vrs := make([]VersionedReading, 8)

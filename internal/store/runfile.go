@@ -16,11 +16,11 @@ import (
 )
 
 // Run-file format v5: block-indexed, compressed, cold-readable — and
-// the only format written. Data comes first so the writer can stream
-// blocks as a merge produces them; the index lives at the tail, closed
-// by a fixed-size footer, so recovery reads O(index) bytes — not the
-// data — and a cold query reads only the pages holding the blocks whose
-// [minTs,maxTs] overlap its window:
+// the only format written or read. Data comes first so the writer can
+// stream blocks as a merge produces them; the index lives at the tail,
+// closed by a fixed-size footer, so recovery reads O(index) bytes — not
+// the data — and a cold query reads only the pages holding the blocks
+// whose [minTs,maxTs] overlap its window:
 //
 //	magic "DCDBRUN5"
 //	data   : concatenated blocks (see block.go) in index order, no gaps
@@ -33,7 +33,8 @@ import (
 //	                   crc32(page) u32 — only when closesPage
 //	           gap   : first block of a series: min-baseTS uv; a later
 //	                   one: (min - previous max) - period, zz
-//	           span  : (max-min) - (count-1)·period, zz
+//	           span  : (max-min) - (count-1)·period, zz; 0 for a block
+//	                   of one entry
 //	         sid    : u8 (shared<<4 | n) | n × level code uv — the SID's
 //	                  first `shared` 16-bit levels repeat the previous SID
 //	                  of the same list (all zero before the first), n
@@ -65,52 +66,42 @@ import (
 // tiny blocks of a fan-in file share a CRC while a full block keeps its
 // own.
 //
-// Formats v4 and v3, the ones before, are read through the same parser
-// and block decoder. Their data and footer are v5's; their blocks carry
-// the same streams under the flags layout of one bit a coding, which the
-// decoder maps onto v5's selectors (blockBase.v4Flags), and their
-// clock-coded sections start their step at 0: their stampPeriod is 0,
-// which is how they were written. v4's index is v5's without
-// stampPeriod. v3's index has no period (0) either, states every
-// block's count (series: sid | blockCount uv | blocks; block: len uv |
-// count uv | min-prev uv | max-min uv | crc u32), so every block is a
-// page of its own, and codes SIDs by bytes (u8 (shared<<4 | n-1) | n
-// bytes). Compaction rewrites v3 and v4 into v5; nothing else does.
-// The two formats before v3 are refused with the way out (errRunFileV1,
-// errRunFileV2), and their files are left as they are: the builds that
-// read them rewrote them, one format forward, at a writable open. A
-// format newer than v5 is refused by name (errRunFileNewer).
+// Every format before v5 is refused at open by name, with its way out
+// (errRunFileOld, oldRunRoutes), and its file is left as it is: the
+// builds that read it rewrite it forward. A format newer than v5 is
+// refused by name too (errRunFileNewer).
 
 var runMagic = []byte("DCDBRUN5")
 
-// errRunFileV1 and errRunFileV2 refuse the formats whose decoders are
-// gone: v1, the uncompressed whole-file format of the first durable
-// builds, and v2, the fixed-width index with self-contained blocks.
-// internal/store/README.md names the builds of the upgrade path.
-// errRunFileNewer refuses a format a newer build wrote.
+// errRunFileOld refuses a format before v5, whose reader is gone;
+// errRunFileNewer one a newer build wrote.
 var (
-	errRunFileV1 = errors.New("run file is in format v1 (DCDBRUN1), which this build no longer reads: " +
-		"open the directory once, writable, with a build that still reads v1, then once with a build " +
-		"that still reads v2; each rewrites the files one format forward (see \"Upgrading old run files\" in internal/store/README.md)")
-	errRunFileV2 = errors.New("run file is in format v2 (DCDBRUN2), which this build no longer reads: " +
-		"open the directory once, writable, with a build that still reads v2; it rewrites the files as v3 " +
-		"(see \"Upgrading old run files\" in internal/store/README.md)")
-	errRunFileNewer = errors.New("run file is in a format newer than this build reads (v3 to v5)")
+	errRunFileOld   = errors.New("run file is in a format this build no longer reads")
+	errRunFileNewer = errors.New("run file is in a format newer than this build reads (v5)")
 )
+
+// compactRoute is the last step out of every old format.
+const compactRoute = "open the directory once, writable, with a build that reads v3, v4 and v5, and compact it " +
+	"(an agent data directory: dcdbconfig -db DIR compact); see \"Upgrading old run files\" in internal/store/README.md"
+
+// oldRunRoutes[v] is the way out of format v: a writable open with each
+// build that rewrites the files one format forward, then compactRoute.
+var oldRunRoutes = [...]string{
+	1: "open the directory once, writable, with a build that still reads v1, then once with a build that still reads v2; then " + compactRoute,
+	2: "open the directory once, writable, with a build that still reads v2; then " + compactRoute,
+	3: compactRoute,
+	4: compactRoute,
+}
 
 const (
 	runMagicLen  = 8
 	runFooterLen = 16
 
-	// Smallest encodings, for validating counts before allocating — v4's
-	// and v5's (a SID may be its header byte alone, a block's CRC closes a
-	// page only), then v3's.
-	minTombLen        = 1 + 1                   // sid, cutoff
-	minBlockMetaLen   = 1 + 1 + 1               // len, gap, span
-	minSeriesLen      = 1 + 1 + minBlockMetaLen // sid, count, one block
-	minTombLenV3      = 2 + 1
-	minBlockMetaLenV3 = 1 + 1 + 1 + 1 + 4 // len, count, min, span, crc
-	minSeriesLenV3    = 2 + 1 + minBlockMetaLenV3
+	// Smallest encodings, for validating counts before allocating: a SID
+	// may be its header byte alone, and a block's CRC closes a page only.
+	minTombLen      = 1 + 1                   // sid, cutoff
+	minBlockMetaLen = 1 + 1 + 1               // len, gap, span
+	minSeriesLen    = 1 + 1 + minBlockMetaLen // sid, count, one block
 
 	// pageMin is the length at which a page closes (closesPage).
 	pageMin = 1 << 10
@@ -612,10 +603,9 @@ func appendRunIndex(b []byte, idx *runIndex) []byte {
 // indexReader walks an index section; the first malformed field sets
 // err and every later read returns zero.
 type indexReader struct {
-	b      []byte
-	off    int
-	err    error
-	levels bool // SIDs are level-coded (v4, v5), else byte-coded (v3)
+	b   []byte
+	off int
+	err error
 }
 
 func (r *indexReader) fail(format string, args ...any) {
@@ -662,9 +652,6 @@ func (r *indexReader) sid(prev core.SensorID) core.SensorID {
 		return core.SensorID{}
 	}
 	h := r.b[r.off]
-	if !r.levels {
-		return r.sidBytes(prev, h)
-	}
 	shared, n := int(h>>4), int(h&15)
 	if shared+n > core.MaxTopicLevels {
 		r.fail("has a malformed sensor id at byte %d", r.off)
@@ -683,24 +670,6 @@ func (r *indexReader) sid(prev core.SensorID) core.SensorID {
 	return id
 }
 
-// sidBytes decodes a v3 SID, whose header h is at the reader's offset:
-// the first `shared` bytes of prev, then n explicit bytes, the rest
-// zero.
-func (r *indexReader) sidBytes(prev core.SensorID, h byte) core.SensorID {
-	shared, n := int(h>>4), int(h&15)+1
-	if shared+n > 16 || r.rest() < uint64(1+n) {
-		r.fail("has a malformed sensor id at byte %d", r.off)
-		return core.SensorID{}
-	}
-	var s [16]byte
-	binary.BigEndian.PutUint64(s[0:], prev.Hi)
-	binary.BigEndian.PutUint64(s[8:], prev.Lo)
-	clear(s[shared:])
-	copy(s[shared:], r.b[r.off+1:r.off+1+n])
-	r.off += 1 + n
-	return core.SensorID{Hi: binary.BigEndian.Uint64(s[0:]), Lo: binary.BigEndian.Uint64(s[8:])}
-}
-
 // addDelta returns base+d, reporting false when the sum leaves int64
 // (the wrapped sum of a non-negative delta lands below base).
 func addDelta(base int64, d uint64) (int64, bool) {
@@ -708,33 +677,25 @@ func addDelta(base int64, d uint64) (int64, bool) {
 	return v, v >= base
 }
 
-// parseRunIndex decodes and validates an index section of the given
-// format (3 to 5). dataLen is the file offset where the index begins;
-// the blocks must tile the data section exactly, and after v3 the pages
-// must follow the page rule. Every count is checked against the bytes
-// that remain before anything is sized from it, every product and bound
-// against overflow.
-func parseRunIndex(b []byte, dataLen int64, format int) (*runIndex, error) {
+// parseRunIndex decodes and validates an index section. dataLen is the
+// file offset where the index begins; the blocks must tile the data
+// section exactly, and the pages must follow the page rule. Every count
+// is checked against the bytes that remain before anything is sized
+// from it, every product and bound against overflow. A one-entry block
+// has no span: its one timestamp is its min and its max, so the bounds
+// a cold read rejects blocks by are those the block decodes to.
+func parseRunIndex(b []byte, dataLen int64) (*runIndex, error) {
 	if dataLen < runMagicLen {
 		return nil, fmt.Errorf("store: run index starts inside the magic")
 	}
-	v4 := format >= 4 // the index layout of v4 and v5, else v3's
-	minTomb, minSeries, minBlock := uint64(minTombLen), uint64(minSeriesLen), uint64(minBlockMetaLen)
-	if !v4 {
-		minTomb, minSeries, minBlock = minTombLenV3, minSeriesLenV3, minBlockMetaLenV3
-	}
-	r := &indexReader{b: b, levels: v4}
+	r := &indexReader{b: b}
 	idx := &runIndex{dataLen: dataLen}
 	idx.minSeq = r.uvarint()
 	span := r.uvarint()
 	baseTS := unzigzag(r.uvarint())
 	idx.base.ver = r.uvarint()
-	if v4 {
-		idx.period = r.uvarint()
-	}
-	if idx.base.v4Flags = format < 5; !idx.base.v4Flags {
-		idx.base.stampPeriod = unzigzag(r.uvarint())
-	}
+	idx.period = r.uvarint()
+	idx.base.stampPeriod = unzigzag(r.uvarint())
 	tombCount := r.uvarint()
 	seriesCount := r.uvarint()
 	if r.err != nil {
@@ -746,7 +707,7 @@ func parseRunIndex(b []byte, dataLen int64, format int) (*runIndex, error) {
 	if idx.period > math.MaxInt64 {
 		return nil, fmt.Errorf("store: run index period overflows")
 	}
-	if tombCount > r.rest()/minTomb {
+	if tombCount > r.rest()/minTombLen {
 		return nil, fmt.Errorf("store: run index tombstone count overflows index")
 	}
 	if tombCount > 0 {
@@ -764,7 +725,7 @@ func parseRunIndex(b []byte, dataLen int64, format int) (*runIndex, error) {
 			idx.tombs[id], prev = cutoff, id
 		}
 	}
-	if seriesCount > r.rest()/minSeries {
+	if seriesCount > r.rest()/minSeriesLen {
 		return nil, fmt.Errorf("store: run index series count overflows index")
 	}
 	idx.series = make([]seriesIndex, 0, seriesCount)
@@ -775,15 +736,7 @@ func parseRunIndex(b []byte, dataLen int64, format int) (*runIndex, error) {
 	pageStart, closed := off, true
 	var pending []*blockMeta
 	for i := uint64(0); i < seriesCount; i++ {
-		se := seriesIndex{id: r.sid(prev)}
-		var blockCount uint64
-		if v4 {
-			if se.count = r.uvarint(); se.count > 0 {
-				blockCount = (se.count-1)/blockEntries + 1
-			}
-		} else {
-			blockCount = r.uvarint()
-		}
+		se := seriesIndex{id: r.sid(prev), count: r.uvarint()}
 		if r.err != nil {
 			return nil, r.err
 		}
@@ -791,35 +744,30 @@ func parseRunIndex(b []byte, dataLen int64, format int) (*runIndex, error) {
 			return nil, fmt.Errorf("store: run index series out of order")
 		}
 		prev = se.id
-		if blockCount == 0 {
+		if se.count == 0 {
 			return nil, fmt.Errorf("store: run index has empty series")
 		}
-		if blockCount > r.rest()/minBlock {
+		blockCount := (se.count-1)/blockEntries + 1
+		if blockCount > r.rest()/minBlockMetaLen {
 			return nil, fmt.Errorf("store: run index block count overflows index")
 		}
 		se.blocks = make([]blockMeta, blockCount)
 		last := baseTS
 		left := se.count
 		for j := range se.blocks {
-			var length, count, gap, span uint64
-			closes := true
-			if v4 {
-				lc := r.uvarint()
-				length, closes = lc>>1, lc&1 != 0
-				count = min(left, blockEntries)
-				left -= count
-				if gap = r.uvarint(); j > 0 {
-					gap = idx.period + uint64(unzigzag(gap))
-				}
-				pred, ok := predictedSpan(count, idx.period)
-				if !ok {
-					return nil, fmt.Errorf("store: run index block span prediction overflows")
-				}
-				span = pred + uint64(unzigzag(r.uvarint()))
-			} else {
-				length, count = r.uvarint(), r.uvarint()
-				gap, span = r.uvarint(), r.uvarint()
+			lc := r.uvarint()
+			length, closes := lc>>1, lc&1 != 0
+			count := min(left, blockEntries)
+			left -= count
+			gap := r.uvarint()
+			if j > 0 {
+				gap = idx.period + uint64(unzigzag(gap))
 			}
+			pred, ok := predictedSpan(count, idx.period)
+			if !ok {
+				return nil, fmt.Errorf("store: run index block span prediction overflows")
+			}
+			span := pred + uint64(unzigzag(r.uvarint()))
 			var crc uint32
 			if closes {
 				crc = r.u32()
@@ -834,12 +782,15 @@ func parseRunIndex(b []byte, dataLen int64, format int) (*runIndex, error) {
 			if err := checkBlockCount(count, int(length)); err != nil {
 				return nil, err
 			}
+			if count == 1 && span != 0 {
+				return nil, fmt.Errorf("store: run index gives a one-entry block a span of %d", int64(span))
+			}
 			lo, ok1 := addDelta(last, gap)
 			hi, ok2 := addDelta(lo, span)
 			if !ok1 || !ok2 {
 				return nil, fmt.Errorf("store: run index block bounds overflow")
 			}
-			if v4 && off > runMagicLen && closed != closesPage(pageStart, off, length) {
+			if off > runMagicLen && closed != closesPage(pageStart, off, length) {
 				return nil, fmt.Errorf("store: run index pages break the page rule at data byte %d", off)
 			}
 			if closed {
@@ -853,9 +804,6 @@ func parseRunIndex(b []byte, dataLen int64, format int) (*runIndex, error) {
 					m.pageLen, m.crc = uint32(off-pageStart), crc
 				}
 				pending = pending[:0]
-			}
-			if !v4 {
-				se.count += count
 			}
 			last = hi
 		}
@@ -874,33 +822,28 @@ func parseRunIndex(b []byte, dataLen int64, format int) (*runIndex, error) {
 	return idx, nil
 }
 
-// runFormat returns the format (3 to 5) of a run file's magic; v1, v2,
-// a newer format and a foreign magic are errors.
-func runFormat(magic []byte) (int, error) {
-	switch string(magic) {
-	case string(runMagic):
-		return 5, nil
-	case "DCDBRUN4":
-		return 4, nil
-	case "DCDBRUN3":
-		return 3, nil
-	case "DCDBRUN2":
-		return 0, errRunFileV2
-	case "DCDBRUN1":
-		return 0, errRunFileV1
+// runFormat accepts the magic of format v5 and refuses any other: an
+// older or a newer format by name, anything else as no run file.
+func runFormat(magic []byte) error {
+	if string(magic) == string(runMagic) {
+		return nil
 	}
-	if v := magic[runMagicLen-1]; string(magic[:runMagicLen-1]) == "DCDBRUN" && v > '5' && v <= '9' {
-		return 0, fmt.Errorf("%w: it is format v%c (%s); open it with the build that wrote it or a newer one", errRunFileNewer, v, magic)
+	if string(magic[:runMagicLen-1]) == "DCDBRUN" {
+		switch v := int(magic[runMagicLen-1]) - '0'; {
+		case v >= 1 && v < len(oldRunRoutes):
+			return fmt.Errorf("%w: it is format v%d (%s); %s", errRunFileOld, v, magic, oldRunRoutes[v])
+		case v > 5 && v <= 9:
+			return fmt.Errorf("%w: it is format v%d (%s); open it with the build that wrote it or a newer one", errRunFileNewer, v, magic)
+		}
 	}
-	return 0, fmt.Errorf("not a DCDB run file")
+	return fmt.Errorf("not a DCDB run file")
 }
 
 // parseRunFrame validates a run file's frame — magic, footer, index
 // CRC — from the file's size, its first runMagicLen and its last
 // runFooterLen bytes, and parses the index that readIndex fetches.
 func parseRunFrame(size int64, magic, footer []byte, readIndex func(off int64, n uint32) ([]byte, error)) (*runIndex, error) {
-	format, err := runFormat(magic)
-	if err != nil {
+	if err := runFormat(magic); err != nil {
 		return nil, err
 	}
 	indexOff := binary.BigEndian.Uint64(footer[0:])
@@ -919,7 +862,7 @@ func parseRunFrame(size int64, magic, footer []byte, readIndex func(off int64, n
 	if crc32.ChecksumIEEE(indexBytes) != indexCRC {
 		return nil, fmt.Errorf("run index CRC mismatch")
 	}
-	return parseRunIndex(indexBytes, int64(indexOff), format)
+	return parseRunIndex(indexBytes, int64(indexOff))
 }
 
 // readRunIndexFile reads only a run file's footer and index — the cold
@@ -988,17 +931,8 @@ func decodeRunFile(data []byte) (*runContents, error) {
 				}
 				checked = m.pageOff
 			}
-			n := len(es)
 			if err := decodeBlock(data[m.off:m.off+uint64(m.length)], m, idx.base, &es); err != nil {
 				return nil, err
-			}
-			// The index's bounds are the always-resident rejection
-			// data; they must agree with the decoded payload. The
-			// decoder took the first timestamp from them, and the last
-			// one of an anchored block, so what this checks is the last
-			// timestamp of a block written without the anchor.
-			if es[n].ts != m.min || es[len(es)-1].ts != m.max {
-				return nil, fmt.Errorf("store: block at %d bounds contradict its index entry", m.off)
 			}
 		}
 		rc.series[se.id] = es
