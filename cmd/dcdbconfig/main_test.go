@@ -165,6 +165,43 @@ func TestCommands(t *testing.T) {
 	}
 }
 
+// TestCompactKeepsStamps: compact rewrites the directory, and a reading
+// written with a one-hour TTL comes out of it with its expiry and its
+// write version.
+func TestCompactKeepsStamps(t *testing.T) {
+	dir := t.TempDir()
+	c, err := collectagent.OpenBackend(dir, 2, 1, store.RingPartitioner{}, store.DiskOptions{CompactInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := core.SensorID{Hi: 7, Lo: 7}
+	before := time.Now()
+	if err := c.Insert(id, core.Reading{Timestamp: t0.UnixNano(), Value: 1}, time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	after := time.Now()
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	runOK(t, "-db", dir, "compact")
+
+	n := store.NewNode(0)
+	if err := n.OpenOptions(collectagent.NodeDir(dir, 0), store.DiskOptions{CompactInterval: -1, ReadOnly: true}); err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	vrs, err := n.QueryVersioned(id, 0, 1<<62)
+	if err != nil || len(vrs) != 1 {
+		t.Fatalf("after compact: %+v, %v", vrs, err)
+	}
+	if e := vrs[0].Expire; e < before.Add(time.Hour).UnixNano() || e > after.Add(time.Hour).UnixNano() {
+		t.Errorf("after compact the reading expires at %d, want an hour after it was written", e)
+	}
+	if vrs[0].Version == 0 {
+		t.Error("after compact the reading lost its write version")
+	}
+}
+
 // TestErrors: a command line that cannot be carried out is an error,
 // never an exit from inside run — among them a run file in a format
 // this build refuses, whose error names the way out.

@@ -1,7 +1,9 @@
 // Command dcdbcsvimport bulk-loads CSV sensor data into a Collect
 // Agent's data directory (paper §5.2), creating it if needed. The input
 // format matches dcdbquery's output: a "sensor,timestamp,value" header
-// followed by one reading per row with RFC3339 timestamps.
+// followed by one reading per row with RFC3339 timestamps. Imported
+// readings are unstamped (write version 0), so a reading the agent
+// stored at the same timestamp outranks them.
 //
 // Usage:
 //
@@ -9,8 +11,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -18,26 +22,39 @@ import (
 )
 
 func main() {
-	db := flag.String("db", "dcdb", "agent data directory")
-	flag.Parse()
-	if flag.NArg() != 1 {
-		log.Fatal("dcdbcsvimport: need exactly one CSV file")
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatal(err)
+	}
+}
+
+// run carries out one command line (without the program name), writing
+// what it reports to stdout. The directory is rewritten only once the
+// whole file has been read.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("dcdbcsvimport", flag.ContinueOnError)
+	db := fs.String("db", "dcdb", "agent data directory")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() != 1 {
+		return errors.New("dcdbcsvimport: need exactly one CSV file")
 	}
 	conn, node, err := tooldb.Open(*db)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	f, err := os.Open(flag.Arg(0))
+	f, err := os.Open(fs.Arg(0))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer f.Close()
 	n, err := conn.ImportCSV(f)
 	if err != nil {
-		log.Fatalf("dcdbcsvimport: after %d readings: %v", n, err)
+		return fmt.Errorf("dcdbcsvimport: after %d readings: %w", n, err)
 	}
 	if err := tooldb.Save(conn, node, *db); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("imported %d readings into %s\n", n, *db)
+	fmt.Fprintf(stdout, "imported %d readings into %s\n", n, *db)
+	return nil
 }

@@ -1,0 +1,104 @@
+package main
+
+import (
+	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"dcdb/internal/tooldb"
+)
+
+// writeCSV writes a dcdbquery-style export of n readings per topic, a
+// second apart, and returns its path.
+func writeCSV(t *testing.T, topics []string, n int) string {
+	t.Helper()
+	var b strings.Builder
+	b.WriteString("sensor,timestamp,value\n")
+	for i, tp := range topics {
+		for k := 0; k < n; k++ {
+			ts := time.Unix(1_560_000_000+int64(k), 0).UTC().Format(time.RFC3339Nano)
+			fmt.Fprintf(&b, "%s,%s,%d\n", tp, ts, 100*i+k)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "readings.csv")
+	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestImport loads an export into a data directory that does not exist
+// yet, then a second one into the same directory, and reads every
+// reading back through the tools' view of the directory.
+func TestImport(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "agent")
+	first := []string{"/dc/r1/power", "/dc/r1/temp"}
+	var out bytes.Buffer
+	if err := run([]string{"-db", dir, writeCSV(t, first, 5)}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("imported 10 readings into %s\n", dir); out.String() != want {
+		t.Errorf("printed %q, want %q", out.String(), want)
+	}
+	if err := run([]string{"-db", dir, writeCSV(t, []string{"/dc/r2/power"}, 3)}, &bytes.Buffer{}); err != nil {
+		t.Fatal(err)
+	}
+
+	conn, _, err := tooldb.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := conn.ListSensors(""); len(got) != 3 {
+		t.Fatalf("the directory lists %v, want 3 sensors", got)
+	}
+	for tp, n := range map[string]int{"/dc/r1/power": 5, "/dc/r1/temp": 5, "/dc/r2/power": 3} {
+		rs, err := conn.Query(tp, 0, 1<<62)
+		if err != nil || len(rs) != n {
+			t.Fatalf("%s: %d readings, %v; want %d", tp, len(rs), err, n)
+		}
+		if tp == "/dc/r1/temp" && (rs[2].Value != 102 || rs[2].Timestamp != time.Unix(1_560_000_002, 0).UnixNano()) {
+			t.Errorf("%s reading 2: %+v", tp, rs[2])
+		}
+	}
+}
+
+// TestErrors: a command line that cannot be carried out is an error,
+// never an exit from inside run, and leaves no directory behind.
+func TestErrors(t *testing.T) {
+	base := t.TempDir()
+	dir := filepath.Join(base, "agent")
+	badHeader := filepath.Join(base, "bad.csv")
+	if err := os.WriteFile(badHeader, []byte("topic,time,reading\n/a,2019-06-08T00:00:00Z,1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	snap := filepath.Join(base, "old")
+	if err := os.WriteFile(snap+".topics", []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	good := writeCSV(t, []string{"/dc/r1/power"}, 2)
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-db", dir}, "need exactly one CSV file"},
+		{[]string{"-db", dir, good, good}, "need exactly one CSV file"},
+		{[]string{"-db", dir, filepath.Join(base, "missing.csv")}, "no such file"},
+		{[]string{"-db", dir, badHeader}, "unexpected CSV header"},
+		{[]string{"-db", snap, good}, "snapshot file prefix"},
+		{[]string{"-no-such-flag", good}, "flag provided but not defined"},
+	} {
+		err := run(c.args, &bytes.Buffer{})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("dcdbcsvimport %s: %v, want an error containing %q", strings.Join(c.args, " "), err, c.want)
+		}
+	}
+	for _, p := range []string{dir, snap} {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Errorf("a failed import left %s behind: %v", p, err)
+		}
+	}
+}

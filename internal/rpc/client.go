@@ -503,14 +503,14 @@ func (c *Client) write(entries []store.WriteEntry) error {
 	return nil
 }
 
-// Insert implements store.Backend: an unversioned (version 0) entry of
-// one reading.
+// Insert implements store.Backend: an unstamped (version 0) entry of
+// one reading, the one write a node's own Insert makes too.
 func (c *Client) Insert(id core.SensorID, r core.Reading, ttl time.Duration) error {
 	return c.InsertBatch(id, []core.Reading{r}, ttl)
 }
 
-// InsertBatch implements store.Backend: an unversioned (version 0)
-// entry, its TTL resolved to an absolute expiry here.
+// InsertBatch implements store.Backend: an unstamped (version 0) entry,
+// its TTL resolved to an absolute expiry here, as Node.InsertBatch does.
 func (c *Client) InsertBatch(id core.SensorID, rs []core.Reading, ttl time.Duration) error {
 	if len(rs) == 0 {
 		return nil

@@ -194,7 +194,7 @@ func (c *Cluster) resolveRead(t *topology, id core.SensorID, from, to int64) ([]
 }
 
 // winnerVersioned resolves one timestamp's conflicting writes: highest
-// version wins; equal versions (legacy unversioned conflicts, or one
+// version wins; equal versions (unstamped version-0 conflicts, or one
 // write hinted twice) break the tie on value bits so every coordinator
 // — and every repair round — picks the same winner.
 func winnerVersioned(a, b VersionedReading) VersionedReading {

@@ -55,9 +55,10 @@ type NodeBackend interface {
 
 // VersionedReading is one reading together with the write version and
 // absolute expiry it was coordinated with (Expire 0 = never, Version 0
-// = legacy unversioned write). It is the unit of versioned replication:
-// hint replay and anti-entropy repair move VersionedReadings so the
-// original conflict-resolution order survives re-delivery.
+// = an unstamped write: Insert, InsertBatch, the tools). It is the unit
+// of versioned replication: hint replay and anti-entropy repair move
+// VersionedReadings so the original conflict-resolution order survives
+// re-delivery.
 type VersionedReading struct {
 	Timestamp int64
 	Value     float64
@@ -225,20 +226,6 @@ func TTLToExpire(ttl time.Duration) int64 {
 		return 0
 	}
 	return time.Now().Add(ttl).UnixNano()
-}
-
-// expireToTTL is the inverse, used when a hinted write is replayed: the
-// absolute expiry recorded at coordination time becomes the TTL the
-// node API takes. ok is false when the entry has already expired.
-func expireToTTL(expire int64) (time.Duration, bool) {
-	if expire == 0 {
-		return 0, true
-	}
-	d := time.Until(time.Unix(0, expire))
-	if d <= 0 {
-		return 0, false
-	}
-	return d, true
 }
 
 var _ NodeBackend = (*Node)(nil)

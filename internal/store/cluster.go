@@ -146,8 +146,8 @@ type Cluster struct {
 	// counter seeded from the wall clock and bumped per logical write,
 	// so versions are monotonic within a coordinator and (clock skew
 	// aside) ordered across coordinator restarts without persisting
-	// anything (nextVersion). Version 0 is reserved for legacy
-	// unversioned writes.
+	// anything (nextVersion). Version 0 is reserved for unstamped
+	// writes (a node's own Insert and InsertBatch).
 	ver atomic.Uint64
 
 	// writeWG tracks the running write-queue flushers so Close drains

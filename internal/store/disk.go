@@ -194,8 +194,9 @@ func (n *Node) Open(dir string) error { return n.OpenOptions(dir, DiskOptions{})
 // whose sequence span another file covers (the crash window of a
 // compaction) — then replays the surviving WAL segments in order,
 // truncating a torn tail, so every write acknowledged before the crash
-// is served again and no partial record ever is. On error the node is
-// not usable and must be discarded.
+// is served again and no partial record ever is; a whole record this
+// build cannot read fails the open instead. On error the node is not
+// usable and must be discarded.
 func (n *Node) OpenOptions(dir string, o DiskOptions) error {
 	if n.durable() {
 		return fmt.Errorf("store: node already open at %s", n.dir)

@@ -1,9 +1,11 @@
 package store
 
 import (
-	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"os"
-	"path/filepath"
+	"slices"
 	"testing"
 
 	"dcdb/internal/core"
@@ -112,42 +114,45 @@ func FuzzRunFileDecode(f *testing.F) {
 	})
 }
 
+// FuzzWALReplay decodes arbitrary segment bytes as recovery does: a
+// record that cannot be read refuses the segment, leaving nothing to
+// replay or truncate; otherwise the truncation point starts a torn
+// frame, never a whole record; and whatever replays is applied with its
+// stamps.
 func FuzzWALReplay(f *testing.F) {
 	f.Add([]byte{})
-	var seg bytes.Buffer
-	{
-		dir, err := os.MkdirTemp("", "dcdbfuzz")
-		if err != nil {
-			f.Fatal(err)
-		}
-		defer os.RemoveAll(dir)
-		w, err := createWAL(dir, 1)
-		if err != nil {
-			f.Fatal(err)
-		}
-		id := core.SensorID{Hi: 7, Lo: 8}
-		w.append(encodeWALInsert(nil, id, []core.Reading{{Timestamp: 1, Value: 2}, {Timestamp: 3, Value: 4}}, 0))
-		w.append(encodeWALDelete(nil, id, 2))
-		w.append(encodeWALInsert1(nil, id, core.Reading{Timestamp: 9, Value: 9}, 123))
-		if err := w.close(); err != nil {
-			f.Fatal(err)
-		}
-		data, err := os.ReadFile(filepath.Join(dir, "wal-0000000000000001.log"))
-		if err != nil {
-			f.Fatal(err)
-		}
-		seg.Write(data)
-	}
-	f.Add(seg.Bytes())
-	f.Add(seg.Bytes()[:seg.Len()-3]) // torn tail
+	id := core.SensorID{Hi: 7, Lo: 8}
+	seg := slices.Concat(
+		insertRecord(WriteEntry{ID: id, Readings: []core.Reading{{Timestamp: 1, Value: 2}, {Timestamp: 3, Value: 4}}}),
+		framed(encodeWALDelete(nil, id, 2)),
+		insertRecord(WriteEntry{ID: id, Version: 1 << 50, Expire: 1 << 62, Readings: []core.Reading{{Timestamp: 9, Value: 9}}}),
+	)
+	f.Add(seg)
+	f.Add(seg[:len(seg)-3]) // torn tail
+	// A type-1 record, which older builds wrote: refused.
+	f.Add(append(slices.Clone(seg), framed(type1Payload(id, []core.Reading{{Timestamp: 5, Value: 5}}, 0))...))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ops, valid := decodeWALRecords(data)
+		ops, valid, err := decodeWALRecords(data)
+		if err != nil {
+			if !errors.Is(err, errWALRecordUnreadable) || ops != nil || valid != 0 {
+				t.Fatalf("refusal %v came with %d ops and a cut at %d", err, len(ops), valid)
+			}
+			return
+		}
 		if valid < 0 || valid > len(data) {
 			t.Fatalf("valid offset %d outside [0,%d]", valid, len(data))
 		}
-		// Everything decoded must be replayable without panicking.
+		// A writable open truncates at valid: the frame there is torn —
+		// short, empty or failing its CRC — never a whole record.
+		if tail := data[valid:]; len(tail) >= walFrameHeader {
+			plen := int(binary.BigEndian.Uint32(tail))
+			if plen >= 1 && plen <= walMaxRecord && plen <= len(tail)-walFrameHeader &&
+				crc32.ChecksumIEEE(tail[walFrameHeader:walFrameHeader+plen]) == binary.BigEndian.Uint32(tail[4:]) {
+				t.Fatalf("the cut at %d drops a whole record of %d bytes", valid, plen)
+			}
+		}
+		// Everything decoded must be replayable, stamps and all.
 		n := NewNode(0)
-		id := core.SensorID{}
 		for _, op := range ops {
 			if op.del {
 				if err := n.DeleteBefore(op.id, op.cutoff); err != nil {
@@ -155,17 +160,16 @@ func FuzzWALReplay(f *testing.F) {
 				}
 				continue
 			}
-			rs := make([]core.Reading, len(op.entries))
+			vrs := make([]VersionedReading, len(op.entries))
 			for i, e := range op.entries {
-				rs[i] = core.Reading{Timestamp: e.ts, Value: e.val}
+				vrs[i] = VersionedReading{Timestamp: e.ts, Value: e.val, Version: e.ver, Expire: e.expire}
 			}
-			if err := n.InsertBatch(op.id, rs, 0); err != nil {
+			if err := n.InsertVersioned(op.id, vrs); err != nil {
 				t.Fatal(err)
 			}
-			id = op.id
-		}
-		if _, err := n.Query(id, -1<<62, 1<<62); err != nil {
-			t.Fatal(err)
+			if _, err := n.QueryVersioned(op.id, -1<<62, 1<<62); err != nil {
+				t.Fatal(err)
+			}
 		}
 	})
 }

@@ -52,8 +52,10 @@ import (
 // pre-version resurrection window — replay reinstating an older value
 // that read repair then spread — is closed; background anti-entropy
 // (antientropy.go) additionally converges replicas that diverged with
-// no read traffic at all. Records from before the version bump (type
-// 1) still replay, as version 0.
+// no read traffic at all. A hint file holding a record this build
+// cannot read — type 1, the unstamped insert of older builds, among
+// them — fails its member's replay by name and is kept
+// (errWALRecordUnreadable).
 
 // hintFileMax rotates the per-member append file so one outage does
 // not grow a single unbounded segment; replay deletes whole files as
@@ -66,7 +68,6 @@ const hintFileMax = 4 << 20
 // mutations must reach the range's current owners instead.
 type hintApplier interface {
 	InsertVersioned(id core.SensorID, vrs []VersionedReading) error
-	InsertBatch(id core.SensorID, rs []core.Reading, ttl time.Duration) error
 	DeleteBefore(id core.SensorID, cutoff int64) error
 }
 
@@ -288,8 +289,12 @@ func (q *hintQueue) replay(id string, to hintApplier) error {
 			return err
 		}
 		// A torn tail is a crash mid-enqueue: the write behind it was
-		// never recorded as hinted, so dropping it is correct.
-		ops, _ := decodeWALRecords(data)
+		// never recorded as hinted, so dropping it is correct. A record
+		// this build cannot read keeps the file, none of it applied.
+		ops, _, err := decodeWALRecords(data)
+		if err != nil {
+			return fmt.Errorf("store: hint file %s: %w", seg.path, err)
+		}
 		for _, op := range ops {
 			if op.del {
 				if err := to.DeleteBefore(op.id, op.cutoff); err != nil {
@@ -298,42 +303,22 @@ func (q *hintQueue) replay(id string, to hintApplier) error {
 				q.replayed.Add(1)
 				continue
 			}
-			if len(op.entries) == 0 {
-				continue
-			}
-			if op.versioned {
-				// Re-deliver the original write versions and absolute
-				// expiries, dropping readings that expired while queued.
-				now := time.Now().UnixNano()
-				vrs := make([]VersionedReading, 0, len(op.entries))
-				for _, e := range op.entries {
-					if e.expire != 0 && e.expire <= now {
-						continue
-					}
-					vrs = append(vrs, VersionedReading{
-						Timestamp: e.ts, Value: e.val, Version: e.ver, Expire: e.expire,
-					})
+			// Re-deliver the original write versions and absolute
+			// expiries, dropping readings that expired while queued.
+			now := time.Now().UnixNano()
+			vrs := make([]VersionedReading, 0, len(op.entries))
+			for _, e := range op.entries {
+				if e.expire != 0 && e.expire <= now {
+					continue
 				}
-				if len(vrs) == 0 {
-					continue // every hinted reading already expired
-				}
-				if err := to.InsertVersioned(op.id, vrs); err != nil {
-					return err
-				}
-				q.replayed.Add(1)
-				continue
+				vrs = append(vrs, VersionedReading{
+					Timestamp: e.ts, Value: e.val, Version: e.ver, Expire: e.expire,
+				})
 			}
-			// Legacy unversioned hint (pre-bump file): replay as a plain
-			// version-0 write.
-			ttl, ok := expireToTTL(op.entries[0].expire)
-			if !ok {
-				continue // the hinted readings already expired
+			if len(vrs) == 0 {
+				continue // every hinted reading already expired
 			}
-			rs := make([]core.Reading, len(op.entries))
-			for i, e := range op.entries {
-				rs[i] = core.Reading{Timestamp: e.ts, Value: e.val}
-			}
-			if err := to.InsertBatch(op.id, rs, ttl); err != nil {
+			if err := to.InsertVersioned(op.id, vrs); err != nil {
 				return err
 			}
 			q.replayed.Add(1)
@@ -421,10 +406,6 @@ type forwarder struct{ c *Cluster }
 
 func (f forwarder) InsertVersioned(id core.SensorID, vrs []VersionedReading) error {
 	return f.c.coordinateVersioned(id, vrs)
-}
-
-func (f forwarder) InsertBatch(id core.SensorID, rs []core.Reading, ttl time.Duration) error {
-	return f.c.InsertBatch(id, rs, ttl)
 }
 
 func (f forwarder) DeleteBefore(id core.SensorID, cutoff int64) error {

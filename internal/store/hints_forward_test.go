@@ -1,6 +1,9 @@
 package store
 
 import (
+	"errors"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -8,9 +11,9 @@ import (
 )
 
 // Coverage for the hint-forwarding machinery around departed members:
-// the containment predicate the cutover falls back to, delete and
-// legacy-format hints forwarded through current owners, and the three
-// deliverHints dispositions.
+// the containment predicate the cutover falls back to, delete hints
+// forwarded through current owners beside a refused type-1 hint, and
+// the three deliverHints dispositions.
 
 func TestVersionedMissing(t *testing.T) {
 	vr := func(ts int64, ver uint64) VersionedReading {
@@ -65,11 +68,12 @@ func TestRebalanceWaitBlocksUntilCutover(t *testing.T) {
 	checkSensors(t, c, ids, 10)
 }
 
-// TestForwardedDeleteAndLegacyHints drives the two forwarder paths the
-// versioned-insert forwarding test does not reach: a delete hint and a
-// legacy unversioned insert hint (written by a pre-versioning
-// coordinator) queued for a member that then leaves the ring. Both must
-// re-coordinate through the current owners.
+// TestForwardedDeleteAndLegacyHints drives what the versioned-insert
+// forwarding test does not reach: a delete hint queued for a member
+// that then leaves the ring must re-coordinate through the current
+// owners, and a type-1 insert hint (the unstamped record of older
+// coordinators) queued for another departed member is refused by name
+// and kept, without holding up the delete.
 func TestForwardedDeleteAndLegacyHints(t *testing.T) {
 	dir := t.TempDir()
 	c, nodes := ringCluster(t, []string{"alpha", "bravo", "charlie"}, ClusterOptions{
@@ -99,27 +103,29 @@ func TestForwardedDeleteAndLegacyHints(t *testing.T) {
 	if _, _, pending := c.HintStats(); pending == 0 {
 		t.Fatal("no delete hint queued for the down replica")
 	}
-	// A legacy unversioned insert hint in the same queue, as an older
-	// coordinator build would have written it.
+	// A type-1 insert hint, as an older coordinator build wrote it, for
+	// a member no longer on the ring.
 	legacy := sid(42, 14)
-	if err := c.hints.enqueue("charlie", encodeWALInsert(nil,
-		legacy, []core.Reading{{Timestamp: 7, Value: 7}}, 0)); err != nil {
+	if err := c.hints.enqueue("delta", type1Payload(legacy, []core.Reading{{Timestamp: 7, Value: 7}}, 0)); err != nil {
 		t.Fatal(err)
 	}
 
-	// The member leaves instead of recovering; after the cutover both
-	// hints forward through the remaining owners.
+	// The member leaves instead of recovering; after the cutover its
+	// delete hint forwards through the remaining owners, while the
+	// type-1 hint is refused and stays queued.
 	if err := c.SetMembers([]MemberInfo{
 		{ID: "alpha", Addr: "alpha"}, {ID: "bravo", Addr: "bravo"},
 	}); err != nil {
 		t.Fatal(err)
 	}
 	waitRebalance(t, c)
-	if err := c.ReplayHints(); err != nil {
-		t.Fatalf("forwarding hints of the departed member: %v", err)
+	err := c.ReplayHints()
+	if !errors.Is(err, errWALRecordUnreadable) || !strings.Contains(err.Error(), filepath.Join(c.hints.dir, "delta")) ||
+		!strings.Contains(err.Error(), "type 1 at offset 0; type 1 is the unstamped insert of older builds") {
+		t.Fatalf("forwarding a departed member's type-1 hint: %v, want its refusal with the way out", err)
 	}
-	if _, _, pending := c.HintStats(); pending != 0 {
-		t.Fatalf("%d members still have pending hints after forwarding", pending)
+	if c.hints.has("charlie") || !c.hints.has("delta") {
+		t.Fatalf("pending hints: charlie %v, delta %v; want only delta's", c.hints.has("charlie"), c.hints.has("delta"))
 	}
 
 	got, err := c.Query(id, 0, 1<<60)
@@ -129,12 +135,8 @@ func TestForwardedDeleteAndLegacyHints(t *testing.T) {
 	if len(got) != 2 || got[0].Timestamp != 3 || got[1].Timestamp != 4 {
 		t.Fatalf("after forwarded delete: %v, want ts 3 and 4 only", got)
 	}
-	lg, err := c.Query(legacy, 0, 1<<60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(lg) != 1 || lg[0].Value != 7 {
-		t.Fatalf("after forwarded legacy insert: %v", lg)
+	if lg, err := c.Query(legacy, 0, 1<<60); err != nil || len(lg) != 0 {
+		t.Fatalf("a refused type-1 hint was applied: %v, %v", lg, err)
 	}
 }
 
@@ -232,21 +234,6 @@ func TestRingScatterQuorumBound(t *testing.T) {
 	wnodes["bravo"].SetDown(true)
 	if got, err := wide.QueryPrefix(core.SensorID{}, 0, 0, 1<<60); err != nil || len(got) != 5 {
 		t.Fatalf("scatter read with 2 of 3 copies live: %d sensors, %v", len(got), err)
-	}
-}
-
-// TestExpireToTTL pins the hint-replay expiry inversion: a zero expiry
-// is "no TTL", a future expiry becomes a positive TTL, and an already
-// expired entry is reported dead so replay drops it.
-func TestExpireToTTL(t *testing.T) {
-	if d, ok := expireToTTL(0); !ok || d != 0 {
-		t.Fatalf("expireToTTL(0) = (%v, %v)", d, ok)
-	}
-	if d, ok := expireToTTL(time.Now().Add(time.Hour).UnixNano()); !ok || d <= 0 {
-		t.Fatalf("future expiry: (%v, %v)", d, ok)
-	}
-	if _, ok := expireToTTL(time.Now().Add(-time.Hour).UnixNano()); ok {
-		t.Fatal("past expiry reported alive")
 	}
 }
 

@@ -461,7 +461,7 @@ func (n *Node) sensorItersLocked(sh *shard, id core.SensorID, from, to int64) (s
 // entryMerge and yields, per timestamp, the entry that wins: expired
 // entries are dropped, the highest write version is kept, and equal
 // versions resolve newest-source-wins (sources arrive oldest first,
-// hence >=) — the legacy behaviour when every entry is unversioned.
+// hence >=) — the last write wins among unstamped (version-0) ones.
 //
 // Winners come out in runs. Sequential merges (the monotonic-sensor
 // common case) hand over whole run windows and decoded blocks, and the

@@ -72,10 +72,11 @@ type Backend interface {
 }
 
 // entry is one stored cell: timestamp, value, absolute expiry
-// (0 = never), and the coordinator-assigned write version (0 = legacy
-// unversioned write). Query-time dedup resolves duplicate timestamps
-// by highest version; equal versions fall back to newest-source-wins,
-// which keeps the legacy all-zero behaviour byte-identical.
+// (0 = never), and the coordinator-assigned write version (0 = an
+// unstamped write: Insert, InsertBatch, the tools). Query-time dedup
+// resolves duplicate timestamps by highest version; equal versions fall
+// back to newest-source-wins, so among unstamped writes the last one
+// wins.
 type entry struct {
 	ts     int64
 	val    float64
@@ -337,26 +338,6 @@ func (n *Node) owed(w *wal, pos uint64) walPend {
 	return walPend{}
 }
 
-// logDurable appends a WAL record for the mutation. In sync-every mode
-// it returns the record's durability obligation; the caller settles it
-// with syncTo after releasing the shard lock, so concurrent writers
-// group-commit into one fsync instead of serialising an fsync each
-// under the lock. Caller holds sh.mu exclusively. No-op on memory-only
-// nodes.
-func (n *Node) logDurable(i int, encode func([]byte) []byte) (walPend, error) {
-	w, err := n.walReady(i)
-	if w == nil {
-		return walPend{}, err
-	}
-	sh := &n.shards[i]
-	sh.disk.walBuf = encode(sh.disk.walBuf)
-	pos, err := w.append(sh.disk.walBuf)
-	if err != nil {
-		return walPend{}, err
-	}
-	return n.owed(w, pos), nil
-}
-
 // rotateBrokenWALLocked retires the active (broken) segment into the
 // memtable's covered-segment set and opens a fresh one. Caller holds
 // the shard's mu exclusively.
@@ -378,57 +359,14 @@ func (n *Node) rotateBrokenWALLocked(i int) error {
 	return nil
 }
 
-// Insert implements Backend. It is the per-message hot path, so it
-// avoids the slice round-trip through InsertBatch.
-//
-// In sync-every mode the record is applied to the memtable before its
-// fsync: the fsync happens outside the shard lock (group-committed
-// across concurrent writers) and the insert returns only once it
-// succeeded, so the acknowledgement guarantee is unchanged. A sync
-// failure leaves the entry in the memtable unacknowledged — the same
-// may-replay-after-crash status any in-flight write has.
+// Insert implements Backend: InsertBatch of one reading.
 func (n *Node) Insert(id core.SensorID, r core.Reading, ttl time.Duration) error {
-	if n.down.Load() {
-		return ErrNodeDown
-	}
-	var expire int64
-	if ttl > 0 {
-		expire = time.Now().Add(ttl).UnixNano()
-	}
-	i := shardIndex(id)
-	start := n.met.insertStart(i)
-	sh := &n.shards[i]
-	sh.mu.Lock()
-	pend, err := n.logDurable(i, func(buf []byte) []byte {
-		return encodeWALInsert1(buf, id, r, expire)
-	})
-	if err != nil {
-		sh.mu.Unlock()
-		return err
-	}
-	s := sh.seriesFor(id)
-	if s.sorted && len(s.entries) > 0 && r.Timestamp < s.entries[len(s.entries)-1].ts {
-		s.sorted = false
-	}
-	s.entries = append(s.entries, entry{ts: r.Timestamp, val: r.Value, expire: expire})
-	sh.memSize++
-	sh.inserts++
-	n.met.armTick(i, sh.inserts-1, sh.inserts)
-	var ferr error
-	if sh.memSize >= n.flushSize {
-		ferr = n.flushShardLocked(i)
-	}
-	sh.mu.Unlock()
-	if pend.w != nil {
-		if serr := pend.w.syncTo(pend.pos); serr != nil {
-			return serr
-		}
-	}
-	n.met.insertDone(i, start)
-	return ferr
+	rs := [1]core.Reading{r}
+	return n.InsertBatch(id, rs[:], ttl)
 }
 
-// InsertBatch implements Backend.
+// InsertBatch implements Backend: WriteFrame of one unstamped entry —
+// version 0, the TTL read once as an absolute expiry.
 func (n *Node) InsertBatch(id core.SensorID, rs []core.Reading, ttl time.Duration) error {
 	if len(rs) == 0 {
 		return nil
@@ -436,64 +374,11 @@ func (n *Node) InsertBatch(id core.SensorID, rs []core.Reading, ttl time.Duratio
 	if n.down.Load() {
 		return ErrNodeDown
 	}
-	// The TTL clock is read once per batch, outside the lock.
-	var expire int64
-	if ttl > 0 {
-		expire = time.Now().Add(ttl).UnixNano()
-	}
-	i := shardIndex(id)
-	start := n.met.insertStart(i)
-	sh := &n.shards[i]
-	sh.mu.Lock()
-	// Batches are chunked so no record exceeds the replay-side bound
-	// (walMaxRecord) — an oversized record would be rejected at
-	// recovery and truncate every later record in the segment. All
-	// chunks normally land in one segment; a mid-batch rotation of a
-	// broken segment adds a second pend, and each owed segment is
-	// synced below before the batch is acknowledged.
-	var pends []walPend
-	for off := 0; off < len(rs); off += walBatchChunk {
-		chunk := rs[off:min(off+walBatchChunk, len(rs))]
-		pend, err := n.logDurable(i, func(buf []byte) []byte {
-			return encodeWALInsert(buf, id, chunk, expire)
-		})
-		if err != nil {
-			// Nothing was applied to the memtable: the write is not
-			// acknowledged (earlier chunks may replay after a crash,
-			// like any unacknowledged write in flight).
-			sh.mu.Unlock()
-			return err
-		}
-		if pend.w != nil {
-			if len(pends) > 0 && pends[len(pends)-1].w == pend.w {
-				pends[len(pends)-1].pos = pend.pos
-			} else {
-				pends = append(pends, pend)
-			}
-		}
-	}
-	s := sh.seriesFor(id)
-	for _, r := range rs {
-		if s.sorted && len(s.entries) > 0 && r.Timestamp < s.entries[len(s.entries)-1].ts {
-			s.sorted = false
-		}
-		s.entries = append(s.entries, entry{ts: r.Timestamp, val: r.Value, expire: expire})
-	}
-	sh.memSize += len(rs)
-	sh.inserts += int64(len(rs))
-	n.met.armTick(i, sh.inserts-int64(len(rs)), sh.inserts)
-	var ferr error
-	if sh.memSize >= n.flushSize {
-		ferr = n.flushShardLocked(i)
-	}
-	sh.mu.Unlock()
-	for _, pend := range pends {
-		if serr := pend.w.syncTo(pend.pos); serr != nil {
-			return serr
-		}
-	}
-	n.met.insertDone(i, start)
-	return ferr
+	// Set field by field: a composite literal is built in a temporary
+	// and copied, which costs the one-reading Insert several ns.
+	var e [1]WriteEntry
+	e[0].ID, e[0].Expire, e[0].Readings = id, TTLToExpire(ttl), rs
+	return n.writeShard(shardIndex(id), e[:], nil)
 }
 
 // InsertVersioned stores versioned readings of one sensor — the
@@ -506,13 +391,13 @@ func (n *Node) InsertVersioned(id core.SensorID, vrs []VersionedReading) error {
 	return firstError(n.WriteFrame(SplitStamps(id, vrs)))
 }
 
-// WriteFrame implements FrameWriter: the coordinator-facing write path.
-// The entries are grouped by shard and each shard the frame touches is
-// written under one lock hold with one WAL append, so a frame of many
-// one-reading entries costs a node what one batch does. A shard that
-// fails fails its own entries only. The readings are WAL-logged in
-// type-3 records carrying their stamps; plain Insert/InsertBatch
-// writes keep their unversioned type-1 records and store version 0.
+// WriteFrame implements FrameWriter: the node's one write path, which
+// Insert, InsertBatch and InsertVersioned are frames of. The entries are
+// grouped by shard and each shard the frame touches is written under
+// one lock hold with one WAL append, so a frame of many one-reading
+// entries costs a node what one batch does. A shard that fails fails
+// its own entries only. The readings are WAL-logged in type-3 records
+// carrying their stamps.
 func (n *Node) WriteFrame(entries []WriteEntry) []error {
 	if len(entries) == 0 {
 		return nil
@@ -575,6 +460,12 @@ func failAll(n int, err error) []error {
 // in the segment. On an error nothing was applied to the memtable: the
 // write is not acknowledged (its records may replay after a crash, like
 // any unacknowledged write in flight).
+//
+// In sync-every mode the entries are applied before their fsync, which
+// runs outside the shard lock so concurrent writers group-commit into
+// one; the write returns only once it succeeded. A sync failure leaves
+// the entries in the memtable unacknowledged, with the same
+// may-replay-after-crash status.
 func (n *Node) writeShard(i int, entries []WriteEntry, shardOf []uint8) error {
 	start := n.met.insertStart(i)
 	sh := &n.shards[i]
@@ -703,7 +594,7 @@ func (n *Node) flushShardLocked(i int) error {
 	nw, err := createWAL(sh.disk.dir, sh.disk.nextSeq)
 	if err != nil {
 		// Fail the shard closed: with no segment to log to, further
-		// durable writes must be rejected (logDurable checks for a
+		// durable writes must be rejected (walReady checks for a
 		// nil wal), not silently buffered into the closed file. No
 		// spill was enqueued, so the covered segments are never
 		// deleted and this flush stays recoverable from the WAL.
@@ -792,14 +683,17 @@ func (n *Node) DeleteBefore(id core.SensorID, cutoff int64) error {
 	i := shardIndex(id)
 	sh := &n.shards[i]
 	sh.mu.Lock()
-	pend, err := n.logDurable(i, func(buf []byte) []byte {
-		return encodeWALDelete(buf, id, cutoff)
-	})
+	w, err := n.walReady(i)
+	var pos uint64
+	if w != nil {
+		sh.disk.walBuf = encodeWALDelete(sh.disk.walBuf, id, cutoff)
+		pos, err = w.append(sh.disk.walBuf)
+	}
 	if err != nil {
 		sh.mu.Unlock()
 		return err
 	}
-	if n.durable() {
+	if w != nil {
 		if sh.disk.tombs == nil {
 			sh.disk.tombs = make(map[core.SensorID]int64)
 		}
@@ -813,7 +707,8 @@ func (n *Node) DeleteBefore(id core.SensorID, cutoff int64) error {
 	sh.cutMemLocked(id, cutoff)
 	sh.cutRunsLocked(id, cutoff, ^uint64(0))
 	sh.mu.Unlock()
-	if pend.w != nil {
+	// Synced outside the lock, group-committed like a write.
+	if pend := n.owed(w, pos); pend.w != nil {
 		return pend.w.syncTo(pend.pos)
 	}
 	return nil

@@ -174,7 +174,7 @@ func newestWAL(t *testing.T, dir string, id core.SensorID) (string, int64) {
 }
 
 func TestRecoveryTornWALTruncatedAtArbitraryByte(t *testing.T) {
-	const batches, batchLen = 10, 4
+	const batches, batchLen = 10, 3 // records of 8 + 21 + 3×32 = 125 bytes
 	base := t.TempDir()
 	id := sid(42, 1)
 	n := openedNode(t, base, 0, noCompact) // large flush budget: all data lives in the WAL
@@ -271,7 +271,7 @@ func TestRecoveryInjectedWALWriterFailure(t *testing.T) {
 	id := sid(5, 5)
 	realOpen := openWALSink
 	defer func() { openWALSink = realOpen }()
-	budget := 3*(8+21+24) + 10 // three whole single-reading records, then mid-record failure
+	budget := 3*(8+21+32) + 10 // three whole single-reading records, then mid-record failure
 	openWALSink = func(path string) (walSink, error) {
 		f, err := realOpen(path)
 		if err != nil {

@@ -33,7 +33,7 @@ func TestWALVersionedRecordRoundtrip(t *testing.T) {
 	if !ok {
 		t.Fatal("versioned record did not decode")
 	}
-	if !op.versioned || op.id != id || len(op.entries) != 2 {
+	if op.del || op.id != id || len(op.entries) != 2 {
 		t.Fatalf("decoded op %+v", op)
 	}
 	for i, e := range op.entries {

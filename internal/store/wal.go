@@ -25,8 +25,11 @@ import (
 // At a flush the segment is closed and a fresh one opened; the closed
 // segment is deleted only once the run file written from that memtable
 // is durable. Recovery replays every surviving segment in sequence
-// order and stops at the first torn or corrupt record, truncating the
-// tail so a half-written record is never served.
+// order and stops at the first torn record — a short or empty frame or
+// a CRC mismatch — truncating the tail so a half-written record is never
+// served. A record that is whole but that this build cannot parse is
+// not a torn tail: acknowledged records may follow it, so it fails the
+// open by name and the segment is left as it is (errWALRecordUnreadable).
 //
 // Record framing (integers big-endian):
 //
@@ -34,18 +37,14 @@ import (
 //
 // Payloads:
 //
-//	type 1 (insert): u8 1 | sidHi u64 | sidLo u64 | count u32
-//	                 | count × (ts i64 | val f64 | expire i64)
 //	type 2 (delete): u8 2 | sidHi u64 | sidLo u64 | cutoff i64
-//	type 3 (versioned insert):
-//	                 u8 3 | sidHi u64 | sidLo u64 | count u32
+//	type 3 (insert): u8 3 | sidHi u64 | sidLo u64 | count u32
 //	                 | count × (ts i64 | val f64 | expire i64 | ver u64)
 //
-// Type-1 records replay as version 0, so segments written before the
-// version bump recover unchanged.
+// Type 1, the unstamped insert older builds wrote, is refused with its
+// way out (walType1Route).
 
 const (
-	walRecInsert  = 1
 	walRecDelete  = 2
 	walRecInsertV = 3
 
@@ -257,45 +256,6 @@ func (w *wal) close() error {
 	return cerr
 }
 
-// encodeWALInsert builds a type-1 record payload, reusing buf.
-func encodeWALInsert(buf []byte, id core.SensorID, rs []core.Reading, expire int64) []byte {
-	need := 1 + 16 + 4 + 24*len(rs)
-	if cap(buf) < need {
-		buf = make([]byte, need)
-	}
-	buf = buf[:need]
-	buf[0] = walRecInsert
-	binary.BigEndian.PutUint64(buf[1:], id.Hi)
-	binary.BigEndian.PutUint64(buf[9:], id.Lo)
-	binary.BigEndian.PutUint32(buf[17:], uint32(len(rs)))
-	off := 21
-	for _, r := range rs {
-		binary.BigEndian.PutUint64(buf[off:], uint64(r.Timestamp))
-		binary.BigEndian.PutUint64(buf[off+8:], math.Float64bits(r.Value))
-		binary.BigEndian.PutUint64(buf[off+16:], uint64(expire))
-		off += 24
-	}
-	return buf
-}
-
-// encodeWALInsert1 is encodeWALInsert for the single-reading hot path,
-// avoiding a slice allocation per insert.
-func encodeWALInsert1(buf []byte, id core.SensorID, r core.Reading, expire int64) []byte {
-	const need = 1 + 16 + 4 + 24
-	if cap(buf) < need {
-		buf = make([]byte, need)
-	}
-	buf = buf[:need]
-	buf[0] = walRecInsert
-	binary.BigEndian.PutUint64(buf[1:], id.Hi)
-	binary.BigEndian.PutUint64(buf[9:], id.Lo)
-	binary.BigEndian.PutUint32(buf[17:], 1)
-	binary.BigEndian.PutUint64(buf[21:], uint64(r.Timestamp))
-	binary.BigEndian.PutUint64(buf[29:], math.Float64bits(r.Value))
-	binary.BigEndian.PutUint64(buf[37:], uint64(expire))
-	return buf
-}
-
 // walFrameHeader is the length + CRC prefix of a framed record.
 const walFrameHeader = 8
 
@@ -372,63 +332,61 @@ func encodeWALDelete(buf []byte, id core.SensorID, cutoff int64) []byte {
 
 // walOp is one replayed mutation.
 type walOp struct {
-	del       bool
-	versioned bool // type-3 insert: entries carry write versions
-	id        core.SensorID
-	cutoff    int64   // delete only
-	entries   []entry // insert only
+	del     bool
+	id      core.SensorID
+	cutoff  int64   // delete only
+	entries []entry // insert only
 }
 
+// errWALRecordUnreadable refuses a record whose frame and CRC check out
+// but whose payload this build cannot parse. It was written whole, so
+// unlike a torn tail it may be followed by acknowledged records.
+var errWALRecordUnreadable = errors.New("WAL record this build cannot read")
+
+// walType1Route is the way out of a type-1 record, the unstamped insert
+// older builds wrote, which this build no longer reads.
+const walType1Route = "type 1 is the unstamped insert of older builds; replay it with a build that still reads it: " +
+	"open the node directory once, writable, and close it cleanly, which flushes its records into run files and deletes the segment " +
+	"(an agent data directory: dcdbconfig -db DIR compact), or, for a hint file, run that build's collect agent on the data directory " +
+	"until its hints are delivered; see \"WAL format\" in internal/store/README.md"
+
 // decodeWALRecords replays a segment's byte content. It stops silently
-// at the first torn, truncated or corrupt record — the tail beyond it
-// was never acknowledged — and returns how many bytes formed valid
-// records so callers can truncate the file there.
-func decodeWALRecords(data []byte) (ops []walOp, valid int) {
+// at the first torn record — a frame that is short or empty or fails
+// its CRC; the tail from there was never acknowledged — and returns how
+// many bytes formed valid records so callers can truncate the file
+// there. A whole record it cannot parse fails with
+// errWALRecordUnreadable, naming its type and offset, and nothing is
+// returned to replay or truncate.
+func decodeWALRecords(data []byte) (ops []walOp, valid int, err error) {
 	off := 0
 	for {
-		if len(data)-off < 8 {
-			return ops, off
+		if len(data)-off < walFrameHeader {
+			return ops, off, nil
 		}
 		plen := int(binary.BigEndian.Uint32(data[off:]))
 		crc := binary.BigEndian.Uint32(data[off+4:])
-		if plen < 1 || plen > walMaxRecord || len(data)-off-8 < plen {
-			return ops, off
+		if plen < 1 || plen > walMaxRecord || len(data)-off-walFrameHeader < plen {
+			return ops, off, nil
 		}
-		payload := data[off+8 : off+8+plen]
+		payload := data[off+walFrameHeader : off+walFrameHeader+plen]
 		if crc32.ChecksumIEEE(payload) != crc {
-			return ops, off
+			return ops, off, nil
 		}
 		op, ok := decodeWALPayload(payload)
 		if !ok {
-			return ops, off
+			err := fmt.Errorf("%w: type %d at offset %d", errWALRecordUnreadable, payload[0], off)
+			if payload[0] == 1 {
+				err = fmt.Errorf("%w; %s", err, walType1Route)
+			}
+			return nil, 0, err
 		}
 		ops = append(ops, op)
-		off += 8 + plen
+		off += walFrameHeader + plen
 	}
 }
 
 func decodeWALPayload(p []byte) (walOp, bool) {
 	switch p[0] {
-	case walRecInsert:
-		if len(p) < 21 {
-			return walOp{}, false
-		}
-		id := core.SensorID{Hi: binary.BigEndian.Uint64(p[1:]), Lo: binary.BigEndian.Uint64(p[9:])}
-		count := int(binary.BigEndian.Uint32(p[17:]))
-		if count < 0 || len(p)-21 != 24*count {
-			return walOp{}, false
-		}
-		es := make([]entry, count)
-		off := 21
-		for i := range es {
-			es[i] = entry{
-				ts:     int64(binary.BigEndian.Uint64(p[off:])),
-				val:    math.Float64frombits(binary.BigEndian.Uint64(p[off+8:])),
-				expire: int64(binary.BigEndian.Uint64(p[off+16:])),
-			}
-			off += 24
-		}
-		return walOp{id: id, entries: es}, true
 	case walRecInsertV:
 		if len(p) < 21 {
 			return walOp{}, false
@@ -449,7 +407,7 @@ func decodeWALPayload(p []byte) (walOp, bool) {
 			}
 			off += 32
 		}
-		return walOp{id: id, entries: es, versioned: true}, true
+		return walOp{id: id, entries: es}, true
 	case walRecDelete:
 		if len(p) != 25 {
 			return walOp{}, false
@@ -478,13 +436,17 @@ func walSegSeq(name string) (uint64, bool) {
 
 // replaySegment reads one segment from disk. With truncate set, a torn
 // tail is cut off in place so the next open does not re-parse garbage;
-// read-only recovery leaves the file as the crash left it.
+// read-only recovery leaves the file as the crash left it, and so does
+// a refusal.
 func replaySegment(path string, truncate bool) ([]walOp, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	ops, valid := decodeWALRecords(data)
+	ops, valid, err := decodeWALRecords(data)
+	if err != nil {
+		return nil, fmt.Errorf("store: WAL segment %s: %w", path, err)
+	}
 	if truncate && valid < len(data) {
 		// Failure to truncate is not fatal — replay will stop at the
 		// same offset next time.

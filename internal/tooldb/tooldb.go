@@ -79,14 +79,20 @@ func Open(dir string) (*libdcdb.Connection, *store.Node, error) {
 	return finish(node, dir)
 }
 
-// mergeInto copies every reading of src into dst.
+// mergeInto copies every reading of src into dst under the write
+// version and expiry it was stored with: replicas that disagree on a
+// timestamp resolve to the newest write, whichever directory merges
+// last, and a Save keeps every TTL. Readings the tools write themselves
+// (dcdbcsvimport) are unstamped, version 0, like any write no
+// coordinator stamped: a stamped reading at the same timestamp outranks
+// them.
 func mergeInto(dst, src *store.Node) error {
 	for _, id := range src.SensorIDs() {
-		rs, err := src.Query(id, -1<<62, 1<<62)
+		vrs, err := src.QueryVersioned(id, -1<<62, 1<<62)
 		if err != nil {
 			return err
 		}
-		if err := dst.InsertBatch(id, rs, 0); err != nil {
+		if err := dst.InsertVersioned(id, vrs); err != nil {
 			return err
 		}
 	}

@@ -205,6 +205,37 @@ func TestOpenDataDirectory(t *testing.T) {
 	}
 }
 
+// TestOpenServesNewestReplicaWrite: when the node directories of an
+// agent disagree on a timestamp, Open serves the newest write — the
+// higher version, in node0 here — not the directory it merges last.
+func TestOpenServesNewestReplicaWrite(t *testing.T) {
+	dir := t.TempDir()
+	id := core.SensorID{Hi: 3, Lo: 4}
+	for i, vr := range []store.VersionedReading{
+		{Timestamp: 5, Value: 2, Version: 2},
+		{Timestamp: 5, Value: 1, Version: 1},
+	} {
+		n := store.NewNode(0)
+		if err := n.OpenOptions(collectagent.NodeDir(dir, i), store.DiskOptions{CompactInterval: -1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.InsertVersioned(id, []store.VersionedReading{vr}); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, node, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vrs, err := node.QueryVersioned(id, 0, 10)
+	if err != nil || len(vrs) != 1 || vrs[0].Value != 2 || vrs[0].Version != 2 {
+		t.Fatalf("merged replicas serve %+v (%v), want node0's version 2, value 2", vrs, err)
+	}
+}
+
 func TestOpenRemoteQueriesLiveCluster(t *testing.T) {
 	// A "multi-process" cluster in miniature: two storage nodes behind
 	// loopback RPC servers, a topics file where the agent would keep
