@@ -11,6 +11,9 @@
 //	                          "range":{"from":RFC3339,"to":RFC3339},
 //	                          "maxDataPoints":500} → datapoint series
 //
+// A /query without a range, or with from after to, is a 400. Lists
+// with nothing in them encode as [], never null.
+//
 // Usage:
 //
 //	dcdbgrafana -db /var/lib/dcdb/agent -listen :3001
@@ -91,6 +94,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	log.Printf("dcdbgrafana: serving %s on %s", *db, *listen)
+	log.Fatal(http.ListenAndServe(*listen, newHandler(conn, cluster)))
+}
+
+// newHandler serves the data-source API over conn. cluster is the live
+// cluster behind conn, whose coordinator and RPC client metrics join
+// /metrics; nil when conn reads a data directory.
+func newHandler(conn *libdcdb.Connection, cluster *store.Cluster) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "dcdb grafana data source")
@@ -118,7 +129,7 @@ func main() {
 		out := struct {
 			Children []string `json:"children"`
 			Sensors  []string `json:"sensors"`
-		}{conn.Children(req.Target), conn.ListSensors(req.Target)}
+		}{nonNil(conn.Children(req.Target)), nonNil(conn.ListSensors(req.Target))}
 		writeJSON(w, out)
 	})
 	mux.HandleFunc("POST /query", func(w http.ResponseWriter, r *http.Request) {
@@ -127,9 +138,19 @@ func main() {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		var out []series
+		// A zero time has no UnixNano to speak of, and a range that ends
+		// before it starts selects nothing a caller could have meant.
+		if req.Range.From.IsZero() || req.Range.To.IsZero() {
+			http.Error(w, "query: range.from and range.to are required", http.StatusBadRequest)
+			return
+		}
+		if req.Range.From.After(req.Range.To) {
+			http.Error(w, "query: range.from is after range.to", http.StatusBadRequest)
+			return
+		}
+		from, to := req.Range.From.UnixNano(), req.Range.To.UnixNano()
+		out := []series{}
 		for _, tgt := range req.Targets {
-			from, to := req.Range.From.UnixNano(), req.Range.To.UnixNano()
 			var rs []core.Reading
 			var err error
 			if req.MaxDataPoints > 0 {
@@ -146,7 +167,7 @@ func main() {
 				http.Error(w, fmt.Sprintf("query %q: %v", tgt.Target, err), http.StatusBadRequest)
 				return
 			}
-			s := series{Target: tgt.Target}
+			s := series{Target: tgt.Target, Datapoints: make([][2]float64, 0, len(rs))}
 			for _, rd := range rs {
 				s.Datapoints = append(s.Datapoints, [2]float64{rd.Value, float64(rd.Timestamp / 1e6)})
 			}
@@ -154,8 +175,15 @@ func main() {
 		}
 		writeJSON(w, out)
 	})
-	log.Printf("dcdbgrafana: serving %s on %s", *db, *listen)
-	log.Fatal(http.ListenAndServe(*listen, mux))
+	return mux
+}
+
+// nonNil makes an empty list encode as [] rather than null.
+func nonNil(s []string) []string {
+	if s == nil {
+		return []string{}
+	}
+	return s
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

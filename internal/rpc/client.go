@@ -445,7 +445,7 @@ func (c *Client) WriteFrame(entries []store.WriteEntry) []error {
 		errs[k] = err
 	}
 	for start := 0; start < len(entries); {
-		n, size := frameCut(entries[start:], frameMax-reqHeaderLen)
+		n, size := store.CutEntries(entries[start:], frameMax-reqHeaderLen)
 		end := start + n
 		if size > frameMax-reqHeaderLen {
 			// One entry larger than any frame: refuse it here, where that
@@ -454,7 +454,7 @@ func (c *Client) WriteFrame(entries []store.WriteEntry) []error {
 			start = end
 			continue
 		}
-		resp, err := c.call(opWrite, appendEntries(make([]byte, 0, size), entries[start:end]))
+		resp, err := c.call(opWrite, store.AppendEntries(make([]byte, 0, size), entries[start:end]))
 		if err == nil {
 			cur := &cursor{b: resp}
 			for n := cur.u32(); n > 0 && cur.err == nil; n-- {
@@ -480,18 +480,6 @@ func (c *Client) WriteFrame(entries []store.WriteEntry) []error {
 // Self implements store.RemoteWriter: it is how a cluster tells this
 // client from a backend that merely embeds one.
 func (c *Client) Self() store.NodeBackend { return c }
-
-// frameCut returns how many leading entries share a frame whose body
-// may hold limit bytes, and that body's size: as many as fit, and
-// always at least one — alone, an entry may exceed the limit.
-func frameCut(entries []store.WriteEntry, limit int) (n, size int) {
-	size = 4
-	for n < len(entries) && (n == 0 || size+entryLen(entries[n]) <= limit) {
-		size += entryLen(entries[n])
-		n++
-	}
-	return n, size
-}
 
 // write sends entries as one frame and reports the first failure.
 func (c *Client) write(entries []store.WriteEntry) error {

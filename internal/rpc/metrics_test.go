@@ -175,9 +175,10 @@ func TestEveryOpHasNameAndHistogram(t *testing.T) {
 	}
 	// 2, 3 and 16 were Insert, InsertBatch and InsertVersioned (a write
 	// is an opWrite frame now), 4 and 5 the one-frame Query and
-	// QueryPrefix. A peer that still sends them must get "unknown op",
-	// never another op's behaviour.
-	reserved := []byte{2, 3, 4, 5, 16}
+	// QueryPrefix, 20 the write frame whose body led with an entry count.
+	// A peer that still sends them must get "unknown op", never another
+	// op's behaviour.
+	reserved := []byte{2, 3, 4, 5, 16, 20}
 	client, server := newClientMetrics(), NewServer(store.NewNode(0), true).met
 	labels := map[string]string{}
 	for _, op := range reserved {

@@ -26,39 +26,25 @@
 //	status 0 = ok (body is the op's result encoding)
 //	status 1 = application error (body is the error string)
 //
-// A write travels one way, as a write frame (opWrite). Its body is any
-// number of entries, each one coordinated write of one sensor — a
-// message's readings under the single stamp the coordinator gave them:
-//
-//	u32 entries | entries × ( sidHi u64 | sidLo u64 | version u64
-//	                        | expire i64 | n u32 | n × (ts i64 | value f64) )
-//
-// so a reading costs 16 bytes on the wire and its stamp is sent once
-// per message, not once per reading. Entries of different sensors, of
-// different messages, share a frame: a coordinator sends whatever
-// queued for the node while its previous frame was in flight
-// (store/cluster_write.go). The node applies a frame with one WAL
-// append per shard it touches and answers once, naming the entries it
-// could not apply:
+// A write travels one way, as a write frame (opWrite, op 21). Its body
+// is write entries back to back, each one coordinated write of one
+// sensor — a message's readings under the single stamp the coordinator
+// gave them — in the store's entry encoding (store.AppendEntries,
+// store.DecodeEntries), the encoding a node's WAL record and a
+// coordinator's hint file hold too: the frame's length ends the
+// entries, a reading costs 16 bytes and its stamp is sent once per
+// message. Entries of different sensors, of different messages, share
+// a frame: a coordinator sends whatever queued for the node while its
+// previous frame was in flight (store/cluster_write.go). The node
+// applies a frame with one WAL record per shard it touches and answers
+// once, naming the entries it could not apply:
 //
 //	u32 failed | failed × ( u32 entry index | u32 len | error string )
 //
 // Client.Insert, InsertBatch and InsertVersioned all encode entries —
 // version 0 for the first two, one entry per run of equal stamps for a
 // repair or hint batch — and a frame that would exceed frameMax is cut
-// at an entry boundary.
-//
-// A repair batch of fan-in data is one sensor's readings with no two
-// under one stamp, so one entry each. On the wire, one-reading entries
-// that follow one another on one sensor share a header — a stamped
-// run, the top bit of n set, the header's stamp unused and each reading
-// bringing its own:
-//
-//	sidHi | sidLo | 0 | 0 | n|1<<31 | n × (ts | value | version | expire)
-//
-// The receiver unfolds a run into the n entries it stands for, at the
-// indices they had, so a run is only ever a shorter spelling: such a
-// batch costs the 32 bytes a reading it did under the retired op 16.
+// at an entry boundary (store.CutEntries).
 //
 // Reads are streams: opQueryStream/opQueryPrefixStream answer with
 // chunk frames (status 2) closed by an end frame (status 3), and
@@ -66,15 +52,16 @@
 // materialised in one frame on either side, so its size is not bounded
 // by frameMax.
 //
-// The fifteen ops (numbers are the wire format; 2, 3, 4, 5 and 16 — the
-// one-reading, one-batch and per-reading-stamped inserts and the
-// one-frame Query and QueryPrefix — are retired and stay reserved):
+// The fifteen ops (numbers are the wire format; 2, 3, 4, 5, 16 and 20 —
+// the one-reading, one-batch and per-reading-stamped inserts, the
+// one-frame Query and QueryPrefix, and the write frame whose body led
+// with an entry count — are retired and stay reserved):
 //
 //	1 ping            10 stats                15 aggregate
 //	6 delete_before   11 sensor_ids           17 query_versioned
 //	7 flush           12 query_stream         18 digest
 //	8 sync            13 query_prefix_stream  19 gossip
-//	9 compact         14 cancel_stream        20 write
+//	9 compact         14 cancel_stream        21 write
 //
 // A frame whose CRC does not match its payload — a torn write, a
 // corrupted link, a non-DCDB peer — poisons the connection: the reader
@@ -89,7 +76,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"slices"
 	"strings"
 
 	"dcdb/internal/core"
@@ -113,10 +99,11 @@ func SplitAddrList(s string) []string {
 
 // Ops of the node API. The numbering is part of the wire format.
 // Numbers 2, 3 and 16 (the retired opInsert, opInsertBatch and
-// opInsertVersioned) and 4 and 5 (the retired one-frame Query and
-// QueryPrefix) are reserved and never reused: a peer that still sends
-// them gets the "rpc: unknown op" answer, not a different op's
-// behaviour.
+// opInsertVersioned), 4 and 5 (the retired one-frame Query and
+// QueryPrefix) and 20 (the write frame whose body led with an entry
+// count) are reserved and never reused: a peer that still sends them
+// gets the "rpc: unknown op" answer, not a different op's behaviour —
+// never a count misread as a sensor ID.
 const (
 	opPing         = 1
 	opDeleteBefore = 6
@@ -156,7 +143,7 @@ const (
 	opGossip = 19
 	// opWrite is the one write op: a frame of entries (see the package
 	// comment), answered once with the entries that failed.
-	opWrite = 20
+	opWrite = 21
 
 	// lastOp is the highest op number; the per-op metric arrays size off
 	// it, so a new op must move it (TestEveryOpHasNameAndHistogram).
@@ -317,62 +304,11 @@ func appendReadings(b []byte, rs []core.Reading) []byte {
 func appendVersionedReadings(b []byte, vrs []store.VersionedReading) []byte {
 	b = appendU32(b, uint32(len(vrs)))
 	for _, r := range vrs {
-		b = appendVersionedReading(b, core.Reading{Timestamp: r.Timestamp, Value: r.Value}, r.Version, r.Expire)
+		b = appendI64(b, r.Timestamp)
+		b = appendU64(b, math.Float64bits(r.Value))
+		b = appendU64(b, r.Version)
+		b = appendI64(b, r.Expire)
 	}
-	return b
-}
-
-func appendVersionedReading(b []byte, r core.Reading, version uint64, expire int64) []byte {
-	b = appendI64(b, r.Timestamp)
-	b = appendU64(b, math.Float64bits(r.Value))
-	b = appendU64(b, version)
-	return appendI64(b, expire)
-}
-
-// entryHeaderLen is what an entry costs before its readings: sid,
-// version, expire and the reading count.
-const entryHeaderLen = 16 + 8 + 8 + 4
-
-// entryLen bounds the encoded size of one write-frame entry: what it
-// costs on its own (inside a stamped run it costs less).
-func entryLen(e store.WriteEntry) int { return entryHeaderLen + 16*len(e.Readings) }
-
-// stampedRun, set on a wire entry's reading count, marks a run (see
-// the package comment): the header's stamp is unused and each reading
-// brings its own.
-const stampedRun = 1 << 31
-
-// appendEntries encodes a write frame's body. Entries of one reading
-// each that follow one another on one sensor — a repair batch of fan-in
-// data, every reading under the stamp of its own write — are folded
-// into a stamped run, which entries() unfolds into the same entries at
-// the same indices.
-func appendEntries(b []byte, es []store.WriteEntry) []byte {
-	count := len(b)
-	b = appendU32(b, 0)
-	items := uint32(0)
-	for k := 0; k < len(es); items++ {
-		e := es[k]
-		run := 1
-		for len(e.Readings) == 1 && k+run < len(es) && len(es[k+run].Readings) == 1 && es[k+run].ID == e.ID {
-			run++
-		}
-		b = appendSID(b, e.ID)
-		if run == 1 {
-			b = appendU64(b, e.Version)
-			b = appendI64(b, e.Expire)
-			b = appendReadings(b, e.Readings)
-		} else {
-			b = appendU64(b, 0)
-			b = appendI64(b, 0)
-			b = appendU32(b, uint32(run)|stampedRun)
-			for _, e := range es[k : k+run] {
-				b = appendVersionedReading(b, e.Readings[0], e.Version, e.Expire)
-			}
-		}
-		k += run
-	}
-	binary.BigEndian.PutUint32(b[count:], items)
 	return b
 }
 
@@ -419,9 +355,8 @@ func (c *cursor) sid() core.SensorID {
 	return core.SensorID{Hi: c.u64(), Lo: c.u64()}
 }
 
-func (c *cursor) readings() []core.Reading { return c.readingsN(c.u32()) }
-
-func (c *cursor) readingsN(n uint32) []core.Reading {
+func (c *cursor) readings() []core.Reading {
+	n := c.u32()
 	// Each reading is 16 bytes; reject counts the payload cannot hold
 	// before allocating.
 	if c.err != nil || uint64(n)*16 > uint64(len(c.b)-c.off) {
@@ -470,38 +405,15 @@ func (c *cursor) bytes() []byte {
 	return v
 }
 
-// entries decodes a write frame's body.
-func (c *cursor) entries() []store.WriteEntry {
-	items := c.u32()
-	// Reject counts the payload cannot hold before allocating.
-	if c.err != nil || uint64(items)*entryHeaderLen > uint64(len(c.b)-c.off) {
-		c.fail()
+// rest takes the rest of the payload (aliasing it): a body that its
+// frame's length ends, such as a write frame's entries.
+func (c *cursor) rest() []byte {
+	if c.err != nil {
 		return nil
 	}
-	es := make([]store.WriteEntry, 0, items)
-	for ; items > 0 && c.err == nil; items-- {
-		e := store.WriteEntry{ID: c.sid(), Version: c.u64(), Expire: c.i64()}
-		n := c.u32()
-		if n&stampedRun == 0 {
-			e.Readings = c.readingsN(n)
-			es = append(es, e)
-			continue
-		}
-		// A stamped run: one entry per reading, as appendEntries found
-		// them, 32 bytes each.
-		if n &^= stampedRun; uint64(n)*32 > uint64(len(c.b)-c.off) {
-			c.fail()
-			break
-		}
-		rs := make([]core.Reading, n)
-		es = slices.Grow(es, len(rs))
-		for i := range rs {
-			rs[i] = core.Reading{Timestamp: c.i64(), Value: math.Float64frombits(c.u64())}
-			version, expire := c.u64(), c.i64()
-			es = append(es, store.WriteEntry{ID: e.ID, Version: version, Expire: expire, Readings: rs[i : i+1]})
-		}
-	}
-	return es
+	v := c.b[c.off:]
+	c.off = len(c.b)
+	return v
 }
 
 func (c *cursor) fail() {

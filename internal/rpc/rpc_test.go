@@ -427,21 +427,25 @@ func TestRPCServerRejectsMalformedBodies(t *testing.T) {
 	if resp := send(short); resp[8] != statusErr {
 		t.Fatalf("truncated write frame accepted: %v", resp)
 	}
-	// Entry and readings counts larger than the payload can hold.
-	if resp := send(buildRequest(2, opWrite, 0, appendU32(nil, 1<<30))); resp[8] != statusErr {
-		t.Fatalf("overflowing entry count accepted: %v", resp)
+	// Readings counts larger than the payload can hold, plain and as a
+	// stamped run.
+	for _, n := range []uint32{1 << 30, 1<<31 | 1<<30} {
+		body := appendSID(nil, sid(1, 1))
+		body = appendU64(body, 7)
+		body = appendI64(body, 0)
+		body = appendU32(body, n) // claims a billion readings
+		if resp := send(buildRequest(2, opWrite, 0, body)); resp[8] != statusErr {
+			t.Fatalf("overflowing readings count %#x accepted: %v", n, resp)
+		}
 	}
-	body := appendU32(nil, 1)
-	body = appendSID(body, sid(1, 1))
-	body = appendU64(body, 7)
-	body = appendI64(body, 0)
-	body = appendU32(body, 1<<30) // claims a billion readings
-	huge := buildRequest(2, opWrite, 0, body)
-	if resp := send(huge); resp[8] != statusErr {
-		t.Fatalf("overflowing readings count accepted: %v", resp)
+	// A well-formed frame body under the retired op 20 — whose body led
+	// with an entry count — is an unknown op, not a write.
+	entries := store.AppendEntries(nil, []store.WriteEntry{{ID: sid(1, 1), Readings: []core.Reading{rd(1, 1)}}})
+	if resp := send(buildRequest(3, 20, 0, entries)); resp[8] != statusErr || !strings.Contains(string(resp[9:]), "unknown op 20") {
+		t.Fatalf("op 20 answered %q, want an unknown-op error", resp[9:])
 	}
 	// Trailing garbage after a valid body.
-	body = appendSID(nil, sid(1, 1))
+	body := appendSID(nil, sid(1, 1))
 	body = appendI64(body, 0)
 	body = appendI64(body, 1<<60)
 	body = append(body, 0xff)
@@ -449,10 +453,10 @@ func TestRPCServerRejectsMalformedBodies(t *testing.T) {
 	if resp := send(trailing); resp[8] != statusErr {
 		t.Fatalf("trailing bytes accepted: %v", resp)
 	}
-	// Unknown opcode — which is also what the retired inserts (2, 3, 16)
-	// and the retired one-frame Query (4) and QueryPrefix (5) are to this
-	// server, well-formed body or not.
-	for i, op := range []byte{200, 2, 3, 4, 5, 16} {
+	// Unknown opcode — which is also what the retired inserts (2, 3, 16),
+	// the retired one-frame Query (4) and QueryPrefix (5) and the retired
+	// counted write frame (20) are to this server, well-formed body or not.
+	for i, op := range []byte{200, 2, 3, 4, 5, 16, 20} {
 		resp := send(buildRequest(uint64(10+i), op, 0, body[:len(body)-1]))
 		if resp[8] != statusErr || !strings.Contains(string(resp[9:]), "unknown op") {
 			t.Fatalf("op %d answered %q, want an unknown-op error", op, resp[9:])

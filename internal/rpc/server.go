@@ -483,8 +483,11 @@ func (s *Server) handle(payload []byte, arrived time.Time) []byte {
 			return fail(err)
 		}
 	case opWrite:
-		entries := cur.entries()
-		if err := cur.done(); err != nil {
+		entries, err := store.DecodeEntries(cur.rest())
+		if err == nil {
+			err = cur.done()
+		}
+		if err != nil {
 			return fail(err)
 		}
 		errs := s.frames.WriteFrame(entries)

@@ -1,7 +1,11 @@
 package rpc
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -149,11 +153,11 @@ func TestWriteFramePerEntryVerdict(t *testing.T) {
 	}
 }
 
-// TestWriteFrameStampedRun: one-reading entries that follow one another
-// on one sensor share a wire header and decode into the same entries at
-// the same indices, so a repair batch of fan-in data — a stamp per
-// reading — costs the 32 bytes a reading the retired op 16 did, and a
-// verdict still names the entry it is about.
+// TestWriteFrameStampedRun: a frame whose one-reading entries of one
+// sensor travel as stamped runs (the store's codec, TestWriteFrameStampedRun
+// there) lands every entry under its own stamp, a verdict still names
+// the entry it is about, and a repair batch of fan-in data — a stamp
+// per reading — costs 32 bytes a reading on the wire.
 func TestWriteFrameStampedRun(t *testing.T) {
 	a, b := sid(53, 1), sid(53, 2)
 	expire := time.Now().Add(time.Hour).UnixNano()
@@ -164,21 +168,6 @@ func TestWriteFrameStampedRun(t *testing.T) {
 		entry(a, 5000, 7, 1), entry(a, 6000, 8, 1), // a second run
 	}
 	es[1].Expire = expire
-	body := appendEntries(nil, es)
-	if want := 4 + (entryHeaderLen + 3*32) + (entryHeaderLen + 16) + (entryHeaderLen + 3*16) + (entryHeaderLen + 2*32); len(body) != want {
-		t.Fatalf("encoded %d bytes, want %d", len(body), want)
-	}
-	cur := &cursor{b: body}
-	got := cur.entries()
-	if err := cur.done(); err != nil || !reflect.DeepEqual(got, es) {
-		t.Fatalf("decoded %+v (%v), want %+v", got, err, es)
-	}
-	for cut := 0; cut < len(body); cut++ {
-		cur := &cursor{b: body[:cut]}
-		if cur.entries(); cur.done() == nil {
-			t.Fatalf("a frame cut at %d of %d bytes decoded", cut, len(body))
-		}
-	}
 
 	// Over the wire, behind a backend that refuses sensor b.
 	n := store.NewNode(0)
@@ -224,28 +213,50 @@ func TestWriteFrameStampedRun(t *testing.T) {
 	}
 }
 
-// TestFrameCutAtEntryBoundary: a frame over the size bound is cut
-// between entries, never inside one, and an entry that exceeds the
-// bound by itself still travels alone (the caller refuses it).
-func TestFrameCutAtEntryBoundary(t *testing.T) {
-	es := []store.WriteEntry{entry(sid(1, 1), 1, 1, 2), entry(sid(1, 2), 1, 1, 2), entry(sid(1, 3), 1, 1, 20), entry(sid(1, 4), 1, 1, 1)}
-	one := entryLen(es[0]) // 36 + 32
-	for _, tc := range []struct{ limit, n, size int }{
-		{1 << 20, 4, 4 + 2*one + entryLen(es[2]) + entryLen(es[3])},
-		{4 + 2*one, 2, 4 + 2*one},
-		{4 + 2*one - 1, 1, 4 + one},
-		{10, 1, 4 + one},
-	} {
-		if n, size := frameCut(es, tc.limit); n != tc.n || size != tc.size {
-			t.Errorf("limit %d: cut after %d entries, %d bytes; want %d, %d", tc.limit, n, size, tc.n, tc.size)
+// TestWALRecordIsTheWriteFrameBody: a frame sent to a durable node is
+// logged as one record whose bytes after the type byte are the op-21
+// body the client sent — runs, stamps and all: one encoding on the wire
+// and on disk.
+func TestWALRecordIsTheWriteFrameBody(t *testing.T) {
+	dir := t.TempDir()
+	n := store.NewNode(0)
+	if err := n.OpenOptions(dir, store.DiskOptions{CompactInterval: -1}); err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	srv := NewServer(n, true)
+	if err := srv.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cl := NewClient(srv.Addr(), ClientOptions{})
+	defer cl.Close()
+
+	id := sid(54, 1) // one sensor: one shard, one record
+	es := []store.WriteEntry{entry(id, 1000, 1, 64), entry(id, 2000, 65, 1), entry(id, 3000, 66, 1), entry(id, 4000, 67, 1)}
+	es[3].Expire = time.Now().Add(time.Hour).UnixNano()
+	if errs := cl.WriteFrame(es); errs != nil {
+		t.Fatal(errs)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "shard-*", "wal-*.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logged [][]byte
+	for _, p := range segs {
+		if data, err := os.ReadFile(p); err != nil {
+			t.Fatal(err)
+		} else if len(data) > 0 {
+			logged = append(logged, data)
 		}
 	}
-	if n, size := frameCut(es[2:], 100); n != 1 || size != 4+entryLen(es[2]) {
-		t.Errorf("an oversized entry was cut as %d entries, %d bytes", n, size)
+	body := store.AppendEntries(nil, es)
+	if len(logged) != 1 {
+		t.Fatalf("%d WAL segments hold data, want the one of the sensor's shard", len(logged))
 	}
-	// What frameCut sized is what appendEntries writes.
-	if got := len(appendEntries(nil, es)); got != 4+2*one+entryLen(es[2])+entryLen(es[3]) {
-		t.Errorf("encoded %d bytes", got)
+	rec := logged[0]
+	if len(rec) != 8+1+len(body) || int(binary.BigEndian.Uint32(rec)) != 1+len(body) || rec[8] != 4 || !bytes.Equal(rec[9:], body) {
+		t.Fatalf("the WAL holds %d bytes (type %d); want one type-4 record of the %d-byte frame body", len(rec), rec[8], len(body))
 	}
 }
 

@@ -183,20 +183,6 @@ func (c *Cluster) BeginInsert(id core.SensorID, rs []core.Reading, ttl time.Dura
 	return func() error { return c.counted(w.wait()) }
 }
 
-// coordinateVersioned writes already-versioned readings through the
-// cluster's normal write path — the delivery path for forwarded hints
-// (hints.go): readings keep their original write versions so the
-// forward resolves exactly where the original write would have. A
-// forward is not a client's write and leaves the write counters alone.
-func (c *Cluster) coordinateVersioned(id core.SensorID, vrs []VersionedReading) error {
-	for _, e := range SplitStamps(id, vrs) {
-		if err := c.begin(e).wait(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // writeQueue is the write combiner of one remote member: entries queue
 // in next while a frame is on the wire, and whoever finds the queue
 // idle starts the flusher, which sends frame after frame until next is

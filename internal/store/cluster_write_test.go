@@ -394,7 +394,7 @@ func TestWriteFrameOneAppendPerShard(t *testing.T) {
 	n := openedNode(t, dir, 0, DiskOptions{SyncInterval: time.Hour, CompactInterval: -1})
 
 	// Two shards, two sensors in each; in frame order no sensor follows
-	// itself, so every entry is a record of its own.
+	// itself, so no two entries fold into a stamped run.
 	a, b := sid(40, 1), sid(40, 2)
 	for shardIndex(b) == shardIndex(a) {
 		b.Lo++
@@ -406,7 +406,7 @@ func TestWriteFrameOneAppendPerShard(t *testing.T) {
 		return t
 	}
 	a2, b2 := twin(a), twin(b)
-	const perShard = 100 // 100 records of 8+21+32 bytes: more than bufio's 4096
+	const perShard = 100 // one record of 100 entries of 36+16 bytes: more than bufio's 4096
 	var frame []WriteEntry
 	for i := 1; i <= perShard/2; i++ {
 		for _, id := range []core.SensorID{a, b, a2, b2} {
@@ -430,11 +430,11 @@ func TestWriteFrameOneAppendPerShard(t *testing.T) {
 		}
 		s.writes = nil
 	}
-	lastWrite(a, perShard*(walFrameHeader+21+32), "frame")
-	lastWrite(b, perShard*(walFrameHeader+21+32), "frame")
+	lastWrite(a, walFrameHeader+1+perShard*(entryHeaderLen+16), "frame")
+	lastWrite(b, walFrameHeader+1+perShard*(entryHeaderLen+16), "frame")
 
-	// A repair batch — one sensor, a stamp per reading — is one record,
-	// as before there were entries: the type-3 record carries the stamps.
+	// A repair batch — one sensor, a stamp per reading — is one record
+	// holding one stamped run: the run carries the stamps.
 	c := twin(a2)
 	const repaired = 200
 	vrs := make([]VersionedReading, repaired)
@@ -447,7 +447,7 @@ func TestWriteFrameOneAppendPerShard(t *testing.T) {
 	if err := n.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	lastWrite(c, walFrameHeader+21+32*repaired, "repair batch")
+	lastWrite(c, walFrameHeader+1+entryHeaderLen+32*repaired, "repair batch")
 
 	// Shard b's log dies: its entries are refused, a's are applied.
 	sinkOf(b).mu.Lock()

@@ -362,14 +362,7 @@ func (n *Node) recoverShard(i int) error {
 				}
 				continue
 			}
-			s := sh.seriesFor(op.id)
-			for _, e := range op.entries {
-				if s.sorted && len(s.entries) > 0 && e.ts < s.entries[len(s.entries)-1].ts {
-					s.sorted = false
-				}
-				s.entries = append(s.entries, e)
-			}
-			sh.memSize += len(op.entries)
+			sh.appendLocked(op.entries)
 		}
 		sh.disk.memSegs = append(sh.disk.memSegs, seg.path)
 		if seg.seq >= sh.disk.nextSeq {

@@ -1,9 +1,11 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
 	"os"
 	"slices"
 	"testing"
@@ -122,15 +124,19 @@ func FuzzRunFileDecode(f *testing.F) {
 func FuzzWALReplay(f *testing.F) {
 	f.Add([]byte{})
 	id := core.SensorID{Hi: 7, Lo: 8}
+	frame, _ := appendWALInserts(nil, stampedRunEntries())
+	repair, _ := appendWALInserts(nil, repairBatch(id, 40))
 	seg := slices.Concat(
 		insertRecord(WriteEntry{ID: id, Readings: []core.Reading{{Timestamp: 1, Value: 2}, {Timestamp: 3, Value: 4}}}),
 		framed(encodeWALDelete(nil, id, 2)),
 		insertRecord(WriteEntry{ID: id, Version: 1 << 50, Expire: 1 << 62, Readings: []core.Reading{{Timestamp: 9, Value: 9}}}),
+		frame,
+		repair,
 	)
 	f.Add(seg)
 	f.Add(seg[:len(seg)-3]) // torn tail
-	// A type-1 record, which older builds wrote: refused.
-	f.Add(append(slices.Clone(seg), framed(type1Payload(id, []core.Reading{{Timestamp: 5, Value: 5}}, 0))...))
+	// A type-3 record, which older builds wrote: refused.
+	f.Add(append(slices.Clone(seg), framed(type3Payload(id, []VersionedReading{{Timestamp: 5, Value: 5, Version: 1 << 50}}))...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ops, valid, err := decodeWALRecords(data)
 		if err != nil {
@@ -160,16 +166,70 @@ func FuzzWALReplay(f *testing.F) {
 				}
 				continue
 			}
-			vrs := make([]VersionedReading, len(op.entries))
-			for i, e := range op.entries {
-				vrs[i] = VersionedReading{Timestamp: e.ts, Value: e.val, Version: e.ver, Expire: e.expire}
-			}
-			if err := n.InsertVersioned(op.id, vrs); err != nil {
+			if err := firstError(n.WriteFrame(op.entries)); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := n.QueryVersioned(op.id, -1<<62, 1<<62); err != nil {
-				t.Fatal(err)
+			for _, e := range op.entries {
+				if _, err := n.QueryVersioned(e.ID, -1<<62, 1<<62); err != nil {
+					t.Fatal(err)
+				}
 			}
+		}
+	})
+}
+
+// FuzzWriteEntries decodes arbitrary bytes as the one entry decoder —
+// the server's for a write frame's body, recovery's and hint replay's
+// for a type-4 record — and holds it to three things. It never panics.
+// It never allocates beyond what the input can hold: it allocates the
+// entries and their readings once each, and no entry takes fewer than
+// 32 bytes, no reading fewer than 16. And the entries it accepts have
+// one spelling, no longer than the input: encoding them decodes to the
+// same entries, bit for bit, and encodes to the same bytes again.
+func FuzzWriteEntries(f *testing.F) {
+	f.Add([]byte{})
+	for _, es := range [][]WriteEntry{
+		stampedRunEntries(),
+		repairBatch(sid(53, 3), 40),
+		{wentry(sid(1, 1), 1, 1, 2), wentry(sid(1, 2), 1, 1, 2), wentry(sid(1, 3), 1, 1, 20), wentry(sid(1, 4), 1, 1, 1)},
+		{{ID: sid(50, 1), Version: 3000, Expire: 1 << 62, Readings: []core.Reading{{Timestamp: 1, Value: math.NaN()}}}},
+	} {
+		body := AppendEntries(nil, es)
+		f.Add(body)
+		f.Add(body[:len(body)-1])      // a torn reading
+		f.Add(body[:entryHeaderLen-1]) // a torn header
+		rec, _ := appendWALInserts(nil, es)
+		f.Add(rec[walFrameHeader+1:]) // the type-4 record's entries
+	}
+	// Counts the bytes cannot hold, plain and as a stamped run.
+	for _, n := range []uint32{1 << 30, 1<<31 | 1<<30} {
+		f.Add(binary.BigEndian.AppendUint32(make([]byte, 32), n))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		es, err := DecodeEntries(data)
+		if err != nil {
+			if es != nil {
+				t.Fatalf("refusal %v came with %d entries", err, len(es))
+			}
+			return
+		}
+		readings := 0
+		for _, e := range es {
+			readings += len(e.Readings)
+		}
+		if 32*len(es) > len(data) || 16*readings > len(data) {
+			t.Fatalf("%d bytes decoded into %d entries of %d readings", len(data), len(es), readings)
+		}
+		enc := AppendEntries(nil, es)
+		if len(enc) > len(data) {
+			t.Fatalf("%d bytes re-encode to %d", len(data), len(enc))
+		}
+		again, err := DecodeEntries(enc)
+		if err != nil || !sameEntries(again, es) {
+			t.Fatalf("the re-encoding decodes differently (%v)", err)
+		}
+		if !bytes.Equal(AppendEntries(nil, again), enc) {
+			t.Fatal("the re-encoding is not stable")
 		}
 	})
 }

@@ -1,7 +1,7 @@
 package store
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
 	"log"
 	"os"
@@ -33,17 +33,19 @@ import (
 // the sensor's current owners with its original write version, so the
 // data that member missed reaches whoever owns the range now.
 //
-// Hint files reuse the WAL framing exactly: CRC32-framed records whose
-// payloads are the WAL's type-3 versioned insert (expiry already
-// resolved to an absolute timestamp at coordination time, every
-// reading carrying its coordinator-assigned write version) and type-2
-// delete. Replay is at-least-once — a replay interrupted mid-file
-// re-applies the whole file on the next attempt; duplicates collapse
-// at the replica's query-time dedup.
+// Hint files are WAL records exactly: a missed insert is queued as the
+// type-4 record a node logs for it — the write entry as the write frame
+// carried it, its expiry already absolute and its coordinator-assigned
+// version stamped once — and a missed delete as type 2. Replay hands a
+// member each record's entries through the member's frame writer, the
+// one the write path uses; a departed member's entries are
+// re-coordinated one by one. Replay is at-least-once — a replay
+// interrupted mid-file re-applies the whole file on the next attempt;
+// duplicates collapse at the replica's query-time dedup.
 //
 // Version-resolution contract: every coordinated write is stamped with
 // one monotonic version (Cluster.nextVersion), the hint records it,
-// and replay re-delivers it unchanged via InsertVersioned. Query-time
+// and replay re-delivers it unchanged. Query-time
 // dedup resolves duplicate timestamps highest-version-wins, so a
 // replayed hint lands exactly where the original write would have: if
 // the sensor's value at that timestamp was rewritten (a strictly later
@@ -53,23 +55,14 @@ import (
 // that read repair then spread — is closed; background anti-entropy
 // (antientropy.go) additionally converges replicas that diverged with
 // no read traffic at all. A hint file holding a record this build
-// cannot read — type 1, the unstamped insert of older builds, among
-// them — fails its member's replay by name and is kept
+// cannot read — types 1 and 3, the insert records of older builds,
+// among them — fails its member's replay by name and is kept
 // (errWALRecordUnreadable).
 
 // hintFileMax rotates the per-member append file so one outage does
 // not grow a single unbounded segment; replay deletes whole files as
 // they are delivered.
 const hintFileMax = 4 << 20
-
-// hintApplier is the delivery target of a replay: a recovered
-// replica's backend (NodeBackend satisfies this), or the cluster's own
-// coordinated write path when the hints' member left the ring and the
-// mutations must reach the range's current owners instead.
-type hintApplier interface {
-	InsertVersioned(id core.SensorID, vrs []VersionedReading) error
-	DeleteBefore(id core.SensorID, cutoff int64) error
-}
 
 // hintQueue is a Cluster's durable per-member hint store.
 type hintQueue struct {
@@ -216,10 +209,10 @@ func findHintFiles(dir string) ([]walSegRef, error) {
 	return segs, nil
 }
 
-// enqueue durably appends one framed mutation for a member. The hint
-// is fsynced before enqueue returns: a coordinator crash cannot
-// silently drop a handoff it decided to make.
-func (q *hintQueue) enqueue(id string, payload []byte) error {
+// enqueue durably appends n framed records, a mutation each, for a
+// member. The hint is fsynced before enqueue returns: a coordinator
+// crash cannot silently drop a handoff it decided to make.
+func (q *hintQueue) enqueue(id string, recs []byte, n int) error {
 	nh, err := q.forID(id, true)
 	if err != nil {
 		return err
@@ -240,16 +233,9 @@ func (q *hintQueue) enqueue(id string, payload []byte) error {
 		nh.f = f
 		nh.size = 0
 	}
-	var hdr [walFrameHeader]byte
-	putWALFrameHeader(hdr[:], payload)
-	if _, err := nh.f.Write(hdr[:]); err != nil {
+	if _, err := nh.f.Write(recs); err != nil {
 		nh.f.Close()
 		nh.f = nil // a torn frame ends the file; rotate to a fresh one
-		return err
-	}
-	if _, err := nh.f.Write(payload); err != nil {
-		nh.f.Close()
-		nh.f = nil
 		return err
 	}
 	if err := nh.f.Sync(); err != nil {
@@ -257,17 +243,18 @@ func (q *hintQueue) enqueue(id string, payload []byte) error {
 		nh.f = nil
 		return err
 	}
-	nh.size += int64(8 + len(payload))
+	nh.size += int64(len(recs))
 	nh.has.Store(true)
-	q.queued.Add(1)
+	q.queued.Add(int64(n))
 	return nil
 }
 
-// replay delivers every queued hint of one member to the applier,
-// deleting hint files as they complete. On failure the current file is
-// kept and the next attempt re-applies it from the start
-// (at-least-once).
-func (q *hintQueue) replay(id string, to hintApplier) error {
+// replay delivers every queued hint of one member, deleting hint files
+// as they complete: each insert record's entries go to write — less
+// those that expired while queued — and each delete to del. On failure
+// the current file is kept and the next attempt re-applies it from the
+// start (at-least-once).
+func (q *hintQueue) replay(id string, write func([]WriteEntry) error, del func(core.SensorID, int64) error) error {
 	nh, err := q.forID(id, false)
 	if err != nil || nh == nil {
 		return err
@@ -297,28 +284,23 @@ func (q *hintQueue) replay(id string, to hintApplier) error {
 		}
 		for _, op := range ops {
 			if op.del {
-				if err := to.DeleteBefore(op.id, op.cutoff); err != nil {
+				if err := del(op.id, op.cutoff); err != nil {
 					return err
 				}
 				q.replayed.Add(1)
 				continue
 			}
-			// Re-deliver the original write versions and absolute
-			// expiries, dropping readings that expired while queued.
 			now := time.Now().UnixNano()
-			vrs := make([]VersionedReading, 0, len(op.entries))
+			live := op.entries[:0]
 			for _, e := range op.entries {
-				if e.expire != 0 && e.expire <= now {
-					continue
+				if e.Expire == 0 || e.Expire > now {
+					live = append(live, e)
 				}
-				vrs = append(vrs, VersionedReading{
-					Timestamp: e.ts, Value: e.val, Version: e.ver, Expire: e.expire,
-				})
 			}
-			if len(vrs) == 0 {
+			if len(live) == 0 {
 				continue // every hinted reading already expired
 			}
-			if err := to.InsertVersioned(op.id, vrs); err != nil {
+			if err := write(live); err != nil {
 				return err
 			}
 			q.replayed.Add(1)
@@ -373,63 +355,63 @@ func (q *hintQueue) close() error {
 
 // --- Cluster-side plumbing ---
 
-// hintInsert queues an entry as a versioned insert hint, in records
-// chunked like the WAL's so replay never sees an oversized one. The
-// readings keep the write version the failed fan-out carried, so replay
-// cannot outrank a later rewrite.
+// hintInsert queues an entry as the type-4 record a node logs for it,
+// cut like the WAL's so replay never sees an oversized one. The entry
+// keeps the write version the failed fan-out carried, so replay cannot
+// outrank a later rewrite.
 func (c *Cluster) hintInsert(id string, e WriteEntry) {
-	var b walInsertV
-	b.add(&e)
-	b.seal()
-	for rec := b.buf; len(rec) > 0; {
-		end := walFrameHeader + int(binary.BigEndian.Uint32(rec))
-		if err := c.hints.enqueue(id, rec[walFrameHeader:end]); err != nil {
-			log.Printf("store: hint for member %s lost: %v", id, err)
-			return
-		}
-		rec = rec[end:]
+	recs, n := appendWALInserts(nil, []WriteEntry{e})
+	if err := c.hints.enqueue(id, recs, n); err != nil {
+		log.Printf("store: hint for member %s lost: %v", id, err)
 	}
 }
 
 // hintDelete queues a delete hint.
 func (c *Cluster) hintDelete(id string, sid core.SensorID, cutoff int64) {
-	if err := c.hints.enqueue(id, encodeWALDelete(nil, sid, cutoff)); err != nil {
+	var rec [walFrameHeader + 25]byte
+	putWALFrameHeader(rec[:], encodeWALDelete(rec[walFrameHeader:walFrameHeader], sid, cutoff))
+	if err := c.hints.enqueue(id, rec[:], 1); err != nil {
 		log.Printf("store: hint for member %s lost: %v", id, err)
 	}
 }
 
-// forwarder re-coordinates a departed member's hints through the
-// cluster's CURRENT owners: versioned inserts keep their original
-// versions (coordinateVersioned), so a forwarded hint still resolves
-// exactly where the original write would have.
-type forwarder struct{ c *Cluster }
+// errMemberDown marks a delivery attempt that found its member not
+// answering pings: the hints stay queued for a later attempt.
+var errMemberDown = errors.New("store: member does not answer; its hints stay queued")
 
-func (f forwarder) InsertVersioned(id core.SensorID, vrs []VersionedReading) error {
-	return f.c.coordinateVersioned(id, vrs)
-}
-
-func (f forwarder) DeleteBefore(id core.SensorID, cutoff int64) error {
-	return f.c.DeleteBefore(id, cutoff)
-}
-
-// deliverHints makes one delivery attempt for one member's queue:
-// replay to the member when it is in the topology and answers pings,
-// forward through the current owners when it has left the ring.
+// deliverHints makes one delivery attempt for one member's queue. A
+// member in the topology that answers pings gets each record's entries
+// through its frame writer, the one the write path uses; one that does
+// not answer fails the attempt with errMemberDown. A member that left
+// the ring has its entries re-coordinated through the current owners
+// once the cutover is done: each is begun and waited for under its
+// original stamp, so a forward resolves exactly where the original
+// write would have, and an owner that misses it is hinted in turn. A
+// forward is not a client's write and leaves the write counters alone.
 // Returns (attempted, error).
 func (c *Cluster) deliverHints(t *topology, id string) (bool, error) {
 	if idx, ok := t.byID[id]; ok {
-		b := t.members[idx].backend
-		if err := b.Ping(); err != nil {
-			return true, err // still down; keep the hints
+		m := &t.members[idx]
+		if err := m.backend.Ping(); err != nil {
+			return true, fmt.Errorf("%w: %w", errMemberDown, err)
 		}
-		return true, c.hints.replay(id, b)
+		return true, c.hints.replay(id, func(es []WriteEntry) error {
+			return firstError(m.frames.WriteFrame(es))
+		}, m.backend.DeleteBefore)
 	}
 	if t.prevRing != nil {
 		// Mid-transition the departed member's ranges are still moving;
 		// wait for the cutover so forwards resolve against final owners.
 		return false, nil
 	}
-	return true, c.hints.replay(id, forwarder{c})
+	return true, c.hints.replay(id, func(es []WriteEntry) error {
+		for _, e := range es {
+			if err := c.begin(e).wait(); err != nil {
+				return err
+			}
+		}
+		return nil
+	}, c.DeleteBefore)
 }
 
 // hintLoop probes members with queued hints and delivers when they
@@ -460,8 +442,11 @@ func (c *Cluster) hintLoop(interval time.Duration) {
 					continue
 				}
 				if err != nil {
-					if _, present := top.byID[id]; !present {
-						log.Printf("store: forwarding hints of departed member %s: %v", id, err)
+					// A member that is down is the normal wait; anything else
+					// — a failed forward, a hint file this build refuses —
+					// needs an operator.
+					if !errors.Is(err, errMemberDown) {
+						log.Printf("store: delivering hints of member %s: %v", id, err)
 					}
 					fails[id]++
 					retryAt[id] = now.Add(pol.Delay(fails[id]))
@@ -474,11 +459,12 @@ func (c *Cluster) hintLoop(interval time.Duration) {
 	}
 }
 
-// ReplayHints makes one synchronous delivery attempt for every member
-// with queued hints: replicas that answer pings get their replay,
-// departed members get their queue forwarded to the current owners.
-// The background loop calls it on a timer; tests and operators may
-// call it directly.
+// ReplayHints makes one synchronous delivery attempt (deliverHints) for
+// every member with queued hints: replicas that answer pings get their
+// replay, departed members get their queue forwarded to the current
+// owners, and a member still down keeps its hints without failing the
+// call. The background loop makes the same attempts on a timer; tests
+// and operators may call it directly.
 func (c *Cluster) ReplayHints() error {
 	if c.hints == nil {
 		return nil
@@ -489,20 +475,7 @@ func (c *Cluster) ReplayHints() error {
 		if !c.hints.has(id) {
 			continue
 		}
-		if idx, ok := t.byID[id]; ok {
-			b := t.members[idx].backend
-			if err := b.Ping(); err != nil {
-				continue // still down; keep the hints
-			}
-			if err := c.hints.replay(id, b); err != nil && firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		if t.prevRing != nil {
-			continue // wait for cutover; owners are still moving
-		}
-		if err := c.hints.replay(id, forwarder{c}); err != nil && firstErr == nil {
+		if _, err := c.deliverHints(t, id); err != nil && !errors.Is(err, errMemberDown) && firstErr == nil {
 			firstErr = err
 		}
 	}

@@ -106,7 +106,7 @@ func TestForwardedDeleteAndLegacyHints(t *testing.T) {
 	// A type-1 insert hint, as an older coordinator build wrote it, for
 	// a member no longer on the ring.
 	legacy := sid(42, 14)
-	if err := c.hints.enqueue("delta", type1Payload(legacy, []core.Reading{{Timestamp: 7, Value: 7}}, 0)); err != nil {
+	if err := c.hints.enqueue("delta", framed(type1Payload(legacy, []core.Reading{{Timestamp: 7, Value: 7}}, 0)), 1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -121,7 +121,7 @@ func TestForwardedDeleteAndLegacyHints(t *testing.T) {
 	waitRebalance(t, c)
 	err := c.ReplayHints()
 	if !errors.Is(err, errWALRecordUnreadable) || !strings.Contains(err.Error(), filepath.Join(c.hints.dir, "delta")) ||
-		!strings.Contains(err.Error(), "type 1 at offset 0; type 1 is the unstamped insert of older builds") {
+		!strings.Contains(err.Error(), "type 1 at offset 0; "+oldRecordWayOut) {
 		t.Fatalf("forwarding a departed member's type-1 hint: %v, want its refusal with the way out", err)
 	}
 	if c.hints.has("charlie") || !c.hints.has("delta") {
@@ -312,9 +312,9 @@ func TestRebalanceRetriesUntilTargetRecovers(t *testing.T) {
 	}
 }
 
-// TestForwardedVersionedHintRehints covers coordinateVersioned's two
-// failure dispositions when a departed member's versioned hints are
-// forwarded: below write quorum the forward fails outright and the
+// TestForwardedVersionedHintRehints covers the two failure
+// dispositions of a departed member's hints re-coordinated through the
+// current owners: below write quorum the forward fails outright and the
 // hints stay; at quorum with one current owner down the forward acks
 // and re-hints the missed owner.
 func TestForwardedVersionedHintRehints(t *testing.T) {

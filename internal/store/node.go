@@ -188,6 +188,30 @@ type shardDisk struct {
 	cmu     sync.Mutex              // serialises compactions of this shard
 }
 
+// appendLocked adds entries to the memtable, each reading under its
+// entry's stamp, and returns how many readings that was: the one
+// memtable append, shared by the write path and WAL replay. Caller
+// holds mu exclusively.
+func (sh *shard) appendLocked(entries []WriteEntry) int {
+	total := 0
+	for k := range entries {
+		e := &entries[k]
+		if len(e.Readings) == 0 {
+			continue
+		}
+		s := sh.seriesFor(e.ID)
+		for _, r := range e.Readings {
+			if s.sorted && len(s.entries) > 0 && r.Timestamp < s.entries[len(s.entries)-1].ts {
+				s.sorted = false
+			}
+			s.entries = append(s.entries, entry{ts: r.Timestamp, val: r.Value, expire: e.Expire, ver: e.Version})
+		}
+		total += len(e.Readings)
+	}
+	sh.memSize += total
+	return total
+}
+
 // seriesFor returns the memtable series of id, creating it on first
 // sight, via the one-entry lookaside. Caller holds mu exclusively.
 func (sh *shard) seriesFor(id core.SensorID) *memSeries {
@@ -378,15 +402,15 @@ func (n *Node) InsertBatch(id core.SensorID, rs []core.Reading, ttl time.Duratio
 	// and copied, which costs the one-reading Insert several ns.
 	var e [1]WriteEntry
 	e[0].ID, e[0].Expire, e[0].Readings = id, TTLToExpire(ttl), rs
-	return n.writeShard(shardIndex(id), e[:], nil)
+	return n.writeShard(shardIndex(id), e[:])
 }
 
 // InsertVersioned stores versioned readings of one sensor — the
 // NodeBackend form of a write, which hint replay, anti-entropy repair
 // and the rebalance stream use to re-deliver readings under the stamps
 // they were coordinated with. It is WriteFrame of one entry per run of
-// equal stamps, which costs what one batch does: one lock hold, and the
-// entries of one sensor share their WAL records.
+// equal stamps, which costs what one batch does: one lock hold and one
+// WAL record.
 func (n *Node) InsertVersioned(id core.SensorID, vrs []VersionedReading) error {
 	return firstError(n.WriteFrame(SplitStamps(id, vrs)))
 }
@@ -394,10 +418,9 @@ func (n *Node) InsertVersioned(id core.SensorID, vrs []VersionedReading) error {
 // WriteFrame implements FrameWriter: the node's one write path, which
 // Insert, InsertBatch and InsertVersioned are frames of. The entries are
 // grouped by shard and each shard the frame touches is written under
-// one lock hold with one WAL append, so a frame of many one-reading
+// one lock hold with one WAL record, so a frame of many one-reading
 // entries costs a node what one batch does. A shard that fails fails
-// its own entries only. The readings are WAL-logged in type-3 records
-// carrying their stamps.
+// its own entries only.
 func (n *Node) WriteFrame(entries []WriteEntry) []error {
 	if len(entries) == 0 {
 		return nil
@@ -412,23 +435,35 @@ func (n *Node) WriteFrame(entries []WriteEntry) []error {
 		one = entries[k].ID == entries[k-1].ID || shardIndex(entries[k].ID) == first
 	}
 	if one {
-		if err := n.writeShard(first, entries, nil); err != nil {
+		if err := n.writeShard(first, entries); err != nil {
 			return failAll(len(entries), err)
 		}
 		return nil
 	}
+	// Group by shard, frame order kept within each: a shard's entries
+	// become one slice, and a sensor's stay in the order they came.
 	shardOf := make([]uint8, len(entries))
-	var touched [numShards]bool
+	var start [numShards + 1]int
 	for k := range entries {
 		i := shardIndex(entries[k].ID)
-		shardOf[k], touched[i] = uint8(i), true
+		shardOf[k] = uint8(i)
+		start[i+1]++
+	}
+	for i := 1; i <= numShards; i++ {
+		start[i] += start[i-1]
+	}
+	grouped := make([]WriteEntry, len(entries))
+	next := start
+	for k, i := range shardOf {
+		grouped[next[i]] = entries[k]
+		next[i]++
 	}
 	var errs []error
-	for i, hit := range touched {
-		if !hit {
+	for i := 0; i < numShards; i++ {
+		if start[i] == start[i+1] {
 			continue
 		}
-		if err := n.writeShard(i, entries, shardOf); err != nil {
+		if err := n.writeShard(i, grouped[start[i]:start[i+1]]); err != nil {
 			if errs == nil {
 				errs = make([]error, len(entries))
 			}
@@ -452,12 +487,10 @@ func failAll(n int, err error) []error {
 	return errs
 }
 
-// writeShard applies the entries of a frame that belong to shard i —
-// those with shardOf[k] == i; all of them when shardOf is nil — under
-// one lock hold and one WAL append. Records are chunked (walInsertV) so
-// none exceeds the replay-side bound (walMaxRecord): an oversized
-// record would be rejected at recovery and truncate every later record
-// in the segment. On an error nothing was applied to the memtable: the
+// writeShard applies entries, all of shard i, under one lock hold and
+// one WAL append: one type-4 record, cut only where it would exceed
+// the replay-side bound (walMaxRecord), which would refuse it at
+// recovery. On an error nothing was applied to the memtable: the
 // write is not acknowledged (its records may replay after a crash, like
 // any unacknowledged write in flight).
 //
@@ -466,7 +499,7 @@ func failAll(n int, err error) []error {
 // one; the write returns only once it succeeded. A sync failure leaves
 // the entries in the memtable unacknowledged, with the same
 // may-replay-after-crash status.
-func (n *Node) writeShard(i int, entries []WriteEntry, shardOf []uint8) error {
+func (n *Node) writeShard(i int, entries []WriteEntry) error {
 	start := n.met.insertStart(i)
 	sh := &n.shards[i]
 	sh.mu.Lock()
@@ -477,37 +510,16 @@ func (n *Node) writeShard(i int, entries []WriteEntry, shardOf []uint8) error {
 	}
 	var pend walPend
 	if w != nil {
-		b := walInsertV{buf: sh.disk.walBuf[:0]}
-		for k := range entries {
-			if shardOf == nil || int(shardOf[k]) == i {
-				b.add(&entries[k])
-			}
-		}
-		b.seal()
-		sh.disk.walBuf = b.buf
-		pos, err := w.write(b.records, b.buf)
+		var records int
+		sh.disk.walBuf, records = appendWALInserts(sh.disk.walBuf[:0], entries)
+		pos, err := w.write(records, sh.disk.walBuf)
 		if err != nil {
 			sh.mu.Unlock()
 			return err
 		}
 		pend = n.owed(w, pos)
 	}
-	total := 0
-	for k := range entries {
-		e := &entries[k]
-		if (shardOf != nil && int(shardOf[k]) != i) || len(e.Readings) == 0 {
-			continue
-		}
-		s := sh.seriesFor(e.ID)
-		for _, r := range e.Readings {
-			if s.sorted && len(s.entries) > 0 && r.Timestamp < s.entries[len(s.entries)-1].ts {
-				s.sorted = false
-			}
-			s.entries = append(s.entries, entry{ts: r.Timestamp, val: r.Value, expire: e.Expire, ver: e.Version})
-		}
-		total += len(e.Readings)
-	}
-	sh.memSize += total
+	total := sh.appendLocked(entries)
 	sh.inserts += int64(total)
 	n.met.armTick(i, sh.inserts-int64(total), sh.inserts)
 	var ferr error

@@ -174,7 +174,7 @@ func newestWAL(t *testing.T, dir string, id core.SensorID) (string, int64) {
 }
 
 func TestRecoveryTornWALTruncatedAtArbitraryByte(t *testing.T) {
-	const batches, batchLen = 10, 3 // records of 8 + 21 + 3×32 = 125 bytes
+	const batches, batchLen = 10, 5 // records of 8 + 1 + 36 + 5×16 = 125 bytes
 	base := t.TempDir()
 	id := sid(42, 1)
 	n := openedNode(t, base, 0, noCompact) // large flush budget: all data lives in the WAL

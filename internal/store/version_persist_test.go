@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// Persistence-format coverage for write versions: the WAL's type-3
+// Persistence-format coverage for write versions: the WAL's type-4
 // record and the block codec's version stream.
 
 func TestWALVersionedRecordRoundtrip(t *testing.T) {
@@ -15,34 +15,30 @@ func TestWALVersionedRecordRoundtrip(t *testing.T) {
 		{Timestamp: 1, Value: 1.5, Version: 100, Expire: 0},
 		{Timestamp: 2, Value: -2.5, Version: 101, Expire: 1 << 40},
 	}
-	// Two stamps are two entries, and one sensor's entries share a
-	// record: the type-3 record is where stamps are per reading.
-	var b walInsertV
-	for _, e := range SplitStamps(id, vrs) {
-		b.add(&e)
+	// Two stamps are two entries, and a frame's entries for one shard
+	// share a record: here a stamped run, each reading with its stamp.
+	buf, records := appendWALInserts(nil, SplitStamps(id, vrs))
+	if records != 1 {
+		t.Fatalf("%d records for one sensor's two entries, want 1", records)
 	}
-	b.seal()
-	if b.records != 1 {
-		t.Fatalf("%d records for one sensor's two entries, want 1", b.records)
-	}
-	payload := b.buf[walFrameHeader:]
-	if n, crc := binary.BigEndian.Uint32(b.buf), binary.BigEndian.Uint32(b.buf[4:]); int(n) != len(payload) || crc != crc32.ChecksumIEEE(payload) {
+	payload := buf[walFrameHeader:]
+	if n, crc := binary.BigEndian.Uint32(buf), binary.BigEndian.Uint32(buf[4:]); int(n) != len(payload) || crc != crc32.ChecksumIEEE(payload) {
 		t.Fatalf("record framed as %d bytes, crc %08x; payload is %d bytes, crc %08x", n, crc, len(payload), crc32.ChecksumIEEE(payload))
 	}
 	op, ok := decodeWALPayload(payload)
 	if !ok {
 		t.Fatal("versioned record did not decode")
 	}
-	if op.del || op.id != id || len(op.entries) != 2 {
+	if op.del || len(op.entries) != 2 {
 		t.Fatalf("decoded op %+v", op)
 	}
 	for i, e := range op.entries {
-		if e.ts != vrs[i].Timestamp || e.val != vrs[i].Value ||
-			e.ver != vrs[i].Version || e.expire != vrs[i].Expire {
+		if e.ID != id || len(e.Readings) != 1 || e.Readings[0].Timestamp != vrs[i].Timestamp || e.Readings[0].Value != vrs[i].Value ||
+			e.Version != vrs[i].Version || e.Expire != vrs[i].Expire {
 			t.Fatalf("entry %d: %+v, want %+v", i, e, vrs[i])
 		}
 	}
-	// Truncated type-3 payloads must be rejected, not mis-framed.
+	// Truncated type-4 payloads must be rejected, not mis-framed.
 	if _, ok := decodeWALPayload(payload[:len(payload)-1]); ok {
 		t.Fatal("truncated versioned record decoded")
 	}

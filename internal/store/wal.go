@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -38,25 +37,26 @@ import (
 // Payloads:
 //
 //	type 2 (delete): u8 2 | sidHi u64 | sidLo u64 | cutoff i64
-//	type 3 (insert): u8 3 | sidHi u64 | sidLo u64 | count u32
-//	                 | count × (ts i64 | val f64 | expire i64 | ver u64)
+//	type 4 (insert): u8 4 | write entries (entries.go)
 //
-// Type 1, the unstamped insert older builds wrote, is refused with its
-// way out (walType1Route).
+// A type-4 record holds the entries of one write frame that belong to
+// one shard, spelled as the frame carried them on the wire. Types 1 and
+// 3, the insert records of older builds, are refused with their way out
+// (walOldInsertRoute).
 
 const (
-	walRecDelete  = 2
-	walRecInsertV = 3
+	walRecDelete = 2
+	walRecInsert = 4
 
 	// walMaxRecord bounds a record's payload so a corrupt length field
 	// cannot drive a huge allocation during replay.
 	walMaxRecord = 1 << 26
-
-	// walBatchChunk caps the readings per insert record, keeping every
-	// record the write path can produce far below walMaxRecord
-	// (100k × 32 B + header ≈ 3.2 MB).
-	walBatchChunk = 100_000
 )
+
+// walRecordCut is the payload size the writer cuts insert records at:
+// walMaxRecord, so replay accepts every record it writes. Tests lower
+// it to exercise the cut without a 64 MiB write.
+var walRecordCut = walMaxRecord
 
 // walSink is the sink a WAL segment writes through. It is a seam for
 // fault injection: recovery tests swap openWALSink for one that fails
@@ -265,55 +265,42 @@ func putWALFrameHeader(hdr, payload []byte) {
 	binary.BigEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
 }
 
-// walInsertV builds framed type-3 records in one buffer. A type-3
-// record is one sensor's readings, each with its own stamp: the expiry
-// is absolute and every reading carries its coordinator-assigned write
-// version. Entries of one sensor added back to back therefore share a
-// record (cut every walBatchChunk readings) — a repair batch, one
-// entry per stamp, costs the record a coordinated batch does.
-type walInsertV struct {
-	buf     []byte
-	records int
-	id      core.SensorID
-	at, n   int // the open record: offset of its frame header, readings in it (0 = none open)
+// appendWALInserts appends es to buf as framed type-4 records and
+// returns buf and how many records it took: one, unless the entries
+// exceed walRecordCut. Records are then cut between entries, and an
+// entry too large for any record is logged as consecutive entries of
+// its stamp, a record each.
+func appendWALInserts(buf []byte, es []WriteEntry) ([]byte, int) {
+	limit := walRecordCut - 1
+	records := 0
+	for len(es) > 0 {
+		n, size := CutEntries(es, limit)
+		if size <= limit {
+			buf = appendWALInsert(buf, es[:n])
+			es = es[n:]
+			records++
+			continue
+		}
+		most := (limit - entryHeaderLen) / 16
+		for part := es[0]; len(part.Readings) > 0; records++ {
+			head := part
+			head.Readings = part.Readings[:min(most, len(part.Readings))]
+			buf = appendWALInsert(buf, []WriteEntry{head})
+			part.Readings = part.Readings[len(head.Readings):]
+		}
+		es = es[1:]
+	}
+	return buf, records
 }
 
-func (b *walInsertV) add(e *WriteEntry) {
-	if e.ID != b.id {
-		b.seal()
-		b.id = e.ID
-	}
-	for _, r := range e.Readings {
-		if b.n == walBatchChunk {
-			b.seal()
-		}
-		if b.n == 0 {
-			b.at = len(b.buf)
-			b.buf = append(b.buf, make([]byte, walFrameHeader+21)...)
-			p := b.buf[b.at+walFrameHeader:]
-			p[0] = walRecInsertV
-			binary.BigEndian.PutUint64(p[1:], e.ID.Hi)
-			binary.BigEndian.PutUint64(p[9:], e.ID.Lo)
-		}
-		b.buf = binary.BigEndian.AppendUint64(b.buf, uint64(r.Timestamp))
-		b.buf = binary.BigEndian.AppendUint64(b.buf, math.Float64bits(r.Value))
-		b.buf = binary.BigEndian.AppendUint64(b.buf, uint64(e.Expire))
-		b.buf = binary.BigEndian.AppendUint64(b.buf, e.Version)
-		b.n++
-	}
-}
-
-// seal closes the open record — reading count, then framing — and must
-// follow the last add.
-func (b *walInsertV) seal() {
-	if b.n == 0 {
-		return
-	}
-	p := b.buf[b.at+walFrameHeader:]
-	binary.BigEndian.PutUint32(p[17:], uint32(b.n))
-	putWALFrameHeader(b.buf[b.at:], p)
-	b.records++
-	b.n = 0
+// appendWALInsert appends es to buf as one framed type-4 record.
+func appendWALInsert(buf []byte, es []WriteEntry) []byte {
+	at := len(buf)
+	buf = append(buf, make([]byte, walFrameHeader)...)
+	buf = append(buf, walRecInsert)
+	buf = AppendEntries(buf, es)
+	putWALFrameHeader(buf[at:], buf[at+walFrameHeader:])
+	return buf
 }
 
 // encodeWALDelete builds a type-2 record payload, reusing buf.
@@ -330,12 +317,13 @@ func encodeWALDelete(buf []byte, id core.SensorID, cutoff int64) []byte {
 	return buf
 }
 
-// walOp is one replayed mutation.
+// walOp is one replayed record: a delete, or the entries a write frame
+// brought one shard.
 type walOp struct {
 	del     bool
-	id      core.SensorID
-	cutoff  int64   // delete only
-	entries []entry // insert only
+	id      core.SensorID // delete only
+	cutoff  int64         // delete only
+	entries []WriteEntry  // insert only
 }
 
 // errWALRecordUnreadable refuses a record whose frame and CRC check out
@@ -343,9 +331,10 @@ type walOp struct {
 // unlike a torn tail it may be followed by acknowledged records.
 var errWALRecordUnreadable = errors.New("WAL record this build cannot read")
 
-// walType1Route is the way out of a type-1 record, the unstamped insert
-// older builds wrote, which this build no longer reads.
-const walType1Route = "type 1 is the unstamped insert of older builds; replay it with a build that still reads it: " +
+// walOldInsertRoute is the way out of a type-1 or type-3 record — the
+// insert records older builds wrote, which this build no longer reads.
+const walOldInsertRoute = "types 1 and 3 are the insert records of older builds (1 unstamped, 3 with a stamp per reading); " +
+	"replay it with a build that still reads it: " +
 	"open the node directory once, writable, and close it cleanly, which flushes its records into run files and deletes the segment " +
 	"(an agent data directory: dcdbconfig -db DIR compact), or, for a hint file, run that build's collect agent on the data directory " +
 	"until its hints are delivered; see \"WAL format\" in internal/store/README.md"
@@ -375,8 +364,8 @@ func decodeWALRecords(data []byte) (ops []walOp, valid int, err error) {
 		op, ok := decodeWALPayload(payload)
 		if !ok {
 			err := fmt.Errorf("%w: type %d at offset %d", errWALRecordUnreadable, payload[0], off)
-			if payload[0] == 1 {
-				err = fmt.Errorf("%w; %s", err, walType1Route)
+			if payload[0] == 1 || payload[0] == 3 {
+				err = fmt.Errorf("%w; %s", err, walOldInsertRoute)
 			}
 			return nil, 0, err
 		}
@@ -387,27 +376,9 @@ func decodeWALRecords(data []byte) (ops []walOp, valid int, err error) {
 
 func decodeWALPayload(p []byte) (walOp, bool) {
 	switch p[0] {
-	case walRecInsertV:
-		if len(p) < 21 {
-			return walOp{}, false
-		}
-		id := core.SensorID{Hi: binary.BigEndian.Uint64(p[1:]), Lo: binary.BigEndian.Uint64(p[9:])}
-		count := int(binary.BigEndian.Uint32(p[17:]))
-		if count < 0 || len(p)-21 != 32*count {
-			return walOp{}, false
-		}
-		es := make([]entry, count)
-		off := 21
-		for i := range es {
-			es[i] = entry{
-				ts:     int64(binary.BigEndian.Uint64(p[off:])),
-				val:    math.Float64frombits(binary.BigEndian.Uint64(p[off+8:])),
-				expire: int64(binary.BigEndian.Uint64(p[off+16:])),
-				ver:    binary.BigEndian.Uint64(p[off+24:]),
-			}
-			off += 32
-		}
-		return walOp{id: id, entries: es}, true
+	case walRecInsert:
+		es, err := DecodeEntries(p[1:])
+		return walOp{entries: es}, err == nil
 	case walRecDelete:
 		if len(p) != 25 {
 			return walOp{}, false

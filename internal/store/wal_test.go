@@ -17,10 +17,11 @@ import (
 )
 
 // The one insert record: every write a node applies is logged as type
-// 3; a record that is whole but that this build cannot parse refuses
+// 4, the frame's entries for the shard spelled as the wire carried
+// them; a record that is whole but that this build cannot parse refuses
 // the open — or its hint file's replay — instead of being cut off as a
-// torn tail; and type 1, the unstamped insert older builds wrote, is
-// refused with its way out.
+// torn tail; and types 1 and 3, the insert records older builds wrote,
+// are refused with their way out.
 
 // framed returns payload with its WAL framing.
 func framed(payload []byte) []byte {
@@ -29,12 +30,10 @@ func framed(payload []byte) []byte {
 	return append(rec, payload...)
 }
 
-// insertRecord is the framed type-3 record of one entry.
+// insertRecord is the framed type-4 record of one entry.
 func insertRecord(e WriteEntry) []byte {
-	var b walInsertV
-	b.add(&e)
-	b.seal()
-	return b.buf
+	rec, _ := appendWALInserts(nil, []WriteEntry{e})
+	return rec
 }
 
 // type1Payload is an unstamped insert record as older builds wrote it:
@@ -47,6 +46,22 @@ func type1Payload(id core.SensorID, rs []core.Reading, expire int64) []byte {
 		p = binary.BigEndian.AppendUint64(p, uint64(r.Timestamp))
 		p = binary.BigEndian.AppendUint64(p, math.Float64bits(r.Value))
 		p = binary.BigEndian.AppendUint64(p, uint64(expire))
+	}
+	return p
+}
+
+// type3Payload is a stamped insert record as older builds wrote it, a
+// stamp per reading: u8 3 | sidHi | sidLo | count u32
+// | count × (ts i64 | val f64 | expire i64 | ver u64).
+func type3Payload(id core.SensorID, vrs []VersionedReading) []byte {
+	p := binary.BigEndian.AppendUint64([]byte{3}, id.Hi)
+	p = binary.BigEndian.AppendUint64(p, id.Lo)
+	p = binary.BigEndian.AppendUint32(p, uint32(len(vrs)))
+	for _, v := range vrs {
+		p = binary.BigEndian.AppendUint64(p, uint64(v.Timestamp))
+		p = binary.BigEndian.AppendUint64(p, math.Float64bits(v.Value))
+		p = binary.BigEndian.AppendUint64(p, uint64(v.Expire))
+		p = binary.BigEndian.AppendUint64(p, v.Version)
 	}
 	return p
 }
@@ -90,22 +105,23 @@ var allDiskOpens = []DiskOptions{noCompact, coldOptions, {CompactInterval: -1, R
 
 // TestUnreadableWALRecordRefused forges a segment whose middle record
 // is whole — frame and CRC fine — but unparseable: an unknown type, or
-// a type-3 record whose count disagrees with its length. Every open
-// fails naming the segment and the record's type and offset, and the
-// segment keeps every byte, the acknowledged record after it included.
+// a type-4 record whose reading count disagrees with its length. Every
+// open fails naming the segment and the record's type and offset, and
+// the segment keeps every byte, the acknowledged record after it
+// included.
 func TestUnreadableWALRecordRefused(t *testing.T) {
 	id := sid(27, 1)
 	first := insertRecord(WriteEntry{ID: id, Version: 5, Readings: []core.Reading{rd(1, 1)}})
 	last := insertRecord(WriteEntry{ID: id, Version: 6, Readings: []core.Reading{rd(2, 2)}})
 	shortCount := slices.Clone(insertRecord(WriteEntry{ID: id, Readings: []core.Reading{rd(3, 3)}})[walFrameHeader:])
-	binary.BigEndian.PutUint32(shortCount[17:], 2)
+	binary.BigEndian.PutUint32(shortCount[1+32:], 2)
 	for _, tc := range []struct {
 		name    string
 		payload []byte
 		typ     int
 	}{
 		{"unknown type", append([]byte{9}, make([]byte, 24)...), 9},
-		{"malformed type 3", shortCount, walRecInsertV},
+		{"malformed type 4", shortCount, walRecInsert},
 	} {
 		seg := slices.Concat(first, framed(tc.payload), last)
 		for _, o := range allDiskOpens {
@@ -135,10 +151,8 @@ func TestUnreadableHintRecordRefused(t *testing.T) {
 	first := insertRecord(WriteEntry{ID: id, Version: 5, Readings: []core.Reading{rd(1, 1)}})
 	file := slices.Concat(first, framed(append([]byte{9}, make([]byte, 24)...)),
 		insertRecord(WriteEntry{ID: id, Version: 6, Readings: []core.Reading{rd(2, 2)}}))
-	for _, rec := range walRecords(t, file) {
-		if err := c.hints.enqueue("bravo", rec); err != nil {
-			t.Fatal(err)
-		}
+	if err := c.hints.enqueue("bravo", file, len(walRecords(t, file))); err != nil {
+		t.Fatal(err)
 	}
 	path := filepath.Join(c.hints.dir, "bravo", "hint-0000000000000000.log")
 	for attempt := 0; attempt < 2; attempt++ {
@@ -159,25 +173,28 @@ func TestUnreadableHintRecordRefused(t *testing.T) {
 	}
 }
 
-// TestOldWALRecordsRefused: a type-1 record, as older builds logged
-// every plain insert, is refused in a node directory by every open and
-// in a hint file by its replay, each time with the way out, and the
-// file is kept as it is.
-func TestOldWALRecordsRefused(t *testing.T) {
-	const way = "type 1 is the unstamped insert of older builds; replay it with a build that still reads it: " +
-		"open the node directory once, writable, and close it cleanly"
-	id := sid(27, 3)
-	seg := framed(type1Payload(id, []core.Reading{rd(1, 1), rd(2, 2)}, 0))
+// oldRecordWayOut is how the refusal of a type-1 or type-3 record
+// begins its way out.
+const oldRecordWayOut = "types 1 and 3 are the insert records of older builds (1 unstamped, 3 with a stamp per reading); " +
+	"replay it with a build that still reads it: open the node directory once, writable, and close it cleanly"
+
+// checkOldRecordRefused: a record of an older build's insert type is
+// refused in a node directory by every open and in a hint file by its
+// replay, each time with the way out, and the file is kept as it is.
+func checkOldRecordRefused(t *testing.T, id core.SensorID, payload []byte) {
+	t.Helper()
+	seg := framed(payload)
+	refusal := fmt.Sprintf("type %d at offset 0; %s", payload[0], oldRecordWayOut)
 	for _, o := range allDiskOpens {
 		dir := t.TempDir()
 		path := placeWALSegment(t, dir, id, seg)
 		err := NewNode(0).OpenOptions(dir, o)
 		if !errors.Is(err, errWALRecordUnreadable) || !strings.Contains(err.Error(), path) ||
-			!strings.Contains(err.Error(), "type 1 at offset 0; "+way) || !strings.Contains(err.Error(), "dcdbconfig -db DIR compact") {
-			t.Fatalf("open %+v over a type-1 segment: %v, want the refusal naming %s and the way out", o, err, path)
+			!strings.Contains(err.Error(), refusal) || !strings.Contains(err.Error(), "dcdbconfig -db DIR compact") {
+			t.Fatalf("open %+v over a type-%d segment: %v, want the refusal naming %s and the way out", o, payload[0], err, path)
 		}
 		if got, _ := os.ReadFile(path); !bytes.Equal(got, seg) {
-			t.Fatalf("open %+v modified the type-1 segment", o)
+			t.Fatalf("open %+v modified the type-%d segment", o, payload[0])
 		}
 	}
 
@@ -185,28 +202,46 @@ func TestOldWALRecordsRefused(t *testing.T) {
 		Replication: 2, HintDir: t.TempDir(), HintReplayInterval: -1,
 	})
 	defer c.Close()
-	if err := c.hints.enqueue("bravo", seg[walFrameHeader:]); err != nil {
+	if err := c.hints.enqueue("bravo", seg, 1); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(c.hints.dir, "bravo", "hint-0000000000000000.log")
 	err := c.ReplayHints()
 	if !errors.Is(err, errWALRecordUnreadable) || !strings.Contains(err.Error(), path) ||
-		!strings.Contains(err.Error(), way) || !strings.Contains(err.Error(), "collect agent") {
-		t.Fatalf("replaying a type-1 hint file: %v, want the refusal naming %s and the way out", err, path)
+		!strings.Contains(err.Error(), refusal) || !strings.Contains(err.Error(), "collect agent") {
+		t.Fatalf("replaying a type-%d hint file: %v, want the refusal naming %s and the way out", payload[0], err, path)
 	}
 	if got, _ := os.ReadFile(path); !bytes.Equal(got, seg) {
-		t.Fatal("replay modified or removed the type-1 hint file")
+		t.Fatalf("replay modified or removed the type-%d hint file", payload[0])
 	}
 	if rs, _ := nodes["bravo"].Query(id, 0, 10); len(rs) != 0 {
 		t.Fatalf("replay applied %v from a refused hint file", rs)
 	}
 }
 
+// TestOldWALRecordsRefused: a type-1 record, as older builds logged
+// every plain insert, is refused with its way out.
+func TestOldWALRecordsRefused(t *testing.T) {
+	id := sid(27, 3)
+	checkOldRecordRefused(t, id, type1Payload(id, []core.Reading{rd(1, 1), rd(2, 2)}, 0))
+}
+
+// TestType3RecordsRefused: a type-3 record, as older builds logged
+// every write with a stamp per reading, is refused the same way — in a
+// WAL segment and in a hint file, each kept byte for byte.
+func TestType3RecordsRefused(t *testing.T) {
+	id := sid(27, 7)
+	checkOldRecordRefused(t, id, type3Payload(id, []VersionedReading{
+		{Timestamp: 1, Value: 1, Version: 5000},
+		{Timestamp: 2, Value: 2, Version: 6000, Expire: 1 << 62},
+	}))
+}
+
 // TestWritePathLogsOnlyStampedRecords: whatever form a write takes on a
 // durable node — Insert, InsertBatch, WriteFrame, InsertVersioned,
-// DeleteBefore — every WAL record on disk is a type-3 insert or a
-// type-2 delete. A one-reading insert costs one 61-byte record: frame
-// 8, header 21, and ts | val | expire | ver.
+// DeleteBefore — every WAL record on disk is a type-4 insert, one per
+// shard a write touches, or a type-2 delete. A one-reading insert costs
+// one 61-byte record: frame 8, type 1, entry header 36, ts | val 16.
 func TestWritePathLogsOnlyStampedRecords(t *testing.T) {
 	dir := t.TempDir()
 	n := openedNode(t, dir, 0, noCompact)
@@ -246,15 +281,20 @@ func TestWritePathLogsOnlyStampedRecords(t *testing.T) {
 				t.Fatal(err)
 			}
 			for k, p := range walRecords(t, data) {
-				if p[0] != walRecInsertV && p[0] != walRecDelete {
-					t.Fatalf("%s record %d is type %d; a node logs only types 2 and 3", seg.path, k, p[0])
+				if p[0] != walRecInsert && p[0] != walRecDelete {
+					t.Fatalf("%s record %d is type %d; a node logs only types 2 and 4", seg.path, k, p[0])
 				}
 				counts[p[0]]++
 			}
 		}
 	}
-	if counts[walRecInsertV] != 5 || counts[walRecDelete] != 1 {
-		t.Fatalf("records by type %v, want 5 inserts and 1 delete", counts)
+	// The frame is one record, or two when a and b hash to two shards.
+	inserts := 4
+	if shardIndex(a) != shardIndex(b) {
+		inserts++
+	}
+	if counts[walRecInsert] != inserts || counts[walRecDelete] != 1 {
+		t.Fatalf("records by type %v, want %d inserts and 1 delete", counts, inserts)
 	}
 	n2 := openedNode(t, dir, 0, noCompact)
 	defer n2.Close()
@@ -266,12 +306,61 @@ func TestWritePathLogsOnlyStampedRecords(t *testing.T) {
 	}
 }
 
-// TestHugeBatchCutIntoBoundedRecords: one InsertBatch far above
-// walBatchChunk readings on a sync-every node is logged in records cut
-// at that size, each under walMaxRecord, and a crash without Close
-// brings every reading back.
+// TestWALRecordBytes pins what a write costs in the WAL, frame and type
+// byte included: a one-reading write 61 bytes, as a stamp per reading
+// cost; a 64-reading batch 1 069, its stamp once, where a stamp per
+// reading took 2 077; a 1 000-reading repair batch, every reading under
+// its own stamp, 32 045 — one stamped run, 16 bytes over the 32 029 a
+// stamp per reading took. After its type byte the record is the
+// entries' wire encoding, byte for byte.
+func TestWALRecordBytes(t *testing.T) {
+	id := sid(27, 8)
+	batch := make([]core.Reading, 64)
+	for i := range batch {
+		batch[i] = rd(int64(i), float64(i))
+	}
+	repair := make([]WriteEntry, 1000)
+	for i := range repair {
+		repair[i] = WriteEntry{ID: id, Version: uint64(1000 * (i + 1)), Readings: []core.Reading{rd(int64(i), float64(i))}}
+	}
+	for _, tc := range []struct {
+		name string
+		es   []WriteEntry
+		want int64
+	}{
+		{"one reading", []WriteEntry{{ID: id, Version: 1000, Readings: batch[:1]}}, 61},
+		{"64-reading batch", []WriteEntry{{ID: id, Version: 1000, Expire: 1 << 62, Readings: batch}}, 1069},
+		{"1000-reading repair batch", repair, 32045},
+	} {
+		dir := t.TempDir()
+		n := openedNode(t, dir, 0, noCompact)
+		if err := firstError(n.WriteFrame(tc.es)); err != nil {
+			t.Fatal(err)
+		}
+		n.crash()
+		path, size := newestWAL(t, dir, id)
+		if size != tc.want {
+			t.Fatalf("%s: logged %d bytes, want %d", tc.name, size, tc.want)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if recs := walRecords(t, data); len(recs) != 1 || !bytes.Equal(recs[0][1:], AppendEntries(nil, tc.es)) {
+			t.Fatalf("%s: %d records, not the entries' encoding after the type byte", tc.name, len(recs))
+		}
+	}
+}
+
+// TestHugeBatchCutIntoBoundedRecords: an entry larger than a record
+// may hold is logged in records cut at walRecordCut — lowered here to
+// 1 MiB so 250 001 readings need four — as consecutive entries of its
+// stamp, each record under the cut, and a crash without Close brings
+// every reading back under that stamp.
 func TestHugeBatchCutIntoBoundedRecords(t *testing.T) {
-	const total = 2*walBatchChunk + walBatchChunk/2 + 1
+	defer func(cut int) { walRecordCut = cut }(walRecordCut)
+	walRecordCut = 1 << 20
+	const total = 250_001
 	dir := t.TempDir()
 	id := sid(27, 6)
 	n := openedNode(t, dir, 2*total*numShards, noCompact) // nothing flushes: the batch lives in the WAL
@@ -279,7 +368,8 @@ func TestHugeBatchCutIntoBoundedRecords(t *testing.T) {
 	for i := range rs {
 		rs[i] = rd(int64(i), float64(i%1000))
 	}
-	if err := n.InsertBatch(id, rs, 0); err != nil {
+	stamp := WriteEntry{ID: id, Version: 7000, Expire: 1 << 62, Readings: rs}
+	if err := firstError(n.WriteFrame([]WriteEntry{stamp})); err != nil {
 		t.Fatal(err)
 	}
 	n.crash()
@@ -290,26 +380,33 @@ func TestHugeBatchCutIntoBoundedRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs := walRecords(t, data)
-	if len(recs) != 3 {
-		t.Fatalf("%d records for %d readings, want 3", len(recs), total)
+	if len(recs) != 4 {
+		t.Fatalf("%d records for %d readings, want 4", len(recs), total)
 	}
+	logged := 0
 	for k, p := range recs {
-		if len(p) > walMaxRecord || int(binary.BigEndian.Uint32(p[17:])) > walBatchChunk {
-			t.Fatalf("record %d: %d bytes, %d readings", k, len(p), binary.BigEndian.Uint32(p[17:]))
+		es, err := DecodeEntries(p[1:])
+		if p[0] != walRecInsert || err != nil || len(p) > walRecordCut || len(es) != 1 ||
+			es[0].ID != id || es[0].Version != stamp.Version || es[0].Expire != stamp.Expire {
+			t.Fatalf("record %d: type %d, %d bytes, %d entries (%v)", k, p[0], len(p), len(es), err)
 		}
+		logged += len(es[0].Readings)
+	}
+	if logged != total {
+		t.Fatalf("records hold %d of %d readings", logged, total)
 	}
 	n2 := openedNode(t, dir, 2*total*numShards, noCompact)
 	defer n2.Close()
-	got, err := n2.Query(id, 0, 1<<60)
+	got, err := n2.QueryVersioned(id, 0, 1<<60)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != total {
 		t.Fatalf("%d of %d readings after the crash", len(got), total)
 	}
-	for i, r := range got {
-		if r != rs[i] {
-			t.Fatalf("reading %d: %+v, want %+v", i, r, rs[i])
+	for i, v := range got {
+		if v.Timestamp != rs[i].Timestamp || v.Value != rs[i].Value || v.Version != stamp.Version || v.Expire != stamp.Expire {
+			t.Fatalf("reading %d: %+v, want %+v under the entry's stamp", i, v, rs[i])
 		}
 	}
 }
