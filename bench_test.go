@@ -826,7 +826,8 @@ func BenchmarkTopicMapping(b *testing.B) {
 }
 
 // BenchmarkVirtualSensor measures lazy evaluation of a virtual sensor
-// over 1000-point operands with interpolation.
+// over 1000-point operands with interpolation: the evaluator streams
+// the operands from the Connection and the result is drained.
 func BenchmarkVirtualSensor(b *testing.B) {
 	conn := libdcdb.Connect(store.NewNode(0), nil)
 	for _, tp := range []string{"/b/p1", "/b/p2"} {
@@ -845,7 +846,11 @@ func BenchmarkVirtualSensor(b *testing.B) {
 	src := connAdapter{conn}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rs, err := vsensor.Evaluate(expr, src, 0, 1000*1000)
+		st, err := vsensor.EvaluateStream(expr, src, 0, 1000*1000)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rs, err := store.Drain(st)
 		if err != nil || len(rs) != 1000 {
 			b.Fatalf("eval: %d, %v", len(rs), err)
 		}
@@ -854,9 +859,9 @@ func BenchmarkVirtualSensor(b *testing.B) {
 
 type connAdapter struct{ c *libdcdb.Connection }
 
-func (a connAdapter) Readings(topic string, from, to int64) ([]core.Reading, string, error) {
-	rs, err := a.c.Query(topic, from, to)
-	return rs, "", err
+func (a connAdapter) Stream(topic string, from, to int64) (vsensor.Stream, string, error) {
+	st, err := a.c.QueryStream(topic, from, to)
+	return st, "", err
 }
 
 func (a connAdapter) Expand(prefix string) ([]string, error) {

@@ -302,6 +302,12 @@ func TestDownsampleTimestampClamp(t *testing.T) {
 			t.Fatalf("downsample emitted timestamp %d outside [0, 10]", r.Timestamp)
 		}
 	}
+	// As many buckets as readings: they pass through untouched.
+	id := NewDownsample(0, 10, len(rs))
+	id.Add(rs)
+	if out := id.Result(); len(out) != len(rs) || out[3] != rs[3] {
+		t.Fatalf("identity downsample = %v", out)
+	}
 }
 
 // TestDownsampleZeroWidth: a single-timestamp grid averages every
@@ -340,6 +346,11 @@ func TestNaNSkipping(t *testing.T) {
 	if s.First.Timestamp != 1 || s.Last.Timestamp != 5 {
 		t.Fatalf("summary boundaries: %+v", s)
 	}
+	allNaN := NewSummary()
+	allNaN.Add(rs[1:2])
+	if allNaN.N != 0 || allNaN.Skip != 1 {
+		t.Fatalf("summary over one NaN: N %d, Skip %d", allNaN.N, allNaN.Skip)
+	}
 
 	g := NewIntegral()
 	g.Add(rs)
@@ -364,6 +375,11 @@ func TestNaNSkipping(t *testing.T) {
 	}
 	if len(out) != 2 || dv.Skipped() != 2 {
 		t.Fatalf("derivative over NaN series: %v (skipped %d)", out, dv.Skipped())
+	}
+	// The finite readings rise 1 per ns: 1e9 per second, stamped at
+	// the later reading of each pair.
+	if out[0].Timestamp != 3 || out[1].Timestamp != 5 || !closeEnough(out[0].Value, 1e9) || !closeEnough(out[1].Value, 1e9) {
+		t.Fatalf("derivative over NaN series = %v, want 1e9 at 3 and 5", out)
 	}
 
 	d := NewDownsample(1, 5, 2)
@@ -400,6 +416,33 @@ func TestIntegralNonPositiveDT(t *testing.T) {
 	if g2.Value() != 0 {
 		t.Fatalf("zero-width integral = %g, want 0", g2.Value())
 	}
+
+	// A reordered reading (dt < 0) cannot subtract area: 100 W over
+	// 2 s stays 200 J.
+	g3 := NewIntegral()
+	g3.Add([]core.Reading{{Timestamp: 0, Value: 100}, {Timestamp: 2e9, Value: 100}, {Timestamp: 1e9, Value: 5000}})
+	if g3.Value() != 200 {
+		t.Fatalf("integral with a reordered reading = %g, want 200", g3.Value())
+	}
+	// No input, or a single reading, has no area.
+	g4 := NewIntegral()
+	if g4.Value() != 0 {
+		t.Fatalf("empty integral = %g, want 0", g4.Value())
+	}
+	g4.Add([]core.Reading{{Timestamp: 1, Value: 7}})
+	if g4.Value() != 0 {
+		t.Fatalf("one-reading integral = %g, want 0", g4.Value())
+	}
+
+	// The derivative applies the same guard: the duplicate pair is
+	// skipped, not divided by zero, and one reading has no slope.
+	var dv Derivative
+	if out := dv.Add(nil, []core.Reading{{Timestamp: 0, Value: 1}}); len(out) != 0 {
+		t.Fatalf("derivative of one reading = %v", out)
+	}
+	if out := dv.Add(nil, []core.Reading{{Timestamp: 0, Value: 2}, {Timestamp: 1e9, Value: 3}}); len(out) != 1 || out[0].Value != 1 {
+		t.Fatalf("derivative across a duplicate timestamp = %v, want one point of 1/s", out)
+	}
 }
 
 // TestFingerprintDetectsDivergence: replicas that folded different
@@ -412,6 +455,12 @@ func TestFingerprintDetectsDivergence(t *testing.T) {
 	c.Add([]core.Reading{rs[1], rs[0]})
 	if a.Fingerprint() != b.Fingerprint() {
 		t.Fatal("identical folds produced different fingerprints")
+	}
+	g1, g2 := NewIntegral(), NewIntegral()
+	g1.Add(rs)
+	g2.Add(rs)
+	if g1.Fingerprint() != g2.Fingerprint() {
+		t.Fatal("identical integral folds produced different fingerprints")
 	}
 	if a.Fingerprint() == c.Fingerprint() {
 		t.Fatal("order-swapped fold produced the same fingerprint")

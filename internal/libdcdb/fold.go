@@ -6,9 +6,12 @@ import (
 	"dcdb/internal/store"
 )
 
-// Connection-level analysis: each operation runs as a single-pass fold
-// and never materializes the queried series. Two execution plans exist,
-// chosen per sensor:
+// Analysis operations offered by the dcdbquery tool (paper §5.2):
+// summaries, integrals, derivatives and downsampling of a sensor's
+// series. Each runs as a single-pass fold from internal/fold and never
+// materializes the queried series; non-finite values are skipped
+// rather than poisoning sums, means and bucket averages, and counted
+// (Aggregate.Skipped). Two execution plans exist, chosen per sensor:
 //
 //   - Pushdown: physical sensors with no configured scaling ship a
 //     fold.Spec to where the data lives (store.Backend.Aggregate) and
@@ -28,14 +31,8 @@ import (
 // fold sees raw stored values, so any client-side transform would break
 // bit-identity with the streamed plan).
 func (c *Connection) pushdown(topic string) (core.SensorID, bool) {
-	t, err := core.CanonicalTopic(topic)
-	if err != nil {
-		return core.SensorID{}, false
-	}
-	c.mu.RLock()
-	m, hasMeta := c.meta[t]
-	c.mu.RUnlock()
-	if hasMeta && (m.Virtual || m.EffectiveScale() != 1) {
+	t, m, err := c.sensor(topic)
+	if err != nil || m.Virtual || m.EffectiveScale() != 1 {
 		return core.SensorID{}, false
 	}
 	return c.mapper.Lookup(t)
@@ -62,11 +59,36 @@ func (c *Connection) foldQuery(topic string, spec fold.Spec) (fold.State, error)
 	return st, nil
 }
 
+// Aggregate summarises a series. Skipped counts non-finite readings
+// excluded from every statistic; First and Last are the first and last
+// finite readings.
+type Aggregate struct {
+	Count    int
+	Skipped  int
+	Min, Max float64
+	Mean     float64
+	First    core.Reading
+	Last     core.Reading
+}
+
+// aggregateFromFold converts a finished summary fold.
+func aggregateFromFold(s *fold.Summary) Aggregate {
+	a := Aggregate{
+		Count:   int(s.N),
+		Skipped: int(s.Skip),
+	}
+	if s.N > 0 {
+		a.Min, a.Max, a.Mean = s.Min, s.Max, s.Mean()
+		a.First, a.Last = s.First, s.Last
+	}
+	return a
+}
+
 // QuerySummary computes the Aggregate of a sensor over [from, to] in a
 // single streaming pass (pushed down to the storage nodes for unscaled
-// physical sensors). Unlike Summarize, an empty window is not an
-// error: the result reports Count == 0 and the caller decides how to
-// surface it, so one empty topic cannot abort a multi-topic run.
+// physical sensors). An empty window is not an error: the result
+// reports Count == 0 and the caller decides how to surface it, so one
+// empty topic cannot abort a multi-topic run.
 func (c *Connection) QuerySummary(topic string, from, to int64) (Aggregate, error) {
 	st, err := c.foldQuery(topic, fold.Spec{Op: fold.OpSummary, From: from, To: to})
 	if err != nil {
@@ -77,7 +99,7 @@ func (c *Connection) QuerySummary(topic string, from, to int64) (Aggregate, erro
 
 // QueryIntegral computes the trapezoid-rule time integral of a sensor
 // over [from, to] in a single streaming pass (pushed down where
-// possible). An empty window integrates to zero, matching Integral.
+// possible). An empty window integrates to zero.
 func (c *Connection) QueryIntegral(topic string, from, to int64) (float64, error) {
 	st, err := c.foldQuery(topic, fold.Spec{Op: fold.OpIntegral, From: from, To: to})
 	if err != nil {
@@ -89,10 +111,9 @@ func (c *Connection) QueryIntegral(topic string, from, to int64) (float64, error
 // QueryDownsample reduces a sensor's readings over [from, to] to at
 // most nmax points by averaging equal time buckets, in a single
 // streaming pass (pushed down where possible). The bucket grid spans
-// the query range — not the data range the materialized Downsample
-// uses — so the result is independent of which readings exist, which
-// is what lets replicas bucket identically. nmax or fewer readings
-// pass through unbucketed.
+// the query range, not the data range, so the result is independent
+// of which readings exist, which is what lets replicas bucket
+// identically. nmax or fewer readings pass through unbucketed.
 func (c *Connection) QueryDownsample(topic string, from, to int64, nmax int) ([]core.Reading, error) {
 	st, err := c.foldQuery(topic, fold.Spec{Op: fold.OpDownsample, From: from, To: to, Buckets: nmax})
 	if err != nil {
@@ -102,7 +123,7 @@ func (c *Connection) QueryDownsample(topic string, from, to int64, nmax int) ([]
 }
 
 // derivStream adapts a reading stream to its discrete time derivative,
-// one chunk at a time (Derivative semantics: non-finite values and
+// one chunk at a time (fold.Derivative: non-finite values and
 // non-positive dt pairs are skipped).
 type derivStream struct {
 	st  store.ReadingStream

@@ -1,28 +1,29 @@
 package libdcdb
 
 import (
-	"io"
 	"math"
 	"testing"
 
 	"dcdb/internal/core"
+	"dcdb/internal/fold"
 	"dcdb/internal/store"
 )
 
-// --- Regression tests for the analysis-math bugs (satellites 1–3) ---
+// --- The analysis ops' guards, through the Connection ---
 
 // TestSummarizeSkipsNonFinite: NaN/Inf readings must not poison the
-// statistics; they are counted in Skipped and excluded from everything
-// else.
+// summary; Aggregate counts them in Skipped and excludes them from
+// everything else.
 func TestSummarizeSkipsNonFinite(t *testing.T) {
-	rs := []core.Reading{
-		{Timestamp: 1, Value: 2},
-		{Timestamp: 2, Value: math.NaN()},
-		{Timestamp: 3, Value: 6},
-		{Timestamp: 4, Value: math.Inf(1)},
-		{Timestamp: 5, Value: 4},
+	c := newConn(t)
+	for _, r := range []core.Reading{
+		rd(1, 2), rd(2, math.NaN()), rd(3, 6), rd(4, math.Inf(1)), rd(5, 4), rd(9, math.NaN()),
+	} {
+		if err := c.Insert("/nf/s", r); err != nil {
+			t.Fatal(err)
+		}
 	}
-	a, err := Summarize(rs)
+	a, err := c.QuerySummary("/nf/s", 0, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,75 +36,54 @@ func TestSummarizeSkipsNonFinite(t *testing.T) {
 	if a.First.Timestamp != 1 || a.Last.Timestamp != 5 {
 		t.Fatalf("First/Last = %v/%v (must be finite readings)", a.First, a.Last)
 	}
-	// All-NaN input is still an error, with the skips reported.
-	bad := []core.Reading{{Timestamp: 1, Value: math.NaN()}}
-	if a, err := Summarize(bad); err == nil || a.Skipped != 1 {
-		t.Fatalf("all-NaN Summarize = %+v, %v", a, err)
+	// A window of NaN only is empty, with the skip reported.
+	if a, err := c.QuerySummary("/nf/s", 9, 9); err != nil || a.Count != 0 || a.Skipped != 1 {
+		t.Fatalf("all-NaN window = %+v, %v", a, err)
 	}
 }
 
-// TestIntegralGuards: duplicate timestamps and NaNs contribute no area
-// instead of producing NaN or negative spikes.
+// TestIntegralGuards: a NaN between two readings is bridged rather
+// than poisoning the integral, and an empty window integrates to zero.
 func TestIntegralGuards(t *testing.T) {
-	base := []core.Reading{
-		{Timestamp: 0, Value: 100},
-		{Timestamp: 2e9, Value: 100},
+	c := newConn(t)
+	for _, r := range []core.Reading{rd(0, 100), rd(1e9, math.NaN()), rd(2e9, 100)} {
+		if err := c.Insert("/ig/s", r); err != nil {
+			t.Fatal(err)
+		}
 	}
-	want := Integral(base) // 100 W for 2 s = 200 J
-	if want != 200 {
-		t.Fatalf("baseline integral = %v, want 200", want)
+	if got, err := c.QueryIntegral("/ig/s", 0, 2e9); err != nil || got != 200 {
+		t.Fatalf("integral of 100 W over 2 s across a NaN = %v, %v; want 200", got, err)
 	}
-	// A duplicate timestamp pair (dt == 0) adds nothing, and a
-	// reordered reading (dt < 0) cannot subtract area.
-	withDup := append(append([]core.Reading(nil), base...), core.Reading{Timestamp: 2e9, Value: 5000})
-	if got := Integral(withDup); got != want {
-		t.Fatalf("integral with duplicate timestamp = %v, want %v", got, want)
-	}
-	reordered := append(append([]core.Reading(nil), base...), core.Reading{Timestamp: 1e9, Value: 5000})
-	if got := Integral(reordered); got != want {
-		t.Fatalf("integral with reordered timestamp = %v, want %v", got, want)
-	}
-	// A NaN in the middle bridges the neighbours rather than poisoning.
-	withNaN := []core.Reading{base[0], {Timestamp: 1e9, Value: math.NaN()}, base[1]}
-	if got := Integral(withNaN); math.IsNaN(got) || got != want {
-		t.Fatalf("integral with NaN = %v, want %v", got, want)
-	}
-	if Integral(nil) != 0 {
-		t.Fatal("empty integral != 0")
+	if got, err := c.QueryIntegral("/ig/s", 3e9, 4e9); err != nil || got != 0 {
+		t.Fatalf("empty-window integral = %v, %v; want 0", got, err)
 	}
 }
 
-// TestDownsampleBounds: emitted timestamps must not run past the series
-// end, and a zero-width series collapses to one averaged point instead
-// of dividing by zero.
+// TestDownsampleBounds: bucket stamps stay inside the queried range
+// even when the grid does not divide it, and nmax or fewer readings
+// pass through untouched.
 func TestDownsampleBounds(t *testing.T) {
-	var rs []core.Reading
+	c := newConn(t)
 	for i := int64(0); i < 100; i++ {
-		rs = append(rs, core.Reading{Timestamp: i * 7, Value: float64(i)})
+		if err := c.Insert("/db/s", rd(i*7, float64(i))); err != nil {
+			t.Fatal(err)
+		}
 	}
-	out := Downsample(rs, 9)
+	out, err := c.QueryDownsample("/db/s", 0, 693, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(out) == 0 || len(out) > 9 {
 		t.Fatalf("downsample emitted %d points", len(out))
 	}
-	last := rs[len(rs)-1].Timestamp
 	for _, r := range out {
-		if r.Timestamp < rs[0].Timestamp || r.Timestamp > last {
-			t.Fatalf("bucket stamped at %d outside series [%d, %d]", r.Timestamp, rs[0].Timestamp, last)
+		if r.Timestamp < 0 || r.Timestamp > 693 {
+			t.Fatalf("bucket stamped at %d outside the query [0, 693]", r.Timestamp)
 		}
 	}
-	// Zero-width series: all readings share one timestamp.
-	flat := []core.Reading{
-		{Timestamp: 500, Value: 1},
-		{Timestamp: 500, Value: 2},
-		{Timestamp: 500, Value: 6},
-	}
-	out = Downsample(flat, 2)
-	if len(out) != 1 || out[0].Timestamp != 500 || out[0].Value != 3 {
-		t.Fatalf("zero-width downsample = %v, want [(500, 3)]", out)
-	}
-	// n or fewer points pass through untouched.
-	if got := Downsample(flat, 3); len(got) != 3 {
-		t.Fatalf("identity downsample = %v", got)
+	out, err = c.QueryDownsample("/db/s", 0, 693, 100)
+	if err != nil || len(out) != 100 || out[42] != rd(294, 42) {
+		t.Fatalf("identity downsample: %d points, %v", len(out), err)
 	}
 }
 
@@ -126,8 +106,16 @@ func insertSeries(t *testing.T, c *Connection, topic string, n int) []core.Readi
 	return rs
 }
 
+// summarize folds a materialised series into an Aggregate: the "want"
+// side of the streamed and pushed-down summaries.
+func summarize(rs []core.Reading) Aggregate {
+	s := fold.NewSummary()
+	s.Add(rs)
+	return aggregateFromFold(s)
+}
+
 // TestQuerySummaryPushdownEquivalence: for a physical unscaled sensor
-// the pushed-down summary must equal Summarize over the materialized
+// the pushed-down summary must equal a summary fold over the drained
 // query, field for field.
 func TestQuerySummaryPushdownEquivalence(t *testing.T) {
 	c := newConn(t)
@@ -144,11 +132,7 @@ func TestQuerySummaryPushdownEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Summarize(rs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
+	if want := summarize(rs); got != want {
 		t.Fatalf("pushdown summary = %+v, materialized = %+v", got, want)
 	}
 	if got.Skipped == 0 {
@@ -169,12 +153,13 @@ func TestQueryIntegralDownsampleEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wi := Integral(rs); math.Float64bits(gi) != math.Float64bits(wi) {
-		t.Fatalf("pushdown integral = %v, materialized = %v", gi, wi)
+	wi := fold.NewIntegral()
+	wi.Add(rs)
+	if math.Float64bits(gi) != math.Float64bits(wi.Value()) {
+		t.Fatalf("pushdown integral = %v, materialized = %v", gi, wi.Value())
 	}
 	// QueryDownsample buckets over the query range, so compare against
-	// a fold over the same grid and the same window — not the
-	// data-range Downsample.
+	// a fold over the same grid and the same window.
 	gd, err := c.QueryDownsample("/p/i", 0, 1<<20, 32)
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +168,7 @@ func TestQueryIntegralDownsampleEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := NewDownsampleFold(0, 1<<20, 32)
+	d := fold.NewDownsample(0, 1<<20, 32)
 	d.Add(win)
 	wd := d.Result()
 	if len(gd) != len(wd) {
@@ -240,8 +225,8 @@ func TestQuerySummaryScaledSensor(t *testing.T) {
 }
 
 // TestQuerySummaryVirtualSensor: virtual sensors take the client-side
-// plan over the streaming evaluator and must match Summarize over the
-// materialized virtual query.
+// plan over the streaming evaluator and must match a summary fold over
+// the drained virtual query.
 func TestQuerySummaryVirtualSensor(t *testing.T) {
 	c := newConn(t)
 	for i := int64(0); i < 50; i++ {
@@ -264,62 +249,77 @@ func TestQuerySummaryVirtualSensor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Summarize(rs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
+	if want := summarize(rs); got != want {
 		t.Fatalf("virtual streamed summary = %+v, materialized = %+v", got, want)
 	}
 }
 
-// TestVirtualQueryStreamMatchesQuery: the streamed virtual-sensor read
-// path (no materialized fallback, no write-back) is bit-identical to
-// the materialized evaluation, including nested wildcards.
+// TestVirtualQueryStreamMatchesQuery: QueryStream over a virtual
+// sensor (evaluated, never written back) is bit-identical to Query
+// (the same stream drained, then written back), and to a later
+// QueryStream served from what Query wrote back — for a wildcard over
+// physical sensors, a virtual sensor over a virtual sensor, and a
+// wildcard whose matches include a virtual sensor.
 func TestVirtualQueryStreamMatchesQuery(t *testing.T) {
 	c := newConn(t)
 	for i := int64(0); i < 200; i++ {
 		c.Insert("/w2/p", rd(i*700, float64(i)))
 		c.Insert("/w2/q", rd(i*900, float64(i)/2))
+		c.Insert("/w3/p", rd(i*1100, float64(i%17)))
 	}
-	if err := c.PublishSensor(core.Metadata{
-		Topic: "/v2/sum", Virtual: true, Expression: "</w2/*> * 2",
-	}); err != nil {
-		t.Fatal(err)
-	}
-	st, err := c.QueryStream("/v2/sum", 0, 1<<50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var streamed []core.Reading
-	for {
-		chunk, err := st.Next()
-		if err == io.EOF {
-			break
+	for _, m := range []core.Metadata{
+		{Topic: "/v2/sum", Virtual: true, Expression: "</w2/*> * 2"},
+		{Topic: "/w/double", Virtual: true, Expression: "</w2/p> * 2 + </w2/q>"},
+		{Topic: "/w/quad", Virtual: true, Expression: "</w/double> * 2"},
+		{Topic: "/w3/v", Virtual: true, Expression: "</w2/q> / 3", Unit: "kW"},
+		{Topic: "/v3/sum", Virtual: true, Expression: "</w3/*> + 1"},
+	} {
+		if err := c.PublishSensor(m); err != nil {
+			t.Fatal(err)
 		}
+	}
+	for _, topic := range []string{"/v2/sum", "/w/quad", "/v3/sum"} {
+		streamed := drainStream(t, c, topic)
+		want, err := c.Query(topic, 0, 1<<50)
 		if err != nil {
 			t.Fatal(err)
 		}
-		streamed = append(streamed, chunk...)
+		if len(want) < 200 {
+			t.Fatalf("%s: %d readings", topic, len(want))
+		}
+		sameReadings(t, topic+" streamed", streamed, want)
+		sameReadings(t, topic+" cached", drainStream(t, c, topic), want)
 	}
-	st.Close()
-	want, err := c.Query("/v2/sum", 0, 1<<50)
+}
+
+func drainStream(t *testing.T, c *Connection, topic string) []core.Reading {
+	t.Helper()
+	st, err := c.QueryStream(topic, 0, 1<<50)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(streamed) != len(want) {
-		t.Fatalf("streamed %d readings, materialized %d", len(streamed), len(want))
+	rs, err := store.Drain(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rs
+}
+
+func sameReadings(t *testing.T, what string, got, want []core.Reading) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d readings, want %d", what, len(got), len(want))
 	}
 	for i := range want {
-		if streamed[i].Timestamp != want[i].Timestamp ||
-			math.Float64bits(streamed[i].Value) != math.Float64bits(want[i].Value) {
-			t.Fatalf("reading %d: streamed %v, materialized %v", i, streamed[i], want[i])
+		if got[i].Timestamp != want[i].Timestamp ||
+			math.Float64bits(got[i].Value) != math.Float64bits(want[i].Value) {
+			t.Fatalf("%s: reading %d is %v, want %v", what, i, got[i], want[i])
 		}
 	}
 }
 
 // TestDerivativeStreamMatchesDerivative: the chunked derivative stream
-// equals the materialized Derivative over the same window.
+// equals a derivative fold over the whole materialised window.
 func TestDerivativeStreamMatchesDerivative(t *testing.T) {
 	c := newConn(t)
 	rs := insertSeries(t, c, "/d/s", 2000)
@@ -327,29 +327,12 @@ func TestDerivativeStreamMatchesDerivative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []core.Reading
-	for {
-		chunk, err := st.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The stream reuses its buffer across Next calls; copy out.
-		got = append(got, append([]core.Reading(nil), chunk...)...)
+	got, err := store.Drain(st)
+	if err != nil {
+		t.Fatal(err)
 	}
-	st.Close()
-	want := Derivative(rs)
-	if len(got) != len(want) {
-		t.Fatalf("stream emitted %d readings, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i].Timestamp != want[i].Timestamp ||
-			math.Float64bits(got[i].Value) != math.Float64bits(want[i].Value) {
-			t.Fatalf("derivative[%d]: stream %v, materialized %v", i, got[i], want[i])
-		}
-	}
+	var d fold.Derivative
+	sameReadings(t, "derivative stream", got, d.Add(nil, rs))
 }
 
 // TestQuerySummaryOverCluster: the quorum aggregate path is reachable

@@ -5,15 +5,18 @@
 // all built on top of it.
 //
 // A Connection combines a store.Backend with the topic↔SID mapper, the
-// sensor-metadata registry and the virtual-sensor engine. Queries on
-// virtual sensors are evaluated lazily for the queried period only, and
-// results are written back to the Storage Backend so later queries can
-// re-use them (paper §3.2).
+// sensor-metadata registry and the virtual-sensor engine. Every sensor
+// is read through one stream: a physical sensor streams from the
+// backend with its scale applied; a virtual sensor is evaluated lazily
+// for the queried period only (vsensor.EvaluateStream), its operands
+// opened through the same stream. Query drains that stream and writes a
+// virtual sensor's result back to the Storage Backend so later queries
+// can re-use it (paper §3.2). The analysis operations (fold.go) fold
+// the stream, or push the fold down to the storage nodes.
 package libdcdb
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"time"
@@ -177,30 +180,54 @@ func (c *Connection) InsertBatch(topic string, rs []core.Reading) error {
 	return c.backend.InsertBatch(id, rs, ttl)
 }
 
-// Query returns the readings of a sensor in [from, to]. Physical
-// sensors are read from the Storage Backend with the configured scale
-// applied; virtual sensors are evaluated from their expression (with
-// write-back caching).
+// Query returns the readings of a sensor in [from, to]. A physical
+// sensor is read from the Storage Backend with its configured scale
+// applied. A virtual sensor is a drain of QueryStream; a period that
+// was evaluated rather than read from the cache is then written back
+// under the sensor's SID, so later queries of it read the result
+// (paper §3.2). Only the queried sensor is written back, not the
+// virtual sensors its expression reads.
 func (c *Connection) Query(topic string, from, to int64) ([]core.Reading, error) {
-	return c.query(topic, from, to, nil)
-}
-
-// sliceStream adapts a materialized result to the stream API for
-// virtual sensors whose expressions cannot be evaluated incrementally.
-type sliceStream struct {
-	rs   []core.Reading
-	done bool
-}
-
-func (s *sliceStream) Next() ([]core.Reading, error) {
-	if s.done || len(s.rs) == 0 {
-		return nil, io.EOF
+	t, m, err := c.sensor(topic)
+	if err != nil {
+		return nil, err
 	}
-	s.done = true
-	return s.rs, nil
+	if !m.Virtual {
+		id, ok := c.mapper.Lookup(t)
+		if !ok {
+			return nil, fmt.Errorf("libdcdb: unknown sensor %q", topic)
+		}
+		rs, err := c.backend.Query(id, from, to)
+		if err != nil || m.EffectiveScale() == 1 {
+			return rs, err
+		}
+		scaled := make([]core.Reading, len(rs))
+		for i, r := range rs {
+			scaled[i] = core.Reading{Timestamp: r.Timestamp, Value: r.Value * m.EffectiveScale()}
+		}
+		return scaled, nil
+	}
+	cached := c.cached(t, from, to)
+	st, err := c.queryStream(t, from, to, nil)
+	if err != nil {
+		return nil, err
+	}
+	rs, err := store.Drain(st)
+	if err != nil || cached {
+		return rs, err
+	}
+	id, err := c.mapper.Map(t)
+	if err != nil {
+		return nil, err
+	}
+	if err := c.backend.InsertBatch(id, rs, m.TTL); err != nil {
+		return nil, fmt.Errorf("libdcdb: caching virtual sensor results: %w", err)
+	}
+	c.mu.Lock()
+	c.vcache[t] = mergeIntervals(append(c.vcache[t], interval{from, to}))
+	c.mu.Unlock()
+	return rs, nil
 }
-
-func (s *sliceStream) Close() error { s.done = true; return nil }
 
 // scaledStream applies a sensor's configured scale chunk by chunk.
 type scaledStream struct {
@@ -228,90 +255,44 @@ func (s *scaledStream) Close() error { return s.st.Close() }
 
 // QueryStream is the streaming form of Query: readings arrive in
 // bounded chunks pulled from the backend (over RPC, chunk frames), so
-// exporting a long retention holds O(chunk) memory end to end.
-// Virtual sensors whose expressions reference only physical sensors
-// are evaluated incrementally with one reading of lookahead per
-// operand (vsensor.EvaluateStream); expressions over other virtual
-// sensors fall back to materialized evaluation and are streamed from
-// the result. The stream must be closed.
+// exporting a long retention holds O(chunk) memory end to end. A
+// virtual sensor streams from the backend when Query has cached the
+// period and is evaluated with one reading of lookahead per operand
+// otherwise (vsensor.EvaluateStream); a streamed evaluation is not
+// written back. The stream must be closed.
 func (c *Connection) QueryStream(topic string, from, to int64) (store.ReadingStream, error) {
-	t, err := core.CanonicalTopic(topic)
+	return c.queryStream(topic, from, to, nil)
+}
+
+// queryStream opens the readings of any sensor. stack holds the virtual
+// sensors whose operands are being opened: expressions may reference
+// virtual sensors (paper §3.2), so a reference back to one of them is a
+// cycle.
+func (c *Connection) queryStream(topic string, from, to int64, stack map[string]bool) (store.ReadingStream, error) {
+	t, m, err := c.sensor(topic)
 	if err != nil {
 		return nil, err
 	}
-	c.mu.RLock()
-	m, hasMeta := c.meta[t]
-	c.mu.RUnlock()
-	if hasMeta && m.Virtual {
-		if st, handled, err := c.queryVirtualStream(t, m, from, to); handled {
-			return st, err
-		}
-		rs, err := c.Query(topic, from, to)
-		if err != nil {
-			return nil, err
-		}
-		return &sliceStream{rs: rs}, nil
+	if m.Virtual && !c.cached(t, from, to) {
+		return c.evaluate(t, m, from, to, stack)
 	}
 	id, ok := c.mapper.Lookup(t)
 	if !ok {
 		return nil, fmt.Errorf("libdcdb: unknown sensor %q", topic)
 	}
 	st, err := c.backend.QueryStream(id, from, to)
-	if err != nil {
-		return nil, err
+	if err != nil || m.Virtual || m.EffectiveScale() == 1 {
+		return st, err
 	}
-	if hasMeta && m.EffectiveScale() != 1 {
-		return &scaledStream{st: st, scale: m.EffectiveScale()}, nil
-	}
-	return st, nil
+	return &scaledStream{st: st, scale: m.EffectiveScale()}, nil
 }
 
-// query implements Query with an evaluation stack for cycle detection
-// among virtual sensors (expressions may reference virtual sensors,
-// paper §3.2, so reference loops must be caught).
-func (c *Connection) query(topic string, from, to int64, stack map[string]bool) ([]core.Reading, error) {
-	t, err := core.CanonicalTopic(topic)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.RLock()
-	m, hasMeta := c.meta[t]
-	c.mu.RUnlock()
-	if hasMeta && m.Virtual {
-		if stack[t] {
-			return nil, fmt.Errorf("libdcdb: virtual sensor cycle through %q", t)
-		}
-		return c.queryVirtual(t, m, from, to, stack)
-	}
-	id, ok := c.mapper.Lookup(t)
-	if !ok {
-		return nil, fmt.Errorf("libdcdb: unknown sensor %q", topic)
-	}
-	rs, err := c.backend.Query(id, from, to)
-	if err != nil {
-		return nil, err
-	}
-	if hasMeta && m.EffectiveScale() != 1 {
-		scaled := make([]core.Reading, len(rs))
-		for i, r := range rs {
-			scaled[i] = core.Reading{Timestamp: r.Timestamp, Value: r.Value * m.EffectiveScale()}
-		}
-		return scaled, nil
-	}
-	return rs, nil
-}
-
-func (c *Connection) queryVirtual(topic string, m core.Metadata, from, to int64, stack map[string]bool) ([]core.Reading, error) {
-	id, err := c.mapper.Map(topic)
-	if err != nil {
-		return nil, err
-	}
-	// Serve from the write-back cache when the period is covered.
-	c.mu.RLock()
-	covered := intervalCovered(c.vcache[topic], from, to)
-	c.mu.RUnlock()
-	if covered {
-		return c.backend.Query(id, from, to)
+// evaluate opens the evaluation of virtual sensor t. Its operands open
+// here, each through queryStream with t on the stack, so a cycle fails
+// the open.
+func (c *Connection) evaluate(t string, m core.Metadata, from, to int64, stack map[string]bool) (store.ReadingStream, error) {
+	if stack[t] {
+		return nil, fmt.Errorf("libdcdb: virtual sensor cycle through %q", t)
 	}
 	expr, err := vsensor.Parse(m.Expression)
 	if err != nil {
@@ -320,106 +301,55 @@ func (c *Connection) queryVirtual(topic string, m core.Metadata, from, to int64,
 	if stack == nil {
 		stack = make(map[string]bool)
 	}
-	stack[topic] = true
-	defer delete(stack, topic)
-	rs, err := vsensor.Evaluate(expr, &connSource{c: c, stack: stack}, from, to)
-	if err != nil {
-		return nil, err
-	}
-	// Write results back so they can be re-used (paper §3.2).
-	if err := c.backend.InsertBatch(id, rs, m.TTL); err != nil {
-		return nil, fmt.Errorf("libdcdb: caching virtual sensor results: %w", err)
-	}
-	c.mu.Lock()
-	c.vcache[topic] = mergeIntervals(append(c.vcache[topic], interval{from, to}))
-	c.mu.Unlock()
-	return rs, nil
+	stack[t] = true
+	defer delete(stack, t)
+	return vsensor.EvaluateStream(expr, &connStreamSource{c: c, stack: stack}, from, to)
 }
 
-// queryVirtualStream is the streaming evaluation path for a virtual
-// sensor: operands stream from the backend and the expression is
-// evaluated with one reading of lookahead per operand, bit-identical
-// to the materialized evaluation. handled is false when the expression
-// is not streamable — it references other virtual sensors, whose
-// evaluation needs the write-back and cycle-detection machinery of the
-// materialized path. Streamed results are not written back (there is
-// no materialized result to cache); materialized Query still caches,
-// and a period it already cached streams straight from the backend.
-func (c *Connection) queryVirtualStream(topic string, m core.Metadata, from, to int64) (store.ReadingStream, bool, error) {
-	c.mu.RLock()
-	covered := intervalCovered(c.vcache[topic], from, to)
-	c.mu.RUnlock()
-	if covered {
-		if id, ok := c.mapper.Lookup(topic); ok {
-			st, err := c.backend.QueryStream(id, from, to)
-			return st, true, err
-		}
-	}
-	expr, err := vsensor.Parse(m.Expression)
+// sensor resolves a topic to its canonical form and its metadata (the
+// zero Metadata, a physical unscaled sensor, when none is published).
+func (c *Connection) sensor(topic string) (string, core.Metadata, error) {
+	t, err := core.CanonicalTopic(topic)
 	if err != nil {
-		return nil, true, err
+		return "", core.Metadata{}, err
 	}
-	if !c.streamable(expr, topic) {
-		return nil, false, nil
-	}
-	st, err := vsensor.EvaluateStream(expr, &connStreamSource{c: c, exclude: topic}, from, to)
-	if err != nil {
-		return nil, true, err
-	}
-	return st, true, nil
-}
-
-// streamable reports whether every sensor the expression references —
-// wildcard matches included, the expression's own topic excluded —
-// is physical.
-func (c *Connection) streamable(e *vsensor.Expr, root string) bool {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	for _, ref := range e.Refs() {
-		if len(ref) > 2 && ref[len(ref)-2:] == "/*" {
-			for _, t := range c.hierarchy.Sensors(ref[:len(ref)-2]) {
-				if t == root {
-					continue
-				}
-				if m, ok := c.meta[t]; ok && m.Virtual {
-					return false
-				}
-			}
-			continue
-		}
-		if m, ok := c.meta[ref]; ok && m.Virtual {
-			return false
-		}
-	}
-	return true
+	return t, c.meta[t], nil
 }
 
-// connStreamSource adapts Connection to vsensor.StreamSource for the
-// streaming evaluation of one virtual sensor, excluding that sensor
-// from wildcard expansion (the same self-reference guard connSource
-// applies through the evaluation stack).
+// cached reports whether Query has written back virtual sensor t over
+// all of [from, to].
+func (c *Connection) cached(t string, from, to int64) bool {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return intervalCovered(c.vcache[t], from, to)
+}
+
+// connStreamSource adapts Connection to vsensor.StreamSource while
+// carrying the stack of virtual sensors being opened.
 type connStreamSource struct {
-	c       *Connection
-	exclude string
+	c     *Connection
+	stack map[string]bool
 }
 
 func (s *connStreamSource) Stream(topic string, from, to int64) (vsensor.Stream, string, error) {
-	st, err := s.c.QueryStream(topic, from, to)
+	st, err := s.c.queryStream(topic, from, to, s.stack)
 	if err != nil {
 		return nil, "", err
 	}
-	unit := ""
-	if m, ok := s.c.Metadata(topic); ok {
-		unit = m.Unit
-	}
-	return st, unit, nil
+	m, _ := s.c.Metadata(topic)
+	return st, m.Unit, nil
 }
 
+// Expand lists sensors below the prefix, excluding every sensor on the
+// stack so that a wildcard aggregate placed inside its own subtree
+// (e.g. /sys/totalpower summing /sys/*) does not feed on itself.
 func (s *connStreamSource) Expand(prefix string) ([]string, error) {
 	all := s.c.ListSensors(prefix)
-	out := make([]string, 0, len(all))
+	out := all[:0]
 	for _, t := range all {
-		if t != s.exclude {
+		if !s.stack[t] {
 			out = append(out, t)
 		}
 	}
@@ -436,39 +366,6 @@ func (c *Connection) InvalidateVirtual(topic string) {
 	c.mu.Lock()
 	delete(c.vcache, t)
 	c.mu.Unlock()
-}
-
-// connSource adapts Connection to the vsensor.Source interface while
-// carrying the virtual-sensor evaluation stack.
-type connSource struct {
-	c     *Connection
-	stack map[string]bool
-}
-
-func (s *connSource) Readings(topic string, from, to int64) ([]core.Reading, string, error) {
-	rs, err := s.c.query(topic, from, to, s.stack)
-	if err != nil {
-		return nil, "", err
-	}
-	unit := ""
-	if m, ok := s.c.Metadata(topic); ok {
-		unit = m.Unit
-	}
-	return rs, unit, nil
-}
-
-// Expand lists sensors below the prefix, excluding any sensor currently
-// being evaluated so that a wildcard aggregate placed inside its own
-// subtree (e.g. /sys/totalpower summing /sys/*) does not feed on itself.
-func (s *connSource) Expand(prefix string) ([]string, error) {
-	all := s.c.ListSensors(prefix)
-	out := all[:0]
-	for _, t := range all {
-		if !s.stack[t] {
-			out = append(out, t)
-		}
-	}
-	return out, nil
 }
 
 // DeleteBefore removes a sensor's readings older than the cutoff.

@@ -178,12 +178,80 @@ func TestVirtualSensorWildcard(t *testing.T) {
 	}
 }
 
+// TestVirtualSensorCycle: a reference loop among virtual sensors fails
+// the open, through Query and through QueryStream, directly and through
+// a wildcard.
 func TestVirtualSensorCycle(t *testing.T) {
 	c := newConn(t)
 	c.PublishSensor(core.Metadata{Topic: "/v/a", Virtual: true, Expression: "</v/b> + 1"})
 	c.PublishSensor(core.Metadata{Topic: "/v/b", Virtual: true, Expression: "</v/a> + 1"})
-	if _, err := c.Query("/v/a", 0, 10); err == nil {
-		t.Error("cyclic virtual sensors evaluated successfully")
+	// The wildcard skips /x/sum itself but reaches /x/half, which
+	// reads /x/sum back.
+	c.PublishSensor(core.Metadata{Topic: "/x/sum", Virtual: true, Expression: "</x/*>"})
+	c.PublishSensor(core.Metadata{Topic: "/x/half", Virtual: true, Expression: "</x/sum> / 2"})
+	for _, topic := range []string{"/v/a", "/x/sum"} {
+		if _, err := c.Query(topic, 0, 10); err == nil || !strings.Contains(err.Error(), "virtual sensor cycle") {
+			t.Errorf("Query(%s) = %v, want the cycle error", topic, err)
+		}
+		if _, err := c.QueryStream(topic, 0, 10); err == nil || !strings.Contains(err.Error(), "virtual sensor cycle") {
+			t.Errorf("QueryStream(%s) = %v, want the cycle error", topic, err)
+		}
+	}
+}
+
+// TestVirtualWriteBackOnlyQueried: Query writes back the sensor it was
+// called on and nothing else; QueryStream writes back nothing; a
+// period Query wrote back is then streamed from the backend.
+func TestVirtualWriteBackOnlyQueried(t *testing.T) {
+	c := newConn(t)
+	for i := int64(0); i < 3; i++ {
+		c.Insert("/w/raw", rd(i*1000, 10))
+	}
+	c.PublishSensor(core.Metadata{Topic: "/w/double", Virtual: true, Expression: "</w/raw> * 2"})
+	c.PublishSensor(core.Metadata{Topic: "/w/quad", Virtual: true, Expression: "</w/double> * 2"})
+	stored := func(topic string) int {
+		t.Helper()
+		id, ok := c.Mapper().Lookup(topic)
+		if !ok {
+			t.Fatalf("%s has no SID", topic)
+		}
+		rs, err := c.Backend().Query(id, 0, 5000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(rs)
+	}
+
+	st, err := c.QueryStream("/w/quad", 0, 5000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs, err := store.Drain(st); err != nil || len(rs) != 3 || rs[0].Value != 40 {
+		t.Fatalf("streamed nested virtual = %v, %v", rs, err)
+	}
+	if stored("/w/quad") != 0 || stored("/w/double") != 0 {
+		t.Fatalf("QueryStream wrote back %d quad and %d double readings, want none", stored("/w/quad"), stored("/w/double"))
+	}
+
+	if rs, err := c.Query("/w/quad", 0, 5000); err != nil || len(rs) != 3 || rs[0].Value != 40 {
+		t.Fatalf("queried nested virtual = %v, %v", rs, err)
+	}
+	if stored("/w/quad") != 3 || stored("/w/double") != 0 {
+		t.Fatalf("Query wrote back %d quad and %d double readings, want 3 and 0", stored("/w/quad"), stored("/w/double"))
+	}
+
+	// Without its input, the queried sensor still streams (from the
+	// backend) and the operand no longer evaluates.
+	c.DeleteBefore("/w/raw", 1<<60)
+	st, err = c.QueryStream("/w/quad", 0, 5000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs, err := store.Drain(st); err != nil || len(rs) != 3 || rs[2].Value != 40 {
+		t.Fatalf("cached nested virtual = %v, %v", rs, err)
+	}
+	if _, err := c.QueryStream("/w/double", 0, 5000); err == nil {
+		t.Fatal("the operand streamed without its input: it was written back")
 	}
 }
 
@@ -201,66 +269,72 @@ func TestVirtualSensorOfVirtualSensor(t *testing.T) {
 	}
 }
 
+// TestIntegralDerivative: the integral and the derivative of a
+// sensor, through the Connection.
 func TestIntegralDerivative(t *testing.T) {
-	// Constant 100 W over 10 s -> 1000 J.
-	var rs []core.Reading
+	c := newConn(t)
+	// Constant 100 W over 10 s -> 1000 J; a linear counter of 5/s.
 	for i := int64(0); i <= 10; i++ {
-		rs = append(rs, rd(i*1e9, 100))
+		c.Insert("/id/power", rd(i*1e9, 100))
+		c.Insert("/id/count", rd(i*1e9, float64(5*i)))
 	}
-	if got := Integral(rs); math.Abs(got-1000) > 1e-9 {
-		t.Errorf("Integral = %v", got)
+	if got, err := c.QueryIntegral("/id/power", 0, 10e9); err != nil || math.Abs(got-1000) > 1e-9 {
+		t.Errorf("QueryIntegral = %v, %v", got, err)
 	}
-	if got := Integral(rs[:1]); got != 0 {
-		t.Errorf("Integral single = %v", got)
+	if got, err := c.QueryIntegral("/id/power", 0, 0); err != nil || got != 0 {
+		t.Errorf("QueryIntegral of one reading = %v, %v", got, err)
 	}
-	// Linear counter slope of 5/s.
-	var cnt []core.Reading
-	for i := int64(0); i <= 4; i++ {
-		cnt = append(cnt, rd(i*1e9, float64(5*i)))
+	st, err := c.DerivativeStream("/id/count", 0, 4e9)
+	if err != nil {
+		t.Fatal(err)
 	}
-	d := Derivative(cnt)
-	if len(d) != 4 {
-		t.Fatalf("Derivative len = %d", len(d))
+	d, err := store.Drain(st)
+	if err != nil || len(d) != 4 {
+		t.Fatalf("DerivativeStream = %v, %v", d, err)
 	}
 	for _, r := range d {
 		if math.Abs(r.Value-5) > 1e-9 {
-			t.Fatalf("Derivative = %v", d)
+			t.Fatalf("DerivativeStream = %v", d)
 		}
 	}
-	if Derivative(cnt[:1]) != nil {
-		t.Error("Derivative of single point not nil")
+	st, err = c.DerivativeStream("/id/count", 0, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Duplicate timestamps are skipped, not divided by zero.
-	dup := []core.Reading{rd(0, 1), rd(0, 2), rd(1e9, 3)}
-	if got := Derivative(dup); len(got) != 1 {
-		t.Errorf("Derivative with dup = %v", got)
+	if d, err := store.Drain(st); err != nil || len(d) != 0 {
+		t.Errorf("DerivativeStream of one reading = %v, %v", d, err)
 	}
 }
 
+// TestSummarize: the summary of a sensor, through the Connection.
 func TestSummarize(t *testing.T) {
-	rs := []core.Reading{rd(0, 3), rd(1, 1), rd(2, 2)}
-	a, err := Summarize(rs)
+	c := newConn(t)
+	for _, r := range []core.Reading{rd(0, 3), rd(1, 1), rd(2, 2)} {
+		c.Insert("/su/s", r)
+	}
+	a, err := c.QuerySummary("/su/s", 0, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Count != 3 || a.Min != 1 || a.Max != 3 || a.Mean != 2 || a.First.Value != 3 || a.Last.Value != 2 {
-		t.Fatalf("Summarize = %+v", a)
-	}
-	if _, err := Summarize(nil); err == nil {
-		t.Error("empty summarise accepted")
+		t.Fatalf("QuerySummary = %+v", a)
 	}
 }
 
+// TestDownsample: downsampling a sensor, through the Connection,
+// keeps the mean of an evenly sampled ramp.
 func TestDownsample(t *testing.T) {
-	var rs []core.Reading
+	c := newConn(t)
 	for i := int64(0); i < 100; i++ {
-		rs = append(rs, rd(i*1000, float64(i)))
+		c.Insert("/ds/s", rd(i*1000, float64(i)))
 	}
-	ds := Downsample(rs, 10)
-	if len(ds) > 11 || len(ds) < 9 {
-		t.Fatalf("Downsample to %d points", len(ds))
+	ds, err := c.QueryDownsample("/ds/s", 0, 99000, 10)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Mean preserved approximately.
+	if len(ds) > 10 || len(ds) < 9 {
+		t.Fatalf("QueryDownsample to %d points", len(ds))
+	}
 	var sum float64
 	for _, r := range ds {
 		sum += r.Value
@@ -268,15 +342,8 @@ func TestDownsample(t *testing.T) {
 	if mean := sum / float64(len(ds)); math.Abs(mean-49.5) > 5 {
 		t.Errorf("downsampled mean = %v", mean)
 	}
-	if got := Downsample(rs, 1000); len(got) != len(rs) {
-		t.Error("Downsample should be identity when n >= len")
-	}
-	if got := Downsample(rs, 0); len(got) != len(rs) {
-		t.Error("Downsample with n=0 should be identity")
-	}
-	same := []core.Reading{rd(5, 1), rd(5, 2), rd(5, 3)}
-	if got := Downsample(same, 2); len(got) != 1 {
-		t.Errorf("Downsample of zero-width series = %v", got)
+	if got, err := c.QueryDownsample("/ds/s", 0, 99000, 1000); err != nil || len(got) != 100 {
+		t.Errorf("QueryDownsample should pass %d readings through under 1000 buckets: %d, %v", 100, len(got), err)
 	}
 }
 

@@ -195,8 +195,10 @@ func (n *Node) Open(dir string) error { return n.OpenOptions(dir, DiskOptions{})
 // compaction) — then replays the surviving WAL segments in order,
 // truncating a torn tail, so every write acknowledged before the crash
 // is served again and no partial record ever is; a whole record this
-// build cannot read fails the open instead. On error the node is not
-// usable and must be discarded.
+// build cannot read fails the open instead. Shard directories and fresh
+// WAL segments are created only once every shard has recovered, so a
+// refused open leaves the directory as it found it. On error the node
+// is not usable and must be discarded.
 func (n *Node) OpenOptions(dir string, o DiskOptions) error {
 	if n.durable() {
 		return fmt.Errorf("store: node already open at %s", n.dir)
@@ -218,17 +220,14 @@ func (n *Node) OpenOptions(dir string, o DiskOptions) error {
 		n.cache = newBlockCache(o.CacheBytes)
 		n.met.registerCacheMetrics(n.cache)
 	}
+	// Recover every shard before creating anything, so an open that
+	// refuses a file leaves the directory as it found it. A missing
+	// shard is empty.
 	for i := range n.shards {
 		sh := &n.shards[i]
 		sh.disk.dir = filepath.Join(dir, fmt.Sprintf("shard-%02d", i))
-		if o.ReadOnly {
-			// Leave the directory untouched; a missing shard is empty.
-			if _, err := os.Stat(sh.disk.dir); os.IsNotExist(err) {
-				continue
-			}
-		} else if err := os.MkdirAll(sh.disk.dir, 0o755); err != nil {
-			n.Close() // release the WALs already opened for earlier shards
-			return err
+		if _, err := os.Stat(sh.disk.dir); os.IsNotExist(err) {
+			continue
 		}
 		if err := n.recoverShard(i); err != nil {
 			n.Close()
@@ -238,6 +237,12 @@ func (n *Node) OpenOptions(dir string, o DiskOptions) error {
 	n.stopBG = make(chan struct{})
 	if o.ReadOnly {
 		return nil
+	}
+	for i := range n.shards {
+		if err := n.openShardWAL(i); err != nil {
+			n.Close() // release the WALs already opened for earlier shards
+			return err
+		}
 	}
 	n.sp = newSpiller(n)
 	if o.CompactInterval > 0 {
@@ -370,8 +375,15 @@ func (n *Node) recoverShard(i int) error {
 		}
 	}
 	sh.indexOK = len(sh.mem) == 0 && len(sh.runs) == 0
-	if n.opts.ReadOnly {
-		return nil
+	return nil
+}
+
+// openShardWAL creates shard i's directory, if missing, and a fresh
+// WAL segment after everything recovery found there.
+func (n *Node) openShardWAL(i int) error {
+	sh := &n.shards[i]
+	if err := os.MkdirAll(sh.disk.dir, 0o755); err != nil {
+		return err
 	}
 	w, err := createWAL(sh.disk.dir, sh.disk.nextSeq)
 	if err != nil {

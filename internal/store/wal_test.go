@@ -237,6 +237,76 @@ func TestType3RecordsRefused(t *testing.T) {
 	}))
 }
 
+// TestRefusedWritableOpenLeavesDirectory: a writable open that refuses
+// a record in shard-07 has created nothing in the shards before it — no
+// shard directory, no WAL segment — so the directory keeps the same
+// names and the same bytes, whether it holds only the refused shard or
+// a crashed node's run files and segments besides.
+func TestRefusedWritableOpenLeavesDirectory(t *testing.T) {
+	id := sid(29, 0)
+	for shardIndex(id) != 7 {
+		id.Lo++
+	}
+	seg := framed(type3Payload(id, []VersionedReading{{Timestamp: 1, Value: 1, Version: 5000}}))
+	for _, o := range allDiskOpens {
+		if o.ReadOnly {
+			continue
+		}
+		for _, crashed := range []bool{false, true} {
+			dir := t.TempDir()
+			if crashed {
+				n := openedNode(t, dir, 2*numShards, noCompact)
+				for i := 0; i < 200; i++ {
+					if err := n.Insert(sid(30, uint64(i%40)), rd(int64(i), float64(i)), 0); err != nil {
+						t.Fatal(err)
+					}
+				}
+				n.crash()
+			}
+			shardDir := filepath.Join(dir, "shard-07")
+			if err := os.MkdirAll(shardDir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(shardDir, "wal-00000000000fffff.log"), seg, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			before := dirContents(t, dir)
+			if err := NewNode(0).OpenOptions(dir, o); !errors.Is(err, errWALRecordUnreadable) {
+				t.Fatalf("open %+v (crashed %v): %v, want the type-3 refusal", o, crashed, err)
+			}
+			after := dirContents(t, dir)
+			for name, data := range after {
+				if old, ok := before[name]; !ok || old != data {
+					t.Fatalf("open %+v (crashed %v) created or changed %s", o, crashed, name)
+				}
+			}
+			if len(after) != len(before) {
+				t.Fatalf("open %+v (crashed %v) removed %d entries", o, crashed, len(before)-len(after))
+			}
+		}
+	}
+}
+
+// dirContents maps every path below dir to its bytes ("" for a
+// directory).
+func dirContents(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	out := make(map[string]string)
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			out[path] = ""
+			return err
+		}
+		data, err := os.ReadFile(path)
+		out[path] = string(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // TestWritePathLogsOnlyStampedRecords: whatever form a write takes on a
 // durable node — Insert, InsertBatch, WriteFrame, InsertVersioned,
 // DeleteBefore — every WAL record on disk is a type-4 insert, one per

@@ -8,23 +8,26 @@ import (
 	"dcdb/internal/units"
 )
 
-// Streaming evaluation: the same union-timebase / linear-interpolation
-// semantics as Evaluate, computed with one reading of lookahead per
-// operand instead of materialized operand series. Each operand column
-// keeps its previous and next reading; the output advances along the
-// merged union of the columns' timestamps, so evaluating a virtual
-// sensor over a month holds O(operands) readings plus one input chunk
-// per operand, not the operand windows.
+// Evaluation: operand series are converted to the base unit of their
+// dimension, aligned on the union of their timestamps, and gaps are
+// bridged by linear interpolation between neighbours, clamping beyond
+// the ends — the comparability machinery of paper challenge (2). The
+// result carries one reading per timestamp in the union.
 //
-// Bit-identity with Evaluate is deliberate and load-bearing (the
-// analysis folds downstream compare the two paths): unit conversion
-// applies the same per-reading affine map, interpolation between the
-// tracked neighbours is the same expression interpolate evaluates
-// between rs[i-1] and rs[i], clamping beyond the ends picks the same
-// endpoint values, and a wildcard is evaluated as a nested inner sum
-// stream emitting at the wildcard's own union stamps — mirroring the
-// two-stage structure of Evaluate, which interpolates over the
-// materialized sumSeries result.
+// The evaluation streams: each operand column keeps its previous and
+// next reading, and the output advances along the merged union of the
+// columns' timestamps, so evaluating a virtual sensor over a month
+// holds O(operands) readings plus one input chunk per operand, not the
+// operand windows. A wildcard is a nested inner sum stream emitting at
+// the union stamps of its matches, which feeds the outer evaluation
+// through a regular column.
+//
+// stream_test.go keeps a materialised reference evaluator (operand
+// windows in memory, a binary search per stamp) as the oracle: the
+// stream is bit-identical to it (same per-reading affine unit map, same
+// interpolation expression, same endpoint clamping, same two-stage
+// wildcard sum) and reports the same open-time errors, string for
+// string.
 
 // Stream delivers a time-ordered series in bounded chunks; it is
 // structurally identical to store.ReadingStream (Next returns io.EOF
@@ -35,7 +38,10 @@ type Stream interface {
 	Close() error
 }
 
-// StreamSource supplies operand streams to the streaming evaluator.
+// StreamSource supplies operand streams to the evaluator. libDCDB
+// implements it on top of the Storage Backend; tests use in-memory
+// fakes. Expand lists the sensors below a hierarchy prefix for
+// wildcard references.
 type StreamSource interface {
 	// Stream opens the series of a sensor in [from, to] together with
 	// its unit ("" when unknown).
@@ -49,11 +55,12 @@ type StreamSource interface {
 const streamChunkReadings = 4096
 
 // EvaluateStream computes the expression over [from, to] as a stream.
-// Operand availability is checked at open (the same errors Evaluate
-// reports: a referenced sensor with no data in the period, a wildcard
-// matching no sensors, a wildcard whose matches are all empty), so a
-// successful return means the stream will deliver the full result.
-// The returned stream must be closed.
+// Every operand is opened and checked here — a referenced sensor with
+// no data in the period, a wildcard matching no sensors and a wildcard
+// whose matches are all empty are errors — so a successful return
+// means the stream will deliver the full result. A pure-constant
+// expression yields one reading at from. The returned stream must be
+// closed.
 func EvaluateStream(e *Expr, src StreamSource, from, to int64) (Stream, error) {
 	ev := &evalStream{expr: e}
 	ok := false
@@ -101,7 +108,6 @@ func EvaluateStream(e *Expr, src StreamSource, from, to int64) (Stream, error) {
 		ev.keys = append(ev.keys, ref)
 	}
 	if len(ev.cols) == 0 {
-		// Pure-constant expression: one reading at the period start.
 		ev.constant = true
 		ev.constTS = from
 	}
@@ -110,10 +116,17 @@ func EvaluateStream(e *Expr, src StreamSource, from, to int64) (Stream, error) {
 	return ev, nil
 }
 
+func cutWildcard(ref string) (string, bool) {
+	if len(ref) > 2 && ref[len(ref)-2:] == "/*" {
+		return ref[:len(ref)-2], true
+	}
+	return ref, false
+}
+
 // column tracks one operand series with a single reading of lookahead:
 // prev is the last reading at or before the output cursor, head the
 // next one after it. Unit conversion to base units happens as readings
-// are pulled, reading by reading, exactly as toBase does.
+// are pulled, reading by reading.
 type column struct {
 	st     Stream
 	factor float64
@@ -182,12 +195,11 @@ func (c *column) advance() error {
 	return nil
 }
 
-// at returns the column's value at ts — the value Evaluate's
-// interpolate returns over the materialized series: the first reading
-// at ts when one exists, endpoint clamping beyond the ends, linear
-// interpolation between the neighbours otherwise. Readings at ts are
-// consumed (prev ends on the last reading at ts, matching interpolate's
-// choice of rs[i-1] for later stamps).
+// at returns the column's value at ts: the first reading at ts when one
+// exists, endpoint clamping beyond the ends, linear interpolation
+// between the neighbours otherwise. Readings at ts are consumed (prev
+// ends on the last reading at ts, so a later stamp interpolates from
+// the last of a run of duplicates).
 func (c *column) at(ts int64) (float64, error) {
 	for c.headOK && c.head.Timestamp < ts {
 		if err := c.advance(); err != nil {
@@ -290,18 +302,16 @@ func (ev *evalStream) Close() error {
 	return nil
 }
 
-// sumStream is the streaming form of sumSeries: the per-timestamp sum
-// of the matched sensors, emitted at the union of their timestamps.
-// It feeds the outer evaluation through a regular column, preserving
-// the two-stage structure of the materialized path.
+// sumStream evaluates a wildcard reference: the per-timestamp sum of
+// the matched sensors, each in base units and interpolated onto the
+// union of their timestamps.
 type sumStream struct {
 	cols []*column
 	done bool
 }
 
 // openSumStream opens one column per matched topic, dropping sensors
-// with no data in the period (as sumSeries does) and erroring when
-// none remain.
+// with no data in the period and erroring when none remain.
 func openSumStream(src StreamSource, topics []string, from, to int64) (Stream, error) {
 	ss := &sumStream{}
 	ok := false

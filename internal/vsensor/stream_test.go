@@ -10,12 +10,13 @@ import (
 	"testing"
 
 	"dcdb/internal/core"
+	"dcdb/internal/units"
 )
 
-// dualSource serves the same data through both evaluator interfaces —
-// materialized Source and streaming StreamSource — with deterministic
-// (sorted) wildcard expansion, so the two paths see identical inputs
-// in identical order. chunk controls the stream chunk size, letting
+// dualSource serves the same data to the evaluator (StreamSource) and
+// to the reference model below (source), with deterministic (sorted)
+// wildcard expansion, so the two see identical inputs in identical
+// order. chunk controls the stream chunk size, letting
 // tests sweep chunk boundaries across readings.
 type dualSource struct {
 	data  map[string][]core.Reading
@@ -114,10 +115,11 @@ func sameSeries(a, b []core.Reading) bool {
 	return true
 }
 
-// TestEvaluateStreamMatchesEvaluate: the streaming evaluator must be
-// bit-identical to the materialized one — same union timebase, same
-// interpolation, same unit conversion, same wildcard sum — across
-// misaligned series, duplicate timestamps and every chunking.
+// TestEvaluateStreamMatchesEvaluate: the evaluator must be
+// bit-identical to the materialised reference model — same union
+// timebase, same interpolation, same unit conversion, same wildcard
+// sum — across misaligned series, duplicate timestamps and every
+// chunking.
 func TestEvaluateStreamMatchesEvaluate(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	exprs := []string{
@@ -142,9 +144,9 @@ func TestEvaluateStreamMatchesEvaluate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := Evaluate(e, src, 0, 1<<50)
+			want, err := evaluate(e, src, 0, 1<<50)
 			if err != nil {
-				t.Fatalf("Evaluate(%q): %v", es, err)
+				t.Fatalf("evaluate(%q): %v", es, err)
 			}
 			for _, chunk := range []int{1, 3, 4096} {
 				src.chunk = chunk
@@ -175,7 +177,7 @@ func randSeries(rng *rand.Rand, n int) []core.Reading {
 }
 
 // TestEvaluateStreamErrorParity: the open-time errors must match the
-// materialized evaluator's, string for string.
+// reference model's, string for string.
 func TestEvaluateStreamErrorParity(t *testing.T) {
 	src := &dualSource{
 		data: map[string][]core.Reading{
@@ -196,9 +198,9 @@ func TestEvaluateStreamErrorParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, wantErr := Evaluate(e, src, 0, 1<<50)
+		_, wantErr := evaluate(e, src, 0, 1<<50)
 		if wantErr == nil {
-			t.Fatalf("Evaluate(%q) unexpectedly succeeded", es)
+			t.Fatalf("evaluate(%q) unexpectedly succeeded", es)
 		}
 		_, gotErr := EvaluateStream(e, src, 0, 1<<50)
 		if gotErr == nil {
@@ -211,7 +213,7 @@ func TestEvaluateStreamErrorParity(t *testing.T) {
 }
 
 // TestEvaluateStreamConstant: a pure-constant expression emits one
-// reading at the period start, as Evaluate does.
+// reading at the period start.
 func TestEvaluateStreamConstant(t *testing.T) {
 	e, err := Parse("2*21")
 	if err != nil {
@@ -287,3 +289,147 @@ func (s *trackingSource) Stream(topic string, from, to int64) (Stream, string, e
 }
 
 func (s *trackingSource) Expand(prefix string) ([]string, error) { return s.dual.Expand(prefix) }
+
+// The reference model: the materialised evaluation the stream must
+// match bit for bit. It holds every operand window in memory, builds
+// the union timebase with a map and a sort, and interpolates each
+// stamp with a binary search — the simplest statement of the
+// semantics, kept here as the oracle like the store's merge model.
+
+// source supplies materialised operand series to the reference model.
+type source interface {
+	// Readings returns the series of a sensor in [from, to] together
+	// with its unit ("" when unknown).
+	Readings(topic string, from, to int64) ([]core.Reading, string, error)
+	// Expand lists the full topics of all sensors below prefix.
+	Expand(prefix string) ([]string, error)
+}
+
+// evaluate computes the expression over [from, to]: operand series in
+// base units, aligned on the union of their timestamps, gaps bridged by
+// linear interpolation.
+func evaluate(e *Expr, src source, from, to int64) ([]core.Reading, error) {
+	type operand struct {
+		key    string
+		series []core.Reading
+	}
+	var ops []operand
+	for _, ref := range e.Refs() {
+		if prefix, ok := cutWildcard(ref); ok {
+			topics, err := src.Expand(prefix)
+			if err != nil {
+				return nil, fmt.Errorf("vsensor: expanding %q: %w", ref, err)
+			}
+			if len(topics) == 0 {
+				return nil, fmt.Errorf("vsensor: wildcard %q matches no sensors", ref)
+			}
+			sum, err := sumSeries(src, topics, from, to)
+			if err != nil {
+				return nil, err
+			}
+			ops = append(ops, operand{key: ref, series: sum})
+			continue
+		}
+		rs, unit, err := src.Readings(ref, from, to)
+		if err != nil {
+			return nil, fmt.Errorf("vsensor: reading %q: %w", ref, err)
+		}
+		if len(rs) == 0 {
+			return nil, fmt.Errorf("vsensor: sensor %q has no data in the queried period", ref)
+		}
+		ops = append(ops, operand{key: ref, series: toBase(rs, unit)})
+	}
+	if len(ops) == 0 {
+		return []core.Reading{{Timestamp: from, Value: e.root.eval(nil)}}, nil
+	}
+	var all [][]core.Reading
+	for _, op := range ops {
+		all = append(all, op.series)
+	}
+	stamps := unionStamps(all)
+	out := make([]core.Reading, len(stamps))
+	env := make(map[string]float64, len(ops))
+	for i, ts := range stamps {
+		for _, op := range ops {
+			env[op.key] = interpolate(op.series, ts)
+		}
+		out[i] = core.Reading{Timestamp: ts, Value: e.root.eval(env)}
+	}
+	return out, nil
+}
+
+// sumSeries evaluates a wildcard reference: the per-timestamp sum of all
+// matched sensors, each converted to base units and interpolated onto
+// the union of their timestamps.
+func sumSeries(src source, topics []string, from, to int64) ([]core.Reading, error) {
+	var series [][]core.Reading
+	for _, tp := range topics {
+		rs, unit, err := src.Readings(tp, from, to)
+		if err != nil {
+			return nil, fmt.Errorf("vsensor: reading %q: %w", tp, err)
+		}
+		if len(rs) > 0 {
+			series = append(series, toBase(rs, unit))
+		}
+	}
+	if len(series) == 0 {
+		return nil, fmt.Errorf("vsensor: no data below wildcard prefix")
+	}
+	stamps := unionStamps(series)
+	out := make([]core.Reading, len(stamps))
+	for i, ts := range stamps {
+		var sum float64
+		for _, s := range series {
+			sum += interpolate(s, ts)
+		}
+		out[i] = core.Reading{Timestamp: ts, Value: sum}
+	}
+	return out, nil
+}
+
+// unionStamps is the sorted set of timestamps across the series.
+func unionStamps(series [][]core.Reading) []int64 {
+	set := make(map[int64]struct{})
+	for _, rs := range series {
+		for _, r := range rs {
+			set[r.Timestamp] = struct{}{}
+		}
+	}
+	stamps := make([]int64, 0, len(set))
+	for ts := range set {
+		stamps = append(stamps, ts)
+	}
+	sort.Slice(stamps, func(i, j int) bool { return stamps[i] < stamps[j] })
+	return stamps
+}
+
+func toBase(rs []core.Reading, unit string) []core.Reading {
+	u, ok := units.Lookup(unit)
+	if !ok || (u.Factor == 1 && u.Offset == 0) {
+		return rs
+	}
+	out := make([]core.Reading, len(rs))
+	for i, r := range rs {
+		out[i] = core.Reading{Timestamp: r.Timestamp, Value: r.Value*u.Factor + u.Offset}
+	}
+	return out
+}
+
+// interpolate returns the series value at ts using linear interpolation
+// between the neighbouring readings, clamping beyond the ends. The
+// series must be sorted by timestamp and non-empty.
+func interpolate(rs []core.Reading, ts int64) float64 {
+	i := sort.Search(len(rs), func(i int) bool { return rs[i].Timestamp >= ts })
+	switch {
+	case i < len(rs) && rs[i].Timestamp == ts:
+		return rs[i].Value
+	case i == 0:
+		return rs[0].Value
+	case i == len(rs):
+		return rs[len(rs)-1].Value
+	default:
+		a, b := rs[i-1], rs[i]
+		frac := float64(ts-a.Timestamp) / float64(b.Timestamp-a.Timestamp)
+		return a.Value + frac*(b.Value-a.Value)
+	}
+}

@@ -2,42 +2,46 @@ package vsensor
 
 import (
 	"fmt"
+	"io"
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 
 	"dcdb/internal/core"
 )
 
-// fakeSource is an in-memory Source for tests.
-type fakeSource struct {
-	data  map[string][]core.Reading
-	units map[string]string
-}
-
-func (f *fakeSource) Readings(topic string, from, to int64) ([]core.Reading, string, error) {
-	rs, ok := f.data[topic]
-	if !ok {
-		return nil, "", fmt.Errorf("unknown sensor %q", topic)
+// evalAll opens the expression's stream over src and drains it.
+func evalAll(e *Expr, src StreamSource, from, to int64) ([]core.Reading, error) {
+	st, err := EvaluateStream(e, src, from, to)
+	if err != nil {
+		return nil, err
 	}
+	defer st.Close()
 	var out []core.Reading
-	for _, r := range rs {
-		if r.Timestamp >= from && r.Timestamp <= to {
-			out = append(out, r)
+	for {
+		chunk, err := st.Next()
+		if err == io.EOF {
+			return out, nil
 		}
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, chunk...)
 	}
-	return out, f.units[topic], nil
 }
 
-func (f *fakeSource) Expand(prefix string) ([]string, error) {
-	var out []string
-	for t := range f.data {
-		if strings.HasPrefix(t, prefix+"/") {
-			out = append(out, t)
-		}
+// interpolateAt is a fresh operand column's value at ts: the
+// evaluator's interpolation and clamping over one series.
+func interpolateAt(rs []core.Reading, ts int64) float64 {
+	c := newColumn(&chunkedStream{rs: rs, chunk: 1}, "")
+	if err := c.prime(); err != nil {
+		panic(err)
 	}
-	return out, nil
+	v, err := c.at(ts)
+	if err != nil {
+		panic(err)
+	}
+	return v
 }
 
 func series(vals ...float64) []core.Reading {
@@ -71,9 +75,9 @@ func TestParseAndEvalConstant(t *testing.T) {
 			t.Errorf("Parse(%q): %v", src, err)
 			continue
 		}
-		rs, err := Evaluate(e, &fakeSource{}, 0, 0)
+		rs, err := evalAll(e, &dualSource{}, 0, 0)
 		if err != nil || len(rs) != 1 || rs[0].Value != want {
-			t.Errorf("Evaluate(%q) = %v, %v; want %v", src, rs, err, want)
+			t.Errorf("evaluating %q = %v, %v; want %v", src, rs, err, want)
 		}
 	}
 }
@@ -111,12 +115,12 @@ func TestRefs(t *testing.T) {
 }
 
 func TestEvaluateAlignedSeries(t *testing.T) {
-	src := &fakeSource{data: map[string][]core.Reading{
+	src := &dualSource{data: map[string][]core.Reading{
 		"/p1": series(100, 200, 300),
 		"/p2": series(10, 20, 30),
-	}, units: map[string]string{}}
+	}}
 	e, _ := Parse("<" + "/p1" + "> + </p2>")
-	rs, err := Evaluate(e, src, 0, 10000)
+	rs, err := evalAll(e, src, 0, 10000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,12 +131,12 @@ func TestEvaluateAlignedSeries(t *testing.T) {
 
 func TestEvaluateInterpolation(t *testing.T) {
 	// /a sampled at 0,1000,2000; /b at 500,1500 -> union 5 stamps.
-	src := &fakeSource{data: map[string][]core.Reading{
+	src := &dualSource{data: map[string][]core.Reading{
 		"/a": {{Timestamp: 0, Value: 0}, {Timestamp: 1000, Value: 10}, {Timestamp: 2000, Value: 20}},
 		"/b": {{Timestamp: 500, Value: 100}, {Timestamp: 1500, Value: 200}},
-	}, units: map[string]string{}}
+	}}
 	e, _ := Parse("</a> + </b>")
-	rs, err := Evaluate(e, src, 0, 3000)
+	rs, err := evalAll(e, src, 0, 3000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +159,7 @@ func TestEvaluateInterpolation(t *testing.T) {
 
 func TestEvaluateUnitConversion(t *testing.T) {
 	// Power in mW plus power in kW: both to base W.
-	src := &fakeSource{
+	src := &dualSource{
 		data: map[string][]core.Reading{
 			"/mw": series(5000), // 5 W
 			"/kw": series(2),    // 2000 W
@@ -163,21 +167,21 @@ func TestEvaluateUnitConversion(t *testing.T) {
 		units: map[string]string{"/mw": "mW", "/kw": "kW"},
 	}
 	e, _ := Parse("</mw> + </kw>")
-	rs, err := Evaluate(e, src, 0, 10)
+	rs, err := evalAll(e, src, 0, 10)
 	if err != nil || len(rs) != 1 || math.Abs(rs[0].Value-2005) > 1e-9 {
 		t.Fatalf("unit conversion: %v, %v", rs, err)
 	}
 }
 
 func TestEvaluateWildcardSum(t *testing.T) {
-	src := &fakeSource{data: map[string][]core.Reading{
+	src := &dualSource{data: map[string][]core.Reading{
 		"/rack/n1/power": series(100, 110),
 		"/rack/n2/power": series(200, 210),
 		"/rack/n3/power": series(300, 310),
 		"/other/x":       series(999),
-	}, units: map[string]string{}}
+	}}
 	e, _ := Parse("</rack/*> / 1000")
-	rs, err := Evaluate(e, src, 0, 10000)
+	rs, err := evalAll(e, src, 0, 10000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,28 +191,28 @@ func TestEvaluateWildcardSum(t *testing.T) {
 }
 
 func TestEvaluateErrors(t *testing.T) {
-	src := &fakeSource{data: map[string][]core.Reading{"/a": series(1)}, units: map[string]string{}}
+	src := &dualSource{data: map[string][]core.Reading{"/a": series(1)}}
 	e, _ := Parse("</missing>")
-	if _, err := Evaluate(e, src, 0, 10); err == nil {
+	if _, err := evalAll(e, src, 0, 10); err == nil {
 		t.Error("missing sensor accepted")
 	}
 	e2, _ := Parse("</a>")
-	if _, err := Evaluate(e2, src, 5000, 6000); err == nil {
+	if _, err := evalAll(e2, src, 5000, 6000); err == nil {
 		t.Error("empty period accepted")
 	}
 	e3, _ := Parse("</nothing/*>")
-	if _, err := Evaluate(e3, src, 0, 10); err == nil {
+	if _, err := evalAll(e3, src, 0, 10); err == nil {
 		t.Error("empty wildcard accepted")
 	}
 }
 
 func TestEvaluateDivisionByZero(t *testing.T) {
-	src := &fakeSource{data: map[string][]core.Reading{
+	src := &dualSource{data: map[string][]core.Reading{
 		"/a": series(1),
 		"/z": series(0),
-	}, units: map[string]string{}}
+	}}
 	e, _ := Parse("</a> / </z>")
-	rs, err := Evaluate(e, src, 0, 10)
+	rs, err := evalAll(e, src, 0, 10)
 	if err != nil || len(rs) != 1 || !math.IsNaN(rs[0].Value) {
 		t.Fatalf("div by zero: %v, %v", rs, err)
 	}
@@ -218,18 +222,18 @@ func TestInterpolate(t *testing.T) {
 	rs := []core.Reading{{Timestamp: 0, Value: 0}, {Timestamp: 100, Value: 10}}
 	cases := map[int64]float64{-50: 0, 0: 0, 50: 5, 100: 10, 200: 10, 25: 2.5}
 	for ts, want := range cases {
-		if got := interpolate(rs, ts); got != want {
-			t.Errorf("interpolate(%d) = %v, want %v", ts, got, want)
+		if got := interpolateAt(rs, ts); got != want {
+			t.Errorf("value at %d = %v, want %v", ts, got, want)
 		}
 	}
 	one := []core.Reading{{Timestamp: 10, Value: 7}}
-	if interpolate(one, 0) != 7 || interpolate(one, 20) != 7 || interpolate(one, 10) != 7 {
+	if interpolateAt(one, 0) != 7 || interpolateAt(one, 20) != 7 || interpolateAt(one, 10) != 7 {
 		t.Error("single-point interpolation")
 	}
 }
 
-// Property: interpolation at a sample point returns the sample value,
-// and between points lies within [min, max] of the neighbours.
+// Property: an operand column's value at a sample point is the sample
+// value, and between points lies within [min, max] of the neighbours.
 func TestInterpolateBoundsQuick(t *testing.T) {
 	f := func(vals []float64, off uint16) bool {
 		if len(vals) < 2 {
@@ -243,7 +247,7 @@ func TestInterpolateBoundsQuick(t *testing.T) {
 		}
 		rs := series(vals...)
 		ts := int64(off) % rs[len(rs)-1].Timestamp
-		got := interpolate(rs, ts)
+		got := interpolateAt(rs, ts)
 		i := ts / 1000
 		lo := math.Min(vals[i], vals[min(int(i)+1, len(vals)-1)])
 		hi := math.Max(vals[i], vals[min(int(i)+1, len(vals)-1)])
@@ -265,7 +269,7 @@ func TestParseNumberQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		rs, err := Evaluate(e, &fakeSource{}, 0, 0)
+		rs, err := evalAll(e, &dualSource{}, 0, 0)
 		return err == nil && rs[0].Value == math.Abs(v)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
