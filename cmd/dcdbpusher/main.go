@@ -28,8 +28,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -44,15 +46,35 @@ import (
 )
 
 func main() {
-	cfgPath := flag.String("config", "dcdbpusher.conf", "configuration file")
-	restAddr := flag.String("rest", "", "RESTful API listen address (empty = disabled)")
-	metricsAddr := flag.String("metrics-addr", "", "Prometheus /metrics listen address (empty = disabled; the -rest API also serves /metrics)")
-	pprofFlag := flag.Bool("pprof", false, "mount net/http/pprof on the -metrics-addr listener")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatal(err)
+	}
+}
+
+// run carries out one command line (without the program name): it
+// starts the Pusher, logs to w, and returns once SIGINT or SIGTERM
+// arrives and everything it started is closed.
+func run(args []string, w io.Writer) error {
+	// Catch the stop signals before starting anything, so that a
+	// signal at any point ends the run through its deferred closes.
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(stop)
+
+	fs := flag.NewFlagSet("dcdbpusher", flag.ContinueOnError)
+	fs.SetOutput(w)
+	cfgPath := fs.String("config", "dcdbpusher.conf", "configuration file")
+	restAddr := fs.String("rest", "", "RESTful API listen address (empty = disabled)")
+	metricsAddr := fs.String("metrics-addr", "", "Prometheus /metrics listen address (empty = disabled; the -rest API also serves /metrics)")
+	pprofFlag := fs.Bool("pprof", false, "mount net/http/pprof on the -metrics-addr listener")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	logger := log.New(w, "", log.LstdFlags)
 
 	cfg, err := config.ParseFile(*cfgPath)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	opts := pusher.Options{
 		Threads:       cfg.Int("global/threads", 2),
@@ -67,7 +89,7 @@ func main() {
 	broker := cfg.String("global/mqttBroker", "127.0.0.1:1883")
 	client, err := mqtt.Dial(broker, mqtt.DialOptions{ClientID: cfg.String("global/clientId", "")})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer client.Close()
 	host := pusher.NewHost(client, opts)
@@ -92,17 +114,17 @@ func main() {
 			if err := host.StartPlugin(p); err != nil {
 				return err
 			}
-			log.Printf("dcdbpusher: started plugin %q (%d groups)", p.Name(), len(p.Groups()))
+			logger.Printf("dcdbpusher: started plugin %q (%d groups)", p.Name(), len(p.Groups()))
 		}
 		return nil
 	}
 	if err := startFromConfig(cfg, ""); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if len(host.Running()) == 0 {
-		log.Fatalf("dcdbpusher: configuration %s starts no plugins", *cfgPath)
+		return fmt.Errorf("dcdbpusher: configuration %s starts no plugins", *cfgPath)
 	}
-	log.Printf("dcdbpusher: pushing to %s (%s mode, QoS %d)", broker, opts.Mode, opts.QoS)
+	logger.Printf("dcdbpusher: pushing to %s (%s mode, QoS %d)", broker, opts.Mode, opts.QoS)
 
 	if *restAddr != "" {
 		api := rest.NewPusherAPI(host)
@@ -133,10 +155,10 @@ func main() {
 			return startFromConfig(c, name)
 		}
 		if err := api.Listen(*restAddr); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer api.Close()
-		log.Printf("dcdbpusher: REST API on %s", api.Addr())
+		logger.Printf("dcdbpusher: REST API on %s", api.Addr())
 	}
 
 	if *metricsAddr != "" {
@@ -144,16 +166,15 @@ func main() {
 			metrics.Part{Reg: host.Metrics()},
 			metrics.Part{Reg: metrics.Runtime()})
 		if err != nil {
-			log.Fatalf("dcdbpusher: metrics on %s: %v", *metricsAddr, err)
+			return fmt.Errorf("dcdbpusher: metrics on %s: %w", *metricsAddr, err)
 		}
 		defer msrv.Close()
-		log.Printf("dcdbpusher: metrics on %s", mln.Addr())
+		logger.Printf("dcdbpusher: metrics on %s", mln.Addr())
 	}
 
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	<-stop
 	st := host.Stats()
-	log.Printf("dcdbpusher: shutting down (%d readings, %d published, %d read errors, %d send errors)",
+	logger.Printf("dcdbpusher: shutting down (%d readings, %d published, %d read errors, %d send errors)",
 		st.Readings, st.Published, st.ReadErrors, st.SendErrors)
+	return nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -302,6 +303,54 @@ func TestTopicMapperReverseUnknown(t *testing.T) {
 	}
 	if _, ok := m.Reverse(SensorID{}); ok {
 		t.Error("Reverse of empty SID succeeded")
+	}
+}
+
+func TestTopicMapperReverseParts(t *testing.T) {
+	m := NewTopicMapper()
+	id, err := m.Map("/lrz/cm3/r01/power")
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := []string{"kept"}
+	parts, ok := m.ReverseParts(id, buf)
+	if !ok || strings.Join(parts, "|") != "kept|lrz|cm3|r01|power" {
+		t.Fatalf("ReverseParts = %q, %v", parts, ok)
+	}
+	// An import may bind code 2 but not code 1: code 1 was never
+	// assigned, so no topic holds it.
+	if err := m.Import([]string{"0/other 3"}); err != nil {
+		t.Fatal(err)
+	}
+	gap := SensorID{}.WithLevel(0, 2)
+	if parts, ok := m.ReverseParts(gap, buf); ok || len(parts) != 1 {
+		t.Errorf("ReverseParts of an unbound code = %q, %v", parts, ok)
+	}
+	if topic, ok := m.Reverse(gap); ok {
+		t.Errorf("Reverse of an unbound code = %q", topic)
+	}
+}
+
+func TestHierarchyAddPartsIsAdd(t *testing.T) {
+	topics := []string{"/a/b/c", "/a/b", "/a/d", "/e", "/a/b/c/f"}
+	byTopic, byParts := NewHierarchy(), NewHierarchy()
+	for _, tp := range topics {
+		if err := byTopic.Add(tp); err != nil {
+			t.Fatal(err)
+		}
+		parts, _ := ParseTopic(tp)
+		byParts.AddParts(parts)
+	}
+	for _, path := range []string{"", "/a", "/a/b", "/a/b/c", "/a/b/c/f", "/e", "/x"} {
+		if a, b := byTopic.Sensors(path), byParts.Sensors(path); strings.Join(a, " ") != strings.Join(b, " ") {
+			t.Errorf("Sensors(%q): %v by topic, %v by parts", path, a, b)
+		}
+		if a, b := byTopic.Children(path), byParts.Children(path); strings.Join(a, " ") != strings.Join(b, " ") || (a == nil) != (b == nil) {
+			t.Errorf("Children(%q): %v by topic, %v by parts", path, a, b)
+		}
+	}
+	if byParts.Len() != len(topics) {
+		t.Fatalf("Len = %d, want %d", byParts.Len(), len(topics))
 	}
 }
 

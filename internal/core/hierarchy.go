@@ -16,13 +16,13 @@ type Hierarchy struct {
 }
 
 type hnode struct {
-	children map[string]*hnode
-	sensor   bool // a full topic terminates here
+	children map[string]*hnode // nil until the node gets a child
+	sensor   bool              // a full topic terminates here
 }
 
 // NewHierarchy returns an empty hierarchy.
 func NewHierarchy() *Hierarchy {
-	return &Hierarchy{root: &hnode{children: make(map[string]*hnode)}}
+	return &Hierarchy{root: &hnode{}}
 }
 
 // Add inserts a sensor topic into the tree. The Collect Agent calls it
@@ -36,31 +36,36 @@ func (h *Hierarchy) Add(topic string) error {
 	h.mu.RLock()
 	n := h.root
 	for _, p := range parts {
-		c, ok := n.children[p]
-		if !ok {
-			n = nil
+		if n = n.children[p]; n == nil {
 			break
 		}
-		n = c
 	}
 	known := n != nil && n.sensor
 	h.mu.RUnlock()
-	if known {
-		return nil
+	if !known {
+		h.AddParts(parts)
 	}
+	return nil
+}
+
+// AddParts inserts a sensor given as its topic's components, already
+// valid: ParseTopic's result, or TopicMapper.ReverseParts'.
+func (h *Hierarchy) AddParts(parts []string) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	n = h.root
+	n := h.root
 	for _, p := range parts {
-		c, ok := n.children[p]
-		if !ok {
-			c = &hnode{children: make(map[string]*hnode)}
+		c := n.children[p]
+		if c == nil {
+			if n.children == nil {
+				n.children = make(map[string]*hnode)
+			}
+			c = &hnode{}
 			n.children[p] = c
 		}
 		n = c
 	}
 	n.sensor = true
-	return nil
 }
 
 // Children lists the component names directly below the given path

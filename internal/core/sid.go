@@ -238,23 +238,32 @@ func (m *TopicMapper) Lookup(topic string) (SensorID, bool) {
 // Reverse reconstructs the topic of a SID. The boolean is false when the
 // SID contains codes the mapper never assigned.
 func (m *TopicMapper) Reverse(id SensorID) (string, bool) {
+	parts, ok := m.ReverseParts(id, nil)
+	if !ok {
+		return "", false
+	}
+	return JoinTopic(parts), true
+}
+
+// ReverseParts is Reverse as the topic's components, appended to
+// parts. They are the dictionaries' own strings: nothing is allocated
+// beyond growing parts.
+func (m *TopicMapper) ReverseParts(id SensorID, parts []string) ([]string, bool) {
 	st := m.snap.Load()
-	var parts []string
+	n := len(parts)
 	for i := 0; i < MaxTopicLevels; i++ {
 		code := id.Level(i)
 		if code == 0 {
 			break
 		}
 		d := &st.levels[i]
-		if int(code) > len(d.names) {
-			return "", false
+		// An Import may leave a code unbound (""): never assigned.
+		if int(code) > len(d.names) || d.names[code-1] == "" {
+			return parts[:n], false
 		}
 		parts = append(parts, d.names[code-1])
 	}
-	if len(parts) == 0 {
-		return "", false
-	}
-	return JoinTopic(parts), true
+	return parts, len(parts) > n
 }
 
 // PrefixOf maps the first n components of a topic to a partition prefix

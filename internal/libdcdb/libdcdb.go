@@ -104,6 +104,23 @@ func (c *Connection) RegisterTopic(topic string) error {
 	return c.hierarchy.Add(t)
 }
 
+// RegisterStored makes every stored sensor the topic map names visible
+// in the hierarchy, as RegisterTopic would, skipping SIDs it cannot
+// name: how a connection rebuilt from persisted state lists its
+// sensors. The topics come from the map's dictionaries, so none is
+// built, parsed or mapped again.
+func (c *Connection) RegisterStored(ids []core.SensorID) {
+	var parts []string
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, id := range ids {
+		var ok bool
+		if parts, ok = c.mapper.ReverseParts(id, parts[:0]); ok {
+			c.hierarchy.AddParts(parts)
+		}
+	}
+}
+
 // Metadata returns the registered metadata of a sensor.
 func (c *Connection) Metadata(topic string) (core.Metadata, bool) {
 	t, err := core.CanonicalTopic(topic)

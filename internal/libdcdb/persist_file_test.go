@@ -1,6 +1,7 @@
 package libdcdb
 
 import (
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -70,6 +71,41 @@ func TestRegisterTopic(t *testing.T) {
 	}
 	if err := c.RegisterTopic("//bad"); err == nil {
 		t.Fatal("bad topic accepted")
+	}
+}
+
+// TestRegisterStoredListsAsRegisterTopic: registering stored SIDs
+// straight from the topic map lists, navigates and skips exactly as
+// registering each reversed topic does.
+func TestRegisterStoredListsAsRegisterTopic(t *testing.T) {
+	byTopic, byID := newConn(t), newConn(t)
+	var ids []core.SensorID
+	for _, topic := range []string{"/r1/n0/power", "/r1/n0/power/avg", "/r1/n1/temp", "/r2/x", "/a"} {
+		id, err := byID.Mapper().Map(topic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	ids = append(ids, core.SensorID{}.WithLevel(0, 99)) // no topic names it
+	for _, id := range ids {
+		if topic, ok := byID.Mapper().Reverse(id); ok {
+			if err := byTopic.RegisterTopic(topic); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	byID.RegisterStored(ids)
+	for _, path := range []string{"", "/r1", "/r1/n0", "/r1/n0/power", "/r2", "/zz"} {
+		if a, b := byTopic.ListSensors(path), byID.ListSensors(path); fmt.Sprint(a) != fmt.Sprint(b) {
+			t.Errorf("ListSensors(%q): %v by topic, %v stored", path, a, b)
+		}
+		if a, b := byTopic.Children(path), byID.Children(path); fmt.Sprint(a) != fmt.Sprint(b) {
+			t.Errorf("Children(%q): %v by topic, %v stored", path, a, b)
+		}
+	}
+	if got := byID.ListSensors(""); len(got) != 5 {
+		t.Fatalf("ListSensors = %v, want the 5 named sensors", got)
 	}
 }
 

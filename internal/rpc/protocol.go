@@ -4,8 +4,9 @@
 // to a cluster of database server processes). The protocol is a
 // length-prefixed, CRC-framed binary framing with request pipelining:
 // any number of requests may be in flight on one connection, each
-// carries an id, and responses are matched by id in whatever order the
-// server finishes them.
+// carries an id, and responses are matched by id. The server answers a
+// connection's write frames in arrival order on its read loop and every
+// other request in whatever order it finishes.
 //
 // Frame (both directions, integers big-endian):
 //

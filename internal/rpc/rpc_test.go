@@ -19,15 +19,22 @@ func sid(hi, lo uint64) core.SensorID { return core.SensorID{Hi: hi, Lo: lo} }
 
 func rd(ts int64, v float64) core.Reading { return core.Reading{Timestamp: ts, Value: v} }
 
-// testPair serves a fresh memory node and returns a connected client.
-func testPair(t *testing.T, o ClientOptions) (*store.Node, *Server, *Client) {
+// serveBackend serves backend on a fresh server and returns it.
+func serveBackend(t *testing.T, backend store.NodeBackend) *Server {
 	t.Helper()
-	n := store.NewNode(0)
-	srv := NewServer(n, true)
+	srv := NewServer(backend, true)
 	if err := srv.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
+	return srv
+}
+
+// testPair serves a fresh memory node and returns a connected client.
+func testPair(t *testing.T, o ClientOptions) (*store.Node, *Server, *Client) {
+	t.Helper()
+	n := store.NewNode(0)
+	srv := serveBackend(t, n)
 	cl := NewClient(srv.Addr(), o)
 	t.Cleanup(func() { cl.Close() })
 	return n, srv, cl

@@ -23,8 +23,9 @@ import (
 const maxInFlight = 64
 
 // writeStallTimeout bounds one response write; a peer that stopped
-// reading loses its connection instead of pinning the writer.
-const writeStallTimeout = 30 * time.Second
+// reading loses its connection instead of pinning the writer. A
+// variable so tests can stall a peer without waiting half a minute.
+var writeStallTimeout = 30 * time.Second
 
 // Server serves one storage backend over the wire protocol. One
 // process typically wraps one durable *store.Node (cmd/dcdbnode), but
@@ -137,24 +138,49 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// outFrame is one queued response frame. wrote, when non-nil, is
-// closed once the frame has been handed to the kernel (or the
-// connection found dead) — stream producers wait on it before building
-// the next chunk, so the server never buffers more than one queued
-// chunk (plus the one being built) per in-flight stream.
-type outFrame struct {
-	payload []byte
-	wrote   chan struct{}
-}
-
 // serverConn is the per-connection state shared between the read loop,
-// the writer and the stream producers.
+// the request goroutines and the stream producers.
 type serverConn struct {
-	out  chan outFrame
-	dead atomic.Bool // writer failed; producers stop early
+	c net.Conn
+
+	// wmu guards bw: every reply — unary, stream chunk, stream end — is
+	// written whole under it. waiting counts replies queued for wmu; a
+	// reply flushes only when none is, so a burst of replies coalesces
+	// into one syscall.
+	wmu     sync.Mutex
+	bw      *bufio.Writer
+	waiting atomic.Int32
+	dead    atomic.Bool // a reply write failed; producers stop early
 
 	mu      sync.Mutex
 	streams map[uint64]chan struct{} // reqID -> cancel channel
+}
+
+// reply writes one response frame and returns once it is handed to the
+// kernel (or dropped), so a stream producer never has more than the
+// chunk it is building outstanding. A failed write kills the
+// connection: later replies are dropped, every stream is cancelled and
+// the socket is closed, which ends the read loop too.
+func (sc *serverConn) reply(payload []byte) {
+	sc.waiting.Add(1)
+	sc.wmu.Lock()
+	defer sc.wmu.Unlock()
+	sc.waiting.Add(-1)
+	if sc.dead.Load() {
+		return
+	}
+	// A peer that stopped reading must not pin the writer in a blocked
+	// Write forever; the deadline turns it into a dead connection.
+	sc.c.SetWriteDeadline(time.Now().Add(writeStallTimeout))
+	err := writeFrame(sc.bw, payload)
+	if err == nil && sc.waiting.Load() == 0 {
+		err = sc.bw.Flush()
+	}
+	if err != nil {
+		sc.dead.Store(true)
+		sc.cancelAll()
+		sc.c.Close()
+	}
 }
 
 // cancelStream stops the producer of one stream (client abandon).
@@ -203,12 +229,14 @@ func (sc *serverConn) cancelAll() {
 	sc.mu.Unlock()
 }
 
-// serveConn pumps one connection: the read loop decodes frames and
-// dispatches each request to its own goroutine (bounded by
-// maxInFlight), responses funnel through a single writer goroutine
-// that batches flushes — the server side of request pipelining.
-// Streaming requests hold their handler goroutine for the stream's
-// lifetime, producing one ack-gated chunk at a time.
+// serveConn pumps one connection. The read loop answers a write frame
+// itself, decode to reply: the coordinator sends a member one frame at
+// a time and waits for its answer, so a goroutine per frame would add
+// two hand-offs and no parallelism, and writes never queue behind the
+// in-flight cap. Every other request runs in its own goroutine, bounded
+// by maxInFlight — the server side of request pipelining; a stream
+// holds its goroutine for the stream's lifetime, writing one chunk at a
+// time. All replies go through serverConn.reply.
 func (s *Server) serveConn(c net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -218,47 +246,7 @@ func (s *Server) serveConn(c net.Conn) {
 		c.Close()
 	}()
 
-	sc := &serverConn{out: make(chan outFrame, maxInFlight)}
-	out := sc.out
-	var writerWG sync.WaitGroup
-	writerWG.Add(1)
-	go func() {
-		defer writerWG.Done()
-		bw := bufio.NewWriter(c)
-		failed := false
-		for f := range out {
-			if !failed {
-				// A peer that stopped reading must not pin this
-				// goroutine in a blocked Write forever; the deadline
-				// turns it into a closed connection.
-				c.SetWriteDeadline(time.Now().Add(writeStallTimeout))
-				if err := writeFrame(bw, f.payload); err != nil {
-					failed = true
-				} else if len(out) == 0 {
-					// Flush only when no response is queued behind this
-					// one: pipelined bursts coalesce into one syscall.
-					if err := bw.Flush(); err != nil {
-						failed = true
-					}
-				}
-				if failed {
-					// Keep draining after a write error: in-flight
-					// handlers block sending to out, and the read loop
-					// joins on them before out is closed — a dead peer
-					// must not wedge the teardown. The dead flag stops
-					// stream producers at their next chunk.
-					sc.dead.Store(true)
-					sc.cancelAll()
-				}
-			}
-			if f.wrote != nil {
-				close(f.wrote)
-			}
-		}
-	}()
-	defer writerWG.Wait()
-	defer close(out)
-
+	sc := &serverConn{c: c, bw: bufio.NewWriter(c)}
 	sem := make(chan struct{}, maxInFlight)
 	var handlerWG sync.WaitGroup
 	defer handlerWG.Wait()
@@ -284,58 +272,52 @@ func (s *Server) serveConn(c net.Conn) {
 		}
 		s.requests.Add(1)
 		arrived := s.now()
-		// Cancels must not queue behind the in-flight cap: the whole
-		// point is releasing a slot.
-		if op := payload[8]; op == opCancelStream {
+		switch payload[8] {
+		case opCancelStream:
+			// Cancels must not queue behind the in-flight cap: the
+			// whole point is releasing a slot.
 			cur := &cursor{b: payload, off: reqHeaderLen}
 			target := cur.u64()
 			if cur.done() == nil {
 				sc.cancelStream(target)
 			}
 			continue
+		case opWrite:
+			s.serve(sc, payload, arrived)
+			continue
 		}
 		sem <- struct{}{}
 		handlerWG.Add(1)
-		go func(payload []byte) {
+		go func() {
 			defer handlerWG.Done()
 			defer func() { <-sem }()
-			op := payload[8]
-			start := time.Now()
-			s.met.inFlight.Add(1)
-			defer s.met.inFlight.Add(-1)
-			if op == opQueryStream || op == opQueryPrefixStream {
-				s.handleStream(sc, payload, arrived)
-				s.met.observeHandle(op, start)
-				return
-			}
-			resp := s.handle(payload, arrived)
-			s.met.observeHandle(op, start)
-			// The connection may be tearing down; out is closed only
-			// after handlerWG drains, so this send cannot panic.
-			out <- outFrame{payload: resp}
-		}(payload)
+			s.serve(sc, payload, arrived)
+		}()
 	}
 }
 
-// send queues one frame; when gated, it waits until the writer has
-// actually written (or abandoned) it before returning, bounding the
-// per-stream buffering at one queued chunk.
-func (sc *serverConn) send(payload []byte, gated bool) {
-	if !gated {
-		sc.out <- outFrame{payload: payload}
+// serve executes one request and writes its reply, or a stream's
+// frames.
+func (s *Server) serve(sc *serverConn, payload []byte, arrived time.Time) {
+	op := payload[8]
+	start := time.Now()
+	s.met.inFlight.Add(1)
+	defer s.met.inFlight.Add(-1)
+	if op == opQueryStream || op == opQueryPrefixStream {
+		s.handleStream(sc, payload, arrived)
+		s.met.observeHandle(op, start)
 		return
 	}
-	wrote := make(chan struct{})
-	sc.out <- outFrame{payload: payload, wrote: wrote}
-	<-wrote
+	resp := s.handle(payload, arrived)
+	s.met.observeHandle(op, start)
+	sc.reply(resp)
 }
 
 // handleStream executes one streaming request: chunks are produced
-// pull-wise from the backend stream and written ack-gated, so at any
-// moment at most one chunk is queued and one is being built. The
-// stream ends with a statusStreamEnd frame, or a statusErr frame on a
-// mid-stream backend failure; a client cancel (or connection death)
-// stops production at the next chunk boundary.
+// pull-wise from the backend stream and each is written before the
+// next is built. The stream ends with a statusStreamEnd frame, or a
+// statusErr frame on a mid-stream backend failure; a client cancel (or
+// connection death) stops production at the next chunk boundary.
 func (s *Server) handleStream(sc *serverConn, payload []byte, arrived time.Time) {
 	cur := &cursor{b: payload}
 	id := cur.u64()
@@ -346,7 +328,7 @@ func (s *Server) handleStream(sc *serverConn, payload []byte, arrived time.Time)
 		resp := make([]byte, 0, respHeaderLen+len(err.Error()))
 		resp = appendU64(resp, id)
 		resp = append(resp, statusErr)
-		sc.send(append(resp, err.Error()...), false)
+		sc.reply(append(resp, err.Error()...))
 	}
 	if timeout != 0 && s.now().Sub(arrived) > time.Duration(timeout) {
 		fail(fmt.Errorf("rpc: deadline exceeded before execution"))
@@ -378,7 +360,7 @@ func (s *Server) handleStream(sc *serverConn, payload []byte, arrived time.Time)
 		full := body(chunk)
 		s.met.streamChunks.Inc()
 		s.met.streamBytes.Add(int64(len(full)))
-		sc.send(full, true)
+		sc.reply(full)
 		return !canceled()
 	}
 
@@ -444,7 +426,7 @@ func (s *Server) handleStream(sc *serverConn, payload []byte, arrived time.Time)
 	end = appendU64(end, id)
 	end = append(end, statusStreamEnd)
 	end = appendU32(end, seq)
-	sc.send(end, false)
+	sc.reply(end)
 }
 
 // handle executes one request payload and returns the response

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -507,9 +508,9 @@ func (c *Cluster) Close() error {
 }
 
 // SensorIDs lists every SID present on any backend, deduplicated and
-// sorted. Backends are listed concurrently — sequential round trips
-// would serialize per-node latency (or a dead node's dial timeout) at
-// every tool startup.
+// sorted: a merge of the members' sorted lists. Backends are listed
+// concurrently — sequential round trips would serialize per-node
+// latency (or a dead node's dial timeout) at every tool startup.
 func (c *Cluster) SensorIDs() []core.SensorID {
 	t := c.top()
 	lists := make([][]core.SensorID, len(t.members))
@@ -517,17 +518,31 @@ func (c *Cluster) SensorIDs() []core.SensorID {
 		lists[i] = b.SensorIDs()
 		return nil
 	})
-	seen := make(map[core.SensorID]struct{})
+	var out []core.SensorID
 	for _, ids := range lists {
-		for _, id := range ids {
-			seen[id] = struct{}{}
+		out = mergeSensorIDs(out, ids)
+	}
+	return out
+}
+
+// mergeSensorIDs merges two SID lists into one sorted list without
+// duplicates. a is sorted; b is sorted here if a backend did not.
+func mergeSensorIDs(a, b []core.SensorID) []core.SensorID {
+	if !slices.IsSortedFunc(b, core.SensorID.Compare) {
+		slices.SortFunc(b, core.SensorID.Compare)
+	}
+	out := make([]core.SensorID, 0, max(len(a), len(b)))
+	for len(a) > 0 || len(b) > 0 {
+		var next core.SensorID
+		if len(b) == 0 || len(a) > 0 && a[0].Compare(b[0]) <= 0 {
+			next, a = a[0], a[1:]
+		} else {
+			next, b = b[0], b[1:]
+		}
+		if len(out) == 0 || out[len(out)-1] != next {
+			out = append(out, next)
 		}
 	}
-	out := make([]core.SensorID, 0, len(seen))
-	for id := range seen {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
 	return out
 }
 

@@ -1,8 +1,10 @@
 package store
 
 import (
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -463,5 +465,40 @@ func TestHintBackgroundLoopDeliversWithoutManualReplay(t *testing.T) {
 	rs, err := nodes[reps[1]].Query(id, 0, 1<<60)
 	if err != nil || len(rs) != 1 {
 		t.Fatalf("replica after background replay: %v, %v", rs, err)
+	}
+}
+
+// TestMergeSensorIDs: the cluster's SID listing merges its members'
+// lists into the sorted set a map would build, whatever the overlap,
+// and sorts a list a backend did not.
+func TestMergeSensorIDs(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 50; round++ {
+		seen := make(map[core.SensorID]struct{})
+		var merged []core.SensorID
+		for m := 0; m < 1+rng.Intn(4); m++ {
+			var list []core.SensorID
+			for i := rng.Intn(40); i > 0; i-- {
+				id := core.SensorID{Hi: uint64(rng.Intn(4)), Lo: uint64(rng.Intn(30))}
+				if _, dup := seen[id]; dup && rng.Intn(2) == 0 {
+					continue
+				}
+				list = append(list, id)
+				seen[id] = struct{}{}
+			}
+			if round%2 == 0 {
+				slices.SortFunc(list, core.SensorID.Compare)
+				list = slices.Compact(list)
+			}
+			merged = mergeSensorIDs(merged, list)
+		}
+		want := make([]core.SensorID, 0, len(seen))
+		for id := range seen {
+			want = append(want, id)
+		}
+		slices.SortFunc(want, core.SensorID.Compare)
+		if !slices.Equal(merged, want) {
+			t.Fatalf("round %d: merged %v, want %v", round, merged, want)
+		}
 	}
 }

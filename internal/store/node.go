@@ -555,10 +555,11 @@ func (n *Node) Flush() error {
 // flushShardLocked moves shard i's memtable into an immutable in-memory
 // run (immediately queryable) and, on durable nodes, hands the same
 // entry slices to the background spiller for the run file write while
-// rotating the WAL, so ingest never waits on run-file I/O. The closed
-// WAL segment — together with any segments replayed into this memtable
-// at Open — is deleted only once the spilled run file is durable.
-// Caller holds sh.mu exclusively.
+// rotating the WAL, so ingest never waits on the run file. It does wait
+// on the retired segment's fsync, which wal.close does under sh.mu. The
+// closed WAL segment — together with any segments replayed into this
+// memtable at Open — is deleted only once the spilled run file is
+// durable. Caller holds sh.mu exclusively.
 func (n *Node) flushShardLocked(i int) error {
 	sh := &n.shards[i]
 	if sh.memSize == 0 {

@@ -170,9 +170,10 @@ func (w *wal) sync() error {
 // The buffer flush happens under mu, but the fsync itself runs outside
 // it (serialised by syncMu) so a sync never stalls the shard's appends
 // — and therefore its inserts and queries — for the fsync duration.
-// Syncing a segment a concurrent flush already rotated out succeeds
-// trivially: close flushed and fsynced everything, so the data is
-// durable and the stale handle is not an error.
+// Syncing a segment a concurrent flush already rotated out is decided
+// by that close: if it flushed and fsynced everything the data is
+// durable and the stale handle is not an error; if it failed, the
+// segment is broken and the sync reports it.
 func (w *wal) syncTo(pos uint64) error {
 	// Records at or below synced were fsynced before any later failure,
 	// so they are durable even on a segment since marked broken.
@@ -199,10 +200,6 @@ func (w *wal) syncTo(pos uint64) error {
 		return fmt.Errorf("store: WAL segment %s is broken", w.path)
 	}
 	if err := w.bw.Flush(); err != nil {
-		if errors.Is(err, os.ErrClosed) {
-			w.unlock()
-			return nil
-		}
 		w.broken = true
 		w.unlock()
 		return err
@@ -211,16 +208,20 @@ func (w *wal) syncTo(pos uint64) error {
 	w.unlock()
 
 	err := w.sink.Sync()
-	if err != nil {
-		if errors.Is(err, os.ErrClosed) {
+	w.lock()
+	defer w.unlock()
+	switch {
+	case errors.Is(err, os.ErrClosed):
+		// A rotation closed the segment after our flush: its close
+		// made the records durable, or broke the segment.
+		if w.synced >= pos {
 			return nil
 		}
-		w.lock()
+		return fmt.Errorf("store: WAL segment %s is broken", w.path)
+	case err != nil:
 		w.broken = true
-		w.unlock()
 		return err
 	}
-	w.lock()
 	if target > w.synced {
 		if w.met != nil {
 			// One fsync covered target-synced records: the group-commit
@@ -230,14 +231,14 @@ func (w *wal) syncTo(pos uint64) error {
 		}
 		w.synced = target
 	}
-	w.unlock()
 	return nil
 }
 
 // close flushes, fsyncs and closes the segment file. The file stays on
 // disk until the flush that consumed it is durable. On success every
 // appended record is durable, which lets an in-flight syncTo on the
-// rotated-out handle take its fast path.
+// rotated-out handle take its fast path; on a failed flush or fsync the
+// segment is broken, so that syncTo reports the failure instead.
 func (w *wal) close() error {
 	w.lock()
 	defer w.unlock()
@@ -246,6 +247,8 @@ func (w *wal) close() error {
 	cerr := w.sink.Close()
 	if ferr == nil && serr == nil {
 		w.synced = w.appended
+	} else {
+		w.broken = true
 	}
 	if ferr != nil {
 		return ferr

@@ -480,3 +480,47 @@ func TestHugeBatchCutIntoBoundedRecords(t *testing.T) {
 		}
 	}
 }
+
+// failFirstSyncSink is a segment file whose first fsync fails.
+type failFirstSyncSink struct {
+	walSink
+	failed bool
+}
+
+func (s *failFirstSyncSink) Sync() error {
+	if !s.failed {
+		s.failed = true
+		return fmt.Errorf("injected fsync failure")
+	}
+	return s.walSink.Sync()
+}
+
+// TestWALSyncAfterFailedCloseReportsError: a rotation whose close fails
+// its fsync leaves records that are not durable. A sync-every writer
+// whose record sits in that segment syncs the closed handle afterwards;
+// it must get an error, not an acknowledgement.
+func TestWALSyncAfterFailedCloseReportsError(t *testing.T) {
+	realOpen := openWALSink
+	defer func() { openWALSink = realOpen }()
+	openWALSink = func(path string) (walSink, error) {
+		f, err := realOpen(path)
+		if err != nil {
+			return nil, err
+		}
+		return &failFirstSyncSink{walSink: f}, nil
+	}
+	w, err := createWAL(t.TempDir(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pos, err := w.append(encodeWALDelete(nil, sid(1, 1), 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.close(); err == nil {
+		t.Fatal("close succeeded although its fsync failed")
+	}
+	if err := w.syncTo(pos); err == nil {
+		t.Fatal("syncTo acknowledged a record whose segment's fsync failed")
+	}
+}

@@ -108,13 +108,7 @@ func finish(node *store.Node, dir string) (*libdcdb.Connection, *store.Node, err
 	}
 	conn := libdcdb.Connect(node, mapper)
 	// Register every mapped sensor in the hierarchy so listing works.
-	for _, id := range node.SensorIDs() {
-		if topic, ok := mapper.Reverse(id); ok {
-			if err := conn.RegisterTopic(topic); err != nil {
-				return nil, nil, err
-			}
-		}
-	}
+	conn.RegisterStored(node.SensorIDs())
 	if err := conn.LoadMetadataFile(filepath.Join(dir, "meta")); err != nil {
 		return nil, nil, fmt.Errorf("tooldb: metadata: %w", err)
 	}
@@ -172,14 +166,7 @@ func OpenRemote(dir string, o RemoteOptions) (*libdcdb.Connection, *store.Cluste
 	// Register every stored sensor in the hierarchy so listing works,
 	// exactly as the file-backed open does — the SID set comes from the
 	// live nodes instead of recovered files.
-	for _, id := range cluster.SensorIDs() {
-		if topic, ok := mapper.Reverse(id); ok {
-			if err := conn.RegisterTopic(topic); err != nil {
-				cluster.Close()
-				return nil, nil, err
-			}
-		}
-	}
+	conn.RegisterStored(cluster.SensorIDs())
 	return conn, cluster, nil
 }
 
