@@ -105,7 +105,7 @@ func registerFlags(fs *flag.FlagSet) *flags {
 	fs.StringVar(&f.writeCL, "write-consistency", "one", "replicas that must ack a write: one or quorum")
 	fs.StringVar(&f.readCL, "read-consistency", "one", "replicas a read must reach: one or quorum")
 	fs.StringVar(&f.dataDir, "data", "", "durable data directory (embedded: run files + WAL per node; remote: topic map + hinted-handoff queue; empty = not durable)")
-	fs.DurationVar(&f.antiEntropy, "anti-entropy", 0, "background digest-repair cadence: each round compares replica digests per sensor and re-inserts diverged readings with their write versions (0 = disabled; needs -replication >= 2)")
+	fs.DurationVar(&f.antiEntropy, "anti-entropy", 0, "background repair cadence: each round compares replica summaries per sensor and re-inserts diverged readings with their write versions (0 = disabled; needs -replication >= 2)")
 	fs.DurationVar(&f.walSync, "wal-sync", 50*time.Millisecond, "WAL fsync batching interval; 0 syncs every write (embedded cluster only)")
 	fs.StringVar(&f.cacheBytes, "cache-bytes", "0", "process-wide block cache budget (e.g. 256MB) for the embedded durable cluster, split evenly across -nodes: bounds resident run data; 0 keeps all runs resident")
 	fs.StringVar(&f.metricsAddr, "metrics-addr", "", "Prometheus /metrics listen address (empty = disabled; the -rest API also serves /metrics)")

@@ -13,6 +13,7 @@ import (
 	"dcdb/internal/collectagent"
 	"dcdb/internal/core"
 	"dcdb/internal/store"
+	"dcdb/internal/store/storetest"
 	"dcdb/internal/tooldb"
 )
 
@@ -190,7 +191,7 @@ func TestCompactKeepsStamps(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer n.Close()
-	vrs, err := n.QueryVersioned(id, 0, 1<<62)
+	vrs, err := storetest.Versioned(n, id, 0, 1<<62)
 	if err != nil || len(vrs) != 1 {
 		t.Fatalf("after compact: %+v, %v", vrs, err)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"dcdb/internal/core"
 	"dcdb/internal/faults"
+	"dcdb/internal/fold"
 	"dcdb/internal/rpc"
 	"dcdb/internal/store"
 )
@@ -15,7 +16,7 @@ import (
 // versions exist for: one replica misses a run of acked rewrites
 // (partitioned, writes dropped onto the hint queue), and while those
 // hints are still pending a newer conflicting rewrite lands everywhere.
-// A digest repair round — not hint replay — must converge the diverged
+// An anti-entropy round — not hint replay — must converge the diverged
 // replica, and the stale hints replaying afterwards must not resurrect
 // the old values. Contract: byte-identical reads on every replica at
 // every step after repair, with zero acked-write loss.
@@ -103,17 +104,18 @@ func TestChaosStaleResurrectionRepair(t *testing.T) {
 		}
 	}
 
-	// replicasAgree digests every sensor on every replica directly.
+	// replicasAgree summarises every sensor on every replica directly.
 	replicasAgree := func() bool {
 		t.Helper()
 		for _, id := range ids {
 			fps := make([]uint64, len(verify))
 			counts := make([]int64, len(verify))
 			for i, cl := range verify {
-				fps[i], counts[i], err = cl.Digest(id, 0, 1<<62)
+				st, err := cl.Aggregate(id, fold.Spec{Op: fold.OpSummary, From: 0, To: 1 << 62})
 				if err != nil {
-					t.Fatalf("digest on replica %d: %v", i, err)
+					t.Fatalf("summary on replica %d: %v", i, err)
 				}
+				fps[i], counts[i] = st.Fingerprint(), st.Count()+st.Skipped()
 			}
 			for i := 1; i < len(fps); i++ {
 				if fps[i] != fps[0] || counts[i] != counts[0] {
@@ -164,15 +166,13 @@ func TestChaosStaleResurrectionRepair(t *testing.T) {
 		}
 	}
 
-	// Phase 4: digest repair rounds converge the victim while the stale
+	// Phase 4: anti-entropy rounds converge the victim while the stale
 	// hints are still queued. A round that finds the victim's client
 	// still in reconnect backoff skips it — by design the next round
 	// catches it, so poll with a deadline.
 	deadline := time.Now().Add(20 * time.Second)
 	for {
-		if err := cluster.RepairRound(); err != nil {
-			t.Fatalf("repair round: %v", err)
-		}
+		cluster.RepairRound()
 		if replicasAgree() {
 			break
 		}

@@ -10,6 +10,7 @@ import (
 	"dcdb/internal/mqtt"
 	"dcdb/internal/rpc"
 	"dcdb/internal/store"
+	"dcdb/internal/store/storetest"
 )
 
 // remoteAgent starts an agent over real TCP on both sides: MQTT in
@@ -147,7 +148,7 @@ func TestAckContractSameTimestampLaterWins(t *testing.T) {
 	}
 	holders := 0
 	for _, n := range nodes {
-		vrs, err := n.QueryVersioned(id, 0, 1<<60)
+		vrs, err := storetest.Versioned(n, id, 0, 1<<60)
 		if err != nil {
 			t.Fatal(err)
 		}

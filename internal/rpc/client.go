@@ -515,47 +515,6 @@ func (c *Client) InsertVersioned(id core.SensorID, vrs []store.VersionedReading)
 	return c.write(store.SplitStamps(id, vrs))
 }
 
-// QueryVersioned implements store.NodeBackend: the deduplicated range
-// with each surviving reading's write version — the anti-entropy fetch
-// path (streams carry values only).
-func (c *Client) QueryVersioned(id core.SensorID, from, to int64) ([]store.VersionedReading, error) {
-	body := make([]byte, 0, 16+16)
-	body = appendSID(body, id)
-	body = appendI64(body, from)
-	body = appendI64(body, to)
-	resp, err := c.call(opQueryVersioned, body)
-	if err != nil {
-		return nil, err
-	}
-	cur := &cursor{b: resp}
-	vrs := cur.versionedReadings()
-	if err := cur.done(); err != nil {
-		return nil, err
-	}
-	return vrs, nil
-}
-
-// Digest implements store.NodeBackend: one fingerprint + count for the
-// sensor range, computed node-side over the streaming read path, so
-// replica comparison costs O(1) response bytes.
-func (c *Client) Digest(id core.SensorID, from, to int64) (fp uint64, count int64, err error) {
-	body := make([]byte, 0, 16+16)
-	body = appendSID(body, id)
-	body = appendI64(body, from)
-	body = appendI64(body, to)
-	resp, err := c.call(opDigest, body)
-	if err != nil {
-		return 0, 0, err
-	}
-	cur := &cursor{b: resp}
-	fp = cur.u64()
-	count = cur.i64()
-	if err := cur.done(); err != nil {
-		return 0, 0, err
-	}
-	return fp, count, nil
-}
-
 // Gossip performs one membership push-pull exchange: state is this
 // process's encoded member list, the reply the peer's. The payload is
 // opaque to the rpc layer (see internal/membership for the encoding).
@@ -915,6 +874,33 @@ func (k *keyedStream) Next() (core.SensorID, []core.Reading, error) {
 
 func (k *keyedStream) Close() error { return k.st.Close() }
 
+// versionedStream adapts a clientStream to store.VersionedStream: each
+// chunk's entries, flattened back to the readings they stamp.
+type versionedStream struct {
+	st  *clientStream
+	buf []store.VersionedReading
+}
+
+func (v *versionedStream) Next() ([]store.VersionedReading, error) {
+	m, err := v.st.nextMsg()
+	if err != nil {
+		return nil, err
+	}
+	entries, err := store.DecodeEntries(m.body)
+	if err != nil {
+		return nil, v.st.fail(err)
+	}
+	v.buf = v.buf[:0]
+	for _, e := range entries {
+		for _, r := range e.Readings {
+			v.buf = append(v.buf, store.VersionedReading{Timestamp: r.Timestamp, Value: r.Value, Version: e.Version, Expire: e.Expire})
+		}
+	}
+	return v.buf, nil
+}
+
+func (v *versionedStream) Close() error { return v.st.Close() }
+
 // openStream launches one streaming request on the next stream
 // connection. A failed open is a failed call; a successful one is
 // observed when the stream ends (clientStream.finish).
@@ -959,6 +945,20 @@ func (c *Client) QueryPrefixStream(prefix core.SensorID, depth int, from, to int
 		return nil, err
 	}
 	return &keyedStream{st: st}, nil
+}
+
+// QueryVersionedStream implements store.NodeBackend: the stamped
+// stream every replica transfer reads, chunk frames of entries.
+func (c *Client) QueryVersionedStream(id core.SensorID, from, to int64) (store.VersionedStream, error) {
+	body := make([]byte, 0, 16+16)
+	body = appendSID(body, id)
+	body = appendI64(body, from)
+	body = appendI64(body, to)
+	st, err := c.openStream(opQueryVersionedStream, body)
+	if err != nil {
+		return nil, err
+	}
+	return &versionedStream{st: st}, nil
 }
 
 var (

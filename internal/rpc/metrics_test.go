@@ -170,15 +170,16 @@ func TestEveryOpHasNameAndHistogram(t *testing.T) {
 		ops[name] = byte(v)
 		return true
 	})
-	if len(ops) != 15 || ops["opWrite"] != opWrite {
+	if len(ops) != 14 || ops["opWrite"] != opWrite {
 		t.Fatalf("parsed %d op constants from protocol.go: %v", len(ops), ops)
 	}
 	// 2, 3 and 16 were Insert, InsertBatch and InsertVersioned (a write
 	// is an opWrite frame now), 4 and 5 the one-frame Query and
-	// QueryPrefix, 20 the write frame whose body led with an entry count.
-	// A peer that still sends them must get "unknown op", never another
-	// op's behaviour.
-	reserved := []byte{2, 3, 4, 5, 16, 20}
+	// QueryPrefix, 17 the one-frame QueryVersioned (a stream now), 18
+	// Digest (an OpSummary Aggregate now), 20 the write frame whose body
+	// led with an entry count. A peer that still sends them must get
+	// "unknown op", never another op's behaviour.
+	reserved := []byte{2, 3, 4, 5, 16, 17, 18, 20}
 	client, server := newClientMetrics(), NewServer(store.NewNode(0), true).met
 	labels := map[string]string{}
 	for _, op := range reserved {

@@ -47,22 +47,25 @@
 // repair or hint batch — and a frame that would exceed frameMax is cut
 // at an entry boundary (store.CutEntries).
 //
-// Reads are streams: opQueryStream/opQueryPrefixStream answer with
-// chunk frames (status 2) closed by an end frame (status 3), and
-// Client.Query/QueryPrefix are a drain of them — a result is never
-// materialised in one frame on either side, so its size is not bounded
-// by frameMax.
+// Reads are streams: opQueryStream, opQueryPrefixStream and
+// opQueryVersionedStream answer with chunk frames (status 2) closed by
+// an end frame (status 3), and Client.Query/QueryPrefix are a drain of
+// them — a result is never materialised in one frame on either side,
+// so its size is not bounded by frameMax. A versioned chunk's body is
+// entries in the one entry encoding, so a replica transfer reads what a
+// write frame carries.
 //
-// The fifteen ops (numbers are the wire format; 2, 3, 4, 5, 16 and 20 —
-// the one-reading, one-batch and per-reading-stamped inserts, the
-// one-frame Query and QueryPrefix, and the write frame whose body led
-// with an entry count — are retired and stay reserved):
+// The fourteen ops (numbers are the wire format; 2, 3, 4, 5, 16, 17, 18
+// and 20 — the one-reading, one-batch and per-reading-stamped inserts,
+// the one-frame Query and QueryPrefix, the one-frame versioned read and
+// the digest, and the write frame whose body led with an entry count —
+// are retired and stay reserved):
 //
 //	1 ping            10 stats                15 aggregate
-//	6 delete_before   11 sensor_ids           17 query_versioned
-//	7 flush           12 query_stream         18 digest
-//	8 sync            13 query_prefix_stream  19 gossip
-//	9 compact         14 cancel_stream        21 write
+//	6 delete_before   11 sensor_ids           19 gossip
+//	7 flush           12 query_stream         21 write
+//	8 sync            13 query_prefix_stream  22 query_versioned_stream
+//	9 compact         14 cancel_stream
 //
 // A frame whose CRC does not match its payload — a torn write, a
 // corrupted link, a non-DCDB peer — poisons the connection: the reader
@@ -80,7 +83,6 @@ import (
 	"strings"
 
 	"dcdb/internal/core"
-	"dcdb/internal/store"
 )
 
 // SplitAddrList parses a comma-separated host:port list the way every
@@ -101,10 +103,12 @@ func SplitAddrList(s string) []string {
 // Ops of the node API. The numbering is part of the wire format.
 // Numbers 2, 3 and 16 (the retired opInsert, opInsertBatch and
 // opInsertVersioned), 4 and 5 (the retired one-frame Query and
-// QueryPrefix) and 20 (the write frame whose body led with an entry
-// count) are reserved and never reused: a peer that still sends them
-// gets the "rpc: unknown op" answer, not a different op's behaviour —
-// never a count misread as a sensor ID.
+// QueryPrefix), 17 and 18 (the retired one-frame QueryVersioned, which
+// failed above frameMax, and Digest, which Aggregate of an OpSummary
+// answers) and 20 (the write frame whose body led with an entry count)
+// are reserved and never reused: a peer that still sends them gets the
+// "rpc: unknown op" answer, not a different op's behaviour — never a
+// count misread as a sensor ID.
 const (
 	opPing         = 1
 	opDeleteBefore = 6
@@ -126,16 +130,6 @@ const (
 	// month-long range answers with O(1) response bytes instead of
 	// millions of readings.
 	opAggregate = 15
-	// opQueryVersioned answers with the sensor's deduplicated readings
-	// and the stamp each winning write carried (store.VersionedReading,
-	// 32 bytes each on the wire) — what anti-entropy repair fetches, to
-	// re-deliver a write under the version it was originally coordinated
-	// with, so a repair can never outrank a later rewrite.
-	opQueryVersioned = 17
-	// opDigest answers with one fold fingerprint + reading count for a
-	// sensor range — the O(1)-response comparison anti-entropy uses to
-	// decide whether replicas have diverged before moving any data.
-	opDigest = 18
 	// opGossip carries one membership push-pull exchange: the request
 	// body is the sender's encoded member state, the response the
 	// receiver's (both sides merge — see internal/membership). The rpc
@@ -145,10 +139,16 @@ const (
 	// opWrite is the one write op: a frame of entries (see the package
 	// comment), answered once with the entries that failed.
 	opWrite = 21
+	// opQueryVersionedStream streams a sensor's winning readings with the
+	// stamp each winning write carried (store.QueryVersionedStream): the
+	// chunk body is entries (store.AppendEntries of store.SplitStamps):
+	// 32 bytes a reading where every reading has a stamp of its own, as
+	// little as 16 where a run of readings shares one, 40 at worst.
+	opQueryVersionedStream = 22
 
 	// lastOp is the highest op number; the per-op metric arrays size off
 	// it, so a new op must move it (TestEveryOpHasNameAndHistogram).
-	lastOp = opWrite
+	lastOp = opQueryVersionedStream
 )
 
 // opName names an op for metric labels and diagnostics. Unknown ops
@@ -178,14 +178,12 @@ func opName(op byte) string {
 		return "cancel_stream"
 	case opAggregate:
 		return "aggregate"
-	case opQueryVersioned:
-		return "query_versioned"
-	case opDigest:
-		return "digest"
 	case opGossip:
 		return "gossip"
 	case opWrite:
 		return "write"
+	case opQueryVersionedStream:
+		return "query_versioned_stream"
 	default:
 		return "unknown"
 	}
@@ -199,7 +197,8 @@ const (
 	// seq counts from 0 per stream; a gap means frames were lost or
 	// reordered and poisons the connection. For opQueryStream the body
 	// is a readings block; for opQueryPrefixStream it is
-	// sid | readings (a sensor may repeat across consecutive chunks).
+	// sid | readings (a sensor may repeat across consecutive chunks);
+	// for opQueryVersionedStream it is entries.
 	statusChunk = 2
 	// statusStreamEnd terminates a stream successfully:
 	//   u64 reqID | u8 statusStreamEnd | u32 seq
@@ -300,19 +299,6 @@ func appendReadings(b []byte, rs []core.Reading) []byte {
 	return b
 }
 
-// appendVersionedReadings encodes a count-prefixed run of 32-byte
-// versioned readings: ts | value bits | version | absolute expire.
-func appendVersionedReadings(b []byte, vrs []store.VersionedReading) []byte {
-	b = appendU32(b, uint32(len(vrs)))
-	for _, r := range vrs {
-		b = appendI64(b, r.Timestamp)
-		b = appendU64(b, math.Float64bits(r.Value))
-		b = appendU64(b, r.Version)
-		b = appendI64(b, r.Expire)
-	}
-	return b
-}
-
 // cursor is a bounds-checked sequential decoder over one payload.
 type cursor struct {
 	b   []byte
@@ -369,29 +355,6 @@ func (c *cursor) readings() []core.Reading {
 		rs[i] = core.Reading{Timestamp: c.i64(), Value: math.Float64frombits(c.u64())}
 	}
 	return rs
-}
-
-func (c *cursor) versionedReadings() []store.VersionedReading {
-	n := c.u32()
-	if c.err != nil {
-		return nil
-	}
-	// 32 bytes per versioned reading; reject counts the payload cannot
-	// hold before allocating.
-	if uint64(n)*32 > uint64(len(c.b)-c.off) {
-		c.fail()
-		return nil
-	}
-	vrs := make([]store.VersionedReading, n)
-	for i := range vrs {
-		vrs[i] = store.VersionedReading{
-			Timestamp: c.i64(),
-			Value:     math.Float64frombits(c.u64()),
-			Version:   c.u64(),
-			Expire:    c.i64(),
-		}
-	}
-	return vrs
 }
 
 // bytes decodes a u32-length-prefixed byte string (aliasing the payload).

@@ -454,16 +454,16 @@ func TestRPCServerRejectsMalformedBodies(t *testing.T) {
 	// Trailing garbage after a valid body.
 	body := appendSID(nil, sid(1, 1))
 	body = appendI64(body, 0)
-	body = appendI64(body, 1<<60)
 	body = append(body, 0xff)
-	trailing := buildRequest(3, opQueryVersioned, 0, body)
+	trailing := buildRequest(3, opDeleteBefore, 0, body)
 	if resp := send(trailing); resp[8] != statusErr {
 		t.Fatalf("trailing bytes accepted: %v", resp)
 	}
 	// Unknown opcode — which is also what the retired inserts (2, 3, 16),
-	// the retired one-frame Query (4) and QueryPrefix (5) and the retired
-	// counted write frame (20) are to this server, well-formed body or not.
-	for i, op := range []byte{200, 2, 3, 4, 5, 16, 20} {
+	// the retired one-frame Query (4), QueryPrefix (5) and QueryVersioned
+	// (17), the retired Digest (18) and the retired counted write frame
+	// (20) are to this server, well-formed body or not.
+	for i, op := range []byte{200, 2, 3, 4, 5, 16, 17, 18, 20} {
 		resp := send(buildRequest(uint64(10+i), op, 0, body[:len(body)-1]))
 		if resp[8] != statusErr || !strings.Contains(string(resp[9:]), "unknown op") {
 			t.Fatalf("op %d answered %q, want an unknown-op error", op, resp[9:])

@@ -303,7 +303,7 @@ func (s *Server) serve(sc *serverConn, payload []byte, arrived time.Time) {
 	start := time.Now()
 	s.met.inFlight.Add(1)
 	defer s.met.inFlight.Add(-1)
-	if op == opQueryStream || op == opQueryPrefixStream {
+	if op == opQueryStream || op == opQueryPrefixStream || op == opQueryVersionedStream {
 		s.handleStream(sc, payload, arrived)
 		s.met.observeHandle(op, start)
 		return
@@ -401,6 +401,23 @@ func (s *Server) handleStream(sc *serverConn, payload []byte, arrived time.Time)
 		next = func() (func([]byte) []byte, error) {
 			kid, rs, err := st.Next()
 			return func(b []byte) []byte { return appendReadings(appendSID(b, kid), rs) }, err
+		}
+	case opQueryVersionedStream:
+		sid := cur.sid()
+		from, to := cur.i64(), cur.i64()
+		if err := cur.done(); err != nil {
+			fail(err)
+			return
+		}
+		st, err := s.backend.QueryVersionedStream(sid, from, to)
+		if err != nil {
+			fail(err)
+			return
+		}
+		defer st.Close()
+		next = func() (func([]byte) []byte, error) {
+			vrs, err := st.Next()
+			return func(b []byte) []byte { return store.AppendEntries(b, store.SplitStamps(sid, vrs)) }, err
 		}
 	}
 	for {
@@ -551,29 +568,6 @@ func (s *Server) handle(payload []byte, arrived time.Time) []byte {
 			return fail(err)
 		}
 		resp = fold.Append(resp, st)
-	case opQueryVersioned:
-		sid := cur.sid()
-		from, to := cur.i64(), cur.i64()
-		if err := cur.done(); err != nil {
-			return fail(err)
-		}
-		vrs, err := s.backend.QueryVersioned(sid, from, to)
-		if err != nil {
-			return fail(err)
-		}
-		resp = appendVersionedReadings(resp, vrs)
-	case opDigest:
-		sid := cur.sid()
-		from, to := cur.i64(), cur.i64()
-		if err := cur.done(); err != nil {
-			return fail(err)
-		}
-		fp, count, err := s.backend.Digest(sid, from, to)
-		if err != nil {
-			return fail(err)
-		}
-		resp = appendU64(resp, fp)
-		resp = appendI64(resp, count)
 	case opGossip:
 		body := cur.b[cur.off:]
 		if s.gossip == nil {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"dcdb/internal/core"
+	"dcdb/internal/fold"
 	"dcdb/internal/store"
 )
 
@@ -109,10 +110,8 @@ func TestServerModelInterleavedReplies(t *testing.T) {
 		reqs = append(reqs, buildRequest(wid, opWrite, 0, body))
 		rid := uint64(2*i + 2)
 		readIDs = append(readIDs, rid)
-		body = appendSID(nil, sid(62, uint64(i%5)))
-		body = appendI64(body, 0)
-		body = appendI64(body, 1<<62)
-		reqs = append(reqs, buildRequest(rid, opQueryVersioned, 0, body))
+		body = fold.AppendSpec(appendSID(nil, sid(62, uint64(i%5))), fold.Spec{Op: fold.OpSummary, From: 0, To: 1 << 62})
+		reqs = append(reqs, buildRequest(rid, opAggregate, 0, body))
 	}
 	sent := make(chan error, 1)
 	go func() {

@@ -1,15 +1,25 @@
 package rpc
 
 import (
+	"bufio"
+	"bytes"
+	"io"
+	"math"
+	"net"
+	"slices"
 	"testing"
+	"time"
 
 	"dcdb/internal/core"
+	"dcdb/internal/fold"
 	"dcdb/internal/store"
+	"dcdb/internal/store/storetest"
 )
 
-// Wire coverage for what anti-entropy rides on: InsertVersioned (an
-// opWrite frame), opQueryVersioned and opDigest must round-trip versions
-// and digests exactly, because a version lost in transit reopens the
+// Wire coverage for what replica transfers ride on: InsertVersioned
+// (an opWrite frame), opQueryVersionedStream and the OpSummary
+// aggregate replicas are compared by must round-trip versions and
+// fingerprints exactly, because a version lost in transit reopens the
 // stale-resurrection window the versions exist to close.
 
 func TestRPCVersionedInsertQueryRoundtrip(t *testing.T) {
@@ -17,7 +27,8 @@ func TestRPCVersionedInsertQueryRoundtrip(t *testing.T) {
 	id := sid(7, 1)
 	vrs := []store.VersionedReading{
 		{Timestamp: 1, Value: 1.5, Version: 40},
-		{Timestamp: 2, Value: 2.5, Version: 41},
+		{Timestamp: 2, Value: 2.5, Version: 41, Expire: 1 << 62},
+		{Timestamp: 3, Value: 3.5, Version: 41, Expire: 1 << 62},
 	}
 	if err := cl.InsertVersioned(id, vrs); err != nil {
 		t.Fatalf("InsertVersioned: %v", err)
@@ -28,32 +39,27 @@ func TestRPCVersionedInsertQueryRoundtrip(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := cl.QueryVersioned(id, 0, 1<<60)
+	got, err := storetest.Versioned(cl, id, 0, 1<<60)
 	if err != nil {
-		t.Fatalf("QueryVersioned: %v", err)
+		t.Fatalf("QueryVersionedStream: %v", err)
 	}
-	if len(got) != 2 {
-		t.Fatalf("QueryVersioned returned %d readings, want 2", len(got))
-	}
-	for i, want := range vrs {
-		if got[i].Timestamp != want.Timestamp || got[i].Value != want.Value ||
-			got[i].Version != want.Version {
-			t.Fatalf("reading %d: %+v, want %+v", i, got[i], want)
-		}
+	if !slices.Equal(got, vrs) {
+		t.Fatalf("the versioned stream served %+v, want %+v", got, vrs)
 	}
 	// The remote view matches the node's own versioned read.
-	direct, err := n.QueryVersioned(id, 0, 1<<60)
+	direct, err := storetest.Versioned(n, id, 0, 1<<60)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range direct {
-		if direct[i] != got[i] {
-			t.Fatalf("remote %+v vs direct %+v at %d", got[i], direct[i], i)
-		}
+	if !slices.Equal(direct, got) {
+		t.Fatalf("remote %+v vs direct %+v", got, direct)
 	}
 }
 
-func TestRPCDigestMatchesLocal(t *testing.T) {
+// TestRPCAggregateMatchesLocal: the summary replicas are compared by
+// is the same state remotely as locally, and it depends on the range it
+// covers.
+func TestRPCAggregateMatchesLocal(t *testing.T) {
 	n, _, cl := testPair(t, ClientOptions{})
 	id := sid(7, 2)
 	if err := cl.InsertVersioned(id, []store.VersionedReading{
@@ -63,35 +69,129 @@ func TestRPCDigestMatchesLocal(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	fp, count, err := cl.Digest(id, 0, 1<<60)
+	full := fold.Spec{Op: fold.OpSummary, From: 0, To: 1 << 60}
+	remote, err := cl.Aggregate(id, full)
 	if err != nil {
-		t.Fatalf("Digest: %v", err)
+		t.Fatalf("Aggregate: %v", err)
 	}
-	lfp, lcount, err := n.Digest(id, 0, 1<<60)
+	local, err := n.Aggregate(id, full)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fp != lfp || count != lcount {
-		t.Fatalf("remote digest (%x,%d) != local (%x,%d)", fp, count, lfp, lcount)
+	if !bytes.Equal(fold.Append(nil, remote), fold.Append(nil, local)) {
+		t.Fatalf("remote summary (%x,%d) != local (%x,%d)", remote.Fingerprint(), remote.Count(), local.Fingerprint(), local.Count())
 	}
-	if count != 3 {
-		t.Fatalf("digest count %d, want 3", count)
+	if remote.Count() != 3 {
+		t.Fatalf("summary count %d, want 3", remote.Count())
 	}
-	// A different range digests differently (the digest actually
+	// A different range folds differently (the fingerprint actually
 	// depends on the data it covers).
-	fp2, count2, err := cl.Digest(id, 0, 2)
+	sub, err := cl.Aggregate(id, fold.Spec{Op: fold.OpSummary, From: 0, To: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if count2 != 2 || fp2 == fp {
-		t.Fatalf("sub-range digest (%x,%d) should differ from full (%x,%d)", fp2, count2, fp, count)
+	if sub.Count() != 2 || sub.Fingerprint() == remote.Fingerprint() {
+		t.Fatalf("sub-range summary (%x,%d) should differ from full (%x,%d)", sub.Fingerprint(), sub.Count(), remote.Fingerprint(), remote.Count())
+	}
+}
+
+// TestRPCVersionedStreamChunks: a versioned read of 10^6 readings, each
+// with a stamp of its own, arrives as a stream of bounded chunk frames
+// — the one-frame read it replaced tore the connection down above
+// frameMax — and the client stays healthy afterwards.
+func TestRPCVersionedStreamChunks(t *testing.T) {
+	n, srv, cl := testPair(t, ClientOptions{})
+	id := sid(7, 4)
+	const total = 1_000_000
+	vrs := make([]store.VersionedReading, 0, 10_000)
+	for base := 0; base < total; base += cap(vrs) {
+		vrs = vrs[:0]
+		for ts := base; ts < base+cap(vrs); ts++ {
+			vrs = append(vrs, store.VersionedReading{Timestamp: int64(ts), Value: float64(ts), Version: uint64(ts + 1)})
+		}
+		if err := n.InsertVersioned(id, vrs); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// On the wire: every chunk frame within the client's bound, its
+	// body whole entries, the readings in order under their stamps.
+	c, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	body := appendI64(appendI64(appendSID(nil, id), math.MinInt64), math.MaxInt64)
+	bw := bufio.NewWriter(c)
+	if err := writeFrame(bw, buildRequest(1, opQueryVersionedStream, 0, body)); err != nil || bw.Flush() != nil {
+		t.Fatal("sending the request failed")
+	}
+	br := bufio.NewReader(c)
+	c.SetReadDeadline(time.Now().Add(time.Minute))
+	next, chunks := int64(0), 0
+	for {
+		p, err := readFrame(br)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p[8] == statusStreamEnd {
+			break
+		}
+		if p[8] != statusChunk {
+			t.Fatalf("status %d: %s", p[8], p[respHeaderLen:])
+		}
+		if len(p) > streamChunkMaxBytes {
+			t.Fatalf("chunk %d is %d bytes, over the client's %d-byte bound", chunks, len(p), streamChunkMaxBytes)
+		}
+		entries, err := store.DecodeEntries(p[respHeaderLen+4:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			for _, r := range e.Readings {
+				if r.Timestamp != next || e.Version != uint64(next+1) {
+					t.Fatalf("reading ts %d version %d, want ts %d version %d", r.Timestamp, e.Version, next, next+1)
+				}
+				next++
+			}
+		}
+		chunks++
+	}
+	if next != total || chunks < total/store.StreamChunkReadings {
+		t.Fatalf("%d readings in %d chunks, want %d in at least %d", next, chunks, total, total/store.StreamChunkReadings)
+	}
+
+	// Through the client, twice: the connection survives the stream.
+	for round := 0; round < 2; round++ {
+		st, err := cl.QueryVersionedStream(id, math.MinInt64, math.MaxInt64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := 0
+		for {
+			chunk, err := st.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatalf("round %d after %d readings: %v", round, got, err)
+			}
+			got += len(chunk)
+		}
+		st.Close()
+		if got != total {
+			t.Fatalf("round %d streamed %d readings, want %d", round, got, total)
+		}
+	}
+	if err := cl.Ping(); err != nil {
+		t.Fatalf("client unhealthy after the stream: %v", err)
 	}
 }
 
 // TestRPCClusterAntiEntropyOverWire: the full repair loop where every
 // replica is behind a TCP client — the deployment shape of the paper's
 // multi-server backend. A diverged remote replica converges through
-// digest comparison and versioned re-insert alone.
+// summary comparison and the versioned merge alone.
 func TestRPCClusterAntiEntropyOverWire(t *testing.T) {
 	nodes := make([]*store.Node, 2)
 	backends := make([]store.NodeBackend, 2)
@@ -123,9 +223,7 @@ func TestRPCClusterAntiEntropyOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	nodes[1].SetDown(false)
-	if err := c.RepairRound(); err != nil {
-		t.Fatalf("RepairRound over RPC: %v", err)
-	}
+	c.RepairRound()
 	for i, n := range nodes {
 		rs, err := n.Query(id, 0, 1<<60)
 		if err != nil {

@@ -13,6 +13,7 @@ import (
 
 	"dcdb/internal/core"
 	"dcdb/internal/store"
+	"dcdb/internal/store/storetest"
 )
 
 // entry builds a one-stamp write of n readings starting at ts.
@@ -43,7 +44,7 @@ func TestWriteFrameRoundtrip(t *testing.T) {
 	if calls, _ := callCounts(t, cl, "write"); calls != 1 {
 		t.Fatalf("a frame took %d write calls, want 1", calls)
 	}
-	got, err := n.QueryVersioned(sid(50, 1), 0, 100)
+	got, err := storetest.Versioned(n, sid(50, 1), 0, 100)
 	if err != nil || len(got) != 6 {
 		t.Fatalf("sensor 1: %+v, %v", got, err)
 	}
@@ -56,7 +57,7 @@ func TestWriteFrameRoundtrip(t *testing.T) {
 			t.Fatalf("sensor 1 reading %d = %+v, want %+v", i, v, want)
 		}
 	}
-	if got, _ := n.QueryVersioned(sid(50, 2), 0, 100); len(got) != 1 || got[0].Expire != expire || got[0].Version != 4000 {
+	if got, _ := storetest.Versioned(n, sid(50, 2), 0, 100); len(got) != 1 || got[0].Expire != expire || got[0].Version != 4000 {
 		t.Fatalf("sensor 2: %+v", got)
 	}
 	if ids := n.SensorIDs(); len(ids) != 2 {
@@ -81,7 +82,7 @@ func TestWriteFrameRoundtrip(t *testing.T) {
 	if calls, _ := callCounts(t, cl, "write"); calls != 4 {
 		t.Fatalf("%d write calls after Insert, InsertBatch and InsertVersioned, want 4 in all", calls)
 	}
-	got, err = n.QueryVersioned(sid(51, 1), 0, 100)
+	got, err = storetest.Versioned(n, sid(51, 1), 0, 100)
 	if err != nil || len(got) != 7 {
 		t.Fatalf("sensor 51/1: %+v, %v", got, err)
 	}
@@ -184,7 +185,7 @@ func TestWriteFrameStampedRun(t *testing.T) {
 			t.Fatalf("verdicts %v, want entry 3 alone refused", errs)
 		}
 	}
-	stored, err := n.QueryVersioned(a, 0, 100)
+	stored, err := storetest.Versioned(n, a, 0, 100)
 	if err != nil || len(stored) != 8 || stored[1].Expire != expire || stored[2].Version != 2000 || stored[7].Version != 6000 {
 		t.Fatalf("sensor a holds %+v (%v)", stored, err)
 	}
@@ -207,7 +208,7 @@ func TestWriteFrameStampedRun(t *testing.T) {
 	if calls, _ := callCounts(t, cl, "write"); calls != 2 {
 		t.Fatalf("%d write calls, want 2", calls)
 	}
-	back, err := n.QueryVersioned(sid(53, 3), 0, 1<<60)
+	back, err := storetest.Versioned(n, sid(53, 3), 0, 1<<60)
 	if err != nil || !reflect.DeepEqual(back, vrs) {
 		t.Fatalf("the batch reads back as %d readings (%v), want the %d sent with their stamps", len(back), err, batch)
 	}

@@ -59,22 +59,6 @@ func (n *Node) Aggregate(id core.SensorID, spec fold.Spec) (fold.State, error) {
 	return foldRead(n, id, spec)
 }
 
-// Digest implements NodeBackend: the order-sensitive fold fingerprint
-// plus reading count of the sensor's deduplicated [from, to] range,
-// computed over the same read path a query uses. Replicas holding
-// value-identical data produce identical digests regardless of the
-// write versions that got them there, so anti-entropy compares one
-// (fp, count) pair per replica instead of shipping the range. The
-// count includes non-finite readings (the fingerprint covers every
-// consumed reading, so the pair changes whenever the data does).
-func (n *Node) Digest(id core.SensorID, from, to int64) (fp uint64, count int64, err error) {
-	st, err := foldRead(n, id, fold.Spec{Op: fold.OpSummary, From: from, To: to})
-	if err != nil {
-		return 0, 0, err
-	}
-	return st.Fingerprint(), st.Count() + st.Skipped(), nil
-}
-
 // Aggregate implements Backend for the cluster: the fold is pushed
 // down to the sensor's replicas at the configured read consistency.
 //

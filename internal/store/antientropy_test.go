@@ -1,7 +1,9 @@
 package store
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -156,7 +158,7 @@ func TestQuorumStreamRepairMovesVersionedReadings(t *testing.T) {
 	}
 	versioned := func(n *Node) []VersionedReading {
 		t.Helper()
-		vrs, err := n.QueryVersioned(id, 0, 100)
+		vrs, err := queryVersioned(n, id, 0, 100)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,18 +218,26 @@ func TestQuorumStreamRepairMovesVersionedReadings(t *testing.T) {
 	}
 }
 
+// summaryOf folds a node's whole series of id into an OpSummary state,
+// the comparison anti-entropy and rebalance make between replicas.
+func summaryOf(t *testing.T, b NodeBackend, id core.SensorID) fold.State {
+	t.Helper()
+	st, err := b.Aggregate(id, fold.Spec{Op: fold.OpSummary, From: math.MinInt64, To: math.MaxInt64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 // requireReplicasIdentical asserts every node serves the exact same
-// byte sequence for id, and that their digests agree.
+// byte sequence for id, and that their summaries agree.
 func requireReplicasIdentical(t *testing.T, nodes []*Node, id core.SensorID) []core.Reading {
 	t.Helper()
 	ref, err := nodes[0].Query(id, -1<<62, 1<<62)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refFP, refN, err := nodes[0].Digest(id, -1<<62, 1<<62)
-	if err != nil {
-		t.Fatal(err)
-	}
+	refSum := summaryOf(t, nodes[0], id)
 	for i := 1; i < len(nodes); i++ {
 		rs, err := nodes[i].Query(id, -1<<62, 1<<62)
 		if err != nil {
@@ -241,12 +251,9 @@ func requireReplicasIdentical(t *testing.T, nodes []*Node, id core.SensorID) []c
 				t.Fatalf("node %d position %d: %+v, node 0 has %+v", i, j, rs[j], ref[j])
 			}
 		}
-		fp, n, err := nodes[i].Digest(id, -1<<62, 1<<62)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fp != refFP || n != refN {
-			t.Fatalf("node %d digest (%x,%d) != node 0 (%x,%d) despite identical reads", i, fp, n, refFP, refN)
+		if sum := summaryOf(t, nodes[i], id); !sameSummary(sum, refSum) {
+			t.Fatalf("node %d summary (%x,%d) != node 0 (%x,%d) despite identical reads",
+				i, sum.Fingerprint(), sum.Count(), refSum.Fingerprint(), refSum.Count())
 		}
 	}
 	return ref
@@ -278,14 +285,10 @@ func TestAntiEntropyConvergesDivergedReplicasWithoutReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	nodes[2].SetDown(false)
-	if fp0, _, _ := nodes[0].Digest(id, -1<<62, 1<<62); true {
-		if fp2, _, _ := nodes[2].Digest(id, -1<<62, 1<<62); fp0 == fp2 {
-			t.Fatal("replica did not diverge; scenario is vacuous")
-		}
+	if sameSummary(summaryOf(t, nodes[0], id), summaryOf(t, nodes[2], id)) {
+		t.Fatal("replica did not diverge; scenario is vacuous")
 	}
-	if err := c.RepairRound(); err != nil {
-		t.Fatal(err)
-	}
+	c.RepairRound()
 	rs := requireReplicasIdentical(t, nodes, id)
 	if len(rs) != 52 {
 		t.Fatalf("converged series has %d readings, want 52", len(rs))
@@ -308,9 +311,7 @@ func TestAntiEntropyConvergesDivergedReplicasWithoutReads(t *testing.T) {
 	// A second round over converged replicas finds nothing to move.
 	repaired := c.met.aeRepaired.Load()
 	mismatched := c.met.aeMismatched.Load()
-	if err := c.RepairRound(); err != nil {
-		t.Fatal(err)
-	}
+	c.RepairRound()
 	if c.met.aeRepaired.Load() != repaired || c.met.aeMismatched.Load() != mismatched {
 		t.Fatal("anti-entropy kept repairing already-converged replicas")
 	}
@@ -343,9 +344,7 @@ func TestAntiEntropyRestoresAggregateConsensus(t *testing.T) {
 	if got := c.met.aggFallback.Load(); got != 1 {
 		t.Fatalf("aggregate over diverged replicas took the consensus path (aggFallback %d, want 1)", got)
 	}
-	if err := c.RepairRound(); err != nil {
-		t.Fatal(err)
-	}
+	c.RepairRound()
 	fallbacks := c.met.aggFallback.Load()
 	consensus := c.met.aggConsensus.Load()
 	st, err := c.Aggregate(id, spec)
@@ -418,17 +417,45 @@ func TestAntiEntropySingleCopyIsNoop(t *testing.T) {
 	if err := c.Insert(sid(86, 1), core.Reading{Timestamp: 1, Value: 1}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.RepairRound(); err != nil {
-		t.Fatal(err)
-	}
+	c.RepairRound()
 	if c.met.aeRounds.Load() != 1 || c.met.aeChecked.Load() != 0 {
 		t.Fatalf("single-copy round: rounds=%d checked=%d, want 1/0",
 			c.met.aeRounds.Load(), c.met.aeChecked.Load())
 	}
 }
 
-// TestMergeVersionedReadings covers the union/winner rules the repair
-// paths share.
+// mergeOf runs the cluster's replica merge over replicas holding the
+// given versioned readings of one sensor and returns the winners it
+// emitted and, per replica, what it found that replica lacks. Nothing
+// is written back.
+func mergeOf(t *testing.T, replicas ...[]VersionedReading) (winners []VersionedReading, lacks [][]VersionedReading) {
+	t.Helper()
+	c, nodes := aeCluster(t, len(replicas), ConsistencyQuorum)
+	id := sid(84, 1)
+	top := c.top()
+	idxs := make([]int, len(replicas))
+	for i, vrs := range replicas {
+		if err := nodes[i].InsertVersioned(id, vrs); err != nil {
+			t.Fatal(err)
+		}
+		idxs[i] = top.byID[fmt.Sprintf("node%d", i)]
+	}
+	lacks = make([][]VersionedReading, len(replicas))
+	errs := c.merge(top, id, idxs, math.MinInt64, math.MaxInt64, func(idx int, l []VersionedReading) error {
+		i := slices.Index(idxs, idx)
+		lacks[i] = append(lacks[i], l...)
+		return nil
+	}, func(w []VersionedReading) {
+		winners = append(winners, w...)
+	})
+	if n, last := answered(errs); n != len(replicas) {
+		t.Fatalf("%d of %d replicas answered: %v", n, len(replicas), last)
+	}
+	return winners, lacks
+}
+
+// TestMergeVersionedReadings covers the union/winner rules every
+// replica transfer shares.
 func TestMergeVersionedReadings(t *testing.T) {
 	a := []VersionedReading{
 		{Timestamp: 1, Value: 1, Version: 5},
@@ -440,35 +467,52 @@ func TestMergeVersionedReadings(t *testing.T) {
 		{Timestamp: 3, Value: 30, Version: 7}, // newer version wins
 		{Timestamp: 5, Value: 50, Version: 8}, // older version loses
 	}
-	got := mergeVersionedReadings(a, b)
+	got, _ := mergeOf(t, a, b)
 	want := []VersionedReading{
 		{Timestamp: 1, Value: 1, Version: 5},
 		{Timestamp: 2, Value: 2, Version: 6},
 		{Timestamp: 3, Value: 30, Version: 7},
 		{Timestamp: 5, Value: 5, Version: 9},
 	}
-	if len(got) != len(want) {
-		t.Fatalf("merged %d readings, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("position %d: %+v, want %+v", i, got[i], want[i])
-		}
+	if !slices.Equal(got, want) {
+		t.Fatalf("merged %+v, want %+v", got, want)
 	}
 	// Equal versions break ties on value bits, so both merge orders
 	// agree — the property that makes repeated repair rounds converge.
 	x := []VersionedReading{{Timestamp: 1, Value: 2, Version: 3}}
 	y := []VersionedReading{{Timestamp: 1, Value: 7, Version: 3}}
-	if mergeVersionedReadings(x, y)[0] != mergeVersionedReadings(y, x)[0] {
+	xy, _ := mergeOf(t, x, y)
+	yx, _ := mergeOf(t, y, x)
+	if xy[0] != yx[0] {
 		t.Fatal("equal-version merge is order-dependent; repair would oscillate")
 	}
-	if v := mergeVersionedReadings(x, y)[0].Value; v != 7 {
+	if v := xy[0].Value; v != 7 {
 		t.Fatalf("equal-version tiebreak picked %v, want 7 (higher value bits)", v)
+	}
+	// More chunks than one, interleaved across replicas.
+	var even, odd []VersionedReading
+	for ts := int64(0); ts < 3*StreamChunkReadings; ts++ {
+		vr := VersionedReading{Timestamp: ts, Value: float64(ts), Version: 1}
+		if ts%2 == 0 {
+			even = append(even, vr)
+		} else {
+			odd = append(odd, vr)
+		}
+	}
+	long, lacks := mergeOf(t, even, odd)
+	if len(long) != 3*StreamChunkReadings || len(lacks[0]) != len(odd) || len(lacks[1]) != len(even) {
+		t.Fatalf("long merge: %d winners, lacks %d/%d", len(long), len(lacks[0]), len(lacks[1]))
+	}
+	for i, w := range long {
+		if w.Timestamp != int64(i) {
+			t.Fatalf("winner %d has timestamp %d", i, w.Timestamp)
+		}
 	}
 }
 
-// TestVersionedDelta: only readings the replica is missing or holds a
-// different value for are re-sent.
+// TestVersionedDelta: a replica is sent only the winners it lacks — a
+// missing timestamp, a lower version, or the same version with other
+// value bits.
 func TestVersionedDelta(t *testing.T) {
 	merged := []VersionedReading{
 		{Timestamp: 1, Value: 1, Version: 5},
@@ -479,11 +523,15 @@ func TestVersionedDelta(t *testing.T) {
 		{Timestamp: 1, Value: 1, Version: 5}, // identical: skip
 		{Timestamp: 3, Value: 3, Version: 5}, // stale value: resend
 	}
-	delta := versionedDelta(merged, have)
-	if len(delta) != 2 || delta[0].Timestamp != 2 || delta[1].Timestamp != 3 || delta[1].Value != 30 {
+	_, lacks := mergeOf(t, merged, have)
+	if len(lacks[0]) != 0 {
+		t.Fatalf("the replica holding every winner lacks %+v", lacks[0])
+	}
+	delta := lacks[1]
+	if len(delta) != 2 || delta[0] != merged[1] || delta[1] != merged[2] {
 		t.Fatalf("delta %+v, want missing ts 2 and rewritten ts 3", delta)
 	}
-	if d := versionedDelta(merged, merged); len(d) != 0 {
-		t.Fatalf("identical replica got a %d-reading delta", len(d))
+	if _, lacks := mergeOf(t, merged, merged); len(lacks[0])+len(lacks[1]) != 0 {
+		t.Fatalf("identical replicas got deltas %+v", lacks)
 	}
 }

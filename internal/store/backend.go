@@ -16,8 +16,8 @@ import (
 type NodeBackend interface {
 	Backend
 
-	// Flush forces the node's memtable into sorted runs (durable nodes
-	// spill them to disk in the background).
+	// Flush forces the node's memtable into sorted runs; a durable node
+	// returns once its spiller has written them to run files.
 	Flush() error
 	// Sync forces the node's WAL to disk.
 	Sync() error
@@ -41,22 +41,21 @@ type NodeBackend interface {
 	// which re-delivers its original version — can never overwrite a
 	// later versioned rewrite.
 	InsertVersioned(id core.SensorID, vrs []VersionedReading) error
-	// QueryVersioned returns the sensor's deduplicated readings in
-	// [from, to] with the version and expiry each winning write carried
-	// — the anti-entropy transfer format.
-	QueryVersioned(id core.SensorID, from, to int64) ([]VersionedReading, error)
-	// Digest fingerprints the sensor's deduplicated readings in
-	// [from, to]: the order-sensitive fold fingerprint over (ts, value)
-	// plus the reading count. Two replicas whose digests match hold
-	// value-identical data for the range regardless of how the versions
-	// that produced it differ.
-	Digest(id core.SensorID, from, to int64) (fp uint64, count int64, err error)
+	// QueryVersionedStream streams the sensor's winning readings in
+	// [from, to], in timestamp order and in chunks of at most
+	// StreamChunkReadings, each with the version and expiry its write
+	// carried: what the cluster's replica merge (read repair,
+	// anti-entropy, rebalance) and the tools' directory merge read, so
+	// a copied reading keeps the place its original write had.
+	// Replicas are compared without it, by the fingerprint of an
+	// Aggregate(OpSummary).
+	QueryVersionedStream(id core.SensorID, from, to int64) (VersionedStream, error)
 }
 
 // VersionedReading is one reading together with the write version and
 // absolute expiry it was coordinated with (Expire 0 = never, Version 0
 // = an unstamped write: Insert, InsertBatch, the tools). It is the unit
-// of versioned replication: hint replay and anti-entropy repair move
+// of versioned replication: every replica-to-replica transfer moves
 // VersionedReadings so the original conflict-resolution order survives
 // re-delivery.
 type VersionedReading struct {

@@ -95,11 +95,12 @@ type ClusterOptions struct {
 	// probing down replicas. 0 selects the default (1s); < 0 disables
 	// the background loop (ReplayHints still works when called).
 	HintReplayInterval time.Duration
-	// AntiEntropyInterval is the cadence of the background digest-
-	// repair scheduler: every tick the coordinator compares per-sensor
-	// replica digests and re-inserts the winning versions into replicas
-	// that diverged — convergence without any read traffic. 0 disables
-	// the loop (RepairRound still works when called directly).
+	// AntiEntropyInterval is the cadence of the background repair
+	// scheduler: every tick the coordinator compares per-sensor replica
+	// summaries and merges the replicas that diverged, re-inserting the
+	// winning versions where they lack them — convergence without any
+	// read traffic. 0 disables the loop (RepairRound still works when
+	// called directly).
 	AntiEntropyInterval time.Duration
 	// BackendFactory builds the backend for a member SetMembers adds
 	// (typically an rpc.NewClient on the member's address). A cluster

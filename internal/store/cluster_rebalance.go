@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"slices"
 	"time"
 
 	"dcdb/internal/backoff"
@@ -15,14 +16,15 @@ import (
 // the topology carries both rings (topology.go), every write already
 // fans to the union of old and new owners — so the rebalancer only has
 // to move HISTORY: for each sensor whose target replica set gained a
-// member, it merges the read ring's versioned copies, streams them to
-// the new owners in chunks, and proves the hand-off with a digest
-// check before the cutover drops the old ring. The ordering is the
-// zero-loss argument:
+// member, one replica merge (merge, antientropy.go) reads the old and
+// the new owners together and writes each new owner, in chunks, what
+// it lacks, then the hand-off is proven by a summary check before the
+// cutover drops the old ring. The ordering is the zero-loss argument:
 //
 //	1. transition installed  -> new owners see every subsequent write
 //	2. history streamed      -> new owners hold everything older
-//	3. hand-off verified     -> digest (or exact versioned containment)
+//	3. hand-off verified     -> summary match, or a second merge that
+//	                            finds nothing a new owner lacks
 //	4. cutover               -> reads move to the target ring
 //
 // A write acked at any point is either in the merged history (pre-1)
@@ -31,7 +33,8 @@ import (
 // inserts make the copy idempotent and resurrection-proof: a moved
 // reading carries its original write version, so it can never outrank
 // a rewrite that landed via the union path while the copy was in
-// flight.
+// flight. Reading the new owners too makes a retried round cheap: it
+// moves only what a new owner still lacks.
 //
 // The rebalancer is generation-guarded (Cluster.rebGen): a SetMembers
 // arriving mid-stream bumps the generation, the superseded run aborts
@@ -39,9 +42,9 @@ import (
 // target ring — reads keep anchoring to the ring they trusted all
 // along, so chained membership changes never widen the loss window.
 
-// rebalanceChunk bounds one InsertVersioned call while streaming a
-// sensor to its new owner, keeping RPC frames and replica batch work
-// small enough to interleave with live ingest.
+// rebalanceChunk bounds one repair batch of the replica merge — one
+// InsertVersioned call to one replica — keeping RPC frames and replica
+// batch work small enough to interleave with live ingest.
 const rebalanceChunk = 4096
 
 // errRebalanceStale aborts a rebalance run that a newer SetMembers (or
@@ -125,80 +128,87 @@ func (c *Cluster) moveSensor(t *topology, id core.SensorID) error {
 		return nil // replica set unchanged (or shrank); nothing to move
 	}
 
-	// Merge the read ring's versioned copies. A read quorum of the old
-	// owners must answer — the same intersection argument the live read
-	// path makes: any write acked before this merge is in at least one
-	// of the copies we fold together.
-	var srcs []int
+	// One merge reads the old owners, then the new ones. A read quorum
+	// of the old owners must answer — the same intersection argument the
+	// live read path makes: any write acked before this merge is in at
+	// least one of the copies it reads. What a new owner lacks is
+	// written to it in line, throttled so the copy stays below live
+	// ingest; the old owners are only read.
+	var replicas []int
 	for _, mid := range readIDs {
 		if idx, ok := t.byID[mid]; ok {
-			srcs = append(srcs, idx)
+			replicas = append(replicas, idx)
 		}
 	}
-	merged, _, reachable, lastErr := c.reconcile(t, id, srcs, aeFrom, aeTo)
-	required := c.readCL.required(len(readIDs))
-	if reachable < required {
-		return fmt.Errorf("read quorum of old owners unreachable (%d/%d): %w", reachable, required, lastErr)
-	}
-
-	// Stream the merged history to each new owner in chunks, throttled
-	// so the copy stays below live ingest.
-	for _, idx := range newOwners {
-		b := t.members[idx].backend
-		for off := 0; off < len(merged); off += rebalanceChunk {
-			chunk := merged[off:min(off+rebalanceChunk, len(merged))]
-			if err := b.InsertVersioned(id, chunk); err != nil {
-				return fmt.Errorf("streaming to %s: %w", t.members[idx].id, err)
+	olds := len(replicas)
+	replicas = append(replicas, newOwners...)
+	// pass runs the merge, handing repair what a new owner lacks, and
+	// fails unless a read quorum of the old owners and every new owner
+	// answered.
+	pass := func(repair func(idx int, lacks []VersionedReading) error, emit func([]VersionedReading)) error {
+		errs := c.merge(t, id, replicas, aeFrom, aeTo, func(idx int, lacks []VersionedReading) error {
+			if !slices.Contains(newOwners, idx) {
+				return nil
 			}
-			if c.rebThrottle > 0 && off+rebalanceChunk < len(merged) {
-				time.Sleep(c.rebThrottle)
+			return repair(idx, lacks)
+		}, emit)
+		required := c.readCL.required(len(readIDs))
+		if n, last := answered(errs[:olds]); n < required {
+			return fmt.Errorf("read quorum of old owners unreachable (%d/%d): %w", n, required, last)
+		}
+		for i, idx := range newOwners {
+			if err := errs[olds+i]; err != nil {
+				return fmt.Errorf("new owner %s: %w", t.members[idx].id, err)
 			}
 		}
+		return nil
 	}
-
-	// Verify the hand-off. Fast path: the new owner's digest matches a
-	// local fold of the merged history exactly — the steady-state
-	// outcome when no writes raced the copy. Live ingest makes exact
-	// equality unreliable (the union fan-out lands concurrent writes on
-	// the target that the merge predates), so the fallback proves
-	// CONTAINMENT instead: every merged reading exists on the target at
-	// a version >= the one we shipped. That predicate is monotone under
-	// concurrent writes — new data can never make it false — and it is
-	// exactly the property the cutover needs.
-	fp, count, err := digestOfVersioned(merged)
+	merged := fold.NewSummary()
+	var rs []core.Reading
+	err := pass(func(idx int, lacks []VersionedReading) error {
+		if err := t.members[idx].backend.InsertVersioned(id, lacks); err != nil {
+			return err
+		}
+		c.met.rebReadings.Add(int64(len(lacks)))
+		if c.rebThrottle > 0 {
+			time.Sleep(c.rebThrottle)
+		}
+		return nil
+	}, func(winners []VersionedReading) {
+		rs = rs[:0]
+		for _, w := range winners {
+			rs = append(rs, core.Reading{Timestamp: w.Timestamp, Value: w.Value})
+		}
+		merged.Add(rs)
+	})
 	if err != nil {
 		return err
 	}
+
+	// Verify the hand-off. Fast path: each new owner's summary matches
+	// the fold of the merged winners — the steady-state outcome when no
+	// writes raced the copy. Live ingest makes equality unreliable (the
+	// union fan-out lands concurrent writes on a new owner that the
+	// merge predates), so the fallback is a second merge, which must
+	// find nothing a new owner lacks and so writes nothing. A write
+	// still on its way to a new owner fails the round, which is retried.
+	verified := true
 	for _, idx := range newOwners {
-		b := t.members[idx].backend
-		tfp, tcount, err := b.Digest(id, aeFrom, aeTo)
+		got, err := t.members[idx].backend.Aggregate(id, fold.Spec{Op: fold.OpSummary, From: aeFrom, To: aeTo})
 		if err != nil {
-			return fmt.Errorf("digest from %s: %w", t.members[idx].id, err)
+			return fmt.Errorf("summary from %s: %w", t.members[idx].id, err)
 		}
-		if tfp == fp && tcount == count {
-			continue
-		}
-		have, err := b.QueryVersioned(id, aeFrom, aeTo)
+		verified = verified && sameSummary(got, merged)
+	}
+	if !verified {
+		err := pass(func(idx int, lacks []VersionedReading) error {
+			return fmt.Errorf("hand-off not verified: %d readings missing", len(lacks))
+		}, nil)
 		if err != nil {
-			return fmt.Errorf("verify read from %s: %w", t.members[idx].id, err)
-		}
-		missing := versionedMissing(merged, have)
-		if len(missing) == 0 {
-			continue
-		}
-		// One in-line repair attempt before failing the round.
-		if err := b.InsertVersioned(id, missing); err != nil {
-			return fmt.Errorf("re-streaming %d readings to %s: %w", len(missing), t.members[idx].id, err)
-		}
-		if have, err = b.QueryVersioned(id, aeFrom, aeTo); err != nil {
-			return fmt.Errorf("verify read from %s: %w", t.members[idx].id, err)
-		}
-		if missing = versionedMissing(merged, have); len(missing) > 0 {
-			return fmt.Errorf("hand-off to %s not verified: %d readings missing", t.members[idx].id, len(missing))
+			return err
 		}
 	}
 	c.met.rebSensors.Inc()
-	c.met.rebReadings.Add(int64(len(merged)) * int64(len(newOwners)))
 	return nil
 }
 
@@ -241,44 +251,4 @@ func (c *Cluster) RebalanceWait() {
 	for c.top().prevRing != nil && !c.closed.Load() {
 		time.Sleep(5 * time.Millisecond)
 	}
-}
-
-// digestOfVersioned folds merged versioned readings through the exact
-// pipeline Node.Digest uses, so coordinator-side expectation and
-// replica-side digest are comparable bit for bit.
-func digestOfVersioned(vrs []VersionedReading) (fp uint64, count int64, err error) {
-	st, err := fold.New(fold.Spec{Op: fold.OpSummary, From: aeFrom, To: aeTo})
-	if err != nil {
-		return 0, 0, err
-	}
-	buf := make([]core.Reading, 0, min(len(vrs), rebalanceChunk))
-	for off := 0; off < len(vrs); off += rebalanceChunk {
-		chunk := vrs[off:min(off+rebalanceChunk, len(vrs))]
-		buf = buf[:0]
-		for _, v := range chunk {
-			buf = append(buf, core.Reading{Timestamp: v.Timestamp, Value: v.Value})
-		}
-		st.Add(buf)
-	}
-	return st.Fingerprint(), st.Count() + st.Skipped(), nil
-}
-
-// versionedMissing returns the merged readings a target's response does
-// not yet hold at an equal-or-newer version — the containment predicate
-// the hand-off verification needs. Unlike digest equality it is
-// monotone under live ingest: concurrent union-path writes add target
-// entries (at newer versions) but can never un-satisfy a merged one.
-func versionedMissing(merged, have []VersionedReading) []VersionedReading {
-	var missing []VersionedReading
-	j := 0
-	for _, m := range merged {
-		for j < len(have) && have[j].Timestamp < m.Timestamp {
-			j++
-		}
-		if j < len(have) && have[j].Timestamp == m.Timestamp && have[j].Version >= m.Version {
-			continue
-		}
-		missing = append(missing, m)
-	}
-	return missing
 }

@@ -19,8 +19,8 @@ import (
 // only remembers the timestamp range over which the replicas it reads
 // disagreed, and before a chunk leaves the coordinator that range is
 // re-read with write versions and settled by resolveRead
-// (antientropy.go) — the same reconciliation anti-entropy runs, which
-// also queues the lagging replicas' repairs. Converged replicas (the
+// (antientropy.go) — the replica merge anti-entropy runs, which also
+// queues the lagging replicas' repairs. Converged replicas (the
 // steady state) never pay for versions; a long-diverged replica costs
 // one chunk of coordinator memory at a time.
 

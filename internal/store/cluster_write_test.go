@@ -468,7 +468,7 @@ func TestWriteFrameOneAppendPerShard(t *testing.T) {
 	n2 := openedNode(t, dir, 0, DiskOptions{SyncInterval: time.Hour, CompactInterval: -1})
 	defer n2.Close()
 	for _, id := range []core.SensorID{a, b, a2, b2} {
-		vrs, err := n2.QueryVersioned(id, 0, 1<<60)
+		vrs, err := queryVersioned(n2, id, 0, 1<<60)
 		if err != nil || len(vrs) != perShard/2 {
 			t.Fatalf("sensor %v: recovered %d of %d readings (%v)", id, len(vrs), perShard/2, err)
 		}
@@ -478,7 +478,7 @@ func TestWriteFrameOneAppendPerShard(t *testing.T) {
 			}
 		}
 	}
-	got, err := n2.QueryVersioned(c, 0, 1<<60)
+	got, err := queryVersioned(n2, c, 0, 1<<60)
 	if err != nil || len(got) != repaired {
 		t.Fatalf("repair batch: recovered %d of %d readings (%v)", len(got), repaired, err)
 	}

@@ -2,6 +2,7 @@ package store
 
 import (
 	"log"
+	"math"
 	"os"
 	"sort"
 	"sync"
@@ -209,8 +210,8 @@ func (n *Node) spillOne(j spillJob) error {
 // flush generation to cold block-indexed form, releasing their entry
 // arrays. A DeleteBefore may have trimmed (or removed) a hot run since
 // the flush snapshot was taken — the file holds the pre-delete rows, so
-// the cold run inherits the hot run's surviving min as its cut and
-// drops wholly-deleted blocks. Caller holds sh.mu exclusively.
+// the cold run keeps the hot run's surviving min, below which readers
+// skip, and drops wholly-deleted blocks. Caller holds sh.mu exclusively.
 func (n *Node) evictSpilledLocked(sh *shard, seq uint64, idx *runIndex, rf *runFile) {
 	for _, se := range idx.series {
 		rs, ok := sh.runs[se.id]
@@ -239,9 +240,8 @@ func (n *Node) evictSpilledLocked(sh *shard, seq uint64, idx *runIndex, rf *runF
 				sh.flushedSize += count - len(rs[k].es)
 			}
 			rs[k] = run{
-				min: rs[k].min, max: rs[k].max, seq: seq,
+				min: cut, max: rs[k].max, seq: seq,
 				cold: &coldRun{rf: rf, blocks: blocks, count: count},
-				cut:  cut,
 			}
 			break
 		}
@@ -316,48 +316,16 @@ func pickWindow(files []runFileMeta, maxRuns int) (lo, hi int) {
 	return lo, hi
 }
 
-// mergeParts concatenates a sensor's runs (oldest first), drops entries
-// expired at now, and restores timestamp order. The sort is stable so
-// duplicate timestamps keep the newest write last, which is what the
-// query-time dedup prefers.
-func mergeParts(parts [][]entry, now int64) []entry {
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	merged := make([]entry, 0, total)
-	for _, p := range parts {
-		for _, e := range p {
-			if e.expire != 0 && e.expire <= now {
-				continue
-			}
-			merged = append(merged, e)
-		}
-	}
-	if !sort.SliceIsSorted(merged, func(i, j int) bool { return merged[i].ts < merged[j].ts }) {
-		sort.SliceStable(merged, func(i, j int) bool { return merged[i].ts < merged[j].ts })
-	}
-	return merged
-}
-
-// windowRun is one snapshotted merge input of a compaction: either a
-// hot run's immutable entry slice or a cold run's retained file handle
-// plus block index.
-type windowRun struct {
-	es     []entry
-	cold   *coldRun
-	cut    int64
-	minSeq uint64 // the run's seq, for diagnostics
-}
-
-// mergeWindowRuns streams one sensor's window runs (oldest first)
-// through a k-way merge, dropping entries expired at now, and feeds
-// each surviving entry to emit in timestamp order (duplicates kept,
-// oldest first — query-time dedup stays newest-wins). Cold runs are
-// read block-at-a-time with pooled scratch, bypassing the query cache
-// so a background merge cannot flush the hot working set.
-func mergeWindowRuns(refs []windowRun, now int64, emit func(entry) error) error {
-	srcs := make([]iterSource, 0, len(refs))
+// mergeWindowRuns streams one sensor's runs (oldest first) through a
+// k-way merge, dropping entries expired at now, and feeds each
+// surviving entry to emit in timestamp order (duplicates kept, oldest
+// first — query-time dedup stays newest-wins). It is the one compaction
+// merge: a durable node's window and a memory node's runs alike. Cold
+// runs are read from min up, block-at-a-time with pooled scratch,
+// bypassing the query cache so a background merge cannot flush the hot
+// working set.
+func mergeWindowRuns(rs []run, now int64, emit func(entry) error) error {
+	srcs := make([]iterSource, 0, len(rs))
 	var retained []*runFile
 	defer func() {
 		for _, s := range srcs {
@@ -367,21 +335,15 @@ func mergeWindowRuns(refs []windowRun, now int64, emit func(entry) error) error 
 			rf.release()
 		}
 	}()
-	for _, r := range refs {
+	for _, r := range rs {
 		if r.cold != nil {
 			r.cold.rf.retain()
 			retained = append(retained, r.cold.rf)
-			from := r.cut
-			ci := makeColdIter(r.cold, nil, from, 1<<62)
-			it := &ci
+			it := makeColdIter(r.cold, nil, r.min, math.MaxInt64)
 			if len(it.blocks) == 0 {
 				continue
 			}
-			min, max := it.blocks[0].min, it.blocks[len(it.blocks)-1].max
-			if from > min {
-				min = from
-			}
-			srcs = append(srcs, iterSource{it: it, min: min, max: max})
+			srcs = append(srcs, iterSource{it: &it, min: max(r.min, it.blocks[0].min), max: it.blocks[len(it.blocks)-1].max})
 			continue
 		}
 		if len(r.es) == 0 {
@@ -448,11 +410,11 @@ func (n *Node) compactWindow(i int, full bool) {
 	// mergeWindowRuns, so both are safe to read without the lock; the
 	// delVer check below catches the one mutation that re-slices them
 	// (DeleteBefore).
-	series := make(map[core.SensorID][]windowRun)
+	series := make(map[core.SensorID][]run)
 	for id, rs := range sh.runs {
 		for _, r := range rs {
 			if inWindow(r.seq) {
-				series[id] = append(series[id], windowRun{es: r.es, cold: r.cold, cut: r.cut, minSeq: r.seq})
+				series[id] = append(series[id], r)
 			}
 		}
 	}

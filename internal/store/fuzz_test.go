@@ -170,7 +170,7 @@ func FuzzWALReplay(f *testing.F) {
 				t.Fatal(err)
 			}
 			for _, e := range op.entries {
-				if _, err := n.QueryVersioned(e.ID, -1<<62, 1<<62); err != nil {
+				if _, err := queryVersioned(n, e.ID, -1<<62, 1<<62); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -11,36 +11,50 @@ import (
 )
 
 // Coverage for the hint-forwarding machinery around departed members:
-// the containment predicate the cutover falls back to, delete hints
+// what the cutover's merge finds a target lacking, delete hints
 // forwarded through current owners beside a refused type-1 hint, and
 // the three deliverHints dispositions.
 
+// TestVersionedMissing: what a rebalance target lacks, as the replica
+// merge works it out against the source's copy.
 func TestVersionedMissing(t *testing.T) {
 	vr := func(ts int64, ver uint64) VersionedReading {
 		return VersionedReading{Timestamp: ts, Value: float64(ts), Version: ver}
 	}
-	merged := []VersionedReading{vr(1, 5), vr(2, 5), vr(3, 5)}
+	source := []VersionedReading{vr(1, 5), vr(2, 5), vr(3, 5)}
+	missing := func(target []VersionedReading) []VersionedReading {
+		_, lacks := mergeOf(t, source, target)
+		return lacks[1]
+	}
 
 	// Exact containment: nothing missing.
-	if got := versionedMissing(merged, merged); len(got) != 0 {
+	if got := missing(source); len(got) != 0 {
 		t.Fatalf("identical sets reported %d missing", len(got))
 	}
-	// Newer target versions still satisfy containment (live ingest wrote
-	// over the moved range while the transfer streamed).
-	newer := []VersionedReading{vr(1, 9), vr(2, 5), vr(3, 7)}
-	if got := versionedMissing(merged, newer); len(got) != 0 {
+	// Newer target versions hold the winners (live ingest wrote over
+	// the moved range while the transfer streamed).
+	if got := missing([]VersionedReading{vr(1, 9), vr(2, 5), vr(3, 7)}); len(got) != 0 {
 		t.Fatalf("newer versions reported %d missing", len(got))
 	}
 	// A missing timestamp and a stale version are both gaps.
-	have := []VersionedReading{vr(1, 5), vr(3, 4)}
-	got := versionedMissing(merged, have)
-	if len(got) != 2 || got[0].Timestamp != 2 || got[1].Timestamp != 3 {
-		t.Fatalf("versionedMissing = %v, want ts 2 (absent) and ts 3 (stale)", got)
+	got := missing([]VersionedReading{vr(1, 5), vr(3, 4)})
+	if len(got) != 2 || got[0] != source[1] || got[1] != source[2] {
+		t.Fatalf("missing = %v, want ts 2 (absent) and ts 3 (stale)", got)
 	}
 	// Extra target-only readings never create gaps.
-	extra := []VersionedReading{vr(0, 1), vr(1, 5), vr(2, 5), vr(3, 5), vr(4, 1)}
-	if got := versionedMissing(merged, extra); len(got) != 0 {
+	if got := missing([]VersionedReading{vr(0, 1), vr(1, 5), vr(2, 5), vr(3, 5), vr(4, 1)}); len(got) != 0 {
 		t.Fatalf("superset reported %d missing", len(got))
+	}
+	// The same version with lower value bits loses the tiebreak, so the
+	// target lacks the winner and is rewritten; with higher bits the
+	// target's copy is the winner.
+	other := []VersionedReading{vr(1, 5), {Timestamp: 2, Value: 1, Version: 5}, vr(3, 5)}
+	if got := missing(other); len(got) != 1 || got[0] != source[1] {
+		t.Fatalf("same version, lower bits: missing = %v, want ts 2", got)
+	}
+	other[1].Value = 9
+	if got := missing(other); len(got) != 0 {
+		t.Fatalf("same version, higher bits: missing = %v, want none", got)
 	}
 }
 
@@ -259,8 +273,8 @@ func TestCacheBudget(t *testing.T) {
 // loop deterministically: the joining member is down when the
 // transition starts, so rebalance rounds fail and back off; once the
 // member answers the transfer completes and cuts over. The joiner also
-// holds pre-existing data the merge predates, forcing the digest
-// mismatch down the containment fallback instead of exact equality.
+// holds pre-existing data the old owners lack, which the merge reads
+// beside theirs.
 func TestRebalanceRetriesUntilTargetRecovers(t *testing.T) {
 	c, nodes := ringCluster(t, []string{"alpha", "bravo"}, ClusterOptions{
 		Replication:      1,
@@ -271,8 +285,7 @@ func TestRebalanceRetriesUntilTargetRecovers(t *testing.T) {
 	ids := seedSensors(t, c, 20, 10)
 
 	// The joiner exists before the transition: it already holds foreign
-	// readings for a seeded sensor (so its digest can never match the
-	// merged history exactly) and it is down (so the first transfer
+	// readings for a seeded sensor and it is down (so the first transfer
 	// rounds fail outright).
 	joiner := NewNode(0)
 	if err := joiner.InsertBatch(ids[0], []core.Reading{

@@ -392,10 +392,9 @@ func (n *Node) sensorItersLocked(sh *shard, id core.SensorID, from, to int64) (s
 		if r.min > to || r.max < from {
 			continue
 		}
-		lo2 := from
-		if r.cut > lo2 {
-			lo2 = r.cut
-		}
+		// A cold run's file may still hold rows a delete removed below
+		// min (see run), so min, not the block index, bounds the read.
+		lo2 := max(from, r.min)
 		if r.cold != nil {
 			coldArena = append(coldArena, makeColdIter(r.cold, n.cache, lo2, to))
 			it := &coldArena[len(coldArena)-1]
@@ -754,30 +753,70 @@ func (n *Node) Query(id core.SensorID, from, to int64) ([]core.Reading, error) {
 	return Drain(st)
 }
 
-// QueryVersioned implements NodeBackend: like Query, but each winning
-// reading keeps the version and expiry of the write that produced it —
-// the transfer format anti-entropy repair re-inserts, so re-delivery
-// preserves the original conflict-resolution order.
-func (n *Node) QueryVersioned(id core.SensorID, from, to int64) ([]VersionedReading, error) {
+// VersionedStream is a pull-based stream of one sensor's winning
+// readings with the stamp each winning write carried, in timestamp
+// order: what the cluster's replica merge reads. Next returns the next
+// chunk of at most StreamChunkReadings, or io.EOF when the stream is
+// exhausted; the chunk is only valid until the next call. Close may be
+// called at any point and is idempotent.
+type VersionedStream interface {
+	Next() ([]VersionedReading, error)
+	Close() error
+}
+
+// versionedStream is nodeStream keeping the stamps: the same winners,
+// handed out with their version and expiry.
+type versionedStream struct {
+	w    winners
+	run  []entry
+	buf  []VersionedReading
+	done bool
+}
+
+func (s *versionedStream) Next() ([]VersionedReading, error) {
+	s.buf = s.buf[:0]
+	for !s.done && len(s.buf) < StreamChunkReadings {
+		if len(s.run) == 0 {
+			if s.run = s.w.nextRun(); s.run == nil {
+				err := s.w.m.iterErr()
+				s.Close()
+				if err != nil {
+					return nil, err
+				}
+				break
+			}
+		}
+		n := min(len(s.run), StreamChunkReadings-len(s.buf))
+		for _, e := range s.run[:n] {
+			s.buf = append(s.buf, VersionedReading{Timestamp: e.ts, Value: e.val, Version: e.ver, Expire: e.expire})
+		}
+		s.run = s.run[n:]
+	}
+	if len(s.buf) == 0 {
+		return nil, io.EOF
+	}
+	return s.buf, nil
+}
+
+func (s *versionedStream) Close() error {
+	if !s.done {
+		s.done = true
+		s.w.close()
+	}
+	return nil
+}
+
+// QueryVersionedStream implements NodeBackend: the stream QueryStream
+// is, but each winning reading keeps the version and expiry of the
+// write that produced it, so a reading copied to another replica
+// resolves there exactly where the original write did.
+func (n *Node) QueryVersionedStream(id core.SensorID, from, to int64) (VersionedStream, error) {
 	if n.down.Load() {
 		return nil, ErrNodeDown
 	}
 	n.shardOf(id).queries.Add(1)
-	w, sizeHint := n.sensorWinners(id, from, to, time.Now().UnixNano())
-	defer w.close()
-	if sizeHint == 0 {
-		return nil, nil
-	}
-	out := make([]VersionedReading, 0, sizeHint)
-	for run := w.nextRun(); run != nil; run = w.nextRun() {
-		for _, e := range run {
-			out = append(out, VersionedReading{Timestamp: e.ts, Value: e.val, Version: e.ver, Expire: e.expire})
-		}
-	}
-	if err := w.m.iterErr(); err != nil {
-		return nil, err
-	}
-	return out, nil
+	w, hint := n.sensorWinners(id, from, to, time.Now().UnixNano())
+	return &versionedStream{w: w, buf: make([]VersionedReading, 0, min(hint, StreamChunkReadings))}, nil
 }
 
 // prefixSIDs lists the node's SIDs inside the prefix subtree, in

@@ -321,9 +321,9 @@ func newClusterMetrics(c *Cluster) *clusterMetrics {
 		aeRounds: reg.Counter("dcdb_cluster_antientropy_rounds_total",
 			"Anti-entropy repair rounds completed."),
 		aeChecked: reg.Counter("dcdb_cluster_antientropy_ranges_checked_total",
-			"Sensor ranges whose replica digests were compared."),
+			"Sensor ranges whose replica summaries were compared."),
 		aeMismatched: reg.Counter("dcdb_cluster_antientropy_ranges_mismatched_total",
-			"Sensor ranges where replica digests disagreed."),
+			"Sensor ranges where replica summaries disagreed."),
 		aeRepaired: reg.Counter("dcdb_cluster_antientropy_readings_repaired_total",
 			"Readings re-inserted into lagging replicas by anti-entropy repair."),
 		rebTransitions: reg.Counter("dcdb_cluster_rebalance_transitions_total",

@@ -35,7 +35,7 @@ func servedVersioned(t *testing.T, n *Node, want *runContents) map[core.SensorID
 	t.Helper()
 	got := map[core.SensorID][]VersionedReading{}
 	for id := range want.series {
-		vrs, err := n.QueryVersioned(id, math.MinInt64, math.MaxInt64)
+		vrs, err := queryVersioned(n, id, math.MinInt64, math.MaxInt64)
 		if err != nil {
 			t.Fatal(err)
 		}

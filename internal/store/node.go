@@ -101,15 +101,14 @@ type memSeries struct {
 // cold describing the run-file blocks holding the entries; reads go
 // through the node's block cache). Only the [min,max] bounds and the
 // per-block index stay resident for a cold run — that is the
-// resident-set bound. cut records a DeleteBefore applied to a cold run:
-// the file still holds the deleted rows, so readers skip entries below
-// it (hot runs are resliced instead and keep cut zero).
+// resident-set bound. A DeleteBefore raises a cold run's min: the file
+// still holds the deleted rows, so readers start at min rather than at
+// the first block (hot runs are resliced instead).
 type run struct {
 	es       []entry
 	min, max int64
 	seq      uint64
 	cold     *coldRun
-	cut      int64
 }
 
 // coldRun is the resident description of an evicted run: the refcounted
@@ -537,8 +536,10 @@ func (n *Node) writeShard(i int, entries []WriteEntry) error {
 }
 
 // Flush forces every shard's memtable into a sorted run. On durable
-// nodes the runs are additionally spilled to per-shard run files in the
-// background; the error reports WAL-rotation failures.
+// nodes the runs are additionally spilled to per-shard run files by the
+// background spiller, and Flush returns once it is idle, so a caller
+// that flushes as it writes holds the spiller's backlog to what it
+// wrote in between; the error reports WAL-rotation failures.
 func (n *Node) Flush() error {
 	var firstErr error
 	for i := range n.shards {
@@ -548,6 +549,9 @@ func (n *Node) Flush() error {
 			firstErr = err
 		}
 		sh.mu.Unlock()
+	}
+	if n.sp != nil {
+		n.sp.waitIdle()
 	}
 	return firstErr
 }
@@ -761,32 +765,23 @@ func (sh *shard) cutRunsLocked(id core.SensorID, cutoff int64, beforeSeq uint64)
 		}
 		if r.cold != nil {
 			// The file keeps the deleted rows; drop wholly-covered
-			// blocks from the resident index and record the cutoff so
-			// readers skip the straddling block's older entries.
+			// blocks from the resident index and raise min to the
+			// cutoff so readers skip the straddling block's older
+			// entries.
 			bs := r.cold.blocks
 			lo := sort.Search(len(bs), func(i int) bool { return bs[i].max >= cutoff })
 			if lo == len(bs) {
 				sh.flushedSize -= r.cold.count
 				continue // every block deleted: the run disappears
 			}
-			if lo > 0 || cutoff > r.cut {
+			if lo > 0 || cutoff > r.min {
 				dropped := 0
 				for _, m := range bs[:lo] {
 					dropped += int(m.count)
 				}
 				sh.flushedSize -= dropped
 				nc := &coldRun{rf: r.cold.rf, blocks: bs[lo:], count: r.cold.count - dropped}
-				min := r.min
-				if cutoff > min {
-					// cutoff is a valid lower bound for the surviving
-					// entries, keeping window rejection safe.
-					min = cutoff
-				}
-				cut := r.cut
-				if cutoff > cut {
-					cut = cutoff
-				}
-				r = run{min: min, max: r.max, seq: r.seq, cold: nc, cut: cut}
+				r = run{min: max(r.min, cutoff), max: r.max, seq: r.seq, cold: nc}
 			}
 			kept = append(kept, r)
 			continue
@@ -845,12 +840,14 @@ func (n *Node) Compact() {
 		}
 		for id, rs := range sh.runs {
 			total := 0
-			parts := make([][]entry, len(rs))
-			for k, r := range rs {
+			for _, r := range rs {
 				total += len(r.es)
-				parts[k] = r.es
 			}
-			merged := mergeParts(parts, now)
+			merged := make([]entry, 0, total)
+			_ = mergeWindowRuns(rs, now, func(e entry) error { // resident runs cannot fail a read
+				merged = append(merged, e)
+				return nil
+			})
 			sh.flushedSize += len(merged) - total
 			if len(merged) == 0 {
 				delete(sh.runs, id)

@@ -8,10 +8,11 @@ import (
 	"time"
 
 	"dcdb/internal/core"
+	"dcdb/internal/fold"
 )
 
 // Live-membership coordinator tests: ring placement, join/leave
-// rebalance with the digest-verified cutover, writes racing the
+// rebalance with the summary-verified cutover, writes racing the
 // transition, and hint forwarding for departed members.
 
 // nodeFactory returns a BackendFactory that creates in-process nodes on
@@ -459,5 +460,125 @@ func TestRingClusterConcurrentReadsDuringCutover(t *testing.T) {
 	wg.Wait()
 	if readErr != nil {
 		t.Fatalf("concurrent read during rebalance: %v", readErr)
+	}
+}
+
+// TestRebalanceMovesOnlyWhatNewOwnersLack: the rebalance merge reads
+// the new owner beside the old ones, so a new owner that already holds
+// part of the history — a retried round, a member that rejoins — is
+// sent only the rest, and a copy it holds at the same version with
+// other value bits is rewritten to the winner.
+func TestRebalanceMovesOnlyWhatNewOwnersLack(t *testing.T) {
+	factory, nodes := nodeFactory()
+	c, err := NewClusterMembers(memberInfos("alpha"), ClusterOptions{
+		Replication: 2, RebalanceThrottle: -1, BackendFactory: factory,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	id := sid(95, 1)
+	history := make([]VersionedReading, 100)
+	for i := range history {
+		history[i] = VersionedReading{Timestamp: int64(i), Value: float64(i + 1), Version: uint64(1000 + i)}
+	}
+	if err := nodes["alpha"].InsertVersioned(id, history); err != nil {
+		t.Fatal(err)
+	}
+	// The joining member holds the first 60 readings, one of them at
+	// its version but with lower value bits.
+	held := slices.Clone(history[:60])
+	held[10].Value = 0
+	if err := factory("bravo", "bravo").InsertVersioned(id, held); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SetMembers(memberInfos("alpha", "bravo")); err != nil {
+		t.Fatal(err)
+	}
+	waitRebalance(t, c)
+	if moved := c.met.rebReadings.Load(); moved != 41 {
+		t.Fatalf("the rebalance moved %d readings, want the 40 bravo lacked and the one it held with other bits", moved)
+	}
+	got, err := queryVersioned(nodes["bravo"], id, 0, 1000)
+	if err != nil || !slices.Equal(got, history) {
+		t.Fatalf("bravo holds %+v (%v) after the rebalance, want the whole history", got, err)
+	}
+}
+
+// summaryHook is a node whose Aggregate first runs a hook once: the
+// moment a rebalance verifies its hand-off, for a test to land a write
+// there.
+type summaryHook struct {
+	*Node
+	once sync.Once
+	hook func()
+}
+
+func (h *summaryHook) Aggregate(id core.SensorID, spec fold.Spec) (fold.State, error) {
+	h.once.Do(h.hook)
+	return h.Node.Aggregate(id, spec)
+}
+
+// TestRebalanceVerifiesByASecondMerge: when a write lands while the
+// hand-off is verified, the new owner's summary no longer matches the
+// merge, and a second merge decides. A write that reached every owner
+// leaves nothing lacking: the round cuts over. A write still on its way
+// to the new owner fails the round, and the retried round moves just
+// that reading.
+func TestRebalanceVerifiesByASecondMerge(t *testing.T) {
+	id := sid(95, 2)
+	for _, tc := range []struct {
+		name      string
+		oldToo    bool // the racing write reached the old owner as well
+		onlyOld   bool // a second racing write reached only the old owner
+		wantMoved int64
+	}{
+		{"reached every owner", true, false, 50},
+		{"on its way to the new owner", true, true, 51},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nodes := map[string]*Node{"alpha": NewNode(0), "bravo": NewNode(0)}
+			write := func(n *Node, ts int64) {
+				if err := n.InsertVersioned(id, []VersionedReading{{Timestamp: ts, Value: 1, Version: 9000}}); err != nil {
+					t.Error(err)
+				}
+			}
+			bravo := &summaryHook{Node: nodes["bravo"], hook: func() {
+				write(nodes["bravo"], 1000)
+				if tc.oldToo {
+					write(nodes["alpha"], 1000)
+				}
+				if tc.onlyOld {
+					write(nodes["alpha"], 1001)
+				}
+			}}
+			c, err := NewClusterMembers(memberInfos("alpha"), ClusterOptions{
+				Replication: 2, RebalanceThrottle: -1,
+				BackendFactory: func(id, _ string) NodeBackend {
+					if id == "bravo" {
+						return bravo
+					}
+					return nodes[id]
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			for ts := int64(0); ts < 50; ts++ {
+				write(nodes["alpha"], ts)
+			}
+			if err := c.SetMembers(memberInfos("alpha", "bravo")); err != nil {
+				t.Fatal(err)
+			}
+			waitRebalance(t, c)
+			if moved := c.met.rebReadings.Load(); moved != tc.wantMoved {
+				t.Fatalf("moved %d readings, want %d", moved, tc.wantMoved)
+			}
+			want, _ := queryVersioned(nodes["alpha"], id, 0, 2000)
+			if got, err := queryVersioned(nodes["bravo"], id, 0, 2000); err != nil || !slices.Equal(got, want) {
+				t.Fatalf("the new owner holds %d readings (%v), the old one %d", len(got), err, len(want))
+			}
+		})
 	}
 }

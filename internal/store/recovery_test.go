@@ -2,9 +2,11 @@ package store
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -670,5 +672,68 @@ func TestReadOnlyOpenLeavesDirectoryUntouched(t *testing.T) {
 	defer n2.Close()
 	if rs, _ := n2.Query(id, 0, 1<<60); len(rs) != 12 {
 		t.Fatalf("writable reopen after read-only: %d readings", len(rs))
+	}
+}
+
+// TestDurableKeepsEveryInt64Timestamp: a reading's timestamp may be any
+// int64, and every stage a reading passes through — memtable, flushed
+// run, spilled run file (resident or evicted), compacted file, reopened
+// directory — serves all of them, negative and past ±2^62 included.
+func TestDurableKeepsEveryInt64Timestamp(t *testing.T) {
+	tss := []int64{math.MinInt64, -1<<62 - 5, -7, 1, 1<<62 + 5, math.MaxInt64}
+	id := sid(7, 7)
+	for _, tc := range []struct {
+		name string
+		o    *DiskOptions // nil: a memory-only node
+	}{
+		{"memory", nil},
+		{"resident", &DiskOptions{SyncInterval: -1, CompactInterval: -1}},
+		{"cache-bounded", &DiskOptions{SyncInterval: -1, CompactInterval: -1, CacheBytes: 1 << 20}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			n := NewNode(0)
+			if tc.o != nil {
+				n = openedNode(t, dir, 0, *tc.o)
+			}
+			check := func(stage string) {
+				t.Helper()
+				rs, err := n.Query(id, math.MinInt64, math.MaxInt64)
+				if err != nil {
+					t.Fatalf("%s: %v", stage, err)
+				}
+				got := make([]int64, len(rs))
+				for i, r := range rs {
+					got[i] = r.Timestamp
+				}
+				if !slices.Equal(got, tss) {
+					t.Fatalf("%s: served timestamps %v, want %v", stage, got, tss)
+				}
+			}
+			for _, ts := range tss {
+				if err := n.Insert(id, rd(ts, float64(ts%1000)), 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			check("memtable")
+			if err := n.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			check("flushed")
+			if tc.o != nil {
+				n.sp.waitIdle()
+				check("spilled")
+			}
+			n.Compact()
+			check("compacted")
+			if tc.o != nil {
+				if err := n.Close(); err != nil {
+					t.Fatal(err)
+				}
+				n = openedNode(t, dir, 0, *tc.o)
+				defer n.Close()
+				check("reopened")
+			}
+		})
 	}
 }

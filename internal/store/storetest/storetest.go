@@ -5,6 +5,7 @@
 package storetest
 
 import (
+	"io"
 	"testing"
 
 	"dcdb/internal/core"
@@ -63,6 +64,27 @@ func total(rs []core.Reading, err error) (int, float64, error) {
 	return len(rs), sum, err
 }
 
+// Versioned reads a replica's versioned stream of id over [from, to]
+// to its end: every winning reading with the stamp its write carried.
+func Versioned(b store.NodeBackend, id core.SensorID, from, to int64) ([]store.VersionedReading, error) {
+	st, err := b.QueryVersionedStream(id, from, to)
+	if err != nil {
+		return nil, err
+	}
+	defer st.Close()
+	var out []store.VersionedReading
+	for {
+		chunk, err := st.Next()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, chunk...)
+	}
+}
+
 // ConflictTable is the read path's QUORUM invariant as a test: a
 // primary that missed the rewrite of a timestamp must not decide what a
 // read returns. For every read form, on a fresh cluster: write (ts=1,
@@ -87,7 +109,7 @@ func ConflictTable(t *testing.T, build Build) {
 				t.Fatal(err)
 			}
 			primary.SetDown(false)
-			want, err := nodes[owners[1]].QueryVersioned(id, 0, 100)
+			want, err := Versioned(nodes[owners[1]], id, 0, 100)
 			if err != nil || len(want) != 1 || want[0].Value != 2 {
 				t.Fatalf("the rewrite did not land on a live replica: %+v, %v", want, err)
 			}
@@ -101,7 +123,7 @@ func ConflictTable(t *testing.T, build Build) {
 			}
 			c.Close() // joins the background repairs
 			for _, member := range owners {
-				got, err := nodes[member].QueryVersioned(id, 0, 100)
+				got, err := Versioned(nodes[member], id, 0, 100)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,0 +1,143 @@
+package store_test
+
+import (
+	"path/filepath"
+	"runtime"
+	"runtime/debug"
+	"testing"
+	"time"
+
+	"dcdb/internal/core"
+	"dcdb/internal/libdcdb"
+	"dcdb/internal/store"
+	"dcdb/internal/tooldb"
+)
+
+// The transfer-heap bound, for the paths that copy a sensor's readings
+// from one node to another: a rebalance, and the tools' Save.
+
+// TestTransferHeapBoundedOnJoin: a join that moves one sensor of 10^6
+// readings streams it through the replica merge a chunk at a time, so
+// the heap it needs beyond the copy the new owner keeps stays bounded —
+// a transfer that materialised the history needed several copies of it
+// at once.
+func TestTransferHeapBoundedOnJoin(t *testing.T) {
+	nodes := map[string]*store.Node{}
+	c, err := store.NewClusterMembers([]store.MemberInfo{{ID: "alpha", Addr: "alpha"}}, store.ClusterOptions{
+		Replication:       2,
+		RebalanceThrottle: -1,
+		BackendFactory: func(id, _ string) store.NodeBackend {
+			nodes[id] = store.NewNode(0)
+			return nodes[id]
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	id := core.SensorID{Hi: 9, Lo: 9}
+	const total = 1_000_000
+	rs := make([]core.Reading, 10_000)
+	for base := 0; base < total; base += len(rs) {
+		for i := range rs {
+			rs[i] = core.Reading{Timestamp: int64(base + i), Value: float64(i)}
+		}
+		if err := c.InsertBatch(id, rs, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	transient := transientHeap(func() {
+		if err := c.SetMembers([]store.MemberInfo{{ID: "alpha", Addr: "alpha"}, {ID: "bravo", Addr: "bravo"}}); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(time.Minute)
+		for _, transition := c.Members(); transition; _, transition = c.Members() {
+			if time.Now().After(deadline) {
+				t.Fatal("rebalance did not converge")
+			}
+			time.Sleep(time.Millisecond)
+		}
+	})
+	if got, err := nodes["bravo"].Query(id, 0, total); err != nil || len(got) != total {
+		t.Fatalf("the new owner holds %d readings (%v), want %d", len(got), err, total)
+	}
+	if transient > 16<<20 {
+		t.Fatalf("moving %d readings took %.1f MB of transient heap, want at most 16", total, float64(transient)/(1<<20))
+	}
+	t.Logf("transient heap of the move: %.1f MB", float64(transient)/(1<<20))
+}
+
+// TestTransferHeapBoundedOnSave: Save streams each sensor into the new
+// directory a chunk at a time, so saving a sensor of 10^6 readings needs
+// a bounded amount of heap beyond what stays retained — a copy that
+// materialised the sensor's history needed several times its size.
+func TestTransferHeapBoundedOnSave(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "db")
+	node := store.NewNode(0)
+	conn := libdcdb.Connect(node, nil)
+	const total = 1_000_000
+	rs := make([]core.Reading, 10_000)
+	for base := 0; base < total; base += len(rs) {
+		for i := range rs {
+			rs[i] = core.Reading{Timestamp: int64(base + i), Value: float64(i)}
+		}
+		if err := conn.InsertBatch("/big/sensor", rs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	transient := transientHeap(func() {
+		if err := tooldb.Save(conn, node, dir); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if transient > 16<<20 {
+		t.Fatalf("saving %d readings took %.1f MB of transient heap, want at most 16", total, float64(transient)/(1<<20))
+	}
+	t.Logf("transient heap of the save: %.1f MB", float64(transient)/(1<<20))
+	// The source stays whole (and so stays retained across the
+	// measurement), and the saved directory serves all of it.
+	if got, err := conn.Query("/big/sensor", 0, total); err != nil || len(got) != total {
+		t.Fatalf("the source serves %d readings (%v) after the save, want %d", len(got), err, total)
+	}
+	conn2, _, err := tooldb.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := conn2.Query("/big/sensor", 0, total); err != nil || len(got) != total {
+		t.Fatalf("the saved directory serves %d readings (%v), want %d", len(got), err, total)
+	}
+}
+
+// transientHeap runs fn and returns how far the heap rose above what
+// stays retained once fn is done: the peak of HeapAlloc, sampled every
+// 100µs under a 10% GC target so garbage is collected promptly, minus
+// HeapAlloc after a GC at the end.
+func transientHeap(fn func()) uint64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(10))
+	runtime.GC()
+	var peak uint64
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		tick := time.NewTicker(100 * time.Microsecond)
+		defer tick.Stop()
+		var ms runtime.MemStats
+		for {
+			runtime.ReadMemStats(&ms)
+			peak = max(peak, ms.HeapAlloc)
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+			}
+		}
+	}()
+	fn()
+	close(stop)
+	<-done
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return peak - min(peak, ms.HeapAlloc)
+}

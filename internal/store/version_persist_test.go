@@ -2,8 +2,12 @@ package store
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
+	"io"
 	"testing"
+
+	"dcdb/internal/core"
 )
 
 // Persistence-format coverage for write versions: the WAL's type-4
@@ -68,7 +72,7 @@ func TestWALReplayPreservesVersions(t *testing.T) {
 	if len(rs) != 1 || rs[0].Value != 2 {
 		t.Fatalf("replayed node serves %v; the WAL dropped the write versions", rs)
 	}
-	vrs, err := n.QueryVersioned(id, 0, 100)
+	vrs, err := queryVersioned(n, id, 0, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,6 +123,30 @@ func TestBlockCodecVersionStream(t *testing.T) {
 	}
 }
 
+// queryVersioned drains b's versioned stream of id over [from, to],
+// failing on a chunk longer than the stream promises.
+func queryVersioned(b NodeBackend, id core.SensorID, from, to int64) ([]VersionedReading, error) {
+	st, err := b.QueryVersionedStream(id, from, to)
+	if err != nil {
+		return nil, err
+	}
+	defer st.Close()
+	var out []VersionedReading
+	for {
+		chunk, err := st.Next()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(chunk) > StreamChunkReadings {
+			return nil, fmt.Errorf("a %d-reading chunk", len(chunk))
+		}
+		out = append(out, chunk...)
+	}
+}
+
 // TestQueryVersionedMatchesQuery: the versioned read path must agree
 // with the plain read path on which write survives dedup — they share
 // the resolution rule, not just the data.
@@ -141,7 +169,7 @@ func TestQueryVersionedMatchesQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vrs, err := n.QueryVersioned(id, 0, 100)
+	vrs, err := queryVersioned(n, id, 0, 100)
 	if err != nil {
 		t.Fatal(err)
 	}

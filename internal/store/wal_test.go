@@ -371,7 +371,7 @@ func TestWritePathLogsOnlyStampedRecords(t *testing.T) {
 	if rs, _ := n2.Query(a, 0, 10); len(rs) != 3 || rs[0].Timestamp != 2 {
 		t.Fatalf("sensor a after replay: %v", rs)
 	}
-	if vrs, _ := n2.QueryVersioned(b, 0, 10); len(vrs) != 2 || vrs[0].Version != 8 || vrs[1].Version != 9 {
+	if vrs, _ := queryVersioned(n2, b, 0, 10); len(vrs) != 2 || vrs[0].Version != 8 || vrs[1].Version != 9 {
 		t.Fatalf("sensor b after replay: %+v", vrs)
 	}
 }
@@ -467,7 +467,7 @@ func TestHugeBatchCutIntoBoundedRecords(t *testing.T) {
 	}
 	n2 := openedNode(t, dir, 2*total*numShards, noCompact)
 	defer n2.Close()
-	got, err := n2.QueryVersioned(id, 0, 1<<60)
+	got, err := queryVersioned(n2, id, 0, 1<<60)
 	if err != nil {
 		t.Fatal(err)
 	}

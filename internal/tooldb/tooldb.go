@@ -11,6 +11,8 @@ package tooldb
 import (
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -24,10 +26,12 @@ import (
 
 // toolReadOptions recover a durable node without touching its files —
 // a crashed agent's directory is inspected exactly as the crash left
-// it. toolWriteOptions are for Save, which rewrites the directory.
+// it. toolWriteOptions are for Save, which rewrites the directory: its
+// node evicts what it has spilled, so a Save holds no copy of the data
+// it writes.
 var (
 	toolReadOptions  = store.DiskOptions{SyncInterval: -1, CompactInterval: -1, ReadOnly: true}
-	toolWriteOptions = store.DiskOptions{SyncInterval: -1, CompactInterval: -1}
+	toolWriteOptions = store.DiskOptions{SyncInterval: -1, CompactInterval: -1, CacheBytes: 1 << 20}
 )
 
 // errSnapshotPrefix refuses the snapshot files (<prefix>.node<i>.snap,
@@ -85,19 +89,40 @@ func Open(dir string) (*libdcdb.Connection, *store.Node, error) {
 // last, and a Save keeps every TTL. Readings the tools write themselves
 // (dcdbcsvimport) are unstamped, version 0, like any write no
 // coordinator stamped: a stamped reading at the same timestamp outranks
-// them.
+// them. Each sensor is streamed over the whole timestamp range, a chunk
+// at a time, and dst is flushed every mergeFlushReadings, so a durable
+// dst never holds more than that much not yet spilled.
 func mergeInto(dst, src *store.Node) error {
+	copied := 0
 	for _, id := range src.SensorIDs() {
-		vrs, err := src.QueryVersioned(id, -1<<62, 1<<62)
+		st, err := src.QueryVersionedStream(id, math.MinInt64, math.MaxInt64)
 		if err != nil {
 			return err
 		}
-		if err := dst.InsertVersioned(id, vrs); err != nil {
-			return err
+		for {
+			vrs, err := st.Next()
+			if err == io.EOF {
+				break
+			}
+			if err == nil {
+				err = dst.InsertVersioned(id, vrs)
+			}
+			if err == nil && copied/mergeFlushReadings != (copied+len(vrs))/mergeFlushReadings {
+				err = dst.Flush()
+			}
+			if err != nil {
+				st.Close()
+				return err
+			}
+			copied += len(vrs)
 		}
 	}
 	return nil
 }
+
+// mergeFlushReadings is how many readings mergeInto copies between
+// flushes of its destination: 8 MB of memtable entries.
+const mergeFlushReadings = 1 << 18
 
 // finish wraps the merged node in a connection and loads the topic map
 // and metadata files of dir.

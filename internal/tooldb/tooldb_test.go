@@ -15,6 +15,7 @@ import (
 	"dcdb/internal/membership"
 	"dcdb/internal/rpc"
 	"dcdb/internal/store"
+	"dcdb/internal/store/storetest"
 )
 
 func TestOpenEmpty(t *testing.T) {
@@ -230,7 +231,7 @@ func TestOpenServesNewestReplicaWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vrs, err := node.QueryVersioned(id, 0, 10)
+	vrs, err := storetest.Versioned(node, id, 0, 10)
 	if err != nil || len(vrs) != 1 || vrs[0].Value != 2 || vrs[0].Version != 2 {
 		t.Fatalf("merged replicas serve %+v (%v), want node0's version 2, value 2", vrs, err)
 	}
