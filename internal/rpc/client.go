@@ -26,11 +26,12 @@ type ClientOptions struct {
 	// never head-of-line-blocks everything. Default 2.
 	PoolSize int
 	// StreamPoolSize is the number of dedicated connections for
-	// streaming reads. Streams never share a connection with unary
-	// calls: a stalled stream consumer blocks its own connection's read
-	// loop (by design — backpressure is physical), and on a shared
-	// connection that would also starve unary responses queued behind
-	// it. Default: PoolSize.
+	// streaming reads, and again for versioned streams. Streams never
+	// share a connection with unary calls: a stalled stream consumer
+	// blocks its own connection's read loop (by design — backpressure
+	// is physical), and on a shared connection that would also starve
+	// what is queued behind it — unary responses, or the versioned
+	// streams a read resolves divergence through. Default: PoolSize.
 	StreamPoolSize int
 	// DialTimeout bounds connection establishment. Default 2s.
 	DialTimeout time.Duration
@@ -100,8 +101,9 @@ type Client struct {
 	slots []*clientConn // unary calls
 	rr    atomic.Uint32
 
-	streamSlots []*clientConn // streaming reads, isolated from unary traffic
-	srr         atomic.Uint32
+	streamSlots    []*clientConn // streaming reads, isolated from unary traffic
+	versionedSlots []*clientConn // versioned streams, isolated from both
+	srr            atomic.Uint32
 
 	// met holds every client counter, including the cumulative frame
 	// bytes (payload + header) moved over this client's connections:
@@ -118,16 +120,16 @@ func NewClient(addr string, o ClientOptions) *Client {
 	o.defaults()
 	c := &Client{
 		addr: addr, o: o,
-		pol:         backoff.Policy{Initial: o.ReconnectBackoff, Max: o.MaxBackoff, Multiplier: 2, Jitter: 0.2},
-		slots:       make([]*clientConn, o.PoolSize),
-		streamSlots: make([]*clientConn, o.StreamPoolSize),
-		met:         newClientMetrics(),
+		pol:            backoff.Policy{Initial: o.ReconnectBackoff, Max: o.MaxBackoff, Multiplier: 2, Jitter: 0.2},
+		slots:          make([]*clientConn, o.PoolSize),
+		streamSlots:    make([]*clientConn, o.StreamPoolSize),
+		versionedSlots: make([]*clientConn, o.StreamPoolSize),
+		met:            newClientMetrics(),
 	}
-	for i := range c.slots {
-		c.slots[i] = &clientConn{cl: c, pending: make(map[uint64]chan respMsg)}
-	}
-	for i := range c.streamSlots {
-		c.streamSlots[i] = &clientConn{cl: c, pending: make(map[uint64]chan respMsg)}
+	for _, pool := range [][]*clientConn{c.slots, c.streamSlots, c.versionedSlots} {
+		for i := range pool {
+			pool[i] = &clientConn{cl: c, pending: make(map[uint64]chan respMsg)}
+		}
 	}
 	return c
 }
@@ -148,7 +150,7 @@ func (c *Client) Close() error {
 	if c.closed.Swap(true) {
 		return nil
 	}
-	for _, pool := range [][]*clientConn{c.slots, c.streamSlots} {
+	for _, pool := range [][]*clientConn{c.slots, c.streamSlots, c.versionedSlots} {
 		for _, s := range pool {
 			s.mu.Lock()
 			nc := s.nc
@@ -901,15 +903,15 @@ func (v *versionedStream) Next() ([]store.VersionedReading, error) {
 
 func (v *versionedStream) Close() error { return v.st.Close() }
 
-// openStream launches one streaming request on the next stream
-// connection. A failed open is a failed call; a successful one is
-// observed when the stream ends (clientStream.finish).
-func (c *Client) openStream(op byte, body []byte) (*clientStream, error) {
+// openStream launches one streaming request on the next connection of
+// pool. A failed open is a failed call; a successful one is observed
+// when the stream ends (clientStream.finish).
+func (c *Client) openStream(pool []*clientConn, op byte, body []byte) (*clientStream, error) {
 	if c.closed.Load() {
 		return nil, fmt.Errorf("rpc: client closed")
 	}
 	start := time.Now()
-	slot := c.streamSlots[c.srr.Add(1)%uint32(len(c.streamSlots))]
+	slot := pool[c.srr.Add(1)%uint32(len(pool))]
 	st, err := slot.openStream(op, body)
 	if err != nil {
 		c.met.observeCall(op, start, err)
@@ -926,7 +928,7 @@ func (c *Client) QueryStream(id core.SensorID, from, to int64) (store.ReadingStr
 	body = appendSID(body, id)
 	body = appendI64(body, from)
 	body = appendI64(body, to)
-	st, err := c.openStream(opQueryStream, body)
+	st, err := c.openStream(c.streamSlots, opQueryStream, body)
 	if err != nil {
 		return nil, err
 	}
@@ -940,7 +942,7 @@ func (c *Client) QueryPrefixStream(prefix core.SensorID, depth int, from, to int
 	body = appendU32(body, uint32(depth))
 	body = appendI64(body, from)
 	body = appendI64(body, to)
-	st, err := c.openStream(opQueryPrefixStream, body)
+	st, err := c.openStream(c.streamSlots, opQueryPrefixStream, body)
 	if err != nil {
 		return nil, err
 	}
@@ -948,13 +950,14 @@ func (c *Client) QueryPrefixStream(prefix core.SensorID, depth int, from, to int
 }
 
 // QueryVersionedStream implements store.NodeBackend: the stamped
-// stream every replica transfer reads, chunk frames of entries.
+// stream every replica transfer reads, chunk frames of entries, on the
+// versioned connections — never behind a value stream the caller holds.
 func (c *Client) QueryVersionedStream(id core.SensorID, from, to int64) (store.VersionedStream, error) {
 	body := make([]byte, 0, 16+16)
 	body = appendSID(body, id)
 	body = appendI64(body, from)
 	body = appendI64(body, to)
-	st, err := c.openStream(opQueryVersionedStream, body)
+	st, err := c.openStream(c.versionedSlots, opQueryVersionedStream, body)
 	if err != nil {
 		return nil, err
 	}

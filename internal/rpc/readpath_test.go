@@ -221,3 +221,67 @@ func TestEmptyQueryIsOneFrame(t *testing.T) {
 		t.Fatalf("the server produced %g chunk frames for empty results", chunks.Value)
 	}
 }
+
+// TestQuorumResolveBehindUnreadStreams: a QUORUM read that finds its
+// replicas diverged resolves the span through versioned streams while
+// it still holds the replicas' value streams, with chunks unread behind
+// the divergence. With one stream connection per client, the versioned
+// streams must not queue behind those chunks: a single-sensor read and
+// a prefix read each answer with the winner, inside the call timeout.
+func TestQuorumResolveBehindUnreadStreams(t *testing.T) {
+	const timeout = 3 * time.Second
+	short, long := sid(1, 1), sid(2, 1)
+	history := make([]store.VersionedReading, 12*store.StreamChunkReadings)
+	for i := range history {
+		history[i] = store.VersionedReading{Timestamp: int64(i), Value: float64(i), Version: 1}
+	}
+	rewrite := []store.VersionedReading{{Timestamp: 0, Value: 99, Version: 2}}
+	backends := make([]store.NodeBackend, 3)
+	for i := range backends {
+		n, _, cl := testPair(t, ClientOptions{StreamPoolSize: 1, CallTimeout: timeout})
+		backends[i] = cl
+		for _, w := range []struct {
+			id  core.SensorID
+			vrs []store.VersionedReading
+		}{{short, history[:10]}, {long, history}} {
+			if err := n.InsertVersioned(w.id, w.vrs); err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 { // the replica that diverged: it alone holds the rewrites
+				if err := n.InsertVersioned(w.id, rewrite); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	c, err := store.NewClusterOptions(backends, store.ClusterOptions{
+		Replication:     3,
+		ReadConsistency: store.ConsistencyQuorum,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	check := func(what string, rs []core.Reading, want int) {
+		t.Helper()
+		if len(rs) != want || rs[0].Value != 99 {
+			t.Fatalf("%s: %d readings, want %d led by the rewrite", what, len(rs), want)
+		}
+	}
+
+	start := time.Now()
+	rs, err := c.Query(long, 0, 1<<60)
+	if err != nil {
+		t.Fatalf("QUORUM read of a diverged sensor: %v", err)
+	}
+	check("read", rs, len(history))
+	m, err := c.QueryPrefix(core.SensorID{}, 0, 0, 1<<60)
+	if err != nil {
+		t.Fatalf("QUORUM prefix read over a diverged sensor: %v", err)
+	}
+	check("prefix read, diverged sensor", m[short], 10)
+	check("prefix read, the sensor streaming behind it", m[long], len(history))
+	if took := time.Since(start); took >= timeout {
+		t.Fatalf("the reads took %v: a versioned stream stalled behind a value stream", took)
+	}
+}

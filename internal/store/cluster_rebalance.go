@@ -24,7 +24,7 @@ import (
 //	1. transition installed  -> new owners see every subsequent write
 //	2. history streamed      -> new owners hold everything older
 //	3. hand-off verified     -> summary match, or a second merge that
-//	                            finds nothing a new owner lacks
+//	                            finds no history a new owner lacks
 //	4. cutover               -> reads move to the target ring
 //
 // A write acked at any point is either in the merged history (pre-1)
@@ -53,15 +53,17 @@ var errRebalanceStale = errors.New("store: rebalance superseded")
 
 // rebalance is the background transfer goroutine, one per transition
 // generation. It retries whole rounds with backoff until the transfer
-// verifies (then cuts over) or a newer generation supersedes it.
-func (c *Cluster) rebalance(gen uint64) {
+// verifies (then cuts over) or a newer generation supersedes it. since
+// is the write-version clock read once the transition was installed:
+// a write this coordinator stamps above it fans out to the new owners.
+func (c *Cluster) rebalance(gen, since uint64) {
 	defer c.rebWG.Done()
 	pol := backoff.Policy{Initial: 50 * time.Millisecond, Max: 5 * time.Second, Multiplier: 2, Jitter: 0.2}
 	for attempt := 1; ; attempt++ {
 		if c.rebGen.Load() != gen || c.closed.Load() {
 			return
 		}
-		err := c.rebalanceRound(gen)
+		err := c.rebalanceRound(gen, since)
 		if err == nil {
 			c.cutover(gen)
 			return
@@ -87,7 +89,7 @@ func (c *Cluster) rebalance(gen uint64) {
 // The round fails on the first sensor that cannot be moved AND verified
 // — the caller retries; a clean return means every moved range is
 // provably on its new owners.
-func (c *Cluster) rebalanceRound(gen uint64) error {
+func (c *Cluster) rebalanceRound(gen, since uint64) error {
 	t := c.top()
 	if t.prevRing == nil {
 		return nil // raced with a concurrent cutover; nothing to move
@@ -96,7 +98,7 @@ func (c *Cluster) rebalanceRound(gen uint64) error {
 		if c.rebGen.Load() != gen || c.closed.Load() {
 			return errRebalanceStale
 		}
-		if err := c.moveSensor(t, id); err != nil {
+		if err := c.moveSensor(t, id, since); err != nil {
 			return fmt.Errorf("moving sensor %v: %w", id, err)
 		}
 		if c.rebThrottle > 0 {
@@ -108,7 +110,7 @@ func (c *Cluster) rebalanceRound(gen uint64) error {
 
 // moveSensor streams one sensor's history to the target-ring owners the
 // read ring does not already cover, then verifies the hand-off.
-func (c *Cluster) moveSensor(t *topology, id core.SensorID) error {
+func (c *Cluster) moveSensor(t *topology, id core.SensorID, since uint64) error {
 	hash := c.placementKey(id)
 	readIDs := t.prevRing.ReplicasFor(hash, c.replication)
 	inRead := make(map[string]struct{}, len(readIDs))
@@ -189,9 +191,11 @@ func (c *Cluster) moveSensor(t *topology, id core.SensorID) error {
 	// the fold of the merged winners — the steady-state outcome when no
 	// writes raced the copy. Live ingest makes equality unreliable (the
 	// union fan-out lands concurrent writes on a new owner that the
-	// merge predates), so the fallback is a second merge, which must
-	// find nothing a new owner lacks and so writes nothing. A write
-	// still on its way to a new owner fails the round, which is retried.
+	// merge predates), so the fallback is a second merge, which writes
+	// nothing: it fails the round, which is retried, only if a new owner
+	// lacks history — a winner stamped no later than since. A later
+	// write was begun on the union fan-out, so it is on its way to the
+	// new owner, queued or hinted, and does not hold the join up.
 	verified := true
 	for _, idx := range newOwners {
 		got, err := t.members[idx].backend.Aggregate(id, fold.Spec{Op: fold.OpSummary, From: aeFrom, To: aeTo})
@@ -202,7 +206,10 @@ func (c *Cluster) moveSensor(t *topology, id core.SensorID) error {
 	}
 	if !verified {
 		err := pass(func(idx int, lacks []VersionedReading) error {
-			return fmt.Errorf("hand-off not verified: %d readings missing", len(lacks))
+			if i := slices.IndexFunc(lacks, func(w VersionedReading) bool { return w.Version <= since }); i >= 0 {
+				return fmt.Errorf("hand-off not verified: the reading at %d is missing", lacks[i].Timestamp)
+			}
+			return nil
 		}, nil)
 		if err != nil {
 			return err

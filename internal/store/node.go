@@ -536,10 +536,8 @@ func (n *Node) writeShard(i int, entries []WriteEntry) error {
 }
 
 // Flush forces every shard's memtable into a sorted run. On durable
-// nodes the runs are additionally spilled to per-shard run files by the
-// background spiller, and Flush returns once it is idle, so a caller
-// that flushes as it writes holds the spiller's backlog to what it
-// wrote in between; the error reports WAL-rotation failures.
+// nodes the runs are additionally spilled to per-shard run files in the
+// background; the error reports WAL-rotation failures.
 func (n *Node) Flush() error {
 	var firstErr error
 	for i := range n.shards {
@@ -550,10 +548,20 @@ func (n *Node) Flush() error {
 		}
 		sh.mu.Unlock()
 	}
-	if n.sp != nil {
-		n.sp.waitIdle()
-	}
 	return firstErr
+}
+
+// Spill flushes a durable node and waits until the spiller has written
+// every run to its file, so a bulk load (tooldb's Save) that spills as
+// it writes holds no more than it wrote in between. On a memory-only
+// node it does nothing.
+func (n *Node) Spill() error {
+	if n.sp == nil {
+		return nil
+	}
+	err := n.Flush()
+	n.sp.waitIdle()
+	return err
 }
 
 // flushShardLocked moves shard i's memtable into an immutable in-memory

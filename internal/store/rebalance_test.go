@@ -522,37 +522,45 @@ func (h *summaryHook) Aggregate(id core.SensorID, spec fold.Spec) (fold.State, e
 // TestRebalanceVerifiesByASecondMerge: when a write lands while the
 // hand-off is verified, the new owner's summary no longer matches the
 // merge, and a second merge decides. A write that reached every owner
-// leaves nothing lacking: the round cuts over. A write still on its way
-// to the new owner fails the round, and the retried round moves just
-// that reading.
+// leaves nothing lacking: the round cuts over. History the new owner
+// lacks — a reading stamped before the transition — fails the round,
+// and the retried round moves just that reading. A write stamped after
+// the transition began, still on its way to the new owner by the union
+// fan-out, does not hold the cutover up.
 func TestRebalanceVerifiesByASecondMerge(t *testing.T) {
 	id := sid(95, 2)
 	for _, tc := range []struct {
-		name      string
-		oldToo    bool // the racing write reached the old owner as well
-		onlyOld   bool // a second racing write reached only the old owner
-		wantMoved int64
+		name        string
+		onlyOld     bool // a second racing write reached only the old owner
+		newer       bool // and was stamped after the transition began
+		wantMoved   int64
+		wantLacking int // readings the new owner lacks at the cutover
 	}{
-		{"reached every owner", true, false, 50},
-		{"on its way to the new owner", true, true, 51},
+		{"reached every owner", false, false, 50, 0},
+		{"history missing from the new owner", true, false, 51, 0},
+		{"newer, on its way to the new owner", true, true, 50, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			nodes := map[string]*Node{"alpha": NewNode(0), "bravo": NewNode(0)}
-			write := func(n *Node, ts int64) {
-				if err := n.InsertVersioned(id, []VersionedReading{{Timestamp: ts, Value: 1, Version: 9000}}); err != nil {
+			var c *Cluster
+			var err error
+			write := func(n *Node, ts int64, version uint64) {
+				if err := n.InsertVersioned(id, []VersionedReading{{Timestamp: ts, Value: 1, Version: version}}); err != nil {
 					t.Error(err)
 				}
 			}
 			bravo := &summaryHook{Node: nodes["bravo"], hook: func() {
-				write(nodes["bravo"], 1000)
-				if tc.oldToo {
-					write(nodes["alpha"], 1000)
-				}
+				write(nodes["bravo"], 1000, 9000)
+				write(nodes["alpha"], 1000, 9000)
 				if tc.onlyOld {
-					write(nodes["alpha"], 1001)
+					version := uint64(9000)
+					if tc.newer {
+						version = c.nextVersion()
+					}
+					write(nodes["alpha"], 1001, version)
 				}
 			}}
-			c, err := NewClusterMembers(memberInfos("alpha"), ClusterOptions{
+			c, err = NewClusterMembers(memberInfos("alpha"), ClusterOptions{
 				Replication: 2, RebalanceThrottle: -1,
 				BackendFactory: func(id, _ string) NodeBackend {
 					if id == "bravo" {
@@ -566,8 +574,9 @@ func TestRebalanceVerifiesByASecondMerge(t *testing.T) {
 			}
 			defer c.Close()
 			for ts := int64(0); ts < 50; ts++ {
-				write(nodes["alpha"], ts)
+				write(nodes["alpha"], ts, 9000)
 			}
+			c.nextVersion() // the coordinator has stamped writes before the transition
 			if err := c.SetMembers(memberInfos("alpha", "bravo")); err != nil {
 				t.Fatal(err)
 			}
@@ -576,9 +585,98 @@ func TestRebalanceVerifiesByASecondMerge(t *testing.T) {
 				t.Fatalf("moved %d readings, want %d", moved, tc.wantMoved)
 			}
 			want, _ := queryVersioned(nodes["alpha"], id, 0, 2000)
+			want = want[:len(want)-tc.wantLacking]
 			if got, err := queryVersioned(nodes["bravo"], id, 0, 2000); err != nil || !slices.Equal(got, want) {
-				t.Fatalf("the new owner holds %d readings (%v), the old one %d", len(got), err, len(want))
+				t.Fatalf("the new owner holds %d readings (%v), want %d", len(got), err, len(want))
 			}
 		})
+	}
+}
+
+// slowNode is a joiner slowed by the transfer: every write it is handed
+// waits first.
+type slowNode struct {
+	*Node
+	delay time.Duration
+}
+
+func (s *slowNode) InsertVersioned(id core.SensorID, vrs []VersionedReading) error {
+	time.Sleep(s.delay)
+	return s.Node.InsertVersioned(id, vrs)
+}
+
+// TestRebalanceCutsOverUnderSustainedIngest: a writer per sensor keeps
+// every sensor busy through a join whose new owner is slow, so at any
+// moment each sensor has a write on its old owner that the new one does
+// not hold yet. The writers start once the join is under way, so no
+// write of theirs is history the copy has to move. Those writes travel the union fan-out; the verification
+// must not count them against the copy, so the join cuts over in its
+// first round, and every acknowledged write ends up on the new owner.
+func TestRebalanceCutsOverUnderSustainedIngest(t *testing.T) {
+	const sensors, seeded = 16, 100
+	alpha, bravo := NewNode(0), &slowNode{Node: NewNode(0), delay: time.Millisecond}
+	c, err := NewClusterMembers(memberInfos("alpha"), ClusterOptions{
+		Replication: 2, RebalanceThrottle: -1,
+		BackendFactory: func(id, _ string) NodeBackend {
+			if id == "bravo" {
+				return bravo
+			}
+			return alpha
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ids := make([]core.SensorID, sensors)
+	for s := range ids {
+		ids[s] = sid(uint64(s+1), 7)
+		rs := make([]core.Reading, seeded)
+		for i := range rs {
+			rs[i] = core.Reading{Timestamp: int64(i), Value: float64(i)}
+		}
+		if err := c.InsertBatch(ids[s], rs, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.SetMembers(memberInfos("alpha", "bravo")); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	acked := make([]int, sensors)
+	var wg sync.WaitGroup
+	halt := sync.OnceFunc(func() { close(stop); wg.Wait() })
+	defer halt()
+	for s := range ids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ts := int64(seeded); ; ts++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := c.Insert(ids[s], core.Reading{Timestamp: ts, Value: float64(ts)}, 0); err != nil {
+					t.Error(err)
+					return
+				}
+				acked[s]++
+			}
+		}()
+	}
+	waitRebalance(t, c)
+	halt()
+	if moved := c.met.rebSensors.Load(); moved != sensors {
+		t.Fatalf("%d sensor moves verified for %d sensors: a round failed and was retried", moved, sensors)
+	}
+	for s, id := range ids {
+		rs, err := bravo.Query(id, 0, 1<<60)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := seeded + acked[s]; len(rs) != want {
+			t.Fatalf("sensor %d: the new owner holds %d readings, want %d", s, len(rs), want)
+		}
 	}
 }

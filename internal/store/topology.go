@@ -275,7 +275,7 @@ func (c *Cluster) SetMembers(ms []MemberInfo) error {
 	c.met.rebTransitions.Inc()
 	gen := c.rebGen.Add(1)
 	c.rebWG.Add(1)
-	go c.rebalance(gen)
+	go c.rebalance(gen, c.ver.Load())
 	return nil
 }
 

@@ -90,8 +90,8 @@ func Open(dir string) (*libdcdb.Connection, *store.Node, error) {
 // (dcdbcsvimport) are unstamped, version 0, like any write no
 // coordinator stamped: a stamped reading at the same timestamp outranks
 // them. Each sensor is streamed over the whole timestamp range, a chunk
-// at a time, and dst is flushed every mergeFlushReadings, so a durable
-// dst never holds more than that much not yet spilled.
+// at a time, and a durable dst is spilled every mergeSpillReadings, so
+// it never holds more than that much not yet in its files.
 func mergeInto(dst, src *store.Node) error {
 	copied := 0
 	for _, id := range src.SensorIDs() {
@@ -107,8 +107,8 @@ func mergeInto(dst, src *store.Node) error {
 			if err == nil {
 				err = dst.InsertVersioned(id, vrs)
 			}
-			if err == nil && copied/mergeFlushReadings != (copied+len(vrs))/mergeFlushReadings {
-				err = dst.Flush()
+			if err == nil && copied/mergeSpillReadings != (copied+len(vrs))/mergeSpillReadings {
+				err = dst.Spill()
 			}
 			if err != nil {
 				st.Close()
@@ -120,9 +120,9 @@ func mergeInto(dst, src *store.Node) error {
 	return nil
 }
 
-// mergeFlushReadings is how many readings mergeInto copies between
-// flushes of its destination: 8 MB of memtable entries.
-const mergeFlushReadings = 1 << 18
+// mergeSpillReadings is how many readings mergeInto copies between
+// spills of its destination: 8 MB of memtable entries.
+const mergeSpillReadings = 1 << 18
 
 // finish wraps the merged node in a connection and loads the topic map
 // and metadata files of dir.
