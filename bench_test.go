@@ -689,7 +689,7 @@ func BenchmarkQueryColdCacheHit(b *testing.B) {
 }
 
 // BenchmarkQueryStreamRPC measures an 8K-reading range read streamed
-// over loopback RPC in chunk frames from a cold node — the end-to-end
+// over loopback RPC, one chunk a call, from a cold node — the end-to-end
 // path a long-retention analytics query takes (cold blocks decode
 // server-side, bounded chunks cross the wire, client reassembles).
 func BenchmarkQueryStreamRPC(b *testing.B) {

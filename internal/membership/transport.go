@@ -50,7 +50,6 @@ func (t *rpcTransport) client(addr string) *rpc.Client {
 	}
 	co := t.o.Client
 	co.PoolSize = 1 // one connection carries a node's whole gossip load
-	co.StreamPoolSize = 1
 	co.DialTimeout = t.o.DialTimeout
 	co.CallTimeout = t.o.CallTimeout
 	c := rpc.NewClient(addr, co)

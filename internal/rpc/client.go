@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -21,23 +22,18 @@ import (
 
 // ClientOptions tune a Client. The zero value selects the defaults.
 type ClientOptions struct {
-	// PoolSize is the number of TCP connections kept to the node for
-	// unary calls; calls round-robin across them so one slow response
-	// never head-of-line-blocks everything. Default 2.
+	// PoolSize is the number of TCP connections kept to the node; calls
+	// round-robin across them so one slow response never
+	// head-of-line-blocks everything. A stream is a sequence of calls
+	// on one of them, each answered by one chunk, so a stream its
+	// consumer stops reading holds back nothing else. Default 2.
 	PoolSize int
-	// StreamPoolSize is the number of dedicated connections for
-	// streaming reads, and again for versioned streams. Streams never
-	// share a connection with unary calls: a stalled stream consumer
-	// blocks its own connection's read loop (by design — backpressure
-	// is physical), and on a shared connection that would also starve
-	// what is queued behind it — unary responses, or the versioned
-	// streams a read resolves divergence through. Default: PoolSize.
-	StreamPoolSize int
 	// DialTimeout bounds connection establishment. Default 2s.
 	DialTimeout time.Duration
-	// CallTimeout bounds one request round trip and propagates to the
-	// server as the request deadline, so a node never executes an op
-	// whose caller has already given up. Default 10s.
+	// CallTimeout bounds one request round trip — for a stream, the
+	// wait for each chunk — and propagates to the server as the request
+	// deadline, so a node never executes an op whose caller has already
+	// given up. Default 10s.
 	CallTimeout time.Duration
 	// ReconnectBackoff is the initial delay before re-dialing a failed
 	// connection; it grows exponentially (jittered) per consecutive
@@ -58,9 +54,6 @@ type ClientOptions struct {
 func (o *ClientOptions) defaults() {
 	if o.PoolSize <= 0 {
 		o.PoolSize = 2
-	}
-	if o.StreamPoolSize <= 0 {
-		o.StreamPoolSize = o.PoolSize
 	}
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 2 * time.Second
@@ -98,12 +91,8 @@ type Client struct {
 	o    ClientOptions
 	pol  backoff.Policy
 
-	slots []*clientConn // unary calls
+	slots []*clientConn
 	rr    atomic.Uint32
-
-	streamSlots    []*clientConn // streaming reads, isolated from unary traffic
-	versionedSlots []*clientConn // versioned streams, isolated from both
-	srr            atomic.Uint32
 
 	// met holds every client counter, including the cumulative frame
 	// bytes (payload + header) moved over this client's connections:
@@ -120,16 +109,12 @@ func NewClient(addr string, o ClientOptions) *Client {
 	o.defaults()
 	c := &Client{
 		addr: addr, o: o,
-		pol:            backoff.Policy{Initial: o.ReconnectBackoff, Max: o.MaxBackoff, Multiplier: 2, Jitter: 0.2},
-		slots:          make([]*clientConn, o.PoolSize),
-		streamSlots:    make([]*clientConn, o.StreamPoolSize),
-		versionedSlots: make([]*clientConn, o.StreamPoolSize),
-		met:            newClientMetrics(),
+		pol:   backoff.Policy{Initial: o.ReconnectBackoff, Max: o.MaxBackoff, Multiplier: 2, Jitter: 0.2},
+		slots: make([]*clientConn, o.PoolSize),
+		met:   newClientMetrics(),
 	}
-	for _, pool := range [][]*clientConn{c.slots, c.streamSlots, c.versionedSlots} {
-		for i := range pool {
-			pool[i] = &clientConn{cl: c, pending: make(map[uint64]chan respMsg)}
-		}
+	for i := range c.slots {
+		c.slots[i] = &clientConn{cl: c, pending: make(map[uint64]chan respMsg)}
 	}
 	return c
 }
@@ -150,14 +135,12 @@ func (c *Client) Close() error {
 	if c.closed.Swap(true) {
 		return nil
 	}
-	for _, pool := range [][]*clientConn{c.slots, c.streamSlots, c.versionedSlots} {
-		for _, s := range pool {
-			s.mu.Lock()
-			nc := s.nc
-			s.mu.Unlock()
-			if nc != nil {
-				s.teardown(nc, fmt.Errorf("rpc: client closed"))
-			}
+	for _, s := range c.slots {
+		s.mu.Lock()
+		nc := s.nc
+		s.mu.Unlock()
+		if nc != nil {
+			s.teardown(nc, fmt.Errorf("rpc: client closed"))
 		}
 	}
 	return nil
@@ -172,8 +155,7 @@ type respMsg struct {
 
 // clientConn is one pooled connection. mu guards dial state and the
 // write half; the read loop runs unlocked and matches responses to
-// waiters by request id — unary calls in pending, open streams in
-// streams.
+// waiting calls by request id.
 type clientConn struct {
 	cl *Client
 
@@ -185,11 +167,10 @@ type clientConn struct {
 
 	pmu     sync.Mutex
 	pending map[uint64]chan respMsg
-	streams map[uint64]*clientStream
 
 	nextID atomic.Uint64
 
-	idle timers.Idle // the timeout timer its calls and stream reads reuse
+	idle timers.Idle // the timeout timer its calls reuse
 }
 
 // ensure returns a live connection, dialing if necessary. Calls inside
@@ -246,10 +227,6 @@ func (s *clientConn) teardown(nc net.Conn, err error) {
 		delete(s.pending, id)
 		ch <- respMsg{err: err}
 	}
-	for id, st := range s.streams {
-		delete(s.streams, id)
-		st.terminate(err)
-	}
 	s.pmu.Unlock()
 }
 
@@ -258,8 +235,7 @@ func (s *clientConn) teardown(nc net.Conn, err error) {
 // call when a successor has already replaced nc. readFrame enforces
 // the frame bound on this side too — an oversized or corrupt length
 // prefix from a misbehaving server poisons the connection instead of
-// driving a huge allocation — and stream chunks are held to the much
-// tighter streamChunkMaxBytes.
+// driving a huge allocation.
 func (s *clientConn) readLoop(nc net.Conn) {
 	br := bufio.NewReader(nc)
 	for {
@@ -278,90 +254,22 @@ func (s *clientConn) readLoop(nc net.Conn) {
 			s.teardown(nc, fmt.Errorf("rpc: short response from %s", s.cl.addr))
 			return
 		}
-		id := uint64(payload[0])<<56 | uint64(payload[1])<<48 | uint64(payload[2])<<40 |
-			uint64(payload[3])<<32 | uint64(payload[4])<<24 | uint64(payload[5])<<16 |
-			uint64(payload[6])<<8 | uint64(payload[7])
-		status := payload[8]
+		id := binary.BigEndian.Uint64(payload)
 		s.pmu.Lock()
-		if ch, ok := s.pending[id]; ok {
-			delete(s.pending, id)
-			s.pmu.Unlock()
-			ch <- respMsg{status: status, body: payload[respHeaderLen:]}
-			continue
-		}
-		st, isStream := s.streams[id]
-		if isStream && (status == statusChunk || status == statusStreamEnd || status == statusErr) {
-			terminal := status != statusChunk
-			if terminal {
-				delete(s.streams, id)
-			}
-			s.pmu.Unlock()
-			if err := s.routeStreamFrame(st, status, payload); err != nil {
-				s.teardown(nc, err)
-				return
-			}
-			continue
-		}
+		ch, ok := s.pending[id]
+		delete(s.pending, id)
 		s.pmu.Unlock()
-		// Unmatched ids are responses whose caller timed out or streams
-		// already closed; drop.
-	}
-}
-
-// routeStreamFrame validates and delivers one stream frame. A sequence
-// gap or an oversized chunk means the peer (or the path to it) can no
-// longer be trusted with framing — the whole connection is poisoned.
-func (s *clientConn) routeStreamFrame(st *clientStream, status byte, payload []byte) error {
-	switch status {
-	case statusErr:
-		st.deliver(streamMsg{err: fmt.Errorf("rpc: %s: %s", s.cl.addr, string(payload[respHeaderLen:]))})
-		return nil
-	case statusChunk:
-		if len(payload) > streamChunkMaxBytes {
-			err := fmt.Errorf("rpc: %s sent a %d-byte stream chunk (bound %d); poisoning connection",
-				s.cl.addr, len(payload), streamChunkMaxBytes)
-			st.deliver(streamMsg{err: err})
-			return err
+		// Unmatched ids are responses whose caller timed out or whose
+		// stream was closed; drop.
+		if ok {
+			ch <- respMsg{status: payload[8], body: payload[respHeaderLen:]}
 		}
 	}
-	if len(payload) < respHeaderLen+4 {
-		err := fmt.Errorf("rpc: short stream frame from %s", s.cl.addr)
-		st.deliver(streamMsg{err: err})
-		return err
-	}
-	seq := uint32(payload[respHeaderLen])<<24 | uint32(payload[respHeaderLen+1])<<16 |
-		uint32(payload[respHeaderLen+2])<<8 | uint32(payload[respHeaderLen+3])
-	if seq != st.expectSeq {
-		err := fmt.Errorf("rpc: %s stream frame out of sequence (got %d, want %d); poisoning connection",
-			s.cl.addr, seq, st.expectSeq)
-		st.deliver(streamMsg{err: err})
-		return err
-	}
-	st.expectSeq++
-	if status == statusStreamEnd {
-		st.deliver(streamMsg{end: true})
-		return nil
-	}
-	s.cl.met.streamChunks.Inc()
-	s.cl.met.streamBytes.Add(int64(len(payload)))
-	st.deliver(streamMsg{body: payload[respHeaderLen+4:]})
-	return nil
 }
 
-// call performs one pipelined request and returns the response body.
-func (s *clientConn) call(op byte, body []byte) ([]byte, error) {
-	nc, err := s.ensure()
-	if err != nil {
-		return nil, err
-	}
-	deadline := time.Now().Add(s.cl.o.CallTimeout)
-
-	id := s.nextID.Add(1)
-	ch := make(chan respMsg, 1)
-	s.pmu.Lock()
-	s.pending[id] = ch
-	s.pmu.Unlock()
-
+// write sends one request frame on nc, if nc is still the slot's live
+// connection. A failed write tears the connection down.
+func (s *clientConn) write(nc net.Conn, id uint64, op byte, body []byte) error {
 	payload := make([]byte, 0, reqHeaderLen+len(body))
 	payload = appendU64(payload, id)
 	payload = append(payload, op)
@@ -373,26 +281,51 @@ func (s *clientConn) call(op byte, body []byte) ([]byte, error) {
 	s.mu.Lock()
 	if s.nc != nc {
 		s.mu.Unlock()
-		s.pmu.Lock()
-		delete(s.pending, id)
-		s.pmu.Unlock()
-		return nil, fmt.Errorf("rpc: connection to %s lost", s.cl.addr)
+		return fmt.Errorf("rpc: connection to %s lost", s.cl.addr)
 	}
-	nc.SetWriteDeadline(deadline)
-	err = writeFrame(s.bw, payload)
+	nc.SetWriteDeadline(time.Now().Add(s.cl.o.CallTimeout))
+	err := writeFrame(s.bw, payload)
 	if err == nil {
 		err = s.bw.Flush()
 	}
 	s.mu.Unlock()
 	if err != nil {
 		s.teardown(nc, fmt.Errorf("rpc: writing to %s: %w", s.cl.addr, err))
-		// teardown delivered an error to ch (or we raced the read
-		// loop's teardown of the same generation, which did); fall
-		// through to the receive below either way.
-	} else {
-		s.cl.met.netWritten.Add(int64(len(payload)) + 8)
+		return err
 	}
+	s.cl.met.netWritten.Add(int64(len(payload)) + 8)
+	return nil
+}
 
+// send starts one pipelined request on nc and returns its id and the
+// channel its response — or its failure — arrives on.
+func (s *clientConn) send(nc net.Conn, op byte, body []byte) (uint64, chan respMsg) {
+	id := s.nextID.Add(1)
+	ch := make(chan respMsg, 1)
+	s.pmu.Lock()
+	s.pending[id] = ch
+	s.pmu.Unlock()
+	// A failed write's teardown failed ch already, unless nc was no
+	// longer live.
+	if err := s.write(nc, id, op, body); err != nil && s.drop(id) {
+		ch <- respMsg{err: err}
+	}
+	return id, ch
+}
+
+// drop forgets request id's waiter and reports whether it was still
+// waiting.
+func (s *clientConn) drop(id uint64) bool {
+	s.pmu.Lock()
+	_, ok := s.pending[id]
+	delete(s.pending, id)
+	s.pmu.Unlock()
+	return ok
+}
+
+// wait returns the body of request id's response, or gives up on it at
+// deadline.
+func (s *clientConn) wait(id uint64, ch chan respMsg, deadline time.Time) ([]byte, error) {
 	timer := s.idle.Get(time.Until(deadline))
 	defer s.idle.Put(timer)
 	select {
@@ -405,11 +338,20 @@ func (s *clientConn) call(op byte, body []byte) ([]byte, error) {
 		}
 		return resp.body, nil
 	case <-timer.C:
-		s.pmu.Lock()
-		delete(s.pending, id)
-		s.pmu.Unlock()
+		s.drop(id)
 		return nil, fmt.Errorf("rpc: call to %s timed out after %s", s.cl.addr, s.cl.o.CallTimeout)
 	}
+}
+
+// call performs one pipelined request and returns the response body.
+func (s *clientConn) call(op byte, body []byte) ([]byte, error) {
+	nc, err := s.ensure()
+	if err != nil {
+		return nil, err
+	}
+	deadline := time.Now().Add(s.cl.o.CallTimeout)
+	id, ch := s.send(nc, op, body)
+	return s.wait(id, ch, deadline)
 }
 
 // call round-robins across the pool.
@@ -654,42 +596,25 @@ func (c *Client) MetricsSnapshot() ([]metrics.Sample, error) {
 
 // --- streaming reads ---
 
-// streamMsg is one delivered stream event: a chunk body (after the
-// sequence number), the end-of-stream marker, or a mid-stream error.
-type streamMsg struct {
-	body []byte
-	end  bool
-	err  error
-}
-
-// clientStream is the client half of one streaming request. Chunk
-// frames flow from the read loop through ch in order; term carries
-// connection-level failure out of band; done is the cancel-on-close
-// signal. Backpressure is physical: when the consumer stops pulling,
-// ch fills, the read loop blocks, the kernel's receive window fills,
-// and the server's ack-gated writer stalls — no side buffers more than
-// a few chunks. That stalled read loop is why streams live on the
-// client's dedicated stream connections: on a shared one it would also
-// starve unary responses queued behind the stuck chunk.
+// clientStream is the client half of one stream: the open call's reply
+// carries the first chunk, and every later chunk answers one
+// opStreamNext call on the same connection. While the node says more
+// follows, one such call is in flight ahead of the consumer, never two.
 type clientStream struct {
 	s  *clientConn
 	nc net.Conn
-	id uint64
+	id uint64 // the open call's request id, which names the stream at the node
 
 	// op and start feed the call metrics when the stream ends.
 	op    byte
 	start time.Time
 
-	ch   chan streamMsg
-	done chan struct{}
+	chunk  []byte       // a chunk the consumer has not taken yet
+	next   chan respMsg // the opStreamNext in flight; nil once none is
+	nextID uint64
 
-	term     chan struct{}
-	termErr  error
-	termOnce sync.Once
-
-	expectSeq uint32 // owned by the read loop
-	closed    atomic.Bool
-	finished  bool // outcome recorded (owned by the consumer)
+	closed   bool
+	finished bool // outcome recorded
 }
 
 // finish records the stream's outcome, once, where a unary call records
@@ -708,134 +633,97 @@ func (st *clientStream) fail(err error) error {
 	return st.finish(err)
 }
 
-// terminate fails the stream out of band (connection death).
-func (st *clientStream) terminate(err error) {
-	st.termOnce.Do(func() {
-		st.termErr = err
-		close(st.term)
-	})
+// take accepts one reply: the more-follows flag, then the chunk, if
+// any. While more follows it asks for the next chunk at once, so that
+// one is on its way while the consumer works on this one.
+func (st *clientStream) take(body []byte) error {
+	st.next = nil
+	if len(body) > streamChunkMaxBytes {
+		err := fmt.Errorf("rpc: %s sent a %d-byte stream chunk (bound %d); poisoning connection",
+			st.s.cl.addr, len(body), streamChunkMaxBytes)
+		st.s.teardown(st.nc, err)
+		return err
+	}
+	if len(body) == 0 {
+		return fmt.Errorf("rpc: short stream reply from %s", st.s.cl.addr)
+	}
+	if body[0] != 0 {
+		st.nextID, st.next = st.s.send(st.nc, opStreamNext, appendU64(nil, st.id))
+	}
+	if len(body) > 1 {
+		st.chunk = body[1:]
+		st.s.cl.met.streamChunks.Inc()
+		st.s.cl.met.streamBytes.Add(int64(len(body)))
+	}
+	return nil
 }
 
-// deliver hands one in-order event to the consumer, giving up if the
-// stream was closed or terminated (the read loop must never block on
-// an abandoned stream).
-func (st *clientStream) deliver(m streamMsg) {
-	select {
-	case st.ch <- m:
-	case <-st.done:
-	case <-st.term:
-	}
-}
-
-// nextMsg pulls the next chunk, bounding the wait per chunk by the
-// client's call timeout (a stalled stream is closed and reported).
-func (st *clientStream) nextMsg() (streamMsg, error) {
-	if st.finished {
-		return streamMsg{}, io.EOF
-	}
-	timer := st.s.idle.Get(st.s.cl.o.CallTimeout)
-	defer st.s.idle.Put(timer)
-	select {
-	case m := <-st.ch:
-		if m.err != nil {
-			return streamMsg{}, st.finish(m.err)
-		}
-		if m.end {
+// nextChunk returns the stream's next chunk, waiting at most the call
+// timeout for it; io.EOF at the end.
+func (st *clientStream) nextChunk() ([]byte, error) {
+	for {
+		switch {
+		case st.finished:
+			return nil, io.EOF
+		case st.closed:
+			return nil, fmt.Errorf("rpc: stream closed")
+		case st.chunk != nil:
+			chunk := st.chunk
+			st.chunk = nil
+			return chunk, nil
+		case st.next == nil:
 			st.finish(nil)
-			return streamMsg{}, io.EOF
+			return nil, io.EOF
 		}
-		return m, nil
-	case <-st.term:
-		return streamMsg{}, st.finish(st.termErr)
-	case <-st.done:
-		return streamMsg{}, fmt.Errorf("rpc: stream closed")
-	case <-timer.C:
-		return streamMsg{}, st.fail(fmt.Errorf("rpc: stream from %s stalled beyond %s", st.s.cl.addr, st.s.cl.o.CallTimeout))
+		body, err := st.s.wait(st.nextID, st.next, time.Now().Add(st.s.cl.o.CallTimeout))
+		if err == nil {
+			err = st.take(body)
+		}
+		if err != nil {
+			return nil, st.fail(err)
+		}
 	}
 }
 
-// Close cancels the stream: the consumer stops, the read loop stops
-// routing to it, and a best-effort cancel op tells the server to stop
-// producing. Idempotent.
+// Close abandons the stream: a stream the node may still hold open
+// gets a best-effort cancel, and a reply still on its way is dropped.
+// Idempotent.
 func (st *clientStream) Close() error {
-	if st.closed.Swap(true) {
+	if st.closed {
 		return nil
 	}
-	close(st.done)
-	st.s.pmu.Lock()
-	delete(st.s.streams, st.id)
-	st.s.pmu.Unlock()
-	if !st.finished {
+	st.closed = true
+	if st.next != nil {
+		st.s.drop(st.nextID)
 		st.s.sendCancel(st.nc, st.id)
 	}
 	return nil
 }
 
-// sendCancel writes a best-effort opCancelStream for target on nc (if
-// it is still the live connection). No response is expected.
-func (s *clientConn) sendCancel(nc net.Conn, target uint64) {
-	id := s.nextID.Add(1)
-	payload := make([]byte, 0, reqHeaderLen+8)
-	payload = appendU64(payload, id)
-	payload = append(payload, opCancelStream)
-	payload = appendI64(payload, 0)
-	payload = appendU64(payload, target)
-	s.mu.Lock()
-	if s.nc == nc && s.bw != nil {
-		nc.SetWriteDeadline(time.Now().Add(s.cl.o.CallTimeout))
-		if writeFrame(s.bw, payload) == nil {
-			s.bw.Flush() // best effort; failure surfaces on the next call
-			s.cl.met.netWritten.Add(int64(len(payload)) + 8)
-		}
-	}
-	s.mu.Unlock()
+// sendCancel writes a best-effort opCancelStream for stream id on nc
+// (if it is still the live connection). No response is expected.
+func (s *clientConn) sendCancel(nc net.Conn, id uint64) {
+	s.write(nc, s.nextID.Add(1), opCancelStream, appendU64(nil, id))
 }
 
-// openStream registers and launches one streaming request.
+// openStream makes one open call and returns the stream it opened.
 func (s *clientConn) openStream(op byte, body []byte) (*clientStream, error) {
 	nc, err := s.ensure()
 	if err != nil {
 		return nil, err
 	}
-	id := s.nextID.Add(1)
-	st := &clientStream{
-		s: s, nc: nc, id: id,
-		ch:   make(chan streamMsg, 4),
-		done: make(chan struct{}),
-		term: make(chan struct{}),
-	}
-	s.pmu.Lock()
-	if s.streams == nil {
-		s.streams = make(map[uint64]*clientStream)
-	}
-	s.streams[id] = st
-	s.pmu.Unlock()
-
-	payload := make([]byte, 0, reqHeaderLen+len(body))
-	payload = appendU64(payload, id)
-	payload = append(payload, op)
-	payload = appendI64(payload, int64(s.cl.o.CallTimeout))
-	payload = append(payload, body...)
-
-	s.mu.Lock()
-	if s.nc != nc {
-		s.mu.Unlock()
-		s.pmu.Lock()
-		delete(s.streams, id)
-		s.pmu.Unlock()
-		return nil, fmt.Errorf("rpc: connection to %s lost", s.cl.addr)
-	}
-	nc.SetWriteDeadline(time.Now().Add(s.cl.o.CallTimeout))
-	err = writeFrame(s.bw, payload)
+	deadline := time.Now().Add(s.cl.o.CallTimeout)
+	id, ch := s.send(nc, op, body)
+	st := &clientStream{s: s, nc: nc, id: id}
+	resp, err := s.wait(id, ch, deadline)
 	if err == nil {
-		err = s.bw.Flush()
+		err = st.take(resp)
 	}
-	s.mu.Unlock()
 	if err != nil {
-		s.teardown(nc, fmt.Errorf("rpc: writing to %s: %w", s.cl.addr, err))
+		// The node may have opened a stream whose reply came too late.
+		s.sendCancel(nc, id)
 		return nil, err
 	}
-	s.cl.met.netWritten.Add(int64(len(payload)) + 8)
 	return st, nil
 }
 
@@ -843,11 +731,11 @@ func (s *clientConn) openStream(op byte, body []byte) (*clientStream, error) {
 type readingStream struct{ st *clientStream }
 
 func (r *readingStream) Next() ([]core.Reading, error) {
-	m, err := r.st.nextMsg()
+	b, err := r.st.nextChunk()
 	if err != nil {
 		return nil, err
 	}
-	cur := &cursor{b: m.body}
+	cur := &cursor{b: b}
 	rs := cur.readings()
 	if err := cur.done(); err != nil {
 		return nil, r.st.fail(err)
@@ -861,11 +749,11 @@ func (r *readingStream) Close() error { return r.st.Close() }
 type keyedStream struct{ st *clientStream }
 
 func (k *keyedStream) Next() (core.SensorID, []core.Reading, error) {
-	m, err := k.st.nextMsg()
+	b, err := k.st.nextChunk()
 	if err != nil {
 		return core.SensorID{}, nil, err
 	}
-	cur := &cursor{b: m.body}
+	cur := &cursor{b: b}
 	id := cur.sid()
 	rs := cur.readings()
 	if err := cur.done(); err != nil {
@@ -884,11 +772,11 @@ type versionedStream struct {
 }
 
 func (v *versionedStream) Next() ([]store.VersionedReading, error) {
-	m, err := v.st.nextMsg()
+	b, err := v.st.nextChunk()
 	if err != nil {
 		return nil, err
 	}
-	entries, err := store.DecodeEntries(m.body)
+	entries, err := store.DecodeEntries(b)
 	if err != nil {
 		return nil, v.st.fail(err)
 	}
@@ -903,16 +791,15 @@ func (v *versionedStream) Next() ([]store.VersionedReading, error) {
 
 func (v *versionedStream) Close() error { return v.st.Close() }
 
-// openStream launches one streaming request on the next connection of
-// pool. A failed open is a failed call; a successful one is observed
-// when the stream ends (clientStream.finish).
-func (c *Client) openStream(pool []*clientConn, op byte, body []byte) (*clientStream, error) {
+// openStream opens one stream on the next pooled connection. A failed
+// open is a failed call; a successful one is observed when the stream
+// ends (clientStream.finish).
+func (c *Client) openStream(op byte, body []byte) (*clientStream, error) {
 	if c.closed.Load() {
 		return nil, fmt.Errorf("rpc: client closed")
 	}
 	start := time.Now()
-	slot := pool[c.srr.Add(1)%uint32(len(pool))]
-	st, err := slot.openStream(op, body)
+	st, err := c.slots[c.rr.Add(1)%uint32(len(c.slots))].openStream(op, body)
 	if err != nil {
 		c.met.observeCall(op, start, err)
 		return nil, err
@@ -921,14 +808,14 @@ func (c *Client) openStream(pool []*clientConn, op byte, body []byte) (*clientSt
 	return st, nil
 }
 
-// QueryStream implements store.Backend: the query result arrives as
-// sequence-checked chunk frames; Close cancels server-side production.
+// QueryStream implements store.Backend: the query result arrives one
+// chunk per call; Close releases the node's cursor.
 func (c *Client) QueryStream(id core.SensorID, from, to int64) (store.ReadingStream, error) {
 	body := make([]byte, 0, 16+16)
 	body = appendSID(body, id)
 	body = appendI64(body, from)
 	body = appendI64(body, to)
-	st, err := c.openStream(c.streamSlots, opQueryStream, body)
+	st, err := c.openStream(opQueryStream, body)
 	if err != nil {
 		return nil, err
 	}
@@ -942,7 +829,7 @@ func (c *Client) QueryPrefixStream(prefix core.SensorID, depth int, from, to int
 	body = appendU32(body, uint32(depth))
 	body = appendI64(body, from)
 	body = appendI64(body, to)
-	st, err := c.openStream(c.streamSlots, opQueryPrefixStream, body)
+	st, err := c.openStream(opQueryPrefixStream, body)
 	if err != nil {
 		return nil, err
 	}
@@ -950,14 +837,13 @@ func (c *Client) QueryPrefixStream(prefix core.SensorID, depth int, from, to int
 }
 
 // QueryVersionedStream implements store.NodeBackend: the stamped
-// stream every replica transfer reads, chunk frames of entries, on the
-// versioned connections — never behind a value stream the caller holds.
+// stream every replica transfer reads, chunks of entries.
 func (c *Client) QueryVersionedStream(id core.SensorID, from, to int64) (store.VersionedStream, error) {
 	body := make([]byte, 0, 16+16)
 	body = appendSID(body, id)
 	body = appendI64(body, from)
 	body = appendI64(body, to)
-	st, err := c.openStream(c.versionedSlots, opQueryVersionedStream, body)
+	st, err := c.openStream(opQueryVersionedStream, body)
 	if err != nil {
 		return nil, err
 	}

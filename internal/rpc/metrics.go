@@ -63,9 +63,9 @@ func newClientMetrics() *clientMetrics {
 		callErrors: reg.Counter("dcdb_rpc_client_call_errors_total",
 			"Calls that returned an error (transport or application); a stream that failed to open or mid-way is one call."),
 		streamChunks: reg.Counter("dcdb_rpc_client_stream_chunks_total",
-			"Stream chunk frames received."),
+			"Stream chunks received."),
 		streamBytes: reg.Counter("dcdb_rpc_client_stream_bytes_total",
-			"Stream chunk frame bytes received."),
+			"Stream reply bytes received, chunk headers included."),
 	}
 }
 
@@ -102,12 +102,12 @@ func newServerMetrics(s *Server) *serverMetrics {
 		inFlight: reg.Gauge("dcdb_rpc_server_inflight_requests",
 			"Requests currently executing."),
 		streamChunks: reg.Counter("dcdb_rpc_server_stream_chunks_total",
-			"Stream chunk frames produced."),
+			"Stream chunks sent."),
 		streamBytes: reg.Counter("dcdb_rpc_server_stream_bytes_total",
-			"Stream chunk frame bytes produced."),
+			"Stream reply bytes sent, chunk headers included."),
 	}
 	reg.CounterFunc("dcdb_rpc_server_requests_total",
-		"Request frames accepted (streams count once).", func() float64 {
+		"Request frames accepted (a stream counts once per chunk).", func() float64 {
 			return float64(s.requests.Load())
 		})
 	reg.GaugeFunc("dcdb_rpc_server_connections",

@@ -170,7 +170,7 @@ func TestEveryOpHasNameAndHistogram(t *testing.T) {
 		ops[name] = byte(v)
 		return true
 	})
-	if len(ops) != 14 || ops["opWrite"] != opWrite {
+	if len(ops) != 15 || ops["opWrite"] != opWrite {
 		t.Fatalf("parsed %d op constants from protocol.go: %v", len(ops), ops)
 	}
 	// 2, 3 and 16 were Insert, InsertBatch and InsertVersioned (a write

@@ -26,6 +26,8 @@
 //	u64 reqID | u8 status | body
 //	status 0 = ok (body is the op's result encoding)
 //	status 1 = application error (body is the error string)
+//	statuses 2 and 3 (the chunk and end frames of pushed streams) are
+//	retired and stay reserved
 //
 // A write travels one way, as a write frame (opWrite, op 21). Its body
 // is write entries back to back, each one coordinated write of one
@@ -47,15 +49,28 @@
 // repair or hint batch — and a frame that would exceed frameMax is cut
 // at an entry boundary (store.CutEntries).
 //
-// Reads are streams: opQueryStream, opQueryPrefixStream and
-// opQueryVersionedStream answer with chunk frames (status 2) closed by
-// an end frame (status 3), and Client.Query/QueryPrefix are a drain of
-// them — a result is never materialised in one frame on either side,
-// so its size is not bounded by frameMax. A versioned chunk's body is
-// entries in the one entry encoding, so a replica transfer reads what a
-// write frame carries.
+// Reads are streams, and a stream is a sequence of calls on one
+// connection. An open op (opQueryStream, opQueryPrefixStream,
+// opQueryVersionedStream) answers with the first chunk; every later
+// chunk answers one opStreamNext call naming the stream by its open
+// call's request id. The node keeps the stream's cursor in the
+// connection's table and reads one chunk ahead, so each reply says
+// whether more follows:
 //
-// The fourteen ops (numbers are the wire format; 2, 3, 4, 5, 16, 17, 18
+//	u8 more | chunk (absent when the result is empty)
+//
+// The client keeps one opStreamNext in flight ahead of its consumer,
+// never two, and Client.Query/QueryPrefix are a drain of the streams —
+// a result is never materialised in one frame on either side, so its
+// size is not bounded by frameMax, and a result of at most one chunk
+// costs one response frame. The node sends a chunk only when asked, so
+// a stream its consumer stops reading holds back nothing else on its
+// connection. A connection holds at most maxInFlight open streams; an
+// open beyond that is refused. A versioned chunk's body is entries in
+// the one entry encoding, so a replica transfer reads what a write
+// frame carries.
+//
+// The fifteen ops (numbers are the wire format; 2, 3, 4, 5, 16, 17, 18
 // and 20 — the one-reading, one-batch and per-reading-stamped inserts,
 // the one-frame Query and QueryPrefix, the one-frame versioned read and
 // the digest, and the write frame whose body led with an entry count —
@@ -65,7 +80,7 @@
 //	6 delete_before   11 sensor_ids           19 gossip
 //	7 flush           12 query_stream         21 write
 //	8 sync            13 query_prefix_stream  22 query_versioned_stream
-//	9 compact         14 cancel_stream
+//	9 compact         14 cancel_stream        23 stream_next
 //
 // A frame whose CRC does not match its payload — a torn write, a
 // corrupted link, a non-DCDB peer — poisons the connection: the reader
@@ -117,12 +132,14 @@ const (
 	opCompact      = 9
 	opStats        = 10
 	opSensorIDs    = 11
-	// opQueryStream / opQueryPrefixStream answer with a sequence of
-	// chunk frames sharing the request id (see the status bytes below).
+	// opQueryStream / opQueryPrefixStream open a stream and answer with
+	// its first chunk (see the package comment). For opQueryStream a
+	// chunk is a readings block; for opQueryPrefixStream it is
+	// sid | readings (a sensor may repeat across consecutive chunks).
 	opQueryStream       = 12
 	opQueryPrefixStream = 13
-	// opCancelStream carries the request id of an in-flight stream the
-	// client abandoned; the server stops producing. No response frame.
+	// opCancelStream carries the id of a stream the client abandoned;
+	// the node closes its cursor. No response frame.
 	opCancelStream = 14
 	// opAggregate pushes an analysis fold down to the node: the request
 	// body is a fold.Spec (sid | spec), the response body one encoded
@@ -145,10 +162,13 @@ const (
 	// 32 bytes a reading where every reading has a stamp of its own, as
 	// little as 16 where a run of readings shares one, 40 at worst.
 	opQueryVersionedStream = 22
+	// opStreamNext asks for an open stream's next chunk: the body is the
+	// stream's id (u64), the reply one chunk like an open's.
+	opStreamNext = 23
 
 	// lastOp is the highest op number; the per-op metric arrays size off
 	// it, so a new op must move it (TestEveryOpHasNameAndHistogram).
-	lastOp = opQueryVersionedStream
+	lastOp = opStreamNext
 )
 
 // opName names an op for metric labels and diagnostics. Unknown ops
@@ -184,27 +204,17 @@ func opName(op byte) string {
 		return "write"
 	case opQueryVersionedStream:
 		return "query_versioned_stream"
+	case opStreamNext:
+		return "stream_next"
 	default:
 		return "unknown"
 	}
 }
 
+// Response statuses (2 and 3 are reserved; see the package comment).
 const (
 	statusOK  = 0
 	statusErr = 1
-	// statusChunk is one continuation frame of a streaming response:
-	//   u64 reqID | u8 statusChunk | u32 seq | body
-	// seq counts from 0 per stream; a gap means frames were lost or
-	// reordered and poisons the connection. For opQueryStream the body
-	// is a readings block; for opQueryPrefixStream it is
-	// sid | readings (a sensor may repeat across consecutive chunks);
-	// for opQueryVersionedStream it is entries.
-	statusChunk = 2
-	// statusStreamEnd terminates a stream successfully:
-	//   u64 reqID | u8 statusStreamEnd | u32 seq
-	statusStreamEnd = 3
-	// A mid-stream failure arrives as a plain statusErr frame for the
-	// stream's request id and terminates it.
 )
 
 // frameMax bounds a frame's payload so a corrupt or hostile length
@@ -216,9 +226,9 @@ const (
 // this.
 const frameMax = 1 << 28
 
-// streamChunkMaxBytes bounds one stream chunk frame on the client
-// decode path. The server chunks at store.StreamChunkReadings (~64
-// KB); anything over this bound means the peer is not honouring the
+// streamChunkMaxBytes bounds one stream reply on the client decode
+// path. The server chunks at store.StreamChunkReadings (~64 KB);
+// anything over this bound means the peer is not honouring the
 // protocol and the connection is poisoned rather than trusted with
 // large allocations.
 const streamChunkMaxBytes = 1 << 20
@@ -228,6 +238,10 @@ const reqHeaderLen = 8 + 1 + 8
 
 // respHeaderLen is the fixed prefix of a response payload.
 const respHeaderLen = 8 + 1
+
+// chunkHeaderLen is the fixed prefix of a stream reply: the response
+// header and the more-follows flag.
+const chunkHeaderLen = respHeaderLen + 1
 
 var errFrameTooLarge = fmt.Errorf("rpc: frame exceeds %d bytes", frameMax)
 

@@ -144,9 +144,8 @@ func (s *stallStream) Close() error { return nil }
 
 // TestQueryAbandonedByConnectionLoss: a materialised read is a stream
 // underneath, so losing the connection mid-read must clean up like a
-// stream — the caller gets the error, no entry stays in any
-// clientConn.streams, and the server's handler (which unregisters the
-// stream on its way out) finishes.
+// stream — the caller gets the error, no waiter stays in any
+// clientConn.pending, and the server's handler finishes.
 func TestQueryAbandonedByConnectionLoss(t *testing.T) {
 	b := &stallBackend{NodeBackend: store.NewNode(0), firstChunk: make(chan struct{}), release: make(chan struct{})}
 	srv := NewServer(b, true)
@@ -176,12 +175,12 @@ func TestQueryAbandonedByConnectionLoss(t *testing.T) {
 			t.Fatal("a Query whose connection died mid-stream returned no error")
 		}
 	}
-	for _, slot := range cl.streamSlots {
+	for _, slot := range cl.slots {
 		slot.pmu.Lock()
-		left := len(slot.streams)
+		left := len(slot.pending)
 		slot.pmu.Unlock()
 		if left != 0 {
-			t.Fatalf("%d streams still registered on a client connection after the loss", left)
+			t.Fatalf("%d calls still waiting on a client connection after the loss", left)
 		}
 	}
 	close(b.release)
@@ -194,22 +193,30 @@ func TestQueryAbandonedByConnectionLoss(t *testing.T) {
 	}
 }
 
+// queryCost runs one Query and returns what it read and the requests
+// the server took for it.
+func queryCost(t *testing.T, srv *Server, cl *Client, id core.SensorID, want int) (read, requests int64) {
+	t.Helper()
+	read0, _ := cl.NetBytes()
+	req0 := srv.Requests()
+	rs, err := cl.Query(id, 0, 1<<60)
+	if err != nil || len(rs) != want {
+		t.Fatalf("query: %d readings, %v; want %d", len(rs), err, want)
+	}
+	read, _ = cl.NetBytes()
+	return read - read0, srv.Requests() - req0
+}
+
 // TestEmptyQueryIsOneFrame: a Query of an empty range costs exactly one
-// response frame — the end-of-stream marker, no chunk.
+// response frame — the open's reply, saying nothing follows, no chunk.
 func TestEmptyQueryIsOneFrame(t *testing.T) {
 	_, srv, cl := testPair(t, ClientOptions{})
-	if _, err := cl.Query(sid(1, 1), 0, 10); err != nil { // dials
+	if err := cl.Ping(); err != nil { // dials
 		t.Fatal(err)
 	}
-	read0, _ := cl.NetBytes()
-	rs, err := cl.Query(sid(1, 1), 0, 10)
-	if err != nil || len(rs) != 0 {
-		t.Fatalf("empty query: %v, %v", rs, err)
-	}
-	read, _ := cl.NetBytes()
-	const endFrame = 8 + respHeaderLen + 4 // frame header | reqID, status | seq
-	if read-read0 != endFrame {
-		t.Fatalf("an empty Query read %d bytes, want the %d of one end-of-stream frame", read-read0, endFrame)
+	const frame = 8 + chunkHeaderLen // frame header | reqID, status, more
+	if read, reqs := queryCost(t, srv, cl, sid(1, 1), 0); read != frame || reqs != 1 {
+		t.Fatalf("an empty Query read %d bytes in %d requests, want the %d of one reply", read, reqs, frame)
 	}
 	var chunks metrics.Sample
 	for _, s := range srv.Metrics().Gather() {
@@ -218,16 +225,37 @@ func TestEmptyQueryIsOneFrame(t *testing.T) {
 		}
 	}
 	if chunks.Value != 0 {
-		t.Fatalf("the server produced %g chunk frames for empty results", chunks.Value)
+		t.Fatalf("the server sent %g chunks for empty results", chunks.Value)
+	}
+}
+
+// TestOneChunkQueryIsOneFrame: a result of at most one chunk costs one
+// response frame too — the open's reply carries the chunk and says
+// nothing follows.
+func TestOneChunkQueryIsOneFrame(t *testing.T) {
+	n, srv, cl := testPair(t, ClientOptions{})
+	id := sid(1, 2)
+	fillSensor(t, n, id, store.StreamChunkReadings)
+	if err := cl.Ping(); err != nil { // dials
+		t.Fatal(err)
+	}
+	const frame = 8 + chunkHeaderLen + 4 + 16*store.StreamChunkReadings
+	if read, reqs := queryCost(t, srv, cl, id, store.StreamChunkReadings); read != frame || reqs != 1 {
+		t.Fatalf("a one-chunk Query read %d bytes in %d requests, want the %d of one reply", read, reqs, frame)
+	}
+	// One more reading is a second chunk: one more request and reply.
+	fillSensor(t, n, sid(1, 3), store.StreamChunkReadings+1)
+	if _, reqs := queryCost(t, srv, cl, sid(1, 3), store.StreamChunkReadings+1); reqs != 2 {
+		t.Fatalf("a two-chunk Query took %d requests, want 2", reqs)
 	}
 }
 
 // TestQuorumResolveBehindUnreadStreams: a QUORUM read that finds its
 // replicas diverged resolves the span through versioned streams while
 // it still holds the replicas' value streams, with chunks unread behind
-// the divergence. With one stream connection per client, the versioned
-// streams must not queue behind those chunks: a single-sensor read and
-// a prefix read each answer with the winner, inside the call timeout.
+// the divergence. With one connection per client, the versioned
+// streams must not wait on those chunks: a single-sensor read and a
+// prefix read each answer with the winner, inside the call timeout.
 func TestQuorumResolveBehindUnreadStreams(t *testing.T) {
 	const timeout = 3 * time.Second
 	short, long := sid(1, 1), sid(2, 1)
@@ -238,7 +266,7 @@ func TestQuorumResolveBehindUnreadStreams(t *testing.T) {
 	rewrite := []store.VersionedReading{{Timestamp: 0, Value: 99, Version: 2}}
 	backends := make([]store.NodeBackend, 3)
 	for i := range backends {
-		n, _, cl := testPair(t, ClientOptions{StreamPoolSize: 1, CallTimeout: timeout})
+		n, _, cl := testPair(t, ClientOptions{PoolSize: 1, CallTimeout: timeout})
 		backends[i] = cl
 		for _, w := range []struct {
 			id  core.SensorID

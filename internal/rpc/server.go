@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -19,7 +20,8 @@ import (
 // maxInFlight bounds the requests one connection may have executing at
 // once; excess pipelined requests queue in the read loop. It trades a
 // little tail latency for not letting one client fork an unbounded
-// goroutine herd.
+// goroutine herd. It bounds the streams one connection may hold open
+// too: an open beyond it is refused.
 const maxInFlight = 64
 
 // writeStallTimeout bounds one response write; a peer that stopped
@@ -138,29 +140,39 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// serverConn is the per-connection state shared between the read loop,
-// the request goroutines and the stream producers.
+// serverConn is the per-connection state shared between the read loop
+// and the request goroutines.
 type serverConn struct {
 	c net.Conn
 
-	// wmu guards bw: every reply — unary, stream chunk, stream end — is
-	// written whole under it. waiting counts replies queued for wmu; a
-	// reply flushes only when none is, so a burst of replies coalesces
-	// into one syscall.
+	// wmu guards bw: every reply is written whole under it. waiting
+	// counts replies queued for wmu; a reply flushes only when none is,
+	// so a burst of replies coalesces into one syscall.
 	wmu     sync.Mutex
 	bw      *bufio.Writer
 	waiting atomic.Int32
-	dead    atomic.Bool // a reply write failed; producers stop early
+	dead    atomic.Bool // a reply write failed; later replies are dropped
 
 	mu      sync.Mutex
-	streams map[uint64]chan struct{} // reqID -> cancel channel
+	streams map[uint64]*serverStream // open streams by their open call's request id
 }
 
-// reply writes one response frame and returns once it is handed to the
-// kernel (or dropped), so a stream producer never has more than the
-// chunk it is building outstanding. A failed write kills the
-// connection: later replies are dropped, every stream is cancelled and
-// the socket is closed, which ends the read loop too.
+// serverStream is one open stream's cursor: the backend stream and the
+// reply read ahead of the next request for it.
+type serverStream struct {
+	pull  func() ([]byte, error) // the next chunk after a reply header's room, or io.EOF
+	close func() error
+
+	ahead    []byte // the next reply, its header still to be filled in
+	aheadErr error  // why there is no next reply: io.EOF, a failure, or nil
+
+	busy     bool // a request is reading it: a cancel only marks it
+	canceled bool
+}
+
+// reply writes one response frame. A failed write kills the
+// connection: later replies are dropped and the socket is closed,
+// which ends the read loop too.
 func (sc *serverConn) reply(payload []byte) {
 	sc.waiting.Add(1)
 	sc.wmu.Lock()
@@ -178,65 +190,65 @@ func (sc *serverConn) reply(payload []byte) {
 	}
 	if err != nil {
 		sc.dead.Store(true)
-		sc.cancelAll()
 		sc.c.Close()
 	}
 }
 
-// cancelStream stops the producer of one stream (client abandon).
-func (sc *serverConn) cancelStream(id uint64) {
+// acquire marks stream id busy for one request.
+func (sc *serverConn) acquire(id uint64) (*serverStream, error) {
 	sc.mu.Lock()
-	if ch, ok := sc.streams[id]; ok {
+	defer sc.mu.Unlock()
+	ss, ok := sc.streams[id]
+	switch {
+	case !ok:
+		return nil, fmt.Errorf("rpc: no open stream %d", id)
+	case ss.busy:
+		return nil, fmt.Errorf("rpc: stream %d is already answering a request", id)
+	}
+	ss.busy = true
+	return ss, nil
+}
+
+// release ends a request's hold on stream id, closing the stream if it
+// ended or was canceled meanwhile.
+func (sc *serverConn) release(id uint64, ss *serverStream, ended bool) {
+	sc.mu.Lock()
+	ss.busy = false
+	ended = ended || ss.canceled
+	if ended {
 		delete(sc.streams, id)
-		close(ch)
 	}
 	sc.mu.Unlock()
-}
-
-// registerStream creates the cancel channel of a new stream.
-func (sc *serverConn) registerStream(id uint64) chan struct{} {
-	ch := make(chan struct{})
-	sc.mu.Lock()
-	if sc.streams == nil {
-		sc.streams = make(map[uint64]chan struct{})
+	if ended && ss.close != nil {
+		ss.close()
 	}
-	// A duplicate id would orphan the previous channel; ids come from
-	// the client's counter, so just replace.
-	if old, ok := sc.streams[id]; ok {
-		close(old)
-	}
-	sc.streams[id] = ch
-	sc.mu.Unlock()
-	return ch
 }
 
-// finishStream removes a completed stream's cancel channel.
-func (sc *serverConn) finishStream(id uint64) {
+// cancel closes stream id for a client that abandoned it — once the
+// request reading it, if any, is done with it.
+func (sc *serverConn) cancel(id uint64) {
 	sc.mu.Lock()
-	delete(sc.streams, id)
-	sc.mu.Unlock()
-}
-
-// cancelAll fires every stream's cancel channel (connection teardown),
-// so producer goroutines stop promptly instead of streaming a long
-// retention into a drain loop.
-func (sc *serverConn) cancelAll() {
-	sc.mu.Lock()
-	for id, ch := range sc.streams {
+	ss, ok := sc.streams[id]
+	if ok && ss.busy {
+		ss.canceled, ok = true, false
+	} else if ok {
 		delete(sc.streams, id)
-		close(ch)
 	}
 	sc.mu.Unlock()
+	if ok {
+		ss.close()
+	}
 }
 
 // serveConn pumps one connection. The read loop answers a write frame
 // itself, decode to reply: the coordinator sends a member one frame at
 // a time and waits for its answer, so a goroutine per frame would add
 // two hand-offs and no parallelism, and writes never queue behind the
-// in-flight cap. Every other request runs in its own goroutine, bounded
-// by maxInFlight — the server side of request pipelining; a stream
-// holds its goroutine for the stream's lifetime, writing one chunk at a
-// time. All replies go through serverConn.reply.
+// in-flight cap. It takes a stream cancel itself too, so that freeing a
+// cursor never waits for the cap. Every other request runs in its own goroutine, bounded by
+// maxInFlight — the server side of request pipelining. A stream holds
+// no goroutine between its requests, only its cursor. All replies go
+// through serverConn.reply.
 func (s *Server) serveConn(c net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -246,13 +258,16 @@ func (s *Server) serveConn(c net.Conn) {
 		c.Close()
 	}()
 
-	sc := &serverConn{c: c, bw: bufio.NewWriter(c)}
+	sc := &serverConn{c: c, bw: bufio.NewWriter(c), streams: make(map[uint64]*serverStream)}
 	sem := make(chan struct{}, maxInFlight)
 	var handlerWG sync.WaitGroup
-	defer handlerWG.Wait()
-	// Fire cancels before joining the handlers: an in-flight stream
-	// must notice teardown now, not after it finishes on its own.
-	defer sc.cancelAll()
+	// Teardown closes every cursor once no request reads one.
+	defer func() {
+		handlerWG.Wait()
+		for _, ss := range sc.streams {
+			ss.close()
+		}
+	}()
 
 	br := bufio.NewReader(c)
 	for {
@@ -274,12 +289,10 @@ func (s *Server) serveConn(c net.Conn) {
 		arrived := s.now()
 		switch payload[8] {
 		case opCancelStream:
-			// Cancels must not queue behind the in-flight cap: the
-			// whole point is releasing a slot.
 			cur := &cursor{b: payload, off: reqHeaderLen}
 			target := cur.u64()
 			if cur.done() == nil {
-				sc.cancelStream(target)
+				sc.cancel(target)
 			}
 			continue
 		case opWrite:
@@ -296,171 +309,150 @@ func (s *Server) serveConn(c net.Conn) {
 	}
 }
 
-// serve executes one request and writes its reply, or a stream's
-// frames.
+// serve executes one request and writes its reply.
 func (s *Server) serve(sc *serverConn, payload []byte, arrived time.Time) {
 	op := payload[8]
 	start := time.Now()
 	s.met.inFlight.Add(1)
 	defer s.met.inFlight.Add(-1)
-	if op == opQueryStream || op == opQueryPrefixStream || op == opQueryVersionedStream {
-		s.handleStream(sc, payload, arrived)
-		s.met.observeHandle(op, start)
-		return
-	}
-	resp := s.handle(payload, arrived)
+	resp := s.handle(sc, payload, arrived)
 	s.met.observeHandle(op, start)
 	sc.reply(resp)
 }
 
-// handleStream executes one streaming request: chunks are produced
-// pull-wise from the backend stream and each is written before the
-// next is built. The stream ends with a statusStreamEnd frame, or a
-// statusErr frame on a mid-stream backend failure; a client cancel (or
-// connection death) stops production at the next chunk boundary.
-func (s *Server) handleStream(sc *serverConn, payload []byte, arrived time.Time) {
-	cur := &cursor{b: payload}
-	id := cur.u64()
-	op := cur.u8()
-	timeout := cur.i64()
+// errReply is the statusErr response to request id.
+func errReply(id uint64, err error) []byte {
+	resp := make([]byte, 0, respHeaderLen+len(err.Error()))
+	resp = appendU64(resp, id)
+	resp = append(resp, statusErr)
+	return append(resp, err.Error()...)
+}
 
-	fail := func(err error) {
-		resp := make([]byte, 0, respHeaderLen+len(err.Error()))
-		resp = appendU64(resp, id)
-		resp = append(resp, statusErr)
-		sc.reply(append(resp, err.Error()...))
+// chunkBuf starts a stream reply with room for its header and n bytes
+// of chunk.
+func chunkBuf(n int) []byte { return make([]byte, chunkHeaderLen, chunkHeaderLen+n) }
+
+// openStream opens the backend stream an open op asks for, in the
+// connection's table under the request's id, and answers with its first
+// chunk.
+func (s *Server) openStream(sc *serverConn, id uint64, op byte, cur *cursor) []byte {
+	ss := &serverStream{busy: true}
+	sc.mu.Lock()
+	_, dup := sc.streams[id]
+	full := len(sc.streams) >= maxInFlight
+	if !dup && !full {
+		sc.streams[id] = ss
 	}
-	if timeout != 0 && s.now().Sub(arrived) > time.Duration(timeout) {
-		fail(fmt.Errorf("rpc: deadline exceeded before execution"))
-		return
+	sc.mu.Unlock()
+	switch {
+	case dup:
+		return errReply(id, fmt.Errorf("rpc: stream %d is already open", id))
+	case full:
+		return errReply(id, fmt.Errorf("rpc: %d streams already open on this connection (maxInFlight); open refused", maxInFlight))
 	}
-
-	cancel := sc.registerStream(id)
-	defer sc.finishStream(id)
-
-	canceled := func() bool {
-		if sc.dead.Load() {
-			return true
-		}
-		select {
-		case <-cancel:
-			return true
-		default:
-			return false
-		}
+	ss.aheadErr = s.openBackend(ss, op, cur)
+	if ss.aheadErr == nil {
+		ss.ahead, ss.aheadErr = ss.pull()
 	}
+	return s.step(sc, id, id, ss)
+}
 
-	seq := uint32(0)
-	emit := func(body func([]byte) []byte) bool {
-		chunk := make([]byte, 0, respHeaderLen+4+16*store.StreamChunkReadings/2)
-		chunk = appendU64(chunk, id)
-		chunk = append(chunk, statusChunk)
-		chunk = appendU32(chunk, seq)
-		seq++
-		full := body(chunk)
-		s.met.streamChunks.Inc()
-		s.met.streamBytes.Add(int64(len(full)))
-		sc.reply(full)
-		return !canceled()
-	}
-
-	// next yields the body encoder of the stream's next chunk.
-	var next func() (func([]byte) []byte, error)
+// openBackend decodes an open op's body and sets ss up to pull from the
+// backend stream it names.
+func (s *Server) openBackend(ss *serverStream, op byte, cur *cursor) error {
+	sid := cur.sid()
 	switch op {
 	case opQueryStream:
-		sid := cur.sid()
 		from, to := cur.i64(), cur.i64()
 		if err := cur.done(); err != nil {
-			fail(err)
-			return
+			return err
 		}
 		st, err := s.backend.QueryStream(sid, from, to)
 		if err != nil {
-			fail(err)
-			return
+			return err
 		}
-		defer st.Close()
-		next = func() (func([]byte) []byte, error) {
+		ss.close = st.Close
+		ss.pull = func() ([]byte, error) {
 			rs, err := st.Next()
-			return func(b []byte) []byte { return appendReadings(b, rs) }, err
+			if err != nil {
+				return nil, err
+			}
+			return appendReadings(chunkBuf(4+16*len(rs)), rs), nil
 		}
 	case opQueryPrefixStream:
-		sid := cur.sid()
 		depth := cur.u32()
 		from, to := cur.i64(), cur.i64()
 		if err := cur.done(); err != nil {
-			fail(err)
-			return
+			return err
 		}
 		st, err := s.backend.QueryPrefixStream(sid, int(depth), from, to)
 		if err != nil {
-			fail(err)
-			return
+			return err
 		}
-		defer st.Close()
-		next = func() (func([]byte) []byte, error) {
+		ss.close = st.Close
+		ss.pull = func() ([]byte, error) {
 			kid, rs, err := st.Next()
-			return func(b []byte) []byte { return appendReadings(appendSID(b, kid), rs) }, err
+			if err != nil {
+				return nil, err
+			}
+			return appendReadings(appendSID(chunkBuf(16+4+16*len(rs)), kid), rs), nil
 		}
 	case opQueryVersionedStream:
-		sid := cur.sid()
 		from, to := cur.i64(), cur.i64()
 		if err := cur.done(); err != nil {
-			fail(err)
-			return
+			return err
 		}
 		st, err := s.backend.QueryVersionedStream(sid, from, to)
 		if err != nil {
-			fail(err)
-			return
+			return err
 		}
-		defer st.Close()
-		next = func() (func([]byte) []byte, error) {
+		ss.close = st.Close
+		ss.pull = func() ([]byte, error) {
 			vrs, err := st.Next()
-			return func(b []byte) []byte { return store.AppendEntries(b, store.SplitStamps(sid, vrs)) }, err
+			if err != nil {
+				return nil, err
+			}
+			return store.AppendEntries(chunkBuf(32*len(vrs)), store.SplitStamps(sid, vrs)), nil
 		}
 	}
-	for {
-		if canceled() {
-			return
+	return nil
+}
+
+// step answers request id from stream sid: the reply read ahead, whose
+// more-follows flag it learns by reading the next one ahead. A failure
+// read ahead answers the request after the one that learnt of it, and
+// ends the stream.
+func (s *Server) step(sc *serverConn, id, sid uint64, ss *serverStream) []byte {
+	var resp []byte
+	switch {
+	case ss.aheadErr == io.EOF: // an empty result
+		resp = make([]byte, chunkHeaderLen)
+	case ss.aheadErr != nil:
+		resp = errReply(id, ss.aheadErr)
+	default:
+		resp = ss.ahead
+		ss.ahead, ss.aheadErr = ss.pull()
+		if ss.aheadErr != io.EOF {
+			resp[respHeaderLen] = 1
 		}
-		body, err := next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			fail(err)
-			return
-		}
-		if !emit(body) {
-			return
-		}
+		s.met.streamChunks.Inc()
+		s.met.streamBytes.Add(int64(len(resp)))
 	}
-	if canceled() {
-		return
-	}
-	end := make([]byte, 0, respHeaderLen+4)
-	end = appendU64(end, id)
-	end = append(end, statusStreamEnd)
-	end = appendU32(end, seq)
-	sc.reply(end)
+	binary.BigEndian.PutUint64(resp, id)
+	sc.release(sid, ss, resp[8] == statusErr || ss.aheadErr == io.EOF)
+	return resp
 }
 
 // handle executes one request payload and returns the response
 // payload. arrived anchors the request's relative timeout budget to
 // this host's clock.
-func (s *Server) handle(payload []byte, arrived time.Time) []byte {
+func (s *Server) handle(sc *serverConn, payload []byte, arrived time.Time) []byte {
 	cur := &cursor{b: payload}
 	id := cur.u64()
 	op := cur.u8()
 	timeout := cur.i64()
 
-	fail := func(err error) []byte {
-		resp := make([]byte, 0, respHeaderLen+len(err.Error()))
-		resp = appendU64(resp, id)
-		resp = append(resp, statusErr)
-		return append(resp, err.Error()...)
-	}
+	fail := func(err error) []byte { return errReply(id, err) }
 	if timeout != 0 && s.now().Sub(arrived) > time.Duration(timeout) {
 		// Deadline propagation: the caller's budget ran out while the
 		// request queued behind the in-flight cap; executing the op
@@ -474,6 +466,18 @@ func (s *Server) handle(payload []byte, arrived time.Time) []byte {
 	resp = append(resp, statusOK)
 
 	switch op {
+	case opQueryStream, opQueryPrefixStream, opQueryVersionedStream:
+		return s.openStream(sc, id, op, cur)
+	case opStreamNext:
+		sid := cur.u64()
+		if err := cur.done(); err != nil {
+			return fail(err)
+		}
+		ss, err := sc.acquire(sid)
+		if err != nil {
+			return fail(err)
+		}
+		return s.step(sc, id, sid, ss)
 	case opPing:
 		if err := cur.done(); err != nil {
 			return fail(err)

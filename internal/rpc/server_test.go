@@ -3,6 +3,7 @@ package rpc
 import (
 	"bufio"
 	"encoding/binary"
+	"hash/crc32"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -80,7 +81,8 @@ func TestServerModelWriteBypassesInFlightCap(t *testing.T) {
 // TestServerModelInterleavedReplies: pipelined write frames, unary
 // reads and a stream on one connection. Every request id is answered
 // exactly once, write frames in the order they were sent, and the
-// stream's chunks arrive in sequence before its end.
+// stream's chunks arrive one per request until one says no more
+// follows.
 func TestServerModelInterleavedReplies(t *testing.T) {
 	n := store.NewNode(0)
 	streamed := sid(61, 0)
@@ -113,21 +115,31 @@ func TestServerModelInterleavedReplies(t *testing.T) {
 		body = fold.AppendSpec(appendSID(nil, sid(62, uint64(i%5))), fold.Spec{Op: fold.OpSummary, From: 0, To: 1 << 62})
 		reqs = append(reqs, buildRequest(rid, opAggregate, 0, body))
 	}
+	// Both the pipelining goroutine and the reader (asking for the
+	// stream's next chunk) send, each frame in one Write.
+	var wmu sync.Mutex
+	send := func(p []byte) error {
+		frame := binary.BigEndian.AppendUint32(nil, uint32(len(p)))
+		frame = binary.BigEndian.AppendUint32(frame, crc32.ChecksumIEEE(p))
+		wmu.Lock()
+		defer wmu.Unlock()
+		_, err := c.Write(append(frame, p...))
+		return err
+	}
 	sent := make(chan error, 1)
 	go func() {
-		bw := bufio.NewWriter(c)
 		for _, r := range reqs {
-			if err := writeFrame(bw, r); err != nil {
+			if err := send(r); err != nil {
 				sent <- err
 				return
 			}
 		}
-		sent <- bw.Flush()
+		sent <- nil
 	}()
 
 	answered := make(map[uint64]int)
 	var writeOrder []uint64
-	nextSeq, streamReadings, ended := uint32(0), 0, false
+	nextID, streamReadings, ended := uint64(streamID), 0, false
 	br := bufio.NewReader(c)
 	c.SetReadDeadline(time.Now().Add(20 * time.Second))
 	for len(answered) < len(writeIDs)+len(readIDs) || !ended {
@@ -136,10 +148,10 @@ func TestServerModelInterleavedReplies(t *testing.T) {
 			t.Fatalf("after %d answers: %v", len(answered), err)
 		}
 		id, status := binary.BigEndian.Uint64(p), p[8]
-		if id != streamID {
-			if status != statusOK {
-				t.Fatalf("request %d: status %d: %s", id, status, p[respHeaderLen:])
-			}
+		if status != statusOK {
+			t.Fatalf("request %d: status %d: %s", id, status, p[respHeaderLen:])
+		}
+		if id < streamID {
 			if answered[id]++; answered[id] > 1 {
 				t.Fatalf("request %d answered twice", id)
 			}
@@ -148,21 +160,15 @@ func TestServerModelInterleavedReplies(t *testing.T) {
 			}
 			continue
 		}
-		if ended {
-			t.Fatal("stream frame after the stream's end")
+		if ended || id != nextID {
+			t.Fatalf("stream reply to request %d, want %d (ended %v)", id, nextID, ended)
 		}
-		seq := binary.BigEndian.Uint32(p[respHeaderLen:])
-		if seq != nextSeq {
-			t.Fatalf("stream frame seq %d, want %d", seq, nextSeq)
-		}
-		switch status {
-		case statusChunk:
-			nextSeq++
-			streamReadings += (len(p) - respHeaderLen - 4) / 16
-		case statusStreamEnd:
-			ended = true
-		default:
-			t.Fatalf("stream status %d: %s", status, p[respHeaderLen:])
+		streamReadings += (len(p) - chunkHeaderLen - 4) / 16
+		if ended = p[respHeaderLen] == 0; !ended {
+			nextID++
+			if err := send(buildRequest(nextID, opStreamNext, 0, appendU64(nil, streamID))); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	if err := <-sent; err != nil {
@@ -192,24 +198,26 @@ func TestServerModelInterleavedReplies(t *testing.T) {
 	}
 }
 
-// endlessStream yields full chunks forever.
+// endlessStream yields the same chunk forever.
 type endlessStream struct{ chunk []core.Reading }
 
 func (s endlessStream) Next() ([]core.Reading, error) { return s.chunk, nil }
 func (s endlessStream) Close() error                  { return nil }
 
-// endlessStreams is a node whose QueryStream never ends.
+// endlessStreams is a node whose QueryStream never ends, in chunks of
+// 8 MB: more than the socket buffers hold, so that one reply left
+// unread blocks the server's writer.
 type endlessStreams struct{ *store.Node }
 
 func (endlessStreams) QueryStream(core.SensorID, int64, int64) (store.ReadingStream, error) {
-	return endlessStream{chunk: make([]core.Reading, store.StreamChunkReadings)}, nil
+	return endlessStream{chunk: make([]core.Reading, 1<<19)}, nil
 }
 
-// TestServerModelStalledPeerTeardown: a peer that sends a stream
-// request and a write frame and then stops reading, without closing,
-// stalls every reply. The write-stall deadline must still end the
-// connection: the stream producer and the read loop return and the
-// server forgets the connection.
+// TestServerModelStalledPeerTeardown: a peer that opens a stream and
+// sends a write frame and then stops reading, without closing, stalls
+// every reply. The write-stall deadline must still end the connection:
+// the handlers and the read loop return and the server forgets the
+// connection.
 func TestServerModelStalledPeerTeardown(t *testing.T) {
 	t.Cleanup(func(d time.Duration) func() { return func() { writeStallTimeout = d } }(writeStallTimeout))
 	writeStallTimeout = 200 * time.Millisecond

@@ -9,17 +9,20 @@ import (
 	"net"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"dcdb/internal/core"
+	"dcdb/internal/libdcdb"
 	"dcdb/internal/store"
 )
 
 // Streaming RPC tests: chunked roundtrips, cancel-on-close releasing
-// the server's producer goroutine, mid-stream error frames, and the
-// client-side framing bounds (oversized frames and sequence gaps must
-// poison the connection, not be trusted).
+// the server's cursor, mid-stream errors, the client-side framing
+// bounds (oversized frames and chunks must poison the connection, not
+// be trusted), and streams left unread beside other calls.
 
 func fillSensor(t *testing.T, n *store.Node, id core.SensorID, total int) {
 	t.Helper()
@@ -63,7 +66,7 @@ func TestStreamQueryRoundtrip(t *testing.T) {
 		chunks++
 	}
 	if chunks < 3 {
-		t.Fatalf("expected several chunk frames, got %d", chunks)
+		t.Fatalf("expected several chunks, got %d", chunks)
 	}
 	want, err := n.Query(id, -1<<62, 1<<62)
 	if err != nil {
@@ -128,19 +131,20 @@ func TestStreamPrefixRoundtrip(t *testing.T) {
 }
 
 // TestStreamCancelReleasesServer closes a stream after one chunk; the
-// server's producer goroutine must stop promptly (not stream the whole
-// retention into the void) and the connection must keep serving.
+// server must close its cursor promptly (not hold the whole retention
+// open) and the connection must keep serving.
 func TestStreamCancelReleasesServer(t *testing.T) {
 	// One pooled connection, so the stream rides the connection the
 	// baseline Ping below already established.
-	n, srv, cl := testPair(t, ClientOptions{PoolSize: 1})
+	n := store.NewNode(0)
+	b := &countingStreams{NodeBackend: n}
+	cl := NewClient(serveBackend(t, b).Addr(), ClientOptions{PoolSize: 1})
+	defer cl.Close()
 	id := sid(9, 9)
 	fillSensor(t, n, id, 50*store.StreamChunkReadings)
 
-	// Establish the pooled connections first so the baseline includes
-	// their long-lived reader/writer goroutines: Ping dials the unary
-	// connection, a drained throwaway stream dials the dedicated stream
-	// connection.
+	// Establish the pooled connection first so the baseline includes
+	// its long-lived goroutines, and run a throwaway stream to its end.
 	if err := cl.Ping(); err != nil {
 		t.Fatal(err)
 	}
@@ -165,16 +169,12 @@ func TestStreamCancelReleasesServer(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// The producer notices the cancel at its next chunk boundary.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if g := runtime.NumGoroutine(); g <= before+2 || time.Now().After(deadline) {
-			if g > before+2 {
-				t.Fatalf("server goroutines not released after cancel: %d now, %d before", g, before)
-			}
-			break
+	// The cursor closes once the request reading ahead is done with it.
+	waitStreamsClosed(t, b)
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before+2; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("server goroutines not released after cancel: %d now, %d before", runtime.NumGoroutine(), before)
 		}
-		time.Sleep(10 * time.Millisecond)
 	}
 	// Stream slots freed: more streams and unary calls work.
 	if err := cl.Ping(); err != nil {
@@ -188,7 +188,160 @@ func TestStreamCancelReleasesServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	st2.Close()
-	_ = srv
+}
+
+// countingStreams is a node that counts its value streams still open,
+// and the reads and closes made of a stream already closed.
+type countingStreams struct {
+	store.NodeBackend
+	open   atomic.Int32
+	misuse atomic.Int32
+}
+
+func (b *countingStreams) QueryStream(id core.SensorID, from, to int64) (store.ReadingStream, error) {
+	st, err := b.NodeBackend.QueryStream(id, from, to)
+	if err != nil {
+		return nil, err
+	}
+	b.open.Add(1)
+	return &countedStream{ReadingStream: st, b: b}, nil
+}
+
+type countedStream struct {
+	store.ReadingStream
+	b      *countingStreams
+	closed atomic.Bool
+}
+
+func (s *countedStream) Next() ([]core.Reading, error) {
+	if s.closed.Load() {
+		s.b.misuse.Add(1)
+	}
+	return s.ReadingStream.Next()
+}
+
+func (s *countedStream) Close() error {
+	if s.closed.Swap(true) {
+		s.b.misuse.Add(1)
+	} else {
+		s.b.open.Add(-1)
+	}
+	return s.ReadingStream.Close()
+}
+
+// waitStreamsClosed waits until b holds no open stream, and fails if
+// any stream was read or closed after its close.
+func waitStreamsClosed(t *testing.T, b *countingStreams) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for b.open.Load() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d streams still open on the node", b.open.Load())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if m := b.misuse.Load(); m != 0 {
+		t.Fatalf("the node read or closed a closed stream %d times", m)
+	}
+}
+
+// gatedBackend is a node whose value streams yield two chunks and then
+// block, having closed entered, until gate is closed.
+type gatedBackend struct {
+	store.NodeBackend
+	entered, gate chan struct{}
+}
+
+func (b gatedBackend) QueryStream(core.SensorID, int64, int64) (store.ReadingStream, error) {
+	return &gatedStream{b: b}, nil
+}
+
+type gatedStream struct {
+	b gatedBackend
+	n int
+}
+
+func (s *gatedStream) Next() ([]core.Reading, error) {
+	if s.n++; s.n <= 2 {
+		return []core.Reading{{Timestamp: int64(s.n)}}, nil
+	}
+	close(s.b.entered)
+	<-s.b.gate
+	return nil, io.EOF
+}
+
+func (s *gatedStream) Close() error { return nil }
+
+// TestStreamCancelWaitsForRunningNext: a cancel that arrives while a
+// chunk request is reading the stream does not close the cursor under
+// that read; the cursor closes once the read is done.
+func TestStreamCancelWaitsForRunningNext(t *testing.T) {
+	g := gatedBackend{NodeBackend: store.NewNode(0), entered: make(chan struct{}), gate: make(chan struct{})}
+	b := &countingStreams{NodeBackend: g}
+	cl := NewClient(serveBackend(t, b).Addr(), ClientOptions{PoolSize: 1})
+	defer cl.Close()
+	// The server's Close waits for the blocked read: release it on
+	// every way out of the test.
+	release := sync.OnceFunc(func() { close(g.gate) })
+	defer release()
+	st, err := cl.QueryStream(sid(1, 1), 0, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The open answered with chunk 1; the request for chunk 2, sent
+	// ahead, is now reading chunk 3 ahead, and blocks there.
+	select {
+	case <-g.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the node never read ahead for the second chunk")
+	}
+	st.Close()
+	// Requests on one connection are read in order: once the ping is
+	// answered, the node has taken the cancel sent before it.
+	if err := cl.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	if n := b.open.Load(); n != 1 {
+		t.Fatalf("%d streams open while a read runs on the canceled one, want 1", n)
+	}
+	release()
+	waitStreamsClosed(t, b)
+}
+
+// TestStreamCancelRacesNext: streams closed early from several
+// goroutines at once on one connection, each with its chunk request
+// sent ahead still on its way; the node closes every cursor exactly
+// once, never under a running read, and holds none afterwards.
+func TestStreamCancelRacesNext(t *testing.T) {
+	n := store.NewNode(0)
+	b := &countingStreams{NodeBackend: n}
+	cl := NewClient(serveBackend(t, b).Addr(), ClientOptions{PoolSize: 1})
+	defer cl.Close()
+	id := sid(9, 4)
+	fillSensor(t, n, id, 6*store.StreamChunkReadings)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				st, err := cl.QueryStream(id, -1<<62, 1<<62)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for k := 0; k < (g+i)%5; k++ {
+					if _, err := st.Next(); err != nil {
+						t.Error(err)
+						break
+					}
+				}
+				st.Close()
+			}
+		}(g)
+	}
+	wg.Wait()
+	waitStreamsClosed(t, b)
 }
 
 // errAfterOneStream yields one chunk, then a mid-stream failure.
@@ -297,44 +450,16 @@ func TestClientRejectsOversizedFrame(t *testing.T) {
 	}
 }
 
-// TestStreamSeqGapPoisonsConnection forges a chunk with the wrong
-// sequence number; the client must refuse to reorder and poison the
-// connection.
-func TestStreamSeqGapPoisonsConnection(t *testing.T) {
-	addr := rawServer(t, func(t *testing.T, c net.Conn, br *bufio.Reader) {
-		id := readReqID(t, br)
-		bw := bufio.NewWriter(c)
-		chunk := make([]byte, 0, 32)
-		chunk = appendU64(chunk, id)
-		chunk = append(chunk, statusChunk)
-		chunk = appendU32(chunk, 5) // stream must start at seq 0
-		chunk = appendU32(chunk, 0) // zero readings
-		writeFrame(bw, chunk)
-		bw.Flush()
-		time.Sleep(200 * time.Millisecond)
-	})
-	cl := NewClient(addr, ClientOptions{CallTimeout: time.Second})
-	defer cl.Close()
-	st, err := cl.QueryStream(sid(1, 1), 0, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if _, err := st.Next(); err == nil || !strings.Contains(err.Error(), "sequence") {
-		t.Fatalf("sequence gap not rejected: %v", err)
-	}
-}
-
-// TestStreamChunkBoundEnforced forges an in-sequence chunk larger than
-// the stream bound; the client must poison the connection rather than
+// TestStreamChunkBoundEnforced forges an open reply larger than the
+// stream bound; the client must poison the connection rather than
 // buffer it.
 func TestStreamChunkBoundEnforced(t *testing.T) {
 	addr := rawServer(t, func(t *testing.T, c net.Conn, br *bufio.Reader) {
 		id := readReqID(t, br)
 		huge := make([]byte, streamChunkMaxBytes+1024)
 		binary.BigEndian.PutUint64(huge[0:], id)
-		huge[8] = statusChunk
-		// seq 0, then garbage readings payload
+		huge[8] = statusOK
+		// no more follows, then a garbage readings payload
 		var hdr [8]byte
 		binary.BigEndian.PutUint32(hdr[0:], uint32(len(huge)))
 		binary.BigEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(huge))
@@ -344,13 +469,13 @@ func TestStreamChunkBoundEnforced(t *testing.T) {
 	})
 	cl := NewClient(addr, ClientOptions{CallTimeout: time.Second})
 	defer cl.Close()
-	st, err := cl.QueryStream(sid(1, 1), 0, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if _, err := st.Next(); err == nil || !strings.Contains(err.Error(), "chunk") {
+	if _, err := cl.QueryStream(sid(1, 1), 0, 10); err == nil || !strings.Contains(err.Error(), "chunk") {
 		t.Fatalf("oversized chunk not rejected: %v", err)
+	}
+	// The connection is poisoned: the next call fails rather than
+	// trusting the old socket.
+	if err := cl.Ping(); err == nil {
+		t.Fatal("poisoned connection kept serving")
 	}
 }
 
@@ -401,16 +526,11 @@ func TestRPCStreamColdNode(t *testing.T) {
 }
 
 // TestStreamStallDoesNotBlockUnary: a consumer that opens a stream and
-// stops pulling stalls its connection's read loop by design (physical
-// backpressure). That stall must be contained to the dedicated stream
-// connections — concurrent unary calls on the same client must keep
-// completing at full speed. Regression test for streams and unary
-// calls sharing a connection pool.
+// stops pulling holds a cursor on the server and nothing else, so
+// unary calls on the same connection keep completing at full speed.
 func TestStreamStallDoesNotBlockUnary(t *testing.T) {
-	n, _, cl := testPair(t, ClientOptions{PoolSize: 1, StreamPoolSize: 1, CallTimeout: 2 * time.Second})
+	n, _, cl := testPair(t, ClientOptions{PoolSize: 1, CallTimeout: 2 * time.Second})
 	id := sid(9, 9)
-	// Enough chunks that the abandoned stream fills the client-side
-	// delivery buffer and wedges its connection's read loop.
 	fillSensor(t, n, id, 12*store.StreamChunkReadings)
 
 	st, err := cl.QueryStream(id, -1<<62, 1<<62)
@@ -423,7 +543,7 @@ func TestStreamStallDoesNotBlockUnary(t *testing.T) {
 	if _, err := st.Next(); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(100 * time.Millisecond) // let chunks pile into the stalled conn
+	time.Sleep(100 * time.Millisecond) // let anything the stream could send arrive
 
 	start := time.Now()
 	for i := 0; i < 50; i++ {
@@ -435,6 +555,129 @@ func TestStreamStallDoesNotBlockUnary(t *testing.T) {
 		}
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("unary calls took %s behind a stalled stream; stream backpressure leaked into the unary pool", elapsed)
+		t.Fatalf("unary calls took %s behind a stalled stream", elapsed)
+	}
+}
+
+// TestStreamUnreadLeavesReadsServed: one connection, a stream of many
+// chunks held unread, and then 50 reads of another sensor — each a
+// stream of its own on the same connection — with pings and writes
+// between them, each inside the call timeout.
+func TestStreamUnreadLeavesReadsServed(t *testing.T) {
+	const timeout = 2 * time.Second
+	n, _, cl := testPair(t, ClientOptions{PoolSize: 1, CallTimeout: timeout})
+	held, other := sid(9, 1), sid(9, 2)
+	fillSensor(t, n, held, 40*store.StreamChunkReadings)
+	fillSensor(t, n, other, 2*store.StreamChunkReadings+5)
+
+	st, err := cl.QueryStream(held, -1<<62, 1<<62)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for i := 0; i < 50; i++ {
+		start := time.Now()
+		rs, err := cl.Query(other, -1<<62, 1<<62)
+		if err != nil || len(rs) != 2*store.StreamChunkReadings+5 {
+			t.Fatalf("read %d beside an unread stream: %d readings, %v", i, len(rs), err)
+		}
+		if err := cl.Ping(); err != nil {
+			t.Fatalf("ping %d beside an unread stream: %v", i, err)
+		}
+		if err := cl.Insert(sid(9, 9), rd(int64(i), 1), 0); err != nil {
+			t.Fatalf("write %d beside an unread stream: %v", i, err)
+		}
+		if took := time.Since(start); took >= timeout {
+			t.Fatalf("round %d took %s, the call timeout is %s", i, took, timeout)
+		}
+	}
+	// The held stream still reads to its end.
+	if rs, err := store.Drain(st); err != nil || len(rs) != 40*store.StreamChunkReadings {
+		t.Fatalf("the held stream: %d readings, %v", len(rs), err)
+	}
+}
+
+// TestStreamOpensBeyondMaxInFlight: one connection holds at most
+// maxInFlight open streams; the open after them is refused with an
+// error that names the bound, and the connection keeps serving —
+// closing one stream makes room for another.
+func TestStreamOpensBeyondMaxInFlight(t *testing.T) {
+	n, _, cl := testPair(t, ClientOptions{PoolSize: 1, CallTimeout: 2 * time.Second})
+	id := sid(9, 3)
+	// Three chunks: the first answers the open, the second the request
+	// sent ahead, and the third keeps each stream open.
+	fillSensor(t, n, id, 3*store.StreamChunkReadings)
+	open := make([]store.ReadingStream, maxInFlight)
+	for i := range open {
+		st, err := cl.QueryStream(id, -1<<62, 1<<62)
+		if err != nil {
+			t.Fatalf("open %d: %v", i, err)
+		}
+		defer st.Close()
+		open[i] = st
+	}
+	if _, err := cl.QueryStream(id, -1<<62, 1<<62); err == nil || !strings.Contains(err.Error(), "maxInFlight") {
+		t.Fatalf("open %d on one connection: %v, want a refusal naming maxInFlight", maxInFlight+1, err)
+	}
+	if err := cl.Ping(); err != nil {
+		t.Fatalf("ping after the refused open: %v", err)
+	}
+	if err := cl.Insert(id, rd(1e9, 1), 0); err != nil {
+		t.Fatalf("write after the refused open: %v", err)
+	}
+	if rs, err := store.Drain(open[0]); err != nil || len(rs) != 3*store.StreamChunkReadings {
+		t.Fatalf("an open stream after the refusal: %d readings, %v", len(rs), err)
+	}
+	st, err := cl.QueryStream(id, -1<<62, 1<<62)
+	if err != nil {
+		t.Fatalf("open after one stream ended: %v", err)
+	}
+	st.Close()
+}
+
+// TestStreamVirtualSensorThreeOperands: a virtual sensor over three
+// sensors of one node reads its operands' streams side by side on one
+// client; it drains completely, 40 chunks an operand.
+func TestStreamVirtualSensorThreeOperands(t *testing.T) {
+	_, _, cl := testPair(t, ClientOptions{CallTimeout: 2 * time.Second})
+	conn := libdcdb.Connect(cl, nil)
+	const total = 40 * store.StreamChunkReadings
+	batch := make([]core.Reading, store.StreamChunkReadings)
+	for _, topic := range []string{"/m/a", "/m/b", "/m/c"} {
+		for base := 0; base < total; base += len(batch) {
+			for i := range batch {
+				batch[i] = core.Reading{Timestamp: int64(base + i), Value: 1}
+			}
+			if err := conn.InsertBatch(topic, batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := conn.PublishSensor(core.Metadata{Topic: "/m/sum", Virtual: true, Expression: "</m/a> + </m/b> + </m/c>"}); err != nil {
+		t.Fatal(err)
+	}
+	st, err := conn.QueryStream("/m/sum", 0, total)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	got := 0
+	for {
+		rs, err := st.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("after %d readings: %v", got, err)
+		}
+		for _, r := range rs {
+			if r.Value != 3 {
+				t.Fatalf("reading %v, want the sum 3", r)
+			}
+		}
+		got += len(rs)
+	}
+	if got != total {
+		t.Fatalf("the virtual sensor yielded %d readings, want %d", got, total)
 	}
 }

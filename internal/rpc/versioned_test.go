@@ -3,6 +3,7 @@ package rpc
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"io"
 	"math"
 	"net"
@@ -96,7 +97,7 @@ func TestRPCAggregateMatchesLocal(t *testing.T) {
 }
 
 // TestRPCVersionedStreamChunks: a versioned read of 10^6 readings, each
-// with a stamp of its own, arrives as a stream of bounded chunk frames
+// with a stamp of its own, arrives as a stream of bounded chunks
 // — the one-frame read it replaced tore the connection down above
 // frameMax — and the client stays healthy afterwards.
 func TestRPCVersionedStreamChunks(t *testing.T) {
@@ -114,8 +115,9 @@ func TestRPCVersionedStreamChunks(t *testing.T) {
 		}
 	}
 
-	// On the wire: every chunk frame within the client's bound, its
-	// body whole entries, the readings in order under their stamps.
+	// On the wire: every reply within the client's bound, its chunk
+	// whole entries, the readings in order under their stamps, one
+	// opStreamNext request a chunk after the open's.
 	c, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -123,27 +125,27 @@ func TestRPCVersionedStreamChunks(t *testing.T) {
 	defer c.Close()
 	body := appendI64(appendI64(appendSID(nil, id), math.MinInt64), math.MaxInt64)
 	bw := bufio.NewWriter(c)
-	if err := writeFrame(bw, buildRequest(1, opQueryVersionedStream, 0, body)); err != nil || bw.Flush() != nil {
-		t.Fatal("sending the request failed")
+	request := func(id uint64, op byte, body []byte) {
+		if err := writeFrame(bw, buildRequest(id, op, 0, body)); err != nil || bw.Flush() != nil {
+			t.Fatal("sending a request failed")
+		}
 	}
+	request(1, opQueryVersionedStream, body)
 	br := bufio.NewReader(c)
 	c.SetReadDeadline(time.Now().Add(time.Minute))
 	next, chunks := int64(0), 0
-	for {
+	for id := uint64(1); ; id++ {
 		p, err := readFrame(br)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p[8] == statusStreamEnd {
-			break
-		}
-		if p[8] != statusChunk {
-			t.Fatalf("status %d: %s", p[8], p[respHeaderLen:])
+		if p[8] != statusOK || binary.BigEndian.Uint64(p) != id {
+			t.Fatalf("reply to request %d, status %d, want %d: %s", binary.BigEndian.Uint64(p), p[8], id, p[respHeaderLen:])
 		}
 		if len(p) > streamChunkMaxBytes {
 			t.Fatalf("chunk %d is %d bytes, over the client's %d-byte bound", chunks, len(p), streamChunkMaxBytes)
 		}
-		entries, err := store.DecodeEntries(p[respHeaderLen+4:])
+		entries, err := store.DecodeEntries(p[chunkHeaderLen:])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,6 +158,10 @@ func TestRPCVersionedStreamChunks(t *testing.T) {
 			}
 		}
 		chunks++
+		if p[respHeaderLen] == 0 {
+			break
+		}
+		request(id+1, opStreamNext, appendU64(nil, 1))
 	}
 	if next != total || chunks < total/store.StreamChunkReadings {
 		t.Fatalf("%d readings in %d chunks, want %d in at least %d", next, chunks, total, total/store.StreamChunkReadings)

@@ -505,10 +505,11 @@ type prefixMergeStream struct {
 // placement depth spans replica sets, and a deeper one is not routed to
 // its single set either; each yields its sensors in ascending SID
 // order, so the coordinator merges sensor-at-a-time — memory is bounded
-// by one sensor's result per backend, never the whole subtree. At
-// QUORUM the stream fails unless every replica set the read ring could
-// assign retains a quorum of live streams — a conservative, exact bound
-// over every sensor the prefix could own.
+// by one sensor's result per backend, never the whole subtree. The
+// stream fails unless every replica set the read ring could assign
+// retains the live streams the read consistency requires — a quorum,
+// or at ONE one — a conservative, exact bound over every sensor the
+// prefix could own.
 func (c *Cluster) QueryPrefixStream(prefix core.SensorID, depth int, from, to int64) (KeyedReadingStream, error) {
 	t := c.top()
 	streams := make([]KeyedReadingStream, len(t.members))

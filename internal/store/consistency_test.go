@@ -301,6 +301,39 @@ func TestQueryPrefixQuorumMergesDivergedReplicas(t *testing.T) {
 	}
 }
 
+// TestQueryPrefixOneNeedsEveryReplicaSet: a prefix read at ONE still
+// needs one live member in every replica set — with a whole set down
+// its sensors would be missing from an answer that reports no error.
+func TestQueryPrefixOneNeedsEveryReplicaSet(t *testing.T) {
+	for _, tc := range []struct {
+		replication int
+		down        []int
+	}{{1, []int{0}}, {2, []int{0, 1}}} {
+		c, nodes := threeNodeCluster(t, tc.replication, ClusterOptions{})
+		ids := seedSensors(t, c, 30, 2)
+		if got, err := c.QueryPrefix(core.SensorID{}, 0, 0, 1<<60); err != nil || len(got) != len(ids) {
+			t.Fatalf("rf=%d, all up: %d of %d sensors, %v", tc.replication, len(got), len(ids), err)
+		}
+		for _, i := range tc.down {
+			nodes[i].SetDown(true)
+		}
+		if got, err := c.QueryPrefix(core.SensorID{}, 0, 0, 1<<60); err == nil {
+			t.Fatalf("rf=%d, nodes %v down: a ONE prefix read returned %d of %d sensors and no error",
+				tc.replication, tc.down, len(got), len(ids))
+		}
+		c.Close()
+	}
+	// A down node whose every replica set keeps a live member still
+	// leaves the whole answer.
+	c, nodes := threeNodeCluster(t, 2, ClusterOptions{})
+	defer c.Close()
+	ids := seedSensors(t, c, 30, 2)
+	nodes[0].SetDown(true)
+	if got, err := c.QueryPrefix(core.SensorID{}, 0, 0, 1<<60); err != nil || len(got) != len(ids) {
+		t.Fatalf("rf=2, one node down: %d of %d sensors, %v", len(got), len(ids), err)
+	}
+}
+
 func TestClusterMaintenanceFansOutToAllBackends(t *testing.T) {
 	c, nodes := threeNodeCluster(t, 2, ClusterOptions{})
 	idA, idB := sid(31, 1), sid(37, 2)

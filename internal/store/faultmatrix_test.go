@@ -280,6 +280,36 @@ func TestWALWriteENOSPCFailsShardClosed(t *testing.T) {
 	}
 }
 
+// TestHintLostCounted: a hint whose file write fails is lost, but not
+// silently — the write still acks at ONE on the replica that took it,
+// and dcdb_cluster_hints_lost_total counts the lost hint.
+func TestHintLostCounted(t *testing.T) {
+	inj := faults.New(1)
+	orig := fsutil.Disk
+	fsutil.Disk = inj.FS(orig)
+	defer func() { fsutil.Disk = orig }()
+
+	hintDir := t.TempDir()
+	c, nodes := threeNodeCluster(t, 2, ClusterOptions{HintDir: hintDir, HintReplayInterval: -1})
+	defer c.Close()
+	inj.AddRule(&faults.Rule{Ops: faults.FSWrite, Match: hintDir, Err: syscall.ENOSPC})
+	id := sid(11, 5)
+	reps := c.replicasFor(id)
+	nodes[reps[1]].SetDown(true)
+	if err := c.Insert(id, core.Reading{Timestamp: 1, Value: 1}, 0); err != nil {
+		t.Fatalf("ONE write whose hint could not be queued: %v", err)
+	}
+	if got := sampleValue(t, c.Metrics().Gather(), "dcdb_cluster_hints_lost_total"); got != 1 {
+		t.Fatalf("dcdb_cluster_hints_lost_total = %v, want 1", got)
+	}
+	if queued, _, _ := c.HintStats(); queued != 0 {
+		t.Fatalf("%d hints queued, want the one lost", queued)
+	}
+	if rs, err := nodes[reps[0]].Query(id, 0, 10); err != nil || len(rs) != 1 {
+		t.Fatalf("the live replica holds %v, %v; want the acked reading", rs, err)
+	}
+}
+
 // insertFailBackend fails one scripted InsertVersioned call, for
 // interrupting a hint replay mid-file. Coordinated writes and hint
 // replay both deliver through InsertVersioned.

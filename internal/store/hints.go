@@ -361,16 +361,23 @@ func (q *hintQueue) close() error {
 // outrank a later rewrite.
 func (c *Cluster) hintInsert(id string, e WriteEntry) {
 	recs, n := appendWALInserts(nil, []WriteEntry{e})
-	if err := c.hints.enqueue(id, recs, n); err != nil {
-		log.Printf("store: hint for member %s lost: %v", id, err)
-	}
+	c.hint(id, recs, n)
 }
 
 // hintDelete queues a delete hint.
 func (c *Cluster) hintDelete(id string, sid core.SensorID, cutoff int64) {
 	var rec [walFrameHeader + 25]byte
 	putWALFrameHeader(rec[:], encodeWALDelete(rec[walFrameHeader:walFrameHeader], sid, cutoff))
-	if err := c.hints.enqueue(id, rec[:], 1); err != nil {
+	c.hint(id, rec[:], 1)
+}
+
+// hint queues n records for a member. One that cannot be queued is
+// lost — counted and logged; the write it belongs to still stands on
+// the replicas that took it, and anti-entropy is left to repair the
+// member.
+func (c *Cluster) hint(id string, recs []byte, n int) {
+	if err := c.hints.enqueue(id, recs, n); err != nil {
+		c.met.hintsLost.Add(int64(n))
 		log.Printf("store: hint for member %s lost: %v", id, err)
 	}
 }

@@ -276,6 +276,7 @@ type clusterMetrics struct {
 	readsOK      *metrics.Counter
 	readsFailed  *metrics.Counter
 	readRepairs  *metrics.Counter
+	hintsLost    *metrics.Counter
 
 	// Frames sent by the per-member write queues and the entries in
 	// them: entries ÷ frames is how much the combiner coalesced.
@@ -310,6 +311,8 @@ func newClusterMetrics(c *Cluster) *clusterMetrics {
 			"Reads that missed the configured consistency level."),
 		readRepairs: reg.Counter("dcdb_cluster_read_repairs_total",
 			"Background read repairs issued to lagging replicas."),
+		hintsLost: reg.Counter("dcdb_cluster_hints_lost_total",
+			"Hinted-handoff mutations that could not be queued (the hint file write failed); the write still acks if its consistency level was met."),
 		writeFrames: reg.Counter("dcdb_cluster_write_frames_total",
 			"Write frames sent to remote members by the per-member write queues."),
 		writeFrameEntries: reg.Counter("dcdb_cluster_write_frame_entries_total",

@@ -154,14 +154,12 @@ func (c *Cluster) replicasFor(id core.SensorID) []int {
 
 // checkPrefixQuorum applies the conservative prefix-read bound to a
 // fan-out's per-member error slots: every replica set the read ring
-// could assign (its distinct successor sets) must retain a quorum of
-// live members.
+// could assign (its distinct successor sets) must retain as many live
+// members as the read consistency requires — a quorum, or at ONE one,
+// so that no replica set's sensors go missing from the answer.
 func (c *Cluster) checkPrefixQuorum(t *topology, errs []error, firstErr error) error {
 	r := t.readRing()
 	required := c.readCL.required(min(c.replication, r.Size()))
-	if required <= 1 {
-		return nil
-	}
 	for _, win := range r.Windows(c.replication) {
 		ok := 0
 		for _, mid := range win {

@@ -12,7 +12,9 @@
 // sub-100ns/op workloads from tripping on timer granularity. A busy
 // machine can still push one run's median over the line, so a workload
 // over budget is measured again, up to twice, and fails only when every
-// attempt is over.
+// attempt is over. Beside the time gate stands a count gate that no
+// busy machine can trip: the same workloads allocate exactly as often
+// with instrumentation on as with it off.
 package main_test
 
 import (
@@ -79,6 +81,56 @@ func assertBudget(t *testing.T, name string, measure func() float64) {
 	}
 }
 
+// The workloads: inserts into a fresh node, and 1 001-reading range
+// reads of a prepared one.
+var (
+	insertID = core.SensorID{Hi: 42, Lo: 7}
+	queryID  = core.SensorID{Hi: 7, Lo: 1}
+)
+
+func newQueryNode() *store.Node {
+	n := store.NewNode(1 << 12)
+	for i := int64(0); i < 20_000; i++ {
+		n.Insert(queryID, core.Reading{Timestamp: i, Value: float64(i)}, 0)
+	}
+	return n
+}
+
+func query(t *testing.T, n *store.Node) {
+	rs, err := n.Query(queryID, 5000, 6000)
+	if err != nil || len(rs) != 1001 {
+		t.Fatalf("query: %d readings, %v", len(rs), err)
+	}
+}
+
+// TestInstrumentationAllocParity is the count gate: instrumentation adds
+// no allocation to an insert or a query. Counts do not depend on how
+// busy the machine is, so it runs in -short and coverage mode too.
+func TestInstrumentationAllocParity(t *testing.T) {
+	defer store.SetInstrumentation(true)
+	queryNode := newQueryNode()
+	allocs := func(on bool) (insert, read float64) {
+		store.SetInstrumentation(on)
+		n := store.NewNode(0)
+		ts := int64(0)
+		insert = testing.AllocsPerRun(10_000, func() {
+			ts++
+			if err := n.Insert(insertID, core.Reading{Timestamp: ts, Value: 1}, 0); err != nil {
+				t.Fatal(err)
+			}
+		})
+		read = testing.AllocsPerRun(200, func() { query(t, queryNode) })
+		return insert, read
+	}
+	offInsert, offQuery := allocs(false)
+	onInsert, onQuery := allocs(true)
+	t.Logf("allocations per insert %v off, %v on; per query %v off, %v on", offInsert, onInsert, offQuery, onQuery)
+	if onInsert != offInsert || onQuery != offQuery {
+		t.Errorf("instrumentation changes allocations: per insert %v off, %v on; per query %v off, %v on",
+			offInsert, onInsert, offQuery, onQuery)
+	}
+}
+
 func TestInstrumentationOverheadBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("interleaved timing reps are not short-mode material")
@@ -97,10 +149,9 @@ func TestInstrumentationOverheadBudget(t *testing.T) {
 	// memtable growth and flush schedules.
 	insertRep := func() float64 {
 		n := store.NewNode(0)
-		id := core.SensorID{Hi: 42, Lo: 7}
 		return timeOps(insertOps, func() {
 			for i := 0; i < insertOps; i++ {
-				if err := n.Insert(id, core.Reading{Timestamp: int64(i), Value: 1}, 0); err != nil {
+				if err := n.Insert(insertID, core.Reading{Timestamp: int64(i), Value: 1}, 0); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -110,22 +161,11 @@ func TestInstrumentationOverheadBudget(t *testing.T) {
 	// Query: both modes read the same prepared node — range reads do
 	// not mutate it, and sharing one instance removes allocation-layout
 	// bias between two otherwise-identical nodes.
-	queryNode := func() *store.Node {
-		n := store.NewNode(1 << 12)
-		id := core.SensorID{Hi: 7, Lo: 1}
-		for i := int64(0); i < 20_000; i++ {
-			n.Insert(id, core.Reading{Timestamp: i, Value: float64(i)}, 0)
-		}
-		return n
-	}()
+	queryNode := newQueryNode()
 	queryRep := func(n *store.Node) float64 {
-		id := core.SensorID{Hi: 7, Lo: 1}
 		return timeOps(queryOps, func() {
 			for i := 0; i < queryOps; i++ {
-				rs, err := n.Query(id, 5000, 6000)
-				if err != nil || len(rs) != 1001 {
-					t.Fatalf("query: %d readings, %v", len(rs), err)
-				}
+				query(t, n)
 			}
 		})
 	}
