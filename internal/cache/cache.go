@@ -77,8 +77,9 @@ func New(window time.Duration) *Cache {
 func (c *Cache) Window() time.Duration { return c.window }
 
 // Store inserts a reading for the sensor with the given topic, evicting
-// readings that fall out of the window.
-func (c *Cache) Store(topic string, r core.Reading) {
+// readings that fall out of the window. first reports the topic's first
+// reading: a ring is never deleted, so that is once per topic.
+func (c *Cache) Store(topic string, r core.Reading) (first bool) {
 	sh := c.shardOf(topic)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -89,6 +90,7 @@ func (c *Cache) Store(topic string, r core.Reading) {
 	}
 	rg.push(r)
 	rg.evict(r.Timestamp - c.window.Nanoseconds())
+	return !ok
 }
 
 func (r *ring) push(v core.Reading) {
@@ -184,6 +186,19 @@ func (c *Cache) Topics() []string {
 		sh.mu.RUnlock()
 	}
 	return out
+}
+
+// NumTopics counts the sensors currently present in the cache without
+// listing them.
+func (c *Cache) NumTopics() int {
+	var n int
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.RLock()
+		n += len(sh.rings)
+		sh.mu.RUnlock()
+	}
+	return n
 }
 
 // Snapshot returns the latest reading of every cached sensor.

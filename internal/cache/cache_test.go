@@ -98,15 +98,15 @@ func TestAverage(t *testing.T) {
 
 func TestSnapshotTopicsLen(t *testing.T) {
 	c := New(time.Hour)
-	c.Store("/a", r(1, 10))
-	c.Store("/b", r(2, 20))
-	c.Store("/b", r(3, 30))
+	if !c.Store("/a", r(1, 10)) || !c.Store("/b", r(2, 20)) || c.Store("/b", r(3, 30)) {
+		t.Error("Store must report a topic's first reading, and only that")
+	}
 	snap := c.Snapshot()
 	if len(snap) != 2 || snap["/a"].Value != 10 || snap["/b"].Value != 30 {
 		t.Fatalf("Snapshot = %+v", snap)
 	}
-	if len(c.Topics()) != 2 {
-		t.Errorf("Topics = %v", c.Topics())
+	if len(c.Topics()) != 2 || c.NumTopics() != 2 {
+		t.Errorf("Topics = %v, NumTopics = %d", c.Topics(), c.NumTopics())
 	}
 	if c.Len() != 3 {
 		t.Errorf("Len = %d", c.Len())

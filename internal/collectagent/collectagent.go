@@ -140,7 +140,7 @@ func New(backend store.Backend, mapper *core.TopicMapper, opts Options) *Agent {
 		})
 	a.met.GaugeFunc("dcdb_agent_cache_topics",
 		"Topics resident in the agent's sensor cache.", func() float64 {
-			return float64(len(a.cache.Topics()))
+			return float64(a.cache.NumTopics())
 		})
 	return a
 }
@@ -287,7 +287,8 @@ func readDictLens(m *core.TopicMapper) (lens dictLens) {
 
 // settle accounts for a finished write: the readings count — and show
 // in the cache and the hierarchy — only once the write met the
-// backend's consistency level.
+// backend's consistency level. The hierarchy learns a topic from its
+// first cached reading, so a known topic is not parsed again.
 func (a *Agent) settle(topic string, rs []core.Reading, err error) {
 	if err != nil {
 		a.errors.Add(1)
@@ -297,6 +298,7 @@ func (a *Agent) settle(topic string, rs []core.Reading, err error) {
 		return
 	}
 	a.readings.Add(int64(len(rs)))
-	a.cache.Store(topic, rs[len(rs)-1])
-	a.hier.Add(topic)
+	if a.cache.Store(topic, rs[len(rs)-1]) {
+		a.hier.Add(topic)
+	}
 }

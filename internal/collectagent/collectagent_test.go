@@ -65,6 +65,14 @@ func TestHandleErrors(t *testing.T) {
 	if a2.Stats().Errors != 1 {
 		t.Error("store failure not counted")
 	}
+	if a2.Hierarchy().IsSensor("/x") {
+		t.Error("hierarchy lists a topic whose write failed")
+	}
+	down.SetDown(false)
+	a2.Handle("/x", core.EncodeReadings([]core.Reading{{Timestamp: 2, Value: 1}}))
+	if !a2.Hierarchy().IsSensor("/x") {
+		t.Error("hierarchy missed a topic once its write succeeded")
+	}
 }
 
 func TestEndToEndOverMQTT(t *testing.T) {
@@ -530,5 +538,41 @@ func TestOpenRemoteBackendRoundtrip(t *testing.T) {
 	}
 	if _, err := OpenRemoteBackend(nil, store.ClusterOptions{}, rpc.ClientOptions{}); err == nil {
 		t.Fatal("OpenRemoteBackend with no addresses succeeded")
+	}
+}
+
+// TestHandleKnownTopicAllocs: a message on a known topic is decoded,
+// mapped, written and settled without parsing its topic again — the
+// hierarchy learns a topic on its first stored reading only.
+func TestHandleKnownTopicAllocs(t *testing.T) {
+	a := New(store.NewNode(0), nil, Options{Quiet: true})
+	payload := core.EncodeReadings([]core.Reading{{Timestamp: 1, Value: 1}})
+	a.Handle("/s/n1/power", payload)
+	if n := testing.AllocsPerRun(1000, func() { a.Handle("/s/n1/power", payload) }); n > 2 {
+		t.Fatalf("Handle on a known topic allocates %v times, want at most 2", n)
+	}
+	if !a.Hierarchy().IsSensor("/s/n1/power") {
+		t.Fatal("hierarchy missed the topic")
+	}
+}
+
+// TestCacheTopicsGaugeAllocs: the dcdb_agent_cache_topics gauge counts
+// the cached topics without listing them, so a scrape allocates as much
+// with 20 000 topics as with 10.
+func TestCacheTopicsGaugeAllocs(t *testing.T) {
+	gatherAllocs := func(topics int) float64 {
+		a := New(store.NewNode(0), nil, Options{Quiet: true})
+		for i := 0; i < topics; i++ {
+			a.Cache().Store(fmt.Sprintf("/s/n%d/power", i), core.Reading{Timestamp: 1, Value: 1})
+		}
+		for _, s := range a.Metrics().Gather() {
+			if s.Name == "dcdb_agent_cache_topics" && s.Value != float64(topics) {
+				t.Fatalf("dcdb_agent_cache_topics = %v, want %d", s.Value, topics)
+			}
+		}
+		return testing.AllocsPerRun(20, func() { a.Metrics().Gather() })
+	}
+	if few, many := gatherAllocs(10), gatherAllocs(20_000); many > few {
+		t.Fatalf("a gather allocates %v times with 20000 cached topics, %v with 10", many, few)
 	}
 }

@@ -84,29 +84,6 @@ func TestCanonicalTopic(t *testing.T) {
 	}
 }
 
-func TestTopicMatches(t *testing.T) {
-	cases := []struct {
-		filter, topic string
-		want          bool
-	}{
-		{"/a/b/c", "/a/b/c", true},
-		{"/a/b/c", "/a/b/d", false},
-		{"/a/+/c", "/a/b/c", true},
-		{"/a/+/c", "/a/b/c/d", false},
-		{"/a/#", "/a/b/c/d", true},
-		{"/a/#", "/a/b", true},
-		{"/a/#", "/b/c", false},
-		{"#", "/anything/below", true},
-		{"/a/+", "/a/b", true},
-		{"/a/+/#", "/a/b/c", true},
-	}
-	for _, c := range cases {
-		if got := TopicMatches(c.filter, c.topic); got != c.want {
-			t.Errorf("TopicMatches(%q, %q) = %v, want %v", c.filter, c.topic, got, c.want)
-		}
-	}
-}
-
 func TestSensorIDLevels(t *testing.T) {
 	var id SensorID
 	for i := 0; i < MaxTopicLevels; i++ {

@@ -26,25 +26,13 @@ func NewHierarchy() *Hierarchy {
 }
 
 // Add inserts a sensor topic into the tree. The Collect Agent calls it
-// for every message, so known topics take only the shared read lock;
-// the exclusive lock is reserved for a topic's first sight.
+// on a topic's first stored reading.
 func (h *Hierarchy) Add(topic string) error {
 	parts, err := ParseTopic(topic)
 	if err != nil {
 		return err
 	}
-	h.mu.RLock()
-	n := h.root
-	for _, p := range parts {
-		if n = n.children[p]; n == nil {
-			break
-		}
-	}
-	known := n != nil && n.sensor
-	h.mu.RUnlock()
-	if !known {
-		h.AddParts(parts)
-	}
+	h.AddParts(parts)
 	return nil
 }
 

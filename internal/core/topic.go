@@ -48,23 +48,3 @@ func CanonicalTopic(topic string) (string, error) {
 	}
 	return JoinTopic(parts), nil
 }
-
-// TopicMatches reports whether topic matches an MQTT subscription
-// filter. Filters support the standard MQTT wildcards: '+' matches one
-// level, a trailing '#' matches any number of remaining levels.
-func TopicMatches(filter, topic string) bool {
-	f := strings.Split(strings.TrimPrefix(filter, "/"), "/")
-	t := strings.Split(strings.TrimPrefix(topic, "/"), "/")
-	for i, fp := range f {
-		if fp == "#" {
-			return i == len(f)-1
-		}
-		if i >= len(t) {
-			return false
-		}
-		if fp != "+" && fp != t[i] {
-			return false
-		}
-	}
-	return len(f) == len(t)
-}

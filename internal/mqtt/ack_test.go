@@ -3,7 +3,9 @@ package mqtt
 import (
 	"bufio"
 	"bytes"
+	"io"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -32,7 +34,6 @@ func TestWritePacketIsOneWrite(t *testing.T) {
 		{Type: PUBLISH, Topic: "/a", Payload: make([]byte, 200)},    // two-byte remaining length
 		{Type: PUBLISH, Topic: "/a", Payload: make([]byte, 20_000)}, // three
 		{Type: PUBLISH, Topic: "/a", Payload: make([]byte, 3<<20)},  // four
-		{Type: SUBSCRIBE, ID: 3, Topics: []string{"/a/#", "/b/+"}, QoS: []byte{1, 0}},
 	}
 	for _, p := range packets {
 		var w countingWriter
@@ -186,10 +187,10 @@ func TestAckContractBlockedStoreHoldsNextPuback(t *testing.T) {
 	}
 }
 
-// TestFanoutWithoutSubscribersSkipsTheLock: the path the paper (§4.2)
-// says skips topic filtering must not take the broker-wide mutex — a
-// PUBLISH is handled and acknowledged while the test holds it.
-func TestFanoutWithoutSubscribersSkipsTheLock(t *testing.T) {
+// TestPublishSkipsTheBrokerLock: the publish path must not take the
+// broker-wide mutex — a PUBLISH is handled and acknowledged while the
+// test holds it.
+func TestPublishSkipsTheBrokerLock(t *testing.T) {
 	handled := make(chan string, 1)
 	b := NewBroker(func(topic string, _ []byte) { handled <- topic })
 	if err := b.Listen("127.0.0.1:0"); err != nil {
@@ -211,7 +212,7 @@ func TestFanoutWithoutSubscribersSkipsTheLock(t *testing.T) {
 			t.Error(err)
 		}
 	case <-time.After(2 * time.Second):
-		t.Error("a PUBLISH with no subscriber anywhere waited for the broker-wide mutex")
+		t.Error("a PUBLISH waited for the broker-wide mutex")
 	}
 	b.mu.Unlock()
 	if got := <-handled; got != "/t" {
@@ -219,51 +220,71 @@ func TestFanoutWithoutSubscribersSkipsTheLock(t *testing.T) {
 	}
 }
 
-// TestSubscriptionCountStaysExact: subscribe, duplicate subscribe,
-// unsubscribe and disconnect keep Broker.subs equal to the filters
-// actually held — a count that drifts low would silently stop fanout.
-func TestSubscriptionCountStaysExact(t *testing.T) {
+// TestSubscribeRefused: the broker is publish-only. A SUBSCRIBE or an
+// UNSUBSCRIBE fails to decode and closes its connection unanswered,
+// and another connection's QoS 1 PUBLISH is still acknowledged.
+func TestSubscribeRefused(t *testing.T) {
 	b := NewBroker(nil)
 	if err := b.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	held := func() int64 {
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		var n int64
-		for c := range b.conns {
-			c.mu.Lock()
-			n += int64(len(c.filters))
-			c.mu.Unlock()
-		}
-		return n
-	}
-	check := func(when string, want int64) {
-		t.Helper()
-		for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
-			if got := b.subs.Load(); got == want && held() == want {
-				return
+	for _, tc := range []struct {
+		name   string
+		packet []byte
+	}{
+		// Packet ID 1, filter "/a/#", requested QoS 0.
+		{"SUBSCRIBE", []byte{0x82, 9, 0, 1, 0, 4, '/', 'a', '/', '#', 0}},
+		// Packet ID 2, filter "/a/#".
+		{"UNSUBSCRIBE", []byte{0xa2, 8, 0, 2, 0, 4, '/', 'a', '/', '#'}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sub, pub := dialRaw(t, b.Addr()), dialRaw(t, b.Addr())
+			if _, err := sub.c.Write(tc.packet); err != nil {
+				t.Fatal(err)
 			}
-			if time.Now().After(deadline) {
-				t.Fatalf("%s: subs = %d, filters held = %d, want %d", when, b.subs.Load(), held(), want)
+			sub.c.SetReadDeadline(time.Now().Add(2 * time.Second))
+			p, err := ReadPacket(sub.r)
+			if err == nil {
+				t.Fatalf("%s answered with %v, want its connection closed", tc.name, p.Type)
 			}
-		}
+			if ne, ok := err.(net.Error); ok && ne.Timeout() {
+				t.Fatalf("%s left its connection open", tc.name)
+			}
+			pub.send(&Packet{Type: PUBLISH, Flags: 1 << 1, ID: 1, Topic: "/a/b"})
+			if p := pub.next(2 * time.Second); p == nil || p.Type != PUBACK || p.ID != 1 {
+				t.Fatalf("PUBLISH on another connection after a %s: got %+v, want PUBACK(1)", tc.name, p)
+			}
+		})
 	}
-	a, c := dialRaw(t, b.Addr()), dialRaw(t, b.Addr())
-	a.send(&Packet{Type: SUBSCRIBE, ID: 1, Topics: []string{"/a/#", "/b"}, QoS: []byte{0, 0}})
-	a.next(time.Second)
-	check("two filters in one SUBSCRIBE", 2)
-	a.send(&Packet{Type: SUBSCRIBE, ID: 2, Topics: []string{"/b"}, QoS: []byte{0}})
-	a.next(time.Second)
-	c.send(&Packet{Type: SUBSCRIBE, ID: 1, Topics: []string{"/c"}, QoS: []byte{0}})
-	c.next(time.Second)
-	check("a duplicate filter and a second connection", 4)
-	a.send(&Packet{Type: UNSUBSCRIBE, ID: 3, Topics: []string{"/b", "/never"}})
-	a.next(time.Second)
-	check("unsubscribing a duplicated filter and an unknown one", 2)
-	a.c.Close()
-	check("a subscriber disconnecting", 1)
-	c.send(&Packet{Type: DISCONNECT})
-	check("the last subscriber leaving", 0)
+}
+
+// TestReadPacketDeclaredLengthIsNotAllocated: a PUBLISH header that
+// declares the largest remaining length and is followed by nothing
+// must not make the broker allocate what it declared.
+func TestReadPacketDeclaredLengthIsNotAllocated(t *testing.T) {
+	b := NewBroker(nil)
+	if err := b.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	rc := dialRaw(t, b.Addr())
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	header := appendVarint([]byte{byte(PUBLISH) << 4}, maxRemainingLength)
+	if _, err := rc.c.Write(header); err != nil {
+		t.Fatal(err)
+	}
+	if err := rc.c.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	// The broker closes its side once it has given up on the body.
+	rc.c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.Copy(io.Discard, rc.c); err != nil {
+		t.Fatalf("broker did not close the connection: %v", err)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 8<<20 {
+		t.Fatalf("a %d-byte header declaring %d bytes made the broker allocate %d bytes", len(header), maxRemainingLength, grew)
+	}
 }

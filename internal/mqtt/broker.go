@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -14,8 +12,7 @@ import (
 // Handler receives every PUBLISH the broker accepts. Collect Agents
 // register one handler that forwards readings to the Storage Backend;
 // this mirrors the custom MQTT implementation of the paper (§4.2), which
-// avoids general topic-filtering overhead because the Storage Backend
-// subscribes to everything.
+// has no topic filtering because the Storage Backend takes everything.
 type Handler func(topic string, payload []byte)
 
 // Receiver is a Handler in two halves, for a consumer that can overlap
@@ -27,9 +24,10 @@ type Handler func(topic string, payload []byte)
 // connection has returned.
 type Receiver func(topic string, payload []byte) (stored func())
 
-// Broker is a minimal MQTT 3.1.1 broker. All PUBLISH traffic is passed
-// to the Handler; clients may additionally SUBSCRIBE and receive
-// forwarded messages.
+// Broker is a publish-only MQTT 3.1.1 broker: every PUBLISH goes to its
+// one Receiver, and nothing is forwarded to clients. It answers
+// CONNECT, PUBLISH, PINGREQ and DISCONNECT; a connection that sends a
+// packet the codec does not read, such as SUBSCRIBE, is closed.
 //
 // What an acknowledgement means here. A connection's messages are
 // received in order and stored in order. QoS 0 is never acknowledged.
@@ -53,11 +51,6 @@ type Broker struct {
 	mu     sync.Mutex
 	conns  map[*brokerConn]struct{}
 	closed bool
-
-	// subs counts the topic filters held by all connections, so that a
-	// PUBLISH nobody subscribed to — every one, in a plain Collect
-	// Agent — returns from fanout without the broker-wide lock.
-	subs atomic.Int64
 
 	// Stats counters (atomic).
 	published atomic.Int64
@@ -152,9 +145,6 @@ type brokerConn struct {
 	conn    net.Conn
 	r       *bufio.Reader
 	writeMu sync.Mutex
-
-	mu      sync.Mutex
-	filters []string
 }
 
 func (c *brokerConn) write(p *Packet) error {
@@ -197,10 +187,6 @@ func (c *brokerConn) serve() {
 		close(pipe)
 		<-settled
 		c.conn.Close()
-		c.mu.Lock()
-		c.broker.subs.Add(-int64(len(c.filters)))
-		c.filters = nil
-		c.mu.Unlock()
 		c.broker.mu.Lock()
 		delete(c.broker.conns, c)
 		c.broker.mu.Unlock()
@@ -226,38 +212,7 @@ func (c *brokerConn) serve() {
 			if r := c.broker.receive; r != nil {
 				m.stored = r(p.Topic, p.Payload)
 			}
-			c.broker.fanout(p)
 			pipe <- m
-		case SUBSCRIBE:
-			c.mu.Lock()
-			c.filters = append(c.filters, p.Topics...)
-			c.mu.Unlock()
-			c.broker.subs.Add(int64(len(p.Topics)))
-			codes := make([]byte, len(p.Topics))
-			for i, q := range p.QoS {
-				if i < len(codes) && q > 1 {
-					codes[i] = 1 // grant at most QoS 1
-				} else if i < len(codes) {
-					codes[i] = q
-				}
-			}
-			if err := c.write(&Packet{Type: SUBACK, ID: p.ID, QoS: codes}); err != nil {
-				return
-			}
-		case UNSUBSCRIBE:
-			c.mu.Lock()
-			var kept []string
-			for _, f := range c.filters {
-				if !slices.Contains(p.Topics, f) {
-					kept = append(kept, f)
-				}
-			}
-			c.broker.subs.Add(int64(len(kept) - len(c.filters)))
-			c.filters = kept
-			c.mu.Unlock()
-			if err := c.write(&Packet{Type: UNSUBACK, ID: p.ID}); err != nil {
-				return
-			}
 		case PINGREQ:
 			if err := c.write(&Packet{Type: PINGRESP}); err != nil {
 				return
@@ -268,48 +223,4 @@ func (c *brokerConn) serve() {
 			log.Printf("mqtt broker: dropping unexpected %v from %s", p.Type, c.conn.RemoteAddr())
 		}
 	}
-}
-
-// fanout forwards a PUBLISH to all subscribed connections at QoS 0.
-func (b *Broker) fanout(p *Packet) {
-	if b.subs.Load() == 0 {
-		return
-	}
-	b.mu.Lock()
-	var targets []*brokerConn
-	for c := range b.conns {
-		c.mu.Lock()
-		for _, f := range c.filters {
-			if matchFilter(f, p.Topic) {
-				targets = append(targets, c)
-				break
-			}
-		}
-		c.mu.Unlock()
-	}
-	b.mu.Unlock()
-	for _, c := range targets {
-		out := &Packet{Type: PUBLISH, Topic: p.Topic, Payload: p.Payload}
-		if err := c.write(out); err != nil {
-			c.conn.Close()
-		}
-	}
-}
-
-// matchFilter implements MQTT topic-filter matching with '+' and '#'.
-func matchFilter(filter, topic string) bool {
-	f := strings.Split(strings.TrimPrefix(filter, "/"), "/")
-	t := strings.Split(strings.TrimPrefix(topic, "/"), "/")
-	for i, fp := range f {
-		if fp == "#" {
-			return i == len(f)-1
-		}
-		if i >= len(t) {
-			return false
-		}
-		if fp != "+" && fp != t[i] {
-			return false
-		}
-	}
-	return len(f) == len(t)
 }

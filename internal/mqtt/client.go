@@ -11,28 +11,23 @@ import (
 )
 
 // Client is an MQTT 3.1.1 client tailored to DCDB's Pushers: it
-// publishes sensor readings at QoS 0 or 1 and can subscribe to topics
-// for the auxiliary consumers the paper mentions. The client is safe for
-// concurrent use; QoS-1 publishes block until the matching PUBACK.
+// publishes sensor readings at QoS 0 or 1 and never subscribes, as the
+// broker takes no subscriptions (see the package comment). The client
+// is safe for concurrent use; QoS-1 publishes block until the matching
+// PUBACK.
 type Client struct {
 	conn net.Conn
 	r    *bufio.Reader
 
 	writeMu sync.Mutex  // serialises WritePacket
-	idle    timers.Idle // the timeout timer its PUBACK and SUBACK waits reuse
+	idle    timers.Idle // the timeout timer its PUBACK waits reuse
 
 	mu      sync.Mutex
 	nextID  uint16
 	acks    map[uint16]chan struct{}
-	subs    []subscription
 	closed  bool
 	done    chan struct{}
 	readErr error
-}
-
-type subscription struct {
-	filter  string
-	handler func(topic string, payload []byte)
 }
 
 // DialOptions configure Dial.
@@ -102,7 +97,7 @@ func (c *Client) write(p *Packet) error {
 	return WritePacket(c.conn, p)
 }
 
-// ackTimeout bounds the wait for a PUBACK or SUBACK.
+// ackTimeout bounds the wait for a PUBACK.
 const ackTimeout = 30 * time.Second
 
 // Publish sends a message at the given QoS (0 or 1). QoS 1 blocks until
@@ -149,39 +144,6 @@ func (c *Client) Publish(topic string, payload []byte, qos byte) error {
 	}
 }
 
-// Subscribe registers a handler for messages matching the filter
-// (supports '+' and '#' wildcards) and sends SUBSCRIBE to the broker.
-func (c *Client) Subscribe(filter string, qos byte, handler func(topic string, payload []byte)) error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return fmt.Errorf("mqtt: client closed")
-	}
-	id := c.nextID
-	c.nextID++
-	if c.nextID == 0 {
-		c.nextID = 1
-	}
-	ch := make(chan struct{})
-	c.acks[id] = ch
-	c.subs = append(c.subs, subscription{filter: filter, handler: handler})
-	c.mu.Unlock()
-	p := &Packet{Type: SUBSCRIBE, ID: id, Topics: []string{filter}, QoS: []byte{qos}}
-	if err := c.write(p); err != nil {
-		return err
-	}
-	timeout := c.idle.Get(ackTimeout)
-	defer c.idle.Put(timeout)
-	select {
-	case <-ch:
-		return nil
-	case <-c.done:
-		return fmt.Errorf("mqtt: connection lost waiting for SUBACK: %v", c.Err())
-	case <-timeout.C:
-		return fmt.Errorf("mqtt: SUBACK timeout")
-	}
-}
-
 // Err returns the terminal read error after the connection ends.
 func (c *Client) Err() error {
 	c.mu.Lock()
@@ -216,29 +178,13 @@ func (c *Client) readLoop() {
 			c.mu.Unlock()
 			return
 		}
-		switch p.Type {
-		case PUBACK, SUBACK, UNSUBACK:
+		if p.Type == PUBACK {
 			c.mu.Lock()
 			if ch, ok := c.acks[p.ID]; ok {
 				close(ch)
 				delete(c.acks, p.ID)
 			}
 			c.mu.Unlock()
-		case PUBLISH:
-			if p.PublishQoS() == 1 {
-				c.write(&Packet{Type: PUBACK, ID: p.ID})
-			}
-			c.mu.Lock()
-			subs := make([]subscription, len(c.subs))
-			copy(subs, c.subs)
-			c.mu.Unlock()
-			for _, s := range subs {
-				if matchFilter(s.filter, p.Topic) {
-					s.handler(p.Topic, p.Payload)
-				}
-			}
-		case PINGRESP:
-			// Keep-alive satisfied.
 		}
 	}
 }

@@ -1,14 +1,15 @@
-// Package mqtt implements the subset of MQTT 3.1.1 that DCDB uses for
-// communication between Pushers and Collect Agents (paper §3.1, §4.2):
-// a wire-format codec, a publishing client, and a broker. The broker
-// focuses on the publish path — Collect Agents act as MQTT brokers whose
-// only mandatory consumer is the Storage Backend — but also supports
-// SUBSCRIBE so that additional consumers (on-the-fly analysis, online
-// tuning) can attach, as the paper anticipates.
+// Package mqtt implements the publish path of MQTT 3.1.1 that DCDB uses
+// between Pushers and Collect Agents (paper §3.1, §4.2): a wire-format
+// codec, a publishing client, and a broker.
 //
-// Supported packets: CONNECT, CONNACK, PUBLISH (QoS 0/1), PUBACK,
-// SUBSCRIBE, SUBACK, UNSUBSCRIBE, UNSUBACK, PINGREQ, PINGRESP,
-// DISCONNECT.
+// The codec reads CONNECT, CONNACK, PUBLISH (QoS 0/1), PUBACK, PINGREQ,
+// PINGRESP and DISCONNECT, and nothing else: any other packet,
+// SUBSCRIBE and UNSUBSCRIBE included, fails to decode and its
+// connection is closed. The broker is publish-only because the paper's
+// Collect Agent has one consumer, the Storage Backend, which takes
+// every message (§4.2); there are no subscriptions, no fan-out and no
+// topic-filter matching. Other consumers read the agent's sensor cache
+// over REST (§5.3) or run as operators inside the agent.
 //
 // What the two QoS levels acknowledge (the Broker type has the full
 // statement; TestAckContract* pin it): a QoS 0 PUBLISH is never
@@ -24,6 +25,8 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+
+	"dcdb/internal/wire"
 )
 
 // PacketType identifies an MQTT control packet.
@@ -31,17 +34,13 @@ type PacketType byte
 
 // MQTT 3.1.1 control packet types.
 const (
-	CONNECT     PacketType = 1
-	CONNACK     PacketType = 2
-	PUBLISH     PacketType = 3
-	PUBACK      PacketType = 4
-	SUBSCRIBE   PacketType = 8
-	SUBACK      PacketType = 9
-	UNSUBSCRIBE PacketType = 10
-	UNSUBACK    PacketType = 11
-	PINGREQ     PacketType = 12
-	PINGRESP    PacketType = 13
-	DISCONNECT  PacketType = 14
+	CONNECT    PacketType = 1
+	CONNACK    PacketType = 2
+	PUBLISH    PacketType = 3
+	PUBACK     PacketType = 4
+	PINGREQ    PacketType = 12
+	PINGRESP   PacketType = 13
+	DISCONNECT PacketType = 14
 )
 
 // String returns the packet type mnemonic.
@@ -55,14 +54,6 @@ func (t PacketType) String() string {
 		return "PUBLISH"
 	case PUBACK:
 		return "PUBACK"
-	case SUBSCRIBE:
-		return "SUBSCRIBE"
-	case SUBACK:
-		return "SUBACK"
-	case UNSUBSCRIBE:
-		return "UNSUBSCRIBE"
-	case UNSUBACK:
-		return "UNSUBACK"
 	case PINGREQ:
 		return "PINGREQ"
 	case PINGRESP:
@@ -80,7 +71,7 @@ type Packet struct {
 	// Flags are the lower four bits of the fixed header. For PUBLISH
 	// they encode DUP/QoS/RETAIN.
 	Flags byte
-	// ID is the packet identifier (PUBLISH QoS>0, PUBACK, SUBSCRIBE…).
+	// ID is the packet identifier (PUBLISH QoS>0, PUBACK).
 	ID uint16
 	// Topic is the PUBLISH topic name.
 	Topic string
@@ -92,10 +83,6 @@ type Packet struct {
 	KeepAlive uint16
 	// CleanSession is the CONNECT clean-session flag.
 	CleanSession bool
-	// Topics and QoS carry SUBSCRIBE/UNSUBSCRIBE topic filters and
-	// requested QoS levels; for SUBACK, QoS holds the return codes.
-	Topics []string
-	QoS    []byte
 	// ReturnCode is the CONNACK return code.
 	ReturnCode byte
 	// SessionPresent is the CONNACK session-present flag.
@@ -159,28 +146,8 @@ func WritePacket(w io.Writer, p *Packet) error {
 			body = appendUint16(body, p.ID)
 		}
 		body = append(body, p.Payload...)
-	case PUBACK, UNSUBACK:
+	case PUBACK:
 		body = appendUint16(body, p.ID)
-	case SUBSCRIBE:
-		p.Flags = 0x2 // mandatory reserved flags
-		body = appendUint16(body, p.ID)
-		for i, t := range p.Topics {
-			body = appendString(body, t)
-			var q byte
-			if i < len(p.QoS) {
-				q = p.QoS[i]
-			}
-			body = append(body, q)
-		}
-	case SUBACK:
-		body = appendUint16(body, p.ID)
-		body = append(body, p.QoS...)
-	case UNSUBSCRIBE:
-		p.Flags = 0x2
-		body = appendUint16(body, p.ID)
-		for _, t := range p.Topics {
-			body = appendString(body, t)
-		}
 	case PINGREQ, PINGRESP, DISCONNECT:
 		// No variable header or payload.
 	default:
@@ -198,7 +165,8 @@ func WritePacket(w io.Writer, p *Packet) error {
 	return err
 }
 
-// ReadPacket decodes the next packet from r.
+// ReadPacket decodes the next packet from r. Its body buffer grows only
+// as the bytes arrive, whatever remaining length the header declares.
 func ReadPacket(r *bufio.Reader) (*Packet, error) {
 	first, err := r.ReadByte()
 	if err != nil {
@@ -209,8 +177,8 @@ func ReadPacket(r *bufio.Reader) (*Packet, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mqtt: bad remaining length: %w", err)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
+	body, err := wire.ReadBody(r, n)
+	if err != nil {
 		return nil, err
 	}
 	d := decoder{buf: body}
@@ -260,44 +228,9 @@ func ReadPacket(r *bufio.Reader) (*Packet, error) {
 			}
 		}
 		p.Payload = d.rest()
-	case PUBACK, UNSUBACK:
+	case PUBACK:
 		if p.ID, err = d.uint16(); err != nil {
 			return nil, err
-		}
-	case SUBSCRIBE:
-		if p.ID, err = d.uint16(); err != nil {
-			return nil, err
-		}
-		for d.remaining() > 0 {
-			t, err := d.string()
-			if err != nil {
-				return nil, err
-			}
-			q, err := d.byte()
-			if err != nil {
-				return nil, err
-			}
-			p.Topics = append(p.Topics, t)
-			p.QoS = append(p.QoS, q)
-		}
-		if len(p.Topics) == 0 {
-			return nil, fmt.Errorf("mqtt: SUBSCRIBE without topics")
-		}
-	case SUBACK:
-		if p.ID, err = d.uint16(); err != nil {
-			return nil, err
-		}
-		p.QoS = d.rest()
-	case UNSUBSCRIBE:
-		if p.ID, err = d.uint16(); err != nil {
-			return nil, err
-		}
-		for d.remaining() > 0 {
-			t, err := d.string()
-			if err != nil {
-				return nil, err
-			}
-			p.Topics = append(p.Topics, t)
 		}
 	case PINGREQ, PINGRESP, DISCONNECT:
 		// Nothing to decode.

@@ -98,6 +98,7 @@ import (
 	"strings"
 
 	"dcdb/internal/core"
+	"dcdb/internal/wire"
 )
 
 // SplitAddrList parses a comma-separated host:port list the way every
@@ -264,7 +265,8 @@ func writeFrame(w *bufio.Writer, payload []byte) error {
 }
 
 // readFrame reads one CRC-checked payload from r. The returned slice
-// is freshly allocated and owned by the caller.
+// is freshly allocated and owned by the caller; it grows only as the
+// payload arrives, whatever length the header declares.
 func readFrame(r *bufio.Reader) ([]byte, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -275,8 +277,8 @@ func readFrame(r *bufio.Reader) ([]byte, error) {
 	if plen > frameMax {
 		return nil, errFrameTooLarge
 	}
-	payload := make([]byte, plen)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload, err := wire.ReadBody(r, int(plen))
+	if err != nil {
 		return nil, err
 	}
 	if crc32.ChecksumIEEE(payload) != crc {

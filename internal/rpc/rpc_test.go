@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"encoding/binary"
 	"hash/crc32"
+	"io"
 	"net"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -207,6 +209,37 @@ func TestRPCServerRejectsOversizedFrame(t *testing.T) {
 	c.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if _, err := bufio.NewReader(c).ReadByte(); err == nil {
 		t.Fatal("server kept the connection after an oversized frame header")
+	}
+}
+
+// TestReadFrameDeclaredLengthIsNotAllocated: a frame header that
+// declares the largest payload and is followed by nothing must not make
+// the server allocate what it declared.
+func TestReadFrameDeclaredLengthIsNotAllocated(t *testing.T) {
+	_, srv, _ := testPair(t, ClientOptions{})
+	c, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var hdr [8]byte
+	binary.BigEndian.PutUint32(hdr[0:], frameMax)
+	if _, err := c.Write(hdr[:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	// The server closes its side once it has given up on the payload.
+	c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.Copy(io.Discard, c); err != nil {
+		t.Fatalf("server did not close the connection: %v", err)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 8<<20 {
+		t.Fatalf("an 8-byte header declaring %d bytes made the server allocate %d bytes", frameMax, grew)
 	}
 }
 
