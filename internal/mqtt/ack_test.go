@@ -187,10 +187,10 @@ func TestAckContractBlockedStoreHoldsNextPuback(t *testing.T) {
 	}
 }
 
-// TestPublishSkipsTheBrokerLock: the publish path must not take the
+// TestFanoutWithoutSubscribersSkipsTheLock: the publish path must not take the
 // broker-wide mutex — a PUBLISH is handled and acknowledged while the
 // test holds it.
-func TestPublishSkipsTheBrokerLock(t *testing.T) {
+func TestFanoutWithoutSubscribersSkipsTheLock(t *testing.T) {
 	handled := make(chan string, 1)
 	b := NewBroker(func(topic string, _ []byte) { handled <- topic })
 	if err := b.Listen("127.0.0.1:0"); err != nil {

@@ -354,6 +354,21 @@ func (s *clientConn) call(op byte, body []byte) ([]byte, error) {
 	return s.wait(id, ch, deadline)
 }
 
+// onPool runs f on the pool's next connection, round-robin. A
+// connection inside its reconnect backoff fails f before anything is
+// sent, so f moves on to the next one: a node that answers on one
+// connection is not reported down because another is waiting to
+// redial. ErrUnavailable comes back only when every connection is.
+func onPool[T any](c *Client, f func(*clientConn) (T, error)) (T, error) {
+	n := uint32(len(c.slots))
+	i := c.rr.Add(1)
+	v, err := f(c.slots[i%n])
+	for k := uint32(1); k < n && errors.Is(err, ErrUnavailable); k++ {
+		v, err = f(c.slots[(i+k)%n])
+	}
+	return v, err
+}
+
 // call round-robins across the pool.
 func (c *Client) call(op byte, body []byte) ([]byte, error) {
 	if c.closed.Load() {
@@ -361,8 +376,7 @@ func (c *Client) call(op byte, body []byte) ([]byte, error) {
 	}
 	start := time.Now()
 	c.met.inFlight.Add(1)
-	slot := c.slots[c.rr.Add(1)%uint32(len(c.slots))]
-	resp, err := slot.call(op, body)
+	resp, err := onPool(c, func(s *clientConn) ([]byte, error) { return s.call(op, body) })
 	c.met.inFlight.Add(-1)
 	c.met.observeCall(op, start, err)
 	return resp, err
@@ -799,7 +813,7 @@ func (c *Client) openStream(op byte, body []byte) (*clientStream, error) {
 		return nil, fmt.Errorf("rpc: client closed")
 	}
 	start := time.Now()
-	st, err := c.slots[c.rr.Add(1)%uint32(len(c.slots))].openStream(op, body)
+	st, err := onPool(c, func(s *clientConn) (*clientStream, error) { return s.openStream(op, body) })
 	if err != nil {
 		c.met.observeCall(op, start, err)
 		return nil, err

@@ -3,6 +3,7 @@ package rpc
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"io"
 	"net"
@@ -10,6 +11,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -365,6 +367,48 @@ func TestRPCUnavailableFailsFast(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "unavailable") {
 		t.Fatalf("error = %v, want unavailable", err)
+	}
+}
+
+// TestRPCLiveConnectionServesWhileASiblingBacksOff: a pooled
+// connection inside its reconnect backoff passes calls and stream
+// opens to a live sibling, so a node that answers is not reported
+// unavailable. A hint replay used to ping a member on one connection
+// and then fail its write on the other.
+func TestRPCLiveConnectionServesWhileASiblingBacksOff(t *testing.T) {
+	srv := serveBackend(t, store.NewNode(0))
+	var dials atomic.Int32
+	cl := NewClient(srv.Addr(), ClientOptions{
+		PoolSize:         2,
+		ReconnectBackoff: time.Minute,
+		MaxBackoff:       time.Minute,
+		Dial: func(addr string, timeout time.Duration) (net.Conn, error) {
+			if dials.Add(1) == 1 {
+				return nil, errors.New("first dial refused")
+			}
+			return net.DialTimeout("tcp", addr, timeout)
+		},
+	})
+	defer cl.Close()
+	if err := cl.Ping(); err == nil {
+		t.Fatal("the call whose dial was refused succeeded")
+	}
+	// One connection now backs off for a minute; every call and stream
+	// below alternates onto it first.
+	id := sid(1, 1)
+	for i := 0; i < 4; i++ {
+		if err := cl.Insert(id, rd(int64(i+1), 1), 0); err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		rs, err := cl.Query(id, 0, 1<<60)
+		if err != nil || len(rs) != 4 {
+			t.Fatalf("stream %d: %d readings, %v", i, len(rs), err)
+		}
+	}
+	if n := dials.Load(); n != 2 {
+		t.Fatalf("%d dials, want 2: the backing-off connection redialled", n)
 	}
 }
 
