@@ -15,6 +15,9 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -502,6 +505,90 @@ func BenchmarkDurableInsertBatchedWAL(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkWriteFrameSyncEvery measures one sync-every write frame of
+// one reading per sensor, each sensor in a different memtable shard, on
+// a durable node: the frame is one WAL record and one fsync, so its time
+// should not grow with the number of shards it touches.
+func BenchmarkWriteFrameSyncEvery(b *testing.B) {
+	for _, k := range []int{1, 3, 11, 16} {
+		b.Run(fmt.Sprintf("shards=%d", k), func(b *testing.B) {
+			ids := distinctShardSensors(b)[:k]
+			n := store.NewNode(0)
+			if err := n.OpenOptions(b.TempDir(), store.DiskOptions{SyncInterval: 0, CompactInterval: -1}); err != nil {
+				b.Fatal(err)
+			}
+			defer n.Close()
+			rs := make([]core.Reading, k)
+			frame := make([]store.WriteEntry, k)
+			for i := range frame {
+				frame[i] = store.WriteEntry{ID: ids[i], Readings: rs[i : i+1]}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := range rs {
+					rs[j] = core.Reading{Timestamp: int64(i), Value: 1}
+				}
+				if errs := n.WriteFrame(frame); errs != nil {
+					b.Fatal(errs[0])
+				}
+			}
+		})
+	}
+}
+
+var shardSensors struct {
+	once sync.Once
+	ids  []core.SensorID
+	err  error
+}
+
+// distinctShardSensors returns one sensor for each of a node's 16
+// memtable shards. The shards are the store's own business; they show
+// in a durable node's directory, where a spill of one sensor writes a
+// run file into that sensor's shard directory.
+func distinctShardSensors(b *testing.B) []core.SensorID {
+	shardSensors.once.Do(func() {
+		dir, err := os.MkdirTemp("", "shards")
+		if err != nil {
+			shardSensors.err = err
+			return
+		}
+		defer os.RemoveAll(dir)
+		n := store.NewNode(0)
+		if err := n.OpenOptions(dir, store.DiskOptions{SyncInterval: -1, CompactInterval: -1}); err != nil {
+			shardSensors.err = err
+			return
+		}
+		defer n.Close()
+		seen := map[string]bool{}
+		for lo := uint64(0); len(shardSensors.ids) < 16 && lo < 10_000; lo++ {
+			id := core.SensorID{Hi: 48, Lo: lo}
+			if err := n.Insert(id, core.Reading{Timestamp: 1, Value: 1}, 0); err != nil {
+				shardSensors.err = err
+				return
+			}
+			if err := n.Spill(); err != nil {
+				shardSensors.err = err
+				return
+			}
+			files, _ := filepath.Glob(filepath.Join(dir, "shard-*", "run-*.sst"))
+			for _, f := range files {
+				if shard := filepath.Base(filepath.Dir(f)); !seen[shard] {
+					seen[shard] = true
+					shardSensors.ids = append(shardSensors.ids, id)
+				}
+			}
+		}
+		if len(shardSensors.ids) != 16 {
+			shardSensors.err = fmt.Errorf("found sensors in %d shards, want 16", len(shardSensors.ids))
+		}
+	})
+	if shardSensors.err != nil {
+		b.Fatal(shardSensors.err)
+	}
+	return shardSensors.ids
 }
 
 // --- RPC-path benchmarks (loopback TCP vs in-process) ---

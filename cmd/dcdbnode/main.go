@@ -1,5 +1,5 @@
 // Command dcdbnode runs one DCDB storage node as its own process: a
-// durable store.Node (per-shard run files + WAL + background
+// durable store.Node (one WAL, per-shard run files, background
 // compaction) served over the internal/rpc wire protocol. A Collect
 // Agent pointed at a set of dcdbnode addresses (-nodes host:port,...)
 // forms the multi-process storage cluster of the paper's architecture

@@ -1,13 +1,14 @@
 // Durable backend wiring: a Collect Agent owns a data directory in
-// which each storage node keeps per-shard run files and write-ahead
-// logs (internal/store). Opening the directory replays the WALs, so an
+// which each storage node keeps its write-ahead log and per-shard run
+// files (internal/store). Opening the directory replays the WALs, so an
 // agent restart — clean or not — resumes with every acknowledged
 // reading intact, which is what makes the paper's "continuous"
 // monitoring claim (§2) hold across daemon crashes.
 //
 // Layout:
 //
-//	<dir>/node<i>/shard-<s>/run-*.sst, wal-*.log
+//	<dir>/node<i>/wal-*.log            — the node's write-ahead log
+//	<dir>/node<i>/shard-<s>/run-*.sst  — its run files
 //	<dir>/topics        — the topic↔SID map (atomic replace)
 package collectagent
 
@@ -68,8 +69,7 @@ func HealInterruptedSave(dir string) error {
 			return err
 		}
 	}
-	fsutil.SyncDir(dir)
-	return nil
+	return fsutil.SyncDir(dir)
 }
 
 // HintsDir returns the hinted-handoff directory under a data

@@ -7,7 +7,8 @@
 //     delay, stall, byte-corrupt, and asymmetric partitions (sever one
 //     direction by matching only ConnWrite or only ConnRead);
 //   - store disk writes, via FS wrapping fsutil.Disk — slow writes,
-//     ENOSPC, torn fsync (write succeeds, sync fails);
+//     ENOSPC, torn fsync (write succeeds, sync fails), failed or slow
+//     directory fsyncs;
 //   - deadline clocks, via Now / SetSkew — clock skew between a
 //     coordinator and its nodes.
 //
@@ -57,6 +58,9 @@ const (
 	FSSync
 	// FSOpen is opening/creating a file through a wrapped FS.
 	FSOpen
+	// FSSyncDir is an fsync of a directory through a wrapped FS
+	// (target = the directory's path).
+	FSSyncDir
 )
 
 // Rule is one fault: which ops it matches and what it does to them.
@@ -260,7 +264,8 @@ func (fc *faultConn) Write(p []byte) (int, error) {
 // --- Filesystem ---
 
 // FS wraps fsutil.Disk-compatible filesystems so FSOpen/FSWrite/FSSync
-// rules apply to files whose path matches. Install with
+// rules apply to files whose path matches, and FSSyncDir rules to
+// directory fsyncs. Install with
 // fsutil.Disk = injector.FS(fsutil.OSFS{}) and restore after the test.
 func (in *Injector) FS(base fsutil.FS) fsutil.FS {
 	return &faultFS{in: in, base: base}
@@ -302,6 +307,13 @@ func (fs *faultFS) CreateTemp(dir, pattern string) (fsutil.File, error) {
 		return nil, err
 	}
 	return &faultFile{File: f, in: fs.in, path: f.Name()}, nil
+}
+
+func (fs *faultFS) SyncDir(dir string) error {
+	if err := fs.in.apply(FSSyncDir, dir, nil); err != nil {
+		return err
+	}
+	return fs.base.SyncDir(dir)
 }
 
 type faultFile struct {

@@ -252,6 +252,16 @@ func TestFSFaults(t *testing.T) {
 	}
 	ofail.Disable()
 
+	// FSSyncDir covers directory fsyncs (matched on the directory).
+	dfail := in.AddRule(&Rule{Ops: FSSyncDir, Match: dir, Err: ErrInjected})
+	if err := fs.SyncDir(dir); !errors.Is(err, ErrInjected) {
+		t.Fatalf("injected directory fsync: %v", err)
+	}
+	dfail.Disable()
+	if err := fs.SyncDir(dir); err != nil {
+		t.Fatalf("directory fsync with the rule off: %v", err)
+	}
+
 	// CreateTemp passes through (and wraps) when no rule matches.
 	tf, err := fs.CreateTemp(dir, "t*")
 	if err != nil {

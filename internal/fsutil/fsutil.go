@@ -7,9 +7,11 @@
 package fsutil
 
 import (
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
+	"syscall"
 )
 
 // File is the writable-file surface the durable paths use: WAL
@@ -24,13 +26,17 @@ type File interface {
 	Stat() (os.FileInfo, error)
 }
 
-// FS opens files for writing. The package-level Disk instance is the
-// seam: production code always goes through it, tests swap it to
-// inject slow writes, ENOSPC, or torn fsyncs on matching paths.
+// FS opens files for writing and fsyncs directories. The package-level
+// Disk instance is the seam: production code always goes through it,
+// tests swap it to inject slow writes, ENOSPC, or torn fsyncs on
+// matching paths.
 type FS interface {
 	Create(name string) (File, error)
 	OpenFile(name string, flag int, perm os.FileMode) (File, error)
 	CreateTemp(dir, pattern string) (File, error)
+	// SyncDir fsyncs a directory, so the names created in it or renamed
+	// into it survive a crash.
+	SyncDir(dir string) error
 }
 
 // OSFS is the real filesystem.
@@ -41,6 +47,23 @@ func (OSFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
 	return os.OpenFile(name, flag, perm)
 }
 func (OSFS) CreateTemp(dir, pattern string) (File, error) { return os.CreateTemp(dir, pattern) }
+
+// SyncDir fsyncs dir. A filesystem that does not support fsync on a
+// directory (EINVAL, ENOTSUP) is not an error; every other failure is.
+func (OSFS) SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if errors.Is(err, syscall.EINVAL) || errors.Is(err, syscall.ENOTSUP) {
+		err = nil
+	}
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
 
 // Disk is the FS every durable writer opens files through. Swap it
 // (and restore it) only in tests that own the process — it is global
@@ -53,7 +76,8 @@ var Disk FS = OSFS{}
 // directory is fsynced. A crash at any point leaves either the old
 // file or the new one — never a torn or empty file. Unique temp names
 // keep concurrent savers of the same path from interleaving; the last
-// rename wins.
+// rename wins. A failed directory fsync is returned too: the new file
+// is then in place, but whether it survives a crash is not known.
 func WriteFileAtomic(path string, write func(io.Writer) error) error {
 	f, err := Disk.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
@@ -79,18 +103,12 @@ func WriteFileAtomic(path string, write func(io.Writer) error) error {
 		os.Remove(tmp)
 		return err
 	}
-	SyncDir(filepath.Dir(path))
-	return nil
+	return SyncDir(filepath.Dir(path))
 }
 
-// SyncDir fsyncs a directory so a just-renamed file survives a crash.
-// Best-effort: some filesystems reject directory fsync.
-func SyncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-}
+// SyncDir fsyncs a directory through Disk so a just-created or
+// just-renamed file survives a crash.
+func SyncDir(dir string) error { return Disk.SyncDir(dir) }
 
 // CleanTemps removes temp files a crashed WriteFileAtomic for path
 // left behind. Call at startup, before concurrent savers exist — the

@@ -99,6 +99,10 @@ func TestOSFSSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.Close()
-	SyncDir(dir)
-	SyncDir(filepath.Join(dir, "does-not-exist")) // best-effort, no panic
+	if err := SyncDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := SyncDir(filepath.Join(dir, "does-not-exist")); !os.IsNotExist(err) {
+		t.Fatalf("SyncDir of a missing directory: %v, want the error", err)
+	}
 }

@@ -239,7 +239,7 @@ func TestWALRecordIsTheWriteFrameBody(t *testing.T) {
 	if errs := cl.WriteFrame(es); errs != nil {
 		t.Fatal(errs)
 	}
-	segs, err := filepath.Glob(filepath.Join(dir, "shard-*", "wal-*.log"))
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package store
 import (
 	"errors"
 	"fmt"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -347,144 +346,5 @@ func TestNextVersionTicksInMicroseconds(t *testing.T) {
 	time.Sleep(2 * versionTick)
 	if v, now := c.nextVersion(), uint64(time.Now().UnixNano()); v > now {
 		t.Fatalf("version %d still ahead of the clock (%d) after the burst drained", v, now)
-	}
-}
-
-// sinkLog wraps a WAL sink and records the size of every Write that
-// reaches the file; armed, it fails them.
-type sinkLog struct {
-	walSink
-	mu     sync.Mutex
-	writes []int
-	fail   bool
-}
-
-func (s *sinkLog) Write(p []byte) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.fail {
-		return 0, errors.New("injected WAL failure")
-	}
-	s.writes = append(s.writes, len(p))
-	return s.walSink.Write(p)
-}
-
-// TestWriteFrameOneAppendPerShard: a frame's entries for one shard are
-// logged as one buffer — larger than the WAL's write buffer it reaches
-// the file as a single write, where a record at a time would arrive in
-// pieces — recover from that buffer record by record with their
-// stamps, and a shard whose log fails refuses its own entries only.
-func TestWriteFrameOneAppendPerShard(t *testing.T) {
-	realOpen := openWALSink
-	defer func() { openWALSink = realOpen }()
-	var mu sync.Mutex
-	sinks := make(map[string]*sinkLog) // by shard directory
-	openWALSink = func(path string) (walSink, error) {
-		f, err := realOpen(path)
-		if err != nil {
-			return nil, err
-		}
-		s := &sinkLog{walSink: f}
-		mu.Lock()
-		sinks[filepath.Base(filepath.Dir(path))] = s
-		mu.Unlock()
-		return s, nil
-	}
-	dir := t.TempDir()
-	n := openedNode(t, dir, 0, DiskOptions{SyncInterval: time.Hour, CompactInterval: -1})
-
-	// Two shards, two sensors in each; in frame order no sensor follows
-	// itself, so no two entries fold into a stamped run.
-	a, b := sid(40, 1), sid(40, 2)
-	for shardIndex(b) == shardIndex(a) {
-		b.Lo++
-	}
-	twin := func(id core.SensorID) core.SensorID {
-		t := id
-		for t.Lo++; shardIndex(t) != shardIndex(id); t.Lo++ {
-		}
-		return t
-	}
-	a2, b2 := twin(a), twin(b)
-	const perShard = 100 // one record of 100 entries of 36+16 bytes: more than bufio's 4096
-	var frame []WriteEntry
-	for i := 1; i <= perShard/2; i++ {
-		for _, id := range []core.SensorID{a, b, a2, b2} {
-			frame = append(frame, WriteEntry{ID: id, Version: uint64(1000 * i), Expire: 0, Readings: []core.Reading{rd(int64(i), float64(i))}})
-		}
-	}
-	if errs := n.WriteFrame(frame); errs != nil {
-		t.Fatal(errs)
-	}
-	if err := n.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	sinkOf := func(id core.SensorID) *sinkLog { return sinks[fmt.Sprintf("shard-%02d", shardIndex(id))] }
-	lastWrite := func(id core.SensorID, want int, what string) {
-		t.Helper()
-		s := sinkOf(id)
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if len(s.writes) != 1 || s.writes[0] != want {
-			t.Errorf("%s: shard %d file writes %v, want one of %d bytes", what, shardIndex(id), s.writes, want)
-		}
-		s.writes = nil
-	}
-	lastWrite(a, walFrameHeader+1+perShard*(entryHeaderLen+16), "frame")
-	lastWrite(b, walFrameHeader+1+perShard*(entryHeaderLen+16), "frame")
-
-	// A repair batch — one sensor, a stamp per reading — is one record
-	// holding one stamped run: the run carries the stamps.
-	c := twin(a2)
-	const repaired = 200
-	vrs := make([]VersionedReading, repaired)
-	for i := range vrs {
-		vrs[i] = VersionedReading{Timestamp: int64(i + 1), Value: float64(i), Version: uint64(1000 * (i + 1)), Expire: int64(i%2) << 62}
-	}
-	if err := n.InsertVersioned(c, vrs); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	lastWrite(c, walFrameHeader+1+entryHeaderLen+32*repaired, "repair batch")
-
-	// Shard b's log dies: its entries are refused, a's are applied.
-	sinkOf(b).mu.Lock()
-	sinkOf(b).fail = true
-	sinkOf(b).mu.Unlock()
-	errs := n.WriteFrame(frame)
-	if len(errs) != len(frame) {
-		t.Fatalf("a frame with a failing shard answered %v", errs)
-	}
-	for k, e := range frame {
-		if (errs[k] != nil) != (shardIndex(e.ID) == shardIndex(b)) {
-			t.Fatalf("entry %d of sensor %v: error %v", k, e.ID, errs[k])
-		}
-	}
-	n.crash()
-
-	openWALSink = realOpen
-	n2 := openedNode(t, dir, 0, DiskOptions{SyncInterval: time.Hour, CompactInterval: -1})
-	defer n2.Close()
-	for _, id := range []core.SensorID{a, b, a2, b2} {
-		vrs, err := queryVersioned(n2, id, 0, 1<<60)
-		if err != nil || len(vrs) != perShard/2 {
-			t.Fatalf("sensor %v: recovered %d of %d readings (%v)", id, len(vrs), perShard/2, err)
-		}
-		for i, v := range vrs {
-			if v.Timestamp != int64(i+1) || v.Version != uint64(1000*(i+1)) {
-				t.Fatalf("sensor %v reading %d recovered as %+v", id, i, v)
-			}
-		}
-	}
-	got, err := queryVersioned(n2, c, 0, 1<<60)
-	if err != nil || len(got) != repaired {
-		t.Fatalf("repair batch: recovered %d of %d readings (%v)", len(got), repaired, err)
-	}
-	for i, v := range got {
-		if v != vrs[i] {
-			t.Fatalf("repair batch reading %d recovered as %+v, want %+v", i, v, vrs[i])
-		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 
 	"dcdb/internal/backoff"
 	"dcdb/internal/core"
+	"dcdb/internal/fsutil"
 )
 
 // Background machinery of a durable node: the spiller turns flushed
@@ -19,51 +20,55 @@ import (
 // under a short exclusive shard lock; all heavy I/O happens outside
 // every lock, reading only immutable entry slices.
 
-// spillJob carries one flushed memtable generation to disk.
+// spillJob carries one flushed generation to disk.
 type spillJob struct {
-	shard     int
-	seq       uint64
-	series    map[core.SensorID][]entry
-	tombs     map[core.SensorID]int64
-	covered   []string // WAL segment paths deletable once the file is durable
-	attempts  int
-	notBefore time.Time // backoff deadline after a failed attempt
+	seq uint64
+	// What each shard's run file holds, emptied once it is durable.
+	series  [numShards]map[core.SensorID][]entry
+	tombs   [numShards]map[core.SensorID]int64
+	retired *wal     // the generation's segment, closed first
+	covered []string // WAL segments deletable once every file is durable
 }
 
-// Spill failures are retried a few times (transient I/O blips must not
-// silently degrade the node for its lifetime) and logged every time;
-// after the last attempt the job is dropped — its data stays
-// recoverable from the WAL segments, which are only deleted on
-// success. Retries use the shared jittered policy, growing from 500ms
-// so a persistently sick disk is probed, not hammered.
+// A failed spill is logged and retried a few times, with the shared
+// jittered backoff growing from 500ms, then dropped; its data stays
+// recoverable from the WAL segments, which go only on success.
 const spillMaxAttempts = 5
 
 var spillRetryPolicy = backoff.Policy{
 	Initial: 500 * time.Millisecond, Max: 5 * time.Second, Multiplier: 2, Jitter: 0.25,
 }
 
+// spillQueueMax bounds the generations queued for the spiller, the one
+// being written included: a flush that would queue more waits, so a
+// writer faster than the disk cannot pile flushed runs up in memory.
+const spillQueueMax = 2
+
 // spiller is the single background writer of run files. One goroutine
-// keeps spills in per-shard sequence order (FIFO) so a shard's file
-// list only ever grows at the newest end.
+// runs the jobs in generation order, so every shard's file list only
+// ever grows at the newest end.
 type spiller struct {
 	n      *Node
 	mu     sync.Mutex
 	cond   *sync.Cond
-	queue  []spillJob
-	active bool
+	queue  []*spillJob // the head is the job being run
 	closed bool
-	err    error // first spill failure, surfaced by close
+	stop   chan struct{} // closed with closed: a failed job is not retried
+	err    error         // first spill failure, surfaced by close
 }
 
 func newSpiller(n *Node) *spiller {
-	s := &spiller{n: n}
+	s := &spiller{n: n, stop: make(chan struct{})}
 	s.cond = sync.NewCond(&s.mu)
 	go s.loop()
 	return s
 }
 
-func (s *spiller) enqueue(j spillJob) {
+func (s *spiller) enqueue(j *spillJob) {
 	s.mu.Lock()
+	for len(s.queue) >= spillQueueMax && !s.closed {
+		s.cond.Wait()
+	}
 	if !s.closed {
 		s.queue = append(s.queue, j)
 	}
@@ -71,85 +76,76 @@ func (s *spiller) enqueue(j spillJob) {
 	s.mu.Unlock()
 }
 
-// runnableLocked returns the index of the next job to run: the first
-// whose backoff deadline has passed and that has no earlier queued job
-// for the same shard (per-shard sequence order is a recovery
-// invariant; cross-shard order is not). During close, backoff is
-// ignored so draining never sleeps. Returns -1 when every queued job
-// is backing off.
-func (s *spiller) runnableLocked(now time.Time) int {
-	var blocked [numShards]bool
-	for i, j := range s.queue {
-		if blocked[j.shard] {
-			continue
+// retiring lists the retired WAL segments not yet closed, for Sync.
+func (s *spiller) retiring() []*wal {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var ws []*wal
+	for _, j := range s.queue {
+		if j.retired != nil {
+			ws = append(ws, j.retired)
 		}
-		if s.closed || !j.notBefore.After(now) {
-			return i
-		}
-		blocked[j.shard] = true
 	}
-	return -1
+	return ws
 }
 
 func (s *spiller) loop() {
 	for {
 		s.mu.Lock()
-		var j spillJob
-		for {
-			if len(s.queue) == 0 {
-				if s.closed {
-					s.mu.Unlock()
-					return
-				}
-				s.cond.Wait()
-				continue
-			}
-			idx := s.runnableLocked(time.Now())
-			if idx >= 0 {
-				j = s.queue[idx]
-				s.queue = append(s.queue[:idx], s.queue[idx+1:]...)
-				break
-			}
-			// Every queued job is backing off; poll rather than build
-			// a timer-wakeup protocol — the window is rare and short.
-			s.mu.Unlock()
-			time.Sleep(10 * time.Millisecond)
-			s.mu.Lock()
+		for len(s.queue) == 0 && !s.closed {
+			s.cond.Wait()
 		}
-		s.active = true
+		if len(s.queue) == 0 {
+			s.mu.Unlock()
+			return
+		}
+		j := s.queue[0]
 		s.mu.Unlock()
 
-		spillStart := time.Now()
-		err := s.n.spillOne(j)
-		if err == nil && !instrumentationOff.Load() {
-			s.n.met.spillDur.ObserveSince(spillStart)
-		}
+		err := s.run(j)
 
 		s.mu.Lock()
-		s.active = false
-		if err != nil {
-			j.attempts++
-			log.Printf("store: spilling run %d of shard %d failed (attempt %d/%d): %v",
-				j.seq, j.shard, j.attempts, spillMaxAttempts, err)
-			if !s.closed && j.attempts < spillMaxAttempts {
-				// Back at the front so per-shard order holds; the
-				// deadline lets other shards' spills proceed in the
-				// meantime.
-				j.notBefore = time.Now().Add(spillRetryPolicy.Delay(j.attempts))
-				s.queue = append([]spillJob{j}, s.queue...)
-			} else if s.err == nil {
-				s.err = err
-			}
+		s.queue[0] = nil // the backing array must not pin a spilled generation
+		s.queue = s.queue[1:]
+		if err != nil && s.err == nil {
+			s.err = err
 		}
 		s.cond.Broadcast()
 		s.mu.Unlock()
 	}
 }
 
+// run closes the job's retired segment, which writers left before the
+// job was queued, and spills the job, retrying failures.
+func (s *spiller) run(j *spillJob) error {
+	cerr := j.retired.close()
+	if cerr != nil {
+		log.Printf("store: closing the retired WAL segment %s: %v", j.retired.path, cerr)
+	}
+	s.mu.Lock()
+	j.retired = nil
+	s.mu.Unlock()
+	for attempt := 1; ; attempt++ {
+		err := s.n.spillOne(j)
+		if err == nil {
+			return cerr
+		}
+		log.Printf("store: spilling generation %d failed (attempt %d/%d): %v", j.seq, attempt, spillMaxAttempts, err)
+		if attempt == spillMaxAttempts {
+			return err
+		}
+		select {
+		case <-time.After(spillRetryPolicy.Delay(attempt)):
+		case <-s.stop:
+			return err
+		}
+	}
+}
+
 // waitIdle blocks until every enqueued spill has reached disk.
 func (s *spiller) waitIdle() {
 	s.mu.Lock()
-	for len(s.queue) > 0 || s.active {
+	for len(s.queue) > 0 {
 		s.cond.Wait()
 	}
 	s.mu.Unlock()
@@ -160,8 +156,9 @@ func (s *spiller) waitIdle() {
 func (s *spiller) close() error {
 	s.mu.Lock()
 	s.closed = true
+	close(s.stop)
 	s.cond.Broadcast()
-	for len(s.queue) > 0 || s.active {
+	for len(s.queue) > 0 {
 		s.cond.Wait()
 	}
 	err := s.err
@@ -169,37 +166,47 @@ func (s *spiller) close() error {
 	return err
 }
 
-// spillOne writes one flush's run file and retires the WAL
-// segments it covers. On failure the segments are kept: the data stays
-// recoverable from the WAL and the in-memory run keeps serving queries.
+// spillOne writes one generation's run files, then deletes the WAL
+// segments they cover. On failure the segments are kept and a retry
+// writes only the files still missing.
 //
-// On a cache-bounded node the freshly spilled run is immediately
+// On a cache-bounded node each freshly spilled run is immediately
 // swapped cold: the flushed memtable arrays are dropped under the shard
 // lock and later reads decode blocks from the just-written file through
 // the cache. This is the eviction half of the resident-set bound — a
 // node's memory stops growing the moment data reaches disk.
-func (n *Node) spillOne(j spillJob) error {
-	sh := &n.shards[j.shard]
-	meta, idx, err := writeRunFile(sh.disk.dir, j.seq, j.seq, j.series, j.tombs, &n.met.run)
-	if err != nil {
-		return err
-	}
-	meta.tombs = j.tombs
-	if n.cache != nil {
-		if rf, err := openRunFileHandle(meta.path, idx, n.cache); err != nil {
-			// The file is durable; only eviction is lost. Keep the run
-			// hot rather than fail the spill.
-			log.Printf("store: opening %s for cold reads: %v (run stays resident)", meta.path, err)
-		} else {
-			meta.rf = rf
+func (n *Node) spillOne(j *spillJob) error {
+	for i := range n.shards {
+		if len(j.series[i]) == 0 && len(j.tombs[i]) == 0 {
+			continue
+		}
+		start := time.Now()
+		sh := &n.shards[i]
+		meta, idx, err := writeRunFile(sh.disk.dir, j.seq, j.seq, j.series[i], j.tombs[i], &n.met.run)
+		if err != nil {
+			return err
+		}
+		meta.tombs = j.tombs[i]
+		if n.cache != nil {
+			if rf, err := openRunFileHandle(meta.path, idx, n.cache); err != nil {
+				// The file is durable; only eviction is lost. Keep the
+				// run hot rather than fail the spill.
+				log.Printf("store: opening %s for cold reads: %v (run stays resident)", meta.path, err)
+			} else {
+				meta.rf = rf
+			}
+		}
+		sh.mu.Lock()
+		sh.disk.files = append(sh.disk.files, meta)
+		if meta.rf != nil {
+			n.evictSpilledLocked(sh, j.seq, idx, meta.rf)
+		}
+		sh.mu.Unlock()
+		j.series[i], j.tombs[i] = nil, nil
+		if !instrumentationOff.Load() {
+			n.met.spillDur.ObserveSince(start)
 		}
 	}
-	sh.mu.Lock()
-	sh.disk.files = append(sh.disk.files, meta)
-	if meta.rf != nil {
-		n.evictSpilledLocked(sh, j.seq, idx, meta.rf)
-	}
-	sh.mu.Unlock()
 	for _, p := range j.covered {
 		os.Remove(p)
 	}
@@ -279,8 +286,8 @@ func (n *Node) syncLoop() {
 		case <-n.stopBG:
 			return
 		case <-t.C:
-			// Sync failures mark the segment broken, so the next
-			// write on that shard surfaces the error to its caller.
+			// A sync failure marks the segment broken, so the next
+			// write replaces it or surfaces the error to its caller.
 			_ = n.Sync()
 		}
 	}
@@ -492,7 +499,12 @@ func (n *Node) compactWindow(i int, full bool) {
 	if len(counts) > 0 || len(tombs) > 0 {
 		newMeta, newIdx, err = w.finish(tombs)
 		if err != nil {
-			return // inputs untouched; retried next tick
+			// Inputs untouched; retried next tick. A merged file whose
+			// directory fsync failed goes, unless it replaced its input.
+			if len(window) > 1 {
+				os.Remove(w.final)
+			}
+			return
 		}
 		wrote = true
 	} else {
@@ -611,5 +623,5 @@ func (n *Node) compactWindow(i int, full bool) {
 		}
 		os.Remove(m.path)
 	}
-	syncDir(sh.disk.dir)
+	fsutil.SyncDir(sh.disk.dir) // best effort: recovery retires covered inputs
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -9,7 +10,6 @@ import (
 	"time"
 
 	"dcdb/internal/core"
-	"dcdb/internal/fsutil"
 )
 
 // On-disk sorted runs: each memtable flush spills one immutable run
@@ -65,9 +65,6 @@ type runContents struct {
 	tombs          map[core.SensorID]int64
 	series         map[core.SensorID][]entry
 }
-
-// syncDir fsyncs a directory so a just-renamed file survives a crash.
-func syncDir(dir string) { fsutil.SyncDir(dir) }
 
 func sortedIDs(n int, iter func(func(core.SensorID))) []core.SensorID {
 	ids := make([]core.SensorID, 0, n)
@@ -187,18 +184,19 @@ const (
 // from then on every write is crash-durable. See OpenOptions.
 func (n *Node) Open(dir string) error { return n.OpenOptions(dir, DiskOptions{}) }
 
-// OpenOptions attaches a fresh node to a data directory. The layout is
-// one subdirectory per shard (`shard-<i>/`) holding immutable sorted
-// run files (`run-<minSeq>-<maxSeq>.sst`) and WAL segments
-// (`wal-<seq>.log`). Recovery first maps the run files — dropping any
-// whose sequence span another file covers (the crash window of a
-// compaction) — then replays the surviving WAL segments in order,
-// truncating a torn tail, so every write acknowledged before the crash
-// is served again and no partial record ever is; a whole record this
-// build cannot read fails the open instead. Shard directories and fresh
-// WAL segments are created only once every shard has recovered, so a
-// refused open leaves the directory as it found it. On error the node
-// is not usable and must be discarded.
+// OpenOptions attaches a fresh node to a data directory: the node's WAL
+// segments (`wal-<seq>.log`) and one subdirectory per shard
+// (`shard-<i>/`) of immutable sorted run files
+// (`run-<minSeq>-<maxSeq>.sst`). Recovery first maps the run files —
+// dropping any whose sequence span another file covers (the crash
+// window of a compaction) — then replays the surviving WAL segments in
+// order, truncating a torn tail, so every write acknowledged before the
+// crash is served again and no partial record ever is; a whole record
+// this build cannot read fails the open instead, and so does a
+// non-empty per-shard segment of an older build (errShardWAL). Nothing
+// is created or removed until everything has recovered, so a refused
+// open leaves the directory as it found it. On error the node is not
+// usable and must be discarded.
 func (n *Node) OpenOptions(dir string, o DiskOptions) error {
 	if n.durable() {
 		return fmt.Errorf("store: node already open at %s", n.dir)
@@ -220,30 +218,51 @@ func (n *Node) OpenOptions(dir string, o DiskOptions) error {
 		n.cache = newBlockCache(o.CacheBytes)
 		n.met.registerCacheMetrics(n.cache)
 	}
-	// Recover every shard before creating anything, so an open that
+	// Recover everything before creating anything, so an open that
 	// refuses a file leaves the directory as it found it. A missing
-	// shard is empty.
+	// shard is empty. A failed open tears the node down: no goroutine
+	// or file is leaked.
+	fail := func(err error) error {
+		n.Close()
+		return err
+	}
+	var emptyOld []string
 	for i := range n.shards {
 		sh := &n.shards[i]
 		sh.disk.dir = filepath.Join(dir, fmt.Sprintf("shard-%02d", i))
 		if _, err := os.Stat(sh.disk.dir); os.IsNotExist(err) {
 			continue
 		}
-		if err := n.recoverShard(i); err != nil {
-			n.Close()
-			return err
+		empty, err := n.recoverShard(i)
+		if err != nil {
+			return fail(err)
 		}
+		emptyOld = append(emptyOld, empty...)
+	}
+	if err := n.replayWAL(); err != nil {
+		return fail(err)
 	}
 	n.stopBG = make(chan struct{})
 	if o.ReadOnly {
 		return nil
 	}
-	for i := range n.shards {
-		if err := n.openShardWAL(i); err != nil {
-			n.Close() // release the WALs already opened for earlier shards
-			return err
+	for _, p := range emptyOld {
+		if err := os.Remove(p); err != nil {
+			return fail(err)
 		}
 	}
+	for i := range n.shards {
+		if err := os.MkdirAll(n.shards[i].disk.dir, 0o755); err != nil {
+			return fail(err)
+		}
+	}
+	// The segment's first fsync fsyncs the node directory: the shard
+	// directories' entries too.
+	w, err := createWAL(dir, n.seq.Load(), &n.met.wal)
+	if err != nil {
+		return fail(err)
+	}
+	n.wal.Store(w)
 	n.sp = newSpiller(n)
 	if o.CompactInterval > 0 {
 		n.bgWG.Add(1)
@@ -255,23 +274,19 @@ func (n *Node) OpenOptions(dir string, o DiskOptions) error {
 	}
 	// A replayed WAL can leave a shard over its flush budget; spill it
 	// now that the background machinery is running.
-	for i := range n.shards {
-		sh := &n.shards[i]
-		sh.mu.Lock()
-		var err error
-		if sh.memSize >= n.flushSize {
-			err = n.flushShardLocked(i)
-		}
-		sh.mu.Unlock()
-		if err != nil {
-			// Don't leak the just-started goroutines and open WAL
-			// files: tear the node down before reporting failure.
-			n.Close()
-			return err
-		}
+	if err := n.flush(n.overBudget, false); err != nil {
+		return fail(err)
 	}
 	return nil
 }
+
+// errShardWAL refuses a WAL segment in a shard directory, where older
+// builds kept one WAL per shard.
+var errShardWAL = errors.New("a per-shard WAL segment of an older build, which kept one WAL per shard; " +
+	"this build logs to one WAL per node and does not replay it: " +
+	"open the directory once, writable, with the build that wrote it and close it cleanly " +
+	"(for an agent data directory: that build's dcdbconfig -db DIR compact), which flushes the segment into run files and leaves it empty; " +
+	"this build removes empty per-shard segments; see \"Upgrading per-shard WALs\" in internal/store/README.md")
 
 // checkSpan requires the span a run file's index states to be the one
 // its name does.
@@ -282,16 +297,31 @@ func (m *runFileMeta) checkSpan(minSeq, maxSeq uint64) error {
 	return nil
 }
 
-// recoverShard rebuilds shard i from its directory: run files first
-// (oldest to newest, applying each file's tombstones to the older
-// files' rows), then WAL segment replay into the memtable. A run file
-// of a format before v5 fails the open and is left as it is
-// (errRunFileOld). Single threaded; no locks needed.
-func (n *Node) recoverShard(i int) error {
+// recoverShard maps shard i's run files, oldest to newest, applying
+// each file's tombstones to the older files' rows. A run file of a
+// format before v5 fails the open and is left as it is
+// (errRunFileOld), and so does a non-empty per-shard WAL segment
+// (errShardWAL); empty ones are returned for removal. Single threaded;
+// no locks needed.
+func (n *Node) recoverShard(i int) (emptyOld []string, err error) {
 	sh := &n.shards[i]
+	segs, err := findWALSegments(sh.disk.dir)
+	if err != nil {
+		return nil, err
+	}
+	for _, seg := range segs {
+		st, err := os.Stat(seg.path)
+		if err != nil {
+			return nil, err
+		}
+		if st.Size() > 0 {
+			return nil, fmt.Errorf("store: %s: %w", seg.path, errShardWAL)
+		}
+		emptyOld = append(emptyOld, seg.path)
+	}
 	metas, err := scanRunFiles(sh.disk.dir)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for mi := range metas {
 		m := &metas[mi]
@@ -301,13 +331,13 @@ func (n *Node) recoverShard(i int) error {
 			// stays on disk until a query pulls blocks through the cache.
 			idx, err := readRunIndexFile(m.path)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			if err := m.checkSpan(idx.minSeq, idx.maxSeq); err != nil {
-				return err
+				return nil, err
 			}
 			if m.rf, err = openRunFileHandle(m.path, idx, n.cache); err != nil {
-				return err
+				return nil, err
 			}
 			m.tombs = idx.tombs
 			for _, se := range idx.series {
@@ -320,10 +350,10 @@ func (n *Node) recoverShard(i int) error {
 		} else {
 			rc, err := readRunFile(m.path)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			if err := m.checkSpan(rc.minSeq, rc.maxSeq); err != nil {
-				return err
+				return nil, err
 			}
 			m.tombs = rc.tombs
 			for id, es := range rc.series {
@@ -337,16 +367,22 @@ func (n *Node) recoverShard(i int) error {
 			sh.cutRunsLocked(id, cutoff, m.minSeq)
 		}
 		sh.disk.files = append(sh.disk.files, *m)
-		if m.maxSeq >= sh.disk.nextSeq {
-			sh.disk.nextSeq = m.maxSeq + 1
-		}
+		n.seq.Store(max(n.seq.Load(), m.maxSeq+1))
 	}
-	segs, err := findWALSegments(sh.disk.dir)
+	return emptyOld, nil
+}
+
+// replayWAL replays the node's WAL segments in order, each entry into
+// its shard — per sensor, the order the writes were applied in. The
+// next flush covers the replayed segments. Single threaded; no locks
+// needed.
+func (n *Node) replayWAL() error {
+	segs, err := findWALSegments(n.dir)
 	if err != nil {
 		return err
 	}
 	for _, seg := range segs {
-		ops, err := replaySegment(seg.path, !n.opts.ReadOnly)
+		ops, err := readLog(seg.path, "WAL segment", !n.opts.ReadOnly)
 		if err != nil {
 			return err
 		}
@@ -357,39 +393,19 @@ func (n *Node) recoverShard(i int) error {
 				// segment; data in newer run files was either
 				// filtered at its flush or legitimately re-inserted
 				// afterwards, so it is left alone.
-				sh.cutMemLocked(op.id, op.cutoff)
-				sh.cutRunsLocked(op.id, op.cutoff, seg.seq)
-				if sh.disk.tombs == nil {
-					sh.disk.tombs = make(map[core.SensorID]int64)
-				}
-				if op.cutoff > sh.disk.tombs[op.id] {
-					sh.disk.tombs[op.id] = op.cutoff
-				}
+				n.shardOf(op.id).deleteLocked(op.id, op.cutoff, seg.seq, true)
 				continue
 			}
-			sh.appendLocked(op.entries)
+			for k := range op.entries {
+				n.shardOf(op.entries[k].ID).appendLocked(op.entries[k : k+1])
+			}
 		}
-		sh.disk.memSegs = append(sh.disk.memSegs, seg.path)
-		if seg.seq >= sh.disk.nextSeq {
-			sh.disk.nextSeq = seg.seq + 1
-		}
+		n.replayed = append(n.replayed, seg.path)
+		n.seq.Store(max(n.seq.Load(), seg.seq+1))
 	}
-	sh.indexOK = len(sh.mem) == 0 && len(sh.runs) == 0
-	return nil
-}
-
-// openShardWAL creates shard i's directory, if missing, and a fresh
-// WAL segment after everything recovery found there.
-func (n *Node) openShardWAL(i int) error {
-	sh := &n.shards[i]
-	if err := os.MkdirAll(sh.disk.dir, 0o755); err != nil {
-		return err
+	for i := range n.shards {
+		sh := &n.shards[i]
+		sh.indexOK = len(sh.mem) == 0 && len(sh.runs) == 0
 	}
-	w, err := createWAL(sh.disk.dir, sh.disk.nextSeq)
-	if err != nil {
-		return err
-	}
-	w.met = &n.met.wal
-	sh.disk.wal = w
 	return nil
 }

@@ -256,9 +256,9 @@ func TestWALWriteENOSPCFailsShardClosed(t *testing.T) {
 	if err := n.Insert(id, core.Reading{Timestamp: 4, Value: 4}, 0); err == nil {
 		t.Fatal("shard accepted writes again without a reopen; fail-closed must latch")
 	}
-	// Other shards never touched the full region mid-fault and still work.
-	if err := n.Insert(other, core.Reading{Timestamp: 1, Value: 9}, 0); err != nil {
-		t.Fatalf("unaffected shard rejected a write: %v", err)
+	// The node has one WAL: every shard is refused until the reopen.
+	if err := n.Insert(other, core.Reading{Timestamp: 1, Value: 9}, 0); err == nil {
+		t.Fatal("another shard accepted a write without a reopen; fail-closed must latch the node")
 	}
 
 	// Reopen: everything acked before the fault is there, everything

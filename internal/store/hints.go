@@ -138,7 +138,7 @@ func openHintQueue(dir string) (*hintQueue, error) {
 		}
 		id := unescapeHintID(de.Name())
 		nh := &nodeHints{dir: filepath.Join(dir, de.Name())}
-		segs, err := findHintFiles(nh.dir)
+		segs, err := findSegments(nh.dir, "hint-")
 		if err != nil {
 			return nil, err
 		}
@@ -179,34 +179,6 @@ func (q *hintQueue) ids() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// hintSegSeq parses a hint file name, or false for other files.
-func hintSegSeq(name string) (uint64, bool) {
-	if !strings.HasPrefix(name, "hint-") || !strings.HasSuffix(name, ".log") {
-		return 0, false
-	}
-	seq, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, "hint-"), ".log"), 16, 64)
-	if err != nil {
-		return 0, false
-	}
-	return seq, true
-}
-
-// findHintFiles lists a member's hint files in sequence order.
-func findHintFiles(dir string) ([]walSegRef, error) {
-	des, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var segs []walSegRef
-	for _, de := range des {
-		if seq, ok := hintSegSeq(de.Name()); ok {
-			segs = append(segs, walSegRef{seq: seq, path: filepath.Join(dir, de.Name())})
-		}
-	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].seq < segs[j].seq })
-	return segs, nil
 }
 
 // enqueue durably appends n framed records, a mutation each, for a
@@ -266,21 +238,17 @@ func (q *hintQueue) replay(id string, write func([]WriteEntry) error, del func(c
 		nh.f.Close()
 		nh.f = nil
 	}
-	segs, err := findHintFiles(nh.dir)
+	segs, err := findSegments(nh.dir, "hint-")
 	if err != nil {
 		return err
 	}
 	for _, seg := range segs {
-		data, err := os.ReadFile(seg.path)
-		if err != nil {
-			return err
-		}
 		// A torn tail is a crash mid-enqueue: the write behind it was
 		// never recorded as hinted, so dropping it is correct. A record
 		// this build cannot read keeps the file, none of it applied.
-		ops, _, err := decodeWALRecords(data)
+		ops, err := readLog(seg.path, "hint file", false)
 		if err != nil {
-			return fmt.Errorf("store: hint file %s: %w", seg.path, err)
+			return err
 		}
 		for _, op := range ops {
 			if op.del {

@@ -124,7 +124,7 @@ func newNodeMetrics(n *Node) *nodeMetrics {
 			fmt.Sprintf(`dcdb_store_query_latency_seconds{shard="%d"}`, i),
 			"Read latency per memtable shard: stream open to EOF, error or Close (a Query is a drained stream).", querySampleEvery)
 	}
-	m.wal.appends = reg.Counter("dcdb_store_wal_appends_total", "WAL records appended: one per shard a write frame touches, one per delete.")
+	m.wal.appends = reg.Counter("dcdb_store_wal_appends_total", "WAL records appended: one per write frame, one per delete.")
 	m.wal.fsyncs = reg.Counter("dcdb_store_wal_fsyncs_total", "WAL fsyncs, including group commits.")
 	m.wal.batch = reg.Histogram("dcdb_store_wal_group_commit_records", "WAL records made durable per group-commit fsync.")
 	m.spillDur = reg.LatencyHistogram("dcdb_store_spill_duration_seconds", "Memtable-flush run-file spill duration.", 1)

@@ -20,8 +20,10 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"log"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -174,17 +176,13 @@ type shard struct {
 
 // shardDisk is a shard's durable bookkeeping. All fields are guarded
 // by the shard's mu unless noted. Allocated for every shard (durable
-// or not) so flush sequence numbering is uniform.
+// or not).
 type shardDisk struct {
-	dir     string                  // shard-<i> directory
-	nextSeq uint64                  // next flush/WAL sequence number
-	wal     *wal                    // active WAL segment (nil once closed)
-	files   []runFileMeta           // durable run files, ordered by maxSeq
-	memSegs []string                // replayed segments whose data sits in the memtable
-	tombs   map[core.SensorID]int64 // DeleteBefore cutoffs since the last flush
-	walBuf  []byte                  // WAL record scratch, reused under mu
-	delVer  uint64                  // bumped by DeleteBefore; aborts in-flight merges
-	cmu     sync.Mutex              // serialises compactions of this shard
+	dir    string                  // shard-<i> directory
+	files  []runFileMeta           // durable run files, ordered by maxSeq
+	tombs  map[core.SensorID]int64 // DeleteBefore cutoffs since the last flush
+	delVer uint64                  // bumped by DeleteBefore; aborts in-flight merges
+	cmu    sync.Mutex              // serialises compactions of this shard
 }
 
 // appendLocked adds entries to the memtable, each reading under its
@@ -229,7 +227,7 @@ func (sh *shard) seriesFor(id core.SensorID) *memSeries {
 
 // Node is a single storage server. It is safe for concurrent use.
 // A node is memory-only until Open points it at a data directory, after
-// which every write is logged to a per-shard WAL before it is
+// which every write is logged to the node's WAL before it is
 // acknowledged, memtable flushes spill per-shard sorted run files, and
 // a background goroutine compacts run files with size-tiered
 // scheduling.
@@ -251,6 +249,17 @@ type Node struct {
 	stopBG chan struct{}
 	bgWG   sync.WaitGroup
 	closed atomic.Bool
+
+	// wal is the active WAL segment (nil when there is none to write:
+	// memory-only, read-only, closed or failed closed). It changes only
+	// with every shard lock held. seq is the generation of the
+	// memtables and of that segment; on a durable node only flush moves
+	// it. flushMu serialises flushes; replayed lists the segments
+	// recovery replayed into the memtables, which the next flush covers.
+	wal      atomic.Pointer[wal]
+	seq      atomic.Uint64
+	flushMu  sync.Mutex
+	replayed []string
 
 	// cache is the node-wide decoded-block cache; non-nil exactly when
 	// the node runs with a resident-set bound (DiskOptions.CacheBytes >
@@ -314,72 +323,71 @@ var ErrNodeClosed = fmt.Errorf("store: node is closed")
 // ErrNodeReadOnly is returned by writes to a node opened read-only.
 var ErrNodeReadOnly = fmt.Errorf("store: node is read-only")
 
-// walPend is a sync-every write's durability obligation: the WAL
-// segment and record position that must be fsynced (via syncTo's group
-// commit) before the write is acknowledged. Zero when no sync is owed
-// (memory-only node or batched sync mode).
-type walPend struct {
-	w   *wal
-	pos uint64
+// allShards is the lockShards mask of every shard.
+const allShards = 1<<numShards - 1
+
+// lockShards takes the locks of the shards in mask in index order, so
+// writers of overlapping shard sets and the flush cannot deadlock.
+func (n *Node) lockShards(mask uint32) {
+	for m := mask; m != 0; m &= m - 1 {
+		n.shards[bits.TrailingZeros32(m)].mu.Lock()
+	}
 }
 
-// walReady returns shard i's active WAL segment, ready to take an
-// append: nil (and no error) on memory-only nodes. Caller holds sh.mu
-// exclusively.
-func (n *Node) walReady(i int) (*wal, error) {
-	sh := &n.shards[i]
+func (n *Node) unlockShards(mask uint32) {
+	for m := mask; m != 0; m &= m - 1 {
+		n.shards[bits.TrailingZeros32(m)].mu.Unlock()
+	}
+}
+
+// lockAndLog takes the locks of the shards in mask and, on a durable
+// node, logs one record through logf under them: per sensor the WAL
+// order is then the apply order, which last-wins dedup needs. It
+// returns with the locks held and the segment and position the record's
+// fsync is owed on (nil on a memory-only node); on an error, with none
+// held. A broken segment is first retired by a flush, which spills the
+// memtables holding its records, and the record logged in its
+// successor.
+func (n *Node) lockAndLog(mask uint32, logf func(*wal) (uint64, error)) (*wal, uint64, error) {
 	if !n.durable() {
-		return nil, nil
+		n.lockShards(mask)
+		return nil, 0, nil
 	}
-	if n.opts.ReadOnly {
-		return nil, ErrNodeReadOnly
-	}
-	if sh.disk.wal == nil {
-		return nil, ErrNodeClosed
-	}
-	if sh.disk.wal.isBroken() {
-		// Self-heal after a transient write/fsync failure: every
-		// record applied from the broken segment is still in the
-		// memtable, so parking the segment with the memtable's other
-		// source segments (the next flush's run file covers them, and
-		// until then recovery replays them) lets a fresh segment take
-		// over instead of wedging the shard until restart.
-		if err := n.rotateBrokenWALLocked(i); err != nil {
-			return nil, err
+	for {
+		n.lockShards(mask)
+		w, err := n.wal.Load(), ErrNodeReadOnly
+		switch {
+		case n.opts.ReadOnly:
+		case w == nil:
+			err = ErrNodeClosed
+		default:
+			var pos uint64
+			if pos, err = logf(w); err == nil {
+				return w, pos, nil
+			}
 		}
-		log.Printf("store: shard %d rotated a broken WAL segment", i)
+		n.unlockShards(mask)
+		if !errors.Is(err, errWALBroken) {
+			return nil, 0, err
+		}
+		if err := n.flush(func(active *wal) bool {
+			if active == w { // not yet replaced by another writer
+				log.Printf("store: replacing the broken WAL segment %s", w.path)
+			}
+			return active == w
+		}, false); err != nil {
+			return nil, 0, err
+		}
 	}
-	return sh.disk.wal, nil
 }
 
-// owed is the durability obligation of a record appended to w at pos:
-// the record itself in sync-every mode, nothing in batched sync mode.
-func (n *Node) owed(w *wal, pos uint64) walPend {
-	if n.opts.SyncInterval == 0 {
-		return walPend{w: w, pos: pos}
+// syncOwed makes the record at pos in w durable before its write is
+// acknowledged, in sync-every mode.
+func (n *Node) syncOwed(w *wal, pos uint64) error {
+	if w == nil || n.opts.SyncInterval != 0 {
+		return nil
 	}
-	return walPend{}
-}
-
-// rotateBrokenWALLocked retires the active (broken) segment into the
-// memtable's covered-segment set and opens a fresh one. Caller holds
-// the shard's mu exclusively.
-func (n *Node) rotateBrokenWALLocked(i int) error {
-	sh := &n.shards[i]
-	sh.disk.memSegs = append(sh.disk.memSegs, sh.disk.wal.path)
-	sh.disk.wal.close() // best effort; the synced prefix is already on disk
-	// The replacement gets a fresh sequence so its name cannot collide
-	// with the broken file, which stays behind until a flush's run
-	// file covers it; recovery replays both in sequence order.
-	sh.disk.nextSeq++
-	nw, err := createWAL(sh.disk.dir, sh.disk.nextSeq)
-	if err != nil {
-		sh.disk.wal = nil // fail closed; writes reject until reopen
-		return err
-	}
-	nw.met = &n.met.wal
-	sh.disk.wal = nw
-	return nil
+	return w.syncTo(pos)
 }
 
 // Insert implements Backend: InsertBatch of one reading.
@@ -394,14 +402,11 @@ func (n *Node) InsertBatch(id core.SensorID, rs []core.Reading, ttl time.Duratio
 	if len(rs) == 0 {
 		return nil
 	}
-	if n.down.Load() {
-		return ErrNodeDown
-	}
 	// Set field by field: a composite literal is built in a temporary
 	// and copied, which costs the one-reading Insert several ns.
 	var e [1]WriteEntry
 	e[0].ID, e[0].Expire, e[0].Readings = id, TTLToExpire(ttl), rs
-	return n.writeShard(shardIndex(id), e[:])
+	return n.write(e[:])
 }
 
 // InsertVersioned stores versioned readings of one sensor — the
@@ -415,141 +420,114 @@ func (n *Node) InsertVersioned(id core.SensorID, vrs []VersionedReading) error {
 }
 
 // WriteFrame implements FrameWriter: the node's one write path, which
-// Insert, InsertBatch and InsertVersioned are frames of. The entries are
-// grouped by shard and each shard the frame touches is written under
-// one lock hold with one WAL record, so a frame of many one-reading
-// entries costs a node what one batch does. A shard that fails fails
-// its own entries only.
+// Insert, InsertBatch and InsertVersioned are frames of. A frame is one
+// lock hold of the shards it touches and one WAL record, so a frame of
+// many one-reading entries costs a node what one batch does, and one
+// group-committed fsync in sync-every mode. It succeeds or fails whole.
 func (n *Node) WriteFrame(entries []WriteEntry) []error {
 	if len(entries) == 0 {
 		return nil
 	}
-	if n.down.Load() {
-		return failAll(len(entries), ErrNodeDown)
-	}
-	// One entry, or one sensor's repair batch: a single shard, nothing
-	// to group.
-	first, one := shardIndex(entries[0].ID), true
-	for k := 1; k < len(entries) && one; k++ {
-		one = entries[k].ID == entries[k-1].ID || shardIndex(entries[k].ID) == first
-	}
-	if one {
-		if err := n.writeShard(first, entries); err != nil {
-			return failAll(len(entries), err)
+	if err := n.write(entries); err != nil {
+		errs := make([]error, len(entries))
+		for k := range errs {
+			errs[k] = err
 		}
-		return nil
+		return errs
 	}
-	// Group by shard, frame order kept within each: a shard's entries
-	// become one slice, and a sensor's stay in the order they came.
-	shardOf := make([]uint8, len(entries))
-	var start [numShards + 1]int
-	for k := range entries {
-		i := shardIndex(entries[k].ID)
-		shardOf[k] = uint8(i)
-		start[i+1]++
-	}
-	for i := 1; i <= numShards; i++ {
-		start[i] += start[i-1]
-	}
-	grouped := make([]WriteEntry, len(entries))
-	next := start
-	for k, i := range shardOf {
-		grouped[next[i]] = entries[k]
-		next[i]++
-	}
-	var errs []error
-	for i := 0; i < numShards; i++ {
-		if start[i] == start[i+1] {
-			continue
-		}
-		if err := n.writeShard(i, grouped[start[i]:start[i+1]]); err != nil {
-			if errs == nil {
-				errs = make([]error, len(entries))
-			}
-			for k := range entries {
-				if int(shardOf[k]) == i {
-					errs[k] = err
-				}
-			}
-		}
-	}
-	return errs
+	return nil
 }
 
-// failAll is WriteFrame's answer when every one of n entries failed
-// the same way.
-func failAll(n int, err error) []error {
-	errs := make([]error, n)
-	for k := range errs {
-		errs[k] = err
-	}
-	return errs
-}
-
-// writeShard applies entries, all of shard i, under one lock hold and
-// one WAL append: one type-4 record, cut only where it would exceed
-// the replay-side bound (walMaxRecord), which would refuse it at
-// recovery. On an error nothing was applied to the memtable: the
-// write is not acknowledged (its records may replay after a crash, like
-// any unacknowledged write in flight).
+// write applies a frame's entries, frame order kept, after logging them
+// as one type-4 record, cut only where it would exceed the replay-side
+// bound (walMaxRecord). On an error nothing was applied to the
+// memtable: the write is not acknowledged (its record may replay after
+// a crash, like any unacknowledged write in flight).
 //
 // In sync-every mode the entries are applied before their fsync, which
-// runs outside the shard lock so concurrent writers group-commit into
-// one; the write returns only once it succeeded. A sync failure leaves
-// the entries in the memtable unacknowledged, with the same
-// may-replay-after-crash status.
-func (n *Node) writeShard(i int, entries []WriteEntry) error {
-	start := n.met.insertStart(i)
-	sh := &n.shards[i]
-	sh.mu.Lock()
-	w, err := n.walReady(i)
+// runs outside every lock so concurrent writers group-commit into one;
+// the write returns only once it succeeded. A sync failure leaves the
+// entries in the memtable unacknowledged, with the same
+// may-replay-after-crash status. A shard the write leaves at its stripe
+// of the flush budget flushes the node.
+func (n *Node) write(entries []WriteEntry) error {
+	if n.down.Load() {
+		return ErrNodeDown
+	}
+	lead := shardIndex(entries[0].ID)
+	start := n.met.insertStart(lead)
+	mask := uint32(1) << lead
+	for k := 1; k < len(entries); k++ {
+		mask |= 1 << shardIndex(entries[k].ID)
+	}
+	w, pos, err := n.lockAndLog(mask, func(w *wal) (uint64, error) { return w.appendEntries(entries) })
 	if err != nil {
-		sh.mu.Unlock()
 		return err
 	}
-	var pend walPend
-	if w != nil {
-		var records int
-		sh.disk.walBuf, records = appendWALInserts(sh.disk.walBuf[:0], entries)
-		pos, err := w.write(records, sh.disk.walBuf)
-		if err != nil {
-			sh.mu.Unlock()
-			return err
+	var full bool
+	if mask&(mask-1) == 0 {
+		full = n.applyLocked(lead, entries)
+	} else {
+		for k := 0; k < len(entries); {
+			// One memtable append per run of entries of one shard.
+			i, end := shardIndex(entries[k].ID), k+1
+			for end < len(entries) && shardIndex(entries[end].ID) == i {
+				end++
+			}
+			full = n.applyLocked(i, entries[k:end]) || full
+			k = end
 		}
-		pend = n.owed(w, pos)
 	}
-	total := sh.appendLocked(entries)
-	sh.inserts += int64(total)
-	n.met.armTick(i, sh.inserts-int64(total), sh.inserts)
+	n.unlockShards(mask)
 	var ferr error
-	if sh.memSize >= n.flushSize {
-		ferr = n.flushShardLocked(i)
+	if full {
+		ferr = n.flush(n.overBudget, false)
 	}
-	sh.mu.Unlock()
-	if pend.w != nil {
-		if serr := pend.w.syncTo(pend.pos); serr != nil {
-			return serr
-		}
+	if err := n.syncOwed(w, pos); err != nil {
+		return err
 	}
-	n.met.insertDone(i, start)
+	n.met.insertDone(lead, start)
 	return ferr
 }
 
-// Flush forces every shard's memtable into a sorted run. On durable
-// nodes the runs are additionally spilled to per-shard run files in the
-// background; the error reports WAL-rotation failures.
-func (n *Node) Flush() error {
-	var firstErr error
+// applyLocked appends entries, all of shard i, to its memtable and
+// reports whether that left the shard at its stripe of the flush budget
+// on a durable node, which then flushes as a whole. A memory-only node
+// has no WAL generation to share: a full shard flushes alone, here.
+func (n *Node) applyLocked(i int, entries []WriteEntry) bool {
+	sh := &n.shards[i]
+	total := sh.appendLocked(entries)
+	sh.inserts += int64(total)
+	n.met.armTick(i, sh.inserts-int64(total), sh.inserts)
+	if sh.memSize < n.flushSize {
+		return false
+	}
+	if !n.durable() {
+		sh.flushLocked(n.seq.Add(1)-1, false)
+		return false
+	}
+	return true
+}
+
+// overBudget reports whether some shard's memtable is at its stripe of
+// the flush budget.
+func (n *Node) overBudget(*wal) bool {
 	for i := range n.shards {
 		sh := &n.shards[i]
-		sh.mu.Lock()
-		if err := n.flushShardLocked(i); err != nil && firstErr == nil {
-			firstErr = err
+		sh.mu.RLock()
+		full := sh.memSize >= n.flushSize
+		sh.mu.RUnlock()
+		if full {
+			return true
 		}
-		sh.mu.Unlock()
 	}
-	return firstErr
+	return false
 }
+
+// Flush forces every memtable into a sorted run, one generation for
+// the whole node, spilled to run files in the background on a durable
+// node; the error reports a WAL segment that could not be created.
+func (n *Node) Flush() error { return n.flush(nil, false) }
 
 // Spill flushes a durable node and waits until the spiller has written
 // every run to its file, so a bulk load (tooldb's Save) that spills as
@@ -564,24 +542,63 @@ func (n *Node) Spill() error {
 	return err
 }
 
-// flushShardLocked moves shard i's memtable into an immutable in-memory
-// run (immediately queryable) and, on durable nodes, hands the same
-// entry slices to the background spiller for the run file write while
-// rotating the WAL, so ingest never waits on the run file. It does wait
-// on the retired segment's fsync, which wal.close does under sh.mu. The
-// closed WAL segment — together with any segments replayed into this
-// memtable at Open — is deleted only once the spilled run file is
-// durable. Caller holds sh.mu exclusively.
-func (n *Node) flushShardLocked(i int) error {
-	sh := &n.shards[i]
-	if sh.memSize == 0 {
+// flush moves every shard's memtable into an immutable in-memory run of
+// the current generation (immediately queryable) if due (nil: always)
+// says so under flushMu. On a writable durable node the generation's
+// WAL segment retires with it, replaced — unless the node is closing —
+// by a fresh one created before any shard lock is taken. The spiller
+// closes the retired segment (its fsync off every lock and off the
+// writer that flushed), writes the generation's run files and then
+// deletes it and the segments replayed into these memtables.
+func (n *Node) flush(due func(active *wal) bool, closing bool) error {
+	n.flushMu.Lock()
+	defer n.flushMu.Unlock()
+	old := n.wal.Load()
+	if due != nil && !due(old) {
 		return nil
 	}
-	seq := sh.disk.nextSeq
-	sh.disk.nextSeq++
-	var spillSeries map[core.SensorID][]entry
-	if n.durable() {
-		spillSeries = make(map[core.SensorID][]entry, len(sh.mem))
+	var next *wal
+	if old != nil && !closing {
+		var err error
+		if next, err = createWAL(n.dir, n.seq.Load()+1, &n.met.wal); err != nil {
+			// Fail closed: every later write is refused, not buffered
+			// into a retired file. Nothing is spilled, so the
+			// memtables stay recoverable from the segments.
+			n.lockShards(allShards)
+			n.wal.Store(nil)
+			n.unlockShards(allShards)
+			old.close() // best effort; the synced prefix is on disk
+			return err
+		}
+	}
+	n.lockShards(allShards)
+	job := &spillJob{seq: n.seq.Add(1) - 1}
+	for i := range n.shards {
+		job.series[i], job.tombs[i] = n.shards[i].flushLocked(job.seq, old != nil)
+	}
+	n.wal.Store(next)
+	n.unlockShards(allShards)
+	if old == nil {
+		return nil // no WAL: the in-memory runs are all there is
+	}
+	job.retired, job.covered = old, append(n.replayed, old.path)
+	n.replayed = nil
+	n.sp.enqueue(job)
+	return nil
+}
+
+// flushLocked moves the shard's memtable into runs of generation seq
+// and, with spill set, returns what its run file holds. Caller holds mu
+// exclusively.
+func (sh *shard) flushLocked(seq uint64, spill bool) (series map[core.SensorID][]entry, tombs map[core.SensorID]int64) {
+	if spill {
+		tombs, sh.disk.tombs = sh.disk.tombs, nil
+	}
+	if sh.memSize == 0 {
+		return nil, tombs
+	}
+	if spill {
+		series = make(map[core.SensorID][]entry, len(sh.mem))
 	}
 	for id, s := range sh.mem {
 		if len(s.entries) == 0 {
@@ -594,8 +611,8 @@ func (n *Node) flushShardLocked(i int) error {
 			sort.SliceStable(es, func(i, j int) bool { return es[i].ts < es[j].ts })
 		}
 		sh.runs[id] = append(sh.runs[id], run{es: es, min: es[0].ts, max: es[len(es)-1].ts, seq: seq})
-		if spillSeries != nil {
-			spillSeries[id] = es
+		if spill {
+			series[id] = es
 		}
 		// The series object stays in the memtable with a fresh
 		// buffer of the same capacity: the SID set is unchanged
@@ -606,32 +623,7 @@ func (n *Node) flushShardLocked(i int) error {
 	}
 	sh.flushedSize += sh.memSize
 	sh.memSize = 0
-	if !n.durable() || sh.disk.wal == nil {
-		// Memory-only, read-only, or already closed: the in-memory
-		// run is all there is to do.
-		return nil
-	}
-	// Rotate the WAL: the closed segment plus any replayed segments
-	// cover exactly the data this flush spilled.
-	covered := append(sh.disk.memSegs, sh.disk.wal.path)
-	sh.disk.memSegs = nil
-	cerr := sh.disk.wal.close()
-	nw, err := createWAL(sh.disk.dir, sh.disk.nextSeq)
-	if err != nil {
-		// Fail the shard closed: with no segment to log to, further
-		// durable writes must be rejected (walReady checks for a
-		// nil wal), not silently buffered into the closed file. No
-		// spill was enqueued, so the covered segments are never
-		// deleted and this flush stays recoverable from the WAL.
-		sh.disk.wal = nil
-		return err
-	}
-	nw.met = &n.met.wal
-	sh.disk.wal = nw
-	tombs := sh.disk.tombs
-	sh.disk.tombs = nil
-	n.sp.enqueue(spillJob{shard: i, seq: seq, series: spillSeries, tombs: tombs, covered: covered})
-	return cerr
+	return series, tombs
 }
 
 // snapshotIndex returns the shard's sorted SID list, rebuilding it if
@@ -707,36 +699,34 @@ func (n *Node) DeleteBefore(id core.SensorID, cutoff int64) error {
 	}
 	i := shardIndex(id)
 	sh := &n.shards[i]
-	sh.mu.Lock()
-	w, err := n.walReady(i)
-	var pos uint64
-	if w != nil {
-		sh.disk.walBuf = encodeWALDelete(sh.disk.walBuf, id, cutoff)
-		pos, err = w.append(sh.disk.walBuf)
-	}
+	w, pos, err := n.lockAndLog(1<<i, func(w *wal) (uint64, error) {
+		var rec [25]byte
+		return w.append(encodeWALDelete(rec[:], id, cutoff))
+	})
 	if err != nil {
-		sh.mu.Unlock()
 		return err
 	}
-	if w != nil {
+	sh.deleteLocked(id, cutoff, ^uint64(0), w != nil)
+	sh.mu.Unlock()
+	// Synced outside the lock, group-committed like a write.
+	return n.syncOwed(w, pos)
+}
+
+// deleteLocked drops the readings of id older than cutoff from the
+// memtable and from the runs older than beforeSeq and, with tomb set,
+// records the tombstone the shard's next run file carries. It aborts
+// in-flight copy-aside compactions, whose input snapshot predates it.
+// Caller holds mu exclusively.
+func (sh *shard) deleteLocked(id core.SensorID, cutoff int64, beforeSeq uint64, tomb bool) {
+	if tomb {
 		if sh.disk.tombs == nil {
 			sh.disk.tombs = make(map[core.SensorID]int64)
 		}
-		if cutoff > sh.disk.tombs[id] {
-			sh.disk.tombs[id] = cutoff
-		}
+		sh.disk.tombs[id] = max(sh.disk.tombs[id], cutoff)
 	}
-	// Invalidate in-flight copy-aside compactions: their input
-	// snapshot predates this delete.
 	sh.disk.delVer++
 	sh.cutMemLocked(id, cutoff)
-	sh.cutRunsLocked(id, cutoff, ^uint64(0))
-	sh.mu.Unlock()
-	// Synced outside the lock, group-committed like a write.
-	if pend := n.owed(w, pos); pend.w != nil {
-		return pend.w.syncTo(pend.pos)
-	}
-	return nil
+	sh.cutRunsLocked(id, cutoff, beforeSeq)
 }
 
 // cutMemLocked drops memtable entries of id older than cutoff. Caller
@@ -911,9 +901,10 @@ func (n *Node) SensorIDs() []core.SensorID {
 }
 
 // Close implements Backend. On durable nodes it stops the background
-// compactor and WAL syncer, flushes the memtable, waits for every
-// spill to reach disk, and closes the WAL segments; further writes
-// return ErrNodeClosed. Memory-only nodes close trivially.
+// compactor and WAL syncer and flushes the memtables with the active
+// WAL segment, adding none, then waits for every spill: a clean close
+// leaves no WAL behind. Further writes return ErrNodeClosed.
+// Memory-only nodes close trivially.
 func (n *Node) Close() error {
 	if !n.durable() {
 		return nil
@@ -921,33 +912,16 @@ func (n *Node) Close() error {
 	if n.closed.Swap(true) {
 		return nil
 	}
-	// stopBG is nil when Open failed during shard recovery; there is
-	// nothing running, but the WALs opened so far still need closing.
+	// stopBG is nil when Open failed during recovery; nothing runs.
 	if n.stopBG != nil {
 		close(n.stopBG)
 		n.bgWG.Wait()
 	}
-	if n.opts.ReadOnly {
-		n.releaseRunFiles()
-		return nil // nothing on disk to settle, and no WALs to close
-	}
 	var firstErr error
 	if n.sp != nil {
-		firstErr = n.Flush()
+		firstErr = n.flush(nil, true)
 		if err := n.sp.close(); err != nil && firstErr == nil {
 			firstErr = err
-		}
-	}
-	for i := range n.shards {
-		sh := &n.shards[i]
-		sh.mu.Lock()
-		w := sh.disk.wal
-		sh.disk.wal = nil
-		sh.mu.Unlock()
-		if w != nil {
-			if err := w.close(); err != nil && firstErr == nil {
-				firstErr = err
-			}
 		}
 	}
 	n.releaseRunFiles()
@@ -971,21 +945,19 @@ func (n *Node) releaseRunFiles() {
 	}
 }
 
-// Sync forces every shard's WAL to disk, making all writes accepted so
-// far durable regardless of the configured SyncInterval.
+// Sync forces the WAL to disk — the active segment and the retired ones
+// the spiller has yet to close — making all writes accepted so far
+// durable regardless of the configured SyncInterval.
 func (n *Node) Sync() error {
-	if !n.durable() {
-		return nil
+	if n.sp == nil {
+		return nil // memory-only or read-only: no WAL
+	}
+	ws := n.sp.retiring()
+	if w := n.wal.Load(); w != nil {
+		ws = append(ws, w)
 	}
 	var firstErr error
-	for i := range n.shards {
-		sh := &n.shards[i]
-		sh.mu.RLock()
-		w := sh.disk.wal
-		sh.mu.RUnlock()
-		if w == nil {
-			continue
-		}
+	for _, w := range ws {
 		if err := w.sync(); err != nil && firstErr == nil {
 			firstErr = err
 		}

@@ -30,17 +30,15 @@ func (n *Node) crash() {
 	}
 	close(n.stopBG)
 	n.bgWG.Wait()
-	n.sp.abort()
-	for i := range n.shards {
-		sh := &n.shards[i]
-		sh.mu.Lock()
-		w := sh.disk.wal
-		sh.disk.wal = nil
-		sh.mu.Unlock()
+	ws := n.sp.abort()
+	n.lockShards(allShards)
+	ws = append(ws, n.wal.Swap(nil))
+	n.unlockShards(allShards)
+	for _, w := range ws {
 		if w != nil {
-			w.lock()
+			w.mu.Lock()
 			w.sink.Close() // no flush: buffered-but-unsynced bytes die here
-			w.unlock()
+			w.mu.Unlock()
 		}
 	}
 	// A killed process loses its descriptors too; without this, long
@@ -49,16 +47,23 @@ func (n *Node) crash() {
 }
 
 // abort stops the spiller without draining pending jobs (crash
-// simulation: an un-spilled flush exists only in its WAL segments).
-func (s *spiller) abort() {
+// simulation: an un-spilled flush exists only in its WAL segments) and
+// returns the retired segments the dropped jobs had yet to close.
+func (s *spiller) abort() []*wal {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.closed = true
-	s.queue = nil
+	close(s.stop)
+	var ws []*wal
+	for len(s.queue) > 1 { // the head is running: it finishes
+		ws = append(ws, s.queue[len(s.queue)-1].retired)
+		s.queue = s.queue[:len(s.queue)-1]
+	}
 	s.cond.Broadcast()
-	for s.active {
+	for len(s.queue) > 0 {
 		s.cond.Wait()
 	}
-	s.mu.Unlock()
+	return ws
 }
 
 // noCompact keeps recovery scenarios deterministic: durability must
@@ -159,13 +164,12 @@ func copyDir(t *testing.T, src, dst string) {
 }
 
 // newestWAL returns the path and size of the highest-sequence WAL
-// segment under the shard directory holding id.
+// segment of the node directory dir.
 func newestWAL(t *testing.T, dir string, id core.SensorID) (string, int64) {
 	t.Helper()
-	shardDir := filepath.Join(dir, fmt.Sprintf("shard-%02d", shardIndex(id)))
-	segs, err := findWALSegments(shardDir)
+	segs, err := findWALSegments(dir)
 	if err != nil || len(segs) == 0 {
-		t.Fatalf("no WAL segments in %s: %v", shardDir, err)
+		t.Fatalf("no WAL segments in %s: %v", dir, err)
 	}
 	seg := segs[len(segs)-1]
 	st, err := os.Stat(seg.path)

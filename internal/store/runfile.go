@@ -370,7 +370,7 @@ func (w *runFileWriter) addSeries(id core.SensorID, es []entry) error {
 
 // finish writes the index and footer, fsyncs, renames into place and
 // fsyncs the directory. On success the returned meta and index describe
-// the committed file.
+// the committed file; a failed directory fsync is an error.
 func (w *runFileWriter) finish(tombs map[core.SensorID]int64) (runFileMeta, *runIndex, error) {
 	if w.open {
 		return runFileMeta{}, nil, fmt.Errorf("store: finish with a series open")
@@ -417,7 +417,11 @@ func (w *runFileWriter) finish(tombs map[core.SensorID]int64) (runFileMeta, *run
 		os.Remove(w.tmp)
 		return runFileMeta{}, nil, err
 	}
-	syncDir(w.dir)
+	if err := fsutil.SyncDir(w.dir); err != nil {
+		// In place, but the name may not survive a crash: the caller
+		// keeps what the file replaces and retries.
+		return runFileMeta{}, nil, err
+	}
 	w.met.add(&w.written)
 	return runFileMeta{path: w.final, minSeq: w.minSeq, maxSeq: w.maxSeq, size: st.Size(), tombs: tombs}, idx, nil
 }

@@ -17,18 +17,19 @@ import (
 	"dcdb/internal/fsutil"
 )
 
-// Write-ahead log: one segment file per shard memtable generation
-// (`shard-<i>/wal-<seq>.log`). Every mutation is appended as a CRC32-
-// framed record before it touches the memtable, so a crash can lose at
-// most the writes since the last fsync (none, with SyncInterval 0).
-// At a flush the segment is closed and a fresh one opened; the closed
-// segment is deleted only once the run file written from that memtable
-// is durable. Recovery replays every surviving segment in sequence
-// order and stops at the first torn record — a short or empty frame or
-// a CRC mismatch — truncating the tail so a half-written record is never
-// served. A record that is whole but that this build cannot parse is
-// not a torn tail: acknowledged records may follow it, so it fails the
-// open by name and the segment is left as it is (errWALRecordUnreadable).
+// Write-ahead log: one segment sequence per node (`wal-<seq>.log`).
+// Every mutation is appended as a CRC32-framed record before it touches
+// the memtable, so a crash can lose at most the writes since the last
+// fsync (none, with SyncInterval 0). At a flush every shard's memtable
+// moves into a run of the segment's generation and a fresh segment
+// takes over; the retired one is deleted once every run file of the
+// generation is durable. Recovery replays every surviving segment in
+// sequence order, each entry into its shard, and stops at the first
+// torn record — a short or empty frame or a CRC mismatch —
+// truncating the tail so a half-written record is never served. A
+// record that is whole but that this build cannot parse is not a torn
+// tail: acknowledged records may follow it, so it fails the open by
+// name and the segment is left as it is (errWALRecordUnreadable).
 //
 // Record framing (integers big-endian):
 //
@@ -39,10 +40,9 @@ import (
 //	type 2 (delete): u8 2 | sidHi u64 | sidLo u64 | cutoff i64
 //	type 4 (insert): u8 4 | write entries (entries.go)
 //
-// A type-4 record holds the entries of one write frame that belong to
-// one shard, spelled as the frame carried them on the wire. Types 1 and
-// 3, the insert records of older builds, are refused with their way out
-// (walOldInsertRoute).
+// A type-4 record holds the entries of one write frame, spelled as the
+// frame carried them on the wire. Types 1 and 3, the insert records of
+// older builds, are refused with their way out (walOldInsertRoute).
 
 const (
 	walRecDelete = 2
@@ -74,16 +74,13 @@ var openWALSink = func(path string) (walSink, error) {
 	return fsutil.Disk.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 }
 
-// wal is one active segment. The shard lock serialises append/rotate;
-// mu additionally guards the buffered writer against the background
-// syncer, and syncMu serialises fsyncs without blocking appends.
+// wal is one segment. mu guards the buffered writer, and syncMu
+// serialises fsyncs without blocking appends.
 //
 // appended/synced implement group commit for sync-every mode: append
 // hands each record a position, and syncTo(pos) makes everything up to
 // pos durable with one fsync shared by every writer whose record was
-// already buffered when the fsync's leader flushed. Writers queue on
-// syncMu; by the time a follower acquires it, the leader's fsync has
-// usually covered its record and it returns without touching the disk.
+// buffered when the fsync's leader flushed (see syncTo).
 type wal struct {
 	mu       sync.Mutex
 	syncMu   sync.Mutex
@@ -94,30 +91,32 @@ type wal struct {
 	broken   bool   // a write failed; the segment is no longer trusted
 	appended uint64 // records appended so far (under mu)
 	synced   uint64 // records known durable (under mu)
+	scratch  []byte // record encoding buffer, reused under mu
+
+	// dirSynced: the segment's directory entry is durable. The first
+	// fsync makes it so, under syncMu, so no record is acknowledged in a
+	// file a crash could unname.
+	dirSynced bool
 
 	// met points at the owning node's WAL counters (nil in isolated
 	// tests); segments rotate, the counters persist across them.
 	met *walMetrics
 }
 
-func createWAL(dir string, seq uint64) (*wal, error) {
+// errWALBroken refuses an append or sync on a segment a write or fsync
+// failed on; the node then replaces the segment.
+var errWALBroken = errors.New("is broken")
+
+func createWAL(dir string, seq uint64, met *walMetrics) (*wal, error) {
 	path := filepath.Join(dir, fmt.Sprintf("wal-%016x.log", seq))
 	sink, err := openWALSink(path)
 	if err != nil {
 		return nil, fmt.Errorf("store: creating WAL segment: %w", err)
 	}
-	return &wal{sink: sink, bw: bufio.NewWriter(sink), path: path, seq: seq}, nil
+	return &wal{sink: sink, bw: bufio.NewWriter(sink), path: path, seq: seq, met: met}, nil
 }
 
-func (w *wal) lock()   { w.mu.Lock() }
-func (w *wal) unlock() { w.mu.Unlock() }
-
-// isBroken reports whether a write or sync on the segment has failed.
-func (w *wal) isBroken() bool {
-	w.lock()
-	defer w.unlock()
-	return w.broken
-}
+func (w *wal) brokenErr() error { return fmt.Errorf("store: WAL segment %s %w", w.path, errWALBroken) }
 
 // append frames and buffers one record payload, returning the record's
 // position for syncTo. The write is durable only after a sync covering
@@ -125,18 +124,26 @@ func (w *wal) isBroken() bool {
 func (w *wal) append(payload []byte) (uint64, error) {
 	var hdr [walFrameHeader]byte
 	putWALFrameHeader(hdr[:], payload)
-	return w.write(1, hdr[:], payload)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.writeLocked(1, hdr[:], payload)
 }
 
-// write buffers n records given as the parts of their framed bytes —
-// append's header and payload, or the one buffer a write frame's
-// records for a shard were built in, framing included — and returns
-// the position of the last.
-func (w *wal) write(n int, parts ...[]byte) (uint64, error) {
-	w.lock()
-	defer w.unlock()
+// appendEntries logs a write frame's entries as type-4 records (one,
+// unless they exceed walRecordCut) and returns the last one's position.
+func (w *wal) appendEntries(es []WriteEntry) (uint64, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	var n int
+	w.scratch, n = appendWALInserts(w.scratch[:0], es)
+	return w.writeLocked(n, w.scratch)
+}
+
+// writeLocked buffers n records, framed, and returns the position of
+// the last. Caller holds mu.
+func (w *wal) writeLocked(n int, parts ...[]byte) (uint64, error) {
 	if w.broken {
-		return 0, fmt.Errorf("store: WAL segment %s is broken", w.path)
+		return 0, w.brokenErr()
 	}
 	for _, p := range parts {
 		if _, err := w.bw.Write(p); err != nil {
@@ -153,9 +160,9 @@ func (w *wal) write(n int, parts ...[]byte) (uint64, error) {
 
 // sync makes every record appended so far durable.
 func (w *wal) sync() error {
-	w.lock()
+	w.mu.Lock()
 	pos := w.appended
-	w.unlock()
+	w.mu.Unlock()
 	return w.syncTo(pos)
 }
 
@@ -168,57 +175,35 @@ func (w *wal) sync() error {
 // disk, so N concurrent sync-every writers pay ~1 fsync, not N.
 //
 // The buffer flush happens under mu, but the fsync itself runs outside
-// it (serialised by syncMu) so a sync never stalls the shard's appends
-// — and therefore its inserts and queries — for the fsync duration.
-// Syncing a segment a concurrent flush already rotated out is decided
-// by that close: if it flushed and fsynced everything the data is
-// durable and the stale handle is not an error; if it failed, the
-// segment is broken and the sync reports it.
+// it (serialised by syncMu) so a sync never stalls appends — and
+// therefore the node's writes — for the fsync duration.
 func (w *wal) syncTo(pos uint64) error {
-	// Records at or below synced were fsynced before any later failure,
-	// so they are durable even on a segment since marked broken.
-	w.lock()
-	if w.synced >= pos {
-		w.unlock()
-		return nil
+	w.mu.Lock()
+	done, err := w.settledLocked(pos)
+	w.mu.Unlock()
+	if done {
+		return err
 	}
-	if w.broken {
-		w.unlock()
-		return fmt.Errorf("store: WAL segment %s is broken", w.path)
-	}
-	w.unlock()
 
 	w.syncMu.Lock()
 	defer w.syncMu.Unlock()
-	w.lock()
-	if w.synced >= pos {
-		w.unlock()
-		return nil
-	}
-	if w.broken {
-		w.unlock()
-		return fmt.Errorf("store: WAL segment %s is broken", w.path)
+	w.mu.Lock()
+	if done, err := w.settledLocked(pos); done {
+		w.mu.Unlock()
+		return err
 	}
 	if err := w.bw.Flush(); err != nil {
 		w.broken = true
-		w.unlock()
+		w.mu.Unlock()
 		return err
 	}
 	target := w.appended
-	w.unlock()
+	w.mu.Unlock()
 
-	err := w.sink.Sync()
-	w.lock()
-	defer w.unlock()
-	switch {
-	case errors.Is(err, os.ErrClosed):
-		// A rotation closed the segment after our flush: its close
-		// made the records durable, or broke the segment.
-		if w.synced >= pos {
-			return nil
-		}
-		return fmt.Errorf("store: WAL segment %s is broken", w.path)
-	case err != nil:
+	err = w.fsync()
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if err != nil {
 		w.broken = true
 		return err
 	}
@@ -234,16 +219,42 @@ func (w *wal) syncTo(pos uint64) error {
 	return nil
 }
 
-// close flushes, fsyncs and closes the segment file. The file stays on
-// disk until the flush that consumed it is durable. On success every
-// appended record is durable, which lets an in-flight syncTo on the
-// rotated-out handle take its fast path; on a failed flush or fsync the
-// segment is broken, so that syncTo reports the failure instead.
+// settledLocked reports whether a sync to pos has nothing to do: the
+// record is durable (records at or below synced were fsynced before any
+// failure), or the segment is broken (its error). Caller holds mu.
+func (w *wal) settledLocked(pos uint64) (bool, error) {
+	if w.synced >= pos {
+		return true, nil
+	}
+	if w.broken {
+		return true, w.brokenErr()
+	}
+	return false, nil
+}
+
+// fsync makes the flushed bytes durable, the directory entry first.
+// Caller holds syncMu.
+func (w *wal) fsync() error {
+	if !w.dirSynced {
+		if err := fsutil.SyncDir(filepath.Dir(w.path)); err != nil {
+			return err
+		}
+		w.dirSynced = true
+	}
+	return w.sink.Sync()
+}
+
+// close flushes, fsyncs and closes a segment no writer appends to any
+// more. On success every appended record is durable, so a later syncTo
+// takes its fast path; on failure the segment is broken, so syncTo
+// reports it.
 func (w *wal) close() error {
-	w.lock()
-	defer w.unlock()
+	w.syncMu.Lock()
+	defer w.syncMu.Unlock()
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	ferr := w.bw.Flush()
-	serr := w.sink.Sync()
+	serr := w.fsync()
 	cerr := w.sink.Close()
 	if ferr == nil && serr == nil {
 		w.synced = w.appended
@@ -320,8 +331,7 @@ func encodeWALDelete(buf []byte, id core.SensorID, cutoff int64) []byte {
 	return buf
 }
 
-// walOp is one replayed record: a delete, or the entries a write frame
-// brought one shard.
+// walOp is one replayed record: a delete, or a write frame's entries.
 type walOp struct {
 	del     bool
 	id      core.SensorID // delete only
@@ -395,31 +405,29 @@ func decodeWALPayload(p []byte) (walOp, bool) {
 	return walOp{}, false
 }
 
-// walSegSeq extracts the sequence number from a segment file name, or
-// false if the name is not a WAL segment.
-func walSegSeq(name string) (uint64, bool) {
-	if !strings.HasPrefix(name, "wal-") || !strings.HasSuffix(name, ".log") {
-		return 0, false
+// segSeq parses a log file name, prefix + hex sequence + ".log" (WAL
+// segments "wal-", hint files "hint-"), or returns false.
+func segSeq(name, prefix string) (uint64, bool) {
+	hex, ok := strings.CutPrefix(name, prefix)
+	if hex, ok2 := strings.CutSuffix(hex, ".log"); ok && ok2 {
+		seq, err := strconv.ParseUint(hex, 16, 64)
+		return seq, err == nil
 	}
-	seq, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, "wal-"), ".log"), 16, 64)
-	if err != nil {
-		return 0, false
-	}
-	return seq, true
+	return 0, false
 }
 
-// replaySegment reads one segment from disk. With truncate set, a torn
-// tail is cut off in place so the next open does not re-parse garbage;
-// read-only recovery leaves the file as the crash left it, and so does
-// a refusal.
-func replaySegment(path string, truncate bool) ([]walOp, error) {
+// readLog reads a WAL segment or a hint file (what, for errors). With
+// truncate set, a torn tail is cut off in place so the next open does
+// not re-parse garbage; read-only recovery leaves the file as the crash
+// left it, and so does a refusal.
+func readLog(path, what string, truncate bool) ([]walOp, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
 	ops, valid, err := decodeWALRecords(data)
 	if err != nil {
-		return nil, fmt.Errorf("store: WAL segment %s: %w", path, err)
+		return nil, fmt.Errorf("store: %s %s: %w", what, path, err)
 	}
 	if truncate && valid < len(data) {
 		// Failure to truncate is not fatal — replay will stop at the
@@ -429,15 +437,21 @@ func replaySegment(path string, truncate bool) ([]walOp, error) {
 	return ops, nil
 }
 
-// findWALSegments lists a shard directory's segments in sequence order.
-func findWALSegments(dir string) ([]walSegRef, error) {
+func findWALSegments(dir string) ([]walSegRef, error) { return findSegments(dir, "wal-") }
+
+// findSegments lists dir's log files of a prefix in sequence order. A
+// directory that does not exist holds none.
+func findSegments(dir, prefix string) ([]walSegRef, error) {
 	des, err := os.ReadDir(dir)
+	if os.IsNotExist(err) {
+		return nil, nil
+	}
 	if err != nil {
 		return nil, err
 	}
 	var segs []walSegRef
 	for _, de := range des {
-		if seq, ok := walSegSeq(de.Name()); ok {
+		if seq, ok := segSeq(de.Name(), prefix); ok {
 			segs = append(segs, walSegRef{seq: seq, path: filepath.Join(dir, de.Name())})
 		}
 	}

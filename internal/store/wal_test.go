@@ -66,15 +66,14 @@ func type3Payload(id core.SensorID, vrs []VersionedReading) []byte {
 	return p
 }
 
-// placeWALSegment writes data as the first WAL segment of the shard
-// directory id hashes to under dir and returns its path.
+// placeWALSegment writes data as the first WAL segment of the node
+// directory dir and returns its path.
 func placeWALSegment(t *testing.T, dir string, id core.SensorID, data []byte) string {
 	t.Helper()
-	shardDir := filepath.Join(dir, fmt.Sprintf("shard-%02d", shardIndex(id)))
-	if err := os.MkdirAll(shardDir, 0o755); err != nil {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(shardDir, "wal-0000000000000001.log")
+	path := filepath.Join(dir, "wal-0000000000000001.log")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -263,11 +262,10 @@ func TestRefusedWritableOpenLeavesDirectory(t *testing.T) {
 				}
 				n.crash()
 			}
-			shardDir := filepath.Join(dir, "shard-07")
-			if err := os.MkdirAll(shardDir, 0o755); err != nil {
+			if err := os.MkdirAll(dir, 0o755); err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(filepath.Join(shardDir, "wal-00000000000fffff.log"), seg, 0o644); err != nil {
+			if err := os.WriteFile(filepath.Join(dir, "wal-00000000000fffff.log"), seg, 0o644); err != nil {
 				t.Fatal(err)
 			}
 			before := dirContents(t, dir)
@@ -310,7 +308,7 @@ func dirContents(t *testing.T, dir string) map[string]string {
 // TestWritePathLogsOnlyStampedRecords: whatever form a write takes on a
 // durable node — Insert, InsertBatch, WriteFrame, InsertVersioned,
 // DeleteBefore — every WAL record on disk is a type-4 insert, one per
-// shard a write touches, or a type-2 delete. A one-reading insert costs
+// write, or a type-2 delete. A one-reading insert costs
 // one 61-byte record: frame 8, type 1, entry header 36, ts | val 16.
 func TestWritePathLogsOnlyStampedRecords(t *testing.T) {
 	dir := t.TempDir()
@@ -340,31 +338,25 @@ func TestWritePathLogsOnlyStampedRecords(t *testing.T) {
 	n.crash()
 
 	counts := map[byte]int{}
-	for i := 0; i < numShards; i++ {
-		segs, err := findWALSegments(filepath.Join(dir, fmt.Sprintf("shard-%02d", i)))
+	segs, err := findWALSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seg := range segs {
+		data, err := os.ReadFile(seg.path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, seg := range segs {
-			data, err := os.ReadFile(seg.path)
-			if err != nil {
-				t.Fatal(err)
+		for k, p := range walRecords(t, data) {
+			if p[0] != walRecInsert && p[0] != walRecDelete {
+				t.Fatalf("%s record %d is type %d; a node logs only types 2 and 4", seg.path, k, p[0])
 			}
-			for k, p := range walRecords(t, data) {
-				if p[0] != walRecInsert && p[0] != walRecDelete {
-					t.Fatalf("%s record %d is type %d; a node logs only types 2 and 4", seg.path, k, p[0])
-				}
-				counts[p[0]]++
-			}
+			counts[p[0]]++
 		}
 	}
-	// The frame is one record, or two when a and b hash to two shards.
-	inserts := 4
-	if shardIndex(a) != shardIndex(b) {
-		inserts++
-	}
-	if counts[walRecInsert] != inserts || counts[walRecDelete] != 1 {
-		t.Fatalf("records by type %v, want %d inserts and 1 delete", counts, inserts)
+	// The frame is one record, whatever shards a and b hash to.
+	if counts[walRecInsert] != 4 || counts[walRecDelete] != 1 {
+		t.Fatalf("records by type %v, want 4 inserts and 1 delete", counts)
 	}
 	n2 := openedNode(t, dir, 0, noCompact)
 	defer n2.Close()
@@ -509,7 +501,7 @@ func TestWALSyncAfterFailedCloseReportsError(t *testing.T) {
 		}
 		return &failFirstSyncSink{walSink: f}, nil
 	}
-	w, err := createWAL(t.TempDir(), 1)
+	w, err := createWAL(t.TempDir(), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -197,9 +197,9 @@ func OpenRemote(dir string, o RemoteOptions) (*libdcdb.Connection, *store.Cluste
 
 // Save persists the tool-side node and metadata back into the data
 // directory dir, creating it if needed. The node is rewritten as a
-// single durable node0 (run files + clean WAL), which the agent
-// recovers like any other directory. Not safe against an agent
-// concurrently owning the directory.
+// single durable node0 (run files only: a clean close leaves no WAL),
+// which the agent recovers like any other directory. Not safe against
+// an agent concurrently owning the directory.
 func Save(conn *libdcdb.Connection, node *store.Node, dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -241,10 +241,8 @@ func Save(conn *libdcdb.Connection, node *store.Node, dir string) error {
 		os.RemoveAll(building)
 		return err
 	}
-	fsutil.SyncDir(dir)
-	if err := collectagent.HealInterruptedSave(dir); err != nil { // performs the swap
+	if err := fsutil.SyncDir(dir); err != nil {
 		return err
 	}
-	fsutil.SyncDir(dir)
-	return nil
+	return collectagent.HealInterruptedSave(dir) // performs the swap
 }
