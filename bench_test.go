@@ -538,6 +538,50 @@ func BenchmarkWriteFrameSyncEvery(b *testing.B) {
 	}
 }
 
+// BenchmarkSpillSkewed measures flushes under skewed traffic on a
+// durable node: a frame is 15 readings of one hot sensor and one reading
+// of a cold one, the cold sensors taking turns over the other 15 shards.
+// Besides the time per frame it reports the run files written and the
+// time spent spilling them per 1000 frames.
+func BenchmarkSpillSkewed(b *testing.B) {
+	ids := distinctShardSensors(b)
+	dir := b.TempDir()
+	n := store.NewNode(16 * 1024)
+	if err := n.OpenOptions(dir, store.DiskOptions{SyncInterval: time.Second, CompactInterval: -1}); err != nil {
+		b.Fatal(err)
+	}
+	defer n.Close()
+	hot, cold := make([]core.Reading, 15), make([]core.Reading, 1)
+	frame := []store.WriteEntry{{ID: ids[0], Readings: hot}, {Readings: cold}}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range hot {
+			hot[j] = core.Reading{Timestamp: int64(i*len(hot) + j), Value: 1}
+		}
+		cold[0] = core.Reading{Timestamp: int64(i), Value: 1}
+		frame[1].ID = ids[1+i%15]
+		if errs := n.WriteFrame(frame); errs != nil {
+			b.Fatal(errs[0])
+		}
+	}
+	if err := n.Spill(); err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	files, _ := filepath.Glob(filepath.Join(dir, "shard-*", "run-*.sst"))
+	samples, err := n.MetricsSnapshot()
+	if err != nil {
+		b.Fatal(err)
+	}
+	perK := 1000 / float64(b.N)
+	for _, s := range samples {
+		if s.Name == "dcdb_store_spill_duration_seconds" {
+			b.ReportMetric(float64(s.Hist.Sum)/1e3*perK, "spill-µs/kframe")
+		}
+	}
+	b.ReportMetric(float64(len(files))*perK, "files/kframe")
+}
+
 var shardSensors struct {
 	once sync.Once
 	ids  []core.SensorID

@@ -64,11 +64,21 @@ func newSpiller(n *Node) *spiller {
 	return s
 }
 
-func (s *spiller) enqueue(j *spillJob) {
+// waitRoom blocks until the queue has room for one more job and reports
+// whether the spiller is open. Only a flush queues, under flushMu.
+func (s *spiller) waitRoom() bool {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	for len(s.queue) >= spillQueueMax && !s.closed {
 		s.cond.Wait()
 	}
+	return !s.closed
+}
+
+// push queues a job waitRoom made room for, under the shard locks: the
+// spiller takes none while it holds mu.
+func (s *spiller) push(j *spillJob) {
+	s.mu.Lock()
 	if !s.closed {
 		s.queue = append(s.queue, j)
 	}
@@ -77,10 +87,9 @@ func (s *spiller) enqueue(j *spillJob) {
 }
 
 // retiring lists the retired WAL segments not yet closed, for Sync.
-func (s *spiller) retiring() []*wal {
+func (s *spiller) retiring() (ws []*wal) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var ws []*wal
 	for _, j := range s.queue {
 		if j.retired != nil {
 			ws = append(ws, j.retired)

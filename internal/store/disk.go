@@ -272,8 +272,8 @@ func (n *Node) OpenOptions(dir string, o DiskOptions) error {
 		n.bgWG.Add(1)
 		go n.syncLoop()
 	}
-	// A replayed WAL can leave a shard over its flush budget; spill it
-	// now that the background machinery is running.
+	// A replayed WAL can leave the memtables over the flush budget;
+	// spill them now that the background machinery is running.
 	if err := n.flush(n.overBudget, false); err != nil {
 		return fail(err)
 	}
@@ -406,6 +406,7 @@ func (n *Node) replayWAL() error {
 	for i := range n.shards {
 		sh := &n.shards[i]
 		sh.indexOK = len(sh.mem) == 0 && len(sh.runs) == 0
+		n.memTotal.Add(int64(sh.memSize))
 	}
 	return nil
 }

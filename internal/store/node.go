@@ -256,10 +256,12 @@ type Node struct {
 	// memtables and of that segment; on a durable node only flush moves
 	// it. flushMu serialises flushes; replayed lists the segments
 	// recovery replayed into the memtables, which the next flush covers.
+	// memTotal counts the entries since the last flush, all shards.
 	wal      atomic.Pointer[wal]
 	seq      atomic.Uint64
 	flushMu  sync.Mutex
 	replayed []string
+	memTotal atomic.Int64
 
 	// cache is the node-wide decoded-block cache; non-nil exactly when
 	// the node runs with a resident-set bound (DiskOptions.CacheBytes >
@@ -448,8 +450,8 @@ func (n *Node) WriteFrame(entries []WriteEntry) []error {
 // runs outside every lock so concurrent writers group-commit into one;
 // the write returns only once it succeeded. A sync failure leaves the
 // entries in the memtable unacknowledged, with the same
-// may-replay-after-crash status. A shard the write leaves at its stripe
-// of the flush budget flushes the node.
+// may-replay-after-crash status. A write that brings the memtables to
+// the flush budget flushes the node.
 func (n *Node) write(entries []WriteEntry) error {
 	if n.down.Load() {
 		return ErrNodeDown
@@ -491,37 +493,28 @@ func (n *Node) write(entries []WriteEntry) error {
 }
 
 // applyLocked appends entries, all of shard i, to its memtable and
-// reports whether that left the shard at its stripe of the flush budget
-// on a durable node, which then flushes as a whole. A memory-only node
-// has no WAL generation to share: a full shard flushes alone, here.
+// reports whether that brought a durable node's memtables, all shards
+// together, to the flush budget: the node then flushes as a whole. A
+// memory-only node has no WAL generation to share: a shard at its
+// stripe of the budget flushes alone, here.
 func (n *Node) applyLocked(i int, entries []WriteEntry) bool {
 	sh := &n.shards[i]
 	total := sh.appendLocked(entries)
 	sh.inserts += int64(total)
 	n.met.armTick(i, sh.inserts-int64(total), sh.inserts)
-	if sh.memSize < n.flushSize {
-		return false
+	if n.durable() {
+		return n.memTotal.Add(int64(total)) >= int64(n.flushSize*numShards)
 	}
-	if !n.durable() {
+	if sh.memSize >= n.flushSize {
 		sh.flushLocked(n.seq.Add(1)-1, false)
-		return false
-	}
-	return true
-}
-
-// overBudget reports whether some shard's memtable is at its stripe of
-// the flush budget.
-func (n *Node) overBudget(*wal) bool {
-	for i := range n.shards {
-		sh := &n.shards[i]
-		sh.mu.RLock()
-		full := sh.memSize >= n.flushSize
-		sh.mu.RUnlock()
-		if full {
-			return true
-		}
 	}
 	return false
+}
+
+// overBudget reports whether the memtables took the flush budget's
+// entries since the last flush.
+func (n *Node) overBudget(*wal) bool {
+	return n.memTotal.Load() >= int64(n.flushSize*numShards)
 }
 
 // Flush forces every memtable into a sorted run, one generation for
@@ -549,7 +542,9 @@ func (n *Node) Spill() error {
 // by a fresh one created before any shard lock is taken. The spiller
 // closes the retired segment (its fsync off every lock and off the
 // writer that flushed), writes the generation's run files and then
-// deletes it and the segments replayed into these memtables.
+// deletes it and the segments replayed into these memtables. The flush
+// waits for room in the spill queue before it rotates, and queues the
+// retired segment before it leaves n.wal, so Sync always finds it.
 func (n *Node) flush(due func(active *wal) bool, closing bool) error {
 	n.flushMu.Lock()
 	defer n.flushMu.Unlock()
@@ -558,32 +553,38 @@ func (n *Node) flush(due func(active *wal) bool, closing bool) error {
 		return nil
 	}
 	var next *wal
-	if old != nil && !closing {
-		var err error
-		if next, err = createWAL(n.dir, n.seq.Load()+1, &n.met.wal); err != nil {
-			// Fail closed: every later write is refused, not buffered
-			// into a retired file. Nothing is spilled, so the
-			// memtables stay recoverable from the segments.
-			n.lockShards(allShards)
-			n.wal.Store(nil)
-			n.unlockShards(allShards)
-			old.close() // best effort; the synced prefix is on disk
-			return err
+	if old != nil {
+		if !n.sp.waitRoom() {
+			return ErrNodeClosed
+		}
+		if !closing {
+			var err error
+			if next, err = createWAL(n.dir, n.seq.Load()+1, &n.met.wal); err != nil {
+				// Fail closed: every later write is refused, not
+				// buffered into a retired file. Nothing is spilled, so
+				// the memtables stay recoverable from the segments.
+				n.lockShards(allShards)
+				n.wal.Store(nil)
+				n.unlockShards(allShards)
+				old.close() // best effort; the synced prefix is on disk
+				return err
+			}
 		}
 	}
 	n.lockShards(allShards)
+	defer n.unlockShards(allShards)
 	job := &spillJob{seq: n.seq.Add(1) - 1}
 	for i := range n.shards {
 		job.series[i], job.tombs[i] = n.shards[i].flushLocked(job.seq, old != nil)
 	}
-	n.wal.Store(next)
-	n.unlockShards(allShards)
+	n.memTotal.Store(0)
 	if old == nil {
 		return nil // no WAL: the in-memory runs are all there is
 	}
 	job.retired, job.covered = old, append(n.replayed, old.path)
 	n.replayed = nil
-	n.sp.enqueue(job)
+	n.sp.push(job)
+	n.wal.Store(next)
 	return nil
 }
 
@@ -952,8 +953,10 @@ func (n *Node) Sync() error {
 	if n.sp == nil {
 		return nil // memory-only or read-only: no WAL
 	}
+	// n.wal first: a flush queues a segment before it leaves n.wal.
+	w := n.wal.Load()
 	ws := n.sp.retiring()
-	if w := n.wal.Load(); w != nil {
+	if w != nil {
 		ws = append(ws, w)
 	}
 	var firstErr error

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"dcdb/internal/backoff"
 	"dcdb/internal/core"
 	"dcdb/internal/faults"
 	"dcdb/internal/fsutil"
@@ -324,12 +325,15 @@ func TestRotationDoesNotStallWrites(t *testing.T) {
 	ids := oneSensorPerShard(45)
 	slow := inj.AddRule(&faults.Rule{Ops: faults.FSSync, Match: "wal-0000000000000000.log", Delay: time.Second})
 
-	// Two writes fill shard 0's stripe of the flush budget: the second
-	// flushes the node and retires the first segment, whose fsync now
-	// takes a second.
+	// Two writes fill the flush budget: the second flushes the node and
+	// retires the first segment, whose fsync now takes a second.
 	rotated := make(chan error, 1)
 	go func() {
-		err := n.Insert(ids[0], rd(1, 1), 0)
+		rs := make([]core.Reading, 2*numShards-1)
+		for k := range rs {
+			rs[k] = rd(int64(-k), 1)
+		}
+		err := n.InsertBatch(ids[0], rs, 0)
 		if err == nil {
 			err = n.Insert(ids[0], rd(2, 2), 0)
 		}
@@ -351,6 +355,118 @@ func TestRotationDoesNotStallWrites(t *testing.T) {
 	}
 	if err := <-rotated; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSyncDuringBackpressuredRotation: in batched mode, with the spiller
+// busy and its queue full, a flush waits for room before it rotates, so
+// Sync still reaches the segment holding the newest write, and the write
+// survives a crash. A rotation that left n.wal before its segment was
+// queued would hide that segment from Sync, its records still buffered.
+func TestSyncDuringBackpressuredRotation(t *testing.T) {
+	inj := faults.New(1)
+	useDisk(t, inj.FS(fsutil.OSFS{}))
+	dir := t.TempDir()
+	n := openedNode(t, dir, 0, DiskOptions{SyncInterval: time.Hour, CompactInterval: -1})
+	id := sid(47, 1)
+	slow := inj.AddRule(&faults.Rule{Ops: faults.FSSync, Match: filepath.Join(dir, "shard-"), Delay: time.Second})
+	insert := func(ts int64) {
+		t.Helper()
+		if err := n.Insert(id, rd(ts, float64(ts)), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Generation 0's run file takes a second to fsync, which keeps the
+	// spiller busy; generation 1 then fills the queue.
+	insert(0)
+	if err := n.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); slow.Hits() == 0; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the spiller never fsynced generation 0's run file")
+		}
+	}
+	insert(1)
+	if err := n.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	insert(2)
+	flushed := make(chan error, 1)
+	go func() { flushed <- n.Flush() }()
+	time.Sleep(50 * time.Millisecond) // the flush reaches the full queue
+	if err := n.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	n.crash()
+	<-flushed // the crash closed the spiller; whatever the flush reports
+	slow.Disable()
+
+	n2 := openedNode(t, dir, 0, noCompact)
+	defer n2.Close()
+	if rs, err := n2.Query(id, 0, 100); err != nil || len(rs) != 3 {
+		t.Fatalf("after Sync and a crash: %d of 3 readings (%v)", len(rs), err)
+	}
+}
+
+// TestSpillFailureWriteStallBound: while every spill fails, a write that
+// crosses the flush budget with the spill queue full waits until the
+// generation at the queue's head has used up its attempts. That is the
+// longest a write blocks on a failing disk: the sum of the retry delays
+// at their unjittered maximum (7.5 s with the shipped policy), plus the
+// failed attempts' own I/O. The write is then acknowledged, and no
+// acknowledged reading is lost.
+func TestSpillFailureWriteStallBound(t *testing.T) {
+	orig := spillRetryPolicy
+	spillRetryPolicy = backoff.Policy{Initial: 20 * time.Millisecond, Max: 80 * time.Millisecond, Multiplier: 2, Jitter: 0.25}
+	t.Cleanup(func() { spillRetryPolicy = orig })
+	noJitter := spillRetryPolicy
+	noJitter.Jitter = 0
+	var bound time.Duration
+	for attempt := 1; attempt < spillMaxAttempts; attempt++ {
+		bound += noJitter.Delay(attempt)
+	}
+	const attemptsIO = 500 * time.Millisecond
+
+	inj := faults.New(1)
+	useDisk(t, inj.FS(fsutil.OSFS{}))
+	dir := t.TempDir()
+	fail := inj.AddRule(&faults.Rule{Ops: faults.FSSync, Match: filepath.Join(dir, "shard-"), Err: faults.ErrInjected})
+	// Every write fills the flush budget and flushes the node.
+	n := openedNode(t, dir, numShards, DiskOptions{SyncInterval: time.Hour, CompactInterval: -1})
+	id := sid(48, 1)
+	var stall time.Duration
+	for g := int64(0); g < 3; g++ {
+		// Generation 0 heads the queue and fails; generation 1 fills
+		// the queue; generation 2's flush waits for room.
+		rs := make([]core.Reading, numShards)
+		for k := range rs {
+			rs[k] = rd(g*numShards+int64(k), 1)
+		}
+		start := time.Now()
+		if err := n.InsertBatch(id, rs, 0); err != nil {
+			t.Fatal(err)
+		}
+		stall = time.Since(start)
+	}
+	if fail.Fired() == 0 {
+		t.Fatal("no run-file fsync failed")
+	}
+	if stall < spillRetryPolicy.Initial/2 || stall > bound+attemptsIO {
+		t.Fatalf("the write behind a full queue of failing spills took %v, want between %v and %v", stall, spillRetryPolicy.Initial/2, bound+attemptsIO)
+	}
+	if rs, err := n.Query(id, 0, 100); err != nil || len(rs) != 3*numShards {
+		t.Fatalf("while spills fail: %d of %d readings (%v)", len(rs), 3*numShards, err)
+	}
+	fail.Disable()
+	if err := n.Close(); err == nil {
+		t.Fatal("Close reported no spill failure")
+	}
+	n2 := openedNode(t, dir, 0, noCompact)
+	defer n2.Close()
+	if rs, err := n2.Query(id, 0, 100); err != nil || len(rs) != 3*numShards {
+		t.Fatalf("after the reopen: %d of %d readings (%v)", len(rs), 3*numShards, err)
 	}
 }
 
