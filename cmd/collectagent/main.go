@@ -8,9 +8,10 @@
 // per-shard sorted run files and write-ahead logs, every accepted
 // reading is crash-safe once the WAL syncs (see -wal-sync), and the
 // directory is recovered on start, so restarts and crashes lose
-// nothing. The topic map lives beside them and is saved before any
-// reading that needs a new name is stored. The query tools open the
-// same directory. Without -data the agent keeps everything in memory.
+// nothing. The topic map lives beside them, is appended to before any
+// reading that needs a new name is stored, and must be readable for
+// the agent to start. The query tools open the same directory. Without
+// -data the agent keeps everything in memory.
 //
 // Usage:
 //
@@ -49,7 +50,6 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -107,7 +107,7 @@ func registerFlags(fs *flag.FlagSet) *flags {
 	fs.StringVar(&f.dataDir, "data", "", "durable data directory (embedded: run files + WAL per node; remote: topic map + hinted-handoff queue; empty = not durable)")
 	fs.DurationVar(&f.antiEntropy, "anti-entropy", 0, "background repair cadence: each round compares replica summaries per sensor and re-inserts diverged readings with their write versions (0 = disabled; needs -replication >= 2)")
 	fs.DurationVar(&f.walSync, "wal-sync", 50*time.Millisecond, "WAL fsync batching interval; 0 syncs every write (embedded cluster only)")
-	fs.StringVar(&f.cacheBytes, "cache-bytes", "0", "process-wide block cache budget (e.g. 256MB) for the embedded durable cluster, split evenly across -nodes: bounds resident run data; 0 keeps all runs resident")
+	fs.StringVar(&f.cacheBytes, "cache-bytes", "0", "process-wide block cache budget (e.g. 256MB) for the embedded durable cluster, split evenly across -nodes: run data always stays on disk behind its indexes, and this bounds the decoded blocks kept in memory; 0 = unbounded (a decoded block stays)")
 	fs.StringVar(&f.metricsAddr, "metrics-addr", "", "Prometheus /metrics listen address (empty = disabled; the -rest API also serves /metrics)")
 	fs.BoolVar(&f.pprof, "pprof", false, "mount net/http/pprof on the -metrics-addr listener")
 	fs.DurationVar(&f.selfMonitor, "self-monitor", 0, "publish the agent's own metrics into the store as /dcdb/self/<host>/... sensors every interval (0 = disabled)")
@@ -175,6 +175,28 @@ func openCluster(f *flags) (cluster *store.Cluster, watcher *membership.Watcher,
 	return cluster, watcher, nodeDesc, err
 }
 
+// newAgent builds the agent over cluster. With -data its topic map is
+// the data directory's: loaded before any message is taken — a map that
+// cannot be read fails here, its file untouched, rather than be started
+// over under codes its stored readings already use — and appended to
+// before any reading whose SID uses a level code not yet known durable
+// is stored (and thus before it can be WAL-acknowledged). A reading
+// never outlives its name.
+func newAgent(f *flags, cluster *store.Cluster) (*collectagent.Agent, *collectagent.TopicLog, error) {
+	if f.dataDir == "" {
+		return collectagent.New(cluster, nil, collectagent.Options{}), nil, nil
+	}
+	mapper := core.NewTopicMapper()
+	topics, err := collectagent.OpenTopicLog(f.dataDir, mapper)
+	if err != nil {
+		return nil, nil, fmt.Errorf("topic map: %w", err)
+	}
+	agent := collectagent.New(cluster, mapper, collectagent.Options{
+		OnNewTopic: func(string, core.SensorID) error { return topics.Append() },
+	})
+	return agent, topics, nil
+}
+
 func main() {
 	f := registerFlags(flag.CommandLine)
 	flag.Parse()
@@ -184,30 +206,16 @@ func main() {
 		log.Fatalf("collectagent: %v", err)
 	}
 
-	var agent *collectagent.Agent
-	opts := collectagent.Options{}
-	if f.dataDir != "" {
-		// A reading must never outlive its name: OnNewTopic fires
-		// before a reading whose SID uses a level code not yet known
-		// durable is stored (and thus before it can be
-		// WAL-acknowledged), and blocks until a save that began after
-		// the call has committed. Every save is serialized and exports
-		// inside the lock, so the last writer persists the newest map;
-		// concurrent callers share one save (group commit), so
-		// onboarding a large fleet costs bounded rewrites, not one per
-		// topic.
-		saver := newTopicSaver(func() error {
-			return collectagent.SaveTopics(f.dataDir, agent.Mapper())
-		})
-		opts.OnNewTopic = func(string, core.SensorID) error {
-			return saver.saveIncluding()
+	agent, topics, err := newAgent(f, cluster)
+	if err != nil {
+		if watcher != nil {
+			watcher.Stop()
 		}
+		cluster.Close()
+		log.Fatalf("collectagent: %v", err)
 	}
-	agent = collectagent.New(cluster, nil, opts)
-	if f.dataDir != "" {
-		if err := collectagent.LoadTopics(f.dataDir, agent.Mapper()); err != nil {
-			log.Printf("collectagent: topic map: %v", err)
-		}
+	if topics != nil {
+		defer topics.Close()
 	}
 	if err := agent.Listen(f.listen); err != nil {
 		cluster.Close() // leave no half-open WAL segments behind
@@ -282,51 +290,4 @@ func main() {
 	log.Printf("collectagent: shutting down (%d messages, %d readings, %d errors)",
 		st.Messages, st.Readings, st.Errors)
 	agent.Close()
-}
-
-// topicSaver group-commits topic-map saves: saveIncluding returns once
-// a save whose Export began after the call has committed, but any
-// number of concurrent callers share one save, so onboarding N sensors
-// costs far fewer than N file rewrites while each caller still gets
-// the durability guarantee.
-type topicSaver struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	save    func() error
-	reqGen  uint64 // bumped per caller
-	doneGen uint64 // requests at or below this are persisted
-	saving  bool
-}
-
-func newTopicSaver(save func() error) *topicSaver {
-	s := &topicSaver{save: save}
-	s.cond = sync.NewCond(&s.mu)
-	return s
-}
-
-func (s *topicSaver) saveIncluding() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.reqGen++
-	g := s.reqGen
-	for s.doneGen < g {
-		if s.saving {
-			s.cond.Wait() // the in-flight or next save will cover us
-			continue
-		}
-		s.saving = true
-		target := s.reqGen // the Export below sees every request so far
-		s.mu.Unlock()
-		err := s.save()
-		s.mu.Lock()
-		s.saving = false
-		if err == nil {
-			s.doneGen = target
-		}
-		s.cond.Broadcast()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -1,13 +1,13 @@
 package main
 
 import (
-	"errors"
+	"bytes"
 	"flag"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"dcdb/internal/core"
@@ -37,69 +37,56 @@ func TestParseNodes(t *testing.T) {
 	}
 }
 
-func TestTopicSaverGroupsConcurrentSaves(t *testing.T) {
-	var saves atomic.Int64
-	var inFlight atomic.Int64
-	gate := make(chan struct{})
-	s := newTopicSaver(func() error {
-		if inFlight.Add(1) != 1 {
-			t.Error("overlapping saves")
-		}
-		<-gate
-		inFlight.Add(-1)
-		saves.Add(1)
-		return nil
-	})
-
-	const callers = 8
-	var wg sync.WaitGroup
-	errs := make([]error, callers)
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = s.saveIncluding()
-		}(i)
-	}
-	// Release saves until every caller returns; group commit means far
-	// fewer saves than callers are needed (at most callers, typically 2).
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	for {
-		select {
-		case gate <- struct{}{}:
-		case <-done:
-			for i, err := range errs {
-				if err != nil {
-					t.Errorf("caller %d: %v", i, err)
-				}
-			}
-			if n := saves.Load(); n < 1 || n > callers {
-				t.Errorf("%d saves for %d callers", n, callers)
-			}
-			return
-		}
-	}
-}
-
-func TestTopicSaverPropagatesError(t *testing.T) {
-	boom := errors.New("disk full")
-	s := newTopicSaver(func() error { return boom })
-	if err := s.saveIncluding(); !errors.Is(err, boom) {
-		t.Fatalf("saveIncluding = %v, want %v", err, boom)
-	}
-	// A failed save leaves the generation unpersisted; a later success
-	// still covers it.
-	calls := 0
-	s2 := newTopicSaver(func() error { calls++; return nil })
-	if err := s2.saveIncluding(); err != nil {
+// TestUnreadableTopicMapRefused: an agent restarted over a topic map
+// it cannot read must not start over with an empty one — it would give
+// new topics the codes the stored readings already use, and its first
+// save would overwrite the old names. newAgent refuses, naming the
+// file, and leaves it byte for byte as it was.
+func TestUnreadableTopicMapRefused(t *testing.T) {
+	dir := t.TempDir()
+	f, err := parseArgs("-nodes", "1", "-data", dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s2.saveIncluding(); err != nil {
+	cluster, _, _, err := openCluster(f)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if calls != 2 {
-		t.Errorf("%d saves for 2 sequential callers, want 2", calls)
+	agent, topics, err := newAgent(f, cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	agent.Handle("/a/b", core.EncodeReadings([]core.Reading{{Timestamp: 1, Value: 1}}))
+	if err := cluster.Close(); err != nil {
+		t.Fatal(err)
+	}
+	agent.Close()
+	topics.Close()
+
+	path := filepath.Join(dir, "topics")
+	tf, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tf.WriteString("2/zz\n"); err != nil {
+		t.Fatal(err)
+	}
+	tf.Close()
+	before, err := os.ReadFile(path)
+	if err != nil || string(before) != "0/a 1\n1/b 1\n2/zz\n" {
+		t.Fatalf("topic map %q (%v), want /a/b's codes and the bad line", before, err)
+	}
+
+	cluster, _, _, err = openCluster(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	if _, _, err := newAgent(f, cluster); err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "2/zz") {
+		t.Fatalf("agent over an unreadable topic map: %v, want an error naming %s and its line", err, path)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("the refused topic map changed: %q, want %q (%v)", after, before, err)
 	}
 }
 

@@ -65,7 +65,7 @@ func registerFlags(fs *flag.FlagSet) *flags {
 	fs.StringVar(&f.dataDir, "data", "", "durable data directory (required)")
 	fs.DurationVar(&f.walSync, "wal-sync", 0, "WAL fsync batching interval; 0 syncs every write (safest for a storage tier that acknowledges to remote coordinators)")
 	fs.IntVar(&f.flushSize, "flush-size", 0, "memtable entries per flush (0 = default)")
-	fs.StringVar(&f.cacheBytes, "cache-bytes", "0", "block cache budget (e.g. 256MB): bounds resident run data — memory stays O(cache), retention is limited by disk; 0 keeps all runs resident")
+	fs.StringVar(&f.cacheBytes, "cache-bytes", "0", "block cache budget (e.g. 256MB): run data always stays on disk behind its indexes, and this bounds the decoded blocks kept in memory; 0 = unbounded (a decoded block stays)")
 	fs.StringVar(&f.metricsAddr, "metrics-addr", "", "Prometheus /metrics listen address (empty = disabled)")
 	fs.BoolVar(&f.pprof, "pprof", false, "mount net/http/pprof on the -metrics-addr listener")
 	fs.StringVar(&f.join, "join", "", "comma-separated seed addresses: enable gossip membership and announce this node to the cluster (pass the node's own address, or nothing after the comma split, to bootstrap a new ring)")

@@ -23,8 +23,6 @@ package collectagent
 
 import (
 	"log"
-	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -47,9 +45,10 @@ type Options struct {
 	// returned nil. That is the first message after the dictionary grew
 	// (core.TopicMapper.MapFirst — not every new topic), on whichever
 	// connection it arrives, and the first message after start. A
-	// durable agent persists the topic map here and returns once a save
-	// that began after the call has committed, so the mapping of every
-	// stored reading survives a crash alongside the reading itself;
+	// durable agent appends to its topic map here (TopicLog) and
+	// returns once the map as it stood at the call is committed, so the
+	// mapping of every stored reading survives a crash alongside the
+	// reading itself;
 	// returning an error drops the message instead of storing a reading
 	// whose name could not be made durable, and the next message using
 	// the code calls again. Called from the message path — keep it cheap
@@ -228,7 +227,7 @@ func (a *Agent) admit(topic string, payload []byte) (id core.SensorID, rs []core
 	if a.opts.OnNewTopic != nil && !a.durable.Load().covers(id) {
 		// Whether this call or another connection's assigned the new
 		// code, its reading waits for the map that holds it.
-		lens := readDictLens(a.mapper)
+		lens := dictLens(a.mapper.Lens())
 		if err := a.opts.OnNewTopic(topic, id); err != nil {
 			// Storing the reading without its durable name would let
 			// it resolve to the wrong sensor after a crash; drop it.
@@ -269,20 +268,6 @@ func (a *Agent) raiseDurable(lens dictLens) {
 			return
 		}
 	}
-}
-
-// readDictLens reads the mapper's dictionary lengths from its export
-// ("level/component code" lines): the highest code of each level.
-func readDictLens(m *core.TopicMapper) (lens dictLens) {
-	for _, ln := range m.Export() {
-		level, rest, _ := strings.Cut(ln, "/")
-		lvl, err1 := strconv.Atoi(level)
-		code, err2 := strconv.ParseUint(rest[strings.LastIndexByte(rest, ' ')+1:], 10, 16)
-		if err1 == nil && err2 == nil && lvl >= 0 && lvl < len(lens) && uint16(code) > lens[lvl] {
-			lens[lvl] = uint16(code)
-		}
-	}
-	return lens
 }
 
 // settle accounts for a finished write: the readings count — and show

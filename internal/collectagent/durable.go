@@ -9,16 +9,18 @@
 //
 //	<dir>/node<i>/wal-*.log            — the node's write-ahead log
 //	<dir>/node<i>/shard-<s>/run-*.sst  — its run files
-//	<dir>/topics        — the topic↔SID map (atomic replace)
+//	<dir>/topics        — the topic↔SID map (append-only: one line per level code)
 package collectagent
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"log"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"time"
 
 	"dcdb/internal/core"
@@ -230,23 +232,131 @@ func SaveTopics(dir string, m *core.TopicMapper) error {
 }
 
 // LoadTopics imports a previously saved topic map; a missing file is a
-// fresh database, not an error. Temp files a crashed save left next to
-// it are removed — loading happens at startup, before any saver runs.
+// fresh database, not an error. A last line without its newline is an
+// append a crash tore (TopicLog), and is ignored; a complete line that
+// does not parse fails the load, naming the file, and nothing is
+// imported. Temp files a crashed save left next to it are removed —
+// loading happens at startup, before any saver runs.
 func LoadTopics(dir string, m *core.TopicMapper) error {
+	_, _, err := readTopics(dir, m)
+	return err
+}
+
+// readTopics is LoadTopics, returning the file's size and the length
+// of its complete lines (-1, 0 when it is missing).
+func readTopics(dir string, m *core.TopicMapper) (size, complete int64, err error) {
 	path := TopicsPath(dir)
 	fsutil.CleanTemps(path)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil
+			return -1, 0, nil
 		}
-		return err
+		return 0, 0, err
 	}
+	whole := data[:bytes.LastIndexByte(data, '\n')+1]
 	var lines []string
-	for _, ln := range strings.Split(string(data), "\n") {
+	for _, ln := range strings.Split(string(whole), "\n") {
 		if strings.TrimSpace(ln) != "" {
 			lines = append(lines, ln)
 		}
 	}
-	return m.Import(lines)
+	if err := m.Import(lines); err != nil {
+		return 0, 0, fmt.Errorf("collectagent: %s: %w", path, err)
+	}
+	return int64(len(data)), int64(len(whole)), nil
+}
+
+// TopicLog is a durable agent's topic map, kept append-only: each
+// growth of the mapper's dictionaries is appended as its new lines with
+// one write and one fsync, so a save costs what the map grew by, not
+// what it holds.
+type TopicLog struct {
+	mu    sync.Mutex // one append at a time: the group commit
+	dir   string
+	m     *core.TopicMapper
+	f     *os.File                    // appending; nil: the next append rewrites the file first
+	saved [core.MaxTopicLevels]uint16 // the dictionary lengths the file holds
+	buf   []byte
+}
+
+// OpenTopicLog loads dir's topic map into m (LoadTopics) and opens it
+// for appending. A map it cannot read fails the open with the file
+// untouched: an agent must never assign codes over names it could not
+// load. A torn last line is cut off.
+func OpenTopicLog(dir string, m *core.TopicMapper) (*TopicLog, error) {
+	size, complete, err := readTopics(dir, m)
+	if err != nil {
+		return nil, err
+	}
+	l := &TopicLog{dir: dir, m: m, saved: m.Lens()}
+	if size < 0 {
+		return l, nil // the first append writes the file whole
+	}
+	f, err := os.OpenFile(TopicsPath(dir), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		return nil, err
+	}
+	if complete < size {
+		if err := f.Truncate(complete); err == nil {
+			err = f.Sync()
+		}
+		if err != nil {
+			f.Close()
+			return nil, err
+		}
+	}
+	l.f = f
+	return l, nil
+}
+
+// Append makes the mapper's dictionaries durable as they are now: it
+// appends the lines of the codes assigned since the last append with
+// one write and one fsync. Callers arriving during an append wait for
+// the lock and mostly find their codes written. A failed append leaves
+// the file's tail unknown, so the next one first rewrites the file
+// whole (SaveTopics).
+func (l *TopicLog) Append() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.f == nil {
+		lens := l.m.Lens() // the rewrite holds at least these
+		if err := SaveTopics(l.dir, l.m); err != nil {
+			return err
+		}
+		f, err := os.OpenFile(TopicsPath(l.dir), os.O_WRONLY|os.O_APPEND, 0)
+		if err != nil {
+			return err
+		}
+		l.f, l.saved = f, lens
+		return nil
+	}
+	var lens [core.MaxTopicLevels]uint16
+	l.buf, lens = l.m.AppendExport(l.buf[:0], l.saved)
+	if len(l.buf) == 0 {
+		return nil
+	}
+	_, err := l.f.Write(l.buf)
+	if err == nil {
+		err = l.f.Sync()
+	}
+	if err != nil {
+		l.f.Close()
+		l.f = nil
+		return err
+	}
+	l.saved = lens
+	return nil
+}
+
+// Close closes the file.
+func (l *TopicLog) Close() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.f == nil {
+		return nil
+	}
+	err := l.f.Close()
+	l.f = nil
+	return err
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -288,6 +289,40 @@ func (m *TopicMapper) Export() []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// Lens returns the length of each level dictionary, which is also its
+// highest code: codes are dense and start at 1.
+func (m *TopicMapper) Lens() (lens [MaxTopicLevels]uint16) {
+	st := m.snap.Load()
+	for i := range st.levels {
+		lens[i] = uint16(len(st.levels[i].names))
+	}
+	return lens
+}
+
+// AppendExport appends Export's lines, each with its newline, for the
+// codes above since at each level, and returns the lengths they reach:
+// one snapshot's growth beyond an earlier Lens or AppendExport, in code
+// order, at a cost that follows the growth, not the dictionaries.
+func (m *TopicMapper) AppendExport(b []byte, since [MaxTopicLevels]uint16) ([]byte, [MaxTopicLevels]uint16) {
+	st := m.snap.Load()
+	for i := range st.levels {
+		names := st.levels[i].names
+		for code := int(since[i]) + 1; code <= len(names); code++ {
+			if names[code-1] == "" {
+				continue // left unbound by an Import
+			}
+			b = strconv.AppendInt(b, int64(i), 10)
+			b = append(b, '/')
+			b = append(b, names[code-1]...)
+			b = append(b, ' ')
+			b = strconv.AppendInt(b, int64(code), 10)
+			b = append(b, '\n')
+		}
+		since[i] = max(since[i], uint16(len(names)))
+	}
+	return b, since
 }
 
 // Import loads dictionary entries produced by Export. Entries must not

@@ -207,7 +207,8 @@ func ParseConsistency(s string) (Consistency, bool) {
 	return 0, false
 }
 
-// Ping implements NodeBackend for the in-process node.
+// Ping implements NodeBackend for the in-process node; every read
+// starts with it, so a down or closed node serves none.
 func (n *Node) Ping() error {
 	if n.down.Load() {
 		return ErrNodeDown

@@ -10,12 +10,13 @@ import (
 	"sync/atomic"
 )
 
-// The block cache bounds a durable node's resident set: with
-// DiskOptions.CacheBytes > 0, run data lives on disk behind per-series
-// block indexes (always resident, a few bytes per 512 entries) and
-// decoded blocks are cached node-wide up to the configured budget with
-// clock (second-chance) eviction. Memory becomes O(hot working set)
-// instead of O(retention) — the ROADMAP's "resident-set bound" item.
+// The block cache is how a durable node reads its run files: run data
+// lives on disk behind per-series block indexes (always resident, a few
+// bytes per 512 entries) and decoded blocks are cached node-wide with
+// clock (second-chance) eviction. DiskOptions.CacheBytes > 0 bounds the
+// cache; 0 leaves it unbounded, so a decoded block stays. Either way a
+// node's run memory follows what is read, not what is stored — the
+// ROADMAP's "resident-set bound" item.
 //
 // runFile is the refcounted read handle of one run file. The shard's
 // file list holds the owning reference; queries, streams and compactions
@@ -164,11 +165,12 @@ func (c *blockCache) get(k blockKey) ([]entry, bool) {
 }
 
 // add inserts a decoded block, evicting with the clock hand until the
-// budget holds. A block larger than the whole budget is not cached. es
-// must not be mutated after add.
+// budget holds (cap 0: no budget). A block larger than the whole budget
+// is not cached. es must not be mutated after add.
 func (c *blockCache) add(k blockKey, es []entry) {
 	sz := int64(len(es))*int64(entrySize) + entryOverhead
-	if sz > c.cap {
+	bounded := c.cap > 0
+	if bounded && sz > c.cap {
 		return
 	}
 	c.mu.Lock()
@@ -176,7 +178,7 @@ func (c *blockCache) add(k blockKey, es []entry) {
 	if _, dup := c.m[k]; dup {
 		return // raced decode of the same block; first one wins
 	}
-	for c.used+sz > c.cap && len(c.clock) > 0 {
+	for bounded && c.used+sz > c.cap && len(c.clock) > 0 {
 		c.evictOneLocked()
 	}
 	e := &cacheEntry{key: k, es: es, bytes: sz, ref: true}
@@ -232,7 +234,7 @@ func (c *blockCache) purge(rf *runFile) {
 }
 
 // CacheStats reports the block cache's hit/miss counters and resident
-// bytes (zeros when the node runs without a cache).
+// bytes (zeros on a memory-only node, which has no cache).
 func (n *Node) CacheStats() (hits, misses, usedBytes int64) {
 	if n.cache == nil {
 		return 0, 0, 0
@@ -244,7 +246,7 @@ func (n *Node) CacheStats() (hits, misses, usedBytes int64) {
 }
 
 // CacheBudget reports the node's block-cache capacity in bytes (0 when
-// the node runs without a cache).
+// the cache is unbounded or the node is memory-only).
 func (n *Node) CacheBudget() int64 {
 	if n.cache == nil {
 		return 0

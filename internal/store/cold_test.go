@@ -255,14 +255,13 @@ func TestColdReadsMatchModel(t *testing.T) {
 }
 
 // TestColdEqualsHotDirect drives an identical op sequence into a hot
-// node (no cache: every run resident) and a cold node (tiny cache),
+// node (memory-only: every run resident) and a cold node (tiny cache),
 // spanning flushes and a compaction, and requires every query window to
 // match bit for bit.
 func TestColdEqualsHotDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
-	hotDir, coldDir := t.TempDir(), t.TempDir()
-	hot := openedNode(t, hotDir, 4*numShards, DiskOptions{SyncInterval: 0, CompactInterval: -1})
-	cold := openedNode(t, coldDir, 4*numShards, coldOptions)
+	hot := NewNode(4 * numShards)
+	cold := openedNode(t, t.TempDir(), 4*numShards, coldOptions)
 	defer hot.Close()
 	defer cold.Close()
 
@@ -294,7 +293,6 @@ func TestColdEqualsHotDirect(t *testing.T) {
 			apply(func(n *Node) error { return n.InsertBatch(id, batch, 0) })
 		}
 	}
-	hot.sp.waitIdle()
 	cold.sp.waitIdle()
 	for _, id := range ids {
 		for _, w := range [][2]int64{{-1 << 62, 1 << 62}, {100, 2000}, {4999, 5005}} {

@@ -179,11 +179,11 @@ func (s *spiller) close() error {
 // segments they cover. On failure the segments are kept and a retry
 // writes only the files still missing.
 //
-// On a cache-bounded node each freshly spilled run is immediately
-// swapped cold: the flushed memtable arrays are dropped under the shard
-// lock and later reads decode blocks from the just-written file through
-// the cache. This is the eviction half of the resident-set bound — a
-// node's memory stops growing the moment data reaches disk.
+// Each freshly spilled run is immediately swapped cold: the flushed
+// memtable arrays are dropped under the shard lock and later reads
+// decode blocks from the just-written file through the cache. This is
+// the eviction half of the resident-set bound — a node's memory stops
+// growing the moment data reaches disk.
 func (n *Node) spillOne(j *spillJob) error {
 	for i := range n.shards {
 		if len(j.series[i]) == 0 && len(j.tombs[i]) == 0 {
@@ -196,14 +196,12 @@ func (n *Node) spillOne(j *spillJob) error {
 			return err
 		}
 		meta.tombs = j.tombs[i]
-		if n.cache != nil {
-			if rf, err := openRunFileHandle(meta.path, idx, n.cache); err != nil {
-				// The file is durable; only eviction is lost. Keep the
-				// run hot rather than fail the spill.
-				log.Printf("store: opening %s for cold reads: %v (run stays resident)", meta.path, err)
-			} else {
-				meta.rf = rf
-			}
+		if rf, err := openRunFileHandle(meta.path, idx, n.cache); err != nil {
+			// The file is durable; only eviction is lost. Keep the run
+			// in memory rather than fail the spill.
+			log.Printf("store: opening %s for cold reads: %v (run stays resident)", meta.path, err)
+		} else {
+			meta.rf = rf
 		}
 		sh.mu.Lock()
 		sh.disk.files = append(sh.disk.files, meta)
@@ -390,13 +388,13 @@ func mergeWindowRuns(rs []run, now int64, emit func(entry) error) error {
 // the inputs are snapshotted under a read lock, merged and streamed
 // into a new run file with no lock held, and swapped in under a
 // brief write lock; the old files are deleted afterwards (write-new,
-// rename, delete-old). On a cache-bounded node the merge is cold
-// end-to-end — input blocks are decoded one at a time and output blocks
-// stream through the run-file writer, so compaction memory is O(blocks), not
-// O(window) — and the merged run is registered cold. A DeleteBefore
-// racing with the merge bumps the shard's delVer and the merge aborts
-// rather than resurrect deleted rows. full selects every file
-// (Compact); otherwise pickWindow decides. Caller holds sh.disk.cmu.
+// rename, delete-old). The merge streams end to end — input blocks are
+// decoded one at a time and output blocks stream through the run-file
+// writer, so compaction memory is O(blocks), not O(window) — and the
+// merged runs are registered cold. A DeleteBefore racing with the merge
+// bumps the shard's delVer and the merge aborts rather than resurrect
+// deleted rows. full selects every file (Compact); otherwise pickWindow
+// decides. Caller holds sh.disk.cmu.
 func (n *Node) compactWindow(i int, full bool) {
 	sh := &n.shards[i]
 	now := time.Now().UnixNano()
@@ -458,59 +456,44 @@ func (n *Node) compactWindow(i int, full bool) {
 		}
 	})
 
-	cold := n.cache != nil
-	// Hot mode keeps the merged entries to register resident runs; cold
-	// mode registers block indexes from the writer instead and never
-	// materializes a series.
-	var merged map[core.SensorID][]entry
-	if !cold {
-		merged = make(map[core.SensorID][]entry, len(series))
-	}
 	w, err := newRunFileWriter(sh.disk.dir, minSeq, maxSeq, &n.met.run)
 	if err != nil {
 		return // inputs untouched; retried next tick
 	}
-	counts := make(map[core.SensorID]int, len(series))
+	merged := false // some series kept an entry
 	for _, id := range ids {
-		var buf []entry
 		open := false
 		err := mergeWindowRuns(series[id], now, func(e entry) error {
-			if cold {
-				if !open {
-					if err := w.beginSeries(id); err != nil {
-						return err
-					}
-					open = true
+			if !open {
+				if err := w.beginSeries(id); err != nil {
+					return err
 				}
-				counts[id]++
-				return w.add(e)
+				open, merged = true, true
 			}
-			buf = append(buf, e)
-			return nil
+			return w.add(e)
 		})
 		if err == nil && open {
 			err = w.endSeries()
-		}
-		if err == nil && !cold && len(buf) > 0 {
-			if err = w.addSeries(id, buf); err == nil {
-				merged[id] = buf
-				counts[id] = len(buf)
-			}
 		}
 		if err != nil {
 			w.abort()
 			return
 		}
 	}
+	// A single-file window (full compaction rewriting expired entries
+	// away) has its input's span and therefore its path: the rename
+	// replaces the live input, so the output must survive whatever
+	// follows. Only a distinct merged file is ever removed here.
+	inPlace := len(window) == 1
 	var newMeta runFileMeta
 	var newIdx *runIndex
 	wrote := false
-	if len(counts) > 0 || len(tombs) > 0 {
+	if merged || len(tombs) > 0 {
 		newMeta, newIdx, err = w.finish(tombs)
 		if err != nil {
 			// Inputs untouched; retried next tick. A merged file whose
-			// directory fsync failed goes, unless it replaced its input.
-			if len(window) > 1 {
+			// directory fsync failed goes.
+			if !inPlace {
 				os.Remove(w.final)
 			}
 			return
@@ -519,48 +502,36 @@ func (n *Node) compactWindow(i int, full bool) {
 	} else {
 		w.abort() // everything expired and no residual tombstones
 	}
-	var newRF *runFile
-	if wrote && cold {
-		if newRF, err = openRunFileHandle(newMeta.path, newIdx, n.cache); err != nil {
+	newCold := make(map[core.SensorID]*coldRun)
+	if wrote {
+		rf, err := openRunFileHandle(newMeta.path, newIdx, n.cache)
+		if err != nil {
 			log.Printf("store: opening %s for cold reads: %v (aborting swap)", newMeta.path, err)
 			// The old files remain live and the merged file's span
 			// covers theirs; recovery would retire them, but without a
 			// read handle the merged data is unreachable now, so drop
-			// the output and retry next tick.
-			os.Remove(newMeta.path)
+			// a distinct output and retry next tick.
+			if !inPlace {
+				os.Remove(newMeta.path)
+			}
 			return
 		}
-		newMeta.rf = newRF
-	}
-	newCold := make(map[core.SensorID]*coldRun)
-	if newRF != nil {
+		newMeta.rf = rf
 		for _, se := range newIdx.series {
-			newCold[se.id] = &coldRun{rf: newRF, blocks: se.blocks, count: int(se.count)}
+			newCold[se.id] = &coldRun{rf: rf, blocks: se.blocks, count: int(se.count)}
 		}
 	}
 
 	sh.mu.Lock()
 	if sh.disk.delVer != delVer0 {
 		sh.mu.Unlock()
-		if newRF != nil {
-			newRF.release()
-		}
 		if wrote {
-			// A single-file window was rewritten in place (same span,
-			// same path): the rename already replaced the live input,
-			// which must survive. Its content predates the racing
-			// delete, but the delete's WAL record (or its tombstone in
-			// a later run file) re-applies at recovery, so the stale
-			// rows cannot resurrect. Only a distinct merged file is
-			// discarded here.
-			replaced := false
-			for _, m := range window {
-				if m.path == newMeta.path {
-					replaced = true
-					break
-				}
-			}
-			if !replaced {
+			newMeta.rf.release()
+			// An in-place rewrite predates the racing delete, but the
+			// delete's WAL record (or its tombstone in a later run
+			// file) re-applies at recovery, so the stale rows cannot
+			// resurrect.
+			if !inPlace {
 				os.Remove(newMeta.path)
 			}
 		}
@@ -581,22 +552,12 @@ func (n *Node) compactWindow(i int, full bool) {
 			}
 			kept = append(kept, r)
 		}
-		var mr run
-		haveMerged := false
 		if c, ok := newCold[id]; ok {
-			mr = run{min: c.blocks[0].min, max: c.blocks[len(c.blocks)-1].max, seq: maxSeq, cold: c}
 			adj += c.count
-			haveMerged = true
-		} else if es, ok := merged[id]; ok {
-			mr = run{es: es, min: es[0].ts, max: es[len(es)-1].ts, seq: maxSeq}
-			adj += len(es)
-			haveMerged = true
-		}
-		if haveMerged {
 			pos := sort.Search(len(kept), func(k int) bool { return kept[k].seq > maxSeq })
 			kept = append(kept, run{})
 			copy(kept[pos+1:], kept[pos:])
-			kept[pos] = mr
+			kept[pos] = run{min: c.blocks[0].min, max: c.blocks[len(c.blocks)-1].max, seq: maxSeq, cold: c}
 		}
 		if len(kept) == 0 {
 			delete(sh.runs, id)
@@ -619,15 +580,12 @@ func (n *Node) compactWindow(i int, full bool) {
 	sh.mu.Unlock()
 
 	for _, m := range window {
-		// A single-file window (full compaction rewriting expired
-		// entries away) produces the same span and therefore the same
-		// path: the rename already replaced it, so it must survive on
-		// disk — but its old read handle now names a replaced inode and
-		// is released like the rest.
+		// An in-place input's old read handle names the replaced inode
+		// and is released like the rest.
 		if m.rf != nil {
 			m.rf.release()
 		}
-		if wrote && m.path == newMeta.path {
+		if wrote && inPlace {
 			continue
 		}
 		os.Remove(m.path)

@@ -29,10 +29,10 @@ import (
 // runFileMeta describes one durable run file of a shard. tombs mirrors
 // the file's tombstone section so a compaction can carry the residual
 // cutoffs into its merged output without re-reading the inputs. rf is
-// the refcounted cold-read handle (nil when the file's contents are
-// fully resident — a node running without a cache); the meta holds the
-// owning reference, released when compaction retires the file or the
-// node closes.
+// the refcounted read handle (nil only when a freshly spilled file
+// could not be opened, and its runs stayed in memory); the meta holds
+// the owning reference, released when compaction retires the file or
+// the node closes.
 type runFileMeta struct {
 	path           string
 	minSeq, maxSeq uint64
@@ -71,19 +71,6 @@ func sortedIDs(n int, iter func(func(core.SensorID))) []core.SensorID {
 	iter(func(id core.SensorID) { ids = append(ids, id) })
 	sort.Slice(ids, func(i, j int) bool { return ids[i].Compare(ids[j]) < 0 })
 	return ids
-}
-
-// readRunFile loads and decodes one run file.
-func readRunFile(path string) (*runContents, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	rc, err := decodeRunFile(data)
-	if err != nil {
-		return nil, fmt.Errorf("store: %s: %w", path, err)
-	}
-	return rc, nil
 }
 
 // scanRunFiles lists a shard directory's run files, deletes leftover
@@ -166,11 +153,12 @@ type DiskOptions struct {
 	// spilled or compacted, and writes fail with ErrNodeReadOnly.
 	// For tools inspecting a (possibly crashed) agent's directory.
 	ReadOnly bool
-	// CacheBytes > 0 bounds the node's resident run data: spilled and
-	// recovered run files keep only their per-series [min,max] span
-	// headers and block indexes in memory, and decoded blocks are
-	// cached node-wide up to this budget with clock eviction. 0 keeps
-	// every run fully resident (memory grows with retention).
+	// CacheBytes sizes the node's block cache. Spilled and recovered
+	// run files always keep only their per-series [min,max] span
+	// headers and block indexes in memory; reads decode blocks through
+	// the cache. > 0 bounds it with clock eviction; 0 leaves it
+	// unbounded, so a decoded block stays (memory grows with what is
+	// read, not with retention).
 	CacheBytes int64
 }
 
@@ -187,7 +175,8 @@ func (n *Node) Open(dir string) error { return n.OpenOptions(dir, DiskOptions{})
 // OpenOptions attaches a fresh node to a data directory: the node's WAL
 // segments (`wal-<seq>.log`) and one subdirectory per shard
 // (`shard-<i>/`) of immutable sorted run files
-// (`run-<minSeq>-<maxSeq>.sst`). Recovery first maps the run files —
+// (`run-<minSeq>-<maxSeq>.sst`). Recovery first reads the run files'
+// indexes, leaving their blocks on disk —
 // dropping any whose sequence span another file covers (the crash
 // window of a compaction) — then replays the surviving WAL segments in
 // order, truncating a torn tail, so every write acknowledged before the
@@ -214,10 +203,8 @@ func (n *Node) OpenOptions(dir string, o DiskOptions) error {
 	}
 	n.opts = o
 	n.dir = dir
-	if o.CacheBytes > 0 {
-		n.cache = newBlockCache(o.CacheBytes)
-		n.met.registerCacheMetrics(n.cache)
-	}
+	n.cache = newBlockCache(o.CacheBytes)
+	n.met.registerCacheMetrics(n.cache)
 	// Recover everything before creating anything, so an open that
 	// refuses a file leaves the directory as it found it. A missing
 	// shard is empty. A failed open tears the node down: no goroutine
@@ -298,7 +285,9 @@ func (m *runFileMeta) checkSpan(minSeq, maxSeq uint64) error {
 }
 
 // recoverShard maps shard i's run files, oldest to newest, applying
-// each file's tombstones to the older files' rows. A run file of a
+// each file's tombstones to the older files' rows. A file contributes
+// only its index (per-series bounds and block index); its blocks stay
+// on disk until a read pulls them through the cache. A run file of a
 // format before v5 fails the open and is left as it is
 // (errRunFileOld), and so does a non-empty per-shard WAL segment
 // (errShardWAL); empty ones are returned for removal. Single threaded;
@@ -325,41 +314,23 @@ func (n *Node) recoverShard(i int) (emptyOld []string, err error) {
 	}
 	for mi := range metas {
 		m := &metas[mi]
-		if n.cache != nil {
-			// Resident-set-bounded recovery: a file contributes only its
-			// index (per-series bounds + block index); the data section
-			// stays on disk until a query pulls blocks through the cache.
-			idx, err := readRunIndexFile(m.path)
-			if err != nil {
-				return nil, err
-			}
-			if err := m.checkSpan(idx.minSeq, idx.maxSeq); err != nil {
-				return nil, err
-			}
-			if m.rf, err = openRunFileHandle(m.path, idx, n.cache); err != nil {
-				return nil, err
-			}
-			m.tombs = idx.tombs
-			for _, se := range idx.series {
-				sh.runs[se.id] = append(sh.runs[se.id], run{
-					min: se.min, max: se.max, seq: m.maxSeq,
-					cold: &coldRun{rf: m.rf, blocks: se.blocks, count: int(se.count)},
-				})
-				sh.flushedSize += int(se.count)
-			}
-		} else {
-			rc, err := readRunFile(m.path)
-			if err != nil {
-				return nil, err
-			}
-			if err := m.checkSpan(rc.minSeq, rc.maxSeq); err != nil {
-				return nil, err
-			}
-			m.tombs = rc.tombs
-			for id, es := range rc.series {
-				sh.runs[id] = append(sh.runs[id], run{es: es, min: es[0].ts, max: es[len(es)-1].ts, seq: m.maxSeq})
-				sh.flushedSize += len(es)
-			}
+		idx, err := readRunIndexFile(m.path)
+		if err != nil {
+			return nil, err
+		}
+		if err := m.checkSpan(idx.minSeq, idx.maxSeq); err != nil {
+			return nil, err
+		}
+		if m.rf, err = openRunFileHandle(m.path, idx, n.cache); err != nil {
+			return nil, err
+		}
+		m.tombs = idx.tombs
+		for _, se := range idx.series {
+			sh.runs[se.id] = append(sh.runs[se.id], run{
+				min: se.min, max: se.max, seq: m.maxSeq,
+				cold: &coldRun{rf: m.rf, blocks: se.blocks, count: int(se.count)},
+			})
+			sh.flushedSize += int(se.count)
 		}
 		// Tombstones cover deletes issued while this file's memtable
 		// was live; older files still hold the deleted rows.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
@@ -18,6 +19,20 @@ import (
 // torn write or a hostile file can corrupt arbitrarily, so none of them
 // may panic, over-allocate from a forged count, or accept a record that
 // fails its checksum.
+
+// readRunFile loads and decodes one run file with the reference
+// decoder.
+func readRunFile(path string) (*runContents, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	rc, err := decodeRunFile(data)
+	if err != nil {
+		return nil, fmt.Errorf("store: %s: %w", path, err)
+	}
+	return rc, nil
+}
 
 // validRunFileBytes builds a well-formed run file through the real
 // writer — two blocks, an expire section, versions, a tombstone, and a

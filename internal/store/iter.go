@@ -730,8 +730,8 @@ func (n *Node) sensorStream(id core.SensorID, from, to, now int64) *nodeStream {
 // stream is one chunk plus one decoded block per cold source —
 // independent of the result size.
 func (n *Node) QueryStream(id core.SensorID, from, to int64) (ReadingStream, error) {
-	if n.down.Load() {
-		return nil, ErrNodeDown
+	if err := n.Ping(); err != nil {
+		return nil, err
 	}
 	// The per-shard counter ticks once per stream; prefix streams have
 	// their own counter and their per-sensor streams stay silent.
@@ -811,8 +811,8 @@ func (s *versionedStream) Close() error {
 // write that produced it, so a reading copied to another replica
 // resolves there exactly where the original write did.
 func (n *Node) QueryVersionedStream(id core.SensorID, from, to int64) (VersionedStream, error) {
-	if n.down.Load() {
-		return nil, ErrNodeDown
+	if err := n.Ping(); err != nil {
+		return nil, err
 	}
 	n.shardOf(id).queries.Add(1)
 	w, hint := n.sensorWinners(id, from, to, time.Now().UnixNano())
@@ -890,8 +890,8 @@ func (s *prefixStream) Close() error {
 // QueryPrefixStream implements Backend. Sensors arrive in ascending SID
 // order, each sensor's readings chunked in timestamp order.
 func (n *Node) QueryPrefixStream(prefix core.SensorID, depth int, from, to int64) (KeyedReadingStream, error) {
-	if n.down.Load() {
-		return nil, ErrNodeDown
+	if err := n.Ping(); err != nil {
+		return nil, err
 	}
 	if prefix.Prefix(depth) != prefix {
 		return &prefixStream{done: true}, nil

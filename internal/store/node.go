@@ -101,9 +101,11 @@ type memSeries struct {
 //
 // A run is either hot (es resident, read in place) or cold (es nil,
 // cold describing the run-file blocks holding the entries; reads go
-// through the node's block cache). Only the [min,max] bounds and the
-// per-block index stay resident for a cold run — that is the
-// resident-set bound. A DeleteBefore raises a cold run's min: the file
+// through the node's block cache). A run with a file is cold; hot are
+// the runs of a memory-only node and flushed runs not yet spilled (or
+// whose file could not be opened for reading). Only the [min,max]
+// bounds and the per-block index stay resident for a cold run — that
+// is the resident-set bound. A DeleteBefore raises a cold run's min: the file
 // still holds the deleted rows, so readers start at min rather than at
 // the first block (hot runs are resliced instead).
 type run struct {
@@ -263,10 +265,9 @@ type Node struct {
 	replayed []string
 	memTotal atomic.Int64
 
-	// cache is the node-wide decoded-block cache; non-nil exactly when
-	// the node runs with a resident-set bound (DiskOptions.CacheBytes >
-	// 0), in which case run data is evictable and cold reads decode
-	// only the blocks a query touches.
+	// cache is the node-wide decoded-block cache, non-nil exactly on a
+	// durable node: its run data stays on disk and reads decode only
+	// the blocks they touch (DiskOptions.CacheBytes).
 	cache *blockCache
 }
 
@@ -319,7 +320,8 @@ func (n *Node) SetDown(down bool) { n.down.Store(down) }
 // ErrNodeDown is returned by operations on a node marked down.
 var ErrNodeDown = fmt.Errorf("store: node is down")
 
-// ErrNodeClosed is returned by writes to a durable node after Close.
+// ErrNodeClosed is returned by reads and writes of a durable node after
+// Close.
 var ErrNodeClosed = fmt.Errorf("store: node is closed")
 
 // ErrNodeReadOnly is returned by writes to a node opened read-only.
@@ -810,8 +812,7 @@ func (sh *shard) cutRunsLocked(id core.SensorID, cutoff int64, beforeSeq uint64)
 // background without being asked.
 func (n *Node) Compact() {
 	if n.durable() && n.opts.ReadOnly {
-		// A read-only node must not rewrite files — and its cold runs
-		// have no resident entries to merge in memory either.
+		// A read-only node must not rewrite files.
 		return
 	}
 	if n.durable() {
@@ -904,7 +905,7 @@ func (n *Node) SensorIDs() []core.SensorID {
 // Close implements Backend. On durable nodes it stops the background
 // compactor and WAL syncer and flushes the memtables with the active
 // WAL segment, adding none, then waits for every spill: a clean close
-// leaves no WAL behind. Further writes return ErrNodeClosed.
+// leaves no WAL behind. Further reads and writes return ErrNodeClosed.
 // Memory-only nodes close trivially.
 func (n *Node) Close() error {
 	if !n.durable() {

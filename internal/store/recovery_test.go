@@ -580,8 +580,8 @@ func TestDurableWritesFailAfterClose(t *testing.T) {
 	if err := n.DeleteBefore(id, 1); err != ErrNodeClosed {
 		t.Fatalf("delete after close: %v", err)
 	}
-	// Reads still serve the resident data.
-	if rs, err := n.Query(id, 0, 10); err != nil || len(rs) != 1 {
+	// Its readings are on disk behind released files: reads fail too.
+	if rs, err := n.Query(id, 0, 10); err != ErrNodeClosed {
 		t.Fatalf("read after close: %v %v", rs, err)
 	}
 }

@@ -905,10 +905,10 @@ func readRunIndexFile(path string) (*runIndex, error) {
 }
 
 // decodeRunFile decodes a whole run file held in memory — the fuzz
-// surface and the hot (cache-less) recovery path. Counts are validated
-// against the remaining length before any allocation, so corrupt input
-// errors out instead of panicking or OOMing; a CRC mismatch rejects the
-// file.
+// surface and the reference decoder tests hold the run-file writer and
+// a node's reads against. Counts are validated against the remaining
+// length before any allocation, so corrupt input errors out instead of
+// panicking or OOMing; a CRC mismatch rejects the file.
 func decodeRunFile(data []byte) (*runContents, error) {
 	if len(data) < runMagicLen+runFooterLen {
 		return nil, fmt.Errorf("store: run file truncated")

@@ -26,11 +26,12 @@ import (
 
 // toolReadOptions recover a durable node without touching its files —
 // a crashed agent's directory is inspected exactly as the crash left
-// it. toolWriteOptions are for Save, which rewrites the directory: its
-// node evicts what it has spilled, so a Save holds no copy of the data
-// it writes.
+// it. toolWriteOptions are for Save, which rewrites the directory. Both
+// read run files through the same 1 MiB block cache: a durable node
+// keeps only its files' indexes in memory, so an open costs the
+// indexes, and a Save holds no copy of the data it has spilled.
 var (
-	toolReadOptions  = store.DiskOptions{SyncInterval: -1, CompactInterval: -1, ReadOnly: true}
+	toolReadOptions  = store.DiskOptions{SyncInterval: -1, CompactInterval: -1, ReadOnly: true, CacheBytes: 1 << 20}
 	toolWriteOptions = store.DiskOptions{SyncInterval: -1, CompactInterval: -1, CacheBytes: 1 << 20}
 )
 
