@@ -48,11 +48,11 @@ type Options struct {
 	// durable agent appends to its topic map here (TopicLog) and
 	// returns once the map as it stood at the call is committed, so the
 	// mapping of every stored reading survives a crash alongside the
-	// reading itself;
-	// returning an error drops the message instead of storing a reading
-	// whose name could not be made durable, and the next message using
-	// the code calls again. Called from the message path — keep it cheap
-	// for steady state (it only fires when the sensor set grows).
+	// reading itself; returning an error drops the message instead of
+	// storing a reading whose name could not be made durable, and the
+	// next message using the code calls again. Called from the message
+	// path — keep it cheap for steady state (it only fires when the
+	// sensor set grows).
 	OnNewTopic func(topic string, id core.SensorID) error
 }
 
