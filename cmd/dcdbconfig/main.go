@@ -2,7 +2,11 @@
 // configuration tasks (paper §5.2): publishing sensor properties such
 // as units and scaling factors, defining virtual sensors, deleting old
 // data and compacting the Storage Backend. DIR is a Collect Agent's
-// data directory.
+// data directory, edited in place: publish, vsensor, show and list
+// read it and write only its topics and meta files; cleanup and
+// compact open every node directory writable and delete or compact in
+// each, through the same write path as the agent's. No reading is
+// copied, and the directory keeps its node<i>/ layout.
 //
 // Usage:
 //
@@ -24,6 +28,8 @@ import (
 	"time"
 
 	"dcdb/internal/core"
+	"dcdb/internal/libdcdb"
+	"dcdb/internal/store"
 	"dcdb/internal/tooldb"
 )
 
@@ -34,8 +40,9 @@ func main() {
 }
 
 // run carries out one command line (without the program name), writing
-// what it reports to stdout. The read-only commands, show and list,
-// leave the directory as it is; every other one rewrites it.
+// what it reports to stdout. show and list leave the directory as it
+// is; publish and vsensor save its topics and metadata; cleanup and
+// compact write its node directories.
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("dcdbconfig", flag.ContinueOnError)
 	db := fs.String("db", "dcdb", "agent data directory")
@@ -46,10 +53,27 @@ func run(args []string, stdout io.Writer) error {
 	if len(args) == 0 {
 		return errors.New("dcdbconfig: no command (publish, vsensor, show, list, cleanup, compact)")
 	}
-	conn, node, err := tooldb.Open(*db)
+	open := tooldb.Open
+	if args[0] == "cleanup" || args[0] == "compact" {
+		open = tooldb.Edit
+	}
+	conn, cluster, err := open(*db)
 	if err != nil {
 		return err
 	}
+	changed, err := command(conn, cluster, args, stdout)
+	if err != nil || !changed {
+		if cerr := cluster.Close(); err == nil {
+			err = cerr
+		}
+		return err
+	}
+	return tooldb.Save(conn, cluster, *db)
+}
+
+// command carries out args on the open directory and reports whether
+// it changed the topics or metadata, which are then saved.
+func command(conn *libdcdb.Connection, cluster *store.Cluster, args []string, stdout io.Writer) (changed bool, err error) {
 	switch args[0] {
 	case "publish":
 		pub := flag.NewFlagSet("publish", flag.ContinueOnError)
@@ -58,36 +82,38 @@ func run(args []string, stdout io.Writer) error {
 		ttl := pub.Duration("ttl", 0, "retention (0 = forever)")
 		integrable := pub.Bool("integrable", false, "monotonic counter")
 		if len(args) < 2 {
-			return errors.New("dcdbconfig publish: missing topic")
+			return false, errors.New("dcdbconfig publish: missing topic")
 		}
 		if err := pub.Parse(args[2:]); err != nil {
-			return err
+			return false, err
 		}
 		m := core.Metadata{Topic: args[1], Unit: *unit, Scale: *scale, TTL: *ttl, Integrable: *integrable}
 		if err := conn.PublishSensor(m); err != nil {
-			return err
+			return false, err
 		}
 		fmt.Fprintf(stdout, "published %s\n", args[1])
+		return true, nil
 	case "vsensor":
 		if len(args) < 3 {
-			return errors.New("dcdbconfig vsensor: need TOPIC EXPRESSION")
+			return false, errors.New("dcdbconfig vsensor: need TOPIC EXPRESSION")
 		}
 		m := core.Metadata{Topic: args[1], Virtual: true, Expression: args[2]}
 		if err := conn.PublishSensor(m); err != nil {
-			return err
+			return false, err
 		}
 		fmt.Fprintf(stdout, "defined virtual sensor %s = %s\n", args[1], args[2])
+		return true, nil
 	case "show":
 		if len(args) < 2 {
-			return errors.New("dcdbconfig show: missing topic")
+			return false, errors.New("dcdbconfig show: missing topic")
 		}
 		m, ok := conn.Metadata(args[1])
 		if !ok {
-			return fmt.Errorf("dcdbconfig: no metadata for %s", args[1])
+			return false, fmt.Errorf("dcdbconfig: no metadata for %s", args[1])
 		}
 		fmt.Fprintf(stdout, "topic: %s\nunit: %s\nscale: %g\nttl: %v\nintegrable: %v\nvirtual: %v\nexpression: %s\n",
 			m.Topic, m.Unit, m.EffectiveScale(), m.TTL, m.Integrable, m.Virtual, m.Expression)
-		return nil // read-only
+		return false, nil
 	case "list":
 		path := ""
 		if len(args) > 1 {
@@ -96,24 +122,33 @@ func run(args []string, stdout io.Writer) error {
 		for _, s := range conn.ListSensors(path) {
 			fmt.Fprintln(stdout, s)
 		}
-		return nil // read-only
+		return false, nil
 	case "cleanup":
 		if len(args) < 3 {
-			return errors.New("dcdbconfig cleanup: need TOPIC BEFORE")
+			return false, errors.New("dcdbconfig cleanup: need TOPIC BEFORE")
 		}
 		cutoff, err := time.Parse(time.RFC3339, args[2])
 		if err != nil {
-			return fmt.Errorf("dcdbconfig: bad cutoff: %v", err)
+			return false, fmt.Errorf("dcdbconfig: bad cutoff: %v", err)
 		}
-		if err := conn.DeleteBefore(args[1], cutoff.UnixNano()); err != nil {
-			return err
+		id, ok := conn.Mapper().Lookup(args[1])
+		if !ok {
+			return false, fmt.Errorf("dcdbconfig: unknown sensor %q", args[1])
+		}
+		// Every node directory must take the delete, not a write
+		// quorum of them: a reading one of them kept would still be
+		// served by the tools' merge of them all.
+		for _, b := range cluster.Backends() {
+			if err := b.DeleteBefore(id, cutoff.UnixNano()); err != nil {
+				return false, err
+			}
 		}
 		fmt.Fprintf(stdout, "deleted %s readings before %s\n", args[1], args[2])
 	case "compact":
-		node.Compact()
+		cluster.Compact()
 		fmt.Fprintln(stdout, "compacted")
 	default:
-		return fmt.Errorf("dcdbconfig: unknown command %q", args[0])
+		return false, fmt.Errorf("dcdbconfig: unknown command %q", args[0])
 	}
-	return tooldb.Save(conn, node, *db)
+	return false, nil
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -166,9 +167,8 @@ func TestCommands(t *testing.T) {
 	}
 }
 
-// TestCompactKeepsStamps: compact rewrites the directory, and a reading
-// written with a one-hour TTL comes out of it with its expiry and its
-// write version.
+// TestCompactKeepsStamps: a reading written with a one-hour TTL comes
+// out of a compaction with its expiry and its write version.
 func TestCompactKeepsStamps(t *testing.T) {
 	dir := t.TempDir()
 	c, err := collectagent.OpenBackend(dir, 2, 1, store.RingPartitioner{}, store.DiskOptions{CompactInterval: -1})
@@ -186,20 +186,138 @@ func TestCompactKeepsStamps(t *testing.T) {
 	}
 	runOK(t, "-db", dir, "compact")
 
-	n := store.NewNode(0)
-	if err := n.OpenOptions(collectagent.NodeDir(dir, 0), store.DiskOptions{CompactInterval: -1, ReadOnly: true}); err != nil {
+	// The reading stays on its owner node: read each node the tools open.
+	_, tc, err := tooldb.Open(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	defer n.Close()
-	vrs, err := storetest.Versioned(n, id, 0, 1<<62)
-	if err != nil || len(vrs) != 1 {
-		t.Fatalf("after compact: %+v, %v", vrs, err)
+	defer tc.Close()
+	var vrs []store.VersionedReading
+	for _, n := range tc.Nodes() {
+		got, err := storetest.Versioned(n, id, 0, 1<<62)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vrs = append(vrs, got...)
+	}
+	if len(vrs) != 1 {
+		t.Fatalf("after compact: %+v", vrs)
 	}
 	if e := vrs[0].Expire; e < before.Add(time.Hour).UnixNano() || e > after.Add(time.Hour).UnixNano() {
 		t.Errorf("after compact the reading expires at %d, want an hour after it was written", e)
 	}
 	if vrs[0].Version == 0 {
 		t.Error("after compact the reading lost its write version")
+	}
+}
+
+// placedAgentDir writes what an agent of two embedded nodes leaves
+// behind at -replication 1 -depth 2: twenty sensors under ten depth-2
+// subtrees, each sensor on the one node its subtree is placed on, ten
+// readings each. It returns the topics and opens the agent again over
+// the directory with open.
+func placedAgentDir(t *testing.T) (dir string, topics []string, open func() *store.Cluster) {
+	t.Helper()
+	dir = t.TempDir()
+	open = func() *store.Cluster {
+		t.Helper()
+		c, err := collectagent.OpenBackend(dir, 2, 1, store.RingPartitioner{Depth: 2}, store.DiskOptions{CompactInterval: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	c := open()
+	mapper := core.NewTopicMapper()
+	for i := 0; i < 20; i++ {
+		tp := fmt.Sprintf("/dc/r%d/n%d/power", i/2, i%2)
+		topics = append(topics, tp)
+		id, err := mapper.Map(tp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs := make([]core.Reading, 10)
+		for k := range rs {
+			rs[k] = core.Reading{Timestamp: t0.Add(time.Duration(k) * time.Second).UnixNano(), Value: float64(100*i + k)}
+		}
+		if err := c.InsertBatch(id, rs, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := collectagent.SaveTopics(dir, mapper); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []string{"node0", "node1"} {
+		if _, err := os.Stat(filepath.Join(dir, n, "shard-00")); err != nil {
+			t.Fatalf("the agent left no %s: %v", n, err)
+		}
+	}
+	return dir, topics, open
+}
+
+// TestEditsKeepPlacement: after the tools edit an agent's directory —
+// publish, cleanup, compact — the agent reopened with its own
+// -nodes/-replication/-depth serves every sensor whole. A tool that
+// moved the readings into node0 hid the sensors the ring places on
+// node1.
+func TestEditsKeepPlacement(t *testing.T) {
+	dir, topics, open := placedAgentDir(t)
+	cutoff := t0.Add(4 * time.Second)
+	runOK(t, "-db", dir, "publish", topics[0], "-unit", "W")
+	runOK(t, "-db", dir, "cleanup", topics[1], cutoff.UTC().Format(time.RFC3339))
+	runOK(t, "-db", dir, "compact")
+
+	c := open()
+	defer c.Close()
+	mapper := core.NewTopicMapper()
+	if err := collectagent.LoadTopics(dir, mapper); err != nil {
+		t.Fatal(err)
+	}
+	served := 0
+	for i, tp := range topics {
+		id, ok := mapper.Lookup(tp)
+		if !ok {
+			t.Fatalf("%s lost from the topic map", tp)
+		}
+		rs, err := c.Query(id, 0, 1<<62)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 10
+		if i == 1 {
+			want = 6
+		}
+		if len(rs) != want || rs[len(rs)-1].Value != float64(100*i+9) {
+			t.Errorf("the agent serves %d readings of %s (%v), want %d", len(rs), tp, rs, want)
+			continue
+		}
+		served++
+	}
+	if served != len(topics) {
+		t.Fatalf("the agent serves %d of %d sensors whole after the tools' edits", served, len(topics))
+	}
+}
+
+// TestPublishLeavesRunFiles: a metadata-only command writes the topics
+// and meta files and no other byte of the directory.
+func TestPublishLeavesRunFiles(t *testing.T) {
+	dir, topics, _ := placedAgentDir(t)
+	before := storetest.Files(t, dir)
+	runOK(t, "-db", dir, "publish", topics[3], "-unit", "W", "-scale", "2")
+	runOK(t, "-db", dir, "vsensor", "/dc/v/double", "<"+topics[3]+"> * 2")
+	after := storetest.Files(t, dir)
+	for _, f := range []string{"topics", "meta"} {
+		delete(before, f)
+		delete(after, f)
+	}
+	if !reflect.DeepEqual(after, before) {
+		t.Fatalf("publish changed the node directories: %d entries before, %d after", len(before), len(after))
+	}
+	if out := runOK(t, "-db", dir, "show", topics[3]); !strings.Contains(out, "unit: W\n") {
+		t.Errorf("show after publish printed %q", out)
 	}
 }
 

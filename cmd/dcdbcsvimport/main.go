@@ -1,9 +1,16 @@
 // Command dcdbcsvimport bulk-loads CSV sensor data into a Collect
 // Agent's data directory (paper §5.2), creating it if needed. The input
 // format matches dcdbquery's output: a "sensor,timestamp,value" header
-// followed by one reading per row with RFC3339 timestamps. Imported
-// readings are unstamped (write version 0), so a reading the agent
-// stored at the same timestamp outranks them.
+// followed by one reading per row with RFC3339 timestamps.
+//
+// The whole file is parsed before the directory is touched, so a file
+// that does not parse changes nothing. The readings are then written in
+// place through the same coordinator as the agent's writes, and are
+// stamped like any of them: a reading imported at a timestamp the agent
+// stored earlier replaces it. A directory of several node directories
+// is refused: where the agent places a sensor follows its -replication
+// and -depth, which the import cannot know. Import into a one-node
+// directory (collectagent -nodes 1) instead.
 //
 // Usage:
 //
@@ -18,6 +25,9 @@ import (
 	"log"
 	"os"
 
+	"dcdb/internal/collectagent"
+	"dcdb/internal/core"
+	"dcdb/internal/libdcdb"
 	"dcdb/internal/tooldb"
 )
 
@@ -28,8 +38,7 @@ func main() {
 }
 
 // run carries out one command line (without the program name), writing
-// what it reports to stdout. The directory is rewritten only once the
-// whole file has been read.
+// what it reports to stdout.
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("dcdbcsvimport", flag.ContinueOnError)
 	db := fs.String("db", "dcdb", "agent data directory")
@@ -39,22 +48,55 @@ func run(args []string, stdout io.Writer) error {
 	if fs.NArg() != 1 {
 		return errors.New("dcdbcsvimport: need exactly one CSV file")
 	}
-	conn, node, err := tooldb.Open(*db)
-	if err != nil {
-		return err
+	if n := tooldb.NodeDirs(*db); n > 1 {
+		return fmt.Errorf("dcdbcsvimport: %s holds %d node directories, and which of them the agent reads a sensor from "+
+			"depends on its -replication and -depth: import into a one-node directory (collectagent -nodes 1) instead", *db, n)
 	}
 	f, err := os.Open(fs.Arg(0))
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	n, err := conn.ImportCSV(f)
-	if err != nil {
+	// The first pass only parses, and collects the topics.
+	topics := map[string]bool{}
+	if n, err := libdcdb.ParseCSV(f, func(topic string, _ []core.Reading) error {
+		topics[topic] = true
+		_, err := core.ParseTopic(topic)
+		return err
+	}); err != nil {
 		return fmt.Errorf("dcdbcsvimport: after %d readings: %w", n, err)
 	}
-	if err := tooldb.Save(conn, node, *db); err != nil {
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		return err
+	}
+	conn, cluster, err := tooldb.Edit(*db)
+	if err != nil {
+		return err
+	}
+	n, err := write(conn, *db, topics, f)
+	if err != nil {
+		cluster.Close()
+		return fmt.Errorf("dcdbcsvimport: after %d readings: %w", n, err)
+	}
+	if err := tooldb.Save(conn, cluster, *db); err != nil {
 		return err
 	}
 	fmt.Fprintf(stdout, "imported %d readings into %s\n", n, *db)
 	return nil
+}
+
+// write names every topic in the directory dir before a reading under
+// it is stored, as the agent does, so a crash mid-import leaves no
+// reading whose sensor the topic map cannot name; then it imports the
+// file's readings.
+func write(conn *libdcdb.Connection, dir string, topics map[string]bool, f io.Reader) (int, error) {
+	for t := range topics {
+		if err := conn.RegisterTopic(t); err != nil {
+			return 0, err
+		}
+	}
+	if err := collectagent.SaveTopics(dir, conn.Mapper()); err != nil {
+		return 0, err
+	}
+	return conn.ImportCSV(f)
 }

@@ -5,10 +5,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"dcdb/internal/collectagent"
+	"dcdb/internal/store"
+	"dcdb/internal/store/storetest"
 	"dcdb/internal/tooldb"
 )
 
@@ -100,5 +104,51 @@ func TestErrors(t *testing.T) {
 		if _, err := os.Stat(p); !os.IsNotExist(err) {
 			t.Errorf("a failed import left %s behind: %v", p, err)
 		}
+	}
+}
+
+// TestBadRowChangesNothing: a row that does not parse, after a thousand
+// that do, fails the import and leaves the directory byte-identical.
+func TestBadRowChangesNothing(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "agent")
+	if err := run([]string{"-db", dir, writeCSV(t, []string{"/dc/r1/power"}, 5)}, &bytes.Buffer{}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(writeCSV(t, []string{"/dc/r2/power"}, 1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := filepath.Join(t.TempDir(), "bad.csv")
+	if err := os.WriteFile(bad, append(data, "/dc/r2/power,yesterday,1\n"...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := storetest.Files(t, dir)
+	err = run([]string{"-db", dir, bad}, &bytes.Buffer{})
+	if err == nil || !strings.Contains(err.Error(), "after 1000 readings") || !strings.Contains(err.Error(), "bad timestamp") {
+		t.Fatalf("importing a bad row: %v, want the parse error after 1000 readings", err)
+	}
+	if after := storetest.Files(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatal("the failed import changed the directory")
+	}
+}
+
+// TestImportRefusesSeveralNodeDirs: an agent directory of two node
+// directories is refused, naming the way out, and left byte-identical.
+func TestImportRefusesSeveralNodeDirs(t *testing.T) {
+	dir := t.TempDir()
+	c, err := collectagent.OpenBackend(dir, 2, 1, store.RingPartitioner{}, store.DiskOptions{CompactInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := storetest.Files(t, dir)
+	err = run([]string{"-db", dir, writeCSV(t, []string{"/dc/r1/power"}, 2)}, &bytes.Buffer{})
+	if err == nil || !strings.Contains(err.Error(), "2 node directories") || !strings.Contains(err.Error(), "one-node directory") {
+		t.Fatalf("importing into two node directories: %v, want the refusal naming the way out", err)
+	}
+	if after := storetest.Files(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatal("the refused import changed the directory")
 	}
 }

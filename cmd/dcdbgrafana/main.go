@@ -85,36 +85,31 @@ func main() {
 			Depth:           *depth,
 			ReadConsistency: readCL,
 		})
-		if err == nil {
-			defer cluster.Close()
-		}
 	} else {
-		conn, _, err = tooldb.Open(*db)
+		conn, cluster, err = tooldb.Open(*db)
 	}
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer cluster.Close()
 	log.Printf("dcdbgrafana: serving %s on %s", *db, *listen)
 	log.Fatal(http.ListenAndServe(*listen, newHandler(conn, cluster)))
 }
 
-// newHandler serves the data-source API over conn. cluster is the live
-// cluster behind conn, whose coordinator and RPC client metrics join
-// /metrics; nil when conn reads a data directory.
+// newHandler serves the data-source API over conn. cluster is the
+// cluster behind conn, the live nodes or the data directory's, whose
+// coordinator and RPC client metrics join /metrics.
 func newHandler(conn *libdcdb.Connection, cluster *store.Cluster) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "dcdb grafana data source")
 	})
-	// Prometheus exposition: process runtime metrics, plus the cluster
-	// coordinator and per-node RPC client metrics when serving live.
-	mparts := []metrics.Part{{Reg: metrics.Runtime()}}
-	if cluster != nil {
-		mparts = append(mparts, metrics.Part{Reg: cluster.Metrics()})
-		for i, b := range cluster.Backends() {
-			if c, ok := b.(*rpc.Client); ok {
-				mparts = append(mparts, metrics.Part{Reg: c.Metrics(), Labels: fmt.Sprintf(`node="%d"`, i)})
-			}
+	// Prometheus exposition: process runtime metrics, the cluster
+	// coordinator's, and the per-node RPC clients' when serving live.
+	mparts := []metrics.Part{{Reg: metrics.Runtime()}, {Reg: cluster.Metrics()}}
+	for i, b := range cluster.Backends() {
+		if c, ok := b.(*rpc.Client); ok {
+			mparts = append(mparts, metrics.Part{Reg: c.Metrics(), Labels: fmt.Sprintf(`node="%d"`, i)})
 		}
 	}
 	mux.Handle("GET /metrics", metrics.Handler(mparts...))

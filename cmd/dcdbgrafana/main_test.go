@@ -18,7 +18,7 @@ import (
 func server(t *testing.T, base time.Time, n int) *httptest.Server {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "agent")
-	conn, node, err := tooldb.Open(dir)
+	conn, cluster, err := tooldb.Edit(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,14 +32,17 @@ func server(t *testing.T, base time.Time, n int) *httptest.Server {
 	if _, err := conn.ImportCSV(strings.NewReader(csv.String())); err != nil {
 		t.Fatal(err)
 	}
-	if err := tooldb.Save(conn, node, dir); err != nil {
+	if err := tooldb.Save(conn, cluster, dir); err != nil {
 		t.Fatal(err)
 	}
-	if conn, _, err = tooldb.Open(dir); err != nil {
+	if conn, cluster, err = tooldb.Open(dir); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(newHandler(conn, nil))
-	t.Cleanup(srv.Close)
+	srv := httptest.NewServer(newHandler(conn, cluster))
+	t.Cleanup(func() {
+		srv.Close()
+		cluster.Close()
+	})
 	return srv
 }
 

@@ -111,50 +111,38 @@ func registerFlags(fs *flag.FlagSet) *flags {
 }
 
 // open connects to what the flags select: the live cluster with -nodes
-// or -join (cluster is non-nil and must be closed), the persisted files
-// under -db otherwise (node is non-nil).
-func open(f *flags) (conn *libdcdb.Connection, node *store.Node, cluster *store.Cluster, err error) {
+// or -join, the data directory -db in place otherwise. Close the
+// cluster when done.
+func open(f *flags) (*libdcdb.Connection, *store.Cluster, error) {
 	if f.nodes == "" && f.join == "" {
-		conn, node, err = tooldb.Open(f.db)
-		return conn, node, nil, err
+		return tooldb.Open(f.db)
 	}
 	if f.nodes != "" && f.join != "" {
-		return nil, nil, nil, fmt.Errorf("-nodes and -join are mutually exclusive — the seed discovers the node set")
+		return nil, nil, fmt.Errorf("-nodes and -join are mutually exclusive — the seed discovers the node set")
 	}
 	readCL, ok := store.ParseConsistency(f.consistency)
 	if !ok {
-		return nil, nil, nil, fmt.Errorf("unknown consistency %q", f.consistency)
+		return nil, nil, fmt.Errorf("unknown consistency %q", f.consistency)
 	}
-	conn, cluster, err = tooldb.OpenRemote(f.db, tooldb.RemoteOptions{
+	return tooldb.OpenRemote(f.db, tooldb.RemoteOptions{
 		Addrs:           rpc.SplitAddrList(f.nodes),
 		Seeds:           rpc.SplitAddrList(f.join),
 		Replication:     f.replication,
 		Depth:           f.depth,
 		ReadConsistency: readCL,
 	})
-	return conn, nil, cluster, err
 }
 
 func main() {
 	f := registerFlags(flag.CommandLine)
 	flag.Parse()
-	conn, node, cluster, err := open(f)
+	conn, cluster, err := open(f)
 	if err != nil {
 		log.Fatalf("dcdbquery: %v", err)
 	}
-	if cluster != nil {
-		defer cluster.Close()
-	}
+	defer cluster.Close()
 	if f.op == "stats" {
-		if cluster != nil {
-			printStats(os.Stdout, cluster.ClusterStats())
-			return
-		}
-		ins, q, entries := node.Stats()
-		samples, _ := node.MetricsSnapshot()
-		printStats(os.Stdout, []store.NodeStats{{
-			Inserts: ins, Queries: q, Entries: entries, Samples: samples,
-		}})
+		printStats(os.Stdout, cluster.ClusterStats())
 		return
 	}
 	if f.list {

@@ -99,7 +99,7 @@ func TestOpenPlacementWiring(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, _, cluster, err := open(f)
+		_, cluster, err := open(f)
 		if err != nil {
 			t.Fatal(err)
 		}

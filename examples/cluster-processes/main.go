@@ -43,7 +43,7 @@ const (
 	topics          = 24
 	readingsPerPush = 5
 	pushes          = 20 // per topic: 100 readings per sensor total
-	killAfterPushes = 8  // SIGKILL node 1 mid-ingest
+	killAfterPushes = 8  // SIGKILL a storage node mid-ingest
 )
 
 func main() {
@@ -119,8 +119,24 @@ func main() {
 	for round := 0; round < killAfterPushes; round++ {
 		push(round)
 	}
-	fmt.Printf("ingested %d readings, SIGKILLing storage node 1 mid-ingest …\n", published)
-	nodes[1].kill()
+	// Kill a primary owner of a published sensor, so that the writes
+	// after the kill are certain to queue hints for it: which nodes own
+	// the four depth-2 subtrees follows the nodes' ephemeral ports.
+	id, ok := agent.Mapper().Lookup(topic(0))
+	if !ok {
+		log.Fatalf("FAIL: %s was never mapped", topic(0))
+	}
+	owner, victim := cluster.Owners(id)[0], -1
+	for i, n := range nodes {
+		if n.addr == owner {
+			victim = i
+		}
+	}
+	if victim < 0 {
+		log.Fatalf("FAIL: %s is owned by %s, none of the nodes", topic(0), owner)
+	}
+	fmt.Printf("ingested %d readings, SIGKILLing storage node %d mid-ingest …\n", published, victim)
+	nodes[victim].kill()
 	for round := killAfterPushes; round < pushes; round++ {
 		push(round)
 	}
@@ -143,9 +159,9 @@ func main() {
 
 	// Restart the killed node on its data directory; the coordinator's
 	// hint replayer converges it in the background.
-	nodes[1] = startNode(bin, filepath.Join(work, "node1"))
-	defer nodes[1].stop()
-	fmt.Printf("storage node 1 restarted at %s, waiting for hinted handoff …\n", nodes[1].addr)
+	nodes[victim] = startNode(bin, filepath.Join(work, fmt.Sprintf("node%d", victim)))
+	defer nodes[victim].stop()
+	fmt.Printf("storage node %d restarted at %s, waiting for hinted handoff …\n", victim, nodes[victim].addr)
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		queued, replayed, pending := cluster.HintStats()

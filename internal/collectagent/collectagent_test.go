@@ -1,8 +1,12 @@
 package collectagent
 
 import (
+	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,6 +19,7 @@ import (
 	"dcdb/internal/pusher"
 	"dcdb/internal/rpc"
 	"dcdb/internal/store"
+	"dcdb/internal/store/storetest"
 )
 
 func TestHandleStoresReadings(t *testing.T) {
@@ -329,6 +334,36 @@ func TestOpenBackendRejectsHiddenNodes(t *testing.T) {
 	// loudly instead of silently hiding node1's acknowledged data.
 	if _, err := OpenBackend(dir, 1, 1, store.RingPartitioner{}, store.DiskOptions{CompactInterval: -1}); err == nil {
 		t.Fatal("shrunken node count over a wider directory accepted")
+	}
+}
+
+// TestOpenBackendRefusesInterruptedSave: the staging directory of an
+// earlier build's tool save is refused by name, with the way out, and
+// the directory is left byte-identical.
+func TestOpenBackendRefusesInterruptedSave(t *testing.T) {
+	for _, staged := range []string{"node0.building", "node0.ready"} {
+		dir := t.TempDir()
+		c, err := OpenBackend(dir, 1, 1, store.RingPartitioner{}, store.DiskOptions{CompactInterval: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Insert(core.SensorID{Hi: 1, Lo: 1}, core.Reading{Timestamp: 1, Value: 1}, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Join(dir, staged, "shard-00"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		before := storetest.Files(t, dir)
+		_, err = OpenBackend(dir, 1, 1, store.RingPartitioner{}, store.DiskOptions{CompactInterval: -1})
+		if !errors.Is(err, errInterruptedSave) || !strings.Contains(err.Error(), staged) {
+			t.Fatalf("open over %s: %v, want the refusal naming it", staged, err)
+		}
+		if after := storetest.Files(t, dir); !reflect.DeepEqual(after, before) {
+			t.Fatalf("the refused open over %s changed the directory", staged)
+		}
 	}
 }
 

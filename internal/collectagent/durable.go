@@ -10,10 +10,16 @@
 //	<dir>/node<i>/wal-*.log            — the node's write-ahead log
 //	<dir>/node<i>/shard-<s>/run-*.sst  — its run files
 //	<dir>/topics        — the topic↔SID map (append-only: one line per level code)
+//	<dir>/meta          — sensor metadata the tools publish (dcdbconfig)
+//
+// The tools (internal/tooldb) open the same node directories in place.
+// The staging directories node0.building and node0.ready, which tools
+// of earlier builds rewrote the directory through, are refused by name.
 package collectagent
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -35,43 +41,21 @@ func NodeDir(dir string, i int) string {
 	return filepath.Join(dir, fmt.Sprintf("node%d", i))
 }
 
-// Staging directories of a tool-side data-directory rewrite
-// (tooldb.Save). "node0.building" is an in-progress rewrite
-// (incomplete, discarded); "node0.ready" is a complete rewrite whose
-// final swap was interrupted (committed here). Both the agent and the
-// tools heal before opening, so an interrupted rewrite can never be
-// half-applied — or applied on top of data a later agent run wrote.
-const (
-	BuildingDir = "node0.building"
-	ReadyDir    = "node0.ready"
-)
+// errInterruptedSave refuses the staging directories of the data
+// directory rewrite that tools of earlier builds made on every edit
+// ("node0.building", "node0.ready"). Tools edit in place, so this
+// build neither finishes nor discards such a rewrite.
+var errInterruptedSave = errors.New("holds an interrupted tool save of an earlier build, which this build neither finishes nor discards: " +
+	"open and close it once with the build that wrote it (its dcdbquery -db DIR -list does), then retry")
 
-// HealInterruptedSave completes or discards an interrupted tool-side
-// rewrite of the data directory.
-func HealInterruptedSave(dir string) error {
-	os.RemoveAll(filepath.Join(dir, BuildingDir)) // never complete; inputs are intact
-	ready := filepath.Join(dir, ReadyDir)
-	if _, err := os.Stat(ready); err != nil {
-		return nil
-	}
-	// The rewrite finished building: finish its swap — replace node0
-	// and drop the now-stale higher-numbered nodes it meant to remove.
-	if err := os.RemoveAll(NodeDir(dir, 0)); err != nil {
-		return err
-	}
-	if err := os.Rename(ready, NodeDir(dir, 0)); err != nil {
-		return err
-	}
-	for i := 1; ; i++ {
-		nd := NodeDir(dir, i)
-		if _, err := os.Stat(nd); err != nil {
-			break
-		}
-		if err := os.RemoveAll(nd); err != nil {
-			return err
+// refuseInterruptedSave fails when dir holds a staging directory.
+func refuseInterruptedSave(dir string) error {
+	for _, name := range []string{"node0.building", "node0.ready"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
+			return fmt.Errorf("collectagent: %s %w (found %s)", dir, errInterruptedSave, name)
 		}
 	}
-	return fsutil.SyncDir(dir)
+	return nil
 }
 
 // HintsDir returns the hinted-handoff directory under a data
@@ -88,7 +72,9 @@ func OpenBackend(dir string, nodes, replication int, part store.RingPartitioner,
 
 // OpenBackendOptions is OpenBackend with full cluster configuration
 // (consistency levels, hinted handoff). A co.HintDir of "" enables
-// handoff under <dir>/hints; pass "-" to disable it outright.
+// handoff under <dir>/hints; pass "-" to disable it outright. A
+// directory holding an earlier build's interrupted tool save is
+// refused, unchanged.
 //
 // o.CacheBytes is a PROCESS-WIDE block-cache budget: it is split
 // evenly across the embedded nodes, so opening more nodes never
@@ -107,8 +93,8 @@ func OpenBackendOptions(dir string, nodes int, o store.DiskOptions, co store.Clu
 			o.CacheBytes = 1
 		}
 	}
-	if err := HealInterruptedSave(dir); err != nil {
-		return nil, fmt.Errorf("collectagent: healing interrupted save: %w", err)
+	if err := refuseInterruptedSave(dir); err != nil {
+		return nil, err
 	}
 	// Opening fewer nodes than the directory holds would silently hide
 	// acknowledged data; make the shrink explicit.

@@ -66,8 +66,21 @@ func (c *Connection) ExportCSV(w io.Writer, topics []string, from, to int64) err
 
 // ImportCSV bulk-loads readings written by ExportCSV (or hand-made
 // files with the same header). It returns the number of readings
-// imported.
+// imported: at a row that does not parse, every row before it.
 func (c *Connection) ImportCSV(r io.Reader) (int, error) {
+	return ParseCSV(r, c.InsertBatch)
+}
+
+// csvBatch bounds the readings ParseCSV hands over at once, so parsing
+// a file holds one batch, however long a sensor's run of rows.
+const csvBatch = 1 << 13
+
+// ParseCSV reads a file in ImportCSV's format and hands its readings to
+// batch, a run of consecutive rows of one sensor at a time, at most
+// csvBatch readings long. It stops at the first row that does not parse
+// or the first error batch returns, and returns the number of readings
+// batch accepted.
+func ParseCSV(r io.Reader, batch func(topic string, rs []core.Reading) error) (int, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = 3
 	header, err := cr.Read()
@@ -79,17 +92,25 @@ func (c *Connection) ImportCSV(r io.Reader) (int, error) {
 	}
 	count := 0
 	batchTopic := ""
-	var batch []core.Reading
+	var rs []core.Reading
 	flush := func() error {
-		if len(batch) == 0 {
+		if len(rs) == 0 {
 			return nil
 		}
-		if err := c.InsertBatch(batchTopic, batch); err != nil {
+		if err := batch(batchTopic, rs); err != nil {
 			return err
 		}
-		count += len(batch)
-		batch = batch[:0]
+		count += len(rs)
+		rs = rs[:0]
 		return nil
+	}
+	// A row that does not parse ends the file: the rows before it are
+	// handed over first, so the count says where it is.
+	fail := func(err error) (int, error) {
+		if ferr := flush(); ferr != nil {
+			return count, ferr
+		}
+		return count, err
 	}
 	for {
 		rec, err := cr.Read()
@@ -97,23 +118,23 @@ func (c *Connection) ImportCSV(r io.Reader) (int, error) {
 			break
 		}
 		if err != nil {
-			return count, fmt.Errorf("libdcdb: reading CSV: %w", err)
+			return fail(fmt.Errorf("libdcdb: reading CSV: %w", err))
 		}
 		ts, err := time.Parse(time.RFC3339Nano, rec[1])
 		if err != nil {
-			return count, fmt.Errorf("libdcdb: bad timestamp %q: %w", rec[1], err)
+			return fail(fmt.Errorf("libdcdb: bad timestamp %q: %w", rec[1], err))
 		}
 		v, err := strconv.ParseFloat(rec[2], 64)
 		if err != nil {
-			return count, fmt.Errorf("libdcdb: bad value %q: %w", rec[2], err)
+			return fail(fmt.Errorf("libdcdb: bad value %q: %w", rec[2], err))
 		}
-		if rec[0] != batchTopic {
+		if rec[0] != batchTopic || len(rs) == csvBatch {
 			if err := flush(); err != nil {
 				return count, err
 			}
 			batchTopic = rec[0]
 		}
-		batch = append(batch, core.Reading{Timestamp: ts.UnixNano(), Value: v})
+		rs = append(rs, core.Reading{Timestamp: ts.UnixNano(), Value: v})
 	}
 	return count, flush()
 }

@@ -16,6 +16,7 @@
 package libdcdb
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -203,7 +204,8 @@ func (c *Connection) InsertBatch(topic string, rs []core.Reading) error {
 // was evaluated rather than read from the cache is then written back
 // under the sensor's SID, so later queries of it read the result
 // (paper §3.2). Only the queried sensor is written back, not the
-// virtual sensors its expression reads.
+// virtual sensors its expression reads, and nothing is written back to
+// a read-only backend.
 func (c *Connection) Query(topic string, from, to int64) ([]core.Reading, error) {
 	t, m, err := c.sensor(topic)
 	if err != nil {
@@ -237,7 +239,9 @@ func (c *Connection) Query(topic string, from, to int64) ([]core.Reading, error)
 	if err != nil {
 		return nil, err
 	}
-	if err := c.backend.InsertBatch(id, rs, m.TTL); err != nil {
+	if err := c.backend.InsertBatch(id, rs, m.TTL); errors.Is(err, store.ErrNodeReadOnly) {
+		return rs, nil // a read-only backend serves the evaluation uncached
+	} else if err != nil {
 		return nil, fmt.Errorf("libdcdb: caching virtual sensor results: %w", err)
 	}
 	c.mu.Lock()

@@ -525,8 +525,8 @@ func (n *Node) overBudget(*wal) bool {
 func (n *Node) Flush() error { return n.flush(nil, false) }
 
 // Spill flushes a durable node and waits until the spiller has written
-// every run to its file, so a bulk load (tooldb's Save) that spills as
-// it writes holds no more than it wrote in between. On a memory-only
+// every run to its file, so a bulk load that spills as it writes holds
+// no more than it wrote in between. On a memory-only
 // node it does nothing.
 func (n *Node) Spill() error {
 	if n.sp == nil {

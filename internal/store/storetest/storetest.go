@@ -1,11 +1,15 @@
 // Package storetest holds the read-path contract tests that must pass
 // for every kind of replica — in-process nodes and nodes behind the RPC
 // client — so the store and rpc packages run the same table instead of
-// near-copies of it.
+// near-copies of it, and the helpers the tests of the packages above
+// the store share.
 package storetest
 
 import (
 	"io"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"dcdb/internal/core"
@@ -83,6 +87,34 @@ func Versioned(b store.NodeBackend, id core.SensorID, from, to int64) ([]store.V
 		}
 		out = append(out, chunk...)
 	}
+}
+
+// Files returns every entry under dir, keyed by its path relative to
+// dir: a file's contents, or "/" for a directory; nil when dir does not
+// exist. Comparing it before and after an operation shows whether the
+// operation changed a name or a byte of the directory.
+func Files(t testing.TB, dir string) map[string]string {
+	t.Helper()
+	var files map[string]string
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		data := []byte("/")
+		if err == nil && !d.IsDir() {
+			data, err = os.ReadFile(path)
+		}
+		if files == nil {
+			files = map[string]string{}
+		}
+		files[rel] = string(data)
+		return err
+	})
+	if err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+	return files
 }
 
 // ConflictTable is the read path's QUORUM invariant as a test: a

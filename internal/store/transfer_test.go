@@ -1,20 +1,17 @@
 package store_test
 
 import (
-	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"testing"
 	"time"
 
 	"dcdb/internal/core"
-	"dcdb/internal/libdcdb"
 	"dcdb/internal/store"
-	"dcdb/internal/tooldb"
 )
 
-// The transfer-heap bound, for the paths that copy a sensor's readings
-// from one node to another: a rebalance, and the tools' Save.
+// The transfer-heap bound, for the path that copies a sensor's readings
+// from one node to another: a rebalance.
 
 // TestTransferHeapBoundedOnJoin: a join that moves one sensor of 10^6
 // readings streams it through the replica merge a chunk at a time, so
@@ -66,47 +63,6 @@ func TestTransferHeapBoundedOnJoin(t *testing.T) {
 		t.Fatalf("moving %d readings took %.1f MB of transient heap, want at most 16", total, float64(transient)/(1<<20))
 	}
 	t.Logf("transient heap of the move: %.1f MB", float64(transient)/(1<<20))
-}
-
-// TestTransferHeapBoundedOnSave: Save streams each sensor into the new
-// directory a chunk at a time, so saving a sensor of 10^6 readings needs
-// a bounded amount of heap beyond what stays retained — a copy that
-// materialised the sensor's history needed several times its size.
-func TestTransferHeapBoundedOnSave(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "db")
-	node := store.NewNode(0)
-	conn := libdcdb.Connect(node, nil)
-	const total = 1_000_000
-	rs := make([]core.Reading, 10_000)
-	for base := 0; base < total; base += len(rs) {
-		for i := range rs {
-			rs[i] = core.Reading{Timestamp: int64(base + i), Value: float64(i)}
-		}
-		if err := conn.InsertBatch("/big/sensor", rs); err != nil {
-			t.Fatal(err)
-		}
-	}
-	transient := transientHeap(func() {
-		if err := tooldb.Save(conn, node, dir); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if transient > 16<<20 {
-		t.Fatalf("saving %d readings took %.1f MB of transient heap, want at most 16", total, float64(transient)/(1<<20))
-	}
-	t.Logf("transient heap of the save: %.1f MB", float64(transient)/(1<<20))
-	// The source stays whole (and so stays retained across the
-	// measurement), and the saved directory serves all of it.
-	if got, err := conn.Query("/big/sensor", 0, total); err != nil || len(got) != total {
-		t.Fatalf("the source serves %d readings (%v) after the save, want %d", len(got), err, total)
-	}
-	conn2, _, err := tooldb.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := conn2.Query("/big/sensor", 0, total); err != nil || len(got) != total {
-		t.Fatalf("the saved directory serves %d readings (%v), want %d", len(got), err, total)
-	}
 }
 
 // transientHeap runs fn and returns how far the heap rose above what

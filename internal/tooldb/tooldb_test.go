@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -34,8 +35,10 @@ func TestOpenEmpty(t *testing.T) {
 
 func TestSaveOpenRoundtrip(t *testing.T) {
 	prefix := filepath.Join(t.TempDir(), "db")
-	node := store.NewNode(0)
-	conn := libdcdb.Connect(node, nil)
+	conn, c, err := Edit(prefix)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := conn.PublishSensor(core.Metadata{Topic: "/a/power", Unit: "W", Scale: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +50,7 @@ func TestSaveOpenRoundtrip(t *testing.T) {
 	if err := conn.PublishSensor(core.Metadata{Topic: "/a/double", Virtual: true, Expression: "</a/power> * 2"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := Save(conn, node, prefix); err != nil {
+	if err := Save(conn, c, prefix); err != nil {
 		t.Fatal(err)
 	}
 
@@ -109,7 +112,7 @@ func TestOpenRefusesSnapshotPrefix(t *testing.T) {
 // every reading.
 func TestImportIntoFreshDirectory(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "agent")
-	conn, node, err := Open(dir)
+	conn, c, err := Edit(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +127,7 @@ func TestImportIntoFreshDirectory(t *testing.T) {
 	if n, err := conn.ImportCSV(strings.NewReader(csv.String())); err != nil || n != 6 {
 		t.Fatalf("imported %d readings: %v", n, err)
 	}
-	if err := Save(conn, node, dir); err != nil {
+	if err := Save(conn, c, dir); err != nil {
 		t.Fatal(err)
 	}
 	conn2, _, err := Open(dir)
@@ -200,21 +203,22 @@ func TestOpenDataDirectory(t *testing.T) {
 	if _, ok := conn2.Metadata("/dc/r1/virt"); !ok {
 		t.Error("virtual sensor metadata lost in data-dir save")
 	}
-	// Save collapsed the cluster into node0.
-	if _, err := os.Stat(collectagent.NodeDir(dir, 1)); !os.IsNotExist(err) {
-		t.Errorf("stale node1 directory survived Save: %v", err)
+	// The edit kept the agent's layout: node1 still holds its readings.
+	if _, err := os.Stat(collectagent.NodeDir(dir, 1)); err != nil {
+		t.Errorf("node1 did not survive the edit: %v", err)
 	}
 }
 
 // TestOpenServesNewestReplicaWrite: when the node directories of an
 // agent disagree on a timestamp, Open serves the newest write — the
-// higher version, in node0 here — not the directory it merges last.
+// higher version, in node0 here — not the directory it reads last, nor
+// the larger value that breaks a tie between equal versions.
 func TestOpenServesNewestReplicaWrite(t *testing.T) {
 	dir := t.TempDir()
 	id := core.SensorID{Hi: 3, Lo: 4}
 	for i, vr := range []store.VersionedReading{
-		{Timestamp: 5, Value: 2, Version: 2},
-		{Timestamp: 5, Value: 1, Version: 1},
+		{Timestamp: 5, Value: 1, Version: 2},
+		{Timestamp: 5, Value: 2, Version: 1},
 	} {
 		n := store.NewNode(0)
 		if err := n.OpenOptions(collectagent.NodeDir(dir, i), store.DiskOptions{CompactInterval: -1}); err != nil {
@@ -227,13 +231,38 @@ func TestOpenServesNewestReplicaWrite(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, node, err := Open(dir)
+	_, c, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vrs, err := storetest.Versioned(node, id, 0, 10)
-	if err != nil || len(vrs) != 1 || vrs[0].Value != 2 || vrs[0].Version != 2 {
-		t.Fatalf("merged replicas serve %+v (%v), want node0's version 2, value 2", vrs, err)
+	defer c.Close()
+	rs, err := c.Query(id, 0, 10)
+	if err != nil || len(rs) != 1 || rs[0].Value != 1 {
+		t.Fatalf("merged replicas serve %+v (%v), want node0's version 2, value 1", rs, err)
+	}
+}
+
+// TestOpenRefusesInterruptedSave: both tool opens refuse the staging
+// directory an earlier build's Save left, and change nothing.
+func TestOpenRefusesInterruptedSave(t *testing.T) {
+	for _, staged := range []string{"node0.building", "node0.ready"} {
+		for name, open := range map[string]func(string) (*libdcdb.Connection, *store.Cluster, error){"Open": Open, "Edit": Edit} {
+			dir := t.TempDir()
+			if err := os.MkdirAll(filepath.Join(dir, staged, "shard-00"), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, "topics"), []byte("0/a 1\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			before := storetest.Files(t, dir)
+			if _, _, err := open(dir); err == nil || !strings.Contains(err.Error(), staged) ||
+				!strings.Contains(err.Error(), "with the build that wrote it") {
+				t.Fatalf("%s over %s: %v, want the refusal naming it and the way out", name, staged, err)
+			}
+			if after := storetest.Files(t, dir); !reflect.DeepEqual(after, before) {
+				t.Fatalf("the refused %s over %s changed the directory", name, staged)
+			}
+		}
 	}
 }
 
