@@ -337,33 +337,43 @@ func TestOpenBackendRejectsHiddenNodes(t *testing.T) {
 	}
 }
 
-// TestOpenBackendRefusesInterruptedSave: the staging directory of an
-// earlier build's tool save is refused by name, with the way out, and
-// the directory is left byte-identical.
-func TestOpenBackendRefusesInterruptedSave(t *testing.T) {
-	for _, staged := range []string{"node0.building", "node0.ready"} {
-		dir := t.TempDir()
-		c, err := OpenBackend(dir, 1, 1, store.RingPartitioner{}, store.DiskOptions{CompactInterval: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Insert(core.SensorID{Hi: 1, Lo: 1}, core.Reading{Timestamp: 1, Value: 1}, 0); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(filepath.Join(dir, staged, "shard-00"), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		before := storetest.Files(t, dir)
-		_, err = OpenBackend(dir, 1, 1, store.RingPartitioner{}, store.DiskOptions{CompactInterval: -1})
-		if !errors.Is(err, errInterruptedSave) || !strings.Contains(err.Error(), staged) {
-			t.Fatalf("open over %s: %v, want the refusal naming it", staged, err)
-		}
-		if after := storetest.Files(t, dir); !reflect.DeepEqual(after, before) {
-			t.Fatalf("the refused open over %s changed the directory", staged)
-		}
+// TestOpenBackendRefusesInterruptedSaveReady: the staging directory
+// an earlier build's tool save left ready to commit is refused by
+// name, and the directory is left byte-identical.
+func TestOpenBackendRefusesInterruptedSaveReady(t *testing.T) {
+	testRefusesInterruptedSave(t, "node0.ready")
+}
+
+// TestOpenBackendRefusesInterruptedSaveBuilding: the half-built
+// staging directory of an earlier build's tool save is refused by
+// name, and the directory is left byte-identical.
+func TestOpenBackendRefusesInterruptedSaveBuilding(t *testing.T) {
+	testRefusesInterruptedSave(t, "node0.building")
+}
+
+func testRefusesInterruptedSave(t *testing.T, staged string) {
+	t.Helper()
+	dir := t.TempDir()
+	c, err := OpenBackend(dir, 1, 1, store.RingPartitioner{}, store.DiskOptions{CompactInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Insert(core.SensorID{Hi: 1, Lo: 1}, core.Reading{Timestamp: 1, Value: 1}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(dir, staged, "shard-00"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	before := storetest.Files(t, dir)
+	_, err = OpenBackend(dir, 1, 1, store.RingPartitioner{}, store.DiskOptions{CompactInterval: -1})
+	if !errors.Is(err, errInterruptedSave) || !strings.Contains(err.Error(), staged) {
+		t.Fatalf("open over %s: %v, want the refusal naming it", staged, err)
+	}
+	if after := storetest.Files(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatalf("the refused open over %s changed the directory", staged)
 	}
 }
 
