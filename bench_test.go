@@ -564,7 +564,7 @@ func BenchmarkSpillSkewed(b *testing.B) {
 			b.Fatal(errs[0])
 		}
 	}
-	if err := n.Spill(); err != nil {
+	if err := n.Close(); err != nil { // spills every memtable
 		b.Fatal(err)
 	}
 	b.StopTimer()
@@ -600,20 +600,19 @@ func distinctShardSensors(b *testing.B) []core.SensorID {
 			return
 		}
 		defer os.RemoveAll(dir)
-		n := store.NewNode(0)
-		if err := n.OpenOptions(dir, store.DiskOptions{SyncInterval: -1, CompactInterval: -1}); err != nil {
-			shardSensors.err = err
-			return
-		}
-		defer n.Close()
 		seen := map[string]bool{}
 		for lo := uint64(0); len(shardSensors.ids) < 16 && lo < 10_000; lo++ {
 			id := core.SensorID{Hi: 48, Lo: lo}
-			if err := n.Insert(id, core.Reading{Timestamp: 1, Value: 1}, 0); err != nil {
+			n := store.NewNode(0)
+			if err := n.OpenOptions(dir, store.DiskOptions{SyncInterval: -1, CompactInterval: -1}); err != nil {
 				shardSensors.err = err
 				return
 			}
-			if err := n.Spill(); err != nil {
+			err := n.Insert(id, core.Reading{Timestamp: 1, Value: 1}, 0)
+			if cerr := n.Close(); err == nil { // spills the reading to its shard
+				err = cerr
+			}
+			if err != nil {
 				shardSensors.err = err
 				return
 			}

@@ -17,7 +17,7 @@ import (
 )
 
 // Policy describes an exponential backoff schedule. The zero value is
-// not useful; use Default() or fill the fields explicitly.
+// not useful; fill the fields explicitly.
 type Policy struct {
 	// Initial is the delay after the first failure.
 	Initial time.Duration
@@ -30,13 +30,6 @@ type Policy struct {
 	// delay for attempt k is uniform in [d*(1-Jitter), d]. 0 disables
 	// jitter — deterministic schedules for tests.
 	Jitter float64
-}
-
-// Default is the house policy: 100ms doubling to 3s with 25% jitter —
-// fast enough that a transient blip costs one round, slow enough that
-// a down peer is probed, not hammered.
-func Default() Policy {
-	return Policy{Initial: 100 * time.Millisecond, Max: 3 * time.Second, Multiplier: 2, Jitter: 0.25}
 }
 
 // jitterRand is the package-wide jitter source. Backoff jitter must
@@ -76,28 +69,6 @@ func (p Policy) Delay(failures int) time.Duration {
 		d -= d * p.Jitter * f
 	}
 	return time.Duration(d)
-}
-
-// Retry runs op until it succeeds, the attempt budget is spent, or ctx
-// is cancelled, sleeping the policy's delay between attempts. attempts
-// <= 0 retries until success or cancellation. The last op error is
-// returned on budget exhaustion; ctx.Err() is returned on
-// cancellation. The op itself is not interrupted mid-flight — only the
-// sleeps observe ctx.
-func Retry(ctx context.Context, p Policy, attempts int, op func() error) error {
-	var err error
-	for i := 1; attempts <= 0 || i <= attempts; i++ {
-		if err = op(); err == nil {
-			return nil
-		}
-		if attempts > 0 && i == attempts {
-			break
-		}
-		if serr := Sleep(ctx, p.Delay(i)); serr != nil {
-			return serr
-		}
-	}
-	return err
 }
 
 // Sleep blocks for d or until ctx is cancelled, whichever comes first,

@@ -54,57 +54,6 @@ func TestDelayDefaultsAndJitter(t *testing.T) {
 	if len(seen) < 2 {
 		t.Fatal("jitter produced a constant delay")
 	}
-	if d := Default().Delay(1); d <= 0 || d > 100*time.Millisecond {
-		t.Fatalf("Default first delay %v", d)
-	}
-}
-
-func TestRetryBudget(t *testing.T) {
-	p := Policy{Initial: time.Microsecond, Multiplier: 2}
-	boom := errors.New("boom")
-	calls := 0
-	err := Retry(context.Background(), p, 3, func() error { calls++; return boom })
-	if !errors.Is(err, boom) || calls != 3 {
-		t.Fatalf("Retry exhausted: err %v after %d calls", err, calls)
-	}
-	calls = 0
-	err = Retry(context.Background(), p, 5, func() error {
-		calls++
-		if calls < 3 {
-			return boom
-		}
-		return nil
-	})
-	if err != nil || calls != 3 {
-		t.Fatalf("Retry success: err %v after %d calls", err, calls)
-	}
-}
-
-func TestRetryUnlimitedAndCancel(t *testing.T) {
-	p := Policy{Initial: time.Microsecond, Multiplier: 2, Max: time.Microsecond}
-	calls := 0
-	if err := Retry(context.Background(), p, 0, func() error {
-		calls++
-		if calls < 50 {
-			return errors.New("again")
-		}
-		return nil
-	}); err != nil || calls != 50 {
-		t.Fatalf("unlimited Retry: err %v after %d calls", err, calls)
-	}
-	// Cancellation interrupts the sleep, not the op.
-	ctx, cancel := context.WithCancel(context.Background())
-	slow := Policy{Initial: time.Hour}
-	calls = 0
-	done := make(chan error, 1)
-	go func() {
-		done <- Retry(ctx, slow, 0, func() error { calls++; return errors.New("down") })
-	}()
-	time.Sleep(10 * time.Millisecond)
-	cancel()
-	if err := <-done; !errors.Is(err, context.Canceled) || calls != 1 {
-		t.Fatalf("cancelled Retry: err %v after %d calls", err, calls)
-	}
 }
 
 func TestSleep(t *testing.T) {

@@ -263,14 +263,6 @@ func RenderGroupingAblation(w io.Writer, a GroupingAblation) {
 		a.Sensors, a.Intervals, float64(a.PerSensorReads)/float64(a.GroupedReads))
 }
 
-// MeasuredPipelineThroughput drives the full in-process ingest pipeline
-// (encode → agent handle → store) for d and reports readings/s,
-// grounding the models in real measurements of this implementation.
-func MeasuredPipelineThroughput(d time.Duration, batch int) float64 {
-	perSec, _ := MeasuredAgentThroughputBatched(d, batch)
-	return perSec
-}
-
 // MeasuredAgentThroughputBatched is MeasuredAgentThroughput with
 // configurable batch size (burst-mode payloads).
 func MeasuredAgentThroughputBatched(d time.Duration, batch int) (perSec float64, nsPerReading float64) {

@@ -228,12 +228,12 @@ func TestMeasuredAgentThroughput(t *testing.T) {
 		t.Error("ns per reading not positive")
 	}
 	// Batched ingest is faster per reading.
-	_, nsBatched := MeasuredAgentThroughputBatched(50*time.Millisecond, 32)
+	tpBatched, nsBatched := MeasuredAgentThroughputBatched(50*time.Millisecond, 32)
+	if tpBatched <= 0 {
+		t.Error("batched throughput not positive")
+	}
 	if nsBatched >= ns {
 		t.Logf("batched %.0fns vs single %.0fns (machine-dependent, not fatal)", nsBatched, ns)
-	}
-	if tp := MeasuredPipelineThroughput(20*time.Millisecond, 8); tp <= 0 {
-		t.Error("pipeline throughput not positive")
 	}
 }
 

@@ -73,9 +73,6 @@ func New(window time.Duration) *Cache {
 	return c
 }
 
-// Window returns the configured retention window.
-func (c *Cache) Window() time.Duration { return c.window }
-
 // Store inserts a reading for the sensor with the given topic, evicting
 // readings that fall out of the window. first reports the topic's first
 // reading: a ring is never deleted, so that is once per topic.

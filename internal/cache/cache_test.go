@@ -116,10 +116,18 @@ func TestSnapshotTopicsLen(t *testing.T) {
 	}
 }
 
+// TestDefaultWindow: a cache made with no window keeps DefaultWindow
+// of readings behind the newest.
 func TestDefaultWindow(t *testing.T) {
 	c := New(0)
-	if c.Window() != DefaultWindow {
-		t.Errorf("Window = %v", c.Window())
+	sec := time.Second.Nanoseconds()
+	newest := DefaultWindow.Nanoseconds() + 10*sec
+	c.Store("/a", r(0, 1))      // DefaultWindow+10s behind: evicted
+	c.Store("/a", r(20*sec, 2)) // DefaultWindow-10s behind: kept
+	c.Store("/a", r(newest, 3))
+	rs := c.Range("/a", 0, newest)
+	if len(rs) != 2 || rs[0].Value != 2 || rs[1].Value != 3 {
+		t.Errorf("New(0) kept %+v, want the readings within %v of the newest", rs, DefaultWindow)
 	}
 }
 

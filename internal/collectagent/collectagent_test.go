@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -41,7 +42,7 @@ func TestHandleStoresReadings(t *testing.T) {
 		t.Fatalf("cache = %+v, %v", latest, ok)
 	}
 	// Hierarchy observed the topic.
-	if !a.Hierarchy().IsSensor("/s/n1/power") {
+	if !hasSensor(a, "/s/n1/power") {
 		t.Error("hierarchy missed the topic")
 	}
 	st := a.Stats()
@@ -70,12 +71,12 @@ func TestHandleErrors(t *testing.T) {
 	if a2.Stats().Errors != 1 {
 		t.Error("store failure not counted")
 	}
-	if a2.Hierarchy().IsSensor("/x") {
+	if hasSensor(a2, "/x") {
 		t.Error("hierarchy lists a topic whose write failed")
 	}
 	down.SetDown(false)
 	a2.Handle("/x", core.EncodeReadings([]core.Reading{{Timestamp: 2, Value: 1}}))
-	if !a2.Hierarchy().IsSensor("/x") {
+	if !hasSensor(a2, "/x") {
 		t.Error("hierarchy missed a topic once its write succeeded")
 	}
 }
@@ -596,7 +597,7 @@ func TestHandleKnownTopicAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() { a.Handle("/s/n1/power", payload) }); n > 2 {
 		t.Fatalf("Handle on a known topic allocates %v times, want at most 2", n)
 	}
-	if !a.Hierarchy().IsSensor("/s/n1/power") {
+	if !hasSensor(a, "/s/n1/power") {
 		t.Fatal("hierarchy missed the topic")
 	}
 }
@@ -620,4 +621,10 @@ func TestCacheTopicsGaugeAllocs(t *testing.T) {
 	if few, many := gatherAllocs(10), gatherAllocs(20_000); many > few {
 		t.Fatalf("a gather allocates %v times with 20000 cached topics, %v with 10", many, few)
 	}
+}
+
+// hasSensor reports whether a's hierarchy holds a sensor at topic:
+// Sensors lists its path itself exactly then.
+func hasSensor(a *Agent, topic string) bool {
+	return slices.Contains(a.Hierarchy().Sensors(topic), topic)
 }

@@ -35,13 +35,6 @@ func (r Reading) String() string {
 	return fmt.Sprintf("%s,%g", r.Time().UTC().Format(time.RFC3339Nano), r.Value)
 }
 
-// SensorReading couples a reading with the sensor's MQTT topic. This is
-// the unit of transport between Pushers and Collect Agents.
-type SensorReading struct {
-	Topic   string
-	Reading Reading
-}
-
 // Metadata describes the static properties of a sensor, configured via
 // the dcdbconfig tool and stored alongside the time series.
 type Metadata struct {

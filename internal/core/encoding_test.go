@@ -31,24 +31,3 @@ func TestReadingsWireRoundTrip(t *testing.T) {
 		t.Fatal("truncated payload accepted")
 	}
 }
-
-func TestPrefixOf(t *testing.T) {
-	m := NewTopicMapper()
-	full, err := m.Map("/rack1/node2/sensor3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := m.PrefixOf("/rack1/node2/sensor3", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := full.Prefix(2); p != want {
-		t.Fatalf("PrefixOf = %v, want %v", p, want)
-	}
-	if p == full {
-		t.Fatal("prefix did not zero the deeper levels")
-	}
-	if _, err := m.PrefixOf("//bad", 1); err == nil {
-		t.Fatal("bad topic accepted")
-	}
-}

@@ -73,14 +73,6 @@ func (h *Hierarchy) Children(path string) []string {
 	return out
 }
 
-// IsSensor reports whether a full sensor topic terminates at path.
-func (h *Hierarchy) IsSensor(path string) bool {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	n := h.navigate(path)
-	return n != nil && n.sensor
-}
-
 // Sensors returns all sensor topics below the given path (inclusive),
 // sorted. An empty path returns every known sensor.
 func (h *Hierarchy) Sensors(path string) []string {

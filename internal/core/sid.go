@@ -86,21 +86,6 @@ func (s SensorID) Compare(o SensorID) int {
 // String renders the SID as 32 hex digits.
 func (s SensorID) String() string { return fmt.Sprintf("%016x%016x", s.Hi, s.Lo) }
 
-// ParseSensorID parses the 32-hex-digit form produced by String.
-func ParseSensorID(s string) (SensorID, error) {
-	if len(s) != 32 {
-		return SensorID{}, fmt.Errorf("core: SID %q must be 32 hex digits", s)
-	}
-	var id SensorID
-	if _, err := fmt.Sscanf(s[:16], "%016x", &id.Hi); err != nil {
-		return SensorID{}, fmt.Errorf("core: bad SID %q: %w", s, err)
-	}
-	if _, err := fmt.Sscanf(s[16:], "%016x", &id.Lo); err != nil {
-		return SensorID{}, fmt.Errorf("core: bad SID %q: %w", s, err)
-	}
-	return id, nil
-}
-
 // TopicMapper maintains the 1:1 mapping between MQTT topics and SIDs.
 // Each hierarchy level owns a dictionary assigning dense 16-bit codes to
 // the component strings observed at that level, so the mapping is
@@ -236,19 +221,10 @@ func (m *TopicMapper) Lookup(topic string) (SensorID, bool) {
 	return m.snap.Load().resolve(parts)
 }
 
-// Reverse reconstructs the topic of a SID. The boolean is false when the
-// SID contains codes the mapper never assigned.
-func (m *TopicMapper) Reverse(id SensorID) (string, bool) {
-	parts, ok := m.ReverseParts(id, nil)
-	if !ok {
-		return "", false
-	}
-	return JoinTopic(parts), true
-}
-
-// ReverseParts is Reverse as the topic's components, appended to
-// parts. They are the dictionaries' own strings: nothing is allocated
-// beyond growing parts.
+// ReverseParts reconstructs the components of a SID's topic, appended
+// to parts. They are the dictionaries' own strings: nothing is
+// allocated beyond growing parts. The boolean is false when the SID
+// contains codes the mapper never assigned.
 func (m *TopicMapper) ReverseParts(id SensorID, parts []string) ([]string, bool) {
 	st := m.snap.Load()
 	n := len(parts)
@@ -265,16 +241,6 @@ func (m *TopicMapper) ReverseParts(id SensorID, parts []string) ([]string, bool)
 		parts = append(parts, d.names[code-1])
 	}
 	return parts, len(parts) > n
-}
-
-// PrefixOf maps the first n components of a topic to a partition prefix
-// SID, assigning codes as needed.
-func (m *TopicMapper) PrefixOf(topic string, n int) (SensorID, error) {
-	id, err := m.Map(topic)
-	if err != nil {
-		return SensorID{}, err
-	}
-	return id.Prefix(n), nil
 }
 
 // Export returns a stable snapshot of the dictionaries as

@@ -7,14 +7,9 @@
 // node and shipped to the coordinator as one small message
 // (aggregation pushdown).
 //
-// Fold states are mergeable across adjacent time ranges: a state over
-// [a, m] absorbs a state over (m, b] and yields exactly the aggregate
-// of the concatenated input (the trapezoid integral carries its
-// boundary readings so the bridging area between the two ranges is
-// recovered). Every state also carries an order-sensitive fingerprint
-// of the readings it consumed, which lets a replicated cluster detect
-// whether two replicas folded identical data without shipping the
-// data itself.
+// Every state carries an order-sensitive fingerprint of the readings it
+// consumed, which lets a replicated cluster detect whether two replicas
+// folded identical data without shipping the data itself.
 //
 // NaN/Inf handling: non-finite values are skipped by every fold (they
 // would otherwise poison sums, means and bucket averages permanently)
@@ -106,9 +101,9 @@ type State interface {
 	Skipped() int64
 	Fingerprint() uint64
 
-	// mergeAdjacent seals the interface to this package; encoding
-	// lives in the package-level Append/Decode pair (codec.go).
-	mergeAdjacent(o State) error
+	// sealed keeps the interface to this package's types, the only
+	// ones the package-level Append/Decode pair (codec.go) encodes.
+	sealed()
 }
 
 // New builds the empty state for a spec.
@@ -126,19 +121,6 @@ func New(spec Spec) (State, error) {
 	}
 }
 
-// MergeAdjacent absorbs b — the fold of the immediately following time
-// range — into a. Both states must come from the same Spec. After the
-// merge, a equals the aggregate of the concatenated input except for
-// floating-point association in running sums, and a's fingerprint is a
-// deterministic combination of the two (not the sequential fingerprint
-// of the concatenation).
-func MergeAdjacent(a, b State) error {
-	if a.Op() != b.Op() {
-		return fmt.Errorf("fold: cannot merge %s state into %s state", b.Op(), a.Op())
-	}
-	return a.mergeAdjacent(b)
-}
-
 // fingerprint is FNV-1a over the (timestamp, value-bits) sequence; the
 // multiply keeps it order-sensitive, so two replicas agree iff they
 // folded the same readings in the same order (whp).
@@ -151,11 +133,6 @@ func fpAdd(h uint64, r core.Reading) uint64 {
 	h = (h ^ uint64(r.Timestamp)) * fpPrime
 	return (h ^ math.Float64bits(r.Value)) * fpPrime
 }
-
-// fpCombine folds a later range's fingerprint into an earlier one.
-// Deterministic but distinct from the sequential fingerprint —
-// comparable only against states merged the same way.
-func fpCombine(a, b uint64) uint64 { return (a * fpPrime) ^ b }
 
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
@@ -221,37 +198,15 @@ func (s *Summary) Mean() float64 {
 	return s.Sum / float64(s.N)
 }
 
-func (s *Summary) mergeAdjacent(o State) error {
-	b := o.(*Summary)
-	if b.N > 0 {
-		if s.N == 0 {
-			s.Min, s.Max, s.First = b.Min, b.Max, b.First
-		} else {
-			if b.Min < s.Min {
-				s.Min = b.Min
-			}
-			if b.Max > s.Max {
-				s.Max = b.Max
-			}
-		}
-		s.Sum += b.Sum
-		s.Last = b.Last
-		s.N += b.N
-	}
-	s.Skip += b.Skip
-	s.fp = fpCombine(s.fp, b.fp)
-	return nil
-}
+func (*Summary) sealed() {}
 
 // --- Integral ---
 
 // Integral folds the trapezoid-rule time integral. It carries its
-// boundary readings (first and last accepted), which is what makes two
-// adjacent ranges mergeable: the bridging trapezoid between one
-// range's Last and the next range's First is added on merge. Pairs
-// with non-positive dt (duplicate or reordered timestamps) contribute
-// no area, mirroring Derivative's guard; non-finite values are skipped
-// and counted.
+// boundary readings (first and last accepted); Last bridges the
+// trapezoid into the next chunk. Pairs with non-positive dt (duplicate
+// or reordered timestamps) contribute no area, mirroring Derivative's
+// guard; non-finite values are skipped and counted.
 type Integral struct {
 	N, Skip int64
 	Sum     float64
@@ -306,22 +261,7 @@ func (g *Integral) Fingerprint() uint64 { return g.fp }
 // Value returns the accumulated integral in value-units × seconds.
 func (g *Integral) Value() float64 { return g.Sum }
 
-func (g *Integral) mergeAdjacent(o State) error {
-	b := o.(*Integral)
-	if b.N > 0 {
-		if g.N == 0 {
-			g.First = b.First
-			g.Sum += b.Sum
-		} else {
-			g.Sum += trapezoid(g.Last, b.First) + b.Sum
-		}
-		g.Last = b.Last
-		g.N += b.N
-	}
-	g.Skip += b.Skip
-	g.fp = fpCombine(g.fp, b.fp)
-	return nil
-}
+func (*Integral) sealed() {}
 
 // --- Derivative ---
 
@@ -510,38 +450,4 @@ func (d *Downsample) Result() []core.Reading {
 	return out
 }
 
-func (d *Downsample) mergeAdjacent(o State) error {
-	b := o.(*Downsample)
-	if b.FromTS != d.FromTS || b.ToTS != d.ToTS || b.NMax != d.NMax {
-		return fmt.Errorf("fold: downsample grids differ ([%d,%d]/%d vs [%d,%d]/%d)",
-			d.FromTS, d.ToTS, d.NMax, b.FromTS, b.ToTS, b.NMax)
-	}
-	fp := fpCombine(d.fp, b.fp)
-	switch {
-	case d.bsum == nil && b.bsum == nil:
-		d.Add(b.raw)
-	case d.bsum == nil && b.bsum != nil:
-		raw := d.raw
-		d.raw, d.n = nil, 0
-		d.bsum = make([]float64, len(b.bsum))
-		d.bn = make([]int64, len(b.bn))
-		d.addBucketed(raw)
-		for i := range b.bsum {
-			d.bsum[i] += b.bsum[i]
-			d.bn[i] += b.bn[i]
-		}
-		d.n += b.n
-		d.Skip += b.Skip
-	case d.bsum != nil && b.bsum == nil:
-		d.addBucketed(b.raw)
-	default:
-		for i := range b.bsum {
-			d.bsum[i] += b.bsum[i]
-			d.bn[i] += b.bn[i]
-		}
-		d.n += b.n
-		d.Skip += b.Skip
-	}
-	d.fp = fp
-	return nil
-}
+func (*Downsample) sealed() {}

@@ -123,83 +123,12 @@ func TestDerivativeChunkingInvariance(t *testing.T) {
 	}
 }
 
-// TestMergeAdjacent: a fold over [a, m] absorbing a fold over (m, b]
-// equals the fold of the whole series — exactly for counts, extrema
-// and boundaries; within float tolerance for running sums (merge
-// reassociates the additions).
-func TestMergeAdjacent(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 200; trial++ {
-		rs := genSeries(rng, rng.Intn(300)+2)
-		cut := rng.Intn(len(rs))
-		// Respect adjacency: both halves fold disjoint sorted ranges.
-		for cut > 0 && cut < len(rs) && rs[cut].Timestamp == rs[cut-1].Timestamp {
-			cut++
-		}
-		for _, spec := range specsFor(rs) {
-			whole := foldAll(t, spec, [][]core.Reading{rs})
-			left := foldAll(t, spec, [][]core.Reading{rs[:cut]})
-			right := foldAll(t, spec, [][]core.Reading{rs[cut:]})
-			if err := MergeAdjacent(left, right); err != nil {
-				t.Fatalf("trial %d %s: merge: %v", trial, spec.Op, err)
-			}
-			if left.Count() != whole.Count() || left.Skipped() != whole.Skipped() {
-				t.Fatalf("trial %d %s: merged counters %d/%d, want %d/%d",
-					trial, spec.Op, left.Count(), left.Skipped(), whole.Count(), whole.Skipped())
-			}
-			switch w := whole.(type) {
-			case *Summary:
-				m := left.(*Summary)
-				if !bitsEqual(m.Min, w.Min) || !bitsEqual(m.Max, w.Max) ||
-					m.First != w.First || m.Last != w.Last {
-					t.Fatalf("trial %d summary: merged %+v, want %+v", trial, m, w)
-				}
-				if !closeEnough(m.Sum, w.Sum) {
-					t.Fatalf("trial %d summary: merged sum %g, want %g", trial, m.Sum, w.Sum)
-				}
-			case *Integral:
-				m := left.(*Integral)
-				if m.First != w.First || m.Last != w.Last {
-					t.Fatalf("trial %d integral: merged boundaries differ", trial)
-				}
-				if !closeEnough(m.Sum, w.Sum) {
-					t.Fatalf("trial %d integral: merged %g, want %g", trial, m.Sum, w.Sum)
-				}
-			case *Downsample:
-				m := left.(*Downsample)
-				mr, wr := m.Result(), w.Result()
-				if len(mr) != len(wr) {
-					t.Fatalf("trial %d downsample: %d vs %d points", trial, len(mr), len(wr))
-				}
-				for i := range wr {
-					if mr[i].Timestamp != wr[i].Timestamp || !closeEnough(mr[i].Value, wr[i].Value) {
-						t.Fatalf("trial %d downsample point %d: %v vs %v", trial, i, mr[i], wr[i])
-					}
-				}
-			}
-		}
-	}
-}
-
 func closeEnough(a, b float64) bool {
 	if bitsEqual(a, b) {
 		return true
 	}
 	diff := math.Abs(a - b)
 	return diff <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
-}
-
-// TestMergeGridMismatch: downsample states over different grids must
-// refuse to merge (their buckets do not line up).
-func TestMergeGridMismatch(t *testing.T) {
-	a := NewDownsample(0, 100, 10)
-	b := NewDownsample(0, 200, 10)
-	if err := MergeAdjacent(a, b); err == nil {
-		t.Fatal("merging downsample states with different grids succeeded")
-	}
-	if err := MergeAdjacent(NewSummary(), NewIntegral()); err == nil {
-		t.Fatal("merging a summary with an integral succeeded")
-	}
 }
 
 // TestCodecRoundtrip: Append/Decode preserve every state bit-for-bit,

@@ -65,7 +65,9 @@ func (c *Connection) Backend() store.Backend { return c.backend }
 
 // PublishSensor registers (or updates) sensor metadata, making the
 // sensor visible in the hierarchy. This is dcdbconfig's "publish"
-// operation.
+// operation. It drops the periods Query has written back for the
+// topic, so a virtual sensor published again is evaluated with its new
+// expression.
 func (c *Connection) PublishSensor(m core.Metadata) error {
 	if err := m.Validate(); err != nil {
 		return err
@@ -86,6 +88,7 @@ func (c *Connection) PublishSensor(m core.Metadata) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.meta[topic] = m
+	delete(c.vcache, topic)
 	return c.hierarchy.Add(topic)
 }
 
@@ -375,18 +378,6 @@ func (s *connStreamSource) Expand(prefix string) ([]string, error) {
 		}
 	}
 	return out, nil
-}
-
-// InvalidateVirtual drops the cached periods of a virtual sensor,
-// forcing re-evaluation (used after its inputs are backfilled).
-func (c *Connection) InvalidateVirtual(topic string) {
-	t, err := core.CanonicalTopic(topic)
-	if err != nil {
-		return
-	}
-	c.mu.Lock()
-	delete(c.vcache, t)
-	c.mu.Unlock()
 }
 
 // DeleteBefore removes a sensor's readings older than the cutoff.

@@ -145,10 +145,38 @@ func TestVirtualSensor(t *testing.T) {
 	if err != nil || len(rs2) != 5 {
 		t.Fatalf("cached query: %v, %v", rs2, err)
 	}
-	// Invalidate: now evaluation fails because an input is gone.
-	c.InvalidateVirtual("/m/total")
+	// Publishing the sensor again drops its cached periods: now
+	// evaluation fails because an input is gone.
+	if err := c.PublishSensor(core.Metadata{Topic: "/m/total", Virtual: true, Expression: "</m/power1> + </m/power2>"}); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := c.Query("/m/total", 0, 10000); err == nil {
-		t.Error("query after invalidate with missing input succeeded")
+		t.Error("query after republishing with a missing input succeeded")
+	}
+}
+
+// TestVirtualSensorRepublished: a virtual sensor published again with a
+// new expression serves the new expression, not the written-back
+// results of the old one.
+func TestVirtualSensorRepublished(t *testing.T) {
+	c := newConn(t)
+	c.Insert("/a/x", rd(1, 1))
+	c.Insert("/a/x", rd(2, 2))
+	for _, p := range []struct {
+		expr string
+		k    float64
+	}{{`<"/a/x"> * 2`, 2}, {`<"/a/x"> * 3`, 3}} {
+		k := p.k
+		if err := c.PublishSensor(core.Metadata{Topic: "/a/v", Virtual: true, Expression: p.expr}); err != nil {
+			t.Fatal(err)
+		}
+		rs, err := c.Query("/a/v", 1, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rs) != 2 || rs[0].Value != k || rs[1].Value != 2*k {
+			t.Fatalf("published as * %g: query = %v, want %g, %g", k, rs, k, 2*k)
+		}
 	}
 }
 

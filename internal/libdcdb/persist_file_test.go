@@ -89,8 +89,8 @@ func TestRegisterStoredListsAsRegisterTopic(t *testing.T) {
 	}
 	ids = append(ids, core.SensorID{}.WithLevel(0, 99)) // no topic names it
 	for _, id := range ids {
-		if topic, ok := byID.Mapper().Reverse(id); ok {
-			if err := byTopic.RegisterTopic(topic); err != nil {
+		if parts, ok := byID.Mapper().ReverseParts(id, nil); ok {
+			if err := byTopic.RegisterTopic(core.JoinTopic(parts)); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -147,15 +147,6 @@ func (a *Agent) Members() []Member {
 	return a.snapshotLocked()
 }
 
-// RingMembers snapshots the placement-eligible members: everyone not
-// Dead or Left, sorted by ID. This is the set coordinators feed to the
-// consistent-hash ring.
-func (a *Agent) RingMembers() []Member {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.ringMembersLocked()
-}
-
 func (a *Agent) snapshotLocked() []Member {
 	out := make([]Member, 0, len(a.peers)+1)
 	out = append(out, a.self)
@@ -166,6 +157,9 @@ func (a *Agent) snapshotLocked() []Member {
 	return out
 }
 
+// ringMembersLocked lists the placement-eligible members: everyone not
+// Dead or Left, sorted by ID. This is the set OnChange hands to the
+// consistent-hash ring.
 func (a *Agent) ringMembersLocked() []Member {
 	out := make([]Member, 0, len(a.peers)+1)
 	if a.self.Status < StatusLeft {

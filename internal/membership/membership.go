@@ -11,9 +11,9 @@
 // incarnation from the wall clock, so it always outranks its previous
 // life without persisting anything.
 //
-// The member table is the input to placement: RingMembers (everyone
-// not Dead/Left) is what coordinators feed to the consistent-hash
-// ring, so any two nodes that have converged on the same table derive
+// The member table is the input to placement: its ring members
+// (everyone not Dead/Left), handed to OnChange, are what coordinators
+// feed to the consistent-hash ring, so any two nodes that have converged on the same table derive
 // bit-identical placement with no coordination beyond the gossip
 // itself.
 package membership

@@ -73,11 +73,14 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// ringIDs lists the members a's table holds placement-eligible: not
+// Dead or Left.
 func ringIDs(a *Agent) []string {
-	rm := a.RingMembers()
-	ids := make([]string, len(rm))
-	for i, m := range rm {
-		ids[i] = m.ID
+	var ids []string
+	for _, m := range a.Members() {
+		if m.Status < StatusLeft {
+			ids = append(ids, m.ID)
+		}
 	}
 	return ids
 }

@@ -333,8 +333,7 @@ agent chiller {
 }
 
 func TestBACnetPlugin(t *testing.T) {
-	srv := simbacnet.NewServer()
-	srv.AddObject(1001, func(time.Time) float64 { return 18.0 })
+	srv := simbacnet.NewServer(map[uint32]simbacnet.ObjectFunc{1001: func(time.Time) float64 { return 18.0 }})
 	if err := srv.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"dcdb/internal/core"
+	"dcdb/internal/fold"
 	"dcdb/internal/store"
 )
 
@@ -535,6 +536,10 @@ func TestRPCServerRejectsMalformedBodies(t *testing.T) {
 	trailing := buildRequest(3, opDeleteBefore, 0, body)
 	if resp := send(trailing); resp[8] != statusErr {
 		t.Fatalf("trailing bytes accepted: %v", resp)
+	}
+	agg := fold.AppendSpec(appendSID(nil, sid(1, 1)), fold.Spec{Op: fold.OpSummary, To: 10})
+	if resp := send(buildRequest(4, opAggregate, 0, append(agg, 0xff))); resp[8] != statusErr || !strings.Contains(string(resp[9:]), "1 trailing bytes") {
+		t.Fatalf("trailing bytes after an aggregate spec answered %q", resp[9:])
 	}
 	// Unknown opcode — which is also what the retired inserts (2, 3, 16),
 	// the retired one-frame Query (4), QueryPrefix (5) and QueryVersioned

@@ -560,10 +560,11 @@ func (s *Server) handle(sc *serverConn, payload []byte, arrived time.Time) []byt
 		resp = append(resp, metrics.EncodeSamples(samples)...)
 	case opAggregate:
 		sid := cur.sid()
-		spec := fold.Spec{Op: fold.Op(cur.u8())}
-		spec.From = cur.i64()
-		spec.To = cur.i64()
-		spec.Buckets = int(cur.u32())
+		spec, rest, err := fold.DecodeSpec(cur.rest())
+		if err != nil {
+			return fail(err)
+		}
+		cur.off -= len(rest) // what follows the spec is refused by done
 		if err := cur.done(); err != nil {
 			return fail(err)
 		}

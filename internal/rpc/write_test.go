@@ -312,7 +312,14 @@ func TestWritesDuringRebalanceStayReadableOverRPC(t *testing.T) {
 	if midTransition == 0 {
 		t.Log("the transition closed before any racing write; union writes not exercised this run")
 	}
-	c.RebalanceWait()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if _, moving := c.Members(); !moving {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the rebalance did not finish")
+		}
+	}
 	for s, id := range ids {
 		rs, err := c.Query(id, 0, 1<<60)
 		if err != nil {

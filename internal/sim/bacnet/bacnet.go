@@ -37,20 +37,13 @@ type ObjectFunc func(at time.Time) float64
 
 // Server simulates a BACnet device.
 type Server struct {
-	mu      sync.RWMutex
 	objects map[uint32]ObjectFunc
 	ln      net.Listener
 }
 
-// NewServer creates an empty device.
-func NewServer() *Server { return &Server{objects: make(map[uint32]ObjectFunc)} }
-
-// AddObject registers an analog-input instance.
-func (s *Server) AddObject(id uint32, f ObjectFunc) {
-	s.mu.Lock()
-	s.objects[id] = f
-	s.mu.Unlock()
-}
+// NewServer creates a device serving the given analog-input instances;
+// the server only reads the map.
+func NewServer(objects map[uint32]ObjectFunc) *Server { return &Server{objects: objects} }
 
 // Listen starts the device on addr.
 func (s *Server) Listen(addr string) error {
@@ -105,9 +98,7 @@ func (s *Server) serve(conn net.Conn) {
 			conn.Write([]byte{StatusUnknownProperty})
 			continue
 		}
-		s.mu.RLock()
 		f, ok := s.objects[obj]
-		s.mu.RUnlock()
 		if !ok {
 			conn.Write([]byte{StatusUnknownObject})
 			continue

@@ -6,8 +6,7 @@ import (
 )
 
 func TestReadPresentValue(t *testing.T) {
-	s := NewServer()
-	s.AddObject(3000161, func(time.Time) float64 { return 21.5 })
+	s := NewServer(map[uint32]ObjectFunc{3000161: func(time.Time) float64 { return 21.5 }})
 	if err := s.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}

@@ -79,15 +79,6 @@ func (c *CoolingCircuit) InletTempC(t time.Time) float64 {
 	return c.InletMinC + frac*(c.InletMaxC-c.InletMinC)
 }
 
-// OutletTempC returns the loop outlet temperature, inlet plus the
-// temperature lift produced by the absorbed heat at the current flow.
-func (c *CoolingCircuit) OutletTempC(t time.Time) float64 {
-	const specificHeat = 4186 // J/(kg·K), water
-	flow := c.FlowKgS(t)
-	dT := c.HeatRemovedKW(t) * 1000 / (specificHeat * flow)
-	return c.InletTempC(t) + dT
-}
-
 // FlowKgS returns the coolant mass flow in kg/s; the facility modulates
 // it mildly with load.
 func (c *CoolingCircuit) FlowKgS(t time.Time) float64 {
@@ -103,13 +94,4 @@ func (c *CoolingCircuit) HeatRemovedKW(t time.Time) float64 {
 	e := t.Sub(c.Start).Seconds()
 	ripple := 0.012 * math.Sin(2*math.Pi*e/613)
 	return c.PowerKW(t) * (c.Efficiency + ripple)
-}
-
-// EfficiencyAt returns the instantaneous heat-removal ratio at t.
-func (c *CoolingCircuit) EfficiencyAt(t time.Time) float64 {
-	p := c.PowerKW(t)
-	if p == 0 {
-		return 0
-	}
-	return c.HeatRemovedKW(t) / p
 }

@@ -184,9 +184,6 @@ func TestFacilityCircuit(t *testing.T) {
 		if inlet < c.InletMinC-0.01 || inlet > c.InletMaxC+0.01 {
 			t.Errorf("h%d: inlet %v outside range", h, inlet)
 		}
-		if c.OutletTempC(at) <= inlet {
-			t.Errorf("h%d: outlet not above inlet", h)
-		}
 		if c.FlowKgS(at) <= 0 {
 			t.Errorf("h%d: flow not positive", h)
 		}
@@ -206,9 +203,6 @@ func TestFacilityCircuit(t *testing.T) {
 		if math.Abs(e-0.90) > 0.03 {
 			t.Errorf("efficiency excursion %v", e)
 		}
-	}
-	if c.EfficiencyAt(start.Add(time.Hour)) <= 0 {
-		t.Error("EfficiencyAt")
 	}
 }
 
@@ -276,18 +270,6 @@ func TestWorkloadOverheadShape(t *testing.T) {
 	}
 }
 
-func TestWorkloadByName(t *testing.T) {
-	if a, ok := workload.ByName("amg"); !ok || a.Name != "amg" {
-		t.Error("ByName(amg)")
-	}
-	if _, ok := workload.ByName("zz"); ok {
-		t.Error("ByName(zz) found something")
-	}
-	if len(workload.CORAL2) != 4 {
-		t.Error("CORAL2 size")
-	}
-}
-
 func TestWorkloadProfilesSeparateApps(t *testing.T) {
 	// Sampling instructions-per-Watt through each profile must
 	// reproduce the ordering of Figure 10: Kripke and Quicksilver
@@ -310,24 +292,8 @@ func TestWorkloadProfilesSeparateApps(t *testing.T) {
 	if means["kripke"] < 2.5e5 || means["kripke"] > 4.5e5 {
 		t.Errorf("kripke mean = %v, want ≈3.6e5", means["kripke"])
 	}
-	// HPL profile: steady and compute-dense.
-	ipc, w := workload.HPLProfile(time.Minute)
-	if ipc < 2 || w < 300 {
-		t.Errorf("HPL profile = %v, %v", ipc, w)
-	}
-}
-
-func TestWorkloadKernel(t *testing.T) {
-	k := workload.NewKernel(32)
-	d := k.Run(3)
-	if d <= 0 {
-		t.Error("kernel reported no elapsed time")
-	}
-	if k.Checksum() == 0 {
-		t.Error("checksum zero (dead code eliminated?)")
-	}
-	if workload.NewKernel(0) == nil {
-		t.Error("default kernel")
+	if len(means) != 4 {
+		t.Errorf("CORAL2 has %d applications, want 4", len(means))
 	}
 }
 
@@ -382,8 +348,7 @@ func TestSNMPAgentClientDirect(t *testing.T) {
 }
 
 func TestBACnetServerClientDirect(t *testing.T) {
-	s := bacnet.NewServer()
-	s.AddObject(7, func(time.Time) float64 { return 21.5 })
+	s := bacnet.NewServer(map[uint32]bacnet.ObjectFunc{7: func(time.Time) float64 { return 21.5 }})
 	if err := s.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}

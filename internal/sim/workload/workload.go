@@ -1,8 +1,8 @@
 // Package workload models the reference applications of the paper's
-// evaluation: the shared-memory HPL benchmark and four MPI applications
-// from the CORAL-2 suite (AMG, LAMMPS, Quicksilver, Kripke). The real
-// codes and the production systems they ran on are unavailable, so each
-// application is captured by
+// evaluation: four MPI applications from the CORAL-2 suite (AMG,
+// LAMMPS, Quicksilver, Kripke). The real codes and the production
+// systems they ran on are unavailable, so each application is captured
+// by
 //
 //   - a phase profile driving the CPU-counter simulator (package
 //     sim/cpu), reproducing the per-application instructions-per-Watt
@@ -13,9 +13,6 @@
 //     many small MPI messages and fine-grained synchronisation, so its
 //     overhead grows linearly with node count, while the other three
 //     are only mildly affected by the Pusher's network traffic.
-//
-// A CPU-burning Kernel is also provided so that end-to-end overhead can
-// be measured for real against the actual Go Pusher on this machine.
 package workload
 
 import (
@@ -76,16 +73,6 @@ var (
 // CORAL2 lists the four applications in Figure 4's order.
 var CORAL2 = []App{Kripke, Quicksilver, LAMMPS, AMG}
 
-// ByName finds an application model.
-func ByName(name string) (App, bool) {
-	for _, a := range CORAL2 {
-		if a.Name == name {
-			return a, true
-		}
-	}
-	return App{}, false
-}
-
 // Overhead predicts the Pusher overhead percent for a weak-scaling run
 // at the given node count (Figure 4). coreOnly selects the tester-only
 // "core" configuration. jitter in [0,1) adds the deterministic
@@ -136,58 +123,3 @@ func (a App) Profile() cpu.Profile {
 		return ipc, power
 	}
 }
-
-// HPLProfile is the compute-bound profile of the shared-memory Linpack
-// run used in the overhead experiments: steady high IPC and power.
-func HPLProfile(elapsed time.Duration) (float64, float64) {
-	t := elapsed.Seconds()
-	return 2.3 + 0.05*math.Sin(t/5), 340 + 5*math.Sin(t/9)
-}
-
-// Kernel is a real CPU-burning work loop for measuring actual Pusher
-// interference on this machine: it performs a fixed number of work
-// units and reports the wall time. The work is a small dense
-// matrix-multiply kernel, HPL's inner loop in miniature.
-type Kernel struct {
-	n   int
-	a   []float64
-	b   []float64
-	c   []float64
-	sum float64
-}
-
-// NewKernel creates a kernel with an n×n working set (n≈64 keeps it in
-// cache, compute-bound like HPL).
-func NewKernel(n int) *Kernel {
-	if n <= 0 {
-		n = 64
-	}
-	k := &Kernel{n: n, a: make([]float64, n*n), b: make([]float64, n*n), c: make([]float64, n*n)}
-	for i := range k.a {
-		k.a[i] = float64(i%97) * 0.013
-		k.b[i] = float64(i%89) * 0.017
-	}
-	return k
-}
-
-// Run executes units work units and returns the elapsed wall time.
-func (k *Kernel) Run(units int) time.Duration {
-	start := time.Now()
-	n := k.n
-	for u := 0; u < units; u++ {
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				var s float64
-				for l := 0; l < n; l++ {
-					s += k.a[i*n+l] * k.b[l*n+j]
-				}
-				k.c[i*n+j] = s
-			}
-		}
-		k.sum += k.c[(u*7)%(n*n)]
-	}
-	return time.Since(start)
-}
-
-// Checksum defeats dead-code elimination across benchmark runs.
-func (k *Kernel) Checksum() float64 { return k.sum }

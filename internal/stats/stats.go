@@ -1,30 +1,15 @@
 // Package stats provides the statistical machinery of the evaluation:
-// median runtimes over repeated benchmark runs (§6.1), least-squares
-// linear regression for the CPU-load scaling model of Figure 7 and
-// Equation 1, and Gaussian kernel density estimation for the
-// instructions-per-Watt probability density functions of Figure 10.
+// means and standard deviations, least-squares linear regression for
+// the CPU-load scaling model of Figure 7 and Equation 1 and the cooling
+// efficiency fit of Figure 9, and Gaussian kernel density estimation
+// and histograms for the instructions-per-Watt probability density
+// functions of Figure 10.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
-
-// Median returns the median of the values (the paper uses median
-// runtimes to absorb outliers and performance fluctuations, §6.1).
-func Median(vals []float64) (float64, error) {
-	if len(vals) == 0 {
-		return 0, fmt.Errorf("stats: median of empty slice")
-	}
-	s := append([]float64(nil), vals...)
-	sort.Float64s(s)
-	n := len(s)
-	if n%2 == 1 {
-		return s[n/2], nil
-	}
-	return (s[n/2-1] + s[n/2]) / 2, nil
-}
 
 // Mean returns the arithmetic mean.
 func Mean(vals []float64) float64 {
@@ -97,9 +82,6 @@ func FitLinear(xs, ys []float64) (LinearFit, error) {
 	return f, nil
 }
 
-// At evaluates the fitted line.
-func (f LinearFit) At(x float64) float64 { return f.Intercept + f.Slope*x }
-
 // KDE is a Gaussian kernel density estimator over a sample.
 type KDE struct {
 	sample    []float64
@@ -121,9 +103,6 @@ func NewKDE(sample []float64, bandwidth float64) (*KDE, error) {
 	}
 	return &KDE{sample: append([]float64(nil), sample...), bandwidth: bandwidth}, nil
 }
-
-// Bandwidth returns the kernel bandwidth in use.
-func (k *KDE) Bandwidth() float64 { return k.bandwidth }
 
 // Density evaluates the estimated PDF at x.
 func (k *KDE) Density(x float64) float64 {
@@ -186,24 +165,4 @@ func Histogram(vals []float64, lo, hi float64, n int) []int {
 		bins[i]++
 	}
 	return bins
-}
-
-// Percentile returns the p-th percentile (0..100) by nearest-rank.
-func Percentile(vals []float64, p float64) (float64, error) {
-	if len(vals) == 0 {
-		return 0, fmt.Errorf("stats: percentile of empty slice")
-	}
-	s := append([]float64(nil), vals...)
-	sort.Float64s(s)
-	if p <= 0 {
-		return s[0], nil
-	}
-	if p >= 100 {
-		return s[len(s)-1], nil
-	}
-	rank := int(math.Ceil(p/100*float64(len(s)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	return s[rank], nil
 }

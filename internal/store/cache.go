@@ -233,18 +233,6 @@ func (c *blockCache) purge(rf *runFile) {
 	c.mu.Unlock()
 }
 
-// CacheStats reports the block cache's hit/miss counters and resident
-// bytes (zeros on a memory-only node, which has no cache).
-func (n *Node) CacheStats() (hits, misses, usedBytes int64) {
-	if n.cache == nil {
-		return 0, 0, 0
-	}
-	n.cache.mu.Lock()
-	usedBytes = n.cache.used
-	n.cache.mu.Unlock()
-	return n.cache.hits.Load(), n.cache.misses.Load(), usedBytes
-}
-
 // CacheBudget reports the node's block-cache capacity in bytes (0 when
 // the cache is unbounded or the node is memory-only).
 func (n *Node) CacheBudget() int64 {

@@ -546,14 +546,3 @@ func mergeSensorIDs(a, b []core.SensorID) []core.SensorID {
 	}
 	return out
 }
-
-// TotalInserts sums the insert counters of all backends (replication
-// makes this larger than the number of logical writes).
-func (c *Cluster) TotalInserts() int64 {
-	var total int64
-	for _, m := range c.top().members {
-		ins, _, _ := m.backend.Stats()
-		total += ins
-	}
-	return total
-}

@@ -250,12 +250,3 @@ func (c *Cluster) cutover(gen uint64) bool {
 	c.met.rebCutovers.Inc()
 	return true
 }
-
-// RebalanceWait blocks until no transition is in flight (or the
-// cluster closes). Tests and operators use it to sequence assertions
-// after a membership change; the live paths never need it.
-func (c *Cluster) RebalanceWait() {
-	for c.top().prevRing != nil && !c.closed.Load() {
-		time.Sleep(5 * time.Millisecond)
-	}
-}

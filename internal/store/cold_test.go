@@ -247,7 +247,7 @@ func TestColdReadsMatchModel(t *testing.T) {
 				return open()
 			}
 			mergeModelOps(t, rng, n, id, reopen)
-			if hits, misses, _ := cur.CacheStats(); hits+misses == 0 {
+			if cacheMetric(t, cur, "hits_total")+cacheMetric(t, cur, "misses_total") == 0 {
 				t.Fatal("no block-cache traffic: the cold path was never exercised")
 			}
 		})
@@ -317,7 +317,7 @@ func TestColdEqualsHotDirect(t *testing.T) {
 	// The cold node must actually have evicted: after waitIdle every
 	// spilled run dropped its entries, so cache misses are inevitable
 	// on the reads above.
-	if _, misses, _ := cold.CacheStats(); misses == 0 {
+	if cacheMetric(t, cold, "misses_total") == 0 {
 		t.Fatal("cold node never read a block from disk")
 	}
 }
@@ -797,7 +797,18 @@ func TestBoundedMemoryColdReads(t *testing.T) {
 	if peak > h0+slack {
 		t.Fatalf("heap peaked at %d during the cold scan (baseline %d, bound +%d)", peak, h0, slack)
 	}
-	if _, misses, used := n.CacheStats(); misses == 0 || used > o.CacheBytes {
-		t.Fatalf("cache stats misses=%d used=%d budget=%d", misses, used, o.CacheBytes)
+	if misses, used := cacheMetric(t, n, "misses_total"), cacheMetric(t, n, "used_bytes"); misses == 0 || used > float64(o.CacheBytes) {
+		t.Fatalf("cache stats misses=%g used=%g budget=%d", misses, used, o.CacheBytes)
 	}
+}
+
+// cacheMetric reads one of the block cache's metrics,
+// dcdb_store_cache_<name>, from n's metrics snapshot.
+func cacheMetric(t *testing.T, n *Node, name string) float64 {
+	t.Helper()
+	samples, err := n.MetricsSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sampleValue(t, samples, "dcdb_store_cache_"+name)
 }

@@ -362,8 +362,8 @@ func TestClusterMaintenanceFansOutToAllBackends(t *testing.T) {
 	if c.Replication() != 2 {
 		t.Fatalf("Replication() = %d", c.Replication())
 	}
-	if c.TotalInserts() != 8 { // 2 sensors × 2 readings × 2 replicas
-		t.Fatalf("TotalInserts = %d, want 8", c.TotalInserts())
+	if got := totalInserts(c); got != 8 { // 2 sensors × 2 readings × 2 replicas
+		t.Fatalf("members' inserts = %d, want 8", got)
 	}
 	// Every replica's memtable went through Flush into runs.
 	for _, n := range nodes {

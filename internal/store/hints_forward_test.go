@@ -58,30 +58,6 @@ func TestVersionedMissing(t *testing.T) {
 	}
 }
 
-func TestRebalanceWaitBlocksUntilCutover(t *testing.T) {
-	c, _ := ringCluster(t, []string{"alpha", "bravo"}, ClusterOptions{
-		Replication:      2,
-		WriteConsistency: ConsistencyQuorum,
-		ReadConsistency:  ConsistencyQuorum,
-		// A real throttle keeps the transition observable long enough for
-		// the wait to actually block.
-		RebalanceThrottle: 200 * time.Microsecond,
-	})
-	defer c.Close()
-	ids := seedSensors(t, c, 30, 10)
-
-	if err := c.SetMembers([]MemberInfo{
-		{ID: "alpha", Addr: "alpha"}, {ID: "bravo", Addr: "bravo"}, {ID: "charlie", Addr: "charlie"},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	c.RebalanceWait()
-	if _, transition := c.Members(); transition {
-		t.Fatal("RebalanceWait returned with a transition still in flight")
-	}
-	checkSensors(t, c, ids, 10)
-}
-
 // TestForwardedDeleteAndLegacyHints drives what the versioned-insert
 // forwarding test does not reach: a delete hint queued for a member
 // that then leaves the ring must re-coordinate through the current

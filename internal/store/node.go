@@ -524,19 +524,6 @@ func (n *Node) overBudget(*wal) bool {
 // node; the error reports a WAL segment that could not be created.
 func (n *Node) Flush() error { return n.flush(nil, false) }
 
-// Spill flushes a durable node and waits until the spiller has written
-// every run to its file, so a bulk load that spills as it writes holds
-// no more than it wrote in between. On a memory-only
-// node it does nothing.
-func (n *Node) Spill() error {
-	if n.sp == nil {
-		return nil
-	}
-	err := n.Flush()
-	n.sp.waitIdle()
-	return err
-}
-
 // flush moves every shard's memtable into an immutable in-memory run of
 // the current generation (immediately queryable) if due (nil: always)
 // says so under flushMu. On a writable durable node the generation's

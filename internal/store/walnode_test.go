@@ -280,15 +280,17 @@ func TestDirSyncFailureKeepsWAL(t *testing.T) {
 	// Run files — the failed spill's, renamed into place before its
 	// directory fsync, and two more — and a full compaction whose
 	// directory fsync fails.
-	if err := n2.Spill(); err != nil {
+	if err := n2.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	n2.sp.waitIdle()
 	if err := n2.Insert(id, rd(10, 10), 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := n2.Spill(); err != nil {
+	if err := n2.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	n2.sp.waitIdle()
 	runFiles := func() []string {
 		names, _ := filepath.Glob(filepath.Join(shardDir, "run-*.sst"))
 		return names

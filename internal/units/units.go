@@ -1,17 +1,16 @@
-// Package units provides the unit registry and automatic conversion used
-// by virtual sensors. When a virtual-sensor expression combines sensors
+// Package units is the unit registry behind the automatic conversion of
+// virtual sensors. When a virtual-sensor expression combines sensors
 // recorded in different units (paper §3.2: "the units of the underlying
-// physical sensors are converted automatically"), every operand is
-// normalised to the base unit of its dimension before evaluation.
+// physical sensors are converted automatically"), the evaluator looks
+// each operand's unit up here and normalises it to the base unit of its
+// dimension before evaluation.
 //
 // A unit converts to base as base = value*Factor + Offset; the offset is
-// only non-zero for temperatures (°C/°F to K).
+// only non-zero for temperatures (°C/°F to K). A unit the registry does
+// not know passes through unconverted.
 package units
 
-import (
-	"fmt"
-	"strings"
-)
+import "strings"
 
 // Dimension identifies a physical dimension; units convert only within
 // their dimension.
@@ -133,86 +132,4 @@ func Lookup(name string) (Unit, bool) {
 		return found, true
 	}
 	return Unit{}, false
-}
-
-// DimensionOf returns the dimension of a unit name; unknown names yield
-// None.
-func DimensionOf(name string) Dimension {
-	if u, ok := Lookup(name); ok {
-		return u.Dim
-	}
-	return None
-}
-
-// Compatible reports whether values can be converted between the two
-// units. Unknown or empty unit names are compatible with anything (they
-// pass through unconverted), matching DCDB's permissive treatment of
-// unitless sensors.
-func Compatible(from, to string) bool {
-	fu, fok := Lookup(from)
-	tu, tok := Lookup(to)
-	if !fok || !tok {
-		return true
-	}
-	return fu.Dim == tu.Dim
-}
-
-// Convert converts a value between units of the same dimension. When
-// either unit is unknown or empty the value passes through unchanged.
-func Convert(value float64, from, to string) (float64, error) {
-	if strings.EqualFold(from, to) {
-		return value, nil
-	}
-	fu, fok := Lookup(from)
-	tu, tok := Lookup(to)
-	if !fok || !tok {
-		return value, nil
-	}
-	if fu.Dim != tu.Dim {
-		return 0, fmt.Errorf("units: cannot convert %s (%s) to %s (%s)", from, fu.Dim, to, tu.Dim)
-	}
-	base := value*fu.Factor + fu.Offset
-	return (base - tu.Offset) / tu.Factor, nil
-}
-
-// ToBase converts a value of the named unit into its dimension's base
-// unit. Unknown units pass through.
-func ToBase(value float64, name string) float64 {
-	u, ok := Lookup(name)
-	if !ok {
-		return value
-	}
-	return value*u.Factor + u.Offset
-}
-
-// BaseName returns the canonical base-unit name of the unit's dimension
-// ("" when unknown).
-func BaseName(name string) string {
-	switch DimensionOf(name) {
-	case Power:
-		return "W"
-	case Energy:
-		return "J"
-	case Temperature:
-		return "K"
-	case Time:
-		return "s"
-	case Frequency:
-		return "Hz"
-	case Data:
-		return "B"
-	case DataRate:
-		return "B/s"
-	case FlowRate:
-		return "m3/s"
-	case Fraction:
-		return "ratio"
-	case Count:
-		return "events"
-	case Voltage:
-		return "V"
-	case Current:
-		return "A"
-	}
-	return ""
 }

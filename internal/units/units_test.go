@@ -3,141 +3,115 @@ package units
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func approx(a, b float64) bool {
 	return math.Abs(a-b) < 1e-9*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
 }
 
-func TestConvertPower(t *testing.T) {
-	cases := []struct {
-		v        float64
-		from, to string
-		want     float64
-	}{
-		{1500, "mW", "W", 1.5},
-		{1.5, "kW", "W", 1500},
-		{2, "MW", "kW", 2000},
-		{1, "W", "uW", 1e6},
+// toBase converts as the virtual-sensor evaluator does: a value of a
+// registered unit in its dimension's base unit.
+func toBase(t *testing.T, v float64, name string) float64 {
+	t.Helper()
+	u, ok := Lookup(name)
+	if !ok {
+		t.Fatalf("unit %q not registered", name)
+	}
+	return v*u.Factor + u.Offset
+}
+
+// toBaseCase is a value of a unit and the same value in its base unit.
+type toBaseCase struct {
+	v    float64
+	unit string
+	want float64
+}
+
+// checkToBase checks each case against the base unit named base, which
+// must be registered with factor 1 and offset 0 in the same dimension.
+func checkToBase(t *testing.T, base string, cases []toBaseCase) {
+	t.Helper()
+	b, ok := Lookup(base)
+	if !ok || b.Factor != 1 || b.Offset != 0 {
+		t.Fatalf("base unit %q: %+v, %v", base, b, ok)
 	}
 	for _, c := range cases {
-		got, err := Convert(c.v, c.from, c.to)
-		if err != nil || !approx(got, c.want) {
-			t.Errorf("Convert(%v, %s, %s) = %v, %v; want %v", c.v, c.from, c.to, got, err, c.want)
+		if u, _ := Lookup(c.unit); u.Dim != b.Dim {
+			t.Errorf("%s is %q, not %q like its base unit %s", c.unit, u.Dim, b.Dim, base)
+		}
+		if got := toBase(t, c.v, c.unit); !approx(got, c.want) {
+			t.Errorf("%v %s = %v %s, want %v", c.v, c.unit, got, base, c.want)
 		}
 	}
 }
 
+func TestConvertPower(t *testing.T) {
+	checkToBase(t, "W", []toBaseCase{
+		{1500, "mW", 1.5},
+		{1.5, "kW", 1500},
+		{2, "kW", 2000},
+		{2, "MW", 2e6},
+		{1e6, "uW", 1},
+	})
+}
+
 func TestConvertTemperature(t *testing.T) {
-	got, err := Convert(25, "C", "K")
-	if err != nil || !approx(got, 298.15) {
-		t.Errorf("25C = %vK, %v", got, err)
-	}
-	got, err = Convert(298.15, "K", "C")
-	if err != nil || !approx(got, 25) {
-		t.Errorf("298.15K = %vC, %v", got, err)
-	}
-	got, err = Convert(32, "F", "C")
-	if err != nil || !approx(got, 0) {
-		t.Errorf("32F = %vC, %v", got, err)
-	}
-	got, err = Convert(45000, "mC", "C")
-	if err != nil || !approx(got, 45) {
-		t.Errorf("45000mC = %vC, %v", got, err)
-	}
+	checkToBase(t, "K", []toBaseCase{
+		{25, "C", 298.15},
+		{25, "degC", 298.15},
+		{32, "F", 273.15},
+		{45000, "mC", 318.15},
+	})
 }
 
 func TestConvertEnergyAndFlow(t *testing.T) {
-	got, _ := Convert(1, "kWh", "J")
-	if !approx(got, 3.6e6) {
-		t.Errorf("1 kWh = %v J", got)
-	}
-	got, _ = Convert(3600, "m3/h", "m3/s")
-	if !approx(got, 1) {
-		t.Errorf("3600 m3/h = %v m3/s", got)
-	}
-	got, _ = Convert(60, "l/min", "l/s")
-	if !approx(got, 1) {
-		t.Errorf("60 l/min = %v l/s", got)
-	}
+	checkToBase(t, "J", []toBaseCase{{1, "kWh", 3.6e6}})
+	checkToBase(t, "m3/s", []toBaseCase{
+		{3600, "m3/h", 1},
+		{60, "l/min", 1e-3},
+		{1, "l/s", 1e-3},
+	})
 }
 
 func TestConvertFraction(t *testing.T) {
-	got, _ := Convert(90, "%", "ratio")
-	if !approx(got, 0.9) {
-		t.Errorf("90%% = %v", got)
-	}
+	checkToBase(t, "ratio", []toBaseCase{{90, "%", 0.9}})
 }
 
+// TestConvertIncompatible: units of different dimensions do not share
+// a base, and a unit the registry does not know is not found (the
+// evaluator passes its values through unconverted).
 func TestConvertIncompatible(t *testing.T) {
-	if _, err := Convert(1, "W", "K"); err == nil {
-		t.Error("W->K accepted")
+	kw, _ := Lookup("kW")
+	k, _ := Lookup("K")
+	if kw.Dim != Power || k.Dim != Temperature {
+		t.Errorf("kW is %q, K is %q", kw.Dim, k.Dim)
 	}
-	if !Compatible("W", "mW") || Compatible("W", "K") {
-		t.Error("Compatible wrong")
+	for _, name := range []string{"frobs", "xyzzy", ""} {
+		if u, ok := Lookup(name); ok {
+			t.Errorf("Lookup(%q) = %+v", name, u)
+		}
 	}
-	// Unknown units pass through.
-	got, err := Convert(7, "frobs", "W")
-	if err != nil || got != 7 {
-		t.Errorf("unknown unit: %v, %v", got, err)
+	pairs := map[string]string{
+		"ms": "s", "GHz": "Hz", "MiB": "B", "GB/s": "B/s",
+		"instructions": "events", "mV": "V", "mA": "A",
 	}
-	if !Compatible("frobs", "W") {
-		t.Error("unknown should be compatible")
+	for unit, base := range pairs {
+		u, _ := Lookup(unit)
+		b, _ := Lookup(base)
+		if u.Dim == None || u.Dim != b.Dim || b.Factor != 1 || b.Offset != 0 {
+			t.Errorf("%s (%+v) has not the base unit %s (%+v)", unit, u, base, b)
+		}
 	}
 }
 
 func TestConvertIdentityAndCase(t *testing.T) {
-	got, err := Convert(5, "W", "w")
-	if err != nil || got != 5 {
-		t.Errorf("case-insensitive identity: %v, %v", got, err)
-	}
-	if _, ok := Lookup("KW"); !ok {
-		t.Error("case-insensitive lookup failed")
-	}
-}
-
-func TestToBaseAndBaseName(t *testing.T) {
-	if got := ToBase(2, "kW"); !approx(got, 2000) {
-		t.Errorf("ToBase(2, kW) = %v", got)
-	}
-	if got := ToBase(3, "unknown"); got != 3 {
-		t.Errorf("ToBase unknown = %v", got)
-	}
-	pairs := map[string]string{
-		"mW": "W", "kWh": "J", "C": "K", "ms": "s", "GHz": "Hz",
-		"MiB": "B", "GB/s": "B/s", "l/min": "m3/s", "%": "ratio",
-		"instructions": "events", "mV": "V", "mA": "A", "zz": "",
-	}
-	for in, want := range pairs {
-		if got := BaseName(in); got != want {
-			t.Errorf("BaseName(%s) = %q, want %q", in, got, want)
+	for name, want := range map[string]string{"w": "W", "KW": "kW", "W": "W"} {
+		if u, ok := Lookup(name); !ok || u.Name != want {
+			t.Errorf("Lookup(%q) = %+v, %v; want %s", name, u, ok, want)
 		}
 	}
-}
-
-func TestDimensionOf(t *testing.T) {
-	if DimensionOf("kW") != Power || DimensionOf("xyzzy") != None {
-		t.Error("DimensionOf wrong")
-	}
-}
-
-func TestConvertRoundtripQuick(t *testing.T) {
-	pairs := [][2]string{{"mW", "kW"}, {"C", "F"}, {"ms", "h"}, {"KiB", "GB"}, {"l/min", "m3/h"}}
-	f := func(v float64) bool {
-		if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 1e12 {
-			return true
-		}
-		for _, p := range pairs {
-			fwd, err1 := Convert(v, p[0], p[1])
-			back, err2 := Convert(fwd, p[1], p[0])
-			if err1 != nil || err2 != nil || !approx(back, v) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
+	// mW and MW differ only in case: "mw" is ambiguous.
+	if u, ok := Lookup("mw"); ok {
+		t.Errorf("ambiguous Lookup(mw) = %+v", u)
 	}
 }
