@@ -83,16 +83,26 @@ func TestConvertFraction(t *testing.T) {
 func TestConvertIncompatible(t *testing.T) {
 	kw, _ := Lookup("kW")
 	k, _ := Lookup("K")
-	if kw.Dim != Power || k.Dim != Temperature {
-		t.Errorf("kW is %q, K is %q", kw.Dim, k.Dim)
+	if kw.Dim == k.Dim {
+		t.Errorf("kW and K share the dimension %q", kw.Dim)
 	}
 	for _, name := range []string{"frobs", "xyzzy", ""} {
 		if u, ok := Lookup(name); ok {
 			t.Errorf("Lookup(%q) = %+v", name, u)
 		}
 	}
+}
+
+// TestToBaseAndBaseName: a value converts to its base unit, and each
+// unit's base unit is registered in its dimension with factor 1 and
+// offset 0.
+func TestToBaseAndBaseName(t *testing.T) {
+	if got := toBase(t, 2, "kW"); !approx(got, 2000) {
+		t.Errorf("2 kW = %v W", got)
+	}
 	pairs := map[string]string{
-		"ms": "s", "GHz": "Hz", "MiB": "B", "GB/s": "B/s",
+		"mW": "W", "kWh": "J", "C": "K", "ms": "s", "GHz": "Hz",
+		"MiB": "B", "GB/s": "B/s", "l/min": "m3/s", "%": "ratio",
 		"instructions": "events", "mV": "V", "mA": "A",
 	}
 	for unit, base := range pairs {
@@ -101,6 +111,20 @@ func TestConvertIncompatible(t *testing.T) {
 		if u.Dim == None || u.Dim != b.Dim || b.Factor != 1 || b.Offset != 0 {
 			t.Errorf("%s (%+v) has not the base unit %s (%+v)", unit, u, base, b)
 		}
+	}
+}
+
+// TestDimensionOf: a registered unit carries its dimension; an unknown
+// one has none.
+func TestDimensionOf(t *testing.T) {
+	if u, _ := Lookup("kW"); u.Dim != Power {
+		t.Errorf("kW is %q, want %q", u.Dim, Power)
+	}
+	if u, _ := Lookup("K"); u.Dim != Temperature {
+		t.Errorf("K is %q, want %q", u.Dim, Temperature)
+	}
+	if u, ok := Lookup("xyzzy"); ok || u.Dim != None {
+		t.Errorf("Lookup(xyzzy) = %+v, %v", u, ok)
 	}
 }
 
