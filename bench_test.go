@@ -246,7 +246,7 @@ func BenchmarkStoreInsert(b *testing.B) {
 	id := core.SensorID{Hi: 42, Lo: 7}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := n.Insert(id, core.Reading{Timestamp: int64(i), Value: 1}, 0); err != nil {
+		if err := n.InsertBatch(id, []core.Reading{{Timestamp: int64(i), Value: 1}}, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -283,7 +283,7 @@ func BenchmarkStoreInsertParallel(b *testing.B) {
 		ts := int64(0)
 		for pb.Next() {
 			ts++
-			if err := n.Insert(id, core.Reading{Timestamp: ts, Value: 1}, 0); err != nil {
+			if err := n.InsertBatch(id, []core.Reading{{Timestamp: ts, Value: 1}}, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -321,7 +321,7 @@ func BenchmarkStoreQueryParallel(b *testing.B) {
 	for s := 0; s < sensors; s++ {
 		id := core.SensorID{Hi: uint64(s), Lo: 1}
 		for i := int64(0); i < 20000; i++ {
-			n.Insert(id, core.Reading{Timestamp: i, Value: float64(i)}, 0)
+			n.InsertBatch(id, []core.Reading{{Timestamp: i, Value: float64(i)}}, 0)
 		}
 	}
 	var worker int64
@@ -452,7 +452,7 @@ func BenchmarkDurableInsertSyncEvery(b *testing.B) {
 	id := core.SensorID{Hi: 42, Lo: 7}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := n.Insert(id, core.Reading{Timestamp: int64(i), Value: 1}, 0); err != nil {
+		if err := n.InsertBatch(id, []core.Reading{{Timestamp: int64(i), Value: 1}}, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -477,7 +477,7 @@ func BenchmarkDurableInsertSyncEveryParallel(b *testing.B) {
 		ts := int64(0)
 		for pb.Next() {
 			ts++
-			if err := n.Insert(id, core.Reading{Timestamp: ts, Value: 1}, 0); err != nil {
+			if err := n.InsertBatch(id, []core.Reading{{Timestamp: ts, Value: 1}}, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -500,7 +500,7 @@ func BenchmarkDurableInsertBatchedWAL(b *testing.B) {
 		ts := int64(0)
 		for pb.Next() {
 			ts++
-			if err := n.Insert(id, core.Reading{Timestamp: ts, Value: 1}, 0); err != nil {
+			if err := n.InsertBatch(id, []core.Reading{{Timestamp: ts, Value: 1}}, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -608,7 +608,7 @@ func distinctShardSensors(b *testing.B) []core.SensorID {
 				shardSensors.err = err
 				return
 			}
-			err := n.Insert(id, core.Reading{Timestamp: 1, Value: 1}, 0)
+			err := n.InsertBatch(id, []core.Reading{{Timestamp: 1, Value: 1}}, 0)
 			if cerr := n.Close(); err == nil { // spills the reading to its shard
 				err = cerr
 			}
@@ -658,7 +658,7 @@ func BenchmarkRPCInsertLoopback(b *testing.B) {
 	id := core.SensorID{Hi: 42, Lo: 7}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := cl.Insert(id, core.Reading{Timestamp: int64(i), Value: 1}, 0); err != nil {
+		if err := cl.InsertBatch(id, []core.Reading{{Timestamp: int64(i), Value: 1}}, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -676,7 +676,7 @@ func BenchmarkRPCInsertLoopbackParallel(b *testing.B) {
 		ts := int64(0)
 		for pb.Next() {
 			ts++
-			if err := cl.Insert(id, core.Reading{Timestamp: ts, Value: 1}, 0); err != nil {
+			if err := cl.InsertBatch(id, []core.Reading{{Timestamp: ts, Value: 1}}, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -709,7 +709,7 @@ func BenchmarkRPCQueryLoopback(b *testing.B) {
 	n, cl := rpcPair(b)
 	id := core.SensorID{Hi: 1, Lo: 1}
 	for i := int64(0); i < 20000; i++ {
-		n.Insert(id, core.Reading{Timestamp: i, Value: float64(i)}, 0)
+		n.InsertBatch(id, []core.Reading{{Timestamp: i, Value: float64(i)}}, 0)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -928,7 +928,7 @@ func BenchmarkStoreQuery(b *testing.B) {
 	n := store.NewNode(1 << 12)
 	id := core.SensorID{Hi: 1, Lo: 1}
 	for i := int64(0); i < 100000; i++ {
-		n.Insert(id, core.Reading{Timestamp: i, Value: float64(i)}, 0)
+		n.InsertBatch(id, []core.Reading{{Timestamp: i, Value: float64(i)}}, 0)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -118,8 +118,8 @@ func TestOpenClusterPlacementWiring(t *testing.T) {
 		if watcher != nil {
 			defer watcher.Stop()
 		}
-		if ms, _ := cluster.Members(); len(ms) != 3 {
-			t.Fatalf("%v: %d members, want 3", args, len(ms))
+		if n := len(cluster.Backends()); n != 3 {
+			t.Fatalf("%v: %d members, want 3", args, n)
 		}
 		// Sixteen leaves under each of sixteen depth-4 subtrees.
 		var out [][]string

@@ -42,7 +42,7 @@ func agentDir(t *testing.T) string {
 		}
 		for k := 0; k < 10; k++ {
 			r := core.Reading{Timestamp: t0.Add(time.Duration(k) * time.Second).UnixNano(), Value: float64(100*i + k)}
-			if err := c.Insert(id, r, 0); err != nil {
+			if err := c.InsertBatch(id, []core.Reading{r}, 0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -177,7 +177,7 @@ func TestCompactKeepsStamps(t *testing.T) {
 	}
 	id := core.SensorID{Hi: 7, Lo: 7}
 	before := time.Now()
-	if err := c.Insert(id, core.Reading{Timestamp: t0.UnixNano(), Value: 1}, time.Hour); err != nil {
+	if err := c.InsertBatch(id, []core.Reading{{Timestamp: t0.UnixNano(), Value: 1}}, time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	after := time.Now()
@@ -193,7 +193,7 @@ func TestCompactKeepsStamps(t *testing.T) {
 	}
 	defer tc.Close()
 	var vrs []store.VersionedReading
-	for _, n := range tc.Nodes() {
+	for _, n := range tc.Backends() {
 		got, err := storetest.Versioned(n, id, 0, 1<<62)
 		if err != nil {
 			t.Fatal(err)

@@ -81,7 +81,7 @@ func TestReopenRecoversWrittenReading(t *testing.T) {
 		}
 		c := rpc.NewClient(d.srv.Addr(), rpc.ClientOptions{})
 		if round == 0 {
-			if err := c.Insert(id, core.Reading{Timestamp: 7, Value: 42}, 0); err != nil {
+			if err := c.InsertBatch(id, []core.Reading{{Timestamp: 7, Value: 42}}, 0); err != nil {
 				t.Fatal(err)
 			}
 		}

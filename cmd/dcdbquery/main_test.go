@@ -18,7 +18,7 @@ import (
 func TestPrintSamples(t *testing.T) {
 	reg := metrics.NewRegistry()
 	reg.Counter("dcdb_test_b_total", "b").Add(3)
-	reg.Gauge("dcdb_test_a_gauge", "a").Set(15)
+	reg.Gauge("dcdb_test_a_gauge", "a").Add(15)
 	h := reg.LatencyHistogram("dcdb_test_lat_seconds", "lat", 1)
 	h.Observe(1000)
 	h.Observe(3000)
@@ -104,8 +104,8 @@ func TestOpenPlacementWiring(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer cluster.Close()
-		if ms, _ := cluster.Members(); len(ms) != 3 {
-			t.Fatalf("%v: %d members, want 3", args, len(ms))
+		if n := len(cluster.Backends()); n != 3 {
+			t.Fatalf("%v: %d members, want 3", args, n)
 		}
 		// Sixteen leaves under each of sixteen depth-4 subtrees.
 		var out [][]string

@@ -10,7 +10,6 @@
 package backoff
 
 import (
-	"context"
 	"math/rand"
 	"sync"
 	"time"
@@ -69,27 +68,4 @@ func (p Policy) Delay(failures int) time.Duration {
 		d -= d * p.Jitter * f
 	}
 	return time.Duration(d)
-}
-
-// Sleep blocks for d or until ctx is cancelled, whichever comes first,
-// returning ctx.Err() on cancellation. The shared building block for
-// loops that manage their own attempt counting.
-func Sleep(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		// Still honour an already-cancelled context.
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		default:
-			return nil
-		}
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
 }

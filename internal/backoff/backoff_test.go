@@ -1,8 +1,6 @@
 package backoff
 
 import (
-	"context"
-	"errors"
 	"testing"
 	"time"
 )
@@ -53,27 +51,5 @@ func TestDelayDefaultsAndJitter(t *testing.T) {
 	}
 	if len(seen) < 2 {
 		t.Fatal("jitter produced a constant delay")
-	}
-}
-
-func TestSleep(t *testing.T) {
-	if err := Sleep(context.Background(), 0); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	// A cancelled context is honoured even for a zero sleep.
-	if err := Sleep(ctx, 0); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Sleep(cancelled, 0) = %v", err)
-	}
-	if err := Sleep(ctx, time.Hour); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Sleep(cancelled, 1h) = %v", err)
-	}
-	start := time.Now()
-	if err := Sleep(context.Background(), time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if time.Since(start) < time.Millisecond {
-		t.Fatal("Sleep returned early")
 	}
 }

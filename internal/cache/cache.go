@@ -123,26 +123,6 @@ func (c *Cache) Latest(topic string) (core.Reading, bool) {
 	return rg.buf[(rg.head+rg.count-1)%len(rg.buf)], true
 }
 
-// Range returns the cached readings of the sensor with timestamps in
-// [from, to], oldest first.
-func (c *Cache) Range(topic string, from, to int64) []core.Reading {
-	sh := c.shardOf(topic)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	rg, ok := sh.rings[topic]
-	if !ok {
-		return nil
-	}
-	var out []core.Reading
-	for i := 0; i < rg.count; i++ {
-		r := rg.buf[(rg.head+i)%len(rg.buf)]
-		if r.Timestamp >= from && r.Timestamp <= to {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // Average returns the mean value of the cached readings within the last
 // d of the sensor's newest reading. The boolean is false when the sensor
 // has no cached readings.
@@ -193,36 +173,6 @@ func (c *Cache) NumTopics() int {
 		sh := &c.shards[i]
 		sh.mu.RLock()
 		n += len(sh.rings)
-		sh.mu.RUnlock()
-	}
-	return n
-}
-
-// Snapshot returns the latest reading of every cached sensor.
-func (c *Cache) Snapshot() map[string]core.Reading {
-	out := make(map[string]core.Reading)
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.RLock()
-		for t, rg := range sh.rings {
-			if rg.count > 0 {
-				out[t] = rg.buf[(rg.head+rg.count-1)%len(rg.buf)]
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	return out
-}
-
-// Len returns the total number of cached readings across all sensors.
-func (c *Cache) Len() int {
-	var n int
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.RLock()
-		for _, rg := range sh.rings {
-			n += rg.count
-		}
 		sh.mu.RUnlock()
 	}
 	return n

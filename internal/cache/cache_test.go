@@ -30,9 +30,8 @@ func TestWindowEviction(t *testing.T) {
 	base := time.Now().UnixNano()
 	c.Store("/a", r(base, 1))
 	c.Store("/a", r(base+2*time.Second.Nanoseconds(), 2))
-	rs := c.Range("/a", 0, base+time.Hour.Nanoseconds())
-	if len(rs) != 1 || rs[0].Value != 2 {
-		t.Fatalf("eviction failed: %+v", rs)
+	if avg, ok := c.Average("/a", time.Hour); !ok || avg != 2 {
+		t.Fatalf("eviction failed: the cached readings average %v, want 2", avg)
 	}
 	// The newest reading always survives even if "old".
 	c2 := New(time.Nanosecond)
@@ -42,37 +41,21 @@ func TestWindowEviction(t *testing.T) {
 	}
 }
 
-func TestRange(t *testing.T) {
-	c := New(time.Hour)
-	for i := int64(0); i < 10; i++ {
-		c.Store("/a", r(i*100, float64(i)))
-	}
-	rs := c.Range("/a", 250, 650)
-	if len(rs) != 4 {
-		t.Fatalf("Range = %d readings", len(rs))
-	}
-	if rs[0].Value != 3 || rs[3].Value != 6 {
-		t.Fatalf("Range bounds wrong: %+v", rs)
-	}
-	if c.Range("/missing", 0, 100) != nil {
-		t.Error("Range of unknown topic not nil")
-	}
-}
-
+// TestRingGrowthPreservesOrder: a ring that grows while it evicts keeps
+// its readings oldest first, so the newest stays Latest and eviction
+// drops exactly the readings older than the window.
 func TestRingGrowthPreservesOrder(t *testing.T) {
-	c := New(time.Hour)
+	c := New(50 * time.Nanosecond)
 	const n = 100
 	for i := int64(0); i < n; i++ {
 		c.Store("/a", r(i, float64(i)))
-	}
-	rs := c.Range("/a", 0, n)
-	if len(rs) != n {
-		t.Fatalf("len = %d", len(rs))
-	}
-	for i, x := range rs {
-		if x.Value != float64(i) {
-			t.Fatalf("order broken at %d: %v", i, x.Value)
+		if got, _ := c.Latest("/a"); got.Value != float64(i) {
+			t.Fatalf("order broken at %d: Latest = %v", i, got.Value)
 		}
+	}
+	// Readings 49..99 are within 50 ns of the newest.
+	if avg, _ := c.Average("/a", time.Hour); avg != 74 {
+		t.Fatalf("the kept readings average %v, want 74", avg)
 	}
 }
 
@@ -101,15 +84,13 @@ func TestSnapshotTopicsLen(t *testing.T) {
 	if !c.Store("/a", r(1, 10)) || !c.Store("/b", r(2, 20)) || c.Store("/b", r(3, 30)) {
 		t.Error("Store must report a topic's first reading, and only that")
 	}
-	snap := c.Snapshot()
-	if len(snap) != 2 || snap["/a"].Value != 10 || snap["/b"].Value != 30 {
-		t.Fatalf("Snapshot = %+v", snap)
+	a, _ := c.Latest("/a")
+	b, _ := c.Latest("/b")
+	if a.Value != 10 || b.Value != 30 {
+		t.Fatalf("Latest = %v and %v, want 10 and 30", a.Value, b.Value)
 	}
 	if len(c.Topics()) != 2 || c.NumTopics() != 2 {
 		t.Errorf("Topics = %v, NumTopics = %d", c.Topics(), c.NumTopics())
-	}
-	if c.Len() != 3 {
-		t.Errorf("Len = %d", c.Len())
 	}
 	if c.SizeBytes() <= 0 {
 		t.Error("SizeBytes not positive")
@@ -125,9 +106,8 @@ func TestDefaultWindow(t *testing.T) {
 	c.Store("/a", r(0, 1))      // DefaultWindow+10s behind: evicted
 	c.Store("/a", r(20*sec, 2)) // DefaultWindow-10s behind: kept
 	c.Store("/a", r(newest, 3))
-	rs := c.Range("/a", 0, newest)
-	if len(rs) != 2 || rs[0].Value != 2 || rs[1].Value != 3 {
-		t.Errorf("New(0) kept %+v, want the readings within %v of the newest", rs, DefaultWindow)
+	if avg, _ := c.Average("/a", time.Hour); avg != 2.5 {
+		t.Errorf("New(0) kept readings averaging %v, want 2.5: the readings within %v of the newest", avg, DefaultWindow)
 	}
 }
 
@@ -142,7 +122,7 @@ func TestConcurrentAccess(t *testing.T) {
 	}()
 	for i := 0; i < 1000; i++ {
 		c.Latest("/a")
-		c.Snapshot()
+		c.Topics()
 	}
 	<-done
 }
@@ -162,7 +142,6 @@ func TestConcurrentStripedAccess(t *testing.T) {
 				c.Store(topic, r(i, float64(i)))
 				if i%100 == 0 {
 					c.Latest(topic)
-					c.Range(topic, 0, i)
 					c.Average(topic, time.Hour)
 				}
 			}
@@ -172,9 +151,8 @@ func TestConcurrentStripedAccess(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 200; i++ {
-			c.Snapshot()
 			c.Topics()
-			c.Len()
+			c.NumTopics()
 			c.SizeBytes()
 		}
 	}()
@@ -183,29 +161,32 @@ func TestConcurrentStripedAccess(t *testing.T) {
 	if got := len(c.Topics()); got != workers {
 		t.Fatalf("Topics = %d, want %d", got, workers)
 	}
-	if got := c.Len(); got != workers*perWorker {
-		t.Fatalf("Len = %d, want %d", got, workers*perWorker)
+	for w := 0; w < workers; w++ {
+		topic := fmt.Sprintf("/race/t%d", w)
+		if avg, _ := c.Average(topic, time.Hour); avg != (perWorker-1)/2.0 {
+			t.Fatalf("%s: the cached readings average %v, want every reading kept", topic, avg)
+		}
 	}
 }
 
 // Property: after storing n in-window readings with increasing
-// timestamps, Range returns them all in order.
+// timestamps, the cache keeps them all in order: the last is Latest,
+// and they average as summed oldest first.
 func TestRangeOrderQuick(t *testing.T) {
+	same := func(a, b float64) bool { return a == b || (a != a && b != b) } // NaN-safe
 	f := func(vals []float64) bool {
 		c := New(time.Hour)
+		var sum float64
 		for i, v := range vals {
 			c.Store("/q", r(int64(i), v))
+			sum += v
 		}
-		rs := c.Range("/q", 0, int64(len(vals)))
-		if len(rs) != len(vals) {
-			return false
+		latest, ok := c.Latest("/q")
+		avg, _ := c.Average("/q", time.Hour)
+		if len(vals) == 0 {
+			return !ok
 		}
-		for i := range rs {
-			if rs[i].Value != vals[i] && !(rs[i].Value != rs[i].Value && vals[i] != vals[i]) { // NaN-safe
-				return false
-			}
-		}
-		return true
+		return same(latest.Value, vals[len(vals)-1]) && same(avg, sum/float64(len(vals)))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

@@ -53,7 +53,7 @@ func TestChaosStaleResurrectionRepair(t *testing.T) {
 	expected := make(map[core.SensorID]map[int64]float64, len(ids))
 	write := func(id core.SensorID, ts int64, v float64) {
 		t.Helper()
-		if err := cluster.Insert(id, core.Reading{Timestamp: ts, Value: v}, 0); err != nil {
+		if err := cluster.InsertBatch(id, []core.Reading{{Timestamp: ts, Value: v}}, 0); err != nil {
 			t.Fatalf("write at ONE failed: %v", err)
 		}
 		expected[id][ts] = v

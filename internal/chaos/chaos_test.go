@@ -258,7 +258,7 @@ func TestChaosDiskFaultsUnderIngest(t *testing.T) {
 
 	// The full node failed closed: space returning does not quietly
 	// reopen shards whose WAL was lost mid-write.
-	if err := nodes[1].Insert(ids[0], core.Reading{Timestamp: 1 << 40, Value: 1}, 0); err == nil {
+	if err := nodes[1].InsertBatch(ids[0], []core.Reading{{Timestamp: 1 << 40, Value: 1}}, 0); err == nil {
 		t.Fatal("full node accepted a write after ENOSPC without a restart")
 	}
 	// QUORUM reads already serve everything from the healthy majority.

@@ -10,6 +10,7 @@ import (
 	"dcdb/internal/fsutil"
 	"dcdb/internal/rpc"
 	"dcdb/internal/store"
+	"dcdb/internal/store/storetest"
 )
 
 // waitHintsDrained polls until no hint mutations are pending, failing
@@ -35,7 +36,7 @@ func waitTransitionDone(t *testing.T, c *store.Cluster, within time.Duration) {
 	t.Helper()
 	deadline := time.Now().Add(within)
 	for {
-		if _, transition := c.Members(); !transition {
+		if !storetest.Rebalancing(c) {
 			return
 		}
 		if time.Now().After(deadline) {
@@ -132,9 +133,8 @@ func TestChaosJoinDuringPartitionFlap(t *testing.T) {
 	// checks, cut over, and hint delivery must drain.
 	waitTransitionDone(t, cluster, 30*time.Second)
 	waitHintsDrained(t, cluster, 20*time.Second)
-	ms, _ := cluster.Members()
-	if len(ms) != 4 {
-		t.Fatalf("ring has %d members after convergence, want 4", len(ms))
+	if n := len(cluster.Backends()); n != 4 {
+		t.Fatalf("ring has %d members after convergence, want 4", n)
 	}
 
 	for _, id := range ids {
@@ -265,7 +265,7 @@ func TestChaosComposedFaults(t *testing.T) {
 	fullRule.Disable()
 
 	// The full node failed closed.
-	if err := node1.Insert(ids[0], core.Reading{Timestamp: 1 << 40, Value: 1}, 0); err == nil {
+	if err := node1.InsertBatch(ids[0], []core.Reading{{Timestamp: 1 << 40, Value: 1}}, 0); err == nil {
 		t.Fatal("full node accepted a write after ENOSPC without a restart")
 	}
 	queued, _, _ := cluster.HintStats()

@@ -15,6 +15,7 @@ import (
 	"dcdb/internal/membership"
 	"dcdb/internal/rpc"
 	"dcdb/internal/store"
+	"dcdb/internal/store/storetest"
 )
 
 // TestChaosMembershipProcesses is the whole-stack membership scenario:
@@ -176,7 +177,7 @@ func TestChaosMembershipProcesses(t *testing.T) {
 	sort.Strings(wantIDs)
 	deadline := time.Now().Add(60 * time.Second)
 	for {
-		ms, transition := cluster.Members()
+		ms, transition := cluster.ClusterStats(), storetest.Rebalancing(cluster)
 		got := make([]string, len(ms))
 		for i, m := range ms {
 			got[i] = m.ID

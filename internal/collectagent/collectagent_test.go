@@ -184,7 +184,7 @@ func TestBurstPipeline(t *testing.T) {
 	for h.Stats().Readings < 6 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	h.Flush()
+	h.Close() // stops the plugin and flushes the burst
 	deadline = time.Now().Add(2 * time.Second)
 	for a.Stats().Readings < 6 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
@@ -308,8 +308,8 @@ func TestOpenBackendValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(c.Nodes()) != 1 {
-		t.Fatalf("clamped node count = %d", len(c.Nodes()))
+	if n := len(c.Backends()); n != 1 {
+		t.Fatalf("clamped node count = %d", n)
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
@@ -359,7 +359,7 @@ func testRefusesInterruptedSave(t *testing.T, staged string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Insert(core.SensorID{Hi: 1, Lo: 1}, core.Reading{Timestamp: 1, Value: 1}, 0); err != nil {
+	if err := c.InsertBatch(core.SensorID{Hi: 1, Lo: 1}, []core.Reading{{Timestamp: 1, Value: 1}}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Close(); err != nil {
@@ -498,8 +498,8 @@ func TestOpenBackendOptionsHintedHandoffAcrossAgentRestart(t *testing.T) {
 	id := core.SensorID{Hi: 5, Lo: 5}
 	var backup int // in-process members are named node<i>
 	fmt.Sscanf(c.Owners(id)[1], "node%d", &backup)
-	c.Nodes()[backup].SetDown(true)
-	if err := c.Insert(id, core.Reading{Timestamp: 1, Value: 1}, 0); err != nil {
+	c.Backends()[backup].(*store.Node).SetDown(true)
+	if err := c.InsertBatch(id, []core.Reading{{Timestamp: 1, Value: 1}}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if queued, _, _ := c.HintStats(); queued != 1 {
@@ -517,7 +517,7 @@ func TestOpenBackendOptionsHintedHandoffAcrossAgentRestart(t *testing.T) {
 	if err := c2.ReplayHints(); err != nil {
 		t.Fatal(err)
 	}
-	rs, err := c2.Nodes()[backup].Query(id, 0, 1<<60)
+	rs, err := c2.Backends()[backup].Query(id, 0, 1<<60)
 	if err != nil || len(rs) != 1 {
 		t.Fatalf("backup replica after restart+replay: %v, %v", rs, err)
 	}
@@ -548,8 +548,8 @@ func TestOpenBackendOptionsSplitsCacheBudgetAcrossNodes(t *testing.T) {
 	}
 	defer c.Close()
 	var total int64
-	for i, n := range c.Nodes() {
-		got := n.CacheBudget()
+	for i, b := range c.Backends() {
+		got := b.(*store.Node).CacheBudget()
 		if got != budget/4 {
 			t.Fatalf("node %d cache budget %d, want %d (process budget %d / 4 nodes)", i, got, budget/4, budget)
 		}

@@ -8,6 +8,7 @@ import (
 	"dcdb/internal/membership"
 	"dcdb/internal/rpc"
 	"dcdb/internal/store"
+	"dcdb/internal/store/storetest"
 )
 
 // gossipBackend runs one storage node with a membership agent on its
@@ -85,8 +86,8 @@ func TestOpenDiscoveredBackendFollowsMembership(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cluster.Close()
-	if ms, _ := cluster.Members(); len(ms) != 2 {
-		t.Fatalf("discovered cluster has %d members, want 2", len(ms))
+	if n := len(cluster.Backends()); n != 2 {
+		t.Fatalf("discovered cluster has %d members, want 2", n)
 	}
 
 	id := core.SensorID{Hi: 7, Lo: 7}
@@ -106,12 +107,12 @@ func TestOpenDiscoveredBackendFollowsMembership(t *testing.T) {
 	startGossipBackend(t, b1.srv.Addr())
 	deadline = time.Now().Add(10 * time.Second)
 	for {
-		ms, transition := cluster.Members()
-		if len(ms) == 3 && !transition {
+		n := len(cluster.Backends())
+		if n == 3 && !storetest.Rebalancing(cluster) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("cluster never followed the join: %d members", len(ms))
+			t.Fatalf("cluster never followed the join: %d members", n)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

@@ -302,8 +302,8 @@ func TestHierarchyAddPartsIsAdd(t *testing.T) {
 			t.Errorf("Children(%q): %v by topic, %v by parts", path, a, b)
 		}
 	}
-	if byParts.Len() != len(topics) {
-		t.Fatalf("Len = %d, want %d", byParts.Len(), len(topics))
+	if n := len(byParts.Sensors("")); n != len(topics) {
+		t.Fatalf("%d sensors, want %d", n, len(topics))
 	}
 }
 
@@ -348,9 +348,6 @@ func TestHierarchy(t *testing.T) {
 	all := h.Sensors("")
 	if len(all) != 4 {
 		t.Fatalf("Sensors(root) = %v", all)
-	}
-	if h.Len() != 4 {
-		t.Fatalf("Len = %d", h.Len())
 	}
 	if h.Sensors("/none") != nil {
 		t.Error("Sensors of unknown path not nil")

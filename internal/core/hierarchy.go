@@ -92,24 +92,6 @@ func (h *Hierarchy) Sensors(path string) []string {
 	return out
 }
 
-// Len returns the number of sensors in the tree.
-func (h *Hierarchy) Len() int {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	var n int
-	var walk func(*hnode)
-	walk = func(x *hnode) {
-		if x.sensor {
-			n++
-		}
-		for _, c := range x.children {
-			walk(c)
-		}
-	}
-	walk(h.root)
-	return n
-}
-
 func collect(n *hnode, prefix string, out *[]string) {
 	if n.sensor {
 		*out = append(*out, prefix)

@@ -139,7 +139,6 @@ func Append(b []byte, s State) []byte {
 		b = appendI64(b, v.N)
 		b = appendI64(b, v.Skip)
 		b = appendF64(b, v.Sum)
-		b = appendReading(b, v.First)
 		b = appendReading(b, v.Last)
 		b = appendU64(b, v.fp)
 	case *Downsample:
@@ -189,7 +188,6 @@ func Decode(b []byte) (State, error) {
 		v.N = r.i64()
 		v.Skip = r.i64()
 		v.Sum = r.f64()
-		v.First = r.reading()
 		v.Last = r.reading()
 		v.fp = r.u64()
 		st = v

@@ -202,15 +202,13 @@ func (*Summary) sealed() {}
 
 // --- Integral ---
 
-// Integral folds the trapezoid-rule time integral. It carries its
-// boundary readings (first and last accepted); Last bridges the
-// trapezoid into the next chunk. Pairs with non-positive dt (duplicate
+// Integral folds the trapezoid-rule time integral. It carries the last
+// accepted reading, which bridges the trapezoid into the next chunk. Pairs with non-positive dt (duplicate
 // or reordered timestamps) contribute no area, mirroring Derivative's
 // guard; non-finite values are skipped and counted.
 type Integral struct {
 	N, Skip int64
 	Sum     float64
-	First   core.Reading
 	Last    core.Reading
 	fp      uint64
 }
@@ -239,9 +237,7 @@ func (g *Integral) Add(rs []core.Reading) {
 			g.Skip++
 			continue
 		}
-		if g.N == 0 {
-			g.First = r
-		} else {
+		if g.N > 0 {
 			g.Sum += trapezoid(g.Last, r)
 		}
 		g.Last = r
@@ -276,7 +272,6 @@ type Derivative struct {
 	Skip int64
 	prev core.Reading
 	have bool
-	n    int64
 }
 
 // Add folds the next chunk, appending the derivative points it
@@ -298,16 +293,9 @@ func (d *Derivative) Add(dst, rs []core.Reading) []core.Reading {
 		}
 		d.prev = r
 		d.have = true
-		d.n++
 	}
 	return dst
 }
-
-// Count reports the finite readings consumed (not points emitted).
-func (d *Derivative) Count() int64 { return d.n }
-
-// Skipped reports the non-finite readings dropped.
-func (d *Derivative) Skipped() int64 { return d.Skip }
 
 // --- Downsample ---
 

@@ -117,8 +117,8 @@ func TestDerivativeChunkingInvariance(t *testing.T) {
 				t.Fatalf("trial %d point %d: %v vs %v", trial, i, want[i], got[i])
 			}
 		}
-		if whole.Count() != chunked.Count() || whole.Skipped() != chunked.Skipped() {
-			t.Fatalf("trial %d: counters differ", trial)
+		if whole.Skip != chunked.Skip {
+			t.Fatalf("trial %d: skip counts differ", trial)
 		}
 	}
 }
@@ -302,8 +302,8 @@ func TestNaNSkipping(t *testing.T) {
 			t.Fatalf("derivative emitted non-finite point %v", r)
 		}
 	}
-	if len(out) != 2 || dv.Skipped() != 2 {
-		t.Fatalf("derivative over NaN series: %v (skipped %d)", out, dv.Skipped())
+	if len(out) != 2 || dv.Skip != 2 {
+		t.Fatalf("derivative over NaN series: %v (skipped %d)", out, dv.Skip)
 	}
 	// The finite readings rise 1 per ns: 1e9 per second, stamped at
 	// the later reading of each pair.
@@ -442,6 +442,22 @@ func TestOpStringAndStateEdges(t *testing.T) {
 	d.Add(rs)
 	if d.Fingerprint() == 0 {
 		t.Error("downsample fingerprint is zero after input")
+	}
+}
+
+// TestStateBytes pins the encoded size of the fixed-size states: op(1)
+// n(8) skip(8) min(8) max(8) sum(8) first(16) last(16) fp(8) for a
+// summary, op(1) n(8) skip(8) sum(8) last(16) fp(8) for an integral.
+func TestStateBytes(t *testing.T) {
+	rs := []core.Reading{{Timestamp: 1, Value: 2}, {Timestamp: 5, Value: 3}}
+	s, g := NewSummary(), NewIntegral()
+	s.Add(rs)
+	g.Add(rs)
+	if n := len(Append(nil, s)); n != 81 {
+		t.Errorf("summary state is %d bytes, want 81", n)
+	}
+	if n := len(Append(nil, g)); n != 49 {
+		t.Errorf("integral state is %d bytes, want 49", n)
 	}
 }
 

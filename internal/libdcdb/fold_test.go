@@ -19,7 +19,7 @@ func TestSummarizeSkipsNonFinite(t *testing.T) {
 	for _, r := range []core.Reading{
 		rd(1, 2), rd(2, math.NaN()), rd(3, 6), rd(4, math.Inf(1)), rd(5, 4), rd(9, math.NaN()),
 	} {
-		if err := c.Insert("/nf/s", r); err != nil {
+		if err := insert(c, "/nf/s", r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -47,7 +47,7 @@ func TestSummarizeSkipsNonFinite(t *testing.T) {
 func TestIntegralGuards(t *testing.T) {
 	c := newConn(t)
 	for _, r := range []core.Reading{rd(0, 100), rd(1e9, math.NaN()), rd(2e9, 100)} {
-		if err := c.Insert("/ig/s", r); err != nil {
+		if err := insert(c, "/ig/s", r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -65,7 +65,7 @@ func TestIntegralGuards(t *testing.T) {
 func TestDownsampleBounds(t *testing.T) {
 	c := newConn(t)
 	for i := int64(0); i < 100; i++ {
-		if err := c.Insert("/db/s", rd(i*7, float64(i))); err != nil {
+		if err := insert(c, "/db/s", rd(i*7, float64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -99,7 +99,7 @@ func insertSeries(t *testing.T, c *Connection, topic string, n int) []core.Readi
 		}
 		r := rd(int64(i)*500, v)
 		rs = append(rs, r)
-		if err := c.Insert(topic, r); err != nil {
+		if err := insert(c, topic, r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -187,7 +187,7 @@ func TestQueryIntegralDownsampleEquivalence(t *testing.T) {
 // sensor is still an error.
 func TestQuerySummaryEmptyAndErrors(t *testing.T) {
 	c := newConn(t)
-	c.Insert("/p/e", rd(1000, 1))
+	insert(c, "/p/e", rd(1000, 1))
 	a, err := c.QuerySummary("/p/e", 5000, 9000)
 	if err != nil {
 		t.Fatalf("empty window errored: %v", err)
@@ -210,8 +210,8 @@ func TestQuerySummaryScaledSensor(t *testing.T) {
 	if err := c.PublishSensor(core.Metadata{Topic: "/sc/x", Scale: 0.001}); err != nil {
 		t.Fatal(err)
 	}
-	c.Insert("/sc/x", rd(0, 1000))
-	c.Insert("/sc/x", rd(1000, 3000))
+	insert(c, "/sc/x", rd(0, 1000))
+	insert(c, "/sc/x", rd(1000, 3000))
 	if _, ok := c.pushdown("/sc/x"); ok {
 		t.Fatal("scaled sensor qualified for pushdown")
 	}
@@ -230,8 +230,8 @@ func TestQuerySummaryScaledSensor(t *testing.T) {
 func TestQuerySummaryVirtualSensor(t *testing.T) {
 	c := newConn(t)
 	for i := int64(0); i < 50; i++ {
-		c.Insert("/vm/a", rd(i*1000, float64(i)))
-		c.Insert("/vm/b", rd(i*1000+300, float64(2*i)))
+		insert(c, "/vm/a", rd(i*1000, float64(i)))
+		insert(c, "/vm/b", rd(i*1000+300, float64(2*i)))
 	}
 	if err := c.PublishSensor(core.Metadata{
 		Topic: "/vm/sum", Virtual: true, Expression: "</vm/a> + </vm/b>",
@@ -263,9 +263,9 @@ func TestQuerySummaryVirtualSensor(t *testing.T) {
 func TestVirtualQueryStreamMatchesQuery(t *testing.T) {
 	c := newConn(t)
 	for i := int64(0); i < 200; i++ {
-		c.Insert("/w2/p", rd(i*700, float64(i)))
-		c.Insert("/w2/q", rd(i*900, float64(i)/2))
-		c.Insert("/w3/p", rd(i*1100, float64(i%17)))
+		insert(c, "/w2/p", rd(i*700, float64(i)))
+		insert(c, "/w2/q", rd(i*900, float64(i)/2))
+		insert(c, "/w3/p", rd(i*1100, float64(i%17)))
 	}
 	for _, m := range []core.Metadata{
 		{Topic: "/v2/sum", Virtual: true, Expression: "</w2/*> * 2"},
@@ -345,7 +345,7 @@ func TestQuerySummaryOverCluster(t *testing.T) {
 	}
 	c := Connect(cl, nil)
 	for i := int64(0); i < 100; i++ {
-		if err := c.Insert("/cl/s", rd(i*1000, float64(i))); err != nil {
+		if err := insert(c, "/cl/s", rd(i*1000, float64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -60,9 +60,6 @@ func Connect(backend store.Backend, mapper *core.TopicMapper) *Connection {
 // Mapper exposes the shared topic mapper.
 func (c *Connection) Mapper() *core.TopicMapper { return c.mapper }
 
-// Backend exposes the underlying Storage Backend.
-func (c *Connection) Backend() store.Backend { return c.backend }
-
 // PublishSensor registers (or updates) sensor metadata, making the
 // sensor visible in the hierarchy. This is dcdbconfig's "publish"
 // operation. It drops the periods Query has written back for the
@@ -151,31 +148,6 @@ func (c *Connection) Children(path string) []string {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return c.hierarchy.Children(path)
-}
-
-// Insert stores a reading for a sensor, honouring its configured TTL.
-// Unpublished topics are accepted and auto-registered without metadata,
-// matching the schemaless ingest of the original system.
-func (c *Connection) Insert(topic string, r core.Reading) error {
-	t, err := core.CanonicalTopic(topic)
-	if err != nil {
-		return err
-	}
-	id, err := c.mapper.Map(t)
-	if err != nil {
-		return err
-	}
-	c.mu.Lock()
-	var ttl time.Duration
-	if m, ok := c.meta[t]; ok {
-		ttl = m.TTL
-	}
-	err = c.hierarchy.Add(t)
-	c.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return c.backend.Insert(id, r, ttl)
 }
 
 // InsertBatch stores several readings of one sensor.
@@ -378,19 +350,6 @@ func (s *connStreamSource) Expand(prefix string) ([]string, error) {
 		}
 	}
 	return out, nil
-}
-
-// DeleteBefore removes a sensor's readings older than the cutoff.
-func (c *Connection) DeleteBefore(topic string, cutoff int64) error {
-	t, err := core.CanonicalTopic(topic)
-	if err != nil {
-		return err
-	}
-	id, ok := c.mapper.Lookup(t)
-	if !ok {
-		return fmt.Errorf("libdcdb: unknown sensor %q", topic)
-	}
-	return c.backend.DeleteBefore(id, cutoff)
 }
 
 func intervalCovered(ivs []interval, from, to int64) bool {

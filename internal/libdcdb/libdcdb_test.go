@@ -18,10 +18,29 @@ func newConn(t *testing.T) *Connection {
 
 func rd(ts int64, v float64) core.Reading { return core.Reading{Timestamp: ts, Value: v} }
 
+// insert stores one reading, as the Collect Agent's one-reading
+// messages arrive.
+func insert(c *Connection, topic string, r core.Reading) error {
+	return c.InsertBatch(topic, []core.Reading{r})
+}
+
+// deleteBefore removes a sensor's readings older than the cutoff from
+// the backend, as dcdbconfig's cleanup does.
+func deleteBefore(t *testing.T, c *Connection, topic string, cutoff int64) {
+	t.Helper()
+	id, ok := c.Mapper().Lookup(topic)
+	if !ok {
+		t.Fatalf("%s has no SID", topic)
+	}
+	if err := c.backend.DeleteBefore(id, cutoff); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestInsertQuery(t *testing.T) {
 	c := newConn(t)
 	for i := int64(0); i < 10; i++ {
-		if err := c.Insert("/a/b/c", rd(i*1000, float64(i))); err != nil {
+		if err := insert(c, "/a/b/c", rd(i*1000, float64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -55,7 +74,7 @@ func TestMetadataAndScale(t *testing.T) {
 	if !ok || got.Unit != "mJ" {
 		t.Fatalf("Metadata = %+v, %v", got, ok)
 	}
-	c.Insert("/n1/energy", rd(0, 5000))
+	insert(c, "/n1/energy", rd(0, 5000))
 	rs, err := c.Query("/n1/energy", 0, 1)
 	if err != nil || len(rs) != 1 || rs[0].Value != 5 {
 		t.Fatalf("scaled query: %v, %v", rs, err)
@@ -79,7 +98,7 @@ func TestTTLApplied(t *testing.T) {
 	if err := c.PublishSensor(core.Metadata{Topic: "/tmp/x", TTL: time.Nanosecond}); err != nil {
 		t.Fatal(err)
 	}
-	c.Insert("/tmp/x", rd(1, 1))
+	insert(c, "/tmp/x", rd(1, 1))
 	time.Sleep(time.Millisecond)
 	rs, err := c.Query("/tmp/x", 0, 10)
 	if err != nil || len(rs) != 0 {
@@ -101,7 +120,7 @@ func TestHierarchyNavigation(t *testing.T) {
 		t.Fatalf("ListSensors = %v", got)
 	}
 	// Inserting auto-registers into the hierarchy too.
-	c.Insert("/s/r3/n9/flops", rd(0, 1))
+	insert(c, "/s/r3/n9/flops", rd(0, 1))
 	if got := c.ListSensors("/s/r3"); len(got) != 1 {
 		t.Fatalf("auto-registered = %v", got)
 	}
@@ -112,8 +131,8 @@ func TestVirtualSensor(t *testing.T) {
 	c.PublishSensor(core.Metadata{Topic: "/m/power1", Unit: "W"})
 	c.PublishSensor(core.Metadata{Topic: "/m/power2", Unit: "kW"})
 	for i := int64(0); i < 5; i++ {
-		c.Insert("/m/power1", rd(i*1000, 100))
-		c.Insert("/m/power2", rd(i*1000, 1)) // 1 kW = 1000 W
+		insert(c, "/m/power1", rd(i*1000, 100))
+		insert(c, "/m/power2", rd(i*1000, 1)) // 1 kW = 1000 W
 	}
 	err := c.PublishSensor(core.Metadata{
 		Topic:      "/m/total",
@@ -135,12 +154,12 @@ func TestVirtualSensor(t *testing.T) {
 	if !ok {
 		t.Fatal("virtual sensor has no SID")
 	}
-	cached, err := c.Backend().Query(id, 0, 10000)
+	cached, err := c.backend.Query(id, 0, 10000)
 	if err != nil || len(cached) != 5 {
 		t.Fatalf("write-back cache: %v, %v", cached, err)
 	}
 	// Second query is served from cache (remove inputs to prove it).
-	c.DeleteBefore("/m/power1", 1<<60)
+	deleteBefore(t, c, "/m/power1", 1<<60)
 	rs2, err := c.Query("/m/total", 0, 10000)
 	if err != nil || len(rs2) != 5 {
 		t.Fatalf("cached query: %v, %v", rs2, err)
@@ -160,8 +179,8 @@ func TestVirtualSensor(t *testing.T) {
 // results of the old one.
 func TestVirtualSensorRepublished(t *testing.T) {
 	c := newConn(t)
-	c.Insert("/a/x", rd(1, 1))
-	c.Insert("/a/x", rd(2, 2))
+	insert(c, "/a/x", rd(1, 1))
+	insert(c, "/a/x", rd(2, 2))
 	for _, p := range []struct {
 		expr string
 		k    float64
@@ -186,7 +205,7 @@ func TestVirtualSensorWildcard(t *testing.T) {
 		tp := "/sys/" + n + "/power"
 		c.PublishSensor(core.Metadata{Topic: tp, Unit: "W"})
 		for i := int64(0); i < 3; i++ {
-			c.Insert(tp, rd(i*1000, 50))
+			insert(c, tp, rd(i*1000, 50))
 		}
 	}
 	err := c.PublishSensor(core.Metadata{
@@ -233,7 +252,7 @@ func TestVirtualSensorCycle(t *testing.T) {
 func TestVirtualWriteBackOnlyQueried(t *testing.T) {
 	c := newConn(t)
 	for i := int64(0); i < 3; i++ {
-		c.Insert("/w/raw", rd(i*1000, 10))
+		insert(c, "/w/raw", rd(i*1000, 10))
 	}
 	c.PublishSensor(core.Metadata{Topic: "/w/double", Virtual: true, Expression: "</w/raw> * 2"})
 	c.PublishSensor(core.Metadata{Topic: "/w/quad", Virtual: true, Expression: "</w/double> * 2"})
@@ -243,7 +262,7 @@ func TestVirtualWriteBackOnlyQueried(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s has no SID", topic)
 		}
-		rs, err := c.Backend().Query(id, 0, 5000)
+		rs, err := c.backend.Query(id, 0, 5000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -270,7 +289,7 @@ func TestVirtualWriteBackOnlyQueried(t *testing.T) {
 
 	// Without its input, the queried sensor still streams (from the
 	// backend) and the operand no longer evaluates.
-	c.DeleteBefore("/w/raw", 1<<60)
+	deleteBefore(t, c, "/w/raw", 1<<60)
 	st, err = c.QueryStream("/w/quad", 0, 5000)
 	if err != nil {
 		t.Fatal(err)
@@ -287,7 +306,7 @@ func TestVirtualSensorOfVirtualSensor(t *testing.T) {
 	c := newConn(t)
 	c.PublishSensor(core.Metadata{Topic: "/w/raw", Unit: "W"})
 	for i := int64(0); i < 3; i++ {
-		c.Insert("/w/raw", rd(i*1000, 10))
+		insert(c, "/w/raw", rd(i*1000, 10))
 	}
 	c.PublishSensor(core.Metadata{Topic: "/w/double", Virtual: true, Expression: "</w/raw> * 2"})
 	c.PublishSensor(core.Metadata{Topic: "/w/quad", Virtual: true, Expression: "</w/double> * 2"})
@@ -303,8 +322,8 @@ func TestIntegralDerivative(t *testing.T) {
 	c := newConn(t)
 	// Constant 100 W over 10 s -> 1000 J; a linear counter of 5/s.
 	for i := int64(0); i <= 10; i++ {
-		c.Insert("/id/power", rd(i*1e9, 100))
-		c.Insert("/id/count", rd(i*1e9, float64(5*i)))
+		insert(c, "/id/power", rd(i*1e9, 100))
+		insert(c, "/id/count", rd(i*1e9, float64(5*i)))
 	}
 	if got, err := c.QueryIntegral("/id/power", 0, 10e9); err != nil || math.Abs(got-1000) > 1e-9 {
 		t.Errorf("QueryIntegral = %v, %v", got, err)
@@ -338,7 +357,7 @@ func TestIntegralDerivative(t *testing.T) {
 func TestSummarize(t *testing.T) {
 	c := newConn(t)
 	for _, r := range []core.Reading{rd(0, 3), rd(1, 1), rd(2, 2)} {
-		c.Insert("/su/s", r)
+		insert(c, "/su/s", r)
 	}
 	a, err := c.QuerySummary("/su/s", 0, 10)
 	if err != nil {
@@ -354,7 +373,7 @@ func TestSummarize(t *testing.T) {
 func TestDownsample(t *testing.T) {
 	c := newConn(t)
 	for i := int64(0); i < 100; i++ {
-		c.Insert("/ds/s", rd(i*1000, float64(i)))
+		insert(c, "/ds/s", rd(i*1000, float64(i)))
 	}
 	ds, err := c.QueryDownsample("/ds/s", 0, 99000, 10)
 	if err != nil {
@@ -378,8 +397,8 @@ func TestDownsample(t *testing.T) {
 func TestCSVRoundtrip(t *testing.T) {
 	c := newConn(t)
 	for i := int64(0); i < 5; i++ {
-		c.Insert("/e/x", rd(i*1e9, float64(i)*1.5))
-		c.Insert("/e/y", rd(i*1e9, float64(i)*2.5))
+		insert(c, "/e/x", rd(i*1e9, float64(i)*1.5))
+		insert(c, "/e/y", rd(i*1e9, float64(i)*2.5))
 	}
 	var buf bytes.Buffer
 	if err := c.ExportCSV(&buf, []string{"/e/x", "/e/y"}, 0, 1<<62); err != nil {
@@ -469,7 +488,7 @@ func TestClusterBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := Connect(cl, nil)
-	c.Insert("/c/x", rd(1, 5))
+	insert(c, "/c/x", rd(1, 5))
 	rs, err := c.Query("/c/x", 0, 10)
 	if err != nil || len(rs) != 1 || rs[0].Value != 5 {
 		t.Fatalf("cluster-backed query: %v, %v", rs, err)

@@ -115,7 +115,7 @@ func TestQueryStreamScaled(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := int64(0); i < 10; i++ {
-		if err := c.Insert("/n1/energy", rd(i, float64(i)*1000)); err != nil {
+		if err := insert(c, "/n1/energy", rd(i, float64(i)*1000)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -132,21 +132,6 @@ func New(cfg Config) (*Agent, error) {
 	return a, nil
 }
 
-// Self returns this node's current self-record.
-func (a *Agent) Self() Member {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.self
-}
-
-// Members snapshots the full member table (self included), sorted by
-// ID. Dead and Left members appear as tombstones.
-func (a *Agent) Members() []Member {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.snapshotLocked()
-}
-
 func (a *Agent) snapshotLocked() []Member {
 	out := make([]Member, 0, len(a.peers)+1)
 	out = append(out, a.self)

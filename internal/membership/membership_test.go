@@ -73,11 +73,35 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// members is a's member table, self included and sorted by ID, as a
+// answers a gossip exchange that brings it nothing.
+func members(a *Agent) []Member {
+	resp, err := a.Handle(encodeState(nil))
+	if err != nil {
+		panic(err)
+	}
+	ms, err := decodeState(resp)
+	if err != nil {
+		panic(err)
+	}
+	return ms
+}
+
+// self is a's own record in its member table.
+func self(a *Agent) Member {
+	for _, m := range members(a) {
+		if m.ID == a.cfg.ID {
+			return m
+		}
+	}
+	panic("an agent's table lacks its own record")
+}
+
 // ringIDs lists the members a's table holds placement-eligible: not
 // Dead or Left.
 func ringIDs(a *Agent) []string {
 	var ids []string
-	for _, m := range a.Members() {
+	for _, m := range members(a) {
 		if m.Status < StatusLeft {
 			ids = append(ids, m.ID)
 		}
@@ -204,7 +228,7 @@ func TestFailureDetectionMarksDead(t *testing.T) {
 		return sameRing(agents[:2], 2)
 	})
 	for _, a := range agents[:2] {
-		for _, m := range a.Members() {
+		for _, m := range members(a) {
 			if m.ID == "c" && m.Status != StatusDead {
 				t.Fatalf("c on %s: %s, want dead tombstone", a.cfg.ID, m.Status)
 			}
@@ -228,24 +252,24 @@ func TestSuspectRefutation(t *testing.T) {
 	// Inject a false dead rumour about a (at a's own incarnation) into
 	// b. a must refute with a higher incarnation, and both tables must
 	// settle back on alive.
-	self := a.Self()
+	before := self(a)
 	rumour := encodeState([]Member{{
-		ID: self.ID, Addr: self.Addr,
-		Incarnation: self.Incarnation, Heartbeat: self.Heartbeat + 100,
+		ID: before.ID, Addr: before.Addr,
+		Incarnation: before.Incarnation, Heartbeat: before.Heartbeat + 100,
 		Status: StatusDead,
 	}})
 	if _, err := b.Handle(rumour); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "refutation to spread", func() bool {
-		for _, m := range b.Members() {
+		for _, m := range members(b) {
 			if m.ID == "a" {
-				return m.Status == StatusAlive && m.Incarnation > self.Incarnation
+				return m.Status == StatusAlive && m.Incarnation > before.Incarnation
 			}
 		}
 		return false
 	})
-	if got := a.Self(); got.Incarnation <= self.Incarnation || got.Status != StatusAlive {
+	if got := self(a); got.Incarnation <= before.Incarnation || got.Status != StatusAlive {
 		t.Fatalf("a did not refute: %+v", got)
 	}
 }
@@ -276,7 +300,7 @@ func TestGracefulLeave(t *testing.T) {
 	// tombstone rather than a dead rumour.
 	waitFor(t, "c left on a and b", func() bool { return sameRing(agents[:2], 2) })
 	sawLeft := false
-	for _, m := range agents[0].Members() {
+	for _, m := range members(agents[0]) {
 		if m.ID == "c" && m.Status == StatusLeft {
 			sawLeft = true
 		}
@@ -391,7 +415,7 @@ func TestPartitionFlapRecovers(t *testing.T) {
 	// a refutation incarnation bump.
 	net.setBlocked("c", true)
 	waitFor(t, "c suspected", func() bool {
-		for _, m := range agents[0].Members() {
+		for _, m := range members(agents[0]) {
 			if m.ID == "c" {
 				return m.Status == StatusSuspect
 			}
@@ -403,7 +427,7 @@ func TestPartitionFlapRecovers(t *testing.T) {
 		if !sameRing(agents, 3) {
 			return false
 		}
-		for _, m := range agents[0].Members() {
+		for _, m := range members(agents[0]) {
 			if m.ID == "c" {
 				return m.Status == StatusAlive
 			}
@@ -429,7 +453,7 @@ func TestDiscoverDoesNotJoin(t *testing.T) {
 	if len(ms) != 2 {
 		t.Fatalf("discovered %d members, want 2", len(ms))
 	}
-	for _, m := range a.Members() {
+	for _, m := range members(a) {
 		if m.ID == "observer" {
 			t.Fatal("discovery probe joined the ring")
 		}

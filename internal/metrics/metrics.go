@@ -70,14 +70,11 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 // Load returns the current value.
 func (c *Counter) Load() int64 { return c.v.Load() }
 
-// Gauge is a settable cache-line padded atomic.
+// Gauge is a cache-line padded atomic that goes up and down.
 type Gauge struct {
 	v atomic.Int64
 	_ [56]byte
 }
-
-// Set stores v.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
 // Add adds n (may be negative: in-flight style gauges).
 func (g *Gauge) Add(n int64) { g.v.Add(n) }

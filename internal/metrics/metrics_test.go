@@ -193,8 +193,8 @@ func TestMergeSamples(t *testing.T) {
 	r1, r2 := NewRegistry(), NewRegistry()
 	r1.Counter("c_total", "").Add(3)
 	r2.Counter("c_total", "").Add(4)
-	r1.Gauge("g", "").Set(10)
-	r2.Gauge("g", "").Set(5)
+	r1.Gauge("g", "").Add(10)
+	r2.Gauge("g", "").Add(5)
 	r1.Histogram("h", "").Observe(2)
 	r2.Histogram("h", "").Observe(100)
 	r2.Counter("only2_total", "").Add(7)
@@ -223,7 +223,7 @@ func TestMergeSamples(t *testing.T) {
 func TestSnapshotCodecRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a_total", "help a").Add(12)
-	r.Gauge("b{shard=\"3\"}", "").Set(-4)
+	r.Gauge("b{shard=\"3\"}", "").Add(-4)
 	h := r.LatencyHistogram("lat_seconds", "", 64)
 	for i := int64(0); i < 1000; i++ {
 		h.Observe(i * 1000)

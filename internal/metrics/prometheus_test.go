@@ -15,7 +15,7 @@ func TestWritePrometheusGolden(t *testing.T) {
 	r.Counter("dcdb_ops_total", "Operations.").Add(5)
 	r.Counter(`dcdb_shard_ops_total{shard="1"}`, "Per-shard ops.").Add(2)
 	r.Counter(`dcdb_shard_ops_total{shard="0"}`, "Per-shard ops.").Add(3)
-	r.Gauge("dcdb_depth", "Queue depth.").Set(7)
+	r.Gauge("dcdb_depth", "Queue depth.").Add(7)
 	h := r.Histogram("dcdb_batch", "Batch sizes.")
 	h.Observe(1) // bucket le=1
 	h.Observe(2) // bucket le=2

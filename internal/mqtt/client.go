@@ -165,9 +165,6 @@ func (c *Client) Close() error {
 	return err
 }
 
-// Done is closed when the connection terminates.
-func (c *Client) Done() <-chan struct{} { return c.done }
-
 func (c *Client) readLoop() {
 	defer close(c.done)
 	for {

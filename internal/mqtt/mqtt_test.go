@@ -247,7 +247,7 @@ func TestBrokerCloseUnblocksClients(t *testing.T) {
 	}
 	b.Close()
 	select {
-	case <-c.Done():
+	case <-c.done:
 	case <-time.After(2 * time.Second):
 		t.Fatal("client did not observe broker close")
 	}

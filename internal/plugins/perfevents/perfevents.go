@@ -45,10 +45,6 @@ func New(machine *cpu.Machine) *Plugin {
 // Factory adapts New to the plugin registry.
 func Factory() pusher.Plugin { return New(nil) }
 
-// Machine exposes the backing simulator (so workload models can swap
-// profiles mid-run, as in the application-characterisation case study).
-func (p *Plugin) Machine() *cpu.Machine { return p.machine }
-
 // Configure implements pusher.Plugin.
 func (p *Plugin) Configure(cfg *config.Node) error {
 	p.Reset()

@@ -220,17 +220,6 @@ func (h *Host) Running() []string {
 	return out
 }
 
-// Plugin returns a running plugin by name.
-func (h *Host) Plugin(name string) (Plugin, bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	rp, ok := h.plugins[name]
-	if !ok {
-		return nil, false
-	}
-	return rp.plugin, true
-}
-
 // Close stops all plugins and the burst flusher.
 func (h *Host) Close() error {
 	h.mu.Lock()
@@ -361,6 +350,3 @@ func (h *Host) flushFinal() {
 		h.flushPending()
 	}
 }
-
-// Flush forces an immediate burst flush (used by tests and benchmarks).
-func (h *Host) Flush() { h.flushPending() }

@@ -153,7 +153,7 @@ func TestHostBurstMode(t *testing.T) {
 	if pub.count("/b/s") != 0 {
 		t.Fatal("burst mode published before flush")
 	}
-	h.Flush()
+	h.flushPending()
 	if pub.count("/b/s") != 1 {
 		t.Fatalf("flush produced %d messages", pub.count("/b/s"))
 	}
@@ -263,9 +263,6 @@ func TestHostStartStopPlugin(t *testing.T) {
 	if got := h.Running(); len(got) != 1 || got[0] != "t" {
 		t.Fatalf("Running = %v", got)
 	}
-	if _, ok := h.Plugin("t"); !ok {
-		t.Error("Plugin lookup failed")
-	}
 	if err := h.StartPlugin(p); err == nil {
 		t.Error("duplicate start accepted")
 	}
@@ -278,8 +275,8 @@ func TestHostStartStopPlugin(t *testing.T) {
 	if err := h.StopPlugin("t"); err == nil {
 		t.Error("double stop accepted")
 	}
-	if _, ok := h.Plugin("t"); ok {
-		t.Error("stopped plugin still visible")
+	if got := h.Running(); len(got) != 0 {
+		t.Errorf("stopped plugin still running: %v", got)
 	}
 }
 

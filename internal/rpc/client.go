@@ -449,12 +449,6 @@ func (c *Client) write(entries []store.WriteEntry) error {
 	return nil
 }
 
-// Insert implements store.Backend: an unstamped (version 0) entry of
-// one reading, the one write a node's own Insert makes too.
-func (c *Client) Insert(id core.SensorID, r core.Reading, ttl time.Duration) error {
-	return c.InsertBatch(id, []core.Reading{r}, ttl)
-}
-
 // InsertBatch implements store.Backend: an unstamped (version 0) entry,
 // its TTL resolved to an absolute expiry here, as Node.InsertBatch does.
 func (c *Client) InsertBatch(id core.SensorID, rs []core.Reading, ttl time.Duration) error {
@@ -505,15 +499,6 @@ func (c *Client) Aggregate(id core.SensorID, spec fold.Spec) (fold.State, error)
 		return nil, err
 	}
 	return fold.Decode(resp)
-}
-
-// QueryPrefix implements store.Backend: a drain of QueryPrefixStream.
-func (c *Client) QueryPrefix(prefix core.SensorID, depth int, from, to int64) (map[core.SensorID][]core.Reading, error) {
-	st, err := c.QueryPrefixStream(prefix, depth, from, to)
-	if err != nil {
-		return nil, err
-	}
-	return store.DrainKeyed(st)
 }
 
 // DeleteBefore implements store.Backend.

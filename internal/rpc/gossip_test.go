@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"dcdb/internal/core"
 	"dcdb/internal/store"
 )
 
@@ -72,7 +73,7 @@ func TestFireAndForgetOpsAgainstDeadNode(t *testing.T) {
 // TestCompactOverRPC covers the success half of the fire-and-forget op.
 func TestCompactOverRPC(t *testing.T) {
 	n, _, cl := testPair(t, ClientOptions{})
-	if err := cl.Insert(sid(3, 4), rd(1, 1), 0); err != nil {
+	if err := cl.InsertBatch(sid(3, 4), []core.Reading{rd(1, 1)}, 0); err != nil {
 		t.Fatal(err)
 	}
 	cl.Compact()

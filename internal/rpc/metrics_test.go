@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"dcdb/internal/core"
 	"dcdb/internal/metrics"
 	"dcdb/internal/store"
 )
@@ -19,7 +20,7 @@ import (
 func TestStatsFullRoundTrip(t *testing.T) {
 	_, srv, cl := testPair(t, ClientOptions{})
 	id := sid(7, 7)
-	if err := cl.Insert(id, rd(1, 1.0), 0); err != nil {
+	if err := cl.InsertBatch(id, []core.Reading{rd(1, 1.0)}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cl.Query(id, 0, 1<<60); err != nil {
@@ -123,7 +124,7 @@ func TestClientMetricsCounters(t *testing.T) {
 // byte >= 1 (the empty body of pre-versioning clients included).
 func TestStatsOneRequestShape(t *testing.T) {
 	n, _, cl := testPair(t, ClientOptions{})
-	if err := n.Insert(sid(2, 2), rd(1, 1), 0); err != nil {
+	if err := n.InsertBatch(sid(2, 2), []core.Reading{rd(1, 1)}, 0); err != nil {
 		t.Fatal(err)
 	}
 	ins, q, entries := cl.Stats()

@@ -125,7 +125,7 @@ func TestKillNodeProcessRecoversAckedWrites(t *testing.T) {
 	id := core.SensorID{Hi: 42, Lo: 42}
 	acked := 0
 	for i := 0; i < 500; i++ {
-		if err := cl.Insert(id, core.Reading{Timestamp: int64(i), Value: float64(i)}, 0); err != nil {
+		if err := cl.InsertBatch(id, []core.Reading{{Timestamp: int64(i), Value: float64(i)}}, 0); err != nil {
 			t.Fatalf("insert %d: %v", i, err)
 		}
 		acked++
@@ -135,7 +135,7 @@ func TestKillNodeProcessRecoversAckedWrites(t *testing.T) {
 		}
 	}
 	// Post-kill writes must fail, not silently vanish.
-	if err := cl.Insert(id, core.Reading{Timestamp: 9999, Value: 1}, 0); err == nil {
+	if err := cl.InsertBatch(id, []core.Reading{{Timestamp: 9999, Value: 1}}, 0); err == nil {
 		t.Fatal("insert into a SIGKILLed node succeeded")
 	}
 

@@ -44,9 +44,9 @@
 //
 //	u32 failed | failed × ( u32 entry index | u32 len | error string )
 //
-// Client.Insert, InsertBatch and InsertVersioned all encode entries —
-// version 0 for the first two, one entry per run of equal stamps for a
-// repair or hint batch — and a frame that would exceed frameMax is cut
+// Client.InsertBatch and InsertVersioned both encode entries — version
+// 0 for the first, one entry per run of equal stamps for a repair or
+// hint batch — and a frame that would exceed frameMax is cut
 // at an entry boundary (store.CutEntries).
 //
 // Reads are streams, and a stream is a sequence of calls on one
@@ -60,8 +60,9 @@
 //	u8 more | chunk (absent when the result is empty)
 //
 // The client keeps one opStreamNext in flight ahead of its consumer,
-// never two, and Client.Query/QueryPrefix are a drain of the streams —
-// a result is never materialised in one frame on either side, so its
+// never two, and Client.Query is a drain of its stream (a prefix read
+// is only ever a stream) — a result is never materialised in one frame
+// on either side, so its
 // size is not bounded by frameMax, and a result of at most one chunk
 // costs one response frame. The node sends a chunk only when asked, so
 // a stream its consumer stops reading holds back nothing else on its

@@ -77,11 +77,11 @@ func TestStreamCallMetricsParity(t *testing.T) {
 			t.Fatalf("%s moved query_stream calls by %d and call errors by %g, want 1 and 0", name, calls-calls0, errs-errs0)
 		}
 	}
-	if _, err := cl.QueryPrefix(core.SensorID{}, 0, 0, 1<<60); err != nil {
+	if _, err := storetest.DrainPrefix(cl.QueryPrefixStream(core.SensorID{}, 0, 0, 1<<60)); err != nil {
 		t.Fatal(err)
 	}
 	if calls, _ := callCounts(t, cl, "query_prefix_stream"); calls != 1 {
-		t.Fatalf("QueryPrefix made %d query_prefix_stream calls, want 1", calls)
+		t.Fatalf("a drained prefix read made %d query_prefix_stream calls, want 1", calls)
 	}
 
 	calls0, errs0 := callCounts(t, cl, "query_stream")
@@ -303,7 +303,7 @@ func TestQuorumResolveBehindUnreadStreams(t *testing.T) {
 		t.Fatalf("QUORUM read of a diverged sensor: %v", err)
 	}
 	check("read", rs, len(history))
-	m, err := c.QueryPrefix(core.SensorID{}, 0, 0, 1<<60)
+	m, err := storetest.DrainPrefix(c.QueryPrefixStream(core.SensorID{}, 0, 0, 1<<60))
 	if err != nil {
 		t.Fatalf("QUORUM prefix read over a diverged sensor: %v", err)
 	}

@@ -18,6 +18,7 @@ import (
 	"dcdb/internal/core"
 	"dcdb/internal/fold"
 	"dcdb/internal/store"
+	"dcdb/internal/store/storetest"
 )
 
 func sid(hi, lo uint64) core.SensorID { return core.SensorID{Hi: hi, Lo: lo} }
@@ -52,8 +53,8 @@ func TestRPCRoundtripFullNodeAPI(t *testing.T) {
 	if err := cl.Ping(); err != nil {
 		t.Fatalf("Ping: %v", err)
 	}
-	if err := cl.Insert(id, rd(1, 1.5), 0); err != nil {
-		t.Fatalf("Insert: %v", err)
+	if err := cl.InsertBatch(id, []core.Reading{rd(1, 1.5)}, 0); err != nil {
+		t.Fatalf("InsertBatch: %v", err)
 	}
 	batch := []core.Reading{rd(2, 2.5), rd(3, 3.5), rd(4, 4.5)}
 	if err := cl.InsertBatch(id, batch, 0); err != nil {
@@ -72,12 +73,12 @@ func TestRPCRoundtripFullNodeAPI(t *testing.T) {
 		t.Fatalf("remote %d vs direct %d readings", len(rs), len(direct))
 	}
 
-	m, err := cl.QueryPrefix(core.SensorID{}, 0, 0, 1<<60)
+	m, err := storetest.DrainPrefix(cl.QueryPrefixStream(core.SensorID{}, 0, 0, 1<<60))
 	if err != nil {
-		t.Fatalf("QueryPrefix: %v", err)
+		t.Fatalf("QueryPrefixStream: %v", err)
 	}
 	if len(m) != 1 || len(m[id]) != 4 {
-		t.Fatalf("QueryPrefix returned %v", m)
+		t.Fatalf("QueryPrefixStream returned %v", m)
 	}
 
 	ids := cl.SensorIDs()
@@ -113,7 +114,7 @@ func TestRPCRoundtripFullNodeAPI(t *testing.T) {
 func TestRPCErrorsPropagate(t *testing.T) {
 	n, _, cl := testPair(t, ClientOptions{})
 	n.SetDown(true)
-	if err := cl.Insert(sid(1, 1), rd(1, 1), 0); err == nil || !strings.Contains(err.Error(), "down") {
+	if err := cl.InsertBatch(sid(1, 1), []core.Reading{rd(1, 1)}, 0); err == nil || !strings.Contains(err.Error(), "down") {
 		t.Fatalf("down-node insert error = %v, want node-down", err)
 	}
 	if err := cl.Ping(); err == nil {
@@ -133,7 +134,7 @@ func TestRPCPipelining(t *testing.T) {
 			defer wg.Done()
 			id := sid(uint64(w+1), uint64(w))
 			for i := 0; i < perWorker; i++ {
-				if err := cl.Insert(id, rd(int64(i), float64(w)), 0); err != nil {
+				if err := cl.InsertBatch(id, []core.Reading{rd(int64(i), float64(w))}, 0); err != nil {
 					t.Error(err)
 					return
 				}
@@ -316,7 +317,7 @@ func TestRPCReconnectAfterServerRestart(t *testing.T) {
 	})
 	defer cl.Close()
 	id := sid(3, 3)
-	if err := cl.Insert(id, rd(1, 1), 0); err != nil {
+	if err := cl.InsertBatch(id, []core.Reading{rd(1, 1)}, 0); err != nil {
 		t.Fatal(err)
 	}
 	srv.Close()
@@ -398,7 +399,7 @@ func TestRPCLiveConnectionServesWhileASiblingBacksOff(t *testing.T) {
 	// below alternates onto it first.
 	id := sid(1, 1)
 	for i := 0; i < 4; i++ {
-		if err := cl.Insert(id, rd(int64(i+1), 1), 0); err != nil {
+		if err := cl.InsertBatch(id, []core.Reading{rd(int64(i+1), 1)}, 0); err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
 	}
@@ -457,7 +458,7 @@ func TestRPCClusterOverLoopback(t *testing.T) {
 	// Take the backup replica's server down; writes at ONE continue
 	// and hint.
 	servers[backup].Close()
-	if err := c.Insert(id, rd(3, 3), 0); err != nil {
+	if err := c.InsertBatch(id, []core.Reading{rd(3, 3)}, 0); err != nil {
 		t.Fatalf("ONE write with a dead RPC replica: %v", err)
 	}
 	if queued, _, _ := c.HintStats(); queued == 0 {

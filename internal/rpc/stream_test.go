@@ -17,6 +17,7 @@ import (
 	"dcdb/internal/core"
 	"dcdb/internal/libdcdb"
 	"dcdb/internal/store"
+	"dcdb/internal/store/storetest"
 )
 
 // Streaming RPC tests: chunked roundtrips, cancel-on-close releasing
@@ -116,7 +117,7 @@ func TestStreamPrefixRoundtrip(t *testing.T) {
 		last, first = id, false
 		got[id] += len(rs)
 	}
-	want, err := n.QueryPrefix(prefix, 4, -1<<62, 1<<62)
+	want, err := storetest.DrainPrefix(n.QueryPrefixStream(prefix, 4, -1<<62, 1<<62))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -550,7 +551,7 @@ func TestStreamStallDoesNotBlockUnary(t *testing.T) {
 		if err := cl.Ping(); err != nil {
 			t.Fatalf("unary call %d failed behind a stalled stream: %v", i, err)
 		}
-		if err := cl.Insert(id, rd(int64(1e9+i), 1), 0); err != nil {
+		if err := cl.InsertBatch(id, []core.Reading{rd(int64(1e9+i), 1)}, 0); err != nil {
 			t.Fatalf("unary insert %d failed behind a stalled stream: %v", i, err)
 		}
 	}
@@ -584,7 +585,7 @@ func TestStreamUnreadLeavesReadsServed(t *testing.T) {
 		if err := cl.Ping(); err != nil {
 			t.Fatalf("ping %d beside an unread stream: %v", i, err)
 		}
-		if err := cl.Insert(sid(9, 9), rd(int64(i), 1), 0); err != nil {
+		if err := cl.InsertBatch(sid(9, 9), []core.Reading{rd(int64(i), 1)}, 0); err != nil {
 			t.Fatalf("write %d beside an unread stream: %v", i, err)
 		}
 		if took := time.Since(start); took >= timeout {
@@ -622,7 +623,7 @@ func TestStreamOpensBeyondMaxInFlight(t *testing.T) {
 	if err := cl.Ping(); err != nil {
 		t.Fatalf("ping after the refused open: %v", err)
 	}
-	if err := cl.Insert(id, rd(1e9, 1), 0); err != nil {
+	if err := cl.InsertBatch(id, []core.Reading{rd(1e9, 1)}, 0); err != nil {
 		t.Fatalf("write after the refused open: %v", err)
 	}
 	if rs, err := store.Drain(open[0]); err != nil || len(rs) != 3*store.StreamChunkReadings {

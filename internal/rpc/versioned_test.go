@@ -225,7 +225,7 @@ func TestRPCClusterAntiEntropyOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	nodes[1].SetDown(true)
-	if err := c.Insert(id, rd(2, 99), 0); err != nil {
+	if err := c.InsertBatch(id, []core.Reading{rd(2, 99)}, 0); err != nil {
 		t.Fatal(err)
 	}
 	nodes[1].SetDown(false)

@@ -66,7 +66,7 @@ func TestWriteFrameRoundtrip(t *testing.T) {
 
 	// Insert and InsertBatch are version-0 entries with the TTL resolved
 	// by the caller; InsertVersioned is one entry per run of equal stamps.
-	if err := cl.Insert(sid(51, 1), rd(1, 1), time.Hour); err != nil {
+	if err := cl.InsertBatch(sid(51, 1), []core.Reading{rd(1, 1)}, time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	if err := cl.InsertBatch(sid(51, 1), []core.Reading{rd(2, 2), rd(3, 3)}, 0); err != nil {
@@ -302,10 +302,10 @@ func TestWritesDuringRebalanceStayReadableOverRPC(t *testing.T) {
 	midTransition := 0
 	for i := 0; i < 200; i++ {
 		s := i % sensors
-		if _, moving := c.Members(); moving {
+		if storetest.Rebalancing(c) {
 			midTransition++
 		}
-		if err := c.Insert(ids[s], rd(int64(1000+i), float64(i)), 0); err == nil {
+		if err := c.InsertBatch(ids[s], []core.Reading{rd(int64(1000+i), float64(i))}, 0); err == nil {
 			extra[s]++
 		}
 	}
@@ -313,7 +313,7 @@ func TestWritesDuringRebalanceStayReadableOverRPC(t *testing.T) {
 		t.Log("the transition closed before any racing write; union writes not exercised this run")
 	}
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
-		if _, moving := c.Members(); !moving {
+		if !storetest.Rebalancing(c) {
 			break
 		}
 		if time.Now().After(deadline) {

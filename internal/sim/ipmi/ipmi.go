@@ -3,16 +3,14 @@
 // paper's IPMI plugin samples (§3.1). Real BMCs are unavailable here,
 // so the simulator speaks a compact binary request/response protocol
 // over TCP that preserves the plugin-relevant behaviour: per-sensor
-// reads by name, a sensor-repository listing, and network round-trips
-// per query.
+// reads by name and a network round-trip per query.
 //
 // Wire format (all big-endian):
 //
 //	request : cmd u8 | nameLen u16 | name bytes
 //	response: status u8 | payload
 //
-// Commands: 1 = get sensor reading (payload f64), 2 = list sensors
-// (payload u16 count, then len-prefixed names).
+// Commands: 1 = get sensor reading (payload f64).
 package ipmi
 
 import (
@@ -22,7 +20,6 @@ import (
 	"io"
 	"math"
 	"net"
-	"sort"
 	"sync"
 	"time"
 )
@@ -30,7 +27,6 @@ import (
 // Command and status codes.
 const (
 	CmdGetReading = 1
-	CmdListSDR    = 2
 
 	StatusOK            = 0
 	StatusUnknownSensor = 1
@@ -122,27 +118,6 @@ func (s *Server) serve(conn net.Conn) {
 			if _, err := conn.Write(resp[:]); err != nil {
 				return
 			}
-		case CmdListSDR:
-			s.mu.RLock()
-			names := make([]string, 0, len(s.sensors))
-			for n := range s.sensors {
-				names = append(names, n)
-			}
-			s.mu.RUnlock()
-			sort.Strings(names)
-			out := []byte{StatusOK}
-			var cnt [2]byte
-			binary.BigEndian.PutUint16(cnt[:], uint16(len(names)))
-			out = append(out, cnt[:]...)
-			for _, n := range names {
-				var l [2]byte
-				binary.BigEndian.PutUint16(l[:], uint16(len(n)))
-				out = append(out, l[:]...)
-				out = append(out, n...)
-			}
-			if _, err := conn.Write(out); err != nil {
-				return
-			}
 		default:
 			conn.Write([]byte{StatusBadRequest})
 		}
@@ -196,38 +171,4 @@ func (c *Client) GetReading(name string) (float64, error) {
 		return 0, err
 	}
 	return math.Float64frombits(binary.BigEndian.Uint64(raw[:])), nil
-}
-
-// ListSensors fetches the BMC's sensor repository.
-func (c *Client) ListSensors() ([]string, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.request(CmdListSDR, ""); err != nil {
-		return nil, err
-	}
-	status, err := c.r.ReadByte()
-	if err != nil {
-		return nil, err
-	}
-	if status != StatusOK {
-		return nil, fmt.Errorf("ipmi: list: status %d", status)
-	}
-	var cnt [2]byte
-	if _, err := io.ReadFull(c.r, cnt[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint16(cnt[:])
-	names := make([]string, 0, n)
-	for i := 0; i < int(n); i++ {
-		var l [2]byte
-		if _, err := io.ReadFull(c.r, l[:]); err != nil {
-			return nil, err
-		}
-		name := make([]byte, binary.BigEndian.Uint16(l[:]))
-		if _, err := io.ReadFull(c.r, name); err != nil {
-			return nil, err
-		}
-		names = append(names, string(name))
-	}
-	return names, nil
 }

@@ -317,10 +317,6 @@ func TestIPMIServerClientDirect(t *testing.T) {
 	if _, err := c.GetReading("Nope"); err == nil {
 		t.Error("unknown sensor accepted")
 	}
-	names, err := c.ListSensors()
-	if err != nil || len(names) != 2 || names[0] != "Power" {
-		t.Fatalf("ListSensors = %v, %v", names, err)
-	}
 	if _, err := ipmi.Dial("127.0.0.1:1"); err == nil {
 		t.Error("dial to closed port succeeded")
 	}

@@ -142,27 +142,3 @@ func (k *KDE) Modes(lo, hi float64, n int) []float64 {
 	}
 	return modes
 }
-
-// Histogram counts values into n equal bins over [lo, hi]; values
-// outside the range are clamped into the edge bins.
-func Histogram(vals []float64, lo, hi float64, n int) []int {
-	if n <= 0 {
-		return nil
-	}
-	bins := make([]int, n)
-	if hi <= lo {
-		return bins
-	}
-	w := (hi - lo) / float64(n)
-	for _, v := range vals {
-		i := int((v - lo) / w)
-		if i < 0 {
-			i = 0
-		}
-		if i >= n {
-			i = n - 1
-		}
-		bins[i]++
-	}
-	return bins
-}

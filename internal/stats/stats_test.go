@@ -122,20 +122,6 @@ func TestKDEErrors(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	bins := Histogram([]float64{0.1, 0.2, 0.9, 1.5, -3, 99}, 0, 1, 2)
-	if bins[0] != 3 || bins[1] != 3 {
-		t.Errorf("bins = %v", bins)
-	}
-	if Histogram(nil, 0, 0, 0) != nil {
-		t.Error("n=0 should be nil")
-	}
-	z := Histogram([]float64{1}, 5, 5, 3)
-	if z[0] != 0 && z[1] != 0 {
-		t.Error("degenerate range should count nothing")
-	}
-}
-
 // Property: the fitted line passes through the centroid.
 func TestFitCentroidQuick(t *testing.T) {
 	f := func(seed int64) bool {

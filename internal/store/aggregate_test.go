@@ -90,7 +90,7 @@ func TestClusterAggregateOne(t *testing.T) {
 	id := core.SensorID{Hi: 3, Lo: 9}
 	rs := []core.Reading{{Timestamp: 1, Value: 2}, {Timestamp: 2, Value: 4}, {Timestamp: 3, Value: 6}}
 	for _, r := range rs {
-		if err := c.Insert(id, r, 0); err != nil {
+		if err := c.InsertBatch(id, []core.Reading{r}, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -161,7 +161,7 @@ func TestClusterAggregateQuorumDivergence(t *testing.T) {
 	}
 	// One replica gets an extra reading behind the coordinator's back.
 	reps := c.replicasFor(id)
-	if err := nodes[reps[1]].Insert(id, core.Reading{Timestamp: 3000, Value: 7}, 0); err != nil {
+	if err := nodes[reps[1]].InsertBatch(id, []core.Reading{{Timestamp: 3000, Value: 7}}, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -207,7 +207,7 @@ func TestClusterAggregateQuorumDivergence(t *testing.T) {
 func TestClusterAggregateQuorumNotMet(t *testing.T) {
 	c, nodes := threeNodeCluster(t, 2, ClusterOptions{ReadConsistency: ConsistencyQuorum})
 	id := core.SensorID{Hi: 8, Lo: 8}
-	if err := c.Insert(id, core.Reading{Timestamp: 1, Value: 1}, 0); err != nil {
+	if err := c.InsertBatch(id, []core.Reading{{Timestamp: 1, Value: 1}}, 0); err != nil {
 		t.Fatal(err)
 	}
 	reps := c.replicasFor(id)

@@ -72,7 +72,7 @@ func TestVersionedDedupNewestVersionWins(t *testing.T) {
 	// Legacy rule preserved: all version-0 writes, last insert wins.
 	legacy := sid(80, 2)
 	for i, v := range []float64{1, 2, 3} {
-		if err := n.Insert(legacy, core.Reading{Timestamp: int64(10 + i%1), Value: v}, 0); err != nil {
+		if err := n.InsertBatch(legacy, []core.Reading{{Timestamp: int64(10 + i%1), Value: v}}, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -106,17 +106,17 @@ func TestHintReplayResurrectionWindowClosed(t *testing.T) {
 	}
 	defer c.Close()
 	id := sid(81, 1)
-	if err := c.Insert(id, core.Reading{Timestamp: 1, Value: 10}, 0); err != nil {
+	if err := c.InsertBatch(id, []core.Reading{{Timestamp: 1, Value: 10}}, 0); err != nil {
 		t.Fatal(err)
 	}
 	nodes[1].SetDown(true)
-	if err := c.Insert(id, core.Reading{Timestamp: 1, Value: 20}, 0); err != nil {
+	if err := c.InsertBatch(id, []core.Reading{{Timestamp: 1, Value: 20}}, 0); err != nil {
 		t.Fatal(err) // hinted for nodes[1]
 	}
 	nodes[1].SetDown(false)
 	// The replica is back; a newer rewrite reaches both replicas BEFORE
 	// the queued hint replays.
-	if err := c.Insert(id, core.Reading{Timestamp: 1, Value: 30}, 0); err != nil {
+	if err := c.InsertBatch(id, []core.Reading{{Timestamp: 1, Value: 30}}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.ReplayHints(); err != nil {
@@ -167,7 +167,7 @@ func TestQuorumStreamRepairMovesVersionedReadings(t *testing.T) {
 
 	// One replica misses a TTL'd write.
 	nodes[1].SetDown(true)
-	if err := c.Insert(id, core.Reading{Timestamp: 1, Value: 1}, time.Hour); err != nil {
+	if err := c.InsertBatch(id, []core.Reading{{Timestamp: 1, Value: 1}}, time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	nodes[1].SetDown(false)
@@ -207,7 +207,7 @@ func TestQuorumStreamRepairMovesVersionedReadings(t *testing.T) {
 	}
 
 	// NaN equals itself here: both replicas hold the same bits.
-	if err := c.Insert(id, core.Reading{Timestamp: 3, Value: math.NaN()}, 0); err != nil {
+	if err := c.InsertBatch(id, []core.Reading{{Timestamp: 3, Value: math.NaN()}}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if rs := read(); len(rs) != 3 {
@@ -332,7 +332,7 @@ func TestAntiEntropyRestoresAggregateConsensus(t *testing.T) {
 		t.Fatal(err)
 	}
 	nodes[1].SetDown(true)
-	if err := c.Insert(id, core.Reading{Timestamp: 50, Value: 1000}, 0); err != nil {
+	if err := c.InsertBatch(id, []core.Reading{{Timestamp: 50, Value: 1000}}, 0); err != nil {
 		t.Fatal(err)
 	}
 	nodes[1].SetDown(false)
@@ -381,11 +381,11 @@ func TestAntiEntropyBackgroundLoopConverges(t *testing.T) {
 	}
 	defer c.Close()
 	id := sid(85, 1)
-	if err := c.Insert(id, core.Reading{Timestamp: 1, Value: 1}, 0); err != nil {
+	if err := c.InsertBatch(id, []core.Reading{{Timestamp: 1, Value: 1}}, 0); err != nil {
 		t.Fatal(err)
 	}
 	nodes[1].SetDown(true)
-	if err := c.Insert(id, core.Reading{Timestamp: 2, Value: 2}, 0); err != nil {
+	if err := c.InsertBatch(id, []core.Reading{{Timestamp: 2, Value: 2}}, 0); err != nil {
 		t.Fatal(err)
 	}
 	nodes[1].SetDown(false)
@@ -414,7 +414,7 @@ func TestAntiEntropySingleCopyIsNoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Insert(sid(86, 1), core.Reading{Timestamp: 1, Value: 1}, 0); err != nil {
+	if err := c.InsertBatch(sid(86, 1), []core.Reading{{Timestamp: 1, Value: 1}}, 0); err != nil {
 		t.Fatal(err)
 	}
 	c.RepairRound()

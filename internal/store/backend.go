@@ -54,7 +54,7 @@ type NodeBackend interface {
 
 // VersionedReading is one reading together with the write version and
 // absolute expiry it was coordinated with (Expire 0 = never, Version 0
-// = an unstamped write: Insert, InsertBatch, the tools). It is the unit
+// = an unstamped write: InsertBatch, the tools). It is the unit
 // of versioned replication: every replica-to-replica transfer moves
 // VersionedReadings so the original conflict-resolution order survives
 // re-delivery.

@@ -149,7 +149,7 @@ type Cluster struct {
 	// so versions are monotonic within a coordinator and (clock skew
 	// aside) ordered across coordinator restarts without persisting
 	// anything (nextVersion). Version 0 is reserved for unstamped
-	// writes (a node's own Insert and InsertBatch).
+	// writes (a node's own InsertBatch).
 	ver atomic.Uint64
 
 	// writeWG tracks the running write-queue flushers so Close drains
@@ -287,18 +287,6 @@ func (c *Cluster) ensureStopBG() {
 	}
 }
 
-// Nodes exposes the in-process member nodes (for stats, snapshots and
-// failure injection); remote backends are skipped.
-func (c *Cluster) Nodes() []*Node {
-	var out []*Node
-	for _, m := range c.top().members {
-		if n, ok := m.backend.(*Node); ok {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // Backends exposes every member backend in snapshot order.
 func (c *Cluster) Backends() []NodeBackend {
 	t := c.top()
@@ -315,9 +303,6 @@ func (c *Cluster) Owners(id core.SensorID) []string {
 	t := c.top()
 	return t.readRing().ReplicasFor(c.placementKey(id), c.replication)
 }
-
-// Replication returns the configured copies per row.
-func (c *Cluster) Replication() int { return c.replication }
 
 // fanOut runs op for every listed replica (i is its position in the
 // list, idx its member index), concurrently unless the caller asked for
@@ -386,15 +371,6 @@ func (c *Cluster) Query(id core.SensorID, from, to int64) ([]core.Reading, error
 	return Drain(st)
 }
 
-// QueryPrefix implements Backend: a drain of QueryPrefixStream.
-func (c *Cluster) QueryPrefix(prefix core.SensorID, depth int, from, to int64) (map[core.SensorID][]core.Reading, error) {
-	st, err := c.QueryPrefixStream(prefix, depth, from, to)
-	if err != nil {
-		return nil, err
-	}
-	return DrainKeyed(st)
-}
-
 // DeleteBefore implements Backend; replicas are cleaned concurrently at
 // the write consistency level, with hints queued for replicas that
 // missed the delete. During a rebalance the delete also reaches the
@@ -433,11 +409,6 @@ func (c *Cluster) Compact() {
 // trips.
 func (c *Cluster) Flush() error {
 	return firstError(eachMember(c.top(), func(_ int, b NodeBackend) error { return b.Flush() }))
-}
-
-// Sync forces every backend's WAL to disk, concurrently.
-func (c *Cluster) Sync() error {
-	return firstError(eachMember(c.top(), func(_ int, b NodeBackend) error { return b.Sync() }))
 }
 
 // eachMember runs op on every member's backend concurrently and returns

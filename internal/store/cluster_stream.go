@@ -13,8 +13,7 @@ import (
 // The cluster's read path, and there is one: the coordinator consumes
 // its replicas' streams incrementally — chunks are pulled, merged and
 // handed to the caller without the coordinator ever materializing a
-// whole replica response; Query and QueryPrefix are a drain of these
-// streams. Streams carry values only, so the merge itself cannot tell
+// whole replica response; Query is a drain of its stream. Streams carry values only, so the merge itself cannot tell
 // which of two conflicting copies is newer. It does not have to: it
 // only remembers the timestamp range over which the replicas it reads
 // disagreed, and before a chunk leaves the coordinator that range is

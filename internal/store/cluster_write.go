@@ -154,12 +154,6 @@ func (c *Cluster) counted(err error) error {
 	return err
 }
 
-// Insert implements Backend: the reading is written to every replica
-// at the configured write consistency.
-func (c *Cluster) Insert(id core.SensorID, r core.Reading, ttl time.Duration) error {
-	return c.InsertBatch(id, []core.Reading{r}, ttl)
-}
-
 // InsertBatch implements Backend: the coordinator stamps the batch with
 // one write version and expiry, sends it to every replica and returns
 // once the write consistency level is met or missed.

@@ -114,7 +114,7 @@ func TestDecoratedRemoteKeepsItsDecoration(t *testing.T) {
 	}
 	const writes = 10
 	for i := 0; i < writes; i++ {
-		if err := c.Insert(sid(41, uint64(i)), rd(int64(i+1), 1), 0); err != nil {
+		if err := c.InsertBatch(sid(41, uint64(i)), []core.Reading{rd(int64(i+1), 1)}, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -159,7 +159,7 @@ func TestCombinerProperty(t *testing.T) {
 				}
 				// Quorum is two of three: one failing member never fails
 				// a write.
-				if err := c.Insert(id, rd(int64(i), float64(w*1000+i)), 0); err != nil {
+				if err := c.InsertBatch(id, []core.Reading{rd(int64(i), float64(w*1000+i))}, 0); err != nil {
 					t.Errorf("writer %d reading %d: %v", w, i, err)
 					return
 				}

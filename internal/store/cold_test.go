@@ -440,13 +440,13 @@ func TestClusterQuorumStreamMergesAndRepairs(t *testing.T) {
 	replicas := c.replicasFor(id)
 	// Write 1..N to all, then N+1..M only to two replicas (one missed).
 	for ts := int64(1); ts <= 10; ts++ {
-		if err := c.Insert(id, core.Reading{Timestamp: ts, Value: float64(ts)}, 0); err != nil {
+		if err := c.InsertBatch(id, []core.Reading{{Timestamp: ts, Value: float64(ts)}}, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for ts := int64(11); ts <= 20; ts++ {
 		for _, idx := range replicas[:2] {
-			if err := nodes[idx].Insert(id, core.Reading{Timestamp: ts, Value: float64(ts)}, 0); err != nil {
+			if err := nodes[idx].InsertBatch(id, []core.Reading{{Timestamp: ts, Value: float64(ts)}}, 0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -488,9 +488,8 @@ func TestClusterQuorumStreamMergesAndRepairs(t *testing.T) {
 }
 
 // TestClusterPrefixStreamOrderedAndComplete checks the SID-ordered
-// keyed merge against each sensor's own read. (QueryPrefix is a drain of
-// this stream; what the two must agree on under conflict is
-// TestReadFormsAgreeOnConflict's business.)
+// keyed merge against each sensor's own read. (What the read forms must
+// agree on under conflict is TestReadFormsAgreeOnConflict's business.)
 func TestClusterPrefixStreamOrderedAndComplete(t *testing.T) {
 	nodes := []*Node{NewNode(0), NewNode(0)}
 	backends := make([]NodeBackend, len(nodes))
@@ -507,7 +506,7 @@ func TestClusterPrefixStreamOrderedAndComplete(t *testing.T) {
 		id := prefix
 		id.Lo = s << 16
 		for ts := int64(0); ts < 100; ts++ {
-			if err := c.Insert(id, core.Reading{Timestamp: ts, Value: float64(ts) + float64(s)}, 0); err != nil {
+			if err := c.InsertBatch(id, []core.Reading{{Timestamp: ts, Value: float64(ts) + float64(s)}}, 0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -600,7 +599,7 @@ func TestClusterStreamConsistencyOneFailover(t *testing.T) {
 	defer c.Close()
 	id := sid(5, 5)
 	for ts := int64(0); ts < 10; ts++ {
-		if err := c.Insert(id, core.Reading{Timestamp: ts, Value: float64(ts)}, 0); err != nil {
+		if err := c.InsertBatch(id, []core.Reading{{Timestamp: ts, Value: float64(ts)}}, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -646,7 +645,7 @@ func TestQuorumStreamEarlyClose(t *testing.T) {
 	defer c.Close()
 	id := sid(7, 7)
 	for ts := int64(0); ts < 3*StreamChunkReadings; ts++ {
-		if err := c.Insert(id, core.Reading{Timestamp: ts, Value: 1}, 0); err != nil {
+		if err := c.InsertBatch(id, []core.Reading{{Timestamp: ts, Value: 1}}, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -679,7 +678,7 @@ func TestPrefixStreamQuorumNotMet(t *testing.T) {
 	}
 	defer c.Close()
 	id := sid(1, 1)
-	if err := c.Insert(id, core.Reading{Timestamp: 1, Value: 1}, 0); err != nil {
+	if err := c.InsertBatch(id, []core.Reading{{Timestamp: 1, Value: 1}}, 0); err != nil {
 		t.Fatal(err)
 	}
 	nodes[1].SetDown(true)

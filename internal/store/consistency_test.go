@@ -39,12 +39,12 @@ func TestWriteConsistencyOneSurvivesDownReplica(t *testing.T) {
 	id := sid(7, 1)
 	reps := c.replicasFor(id)
 	nodes[reps[1]].SetDown(true)
-	if err := c.Insert(id, rd(1, 1), 0); err != nil {
+	if err := c.InsertBatch(id, []core.Reading{rd(1, 1)}, 0); err != nil {
 		t.Fatalf("ONE write with one replica down: %v", err)
 	}
 	// Both replicas down: even ONE must fail.
 	nodes[reps[0]].SetDown(true)
-	if err := c.Insert(id, rd(2, 2), 0); err == nil {
+	if err := c.InsertBatch(id, []core.Reading{rd(2, 2)}, 0); err == nil {
 		t.Fatal("ONE write with all replicas down succeeded")
 	}
 }
@@ -56,11 +56,11 @@ func TestWriteConsistencyQuorumBlocksOnDownReplica(t *testing.T) {
 	id := sid(7, 2)
 	reps := c.replicasFor(id)
 	nodes[reps[1]].SetDown(true)
-	if err := c.Insert(id, rd(1, 1), 0); err == nil {
+	if err := c.InsertBatch(id, []core.Reading{rd(1, 1)}, 0); err == nil {
 		t.Fatal("QUORUM write with a down replica (rf=2) succeeded")
 	}
 	nodes[reps[1]].SetDown(false)
-	if err := c.Insert(id, rd(1, 1), 0); err != nil {
+	if err := c.InsertBatch(id, []core.Reading{rd(1, 1)}, 0); err != nil {
 		t.Fatalf("QUORUM write with all replicas up: %v", err)
 	}
 }
@@ -71,11 +71,11 @@ func TestWriteConsistencyQuorumToleratesMinorityDown(t *testing.T) {
 	c, nodes := threeNodeCluster(t, 3, ClusterOptions{WriteConsistency: ConsistencyQuorum})
 	id := sid(7, 3)
 	nodes[0].SetDown(true)
-	if err := c.Insert(id, rd(1, 1), 0); err != nil {
+	if err := c.InsertBatch(id, []core.Reading{rd(1, 1)}, 0); err != nil {
 		t.Fatalf("QUORUM write with 2/3 replicas up: %v", err)
 	}
 	nodes[1].SetDown(true)
-	if err := c.Insert(id, rd(2, 2), 0); err == nil {
+	if err := c.InsertBatch(id, []core.Reading{rd(2, 2)}, 0); err == nil {
 		t.Fatal("QUORUM write with 1/3 replicas up succeeded")
 	}
 }
@@ -94,7 +94,7 @@ func TestReadConsistencyMatrix(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			id := sid(9, 9)
-			if err := tc.c.Insert(id, rd(1, 1), 0); err != nil {
+			if err := tc.c.InsertBatch(id, []core.Reading{rd(1, 1)}, 0); err != nil {
 				t.Fatal(err)
 			}
 			reps := tc.c.replicasFor(id)
@@ -180,7 +180,7 @@ func TestHintsSurviveCoordinatorRestart(t *testing.T) {
 	id := sid(13, 5)
 	reps := c1.replicasFor(id)
 	nodes[reps[1]].SetDown(true)
-	if err := c1.Insert(id, rd(42, 4.2), 0); err != nil {
+	if err := c1.InsertBatch(id, []core.Reading{rd(42, 4.2)}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := c1.Close(); err != nil { // memory nodes survive Close
@@ -218,7 +218,7 @@ func TestHintedWriteTTLSurvivesAsExpiry(t *testing.T) {
 	reps := c.replicasFor(id)
 	nodes[reps[1]].SetDown(true)
 	// A TTL'd write hinted and replayed keeps a finite expiry.
-	if err := c.Insert(id, rd(1, 1), time.Hour); err != nil {
+	if err := c.InsertBatch(id, []core.Reading{rd(1, 1)}, time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	nodes[reps[1]].SetDown(false)
@@ -239,7 +239,7 @@ func TestReadRepairConvergesReplicas(t *testing.T) {
 	// Diverge the replicas behind the coordinator's back: only one
 	// holds the data (a write the other missed without a hint).
 	for ts := int64(1); ts <= 5; ts++ {
-		if err := healthy.Insert(id, rd(ts, float64(ts)), 0); err != nil {
+		if err := healthy.InsertBatch(id, []core.Reading{rd(ts, float64(ts))}, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -274,11 +274,11 @@ func TestQueryPrefixQuorumMergesDivergedReplicas(t *testing.T) {
 	// Each replica holds a disjoint half of the series.
 	for ts := int64(1); ts <= 4; ts++ {
 		target := nodes[reps[ts%2]]
-		if err := target.Insert(id, rd(ts, float64(ts)), 0); err != nil {
+		if err := target.InsertBatch(id, []core.Reading{rd(ts, float64(ts))}, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	out, err := c.QueryPrefix(core.SensorID{}, 0, 0, 1<<60)
+	out, err := drainPrefix(c.QueryPrefixStream(core.SensorID{}, 0, 0, 1<<60))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,16 +287,16 @@ func TestQueryPrefixQuorumMergesDivergedReplicas(t *testing.T) {
 	}
 	// A down node must fail a QUORUM prefix read at rf=2...
 	nodes[reps[0]].SetDown(true)
-	if _, err := c.QueryPrefix(core.SensorID{}, 0, 0, 1<<60); err == nil {
+	if _, err := drainPrefix(c.QueryPrefixStream(core.SensorID{}, 0, 0, 1<<60)); err == nil {
 		t.Fatal("QUORUM prefix read (rf=2) with a down node succeeded")
 	}
 	// ...but not a ONE prefix read.
 	cOne, nodesOne := threeNodeCluster(t, 2, ClusterOptions{})
-	if err := cOne.Insert(id, rd(1, 1), 0); err != nil {
+	if err := cOne.InsertBatch(id, []core.Reading{rd(1, 1)}, 0); err != nil {
 		t.Fatal(err)
 	}
 	nodesOne[0].SetDown(true)
-	if _, err := cOne.QueryPrefix(core.SensorID{}, 0, 0, 1<<60); err != nil {
+	if _, err := drainPrefix(cOne.QueryPrefixStream(core.SensorID{}, 0, 0, 1<<60)); err != nil {
 		t.Fatalf("ONE prefix read with a down node: %v", err)
 	}
 }
@@ -311,13 +311,13 @@ func TestQueryPrefixOneNeedsEveryReplicaSet(t *testing.T) {
 	}{{1, []int{0}}, {2, []int{0, 1}}} {
 		c, nodes := threeNodeCluster(t, tc.replication, ClusterOptions{})
 		ids := seedSensors(t, c, 30, 2)
-		if got, err := c.QueryPrefix(core.SensorID{}, 0, 0, 1<<60); err != nil || len(got) != len(ids) {
+		if got, err := drainPrefix(c.QueryPrefixStream(core.SensorID{}, 0, 0, 1<<60)); err != nil || len(got) != len(ids) {
 			t.Fatalf("rf=%d, all up: %d of %d sensors, %v", tc.replication, len(got), len(ids), err)
 		}
 		for _, i := range tc.down {
 			nodes[i].SetDown(true)
 		}
-		if got, err := c.QueryPrefix(core.SensorID{}, 0, 0, 1<<60); err == nil {
+		if got, err := drainPrefix(c.QueryPrefixStream(core.SensorID{}, 0, 0, 1<<60)); err == nil {
 			t.Fatalf("rf=%d, nodes %v down: a ONE prefix read returned %d of %d sensors and no error",
 				tc.replication, tc.down, len(got), len(ids))
 		}
@@ -329,7 +329,7 @@ func TestQueryPrefixOneNeedsEveryReplicaSet(t *testing.T) {
 	defer c.Close()
 	ids := seedSensors(t, c, 30, 2)
 	nodes[0].SetDown(true)
-	if got, err := c.QueryPrefix(core.SensorID{}, 0, 0, 1<<60); err != nil || len(got) != len(ids) {
+	if got, err := drainPrefix(c.QueryPrefixStream(core.SensorID{}, 0, 0, 1<<60)); err != nil || len(got) != len(ids) {
 		t.Fatalf("rf=2, one node down: %d of %d sensors, %v", len(got), len(ids), err)
 	}
 }
@@ -345,22 +345,13 @@ func TestClusterMaintenanceFansOutToAllBackends(t *testing.T) {
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Sync(); err != nil {
-		t.Fatal(err)
-	}
 	c.Compact()
 	ids := c.SensorIDs()
 	if len(ids) != 2 || ids[0] != min2(idA, idB) {
 		t.Fatalf("SensorIDs = %v", ids)
 	}
-	if got := len(c.Nodes()); got != 3 {
-		t.Fatalf("Nodes() returned %d of 3 local nodes", got)
-	}
 	if got := len(c.Backends()); got != 3 {
 		t.Fatalf("Backends() returned %d of 3", got)
-	}
-	if c.Replication() != 2 {
-		t.Fatalf("Replication() = %d", c.Replication())
 	}
 	if got := totalInserts(c); got != 8 { // 2 sensors × 2 readings × 2 replicas
 		t.Fatalf("members' inserts = %d, want 8", got)
@@ -397,7 +388,7 @@ func TestGroupCommitConcurrentSyncEveryWritersRecoverAfterCrash(t *testing.T) {
 			defer wg.Done()
 			id := sid(uint64(w+1), uint64(w))
 			for i := 0; i < writes; i++ {
-				if err := n.Insert(id, rd(int64(i), float64(w)), 0); err != nil {
+				if err := n.InsertBatch(id, []core.Reading{rd(int64(i), float64(w))}, 0); err != nil {
 					t.Error(err)
 					return
 				}
@@ -456,7 +447,7 @@ func TestExplicitSyncMakesWritesDurable(t *testing.T) {
 	n := openedNode(t, dir, 0, DiskOptions{SyncInterval: -1, CompactInterval: -1})
 	id := sid(41, 3)
 	for ts := int64(1); ts <= 10; ts++ {
-		if err := n.Insert(id, rd(ts, float64(ts)), 0); err != nil {
+		if err := n.InsertBatch(id, []core.Reading{rd(ts, float64(ts))}, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -481,7 +472,7 @@ func TestHintBackgroundLoopDeliversWithoutManualReplay(t *testing.T) {
 	id := sid(43, 9)
 	reps := c.replicasFor(id)
 	nodes[reps[1]].SetDown(true)
-	if err := c.Insert(id, rd(1, 1), 0); err != nil {
+	if err := c.InsertBatch(id, []core.Reading{rd(1, 1)}, 0); err != nil {
 		t.Fatal(err)
 	}
 	nodes[reps[1]].SetDown(false)

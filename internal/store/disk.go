@@ -167,11 +167,6 @@ const (
 	defaultCompactInterval = 250 * time.Millisecond
 )
 
-// Open attaches a fresh node to a data directory with default
-// DiskOptions: run files are mapped in, WAL segments are replayed, and
-// from then on every write is crash-durable. See OpenOptions.
-func (n *Node) Open(dir string) error { return n.OpenOptions(dir, DiskOptions{}) }
-
 // OpenOptions attaches a fresh node to a data directory: the node's WAL
 // segments (`wal-<seq>.log`) and one subdirectory per shard
 // (`shard-<i>/`) of immutable sorted run files

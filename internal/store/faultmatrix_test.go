@@ -236,28 +236,28 @@ func TestWALWriteENOSPCFailsShardClosed(t *testing.T) {
 	for shardIndex(other) == shardIndex(id) {
 		other.Lo++
 	}
-	if err := n.Insert(id, core.Reading{Timestamp: 1, Value: 1}, 0); err != nil {
+	if err := n.InsertBatch(id, []core.Reading{{Timestamp: 1, Value: 1}}, 0); err != nil {
 		t.Fatal(err)
 	}
 
 	full := inj.AddRule(&faults.Rule{
 		Ops: faults.FSWrite | faults.FSOpen, Match: dir, Err: syscall.ENOSPC,
 	})
-	err := n.Insert(id, core.Reading{Timestamp: 2, Value: 2}, 0)
+	err := n.InsertBatch(id, []core.Reading{{Timestamp: 2, Value: 2}}, 0)
 	if !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("insert on a full disk returned %v, want ENOSPC", err)
 	}
 	// The broken segment's rotation also fails (no space for a new
 	// file): the shard latches closed.
-	if err := n.Insert(id, core.Reading{Timestamp: 3, Value: 3}, 0); err == nil {
+	if err := n.InsertBatch(id, []core.Reading{{Timestamp: 3, Value: 3}}, 0); err == nil {
 		t.Fatal("insert acked while the WAL could not be replaced")
 	}
 	full.Disable()
-	if err := n.Insert(id, core.Reading{Timestamp: 4, Value: 4}, 0); err == nil {
+	if err := n.InsertBatch(id, []core.Reading{{Timestamp: 4, Value: 4}}, 0); err == nil {
 		t.Fatal("shard accepted writes again without a reopen; fail-closed must latch")
 	}
 	// The node has one WAL: every shard is refused until the reopen.
-	if err := n.Insert(other, core.Reading{Timestamp: 1, Value: 9}, 0); err == nil {
+	if err := n.InsertBatch(other, []core.Reading{{Timestamp: 1, Value: 9}}, 0); err == nil {
 		t.Fatal("another shard accepted a write without a reopen; fail-closed must latch the node")
 	}
 
@@ -275,7 +275,7 @@ func TestWALWriteENOSPCFailsShardClosed(t *testing.T) {
 	if len(rs) != 1 || rs[0].Timestamp != 1 {
 		t.Fatalf("recovered %v; want exactly the one acked reading", rs)
 	}
-	if err := n2.Insert(id, core.Reading{Timestamp: 5, Value: 5}, 0); err != nil {
+	if err := n2.InsertBatch(id, []core.Reading{{Timestamp: 5, Value: 5}}, 0); err != nil {
 		t.Fatalf("shard still closed after reopen: %v", err)
 	}
 }
@@ -296,7 +296,7 @@ func TestHintLostCounted(t *testing.T) {
 	id := sid(11, 5)
 	reps := c.replicasFor(id)
 	nodes[reps[1]].SetDown(true)
-	if err := c.Insert(id, core.Reading{Timestamp: 1, Value: 1}, 0); err != nil {
+	if err := c.InsertBatch(id, []core.Reading{{Timestamp: 1, Value: 1}}, 0); err != nil {
 		t.Fatalf("ONE write whose hint could not be queued: %v", err)
 	}
 	if got := sampleValue(t, c.Metrics().Gather(), "dcdb_cluster_hints_lost_total"); got != 1 {
@@ -353,7 +353,7 @@ func TestHintReplayInterruptedMidFileRedelivers(t *testing.T) {
 	// Two cluster writes while the replica is down: calls 1 and 2 on
 	// the wrapper (rejected by the down node), two hint records queued.
 	for ts := int64(1); ts <= 2; ts++ {
-		if err := c.Insert(id, core.Reading{Timestamp: ts, Value: float64(ts)}, 0); err != nil {
+		if err := c.InsertBatch(id, []core.Reading{{Timestamp: ts, Value: float64(ts)}}, 0); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -146,7 +146,7 @@ func TestDeliverHintsDispositions(t *testing.T) {
 
 	id := sid(77, 3)
 	nodes["charlie"].SetDown(true)
-	if err := c.Insert(id, core.Reading{Timestamp: 1, Value: 1}, 0); err != nil {
+	if err := c.InsertBatch(id, []core.Reading{{Timestamp: 1, Value: 1}}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !c.hints.has("charlie") {
@@ -201,11 +201,11 @@ func TestRingScatterQuorumBound(t *testing.T) {
 	ids := seedSensors(t, c, 20, 5)
 
 	nodes["bravo"].SetDown(true)
-	if _, err := c.QueryPrefix(core.SensorID{}, 0, 0, 1<<60); err == nil {
+	if _, err := drainPrefix(c.QueryPrefixStream(core.SensorID{}, 0, 0, 1<<60)); err == nil {
 		t.Fatal("scatter read at QUORUM succeeded with a down member in every window containing it")
 	}
 	nodes["bravo"].SetDown(false)
-	got, err := c.QueryPrefix(core.SensorID{}, 0, 0, 1<<60)
+	got, err := drainPrefix(c.QueryPrefixStream(core.SensorID{}, 0, 0, 1<<60))
 	if err != nil {
 		t.Fatalf("scatter read after recovery: %v", err)
 	}
@@ -222,7 +222,7 @@ func TestRingScatterQuorumBound(t *testing.T) {
 	defer wide.Close()
 	seedSensors(t, wide, 5, 2)
 	wnodes["bravo"].SetDown(true)
-	if got, err := wide.QueryPrefix(core.SensorID{}, 0, 0, 1<<60); err != nil || len(got) != 5 {
+	if got, err := drainPrefix(wide.QueryPrefixStream(core.SensorID{}, 0, 0, 1<<60)); err != nil || len(got) != 5 {
 		t.Fatalf("scatter read with 2 of 3 copies live: %d sensors, %v", len(got), err)
 	}
 }
@@ -280,7 +280,7 @@ func TestRebalanceRetriesUntilTargetRecovers(t *testing.T) {
 	// Let at least one round fail against the down joiner.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if _, transition := c.Members(); transition {
+		if rebalancing(t, c) {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -289,7 +289,7 @@ func TestRebalanceRetriesUntilTargetRecovers(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	time.Sleep(100 * time.Millisecond)
-	if _, transition := c.Members(); !transition {
+	if !rebalancing(t, c) {
 		t.Fatal("transition completed against a down joiner")
 	}
 
@@ -335,7 +335,7 @@ func TestForwardedVersionedHintRehints(t *testing.T) {
 		t.Fatal("no probed sensor places on charlie")
 	}
 	nodes["charlie"].SetDown(true)
-	if err := c.Insert(id, core.Reading{Timestamp: 1, Value: 1}, 0); err != nil {
+	if err := c.InsertBatch(id, []core.Reading{{Timestamp: 1, Value: 1}}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !c.hints.has("charlie") {

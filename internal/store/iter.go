@@ -18,7 +18,7 @@ import (
 // them in timestamp order, winners resolves duplicates, and nodeStream
 // hands the result out in bounded chunks, so the memory a read holds is
 // O(one chunk + one block per cold source + the memtable window), not
-// O(result). Query and QueryPrefix are a Drain of the stream; the RPC
+// O(result). Query is a Drain of the stream; the RPC
 // server forwards the same chunks frame by frame.
 
 // iterator yields one series' entries in timestamp order.
@@ -616,23 +616,6 @@ func Drain(st ReadingStream) ([]core.Reading, error) {
 	}
 }
 
-// DrainKeyed is Drain for a prefix stream: the readings of every sensor
-// that has any, keyed by SID.
-func DrainKeyed(st KeyedReadingStream) (map[core.SensorID][]core.Reading, error) {
-	defer st.Close()
-	out := make(map[core.SensorID][]core.Reading)
-	for {
-		id, chunk, err := st.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		out[id] = append(out[id], chunk...)
-	}
-}
-
 // nodeStream hands a sensor's winning entries out as readings: in
 // bounded chunks through Next, or all at once through drain. lat, when
 // set, is the shard's query-latency histogram: the stream observes
@@ -901,13 +884,4 @@ func (n *Node) QueryPrefixStream(prefix core.SensorID, depth int, from, to int64
 		n: n, ids: n.prefixSIDs(prefix, depth), from: from, to: to,
 		now: time.Now().UnixNano(),
 	}, nil
-}
-
-// QueryPrefix implements Backend.
-func (n *Node) QueryPrefix(prefix core.SensorID, depth int, from, to int64) (map[core.SensorID][]core.Reading, error) {
-	st, err := n.QueryPrefixStream(prefix, depth, from, to)
-	if err != nil {
-		return nil, err
-	}
-	return DrainKeyed(st)
 }

@@ -119,7 +119,7 @@ func newNodeMetrics(n *Node) *nodeMetrics {
 	for i := 0; i < numShards; i++ {
 		m.insertLat[i] = reg.LatencyHistogram(
 			fmt.Sprintf(`dcdb_store_insert_latency_seconds{shard="%d"}`, i),
-			"Insert/InsertBatch call latency per memtable shard.", insertSampleEvery)
+			"Write latency per memtable shard.", insertSampleEvery)
 		m.queryLat[i] = reg.LatencyHistogram(
 			fmt.Sprintf(`dcdb_store_query_latency_seconds{shard="%d"}`, i),
 			"Read latency per memtable shard: stream open to EOF, error or Close (a Query is a drained stream).", querySampleEvery)

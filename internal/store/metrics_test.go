@@ -68,7 +68,7 @@ func TestNodeMetricsExposition(t *testing.T) {
 	id := sid(3, 9)
 	const inserts = 200
 	for i := int64(0); i < inserts; i++ {
-		if err := n.Insert(id, rd(i, float64(i)), 0); err != nil {
+		if err := n.InsertBatch(id, []core.Reading{rd(i, float64(i))}, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -129,7 +129,7 @@ func TestSetInstrumentationStopsSampling(t *testing.T) {
 
 	SetInstrumentation(false)
 	for i := int64(0); i < 300; i++ {
-		if err := n.Insert(id, rd(i, 1), 0); err != nil {
+		if err := n.InsertBatch(id, []core.Reading{rd(i, 1)}, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -149,7 +149,7 @@ func TestSetInstrumentationStopsSampling(t *testing.T) {
 
 	SetInstrumentation(true)
 	for i := int64(300); i < 600; i++ {
-		if err := n.Insert(id, rd(i, 1), 0); err != nil {
+		if err := n.InsertBatch(id, []core.Reading{rd(i, 1)}, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -167,7 +167,7 @@ func TestClusterMetricsOutcomes(t *testing.T) {
 		ReadConsistency:  ConsistencyQuorum,
 	})
 	id := sid(11, 4)
-	if err := c.Insert(id, rd(1, 1), 0); err != nil {
+	if err := c.InsertBatch(id, []core.Reading{rd(1, 1)}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Query(id, 0, 10); err != nil {
@@ -176,7 +176,7 @@ func TestClusterMetricsOutcomes(t *testing.T) {
 
 	reps := c.replicasFor(id)
 	nodes[reps[1]].SetDown(true)
-	if err := c.Insert(id, rd(2, 2), 0); err == nil {
+	if err := c.InsertBatch(id, []core.Reading{rd(2, 2)}, 0); err == nil {
 		t.Fatal("QUORUM write with a down replica succeeded")
 	}
 	if _, err := c.Query(id, 0, 10); err == nil {
@@ -251,22 +251,14 @@ func TestReadMetricsParity(t *testing.T) {
 		_, err := b.Query(id, 0, 1<<60)
 		return err
 	}
-	prefixStreamed := func(b Backend) error {
-		st, err := b.QueryPrefixStream(core.SensorID{}, 0, 0, 1<<60)
-		if err != nil {
-			return err
-		}
-		_, err = DrainKeyed(st)
-		return err
-	}
-	prefixMaterialised := func(b Backend) error {
-		_, err := b.QueryPrefix(core.SensorID{}, 0, 0, 1<<60)
+	prefix := func(b Backend) error {
+		_, err := drainPrefix(b.QueryPrefixStream(core.SensorID{}, 0, 0, 1<<60))
 		return err
 	}
 
 	// Node: querySampleEvery reads of either form are one latency sample.
 	n := NewNode(0)
-	if err := n.Insert(id, rd(1, 1), 0); err != nil {
+	if err := n.InsertBatch(id, []core.Reading{rd(1, 1)}, 0); err != nil {
 		t.Fatal(err)
 	}
 	nodeCounts := func() (queries float64, sampled int64) {
@@ -290,10 +282,10 @@ func TestReadMetricsParity(t *testing.T) {
 	for _, cl := range []Consistency{ConsistencyOne, ConsistencyQuorum} {
 		c, nodes := threeNodeCluster(t, 2, ClusterOptions{ReadConsistency: cl})
 		defer c.Close()
-		if err := c.Insert(id, rd(1, 1), 0); err != nil {
+		if err := c.InsertBatch(id, []core.Reading{rd(1, 1)}, 0); err != nil {
 			t.Fatal(err)
 		}
-		for i, read := range []func(Backend) error{materialised, streamed, prefixMaterialised, prefixStreamed} {
+		for i, read := range []func(Backend) error{materialised, streamed, prefix} {
 			ok0, failed0 := readOutcomes(t, c)
 			if err := read(c); err != nil {
 				t.Fatal(err)

@@ -214,7 +214,7 @@ func TestBatchedSyncLoopDurability(t *testing.T) {
 	o.SyncInterval = 2 * time.Millisecond
 	n := openedNode(t, dir, 0, o)
 	id := sid(3, 3)
-	if err := n.Insert(id, core.Reading{Timestamp: 1, Value: 1}, 0); err != nil {
+	if err := n.InsertBatch(id, []core.Reading{{Timestamp: 1, Value: 1}}, 0); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(30 * time.Millisecond) // several ticker fires

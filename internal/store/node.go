@@ -37,14 +37,13 @@ import (
 // to and query from. Node, Cluster and rpc.Client implement it, which
 // is what lets the whole backend be swapped out (paper §5.1).
 //
-// There is one read path: QueryStream and QueryPrefixStream. Query and
-// QueryPrefix are a drain of the corresponding stream (Drain,
-// DrainKeyed) and return exactly what the stream yields.
+// There is one read path: QueryStream and QueryPrefixStream. Query is
+// a drain of QueryStream (Drain) and returns exactly what the stream
+// yields; a prefix read that wants a map drains its stream with
+// DrainKeyed.
 type Backend interface {
-	// Insert stores one reading for the sensor. ttl of zero keeps the
-	// reading forever.
-	Insert(id core.SensorID, r core.Reading, ttl time.Duration) error
-	// InsertBatch stores several readings of one sensor at once.
+	// InsertBatch stores readings of one sensor. ttl of zero keeps
+	// them forever.
 	InsertBatch(id core.SensorID, rs []core.Reading, ttl time.Duration) error
 	// QueryStream streams the readings of a sensor with from <= ts <=
 	// to, in timestamp order, in bounded chunks pulled on demand, so
@@ -59,8 +58,6 @@ type Backend interface {
 	QueryPrefixStream(prefix core.SensorID, depth int, from, to int64) (KeyedReadingStream, error)
 	// Query is a drain of QueryStream.
 	Query(id core.SensorID, from, to int64) ([]core.Reading, error)
-	// QueryPrefix is a drain of QueryPrefixStream, keyed by SID.
-	QueryPrefix(prefix core.SensorID, depth int, from, to int64) (map[core.SensorID][]core.Reading, error)
 	// Aggregate runs an analysis fold (internal/fold) over the sensor's
 	// readings in the spec's range where the data lives and returns only
 	// the finished state — the aggregation pushdown path. The state is
@@ -75,7 +72,7 @@ type Backend interface {
 
 // entry is one stored cell: timestamp, value, absolute expiry
 // (0 = never), and the coordinator-assigned write version (0 = an
-// unstamped write: Insert, InsertBatch, the tools). Query-time dedup
+// unstamped write: InsertBatch, the tools). Query-time dedup
 // resolves duplicate timestamps by highest version; equal versions fall
 // back to newest-source-wins, so among unstamped writes the last one
 // wins.
@@ -394,12 +391,6 @@ func (n *Node) syncOwed(w *wal, pos uint64) error {
 	return w.syncTo(pos)
 }
 
-// Insert implements Backend: InsertBatch of one reading.
-func (n *Node) Insert(id core.SensorID, r core.Reading, ttl time.Duration) error {
-	rs := [1]core.Reading{r}
-	return n.InsertBatch(id, rs[:], ttl)
-}
-
 // InsertBatch implements Backend: WriteFrame of one unstamped entry —
 // version 0, the TTL read once as an absolute expiry.
 func (n *Node) InsertBatch(id core.SensorID, rs []core.Reading, ttl time.Duration) error {
@@ -407,7 +398,7 @@ func (n *Node) InsertBatch(id core.SensorID, rs []core.Reading, ttl time.Duratio
 		return nil
 	}
 	// Set field by field: a composite literal is built in a temporary
-	// and copied, which costs the one-reading Insert several ns.
+	// and copied, which costs a one-reading write several ns.
 	var e [1]WriteEntry
 	e[0].ID, e[0].Expire, e[0].Readings = id, TTLToExpire(ttl), rs
 	return n.write(e[:])
@@ -424,7 +415,7 @@ func (n *Node) InsertVersioned(id core.SensorID, vrs []VersionedReading) error {
 }
 
 // WriteFrame implements FrameWriter: the node's one write path, which
-// Insert, InsertBatch and InsertVersioned are frames of. A frame is one
+// InsertBatch and InsertVersioned are frames of. A frame is one
 // lock hold of the shards it touches and one WAL record, so a frame of
 // many one-reading entries costs a node what one batch does, and one
 // group-committed fsync in sync-every mode. It succeeds or fails whole.

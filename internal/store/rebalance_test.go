@@ -89,13 +89,20 @@ var clusterShapes = []struct {
 	{"list", []string{"node0", "node1", "node2", "node3", "node4"}, listCluster},
 }
 
+// rebalancing reports whether c is streaming a ring transition, as its
+// dcdb_cluster_rebalance_active gauge shows it.
+func rebalancing(t *testing.T, c *Cluster) bool {
+	t.Helper()
+	return sampleValue(t, c.Metrics().Gather(), "dcdb_cluster_rebalance_active") == 1
+}
+
 // waitRebalance blocks until the transition finishes, failing the test
 // if it does not converge.
 func waitRebalance(t *testing.T, c *Cluster) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if _, transition := c.Members(); !transition {
+		if !rebalancing(t, c) {
 			return
 		}
 		if time.Now().After(deadline) {
@@ -150,8 +157,8 @@ func TestRingClusterReadsOwnWrites(t *testing.T) {
 	defer c.Close()
 	ids := seedSensors(t, c, 40, 20)
 	checkSensors(t, c, ids, 20)
-	if ms, transition := c.Members(); transition || len(ms) != 3 {
-		t.Fatalf("Members() = %d members, transition=%v", len(ms), transition)
+	if n := len(c.Backends()); n != 3 || rebalancing(t, c) {
+		t.Fatalf("%d members, rebalancing %v; want 3 at rest", n, rebalancing(t, c))
 	}
 }
 
@@ -221,9 +228,8 @@ func TestLeaveRebalanceKeepsDataReadable(t *testing.T) {
 			}
 			waitRebalance(t, c)
 
-			ms, _ := c.Members()
-			if len(ms) != 2 {
-				t.Fatalf("after leave: %d members, want 2", len(ms))
+			if n := len(c.Backends()); n != 2 {
+				t.Fatalf("after leave: %d members, want 2", n)
 			}
 			checkSensors(t, c, ids, 25)
 		})
@@ -256,7 +262,7 @@ func TestWritesDuringRebalanceStayReadable(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		s := i % len(ids)
 		ts := int64(1000 + i)
-		if err := c.Insert(ids[s], core.Reading{Timestamp: ts, Value: float64(ts)}, 0); err == nil {
+		if err := c.InsertBatch(ids[s], []core.Reading{{Timestamp: ts, Value: float64(ts)}}, 0); err == nil {
 			extra[s]++
 		}
 	}
@@ -297,7 +303,7 @@ func TestSetMembersRetargetConverges(t *testing.T) {
 			}
 			waitRebalance(t, c)
 
-			ms, _ := c.Members()
+			ms := c.ClusterStats()
 			if len(ms) != 4 {
 				t.Fatalf("after retarget: %d members, want 4", len(ms))
 			}
@@ -323,13 +329,13 @@ func TestHintForwardingForDepartedMember(t *testing.T) {
 	defer c.Close()
 
 	id := sid(99, 7)
-	if err := c.Insert(id, core.Reading{Timestamp: 1, Value: 1}, 0); err != nil {
+	if err := c.InsertBatch(id, []core.Reading{{Timestamp: 1, Value: 1}}, 0); err != nil {
 		t.Fatal(err)
 	}
 
 	// Down one replica; a QUORUM write still acks and queues a hint.
 	nodes["charlie"].SetDown(true)
-	if err := c.Insert(id, core.Reading{Timestamp: 2, Value: 2}, 0); err != nil {
+	if err := c.InsertBatch(id, []core.Reading{{Timestamp: 2, Value: 2}}, 0); err != nil {
 		t.Fatalf("QUORUM write with one down replica: %v", err)
 	}
 	if _, _, pending := c.HintStats(); pending == 0 {
@@ -657,7 +663,7 @@ func TestRebalanceCutsOverUnderSustainedIngest(t *testing.T) {
 					return
 				default:
 				}
-				if err := c.Insert(ids[s], core.Reading{Timestamp: ts, Value: float64(ts)}, 0); err != nil {
+				if err := c.InsertBatch(ids[s], []core.Reading{{Timestamp: ts, Value: float64(ts)}}, 0); err != nil {
 					t.Error(err)
 					return
 				}

@@ -118,7 +118,7 @@ func TestDurableReopenServesAckedWrites(t *testing.T) {
 	}
 	// Ingest resumes on the recovered directory.
 	extra := sid(99, 99)
-	if err := n2.Insert(extra, rd(1, 2), 0); err != nil {
+	if err := n2.InsertBatch(extra, []core.Reading{rd(1, 2)}, 0); err != nil {
 		t.Fatalf("ingest after recovery: %v", err)
 	}
 	if err := n2.Close(); err != nil {
@@ -234,7 +234,7 @@ func TestRecoveryTornWALTruncatedAtArbitraryByte(t *testing.T) {
 				}
 			}
 			// The torn tail is truncated away and ingest resumes.
-			if err := n2.Insert(id, rd(1<<40, 1), 0); err != nil {
+			if err := n2.InsertBatch(id, []core.Reading{rd(1<<40, 1)}, 0); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -289,7 +289,7 @@ func TestRecoveryInjectedWALWriterFailure(t *testing.T) {
 	acked := 0
 	sawError := false
 	for i := 0; i < 10; i++ {
-		err := n.Insert(id, rd(int64(i), float64(i)), 0)
+		err := n.InsertBatch(id, []core.Reading{rd(int64(i), float64(i))}, 0)
 		if err != nil {
 			sawError = true
 			break
@@ -325,7 +325,7 @@ func TestRecoveryDeleteBeforeSurvivesCrash(t *testing.T) {
 	id := sid(3, 1)
 	insert := func(n *Node, from, to int64) {
 		for ts := from; ts < to; ts++ {
-			if err := n.Insert(id, rd(ts, float64(ts)), 0); err != nil {
+			if err := n.InsertBatch(id, []core.Reading{rd(ts, float64(ts))}, 0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -496,7 +496,7 @@ func TestBackgroundCompactionBoundsRunFilesUnderIngest(t *testing.T) {
 		}
 	}()
 	for ts := 0; ts < total; ts++ {
-		if err := n.Insert(id, rd(int64(ts), float64(ts)), 0); err != nil {
+		if err := n.InsertBatch(id, []core.Reading{rd(int64(ts), float64(ts))}, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -554,12 +554,12 @@ func TestDurableOpenValidation(t *testing.T) {
 	dir := t.TempDir()
 	n := openedNode(t, dir, 0, noCompact)
 	defer n.Close()
-	if err := n.Open(t.TempDir()); err == nil {
+	if err := n.OpenOptions(t.TempDir(), DiskOptions{}); err == nil {
 		t.Error("double Open accepted")
 	}
 	m := NewNode(0)
-	m.Insert(sid(1, 1), rd(1, 1), 0)
-	if err := m.Open(t.TempDir()); err == nil {
+	m.InsertBatch(sid(1, 1), []core.Reading{rd(1, 1)}, 0)
+	if err := m.OpenOptions(t.TempDir(), DiskOptions{}); err == nil {
 		t.Error("Open on non-empty node accepted")
 	}
 }
@@ -568,13 +568,13 @@ func TestDurableWritesFailAfterClose(t *testing.T) {
 	dir := t.TempDir()
 	n := openedNode(t, dir, 0, noCompact)
 	id := sid(2, 2)
-	if err := n.Insert(id, rd(1, 1), 0); err != nil {
+	if err := n.InsertBatch(id, []core.Reading{rd(1, 1)}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := n.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Insert(id, rd(2, 2), 0); err != ErrNodeClosed {
+	if err := n.InsertBatch(id, []core.Reading{rd(2, 2)}, 0); err != ErrNodeClosed {
 		t.Fatalf("insert after close: %v", err)
 	}
 	if err := n.DeleteBefore(id, 1); err != ErrNodeClosed {
@@ -592,7 +592,7 @@ func TestDurableFullCompactAndReopen(t *testing.T) {
 	id := sid(6, 6)
 	for b := 0; b < 5; b++ {
 		for ts := 0; ts < 10; ts++ {
-			n.Insert(id, rd(int64(b*10+ts), float64(b)), 0)
+			n.InsertBatch(id, []core.Reading{rd(int64(b*10+ts), float64(b))}, 0)
 		}
 		if err := n.Flush(); err != nil {
 			t.Fatal(err)
@@ -621,14 +621,14 @@ func TestReadOnlyOpenLeavesDirectoryUntouched(t *testing.T) {
 	id := sid(21, 21)
 	n := openedNode(t, dir, 0, noCompact)
 	for ts := int64(0); ts < 8; ts++ {
-		n.Insert(id, rd(ts, float64(ts)), 0)
+		n.InsertBatch(id, []core.Reading{rd(ts, float64(ts))}, 0)
 	}
 	if err := n.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	n.sp.waitIdle()
 	for ts := int64(8); ts < 12; ts++ { // tail lives only in the WAL
-		n.Insert(id, rd(ts, float64(ts)), 0)
+		n.InsertBatch(id, []core.Reading{rd(ts, float64(ts))}, 0)
 	}
 	n.crash()
 
@@ -652,7 +652,7 @@ func TestReadOnlyOpenLeavesDirectoryUntouched(t *testing.T) {
 	if err != nil || len(rs) != 12 {
 		t.Fatalf("read-only recovery: %d readings, %v", len(rs), err)
 	}
-	if err := ro.Insert(id, rd(99, 99), 0); err != ErrNodeReadOnly {
+	if err := ro.InsertBatch(id, []core.Reading{rd(99, 99)}, 0); err != ErrNodeReadOnly {
 		t.Fatalf("read-only insert: %v", err)
 	}
 	if err := ro.DeleteBefore(id, 5); err != ErrNodeReadOnly {
@@ -715,7 +715,7 @@ func TestDurableKeepsEveryInt64Timestamp(t *testing.T) {
 				}
 			}
 			for _, ts := range tss {
-				if err := n.Insert(id, rd(ts, float64(ts%1000)), 0); err != nil {
+				if err := n.InsertBatch(id, []core.Reading{rd(ts, float64(ts%1000))}, 0); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"io"
 	"sort"
 	"sync"
 	"testing"
@@ -20,7 +21,7 @@ func TestNodeInsertQuery(t *testing.T) {
 	n := NewNode(0)
 	id := sid(1, 2)
 	for i := int64(0); i < 100; i++ {
-		if err := n.Insert(id, rd(i*10, float64(i)), 0); err != nil {
+		if err := n.InsertBatch(id, []core.Reading{rd(i*10, float64(i))}, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -46,7 +47,7 @@ func TestNodeOutOfOrderInserts(t *testing.T) {
 	id := sid(3, 0)
 	order := []int64{50, 10, 30, 20, 40}
 	for _, ts := range order {
-		n.Insert(id, rd(ts, float64(ts)), 0)
+		n.InsertBatch(id, []core.Reading{rd(ts, float64(ts))}, 0)
 	}
 	rs, _ := n.Query(id, 0, 100)
 	if len(rs) != 5 {
@@ -63,7 +64,7 @@ func TestNodeFlushAndQueryAcrossTables(t *testing.T) {
 	n := NewNode(10) // tiny flush threshold
 	id := sid(1, 1)
 	for i := int64(0); i < 35; i++ {
-		n.Insert(id, rd(i, float64(i)), 0)
+		n.InsertBatch(id, []core.Reading{rd(i, float64(i))}, 0)
 	}
 	rs, _ := n.Query(id, 0, 100)
 	if len(rs) != 35 {
@@ -78,8 +79,8 @@ func TestNodeFlushAndQueryAcrossTables(t *testing.T) {
 func TestNodeDuplicateTimestampsLastWins(t *testing.T) {
 	n := NewNode(0)
 	id := sid(1, 1)
-	n.Insert(id, rd(100, 1), 0)
-	n.Insert(id, rd(100, 2), 0)
+	n.InsertBatch(id, []core.Reading{rd(100, 1)}, 0)
+	n.InsertBatch(id, []core.Reading{rd(100, 2)}, 0)
 	rs, _ := n.Query(id, 0, 200)
 	if len(rs) != 1 || rs[0].Value != 2 {
 		t.Fatalf("dedup failed: %v", rs)
@@ -89,8 +90,8 @@ func TestNodeDuplicateTimestampsLastWins(t *testing.T) {
 func TestNodeTTL(t *testing.T) {
 	n := NewNode(0)
 	id := sid(1, 1)
-	n.Insert(id, rd(1, 1), time.Nanosecond) // expires immediately
-	n.Insert(id, rd(2, 2), time.Hour)
+	n.InsertBatch(id, []core.Reading{rd(1, 1)}, time.Nanosecond) // expires immediately
+	n.InsertBatch(id, []core.Reading{rd(2, 2)}, time.Hour)
 	time.Sleep(time.Millisecond)
 	rs, _ := n.Query(id, 0, 10)
 	if len(rs) != 1 || rs[0].Value != 2 {
@@ -109,7 +110,7 @@ func TestNodeDeleteBefore(t *testing.T) {
 	n := NewNode(5)
 	id := sid(1, 1)
 	for i := int64(0); i < 20; i++ {
-		n.Insert(id, rd(i, float64(i)), 0)
+		n.InsertBatch(id, []core.Reading{rd(i, float64(i))}, 0)
 	}
 	if err := n.DeleteBefore(id, 10); err != nil {
 		t.Fatal(err)
@@ -120,17 +121,17 @@ func TestNodeDeleteBefore(t *testing.T) {
 	}
 }
 
-func TestNodeQueryPrefix(t *testing.T) {
+func TestNodeQueryPrefixStream(t *testing.T) {
 	n := NewNode(0)
 	m := core.NewTopicMapper()
 	a, _ := m.Map("/sys/r1/n1/power")
 	b, _ := m.Map("/sys/r1/n2/power")
 	c, _ := m.Map("/sys/r2/n1/power")
 	for _, id := range []core.SensorID{a, b, c} {
-		n.Insert(id, rd(1, 1), 0)
+		n.InsertBatch(id, []core.Reading{rd(1, 1)}, 0)
 	}
 	pre := a.Prefix(2)
-	got, err := n.QueryPrefix(pre, 2, 0, 10)
+	got, err := drainPrefix(n.QueryPrefixStream(pre, 2, 0, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,21 +147,21 @@ func TestNodeDown(t *testing.T) {
 	n := NewNode(0)
 	n.SetDown(true)
 	id := sid(1, 1)
-	if err := n.Insert(id, rd(1, 1), 0); err != ErrNodeDown {
-		t.Errorf("Insert on down node: %v", err)
+	if err := n.InsertBatch(id, []core.Reading{rd(1, 1)}, 0); err != ErrNodeDown {
+		t.Errorf("InsertBatch on down node: %v", err)
 	}
 	if _, err := n.Query(id, 0, 1); err != ErrNodeDown {
 		t.Errorf("Query on down node: %v", err)
 	}
-	if _, err := n.QueryPrefix(core.SensorID{}, 1, 0, 1); err != ErrNodeDown {
-		t.Errorf("QueryPrefix on down node: %v", err)
+	if _, err := drainPrefix(n.QueryPrefixStream(core.SensorID{}, 1, 0, 1)); err != ErrNodeDown {
+		t.Errorf("QueryPrefixStream on down node: %v", err)
 	}
 	if err := n.DeleteBefore(id, 1); err != ErrNodeDown {
 		t.Errorf("DeleteBefore on down node: %v", err)
 	}
 	n.SetDown(false)
-	if err := n.Insert(id, rd(1, 1), 0); err != nil {
-		t.Errorf("Insert after revive: %v", err)
+	if err := n.InsertBatch(id, []core.Reading{rd(1, 1)}, 0); err != nil {
+		t.Errorf("InsertBatch after revive: %v", err)
 	}
 }
 
@@ -168,7 +169,7 @@ func TestNodeSensorIDs(t *testing.T) {
 	n := NewNode(2)
 	ids := []core.SensorID{sid(2, 0), sid(1, 0), sid(3, 0)}
 	for _, id := range ids {
-		n.Insert(id, rd(1, 1), 0)
+		n.InsertBatch(id, []core.Reading{rd(1, 1)}, 0)
 	}
 	got := n.SensorIDs()
 	if len(got) != 3 || got[0] != sid(1, 0) || got[2] != sid(3, 0) {
@@ -185,7 +186,7 @@ func TestNodeConcurrency(t *testing.T) {
 			defer wg.Done()
 			id := sid(uint64(w), 0)
 			for i := int64(0); i < 500; i++ {
-				n.Insert(id, rd(i, float64(i)), 0)
+				n.InsertBatch(id, []core.Reading{rd(i, float64(i))}, 0)
 				if i%50 == 0 {
 					n.Query(id, 0, i)
 				}
@@ -203,9 +204,9 @@ func TestNodeMergeAcrossRunsLastWriteWins(t *testing.T) {
 	// Duplicate timestamps in different runs: the newer run must win.
 	n := NewNode(0)
 	id := sid(1, 1)
-	n.Insert(id, rd(100, 1), 0)
+	n.InsertBatch(id, []core.Reading{rd(100, 1)}, 0)
 	n.Flush() // v=1 now in an SSTable
-	n.Insert(id, rd(100, 2), 0)
+	n.InsertBatch(id, []core.Reading{rd(100, 2)}, 0)
 	rs, _ := n.Query(id, 0, 200)
 	if len(rs) != 1 || rs[0].Value != 2 {
 		t.Fatalf("memtable should shadow SSTable: %v", rs)
@@ -223,15 +224,15 @@ func TestNodeMergeInterleavedRuns(t *testing.T) {
 	n := NewNode(0)
 	id := sid(7, 7)
 	for _, ts := range []int64{0, 10, 20, 30} {
-		n.Insert(id, rd(ts, float64(ts)), 0)
+		n.InsertBatch(id, []core.Reading{rd(ts, float64(ts))}, 0)
 	}
 	n.Flush()
 	for _, ts := range []int64{5, 15, 25, 35} {
-		n.Insert(id, rd(ts, float64(ts)), 0)
+		n.InsertBatch(id, []core.Reading{rd(ts, float64(ts))}, 0)
 	}
 	n.Flush()
 	for _, ts := range []int64{3, 33} {
-		n.Insert(id, rd(ts, float64(ts)), 0)
+		n.InsertBatch(id, []core.Reading{rd(ts, float64(ts))}, 0)
 	}
 	rs, _ := n.Query(id, 0, 100)
 	want := []int64{0, 3, 5, 10, 15, 20, 25, 30, 33, 35}
@@ -270,11 +271,11 @@ func TestNodeConcurrentMixedOps(t *testing.T) {
 				id := ids[(w+8*int(i%2))%len(ids)]
 				switch i % 7 {
 				case 0, 1, 2:
-					n.Insert(id, rd(i, float64(i)), 0)
+					n.InsertBatch(id, []core.Reading{rd(i, float64(i))}, 0)
 				case 3:
 					n.Query(id, 0, i)
 				case 4:
-					n.QueryPrefix(prefix, 1, 0, i)
+					drainPrefix(n.QueryPrefixStream(prefix, 1, 0, i))
 				case 5:
 					if w == 0 {
 						n.Flush()
@@ -292,7 +293,7 @@ func TestNodeConcurrentMixedOps(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	got, err := n.QueryPrefix(prefix, 1, 0, 1<<60)
+	got, err := drainPrefix(n.QueryPrefixStream(prefix, 1, 0, 1<<60))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +331,7 @@ func TestClusterConcurrentReplicatedOps(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, err := c.QueryPrefix(core.SensorID{}, 0, 0, 1<<60); err != nil {
+				if _, err := drainPrefix(c.QueryPrefixStream(core.SensorID{}, 0, 0, 1<<60)); err != nil {
 					t.Error(err)
 					return
 				}
@@ -364,8 +365,8 @@ func TestCompactRetiresDeadSensors(t *testing.T) {
 	// series objects around for buffer reuse.
 	n := NewNode(0)
 	dead, live := sid(1, 1), sid(2, 2)
-	n.Insert(dead, rd(1, 1), time.Nanosecond)
-	n.Insert(live, rd(1, 1), time.Hour)
+	n.InsertBatch(dead, []core.Reading{rd(1, 1)}, time.Nanosecond)
+	n.InsertBatch(live, []core.Reading{rd(1, 1)}, time.Hour)
 	time.Sleep(time.Millisecond)
 	n.Flush()
 	n.Compact()
@@ -373,7 +374,7 @@ func TestCompactRetiresDeadSensors(t *testing.T) {
 	if len(ids) != 1 || ids[0] != live {
 		t.Fatalf("SensorIDs after compact = %v, want only %v", ids, live)
 	}
-	got, err := n.QueryPrefix(core.SensorID{}, 0, 0, 10)
+	got, err := drainPrefix(n.QueryPrefixStream(core.SensorID{}, 0, 0, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +382,7 @@ func TestCompactRetiresDeadSensors(t *testing.T) {
 		t.Error("expired sensor still visible to prefix queries")
 	}
 	// The retired sensor accepts new data again.
-	if err := n.Insert(dead, rd(5, 5), 0); err != nil {
+	if err := n.InsertBatch(dead, []core.Reading{rd(5, 5)}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if rs, _ := n.Query(dead, 0, 10); len(rs) != 1 {
@@ -403,7 +404,7 @@ func TestClusterBasics(t *testing.T) {
 	}
 	for i, id := range ids {
 		for ts := int64(0); ts < 10; ts++ {
-			if err := c.Insert(id, rd(ts, float64(i)), 0); err != nil {
+			if err := c.InsertBatch(id, []core.Reading{rd(ts, float64(i))}, 0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -425,7 +426,7 @@ func TestClusterFailover(t *testing.T) {
 	c, _ := NewCluster(nodes, RingPartitioner{}, 2)
 	id := sid(42, 7)
 	for ts := int64(0); ts < 5; ts++ {
-		c.Insert(id, rd(ts, 1), 0)
+		c.InsertBatch(id, []core.Reading{rd(ts, 1)}, 0)
 	}
 	primary := c.replicasFor(id)[0]
 	nodes[primary].SetDown(true)
@@ -434,7 +435,7 @@ func TestClusterFailover(t *testing.T) {
 		t.Fatalf("failover query: %v, %v", rs, err)
 	}
 	// Writes survive with one replica down.
-	if err := c.Insert(id, rd(100, 2), 0); err != nil {
+	if err := c.InsertBatch(id, []core.Reading{rd(100, 2)}, 0); err != nil {
 		t.Fatalf("degraded write: %v", err)
 	}
 	// All replicas down -> failure.
@@ -444,7 +445,7 @@ func TestClusterFailover(t *testing.T) {
 	if _, err := c.Query(id, 0, 100); err == nil {
 		t.Error("query with all nodes down succeeded")
 	}
-	if err := c.Insert(id, rd(200, 3), 0); err == nil {
+	if err := c.InsertBatch(id, []core.Reading{rd(200, 3)}, 0); err == nil {
 		t.Error("insert with all nodes down succeeded")
 	}
 }
@@ -456,7 +457,7 @@ func TestClusterQueryPrefixHierarchicalLocality(t *testing.T) {
 	subtree := []string{"/s/r1/n1/power", "/s/r1/n1/temp", "/s/r1/n1/energy"}
 	for _, tp := range subtree {
 		id, _ := m.Map(tp)
-		c.Insert(id, rd(1, 1), 0)
+		c.InsertBatch(id, []core.Reading{rd(1, 1)}, 0)
 	}
 	// All three sensors share the prefix, so they live on one node.
 	id0, _ := m.Lookup(subtree[0])
@@ -465,9 +466,9 @@ func TestClusterQueryPrefixHierarchicalLocality(t *testing.T) {
 	if ins != 3 {
 		t.Fatalf("expected all 3 rows on node %d, it has %d", holder, ins)
 	}
-	got, err := c.QueryPrefix(id0.Prefix(3), 3, 0, 10)
+	got, err := drainPrefix(c.QueryPrefixStream(id0.Prefix(3), 3, 0, 10))
 	if err != nil || len(got) != 3 {
-		t.Fatalf("QueryPrefix = %d sensors, %v", len(got), err)
+		t.Fatalf("QueryPrefixStream = %d sensors, %v", len(got), err)
 	}
 }
 
@@ -491,7 +492,7 @@ func TestClusterDeleteBefore(t *testing.T) {
 	c, _ := NewCluster([]*Node{NewNode(0), NewNode(0)}, RingPartitioner{}, 2)
 	id := sid(1, 1)
 	for ts := int64(0); ts < 10; ts++ {
-		c.Insert(id, rd(ts, 1), 0)
+		c.InsertBatch(id, []core.Reading{rd(ts, 1)}, 0)
 	}
 	if err := c.DeleteBefore(id, 5); err != nil {
 		t.Fatal(err)
@@ -509,7 +510,7 @@ func TestQuerySortedQuick(t *testing.T) {
 		id := sid(1, 1)
 		for _, ts := range stamps {
 			ts &= 0xffff
-			n.Insert(id, rd(ts, float64(ts)), 0)
+			n.InsertBatch(id, []core.Reading{rd(ts, float64(ts))}, 0)
 		}
 		rs, err := n.Query(id, 0, 1<<60)
 		if err != nil {
@@ -536,6 +537,26 @@ func TestShardSizeCacheAligned(t *testing.T) {
 	// line as its neighbour's, resurrecting the contention PR 1 removed.
 	if sz := unsafe.Sizeof(shard{}); sz%64 != 0 {
 		t.Fatalf("sizeof(shard) = %d, not a 64-byte multiple — adjust the pad", sz)
+	}
+}
+
+// drainPrefix drains an opened prefix stream into a map keyed by SID:
+// the readings of every sensor that has any.
+func drainPrefix(st KeyedReadingStream, err error) (map[core.SensorID][]core.Reading, error) {
+	if err != nil {
+		return nil, err
+	}
+	defer st.Close()
+	out := make(map[core.SensorID][]core.Reading)
+	for {
+		id, chunk, err := st.Next()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		out[id] = append(out[id], chunk...)
 	}
 }
 

@@ -22,7 +22,7 @@ import (
 // ID. The caller of the table closes the cluster.
 type Build func(t *testing.T) (*store.Cluster, map[string]*store.Node)
 
-// ReadForms are the five ways to read one sensor's [0, 100] window from
+// ReadForms are the four ways to read one sensor's [0, 100] window from
 // a cluster. Each reports how many readings it was served and their
 // sum — all an Aggregate has to show for itself.
 var ReadForms = []struct {
@@ -39,16 +39,8 @@ var ReadForms = []struct {
 		}
 		return total(store.Drain(st))
 	}},
-	{"QueryPrefix", func(c *store.Cluster, id core.SensorID) (int, float64, error) {
-		m, err := c.QueryPrefix(core.SensorID{}, 0, 0, 100)
-		return total(m[id], err)
-	}},
 	{"QueryPrefixStream", func(c *store.Cluster, id core.SensorID) (int, float64, error) {
-		st, err := c.QueryPrefixStream(core.SensorID{}, 0, 0, 100)
-		if err != nil {
-			return 0, 0, err
-		}
-		m, err := store.DrainKeyed(st)
+		m, err := DrainPrefix(c.QueryPrefixStream(core.SensorID{}, 0, 0, 100))
 		return total(m[id], err)
 	}},
 	{"Aggregate", func(c *store.Cluster, id core.SensorID) (int, float64, error) {
@@ -58,6 +50,37 @@ var ReadForms = []struct {
 		}
 		return int(st.Count()), st.(*fold.Summary).Sum, nil
 	}},
+}
+
+// DrainPrefix drains an opened prefix stream into a map keyed by SID:
+// the readings of every sensor that has any.
+func DrainPrefix(st store.KeyedReadingStream, err error) (map[core.SensorID][]core.Reading, error) {
+	if err != nil {
+		return nil, err
+	}
+	defer st.Close()
+	out := make(map[core.SensorID][]core.Reading)
+	for {
+		id, chunk, err := st.Next()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		out[id] = append(out[id], chunk...)
+	}
+}
+
+// Rebalancing reports whether c is streaming a ring transition, as its
+// dcdb_cluster_rebalance_active gauge shows it.
+func Rebalancing(c *store.Cluster) bool {
+	for _, s := range c.Metrics().Gather() {
+		if s.Name == "dcdb_cluster_rebalance_active" {
+			return s.Value == 1
+		}
+	}
+	panic("the cluster exports no dcdb_cluster_rebalance_active gauge")
 }
 
 func total(rs []core.Reading, err error) (int, float64, error) {
@@ -128,7 +151,7 @@ func ConflictTable(t *testing.T, build Build) {
 	for _, form := range ReadForms {
 		t.Run(form.Name, func(t *testing.T) {
 			c, nodes := build(t)
-			if err := c.Insert(id, core.Reading{Timestamp: 1, Value: 1}, 0); err != nil {
+			if err := c.InsertBatch(id, []core.Reading{{Timestamp: 1, Value: 1}}, 0); err != nil {
 				t.Fatal(err)
 			}
 			owners := c.Owners(id)
@@ -137,7 +160,7 @@ func ConflictTable(t *testing.T, build Build) {
 			}
 			primary := nodes[owners[0]]
 			primary.SetDown(true)
-			if err := c.Insert(id, core.Reading{Timestamp: 1, Value: 2}, 0); err != nil {
+			if err := c.InsertBatch(id, []core.Reading{{Timestamp: 1, Value: 2}}, 0); err != nil {
 				t.Fatal(err)
 			}
 			primary.SetDown(false)

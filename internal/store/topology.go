@@ -175,17 +175,6 @@ func (c *Cluster) checkPrefixQuorum(t *topology, errs []error, firstErr error) e
 	return nil
 }
 
-// Members returns the current member identities in snapshot order,
-// with transition reporting whether a rebalance is in flight.
-func (c *Cluster) Members() (ms []MemberInfo, transition bool) {
-	t := c.top()
-	ms = make([]MemberInfo, len(t.members))
-	for i, m := range t.members {
-		ms[i] = MemberInfo{ID: m.id, Addr: m.addr}
-	}
-	return ms, t.prevRing != nil
-}
-
 // SetMembers installs a new member set. Backends for
 // IDs already in the topology are reused; new members are built with
 // the cluster's BackendFactory. If placement changes, the swap is a

@@ -8,6 +8,7 @@ import (
 
 	"dcdb/internal/core"
 	"dcdb/internal/store"
+	"dcdb/internal/store/storetest"
 )
 
 // The transfer-heap bound, for the path that copies a sensor's readings
@@ -49,7 +50,7 @@ func TestTransferHeapBoundedOnJoin(t *testing.T) {
 			t.Fatal(err)
 		}
 		deadline := time.Now().Add(time.Minute)
-		for _, transition := c.Members(); transition; _, transition = c.Members() {
+		for storetest.Rebalancing(c) {
 			if time.Now().After(deadline) {
 				t.Fatal("rebalance did not converge")
 			}

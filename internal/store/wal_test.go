@@ -256,7 +256,7 @@ func TestRefusedWritableOpenLeavesDirectory(t *testing.T) {
 			if crashed {
 				n := openedNode(t, dir, 2*numShards, noCompact)
 				for i := 0; i < 200; i++ {
-					if err := n.Insert(sid(30, uint64(i%40)), rd(int64(i), float64(i)), 0); err != nil {
+					if err := n.InsertBatch(sid(30, uint64(i%40)), []core.Reading{rd(int64(i), float64(i))}, 0); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -306,7 +306,7 @@ func dirContents(t *testing.T, dir string) map[string]string {
 }
 
 // TestWritePathLogsOnlyStampedRecords: whatever form a write takes on a
-// durable node — Insert, InsertBatch, WriteFrame, InsertVersioned,
+// durable node — InsertBatch, WriteFrame, InsertVersioned,
 // DeleteBefore — every WAL record on disk is a type-4 insert, one per
 // write, or a type-2 delete. A one-reading insert costs
 // one 61-byte record: frame 8, type 1, entry header 36, ts | val 16.
@@ -314,11 +314,11 @@ func TestWritePathLogsOnlyStampedRecords(t *testing.T) {
 	dir := t.TempDir()
 	n := openedNode(t, dir, 0, noCompact)
 	a, b := sid(27, 4), sid(27, 5)
-	if err := n.Insert(a, rd(1, 1), 0); err != nil {
+	if err := n.InsertBatch(a, []core.Reading{rd(1, 1)}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, size := newestWAL(t, dir, a); size != 61 {
-		t.Fatalf("a one-reading Insert logged %d bytes, want 61", size)
+		t.Fatalf("a one-reading insert logged %d bytes, want 61", size)
 	}
 	if err := n.InsertBatch(a, []core.Reading{rd(2, 2), rd(3, 3)}, time.Hour); err != nil {
 		t.Fatal(err)

@@ -213,7 +213,7 @@ func TestWALSegmentDirSyncedBeforeFirstAck(t *testing.T) {
 	n := openedNode(t, dir, 0, noCompact)
 	defer n.Close()
 	for gen := 0; gen < 2; gen++ {
-		if err := n.Insert(sid(41, 1), rd(int64(gen), 1), 0); err != nil {
+		if err := n.InsertBatch(sid(41, 1), []core.Reading{rd(int64(gen), 1)}, 0); err != nil {
 			t.Fatal(err)
 		}
 		ops := disk.take()
@@ -251,7 +251,7 @@ func TestDirSyncFailureKeepsWAL(t *testing.T) {
 	shardDir := filepath.Join(dir, fmt.Sprintf("shard-%02d", shardIndex(id)))
 	fail := inj.AddRule(&faults.Rule{Ops: faults.FSSyncDir, Match: shardDir, Err: faults.ErrInjected})
 	for ts := int64(0); ts < 10; ts++ {
-		if err := n.Insert(id, rd(ts, float64(ts)), 0); err != nil {
+		if err := n.InsertBatch(id, []core.Reading{rd(ts, float64(ts))}, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -284,7 +284,7 @@ func TestDirSyncFailureKeepsWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	n2.sp.waitIdle()
-	if err := n2.Insert(id, rd(10, 10), 0); err != nil {
+	if err := n2.InsertBatch(id, []core.Reading{rd(10, 10)}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := n2.Flush(); err != nil {
@@ -337,7 +337,7 @@ func TestRotationDoesNotStallWrites(t *testing.T) {
 		}
 		err := n.InsertBatch(ids[0], rs, 0)
 		if err == nil {
-			err = n.Insert(ids[0], rd(2, 2), 0)
+			err = n.InsertBatch(ids[0], []core.Reading{rd(2, 2)}, 0)
 		}
 		rotated <- err
 	}()
@@ -348,7 +348,7 @@ func TestRotationDoesNotStallWrites(t *testing.T) {
 	}
 	start := time.Now()
 	for i, id := range ids {
-		if err := n.Insert(id, rd(3, 3), 0); err != nil {
+		if err := n.InsertBatch(id, []core.Reading{rd(3, 3)}, 0); err != nil {
 			t.Fatal(err)
 		}
 		if waited := time.Since(start); waited > 500*time.Millisecond {
@@ -374,7 +374,7 @@ func TestSyncDuringBackpressuredRotation(t *testing.T) {
 	slow := inj.AddRule(&faults.Rule{Ops: faults.FSSync, Match: filepath.Join(dir, "shard-"), Delay: time.Second})
 	insert := func(ts int64) {
 		t.Helper()
-		if err := n.Insert(id, rd(ts, float64(ts)), 0); err != nil {
+		if err := n.InsertBatch(id, []core.Reading{rd(ts, float64(ts))}, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -482,7 +482,7 @@ func parentClosedDir(t *testing.T) (string, []core.SensorID) {
 	n := openedNode(t, dir, 0, noCompact)
 	ids := oneSensorPerShard(46)
 	for i, id := range ids {
-		if err := n.Insert(id, rd(1, float64(i)), 0); err != nil {
+		if err := n.InsertBatch(id, []core.Reading{rd(1, float64(i))}, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -559,18 +559,18 @@ func TestWALReplaceBrokenSegment(t *testing.T) {
 	dir := t.TempDir()
 	n := openedNode(t, dir, 0, noCompact)
 	ids := oneSensorPerShard(47)
-	if err := n.Insert(ids[0], rd(1, 1), 0); err != nil {
+	if err := n.InsertBatch(ids[0], []core.Reading{rd(1, 1)}, 0); err != nil {
 		t.Fatal(err)
 	}
 	fail := inj.AddRule(&faults.Rule{Ops: faults.FSSync, Match: "wal-", Err: syscall.EIO, Count: 1})
-	if err := n.Insert(ids[1], rd(1, 1), 0); !errors.Is(err, syscall.EIO) {
+	if err := n.InsertBatch(ids[1], []core.Reading{rd(1, 1)}, 0); !errors.Is(err, syscall.EIO) {
 		t.Fatalf("a write whose fsync failed returned %v", err)
 	}
 	if fail.Fired() != 1 {
 		t.Fatalf("the fsync fault fired %d times", fail.Fired())
 	}
 	for _, id := range ids[2:5] {
-		if err := n.Insert(id, rd(1, 1), 0); err != nil {
+		if err := n.InsertBatch(id, []core.Reading{rd(1, 1)}, 0); err != nil {
 			t.Fatalf("a write after the broken segment: %v", err)
 		}
 	}

@@ -43,7 +43,7 @@ func TestSaveOpenRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := int64(0); i < 10; i++ {
-		if err := conn.Insert("/a/power", core.Reading{Timestamp: i * 1000, Value: float64(i)}); err != nil {
+		if err := conn.InsertBatch("/a/power", []core.Reading{{Timestamp: i * 1000, Value: float64(i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -160,7 +160,7 @@ func TestOpenDataDirectory(t *testing.T) {
 	for i, tp := range topics {
 		id, _ := mapper.Map(tp)
 		for ts := int64(0); ts < 5; ts++ {
-			if err := c.Insert(id, core.Reading{Timestamp: ts, Value: float64(i)}, 0); err != nil {
+			if err := c.InsertBatch(id, []core.Reading{{Timestamp: ts, Value: float64(i)}}, 0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -300,7 +300,7 @@ func TestOpenRemoteQueriesLiveCluster(t *testing.T) {
 			t.Fatal(merr)
 		}
 		for ts := int64(1); ts <= 4; ts++ {
-			if err := wc.Insert(id, core.Reading{Timestamp: ts, Value: float64(i)}, 0); err != nil {
+			if err := wc.InsertBatch(id, []core.Reading{{Timestamp: ts, Value: float64(i)}}, 0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -409,7 +409,7 @@ func TestOpenRemoteDiscoversFromSeeds(t *testing.T) {
 			t.Fatal(merr)
 		}
 		for ts := int64(1); ts <= 3; ts++ {
-			if err := writer.Insert(id, core.Reading{Timestamp: ts, Value: float64(i)}, 0); err != nil {
+			if err := writer.InsertBatch(id, []core.Reading{{Timestamp: ts, Value: float64(i)}}, 0); err != nil {
 				t.Fatal(err)
 			}
 		}

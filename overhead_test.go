@@ -91,7 +91,7 @@ var (
 func newQueryNode() *store.Node {
 	n := store.NewNode(1 << 12)
 	for i := int64(0); i < 20_000; i++ {
-		n.Insert(queryID, core.Reading{Timestamp: i, Value: float64(i)}, 0)
+		n.InsertBatch(queryID, []core.Reading{{Timestamp: i, Value: float64(i)}}, 0)
 	}
 	return n
 }
@@ -115,7 +115,7 @@ func TestInstrumentationAllocParity(t *testing.T) {
 		ts := int64(0)
 		insert = testing.AllocsPerRun(10_000, func() {
 			ts++
-			if err := n.Insert(insertID, core.Reading{Timestamp: ts, Value: 1}, 0); err != nil {
+			if err := n.InsertBatch(insertID, []core.Reading{{Timestamp: ts, Value: 1}}, 0); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -151,7 +151,7 @@ func TestInstrumentationOverheadBudget(t *testing.T) {
 		n := store.NewNode(0)
 		return timeOps(insertOps, func() {
 			for i := 0; i < insertOps; i++ {
-				if err := n.Insert(insertID, core.Reading{Timestamp: int64(i), Value: 1}, 0); err != nil {
+				if err := n.InsertBatch(insertID, []core.Reading{{Timestamp: int64(i), Value: 1}}, 0); err != nil {
 					t.Fatal(err)
 				}
 			}
