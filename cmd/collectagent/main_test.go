@@ -15,26 +15,61 @@ import (
 )
 
 func TestParseNodes(t *testing.T) {
-	count, addrs, desc := parseNodes("3")
-	if count != 3 || addrs != nil {
-		t.Errorf("parseNodes(3) = %d, %v", count, addrs)
+	if addrs, err := parseNodes(" 1 "); addrs != nil || err != nil {
+		t.Errorf("parseNodes(1) = %v, %v, want the embedded store", addrs, err)
 	}
-	if desc == "" {
-		t.Error("empty description for a node count")
+	addrs, err := parseNodes("127.0.0.1:4441, 127.0.0.1:4442")
+	if err != nil || len(addrs) != 2 || addrs[0] != "127.0.0.1:4441" || addrs[1] != "127.0.0.1:4442" {
+		t.Errorf("parseNodes(addr list) = %v, %v", addrs, err)
+	}
+	for _, s := range []string{"0", "3", ","} {
+		if addrs, err := parseNodes(s); err == nil {
+			t.Errorf("parseNodes(%q) = %v, want an error", s, addrs)
+		}
+	}
+}
+
+// TestEmbeddedReplicasRefused: the embedded agent runs one store, so a
+// node count above 1, and a replication above 1 without storage nodes,
+// are refused by name with the way out, and leave the data directory
+// empty; -join with a replication starts.
+func TestEmbeddedReplicasRefused(t *testing.T) {
+	dir := t.TempDir()
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-nodes", "3"}, "-nodes 3"},
+		{[]string{"-nodes", "3", "-data", dir}, "-nodes 3"},
+		{[]string{"-nodes", "1", "-replication", "2"}, "-replication 2"},
+		{[]string{"-replication", "2", "-data", dir}, "-replication 2"},
+	} {
+		f, err := parseArgs(c.args...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cluster, _, _, err := openCluster(f)
+		if err == nil {
+			cluster.Close()
+		}
+		if err == nil || !strings.Contains(err.Error(), c.want) || !strings.Contains(err.Error(), "dcdbnode processes") {
+			t.Errorf("%v: %v, want a refusal naming %s and the way out", c.args, err, c.want)
+		}
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Errorf("the refusals left %v in the data directory (%v)", entries, err)
 	}
 
-	count, addrs, _ = parseNodes(" 0 ")
-	if count != 1 || addrs != nil {
-		t.Errorf("parseNodes(0) = %d, %v — counts clamp to 1", count, addrs)
+	f, err := parseArgs("-join", membershiptest.StartNodes(t, 2)[0], "-replication", "2")
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	count, addrs, desc = parseNodes("127.0.0.1:4441, 127.0.0.1:4442")
-	if count != 0 || len(addrs) != 2 || addrs[0] != "127.0.0.1:4441" || addrs[1] != "127.0.0.1:4442" {
-		t.Errorf("parseNodes(addr list) = %d, %v", count, addrs)
+	cluster, watcher, _, err := openCluster(f)
+	if err != nil {
+		t.Fatalf("-join with -replication 2: %v", err)
 	}
-	if desc == "" {
-		t.Error("empty description for an address list")
-	}
+	watcher.Stop()
+	cluster.Close()
 }
 
 // TestUnreadableTopicMapRefused: an agent restarted over a topic map
@@ -98,10 +133,10 @@ func parseArgs(args ...string) (*flags, error) {
 	return f, fs.Parse(args)
 }
 
-// TestOpenClusterPlacementWiring builds the backend from each form of
-// the command line: an embedded count, an address list and a gossip
-// seed. The two remote forms must place every sensor identically at
-// every -depth, and -depth must reach the ring in all three.
+// TestOpenClusterPlacementWiring builds the backend from each remote
+// form of the command line: an address list and a gossip seed. Both
+// must place every sensor identically at every -depth, and -depth must
+// reach the ring in both.
 func TestOpenClusterPlacementWiring(t *testing.T) {
 	addrs := membershiptest.StartNodes(t, 3)
 	owners := func(args ...string) [][]string {
@@ -136,7 +171,7 @@ func TestOpenClusterPlacementWiring(t *testing.T) {
 			t.Errorf("%v: -nodes %s and -join %s place sensors differently", depth, list, seed)
 		}
 	}
-	for _, form := range [][]string{{"-nodes", "3"}, {"-nodes", list}, {"-join", seed}} {
+	for _, form := range [][]string{{"-nodes", list}, {"-join", seed}} {
 		def := owners(form...)
 		if !reflect.DeepEqual(def, owners(append(form, "-depth", "4")...)) {
 			t.Errorf("%v: the default is not -depth 4", form)

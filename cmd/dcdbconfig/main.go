@@ -4,9 +4,8 @@
 // data and compacting the Storage Backend. DIR is a Collect Agent's
 // data directory, edited in place: publish, vsensor, show and list
 // read it and write only its topics and meta files; cleanup and
-// compact open every node directory writable and delete or compact in
-// each, through the same write path as the agent's. No reading is
-// copied, and the directory keeps its node<i>/ layout.
+// compact open its store writable and delete or compact in it, through
+// the same write path as the agent's. No reading is copied.
 //
 // Usage:
 //
@@ -42,7 +41,7 @@ func main() {
 // run carries out one command line (without the program name), writing
 // what it reports to stdout. show and list leave the directory as it
 // is; publish and vsensor save its topics and metadata; cleanup and
-// compact write its node directories.
+// compact write its store.
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("dcdbconfig", flag.ContinueOnError)
 	db := fs.String("db", "dcdb", "agent data directory")
@@ -135,13 +134,8 @@ func command(conn *libdcdb.Connection, cluster *store.Cluster, args []string, st
 		if !ok {
 			return false, fmt.Errorf("dcdbconfig: unknown sensor %q", args[1])
 		}
-		// Every node directory must take the delete, not a write
-		// quorum of them: a reading one of them kept would still be
-		// served by the tools' merge of them all.
-		for _, b := range cluster.Backends() {
-			if err := b.DeleteBefore(id, cutoff.UnixNano()); err != nil {
-				return false, err
-			}
+		if err := cluster.DeleteBefore(id, cutoff.UnixNano()); err != nil {
+			return false, err
 		}
 		fmt.Fprintf(stdout, "deleted %s readings before %s\n", args[1], args[2])
 	case "compact":

@@ -24,16 +24,23 @@ var topics = []string{"/dc/r1/power", "/dc/r1/temp", "/dc/r2/power"}
 // a second apart.
 var t0 = time.Unix(1_560_000_000, 0)
 
-// agentDir writes the data directory an agent of two embedded storage
-// nodes leaves behind: run files holding ten readings of each topic,
-// and the topic map.
-func agentDir(t *testing.T) string {
+// openAgentStore opens the store of the agent data directory dir as the
+// agent does.
+func openAgentStore(t *testing.T, dir string) *store.Cluster {
 	t.Helper()
-	dir := t.TempDir()
-	c, err := collectagent.OpenBackend(dir, 2, 1, store.RingPartitioner{}, store.DiskOptions{CompactInterval: -1})
+	c, err := collectagent.OpenBackendOptions(dir, store.DiskOptions{CompactInterval: -1}, store.ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return c
+}
+
+// agentDir writes the data directory an agent leaves behind: run files
+// holding ten readings of each topic, and the topic map.
+func agentDir(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	c := openAgentStore(t, dir)
 	mapper := core.NewTopicMapper()
 	for i, tp := range topics {
 		id, err := mapper.Map(tp)
@@ -171,10 +178,7 @@ func TestCommands(t *testing.T) {
 // out of a compaction with its expiry and its write version.
 func TestCompactKeepsStamps(t *testing.T) {
 	dir := t.TempDir()
-	c, err := collectagent.OpenBackend(dir, 2, 1, store.RingPartitioner{}, store.DiskOptions{CompactInterval: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := openAgentStore(t, dir)
 	id := core.SensorID{Hi: 7, Lo: 7}
 	before := time.Now()
 	if err := c.InsertBatch(id, []core.Reading{{Timestamp: t0.UnixNano(), Value: 1}}, time.Hour); err != nil {
@@ -186,21 +190,13 @@ func TestCompactKeepsStamps(t *testing.T) {
 	}
 	runOK(t, "-db", dir, "compact")
 
-	// The reading stays on its owner node: read each node the tools open.
 	_, tc, err := tooldb.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tc.Close()
-	var vrs []store.VersionedReading
-	for _, n := range tc.Backends() {
-		got, err := storetest.Versioned(n, id, 0, 1<<62)
-		if err != nil {
-			t.Fatal(err)
-		}
-		vrs = append(vrs, got...)
-	}
-	if len(vrs) != 1 {
+	vrs, err := storetest.Versioned(tc.Backends()[0], id, 0, 1<<62)
+	if err != nil || len(vrs) != 1 {
 		t.Fatalf("after compact: %+v", vrs)
 	}
 	if e := vrs[0].Expire; e < before.Add(time.Hour).UnixNano() || e > after.Add(time.Hour).UnixNano() {
@@ -211,23 +207,12 @@ func TestCompactKeepsStamps(t *testing.T) {
 	}
 }
 
-// placedAgentDir writes what an agent of two embedded nodes leaves
-// behind at -replication 1 -depth 2: twenty sensors under ten depth-2
-// subtrees, each sensor on the one node its subtree is placed on, ten
-// readings each. It returns the topics and opens the agent again over
-// the directory with open.
-func placedAgentDir(t *testing.T) (dir string, topics []string, open func() *store.Cluster) {
+// wideAgentDir writes what an agent leaves behind after twenty sensors
+// under ten subtrees sent ten readings each, and returns the topics.
+func wideAgentDir(t *testing.T) (dir string, topics []string) {
 	t.Helper()
 	dir = t.TempDir()
-	open = func() *store.Cluster {
-		t.Helper()
-		c, err := collectagent.OpenBackend(dir, 2, 1, store.RingPartitioner{Depth: 2}, store.DiskOptions{CompactInterval: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	c := open()
+	c := openAgentStore(t, dir)
 	mapper := core.NewTopicMapper()
 	for i := 0; i < 20; i++ {
 		tp := fmt.Sprintf("/dc/r%d/n%d/power", i/2, i%2)
@@ -250,27 +235,21 @@ func placedAgentDir(t *testing.T) (dir string, topics []string, open func() *sto
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range []string{"node0", "node1"} {
-		if _, err := os.Stat(filepath.Join(dir, n, "shard-00")); err != nil {
-			t.Fatalf("the agent left no %s: %v", n, err)
-		}
-	}
-	return dir, topics, open
+	return dir, topics
 }
 
 // TestEditsKeepPlacement: after the tools edit an agent's directory —
-// publish, cleanup, compact — the agent reopened with its own
-// -nodes/-replication/-depth serves every sensor whole. A tool that
-// moved the readings into node0 hid the sensors the ring places on
-// node1.
+// publish, cleanup, compact — the agent reopened over it serves every
+// sensor whole: the tools keep the readings in the store the agent
+// reads.
 func TestEditsKeepPlacement(t *testing.T) {
-	dir, topics, open := placedAgentDir(t)
+	dir, topics := wideAgentDir(t)
 	cutoff := t0.Add(4 * time.Second)
 	runOK(t, "-db", dir, "publish", topics[0], "-unit", "W")
 	runOK(t, "-db", dir, "cleanup", topics[1], cutoff.UTC().Format(time.RFC3339))
 	runOK(t, "-db", dir, "compact")
 
-	c := open()
+	c := openAgentStore(t, dir)
 	defer c.Close()
 	mapper := core.NewTopicMapper()
 	if err := collectagent.LoadTopics(dir, mapper); err != nil {
@@ -304,7 +283,7 @@ func TestEditsKeepPlacement(t *testing.T) {
 // TestPublishLeavesRunFiles: a metadata-only command writes the topics
 // and meta files and no other byte of the directory.
 func TestPublishLeavesRunFiles(t *testing.T) {
-	dir, topics, _ := placedAgentDir(t)
+	dir, topics := wideAgentDir(t)
 	before := storetest.Files(t, dir)
 	runOK(t, "-db", dir, "publish", topics[3], "-unit", "W", "-scale", "2")
 	runOK(t, "-db", dir, "vsensor", "/dc/v/double", "<"+topics[3]+"> * 2")
@@ -314,7 +293,7 @@ func TestPublishLeavesRunFiles(t *testing.T) {
 		delete(after, f)
 	}
 	if !reflect.DeepEqual(after, before) {
-		t.Fatalf("publish changed the node directories: %d entries before, %d after", len(before), len(after))
+		t.Fatalf("publish changed the store: %d entries before, %d after", len(before), len(after))
 	}
 	if out := runOK(t, "-db", dir, "show", topics[3]); !strings.Contains(out, "unit: W\n") {
 		t.Errorf("show after publish printed %q", out)
@@ -347,7 +326,7 @@ func TestErrors(t *testing.T) {
 		}
 	}
 
-	old := filepath.Join(dir, "node1", "shard-00", "run-0000000000000001-0000000000000001.sst")
+	old := filepath.Join(dir, "node0", "shard-00", "run-0000000000000001-0000000000000001.sst")
 	if err := os.MkdirAll(filepath.Dir(old), 0o755); err != nil {
 		t.Fatal(err)
 	}

@@ -7,10 +7,8 @@
 // that does not parse changes nothing. The readings are then written in
 // place through the same coordinator as the agent's writes, and are
 // stamped like any of them: a reading imported at a timestamp the agent
-// stored earlier replaces it. A directory of several node directories
-// is refused: where the agent places a sensor follows its -replication
-// and -depth, which the import cannot know. Import into a one-node
-// directory (collectagent -nodes 1) instead.
+// stored earlier replaces it. The agent started over the directory
+// serves every imported reading.
 //
 // Usage:
 //
@@ -47,10 +45,6 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if fs.NArg() != 1 {
 		return errors.New("dcdbcsvimport: need exactly one CSV file")
-	}
-	if n := tooldb.NodeDirs(*db); n > 1 {
-		return fmt.Errorf("dcdbcsvimport: %s holds %d node directories, and which of them the agent reads a sensor from "+
-			"depends on its -replication and -depth: import into a one-node directory (collectagent -nodes 1) instead", *db, n)
 	}
 	f, err := os.Open(fs.Arg(0))
 	if err != nil {

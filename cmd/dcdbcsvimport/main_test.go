@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"dcdb/internal/collectagent"
+	"dcdb/internal/core"
 	"dcdb/internal/store"
 	"dcdb/internal/store/storetest"
 	"dcdb/internal/tooldb"
@@ -132,23 +133,48 @@ func TestBadRowChangesNothing(t *testing.T) {
 	}
 }
 
-// TestImportRefusesSeveralNodeDirs: an agent directory of two node
-// directories is refused, naming the way out, and left byte-identical.
-func TestImportRefusesSeveralNodeDirs(t *testing.T) {
+// TestImportServedByAgent: readings imported into the data directory
+// of an agent that already stored some are served whole, beside the
+// agent's own, by the agent reopened over the directory.
+func TestImportServedByAgent(t *testing.T) {
 	dir := t.TempDir()
-	c, err := collectagent.OpenBackend(dir, 2, 1, store.RingPartitioner{}, store.DiskOptions{CompactInterval: -1})
-	if err != nil {
+	open := func() *store.Cluster {
+		t.Helper()
+		c, err := collectagent.OpenBackendOptions(dir, store.DiskOptions{CompactInterval: -1}, store.ClusterOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	c := open()
+	a := collectagent.New(c, nil, collectagent.Options{Quiet: true})
+	a.Handle("/dc/r0/power", core.EncodeReadings([]core.Reading{{Timestamp: 1, Value: 1}, {Timestamp: 2, Value: 2}}))
+	if err := collectagent.SaveTopics(dir, a.Mapper()); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	before := storetest.Files(t, dir)
-	err = run([]string{"-db", dir, writeCSV(t, []string{"/dc/r1/power"}, 2)}, &bytes.Buffer{})
-	if err == nil || !strings.Contains(err.Error(), "2 node directories") || !strings.Contains(err.Error(), "one-node directory") {
-		t.Fatalf("importing into two node directories: %v, want the refusal naming the way out", err)
+	a.Close()
+
+	imported := []string{"/dc/r1/power", "/dc/r1/temp", "/dc/r2/power"}
+	if err := run([]string{"-db", dir, writeCSV(t, imported, 4)}, &bytes.Buffer{}); err != nil {
+		t.Fatal(err)
 	}
-	if after := storetest.Files(t, dir); !reflect.DeepEqual(after, before) {
-		t.Fatal("the refused import changed the directory")
+
+	c = open()
+	defer c.Close()
+	mapper := core.NewTopicMapper()
+	if err := collectagent.LoadTopics(dir, mapper); err != nil {
+		t.Fatal(err)
+	}
+	for tp, n := range map[string]int{"/dc/r0/power": 2, "/dc/r1/power": 4, "/dc/r1/temp": 4, "/dc/r2/power": 4} {
+		id, ok := mapper.Lookup(tp)
+		if !ok {
+			t.Fatalf("%s is not in the topic map", tp)
+		}
+		if rs, err := c.Query(id, 0, 1<<62); err != nil || len(rs) != n {
+			t.Errorf("the agent serves %d readings of %s (%v), want %d", len(rs), tp, err, n)
+		}
 	}
 }

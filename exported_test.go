@@ -72,10 +72,8 @@ var seams = map[string]string{
 
 	"internal/store:SetInstrumentation":  "switches the store's self-metrics off so the overhead test can measure what they cost",
 	"internal/store:Cluster.ReplayHints": "replays hints synchronously, so a test need not wait on the background replayer",
-	"internal/store:Node.CacheBudget":    "the only view of a node's block-cache capacity; the agent's split of -cache-bytes across its nodes is checked through it",
 	"internal/rpc:Server.SetNow":         "installs a skewed clock on the server, the clock seam of internal/faults",
 	"internal/rpc:Server.Requests":       "counts the requests a server has served, so a test can assert what a read cost in requests",
-	"internal/collectagent:OpenBackend":  "opens an agent data directory from a node count, replication and partitioner, the short form of OpenBackendOptions",
 }
 
 func TestExportedFuncsHaveACaller(t *testing.T) {

@@ -245,7 +245,7 @@ func TestConcurrentHandle(t *testing.T) {
 func TestAgentDurableBackendSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	open := func() *store.Cluster {
-		c, err := OpenBackend(dir, 2, 2, store.RingPartitioner{}, store.DiskOptions{CompactInterval: -1})
+		c, err := OpenBackendOptions(dir, store.DiskOptions{CompactInterval: -1}, store.ClusterOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -301,40 +301,52 @@ func TestAgentDurableBackendSurvivesRestart(t *testing.T) {
 	}
 }
 
+// TestOpenBackendValidation: a fresh data directory opens as one
+// store, node0, and reopens as it.
 func TestOpenBackendValidation(t *testing.T) {
 	dir := t.TempDir()
-	// A node count below one is clamped rather than rejected.
-	c, err := OpenBackend(dir, 0, 1, store.RingPartitioner{}, store.DiskOptions{CompactInterval: -1})
-	if err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		c, err := OpenBackendOptions(dir, store.DiskOptions{CompactInterval: -1}, store.ClusterOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(c.Backends()); n != 1 {
+			t.Fatalf("open %d: %d backends, want the one store", i, n)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if n := len(c.Backends()); n != 1 {
-		t.Fatalf("clamped node count = %d", n)
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 || entries[0].Name() != "node0" {
+		t.Fatalf("the directory holds %v (%v), want node0 alone", entries, err)
 	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Reopening the same directory with the same shape succeeds.
-	c2, err := OpenBackend(dir, 1, 1, store.RingPartitioner{}, store.DiskOptions{CompactInterval: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2.Close()
 }
 
+// TestOpenBackendRejectsHiddenNodes: a directory in which an earlier
+// build's embedded cluster left a second store, node1, is refused by
+// name with the way out, and left byte-identical: opening node0 alone
+// would hide node1's acknowledged readings.
 func TestOpenBackendRejectsHiddenNodes(t *testing.T) {
 	dir := t.TempDir()
-	c, err := OpenBackend(dir, 2, 1, store.RingPartitioner{}, store.DiskOptions{CompactInterval: -1})
-	if err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"node0", "node1"} {
+		n := store.NewNode(0)
+		if err := n.OpenOptions(filepath.Join(dir, name), store.DiskOptions{CompactInterval: -1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.InsertBatch(core.SensorID{Hi: 1, Lo: 1}, []core.Reading{{Timestamp: 1, Value: 1}}, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
+	before := storetest.Files(t, dir)
+	_, err := OpenBackendOptions(dir, store.DiskOptions{CompactInterval: -1}, store.ClusterOptions{})
+	if !errors.Is(err, errSeveralStores) || !strings.Contains(err.Error(), "node1") || !strings.Contains(err.Error(), "dcdbcsvimport") {
+		t.Fatalf("open over node0 and node1: %v, want the refusal naming node1 and the way out", err)
 	}
-	// Reopening with fewer nodes than the directory holds must fail
-	// loudly instead of silently hiding node1's acknowledged data.
-	if _, err := OpenBackend(dir, 1, 1, store.RingPartitioner{}, store.DiskOptions{CompactInterval: -1}); err == nil {
-		t.Fatal("shrunken node count over a wider directory accepted")
+	if after := storetest.Files(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatal("the refused open changed the directory")
 	}
 }
 
@@ -355,7 +367,7 @@ func TestOpenBackendRefusesInterruptedSaveBuilding(t *testing.T) {
 func testRefusesInterruptedSave(t *testing.T, staged string) {
 	t.Helper()
 	dir := t.TempDir()
-	c, err := OpenBackend(dir, 1, 1, store.RingPartitioner{}, store.DiskOptions{CompactInterval: -1})
+	c, err := OpenBackendOptions(dir, store.DiskOptions{CompactInterval: -1}, store.ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +381,7 @@ func testRefusesInterruptedSave(t *testing.T, staged string) {
 		t.Fatal(err)
 	}
 	before := storetest.Files(t, dir)
-	_, err = OpenBackend(dir, 1, 1, store.RingPartitioner{}, store.DiskOptions{CompactInterval: -1})
+	_, err = OpenBackendOptions(dir, store.DiskOptions{CompactInterval: -1}, store.ClusterOptions{})
 	if !errors.Is(err, errInterruptedSave) || !strings.Contains(err.Error(), staged) {
 		t.Fatalf("open over %s: %v, want the refusal naming it", staged, err)
 	}
@@ -480,83 +492,21 @@ func TestCodeDurableBeforeStore(t *testing.T) {
 	}
 }
 
-func TestOpenBackendOptionsHintedHandoffAcrossAgentRestart(t *testing.T) {
-	// A durable embedded cluster with consistency and hinted handoff
-	// configured through the agent wiring: a replica that misses a
-	// write while down receives it after it comes back, even across a
-	// cluster close/reopen (the hints live under <dir>/hints).
-	dir := t.TempDir()
-	co := store.ClusterOptions{
-		Partitioner: store.RingPartitioner{}, Replication: 2,
-		WriteConsistency:   store.ConsistencyOne,
-		HintReplayInterval: -1,
-	}
-	c, err := OpenBackendOptions(dir, 3, store.DiskOptions{CompactInterval: -1}, co)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id := core.SensorID{Hi: 5, Lo: 5}
-	var backup int // in-process members are named node<i>
-	fmt.Sscanf(c.Owners(id)[1], "node%d", &backup)
-	c.Backends()[backup].(*store.Node).SetDown(true)
-	if err := c.InsertBatch(id, []core.Reading{{Timestamp: 1, Value: 1}}, 0); err != nil {
-		t.Fatal(err)
-	}
-	if queued, _, _ := c.HintStats(); queued != 1 {
-		t.Fatalf("queued %d hints, want 1", queued)
-	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	c2, err := OpenBackendOptions(dir, 3, store.DiskOptions{CompactInterval: -1}, co)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	if err := c2.ReplayHints(); err != nil {
-		t.Fatal(err)
-	}
-	rs, err := c2.Backends()[backup].Query(id, 0, 1<<60)
-	if err != nil || len(rs) != 1 {
-		t.Fatalf("backup replica after restart+replay: %v, %v", rs, err)
-	}
-}
-
+// TestOpenBackendOptionsDisablesHints: the one embedded store has no
+// replica to hand a missed write to, so its open keeps no hinted-handoff
+// queue.
 func TestOpenBackendOptionsDisablesHints(t *testing.T) {
 	dir := t.TempDir()
-	c, err := OpenBackendOptions(dir, 1, store.DiskOptions{CompactInterval: -1},
-		store.ClusterOptions{HintDir: "-"})
+	c, err := OpenBackendOptions(dir, store.DiskOptions{CompactInterval: -1}, store.ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	if err := c.InsertBatch(core.SensorID{Hi: 1, Lo: 1}, []core.Reading{{Timestamp: 1, Value: 1}}, 0); err != nil {
+		t.Fatal(err)
+	}
 	if _, statErr := os.Stat(HintsDir(dir)); !os.IsNotExist(statErr) {
-		t.Fatal("hint directory created despite HintDir \"-\"")
-	}
-}
-
-func TestOpenBackendOptionsSplitsCacheBudgetAcrossNodes(t *testing.T) {
-	// -cache-bytes is a process-wide bound: opening N embedded nodes
-	// must split the budget, not hand each node the full amount.
-	const budget = 4 << 20
-	c, err := OpenBackendOptions(t.TempDir(), 4,
-		store.DiskOptions{CompactInterval: -1, CacheBytes: budget},
-		store.ClusterOptions{HintDir: "-"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	var total int64
-	for i, b := range c.Backends() {
-		got := b.(*store.Node).CacheBudget()
-		if got != budget/4 {
-			t.Fatalf("node %d cache budget %d, want %d (process budget %d / 4 nodes)", i, got, budget/4, budget)
-		}
-		total += got
-	}
-	if total > budget {
-		t.Fatalf("summed node budgets %d exceed the configured process bound %d", total, budget)
+		t.Fatal("the embedded store's open created a hint directory")
 	}
 }
 

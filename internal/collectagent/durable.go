@@ -1,20 +1,24 @@
 // Durable backend wiring: a Collect Agent owns a data directory in
-// which each storage node keeps its write-ahead log and per-shard run
-// files (internal/store). Opening the directory replays the WALs, so an
-// agent restart — clean or not — resumes with every acknowledged
-// reading intact, which is what makes the paper's "continuous"
-// monitoring claim (§2) hold across daemon crashes.
+// which its one embedded storage node keeps its write-ahead log and
+// per-shard run files (internal/store). Opening the directory replays
+// the WAL, so an agent restart — clean or not — resumes with every
+// acknowledged reading intact, which is what makes the paper's
+// "continuous" monitoring claim (§2) hold across daemon crashes.
+// Replicas belong to the storage tier: an agent that wants them writes
+// to dcdbnode processes, not to more stores on its own disk.
 //
 // Layout:
 //
-//	<dir>/node<i>/wal-*.log            — the node's write-ahead log
-//	<dir>/node<i>/shard-<s>/run-*.sst  — its run files
+//	<dir>/node0/wal-*.log            — the store's write-ahead log
+//	<dir>/node0/shard-<s>/run-*.sst  — its run files
 //	<dir>/topics        — the topic↔SID map (append-only: one line per level code)
 //	<dir>/meta          — sensor metadata the tools publish (dcdbconfig)
 //
-// The tools (internal/tooldb) open the same node directories in place.
-// The staging directories node0.building and node0.ready, which tools
-// of earlier builds rewrote the directory through, are refused by name.
+// The tools (internal/tooldb) open the same store in place. Two kinds
+// of directory that earlier builds wrote are refused by name: the
+// stores of a multi-node embedded cluster (node1 and up), and the
+// staging directories node0.building and node0.ready that tools
+// rewrote the directory through.
 package collectagent
 
 import (
@@ -36,11 +40,6 @@ import (
 	"dcdb/internal/store"
 )
 
-// NodeDir returns the data directory of cluster node i under dir.
-func NodeDir(dir string, i int) string {
-	return filepath.Join(dir, fmt.Sprintf("node%d", i))
-}
-
 // errInterruptedSave refuses the staging directories of the data
 // directory rewrite that tools of earlier builds made on every edit
 // ("node0.building", "node0.ready"). Tools edit in place, so this
@@ -48,11 +47,24 @@ func NodeDir(dir string, i int) string {
 var errInterruptedSave = errors.New("holds an interrupted tool save of an earlier build, which this build neither finishes nor discards: " +
 	"open and close it once with the build that wrote it (its dcdbquery -db DIR -list does), then retry")
 
-// refuseInterruptedSave fails when dir holds a staging directory.
-func refuseInterruptedSave(dir string) error {
-	for _, name := range []string{"node0.building", "node0.ready"} {
-		if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
-			return fmt.Errorf("collectagent: %s %w (found %s)", dir, errInterruptedSave, name)
+// errSeveralStores refuses the directory of an earlier build's
+// multi-node embedded cluster. Which of its stores holds a sensor
+// followed that agent's -nodes, -replication and -depth, which the
+// directory does not record, so this build neither reads nor merges
+// them.
+var errSeveralStores = errors.New("holds the stores of several embedded nodes, which an earlier build wrote and this build does not read: " +
+	"export the readings to CSV with that build's dcdbquery -db DIR, " +
+	"then load the CSV into a fresh directory with dcdbcsvimport")
+
+// refuseOldLayouts fails when dir holds a second node's store or a
+// staging directory.
+func refuseOldLayouts(dir string) error {
+	for _, c := range []struct {
+		name string
+		err  error
+	}{{"node1", errSeveralStores}, {"node0.building", errInterruptedSave}, {"node0.ready", errInterruptedSave}} {
+		if _, err := os.Stat(filepath.Join(dir, c.name)); err == nil {
+			return fmt.Errorf("collectagent: %s %w (found %s)", dir, c.err, c.name)
 		}
 	}
 	return nil
@@ -62,68 +74,23 @@ func refuseInterruptedSave(dir string) error {
 // directory.
 func HintsDir(dir string) string { return filepath.Join(dir, "hints") }
 
-// OpenBackend opens (creating on first use) a durable storage cluster
-// rooted at dir with one subdirectory per node. Recovery of each node
-// happens here; the returned cluster must be Closed to flush and
-// detach cleanly.
-func OpenBackend(dir string, nodes, replication int, part store.RingPartitioner, o store.DiskOptions) (*store.Cluster, error) {
-	return OpenBackendOptions(dir, nodes, o, store.ClusterOptions{Partitioner: part, Replication: replication})
-}
-
-// OpenBackendOptions is OpenBackend with full cluster configuration
-// (consistency levels, hinted handoff). A co.HintDir of "" enables
-// handoff under <dir>/hints; pass "-" to disable it outright. A
-// directory holding an earlier build's interrupted tool save is
-// refused, unchanged.
-//
-// o.CacheBytes is a PROCESS-WIDE block-cache budget: it is split
-// evenly across the embedded nodes, so opening more nodes never
-// multiplies the bound the caller configured. (Each node keeps its own
-// cache — the split, not a shared cache, is what keeps node lifecycles
-// independent.)
-func OpenBackendOptions(dir string, nodes int, o store.DiskOptions, co store.ClusterOptions) (*store.Cluster, error) {
-	if nodes < 1 {
-		nodes = 1
-	}
-	if o.CacheBytes > 0 && nodes > 1 {
-		o.CacheBytes /= int64(nodes)
-		if o.CacheBytes < 1 {
-			// Rounding to 0 would mean "unbounded" — the opposite of a
-			// tiny budget. A 1-byte cache keeps nothing resident.
-			o.CacheBytes = 1
-		}
-	}
-	if err := refuseInterruptedSave(dir); err != nil {
+// OpenBackendOptions opens (creating on first use) the durable store
+// of the data directory dir, <dir>/node0, with o, as a cluster of that
+// one node configured by co. Recovery happens here; the returned
+// cluster must be Closed to flush and detach cleanly. A directory that
+// an earlier build left with several stores or an interrupted tool
+// save is refused, unchanged.
+func OpenBackendOptions(dir string, o store.DiskOptions, co store.ClusterOptions) (*store.Cluster, error) {
+	if err := refuseOldLayouts(dir); err != nil {
 		return nil, err
 	}
-	// Opening fewer nodes than the directory holds would silently hide
-	// acknowledged data; make the shrink explicit.
-	if _, err := os.Stat(NodeDir(dir, nodes)); err == nil {
-		return nil, fmt.Errorf("collectagent: %s exists but only %d node(s) requested — the directory holds more nodes than the configuration opens", NodeDir(dir, nodes), nodes)
+	n := store.NewNode(0)
+	if err := n.OpenOptions(filepath.Join(dir, "node0"), o); err != nil {
+		return nil, fmt.Errorf("collectagent: opening the store: %w", err)
 	}
-	switch co.HintDir {
-	case "":
-		co.HintDir = HintsDir(dir)
-	case "-":
-		co.HintDir = ""
-	}
-	backends := make([]store.NodeBackend, nodes)
-	closeOpened := func(k int) {
-		for _, b := range backends[:k] {
-			b.Close()
-		}
-	}
-	for i := range backends {
-		n := store.NewNode(0)
-		if err := n.OpenOptions(NodeDir(dir, i), o); err != nil {
-			closeOpened(i)
-			return nil, fmt.Errorf("collectagent: opening node %d: %w", i, err)
-		}
-		backends[i] = n
-	}
-	c, err := store.NewClusterOptions(backends, co)
+	c, err := store.NewClusterOptions([]store.NodeBackend{n}, co)
 	if err != nil {
-		closeOpened(nodes)
+		n.Close()
 		return nil, err
 	}
 	return c, nil

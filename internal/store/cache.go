@@ -233,15 +233,6 @@ func (c *blockCache) purge(rf *runFile) {
 	c.mu.Unlock()
 }
 
-// CacheBudget reports the node's block-cache capacity in bytes (0 when
-// the cache is unbounded or the node is memory-only).
-func (n *Node) CacheBudget() int64 {
-	if n.cache == nil {
-		return 0
-	}
-	return n.cache.cap
-}
-
 // entrySize is the in-memory footprint of one entry (ts, val, expire,
 // ver), used for cache accounting.
 const entrySize = 32

@@ -227,24 +227,6 @@ func TestRingScatterQuorumBound(t *testing.T) {
 	}
 }
 
-// TestCacheBudget: a cacheless node reports 0; a disk node opened with
-// a cache budget reports the configured capacity.
-func TestCacheBudget(t *testing.T) {
-	n := NewNode(0)
-	defer n.Close()
-	if got := n.CacheBudget(); got != 0 {
-		t.Fatalf("cacheless node budget = %d", got)
-	}
-	d := NewNode(0)
-	if err := d.OpenOptions(t.TempDir(), DiskOptions{CacheBytes: 1 << 20}); err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	if got := d.CacheBudget(); got != 1<<20 {
-		t.Fatalf("cached node budget = %d, want %d", got, 1<<20)
-	}
-}
-
 // TestRebalanceRetriesUntilTargetRecovers drives the transfer's failure
 // loop deterministically: the joining member is down when the
 // transition starts, so rebalance rounds fail and back off; once the

@@ -3,8 +3,8 @@ package tooldb
 import (
 	"fmt"
 	"math"
+	"path/filepath"
 	"runtime"
-	"slices"
 	"testing"
 	"time"
 
@@ -25,14 +25,12 @@ var benchShapes = []struct {
 	{"fanin", 20000, 60, 1},
 }
 
-// writeAgentDir writes sensors × perSensor readings into a data
-// directory of nodes embedded nodes at replication 1 and depth 2, batch
-// readings of one sensor a write, sensors in turn, saves the topic map,
-// closes the cluster and returns the topics.
-func writeAgentDir(b *testing.B, dir string, nodes, sensors, perSensor, batch int) []string {
+// writeAgentDir writes sensors × perSensor readings into an agent's
+// data directory, batch readings of one sensor a write, sensors in
+// turn, saves the topic map, closes the store and returns the topics.
+func writeAgentDir(b *testing.B, dir string, sensors, perSensor, batch int) []string {
 	b.Helper()
-	c, err := collectagent.OpenBackend(dir, nodes, 1, store.RingPartitioner{Depth: 2},
-		store.DiskOptions{SyncInterval: -1, CacheBytes: 4 << 20})
+	c, err := collectagent.OpenBackendOptions(dir, store.DiskOptions{SyncInterval: -1, CacheBytes: 4 << 20}, store.ClusterOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -81,7 +79,7 @@ func BenchmarkOpenQuery(b *testing.B) {
 	for _, sh := range benchShapes {
 		b.Run(sh.name, func(b *testing.B) {
 			dir := b.TempDir()
-			topics := writeAgentDir(b, dir, 1, sh.sensors, sh.perSensor, sh.batch)
+			topics := writeAgentDir(b, dir, sh.sensors, sh.perSensor, sh.batch)
 			topic := topics[len(topics)/2]
 			var ns, heap float64
 			for it := 0; it < b.N; it++ {
@@ -111,7 +109,7 @@ func BenchmarkOpenQuery(b *testing.B) {
 func BenchmarkPublish(b *testing.B) {
 	dir := b.TempDir()
 	sh := benchShapes[0]
-	topics := writeAgentDir(b, dir, 1, sh.sensors, sh.perSensor, sh.batch)
+	topics := writeAgentDir(b, dir, sh.sensors, sh.perSensor, sh.batch)
 	b.ResetTimer()
 	for it := 0; it < b.N; it++ {
 		conn, db, err := Open(dir)
@@ -127,47 +125,37 @@ func BenchmarkPublish(b *testing.B) {
 	}
 }
 
-// BenchmarkUnionRead reads one sensor of 70 016 readings from a
-// directory of two nodes at replication 1: through Open, which merges
-// both node directories (owner_ms is the same read from the sensor's
-// owner node alone).
-func BenchmarkUnionRead(b *testing.B) {
+// BenchmarkSensorRead is a tool's read of one sensor of 70 016
+// readings through Open (read_ms), beside the same read from the
+// agent's store opened alone (store_ms).
+func BenchmarkSensorRead(b *testing.B) {
 	dir := b.TempDir()
 	const perSensor = 70016
-	topics := writeAgentDir(b, dir, 2, 4, perSensor, 64)
+	topics := writeAgentDir(b, dir, 4, perSensor, 64)
 	conn, db, err := Open(dir)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer db.Close()
 	id, _ := conn.Mapper().Lookup(topics[0])
-	var owner *store.Node
-	for i := 0; i < 2; i++ {
-		n := store.NewNode(0)
-		if err := n.OpenOptions(collectagent.NodeDir(dir, i), toolReadOptions); err != nil {
-			b.Fatal(err)
-		}
-		defer n.Close()
-		if slices.Contains(n.SensorIDs(), id) {
-			owner = n
-		}
+	n := store.NewNode(0)
+	if err := n.OpenOptions(filepath.Join(dir, "node0"), toolReadOptions); err != nil {
+		b.Fatal(err)
 	}
-	if owner == nil {
-		b.Fatalf("no node directory holds %s", topics[0])
-	}
-	var unionNs, ownerNs float64
+	defer n.Close()
+	var readNs, storeNs float64
 	for it := 0; it < b.N; it++ {
 		start := time.Now()
 		if rs, err := conn.Query(topics[0], math.MinInt64, math.MaxInt64); err != nil || len(rs) != perSensor {
-			b.Fatalf("union read: %d readings (%v), want %d", len(rs), err, perSensor)
+			b.Fatalf("tool read: %d readings (%v), want %d", len(rs), err, perSensor)
 		}
-		unionNs += float64(time.Since(start))
+		readNs += float64(time.Since(start))
 		start = time.Now()
-		if rs, err := owner.Query(id, math.MinInt64, math.MaxInt64); err != nil || len(rs) != perSensor {
-			b.Fatalf("owner read: %d readings (%v), want %d", len(rs), err, perSensor)
+		if rs, err := n.Query(id, math.MinInt64, math.MaxInt64); err != nil || len(rs) != perSensor {
+			b.Fatalf("store read: %d readings (%v), want %d", len(rs), err, perSensor)
 		}
-		ownerNs += float64(time.Since(start))
+		storeNs += float64(time.Since(start))
 	}
-	b.ReportMetric(unionNs/float64(b.N)/1e6, "union_ms")
-	b.ReportMetric(ownerNs/float64(b.N)/1e6, "owner_ms")
+	b.ReportMetric(readNs/float64(b.N)/1e6, "read_ms")
+	b.ReportMetric(storeNs/float64(b.N)/1e6, "store_ms")
 }

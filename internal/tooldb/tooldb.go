@@ -1,13 +1,12 @@
 // Package tooldb gives the command-line tools (dcdbquery, dcdbconfig,
 // dcdbcsvimport, dcdbgrafana) access to a Storage Backend persisted by
 // a Collect Agent. A database has one layout, the agent's data
-// directory (-data): one node<i>/ directory of run files and WALs per
-// embedded storage node, plus the topics and meta files. Open and Edit
-// open those node directories in place, as the agent's own embedded
-// cluster, wrapped in a libDCDB connection: a tool reads the one copy
-// of the data and writes only what it changes. OpenRemote takes only
-// the topic map from the directory and queries a running storage
-// cluster live.
+// directory (-data): the one store node0/ of run files and WAL, plus
+// the topics and meta files. Open and Edit open that store in place,
+// as the agent does, wrapped in a libDCDB connection: a tool reads the
+// one copy of the data and writes only what it changes. OpenRemote
+// takes only the topic map from the directory and queries a running
+// storage cluster live.
 package tooldb
 
 import (
@@ -50,49 +49,29 @@ func refuseSnapshots(dir string) error {
 }
 
 // Open opens the agent data directory dir in place, read-only, the way
-// the agent opens it: every node<i>/ directory is recovered (run files
-// indexed, WAL segments replayed), so the tools see every acknowledged
-// write, including those of a crashed agent, and nothing is copied or
-// written. A dir that does not exist is an empty database. The tools
-// cannot know the agent's -replication and -depth, so every node
-// directory is opened as a replica of every sensor: a read at QUORUM
-// merges them all and serves the newest write of each timestamp; a
-// read-only node refuses the merge's read repair. One node directory
-// is read alone. Close the cluster when done.
+// the agent opens it: its store is recovered (run files indexed, WAL
+// segments replayed), so the tools see every acknowledged write,
+// including those of a crashed agent, and nothing is copied or
+// written. A dir that does not exist is an empty database. Close the
+// cluster when done.
 func Open(dir string) (*libdcdb.Connection, *store.Cluster, error) {
 	return open(dir, toolReadOptions)
 }
 
 // Edit is Open for the tools that write (dcdbconfig's cleanup and
-// compact, dcdbcsvimport): the node directories are opened writable, a
-// write or delete reaches every one of them, and Save ends the edit. A
-// dir that does not exist is created as one node directory.
+// compact, dcdbcsvimport): the store is opened writable, and Save ends
+// the edit. A dir that does not exist is created.
 func Edit(dir string) (*libdcdb.Connection, *store.Cluster, error) {
 	return open(dir, toolWriteOptions)
 }
 
-// NodeDirs counts the node<i>/ directories of the data directory dir.
-func NodeDirs(dir string) int {
-	n := 0
-	for ; ; n++ {
-		if _, err := os.Stat(collectagent.NodeDir(dir, n)); err != nil {
-			return n
-		}
-	}
-}
-
-// open opens every node directory of dir with o and loads the topic
-// map and metadata files.
+// open opens the store of dir with o and loads the topic map and
+// metadata files.
 func open(dir string, o store.DiskOptions) (*libdcdb.Connection, *store.Cluster, error) {
 	if err := refuseSnapshots(dir); err != nil {
 		return nil, nil, err
 	}
-	n := NodeDirs(dir)
-	c, err := collectagent.OpenBackendOptions(dir, n, o, store.ClusterOptions{
-		Replication:     n,
-		ReadConsistency: store.ConsistencyQuorum,
-		HintDir:         "-",
-	})
+	c, err := collectagent.OpenBackendOptions(dir, o, store.ClusterOptions{})
 	if err != nil {
 		return nil, nil, fmt.Errorf("tooldb: %w", err)
 	}
@@ -169,8 +148,8 @@ func OpenRemote(dir string, o RemoteOptions) (*libdcdb.Connection, *store.Cluste
 // Save ends a tool's session with the data directory dir: it writes
 // the topic map and the metadata of conn, creating dir if needed, then
 // closes the cluster c opened on it. Readings an Edit wrote are already
-// in the node directories' WALs, and the clean close spills them to run
-// files and leaves no WAL. Not safe against an agent concurrently
+// in the store's WAL, and the clean close spills them to run files and
+// leaves no WAL. Not safe against an agent concurrently
 // owning the directory.
 func Save(conn *libdcdb.Connection, c *store.Cluster, dir string) error {
 	err := os.MkdirAll(dir, 0o755)

@@ -149,9 +149,9 @@ func TestImportIntoFreshDirectory(t *testing.T) {
 
 func TestOpenDataDirectory(t *testing.T) {
 	dir := t.TempDir()
-	// Simulate an agent that wrote a durable two-node cluster and then
-	// crashed: node data recovered from run files and WALs.
-	c, err := collectagent.OpenBackend(dir, 2, 1, store.RingPartitioner{}, store.DiskOptions{CompactInterval: -1})
+	// Simulate an agent that wrote its durable store and then crashed:
+	// data recovered from run files and the WAL.
+	c, err := collectagent.OpenBackendOptions(dir, store.DiskOptions{CompactInterval: -1}, store.ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,25 +203,26 @@ func TestOpenDataDirectory(t *testing.T) {
 	if _, ok := conn2.Metadata("/dc/r1/virt"); !ok {
 		t.Error("virtual sensor metadata lost in data-dir save")
 	}
-	// The edit kept the agent's layout: node1 still holds its readings.
-	if _, err := os.Stat(collectagent.NodeDir(dir, 1)); err != nil {
-		t.Errorf("node1 did not survive the edit: %v", err)
+	// The edit kept the agent's layout: node0 still holds the readings.
+	if entries, err := os.ReadDir(filepath.Join(dir, "node0")); err != nil || len(entries) == 0 {
+		t.Errorf("node0 did not survive the edit: %v, %v", entries, err)
 	}
 }
 
-// TestOpenServesNewestReplicaWrite: when the node directories of an
-// agent disagree on a timestamp, Open serves the newest write — the
-// higher version, in node0 here — not the directory it reads last, nor
-// the larger value that breaks a tie between equal versions.
+// TestOpenServesNewestReplicaWrite: when two writes of the agent's
+// store disagree on a timestamp, Open serves the newest write — the
+// higher version, in the first run file here — not the run file it
+// reads last, nor the larger value that breaks a tie between equal
+// versions.
 func TestOpenServesNewestReplicaWrite(t *testing.T) {
 	dir := t.TempDir()
 	id := core.SensorID{Hi: 3, Lo: 4}
-	for i, vr := range []store.VersionedReading{
+	for _, vr := range []store.VersionedReading{
 		{Timestamp: 5, Value: 1, Version: 2},
 		{Timestamp: 5, Value: 2, Version: 1},
 	} {
 		n := store.NewNode(0)
-		if err := n.OpenOptions(collectagent.NodeDir(dir, i), store.DiskOptions{CompactInterval: -1}); err != nil {
+		if err := n.OpenOptions(filepath.Join(dir, "node0"), store.DiskOptions{CompactInterval: -1}); err != nil {
 			t.Fatal(err)
 		}
 		if err := n.InsertVersioned(id, []store.VersionedReading{vr}); err != nil {
@@ -238,7 +239,7 @@ func TestOpenServesNewestReplicaWrite(t *testing.T) {
 	defer c.Close()
 	rs, err := c.Query(id, 0, 10)
 	if err != nil || len(rs) != 1 || rs[0].Value != 1 {
-		t.Fatalf("merged replicas serve %+v (%v), want node0's version 2, value 1", rs, err)
+		t.Fatalf("the store serves %+v (%v), want the write of version 2, value 1", rs, err)
 	}
 }
 
