@@ -34,7 +34,7 @@ import (
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
-		log.Fatal(err)
+		log.Fatalf("dcdbconfig: %v", err)
 	}
 }
 
@@ -50,7 +50,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 	args = fs.Args()
 	if len(args) == 0 {
-		return errors.New("dcdbconfig: no command (publish, vsensor, show, list, cleanup, compact)")
+		return errors.New("no command (publish, vsensor, show, list, cleanup, compact)")
 	}
 	open := tooldb.Open
 	if args[0] == "cleanup" || args[0] == "compact" {
@@ -108,7 +108,7 @@ func command(conn *libdcdb.Connection, cluster *store.Cluster, args []string, st
 		}
 		m, ok := conn.Metadata(args[1])
 		if !ok {
-			return false, fmt.Errorf("dcdbconfig: no metadata for %s", args[1])
+			return false, fmt.Errorf("no metadata for %s", args[1])
 		}
 		fmt.Fprintf(stdout, "topic: %s\nunit: %s\nscale: %g\nttl: %v\nintegrable: %v\nvirtual: %v\nexpression: %s\n",
 			m.Topic, m.Unit, m.EffectiveScale(), m.TTL, m.Integrable, m.Virtual, m.Expression)
@@ -128,11 +128,11 @@ func command(conn *libdcdb.Connection, cluster *store.Cluster, args []string, st
 		}
 		cutoff, err := time.Parse(time.RFC3339, args[2])
 		if err != nil {
-			return false, fmt.Errorf("dcdbconfig: bad cutoff: %v", err)
+			return false, fmt.Errorf("bad cutoff: %v", err)
 		}
 		id, ok := conn.Mapper().Lookup(args[1])
 		if !ok {
-			return false, fmt.Errorf("dcdbconfig: unknown sensor %q", args[1])
+			return false, fmt.Errorf("unknown sensor %q", args[1])
 		}
 		if err := cluster.DeleteBefore(id, cutoff.UnixNano()); err != nil {
 			return false, err
@@ -142,7 +142,7 @@ func command(conn *libdcdb.Connection, cluster *store.Cluster, args []string, st
 		cluster.Compact()
 		fmt.Fprintln(stdout, "compacted")
 	default:
-		return false, fmt.Errorf("dcdbconfig: unknown command %q", args[0])
+		return false, fmt.Errorf("unknown command %q", args[0])
 	}
 	return false, nil
 }

@@ -31,7 +31,7 @@ import (
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
-		log.Fatal(err)
+		log.Fatalf("dcdbcsvimport: %v", err)
 	}
 }
 
@@ -44,7 +44,7 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	if fs.NArg() != 1 {
-		return errors.New("dcdbcsvimport: need exactly one CSV file")
+		return errors.New("need exactly one CSV file")
 	}
 	f, err := os.Open(fs.Arg(0))
 	if err != nil {
@@ -58,7 +58,7 @@ func run(args []string, stdout io.Writer) error {
 		_, err := core.ParseTopic(topic)
 		return err
 	}); err != nil {
-		return fmt.Errorf("dcdbcsvimport: after %d readings: %w", n, err)
+		return fmt.Errorf("after %d readings: %w", n, err)
 	}
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return err
@@ -70,7 +70,7 @@ func run(args []string, stdout io.Writer) error {
 	n, err := write(conn, *db, topics, f)
 	if err != nil {
 		cluster.Close()
-		return fmt.Errorf("dcdbcsvimport: after %d readings: %w", n, err)
+		return fmt.Errorf("after %d readings: %w", n, err)
 	}
 	if err := tooldb.Save(conn, cluster, *db); err != nil {
 		return err

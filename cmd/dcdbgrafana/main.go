@@ -89,7 +89,7 @@ func main() {
 		conn, cluster, err = tooldb.Open(*db)
 	}
 	if err != nil {
-		log.Fatal(err)
+		log.Fatalf("dcdbgrafana: %v", err)
 	}
 	defer cluster.Close()
 	log.Printf("dcdbgrafana: serving %s on %s", *db, *listen)

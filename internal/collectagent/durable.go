@@ -64,7 +64,7 @@ func refuseOldLayouts(dir string) error {
 		err  error
 	}{{"node1", errSeveralStores}, {"node0.building", errInterruptedSave}, {"node0.ready", errInterruptedSave}} {
 		if _, err := os.Stat(filepath.Join(dir, c.name)); err == nil {
-			return fmt.Errorf("collectagent: %s %w (found %s)", dir, c.err, c.name)
+			return fmt.Errorf("%s %w (found %s)", dir, c.err, c.name)
 		}
 	}
 	return nil
@@ -86,7 +86,7 @@ func OpenBackendOptions(dir string, o store.DiskOptions, co store.ClusterOptions
 	}
 	n := store.NewNode(0)
 	if err := n.OpenOptions(filepath.Join(dir, "node0"), o); err != nil {
-		return nil, fmt.Errorf("collectagent: opening the store: %w", err)
+		return nil, fmt.Errorf("opening the store: %w", err)
 	}
 	c, err := store.NewClusterOptions([]store.NodeBackend{n}, co)
 	if err != nil {
@@ -102,7 +102,7 @@ func OpenBackendOptions(dir string, o store.DiskOptions, co store.ClusterOptions
 // writes a down node missed survive an agent restart too.
 func OpenRemoteBackend(addrs []string, co store.ClusterOptions, ro rpc.ClientOptions) (*store.Cluster, error) {
 	if len(addrs) == 0 {
-		return nil, fmt.Errorf("collectagent: no storage node addresses")
+		return nil, errors.New("no storage node addresses")
 	}
 	backends := make([]store.NodeBackend, len(addrs))
 	for i, addr := range addrs {
@@ -128,7 +128,7 @@ func OpenRemoteBackend(addrs []string, co store.ClusterOptions, ro rpc.ClientOpt
 // failures live.
 func OpenDiscoveredBackend(seeds []string, co store.ClusterOptions, ro rpc.ClientOptions) (*store.Cluster, error) {
 	if len(seeds) == 0 {
-		return nil, fmt.Errorf("collectagent: no seed addresses to discover from")
+		return nil, errors.New("no seed addresses to discover from")
 	}
 	members, err := membership.DiscoverRing(seeds...)
 	if err != nil {
@@ -215,7 +215,7 @@ func readTopics(dir string, m *core.TopicMapper) (size, complete int64, err erro
 		}
 	}
 	if err := m.Import(lines); err != nil {
-		return 0, 0, fmt.Errorf("collectagent: %s: %w", path, err)
+		return 0, 0, fmt.Errorf("%s: %w", path, err)
 	}
 	return int64(len(data)), int64(len(whole)), nil
 }

@@ -95,7 +95,7 @@ func (c *Cluster) Aggregate(id core.SensorID, spec fold.Spec) (fold.State, error
 		return nil, fmt.Errorf("store: all replicas failed: %w", lastErr)
 	}
 	states := make([]fold.State, len(replicas))
-	errs := c.fanOut(replicas, false, func(i, idx int) (err error) {
+	errs := c.fanOut(replicas, func(i, idx int) (err error) {
 		states[i], err = t.members[idx].backend.Aggregate(id, spec)
 		return err
 	})

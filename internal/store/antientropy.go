@@ -72,7 +72,7 @@ func (c *Cluster) repairSensor(id core.SensorID, from, to int64) {
 	replicas := c.readReplicas(t, id)
 	spec := fold.Spec{Op: fold.OpSummary, From: from, To: to}
 	states := make([]fold.State, len(replicas))
-	errs := c.fanOut(replicas, false, func(i, idx int) (err error) {
+	errs := c.fanOut(replicas, func(i, idx int) (err error) {
 		states[i], err = t.members[idx].backend.Aggregate(id, spec)
 		return err
 	})

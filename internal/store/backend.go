@@ -119,7 +119,7 @@ func SplitStamps(id core.SensorID, vrs []VersionedReading) []WriteEntry {
 // that decorates InsertVersioned (a test's fault injector, the
 // benchmark's tracer) must keep seeing every write it wraps, so frames
 // are only ever handed to the two implementations themselves — see
-// FramesOf and RemoteWriter.
+// FramesOf.
 type FrameWriter interface {
 	// WriteFrame applies the entries and returns nil when all of them
 	// were, else one slot per entry (nil = applied).
@@ -127,24 +127,30 @@ type FrameWriter interface {
 }
 
 // RemoteWriter is a FrameWriter on the far side of a connection
-// (rpc.Client): the member a cluster writes through a queue, coalescing
-// entries into frames (cluster_write.go). Self returns the writer, and
-// the cluster compares it with the backend it was given: a wrapper that
-// embeds a client inherits WriteFrame and Self alike, but Self still
-// answers with the client inside, so the wrapper is recognised as a
-// decoration and written through its own InsertVersioned.
+// (rpc.Client). Self returns the writer, and FramesOf compares it with
+// the backend it was given: a wrapper that embeds a client inherits
+// WriteFrame and Self alike, but Self still answers with the client
+// inside, so the wrapper is recognised as a decoration.
 type RemoteWriter interface {
 	FrameWriter
 	Self() NodeBackend
 }
 
-// FramesOf returns how frames reach an in-process backend: a *Node
-// takes them itself, anything else — a decorated node included, whose
-// embedded WriteFrame would bypass the decoration — gets each entry
-// through InsertVersioned.
+// FramesOf returns how frames reach a backend — the writer its member's
+// write queue and hint replay hand entries to. A *Node, and a
+// RemoteWriter that is the backend itself, take whole frames; anything
+// else — a decorator embedding either, whose inherited WriteFrame would
+// bypass the decoration — gets each entry through its own
+// InsertVersioned. The choice goes by the backend's identity, never by
+// its method set.
 func FramesOf(b NodeBackend) FrameWriter {
-	if n, ok := b.(*Node); ok {
-		return n
+	switch w := b.(type) {
+	case *Node:
+		return w
+	case RemoteWriter:
+		if w.Self() == b {
+			return w
+		}
 	}
 	return versionedFrames{b}
 }

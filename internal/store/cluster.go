@@ -12,13 +12,6 @@ import (
 	"dcdb/internal/ring"
 )
 
-// parallelBatchMin is the batch size below which a replicated write to
-// purely in-process replicas is performed sequentially: spawning
-// goroutines costs more than a couple of memtable appends. Remote
-// replicas always fan out concurrently — a network round trip dwarfs a
-// goroutine handoff.
-const parallelBatchMin = 16
-
 // RingPartitioner configures the one placement scheme: a sensor's
 // placement key hashes onto a consistent-hash ring of member identities
 // with VNodes virtual nodes per member (internal/ring), so membership
@@ -305,14 +298,12 @@ func (c *Cluster) Owners(id core.SensorID) []string {
 }
 
 // fanOut runs op for every listed replica (i is its position in the
-// list, idx its member index), concurrently unless the caller asked for
-// the cheap sequential path, and returns one error slot per replica.
-func (c *Cluster) fanOut(replicas []int, sequential bool, op func(i, idx int) error) []error {
+// list, idx its member index) concurrently and returns one error slot
+// per replica.
+func (c *Cluster) fanOut(replicas []int, op func(i, idx int) error) []error {
 	errs := make([]error, len(replicas))
-	if sequential || len(replicas) == 1 {
-		for i, idx := range replicas {
-			errs[i] = op(i, idx)
-		}
+	if len(replicas) == 1 {
+		errs[0] = op(0, replicas[0])
 		return errs
 	}
 	var wg sync.WaitGroup
@@ -325,19 +316,6 @@ func (c *Cluster) fanOut(replicas []int, sequential bool, op func(i, idx int) er
 	}
 	wg.Wait()
 	return errs
-}
-
-// localOnly reports whether every listed replica is in-process.
-func localOnly(t *topology, replicas []int) bool {
-	if t.allLocal {
-		return true
-	}
-	for _, idx := range replicas {
-		if !t.members[idx].local {
-			return false
-		}
-	}
-	return true
 }
 
 // Query implements Backend: a drain of QueryStream.
@@ -379,7 +357,7 @@ func (c *Cluster) Query(id core.SensorID, from, to int64) ([]core.Reading, error
 func (c *Cluster) DeleteBefore(id core.SensorID, cutoff int64) error {
 	t := c.top()
 	replicas, readN := c.writeReplicas(t, id)
-	errs := c.fanOut(replicas, localOnly(t, replicas), func(_, idx int) error {
+	errs := c.fanOut(replicas, func(_, idx int) error {
 		return t.members[idx].backend.DeleteBefore(id, cutoff)
 	})
 	missed, err := c.quorum(errs, readN)

@@ -139,7 +139,7 @@ func (c *Cluster) QueryStream(id core.SensorID, from, to int64) (ReadingStream, 
 		return nil, fmt.Errorf("store: all replicas failed: %w", lastErr)
 	}
 	streams := make([]ReadingStream, len(replicas))
-	errs := c.fanOut(replicas, false, func(i, idx int) (err error) {
+	errs := c.fanOut(replicas, func(i, idx int) (err error) {
 		streams[i], err = t.members[idx].backend.QueryStream(id, from, to)
 		return err
 	})

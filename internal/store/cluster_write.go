@@ -11,13 +11,11 @@ import (
 
 // The coordinator's write path. A write is one WriteEntry — a message's
 // readings under one stamp — sent to every owner of its sensor and
-// acknowledged per entry: its own quorum, its own hints. How it reaches
-// an owner depends on where the owner lives. An in-process node (or any
-// backend without a FrameWriter of its own) is written directly, on the
-// caller's goroutine. A remote node is written through its writeQueue,
+// acknowledged per entry: its own quorum, its own hints. Every owner,
+// in-process or remote, is written through its member's writeQueue,
 // which coalesces whatever entries arrive while the previous frame is
-// on the wire into the next one — natural batching: no timer, no size
-// knob, and under no load a frame of one entry leaves at once.
+// being applied into the next one — natural batching: no timer, no
+// size knob, and under no load a frame of one entry leaves at once.
 
 // versionTick is the granularity of write versions, in the nanoseconds
 // they are counted in. Versions order writes of one timestamp; nothing
@@ -45,53 +43,31 @@ func (c *Cluster) nextVersion() uint64 {
 }
 
 // write is one entry on its way to its owners: a result slot per
-// replica, filled directly or by the replica's queue.
+// replica, filled by the replica's queue.
 type write struct {
 	c        *Cluster
 	t        *topology
-	entry    [1]WriteEntry // as the one-entry frame a direct member is handed
+	entry    WriteEntry
 	replicas []int
 	readN    int
 	errs     []error
 
-	// pending counts the queued replicas yet to answer; the last one
-	// closes done (nil when no replica was queued).
+	// pending counts the replicas yet to answer; the last one closes
+	// done.
 	pending atomic.Int32
 	done    chan struct{}
 }
 
-// begin sends e to every owner of its sensor: queued members get it
-// enqueued, the others are written before begin returns.
+// begin enqueues e with every owner of its sensor.
 func (c *Cluster) begin(e WriteEntry) *write {
 	t := c.top()
 	replicas, readN := c.writeReplicas(t, e.ID)
-	w := &write{c: c, t: t, replicas: replicas, readN: readN, errs: make([]error, len(replicas))}
-	w.entry[0] = e
-	queued := 0
-	for _, idx := range replicas {
-		if t.members[idx].queue != nil {
-			queued++
-		}
+	w := &write{c: c, t: t, entry: e, replicas: replicas, readN: readN,
+		errs: make([]error, len(replicas)), done: make(chan struct{})}
+	w.pending.Store(int32(len(replicas)))
+	for i, idx := range replicas {
+		t.members[idx].queue.enqueue(w, i)
 	}
-	if queued > 0 {
-		w.done = make(chan struct{})
-		w.pending.Store(int32(queued))
-		for i, idx := range replicas {
-			if q := t.members[idx].queue; q != nil {
-				q.enqueue(w, i)
-			}
-		}
-		if queued == len(replicas) {
-			return w
-		}
-	}
-	sequential := len(e.Readings) < parallelBatchMin && localOnly(t, replicas)
-	c.fanOut(replicas, sequential, func(i, idx int) error {
-		if m := &t.members[idx]; m.queue == nil {
-			w.errs[i] = firstError(m.frames.WriteFrame(w.entry[:]))
-		}
-		return nil
-	})
 	return w
 }
 
@@ -103,9 +79,7 @@ func (c *Cluster) begin(e WriteEntry) *write {
 // hint carries the entry's own version, so its replay resolves exactly
 // where the original write would have, never above a later rewrite.
 func (w *write) wait() error {
-	if w.done != nil {
-		<-w.done
-	}
+	<-w.done
 	c := w.c
 	missed, err := c.quorum(w.errs, w.readN)
 	if err != nil {
@@ -114,7 +88,7 @@ func (w *write) wait() error {
 	if c.hints != nil && missed > 0 {
 		for i, idx := range w.replicas {
 			if w.errs[i] != nil {
-				c.hintInsert(w.t.members[idx].id, w.entry[0])
+				c.hintInsert(w.t.members[idx].id, w.entry)
 			}
 		}
 	}
@@ -164,9 +138,9 @@ func (c *Cluster) InsertBatch(id core.SensorID, rs []core.Reading, ttl time.Dura
 // BeginInsert is InsertBatch in two halves, for a caller with something
 // to do while the replicas answer (the Collect Agent's broker reads a
 // connection's next message). The first half — stamp, resolve the
-// owners, enqueue or write — is done when BeginInsert returns, so
-// writes begun in order on one goroutine carry versions in that order,
-// whichever is applied first. The returned wait is the second half and
+// owners, enqueue — is done when BeginInsert returns, so writes begun
+// in order on one goroutine carry versions in that order, whichever is
+// applied first. The returned wait is the second half and
 // InsertBatch's result; it must be called, once, and rs belongs to the
 // cluster until it returns.
 func (c *Cluster) BeginInsert(id core.SensorID, rs []core.Reading, ttl time.Duration) (wait func() error) {
@@ -177,14 +151,14 @@ func (c *Cluster) BeginInsert(id core.SensorID, rs []core.Reading, ttl time.Dura
 	return func() error { return c.counted(w.wait()) }
 }
 
-// writeQueue is the write combiner of one remote member: entries queue
-// in next while a frame is on the wire, and whoever finds the queue
-// idle starts the flusher, which sends frame after frame until next is
+// writeQueue is the write combiner of one member: entries queue in next
+// while a frame is being applied, and whoever finds the queue idle
+// starts the flusher, which hands fw frame after frame until next is
 // empty. Depth is bounded by the writes in flight — two per broker
 // connection — so nothing here needs a limit of its own.
 type writeQueue struct {
 	c  *Cluster
-	fw FrameWriter
+	fw FrameWriter // FramesOf the member's backend; hint replay writes through it too
 
 	mu   sync.Mutex
 	next []queuedWrite
@@ -229,7 +203,7 @@ func (q *writeQueue) flush() {
 		q.mu.Unlock()
 		frame = frame[:0]
 		for _, b := range batch {
-			frame = append(frame, b.w.entry[0])
+			frame = append(frame, b.w.entry)
 		}
 		q.c.met.writeFrames.Inc()
 		q.c.met.writeFrameEntries.Add(int64(len(frame)))

@@ -12,7 +12,8 @@ import (
 )
 
 // remoteNode stands in for an rpc.Client inside this package: a
-// RemoteWriter, so the cluster writes it through a queue. It records every entry of every frame it is handed
+// RemoteWriter that is its own Self, so its queue hands it whole
+// frames. It records every entry of every frame it is handed
 // and fails whole frames on demand (a frame fails as one: that is what
 // a dead connection does).
 type remoteNode struct {
@@ -77,8 +78,8 @@ func remoteCluster(t *testing.T, n int, o ClusterOptions) (*Cluster, []*remoteNo
 		t.Fatal(err)
 	}
 	for _, m := range c.top().members {
-		if m.queue == nil {
-			t.Fatalf("member %s is not written through a queue", m.id)
+		if _, whole := m.queue.fw.(*remoteNode); !whole {
+			t.Fatalf("member %s is not handed whole frames", m.id)
 		}
 	}
 	return c, remotes
@@ -98,9 +99,9 @@ func (d *tappedRemote) InsertVersioned(id core.SensorID, vrs []VersionedReading)
 }
 
 // TestDecoratedRemoteKeepsItsDecoration: a backend that embeds a
-// RemoteWriter is not that writer. It gets no queue, and every write
-// goes through the InsertVersioned it overrides, never through the
-// WriteFrame it inherited.
+// RemoteWriter is not that writer. It is queued like every member, and
+// its queue hands every write to the InsertVersioned it overrides,
+// never to the WriteFrame it inherited.
 func TestDecoratedRemoteKeepsItsDecoration(t *testing.T) {
 	inner := &remoteNode{Node: NewNode(0), addr: "remote0:1", handed: make(map[uint64]int)}
 	tap := &tappedRemote{remoteNode: inner}
@@ -109,8 +110,8 @@ func TestDecoratedRemoteKeepsItsDecoration(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if m := c.top().members[0]; m.queue != nil {
-		t.Fatalf("decorated member %s is written through a queue", m.id)
+	if m := c.top().members[0]; m.queue == nil {
+		t.Fatalf("decorated member %s is not written through a queue", m.id)
 	}
 	const writes = 10
 	for i := 0; i < writes; i++ {
@@ -346,5 +347,94 @@ func TestNextVersionTicksInMicroseconds(t *testing.T) {
 	time.Sleep(2 * versionTick)
 	if v, now := c.nextVersion(), uint64(time.Now().UnixNano()); v > now {
 		t.Fatalf("version %d still ahead of the clock (%d) after the burst drained", v, now)
+	}
+}
+
+// tappedNode decorates an in-process node the way a fault injector or
+// tracer would: it embeds it — inheriting WriteFrame — and overrides
+// InsertVersioned.
+type tappedNode struct {
+	*Node
+	seen atomic.Int64 // readings
+}
+
+func (d *tappedNode) InsertVersioned(id core.SensorID, vrs []VersionedReading) error {
+	d.seen.Add(int64(len(vrs)))
+	return d.Node.InsertVersioned(id, vrs)
+}
+
+// TestInProcessMembersWriteThroughQueues: in-process members — plain
+// nodes, and decorators that embed one — are written through their
+// write queues like remote ones. Concurrent writers' entries coalesce
+// into frames, every acknowledged write reads back, and a decorated
+// member's InsertVersioned sees every write it stores.
+func TestInProcessMembersWriteThroughQueues(t *testing.T) {
+	for _, decorated := range []bool{false, true} {
+		name := "nodes"
+		if decorated {
+			name = "decorated"
+		}
+		t.Run(name, func(t *testing.T) {
+			taps := make([]*tappedNode, 3)
+			backends := make([]NodeBackend, len(taps))
+			for i := range taps {
+				taps[i] = &tappedNode{Node: NewNode(0)}
+				backends[i] = taps[i].Node
+				if decorated {
+					backends[i] = taps[i]
+				}
+			}
+			c, err := NewClusterOptions(backends, ClusterOptions{Replication: 2, WriteConsistency: ConsistencyQuorum})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+
+			const writers, perWriter = 8, 200
+			var wg sync.WaitGroup
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 1; i <= perWriter; i++ {
+						if err := c.InsertBatch(sid(51, uint64(w)), []core.Reading{rd(int64(i), float64(w*1000+i))}, 0); err != nil {
+							t.Errorf("writer %d reading %d: %v", w, i, err)
+							return
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+
+			samples := c.Metrics().Gather()
+			frames := sampleValue(t, samples, "dcdb_cluster_write_frames_total")
+			entries := sampleValue(t, samples, "dcdb_cluster_write_frame_entries_total")
+			if frames == 0 || entries != 2*writers*perWriter {
+				t.Fatalf("%v frames carried %v entries, want %d entries, every replica queued", frames, entries, 2*writers*perWriter)
+			}
+			if entries <= frames {
+				t.Errorf("%d concurrent writers never shared a frame: %v entries in %v frames", writers, entries, frames)
+			}
+			for w := 0; w < writers; w++ {
+				rs, err := c.Query(sid(51, uint64(w)), 0, 1<<60)
+				if err != nil || len(rs) != perWriter {
+					t.Fatalf("writer %d: %d of %d acknowledged readings read back (%v)", w, len(rs), perWriter, err)
+				}
+				for i, r := range rs {
+					if r.Timestamp != int64(i+1) || r.Value != float64(w*1000+i+1) {
+						t.Fatalf("writer %d reading %d: got %+v", w, i, r)
+					}
+				}
+			}
+			if !decorated {
+				return
+			}
+			for i, tap := range taps {
+				stored, _, _ := tap.Node.Stats()
+				if seen := tap.seen.Load(); seen != stored {
+					t.Errorf("member %d stored %d readings, its decoration saw %d", i, stored, seen)
+				}
+			}
+		})
 	}
 }

@@ -371,7 +371,7 @@ func (c *Cluster) deliverHints(t *topology, id string) (bool, error) {
 			return true, fmt.Errorf("%w: %w", errMemberDown, err)
 		}
 		return true, c.hints.replay(id, func(es []WriteEntry) error {
-			return firstError(m.frames.WriteFrame(es))
+			return firstError(m.queue.fw.WriteFrame(es))
 		}, m.backend.DeleteBefore)
 	}
 	if t.prevRing != nil {

@@ -10,9 +10,10 @@ import (
 )
 
 // Self-monitoring of the storage engine (the paper's own-overhead
-// argument, §6): every Node owns a metrics.Registry so multi-node
-// processes (an agent embedding N stores) export without name
-// collisions — exporters inject a node label per registry.
+// argument, §6): every Node owns a metrics.Registry so a process
+// holding several nodes (a test cluster, an example) exports them
+// without name collisions — exporters inject a node label per
+// registry.
 //
 // The hot-path budget is the design constraint here. An insert costs
 // ~50ns, so even one extra atomic read-modify-write per call would blow

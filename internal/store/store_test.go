@@ -303,14 +303,14 @@ func TestNodeConcurrentMixedOps(t *testing.T) {
 }
 
 func TestClusterConcurrentReplicatedOps(t *testing.T) {
-	// Fan-out is always goroutine-per-replica for batches at or above
-	// parallelBatchMin, so the race detector covers the parallel paths.
+	// Concurrent writers meet in every member's write queue and reads
+	// fan out goroutine-per-replica, so the race detector covers both.
 	nodes := []*Node{NewNode(128), NewNode(128), NewNode(128)}
 	c, err := NewCluster(nodes, RingPartitioner{}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const workers, batches, batchLen = 8, 16, 16 // batchLen >= parallelBatchMin
+	const workers, batches, batchLen = 8, 16, 16
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)

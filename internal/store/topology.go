@@ -31,33 +31,20 @@ import (
 // a QUORUM read intersects every acknowledged QUORUM write.
 
 // member is one topology entry: a backend plus the stable identity the
-// ring, the hint queue and the membership layer all key on.
+// ring, the hint queue and the membership layer all key on, and the
+// write queue every entry for it travels through (cluster_write.go),
+// shared by every topology snapshot the member appears in.
 type member struct {
 	id      string
 	addr    string
 	backend NodeBackend
-	local   bool // backend is an in-process *Node
-
-	// The write plumbing, set by Cluster.wire and shared by every
-	// topology snapshot the member appears in: frames is how an entry
-	// is handed to the backend, queue — remote members whose backend
-	// takes whole frames — the combiner entries travel through instead
-	// (cluster_write.go).
-	frames FrameWriter
-	queue  *writeQueue
+	queue   *writeQueue
 }
 
-// wire gives a member that enters the topology its write plumbing. Both
-// choices are made on the backend's identity, never on its method set,
-// which a decorator that embeds a node or a client inherits: FramesOf
-// hands frames to a *Node only, and a queue is given to a RemoteWriter
-// only when the backend is that writer itself.
+// wire gives a member that enters the topology its write queue, which
+// hands frames to FramesOf its backend.
 func (c *Cluster) wire(m *member) {
-	_, m.local = m.backend.(*Node)
-	m.frames = FramesOf(m.backend)
-	if rw, ok := m.backend.(RemoteWriter); ok && rw.Self() == m.backend {
-		m.frames, m.queue = rw, &writeQueue{c: c, fw: rw}
-	}
+	m.queue = &writeQueue{c: c, fw: FramesOf(m.backend)}
 }
 
 // MemberInfo names one cluster member for SetMembers /
@@ -70,9 +57,8 @@ type MemberInfo struct {
 
 // topology is one immutable member-set snapshot.
 type topology struct {
-	members  []member
-	byID     map[string]int
-	allLocal bool
+	members []member
+	byID    map[string]int
 	// ring is the target placement.
 	ring *ring.Ring
 	// prevRing, when non-nil, marks an in-progress rebalance: reads
@@ -93,15 +79,11 @@ func newTopology(members []member, target, prev *ring.Ring) *topology {
 	t := &topology{
 		members:  members,
 		byID:     make(map[string]int, len(members)),
-		allLocal: true,
 		ring:     target,
 		prevRing: prev,
 	}
 	for i := range members {
 		t.byID[members[i].id] = i
-		if !members[i].local {
-			t.allLocal = false
-		}
 	}
 	return t
 }

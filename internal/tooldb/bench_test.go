@@ -64,17 +64,27 @@ func writeAgentDir(b *testing.B, dir string, sensors, perSensor, batch int) []st
 	return topics
 }
 
-// heapAlloc returns the live heap after a collection.
+// heapAlloc returns the live heap once a collection frees nothing
+// more. One collection is not enough: a sync.Pool's victim cache
+// survives it, so what an earlier Open pooled would still count.
 func heapAlloc() uint64 {
-	runtime.GC()
 	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.HeapAlloc
+	last := uint64(math.MaxUint64)
+	for {
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		if ms.HeapAlloc >= last {
+			return ms.HeapAlloc
+		}
+		last = ms.HeapAlloc
+	}
 }
 
 // BenchmarkOpenQuery is dcdbquery -db of one sensor: Open, then one
 // sensor's full read. It reports the time of both and the heap they
-// leave in use while the connection is open.
+// leave in use while the connection is open. Every iteration starts
+// from the heap the loop started from, so one iteration's pooled
+// buffers cannot count against the next.
 func BenchmarkOpenQuery(b *testing.B) {
 	for _, sh := range benchShapes {
 		b.Run(sh.name, func(b *testing.B) {
@@ -82,8 +92,12 @@ func BenchmarkOpenQuery(b *testing.B) {
 			topics := writeAgentDir(b, dir, sh.sensors, sh.perSensor, sh.batch)
 			topic := topics[len(topics)/2]
 			var ns, heap float64
+			baseline := heapAlloc()
 			for it := 0; it < b.N; it++ {
 				before := heapAlloc()
+				if before > baseline+64<<10 {
+					b.Fatalf("iteration %d starts with %d B more live heap than the first: an earlier Open is still held", it, before-baseline)
+				}
 				start := time.Now()
 				conn, db, err := Open(dir)
 				if err != nil {

@@ -42,7 +42,7 @@ var errSnapshotPrefix = errors.New("is a snapshot file prefix, which this build 
 func refuseSnapshots(dir string) error {
 	for _, p := range []string{dir + ".node0.snap", dir + ".topics"} {
 		if _, err := os.Stat(p); err == nil {
-			return fmt.Errorf("tooldb: %s %w (found %s)", dir, errSnapshotPrefix, p)
+			return fmt.Errorf("%s %w (found %s)", dir, errSnapshotPrefix, p)
 		}
 	}
 	return nil
@@ -73,7 +73,7 @@ func open(dir string, o store.DiskOptions) (*libdcdb.Connection, *store.Cluster,
 	}
 	c, err := collectagent.OpenBackendOptions(dir, o, store.ClusterOptions{})
 	if err != nil {
-		return nil, nil, fmt.Errorf("tooldb: %w", err)
+		return nil, nil, err
 	}
 	mapper := core.NewTopicMapper()
 	if err := collectagent.LoadTopics(dir, mapper); err != nil {

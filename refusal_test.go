@@ -3,7 +3,8 @@
 // sensors, placed by flags the directory does not record. Every way in
 // — the agent, the tools' read and write opens, and the commands built
 // on them — refuses it by name, with the way out, and leaves it byte
-// for byte as it was.
+// for byte as it was. Each printed refusal names its program, and each
+// program or package, once.
 package main_test
 
 import (
@@ -62,7 +63,7 @@ func runCommand(bin string, args ...string) error {
 func TestSeveralNodeDirsRefused(t *testing.T) {
 	bin := t.TempDir()
 	if out, err := exec.Command("go", "build", "-o", bin+string(filepath.Separator),
-		"./cmd/collectagent", "./cmd/dcdbcsvimport", "./cmd/dcdbconfig").CombinedOutput(); err != nil {
+		"./cmd/collectagent", "./cmd/dcdbcsvimport", "./cmd/dcdbconfig", "./cmd/dcdbquery").CombinedOutput(); err != nil {
 		t.Fatalf("building the commands: %v\n%s", err, out)
 	}
 	csv := filepath.Join(t.TempDir(), "readings.csv")
@@ -70,22 +71,26 @@ func TestSeveralNodeDirsRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
-		name string
-		run  func(dir string) error
+		name   string
+		prints string // the program printing the refusal, "" for a package
+		run    func(dir string) error
 	}{
-		{"collectagent", func(dir string) error {
+		{"collectagent", "collectagent", func(dir string) error {
 			return runCommand(filepath.Join(bin, "collectagent"), "-listen", "127.0.0.1:0", "-data", dir)
 		}},
-		{"tooldb.Open", func(dir string) error { _, _, err := tooldb.Open(dir); return err }},
-		{"tooldb.Edit", func(dir string) error { _, _, err := tooldb.Edit(dir); return err }},
-		{"dcdbcsvimport", func(dir string) error {
+		{"tooldb.Open", "", func(dir string) error { _, _, err := tooldb.Open(dir); return err }},
+		{"tooldb.Edit", "", func(dir string) error { _, _, err := tooldb.Edit(dir); return err }},
+		{"dcdbcsvimport", "dcdbcsvimport", func(dir string) error {
 			return runCommand(filepath.Join(bin, "dcdbcsvimport"), "-db", dir, csv)
 		}},
-		{"dcdbconfig list", func(dir string) error {
+		{"dcdbconfig list", "dcdbconfig", func(dir string) error {
 			return runCommand(filepath.Join(bin, "dcdbconfig"), "-db", dir, "list")
 		}},
-		{"dcdbconfig compact", func(dir string) error {
+		{"dcdbconfig compact", "dcdbconfig", func(dir string) error {
 			return runCommand(filepath.Join(bin, "dcdbconfig"), "-db", dir, "compact")
+		}},
+		{"dcdbquery", "dcdbquery", func(dir string) error {
+			return runCommand(filepath.Join(bin, "dcdbquery"), "-db", dir, "-list", "/a")
 		}},
 	} {
 		dir := severalStoresDir(t)
@@ -98,6 +103,14 @@ func TestSeveralNodeDirsRefused(t *testing.T) {
 		for _, want := range []string{"node1", "dcdbquery -db", "dcdbcsvimport"} {
 			if !strings.Contains(err.Error(), want) {
 				t.Errorf("%s over node0 and node1: %v, want the refusal naming %q", c.name, err, want)
+			}
+		}
+		if c.prints != "" && !strings.Contains(err.Error(), c.prints+": ") {
+			t.Errorf("%s over node0 and node1: %v, want the refusal printed under the program's name", c.name, err)
+		}
+		for _, name := range []string{"collectagent", "tooldb", "dcdbcsvimport", "dcdbconfig", "dcdbquery", "store"} {
+			if n := strings.Count(err.Error(), name+": "); n > 1 {
+				t.Errorf("%s over node0 and node1: %v, names %s %d times", c.name, err, name, n)
 			}
 		}
 		if after := storetest.Files(t, dir); !reflect.DeepEqual(after, before) {
