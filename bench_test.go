@@ -530,8 +530,8 @@ func BenchmarkWriteFrameSyncEvery(b *testing.B) {
 				for j := range rs {
 					rs[j] = core.Reading{Timestamp: int64(i), Value: 1}
 				}
-				if errs := n.WriteFrame(frame); errs != nil {
-					b.Fatal(errs[0])
+				if err := n.WriteFrame(frame); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})
@@ -560,8 +560,8 @@ func BenchmarkSpillSkewed(b *testing.B) {
 		}
 		cold[0] = core.Reading{Timestamp: int64(i), Value: 1}
 		frame[1].ID = ids[1+i%15]
-		if errs := n.WriteFrame(frame); errs != nil {
-			b.Fatal(errs[0])
+		if err := n.WriteFrame(frame); err != nil {
+			b.Fatal(err)
 		}
 	}
 	if err := n.Close(); err != nil { // spills every memtable

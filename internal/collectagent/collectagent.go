@@ -35,8 +35,6 @@ import (
 
 // Options configure an Agent.
 type Options struct {
-	// CacheWindow sizes the sensor cache (default two minutes).
-	CacheWindow time.Duration
 	// Quiet suppresses per-message warnings (benchmarks).
 	Quiet bool
 	// OnNewTopic, when set, fires before a reading is stored whose SID
@@ -100,7 +98,7 @@ func New(backend store.Backend, mapper *core.TopicMapper, opts Options) *Agent {
 	a := &Agent{
 		backend: backend,
 		mapper:  mapper,
-		cache:   cache.New(opts.CacheWindow),
+		cache:   cache.New(cache.DefaultWindow),
 		hier:    core.NewHierarchy(),
 		opts:    opts,
 	}

@@ -11,6 +11,10 @@ import (
 	"dcdb/internal/backoff"
 )
 
+// fanout is how many peers each gossip round, and a departure,
+// exchanges state with.
+const fanout = 2
+
 // Config tunes one node's membership agent.
 type Config struct {
 	// ID is this node's stable identity; by convention its advertised
@@ -20,7 +24,7 @@ type Config struct {
 	// ID.
 	Addr string
 	// Interval is the gossip round cadence: each round the agent bumps
-	// its heartbeat and push-pull exchanges state with Fanout peers.
+	// its heartbeat and push-pull exchanges state with fanout peers.
 	// Default 250ms.
 	Interval time.Duration
 	// SuspectAfter marks a member Suspect when its heartbeat has not
@@ -32,8 +36,6 @@ type Config struct {
 	// its heartbeat has not advanced for this long. Must exceed
 	// SuspectAfter. Default 4x SuspectAfter.
 	DeadAfter time.Duration
-	// Fanout is how many peers each round exchanges with. Default 2.
-	Fanout int
 	// Transport carries one exchange to a peer address. Defaults to the
 	// RPC transport (opGossip). Tests inject in-memory transports.
 	Transport Transport
@@ -103,9 +105,6 @@ func New(cfg Config) (*Agent, error) {
 	}
 	if cfg.DeadAfter <= cfg.SuspectAfter {
 		cfg.DeadAfter = 4 * cfg.SuspectAfter
-	}
-	if cfg.Fanout <= 0 {
-		cfg.Fanout = 2
 	}
 	if cfg.Transport == nil {
 		cfg.Transport = NewRPCTransport(RPCTransportOptions{})
@@ -302,7 +301,7 @@ func (a *Agent) Stop() {
 	_ = a.cfg.Transport.Close()
 }
 
-// Leave disseminates a graceful departure (best effort, to Fanout
+// Leave disseminates a graceful departure (best effort, to fanout
 // peers) and stops the agent. Peers mark us Left at our final
 // incarnation — no suspicion timeout, no dead rumour to refute later.
 func (a *Agent) Leave() {
@@ -312,7 +311,7 @@ func (a *Agent) Leave() {
 		a.self.Heartbeat++
 	}
 	state := encodeState(a.snapshotLocked())
-	targets := a.pickPeersLocked(a.cfg.Fanout)
+	targets := a.pickPeersLocked(fanout)
 	a.mu.Unlock()
 	for _, addr := range targets {
 		_, _ = a.cfg.Transport.Exchange(addr, state)
@@ -336,7 +335,7 @@ func (a *Agent) loop() {
 }
 
 // round bumps our heartbeat, runs failure detection, and exchanges
-// with Fanout peers.
+// with fanout peers.
 func (a *Agent) round() {
 	now := time.Now()
 	a.mu.Lock()
@@ -360,7 +359,7 @@ func (a *Agent) round() {
 		}
 	}
 	state := encodeState(a.snapshotLocked())
-	targets := a.pickPeersLocked(a.cfg.Fanout)
+	targets := a.pickPeersLocked(fanout)
 	a.mu.Unlock()
 
 	if len(targets) == 0 && len(a.cfg.Seeds) > 0 {

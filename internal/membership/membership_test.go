@@ -49,7 +49,6 @@ func newAgent(t *testing.T, net *memNet, id string, seed int64) *Agent {
 		Interval:     5 * time.Millisecond,
 		SuspectAfter: 40 * time.Millisecond,
 		DeadAfter:    120 * time.Millisecond,
-		Fanout:       2,
 		Transport:    &memTransport{net: net, from: id},
 		Seed:         seed,
 		Logf:         func(string, ...any) {},

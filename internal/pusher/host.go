@@ -53,9 +53,6 @@ type Options struct {
 	// FlushInterval is the burst period (default 30 s, the paper's
 	// "twice per minute").
 	FlushInterval time.Duration
-	// BurstOffset staggers this Pusher's bursts so that many Pushers
-	// do not flush simultaneously (paper §4.1).
-	BurstOffset time.Duration
 	// Align, when true, snaps sampling times to wall-clock multiples
 	// of the group interval, emulating the NTP-synchronised read
 	// times of §4.1. Disabled in latency-sensitive tests.
@@ -311,13 +308,6 @@ func (h *Host) dispatch(topic string, r core.Reading) {
 }
 
 func (h *Host) flushLoop() {
-	if h.opts.BurstOffset > 0 {
-		select {
-		case <-time.After(h.opts.BurstOffset):
-		case <-h.flushStop:
-			return
-		}
-	}
 	t := time.NewTicker(h.opts.FlushInterval)
 	defer t.Stop()
 	for {

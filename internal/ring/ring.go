@@ -112,9 +112,6 @@ func (r *Ring) Members() []string { return r.ids }
 // Size returns the number of distinct members.
 func (r *Ring) Size() int { return len(r.ids) }
 
-// VNodes returns the configured virtual nodes per member.
-func (r *Ring) VNodes() int { return r.vnodes }
-
 // ReplicasFor returns the IDs of the rf distinct members owning a
 // key's replicas, primary first: the owners of the first rf distinct
 // members met walking clockwise from hash. rf is capped at the member

@@ -159,8 +159,8 @@ func TestRingWindowsCoverEveryReplicaSet(t *testing.T) {
 
 func TestRingDefaults(t *testing.T) {
 	r := New(ids(2), 0)
-	if r.VNodes() != DefaultVNodes {
-		t.Fatalf("vnodes=%d, want default %d", r.VNodes(), DefaultVNodes)
+	if !r.Equal(New(ids(2), DefaultVNodes)) {
+		t.Fatalf("a ring of 0 vnodes differs from one of the default %d", DefaultVNodes)
 	}
 	if r.Size() != 2 || len(r.Members()) != 2 {
 		t.Fatalf("size=%d members=%v", r.Size(), r.Members())

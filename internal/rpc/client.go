@@ -391,63 +391,22 @@ func (c *Client) Ping() error {
 }
 
 // WriteFrame implements store.FrameWriter: the entries travel as one
-// opWrite call — cut at an entry boundary into as many as frameMax
-// demands — and each entry gets the node's verdict on it; a call that
-// fails as a whole fails every entry it carried.
-func (c *Client) WriteFrame(entries []store.WriteEntry) []error {
-	var errs []error
-	fail := func(k int, err error) {
-		if errs == nil {
-			errs = make([]error, len(entries))
-		}
-		errs[k] = err
-	}
-	for start := 0; start < len(entries); {
-		n, size := store.CutEntries(entries[start:], frameMax-reqHeaderLen)
-		end := start + n
-		if size > frameMax-reqHeaderLen {
-			// One entry larger than any frame: refuse it here, where that
-			// costs an error and not the connection.
-			fail(start, errFrameTooLarge)
-			start = end
-			continue
-		}
-		resp, err := c.call(opWrite, store.AppendEntries(make([]byte, 0, size), entries[start:end]))
-		if err == nil {
-			cur := &cursor{b: resp}
-			for n := cur.u32(); n > 0 && cur.err == nil; n-- {
-				k, msg := int(cur.u32()), cur.bytes()
-				if cur.err != nil || k >= end-start {
-					cur.fail()
-					break
-				}
-				fail(start+k, fmt.Errorf("rpc: %s: %s", c.addr, msg))
-			}
-			err = cur.done()
-		}
-		if err != nil {
-			for k := start; k < end; k++ {
-				fail(k, err)
-			}
-		}
-		start = end
-	}
-	return errs
-}
-
-// Self implements store.RemoteWriter: it is how a cluster tells this
-// client from a backend that merely embeds one.
-func (c *Client) Self() store.NodeBackend { return c }
-
-// write sends entries as one frame and reports the first failure.
-func (c *Client) write(entries []store.WriteEntry) error {
-	for _, err := range c.WriteFrame(entries) {
-		if err != nil {
+// opWrite call, or as several where frameMax demands — cut by
+// store.CutEntries, which splits an entry no frame could hold — and the
+// frame fails at its first failed call.
+func (c *Client) WriteFrame(entries []store.WriteEntry) error {
+	cut := store.CutEntries(entries, frameMax-reqHeaderLen)
+	for piece, size := cut.Next(); len(piece) > 0; piece, size = cut.Next() {
+		if _, err := c.call(opWrite, store.AppendEntries(make([]byte, 0, size), piece)); err != nil {
 			return err
 		}
 	}
 	return nil
 }
+
+// Self implements store.RemoteWriter: it is how a cluster tells this
+// client from a backend that merely embeds one.
+func (c *Client) Self() store.NodeBackend { return c }
 
 // InsertBatch implements store.Backend: an unstamped (version 0) entry,
 // its TTL resolved to an absolute expiry here, as Node.InsertBatch does.
@@ -455,7 +414,7 @@ func (c *Client) InsertBatch(id core.SensorID, rs []core.Reading, ttl time.Durat
 	if len(rs) == 0 {
 		return nil
 	}
-	return c.write([]store.WriteEntry{{ID: id, Expire: store.TTLToExpire(ttl), Readings: rs}})
+	return c.WriteFrame([]store.WriteEntry{{ID: id, Expire: store.TTLToExpire(ttl), Readings: rs}})
 }
 
 // InsertVersioned implements store.NodeBackend: readings that carry
@@ -464,7 +423,7 @@ func (c *Client) InsertBatch(id core.SensorID, rs []core.Reading, ttl time.Durat
 // repair and hint replay land with the ordering the original
 // coordination decided.
 func (c *Client) InsertVersioned(id core.SensorID, vrs []store.VersionedReading) error {
-	return c.write(store.SplitStamps(id, vrs))
+	return c.WriteFrame(store.SplitStamps(id, vrs))
 }
 
 // Gossip performs one membership push-pull exchange: state is this

@@ -178,9 +178,10 @@ func TestEveryOpHasNameAndHistogram(t *testing.T) {
 	// is an opWrite frame now), 4 and 5 the one-frame Query and
 	// QueryPrefix, 17 the one-frame QueryVersioned (a stream now), 18
 	// Digest (an OpSummary Aggregate now), 20 the write frame whose body
-	// led with an entry count. A peer that still sends them must get
-	// "unknown op", never another op's behaviour.
-	reserved := []byte{2, 3, 4, 5, 16, 17, 18, 20}
+	// led with an entry count, 21 the write answered per entry. A peer
+	// that still sends them must get "unknown op", never another op's
+	// behaviour.
+	reserved := []byte{2, 3, 4, 5, 16, 17, 18, 20, 21}
 	client, server := newClientMetrics(), NewServer(store.NewNode(0), true).met
 	labels := map[string]string{}
 	for _, op := range reserved {

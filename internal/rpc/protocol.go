@@ -29,7 +29,7 @@
 //	statuses 2 and 3 (the chunk and end frames of pushed streams) are
 //	retired and stay reserved
 //
-// A write travels one way, as a write frame (opWrite, op 21). Its body
+// A write travels one way, as a write frame (opWrite, op 24). Its body
 // is write entries back to back, each one coordinated write of one
 // sensor — a message's readings under the single stamp the coordinator
 // gave them — in the store's entry encoding (store.AppendEntries,
@@ -39,15 +39,17 @@
 // message. Entries of different sensors, of different messages, share
 // a frame: a coordinator sends whatever queued for the node while its
 // previous frame was in flight (store/cluster_write.go). The node
-// applies a frame with one WAL record per shard it touches and answers
-// once, naming the entries it could not apply:
-//
-//	u32 failed | failed × ( u32 entry index | u32 len | error string )
+// applies a frame whole or not at all and answers like any other op:
+// status ok with an empty body, or an application error that refuses
+// every entry of the frame. Op 21 was the write whose reply listed the
+// entries that failed; an agent and a node on either side of that
+// change cannot write to each other (each gets "rpc: unknown op").
 //
 // Client.InsertBatch and InsertVersioned both encode entries — version
 // 0 for the first, one entry per run of equal stamps for a repair or
-// hint batch — and a frame that would exceed frameMax is cut
-// at an entry boundary (store.CutEntries).
+// hint batch — and a frame that would exceed frameMax is cut by
+// store.CutEntries, which splits an entry too large for any frame into
+// consecutive entries of its stamp.
 //
 // Reads are streams, and a stream is a sequence of calls on one
 // connection. An open op (opQueryStream, opQueryPrefixStream,
@@ -71,17 +73,18 @@
 // the one entry encoding, so a replica transfer reads what a write
 // frame carries.
 //
-// The fifteen ops (numbers are the wire format; 2, 3, 4, 5, 16, 17, 18
-// and 20 — the one-reading, one-batch and per-reading-stamped inserts,
-// the one-frame Query and QueryPrefix, the one-frame versioned read and
-// the digest, and the write frame whose body led with an entry count —
-// are retired and stay reserved):
+// The fifteen ops (numbers are the wire format; 2, 3, 4, 5, 16, 17, 18,
+// 20 and 21 — the one-reading, one-batch and per-reading-stamped
+// inserts, the one-frame Query and QueryPrefix, the one-frame versioned
+// read and the digest, the write frame whose body led with an entry
+// count and the write answered per entry — are retired and stay
+// reserved):
 //
 //	1 ping            10 stats                15 aggregate
 //	6 delete_before   11 sensor_ids           19 gossip
-//	7 flush           12 query_stream         21 write
-//	8 sync            13 query_prefix_stream  22 query_versioned_stream
-//	9 compact         14 cancel_stream        23 stream_next
+//	7 flush           12 query_stream         22 query_versioned_stream
+//	8 sync            13 query_prefix_stream  23 stream_next
+//	9 compact         14 cancel_stream        24 write
 //
 // A frame whose CRC does not match its payload — a torn write, a
 // corrupted link, a non-DCDB peer — poisons the connection: the reader
@@ -122,10 +125,12 @@ func SplitAddrList(s string) []string {
 // opInsertVersioned), 4 and 5 (the retired one-frame Query and
 // QueryPrefix), 17 and 18 (the retired one-frame QueryVersioned, which
 // failed above frameMax, and Digest, which Aggregate of an OpSummary
-// answers) and 20 (the write frame whose body led with an entry count)
-// are reserved and never reused: a peer that still sends them gets the
+// answers), 20 (the write frame whose body led with an entry count)
+// and 21 (the write answered with a list of failed entries) are
+// reserved and never reused: a peer that still sends them gets the
 // "rpc: unknown op" answer, not a different op's behaviour — never a
-// count misread as a sensor ID.
+// count misread as a sensor ID, never a per-entry reply misread as a
+// plain one.
 const (
 	opPing         = 1
 	opDeleteBefore = 6
@@ -155,9 +160,6 @@ const (
 	// layer treats both as opaque bytes; a node without a registered
 	// gossip handler answers with an application error.
 	opGossip = 19
-	// opWrite is the one write op: a frame of entries (see the package
-	// comment), answered once with the entries that failed.
-	opWrite = 21
 	// opQueryVersionedStream streams a sensor's winning readings with the
 	// stamp each winning write carried (store.QueryVersionedStream): the
 	// chunk body is entries (store.AppendEntries of store.SplitStamps):
@@ -167,10 +169,14 @@ const (
 	// opStreamNext asks for an open stream's next chunk: the body is the
 	// stream's id (u64), the reply one chunk like an open's.
 	opStreamNext = 23
+	// opWrite is the one write op: a frame of entries (see the package
+	// comment), applied whole or not at all and answered with the plain
+	// status every op has.
+	opWrite = 24
 
 	// lastOp is the highest op number; the per-op metric arrays size off
 	// it, so a new op must move it (TestEveryOpHasNameAndHistogram).
-	lastOp = opStreamNext
+	lastOp = opWrite
 )
 
 // opName names an op for metric labels and diagnostics. Unknown ops

@@ -530,6 +530,11 @@ func TestRPCServerRejectsMalformedBodies(t *testing.T) {
 	if resp := send(buildRequest(3, 20, 0, entries)); resp[8] != statusErr || !strings.Contains(string(resp[9:]), "unknown op 20") {
 		t.Fatalf("op 20 answered %q, want an unknown-op error", resp[9:])
 	}
+	// So is one under the retired op 21, whose reply listed the entries
+	// that failed.
+	if resp := send(buildRequest(3, 21, 0, entries)); resp[8] != statusErr || !strings.Contains(string(resp[9:]), "unknown op 21") {
+		t.Fatalf("op 21 answered %q, want an unknown-op error", resp[9:])
+	}
 	// Trailing garbage after a valid body.
 	body := appendSID(nil, sid(1, 1))
 	body = appendI64(body, 0)
@@ -544,9 +549,10 @@ func TestRPCServerRejectsMalformedBodies(t *testing.T) {
 	}
 	// Unknown opcode — which is also what the retired inserts (2, 3, 16),
 	// the retired one-frame Query (4), QueryPrefix (5) and QueryVersioned
-	// (17), the retired Digest (18) and the retired counted write frame
-	// (20) are to this server, well-formed body or not.
-	for i, op := range []byte{200, 2, 3, 4, 5, 16, 17, 18, 20} {
+	// (17), the retired Digest (18) and the retired counted and
+	// per-entry-answered write frames (20, 21) are to this server,
+	// well-formed body or not.
+	for i, op := range []byte{200, 2, 3, 4, 5, 16, 17, 18, 20, 21} {
 		resp := send(buildRequest(uint64(10+i), op, 0, body[:len(body)-1]))
 		if resp[8] != statusErr || !strings.Contains(string(resp[9:]), "unknown op") {
 			t.Fatalf("op %d answered %q, want an unknown-op error", op, resp[9:])

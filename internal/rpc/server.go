@@ -493,21 +493,8 @@ func (s *Server) handle(sc *serverConn, payload []byte, arrived time.Time) []byt
 		if err != nil {
 			return fail(err)
 		}
-		errs := s.frames.WriteFrame(entries)
-		failed := 0
-		for _, err := range errs {
-			if err != nil {
-				failed++
-			}
-		}
-		resp = appendU32(resp, uint32(failed))
-		for k, err := range errs {
-			if err != nil {
-				msg := err.Error()
-				resp = appendU32(resp, uint32(k))
-				resp = appendU32(resp, uint32(len(msg)))
-				resp = append(resp, msg...)
-			}
+		if err := s.frames.WriteFrame(entries); err != nil {
+			return fail(err)
 		}
 	case opDeleteBefore:
 		sid := cur.sid()

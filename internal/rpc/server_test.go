@@ -64,8 +64,8 @@ func TestServerModelWriteBypassesInFlightCap(t *testing.T) {
 
 	id := sid(60, 1)
 	start := time.Now()
-	if errs := cl.WriteFrame([]store.WriteEntry{entry(id, 1000, 1, 3)}); errs != nil {
-		t.Fatalf("write frame behind %d blocked ops: %v", maxInFlight, errs)
+	if err := cl.WriteFrame([]store.WriteEntry{entry(id, 1000, 1, 3)}); err != nil {
+		t.Fatalf("write frame behind %d blocked ops: %v", maxInFlight, err)
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Fatalf("write frame took %s behind %d blocked ops", elapsed, maxInFlight)

@@ -38,8 +38,8 @@ func TestWriteFrameRoundtrip(t *testing.T) {
 		{ID: sid(50, 3), Version: 6000}, // nothing to store: not an error, not a sensor
 	}
 	frame[1].Expire = expire
-	if errs := cl.WriteFrame(frame); errs != nil {
-		t.Fatal(errs)
+	if err := cl.WriteFrame(frame); err != nil {
+		t.Fatal(err)
 	}
 	if calls, _ := callCounts(t, cl, "write"); calls != 1 {
 		t.Fatalf("a frame took %d write calls, want 1", calls)
@@ -111,9 +111,11 @@ func (r refusing) InsertVersioned(id core.SensorID, vrs []store.VersionedReading
 	return r.NodeBackend.InsertVersioned(id, vrs)
 }
 
-// TestWriteFramePerEntryVerdict: the one response names the entries
-// that failed, and only those fail at the caller.
-func TestWriteFramePerEntryVerdict(t *testing.T) {
+// TestWriteFrameFailsWhole: a frame with one refused entry fails as a
+// whole at the caller, with the refusal's error, and is one write call
+// and one call error, as any op's refusal is. The node stops at the
+// refused entry: nothing after it is written.
+func TestWriteFrameFailsWhole(t *testing.T) {
 	n := store.NewNode(0)
 	srv := NewServer(refusing{NodeBackend: n, sensor: sid(52, 2)}, true)
 	if err := srv.Listen("127.0.0.1:0"); err != nil {
@@ -124,41 +126,29 @@ func TestWriteFramePerEntryVerdict(t *testing.T) {
 	defer cl.Close()
 
 	frame := []store.WriteEntry{entry(sid(52, 1), 1000, 1, 2), entry(sid(52, 2), 2000, 1, 2), entry(sid(52, 3), 3000, 1, 2), entry(sid(52, 2), 4000, 3, 1)}
-	errs := cl.WriteFrame(frame)
-	if len(errs) != len(frame) {
-		t.Fatalf("verdicts %v", errs)
+	err := cl.WriteFrame(frame)
+	if err == nil || !strings.Contains(err.Error(), "sensor refused") {
+		t.Fatalf("a frame with a refused entry answered %v", err)
 	}
-	for k, e := range frame {
-		refused := e.ID == sid(52, 2)
-		if (errs[k] != nil) != refused {
-			t.Fatalf("entry %d: error %v", k, errs[k])
-		}
-		if refused && !strings.Contains(errs[k].Error(), "sensor refused") {
-			t.Fatalf("entry %d failed with %v", k, errs[k])
-		}
-		if rs, _ := n.Query(e.ID, 0, 100); refused != (len(rs) == 0) {
-			t.Fatalf("entry %d: node holds %v", k, rs)
-		}
+	if calls, errCount := callCounts(t, cl, "write"); calls != 1 || errCount != 1 {
+		t.Fatalf("the refused frame counted %d write calls and %v call errors, want 1 and 1", calls, errCount)
 	}
-	if _, errCount := callCounts(t, cl, "write"); errCount != 0 {
-		t.Fatalf("a frame with refused entries counted %v call errors; the call itself succeeded", errCount)
+	if rs, _ := n.Query(sid(52, 3), 0, 100); len(rs) != 0 {
+		t.Fatalf("an entry after the refused one was written: %v", rs)
 	}
 
-	// A frame that fails as a whole fails every entry it carried.
+	// A frame that cannot be sent fails the same way.
 	srv.Close()
-	errs = cl.WriteFrame(frame)
-	for k := range frame {
-		if len(errs) != len(frame) || errs[k] == nil {
-			t.Fatalf("frame to a dead server answered %v", errs)
-		}
+	if err := cl.WriteFrame(frame); err == nil {
+		t.Fatal("a frame to a dead server succeeded")
 	}
 }
 
 // TestWriteFrameStampedRun: a frame whose one-reading entries of one
 // sensor travel as stamped runs (the store's codec, TestWriteFrameStampedRun
-// there) lands every entry under its own stamp, a verdict still names
-// the entry it is about, and a repair batch of fan-in data — a stamp
-// per reading — costs 32 bytes a reading on the wire.
+// there) lands every entry under its own stamp, and a repair batch of
+// fan-in data — a stamp per reading — costs 32 bytes a reading on the
+// wire.
 func TestWriteFrameStampedRun(t *testing.T) {
 	a, b := sid(53, 1), sid(53, 2)
 	expire := time.Now().Add(time.Hour).UnixNano()
@@ -170,24 +160,16 @@ func TestWriteFrameStampedRun(t *testing.T) {
 	}
 	es[1].Expire = expire
 
-	// Over the wire, behind a backend that refuses sensor b.
-	n := store.NewNode(0)
-	srv := NewServer(refusing{NodeBackend: n, sensor: b}, true)
-	if err := srv.Listen("127.0.0.1:0"); err != nil {
+	n, _, cl := testPair(t, ClientOptions{})
+	if err := cl.WriteFrame(es); err != nil {
 		t.Fatal(err)
-	}
-	defer srv.Close()
-	cl := NewClient(srv.Addr(), ClientOptions{})
-	defer cl.Close()
-	errs := cl.WriteFrame(es)
-	for k := range es {
-		if len(errs) != len(es) || (errs[k] != nil) != (k == 3) {
-			t.Fatalf("verdicts %v, want entry 3 alone refused", errs)
-		}
 	}
 	stored, err := storetest.Versioned(n, a, 0, 100)
 	if err != nil || len(stored) != 8 || stored[1].Expire != expire || stored[2].Version != 2000 || stored[7].Version != 6000 {
 		t.Fatalf("sensor a holds %+v (%v)", stored, err)
+	}
+	if stored, err := storetest.Versioned(n, b, 0, 100); err != nil || len(stored) != 1 || stored[0].Version != 3000 {
+		t.Fatalf("sensor b holds %+v (%v)", stored, err)
 	}
 
 	// The repair batch itself: 1000 readings of one sensor, no two
@@ -215,7 +197,7 @@ func TestWriteFrameStampedRun(t *testing.T) {
 }
 
 // TestWALRecordIsTheWriteFrameBody: a frame sent to a durable node is
-// logged as one record whose bytes after the type byte are the op-21
+// logged as one record whose bytes after the type byte are the opWrite
 // body the client sent — runs, stamps and all: one encoding on the wire
 // and on disk.
 func TestWALRecordIsTheWriteFrameBody(t *testing.T) {

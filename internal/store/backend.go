@@ -114,16 +114,17 @@ func SplitStamps(id core.SensorID, vrs []VersionedReading) []WriteEntry {
 }
 
 // FrameWriter is the write half of a storage node: any number of
-// entries, of any sensors, applied in one call. *Node and rpc.Client
-// implement it. It is deliberately not part of NodeBackend: a backend
-// that decorates InsertVersioned (a test's fault injector, the
-// benchmark's tracer) must keep seeing every write it wraps, so frames
-// are only ever handed to the two implementations themselves — see
-// FramesOf.
+// entries, of any sensors, applied in one call that succeeds or fails
+// as a whole, answered by one error. *Node and rpc.Client implement it.
+// It is deliberately not part of NodeBackend: a backend that decorates
+// InsertVersioned (a test's fault injector, the benchmark's tracer)
+// must keep seeing every write it wraps, so frames are only ever handed
+// to the two implementations themselves — see FramesOf.
 type FrameWriter interface {
-	// WriteFrame applies the entries and returns nil when all of them
-	// were, else one slot per entry (nil = applied).
-	WriteFrame(entries []WriteEntry) []error
+	// WriteFrame applies the entries and returns nil, or the error that
+	// refused them: a caller treats every entry of a failed frame as
+	// not acknowledged, whatever part of it a replica kept.
+	WriteFrame(entries []WriteEntry) error
 }
 
 // RemoteWriter is a FrameWriter on the far side of a connection
@@ -141,8 +142,8 @@ type RemoteWriter interface {
 // RemoteWriter that is the backend itself, take whole frames; anything
 // else — a decorator embedding either, whose inherited WriteFrame would
 // bypass the decoration — gets each entry through its own
-// InsertVersioned. The choice goes by the backend's identity, never by
-// its method set.
+// InsertVersioned (versionedFrames). The choice goes by the backend's
+// identity, never by its method set.
 func FramesOf(b NodeBackend) FrameWriter {
 	switch w := b.(type) {
 	case *Node:
@@ -155,19 +156,18 @@ func FramesOf(b NodeBackend) FrameWriter {
 	return versionedFrames{b}
 }
 
+// versionedFrames writes a frame entry by entry through the backend's
+// InsertVersioned and fails it at the first entry refused; the entries
+// before it stay written, which a failed frame's contract allows.
 type versionedFrames struct{ b NodeBackend }
 
-func (v versionedFrames) WriteFrame(entries []WriteEntry) []error {
-	var errs []error
-	for i, e := range entries {
+func (v versionedFrames) WriteFrame(entries []WriteEntry) error {
+	for _, e := range entries {
 		if err := v.b.InsertVersioned(e.ID, e.Versioned()); err != nil {
-			if errs == nil {
-				errs = make([]error, len(entries))
-			}
-			errs[i] = err
+			return err
 		}
 	}
-	return errs
+	return nil
 }
 
 // Consistency is the number-of-replicas contract of a cluster

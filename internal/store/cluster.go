@@ -14,14 +14,11 @@ import (
 
 // RingPartitioner configures the one placement scheme: a sensor's
 // placement key hashes onto a consistent-hash ring of member identities
-// with VNodes virtual nodes per member (internal/ring), so membership
-// changes move only the ranges the joining/leaving member owns and
-// every coordinator holding the same member set and the same
+// with ring.DefaultVNodes virtual nodes per member (internal/ring), so
+// membership changes move only the ranges the joining/leaving member
+// owns and every coordinator holding the same member set and the same
 // RingPartitioner derives identical placement without coordination.
 type RingPartitioner struct {
-	// VNodes is the virtual-node count per member; <= 0 selects
-	// ring.DefaultVNodes.
-	VNodes int
 	// Depth is the number of hierarchy levels forming the placement key
 	// (e.g. 4 = room/system/rack/chassis): all sensors sharing that SID
 	// prefix land on one replica set, so a sub-tree of the sensor
@@ -248,7 +245,7 @@ func newCluster(members []member, o ClusterOptions) (*Cluster, error) {
 		c.wire(&members[i])
 		ids[i] = members[i].id
 	}
-	c.topo.Store(newTopology(members, ring.New(ids, o.Partitioner.VNodes), nil))
+	c.topo.Store(newTopology(members, ring.New(ids, ring.DefaultVNodes), nil))
 	c.met = newClusterMetrics(c)
 	if o.HintDir != "" {
 		hq, err := openHintQueue(o.HintDir)
@@ -299,7 +296,8 @@ func (c *Cluster) Owners(id core.SensorID) []string {
 
 // fanOut runs op for every listed replica (i is its position in the
 // list, idx its member index) concurrently and returns one error slot
-// per replica.
+// per replica. It is the coordinator's one concurrent fan-out: over a
+// sensor's replicas, or over t.all() for the member-wide operations.
 func (c *Cluster) fanOut(replicas []int, op func(i, idx int) error) []error {
 	errs := make([]error, len(replicas))
 	if len(replicas) == 1 {
@@ -386,27 +384,8 @@ func (c *Cluster) Compact() {
 // with remote nodes a sequential pass would serialise network round
 // trips.
 func (c *Cluster) Flush() error {
-	return firstError(eachMember(c.top(), func(_ int, b NodeBackend) error { return b.Flush() }))
-}
-
-// eachMember runs op on every member's backend concurrently and returns
-// one error slot per member, in snapshot order.
-func eachMember(t *topology, op func(i int, b NodeBackend) error) []error {
-	errs := make([]error, len(t.members))
-	if len(t.members) == 1 {
-		errs[0] = op(0, t.members[0].backend)
-		return errs
-	}
-	var wg sync.WaitGroup
-	for i := range t.members {
-		wg.Add(1)
-		go func(i int, b NodeBackend) {
-			defer wg.Done()
-			errs[i] = op(i, b)
-		}(i, t.members[i].backend)
-	}
-	wg.Wait()
-	return errs
+	t := c.top()
+	return firstError(c.fanOut(t.all(), func(_, idx int) error { return t.members[idx].backend.Flush() }))
 }
 
 func firstError(errs []error) error {
@@ -464,8 +443,8 @@ func (c *Cluster) Close() error {
 func (c *Cluster) SensorIDs() []core.SensorID {
 	t := c.top()
 	lists := make([][]core.SensorID, len(t.members))
-	eachMember(t, func(i int, b NodeBackend) error {
-		lists[i] = b.SensorIDs()
+	c.fanOut(t.all(), func(_, idx int) error {
+		lists[idx] = t.members[idx].backend.SensorIDs()
 		return nil
 	})
 	var out []core.SensorID

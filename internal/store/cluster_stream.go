@@ -512,8 +512,8 @@ type prefixMergeStream struct {
 func (c *Cluster) QueryPrefixStream(prefix core.SensorID, depth int, from, to int64) (KeyedReadingStream, error) {
 	t := c.top()
 	streams := make([]KeyedReadingStream, len(t.members))
-	errs := eachMember(t, func(i int, b NodeBackend) (err error) {
-		streams[i], err = b.QueryPrefixStream(prefix, depth, from, to)
+	errs := c.fanOut(t.all(), func(_, idx int) (err error) {
+		streams[idx], err = t.members[idx].backend.QueryPrefixStream(prefix, depth, from, to)
 		return err
 	})
 	ms := &prefixMergeStream{readTally: readTally{met: c.met}, c: c, top: t, from: from, to: to}

@@ -187,7 +187,8 @@ func (q *writeQueue) enqueue(w *write, slot int) {
 
 // flush sends the queue as frames, one at a time, until it is empty.
 // An entry is taken out of next exactly once, so it travels in exactly
-// one frame, and every taken entry's slot is answered.
+// one frame, and every taken entry's slot is answered with its frame's
+// one verdict.
 func (q *writeQueue) flush() {
 	defer q.c.writeWG.Done()
 	var batch []queuedWrite
@@ -207,11 +208,9 @@ func (q *writeQueue) flush() {
 		}
 		q.c.met.writeFrames.Inc()
 		q.c.met.writeFrameEntries.Add(int64(len(frame)))
-		errs := q.fw.WriteFrame(frame)
-		for i, b := range batch {
-			if errs != nil {
-				b.w.errs[b.slot] = errs[i]
-			}
+		err := q.fw.WriteFrame(frame)
+		for _, b := range batch {
+			b.w.errs[b.slot] = err
 			if b.w.pending.Add(-1) == 0 {
 				close(b.w.done)
 			}

@@ -34,7 +34,7 @@ func (r *remoteNode) Addr() string { return r.addr }
 
 func (r *remoteNode) Self() NodeBackend { return r }
 
-func (r *remoteNode) WriteFrame(entries []WriteEntry) []error {
+func (r *remoteNode) WriteFrame(entries []WriteEntry) error {
 	fail := r.failing.Load()
 	r.mu.Lock()
 	r.frames++
@@ -55,11 +55,7 @@ func (r *remoteNode) WriteFrame(entries []WriteEntry) []error {
 		r.mu.Unlock()
 	}()
 	if fail {
-		errs := make([]error, len(entries))
-		for k := range errs {
-			errs[k] = errors.New("injected: frame lost")
-		}
-		return errs
+		return errors.New("injected: frame lost")
 	}
 	time.Sleep(50 * time.Microsecond) // a round trip, so that entries queue behind it
 	return r.Node.WriteFrame(entries)

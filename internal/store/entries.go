@@ -45,16 +45,43 @@ var errMalformedEntries = errors.New("store: truncated or malformed write entrie
 // own (inside a stamped run it costs less).
 func entryLen(e *WriteEntry) int { return entryHeaderLen + 16*len(e.Readings) }
 
-// CutEntries returns how many leading entries share a frame or record
-// whose entries may take limit bytes, and the size entryLen bounds them
-// at: as many as fit, and always at least one — alone, an entry may
-// exceed the limit.
-func CutEntries(es []WriteEntry, limit int) (n, size int) {
-	for n < len(es) && (n == 0 || size+entryLen(&es[n]) <= limit) {
-		size += entryLen(&es[n])
-		n++
+// CutEntries returns a cutter of es, order kept, into pieces that
+// entryLen bounds at limit bytes — an rpc write frame's body, a WAL
+// record's. A piece is as many whole entries as fit; an entry too large
+// for any piece becomes consecutive entries of its stamp, a piece each,
+// so no entry is refused for its size. limit must hold an entry of one
+// reading.
+func CutEntries(es []WriteEntry, limit int) EntryCutter {
+	return EntryCutter{es: es, limit: limit}
+}
+
+// EntryCutter hands out the pieces CutEntries cuts, one per Next.
+type EntryCutter struct {
+	es    []WriteEntry
+	limit int
+	done  int // readings of es[0] handed out while it is being split
+}
+
+// Next returns the next piece and the size entryLen bounds it at, or no
+// entries once every one was handed out.
+func (c *EntryCutter) Next() (piece []WriteEntry, size int) {
+	if c.done == 0 {
+		n := 0
+		for n < len(c.es) && size+entryLen(&c.es[n]) <= c.limit {
+			size += entryLen(&c.es[n])
+			n++
+		}
+		if n > 0 || len(c.es) == 0 {
+			piece, c.es = c.es[:n], c.es[n:]
+			return piece, size
+		}
 	}
-	return n, size
+	part := c.es[0]
+	part.Readings = part.Readings[c.done:min(c.done+(c.limit-entryHeaderLen)/16, len(part.Readings))]
+	if c.done += len(part.Readings); c.done == len(c.es[0].Readings) {
+		c.es, c.done = c.es[1:], 0
+	}
+	return []WriteEntry{part}, entryLen(&part)
 }
 
 // AppendEntries appends es, encoded, to b.

@@ -108,27 +108,71 @@ func TestWriteFrameStampedRun(t *testing.T) {
 	}
 }
 
+// cut collects the pieces CutEntries hands out and their sizes.
+func cut(es []WriteEntry, limit int) (pieces [][]WriteEntry, sizes []int) {
+	c := CutEntries(es, limit)
+	for piece, size := c.Next(); len(piece) > 0; piece, size = c.Next() {
+		pieces, sizes = append(pieces, piece), append(sizes, size)
+	}
+	return pieces, sizes
+}
+
 // TestFrameCutAtEntryBoundary: entries over a size bound are cut
-// between entries, never inside one, and an entry that exceeds the
-// bound by itself still goes alone (its caller refuses or splits it).
+// between entries, never inside one, order kept, each piece sized as
+// AppendEntries writes it.
 func TestFrameCutAtEntryBoundary(t *testing.T) {
 	es := []WriteEntry{wentry(sid(1, 1), 1, 1, 2), wentry(sid(1, 2), 1, 1, 2), wentry(sid(1, 3), 1, 1, 20), wentry(sid(1, 4), 1, 1, 1)}
 	one := entryLen(&es[0]) // 36 + 32
-	for _, tc := range []struct{ limit, n, size int }{
-		{1 << 20, 4, 2*one + entryLen(&es[2]) + entryLen(&es[3])},
-		{2 * one, 2, 2 * one},
-		{2*one - 1, 1, one},
-		{10, 1, one},
+	for _, tc := range []struct {
+		es     []WriteEntry
+		limit  int
+		counts []int
+	}{
+		{es, 1 << 20, []int{4}},
+		{es, entryLen(&es[2]), []int{2, 1, 1}},
+		{es[:2], 2 * one, []int{2}},
+		{es[:2], 2*one - 1, []int{1, 1}},
 	} {
-		if n, size := CutEntries(es, tc.limit); n != tc.n || size != tc.size {
-			t.Errorf("limit %d: cut after %d entries, %d bytes; want %d, %d", tc.limit, n, size, tc.n, tc.size)
+		pieces, sizes := cut(tc.es, tc.limit)
+		var counts []int
+		var joined []WriteEntry
+		for k, p := range pieces {
+			counts = append(counts, len(p))
+			joined = append(joined, p...)
+			if got := len(AppendEntries(nil, p)); got != sizes[k] || sizes[k] > tc.limit {
+				t.Errorf("limit %d: piece %d sized %d, encoded in %d bytes", tc.limit, k, sizes[k], got)
+			}
+		}
+		if !reflect.DeepEqual(counts, tc.counts) || !sameEntries(joined, tc.es) {
+			t.Errorf("limit %d: pieces of %v entries, want %v, order kept", tc.limit, counts, tc.counts)
 		}
 	}
-	if n, size := CutEntries(es[2:], 100); n != 1 || size != entryLen(&es[2]) {
-		t.Errorf("an oversized entry was cut as %d entries, %d bytes", n, size)
+}
+
+// TestWriteFrameCutKeepsStamp: an entry too large for any piece comes
+// out as consecutive entries of its stamp, each within the limit, whose
+// readings in order are the original's; the entries around it are cut
+// as whole entries.
+func TestWriteFrameCutKeepsStamp(t *testing.T) {
+	const limit = entryHeaderLen + 4*16 + 8 // four readings a piece
+	big := wentry(sid(2, 2), 7000, 10, 11)
+	big.Expire = 1 << 62
+	es := []WriteEntry{wentry(sid(2, 1), 1, 1, 2), big, wentry(sid(2, 3), 1, 1, 1)}
+	pieces, sizes := cut(es, limit)
+	if len(pieces) != 5 || !sameEntries(pieces[0], es[:1]) || !sameEntries(pieces[4], es[2:]) {
+		t.Fatalf("cut into %d pieces: %+v", len(pieces), pieces)
 	}
-	// What CutEntries sized is what AppendEntries writes.
-	if got := len(AppendEntries(nil, es)); got != 2*one+entryLen(&es[2])+entryLen(&es[3]) {
-		t.Errorf("encoded %d bytes", got)
+	var readings []core.Reading
+	for k, p := range pieces[1:4] {
+		if len(p) != 1 || p[0].ID != big.ID || p[0].Version != big.Version || p[0].Expire != big.Expire {
+			t.Fatalf("piece %d of the large entry is %+v, want one entry of its stamp", k, p)
+		}
+		if got := len(AppendEntries(nil, p)); got != sizes[1+k] || got > limit {
+			t.Fatalf("piece %d of the large entry: %d bytes sized %d, limit %d", k, got, sizes[1+k], limit)
+		}
+		readings = append(readings, p[0].Readings...)
+	}
+	if !reflect.DeepEqual(readings, big.Readings) {
+		t.Fatalf("the pieces hold %v, want %v", readings, big.Readings)
 	}
 }

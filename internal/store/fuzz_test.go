@@ -181,7 +181,7 @@ func FuzzWALReplay(f *testing.F) {
 				}
 				continue
 			}
-			if err := firstError(n.WriteFrame(op.entries)); err != nil {
+			if err := n.WriteFrame(op.entries); err != nil {
 				t.Fatal(err)
 			}
 			for _, e := range op.entries {

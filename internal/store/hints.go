@@ -370,9 +370,7 @@ func (c *Cluster) deliverHints(t *topology, id string) (bool, error) {
 		if err := m.backend.Ping(); err != nil {
 			return true, fmt.Errorf("%w: %w", errMemberDown, err)
 		}
-		return true, c.hints.replay(id, func(es []WriteEntry) error {
-			return firstError(m.queue.fw.WriteFrame(es))
-		}, m.backend.DeleteBefore)
+		return true, c.hints.replay(id, m.queue.fw.WriteFrame, m.backend.DeleteBefore)
 	}
 	if t.prevRing != nil {
 		// Mid-transition the departed member's ranges are still moving;

@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -389,24 +388,20 @@ type NodeStats struct {
 func (c *Cluster) ClusterStats() []NodeStats {
 	t := c.top()
 	out := make([]NodeStats, len(t.members))
-	var wg sync.WaitGroup
-	for i := range t.members {
-		wg.Add(1)
-		go func(i int, m member) {
-			defer wg.Done()
-			ns := NodeStats{Index: i, ID: m.id, Addr: m.addr}
-			if ns.Addr == "" {
-				if a, ok := m.backend.(interface{ Addr() string }); ok {
-					ns.Addr = a.Addr()
-				}
+	c.fanOut(t.all(), func(_, i int) error {
+		m := &t.members[i]
+		ns := NodeStats{Index: i, ID: m.id, Addr: m.addr}
+		if ns.Addr == "" {
+			if a, ok := m.backend.(interface{ Addr() string }); ok {
+				ns.Addr = a.Addr()
 			}
-			ns.Inserts, ns.Queries, ns.Entries = m.backend.Stats()
-			if src, ok := m.backend.(MetricsSource); ok {
-				ns.Samples, ns.Err = src.MetricsSnapshot()
-			}
-			out[i] = ns
-		}(i, t.members[i])
-	}
-	wg.Wait()
+		}
+		ns.Inserts, ns.Queries, ns.Entries = m.backend.Stats()
+		if src, ok := m.backend.(MetricsSource); ok {
+			ns.Samples, ns.Err = src.MetricsSnapshot()
+		}
+		out[i] = ns
+		return nil
+	})
 	return out
 }

@@ -411,7 +411,7 @@ func (n *Node) InsertBatch(id core.SensorID, rs []core.Reading, ttl time.Duratio
 // equal stamps, which costs what one batch does: one lock hold and one
 // WAL record.
 func (n *Node) InsertVersioned(id core.SensorID, vrs []VersionedReading) error {
-	return firstError(n.WriteFrame(SplitStamps(id, vrs)))
+	return n.WriteFrame(SplitStamps(id, vrs))
 }
 
 // WriteFrame implements FrameWriter: the node's one write path, which
@@ -419,18 +419,11 @@ func (n *Node) InsertVersioned(id core.SensorID, vrs []VersionedReading) error {
 // lock hold of the shards it touches and one WAL record, so a frame of
 // many one-reading entries costs a node what one batch does, and one
 // group-committed fsync in sync-every mode. It succeeds or fails whole.
-func (n *Node) WriteFrame(entries []WriteEntry) []error {
+func (n *Node) WriteFrame(entries []WriteEntry) error {
 	if len(entries) == 0 {
 		return nil
 	}
-	if err := n.write(entries); err != nil {
-		errs := make([]error, len(entries))
-		for k := range errs {
-			errs[k] = err
-		}
-		return errs
-	}
-	return nil
+	return n.write(entries)
 }
 
 // write applies a frame's entries, frame order kept, after logging them

@@ -88,6 +88,16 @@ func newTopology(members []member, target, prev *ring.Ring) *topology {
 	return t
 }
 
+// all lists every member index, in snapshot order: the replica list of
+// a fan-out to the whole member set.
+func (t *topology) all() []int {
+	idxs := make([]int, len(t.members))
+	for i := range idxs {
+		idxs[i] = i
+	}
+	return idxs
+}
+
 // top loads the current topology snapshot. Operations load it once at
 // entry and resolve everything against that one view.
 func (c *Cluster) top() *topology { return c.topo.Load() }
@@ -189,7 +199,7 @@ func (c *Cluster) SetMembers(ms []MemberInfo) error {
 		ids = append(ids, m.ID)
 	}
 	sort.Strings(ids)
-	target := ring.New(ids, cur.ring.VNodes())
+	target := ring.New(ids, ring.DefaultVNodes)
 	if target.Equal(cur.ring) {
 		return nil // placement unchanged; any in-flight rebalance stands
 	}

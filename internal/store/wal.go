@@ -279,30 +279,15 @@ func putWALFrameHeader(hdr, payload []byte) {
 	binary.BigEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
 }
 
-// appendWALInserts appends es to buf as framed type-4 records and
-// returns buf and how many records it took: one, unless the entries
-// exceed walRecordCut. Records are then cut between entries, and an
-// entry too large for any record is logged as consecutive entries of
-// its stamp, a record each.
+// appendWALInserts appends es to buf as framed type-4 records, cut by
+// CutEntries at walRecordCut, and returns buf and how many records it
+// took: one, unless the entries exceed the cut.
 func appendWALInserts(buf []byte, es []WriteEntry) ([]byte, int) {
-	limit := walRecordCut - 1
 	records := 0
-	for len(es) > 0 {
-		n, size := CutEntries(es, limit)
-		if size <= limit {
-			buf = appendWALInsert(buf, es[:n])
-			es = es[n:]
-			records++
-			continue
-		}
-		most := (limit - entryHeaderLen) / 16
-		for part := es[0]; len(part.Readings) > 0; records++ {
-			head := part
-			head.Readings = part.Readings[:min(most, len(part.Readings))]
-			buf = appendWALInsert(buf, []WriteEntry{head})
-			part.Readings = part.Readings[len(head.Readings):]
-		}
-		es = es[1:]
+	cut := CutEntries(es, walRecordCut-1)
+	for piece, _ := cut.Next(); len(piece) > 0; piece, _ = cut.Next() {
+		buf = appendWALInsert(buf, piece)
+		records++
 	}
 	return buf, records
 }

@@ -323,10 +323,10 @@ func TestWritePathLogsOnlyStampedRecords(t *testing.T) {
 	if err := n.InsertBatch(a, []core.Reading{rd(2, 2), rd(3, 3)}, time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	if err := firstError(n.WriteFrame([]WriteEntry{
+	if err := n.WriteFrame([]WriteEntry{
 		{ID: a, Version: 7, Readings: []core.Reading{rd(4, 4)}},
 		{ID: b, Version: 8, Readings: []core.Reading{rd(1, 1)}},
-	})); err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if err := n.InsertVersioned(b, []VersionedReading{{Timestamp: 2, Value: 2, Version: 9}}); err != nil {
@@ -396,7 +396,7 @@ func TestWALRecordBytes(t *testing.T) {
 	} {
 		dir := t.TempDir()
 		n := openedNode(t, dir, 0, noCompact)
-		if err := firstError(n.WriteFrame(tc.es)); err != nil {
+		if err := n.WriteFrame(tc.es); err != nil {
 			t.Fatal(err)
 		}
 		n.crash()
@@ -431,7 +431,7 @@ func TestHugeBatchCutIntoBoundedRecords(t *testing.T) {
 		rs[i] = rd(int64(i), float64(i%1000))
 	}
 	stamp := WriteEntry{ID: id, Version: 7000, Expire: 1 << 62, Readings: rs}
-	if err := firstError(n.WriteFrame([]WriteEntry{stamp})); err != nil {
+	if err := n.WriteFrame([]WriteEntry{stamp}); err != nil {
 		t.Fatal(err)
 	}
 	n.crash()

@@ -152,8 +152,8 @@ func TestWALOneRecordOneFsyncPerFrame(t *testing.T) {
 		}
 		disk.take()
 		before := appends()
-		if errs := n.WriteFrame(frame); errs != nil {
-			t.Fatal(errs)
+		if err := n.WriteFrame(frame); err != nil {
+			t.Fatal(err)
 		}
 		want := walFrameHeader + 1 + len(AppendEntries(nil, frame))
 		if writes, fsyncs := walIO(); len(writes) != 1 || writes[0] != want || fsyncs != 1 {

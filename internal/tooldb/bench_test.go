@@ -28,9 +28,12 @@ var benchShapes = []struct {
 // writeAgentDir writes sensors × perSensor readings into an agent's
 // data directory, batch readings of one sensor a write, sensors in
 // turn, saves the topic map, closes the store and returns the topics.
+// The background compactor stays off: the directory then holds the
+// spill generations alone, the same files every set-up, and not
+// whatever the compactor had merged by the time the store closed.
 func writeAgentDir(b *testing.B, dir string, sensors, perSensor, batch int) []string {
 	b.Helper()
-	c, err := collectagent.OpenBackendOptions(dir, store.DiskOptions{SyncInterval: -1, CacheBytes: 4 << 20}, store.ClusterOptions{})
+	c, err := collectagent.OpenBackendOptions(dir, store.DiskOptions{SyncInterval: -1, CacheBytes: 4 << 20, CompactInterval: -1}, store.ClusterOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
