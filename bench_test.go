@@ -15,9 +15,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -410,6 +407,25 @@ func BenchmarkCacheStoreParallel(b *testing.B) {
 	})
 }
 
+// BenchmarkClusterInsertLone measures one sequential writer of
+// one-reading batches through a one-node in-memory cluster: what an
+// embedded agent pays per write when nothing else is writing.
+func BenchmarkClusterInsertLone(b *testing.B) {
+	c, err := store.NewCluster([]*store.Node{store.NewNode(0)}, store.RingPartitioner{}, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	id := core.SensorID{Hi: 1, Lo: 1}
+	batch := make([]core.Reading, 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		batch[0] = core.Reading{Timestamp: int64(i), Value: 1}
+		if err := c.InsertBatch(id, batch, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkClusterInsertReplicated measures replicated cluster writes
 // (replication 3), where replica fan-out dominates.
 func BenchmarkClusterInsertReplicated(b *testing.B) {
@@ -445,7 +461,7 @@ func BenchmarkClusterInsertReplicated(b *testing.B) {
 // floor of the strictest durability mode.
 func BenchmarkDurableInsertSyncEvery(b *testing.B) {
 	n := store.NewNode(0)
-	if err := n.OpenOptions(b.TempDir(), store.DiskOptions{SyncInterval: 0, CompactInterval: -1}); err != nil {
+	if err := n.OpenOptions(b.TempDir(), store.DiskOptions{SyncInterval: 0}); err != nil {
 		b.Fatal(err)
 	}
 	defer n.Close()
@@ -465,7 +481,7 @@ func BenchmarkDurableInsertSyncEvery(b *testing.B) {
 // lock.
 func BenchmarkDurableInsertSyncEveryParallel(b *testing.B) {
 	n := store.NewNode(0)
-	if err := n.OpenOptions(b.TempDir(), store.DiskOptions{SyncInterval: 0, CompactInterval: -1}); err != nil {
+	if err := n.OpenOptions(b.TempDir(), store.DiskOptions{SyncInterval: 0}); err != nil {
 		b.Fatal(err)
 	}
 	defer n.Close()
@@ -489,7 +505,7 @@ func BenchmarkDurableInsertSyncEveryParallel(b *testing.B) {
 // path, the fsync is not.
 func BenchmarkDurableInsertBatchedWAL(b *testing.B) {
 	n := store.NewNode(0)
-	if err := n.OpenOptions(b.TempDir(), store.DiskOptions{SyncInterval: 50 * time.Millisecond, CompactInterval: -1}); err != nil {
+	if err := n.OpenOptions(b.TempDir(), store.DiskOptions{SyncInterval: 50 * time.Millisecond}); err != nil {
 		b.Fatal(err)
 	}
 	defer n.Close()
@@ -514,9 +530,9 @@ func BenchmarkDurableInsertBatchedWAL(b *testing.B) {
 func BenchmarkWriteFrameSyncEvery(b *testing.B) {
 	for _, k := range []int{1, 3, 11, 16} {
 		b.Run(fmt.Sprintf("shards=%d", k), func(b *testing.B) {
-			ids := distinctShardSensors(b)[:k]
+			ids := distinctShardSensors()[:k]
 			n := store.NewNode(0)
-			if err := n.OpenOptions(b.TempDir(), store.DiskOptions{SyncInterval: 0, CompactInterval: -1}); err != nil {
+			if err := n.OpenOptions(b.TempDir(), store.DiskOptions{SyncInterval: 0}); err != nil {
 				b.Fatal(err)
 			}
 			defer n.Close()
@@ -541,13 +557,14 @@ func BenchmarkWriteFrameSyncEvery(b *testing.B) {
 // BenchmarkSpillSkewed measures flushes under skewed traffic on a
 // durable node: a frame is 15 readings of one hot sensor and one reading
 // of a cold one, the cold sensors taking turns over the other 15 shards.
-// Besides the time per frame it reports the run files written and the
-// time spent spilling them per 1000 frames.
+// Besides the time per frame it reports, per 1000 frames, the run files
+// spills wrote (one per spill), the time spent spilling them and the
+// time the merges that follow the spills took.
 func BenchmarkSpillSkewed(b *testing.B) {
-	ids := distinctShardSensors(b)
+	ids := distinctShardSensors()
 	dir := b.TempDir()
 	n := store.NewNode(16 * 1024)
-	if err := n.OpenOptions(dir, store.DiskOptions{SyncInterval: time.Second, CompactInterval: -1}); err != nil {
+	if err := n.OpenOptions(dir, store.DiskOptions{SyncInterval: time.Second}); err != nil {
 		b.Fatal(err)
 	}
 	defer n.Close()
@@ -568,70 +585,41 @@ func BenchmarkSpillSkewed(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.StopTimer()
-	files, _ := filepath.Glob(filepath.Join(dir, "shard-*", "run-*.sst"))
 	samples, err := n.MetricsSnapshot()
 	if err != nil {
 		b.Fatal(err)
 	}
 	perK := 1000 / float64(b.N)
 	for _, s := range samples {
-		if s.Name == "dcdb_store_spill_duration_seconds" {
+		switch s.Name {
+		case "dcdb_store_spill_duration_seconds":
 			b.ReportMetric(float64(s.Hist.Sum)/1e3*perK, "spill-µs/kframe")
+			b.ReportMetric(float64(s.Hist.Count())*perK, "files/kframe")
+		case "dcdb_store_compaction_duration_seconds":
+			b.ReportMetric(float64(s.Hist.Sum)/1e3*perK, "compact-µs/kframe")
 		}
 	}
-	b.ReportMetric(float64(len(files))*perK, "files/kframe")
-}
-
-var shardSensors struct {
-	once sync.Once
-	ids  []core.SensorID
-	err  error
 }
 
 // distinctShardSensors returns one sensor for each of a node's 16
-// memtable shards. The shards are the store's own business; they show
-// in a durable node's directory, where a spill of one sensor writes a
-// run file into that sensor's shard directory.
-func distinctShardSensors(b *testing.B) []core.SensorID {
-	shardSensors.once.Do(func() {
-		dir, err := os.MkdirTemp("", "shards")
-		if err != nil {
-			shardSensors.err = err
-			return
+// memtable shards. The shards are the store's own business and leave
+// no trace on disk, so this is the store's stripe selector
+// (store.shardIndex), restated.
+func distinctShardSensors() []core.SensorID {
+	var ids []core.SensorID
+	seen := map[uint64]bool{}
+	for lo := uint64(0); len(ids) < 16; lo++ {
+		id := core.SensorID{Hi: 48, Lo: lo}
+		h := id.Lo*0x9e3779b97f4a7c15 ^ id.Hi
+		h ^= h >> 33
+		h *= 0xff51afd7ed558ccd
+		h ^= h >> 33
+		if shard := h & 15; !seen[shard] {
+			seen[shard] = true
+			ids = append(ids, id)
 		}
-		defer os.RemoveAll(dir)
-		seen := map[string]bool{}
-		for lo := uint64(0); len(shardSensors.ids) < 16 && lo < 10_000; lo++ {
-			id := core.SensorID{Hi: 48, Lo: lo}
-			n := store.NewNode(0)
-			if err := n.OpenOptions(dir, store.DiskOptions{SyncInterval: -1, CompactInterval: -1}); err != nil {
-				shardSensors.err = err
-				return
-			}
-			err := n.InsertBatch(id, []core.Reading{{Timestamp: 1, Value: 1}}, 0)
-			if cerr := n.Close(); err == nil { // spills the reading to its shard
-				err = cerr
-			}
-			if err != nil {
-				shardSensors.err = err
-				return
-			}
-			files, _ := filepath.Glob(filepath.Join(dir, "shard-*", "run-*.sst"))
-			for _, f := range files {
-				if shard := filepath.Base(filepath.Dir(f)); !seen[shard] {
-					seen[shard] = true
-					shardSensors.ids = append(shardSensors.ids, id)
-				}
-			}
-		}
-		if len(shardSensors.ids) != 16 {
-			shardSensors.err = fmt.Errorf("found sensors in %d shards, want 16", len(shardSensors.ids))
-		}
-	})
-	if shardSensors.err != nil {
-		b.Fatal(shardSensors.err)
 	}
-	return shardSensors.ids
+	return ids
 }
 
 // --- RPC-path benchmarks (loopback TCP vs in-process) ---
@@ -762,7 +750,7 @@ func BenchmarkClusterInsertRPCReplicated(b *testing.B) {
 func coldBenchNode(b *testing.B, total int, cacheBytes int64) (*store.Node, core.SensorID) {
 	b.Helper()
 	n := store.NewNode(0)
-	o := store.DiskOptions{SyncInterval: -1, CompactInterval: -1, CacheBytes: cacheBytes}
+	o := store.DiskOptions{SyncInterval: -1, CacheBytes: cacheBytes}
 	if err := n.OpenOptions(b.TempDir(), o); err != nil {
 		b.Fatal(err)
 	}
@@ -897,7 +885,7 @@ func BenchmarkColdCompactionThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		n := store.NewNode(1 << 14) // ~1K entries per shard flush: many runs
-		o := store.DiskOptions{SyncInterval: -1, CompactInterval: -1, CacheBytes: 1 << 20}
+		o := store.DiskOptions{SyncInterval: -1, CacheBytes: 1 << 20}
 		if err := n.OpenOptions(b.TempDir(), o); err != nil {
 			b.Fatal(err)
 		}

@@ -28,7 +28,7 @@ var t0 = time.Unix(1_560_000_000, 0)
 // agent does.
 func openAgentStore(t *testing.T, dir string) *store.Cluster {
 	t.Helper()
-	c, err := collectagent.OpenBackendOptions(dir, store.DiskOptions{CompactInterval: -1}, store.ClusterOptions{})
+	c, err := collectagent.OpenBackendOptions(dir, store.DiskOptions{}, store.ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestErrors(t *testing.T) {
 		}
 	}
 
-	old := filepath.Join(dir, "node0", "shard-00", "run-0000000000000001-0000000000000001.sst")
+	old := filepath.Join(dir, "node0", "run-0000000000000001-0000000000000001.sst")
 	if err := os.MkdirAll(filepath.Dir(old), 0o755); err != nil {
 		t.Fatal(err)
 	}

@@ -140,7 +140,7 @@ func TestImportServedByAgent(t *testing.T) {
 	dir := t.TempDir()
 	open := func() *store.Cluster {
 		t.Helper()
-		c, err := collectagent.OpenBackendOptions(dir, store.DiskOptions{CompactInterval: -1}, store.ClusterOptions{})
+		c, err := collectagent.OpenBackendOptions(dir, store.DiskOptions{}, store.ClusterOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

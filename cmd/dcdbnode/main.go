@@ -1,6 +1,7 @@
 // Command dcdbnode runs one DCDB storage node as its own process: a
-// durable store.Node (one WAL, per-shard run files, background
-// compaction) served over the internal/rpc wire protocol. A Collect
+// durable store.Node (one WAL, one run file per flush, a size-tiered
+// compaction after each spill) served over the internal/rpc wire
+// protocol. A Collect
 // Agent pointed at a set of dcdbnode addresses (-nodes host:port,...)
 // forms the multi-process storage cluster of the paper's architecture
 // (§4.3) — the storage tier survives agent restarts, and any single

@@ -199,7 +199,7 @@ func TestChaosDiskFaultsUnderIngest(t *testing.T) {
 	dirs := make([]string, 3)
 	open := func(i int) *store.Node {
 		n := store.NewNode(0)
-		if err := n.OpenOptions(dirs[i], store.DiskOptions{SyncInterval: 0, CompactInterval: -1}); err != nil {
+		if err := n.OpenOptions(dirs[i], store.DiskOptions{SyncInterval: 0}); err != nil {
 			t.Fatalf("opening node %d: %v", i, err)
 		}
 		return n

@@ -184,7 +184,7 @@ func TestChaosComposedFaults(t *testing.T) {
 	dir2 := filepath.Join(work, "data2")
 	openLocal := func(dir string) *store.Node {
 		n := store.NewNode(0)
-		if err := n.OpenOptions(dir, store.DiskOptions{SyncInterval: 0, CompactInterval: -1}); err != nil {
+		if err := n.OpenOptions(dir, store.DiskOptions{SyncInterval: 0}); err != nil {
 			t.Fatalf("opening %s: %v", dir, err)
 		}
 		return n

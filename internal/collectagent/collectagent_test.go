@@ -245,7 +245,7 @@ func TestConcurrentHandle(t *testing.T) {
 func TestAgentDurableBackendSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	open := func() *store.Cluster {
-		c, err := OpenBackendOptions(dir, store.DiskOptions{CompactInterval: -1}, store.ClusterOptions{})
+		c, err := OpenBackendOptions(dir, store.DiskOptions{}, store.ClusterOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -306,7 +306,7 @@ func TestAgentDurableBackendSurvivesRestart(t *testing.T) {
 func TestOpenBackendValidation(t *testing.T) {
 	dir := t.TempDir()
 	for i := 0; i < 2; i++ {
-		c, err := OpenBackendOptions(dir, store.DiskOptions{CompactInterval: -1}, store.ClusterOptions{})
+		c, err := OpenBackendOptions(dir, store.DiskOptions{}, store.ClusterOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -330,7 +330,7 @@ func TestOpenBackendRejectsHiddenNodes(t *testing.T) {
 	dir := t.TempDir()
 	for _, name := range []string{"node0", "node1"} {
 		n := store.NewNode(0)
-		if err := n.OpenOptions(filepath.Join(dir, name), store.DiskOptions{CompactInterval: -1}); err != nil {
+		if err := n.OpenOptions(filepath.Join(dir, name), store.DiskOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		if err := n.InsertBatch(core.SensorID{Hi: 1, Lo: 1}, []core.Reading{{Timestamp: 1, Value: 1}}, 0); err != nil {
@@ -341,7 +341,7 @@ func TestOpenBackendRejectsHiddenNodes(t *testing.T) {
 		}
 	}
 	before := storetest.Files(t, dir)
-	_, err := OpenBackendOptions(dir, store.DiskOptions{CompactInterval: -1}, store.ClusterOptions{})
+	_, err := OpenBackendOptions(dir, store.DiskOptions{}, store.ClusterOptions{})
 	if !errors.Is(err, errSeveralStores) || !strings.Contains(err.Error(), "node1") || !strings.Contains(err.Error(), "dcdbcsvimport") {
 		t.Fatalf("open over node0 and node1: %v, want the refusal naming node1 and the way out", err)
 	}
@@ -367,7 +367,7 @@ func TestOpenBackendRefusesInterruptedSaveBuilding(t *testing.T) {
 func testRefusesInterruptedSave(t *testing.T, staged string) {
 	t.Helper()
 	dir := t.TempDir()
-	c, err := OpenBackendOptions(dir, store.DiskOptions{CompactInterval: -1}, store.ClusterOptions{})
+	c, err := OpenBackendOptions(dir, store.DiskOptions{}, store.ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +381,7 @@ func testRefusesInterruptedSave(t *testing.T, staged string) {
 		t.Fatal(err)
 	}
 	before := storetest.Files(t, dir)
-	_, err = OpenBackendOptions(dir, store.DiskOptions{CompactInterval: -1}, store.ClusterOptions{})
+	_, err = OpenBackendOptions(dir, store.DiskOptions{}, store.ClusterOptions{})
 	if !errors.Is(err, errInterruptedSave) || !strings.Contains(err.Error(), staged) {
 		t.Fatalf("open over %s: %v, want the refusal naming it", staged, err)
 	}
@@ -497,7 +497,7 @@ func TestCodeDurableBeforeStore(t *testing.T) {
 // queue.
 func TestOpenBackendOptionsDisablesHints(t *testing.T) {
 	dir := t.TempDir()
-	c, err := OpenBackendOptions(dir, store.DiskOptions{CompactInterval: -1}, store.ClusterOptions{})
+	c, err := OpenBackendOptions(dir, store.DiskOptions{}, store.ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

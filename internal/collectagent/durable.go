@@ -1,6 +1,6 @@
 // Durable backend wiring: a Collect Agent owns a data directory in
 // which its one embedded storage node keeps its write-ahead log and
-// per-shard run files (internal/store). Opening the directory replays
+// run files (internal/store). Opening the directory replays
 // the WAL, so an agent restart — clean or not — resumes with every
 // acknowledged reading intact, which is what makes the paper's
 // "continuous" monitoring claim (§2) hold across daemon crashes.
@@ -10,7 +10,7 @@
 // Layout:
 //
 //	<dir>/node0/wal-*.log            — the store's write-ahead log
-//	<dir>/node0/shard-<s>/run-*.sst  — its run files
+//	<dir>/node0/run-*.sst            — its run files
 //	<dir>/topics        — the topic↔SID map (append-only: one line per level code)
 //	<dir>/meta          — sensor metadata the tools publish (dcdbconfig)
 //

@@ -487,7 +487,7 @@ func TestStreamChunkBoundEnforced(t *testing.T) {
 func TestRPCStreamColdNode(t *testing.T) {
 	dir := t.TempDir()
 	n := store.NewNode(0)
-	if err := n.OpenOptions(dir, store.DiskOptions{SyncInterval: -1, CompactInterval: -1, CacheBytes: 1 << 16}); err != nil {
+	if err := n.OpenOptions(dir, store.DiskOptions{SyncInterval: -1, CacheBytes: 1 << 16}); err != nil {
 		t.Fatal(err)
 	}
 	defer n.Close()

@@ -203,7 +203,7 @@ func TestWriteFrameStampedRun(t *testing.T) {
 func TestWALRecordIsTheWriteFrameBody(t *testing.T) {
 	dir := t.TempDir()
 	n := store.NewNode(0)
-	if err := n.OpenOptions(dir, store.DiskOptions{CompactInterval: -1}); err != nil {
+	if err := n.OpenOptions(dir, store.DiskOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	defer n.Close()

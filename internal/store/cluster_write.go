@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,7 +16,8 @@ import (
 // in-process or remote, is written through its member's writeQueue,
 // which coalesces whatever entries arrive while the previous frame is
 // being applied into the next one — natural batching: no timer, no
-// size knob, and under no load a frame of one entry leaves at once.
+// size knob, and under no load a frame of one entry leaves at once, on
+// the goroutine of the writer that waits for it.
 
 // versionTick is the granularity of write versions, in the nanoseconds
 // they are counted in. Versions order writes of one timestamp; nothing
@@ -58,8 +60,11 @@ type write struct {
 	done    chan struct{}
 }
 
-// begin enqueues e with every owner of its sensor.
-func (c *Cluster) begin(e WriteEntry) *write {
+// begin enqueues e with every owner of its sensor and flushes each of
+// their queues nobody is flushing yet on a flusher goroutine — one of
+// them inline, on the caller's, when the caller only waits (as in
+// LevelDB's DBImpl::Write); BeginInsert's caller goes on instead.
+func (c *Cluster) begin(e WriteEntry, inline bool) *write {
 	t := c.top()
 	replicas, readN := c.writeReplicas(t, e.ID)
 	w := &write{c: c, t: t, entry: e, replicas: replicas, readN: readN,
@@ -67,6 +72,24 @@ func (c *Cluster) begin(e WriteEntry) *write {
 	w.pending.Store(int32(len(replicas)))
 	for i, idx := range replicas {
 		t.members[idx].queue.enqueue(w, i)
+	}
+	if inline {
+		// Ready writers queue their entries first, so the frame taken
+		// below carries theirs too; alone, this costs next to nothing.
+		runtime.Gosched()
+	}
+	var first *writeQueue
+	var batch []queuedWrite
+	for _, idx := range replicas {
+		q := t.members[idx].queue
+		if b := q.take(); b != nil && inline && first == nil {
+			first, batch = q, b
+		} else if b != nil {
+			go q.flush(b, false)
+		}
+	}
+	if first != nil {
+		first.flush(batch, true)
 	}
 	return w
 }
@@ -132,7 +155,10 @@ func (c *Cluster) counted(err error) error {
 // one write version and expiry, sends it to every replica and returns
 // once the write consistency level is met or missed.
 func (c *Cluster) InsertBatch(id core.SensorID, rs []core.Reading, ttl time.Duration) error {
-	return c.BeginInsert(id, rs, ttl)()
+	if len(rs) == 0 {
+		return nil
+	}
+	return c.counted(c.begin(WriteEntry{ID: id, Version: c.nextVersion(), Expire: TTLToExpire(ttl), Readings: rs}, true).wait())
 }
 
 // BeginInsert is InsertBatch in two halves, for a caller with something
@@ -147,22 +173,24 @@ func (c *Cluster) BeginInsert(id core.SensorID, rs []core.Reading, ttl time.Dura
 	if len(rs) == 0 {
 		return func() error { return nil }
 	}
-	w := c.begin(WriteEntry{ID: id, Version: c.nextVersion(), Expire: TTLToExpire(ttl), Readings: rs})
+	w := c.begin(WriteEntry{ID: id, Version: c.nextVersion(), Expire: TTLToExpire(ttl), Readings: rs}, false)
 	return func() error { return c.counted(w.wait()) }
 }
 
 // writeQueue is the write combiner of one member: entries queue in next
-// while a frame is being applied, and whoever finds the queue idle
-// starts the flusher, which hands fw frame after frame until next is
-// empty. Depth is bounded by the writes in flight — two per broker
-// connection — so nothing here needs a limit of its own.
+// until a writer finds the queue idle and takes them all as one frame
+// (begin); entries that queue meanwhile go to a flusher goroutine, frame
+// after frame. Depth is bounded by the
+// writes in flight — two per broker connection — so nothing here needs a
+// limit of its own.
 type writeQueue struct {
 	c  *Cluster
 	fw FrameWriter // FramesOf the member's backend; hint replay writes through it too
 
-	mu   sync.Mutex
-	next []queuedWrite
-	busy bool // a flusher is running
+	mu    sync.Mutex
+	next  []queuedWrite
+	busy  bool         // somebody is flushing: a waiter or a flusher goroutine
+	frame []WriteEntry // the frame being sent, owned by whoever is busy
 }
 
 // queuedWrite is one replica slot of a write waiting for a frame.
@@ -171,49 +199,67 @@ type queuedWrite struct {
 	slot int
 }
 
+// enqueue appends one replica slot of w, for its begin or a flush to send.
 func (q *writeQueue) enqueue(w *write, slot int) {
 	q.mu.Lock()
 	q.next = append(q.next, queuedWrite{w, slot})
-	start := !q.busy
-	if start {
-		q.busy = true
-		q.c.writeWG.Add(1)
-	}
 	q.mu.Unlock()
-	if start {
-		go q.flush()
-	}
 }
 
-// flush sends the queue as frames, one at a time, until it is empty.
-// An entry is taken out of next exactly once, so it travels in exactly
-// one frame, and every taken entry's slot is answered with its frame's
-// one verdict.
-func (q *writeQueue) flush() {
-	defer q.c.writeWG.Done()
-	var batch []queuedWrite
-	var frame []WriteEntry
+// take claims an idle queue that holds entries and returns them, the
+// next frame, or nil when the queue is empty or somebody is flushing it.
+func (q *writeQueue) take() []queuedWrite {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.busy || len(q.next) == 0 {
+		return nil
+	}
+	q.busy = true
+	q.c.writeWG.Add(1)
+	batch := q.next
+	q.next = nil
+	return batch
+}
+
+// flush sends batch, which take claimed the queue with, as one frame.
+// Inline it then hands what queued meanwhile to a flusher goroutine,
+// which sends frame after frame until next is empty. An entry is taken
+// out of next exactly once, so it travels in exactly one frame, and
+// every taken entry's slot is answered with its frame's one verdict.
+func (q *writeQueue) flush(batch []queuedWrite, inline bool) {
 	for {
-		q.mu.Lock()
-		batch, q.next = q.next, batch[:0]
-		if len(batch) == 0 {
-			q.busy = false
+		if batch == nil { // handed over by an inline flush
+			q.mu.Lock()
+			batch, q.next = q.next, nil
 			q.mu.Unlock()
-			return
 		}
-		q.mu.Unlock()
-		frame = frame[:0]
+		q.frame = q.frame[:0]
 		for _, b := range batch {
-			frame = append(frame, b.w.entry)
+			q.frame = append(q.frame, b.w.entry)
 		}
 		q.c.met.writeFrames.Inc()
-		q.c.met.writeFrameEntries.Add(int64(len(frame)))
-		err := q.fw.WriteFrame(frame)
+		q.c.met.writeFrameEntries.Add(int64(len(q.frame)))
+		err := q.fw.WriteFrame(q.frame)
 		for _, b := range batch {
 			b.w.errs[b.slot] = err
 			if b.w.pending.Add(-1) == 0 {
 				close(b.w.done)
 			}
 		}
+		q.mu.Lock()
+		if len(q.next) == 0 {
+			q.busy = false
+			q.next = batch[:0]
+			q.mu.Unlock()
+			q.c.writeWG.Done()
+			return
+		}
+		if inline {
+			q.mu.Unlock()
+			go q.flush(nil, false)
+			return
+		}
+		batch, q.next = q.next, batch[:0]
+		q.mu.Unlock()
 	}
 }

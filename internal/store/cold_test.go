@@ -8,7 +8,6 @@ import (
 	"os"
 	"runtime"
 	"testing"
-	"time"
 
 	"dcdb/internal/core"
 )
@@ -20,7 +19,7 @@ import (
 
 // coldOptions force eviction aggressively: a tiny cache means nearly
 // every cold read misses and decodes from disk.
-var coldOptions = DiskOptions{SyncInterval: 0, CompactInterval: -1, CacheBytes: 1 << 14}
+var coldOptions = DiskOptions{SyncInterval: 0, CacheBytes: 1 << 14}
 
 func randomEntries(rng *rand.Rand, n int) []entry {
 	es := make([]entry, n)
@@ -707,10 +706,9 @@ func TestBoundedMemoryColdReads(t *testing.T) {
 	dir := t.TempDir()
 	n := NewNode(1 << 15)
 	o := DiskOptions{
-		SyncInterval:    -1, // durability cadence is not under test
-		CompactInterval: 20 * time.Millisecond,
-		MaxRuns:         6,
-		CacheBytes:      1 << 19, // 512 KB
+		SyncInterval: -1, // durability cadence is not under test
+		MaxRuns:      6,
+		CacheBytes:   1 << 19, // 512 KB
 	}
 	if err := n.OpenOptions(dir, o); err != nil {
 		t.Fatal(err)

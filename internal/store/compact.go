@@ -14,20 +14,20 @@ import (
 )
 
 // Background machinery of a durable node: the spiller turns flushed
-// memtables into run files off the ingest path, and the compactor
-// merges run files copy-aside with size-tiered scheduling so neither
-// queries nor ingest ever wait on a merge. Both publish their results
-// under a short exclusive shard lock; all heavy I/O happens outside
-// every lock, reading only immutable entry slices.
+// memtables into run files off the ingest path, one file per flush
+// generation, each followed by a size-tiered copy-aside merge, so
+// neither queries nor ingest wait on a merge's I/O. Both publish their
+// results under short exclusive shard locks; all heavy I/O happens
+// outside every lock, reading only immutable entry slices.
 
 // spillJob carries one flushed generation to disk.
 type spillJob struct {
 	seq uint64
-	// What each shard's run file holds, emptied once it is durable.
-	series  [numShards]map[core.SensorID][]entry
-	tombs   [numShards]map[core.SensorID]int64
+	// What the generation's run file holds, dropped once it is durable.
+	series  map[core.SensorID][]entry
+	tombs   map[core.SensorID]int64
 	retired *wal     // the generation's segment, closed first
-	covered []string // WAL segments deletable once every file is durable
+	covered []string // WAL segments deletable once the file is durable
 }
 
 // A failed spill is logged and retried a few times, with the shared
@@ -45,8 +45,8 @@ var spillRetryPolicy = backoff.Policy{
 const spillQueueMax = 2
 
 // spiller is the single background writer of run files. One goroutine
-// runs the jobs in generation order, so every shard's file list only
-// ever grows at the newest end.
+// runs the jobs in generation order, so the node's file list only ever
+// grows at the newest end, and compacts after each.
 type spiller struct {
 	n      *Node
 	mu     sync.Mutex
@@ -125,7 +125,8 @@ func (s *spiller) loop() {
 }
 
 // run closes the job's retired segment, which writers left before the
-// job was queued, and spills the job, retrying failures.
+// job was queued, spills the job, retrying failures, and then offers
+// the node's files, as they stand after this spill, one merge.
 func (s *spiller) run(j *spillJob) error {
 	cerr := j.retired.close()
 	if cerr != nil {
@@ -137,6 +138,9 @@ func (s *spiller) run(j *spillJob) error {
 	for attempt := 1; ; attempt++ {
 		err := s.n.spillOne(j)
 		if err == nil {
+			s.n.filesMu.Lock()
+			s.n.compactWindow(false)
+			s.n.filesMu.Unlock()
 			return cerr
 		}
 		log.Printf("store: spilling generation %d failed (attempt %d/%d): %v", j.seq, attempt, spillMaxAttempts, err)
@@ -175,41 +179,35 @@ func (s *spiller) close() error {
 	return err
 }
 
-// spillOne writes one generation's run files, then deletes the WAL
-// segments they cover. On failure the segments are kept and a retry
-// writes only the files still missing.
+// spillOne writes one generation's run file, then deletes the WAL
+// segments it covers, which a failure keeps for the retry.
 //
 // Each freshly spilled run is immediately swapped cold: the flushed
-// memtable arrays are dropped under the shard lock and later reads
+// memtable arrays are dropped under the shard locks and later reads
 // decode blocks from the just-written file through the cache. This is
 // the eviction half of the resident-set bound — a node's memory stops
 // growing the moment data reaches disk.
 func (n *Node) spillOne(j *spillJob) error {
-	for i := range n.shards {
-		if len(j.series[i]) == 0 && len(j.tombs[i]) == 0 {
-			continue
-		}
+	if len(j.series) > 0 || len(j.tombs) > 0 {
 		start := time.Now()
-		sh := &n.shards[i]
-		meta, idx, err := writeRunFile(sh.disk.dir, j.seq, j.seq, j.series[i], j.tombs[i], &n.met.run)
+		meta, idx, err := writeRunFile(n.dir, j.seq, j.seq, j.series, j.tombs, &n.met.run)
 		if err != nil {
 			return err
 		}
-		meta.tombs = j.tombs[i]
 		if rf, err := openRunFileHandle(meta.path, idx, n.cache); err != nil {
-			// The file is durable; only eviction is lost. Keep the run
+			// The file is durable; only eviction is lost. Keep the runs
 			// in memory rather than fail the spill.
-			log.Printf("store: opening %s for cold reads: %v (run stays resident)", meta.path, err)
+			log.Printf("store: opening %s for cold reads: %v (runs stay resident)", meta.path, err)
 		} else {
 			meta.rf = rf
 		}
-		sh.mu.Lock()
-		sh.disk.files = append(sh.disk.files, meta)
+		n.filesMu.Lock()
+		n.files = append(n.files, meta)
 		if meta.rf != nil {
-			n.evictSpilledLocked(sh, j.seq, idx, meta.rf)
+			n.evictSpilled(j.seq, idx, meta.rf)
 		}
-		sh.mu.Unlock()
-		j.series[i], j.tombs[i] = nil, nil
+		n.filesMu.Unlock()
+		j.series, j.tombs = nil, nil
 		if !instrumentationOff.Load() {
 			n.met.spillDur.ObserveSince(start)
 		}
@@ -220,14 +218,30 @@ func (n *Node) spillOne(j *spillJob) error {
 	return nil
 }
 
+// evictSpilled swaps a just-spilled generation cold, shard by shard.
+func (n *Node) evictSpilled(seq uint64, idx *runIndex, rf *runFile) {
+	var byShard [numShards][]*seriesIndex
+	for k := range idx.series {
+		i := shardIndex(idx.series[k].id)
+		byShard[i] = append(byShard[i], &idx.series[k])
+	}
+	for i, series := range byShard {
+		sh := &n.shards[i]
+		sh.mu.Lock()
+		evictSpilledLocked(sh, seq, series, rf)
+		sh.mu.Unlock()
+	}
+}
+
 // evictSpilledLocked swaps the hot in-memory runs of one just-spilled
-// flush generation to cold block-indexed form, releasing their entry
-// arrays. A DeleteBefore may have trimmed (or removed) a hot run since
-// the flush snapshot was taken — the file holds the pre-delete rows, so
-// the cold run keeps the hot run's surviving min, below which readers
-// skip, and drops wholly-deleted blocks. Caller holds sh.mu exclusively.
-func (n *Node) evictSpilledLocked(sh *shard, seq uint64, idx *runIndex, rf *runFile) {
-	for _, se := range idx.series {
+// flush generation, the given series of shard sh, to cold
+// block-indexed form, releasing their entry arrays. A DeleteBefore may
+// have trimmed (or removed) a hot run since the flush snapshot was
+// taken — the file holds the pre-delete rows, so the cold run keeps the
+// hot run's surviving min, below which readers skip, and drops
+// wholly-deleted blocks. Caller holds sh.mu exclusively.
+func evictSpilledLocked(sh *shard, seq uint64, series []*seriesIndex, rf *runFile) {
+	for _, se := range series {
 		rs, ok := sh.runs[se.id]
 		if !ok {
 			continue // the whole run was deleted while spilling
@@ -262,27 +276,6 @@ func (n *Node) evictSpilledLocked(sh *shard, seq uint64, idx *runIndex, rf *runF
 	}
 }
 
-// compactLoop is the background compaction scheduler: every tick it
-// offers each shard one size-tiered merge.
-func (n *Node) compactLoop() {
-	defer n.bgWG.Done()
-	t := time.NewTicker(n.opts.CompactInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-n.stopBG:
-			return
-		case <-t.C:
-			for i := range n.shards {
-				sh := &n.shards[i]
-				sh.disk.cmu.Lock()
-				n.compactWindow(i, false)
-				sh.disk.cmu.Unlock()
-			}
-		}
-	}
-}
-
 // syncLoop batches WAL fsyncs at the configured interval.
 func (n *Node) syncLoop() {
 	defer n.bgWG.Done()
@@ -305,7 +298,7 @@ func (n *Node) syncLoop() {
 // neighbours join while no single file dwarfs the accumulated window
 // (4× its total size), which leaves large, settled files alone until
 // enough fresh flushes pile up to justify rewriting them. Merging
-// triggers only once the shard holds more than maxRuns files; lo == hi
+// triggers only once the node holds more than maxRuns files; lo == hi
 // means nothing to do.
 func pickWindow(files []runFileMeta, maxRuns int) (lo, hi int) {
 	if len(files) <= maxRuns {
@@ -384,30 +377,24 @@ func mergeWindowRuns(rs []run, now int64, emit func(entry) error) error {
 	return m.iterErr()
 }
 
-// compactWindow merges one window of shard i's run files copy-aside:
-// the inputs are snapshotted under a read lock, merged and streamed
-// into a new run file with no lock held, and swapped in under a
-// brief write lock; the old files are deleted afterwards (write-new,
-// rename, delete-old). The merge streams end to end — input blocks are
-// decoded one at a time and output blocks stream through the run-file
-// writer, so compaction memory is O(blocks), not O(window) — and the
-// merged runs are registered cold. A DeleteBefore racing with the merge
-// bumps the shard's delVer and the merge aborts rather than resurrect
-// deleted rows. full selects every file (Compact); otherwise pickWindow
-// decides. Caller holds sh.disk.cmu.
-func (n *Node) compactWindow(i int, full bool) {
-	sh := &n.shards[i]
+// compactWindow merges one window of the node's run files copy-aside:
+// the inputs are snapshotted under the shards' read locks, merged and
+// streamed into a new run file with no lock held, and swapped in under
+// a brief write lock of every shard; the old files are deleted
+// afterwards (write-new, rename, delete-old). The merge streams end to
+// end — input blocks are decoded one at a time and output blocks stream
+// through the run-file writer, so compaction memory is O(blocks), not
+// O(window) — and the merged runs are registered cold. A DeleteBefore
+// racing with the merge bumps the node's delVer and the merge aborts
+// rather than resurrect deleted rows. full selects every file
+// (Compact); otherwise pickWindow decides. Caller holds filesMu.
+func (n *Node) compactWindow(full bool) {
 	now := time.Now().UnixNano()
-
-	sh.mu.RLock()
-	var lo, hi int
-	if full {
-		lo, hi = 0, len(sh.disk.files)
-	} else {
-		lo, hi = pickWindow(sh.disk.files, n.opts.MaxRuns)
+	lo, hi := 0, len(n.files)
+	if !full {
+		lo, hi = pickWindow(n.files, n.opts.MaxRuns)
 	}
 	if hi-lo == 0 || (hi-lo < 2 && !full) {
-		sh.mu.RUnlock()
 		return
 	}
 	compactStart := time.Now()
@@ -416,39 +403,38 @@ func (n *Node) compactWindow(i int, full bool) {
 			n.met.compactDur.ObserveSince(compactStart)
 		}
 	}()
-	window := append([]runFileMeta(nil), sh.disk.files[lo:hi]...)
+	window := n.files[lo:hi]
 	minSeq, maxSeq := window[0].minSeq, window[len(window)-1].maxSeq
 	inWindow := func(seq uint64) bool { return seq >= minSeq && seq <= maxSeq }
 	// Snapshot the window's per-sensor merge inputs. Hot runs are
 	// immutable once flushed and cold runs' files are retained inside
 	// mergeWindowRuns, so both are safe to read without the lock; the
 	// delVer check below catches the one mutation that re-slices them
-	// (DeleteBefore).
+	// (DeleteBefore), read first so a later cut shows there.
+	delVer0 := n.delVer.Load()
 	series := make(map[core.SensorID][]run)
-	for id, rs := range sh.runs {
-		for _, r := range rs {
-			if inWindow(r.seq) {
-				series[id] = append(series[id], r)
+	for i := range n.shards {
+		sh := &n.shards[i]
+		sh.mu.RLock()
+		for id, rs := range sh.runs {
+			for _, r := range rs {
+				if inWindow(r.seq) {
+					series[id] = append(series[id], r)
+				}
 			}
 		}
+		sh.mu.RUnlock()
 	}
 	// Residual tombstones still apply to files older than the window;
 	// a window reaching the oldest file retires them for good.
-	var tombs map[core.SensorID]int64
+	tombs := make(map[core.SensorID]int64)
 	if lo > 0 {
 		for _, m := range window {
 			for id, cutoff := range m.tombs {
-				if tombs == nil {
-					tombs = make(map[core.SensorID]int64)
-				}
-				if cutoff > tombs[id] {
-					tombs[id] = cutoff
-				}
+				tombs[id] = max(tombs[id], cutoff)
 			}
 		}
 	}
-	delVer0 := sh.disk.delVer
-	sh.mu.RUnlock()
 
 	ids := sortedIDs(len(series), func(yield func(core.SensorID)) {
 		for id := range series {
@@ -456,9 +442,9 @@ func (n *Node) compactWindow(i int, full bool) {
 		}
 	})
 
-	w, err := newRunFileWriter(sh.disk.dir, minSeq, maxSeq, &n.met.run)
+	w, err := newRunFileWriter(n.dir, minSeq, maxSeq, &n.met.run)
 	if err != nil {
-		return // inputs untouched; retried next tick
+		return // inputs untouched; retried after the next spill
 	}
 	merged := false // some series kept an entry
 	for _, id := range ids {
@@ -491,8 +477,8 @@ func (n *Node) compactWindow(i int, full bool) {
 	if merged || len(tombs) > 0 {
 		newMeta, newIdx, err = w.finish(tombs)
 		if err != nil {
-			// Inputs untouched; retried next tick. A merged file whose
-			// directory fsync failed goes.
+			// Inputs untouched; retried after the next spill. A merged
+			// file whose directory fsync failed goes.
 			if !inPlace {
 				os.Remove(w.final)
 			}
@@ -510,7 +496,7 @@ func (n *Node) compactWindow(i int, full bool) {
 			// The old files remain live and the merged file's span
 			// covers theirs; recovery would retire them, but without a
 			// read handle the merged data is unreachable now, so drop
-			// a distinct output and retry next tick.
+			// a distinct output and retry after the next spill.
 			if !inPlace {
 				os.Remove(newMeta.path)
 			}
@@ -522,9 +508,9 @@ func (n *Node) compactWindow(i int, full bool) {
 		}
 	}
 
-	sh.mu.Lock()
-	if sh.disk.delVer != delVer0 {
-		sh.mu.Unlock()
+	n.lockShards(allShards)
+	if n.delVer.Load() != delVer0 {
+		n.unlockShards(allShards)
 		if wrote {
 			newMeta.rf.release()
 			// An in-place rewrite predates the racing delete, but the
@@ -537,23 +523,23 @@ func (n *Node) compactWindow(i int, full bool) {
 		}
 		return
 	}
-	adj := 0
 	for id := range series {
+		sh := n.shardOf(id)
 		old := sh.runs[id]
 		kept := make([]run, 0, len(old))
 		for _, r := range old {
 			if inWindow(r.seq) {
 				if r.cold != nil {
-					adj -= r.cold.count
+					sh.flushedSize -= r.cold.count
 				} else {
-					adj -= len(r.es)
+					sh.flushedSize -= len(r.es)
 				}
 				continue
 			}
 			kept = append(kept, r)
 		}
 		if c, ok := newCold[id]; ok {
-			adj += c.count
+			sh.flushedSize += c.count
 			pos := sort.Search(len(kept), func(k int) bool { return kept[k].seq > maxSeq })
 			kept = append(kept, run{})
 			copy(kept[pos+1:], kept[pos:])
@@ -568,16 +554,14 @@ func (n *Node) compactWindow(i int, full bool) {
 			sh.runs[id] = kept
 		}
 	}
-	sh.flushedSize += adj
-	// The spiller only appends, so the window's position is stable.
-	files := make([]runFileMeta, 0, len(sh.disk.files)-len(window)+1)
-	files = append(files, sh.disk.files[:lo]...)
+	n.unlockShards(allShards)
+	files := make([]runFileMeta, 0, len(n.files)-len(window)+1)
+	files = append(files, n.files[:lo]...)
 	if wrote {
 		files = append(files, newMeta)
 	}
-	files = append(files, sh.disk.files[hi:]...)
-	sh.disk.files = files
-	sh.mu.Unlock()
+	files = append(files, n.files[hi:]...)
+	n.files = files
 
 	for _, m := range window {
 		// An in-place input's old read handle names the replaced inode
@@ -590,5 +574,5 @@ func (n *Node) compactWindow(i int, full bool) {
 		}
 		os.Remove(m.path)
 	}
-	fsutil.SyncDir(sh.disk.dir) // best effort: recovery retires covered inputs
+	fsutil.SyncDir(n.dir) // best effort: recovery retires covered inputs
 }

@@ -444,7 +444,7 @@ func TestParseConsistency(t *testing.T) {
 func TestExplicitSyncMakesWritesDurable(t *testing.T) {
 	dir := t.TempDir()
 	// SyncInterval < 0: nothing syncs unless Sync is called.
-	n := openedNode(t, dir, 0, DiskOptions{SyncInterval: -1, CompactInterval: -1})
+	n := openedNode(t, dir, 0, DiskOptions{SyncInterval: -1})
 	id := sid(41, 3)
 	for ts := int64(1); ts <= 10; ts++ {
 		if err := n.InsertBatch(id, []core.Reading{rd(ts, float64(ts))}, 0); err != nil {

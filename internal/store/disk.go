@@ -13,9 +13,10 @@ import (
 )
 
 // On-disk sorted runs: each memtable flush spills one immutable run
-// file per shard (`shard-<i>/run-<minSeq>-<maxSeq>.sst`); compaction
-// merges a contiguous sequence window of run files into one whose
-// index records the merged span, so a crash between writing the
+// file for the whole node (`run-<minSeq>-<maxSeq>.sst` in the node's
+// directory), its series in SID order whatever shard they hash to;
+// compaction merges a contiguous sequence window of run files into one
+// whose index records the merged span, so a crash between writing the
 // merged file and deleting its inputs is recovered by dropping any
 // file whose span is contained in another's (write-new, rename,
 // delete-old — the rename is the commit point). The byte layout of a
@@ -26,7 +27,7 @@ import (
 // every run file with an older span, whose bytes still hold the deleted
 // rows.
 
-// runFileMeta describes one durable run file of a shard. tombs mirrors
+// runFileMeta describes one durable run file of a node. tombs mirrors
 // the file's tombstone section so a compaction can carry the residual
 // cutoffs into its merged output without re-reading the inputs. rf is
 // the refcounted read handle (nil only when a freshly spilled file
@@ -73,12 +74,12 @@ func sortedIDs(n int, iter func(func(core.SensorID))) []core.SensorID {
 	return ids
 }
 
-// scanRunFiles lists a shard directory's run files, deletes leftover
-// temp files, and retires any file whose sequence span is contained in
-// another's (the crash window between a compaction's rename and its
-// input deletion). The survivors have pairwise disjoint spans and are
-// returned in span order.
-func scanRunFiles(dir string) ([]runFileMeta, error) {
+// scanRunFiles lists a node directory's run files and passes over any
+// file whose sequence span is contained in another's (the crash window
+// between a compaction's rename and its input deletion). With prune
+// set it deletes those and leftover temp files. The survivors have
+// pairwise disjoint spans and are returned in span order.
+func scanRunFiles(dir string, prune bool) ([]runFileMeta, error) {
 	des, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -86,8 +87,10 @@ func scanRunFiles(dir string) ([]runFileMeta, error) {
 	var metas []runFileMeta
 	for _, de := range des {
 		name := de.Name()
-		if strings.HasSuffix(name, ".tmp") {
-			os.Remove(filepath.Join(dir, name))
+		if strings.HasSuffix(name, ".sst.tmp") {
+			if prune {
+				os.Remove(filepath.Join(dir, name))
+			}
 			continue
 		}
 		minSeq, maxSeq, ok := runFileSpan(name)
@@ -121,7 +124,9 @@ func scanRunFiles(dir string) ([]runFileMeta, error) {
 			}
 		}
 		if covered {
-			os.Remove(m.path)
+			if prune {
+				os.Remove(m.path)
+			}
 			continue
 		}
 		kept = append(kept, m)
@@ -131,8 +136,7 @@ func scanRunFiles(dir string) ([]runFileMeta, error) {
 }
 
 // DiskOptions tune a durable node. The zero value is the safest
-// configuration: fsync on every write, 8-file compaction trigger,
-// 250ms background compaction pace.
+// configuration: fsync on every write, 8-file compaction trigger.
 type DiskOptions struct {
 	// SyncInterval batches WAL fsyncs. 0 syncs before every write is
 	// acknowledged (each insert is durable when it returns); > 0 syncs
@@ -140,18 +144,15 @@ type DiskOptions struct {
 	// acknowledged writes; < 0 disables automatic syncing entirely
 	// (call Sync explicitly — for tools and tests).
 	SyncInterval time.Duration
-	// MaxRuns is the per-shard run-file count above which the
-	// background compactor schedules a size-tiered merge. <= 0 selects
-	// the default (8).
+	// MaxRuns is the node's run-file count above which the spiller
+	// follows a spill with a size-tiered merge. <= 0 selects the
+	// default (8).
 	MaxRuns int
-	// CompactInterval is the background compaction scheduling pace.
-	// 0 selects the default (250ms); < 0 disables the background
-	// compactor (Compact still works when called).
-	CompactInterval time.Duration
 	// ReadOnly recovers the directory without touching it: no WAL
 	// segment is created, torn tails are not truncated, nothing is
-	// spilled or compacted, and writes fail with ErrNodeReadOnly.
-	// For tools inspecting a (possibly crashed) agent's directory.
+	// spilled, compacted or removed, and writes fail with
+	// ErrNodeReadOnly. For tools inspecting a (possibly crashed)
+	// agent's directory.
 	ReadOnly bool
 	// CacheBytes sizes the node's block cache. Spilled and recovered
 	// run files always keep only their per-series [min,max] span
@@ -162,25 +163,21 @@ type DiskOptions struct {
 	CacheBytes int64
 }
 
-const (
-	defaultMaxRuns         = 8
-	defaultCompactInterval = 250 * time.Millisecond
-)
+const defaultMaxRuns = 8
 
 // OpenOptions attaches a fresh node to a data directory: the node's WAL
-// segments (`wal-<seq>.log`) and one subdirectory per shard
-// (`shard-<i>/`) of immutable sorted run files
-// (`run-<minSeq>-<maxSeq>.sst`). Recovery first reads the run files'
-// indexes, leaving their blocks on disk —
-// dropping any whose sequence span another file covers (the crash
-// window of a compaction) — then replays the surviving WAL segments in
-// order, truncating a torn tail, so every write acknowledged before the
-// crash is served again and no partial record ever is; a whole record
-// this build cannot read fails the open instead, and so does a
-// non-empty per-shard segment of an older build (errShardWAL). Nothing
-// is created or removed until everything has recovered, so a refused
-// open leaves the directory as it found it. On error the node is not
-// usable and must be discarded.
+// segments (`wal-<seq>.log`) and immutable sorted run files
+// (`run-<minSeq>-<maxSeq>.sst`), one sequence of them for the whole
+// node. Recovery first reads the run files' indexes, leaving their
+// blocks on disk — passing over any whose sequence span another file
+// covers (the crash window of a compaction) — then replays the WAL
+// segments in order, truncating a torn tail, so every write
+// acknowledged before the crash is served again and no partial record
+// ever is; a whole record this build cannot read fails the open
+// instead, and so does a per-shard directory of an older build
+// (errShardDirs). Nothing is created or removed until everything has
+// recovered, so a refused open leaves the directory as it found it. On
+// error the node is not usable and must be discarded.
 func (n *Node) OpenOptions(dir string, o DiskOptions) error {
 	if n.durable() {
 		return fmt.Errorf("store: node already open at %s", n.dir)
@@ -193,33 +190,20 @@ func (n *Node) OpenOptions(dir string, o DiskOptions) error {
 	if o.MaxRuns <= 0 {
 		o.MaxRuns = defaultMaxRuns
 	}
-	if o.CompactInterval == 0 {
-		o.CompactInterval = defaultCompactInterval
-	}
 	n.opts = o
 	n.dir = dir
 	n.cache = newBlockCache(o.CacheBytes)
 	n.met.registerCacheMetrics(n.cache)
 	// Recover everything before creating anything, so an open that
 	// refuses a file leaves the directory as it found it. A missing
-	// shard is empty. A failed open tears the node down: no goroutine
-	// or file is leaked.
+	// directory is empty. A failed open tears the node down: no
+	// goroutine or file is leaked.
 	fail := func(err error) error {
 		n.Close()
 		return err
 	}
-	var emptyOld []string
-	for i := range n.shards {
-		sh := &n.shards[i]
-		sh.disk.dir = filepath.Join(dir, fmt.Sprintf("shard-%02d", i))
-		if _, err := os.Stat(sh.disk.dir); os.IsNotExist(err) {
-			continue
-		}
-		empty, err := n.recoverShard(i)
-		if err != nil {
-			return fail(err)
-		}
-		emptyOld = append(emptyOld, empty...)
+	if err := n.recoverRuns(); err != nil {
+		return fail(err)
 	}
 	if err := n.replayWAL(); err != nil {
 		return fail(err)
@@ -228,28 +212,15 @@ func (n *Node) OpenOptions(dir string, o DiskOptions) error {
 	if o.ReadOnly {
 		return nil
 	}
-	for _, p := range emptyOld {
-		if err := os.Remove(p); err != nil {
-			return fail(err)
-		}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fail(err)
 	}
-	for i := range n.shards {
-		if err := os.MkdirAll(n.shards[i].disk.dir, 0o755); err != nil {
-			return fail(err)
-		}
-	}
-	// The segment's first fsync fsyncs the node directory: the shard
-	// directories' entries too.
 	w, err := createWAL(dir, n.seq.Load(), &n.met.wal)
 	if err != nil {
 		return fail(err)
 	}
 	n.wal.Store(w)
 	n.sp = newSpiller(n)
-	if o.CompactInterval > 0 {
-		n.bgWG.Add(1)
-		go n.compactLoop()
-	}
 	if o.SyncInterval > 0 {
 		n.bgWG.Add(1)
 		go n.syncLoop()
@@ -262,13 +233,14 @@ func (n *Node) OpenOptions(dir string, o DiskOptions) error {
 	return nil
 }
 
-// errShardWAL refuses a WAL segment in a shard directory, where older
-// builds kept one WAL per shard.
-var errShardWAL = errors.New("a per-shard WAL segment of an older build, which kept one WAL per shard; " +
-	"this build logs to one WAL per node and does not replay it: " +
-	"open the directory once, writable, with the build that wrote it and close it cleanly " +
-	"(for an agent data directory: that build's dcdbconfig -db DIR compact), which flushes the segment into run files and leaves it empty; " +
-	"this build removes empty per-shard segments; see \"Upgrading per-shard WALs\" in internal/store/README.md")
+// errShardDirs refuses a shard directory (`shard-NN/`), where older
+// builds kept one run-file sequence, and before that one WAL, per
+// memtable shard.
+var errShardDirs = errors.New("holds the per-shard directories of an older build, which kept run files per memtable shard; " +
+	"this build keeps one run-file sequence per node and does not read them: " +
+	"export the readings with the build that wrote them (for an agent data directory: that build's dcdbquery -db DIR to CSV) " +
+	"and load them into a fresh directory with this build's dcdbcsvimport; " +
+	"see \"Upgrading per-shard run files\" in internal/store/README.md")
 
 // checkSpan requires the span a run file's index states to be the one
 // its name does.
@@ -279,48 +251,46 @@ func (m *runFileMeta) checkSpan(minSeq, maxSeq uint64) error {
 	return nil
 }
 
-// recoverShard maps shard i's run files, oldest to newest, applying
+// recoverRuns maps the node's run files, oldest to newest, applying
 // each file's tombstones to the older files' rows. A file contributes
 // only its index (per-series bounds and block index); its blocks stay
 // on disk until a read pulls them through the cache. A run file of a
 // format before v5 fails the open and is left as it is
-// (errRunFileOld), and so does a non-empty per-shard WAL segment
-// (errShardWAL); empty ones are returned for removal. Single threaded;
-// no locks needed.
-func (n *Node) recoverShard(i int) (emptyOld []string, err error) {
-	sh := &n.shards[i]
-	segs, err := findWALSegments(sh.disk.dir)
-	if err != nil {
-		return nil, err
+// (errRunFileOld), and so does a shard directory (errShardDirs).
+// Single threaded; no locks needed.
+func (n *Node) recoverRuns() error {
+	des, err := os.ReadDir(n.dir)
+	if os.IsNotExist(err) {
+		return nil
 	}
-	for _, seg := range segs {
-		st, err := os.Stat(seg.path)
-		if err != nil {
-			return nil, err
-		}
-		if st.Size() > 0 {
-			return nil, fmt.Errorf("store: %s: %w", seg.path, errShardWAL)
-		}
-		emptyOld = append(emptyOld, seg.path)
-	}
-	metas, err := scanRunFiles(sh.disk.dir)
 	if err != nil {
-		return nil, err
+		return err
+	}
+	for _, de := range des {
+		if isShard, _ := filepath.Match("shard-[0-9][0-9]", de.Name()); isShard && de.IsDir() {
+			return fmt.Errorf("store: %s %w", filepath.Join(n.dir, de.Name()), errShardDirs)
+		}
+	}
+	metas, err := scanRunFiles(n.dir, !n.opts.ReadOnly)
+	if err != nil {
+		return err
 	}
 	for mi := range metas {
 		m := &metas[mi]
 		idx, err := readRunIndexFile(m.path)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if err := m.checkSpan(idx.minSeq, idx.maxSeq); err != nil {
-			return nil, err
+			return err
 		}
 		if m.rf, err = openRunFileHandle(m.path, idx, n.cache); err != nil {
-			return nil, err
+			return err
 		}
 		m.tombs = idx.tombs
+		n.files = append(n.files, *m) // released by the failed open's Close
 		for _, se := range idx.series {
+			sh := n.shardOf(se.id)
 			sh.runs[se.id] = append(sh.runs[se.id], run{
 				min: se.min, max: se.max, seq: m.maxSeq,
 				cold: &coldRun{rf: m.rf, blocks: se.blocks, count: int(se.count)},
@@ -330,12 +300,11 @@ func (n *Node) recoverShard(i int) (emptyOld []string, err error) {
 		// Tombstones cover deletes issued while this file's memtable
 		// was live; older files still hold the deleted rows.
 		for id, cutoff := range m.tombs {
-			sh.cutRunsLocked(id, cutoff, m.minSeq)
+			n.shardOf(id).cutRunsLocked(id, cutoff, m.minSeq)
 		}
-		sh.disk.files = append(sh.disk.files, *m)
 		n.seq.Store(max(n.seq.Load(), m.maxSeq+1))
 	}
-	return emptyOld, nil
+	return nil
 }
 
 // replayWAL replays the node's WAL segments in order, each entry into

@@ -230,7 +230,7 @@ func TestWALWriteENOSPCFailsShardClosed(t *testing.T) {
 	defer func() { fsutil.Disk = orig }()
 
 	dir := t.TempDir()
-	n := openedNode(t, dir, 0, DiskOptions{SyncInterval: 0, CompactInterval: -1})
+	n := openedNode(t, dir, 0, DiskOptions{SyncInterval: 0})
 	id := sid(6, 6)
 	other := sid(6, 7)
 	for shardIndex(other) == shardIndex(id) {
@@ -266,7 +266,7 @@ func TestWALWriteENOSPCFailsShardClosed(t *testing.T) {
 	if err := n.Close(); err != nil {
 		t.Fatal(err)
 	}
-	n2 := openedNode(t, dir, 0, DiskOptions{SyncInterval: 0, CompactInterval: -1})
+	n2 := openedNode(t, dir, 0, DiskOptions{SyncInterval: 0})
 	defer n2.Close()
 	rs, err := n2.Query(id, 0, 100)
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
-	"time"
 
 	"dcdb/internal/core"
 )
@@ -175,7 +174,7 @@ func TestMergeModelBackgroundCompaction(t *testing.T) {
 	rng := rand.New(rand.NewSource(424242))
 	dir := t.TempDir()
 	n := NewNode(8 * numShards)
-	if err := n.OpenOptions(dir, DiskOptions{SyncInterval: 0, MaxRuns: 2, CompactInterval: time.Millisecond}); err != nil {
+	if err := n.OpenOptions(dir, DiskOptions{SyncInterval: 0, MaxRuns: 2}); err != nil {
 		t.Fatal(err)
 	}
 	defer n.Close()

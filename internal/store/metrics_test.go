@@ -3,7 +3,6 @@ package store
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -385,7 +384,7 @@ func TestWALMetricsGroupCommit(t *testing.T) {
 // bytes again.
 func TestRunBytesMetrics(t *testing.T) {
 	dir := t.TempDir()
-	n := openedNode(t, dir, 1<<30, DiskOptions{SyncInterval: -1, CompactInterval: -1})
+	n := openedNode(t, dir, 1<<30, DiskOptions{SyncInterval: -1})
 	defer n.Close()
 	ids := goldenShardIDs(3) // of one shard: one run file
 	counter, gauge, clocked := ids[0], ids[1], ids[2]
@@ -415,7 +414,7 @@ func TestRunBytesMetrics(t *testing.T) {
 	}
 	n.sp.waitIdle()
 
-	files, err := scanRunFiles(filepath.Join(dir, fmt.Sprintf("shard-%02d", shardIndex(counter))))
+	files, err := scanRunFiles(dir, false)
 	if err != nil || len(files) != 1 {
 		t.Fatalf("spilled files: %+v, %v", files, err)
 	}

@@ -14,16 +14,14 @@ import (
 	"dcdb/internal/core"
 )
 
-// placeRunFile writes a run file of the span [1,2] over the fixtures'
-// SIDs into the shard directory they hash to under dir and returns where
-// it landed.
+// placeRunFile writes a run file of the span [1,2] into the node
+// directory dir and returns where it landed.
 func placeRunFile(t *testing.T, dir string, data []byte) string {
 	t.Helper()
-	shardDir := filepath.Join(dir, fmt.Sprintf("shard-%02d", shardIndex(goldenShardIDs(1)[0])))
-	if err := os.MkdirAll(shardDir, 0o755); err != nil {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(shardDir, goldenName)
+	path := filepath.Join(dir, goldenName)
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +126,7 @@ func servedAndKeptAsIs(t *testing.T, golden string, want *runContents) (data []b
 			t.Fatalf("open %+v of compacted %s serves other readings than it holds", o, golden)
 		}
 	}
-	files, err := scanRunFiles(filepath.Dir(path))
+	files, err := scanRunFiles(filepath.Dir(path), false)
 	if err != nil || len(files) != 1 {
 		t.Fatalf("after the compaction: %+v, %v", files, err)
 	}
@@ -249,7 +247,7 @@ func TestOldRunFormatsRefused(t *testing.T) {
 		dir := t.TempDir()
 		old := append([]byte(tc.magic), body...)
 		path := placeRunFile(t, dir, old)
-		for _, o := range []DiskOptions{noCompact, coldOptions, {CompactInterval: -1, ReadOnly: true}} {
+		for _, o := range []DiskOptions{noCompact, coldOptions, {ReadOnly: true}} {
 			err := NewNode(0).OpenOptions(dir, o)
 			if !errors.Is(err, errRunFileOld) || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), tc.way) {
 				t.Fatalf("open %+v over a %s file: %v, want the refusal naming %s and %q", o, tc.magic, err, path, tc.way)
@@ -277,16 +275,12 @@ func TestNewerRunFormatRefused(t *testing.T) {
 		{"DCDBFILE", "not a DCDB run file"},
 	} {
 		dir := t.TempDir()
-		shardDir := filepath.Join(dir, "shard-00")
-		if err := os.MkdirAll(shardDir, 0o755); err != nil {
-			t.Fatal(err)
-		}
 		newer := append([]byte(tc.magic), make([]byte, 64)...)
-		path := filepath.Join(shardDir, runFileName(1, 1))
+		path := filepath.Join(dir, runFileName(1, 1))
 		if err := os.WriteFile(path, newer, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		for _, o := range []DiskOptions{noCompact, coldOptions, {CompactInterval: -1, ReadOnly: true}} {
+		for _, o := range []DiskOptions{noCompact, coldOptions, {ReadOnly: true}} {
 			err := NewNode(0).OpenOptions(dir, o)
 			if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("open %+v over a %s file: %v, want an error naming %s and %q", o, tc.magic, err, path, tc.want)

@@ -160,10 +160,9 @@ type shard struct {
 	inserts int64        // guarded by mu (held exclusively on insert)
 	queries atomic.Int64 // incremented under the shared read lock
 
-	// disk is the cold durable state, kept behind one pointer so the
-	// shard struct stays a fixed, cache-line-friendly size; see the
-	// padding note below.
-	disk *shardDisk
+	// tombs holds the DeleteBefore cutoffs issued since the last flush,
+	// which the next run file carries.
+	tombs map[core.SensorID]int64
 
 	// The fields above total 136 bytes; the pad keeps the struct at
 	// exactly 192 bytes (three cache lines), so shards in the array
@@ -171,17 +170,6 @@ type shard struct {
 	// 64-byte multiple when adding fields (checked by
 	// TestShardSizeCacheAligned).
 	_ [56]byte
-}
-
-// shardDisk is a shard's durable bookkeeping. All fields are guarded
-// by the shard's mu unless noted. Allocated for every shard (durable
-// or not).
-type shardDisk struct {
-	dir    string                  // shard-<i> directory
-	files  []runFileMeta           // durable run files, ordered by maxSeq
-	tombs  map[core.SensorID]int64 // DeleteBefore cutoffs since the last flush
-	delVer uint64                  // bumped by DeleteBefore; aborts in-flight merges
-	cmu    sync.Mutex              // serialises compactions of this shard
 }
 
 // appendLocked adds entries to the memtable, each reading under its
@@ -227,9 +215,9 @@ func (sh *shard) seriesFor(id core.SensorID) *memSeries {
 // Node is a single storage server. It is safe for concurrent use.
 // A node is memory-only until Open points it at a data directory, after
 // which every write is logged to the node's WAL before it is
-// acknowledged, memtable flushes spill per-shard sorted run files, and
-// a background goroutine compacts run files with size-tiered
-// scheduling.
+// acknowledged, each memtable flush spills one sorted run file for the
+// whole node, and the spiller follows each spill with a size-tiered
+// compaction of the node's run files.
 type Node struct {
 	shards    [numShards]shard
 	flushSize int
@@ -266,6 +254,15 @@ type Node struct {
 	// durable node: its run data stays on disk and reads decode only
 	// the blocks they touch (DiskOptions.CacheBytes).
 	cache *blockCache
+
+	// files lists the node's durable run files, ordered by maxSeq.
+	// filesMu guards it and is held by whoever changes it: a spill
+	// appending its file, a compaction from its snapshot to its swap,
+	// and Close. delVer counts live DeleteBefores, bumped under the
+	// shard lock: a compaction whose snapshot predates one aborts.
+	files   []runFileMeta
+	filesMu sync.Mutex
+	delVer  atomic.Uint64
 }
 
 // durable reports whether the node is backed by a data directory.
@@ -292,7 +289,6 @@ func NewNode(flushSize int) *Node {
 		n.shards[i].mem = make(map[core.SensorID]*memSeries)
 		n.shards[i].runs = make(map[core.SensorID][]run)
 		n.shards[i].indexOK = true
-		n.shards[i].disk = &shardDisk{}
 	}
 	return n
 }
@@ -492,7 +488,7 @@ func (n *Node) applyLocked(i int, entries []WriteEntry) bool {
 		return n.memTotal.Add(int64(total)) >= int64(n.flushSize*numShards)
 	}
 	if sh.memSize >= n.flushSize {
-		sh.flushLocked(n.seq.Add(1)-1, false)
+		sh.flushLocked(n.seq.Add(1)-1, nil)
 	}
 	return false
 }
@@ -546,13 +542,21 @@ func (n *Node) flush(due func(active *wal) bool, closing bool) error {
 	}
 	n.lockShards(allShards)
 	defer n.unlockShards(allShards)
-	job := &spillJob{seq: n.seq.Add(1) - 1}
+	seq := n.seq.Add(1) - 1
+	var job *spillJob // nil without a WAL: the in-memory runs are all there is
+	if old != nil {
+		total := 0
+		for i := range n.shards {
+			total += len(n.shards[i].mem)
+		}
+		job = &spillJob{seq: seq, series: make(map[core.SensorID][]entry, total), tombs: make(map[core.SensorID]int64)}
+	}
 	for i := range n.shards {
-		job.series[i], job.tombs[i] = n.shards[i].flushLocked(job.seq, old != nil)
+		n.shards[i].flushLocked(seq, job)
 	}
 	n.memTotal.Store(0)
 	if old == nil {
-		return nil // no WAL: the in-memory runs are all there is
+		return nil
 	}
 	job.retired, job.covered = old, append(n.replayed, old.path)
 	n.replayed = nil
@@ -562,17 +566,17 @@ func (n *Node) flush(due func(active *wal) bool, closing bool) error {
 }
 
 // flushLocked moves the shard's memtable into runs of generation seq
-// and, with spill set, returns what its run file holds. Caller holds mu
-// exclusively.
-func (sh *shard) flushLocked(seq uint64, spill bool) (series map[core.SensorID][]entry, tombs map[core.SensorID]int64) {
-	if spill {
-		tombs, sh.disk.tombs = sh.disk.tombs, nil
+// and, with a job, adds what the generation's run file holds of the
+// shard to it. Caller holds mu exclusively.
+func (sh *shard) flushLocked(seq uint64, job *spillJob) {
+	if job != nil {
+		for id, cutoff := range sh.tombs {
+			job.tombs[id] = cutoff
+		}
+		sh.tombs = nil
 	}
 	if sh.memSize == 0 {
-		return nil, tombs
-	}
-	if spill {
-		series = make(map[core.SensorID][]entry, len(sh.mem))
+		return
 	}
 	for id, s := range sh.mem {
 		if len(s.entries) == 0 {
@@ -585,8 +589,8 @@ func (sh *shard) flushLocked(seq uint64, spill bool) (series map[core.SensorID][
 			sort.SliceStable(es, func(i, j int) bool { return es[i].ts < es[j].ts })
 		}
 		sh.runs[id] = append(sh.runs[id], run{es: es, min: es[0].ts, max: es[len(es)-1].ts, seq: seq})
-		if spill {
-			series[id] = es
+		if job != nil {
+			job.series[id] = es
 		}
 		// The series object stays in the memtable with a fresh
 		// buffer of the same capacity: the SID set is unchanged
@@ -597,7 +601,6 @@ func (sh *shard) flushLocked(seq uint64, spill bool) (series map[core.SensorID][
 	}
 	sh.flushedSize += sh.memSize
 	sh.memSize = 0
-	return series, tombs
 }
 
 // snapshotIndex returns the shard's sorted SID list, rebuilding it if
@@ -681,6 +684,7 @@ func (n *Node) DeleteBefore(id core.SensorID, cutoff int64) error {
 		return err
 	}
 	sh.deleteLocked(id, cutoff, ^uint64(0), w != nil)
+	n.delVer.Add(1)
 	sh.mu.Unlock()
 	// Synced outside the lock, group-committed like a write.
 	return n.syncOwed(w, pos)
@@ -688,17 +692,15 @@ func (n *Node) DeleteBefore(id core.SensorID, cutoff int64) error {
 
 // deleteLocked drops the readings of id older than cutoff from the
 // memtable and from the runs older than beforeSeq and, with tomb set,
-// records the tombstone the shard's next run file carries. It aborts
-// in-flight copy-aside compactions, whose input snapshot predates it.
-// Caller holds mu exclusively.
+// records the tombstone the node's next run file carries. Caller holds
+// mu exclusively.
 func (sh *shard) deleteLocked(id core.SensorID, cutoff int64, beforeSeq uint64, tomb bool) {
 	if tomb {
-		if sh.disk.tombs == nil {
-			sh.disk.tombs = make(map[core.SensorID]int64)
+		if sh.tombs == nil {
+			sh.tombs = make(map[core.SensorID]int64)
 		}
-		sh.disk.tombs[id] = max(sh.disk.tombs[id], cutoff)
+		sh.tombs[id] = max(sh.tombs[id], cutoff)
 	}
-	sh.disk.delVer++
 	sh.cutMemLocked(id, cutoff)
 	sh.cutRunsLocked(id, cutoff, beforeSeq)
 }
@@ -777,10 +779,10 @@ func (sh *shard) cutRunsLocked(id core.SensorID, cutoff int64, beforeSeq uint64)
 
 // Compact merges each sensor's flushed runs into one and drops expired
 // entries. It corresponds to the compaction task of dcdbconfig (paper
-// §5.2). On durable nodes this is a full copy-aside merge of every run
-// file (queries and ingest proceed while the merged file is written);
-// incremental size-tiered merges additionally run continuously in the
-// background without being asked.
+// §5.2). On durable nodes this is one copy-aside merge of every run
+// file into one (queries and ingest proceed while the merged file is
+// written); size-tiered merges also follow every spill without being
+// asked.
 func (n *Node) Compact() {
 	if n.durable() && n.opts.ReadOnly {
 		// A read-only node must not rewrite files.
@@ -791,12 +793,11 @@ func (n *Node) Compact() {
 		// flushed run; runs created by flushes racing past this point
 		// keep their own files and are picked up by the next merge.
 		n.sp.waitIdle()
+		n.filesMu.Lock()
+		n.compactWindow(true)
+		n.filesMu.Unlock()
 		for i := range n.shards {
-			sh := &n.shards[i]
-			sh.disk.cmu.Lock()
-			n.compactWindow(i, true)
-			sh.disk.cmu.Unlock()
-			n.retireIdleSeries(sh)
+			n.retireIdleSeries(&n.shards[i])
 		}
 		return
 	}
@@ -873,8 +874,8 @@ func (n *Node) SensorIDs() []core.SensorID {
 	return out
 }
 
-// Close implements Backend. On durable nodes it stops the background
-// compactor and WAL syncer and flushes the memtables with the active
+// Close implements Backend. On durable nodes it stops the WAL syncer
+// and flushes the memtables with the active
 // WAL segment, adding none, then waits for every spill: a clean close
 // leaves no WAL behind. Further reads and writes return ErrNodeClosed.
 // Memory-only nodes close trivially.
@@ -905,16 +906,13 @@ func (n *Node) Close() error {
 // handle. In-flight streams holding their own references keep reading
 // until they close; no new reads start — the node is closed.
 func (n *Node) releaseRunFiles() {
-	for i := range n.shards {
-		sh := &n.shards[i]
-		sh.mu.Lock()
-		for fi := range sh.disk.files {
-			if rf := sh.disk.files[fi].rf; rf != nil {
-				sh.disk.files[fi].rf = nil
-				rf.release()
-			}
+	n.filesMu.Lock()
+	defer n.filesMu.Unlock()
+	for fi := range n.files {
+		if rf := n.files[fi].rf; rf != nil {
+			n.files[fi].rf = nil
+			rf.release()
 		}
-		sh.mu.Unlock()
 	}
 }
 

@@ -1,10 +1,8 @@
 package store
 
 import (
-	"fmt"
 	"math"
 	"os"
-	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -13,37 +11,28 @@ import (
 )
 
 // writeSpilledRuns fills dir with the run files a node spills: gens
-// generations, each one file per shard, over sensors sensors of
-// perSensor readings in all (a burst shape: one second apart, integer
-// counters). Each file is written and dropped before the next, so the
-// test holds one file's series at a time.
+// generations, one file each, over sensors sensors of perSensor
+// readings in all (a burst shape: one second apart, integer counters).
+// Each file is written and dropped before the next, so the test holds
+// one generation's series at a time.
 func writeSpilledRuns(t testing.TB, dir string, sensors, perSensor, gens int) {
 	t.Helper()
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
 	per := perSensor / gens
 	for g := 0; g < gens; g++ {
-		var series [numShards]map[core.SensorID][]entry
+		series := make(map[core.SensorID][]entry, sensors)
 		for s := 0; s < sensors; s++ {
-			id := sid(uint64(s/64+1), uint64(s%64+1))
-			i := shardIndex(id)
-			if series[i] == nil {
-				series[i] = make(map[core.SensorID][]entry)
-			}
 			es := make([]entry, per)
 			for k := range es {
 				n := int64(g*per + k)
 				es[k] = entry{ts: 1_700_000_000e9 + n*1e9 + int64(s)*1e6, val: float64(n*7 + int64(s))}
 			}
-			series[i][id] = es
+			series[sid(uint64(s/64+1), uint64(s%64+1))] = es
 		}
-		for i := range series {
-			shardDir := filepath.Join(dir, fmt.Sprintf("shard-%02d", i))
-			if err := os.MkdirAll(shardDir, 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if _, _, err := writeRunFile(shardDir, uint64(g), uint64(g), series[i], nil, nil); err != nil {
-				t.Fatal(err)
-			}
-			series[i] = nil
+		if _, _, err := writeRunFile(dir, uint64(g), uint64(g), series, nil, nil); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -66,7 +55,7 @@ func TestReadOnlyOpenHeapBounded(t *testing.T) {
 	writeSpilledRuns(t, dir, sensors, perSensor, 4)
 	before := heapInuse()
 	n := NewNode(0)
-	if err := n.OpenOptions(dir, DiskOptions{ReadOnly: true, CompactInterval: -1, SyncInterval: -1}); err != nil {
+	if err := n.OpenOptions(dir, DiskOptions{ReadOnly: true, SyncInterval: -1}); err != nil {
 		t.Fatal(err)
 	}
 	defer n.Close()
@@ -121,7 +110,7 @@ func BenchmarkReadOnlyOpen(b *testing.B) {
 						before := heapInuse()
 						start := time.Now()
 						n := NewNode(0)
-						if err := n.OpenOptions(dir, DiskOptions{ReadOnly: true, CompactInterval: -1, SyncInterval: -1, CacheBytes: cfg.cache}); err != nil {
+						if err := n.OpenOptions(dir, DiskOptions{ReadOnly: true, SyncInterval: -1, CacheBytes: cfg.cache}); err != nil {
 							b.Fatal(err)
 						}
 						openNs += float64(time.Since(start))

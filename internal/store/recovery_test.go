@@ -68,7 +68,7 @@ func (s *spiller) abort() []*wal {
 
 // noCompact keeps recovery scenarios deterministic: durability must
 // never depend on the background compactor having run.
-var noCompact = DiskOptions{SyncInterval: 0, CompactInterval: -1}
+var noCompact = DiskOptions{SyncInterval: 0}
 
 func openedNode(t *testing.T, dir string, flushSize int, o DiskOptions) *Node {
 	t.Helper()
@@ -432,7 +432,7 @@ func TestScanRunFilesDropsCoveredSpans(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, runFileName(9, 9)+".tmp"), []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	metas, err := scanRunFiles(dir)
+	metas, err := scanRunFiles(dir, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,9 +453,8 @@ func TestBackgroundCompactionBoundsRunFilesUnderIngest(t *testing.T) {
 	dir := t.TempDir()
 	id := sid(8, 8)
 	o := DiskOptions{
-		SyncInterval:    -1, // durability is not under test; keep ingest fast
-		MaxRuns:         4,
-		CompactInterval: 5 * time.Millisecond,
+		SyncInterval: -1, // durability is not under test; keep ingest fast
+		MaxRuns:      4,
 	}
 	n := openedNode(t, dir, 4*numShards, o) // 4 entries per shard per flush
 	defer n.Close()
@@ -522,10 +521,9 @@ func TestBackgroundCompactionBoundsRunFilesUnderIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.sp.waitIdle()
-	shardDir := filepath.Join(dir, fmt.Sprintf("shard-%02d", shardIndex(id)))
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		des, err := os.ReadDir(shardDir)
+		des, err := os.ReadDir(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -599,12 +597,11 @@ func TestDurableFullCompactAndReopen(t *testing.T) {
 		}
 	}
 	n.sp.waitIdle()
-	shardDir := filepath.Join(dir, fmt.Sprintf("shard-%02d", shardIndex(id)))
-	if metas, _ := scanRunFiles(shardDir); len(metas) != 5 {
+	if metas, _ := scanRunFiles(dir, false); len(metas) != 5 {
 		t.Fatalf("expected 5 run files before compaction, got %d", len(metas))
 	}
 	n.Compact()
-	if metas, _ := scanRunFiles(shardDir); len(metas) != 1 {
+	if metas, _ := scanRunFiles(dir, false); len(metas) != 1 {
 		t.Fatalf("full compaction left %d run files", len(metas))
 	}
 	n.crash()
@@ -631,6 +628,11 @@ func TestReadOnlyOpenLeavesDirectoryUntouched(t *testing.T) {
 		n.InsertBatch(id, []core.Reading{rd(ts, float64(ts))}, 0)
 	}
 	n.crash()
+	// What a live node's spill leaves while it writes: a tools' open of
+	// an agent's directory must not take it away.
+	if err := os.WriteFile(filepath.Join(dir, runFileName(9, 9)+".tmp"), []byte("in flight"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	fingerprint := func() map[string]int64 {
 		out := map[string]int64{}
@@ -691,8 +693,8 @@ func TestDurableKeepsEveryInt64Timestamp(t *testing.T) {
 		o    *DiskOptions // nil: a memory-only node
 	}{
 		{"memory", nil},
-		{"resident", &DiskOptions{SyncInterval: -1, CompactInterval: -1}},
-		{"cache-bounded", &DiskOptions{SyncInterval: -1, CompactInterval: -1, CacheBytes: 1 << 20}},
+		{"resident", &DiskOptions{SyncInterval: -1}},
+		{"cache-bounded", &DiskOptions{SyncInterval: -1, CacheBytes: 1 << 20}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()

@@ -40,7 +40,7 @@ func faninID(s int) core.SensorID {
 func storedBytes(t *testing.T, nSeries, perSeries, batch int, st stamping) (total, index int64) {
 	t.Helper()
 	dir := t.TempDir()
-	n := openedNode(t, dir, 1<<30, DiskOptions{SyncInterval: -1, CompactInterval: -1})
+	n := openedNode(t, dir, 1<<30, DiskOptions{SyncInterval: -1})
 	rng := rand.New(rand.NewSource(12))
 	const t0, v0 = int64(1_560_000_000_000_000_000), uint64(1_700_000_000_000_000_000)
 	ids := make([]core.SensorID, nSeries)

@@ -51,7 +51,7 @@ func TestWALVersionedRecordRoundtrip(t *testing.T) {
 func TestWALReplayPreservesVersions(t *testing.T) {
 	dir := t.TempDir()
 	id := sid(90, 2)
-	n := openedNode(t, dir, 0, DiskOptions{SyncInterval: 0, CompactInterval: -1})
+	n := openedNode(t, dir, 0, DiskOptions{SyncInterval: 0})
 	// The newer version first: only version-aware replay keeps it on
 	// top after a restart.
 	if err := n.InsertVersioned(id, []VersionedReading{{Timestamp: 7, Value: 2, Version: 9}}); err != nil {
@@ -63,7 +63,7 @@ func TestWALReplayPreservesVersions(t *testing.T) {
 	if err := n.Close(); err != nil {
 		t.Fatal(err)
 	}
-	n = openedNode(t, dir, 0, DiskOptions{SyncInterval: 0, CompactInterval: -1})
+	n = openedNode(t, dir, 0, DiskOptions{SyncInterval: 0})
 	defer n.Close()
 	rs, err := n.Query(id, 0, 100)
 	if err != nil {

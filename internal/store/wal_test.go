@@ -100,7 +100,7 @@ func walRecords(t *testing.T, data []byte) [][]byte {
 
 // allDiskOpens are the three ways a directory is opened: hot and cold
 // writable, and read-only.
-var allDiskOpens = []DiskOptions{noCompact, coldOptions, {CompactInterval: -1, ReadOnly: true}}
+var allDiskOpens = []DiskOptions{noCompact, coldOptions, {ReadOnly: true}}
 
 // TestUnreadableWALRecordRefused forges a segment whose middle record
 // is whole — frame and CRC fine — but unparseable: an unknown type, or

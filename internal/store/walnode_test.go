@@ -1,12 +1,10 @@
 package store
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -202,6 +200,49 @@ func TestWALOneRecordOneFsyncPerFrame(t *testing.T) {
 	}
 }
 
+// TestSpillWritesOneRunFilePerGeneration: a generation holding data of
+// every shard spills as one run file. Seen at the disk seam, the spill
+// creates one file, fsyncs it once and fsyncs its directory once; its
+// one temp name is then the directory's one run file, so it was renamed
+// once.
+func TestSpillWritesOneRunFilePerGeneration(t *testing.T) {
+	disk := &diskLog{FS: fsutil.OSFS{}}
+	useDisk(t, disk)
+	dir := t.TempDir()
+	n := openedNode(t, dir, 0, noCompact)
+	defer n.Close()
+	frame := make([]WriteEntry, numShards)
+	for i, id := range oneSensorPerShard(49) {
+		frame[i] = WriteEntry{ID: id, Readings: []core.Reading{rd(1, float64(i))}}
+	}
+	if err := n.WriteFrame(frame); err != nil {
+		t.Fatal(err)
+	}
+	disk.take()
+	if err := n.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	n.sp.waitIdle()
+	var creates []string
+	fsyncs, dirFsyncs := 0, 0
+	for _, op := range disk.take() {
+		switch {
+		case isWAL(op.path):
+		case op.kind == "open":
+			creates = append(creates, op.path)
+		case op.kind == "sync":
+			fsyncs++
+		case op.kind == "syncdir":
+			dirFsyncs++
+		}
+	}
+	files, _ := filepath.Glob(filepath.Join(dir, "run-*"))
+	if len(creates) != 1 || fsyncs != 1 || dirFsyncs != 1 || len(files) != 1 || creates[0] != files[0]+".tmp" {
+		t.Fatalf("a generation of %d shards created %v, fsynced files %d and directories %d times, and left %v; "+
+			"want one temp file, one fsync of each and that file renamed into place", numShards, creates, fsyncs, dirFsyncs, files)
+	}
+}
+
 // TestWALSegmentDirSyncedBeforeFirstAck: a new WAL segment's directory
 // entry is fsynced after the segment is created and before the first
 // fsync that acknowledges a write in it — for the segment Open creates
@@ -248,14 +289,16 @@ func TestDirSyncFailureKeepsWAL(t *testing.T) {
 	dir := t.TempDir()
 	n := openedNode(t, dir, 0, noCompact)
 	id := sid(43, 1)
-	shardDir := filepath.Join(dir, fmt.Sprintf("shard-%02d", shardIndex(id)))
-	fail := inj.AddRule(&faults.Rule{Ops: faults.FSSyncDir, Match: shardDir, Err: faults.ErrInjected})
 	for ts := int64(0); ts < 10; ts++ {
 		if err := n.InsertBatch(id, []core.Reading{rd(ts, float64(ts))}, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
 	seg, _ := newestWAL(t, dir, id)
+	// The run files' directory is the WAL's too: the rule goes in once
+	// the segment's directory entry is durable, and the flush's new
+	// segment takes no write before the crash.
+	fail := inj.AddRule(&faults.Rule{Ops: faults.FSSyncDir, Match: dir, Err: faults.ErrInjected})
 	if err := n.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +335,7 @@ func TestDirSyncFailureKeepsWAL(t *testing.T) {
 	}
 	n2.sp.waitIdle()
 	runFiles := func() []string {
-		names, _ := filepath.Glob(filepath.Join(shardDir, "run-*.sst"))
+		names, _ := filepath.Glob(filepath.Join(dir, "run-*.sst"))
 		return names
 	}
 	inputs := runFiles()
@@ -322,7 +365,7 @@ func TestRotationDoesNotStallWrites(t *testing.T) {
 	inj := faults.New(1)
 	useDisk(t, inj.FS(fsutil.OSFS{}))
 	dir := t.TempDir()
-	n := openedNode(t, dir, 2*numShards, DiskOptions{SyncInterval: time.Second, CompactInterval: -1})
+	n := openedNode(t, dir, 2*numShards, DiskOptions{SyncInterval: time.Second})
 	defer n.Close()
 	ids := oneSensorPerShard(45)
 	slow := inj.AddRule(&faults.Rule{Ops: faults.FSSync, Match: "wal-0000000000000000.log", Delay: time.Second})
@@ -369,9 +412,9 @@ func TestSyncDuringBackpressuredRotation(t *testing.T) {
 	inj := faults.New(1)
 	useDisk(t, inj.FS(fsutil.OSFS{}))
 	dir := t.TempDir()
-	n := openedNode(t, dir, 0, DiskOptions{SyncInterval: time.Hour, CompactInterval: -1})
+	n := openedNode(t, dir, 0, DiskOptions{SyncInterval: time.Hour})
 	id := sid(47, 1)
-	slow := inj.AddRule(&faults.Rule{Ops: faults.FSSync, Match: filepath.Join(dir, "shard-"), Delay: time.Second})
+	slow := inj.AddRule(&faults.Rule{Ops: faults.FSSync, Match: filepath.Join(dir, "run-"), Delay: time.Second})
 	insert := func(ts int64) {
 		t.Helper()
 		if err := n.InsertBatch(id, []core.Reading{rd(ts, float64(ts))}, 0); err != nil {
@@ -434,9 +477,9 @@ func TestSpillFailureWriteStallBound(t *testing.T) {
 	inj := faults.New(1)
 	useDisk(t, inj.FS(fsutil.OSFS{}))
 	dir := t.TempDir()
-	fail := inj.AddRule(&faults.Rule{Ops: faults.FSSync, Match: filepath.Join(dir, "shard-"), Err: faults.ErrInjected})
+	fail := inj.AddRule(&faults.Rule{Ops: faults.FSSync, Match: filepath.Join(dir, "run-"), Err: faults.ErrInjected})
 	// Every write fills the flush budget and flushes the node.
-	n := openedNode(t, dir, numShards, DiskOptions{SyncInterval: time.Hour, CompactInterval: -1})
+	n := openedNode(t, dir, numShards, DiskOptions{SyncInterval: time.Hour})
 	id := sid(48, 1)
 	var stall time.Duration
 	for g := int64(0); g < 3; g++ {
@@ -469,84 +512,6 @@ func TestSpillFailureWriteStallBound(t *testing.T) {
 	defer n2.Close()
 	if rs, err := n2.Query(id, 0, 100); err != nil || len(rs) != 3*numShards {
 		t.Fatalf("after the reopen: %d of %d readings (%v)", len(rs), 3*numShards, err)
-	}
-}
-
-// parentClosedDir builds a node directory as an older build's clean
-// Close left it: run files, and an empty WAL segment in every shard
-// directory. It returns the directory and a sensor of every shard,
-// holding one reading each.
-func parentClosedDir(t *testing.T) (string, []core.SensorID) {
-	t.Helper()
-	dir := t.TempDir()
-	n := openedNode(t, dir, 0, noCompact)
-	ids := oneSensorPerShard(46)
-	for i, id := range ids {
-		if err := n.InsertBatch(id, []core.Reading{rd(1, float64(i))}, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := n.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < numShards; i++ {
-		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("shard-%02d", i), "wal-0000000000000011.log"), nil, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return dir, ids
-}
-
-// TestPerShardWALEmptySegmentsRemoved: a directory an older build closed
-// cleanly opens read-only as it is, and writable without its empty
-// per-shard segments, serving every reading either way.
-func TestPerShardWALEmptySegmentsRemoved(t *testing.T) {
-	dir, ids := parentClosedDir(t)
-	shardSegs := func() []string {
-		segs, _ := filepath.Glob(filepath.Join(dir, "shard-*", "wal-*.log"))
-		return segs
-	}
-	for _, o := range []DiskOptions{{CompactInterval: -1, ReadOnly: true}, noCompact} {
-		n := openedNode(t, dir, 0, o)
-		for i, id := range ids {
-			if rs, err := n.Query(id, 0, 10); err != nil || len(rs) != 1 || rs[0].Value != float64(i) {
-				t.Fatalf("open %+v: sensor of shard %d holds %v (%v)", o, i, rs, err)
-			}
-		}
-		if err := n.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if left := len(shardSegs()); o.ReadOnly != (left == numShards) {
-			t.Fatalf("open %+v left %d per-shard segments", o, left)
-		}
-	}
-}
-
-// TestPerShardWALRefused: a per-shard segment holding a record — what
-// an older build left after a crash — fails every open with an error
-// naming it and the way out, and the open changes nothing in the
-// directory, the empty segments of the other shards included.
-func TestPerShardWALRefused(t *testing.T) {
-	dir, ids := parentClosedDir(t)
-	seg := filepath.Join(dir, fmt.Sprintf("shard-%02d", shardIndex(ids[3])), "wal-0000000000000011.log")
-	if err := os.WriteFile(seg, insertRecord(WriteEntry{ID: ids[3], Readings: []core.Reading{rd(2, 2)}}), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, o := range allDiskOpens {
-		before := dirContents(t, dir)
-		err := NewNode(0).OpenOptions(dir, o)
-		if !errors.Is(err, errShardWAL) || !strings.Contains(err.Error(), seg) || !strings.Contains(err.Error(), "close it cleanly") {
-			t.Fatalf("open %+v: %v, want the refusal naming %s and the way out", o, err, seg)
-		}
-		after := dirContents(t, dir)
-		if len(after) != len(before) {
-			t.Fatalf("open %+v changed the directory's entries", o)
-		}
-		for name, data := range before {
-			if got, ok := after[name]; !ok || !bytes.Equal([]byte(got), []byte(data)) {
-				t.Fatalf("open %+v changed %s", o, name)
-			}
-		}
 	}
 }
 

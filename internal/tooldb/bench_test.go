@@ -2,9 +2,11 @@ package tooldb
 
 import (
 	"fmt"
+	"io/fs"
 	"math"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -33,7 +35,7 @@ var benchShapes = []struct {
 // whatever the compactor had merged by the time the store closed.
 func writeAgentDir(b *testing.B, dir string, sensors, perSensor, batch int) []string {
 	b.Helper()
-	c, err := collectagent.OpenBackendOptions(dir, store.DiskOptions{SyncInterval: -1, CacheBytes: 4 << 20, CompactInterval: -1}, store.ClusterOptions{})
+	c, err := collectagent.OpenBackendOptions(dir, store.DiskOptions{SyncInterval: -1, CacheBytes: 4 << 20}, store.ClusterOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -65,6 +67,21 @@ func writeAgentDir(b *testing.B, dir string, sensors, perSensor, batch int) []st
 		b.Fatal(err)
 	}
 	return topics
+}
+
+// runFiles counts the run files under dir.
+func runFiles(b *testing.B, dir string) int {
+	n := 0
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() && strings.HasSuffix(path, ".sst") {
+			n++
+		}
+		return err
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return n
 }
 
 // heapAlloc returns the live heap once a collection frees nothing
@@ -117,6 +134,7 @@ func BenchmarkOpenQuery(b *testing.B) {
 			}
 			b.ReportMetric(ns/float64(b.N)/1e6, "open_query_ms")
 			b.ReportMetric(heap/float64(b.N)/(1<<20), "retained_heap_MB")
+			b.ReportMetric(float64(runFiles(b, dir)), "run_files")
 		})
 	}
 }

@@ -24,12 +24,12 @@ import (
 
 // toolReadOptions recover a durable node without touching its files —
 // a crashed agent's directory is inspected exactly as the crash left
-// it. toolWriteOptions are Edit's. Both read run files through the same
-// 1 MiB block cache: a durable node keeps only its files' indexes in
-// memory, so an open costs the indexes.
+// it. toolWriteOptions are Edit's, whose spills compact as a node's do.
+// Both read run files through the same 1 MiB block cache: a durable node
+// keeps only its files' indexes in memory, so an open costs the indexes.
 var (
-	toolReadOptions  = store.DiskOptions{SyncInterval: -1, CompactInterval: -1, ReadOnly: true, CacheBytes: 1 << 20}
-	toolWriteOptions = store.DiskOptions{SyncInterval: -1, CompactInterval: -1, CacheBytes: 1 << 20}
+	toolReadOptions  = store.DiskOptions{SyncInterval: -1, ReadOnly: true, CacheBytes: 1 << 20}
+	toolWriteOptions = store.DiskOptions{SyncInterval: -1, CacheBytes: 1 << 20}
 )
 
 // errSnapshotPrefix refuses the snapshot files (<prefix>.node<i>.snap,

@@ -151,7 +151,7 @@ func TestOpenDataDirectory(t *testing.T) {
 	dir := t.TempDir()
 	// Simulate an agent that wrote its durable store and then crashed:
 	// data recovered from run files and the WAL.
-	c, err := collectagent.OpenBackendOptions(dir, store.DiskOptions{CompactInterval: -1}, store.ClusterOptions{})
+	c, err := collectagent.OpenBackendOptions(dir, store.DiskOptions{}, store.ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestOpenServesNewestReplicaWrite(t *testing.T) {
 		{Timestamp: 5, Value: 2, Version: 1},
 	} {
 		n := store.NewNode(0)
-		if err := n.OpenOptions(filepath.Join(dir, "node0"), store.DiskOptions{CompactInterval: -1}); err != nil {
+		if err := n.OpenOptions(filepath.Join(dir, "node0"), store.DiskOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		if err := n.InsertVersioned(id, []store.VersionedReading{vr}); err != nil {

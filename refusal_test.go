@@ -31,7 +31,7 @@ func severalStoresDir(t *testing.T) string {
 	dir := t.TempDir()
 	for i, name := range []string{"node0", "node1"} {
 		n := store.NewNode(0)
-		if err := n.OpenOptions(filepath.Join(dir, name), store.DiskOptions{CompactInterval: -1}); err != nil {
+		if err := n.OpenOptions(filepath.Join(dir, name), store.DiskOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		if err := n.InsertBatch(core.SensorID{Hi: 1, Lo: uint64(i)}, []core.Reading{{Timestamp: 1, Value: 1}}, 0); err != nil {
