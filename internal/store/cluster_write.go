@@ -60,10 +60,10 @@ type write struct {
 	done    chan struct{}
 }
 
-// begin enqueues e with every owner of its sensor and flushes each of
-// their queues nobody is flushing yet on a flusher goroutine — one of
-// them inline, on the caller's, when the caller only waits (as in
-// LevelDB's DBImpl::Write); BeginInsert's caller goes on instead.
+// begin enqueues e with every owner of its sensor; each queue nobody is
+// flushing yet gets a flusher goroutine, except, inline, one of them,
+// which the caller flushes itself, as LevelDB's DBImpl::Write does: it
+// only waits afterwards, while BeginInsert's caller goes on.
 func (c *Cluster) begin(e WriteEntry, inline bool) *write {
 	t := c.top()
 	replicas, readN := c.writeReplicas(t, e.ID)
@@ -71,25 +71,26 @@ func (c *Cluster) begin(e WriteEntry, inline bool) *write {
 		errs: make([]error, len(replicas)), done: make(chan struct{})}
 	w.pending.Store(int32(len(replicas)))
 	for i, idx := range replicas {
-		t.members[idx].queue.enqueue(w, i)
+		t.members[idx].queue.enqueue(w, i, !inline)
 	}
-	if inline {
-		// Ready writers queue their entries first, so the frame taken
-		// below carries theirs too; alone, this costs next to nothing.
-		runtime.Gosched()
+	if !inline {
+		return w
 	}
+	// Let ready writers queue first, so this frame carries theirs too.
+	runtime.Gosched()
 	var first *writeQueue
-	var batch []queuedWrite
 	for _, idx := range replicas {
 		q := t.members[idx].queue
-		if b := q.take(); b != nil && inline && first == nil {
-			first, batch = q, b
-		} else if b != nil {
-			go q.flush(b, false)
+		switch {
+		case !q.claim():
+		case first == nil:
+			first = q
+		default:
+			go q.flush(false)
 		}
 	}
 	if first != nil {
-		first.flush(batch, true)
+		first.flush(true)
 	}
 	return w
 }
@@ -199,40 +200,56 @@ type queuedWrite struct {
 	slot int
 }
 
-// enqueue appends one replica slot of w, for its begin or a flush to send.
-func (q *writeQueue) enqueue(w *write, slot int) {
+// enqueue appends one slot of w; start starts a flusher if none runs.
+func (q *writeQueue) enqueue(w *write, slot int, start bool) {
 	q.mu.Lock()
 	q.next = append(q.next, queuedWrite{w, slot})
+	start = start && !q.busy
+	if start {
+		q.busy = true
+		q.c.writeWG.Add(1)
+	}
 	q.mu.Unlock()
+	if start {
+		go q.flush(false)
+	}
 }
 
-// take claims an idle queue that holds entries and returns them, the
-// next frame, or nil when the queue is empty or somebody is flushing it.
-func (q *writeQueue) take() []queuedWrite {
+// claim marks an idle queue that holds entries busy, for its caller to
+// flush; false when it is empty or somebody is flushing it.
+func (q *writeQueue) claim() bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.busy || len(q.next) == 0 {
-		return nil
+		return false
 	}
 	q.busy = true
 	q.c.writeWG.Add(1)
-	batch := q.next
-	q.next = nil
-	return batch
+	return true
 }
 
-// flush sends batch, which take claimed the queue with, as one frame.
-// Inline it then hands what queued meanwhile to a flusher goroutine,
-// which sends frame after frame until next is empty. An entry is taken
-// out of next exactly once, so it travels in exactly one frame, and
-// every taken entry's slot is answered with its frame's one verdict.
-func (q *writeQueue) flush(batch []queuedWrite, inline bool) {
-	for {
-		if batch == nil { // handed over by an inline flush
-			q.mu.Lock()
-			batch, q.next = q.next, nil
+// flush sends the queue as frames, one at a time, until it is empty;
+// inline, it sends one and hands what queued meanwhile to a flusher
+// goroutine. An entry is taken out of next exactly once, so it travels
+// in exactly one frame, and every taken entry's slot is answered with
+// its frame's one verdict.
+func (q *writeQueue) flush(inline bool) {
+	var batch []queuedWrite
+	for sent := false; ; sent = true {
+		q.mu.Lock()
+		if len(q.next) == 0 {
+			q.busy = false
 			q.mu.Unlock()
+			q.c.writeWG.Done()
+			return
 		}
+		if inline && sent {
+			q.mu.Unlock()
+			go q.flush(false)
+			return
+		}
+		batch, q.next = q.next, batch[:0]
+		q.mu.Unlock()
 		q.frame = q.frame[:0]
 		for _, b := range batch {
 			q.frame = append(q.frame, b.w.entry)
@@ -246,20 +263,5 @@ func (q *writeQueue) flush(batch []queuedWrite, inline bool) {
 				close(b.w.done)
 			}
 		}
-		q.mu.Lock()
-		if len(q.next) == 0 {
-			q.busy = false
-			q.next = batch[:0]
-			q.mu.Unlock()
-			q.c.writeWG.Done()
-			return
-		}
-		if inline {
-			q.mu.Unlock()
-			go q.flush(nil, false)
-			return
-		}
-		batch, q.next = q.next, batch[:0]
-		q.mu.Unlock()
 	}
 }
