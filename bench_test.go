@@ -15,6 +15,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -407,25 +408,6 @@ func BenchmarkCacheStoreParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkClusterInsertLone measures one sequential writer of
-// one-reading batches through a one-node in-memory cluster: what an
-// embedded agent pays per write when nothing else is writing.
-func BenchmarkClusterInsertLone(b *testing.B) {
-	c, err := store.NewCluster([]*store.Node{store.NewNode(0)}, store.RingPartitioner{}, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	id := core.SensorID{Hi: 1, Lo: 1}
-	batch := make([]core.Reading, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		batch[0] = core.Reading{Timestamp: int64(i), Value: 1}
-		if err := c.InsertBatch(id, batch, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkClusterInsertReplicated measures replicated cluster writes
 // (replication 3), where replica fan-out dominates.
 func BenchmarkClusterInsertReplicated(b *testing.B) {
@@ -557,14 +539,15 @@ func BenchmarkWriteFrameSyncEvery(b *testing.B) {
 // BenchmarkSpillSkewed measures flushes under skewed traffic on a
 // durable node: a frame is 15 readings of one hot sensor and one reading
 // of a cold one, the cold sensors taking turns over the other 15 shards.
-// Besides the time per frame it reports, per 1000 frames, the run files
-// spills wrote (one per spill), the time spent spilling them and the
-// time the merges that follow the spills took.
+// Besides the time per frame it reports the run files written and the
+// time spent spilling them per 1000 frames. MaxRuns keeps merges out of
+// reach, so the files on disk are the ones the spills wrote and every
+// figure is the spills' alone.
 func BenchmarkSpillSkewed(b *testing.B) {
 	ids := distinctShardSensors()
 	dir := b.TempDir()
 	n := store.NewNode(16 * 1024)
-	if err := n.OpenOptions(dir, store.DiskOptions{SyncInterval: time.Second}); err != nil {
+	if err := n.OpenOptions(dir, store.DiskOptions{SyncInterval: time.Second, MaxRuns: 1 << 30}); err != nil {
 		b.Fatal(err)
 	}
 	defer n.Close()
@@ -585,20 +568,18 @@ func BenchmarkSpillSkewed(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.StopTimer()
+	files, _ := filepath.Glob(filepath.Join(dir, "run-*.sst"))
 	samples, err := n.MetricsSnapshot()
 	if err != nil {
 		b.Fatal(err)
 	}
 	perK := 1000 / float64(b.N)
 	for _, s := range samples {
-		switch s.Name {
-		case "dcdb_store_spill_duration_seconds":
+		if s.Name == "dcdb_store_spill_duration_seconds" {
 			b.ReportMetric(float64(s.Hist.Sum)/1e3*perK, "spill-µs/kframe")
-			b.ReportMetric(float64(s.Hist.Count())*perK, "files/kframe")
-		case "dcdb_store_compaction_duration_seconds":
-			b.ReportMetric(float64(s.Hist.Sum)/1e3*perK, "compact-µs/kframe")
 		}
 	}
+	b.ReportMetric(float64(len(files))*perK, "files/kframe")
 }
 
 // distinctShardSensors returns one sensor for each of a node's 16

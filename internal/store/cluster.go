@@ -142,7 +142,7 @@ type Cluster struct {
 	// writes (a node's own InsertBatch).
 	ver atomic.Uint64
 
-	// writeWG tracks the running write-queue flushes so Close drains
+	// writeWG tracks the running write-queue flushers so Close drains
 	// every queued entry before it closes the backends under them.
 	writeWG sync.WaitGroup
 

@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,8 +15,7 @@ import (
 // in-process or remote, is written through its member's writeQueue,
 // which coalesces whatever entries arrive while the previous frame is
 // being applied into the next one — natural batching: no timer, no
-// size knob, and under no load a frame of one entry leaves at once, on
-// the goroutine of the writer that waits for it.
+// size knob, and under no load a frame of one entry leaves at once.
 
 // versionTick is the granularity of write versions, in the nanoseconds
 // they are counted in. Versions order writes of one timestamp; nothing
@@ -60,37 +58,15 @@ type write struct {
 	done    chan struct{}
 }
 
-// begin enqueues e with every owner of its sensor; each queue nobody is
-// flushing yet gets a flusher goroutine, except, inline, one of them,
-// which the caller flushes itself, as LevelDB's DBImpl::Write does: it
-// only waits afterwards, while BeginInsert's caller goes on.
-func (c *Cluster) begin(e WriteEntry, inline bool) *write {
+// begin enqueues e with every owner of its sensor.
+func (c *Cluster) begin(e WriteEntry) *write {
 	t := c.top()
 	replicas, readN := c.writeReplicas(t, e.ID)
 	w := &write{c: c, t: t, entry: e, replicas: replicas, readN: readN,
 		errs: make([]error, len(replicas)), done: make(chan struct{})}
 	w.pending.Store(int32(len(replicas)))
 	for i, idx := range replicas {
-		t.members[idx].queue.enqueue(w, i, !inline)
-	}
-	if !inline {
-		return w
-	}
-	// Let ready writers queue first, so this frame carries theirs too.
-	runtime.Gosched()
-	var first *writeQueue
-	for _, idx := range replicas {
-		q := t.members[idx].queue
-		switch {
-		case !q.claim():
-		case first == nil:
-			first = q
-		default:
-			go q.flush(false)
-		}
-	}
-	if first != nil {
-		first.flush(true)
+		t.members[idx].queue.enqueue(w, i)
 	}
 	return w
 }
@@ -156,10 +132,7 @@ func (c *Cluster) counted(err error) error {
 // one write version and expiry, sends it to every replica and returns
 // once the write consistency level is met or missed.
 func (c *Cluster) InsertBatch(id core.SensorID, rs []core.Reading, ttl time.Duration) error {
-	if len(rs) == 0 {
-		return nil
-	}
-	return c.counted(c.begin(WriteEntry{ID: id, Version: c.nextVersion(), Expire: TTLToExpire(ttl), Readings: rs}, true).wait())
+	return c.BeginInsert(id, rs, ttl)()
 }
 
 // BeginInsert is InsertBatch in two halves, for a caller with something
@@ -174,24 +147,22 @@ func (c *Cluster) BeginInsert(id core.SensorID, rs []core.Reading, ttl time.Dura
 	if len(rs) == 0 {
 		return func() error { return nil }
 	}
-	w := c.begin(WriteEntry{ID: id, Version: c.nextVersion(), Expire: TTLToExpire(ttl), Readings: rs}, false)
+	w := c.begin(WriteEntry{ID: id, Version: c.nextVersion(), Expire: TTLToExpire(ttl), Readings: rs})
 	return func() error { return c.counted(w.wait()) }
 }
 
 // writeQueue is the write combiner of one member: entries queue in next
-// until a writer finds the queue idle and takes them all as one frame
-// (begin); entries that queue meanwhile go to a flusher goroutine, frame
-// after frame. Depth is bounded by the
-// writes in flight — two per broker connection — so nothing here needs a
-// limit of its own.
+// while a frame is being applied, and whoever finds the queue idle
+// starts the flusher, which hands fw frame after frame until next is
+// empty. Depth is bounded by the writes in flight — two per broker
+// connection — so nothing here needs a limit of its own.
 type writeQueue struct {
 	c  *Cluster
 	fw FrameWriter // FramesOf the member's backend; hint replay writes through it too
 
-	mu    sync.Mutex
-	next  []queuedWrite
-	busy  bool         // somebody is flushing: a waiter or a flusher goroutine
-	frame []WriteEntry // the frame being sent, owned by whoever is busy
+	mu   sync.Mutex
+	next []queuedWrite
+	busy bool // a flusher is running
 }
 
 // queuedWrite is one replica slot of a write waiting for a frame.
@@ -200,63 +171,44 @@ type queuedWrite struct {
 	slot int
 }
 
-// enqueue appends one slot of w; start starts a flusher if none runs.
-func (q *writeQueue) enqueue(w *write, slot int, start bool) {
+func (q *writeQueue) enqueue(w *write, slot int) {
 	q.mu.Lock()
 	q.next = append(q.next, queuedWrite{w, slot})
-	start = start && !q.busy
+	start := !q.busy
 	if start {
 		q.busy = true
 		q.c.writeWG.Add(1)
 	}
 	q.mu.Unlock()
 	if start {
-		go q.flush(false)
+		go q.flush()
 	}
 }
 
-// claim marks an idle queue that holds entries busy, for its caller to
-// flush; false when it is empty or somebody is flushing it.
-func (q *writeQueue) claim() bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.busy || len(q.next) == 0 {
-		return false
-	}
-	q.busy = true
-	q.c.writeWG.Add(1)
-	return true
-}
-
-// flush sends the queue as frames, one at a time, until it is empty;
-// inline, it sends one and hands what queued meanwhile to a flusher
-// goroutine. An entry is taken out of next exactly once, so it travels
-// in exactly one frame, and every taken entry's slot is answered with
-// its frame's one verdict.
-func (q *writeQueue) flush(inline bool) {
+// flush sends the queue as frames, one at a time, until it is empty.
+// An entry is taken out of next exactly once, so it travels in exactly
+// one frame, and every taken entry's slot is answered with its frame's
+// one verdict.
+func (q *writeQueue) flush() {
+	defer q.c.writeWG.Done()
 	var batch []queuedWrite
-	for sent := false; ; sent = true {
+	var frame []WriteEntry
+	for {
 		q.mu.Lock()
-		if len(q.next) == 0 {
+		batch, q.next = q.next, batch[:0]
+		if len(batch) == 0 {
 			q.busy = false
 			q.mu.Unlock()
-			q.c.writeWG.Done()
 			return
 		}
-		if inline && sent {
-			q.mu.Unlock()
-			go q.flush(false)
-			return
-		}
-		batch, q.next = q.next, batch[:0]
 		q.mu.Unlock()
-		q.frame = q.frame[:0]
+		frame = frame[:0]
 		for _, b := range batch {
-			q.frame = append(q.frame, b.w.entry)
+			frame = append(frame, b.w.entry)
 		}
 		q.c.met.writeFrames.Inc()
-		q.c.met.writeFrameEntries.Add(int64(len(q.frame)))
-		err := q.fw.WriteFrame(q.frame)
+		q.c.met.writeFrameEntries.Add(int64(len(frame)))
+		err := q.fw.WriteFrame(frame)
 		for _, b := range batch {
 			b.w.errs[b.slot] = err
 			if b.w.pending.Add(-1) == 0 {

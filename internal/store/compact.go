@@ -4,6 +4,7 @@ import (
 	"log"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -138,9 +139,13 @@ func (s *spiller) run(j *spillJob) error {
 	for attempt := 1; ; attempt++ {
 		err := s.n.spillOne(j)
 		if err == nil {
-			s.n.filesMu.Lock()
-			s.n.compactWindow(false)
-			s.n.filesMu.Unlock()
+			// A merge already running (a full Compact) keeps the
+			// spiller from waiting for it: this window is left to the
+			// next spill.
+			if s.n.mergeMu.TryLock() {
+				s.n.compactWindow(false)
+				s.n.mergeMu.Unlock()
+			}
 			return cerr
 		}
 		log.Printf("store: spilling generation %d failed (attempt %d/%d): %v", j.seq, attempt, spillMaxAttempts, err)
@@ -387,13 +392,18 @@ func mergeWindowRuns(rs []run, now int64, emit func(entry) error) error {
 // O(window) — and the merged runs are registered cold. A DeleteBefore
 // racing with the merge bumps the node's delVer and the merge aborts
 // rather than resurrect deleted rows. full selects every file
-// (Compact); otherwise pickWindow decides. Caller holds filesMu.
+// (Compact); otherwise pickWindow decides. Caller holds mergeMu;
+// filesMu is held only to pick the window and to swap it, so a spill
+// appends its file while the merge runs.
 func (n *Node) compactWindow(full bool) {
 	now := time.Now().UnixNano()
+	n.filesMu.Lock()
 	lo, hi := 0, len(n.files)
 	if !full {
 		lo, hi = pickWindow(n.files, n.opts.MaxRuns)
 	}
+	window := slices.Clone(n.files[lo:hi])
+	n.filesMu.Unlock()
 	if hi-lo == 0 || (hi-lo < 2 && !full) {
 		return
 	}
@@ -403,7 +413,6 @@ func (n *Node) compactWindow(full bool) {
 			n.met.compactDur.ObserveSince(compactStart)
 		}
 	}()
-	window := n.files[lo:hi]
 	minSeq, maxSeq := window[0].minSeq, window[len(window)-1].maxSeq
 	inWindow := func(seq uint64) bool { return seq >= minSeq && seq <= maxSeq }
 	// Snapshot the window's per-sensor merge inputs. Hot runs are
@@ -555,6 +564,9 @@ func (n *Node) compactWindow(full bool) {
 		}
 	}
 	n.unlockShards(allShards)
+	// Spills only append and merges are serialised, so the window is
+	// still files[lo:hi]; files spilled meanwhile follow it.
+	n.filesMu.Lock()
 	files := make([]runFileMeta, 0, len(n.files)-len(window)+1)
 	files = append(files, n.files[:lo]...)
 	if wrote {
@@ -562,6 +574,7 @@ func (n *Node) compactWindow(full bool) {
 	}
 	files = append(files, n.files[hi:]...)
 	n.files = files
+	n.filesMu.Unlock()
 
 	for _, m := range window {
 		// An in-place input's old read handle names the replaced inode

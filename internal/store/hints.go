@@ -379,7 +379,7 @@ func (c *Cluster) deliverHints(t *topology, id string) (bool, error) {
 	}
 	return true, c.hints.replay(id, func(es []WriteEntry) error {
 		for _, e := range es {
-			if err := c.begin(e, true).wait(); err != nil {
+			if err := c.begin(e).wait(); err != nil {
 				return err
 			}
 		}

@@ -256,12 +256,15 @@ type Node struct {
 	cache *blockCache
 
 	// files lists the node's durable run files, ordered by maxSeq.
-	// filesMu guards it and is held by whoever changes it: a spill
-	// appending its file, a compaction from its snapshot to its swap,
-	// and Close. delVer counts live DeleteBefores, bumped under the
-	// shard lock: a compaction whose snapshot predates one aborts.
+	// filesMu guards it: a spill appends its file, a merge picks its
+	// window and swaps it, Close releases the handles. mergeMu
+	// serialises merges and Close's release; the spiller skips its
+	// merge rather than wait for a running one. delVer counts live
+	// DeleteBefores, bumped under the shard lock: a compaction whose
+	// snapshot predates one aborts.
 	files   []runFileMeta
 	filesMu sync.Mutex
+	mergeMu sync.Mutex
 	delVer  atomic.Uint64
 }
 
@@ -780,9 +783,9 @@ func (sh *shard) cutRunsLocked(id core.SensorID, cutoff int64, beforeSeq uint64)
 // Compact merges each sensor's flushed runs into one and drops expired
 // entries. It corresponds to the compaction task of dcdbconfig (paper
 // §5.2). On durable nodes this is one copy-aside merge of every run
-// file into one (queries and ingest proceed while the merged file is
-// written); size-tiered merges also follow every spill without being
-// asked.
+// file into one (queries, ingest and spills proceed while the merged
+// file is written); size-tiered merges also follow every spill without
+// being asked.
 func (n *Node) Compact() {
 	if n.durable() && n.opts.ReadOnly {
 		// A read-only node must not rewrite files.
@@ -793,9 +796,9 @@ func (n *Node) Compact() {
 		// flushed run; runs created by flushes racing past this point
 		// keep their own files and are picked up by the next merge.
 		n.sp.waitIdle()
-		n.filesMu.Lock()
+		n.mergeMu.Lock()
 		n.compactWindow(true)
-		n.filesMu.Unlock()
+		n.mergeMu.Unlock()
 		for i := range n.shards {
 			n.retireIdleSeries(&n.shards[i])
 		}
@@ -906,6 +909,8 @@ func (n *Node) Close() error {
 // handle. In-flight streams holding their own references keep reading
 // until they close; no new reads start — the node is closed.
 func (n *Node) releaseRunFiles() {
+	n.mergeMu.Lock()
+	defer n.mergeMu.Unlock()
 	n.filesMu.Lock()
 	defer n.filesMu.Unlock()
 	for fi := range n.files {

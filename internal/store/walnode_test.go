@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"syscall"
 	"testing"
@@ -452,6 +453,79 @@ func TestSyncDuringBackpressuredRotation(t *testing.T) {
 	defer n2.Close()
 	if rs, err := n2.Query(id, 0, 100); err != nil || len(rs) != 3 {
 		t.Fatalf("after Sync and a crash: %d of 3 readings (%v)", len(rs), err)
+	}
+}
+
+// TestSpillDuringFullCompact: a spill that completes while a full
+// Compact is merging appends its file beside the merge and returns
+// without waiting for it, so a slow merge parks neither the spiller nor
+// the flushes queued behind it. The merge swaps in only the files it
+// read; the skipped size-tiered window is taken by the next spill.
+func TestSpillDuringFullCompact(t *testing.T) {
+	inj := faults.New(1)
+	useDisk(t, inj.FS(fsutil.OSFS{}))
+	dir := t.TempDir()
+	n := openedNode(t, dir, 0, DiskOptions{SyncInterval: -1, MaxRuns: 2})
+	defer n.Close()
+	id := sid(48, 1)
+	insertFlush := func(ts int64) {
+		t.Helper()
+		if err := n.InsertBatch(id, []core.Reading{rd(ts, float64(ts))}, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	files := func() []runFileMeta {
+		n.filesMu.Lock()
+		defer n.filesMu.Unlock()
+		return slices.Clone(n.files)
+	}
+
+	insertFlush(0)
+	insertFlush(1) // two files, within MaxRuns: no merge
+	n.sp.waitIdle()
+	fs := files()
+	if len(fs) != 2 {
+		t.Fatalf("%d run files before Compact, want 2", len(fs))
+	}
+	// The full merge's output takes seconds to fsync.
+	const delay = 3 * time.Second
+	merged := filepath.Join(dir, runFileName(fs[0].minSeq, fs[1].maxSeq))
+	slow := inj.AddRule(&faults.Rule{Ops: faults.FSSync, Match: merged, Delay: delay})
+	compacted := make(chan struct{})
+	go func() {
+		defer close(compacted)
+		n.Compact()
+	}()
+	for deadline := time.Now().Add(5 * time.Second); slow.Hits() == 0; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("Compact never fsynced its merged file")
+		}
+	}
+
+	// A third file goes over MaxRuns; its spill must not wait for the
+	// merge.
+	start := time.Now()
+	insertFlush(2)
+	n.sp.waitIdle()
+	select {
+	case <-compacted:
+		t.Fatalf("the spill waited %v, until the full merge was done", time.Since(start))
+	default:
+	}
+	<-compacted
+	if fs := files(); len(fs) != 2 || fs[0].path != merged || fs[1].minSeq <= fs[0].maxSeq {
+		t.Fatalf("after Compact: %d files %v, want the merged file and the spill's", len(fs), fs)
+	}
+	insertFlush(3) // three files again: this spill merges
+	n.sp.waitIdle()
+	if fs := files(); len(fs) > 2 {
+		t.Fatalf("%d run files after the next spill, want at most MaxRuns (2)", len(fs))
+	}
+	if rs, err := n.Query(id, 0, 100); err != nil || len(rs) != 4 {
+		t.Fatalf("%d of 4 readings (%v)", len(rs), err)
 	}
 }
 
