@@ -9,20 +9,20 @@ import (
 	"sync"
 )
 
-// Block codec of run-file format v5. A block holds up to blockEntries
+// Block codec of run-file format v6. A block holds up to blockEntries
 // consecutive entries of one series, compressed so a cold read pays I/O
 // and decode cost proportional to the queried window, not the
 // retention. The block is anchored in the run file's index: its entry
 // count, its first and last timestamps (the index entry's min and max)
-// and the file-level base write version and stamp period all live
-// there, so the body starts at the second entry, stops before the last,
-// and a block of a handful of readings carries no absolute header
+// and the file-level base write version, stamp period and widths all
+// live there, so the body starts at the second entry, stops before the
+// last, and a block of a handful of readings carries no absolute header
 // fields of its own.
 //
 // A block is a flags byte and three streams — timestamps, write stamps,
-// values — each byte-aligned, each in one of up to four codings. The
-// first coding of every stream costs whole bytes or control bits per
-// entry and wins on blocks of a handful of entries; the others fit what
+// values — each byte-aligned, each in one of four codings. The first
+// coding of every stream costs whole bytes or control bits per entry
+// and wins on blocks of a handful of entries; the others fit what
 // monitoring data looks like: sensors sample on a period, so a series
 // is a line plus jitter; a batch is stamped once; the coordinator
 // stamps on a microsecond clock; readings are integers. The encoder
@@ -33,21 +33,22 @@ import (
 //	byte 0  : flags
 //	          bit 0   : block carries a non-zero expire section
 //	          bit 1   : block carries a non-zero write-version section
-//	          bits 2-3: timestamps — 0 delta-of-delta varints, 1 delta
-//	                    frame, 2 line varints, 3 line frame
+//	          bits 2-3: timestamps — 0 delta-of-delta varints, 1 line
+//	                    at the file's width, 2 line varints, 3 line
+//	                    frame
 //	          bits 4-5: values — 0 XOR, 1 integer delta frame, 2
 //	                    integer line varints, 3 integer line frame
-//	          bits 6-7: stamps — 0 varints, 1 runs, 2 clock; 3 is
-//	                    malformed
+//	          bits 6-7: stamps — 0 varints, 1 runs, 2 clock, 3 clock at
+//	                    the file's width
 //	          Every block of two or more entries is anchored: its last
 //	          timestamp is the index entry's max.
 //	ts      : entries 1..count-2 (none for a block of one entry), as
 //	          varints: zigzag first delta (entry 1 - index min), then
-//	            zigzag delta-of-deltas; or as
-//	          frame : one frame of the deltas — a perfectly periodic
-//	            sensor costs no bits per entry, a ms-quantised one
-//	            divides its 10^6 out; or as residuals from the line
+//	            zigzag delta-of-deltas; or as residuals from the line
 //	            through min and max (see line), r_i = ts_i - line_i,
+//	          width : the residuals at the file's ts width, packed, no
+//	            header — the jitter of a fan-in block's handful of
+//	            readings in its bits, not in whole varint bytes; or as
 //	          line  : one zigzag varint per residual; or as
 //	          line frame: one frame of the residuals. Against its
 //	            neighbour an entry's jitter counts twice, against the
@@ -65,10 +66,13 @@ import (
 //	            versionTick: the first stamp's distance from the base,
 //	            then delta-of-deltas, the first of them against the
 //	            file's stamp period — a sensor written once a round
-//	            costs its loop's jitter, not the round. Only when every
-//	            stamp and the base are whole multiples of the tick, each
-//	            tested on its own: a stamp below the base wraps in
-//	            uint64, so (v-base)%tick says nothing.
+//	            costs its loop's jitter, not the round; or both as
+//	          clock width: the same values, the first a zigzag varint,
+//	            the rest at the file's stamp width, packed, no header.
+//	            The clock codings only when every stamp and
+//	            the base are whole multiples of the tick, each tested on
+//	            its own: a stamp below the base wraps in uint64, so
+//	            (v-base)%tick says nothing.
 //	          A block without a section decodes as expire 0 / version 0.
 //	values  : all count values, as
 //	          XOR   : Gorilla-style bit stream, first value raw; or, only
@@ -84,7 +88,7 @@ import (
 //	            residuals
 //
 // (uv = uvarint, zz = zigzag uvarint.) The frame is the primitive the
-// codings after the first share. It stores n integers as
+// framed codings share. It stores n integers as
 //
 //	min zz | divisor uv | width u8 | n × width bits, MSB-first, zero-
 //	padded to a byte
@@ -92,14 +96,21 @@ import (
 // where min is the smallest value, divisor the gcd of the values'
 // distances from it (1 when they are all equal) and every value is
 // min + q·divisor with q below 2^width; width is at most 64. A frame of
-// no values is no bytes. Point i of the line through a first and a last
-// point count-1 steps apart is first + ⌊i·|last-first|/(count-1)⌋,
-// towards last. Arithmetic is modulo 2^64 throughout, so timestamps
-// spanning the whole int64 range and falling versions survive.
+// no values is no bytes. The width codings are a frame's packed bits
+// alone, the header implied by a width the file states once: min
+// -2^(width-1), divisor 1 (widthFrame). A frame header costs more than
+// the bits it saves on the two to four values of a fan-in block, a
+// varint rounds each 25-bit jitter up to 32. A value the width does
+// not hold — one whose zigzag form is wider — rules the coding out for
+// its block.
+// Point i of the line through a first and a last point count-1 steps
+// apart is first + ⌊i·|last-first|/(count-1)⌋, towards last.
+// Arithmetic is modulo 2^64 throughout, so timestamps spanning the
+// whole int64 range and falling versions survive.
 //
 // This is the only block layout read: run files of the formats before
-// v5 are refused at open (runFormat), and a build before v5 refuses a
-// v5 file's magic.
+// v6 are refused at open (runFormat), and a build before v6 refuses a
+// v6 file's magic.
 //
 // Corruption is caught by the caller's CRC check first; the decoder
 // itself must still survive arbitrary bytes (fuzzed) by erroring instead
@@ -129,16 +140,18 @@ const (
 // The selectors of the timestamp and the value stream.
 const (
 	codingFirst     = 0 // ts: delta-of-delta varints; values: XOR
-	codingFrame     = 1 // a frame of the deltas (values: integers only)
+	codingWidth     = 1 // ts: residuals from the line through the ends at the file's ts width
+	codingFrame     = 1 // values: a frame of the deltas (integers only)
 	codingLine      = 2 // residuals from the line through the ends, varints
 	codingLineFrame = 3 // the same residuals in a frame
 )
 
-// The selectors of the stamp sections; 3 is malformed.
+// The selectors of the stamp sections.
 const (
-	stampVarints = 0
-	stampRuns    = 1
-	stampClock   = 2
+	stampVarints    = 0
+	stampRuns       = 1
+	stampClock      = 2
+	stampClockWidth = 3
 )
 
 // blockBase is the file-level half of a block's anchor (the per-block
@@ -146,6 +159,30 @@ const (
 type blockBase struct {
 	ver         uint64 // base write version of the file
 	stampPeriod int64  // in ticks: what a clock-coded section's first delta is coded against
+	// The widths, in bits, of the width codings' zigzag values: of a
+	// timestamp residual, of a stamp delta-of-delta. noWidth, which no
+	// value fits, while the writer has not fixed them.
+	tsWidth, stampWidth int8
+}
+
+// noWidth is the width of a width coding the writer has not fixed yet:
+// no value fits it, so no block takes the coding.
+const noWidth = -1
+
+// packedSize is the length of n values packed at width bits.
+func packedSize(n int, width int8) int { return (n*max(int(width), 0) + 7) / 8 }
+
+// widthFrame is the frame a width coding packs its values in, whose
+// header the file implies: divisor 1, the file's width, and the
+// smallest value that width holds, -2^(width-1), for min — so a value
+// fits exactly when its zigzag form has width bits or fewer, and the
+// decoder reads the values as a frame's.
+func widthFrame(width int8) frame {
+	f := frame{div: 1, width: uint(max(width, 0))}
+	if width > 0 {
+		f.min = -1 << (width - 1)
+	}
+	return f
 }
 
 // blockCoding is what a flags byte says: the stamp sections a block
@@ -172,12 +209,10 @@ func codingOf(flags byte) blockCoding {
 }
 
 // readFlags reads and checks the flags byte of a block of count entries.
+// Every timestamp coding but the first is a line's.
 func readFlags(flags byte, count int) (blockCoding, error) {
 	c := codingOf(flags)
-	if c.stamps > stampClock {
-		return c, fmt.Errorf("store: block has stamp coding %d", c.stamps)
-	}
-	if count < 2 && (c.ts >= codingLine || c.values >= codingLine) {
+	if count < 2 && (c.ts != codingFirst || c.values >= codingLine) {
 		return c, fmt.Errorf("store: one-entry block coded against a line")
 	}
 	return c, nil
@@ -428,11 +463,19 @@ func (fr *frameReader) open(data []byte, n int) (rest []byte, err error) {
 	if fr.div == 0 || fr.width > 64 {
 		return nil, fmt.Errorf("store: block frame has divisor %d, width %d", fr.div, fr.width)
 	}
-	packed := (n*int(fr.width) + 7) / 8 // n <= blockEntries: cannot overflow
-	if packed > len(data)-off {
+	return fr.openPacked(data[off:], n)
+}
+
+// openPacked is open past the header: it makes fr, whose min, divisor
+// and width are set, a reader over the n values packed at the head of
+// data — a frame's or, at divisor 1 and min 0, a width coding's — and
+// returns the bytes that follow them.
+func (fr *frameReader) openPacked(data []byte, n int) (rest []byte, err error) {
+	packed := (uint64(n)*uint64(fr.width) + 7) / 8 // width <= 64: cannot overflow
+	if packed > uint64(len(data)) {
 		return nil, errFrameTruncated
 	}
-	fr.buf = data[off : off+packed]
+	fr.buf = data[:packed]
 	if packed >= 8 {
 		fr.padAt = uint(packed - 8)
 		binary.BigEndian.PutUint64(fr.pad[:], binary.BigEndian.Uint64(fr.buf[fr.padAt:]))
@@ -441,7 +484,18 @@ func (fr *frameReader) open(data []byte, n int) (rest []byte, err error) {
 			fr.pad[i] = b
 		}
 	}
-	return data[off+packed:], nil
+	return data[packed:], nil
+}
+
+// openWidth opens a reader over the n values a width coding packed at
+// width bits at the head of data (widthFrame).
+func (fr *frameReader) openWidth(data []byte, n int, width int8) ([]byte, error) {
+	if width < 0 || width > 64 {
+		return nil, fmt.Errorf("store: block width coding at width %d", width)
+	}
+	f := widthFrame(width)
+	*fr = frameReader{min: uint64(f.min), div: 1, width: f.width}
+	return fr.openPacked(data, n)
 }
 
 var errFrameTruncated = errors.New("store: block frame truncated")
@@ -549,18 +603,7 @@ type blockSizes struct{ ts, stamps, values int }
 // in the block index — the decoder gets the first and the last
 // timestamp back from there — and base in the file's index header.
 func encodeBlock(dst []byte, es []entry, base blockBase) ([]byte, blockSizes) {
-	var c blockCoding
-	for _, e := range es {
-		if e.expire != 0 {
-			c.sections |= blockFlagExpire
-		}
-		if e.ver != 0 {
-			c.sections |= blockFlagVersion
-		}
-		if c.sections == blockFlagExpire|blockFlagVersion {
-			break
-		}
-	}
+	c := blockCoding{sections: stampSections(es)}
 	at := len(dst)
 	dst = append(dst, 0) // the flags, once the codings are chosen
 	var sz blockSizes
@@ -568,35 +611,40 @@ func encodeBlock(dst []byte, es []entry, base blockBase) ([]byte, blockSizes) {
 	// The index entry's max is the last timestamp: the stream stops one
 	// entry short of it.
 	if len(es) > 1 {
-		ts := scanTimestamps(es)
+		ts := scanTimestamps(es, base.tsWidth)
+		if ts.bits > int(base.tsWidth) {
+			ts.sizes[codingWidth] = math.MaxInt
+		}
 		c.ts = shortest(ts.sizes[:])
-		dst = appendTimestamps(dst, es, c.ts, &ts)
+		dst = appendTimestamps(dst, es, c.ts, base.tsWidth, &ts)
 	}
 	sz.ts = len(dst) - at - 1
 
 	if c.sections != 0 {
 		var exp, ver stampStats // a section left out costs nothing and is on the tick
 		if c.sections&blockFlagExpire != 0 {
-			exp = scanStamps(es, stampExpire, 0, base.stampPeriod)
+			exp = scanStamps(es, stampExpire, 0, base.stampPeriod, base.stampWidth)
 		}
 		if c.sections&blockFlagVersion != 0 {
-			ver = scanStamps(es, stampVersion, base.ver, base.stampPeriod)
+			ver = scanStamps(es, stampVersion, base.ver, base.stampPeriod, base.stampWidth)
 		}
 		// One choice for both sections: they are stamped by the same
 		// calls, so their runs coincide.
-		var sizes [3]int
+		var sizes [4]int
 		for i := range sizes {
 			sizes[i] = exp.sizes[i] + ver.sizes[i]
 		}
 		if exp.offTick || ver.offTick {
-			sizes[stampClock] = math.MaxInt
+			sizes[stampClock], sizes[stampClockWidth] = math.MaxInt, math.MaxInt
+		} else if max(exp.bits, ver.bits) > int(base.stampWidth) {
+			sizes[stampClockWidth] = math.MaxInt
 		}
 		c.stamps = shortest(sizes[:])
 		if c.sections&blockFlagExpire != 0 {
-			dst = appendStamps(dst, es, stampExpire, 0, base.stampPeriod, c.stamps, &exp)
+			dst = appendStamps(dst, es, stampExpire, 0, base.stampPeriod, base.stampWidth, c.stamps, &exp)
 		}
 		if c.sections&blockFlagVersion != 0 {
-			dst = appendStamps(dst, es, stampVersion, base.ver, base.stampPeriod, c.stamps, &ver)
+			dst = appendStamps(dst, es, stampVersion, base.ver, base.stampPeriod, base.stampWidth, c.stamps, &ver)
 		}
 	}
 	sz.stamps = len(dst) - at - 1 - sz.ts
@@ -608,32 +656,70 @@ func encodeBlock(dst []byte, es []entry, base blockBase) ([]byte, blockSizes) {
 	return dst, sz
 }
 
+// stampSections returns the stamp sections a block of es carries: the
+// expire section when an expiry is not zero, the version section when
+// a version is not.
+func stampSections(es []entry) (sections byte) {
+	for _, e := range es {
+		if e.expire != 0 {
+			sections |= blockFlagExpire
+		}
+		if e.ver != 0 {
+			sections |= blockFlagVersion
+		}
+		if sections == blockFlagExpire|blockFlagVersion {
+			break
+		}
+	}
+	return sections
+}
+
+// clockWidth is the width the clock width coding's values of the stamp
+// sections of es need against b, or 0 when a stamp or the base is off
+// the tick.
+func clockWidth(es []entry, sections byte, b blockBase) int8 {
+	var exp, ver stampStats
+	if sections&blockFlagExpire != 0 {
+		exp = scanStamps(es, stampExpire, 0, b.stampPeriod, 0)
+	}
+	if sections&blockFlagVersion != 0 {
+		ver = scanStamps(es, stampVersion, b.ver, b.stampPeriod, 0)
+	}
+	if exp.offTick || ver.offTick {
+		return 0
+	}
+	return int8(max(exp.bits, ver.bits))
+}
+
 // tsStats sizes the timestamp stream under its four codings, in one
 // pass.
 type tsStats struct {
-	sizes         [4]int // by selector
-	deltas, resid frame
+	sizes [4]int // by selector; the width coding's as if its values fit
+	bits  int    // the width the residuals need
+	resid frame
 }
 
-// scanTimestamps sizes the timestamp stream of es, two entries or more:
-// the deltas from es[0], the index min, to the entry before the last,
-// the index max standing for the last, and the residuals from the line
-// through the min and the max.
-func scanTimestamps(es []entry) (s tsStats) {
+// scanTimestamps sizes the timestamp stream of es, two entries or more,
+// the width coding at width: the deltas from es[0], the index min, to
+// the entry before the last, the index max standing for the last, and
+// the residuals from the line through the min and the max.
+func scanTimestamps(es []entry, width int8) (s tsStats) {
 	body, ln := tsBody(es)
-	deltas, resid := newFrameStats(), newFrameStats()
+	resid := newFrameStats()
 	prev := int64(0)
+	var or uint64
 	for i := 1; i < len(body); i++ {
 		d := body[i].ts - body[i-1].ts
-		deltas.add(d)
 		s.sizes[codingFirst] += uvarintLen(zigzag(d - prev))
 		prev = d
 		r := ln.residual(body[i].ts)
 		resid.add(r)
-		s.sizes[codingLine] += uvarintLen(zigzag(r))
+		z := zigzag(r)
+		or |= z
+		s.sizes[codingLine] += uvarintLen(z)
 	}
-	s.deltas, s.resid = deltas.frame(), resid.frame()
-	s.sizes[codingFrame] = s.deltas.size(deltas.n)
+	s.bits, s.resid = bits.Len64(or), resid.frame()
+	s.sizes[codingWidth] = packedSize(resid.n, width)
 	s.sizes[codingLineFrame] = s.resid.size(resid.n)
 	return s
 }
@@ -647,8 +733,8 @@ func tsBody(es []entry) (body []entry, ln line) {
 }
 
 // appendTimestamps writes the stream scanTimestamps sized in the given
-// coding.
-func appendTimestamps(dst []byte, es []entry, coding byte, s *tsStats) []byte {
+// coding, the width coding at width.
+func appendTimestamps(dst []byte, es []entry, coding byte, width int8, s *tsStats) []byte {
 	body, ln := tsBody(es)
 	switch coding {
 	case codingFirst:
@@ -668,17 +754,13 @@ func appendTimestamps(dst []byte, es []entry, coding byte, s *tsStats) []byte {
 	if len(body) < 2 {
 		return dst // a frame of no values
 	}
-	f := s.deltas
+	f, bw := widthFrame(width), bitWriter{buf: dst}
 	if coding == codingLineFrame {
 		f = s.resid
+		bw = f.begin(dst)
 	}
-	bw := f.begin(dst)
 	for i := 1; i < len(body) && f.width > 0; i++ {
-		if coding == codingFrame {
-			f.pack(&bw, body[i].ts-body[i-1].ts)
-		} else {
-			f.pack(&bw, ln.residual(body[i].ts))
-		}
+		f.pack(&bw, ln.residual(body[i].ts))
 	}
 	return bw.finish()
 }
@@ -707,22 +789,25 @@ func (c stampCol) runEnd(es []entry, i int) int {
 	return i
 }
 
-// stampStats sizes one stamp section under the three codings. Its zero
-// value is an absent section: no bytes in any coding, and on the tick.
+// stampStats sizes one stamp section under the four codings. Its zero
+// value is an absent section: no bytes in any coding, on the tick, and
+// no bits to fit.
 type stampStats struct {
-	sizes        [3]int // by selector
-	offTick      bool   // the clock coding is out: a stamp or the base is off the tick
+	sizes        [4]int // by selector; the clock width coding's as if its values fit
+	offTick      bool   // the clock codings are out: a stamp or the base is off the tick
+	bits         int    // the width the clock width coding's packed values need
 	runs         int
 	lens, deltas frame // of the run lengths, of the runs-1 steps between runs
 }
 
 // scanStamps sizes one stamp section of es, counted from base; period is
-// the file's stamp period, in ticks.
-func scanStamps(es []entry, col stampCol, base uint64, period int64) (s stampStats) {
+// the file's stamp period, in ticks, and width its stamp width.
+func scanStamps(es []entry, col stampCol, base uint64, period int64, width int8) (s stampStats) {
 	lens, deltas := newFrameStats(), newFrameStats()
 	prev := base
 	s.offTick = base%versionTick != 0
 	step := period // the clock coding's previous delta, in ticks
+	var or uint64  // of the clock values after the first
 	for i := 0; i < len(es); {
 		end := col.runEnd(es, i)
 		v := col.of(&es[i])
@@ -742,25 +827,33 @@ func scanStamps(es []entry, col stampCol, base uint64, period int64) (s stampSta
 		s.offTick = s.offTick || v%versionTick != 0
 		dt := int64(v/versionTick - prev/versionTick)
 		if i == 0 {
-			s.sizes[stampClock] += uvarintLen(zigzag(dt))
+			z := uvarintLen(zigzag(dt))
+			s.sizes[stampClock] += z
+			s.sizes[stampClockWidth] = z + packedSize(len(es)-1, width)
 		} else {
-			s.sizes[stampClock] += uvarintLen(zigzag(dt - step))
+			z := zigzag(dt - step)
+			s.sizes[stampClock] += uvarintLen(z)
+			or |= z
 			step = dt
 		}
 		if n := end - i; n > 1 {
-			s.sizes[stampClock] += uvarintLen(zigzag(-step)) + n - 2
+			z := zigzag(-step)
+			s.sizes[stampClock] += uvarintLen(z) + n - 2
+			or |= z
 			step = 0
 		}
 		prev, i = v, end
 	}
+	s.bits = bits.Len64(or)
 	s.runs, s.lens, s.deltas = lens.n, lens.frame(), deltas.frame()
 	s.sizes[stampRuns] += uvarintLen(uint64(s.runs)) + s.lens.size(s.runs) + s.deltas.size(s.runs-1)
 	return s
 }
 
 // appendStamps writes one stamp section of es, counted from base, in
-// the given coding; period is the file's stamp period.
-func appendStamps(dst []byte, es []entry, col stampCol, base uint64, period int64, coding byte, s *stampStats) []byte {
+// the given coding; period is the file's stamp period, width its stamp
+// width.
+func appendStamps(dst []byte, es []entry, col stampCol, base uint64, period int64, width int8, coding byte, s *stampStats) []byte {
 	switch coding {
 	case stampVarints:
 		prev := base
@@ -770,18 +863,28 @@ func appendStamps(dst []byte, es []entry, col stampCol, base uint64, period int6
 			prev = v
 		}
 		return dst
-	case stampClock:
+	case stampClock, stampClockWidth:
 		prev, step := base/versionTick, period
+		f, bw := widthFrame(width), bitWriter{}
 		for i := range es {
 			q := col.of(&es[i]) / versionTick
 			d := int64(q - prev)
-			if i == 0 {
+			switch {
+			case i == 0:
 				dst = binary.AppendUvarint(dst, zigzag(d))
-			} else {
+				bw.buf = dst
+			case coding == stampClock:
 				dst = binary.AppendUvarint(dst, zigzag(d-step))
+			case f.width > 0:
+				f.pack(&bw, d-step)
+			}
+			if i > 0 {
 				step = d
 			}
 			prev = q
+		}
+		if coding == stampClockWidth {
+			return bw.finish()
 		}
 		return dst
 	}
@@ -1037,7 +1140,7 @@ func decodeBlockInto(raw []byte, es []entry, first, last int64, base blockBase) 
 	if anchored {
 		body = es[:len(es)-1]
 	}
-	data, err := decodeTimestamps(raw[1:], body, first, last, c.ts)
+	data, err := decodeTimestamps(raw[1:], body, first, last, c.ts, base.tsWidth)
 	if err != nil {
 		return err
 	}
@@ -1049,12 +1152,12 @@ func decodeBlockInto(raw []byte, es []entry, first, last int64, base blockBase) 
 		}
 	}
 	if c.sections&blockFlagExpire != 0 {
-		if data, err = decodeStamps(data, es, stampExpire, 0, base.stampPeriod, c.stamps); err != nil {
+		if data, err = decodeStamps(data, es, stampExpire, 0, base, c.stamps); err != nil {
 			return err
 		}
 	}
 	if c.sections&blockFlagVersion != 0 {
-		if data, err = decodeStamps(data, es, stampVersion, base.ver, base.stampPeriod, c.stamps); err != nil {
+		if data, err = decodeStamps(data, es, stampVersion, base.ver, base, c.stamps); err != nil {
 			return err
 		}
 	}
@@ -1069,32 +1172,30 @@ var errTimestampsUnsorted = errors.New("store: block timestamps unsorted")
 // decodeTimestamps fills in body[i].ts from the timestamp stream at the
 // head of data and returns what follows it. The first timestamp is
 // first, not in the stream; the line codings run to last, the entry
-// after body.
-func decodeTimestamps(data []byte, body []entry, first, last int64, coding byte) ([]byte, error) {
+// after body; the width coding is at width.
+func decodeTimestamps(data []byte, body []entry, first, last int64, coding byte, width int8) ([]byte, error) {
 	body[0].ts = first
 	var ln line
-	if coding >= codingLine {
+	if coding != codingFirst {
 		ln = tsLine(first, last, len(body)+1)
 	}
-	if coding == codingFrame || coding == codingLineFrame {
+	if coding == codingWidth || coding == codingLineFrame {
 		var fr frameReader
-		rest, err := fr.open(data, len(body)-1)
+		var rest []byte
+		var err error
+		if coding == codingWidth {
+			rest, err = fr.openWidth(data, len(body)-1, width)
+		} else {
+			rest, err = fr.open(data, len(body)-1)
+		}
 		if err != nil {
 			return nil, err
 		}
 		// The sums are unsigned: one past MaxInt64 wraps below its
 		// predecessor and fails the same test a forged order does.
-		if coding == codingFrame {
-			for i := 1; i < len(body); i++ {
-				if body[i].ts = body[i-1].ts + int64(fr.next()); body[i].ts < body[i-1].ts {
-					return nil, errTimestampsUnsorted
-				}
-			}
-		} else {
-			for i := 1; i < len(body); i++ {
-				if body[i].ts = int64(ln.next() + fr.next()); body[i].ts < body[i-1].ts {
-					return nil, errTimestampsUnsorted
-				}
+		for i := 1; i < len(body); i++ {
+			if body[i].ts = int64(ln.next() + fr.next()); body[i].ts < body[i-1].ts {
+				return nil, errTimestampsUnsorted
 			}
 		}
 		return rest, fr.close()
@@ -1144,8 +1245,9 @@ func (c stampCol) fill(es []entry, v uint64) {
 var errStampsTruncated = errors.New("store: block stamp section truncated")
 
 // decodeStamps fills in one stamp column of es from the section at the
-// head of data, in the given coding, and returns what follows it.
-func decodeStamps(data []byte, es []entry, col stampCol, base uint64, period int64, coding byte) ([]byte, error) {
+// head of data, counted from base, in the given coding against the
+// file's stamp period and width, and returns what follows it.
+func decodeStamps(data []byte, es []entry, col stampCol, base uint64, fb blockBase, coding byte) ([]byte, error) {
 	switch coding {
 	case stampVarints:
 		off, prev := 0, base
@@ -1163,7 +1265,7 @@ func decodeStamps(data []byte, es []entry, col stampCol, base uint64, period int
 		if base%versionTick != 0 {
 			return nil, fmt.Errorf("store: block stamps clock coded against base %d, off the tick", base)
 		}
-		off, q, step := 0, base/versionTick, period
+		off, q, step := 0, base/versionTick, fb.stampPeriod
 		for i := range es {
 			u, n := binary.Uvarint(data[off:])
 			if n <= 0 {
@@ -1179,6 +1281,27 @@ func decodeStamps(data []byte, es []entry, col stampCol, base uint64, period int
 			col.set(&es[i], q*versionTick)
 		}
 		return data[off:], nil
+	case stampClockWidth:
+		if base%versionTick != 0 {
+			return nil, fmt.Errorf("store: block stamps clock coded against base %d, off the tick", base)
+		}
+		u, n := binary.Uvarint(data)
+		if n <= 0 {
+			return nil, errStampsTruncated
+		}
+		var fr frameReader
+		rest, err := fr.openWidth(data[n:], len(es)-1, fb.stampWidth)
+		if err != nil {
+			return nil, err
+		}
+		q, step := base/versionTick+uint64(unzigzag(u)), fb.stampPeriod
+		col.set(&es[0], q*versionTick)
+		for i := 1; i < len(es); i++ {
+			step += int64(fr.next())
+			q += uint64(step)
+			col.set(&es[i], q*versionTick)
+		}
+		return rest, fr.close()
 	}
 	nRuns, n := binary.Uvarint(data)
 	if n <= 0 {

@@ -16,7 +16,7 @@ import (
 	"dcdb/internal/core"
 )
 
-// Tests of run-file format v5 itself: round trips over block shapes
+// Tests of run-file format v6 itself: round trips over block shapes
 // (hot whole-file decode and cold index + block-at-a-time reads must
 // both return the input), and the allocation guards that keep a forged
 // index or block from sizing anything before it is proven plausible.
@@ -265,9 +265,10 @@ func blockShapes() []blockShape {
 	return append(shapes, codingShapes()...)
 }
 
-// codingShapes returns one shape for each of the 48 combinations of the
+// codingShapes returns one shape for each of the 64 combinations of the
 // three streams' codings: each stream dressed the way that makes the
-// encoder choose one of its codings at 64 entries.
+// encoder choose one of its codings at 64 entries, against the widths
+// the block itself needs (ownWidths).
 func codingShapes() []blockShape {
 	// hash is a fixed pseudo-random function of the entry (splitmix64's
 	// finaliser): a shape's entries do not depend on how many were made
@@ -285,7 +286,8 @@ func codingShapes() []blockShape {
 		// The period grows 50 ns a reading: only the delta-of-deltas
 		// stay small.
 		{"chirp", func(i int, e *entry) { e.ts += int64(25*i*(i-1) + hash(i)%4) }},
-		// Deltas of 0 and 1 µs: a frame of one bit each.
+		// Three readings a µs: against the line a frame of ten bits each,
+		// which the width coding's zigzag takes eleven for.
 		{"duplicates", func(i int, e *entry) { e.ts = shapeT0 + int64(i/3)*1000 }},
 		// On the line but for rare spikes: residuals mostly zero.
 		{"spiked", func(i int, e *entry) {
@@ -293,8 +295,15 @@ func codingShapes() []blockShape {
 				e.ts += 1_000_000 - int64(i)
 			}
 		}},
-		// ±10 ms: twice that against a neighbour, once against the line.
-		{"jitter", func(i int, e *entry) { e.ts += int64(hash(i)%20_000_001) - 10_000_000 }},
+		// ±10 ms: twice that against a neighbour, once against the line —
+		// whose ends at 64 entries lie on the grid, so the residuals are
+		// centred and the width coding needs no more bits than a frame,
+		// nor its header.
+		{"jitter", func(i int, e *entry) {
+			if i%63 != 0 {
+				e.ts += int64(hash(i)%20_000_001) - 10_000_000
+			}
+		}},
 	}
 	values := []struct {
 		name  string
@@ -332,10 +341,21 @@ func codingShapes() []blockShape {
 				e.ver += 1_000_000_000_000 + uint64(hash(-k))
 			}
 		}},
-		{"once", func(i int, e *entry) { e.ver = shapeV0 }},
-		// On the tick, a round of 2.9 s that drifts 40 µs a round.
+		// Runs of 16 entries a stamp, the runs a second apart off the
+		// tick: no clock coding.
+		{"runs", func(i int, e *entry) { e.ver = shapeV0 + uint64(i/16)*1_000_000_123 }},
+		// On the tick, a round of 2.9 s that drifts 40 µs a round: a few
+		// bits a delta-of-delta, at the width they need.
 		{"drifting round", func(i int, e *entry) {
 			e.ver = shapeV0 + uint64(i*2_900_000+20*i*i+hash(i)%10)*versionTick
+		}},
+		// The same round, steady but for one stall of a second: a varint
+		// byte a delta-of-delta, where the stall sets the width.
+		{"stalled round", func(i int, e *entry) {
+			e.ver = shapeV0 + uint64(i*2_900_000+hash(i)%10)*versionTick
+			if i >= 40 {
+				e.ver += 1_000_000 * versionTick
+			}
 		}},
 	}
 	var shapes []blockShape
@@ -362,50 +382,73 @@ func (sh blockShape) entries(n int) []entry {
 	return es
 }
 
-// blockCodings are the flag bits of the coding selectors: timestamps and
-// values four codings each, stamps three — 48 combinations.
+// blockCodings are the flag bits of the coding selectors: four codings
+// a stream — 64 combinations.
 const blockCodings = 0xff &^ (blockFlagExpire | blockFlagVersion)
 
-// everyCoding calls f with each of the 48 combinations.
+// everyCoding calls f with each of the 64 combinations.
 func everyCoding(f func(c byte)) {
 	for ts := byte(0); ts < 4; ts++ {
 		for values := byte(0); values < 4; values++ {
-			for stamps := byte(0); stamps <= stampClock; stamps++ {
+			for stamps := byte(0); stamps <= stampClockWidth; stamps++ {
 				f(blockCoding{ts: ts, values: values, stamps: stamps}.flags())
 			}
 		}
 	}
 }
 
-// codingSeeds returns, for each of the 48 combinations of the three
+// ownWidths returns b with the widths the values of es need in the
+// width codings: what a writer fixes when es is the first block of its
+// file with two or more of them (runFileWriter.fixBase).
+func ownWidths(es []entry, b blockBase) blockBase {
+	b.tsWidth = 0
+	if len(es) > 1 {
+		b.tsWidth = int8(scanTimestamps(es, 0).bits)
+	}
+	b.stampWidth = clockWidth(es, stampSections(es), b)
+	return b
+}
+
+// seedBase is the base a coding seed is encoded against: the one a
+// writer fixes when es is the first block of its file.
+func seedBase(es []entry) blockBase {
+	w := runFileWriter{base: blockBase{tsWidth: noWidth, stampWidth: noWidth}, buf: es}
+	w.fixBase()
+	w.base.tsWidth, w.base.stampWidth = max(w.base.tsWidth, 0), max(w.base.stampWidth, 0)
+	return w.base
+}
+
+// codingSeeds returns, for each of the 64 combinations of the three
 // coding choices, the smallest shaped series that makes the encoder
-// choose it — the fuzz corpora's way into every decoder arm.
+// choose it against seedBase — the fuzz corpora's way into every
+// decoder arm.
 func codingSeeds(t interface{ Fatal(...any) }) map[byte][]entry {
 	seeds := map[byte][]entry{}
 	for _, n := range []int{1, 2, 3, 64, 130, blockEntries - 1} {
 		for _, sh := range blockShapes() {
 			es := sh.entries(n)
-			enc, _ := encodeBlock(nil, es, blockBase{ver: es[0].ver})
+			enc, _ := encodeBlock(nil, es, seedBase(es))
 			if _, ok := seeds[enc[0]&blockCodings]; !ok {
 				seeds[enc[0]&blockCodings] = es
 			}
 		}
 	}
-	if len(seeds) != 48 {
-		t.Fatal("shapes reach only", len(seeds), "of the 48 coding combinations")
+	if len(seeds) != 64 {
+		t.Fatal("shapes reach only", len(seeds), "of the 64 coding combinations")
 	}
 	return seeds
 }
 
 // TestBlockCodingsRoundTripAndNeverGrow holds every block the encoder
 // emits to the codec's promises, over every shape at 1, 2, 3, 64, 511
-// and 512 entries, against bases on, off and above the stamps and with
-// and without a stamp period: it decodes to exactly what went in —
-// timestamp, value bits, expire, version — its stream sizes add up to
-// it, and it is never longer than the same entries in the first codings
-// alone (encodeBlockFirstCodings): each stream is the shortest of
-// codings whose sizes are exact (TestBlockStreamSizesAreExact,
-// TestBlockStampSizesAreExact), the first codings among them. All 48
+// and 512 entries, against bases on, off and above the stamps, with and
+// without a stamp period, and at widths of 0, of one bit short of what
+// the block needs and of what it needs: it decodes to exactly what went
+// in — timestamp, value bits, expire, version — its stream sizes add up
+// to it, and it is never longer than the same entries in the first
+// codings alone (encodeBlockFirstCodings): each stream is the shortest
+// of codings whose sizes are exact (TestBlockStreamSizesAreExact,
+// TestBlockStampSizesAreExact), the first codings among them. All 64
 // combinations of the three choices must turn up.
 func TestBlockCodingsRoundTripAndNeverGrow(t *testing.T) {
 	seen := map[byte]string{}
@@ -414,23 +457,28 @@ func TestBlockCodingsRoundTripAndNeverGrow(t *testing.T) {
 			es := sh.entries(n)
 			for _, baseVer := range []uint64{0, es[0].ver, shapeV0, shapeV0 + 5} {
 				for _, period := range []int64{0, 2_900_000} {
-					base := blockBase{ver: baseVer, stampPeriod: period}
-					enc, sz := encodeBlock(nil, es, base)
-					if 1+sz.ts+sz.stamps+sz.values != len(enc) {
-						t.Fatalf("%s/%d: stream sizes %+v do not add up to the block's %d bytes", sh.name, n, sz, len(enc))
-					}
-					var got []entry
-					if err := decodeBlock(enc, metaOf(es), base, &got); err != nil {
-						t.Fatalf("%s/%d (flags %#x): %v", sh.name, n, enc[0], err)
-					}
-					if err := entriesEqual(got, es); err != nil {
-						t.Fatalf("%s/%d (flags %#x): %v", sh.name, n, enc[0], err)
-					}
-					if first := len(encodeBlockFirstCodings(nil, es, baseVer)); len(enc) > first {
-						t.Errorf("%s/%d: %d bytes with flags %#x, %d in the first codings", sh.name, n, len(enc), enc[0], first)
-					}
-					if _, ok := seen[enc[0]&blockCodings]; !ok {
-						seen[enc[0]&blockCodings] = fmt.Sprintf("%s/%d", sh.name, n)
+					own := ownWidths(es, blockBase{ver: baseVer, stampPeriod: period})
+					zero, narrow := own, own
+					zero.tsWidth, zero.stampWidth = 0, 0
+					narrow.tsWidth, narrow.stampWidth = max(own.tsWidth-1, 0), max(own.stampWidth-1, 0)
+					for _, base := range []blockBase{zero, narrow, own} {
+						enc, sz := encodeBlock(nil, es, base)
+						if 1+sz.ts+sz.stamps+sz.values != len(enc) {
+							t.Fatalf("%s/%d: stream sizes %+v do not add up to the block's %d bytes", sh.name, n, sz, len(enc))
+						}
+						var got []entry
+						if err := decodeBlock(enc, metaOf(es), base, &got); err != nil {
+							t.Fatalf("%s/%d (flags %#x): %v", sh.name, n, enc[0], err)
+						}
+						if err := entriesEqual(got, es); err != nil {
+							t.Fatalf("%s/%d (flags %#x): %v", sh.name, n, enc[0], err)
+						}
+						if first := len(encodeBlockFirstCodings(nil, es, baseVer)); len(enc) > first {
+							t.Errorf("%s/%d: %d bytes with flags %#x, %d in the first codings", sh.name, n, len(enc), enc[0], first)
+						}
+						if _, ok := seen[enc[0]&blockCodings]; !ok {
+							seen[enc[0]&blockCodings] = fmt.Sprintf("%s/%d", sh.name, n)
+						}
 					}
 				}
 			}
@@ -446,9 +494,11 @@ func TestBlockCodingsRoundTripAndNeverGrow(t *testing.T) {
 
 // TestBlockStampSizesAreExact holds the stamp chooser to its inputs:
 // the size scanStamps predicts for each coding is the size appendStamps
-// writes, with and without a stamp period, and the clock coding is ruled
-// out exactly when the base or a stamp, each tested on its own, is off
-// the tick.
+// writes, with and without a stamp period, the clock width coding at
+// every width its values fit — the width they need, one more, 64 — and
+// the width scanStamps says they need is the widest value the clock
+// coding writes. The clock codings are ruled out exactly when the base
+// or a stamp, each tested on its own, is off the tick.
 func TestBlockStampSizesAreExact(t *testing.T) {
 	for _, sh := range blockShapes() {
 		for _, n := range []int{1, 2, 5, blockEntries} {
@@ -456,20 +506,26 @@ func TestBlockStampSizesAreExact(t *testing.T) {
 			for _, base := range []uint64{0, es[0].ver, shapeV0, shapeV0 + 5} {
 				for _, col := range []stampCol{stampExpire, stampVersion} {
 					for _, period := range []int64{0, 2_900_000, -7} {
-						s := scanStamps(es, col, base, period)
-						offTick := base%versionTick != 0
-						for i := range es {
-							offTick = offTick || col.of(&es[i])%versionTick != 0
-						}
-						if s.offTick != offTick {
-							t.Fatalf("%s/%d, base %d: offTick %v, want %v", sh.name, n, base, s.offTick, offTick)
-						}
-						for coding, want := range s.sizes {
-							if coding == stampClock && offTick {
-								continue
+						need := scanStamps(es, col, base, period, 0).bits
+						for _, width := range []int8{int8(need), int8(need) + 1, 64} {
+							s := scanStamps(es, col, base, period, width)
+							offTick := base%versionTick != 0
+							for i := range es {
+								offTick = offTick || col.of(&es[i])%versionTick != 0
 							}
-							if got := len(appendStamps(nil, es, col, base, period, byte(coding), &s)); got != want {
-								t.Fatalf("%s/%d, base %d, period %d, coding %d: %d bytes written, %d predicted", sh.name, n, base, period, coding, got, want)
+							if s.offTick != offTick {
+								t.Fatalf("%s/%d, base %d: offTick %v, want %v", sh.name, n, base, s.offTick, offTick)
+							}
+							if s.bits != need || clockBits(es, col, base, period) != need {
+								t.Fatalf("%s/%d, base %d, period %d: the clock values need %d bits, scanned %d", sh.name, n, base, period, clockBits(es, col, base, period), s.bits)
+							}
+							for coding, want := range s.sizes {
+								if coding >= stampClock && offTick || coding == stampClockWidth && width > 64 {
+									continue
+								}
+								if got := len(appendStamps(nil, es, col, base, period, width, byte(coding), &s)); got != want {
+									t.Fatalf("%s/%d, base %d, period %d, width %d, coding %d: %d bytes written, %d predicted", sh.name, n, base, period, width, coding, got, want)
+								}
 							}
 						}
 					}
@@ -479,23 +535,56 @@ func TestBlockStampSizesAreExact(t *testing.T) {
 	}
 }
 
+// clockBits is the width of the widest zigzag value after the first the
+// clock coding writes for one stamp section of es, read back from its
+// varints.
+func clockBits(es []entry, col stampCol, base uint64, period int64) int {
+	var s stampStats
+	b := appendStamps(nil, es, col, base, period, 0, stampClock, &s)
+	need := 0
+	for i := 0; len(b) > 0; i++ {
+		u, k := binary.Uvarint(b)
+		if i > 0 {
+			need = max(need, bits.Len64(u))
+		}
+		b = b[k:]
+	}
+	return need
+}
+
 // TestBlockStreamSizesAreExact holds the timestamp and the value
 // chooser to their inputs, as TestBlockStampSizesAreExact does the stamp
 // one: over every shape at 1, 2, 5 and 512 entries, the size
 // scanTimestamps predicts for each coding is the size appendTimestamps
-// writes, and the sizes scanValues predicts for the integer codings of
-// an integral block are the sizes appendIntValues writes — the XOR one
-// a floor under what appendXORValues writes.
+// writes — the width coding at every width the residuals fit, and the
+// width they need is the widest residual the line varints write — and
+// the sizes scanValues predicts for the integer codings of an integral
+// block are the sizes appendIntValues writes — the XOR one a floor
+// under what appendXORValues writes.
 func TestBlockStreamSizesAreExact(t *testing.T) {
 	integral := 0
 	for _, sh := range blockShapes() {
 		for _, n := range []int{1, 2, 5, blockEntries} {
 			es := sh.entries(n)
 			if n > 1 { // a one-entry block has no timestamp stream
-				s := scanTimestamps(es)
-				for coding, want := range s.sizes {
-					if got := len(appendTimestamps(nil, es, byte(coding), &s)); got != want {
-						t.Fatalf("%s/%d, timestamp coding %d: %d bytes written, %d predicted", sh.name, n, coding, got, want)
+				need := scanTimestamps(es, 0).bits
+				lineBits := 0 // the widest residual the line varints write
+				for b := appendTimestamps(nil, es, codingLine, 0, nil); len(b) > 0; {
+					u, k := binary.Uvarint(b)
+					lineBits, b = max(lineBits, bits.Len64(u)), b[k:]
+				}
+				if need != lineBits {
+					t.Fatalf("%s/%d: the residuals need %d bits, scanned %d", sh.name, n, lineBits, need)
+				}
+				for _, width := range []int8{int8(need), int8(need) + 1, 64} {
+					s := scanTimestamps(es, width)
+					for coding, want := range s.sizes {
+						if coding == codingWidth && width > 64 {
+							continue
+						}
+						if got := len(appendTimestamps(nil, es, byte(coding), width, &s)); got != want {
+							t.Fatalf("%s/%d, width %d, timestamp coding %d: %d bytes written, %d predicted", sh.name, n, width, coding, got, want)
+						}
 					}
 				}
 			}
@@ -530,7 +619,7 @@ func TestBlockStreamSizesAreExact(t *testing.T) {
 // a block cut short must not pass for whole.
 func TestBlockDecodeSurvivesDamage(t *testing.T) {
 	for coding, es := range codingSeeds(t) {
-		base := blockBase{ver: es[0].ver}
+		base := seedBase(es)
 		enc, _ := encodeBlock(nil, es, base)
 		check := func(what string, raw []byte) bool {
 			var out []entry
@@ -579,20 +668,29 @@ func TestBlockCodingsPickTheObvious(t *testing.T) {
 		flat[i] = entry{ts: shapeT0 + int64(i)*1_000_000_000, val: 42, ver: shapeV0, expire: 7}
 	}
 	// On its line a periodic sensor's residuals are all zero: a frame of
-	// them is its three header bytes, where one of the deltas states the
-	// period.
-	enc, sz := encodeBlock(nil, flat, blockBase{ver: shapeV0})
-	want := blockCoding{sections: blockFlagExpire | blockFlagVersion, ts: codingLineFrame, values: codingFrame, stamps: stampRuns}
-	if enc[0] != want.flags() || len(enc) > 28 || sz.ts != 3 {
-		t.Errorf("flat block: flags %#x, %d bytes, streams %+v; want %#x, a line frame of timestamps and two dozen bytes", enc[0], len(enc), sz, want.flags())
+	// them is its three header bytes, and at a file width of 0 — the
+	// width this block would fix, were it its file's first — nothing.
+	for width, ts := range map[int8]int{noWidth: 3, 0: 0} {
+		enc, sz := encodeBlock(nil, flat, blockBase{ver: shapeV0, tsWidth: width})
+		want := blockCoding{sections: blockFlagExpire | blockFlagVersion, ts: codingLineFrame, values: codingFrame, stamps: stampRuns}
+		if ts == 0 {
+			want.ts = codingWidth
+		}
+		if enc[0] != want.flags() || len(enc) > 28 || sz.ts != ts {
+			t.Errorf("flat block, ts width %d: flags %#x, %d bytes, streams %+v; want %#x, %d bytes of timestamps and two dozen in all", width, enc[0], len(enc), sz, want.flags(), ts)
+		}
 	}
-	ms := make([]entry, blockEntries) // ms-quantised: the divisor takes the 10^6 out
+	// Quantised to the ms, timestamps keep their jitter against the line,
+	// which is not on the ms grid: 25 bits a residual in a line frame. No
+	// coding of v6 divides the 10^6 out (the delta frame of v5 took 6
+	// bits a delta).
+	ms := make([]entry, blockEntries)
 	rng := rand.New(rand.NewSource(3))
 	for i := range ms {
 		ms[i] = entry{ts: shapeT0 + int64(i)*1_000_000_000 + int64(rng.Intn(21))*1_000_000, val: 0.5}
 	}
-	if _, sz := encodeBlock(nil, ms, blockBase{}); sz.ts > 10+((blockEntries-1)*6+7)/8 {
-		t.Errorf("ms-quantised timestamps: %d bytes, want a header and 6 bits a delta", sz.ts)
+	if enc, sz := encodeBlock(nil, ms, blockBase{}); enc[0]>>blockTSShift&3 != codingLineFrame || sz.ts > 10+((blockEntries-2)*25+7)/8 {
+		t.Errorf("ms-quantised timestamps: flags %#x, %d bytes, want a line frame of 25 bits a residual", enc[0], sz.ts)
 	}
 	// A 0/1 state that flips rarely: against its line a bit a reading,
 	// which XOR spends too, on top of its raw first value; the deltas take
@@ -615,9 +713,16 @@ func TestBlockCodingsPickTheObvious(t *testing.T) {
 	for i := range fan {
 		fan[i] = entry{ts: shapeT0 + int64(i)*1_000_000_000 + int64(rng.Intn(20_000_001)) - 10_000_000, val: float64(1_000_003 + 1977*i + rng.Intn(40))}
 	}
-	enc, sz = encodeBlock(nil, fan, blockBase{})
+	enc, sz := encodeBlock(nil, fan, blockBase{})
 	if want := (blockCoding{ts: codingLine, values: codingLine}).flags(); enc[0] != want || sz.ts > 3*4 || sz.values > 3+3+3 {
 		t.Errorf("fan-in block: flags %#x, streams %+v; want %#x: line varints, four bytes a timestamp, a byte a value", enc[0], sz, want)
+	}
+	// At the width its jitter needs, the same block packs its three
+	// residuals in 25 bits each.
+	base := ownWidths(fan, blockBase{})
+	enc, sz = encodeBlock(nil, fan, base)
+	if want := (blockCoding{ts: codingWidth, values: codingLine}).flags(); base.tsWidth > 25 || enc[0] != want || sz.ts != (3*int(base.tsWidth)+7)/8 {
+		t.Errorf("fan-in block at ts width %d: flags %#x, streams %+v; want %#x: the width coding, %d bits a timestamp", base.tsWidth, enc[0], sz, want, base.tsWidth)
 	}
 }
 
@@ -640,18 +745,24 @@ func TestBlockClockCodesFanInStamps(t *testing.T) {
 	}
 	// Four bytes for the first stamp, four for the first delta — two
 	// against the period — and two for each ms of jitter: 14, or 12, where
-	// nanosecond varints spend 25.
+	// nanosecond varints spend 25. At the width the jitter needs, 14 bits,
+	// the four values after the first take seven bytes.
 	for period, most := range map[int64]int{0: 4 + 4 + 3*2, 2_900_000: 4 + 2 + 3*2} {
 		enc, sz := encodeBlock(nil, fan, blockBase{ver: shapeV0, stampPeriod: period})
 		if c, _ := readFlags(enc[0], len(fan)); c.sections != blockFlagVersion || c.stamps != stampClock || sz.stamps > most {
 			t.Errorf("fan-in block, stamp period %d: flags %#x, %d stamp bytes; want the version section clock coded in at most %d", period, enc[0], sz.stamps, most)
 		}
 	}
-	if enc, _ := encodeBlock(nil, fan, blockBase{ver: shapeV0 + 1}); enc[0]>>blockStampsShift == stampClock {
+	base := ownWidths(fan, blockBase{ver: shapeV0, stampPeriod: 2_900_000})
+	enc, sz := encodeBlock(nil, fan, base)
+	if c, _ := readFlags(enc[0], len(fan)); c.stamps != stampClockWidth || base.stampWidth > 14 || sz.stamps > 4+7 {
+		t.Errorf("fan-in block at stamp width %d: flags %#x, %d stamp bytes; want the clock width coding in at most 11", base.stampWidth, enc[0], sz.stamps)
+	}
+	if enc, _ := encodeBlock(nil, fan, blockBase{ver: shapeV0 + 1, stampWidth: 64}); enc[0]>>blockStampsShift >= stampClock {
 		t.Error("fan-in block against a base off the tick: clock coded")
 	}
 	fan[3].ver++
-	if enc, _ := encodeBlock(nil, fan, blockBase{ver: shapeV0}); enc[0]>>blockStampsShift == stampClock {
+	if enc, _ := encodeBlock(nil, fan, blockBase{ver: shapeV0, stampWidth: 64}); enc[0]>>blockStampsShift >= stampClock {
 		t.Error("fan-in block with a stamp off the tick: clock coded")
 	}
 }
@@ -659,7 +770,7 @@ func TestBlockClockCodesFanInStamps(t *testing.T) {
 // TestBlockAnchorRejectsForgedMax: the last timestamp of a block of two
 // or more entries is the index entry's max. A max below the
 // second-to-last timestamp — a negative last delta — is refused, one
-// equal to it (a duplicate timestamp) served, in the codings that take
+// equal to it (a duplicate timestamp) served, in the coding that takes
 // no line through it. A line-coded block decodes its body against the
 // max, so under any forged max it is refused or served sorted, ending at
 // that max — never unsorted, the line's wrapped span (a max below the
@@ -671,11 +782,11 @@ func TestBlockAnchorRejectsForgedMax(t *testing.T) {
 	for _, sh := range blockShapes() {
 		for _, n := range []int{2, 5, blockEntries} {
 			es := sh.entries(n)
-			base := blockBase{ver: es[0].ver}
+			base := seedBase(es)
 			enc, _ := encodeBlock(nil, es, base)
 			m := metaOf(es)
 			var out []entry
-			if enc[0]>>blockTSShift&3 < codingLine {
+			if enc[0]>>blockTSShift&3 == codingFirst {
 				if m.max = es[n-2].ts - 1; es[n-2].ts > math.MinInt64 && (decodeBlock(enc, m, base, &out) == nil || len(out) != 0) {
 					t.Fatalf("%s/%d: a max below the second-to-last timestamp accepted", sh.name, n)
 				}
@@ -710,6 +821,7 @@ func TestBlockAnchorRejectsForgedMax(t *testing.T) {
 		}
 		var out []entry
 		for _, forged := range [][]byte{
+			append([]byte{enc[0] | codingWidth<<blockTSShift}, enc[1:]...),
 			append([]byte{enc[0] | codingLine<<blockTSShift}, enc[1:]...),
 			append([]byte{enc[0] | codingLineFrame<<blockValuesShift}, enc[1:]...),
 		} {
@@ -823,7 +935,7 @@ func TestBlockLineCodingsRoundTrip(t *testing.T) {
 				t.Fatalf("%s/%d: %v", name, n, err)
 			}
 			c, _ := readFlags(enc[0], n)
-			if name != "equal ends" && c.ts < codingLine && c.values < codingLine {
+			if name != "equal ends" && c.ts == codingFirst && c.values < codingLine {
 				t.Errorf("%s/%d: flags %#x, no stream coded against its line", name, n, enc[0])
 			}
 			m := metaOf(es)
@@ -959,6 +1071,144 @@ func TestRunIndexRoundTrip(t *testing.T) {
 	if reread.period < 2_899_000_000 || reread.period > 2_901_000_000 {
 		t.Errorf("period %d, want the series' 2.9 s", reread.period)
 	}
+	// The widths are those of the first block of four entries or more,
+	// in SID order, and of the first stamped one of three or more.
+	var tsFrom, stampFrom []entry
+	for _, se := range reread.series {
+		es := series[se.id][:min(len(series[se.id]), blockEntries)]
+		if tsFrom == nil && len(es) > 3 {
+			tsFrom = es
+		}
+		if stampFrom == nil && len(es) > 2 {
+			stampFrom = es
+		}
+	}
+	own := blockBase{ver: reread.base.ver, stampPeriod: reread.base.stampPeriod}
+	if want := ownWidths(tsFrom, own).tsWidth; reread.base.tsWidth != want {
+		t.Errorf("ts width %d, want the %d its first block of four entries needs", reread.base.tsWidth, want)
+	}
+	if want := ownWidths(stampFrom, own).stampWidth; reread.base.stampWidth != want || want == 0 {
+		t.Errorf("stamp width %d, want the %d its first stamped block of three entries needs", reread.base.stampWidth, want)
+	}
+}
+
+// TestRunFileWidthsFixedByFirstEligibleBlock: the writer fixes each
+// width from the first block, in SID order, with two or more values to
+// pack in its coding — the ts width from the first of four entries or
+// more, the stamp width from the first stamped one of three or more —
+// to what that block needs, and no block before it takes the coding:
+// here the first series has one entry (no timestamp body), the second
+// two (no residual, one stamp value), the third three (one residual,
+// two stamp values). A later block whose jitter is wider than the width
+// keeps its varints. A file with no such block states widths of 0.
+func TestRunFileWidthsFixedByFirstEligibleBlock(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	fan := func(n int, jitter int) []entry {
+		es := make([]entry, n)
+		for i := range es {
+			es[i] = entry{
+				ts:  shapeT0 + int64(i)*2_900_000_000 + int64(rng.Intn(2*jitter+1)-jitter),
+				val: float64(1000 + 7*i),
+				ver: shapeV0 + uint64(i)*2_900_000_000 + uint64(rng.Intn(3000))*versionTick,
+			}
+		}
+		return es
+	}
+	series := map[core.SensorID][]entry{
+		faninID(0): fan(1, 1_000_000),
+		faninID(1): fan(2, 1_000_000),
+		faninID(2): fan(3, 1_000_000),
+		faninID(3): fan(5, 1_000_000),
+		faninID(4): fan(5, 1_000_000),
+		faninID(5): fan(5, 1_000_000_000), // a thousand times the jitter
+	}
+	meta, idx, err := writeRunFile(t.TempDir(), 1, 1, series, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := goldenBytes(t, meta.path)
+	got, err := decodeRunFile(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := runContentsEqual(&runContents{minSeq: 1, maxSeq: 1, series: series}, got); err != nil {
+		t.Fatal(err)
+	}
+	if err := coldSeriesEqual(meta.path, idx, series); err != nil {
+		t.Fatal(err)
+	}
+	own := blockBase{ver: idx.base.ver, stampPeriod: idx.base.stampPeriod}
+	if want := ownWidths(series[faninID(3)], own).tsWidth; idx.base.tsWidth != want {
+		t.Errorf("ts width %d, want the fourth series' %d", idx.base.tsWidth, want)
+	}
+	if want := ownWidths(series[faninID(2)], own).stampWidth; idx.base.stampWidth != want || want == 0 {
+		t.Errorf("stamp width %d, want the third series' %d", idx.base.stampWidth, want)
+	}
+	if p := int64(series[faninID(1)][1].ver/versionTick - series[faninID(1)][0].ver/versionTick); idx.base.stampPeriod != p {
+		t.Errorf("stamp period %d, want the second series' %d", idx.base.stampPeriod, p)
+	}
+	// Before its width is fixed no block takes a width coding; the blocks
+	// that fix them take them; after, a block takes one only where its
+	// values fit, and the wide jitter does not.
+	for s, se := range idx.series {
+		es, c := series[se.id], codingOf(data[se.blocks[0].off])
+		if c.ts == codingWidth && (s < 3 || scanTimestamps(es, 0).bits > int(idx.base.tsWidth)) ||
+			c.stamps == stampClockWidth && (s < 2 || ownWidths(es, own).stampWidth > idx.base.stampWidth) {
+			t.Errorf("series %d coded %+v at widths %d and %d", s, c, idx.base.tsWidth, idx.base.stampWidth)
+		}
+		if s == 3 && c.ts != codingWidth || s == 2 && c.stamps != stampClockWidth || s == 5 && c.ts == codingWidth {
+			t.Errorf("series %d coded %+v", s, c)
+		}
+	}
+
+	short := map[core.SensorID][]entry{faninID(0): series[faninID(0)], faninID(1): series[faninID(1)]}
+	_, idx, err = writeRunFile(t.TempDir(), 1, 1, short, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if idx.base.tsWidth != 0 || idx.base.stampWidth != 0 {
+		t.Errorf("a file of a one- and a two-entry block states widths %d and %d, want 0", idx.base.tsWidth, idx.base.stampWidth)
+	}
+}
+
+// TestBlockWiderThanWidthNeverTakesIt: a block one of whose values
+// needs a bit more than the file's width never takes that width coding,
+// so no block outgrows its varints for a width another block fixed; at
+// the width its values need, the coding's size is what it writes.
+func TestBlockWiderThanWidthNeverTakesIt(t *testing.T) {
+	narrow := 0
+	for _, sh := range blockShapes() {
+		for _, n := range []int{3, 5, 64, blockEntries} {
+			es := sh.entries(n)
+			fits := ownWidths(es, seedBase(es))
+			ts := scanTimestamps(es, fits.tsWidth)
+			if ts.bits != int(fits.tsWidth) {
+				t.Fatalf("%s/%d: ts width %d, the residuals need %d", sh.name, n, fits.tsWidth, ts.bits)
+			}
+			below := fits
+			below.tsWidth, below.stampWidth = fits.tsWidth-1, fits.stampWidth-1
+			if fits.tsWidth == 0 {
+				below.tsWidth = noWidth
+			}
+			if fits.stampWidth == 0 {
+				below.stampWidth = noWidth
+			}
+			enc, _ := encodeBlock(nil, es, below)
+			c := codingOf(enc[0])
+			if c.ts == codingWidth || c.stamps == stampClockWidth {
+				t.Fatalf("%s/%d: coded %+v at widths %d and %d, a bit below what the block needs", sh.name, n, c, below.tsWidth, below.stampWidth)
+			}
+			if _, got, err := codecRoundTrip(es, below); err != nil || entriesEqual(got, es) != nil {
+				t.Fatalf("%s/%d at widths a bit below its own: %v", sh.name, n, err)
+			}
+			if enc, _ := encodeBlock(nil, es, fits); codingOf(enc[0]).ts == codingWidth {
+				narrow++
+			}
+		}
+	}
+	if narrow == 0 {
+		t.Fatal("no shape takes the ts width coding at the width it needs")
+	}
 }
 
 // TestRunIndexPeriodChoice: the writer codes bounds against the median
@@ -987,13 +1237,17 @@ func TestRunIndexPeriodChoice(t *testing.T) {
 }
 
 // indexHeader is an index header: minSeq 1, span, baseTS and baseVer 0,
-// the given period, stampPeriod 0.
+// the given period, stampPeriod and both widths 0.
 func indexHeader(period, tombs, series uint64) []byte {
 	b := binary.AppendUvarint(nil, 1)
 	b = append(b, 0, 0, 0)
-	b = append(binary.AppendUvarint(b, period), 0)
+	b = append(binary.AppendUvarint(b, period), 0, 0, 0)
 	return binary.AppendUvarint(binary.AppendUvarint(b, tombs), series)
 }
+
+// zeroColumn is a bound column whose values are all 0: min 0, divisor
+// 1, width 0, no packed bits.
+var zeroColumn = []byte{0, 1, 0}
 
 // TestRunFilePages holds pages to their rule: a page closes at the first
 // block end 1 KiB or more past its start — exactly at 1 KiB too — and
@@ -1036,17 +1290,18 @@ func TestRunFilePages(t *testing.T) {
 		}
 	}
 
-	// Five-byte blocks, one a series, closing their pages as flagged.
+	// Five-byte blocks, one a series, closing their pages as flagged,
+	// all at the file's first timestamp.
 	closing := func(closes ...bool) []byte {
 		b := indexHeader(0, 0, uint64(len(closes)))
 		for i, c := range closes {
-			b = append(b, 0x01, byte(i+1), 1, 5<<1, 0, 0) // SID /i+1, one entry, 5 bytes
+			b = append(b, 0x01, byte(i+1), 1, 5<<1) // SID /i+1, one entry, 5 bytes
 			if c {
-				b[len(b)-3] |= 1
+				b[len(b)-1] |= 1
 				b = append(b, 0, 0, 0, 0)
 			}
 		}
-		return b
+		return append(b, zeroColumn...)
 	}
 	for _, c := range []struct {
 		closes  []bool
@@ -1140,7 +1395,9 @@ func forgedIndex(idx *runIndex, dataLen int64) (*runIndex, error) {
 // only reach the shortest block there is. A series' count sizes its
 // block list, so it must fit the index's remaining bytes. Lengths,
 // deltas and the period's predictions are checked in subtraction or
-// division form so they cannot wrap past the check. The other half of
+// division form so they cannot wrap past the check. A bound column is
+// read where it lies, its length derived from the records: a forged
+// width or length fails with nothing sized from it. The other half of
 // the guard is decodeRunFile's: nothing is sized from the index's summed
 // claim, only from blocks that passed their page's CRC.
 func TestRunIndexAllocationGuards(t *testing.T) {
@@ -1160,7 +1417,7 @@ func TestRunIndexAllocationGuards(t *testing.T) {
 	}{
 		{"smallest block", one(blockMeta{length: blockMinLen, count: 1}), 8 + blockMinLen, ""},
 		{"full block in a dozen bytes", one(blockMeta{length: 12, count: blockEntries}), 8 + 12, ""},
-		{"series count beyond its blocks", one(blockMeta{length: 4096, count: blockEntries + 1}), 8 + 4096, "truncated"},
+		{"series count beyond its blocks", one(blockMeta{length: 4096, count: blockEntries + 1}), 8 + 4096, "shorter than the shortest block"},
 		{"zero count", one(blockMeta{length: 9, count: 0}), 8 + 9, "empty series"},
 		{"block too short for a value", one(blockMeta{length: 1, count: 1}), 8 + 1, "shorter than the shortest block"},
 		{"length beyond the data", one(blockMeta{length: 100, count: 1}), 8 + 99, "overflows data section"},
@@ -1191,38 +1448,102 @@ func TestRunIndexAllocationGuards(t *testing.T) {
 	}
 
 	// Counts no byte string of that size could back up, lengths and
-	// spans near 2^64 that an additive bound check would wrap past.
+	// spans near 2^64 that an additive bound check would wrap past, and
+	// bound columns whose width, divisor, length or padding no writer
+	// gives them.
 	uv := binary.AppendUvarint
 	crc := []byte{0, 0, 0, 0}
-	// One series, SID /1, of count entries, whose first block is the
-	// bytes block.
-	series := func(period, count uint64, block ...byte) []byte {
-		return append(uv(append(indexHeader(period, 0, 1), 0x01, 0x01), count), block...)
+	closed := append([]byte{2<<1 | 1}, crc...) // a 2-byte block closing its page
+	// One series, SID /1, of count entries, whose block records and bound
+	// columns are rest.
+	series := func(period, count uint64, rest ...[]byte) []byte {
+		b := uv(append(indexHeader(period, 0, 1), 0x01, 0x01), count)
+		for _, r := range rest {
+			b = append(b, r...)
+		}
+		return b
 	}
-	for _, c := range []struct {
+	column := func(vs ...int64) []byte { return appendColumn(nil, vs) }
+	// widths is an index of one one-entry series at the given widths.
+	widths := func(ts, stamp byte) []byte {
+		b := append(indexHeader(0, 0, 1)[:6:6], ts, stamp, 0, 1, 0x01, 0x01, 1)
+		return append(append(b, closed...), zeroColumn...)
+	}
+	well := series(0, 1, closed, zeroColumn)
+	if string(widths(0, 0)) != string(well) {
+		t.Fatalf("the widths' index %x is not the well-formed one %x", widths(0, 0), well)
+	}
+	type forgery struct {
 		name  string
 		index []byte
-	}{
+	}
+	forgeries := []forgery{
 		{"tombstone count", indexHeader(0, 1<<40, 0)},
 		{"series count", indexHeader(0, 0, 1<<40)},
 		{"entry count", series(0, 1<<50)},
 		{"entry count 2^64-1", series(0, math.MaxUint64)},
-		{"block length", series(0, 1, append(uv(nil, math.MaxUint64), append([]byte{0, 0}, crc...)...)...)},
-		{"span", append(uv(uv(nil, 2), math.MaxUint64), 0, 0, 0, 0, 0, 0)},
-		{"block span past int64", series(0, 2, append(append([]byte{2<<1 | 1, 1}, uv(nil, zigzag(math.MaxInt64))...), crc...)...)},
-		{"gap past int64", series(0, 1, append(append(uv(nil, 2<<1|1), uv(nil, math.MaxUint64)...), append([]byte{0}, crc...)...)...)},
-		{"(count-1)·period beyond int64", series(math.MaxInt64/7, 9, append([]byte{2<<1 | 1, 0, 0}, crc...)...)},
-		{"period beyond int64", series(1<<63, 1, append([]byte{2<<1 | 1, 0, 0}, crc...)...)},
-		{"level code above 0xffff", append(uv(append(indexHeader(0, 0, 1), 0x01), 1<<16), append([]byte{1, 2<<1 | 1, 0, 0}, crc...)...)},
-		{"more levels than a SID has", append(indexHeader(0, 0, 1), append([]byte{0x54, 1, 1, 1, 1, 1, 2<<1 | 1, 0, 0}, crc...)...)},
-	} {
+		{"block length", series(0, 1, uv(nil, math.MaxUint64), crc, zeroColumn)},
+		{"span", append(uv(uv(nil, 2), math.MaxUint64), 0, 0, 0, 0, 0, 0, 0, 0)},
+		{"block span past int64", series(0, 2, closed, column(1), column(math.MaxInt64))},
+		{"gap past int64", series(0, 1, closed, column(-1))},
+		{"(count-1)·period beyond int64", series(math.MaxInt64/7, 9, closed, zeroColumn, zeroColumn)},
+		{"period beyond int64", series(1<<63, 1, closed, zeroColumn)},
+		{"ts width above 64", widths(65, 0)},
+		{"stamp width above 64", widths(0, 65)},
+		{"level code above 0xffff", append(uv(append(indexHeader(0, 0, 1), 0x01), 1<<16), append([]byte{1}, append(closed, zeroColumn...)...)...)},
+		{"more levels than a SID has", append(indexHeader(0, 0, 1), append([]byte{0x54, 1, 1, 1, 1, 1}, append(closed, zeroColumn...)...)...)},
+	}
+	columns := []forgery{
+		{"column width above 64", series(0, 1, closed, []byte{0, 1, 65, 0, 0, 0, 0, 0, 0, 0, 0, 0})},
+		{"column divisor 0", series(0, 1, closed, []byte{0, 0, 0})},
+		{"column cut short", series(0, 1, closed, []byte{0, 1, 64, 0, 0, 0, 0, 0, 0, 0})},
+		{"column missing", series(0, 2, closed, zeroColumn)},
+		{"column padding not zero", series(0, 1, closed, []byte{0, 1, 1, 0x40})},
+		{"bytes after the columns", series(0, 1, closed, zeroColumn, []byte{0})},
+	}
+	for _, c := range append(forgeries, columns...) {
 		if _, err := parseRunIndex(c.index, 8+2); err == nil {
 			t.Errorf("forged %s accepted", c.name)
 		}
 	}
-	// The layout above is what the parser reads: unforged, it passes.
-	if _, err := parseRunIndex(series(0, 1, append([]byte{2<<1 | 1, 0, 0}, crc...)...), 8+2); err != nil {
-		t.Fatalf("the forged cases' well-formed base rejected: %v", err)
+	// The layout above is what the parser reads: unforged, it passes —
+	// with a first gap of 0 and of 7, at widths up to 64, and with a span
+	// where the block has two entries.
+	for _, index := range [][]byte{well, series(0, 1, closed, column(7)), widths(64, 64), series(0, 2, closed, zeroColumn, column(3))} {
+		if _, err := parseRunIndex(index, 8+2); err != nil {
+			t.Fatalf("the forged cases' well-formed base %x rejected: %v", index, err)
+		}
+	}
+	// A column is read where it lies: no forged width or length sizes an
+	// allocation, so a forged column costs what an error costs to
+	// report. The last forgery claims 512 entries a block for 2^16
+	// two-byte blocks, so the columns' lengths — derived from the records
+	// — are 2^16 spans, at width 64 half a MiB that the index does not
+	// hold.
+	for _, c := range columns {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		parseRunIndex(c.index, 8+2)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 2<<10 {
+			t.Errorf("forged %s: parsing allocated %d bytes", c.name, grew)
+		}
+	}
+	const many = 1 << 16
+	var records []byte
+	for k := 1; k <= many; k++ { // a page closes every 512 blocks, at 1 KiB
+		if k%512 != 0 {
+			records = append(records, 2<<1)
+		} else {
+			records = append(records, closed...)
+		}
+	}
+	long := series(0, many*blockEntries, records, zeroColumn, zeroColumn, []byte{0, 1, 64})
+	if _, err := parseRunIndex(long, 8+2*many); err == nil || !strings.Contains(err.Error(), "span column") {
+		t.Errorf("a span column of %d values in no bytes: %v, want it refused", many, err)
+	}
+	if _, err := parseRunIndex(append(long[:len(long)-1:len(long)-1], 0), 8+2*many); err != nil {
+		t.Errorf("the same index at span width 0: %v", err)
 	}
 
 	// A 64 KB file whose index claims 512 entries for each of a few
@@ -1255,15 +1576,16 @@ func TestRunIndexAllocationGuards(t *testing.T) {
 }
 
 // oneEntrySpanFile is a run file whose index gives its one block, of
-// one entry, a span of 5 ns, the index CRC made to match: only the
-// index parser can tell.
+// one entry, a span of 5 ns — a span column of one value after the
+// first-gap column, where a file without a block of two entries has
+// none — the index CRC made to match: only the index parser can tell.
 func oneEntrySpanFile(t interface{ Fatal(...any) }) []byte {
 	file := writtenRunFileBytes(t, &runContents{minSeq: 1, maxSeq: 2, series: map[core.SensorID][]entry{
 		goldenShardIDs(1)[0]: {{ts: shapeT0, val: 21.5, ver: shapeV0}},
 	}})
 	idx := fileIndex(t, file)
-	idx.series[0].blocks[0].max += 5
-	index := appendRunIndex(nil, idx)
+	index := file[idx.dataLen : len(file)-runFooterLen : len(file)-runFooterLen]
+	index = append(index, appendColumn(nil, []int64{5})...)
 	footer, err := runFooter(uint64(idx.dataLen), len(index), crc32.ChecksumIEEE(index))
 	if err != nil {
 		t.Fatal(err)
@@ -1272,9 +1594,10 @@ func oneEntrySpanFile(t interface{ Fatal(...any) }) []byte {
 }
 
 // TestRunFileOneEntrySpanRefused: a block of one entry has no span, its
-// one timestamp being both its bounds. A file whose index gives it one
-// fails the hot (cache-less) and the cold open alike — the cold one
-// never decodes the block, so it is the parser that refuses it.
+// one timestamp being both its bounds, and the span column no entry for
+// it. A file whose index gives it one fails the hot (cache-less) and
+// the cold open alike — the cold one never decodes the block, so it is
+// the parser that refuses it.
 func TestRunFileOneEntrySpanRefused(t *testing.T) {
 	dir := t.TempDir()
 	placeRunFile(t, dir, oneEntrySpanFile(t))
@@ -1284,7 +1607,7 @@ func TestRunFileOneEntrySpanRefused(t *testing.T) {
 		if err == nil {
 			n.Close()
 		}
-		if err == nil || !strings.Contains(err.Error(), "one-entry block a span of 5") {
+		if err == nil || !strings.Contains(err.Error(), "run index has 3 trailing bytes") {
 			t.Errorf("open %+v over a one-entry block with a span: %v", o, err)
 		}
 	}
@@ -1310,14 +1633,15 @@ func TestBlockDecodeCountGuard(t *testing.T) {
 			t.Errorf("count %d over a one-entry block: %+v, %v", count, out, err)
 		}
 	}
-	// Stamp coding 3 does not exist, with a section or without one.
-	for _, raw := range [][]byte{
-		{blockFlagVersion | 3<<blockStampsShift, 0, 0, 0, 0, 0, 0, 0, 0, 0},
-		{3 << blockStampsShift, 0, 0, 0, 0, 0, 0, 0, 0},
-	} {
-		if err := decodeBlock(raw, at42, blockBase{}, &out); err == nil || !strings.Contains(err.Error(), "stamp coding 3") || len(out) != 0 {
-			t.Errorf("flags %#x: %v, want stamp coding 3 refused", raw[0], err)
-		}
+	// Stamp coding 3, the clock at the file's width, reads its width from
+	// the base: one above 64 is refused, as a frame's is.
+	clockWidth := []byte{blockFlagVersion | stampClockWidth<<blockStampsShift, 0, 0, 0, 0, 0, 0, 0, 0, 0}
+	if err := decodeBlock(clockWidth, at42, blockBase{stampWidth: 64}, &out); err != nil || len(out) != 1 {
+		t.Errorf("flags %#x at stamp width 64: %v", clockWidth[0], err)
+	}
+	out = out[:0]
+	if err := decodeBlock(clockWidth, at42, blockBase{stampWidth: 65}, &out); err == nil || !strings.Contains(err.Error(), "width 65") || len(out) != 0 {
+		t.Errorf("flags %#x at stamp width 65: %v, want the width refused", clockWidth[0], err)
 	}
 	// Bit 7 alone is stamp coding 2, the clock, of no section here.
 	if err := decodeBlock([]byte{0x80, 0, 0, 0, 0, 0, 0, 0, 0}, at42, blockBase{}, &out); err != nil || len(out) != 1 {
@@ -1383,7 +1707,8 @@ func TestRunFooterRejectsOversizedIndex(t *testing.T) {
 // writer's loop, stamped on the coordinator's clock. The line shape is a
 // full block coded against its line in both streams: the counter with
 // noise that does not accumulate, sampled with ±1 ms of jitter, its two
-// ends on the grid.
+// ends on the grid. Each is coded against the widths it needs, as the
+// first block of its file fixes them (seedBase).
 func benchBlocks() map[string][]entry {
 	rng := rand.New(rand.NewSource(5))
 	const t0, v0 = int64(1_560_000_000_000_000_000), uint64(1_700_000_000_000_000_000)
@@ -1443,8 +1768,9 @@ func BenchmarkBlockEncode(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			var buf []byte
+			base := seedBase(es)
 			for i := 0; i < b.N; i++ {
-				buf, _ = encodeBlock(buf[:0], es, blockBase{ver: es[0].ver})
+				buf, _ = encodeBlock(buf[:0], es, base)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(es)), "ns/reading")
 			b.ReportMetric(float64(len(buf))/float64(len(es)), "B/reading")
@@ -1456,9 +1782,9 @@ func BenchmarkBlockDecode(b *testing.B) {
 	for name, es := range benchBlocks() {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
-			base := blockBase{ver: es[0].ver}
+			base := seedBase(es)
 			enc, _ := encodeBlock(nil, es, base)
-			if c, _ := readFlags(enc[0], len(es)); name == "line" && (c.ts != codingLineFrame || c.values != codingLineFrame) {
+			if c, _ := readFlags(enc[0], len(es)); name == "line" && (c.ts == codingFirst || c.values != codingLineFrame) {
 				b.Fatalf("line shape coded %+v", c)
 			}
 			out := make([]entry, 0, len(es))
@@ -1532,7 +1858,7 @@ func TestRunIndexParsersSurviveDamage(t *testing.T) {
 	for name, file := range map[string][]byte{
 		"writer":         validRunFileBytes(t),
 		"writer, fan-in": writtenRunFileBytes(t, skewedFanInContents()),
-		"fixture":        goldenBytes(t, goldenV5Path),
+		"fixture":        goldenBytes(t, goldenV6Path),
 	} {
 		index, dataLen := split(file)
 		if _, err := parseRunIndex(index, dataLen); err != nil {

@@ -36,7 +36,9 @@ func readRunFile(path string) (*runContents, error) {
 
 // validRunFileBytes builds a well-formed run file through the real
 // writer — two blocks, an expire section, versions, a tombstone, and a
-// series for every combination of block codings — to seed the corpus.
+// series for every combination of block codings, the width codings'
+// seeds at the widths the file's first such blocks fix — to seed the
+// corpus.
 func validRunFileBytes(t interface{ Fatal(...any) }) []byte {
 	long := make([]entry, blockEntries+30) // spans two blocks
 	for i := range long {
@@ -92,17 +94,19 @@ func FuzzRunFileDecode(f *testing.F) {
 	f.Add([]byte("DCDBRUN3"))
 	f.Add([]byte("DCDBRUN4"))
 	f.Add([]byte("DCDBRUN5"))
+	f.Add([]byte("DCDBRUN6"))
+	f.Add(goldenBytes(f, goldenV5Path)) // the refused format's fixture
 	// Files as this build writes them, the checked-in fixture, and a
 	// forged one whose one-entry block claims a span — each whole, torn,
 	// and under the magic of every format refused by name.
-	for _, valid := range [][]byte{validRunFileBytes(f), goldenBytes(f, goldenV5Path),
+	for _, valid := range [][]byte{validRunFileBytes(f), goldenBytes(f, goldenV6Path),
 		writtenRunFileBytes(f, skewedFanInContents()), oneEntrySpanFile(f)} {
 		f.Add(valid)
 		f.Add(valid[:len(valid)/2])             // torn data/index
 		f.Add(valid[:len(valid)-8])             // torn footer
 		f.Add(append(valid, 0, 1, 2))           // trailing garbage shifts the footer
 		f.Add(valid[:runMagicLen+runFooterLen]) // magic and a footer-sized tail, nothing else
-		for _, magic := range []string{"DCDBRUN1", "DCDBRUN2", "DCDBRUN3", "DCDBRUN4", "DCDBRUN6"} {
+		for _, magic := range []string{"DCDBRUN1", "DCDBRUN2", "DCDBRUN3", "DCDBRUN4", "DCDBRUN5", "DCDBRUN7"} {
 			f.Add(append([]byte(magic), valid[runMagicLen:]...))
 		}
 	}
@@ -256,11 +260,11 @@ func FuzzWriteEntries(f *testing.F) {
 // stamp period. Whatever decodes must survive a re-encode, which checks
 // the valid path inside the fuzzer too.
 func FuzzBlockDecode(f *testing.F) {
-	f.Add([]byte{}, uint16(1), int64(0), int64(0), uint64(0), int64(0))
-	f.Add([]byte{0}, uint16(1), int64(0), int64(0), uint64(0), int64(0))
+	f.Add([]byte{}, uint16(1), int64(0), int64(0), uint64(0), int64(0), uint8(0), uint8(0))
+	f.Add([]byte{0}, uint16(1), int64(0), int64(0), uint64(0), int64(0), uint8(0), uint8(0))
 	add := func(es []entry, base blockBase) {
 		b, _ := encodeBlock(nil, es, base)
-		f.Add(b, uint16(len(es)), es[0].ts, es[len(es)-1].ts, base.ver, base.stampPeriod)
+		f.Add(b, uint16(len(es)), es[0].ts, es[len(es)-1].ts, base.ver, base.stampPeriod, uint8(base.tsWidth), uint8(base.stampWidth))
 	}
 	es := []entry{{ts: 1, val: 1.5, ver: 900}, {ts: 1, val: -2, ver: 1100}, {ts: 50, val: 1.5, expire: 9}}
 	add(es, blockBase{ver: 1000})
@@ -271,7 +275,7 @@ func FuzzBlockDecode(f *testing.F) {
 	}
 	add(long, blockBase{})
 	for _, es := range codingSeeds(f) {
-		add(es, blockBase{ver: es[0].ver})
+		add(es, seedBase(es))
 		add(es, blockBase{ver: es[0].ver, stampPeriod: 2_900_000})
 	}
 	// Every shape at the sizes of a fan-in block, where the index's two
@@ -279,22 +283,22 @@ func FuzzBlockDecode(f *testing.F) {
 	for _, sh := range blockShapes() {
 		for _, n := range []int{2, 5} {
 			es := sh.entries(n)
-			add(es, blockBase{ver: es[0].ver})
+			add(es, ownWidths(es, blockBase{ver: es[0].ver}))
 		}
 	}
 	// The blocks of fan-in files as they lie in them: the fixture's, and
 	// those of one whose stamps partly fall below the file's base.
-	for _, golden := range [][]byte{goldenBytes(f, goldenV5Path), writtenRunFileBytes(f, skewedFanInContents())} {
+	for _, golden := range [][]byte{goldenBytes(f, goldenV6Path), writtenRunFileBytes(f, skewedFanInContents())} {
 		idx := fileIndex(f, golden)
 		for _, se := range idx.series {
 			for _, m := range se.blocks {
-				f.Add(golden[m.off:m.off+uint64(m.length)], uint16(m.count), m.min, m.max, idx.base.ver, idx.base.stampPeriod)
+				f.Add(golden[m.off:m.off+uint64(m.length)], uint16(m.count), m.min, m.max, idx.base.ver, idx.base.stampPeriod, uint8(idx.base.tsWidth), uint8(idx.base.stampWidth))
 			}
 		}
 	}
-	f.Fuzz(func(t *testing.T, data []byte, count16 uint16, first, last int64, baseVer uint64, stampPeriod int64) {
+	f.Fuzz(func(t *testing.T, data []byte, count16 uint16, first, last int64, baseVer uint64, stampPeriod int64, tsWidth, stampWidth uint8) {
 		m := blockMeta{count: uint32(count16), min: first, max: last}
-		base := blockBase{ver: baseVer, stampPeriod: stampPeriod}
+		base := blockBase{ver: baseVer, stampPeriod: stampPeriod, tsWidth: int8(tsWidth), stampWidth: int8(stampWidth)}
 		out := make([]entry, 0, 64)
 		if err := decodeBlock(data, m, base, &out); err != nil {
 			if len(out) != 0 {

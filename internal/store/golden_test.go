@@ -6,11 +6,16 @@ import (
 	"dcdb/internal/core"
 )
 
-// goldenV5Path is a run file in format v5 holding goldenFanInContents,
-// written by the first build of format v5: the fixture that pins the
+// goldenV6Path is a run file in format v6 holding goldenFanInContents,
+// written by the first build of format v6: the fixture that pins the
 // format — every later build must serve it as it is, and write the same
 // contents to the same bytes — so goldenFanInContents must never change.
-const goldenV5Path = "testdata/run-v5.sst"
+// goldenV5Path holds the same contents in format v5, written by the
+// first build of v5: the fixture of a format this build refuses.
+const (
+	goldenV6Path = "testdata/run-v6.sst"
+	goldenV5Path = "testdata/run-v5.sst"
+)
 
 // goldenFanInContents is a closed-loop fan-in as the coordinator stamps
 // it: sixty sensors of five or six readings each, one a round of the

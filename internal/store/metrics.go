@@ -77,7 +77,7 @@ type walMetrics struct {
 type runMetrics struct {
 	ts, stamps, values, index *metrics.Counter
 	blocks                    [4][4]*metrics.Counter // as runBytes.blocks
-	stamped                   [3]*metrics.Counter    // as runBytes.stamped
+	stamped                   [4]*metrics.Counter    // as runBytes.stamped
 }
 
 // add counts one committed run file. A nil receiver counts nothing
@@ -135,15 +135,16 @@ func newNodeMetrics(n *Node) *nodeMetrics {
 	}
 	m.run.ts, m.run.stamps, m.run.values = stream("ts"), stream("stamps"), stream("values")
 	m.run.index = reg.Counter("dcdb_store_run_index_bytes_total", "Index bytes of committed run files.")
-	// By selector (block.go): the first coding, the frame of the deltas,
-	// the line's residuals as varints and in a frame.
-	for i, ts := range []string{"varint", "frame", "line", "line_frame"} {
+	// By selector (block.go): the first coding, for timestamps the
+	// line's residuals at the file's width and for values the frame of
+	// the deltas, the line's residuals as varints and in a frame.
+	for i, ts := range []string{"varint", "width", "line", "line_frame"} {
 		for j, values := range []string{"xor", "int", "line", "line_frame"} {
 			m.run.blocks[i][j] = reg.Counter(fmt.Sprintf(`dcdb_store_blocks_total{ts="%s",values="%s"}`, ts, values),
 				"Blocks of committed run files by the coding their timestamp and value streams chose.")
 		}
 	}
-	for i, coding := range []string{"varint", "runs", "clock"} {
+	for i, coding := range []string{"varint", "runs", "clock", "clock_width"} {
 		m.run.stamped[i] = reg.Counter(fmt.Sprintf(`dcdb_store_stamp_blocks_total{coding="%s"}`, coding),
 			"Blocks of committed run files that carry write stamps, by the coding their stamp sections chose.")
 	}

@@ -444,15 +444,18 @@ func TestRunBytesMetrics(t *testing.T) {
 		}
 	}
 	want.index = len(data) - int(idx.dataLen) - runFooterLen
-	// The counter's blocks frame their timestamps' residuals from the
-	// line and their values' deltas; the five-reading series code their
-	// timestamps against the line, the gauge its values as XOR, the
-	// clocked sensor its values against their line too.
-	if want.blocks[codingLineFrame][codingFrame] != 2 || want.blocks[codingLine][codingFirst] != 1 || want.blocks[codingLine][codingLine] != 1 {
-		t.Fatalf("block codings %v: want the counter's line frame/int, the gauge's line/XOR and the clocked sensor's line/line", want.blocks)
+	// The counter's full block, the file's first, fixes the timestamp
+	// width and packs its residuals from the line at it; its short block
+	// frames them; both frame their values' deltas. The five-reading
+	// series code their timestamps against the line as varints — their
+	// jitter is wider than the counter's — the gauge its values as XOR,
+	// the clocked sensor its values against their line too.
+	if want.blocks[codingWidth][codingFrame] != 1 || want.blocks[codingLineFrame][codingFrame] != 1 ||
+		want.blocks[codingLine][codingFirst] != 1 || want.blocks[codingLine][codingLine] != 1 {
+		t.Fatalf("block codings %v: want the counter's width/int and line frame/int, the gauge's line/XOR and the clocked sensor's line/line", want.blocks)
 	}
-	if want.stamped != [3]int{1, 2, 1} {
-		t.Fatalf("stamp codings %v: want the gauge's varints, the counter's runs and the clocked sensor's clock", want.stamped)
+	if want.stamped != [4]int{1, 2, 1, 0} {
+		t.Fatalf("stamp codings %v: want the gauge's varints, the counter's runs and the clocked sensor's clock — not at the file's width, which the counter's stamps, off the tick, fixed at 0", want.stamped)
 	}
 	check := func(times float64) {
 		t.Helper()
@@ -461,15 +464,16 @@ func TestRunBytesMetrics(t *testing.T) {
 			t.Fatal(err)
 		}
 		counts := map[string]int{
-			`dcdb_store_block_bytes_total{stream="ts"}`:      want.streams.ts,
-			`dcdb_store_block_bytes_total{stream="stamps"}`:  want.streams.stamps,
-			`dcdb_store_block_bytes_total{stream="values"}`:  want.streams.values,
-			`dcdb_store_run_index_bytes_total`:               want.index,
-			`dcdb_store_stamp_blocks_total{coding="varint"}`: want.stamped[stampVarints],
-			`dcdb_store_stamp_blocks_total{coding="runs"}`:   want.stamped[stampRuns],
-			`dcdb_store_stamp_blocks_total{coding="clock"}`:  want.stamped[stampClock],
+			`dcdb_store_block_bytes_total{stream="ts"}`:           want.streams.ts,
+			`dcdb_store_block_bytes_total{stream="stamps"}`:       want.streams.stamps,
+			`dcdb_store_block_bytes_total{stream="values"}`:       want.streams.values,
+			`dcdb_store_run_index_bytes_total`:                    want.index,
+			`dcdb_store_stamp_blocks_total{coding="varint"}`:      want.stamped[stampVarints],
+			`dcdb_store_stamp_blocks_total{coding="runs"}`:        want.stamped[stampRuns],
+			`dcdb_store_stamp_blocks_total{coding="clock"}`:       want.stamped[stampClock],
+			`dcdb_store_stamp_blocks_total{coding="clock_width"}`: want.stamped[stampClockWidth],
 		}
-		for i, ts := range []string{"varint", "frame", "line", "line_frame"} {
+		for i, ts := range []string{"varint", "width", "line", "line_frame"} {
 			for j, values := range []string{"xor", "int", "line", "line_frame"} {
 				counts[fmt.Sprintf(`dcdb_store_blocks_total{ts="%s",values="%s"}`, ts, values)] = want.blocks[i][j]
 			}

@@ -42,15 +42,17 @@ func servedVersioned(t *testing.T, n *Node, want *runContents) map[core.SensorID
 	return got
 }
 
-// TestV5DirectoryServedAndKeptAsIs pins format v5 against the file the
+// TestV6DirectoryServedAndKeptAsIs pins format v6 against the file the
 // first build of it wrote: a fan-in file beside a series of two full
 // blocks and one entry more, its block bounds coded against the file's
-// period, its stamp clock against the writer's round, most of its blocks
-// against their lines. It is served as it is (servedAndKeptAsIs), and
-// this build writes its contents to the same bytes.
-func TestV5DirectoryServedAndKeptAsIs(t *testing.T) {
+// period in fixed-width columns, its stamp clock against the writer's
+// round and at the width the long series' first block fixed, most of
+// its blocks against their lines. It is served as it is
+// (servedAndKeptAsIs), and this build writes its contents to the same
+// bytes.
+func TestV6DirectoryServedAndKeptAsIs(t *testing.T) {
 	want := goldenFanInContents()
-	data, idx := servedAndKeptAsIs(t, goldenV5Path, want)
+	data, idx := servedAndKeptAsIs(t, goldenV6Path, want)
 	if written := writtenRunFileBytes(t, want); string(written) != string(data) {
 		t.Fatalf("this build writes the fixture's contents to %d bytes that are not the fixture's %d", len(written), len(data))
 	}
@@ -60,14 +62,19 @@ func TestV5DirectoryServedAndKeptAsIs(t *testing.T) {
 	if round := int64(1_100_000_000 / versionTick); idx.base.stampPeriod < round-3000 || idx.base.stampPeriod > round+3000 {
 		t.Errorf("fixture's stamp period is %d ticks, want the round's %d", idx.base.stampPeriod, round)
 	}
-	var used [4]int
+	if idx.base.tsWidth == 0 || idx.base.stampWidth == 0 {
+		t.Errorf("fixture widths %d and %d: want those of the long series' first block", idx.base.tsWidth, idx.base.stampWidth)
+	}
+	var ts, stamps [4]int
 	for _, se := range idx.series {
 		for _, m := range se.blocks {
-			used[data[m.off]>>blockTSShift&3]++
+			c := codingOf(data[m.off])
+			ts[c.ts]++
+			stamps[c.stamps]++
 		}
 	}
-	if used[codingLine] < len(idx.series)/2 || used[codingLineFrame] == 0 {
-		t.Errorf("fixture blocks by timestamp coding %v: want the fan-in series' line varints and the long series' line frames", used)
+	if ts[codingLine]+ts[codingWidth] < len(idx.series)/2 || ts[codingLineFrame] == 0 || stamps[stampClockWidth] < len(idx.series)/2 {
+		t.Errorf("fixture blocks by timestamp coding %v, by stamp coding %v: want the fan-in series' line varints or width coding, the long series' line frames, and most stamps clock coded at the file's width", ts, stamps)
 	}
 }
 
@@ -227,13 +234,16 @@ func TestBatchedSyncLoopDurability(t *testing.T) {
 	}
 }
 
-// TestOldRunFormatsRefused requires a run file of any format before v5
+// TestOldRunFormatsRefused requires a run file of any format before v6
 // — whose readers are gone — to fail every kind of open with an error
 // that names the file, its format and its own way out, and to be left
-// as it was. The old magic leads a whole v5 file here: the refusal comes
-// before anything past the magic is read.
+// as it was. The v5 file is the one the first v5 build wrote; an older
+// magic leads its body here: the refusal comes before anything past
+// the magic is read.
 func TestOldRunFormatsRefused(t *testing.T) {
-	const compact = "with a build that reads v3, v4 and v5, and compact it (an agent data directory: dcdbconfig -db DIR compact)"
+	const export = "export it with a build that reads v5 (dcdbquery -db DIR, to CSV) and load the CSV into a fresh directory with this build's dcdbcsvimport " +
+		"(a dcdbnode directory can instead be started empty and refilled from its replicas by repair)"
+	const compact = "with a build that reads v3, v4 and v5, and compact it (an agent data directory: dcdbconfig -db DIR compact); then " + export
 	body := goldenBytes(t, goldenV5Path)[runMagicLen:]
 	for _, tc := range []struct {
 		magic string
@@ -243,6 +253,7 @@ func TestOldRunFormatsRefused(t *testing.T) {
 		{"DCDBRUN2", "format v2 (DCDBRUN2); open the directory once, writable, with a build that still reads v2; then open the directory once, writable, " + compact},
 		{"DCDBRUN3", "format v3 (DCDBRUN3); open the directory once, writable, " + compact},
 		{"DCDBRUN4", "format v4 (DCDBRUN4); open the directory once, writable, " + compact},
+		{"DCDBRUN5", "format v5 (DCDBRUN5); " + export},
 	} {
 		dir := t.TempDir()
 		old := append([]byte(tc.magic), body...)
@@ -260,7 +271,7 @@ func TestOldRunFormatsRefused(t *testing.T) {
 }
 
 // TestNewerRunFormatRefused: a run file of a format newer than this
-// build reads — a DCDBRUN<n> above 5 — fails every kind of open with an
+// build reads — a DCDBRUN<n> above 6 — fails every kind of open with an
 // error that names its format and says it is newer, and is left as it
 // was; a magic that is no run file's at all says so.
 func TestNewerRunFormatRefused(t *testing.T) {
@@ -268,7 +279,7 @@ func TestNewerRunFormatRefused(t *testing.T) {
 		magic string
 		want  string
 	}{
-		{"DCDBRUN6", "format v6 (DCDBRUN6)"},
+		{"DCDBRUN7", "format v7 (DCDBRUN7)"},
 		{"DCDBRUN9", "format v9 (DCDBRUN9)"},
 		{"DCDBRUN0", "not a DCDB run file"},
 		{"DCDBRUNX", "not a DCDB run file"},

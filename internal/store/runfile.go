@@ -15,49 +15,56 @@ import (
 	"dcdb/internal/fsutil"
 )
 
-// Run-file format v5: block-indexed, compressed, cold-readable — and
+// Run-file format v6: block-indexed, compressed, cold-readable — and
 // the only format written or read. Data comes first so the writer can
 // stream blocks as a merge produces them; the index lives at the tail,
 // closed by a fixed-size footer, so recovery reads O(index) bytes — not
 // the data — and a cold query reads only the pages holding the blocks
 // whose [minTs,maxTs] overlap its window:
 //
-//	magic "DCDBRUN5"
+//	magic "DCDBRUN6"
 //	data   : concatenated blocks (see block.go) in index order, no gaps
 //	index  : minSeq uv | maxSeq-minSeq uv | baseTS zz | baseVer uv |
-//	         period uv | stampPeriod zz | tombCount uv | seriesCount uv
+//	         period uv | stampPeriod zz | tsWidth u8 | stampWidth u8 |
+//	         tombCount uv | seriesCount uv
 //	         tombs  : tombCount × (sid | cutoff zz), sorted by SID
 //	         series : seriesCount × (sid | count uv | blocks), sorted by SID
 //	           blocks: ⌈count/512⌉ of them, 512 entries each but the last
-//	           block : len<<1 | closesPage uv | gap | span zz |
+//	           block : len<<1 | closesPage uv |
 //	                   crc32(page) u32 — only when closesPage
-//	           gap   : first block of a series: min-baseTS uv; a later
-//	                   one: (min - previous max) - period, zz
-//	           span  : (max-min) - (count-1)·period, zz; 0 for a block
-//	                   of one entry
+//	         firsts : frame of each series' first block's min - baseTS
+//	         gaps   : frame of each later block's (min - previous max)
+//	                  - period
+//	         spans  : frame of each block of two or more entries'
+//	                  (max-min) - (count-1)·period
 //	         sid    : u8 (shared<<4 | n) | n × level code uv — the SID's
 //	                  first `shared` 16-bit levels repeat the previous SID
 //	                  of the same list (all zero before the first), n
 //	                  levels follow, the rest are zero
 //	footer : indexOff u64 | indexLen u32 | crc32(index) u32
 //
-// (uv = uvarint, zz = zigzag uvarint, fixed-width integers big-endian.)
-// The index stores only what it cannot derive. A block's offset is the
-// running sum of the lengths before it, its min counts from the
-// previous block's max (the first block of a series from the file-level
-// baseTS, the smallest timestamp in the file); a series' blocks and
-// their counts follow from its count, because the writer cuts every
-// series into blocks of blockEntries; a series' bounds are those of its
-// blocks. Monitoring data is periodic, so a block's span and the gap to
-// the block before it are coded as their distance from what the file's
-// period predicts — the sensor's jitter, not its period. The blocks in
-// turn are anchored in the index — first timestamp = min, the last one
-// of a block of two or more entries = max, and the line through them is
-// what the line codings store their residuals against; the first write
-// version relative to baseVer, a clock-coded section's first step
-// against stampPeriod (in ticks: the writer's round, see
-// runFileWriter) — so a file of many tiny series, the fan-in shape,
-// pays a few bytes per series, and no timestamp twice.
+// (uv = uvarint, zz = zigzag uvarint, fixed-width integers big-endian,
+// frame as in block.go; the three bound columns list their blocks in
+// file order.) The index stores only what it cannot derive. A block's
+// offset is the running sum of the lengths before it, its min counts
+// from the previous block's max (the first block of a series from the
+// file-level baseTS, the smallest timestamp in the file); a series'
+// blocks and their counts follow from its count, because the writer
+// cuts every series into blocks of blockEntries, and so do the bound
+// columns' lengths; a series' bounds are those of its blocks.
+// Monitoring data is periodic, so a block's span and the gap to the
+// block before it are coded as their distance from what the file's
+// period predicts — the sensor's jitter, not its period — and a column
+// packs each at the width the file's largest needs, where varints
+// rounded it up to whole bytes. The blocks in turn are anchored in the
+// index — first timestamp = min, the last one of a block of two or more
+// entries = max, and the line through them is what the line codings
+// store their residuals against; the first write version relative to
+// baseVer, a clock-coded section's first step against stampPeriod (in
+// ticks: the writer's round, see runFileWriter), the width codings'
+// values at tsWidth and stampWidth bits — so a file of many tiny
+// series, the fan-in shape, pays a few bytes per series, and no
+// timestamp twice.
 //
 // Integrity is layered: the footer CRC covers the index, and every page
 // carries its CRC in the index, so a cold read verifies exactly what it
@@ -66,31 +73,39 @@ import (
 // tiny blocks of a fan-in file share a CRC while a full block keeps its
 // own.
 //
-// Every format before v5 is refused at open by name, with its way out
+// Every format before v6 is refused at open by name, with its way out
 // (errRunFileOld, oldRunRoutes), and its file is left as it is: the
-// builds that read it rewrite it forward. A format newer than v5 is
-// refused by name too (errRunFileNewer).
+// builds that read it rewrite it forward or export it. A format newer
+// than v6 is refused by name too (errRunFileNewer).
 
-var runMagic = []byte("DCDBRUN5")
+var runMagic = []byte("DCDBRUN6")
 
-// errRunFileOld refuses a format before v5, whose reader is gone;
+// errRunFileOld refuses a format before v6, whose reader is gone;
 // errRunFileNewer one a newer build wrote.
 var (
 	errRunFileOld   = errors.New("run file is in a format this build no longer reads")
-	errRunFileNewer = errors.New("run file is in a format newer than this build reads (v5)")
+	errRunFileNewer = errors.New("run file is in a format newer than this build reads (v6)")
 )
 
-// compactRoute is the last step out of every old format.
+// exportRoute is the way out of v5, the last step out of every old
+// format: no build rewrites v5 as v6, so the readings move as CSV.
+const exportRoute = "export it with a build that reads v5 (dcdbquery -db DIR, to CSV) and load the CSV into a fresh directory " +
+	"with this build's dcdbcsvimport (a dcdbnode directory can instead be started empty and refilled from its replicas by repair); " +
+	"see \"Upgrading v5 run files\" in internal/store/README.md"
+
+// compactRoute is the step out of v3 and v4 into v5.
 const compactRoute = "open the directory once, writable, with a build that reads v3, v4 and v5, and compact it " +
-	"(an agent data directory: dcdbconfig -db DIR compact); see \"Upgrading old run files\" in internal/store/README.md"
+	"(an agent data directory: dcdbconfig -db DIR compact); then " + exportRoute
 
 // oldRunRoutes[v] is the way out of format v: a writable open with each
-// build that rewrites the files one format forward, then compactRoute.
+// build that rewrites the files one format forward, then compactRoute,
+// then exportRoute.
 var oldRunRoutes = [...]string{
 	1: "open the directory once, writable, with a build that still reads v1, then once with a build that still reads v2; then " + compactRoute,
 	2: "open the directory once, writable, with a build that still reads v2; then " + compactRoute,
 	3: compactRoute,
 	4: compactRoute,
+	5: exportRoute,
 }
 
 const (
@@ -98,9 +113,10 @@ const (
 	runFooterLen = 16
 
 	// Smallest encodings, for validating counts before allocating: a SID
-	// may be its header byte alone, and a block's CRC closes a page only.
+	// may be its header byte alone, a block's CRC closes a page only, and
+	// its bounds may take no bits of their columns.
 	minTombLen      = 1 + 1                   // sid, cutoff
-	minBlockMetaLen = 1 + 1 + 1               // len, gap, span
+	minBlockMetaLen = 1                       // len
 	minSeriesLen    = 1 + 1 + minBlockMetaLen // sid, count, one block
 
 	// pageMin is the length at which a page closes (closesPage).
@@ -170,7 +186,13 @@ type runFileWriter struct {
 	// more entries that carries a stamp section (to the distance in ticks
 	// between its first two versions — a round of the writer's loop on a
 	// fan-in load — or 0 when either is off the tick). No block before
-	// that one has a clock-coded section that takes a step.
+	// that one has a clock-coded section that takes a step. Each width by
+	// the first block with two or more values to pack in its coding, to
+	// what they need: the ts width by the first block of four or more
+	// entries, the stamp width by the first of three or more that carries
+	// a stamp section (0 when a stamp is off the tick). Until then it is
+	// noWidth, which no block takes; a block with no value to pack never
+	// takes a width coding, its sizes tied with the coding before it.
 	base       blockBase
 	stampFixed bool
 
@@ -199,10 +221,10 @@ type runBytes struct {
 	streams blockSizes // summed over the blocks
 	index   int
 	blocks  [4][4]int // block count by [timestamp coding][value coding]
-	stamped [3]int    // blocks with a stamp section by its coding
+	stamped [4]int    // blocks with a stamp section by its coding
 }
 
-// count adds one block with the given flags byte (v5 layout) and stream
+// count adds one block with the given flags byte (v6 layout) and stream
 // sizes.
 func (b *runBytes) count(flags byte, sz blockSizes) {
 	b.streams.ts += sz.ts
@@ -225,8 +247,9 @@ func newRunFileWriter(dir string, minSeq, maxSeq uint64, met *runMetrics) (*runF
 	w := &runFileWriter{
 		f: f, bw: bufio.NewWriterSize(f, 1<<16), tmp: tmp, final: final, dir: dir,
 		minSeq: minSeq, maxSeq: maxSeq,
-		buf: make([]entry, 0, blockEntries),
-		met: met,
+		buf:  make([]entry, 0, blockEntries),
+		met:  met,
+		base: blockBase{tsWidth: noWidth, stampWidth: noWidth},
 	}
 	if _, err := w.bw.Write(runMagic); err != nil {
 		w.abort()
@@ -300,19 +323,33 @@ func (w *runFileWriter) flushBlock() error {
 // fixBase fixes what of the file's base the pending block is the first
 // to decide (see runFileWriter.base).
 func (w *runFileWriter) fixBase() {
-	if w.base.ver != 0 && w.stampFixed {
+	b, es := &w.base, w.buf
+	if b.ver != 0 && w.stampFixed && b.stampWidth != noWidth && b.tsWidth != noWidth {
 		return
 	}
-	for _, e := range w.buf {
-		if w.base.ver == 0 && e.ver != 0 {
-			w.base.ver = e.ver
-		}
-		if !w.stampFixed && len(w.buf) > 1 && (e.ver != 0 || e.expire != 0) {
-			w.stampFixed = true
-			if v0, v1 := w.buf[0].ver, w.buf[1].ver; v0%versionTick == 0 && v1%versionTick == 0 {
-				w.base.stampPeriod = int64(v1/versionTick - v0/versionTick)
+	if b.tsWidth == noWidth && len(es) > 3 {
+		b.tsWidth = int8(scanTimestamps(es, 0).bits)
+	}
+	sections := stampSections(es)
+	if sections == 0 {
+		return
+	}
+	if b.ver == 0 && sections&blockFlagVersion != 0 {
+		for _, e := range es {
+			if e.ver != 0 {
+				b.ver = e.ver
+				break
 			}
 		}
+	}
+	if !w.stampFixed && len(es) > 1 {
+		w.stampFixed = true
+		if v0, v1 := es[0].ver, es[1].ver; v0%versionTick == 0 && v1%versionTick == 0 {
+			b.stampPeriod = int64(v1/versionTick - v0/versionTick)
+		}
+	}
+	if b.stampWidth == noWidth && len(es) > 2 {
+		b.stampWidth = clockWidth(es, sections, *b)
 	}
 }
 
@@ -383,6 +420,8 @@ func (w *runFileWriter) finish(tombs map[core.SensorID]int64) (runFileMeta, *run
 		w.closePage()
 	}
 	w.placeBlocks()
+	// A width no block fixed was taken by no block: the index states 0.
+	w.base.tsWidth, w.base.stampWidth = max(w.base.tsWidth, 0), max(w.base.stampWidth, 0)
 	idx := &runIndex{
 		minSeq: w.minSeq, maxSeq: w.maxSeq, tombs: tombs, series: w.series,
 		dataLen: int64(w.off), base: w.base, period: choosePeriod(w.series),
@@ -470,17 +509,57 @@ func predictedSpan(count, period uint64) (uint64, bool) {
 	return (count - 1) * period, true
 }
 
-// spanCode and gapCode are a block's span and its distance from the
-// previous block of its series as the index codes them against period:
-// the 64-bit difference from the prediction, zigzag-coded, so any pair
-// of bounds round-trips.
-func spanCode(m blockMeta, period uint64) uint64 {
-	pred, _ := predictedSpan(uint64(m.count), period)
-	return zigzag(int64(uint64(m.max) - uint64(m.min) - pred))
+// The bound columns of an index: what each block's bounds are stored
+// as, in file order, each column one frame.
+const (
+	colFirst = iota // per series: its first block's min - baseTS
+	colGap          // per later block: (min - the previous block's max) - period
+	colSpan         // per block of two or more entries: (max - min) - (count-1)·period
+	boundCols
+)
+
+var boundColNames = [boundCols]string{"first-gap", "gap", "span"}
+
+// boundColumns returns the bound columns of series with period, which
+// predictedSpan takes for every block's count; the 64-bit differences,
+// so any pair of bounds round-trips.
+func boundColumns(series []seriesIndex, baseTS int64, period uint64) (cols [boundCols][]int64) {
+	for _, se := range series {
+		for j, m := range se.blocks {
+			if j == 0 {
+				cols[colFirst] = append(cols[colFirst], int64(uint64(m.min)-uint64(baseTS)))
+			} else {
+				cols[colGap] = append(cols[colGap], int64(uint64(m.min)-uint64(se.blocks[j-1].max)-period))
+			}
+			if m.count > 1 {
+				pred, _ := predictedSpan(uint64(m.count), period)
+				cols[colSpan] = append(cols[colSpan], int64(uint64(m.max)-uint64(m.min)-pred))
+			}
+		}
+	}
+	return cols
 }
 
-func gapCode(prevMax, min int64, period uint64) uint64 {
-	return zigzag(int64(uint64(min) - uint64(prevMax) - period))
+// columnFrame returns the frame a column is stored in.
+func columnFrame(vs []int64) frame {
+	s := newFrameStats()
+	for _, v := range vs {
+		s.add(v)
+	}
+	return s.frame()
+}
+
+// appendColumn appends the frame of a column.
+func appendColumn(b []byte, vs []int64) []byte {
+	if len(vs) == 0 {
+		return b // a frame of no values
+	}
+	f := columnFrame(vs)
+	bw := f.begin(b)
+	for i := 0; i < len(vs) && f.width > 0; i++ {
+		f.pack(&bw, vs[i])
+	}
+	return bw.finish()
 }
 
 // choosePeriod picks the period an index codes its bounds against: the
@@ -508,17 +587,12 @@ func choosePeriod(series []seriesIndex) uint64 {
 }
 
 // boundsLen is what the fields that depend on the period take in an
-// index with period p: the period, every span and every gap within a
-// series.
+// index with period p: the period and the gap and span columns.
 func boundsLen(series []seriesIndex, p uint64) int {
+	cols := boundColumns(series, 0, p)
 	n := uvarintLen(p)
-	for _, se := range series {
-		for j, m := range se.blocks {
-			n += uvarintLen(spanCode(m, p))
-			if j > 0 {
-				n += uvarintLen(gapCode(se.blocks[j-1].max, m.min, p))
-			}
-		}
+	for _, c := range []int{colGap, colSpan} {
+		n += columnFrame(cols[c]).size(len(cols[c]))
 	}
 	return n
 }
@@ -547,7 +621,7 @@ func pageCloses(series []seriesIndex) []bool {
 	return closes
 }
 
-// appendRunIndex serialises an index section in format v5. Every block
+// appendRunIndex serialises an index section in format v6. Every block
 // of a page carries the page's CRC; the one that closes it states it.
 func appendRunIndex(b []byte, idx *runIndex) []byte {
 	// The smallest first-block min is the smallest timestamp in the file.
@@ -563,6 +637,7 @@ func appendRunIndex(b []byte, idx *runIndex) []byte {
 	b = binary.AppendUvarint(b, idx.base.ver)
 	b = binary.AppendUvarint(b, idx.period)
 	b = binary.AppendUvarint(b, zigzag(idx.base.stampPeriod))
+	b = append(b, byte(idx.base.tsWidth), byte(idx.base.stampWidth))
 	b = binary.AppendUvarint(b, uint64(len(idx.tombs)))
 	b = binary.AppendUvarint(b, uint64(len(idx.series)))
 	tombIDs := sortedIDs(len(idx.tombs), func(yield func(core.SensorID)) {
@@ -582,7 +657,7 @@ func appendRunIndex(b []byte, idx *runIndex) []byte {
 		b = appendSID(b, prev, se.id)
 		prev = se.id
 		b = binary.AppendUvarint(b, se.count)
-		for j, m := range se.blocks {
+		for _, m := range se.blocks {
 			closed := closes[0]
 			closes = closes[1:]
 			lc := uint64(m.length) << 1
@@ -590,16 +665,13 @@ func appendRunIndex(b []byte, idx *runIndex) []byte {
 				lc |= 1
 			}
 			b = binary.AppendUvarint(b, lc)
-			if j == 0 {
-				b = binary.AppendUvarint(b, uint64(m.min)-uint64(baseTS))
-			} else {
-				b = binary.AppendUvarint(b, gapCode(se.blocks[j-1].max, m.min, idx.period))
-			}
-			b = binary.AppendUvarint(b, spanCode(m, idx.period))
 			if closed {
 				b = binary.BigEndian.AppendUint32(b, m.crc)
 			}
 		}
+	}
+	for _, col := range boundColumns(idx.series, baseTS, idx.period) {
+		b = appendColumn(b, col)
 	}
 	return b
 }
@@ -631,6 +703,18 @@ func (r *indexReader) uvarint() uint64 {
 	}
 	r.off += n
 	return v
+}
+
+func (r *indexReader) u8() byte {
+	if r.err != nil {
+		return 0
+	}
+	if r.rest() < 1 {
+		r.fail("truncated at byte %d", r.off)
+		return 0
+	}
+	r.off++
+	return r.b[r.off-1]
 }
 
 func (r *indexReader) u32() uint32 {
@@ -685,9 +769,11 @@ func addDelta(base int64, d uint64) (int64, bool) {
 // file offset where the index begins; the blocks must tile the data
 // section exactly, and the pages must follow the page rule. Every count
 // is checked against the bytes that remain before anything is sized
-// from it, every product and bound against overflow. A one-entry block
-// has no span: its one timestamp is its min and its max, so the bounds
-// a cold read rejects blocks by are those the block decodes to.
+// from it, every product and bound against overflow. The bound columns
+// follow the series, their lengths derived from the blocks: a one-entry
+// block has no span entry, its one timestamp being its min and its max,
+// so the bounds a cold read rejects blocks by are those the block
+// decodes to.
 func parseRunIndex(b []byte, dataLen int64) (*runIndex, error) {
 	if dataLen < runMagicLen {
 		return nil, fmt.Errorf("store: run index starts inside the magic")
@@ -700,6 +786,7 @@ func parseRunIndex(b []byte, dataLen int64) (*runIndex, error) {
 	idx.base.ver = r.uvarint()
 	idx.period = r.uvarint()
 	idx.base.stampPeriod = unzigzag(r.uvarint())
+	tsWidth, stampWidth := r.u8(), r.u8()
 	tombCount := r.uvarint()
 	seriesCount := r.uvarint()
 	if r.err != nil {
@@ -711,6 +798,10 @@ func parseRunIndex(b []byte, dataLen int64) (*runIndex, error) {
 	if idx.period > math.MaxInt64 {
 		return nil, fmt.Errorf("store: run index period overflows")
 	}
+	if tsWidth > 64 || stampWidth > 64 {
+		return nil, fmt.Errorf("store: run index widths %d and %d, above 64", tsWidth, stampWidth)
+	}
+	idx.base.tsWidth, idx.base.stampWidth = int8(tsWidth), int8(stampWidth)
 	if tombCount > r.rest()/minTombLen {
 		return nil, fmt.Errorf("store: run index tombstone count overflows index")
 	}
@@ -739,6 +830,7 @@ func parseRunIndex(b []byte, dataLen int64) (*runIndex, error) {
 	// closed says whether the block before this one closed its page.
 	pageStart, closed := off, true
 	var pending []*blockMeta
+	var colLen [boundCols]int // the bound columns' lengths
 	for i := uint64(0); i < seriesCount; i++ {
 		se := seriesIndex{id: r.sid(prev), count: r.uvarint()}
 		if r.err != nil {
@@ -756,22 +848,12 @@ func parseRunIndex(b []byte, dataLen int64) (*runIndex, error) {
 			return nil, fmt.Errorf("store: run index block count overflows index")
 		}
 		se.blocks = make([]blockMeta, blockCount)
-		last := baseTS
 		left := se.count
 		for j := range se.blocks {
 			lc := r.uvarint()
 			length, closes := lc>>1, lc&1 != 0
 			count := min(left, blockEntries)
 			left -= count
-			gap := r.uvarint()
-			if j > 0 {
-				gap = idx.period + uint64(unzigzag(gap))
-			}
-			pred, ok := predictedSpan(count, idx.period)
-			if !ok {
-				return nil, fmt.Errorf("store: run index block span prediction overflows")
-			}
-			span := pred + uint64(unzigzag(r.uvarint()))
 			var crc uint32
 			if closes {
 				crc = r.u32()
@@ -786,21 +868,13 @@ func parseRunIndex(b []byte, dataLen int64) (*runIndex, error) {
 			if err := checkBlockCount(count, int(length)); err != nil {
 				return nil, err
 			}
-			if count == 1 && span != 0 {
-				return nil, fmt.Errorf("store: run index gives a one-entry block a span of %d", int64(span))
-			}
-			lo, ok1 := addDelta(last, gap)
-			hi, ok2 := addDelta(lo, span)
-			if !ok1 || !ok2 {
-				return nil, fmt.Errorf("store: run index block bounds overflow")
-			}
 			if off > runMagicLen && closed != closesPage(pageStart, off, length) {
 				return nil, fmt.Errorf("store: run index pages break the page rule at data byte %d", off)
 			}
 			if closed {
 				pageStart = off
 			}
-			se.blocks[j] = blockMeta{off: off, length: uint32(length), count: uint32(count), min: lo, max: hi, pageOff: pageStart}
+			se.blocks[j] = blockMeta{off: off, length: uint32(length), count: uint32(count), pageOff: pageStart}
 			pending = append(pending, &se.blocks[j])
 			off += length
 			if closed = closes; closed {
@@ -809,13 +883,13 @@ func parseRunIndex(b []byte, dataLen int64) (*runIndex, error) {
 				}
 				pending = pending[:0]
 			}
-			last = hi
+			if count > 1 {
+				colLen[colSpan]++
+			}
 		}
-		se.min, se.max = se.blocks[0].min, last
+		colLen[colFirst]++
+		colLen[colGap] += len(se.blocks) - 1
 		idx.series = append(idx.series, se)
-	}
-	if r.off != len(b) {
-		return nil, fmt.Errorf("store: run index has %d trailing bytes", len(b)-r.off)
 	}
 	if off != uint64(dataLen) {
 		return nil, fmt.Errorf("store: run index blocks cover %d of %d data bytes", off-runMagicLen, dataLen-runMagicLen)
@@ -823,10 +897,53 @@ func parseRunIndex(b []byte, dataLen int64) (*runIndex, error) {
 	if !closed {
 		return nil, fmt.Errorf("store: run index leaves its last page without a CRC")
 	}
+	var cols [boundCols]frameReader
+	rest := b[r.off:]
+	for c := range cols {
+		var err error
+		if rest, err = cols[c].open(rest, colLen[c]); err != nil {
+			return nil, fmt.Errorf("store: run index %s column: %w", boundColNames[c], err)
+		}
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("store: run index has %d trailing bytes", len(rest))
+	}
+	for i := range idx.series {
+		se := &idx.series[i]
+		last := baseTS
+		for j := range se.blocks {
+			m := &se.blocks[j]
+			var gap uint64
+			if j == 0 {
+				gap = cols[colFirst].next()
+			} else {
+				gap = idx.period + cols[colGap].next()
+			}
+			span, ok := predictedSpan(uint64(m.count), idx.period)
+			if !ok {
+				return nil, fmt.Errorf("store: run index block span prediction overflows")
+			}
+			if m.count > 1 {
+				span += cols[colSpan].next()
+			}
+			lo, ok1 := addDelta(last, gap)
+			hi, ok2 := addDelta(lo, span)
+			if !ok1 || !ok2 {
+				return nil, fmt.Errorf("store: run index block bounds overflow")
+			}
+			m.min, m.max, last = lo, hi, hi
+		}
+		se.min, se.max = se.blocks[0].min, last
+	}
+	for c := range cols {
+		if err := cols[c].close(); err != nil {
+			return nil, fmt.Errorf("store: run index %s column: %w", boundColNames[c], err)
+		}
+	}
 	return idx, nil
 }
 
-// runFormat accepts the magic of format v5 and refuses any other: an
+// runFormat accepts the magic of format v6 and refuses any other: an
 // older or a newer format by name, anything else as no run file.
 func runFormat(magic []byte) error {
 	if string(magic) == string(runMagic) {
@@ -836,7 +953,7 @@ func runFormat(magic []byte) error {
 		switch v := int(magic[runMagicLen-1]) - '0'; {
 		case v >= 1 && v < len(oldRunRoutes):
 			return fmt.Errorf("%w: it is format v%d (%s); %s", errRunFileOld, v, magic, oldRunRoutes[v])
-		case v > 5 && v <= 9:
+		case v > 6 && v <= 9:
 			return fmt.Errorf("%w: it is format v%d (%s); open it with the build that wrote it or a newer one", errRunFileNewer, v, magic)
 		}
 	}
