@@ -162,7 +162,7 @@ func TestCommands(t *testing.T) {
 		t.Fatal("no run file after the compaction")
 	}
 	for _, m := range magics {
-		if m != "DCDBRUN6" {
+		if m != "DCDBRUN7" {
 			t.Errorf("a run file after the compaction is %q", m)
 		}
 	}

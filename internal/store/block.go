@@ -9,15 +9,15 @@ import (
 	"sync"
 )
 
-// Block codec of run-file format v6. A block holds up to blockEntries
-// consecutive entries of one series, compressed so a cold read pays I/O
-// and decode cost proportional to the queried window, not the
-// retention. The block is anchored in the run file's index: its entry
-// count, its first and last timestamps (the index entry's min and max)
-// and the file-level base write version, stamp period and widths all
-// live there, so the body starts at the second entry, stops before the
-// last, and a block of a handful of readings carries no absolute header
-// fields of its own.
+// Block codec of run-file format v7, whose blocks are v6's byte for
+// byte. A block holds up to blockEntries consecutive entries of one
+// series, compressed so a cold read pays I/O and decode cost
+// proportional to the queried window, not the retention. The block is
+// anchored in the run file's index: its entry count, its first and last
+// timestamps (the index entry's min and max) and the file-level base
+// write version, stamp period and widths all live there, so the body
+// starts at the second entry, stops before the last, and a block of a
+// handful of readings carries no absolute header fields of its own.
 //
 // A block is a flags byte and three streams — timestamps, write stamps,
 // values — each byte-aligned, each in one of four codings. The first
@@ -109,8 +109,8 @@ import (
 // whole int64 range and falling versions survive.
 //
 // This is the only block layout read: run files of the formats before
-// v6 are refused at open (runFormat), and a build before v6 refuses a
-// v6 file's magic.
+// v7 are refused at open (runFormat), and a build before v7 refuses a
+// v7 file's magic.
 //
 // Corruption is caught by the caller's CRC check first; the decoder
 // itself must still survive arbitrary bytes (fuzzed) by erroring instead

@@ -255,7 +255,7 @@ func (m *runFileMeta) checkSpan(minSeq, maxSeq uint64) error {
 // each file's tombstones to the older files' rows. A file contributes
 // only its index (per-series bounds and block index); its blocks stay
 // on disk until a read pulls them through the cache. A run file of a
-// format before v6 fails the open and is left as it is
+// format before v7 fails the open and is left as it is
 // (errRunFileOld), and so does a shard directory (errShardDirs).
 // Single threaded; no locks needed.
 func (n *Node) recoverRuns() error {

@@ -10,13 +10,14 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
 	"dcdb/internal/core"
 )
 
-// Tests of run-file format v6 itself: round trips over block shapes
+// Tests of run-file format v7 itself: round trips over block shapes
 // (hot whole-file decode and cold index + block-at-a-time reads must
 // both return the input), and the allocation guards that keep a forged
 // index or block from sizing anything before it is proven plausible.
@@ -682,8 +683,8 @@ func TestBlockCodingsPickTheObvious(t *testing.T) {
 	}
 	// Quantised to the ms, timestamps keep their jitter against the line,
 	// which is not on the ms grid: 25 bits a residual in a line frame. No
-	// coding of v6 divides the 10^6 out (the delta frame of v5 took 6
-	// bits a delta).
+	// block coding since v6 divides the 10^6 out (the delta frame of v5
+	// took 6 bits a delta).
 	ms := make([]entry, blockEntries)
 	rng := rand.New(rand.NewSource(3))
 	for i := range ms {
@@ -1004,14 +1005,17 @@ func TestRunFileRoundTripShapes(t *testing.T) {
 	}
 }
 
-// TestRunIndexRoundTrip is the index's round-trip property. Series of 1, 2,
-// 511, 512, 513 and 1025 entries — no body, one delta, a block but one,
-// a block, one over, two and one over — under SIDs whose level codes
-// take one, two and three varint bytes, with zero levels inside and at
-// the end, and under random 128-bit SIDs, beside tombstones on the same
-// kinds of SID, come back hot and cold as they went in. The index the
-// writer keeps and the one read back agree field for field, pages
-// included, and a periodic file codes its bounds against its period.
+// TestRunIndexRoundTrip is the index's round-trip property. Series of 1,
+// 2, 3, 5, 511, 512, 513 and 1025 entries — no body, one delta, a
+// fan-in block, a block but one, a block, one over, two and one over —
+// under every kind of SID — the zero SID, whose head states no level;
+// level codes of one, two and three varint bytes; zero levels inside and
+// at the end; a SID that differs from the one before it at level 0, at
+// its last level and in a middle level by a step of thousands; random
+// 128-bit SIDs — beside tombstones on the same kinds of SID, come back
+// hot and cold as they went in. The index the writer keeps and the one
+// read back agree field for field, pages included, and a periodic file
+// codes its bounds against its period.
 func TestRunIndexRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	lv := func(codes ...uint16) (id core.SensorID) {
@@ -1021,13 +1025,14 @@ func TestRunIndexRoundTrip(t *testing.T) {
 		return id
 	}
 	ids := []core.SensorID{
-		lv(1), lv(1, 127), lv(1, 127, 128), lv(1, 128, 16383), lv(1, 128, 16384, 0xffff),
+		{}, lv(1), lv(1, 127), lv(1, 127, 128), lv(1, 128, 16383), lv(1, 128, 16384, 0xffff),
 		lv(1, 0, 0, 5), lv(1, 0, 0, 5, 0, 0, 0, 1), lv(2, 0xffff, 0, 0, 0, 0, 0, 0xffff), lv(0xffff),
+		lv(3, 1, 7, 2, 1), lv(3, 1, 7, 2, 2), lv(3, 1, 7004, 1, 1), lv(3, 1, 7004, 1, 2),
 	}
-	for len(ids) < 36 {
+	for len(ids) < 40 {
 		ids = append(ids, core.SensorID{Hi: rng.Uint64(), Lo: rng.Uint64()})
 	}
-	sizes := []int{1, 2, blockEntries - 1, blockEntries, blockEntries + 1, 2*blockEntries + 1}
+	sizes := []int{1, 2, 3, 5, blockEntries - 1, blockEntries, blockEntries + 1, 2*blockEntries + 1}
 	series := map[core.SensorID][]entry{}
 	tombs := map[core.SensorID]int64{{}: -1, lv(1, 0, 3): 1 << 62}
 	for i, id := range ids {
@@ -1245,17 +1250,21 @@ func indexHeader(period, tombs, series uint64) []byte {
 	return binary.AppendUvarint(binary.AppendUvarint(b, tombs), series)
 }
 
-// zeroColumn is a bound column whose values are all 0: min 0, divisor
-// 1, width 0, no packed bits.
+// zeroColumn is a column whose values are all 0: min 0, divisor 1,
+// width 0, no packed bits.
 var zeroColumn = []byte{0, 1, 0}
+
+// column is the frame of a column of vs.
+func column(vs ...int64) []byte { return appendColumn(nil, vs) }
 
 // TestRunFilePages holds pages to their rule: a page closes at the first
 // block end 1 KiB or more past its start — exactly at 1 KiB too — and
 // before a block of 1 KiB or more, which stands alone; the last closes
-// at the end of the data. The parser refuses an index that closes a page
-// elsewhere or leaves the last one without its CRC. In a written file,
-// flipping any byte of a page fails the reads of that page's blocks and
-// of no other block.
+// at the end of the data. The index states no page: the parser derives
+// them from the lengths, and hands every block of a page the CRC the
+// index lists for that page, in page order. In a written file, flipping
+// any byte of a page fails the reads of that page's blocks and of no
+// other block.
 func TestRunFilePages(t *testing.T) {
 	for _, c := range []struct {
 		name  string
@@ -1268,13 +1277,7 @@ func TestRunFilePages(t *testing.T) {
 		{"blocks of 1 KiB back to back", []uint32{5, 1024, 1024, 3}, [][2]uint64{{0, 5}, {5, 1024}, {1029, 1024}, {2053, 3}}},
 		{"one block", []uint32{7}, [][2]uint64{{0, 7}}},
 	} {
-		idx := &runIndex{minSeq: 1, maxSeq: 1}
-		dataLen := int64(runMagicLen)
-		for i, n := range c.lens {
-			idx.series = append(idx.series, seriesIndex{id: sid(1, uint64(i)), count: 1, blocks: []blockMeta{{length: n, count: 1}}})
-			dataLen += int64(n)
-		}
-		got, err := forgedIndex(idx, dataLen)
+		got, err := forgedIndex(oneBlockSeries(c.lens...))
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -1290,31 +1293,20 @@ func TestRunFilePages(t *testing.T) {
 		}
 	}
 
-	// Five-byte blocks, one a series, closing their pages as flagged,
-	// all at the file's first timestamp.
-	closing := func(closes ...bool) []byte {
-		b := indexHeader(0, 0, uint64(len(closes)))
-		for i, c := range closes {
-			b = append(b, 0x01, byte(i+1), 1, 5<<1) // SID /i+1, one entry, 5 bytes
-			if c {
-				b[len(b)-1] |= 1
-				b = append(b, 0, 0, 0, 0)
-			}
-		}
-		return append(b, zeroColumn...)
+	// Each page's CRC, stated by the block that closes it, reaches every
+	// block of the page: here blocks 0–2 make the first page and block 3,
+	// over 1 KiB, the second.
+	idx, dataLen := oneBlockSeries(1000, 23, 5, 2000)
+	for i := range idx.series {
+		idx.series[i].blocks[0].crc = 0xc0 + uint32(i)
 	}
-	for _, c := range []struct {
-		closes  []bool
-		wantErr string
-	}{
-		{[]bool{true}, ""},
-		{[]bool{false, true}, ""},
-		{[]bool{true, true}, "page rule"},
-		{[]bool{false, false}, "without a CRC"},
-	} {
-		_, err := parseRunIndex(closing(c.closes...), runMagicLen+5*int64(len(c.closes)))
-		if (err == nil) != (c.wantErr == "") || err != nil && !strings.Contains(err.Error(), c.wantErr) {
-			t.Errorf("pages closed %v: %v, want %q", c.closes, err, c.wantErr)
+	got, err := forgedIndex(idx, dataLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, se := range got.series {
+		if want := []uint32{0xc2, 0xc2, 0xc2, 0xc3}[i]; se.blocks[0].crc != want {
+			t.Errorf("block %d carries CRC %#x, want its page's %#x", i, se.blocks[0].crc, want)
 		}
 	}
 
@@ -1381,6 +1373,18 @@ func TestRunFilePages(t *testing.T) {
 	}
 }
 
+// oneBlockSeries is an index of one-entry series, a block each, of the
+// given lengths, and the end of their data section.
+func oneBlockSeries(lens ...uint32) (*runIndex, int64) {
+	idx := &runIndex{minSeq: 1, maxSeq: 1}
+	dataLen := int64(runMagicLen)
+	for i, n := range lens {
+		idx.series = append(idx.series, seriesIndex{id: sid(1, uint64(i)), count: 1, blocks: []blockMeta{{length: n, count: 1}}})
+		dataLen += int64(n)
+	}
+	return idx, dataLen
+}
+
 // forgedIndex serialises idx as it stands — appendRunIndex does not
 // validate — and parses it back against a data section of dataLen.
 func forgedIndex(idx *runIndex, dataLen int64) (*runIndex, error) {
@@ -1392,14 +1396,16 @@ func forgedIndex(idx *runIndex, dataLen int64) (*runIndex, error) {
 // anything sized from a count; the bytes no longer bound the count — a
 // periodic, once-stamped, constant sensor is 512 entries in a dozen
 // bytes, and the index cannot see a block's flags — so a length need
-// only reach the shortest block there is. A series' count sizes its
-// block list, so it must fit the index's remaining bytes. Lengths,
-// deltas and the period's predictions are checked in subtraction or
-// division form so they cannot wrap past the check. A bound column is
-// read where it lies, its length derived from the records: a forged
-// width or length fails with nothing sized from it. The other half of
-// the guard is decodeRunFile's: nothing is sized from the index's summed
-// claim, only from blocks that passed their page's CRC.
+// only reach the shortest block there is. Nor do the index's bytes: a
+// column of width 0 holds any number of values in none. What bounds the
+// series and block counts is the data section, where every block takes
+// the shortest block's bytes or more. Lengths, deltas and the period's
+// predictions are checked in subtraction or division form so they
+// cannot wrap past the check. A column is read where it lies, its
+// length derived from the columns before it: a forged width or length
+// fails with nothing sized from it. The other half of the guard is
+// decodeRunFile's: nothing is sized from the index's summed claim, only
+// from blocks that passed their page's CRC.
 func TestRunIndexAllocationGuards(t *testing.T) {
 	one := func(m blockMeta) *runIndex {
 		return &runIndex{minSeq: 1, maxSeq: 1, series: []seriesIndex{{id: sid(1, 1), count: uint64(m.count), blocks: []blockMeta{m}}}}
@@ -1417,9 +1423,13 @@ func TestRunIndexAllocationGuards(t *testing.T) {
 	}{
 		{"smallest block", one(blockMeta{length: blockMinLen, count: 1}), 8 + blockMinLen, ""},
 		{"full block in a dozen bytes", one(blockMeta{length: 12, count: blockEntries}), 8 + 12, ""},
-		{"series count beyond its blocks", one(blockMeta{length: 4096, count: blockEntries + 1}), 8 + 4096, "shorter than the shortest block"},
+		{"series count beyond its blocks", one(blockMeta{length: 4096, count: blockEntries + 1}), 8 + 4096, "column"},
 		{"zero count", one(blockMeta{length: 9, count: 0}), 8 + 9, "empty series"},
-		{"block too short for a value", one(blockMeta{length: 1, count: 1}), 8 + 1, "shorter than the shortest block"},
+		{"no room for a block", one(blockMeta{length: 1, count: 1}), 8 + 1, "series count overflows data section"},
+		{"block too short for a value", &runIndex{series: []seriesIndex{
+			{id: sid(1, 1), count: 1, blocks: []blockMeta{{length: 1, count: 1}}},
+			{id: sid(1, 2), count: 1, blocks: []blockMeta{{length: 3, count: 1}}},
+		}}, 8 + 4, "shorter than the shortest block"},
 		{"length beyond the data", one(blockMeta{length: 100, count: 1}), 8 + 99, "overflows data section"},
 		{"blocks leave a gap", one(blockMeta{length: 9, count: 1}), 8 + 10, "cover 9 of 10 data bytes"},
 		{"max below min wraps", one(blockMeta{length: 9, count: 2, min: 5, max: 4}), 8 + 9, "bounds overflow"},
@@ -1447,79 +1457,86 @@ func TestRunIndexAllocationGuards(t *testing.T) {
 		}
 	}
 
-	// Counts no byte string of that size could back up, lengths and
-	// spans near 2^64 that an additive bound check would wrap past, and
-	// bound columns whose width, divisor, length or padding no writer
-	// gives them.
+	// Counts no data section of that size could back up, lengths and
+	// spans near 2^64 that an additive bound check would wrap past,
+	// SIDs no writer codes, and columns whose width, divisor, length or
+	// padding no writer gives them — parsed against a data section of
+	// one 2-byte block.
 	uv := binary.AppendUvarint
 	crc := []byte{0, 0, 0, 0}
-	closed := append([]byte{2<<1 | 1}, crc...) // a 2-byte block closing its page
-	// One series, SID /1, of count entries, whose block records and bound
-	// columns are rest.
-	series := func(period, count uint64, rest ...[]byte) []byte {
-		b := uv(append(indexHeader(period, 0, 1), 0x01, 0x01), count)
-		for _, r := range rest {
+	two := column(2) // the length of a 2-byte block
+	// forge is an index of one series at period: its head, step and
+	// count columns, then rest.
+	forge := func(period uint64, head, step, count int64, rest ...[]byte) []byte {
+		b := indexHeader(period, 0, 1)
+		for _, r := range append([][]byte{column(head), column(step), column(count)}, rest...) {
 			b = append(b, r...)
 		}
 		return b
 	}
-	column := func(vs ...int64) []byte { return appendColumn(nil, vs) }
+	// series is such an index of SID /1, of count entries.
+	series := func(period, count uint64, rest ...[]byte) []byte {
+		return forge(period, 0x01, 1, int64(count), rest...)
+	}
 	// widths is an index of one one-entry series at the given widths.
 	widths := func(ts, stamp byte) []byte {
-		b := append(indexHeader(0, 0, 1)[:6:6], ts, stamp, 0, 1, 0x01, 0x01, 1)
-		return append(append(b, closed...), zeroColumn...)
-	}
-	well := series(0, 1, closed, zeroColumn)
-	if string(widths(0, 0)) != string(well) {
-		t.Fatalf("the widths' index %x is not the well-formed one %x", widths(0, 0), well)
+		b := series(0, 1, two, zeroColumn, crc)
+		b[6], b[7] = ts, stamp
+		return b
 	}
 	type forgery struct {
-		name  string
-		index []byte
+		name    string
+		index   []byte
+		wantErr string
 	}
 	forgeries := []forgery{
-		{"tombstone count", indexHeader(0, 1<<40, 0)},
-		{"series count", indexHeader(0, 0, 1<<40)},
-		{"entry count", series(0, 1<<50)},
-		{"entry count 2^64-1", series(0, math.MaxUint64)},
-		{"block length", series(0, 1, uv(nil, math.MaxUint64), crc, zeroColumn)},
-		{"span", append(uv(uv(nil, 2), math.MaxUint64), 0, 0, 0, 0, 0, 0, 0, 0)},
-		{"block span past int64", series(0, 2, closed, column(1), column(math.MaxInt64))},
-		{"gap past int64", series(0, 1, closed, column(-1))},
-		{"(count-1)·period beyond int64", series(math.MaxInt64/7, 9, closed, zeroColumn, zeroColumn)},
-		{"period beyond int64", series(1<<63, 1, closed, zeroColumn)},
-		{"ts width above 64", widths(65, 0)},
-		{"stamp width above 64", widths(0, 65)},
-		{"level code above 0xffff", append(uv(append(indexHeader(0, 0, 1), 0x01), 1<<16), append([]byte{1}, append(closed, zeroColumn...)...)...)},
-		{"more levels than a SID has", append(indexHeader(0, 0, 1), append([]byte{0x54, 1, 1, 1, 1, 1}, append(closed, zeroColumn...)...)...)},
+		{"tombstone count", indexHeader(0, 1<<40, 0), "tombstone count overflows"},
+		{"span", append(uv(uv(nil, 2), math.MaxUint64), 0, 0, 0, 0, 0, 0, 0, 0), "span overflows"},
+		{"block length", series(0, 1, column(-1), zeroColumn, crc), "overflows data section"},
+		{"lengths past the data section", series(0, 1, column(3), zeroColumn, crc), "overflows data section"},
+		{"block span past int64", series(0, 2, two, column(1), column(math.MaxInt64), crc), "bounds overflow"},
+		{"gap past int64", series(0, 1, two, column(-1), crc), "bounds overflow"},
+		{"(count-1)·period beyond int64", series(math.MaxInt64/7, 9, two, zeroColumn, zeroColumn, crc), "prediction overflows"},
+		{"period beyond int64", series(1<<63, 1, two, zeroColumn, crc), "period overflows"},
+		{"ts width above 64", widths(65, 0), "above 64"},
+		{"stamp width above 64", widths(0, 65), "above 64"},
+		{"first new level code above 0xffff", forge(0, 0x01, 1<<16, 1, two, zeroColumn, crc), "above 0xffff"},
+		{"later level code above 0xffff", forge(0, 0x02, 1, 1, two, zeroColumn, uv(nil, 1<<16), crc), "above 0xffff"},
+		{"more levels than a SID has", forge(0, 0x54, 1, 1, two, zeroColumn, crc), "malformed sensor id"},
+		{"level codes missing", forge(0, 0x03, 1, 1, two, zeroColumn, []byte{1}), "truncated"},
 	}
+	// Each of these is refused having allocated next to nothing.
 	columns := []forgery{
-		{"column width above 64", series(0, 1, closed, []byte{0, 1, 65, 0, 0, 0, 0, 0, 0, 0, 0, 0})},
-		{"column divisor 0", series(0, 1, closed, []byte{0, 0, 0})},
-		{"column cut short", series(0, 1, closed, []byte{0, 1, 64, 0, 0, 0, 0, 0, 0, 0})},
-		{"column missing", series(0, 2, closed, zeroColumn)},
-		{"column padding not zero", series(0, 1, closed, []byte{0, 1, 1, 0x40})},
-		{"bytes after the columns", series(0, 1, closed, zeroColumn, []byte{0})},
+		{"2^32 series in a width-0 head column", append(indexHeader(0, 0, 1<<32), column(1)...), "series count overflows data section"},
+		{"2^32 blocks in a width-0 count column", series(0, 1<<32*blockEntries, two, zeroColumn, crc), "block count overflows data section"},
+		{"2^32 blocks in a width-0 length column", series(0, 1<<32*blockEntries, column(2, 2), zeroColumn, zeroColumn, zeroColumn, crc), "block count overflows data section"},
+		{"entry count 2^64-1", series(0, math.MaxUint64, two, zeroColumn, crc), "block count overflows data section"},
+		{"lengths short of the data section", series(0, 1, column(1), zeroColumn, crc), "shorter than the shortest block"},
+		{"column width above 64", series(0, 1, two, []byte{0, 1, 65, 0, 0, 0, 0, 0, 0, 0, 0, 0}, crc), "first-gap column"},
+		{"column divisor 0", series(0, 1, two, []byte{0, 0, 0}, crc), "first-gap column"},
+		{"column cut short", series(0, 1, two, []byte{0, 1, 64, 0, 0, 0, 0, 0, 0, 0}), "first-gap column"},
+		{"column missing", series(0, 2, two, zeroColumn), "span column"},
+		{"column padding not zero", series(0, 1, two, []byte{0, 1, 1, 0x40}, crc), "first-gap column: store: block frame padding"},
+		{"CRC list short", series(0, 1, two, zeroColumn, crc[:3]), "holds 3 bytes of its 1 pages' CRCs"},
+		{"trailing bytes", series(0, 1, two, zeroColumn, crc, []byte{0}), "1 trailing bytes"},
 	}
 	for _, c := range append(forgeries, columns...) {
-		if _, err := parseRunIndex(c.index, 8+2); err == nil {
-			t.Errorf("forged %s accepted", c.name)
+		if _, err := parseRunIndex(c.index, 8+2); err == nil || !strings.Contains(err.Error(), c.wantErr) {
+			t.Errorf("forged %s: %v, want an error containing %q", c.name, err, c.wantErr)
 		}
 	}
 	// The layout above is what the parser reads: unforged, it passes —
-	// with a first gap of 0 and of 7, at widths up to 64, and with a span
-	// where the block has two entries.
-	for _, index := range [][]byte{well, series(0, 1, closed, column(7)), widths(64, 64), series(0, 2, closed, zeroColumn, column(3))} {
+	// with a first gap of 0 and of 7, at widths up to 64, with a span
+	// where the block has two entries, and with a SID of two new levels.
+	for _, index := range [][]byte{series(0, 1, two, zeroColumn, crc), series(0, 1, two, column(7), crc), widths(64, 64),
+		series(0, 2, two, zeroColumn, column(3), crc), forge(0, 0x02, 1, 1, two, zeroColumn, uv(nil, 0xffff), crc)} {
 		if _, err := parseRunIndex(index, 8+2); err != nil {
 			t.Fatalf("the forged cases' well-formed base %x rejected: %v", index, err)
 		}
 	}
-	// A column is read where it lies: no forged width or length sizes an
-	// allocation, so a forged column costs what an error costs to
-	// report. The last forgery claims 512 entries a block for 2^16
-	// two-byte blocks, so the columns' lengths — derived from the records
-	// — are 2^16 spans, at width 64 half a MiB that the index does not
-	// hold.
+	// A column is read where it lies and a count is checked against the
+	// data section before anything is sized from it, so these forgeries
+	// cost what an error costs to report.
 	for _, c := range columns {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -1529,20 +1546,34 @@ func TestRunIndexAllocationGuards(t *testing.T) {
 			t.Errorf("forged %s: parsing allocated %d bytes", c.name, grew)
 		}
 	}
-	const many = 1 << 16
-	var records []byte
-	for k := 1; k <= many; k++ { // a page closes every 512 blocks, at 1 KiB
-		if k%512 != 0 {
-			records = append(records, 2<<1)
-		} else {
-			records = append(records, closed...)
+	// A CRC list one short and one long, under an index of three pages.
+	idx, _ := oneBlockSeries(5, 2000, 5)
+	three := appendRunIndex(nil, idx)
+	for _, c := range []forgery{
+		{"one CRC short", three[:len(three)-4], "holds 8 bytes of its 3 pages' CRCs"},
+		{"one CRC long", append(three[:len(three):len(three)], crc...), "4 trailing bytes"},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := parseRunIndex(c.index, 8+2010)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+			t.Errorf("%s: %v, want an error containing %q", c.name, err, c.wantErr)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 2<<10 {
+			t.Errorf("%s: parsing allocated %d bytes", c.name, grew)
 		}
 	}
-	long := series(0, many*blockEntries, records, zeroColumn, zeroColumn, []byte{0, 1, 64})
+	// The last forgery claims 512 entries a block for 2^16 two-byte
+	// blocks, so the columns' lengths — derived from the counts — are
+	// 2^16 spans, at width 64 half a MiB that the index does not hold.
+	const many = 1 << 16
+	pages := make([]byte, 4*many/512) // a page closes every 512 blocks, at 1 KiB
+	long := series(0, many*blockEntries, two, zeroColumn, zeroColumn, []byte{0, 1, 64}, pages)
 	if _, err := parseRunIndex(long, 8+2*many); err == nil || !strings.Contains(err.Error(), "span column") {
 		t.Errorf("a span column of %d values in no bytes: %v, want it refused", many, err)
 	}
-	if _, err := parseRunIndex(append(long[:len(long)-1:len(long)-1], 0), 8+2*many); err != nil {
+	if _, err := parseRunIndex(series(0, many*blockEntries, two, zeroColumn, zeroColumn, zeroColumn, pages), 8+2*many); err != nil {
 		t.Errorf("the same index at span width 0: %v", err)
 	}
 
@@ -1580,17 +1611,26 @@ func TestRunIndexAllocationGuards(t *testing.T) {
 // first-gap column, where a file without a block of two entries has
 // none — the index CRC made to match: only the index parser can tell.
 func oneEntrySpanFile(t interface{ Fatal(...any) }) []byte {
+	id := goldenShardIDs(1)[0]
 	file := writtenRunFileBytes(t, &runContents{minSeq: 1, maxSeq: 2, series: map[core.SensorID][]entry{
-		goldenShardIDs(1)[0]: {{ts: shapeT0, val: 21.5, ver: shapeV0}},
+		id: {{ts: shapeT0, val: 21.5, ver: shapeV0}},
 	}})
 	idx := fileIndex(t, file)
-	index := file[idx.dataLen : len(file)-runFooterLen : len(file)-runFooterLen]
-	index = append(index, appendColumn(nil, []int64{5})...)
+	index := file[idx.dataLen : len(file)-runFooterLen]
+	// The columns end before the SID's further levels and the one page's
+	// CRC.
+	tail := 4
+	shared, end := sidLevels(core.SensorID{}, id)
+	for l := shared + 1; l < end; l++ {
+		tail += uvarintLen(uint64(id.Level(l)))
+	}
+	cols := len(index) - tail
+	index = slices.Concat(index[:cols], appendColumn(nil, []int64{5}), index[cols:])
 	footer, err := runFooter(uint64(idx.dataLen), len(index), crc32.ChecksumIEEE(index))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return append(append(file[:idx.dataLen:idx.dataLen], index...), footer[:]...)
+	return slices.Concat(file[:idx.dataLen], index, footer[:])
 }
 
 // TestRunFileOneEntrySpanRefused: a block of one entry has no span, its
@@ -1858,7 +1898,7 @@ func TestRunIndexParsersSurviveDamage(t *testing.T) {
 	for name, file := range map[string][]byte{
 		"writer":         validRunFileBytes(t),
 		"writer, fan-in": writtenRunFileBytes(t, skewedFanInContents()),
-		"fixture":        goldenBytes(t, goldenV6Path),
+		"fixture":        goldenBytes(t, goldenV7Path),
 	} {
 		index, dataLen := split(file)
 		if _, err := parseRunIndex(index, dataLen); err != nil {

@@ -95,18 +95,19 @@ func FuzzRunFileDecode(f *testing.F) {
 	f.Add([]byte("DCDBRUN4"))
 	f.Add([]byte("DCDBRUN5"))
 	f.Add([]byte("DCDBRUN6"))
-	f.Add(goldenBytes(f, goldenV5Path)) // the refused format's fixture
+	f.Add([]byte("DCDBRUN7"))
+	f.Add(goldenBytes(f, goldenV6Path)) // the refused format's fixture
 	// Files as this build writes them, the checked-in fixture, and a
 	// forged one whose one-entry block claims a span — each whole, torn,
 	// and under the magic of every format refused by name.
-	for _, valid := range [][]byte{validRunFileBytes(f), goldenBytes(f, goldenV6Path),
+	for _, valid := range [][]byte{validRunFileBytes(f), goldenBytes(f, goldenV7Path),
 		writtenRunFileBytes(f, skewedFanInContents()), oneEntrySpanFile(f)} {
 		f.Add(valid)
 		f.Add(valid[:len(valid)/2])             // torn data/index
 		f.Add(valid[:len(valid)-8])             // torn footer
 		f.Add(append(valid, 0, 1, 2))           // trailing garbage shifts the footer
 		f.Add(valid[:runMagicLen+runFooterLen]) // magic and a footer-sized tail, nothing else
-		for _, magic := range []string{"DCDBRUN1", "DCDBRUN2", "DCDBRUN3", "DCDBRUN4", "DCDBRUN5", "DCDBRUN7"} {
+		for _, magic := range []string{"DCDBRUN1", "DCDBRUN2", "DCDBRUN3", "DCDBRUN4", "DCDBRUN5", "DCDBRUN6", "DCDBRUN8"} {
 			f.Add(append([]byte(magic), valid[runMagicLen:]...))
 		}
 	}
@@ -288,7 +289,7 @@ func FuzzBlockDecode(f *testing.F) {
 	}
 	// The blocks of fan-in files as they lie in them: the fixture's, and
 	// those of one whose stamps partly fall below the file's base.
-	for _, golden := range [][]byte{goldenBytes(f, goldenV6Path), writtenRunFileBytes(f, skewedFanInContents())} {
+	for _, golden := range [][]byte{goldenBytes(f, goldenV7Path), writtenRunFileBytes(f, skewedFanInContents())} {
 		idx := fileIndex(f, golden)
 		for _, se := range idx.series {
 			for _, m := range se.blocks {

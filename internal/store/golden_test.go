@@ -6,15 +6,16 @@ import (
 	"dcdb/internal/core"
 )
 
-// goldenV6Path is a run file in format v6 holding goldenFanInContents,
-// written by the first build of format v6: the fixture that pins the
+// goldenV7Path is a run file in format v7 holding goldenFanInContents,
+// written by the first build of format v7: the fixture that pins the
 // format — every later build must serve it as it is, and write the same
 // contents to the same bytes — so goldenFanInContents must never change.
-// goldenV5Path holds the same contents in format v5, written by the
-// first build of v5: the fixture of a format this build refuses.
+// goldenV6Path holds the same contents in format v6, written by the
+// first build of v6: the fixture of a format this build refuses, whose
+// data section is the v7 file's byte for byte.
 const (
+	goldenV7Path = "testdata/run-v7.sst"
 	goldenV6Path = "testdata/run-v6.sst"
-	goldenV5Path = "testdata/run-v5.sst"
 )
 
 // goldenFanInContents is a closed-loop fan-in as the coordinator stamps

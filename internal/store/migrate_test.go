@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -42,19 +43,25 @@ func servedVersioned(t *testing.T, n *Node, want *runContents) map[core.SensorID
 	return got
 }
 
-// TestV6DirectoryServedAndKeptAsIs pins format v6 against the file the
+// TestV7DirectoryServedAndKeptAsIs pins format v7 against the file the
 // first build of it wrote: a fan-in file beside a series of two full
-// blocks and one entry more, its block bounds coded against the file's
-// period in fixed-width columns, its stamp clock against the writer's
-// round and at the width the long series' first block fixed, most of
-// its blocks against their lines. It is served as it is
-// (servedAndKeptAsIs), and this build writes its contents to the same
-// bytes.
-func TestV6DirectoryServedAndKeptAsIs(t *testing.T) {
+// blocks and one entry more, its series records and block lengths in
+// columns, its block bounds coded against the file's period in
+// fixed-width columns, its stamp clock against the writer's round and
+// at the width the long series' first block fixed, most of its blocks
+// against their lines. It is served as it is (servedAndKeptAsIs), this
+// build writes its contents to the same bytes, and its data section is
+// that of the v6 fixture byte for byte: v7 changed the index alone.
+func TestV7DirectoryServedAndKeptAsIs(t *testing.T) {
 	want := goldenFanInContents()
-	data, idx := servedAndKeptAsIs(t, goldenV6Path, want)
+	data, idx := servedAndKeptAsIs(t, goldenV7Path, want)
 	if written := writtenRunFileBytes(t, want); string(written) != string(data) {
 		t.Fatalf("this build writes the fixture's contents to %d bytes that are not the fixture's %d", len(written), len(data))
+	}
+	v6 := goldenBytes(t, goldenV6Path)
+	v6Data := v6[runMagicLen:binary.BigEndian.Uint64(v6[len(v6)-runFooterLen:])]
+	if string(data[runMagicLen:idx.dataLen]) != string(v6Data) {
+		t.Errorf("the fixture's data section (%d bytes) is not the v6 fixture's (%d bytes)", idx.dataLen-runMagicLen, len(v6Data))
 	}
 	if idx.period == 0 {
 		t.Errorf("fixture index has no period")
@@ -234,17 +241,19 @@ func TestBatchedSyncLoopDurability(t *testing.T) {
 	}
 }
 
-// TestOldRunFormatsRefused requires a run file of any format before v6
+// TestOldRunFormatsRefused requires a run file of any format before v7
 // — whose readers are gone — to fail every kind of open with an error
 // that names the file, its format and its own way out, and to be left
-// as it was. The v5 file is the one the first v5 build wrote; an older
+// as it was. The v6 file is the one the first v6 build wrote; an older
 // magic leads its body here: the refusal comes before anything past
 // the magic is read.
 func TestOldRunFormatsRefused(t *testing.T) {
-	const export = "export it with a build that reads v5 (dcdbquery -db DIR, to CSV) and load the CSV into a fresh directory with this build's dcdbcsvimport " +
-		"(a dcdbnode directory can instead be started empty and refilled from its replicas by repair)"
-	const compact = "with a build that reads v3, v4 and v5, and compact it (an agent data directory: dcdbconfig -db DIR compact); then " + export
-	body := goldenBytes(t, goldenV5Path)[runMagicLen:]
+	export := func(v int) string {
+		return fmt.Sprintf("export it with a build that reads v%d (dcdbquery -db DIR, to CSV) and load the CSV into a fresh directory with this build's dcdbcsvimport "+
+			"(a dcdbnode directory can instead be started empty and refilled from its replicas by repair); see \"Upgrading v%d run files\"", v, v)
+	}
+	compact := "with a build that reads v3, v4 and v5, and compact it (an agent data directory: dcdbconfig -db DIR compact); then " + export(5)
+	body := goldenBytes(t, goldenV6Path)[runMagicLen:]
 	for _, tc := range []struct {
 		magic string
 		way   string // what the refusal must say
@@ -253,7 +262,8 @@ func TestOldRunFormatsRefused(t *testing.T) {
 		{"DCDBRUN2", "format v2 (DCDBRUN2); open the directory once, writable, with a build that still reads v2; then open the directory once, writable, " + compact},
 		{"DCDBRUN3", "format v3 (DCDBRUN3); open the directory once, writable, " + compact},
 		{"DCDBRUN4", "format v4 (DCDBRUN4); open the directory once, writable, " + compact},
-		{"DCDBRUN5", "format v5 (DCDBRUN5); " + export},
+		{"DCDBRUN5", "format v5 (DCDBRUN5); " + export(5)},
+		{"DCDBRUN6", "format v6 (DCDBRUN6); " + export(6)},
 	} {
 		dir := t.TempDir()
 		old := append([]byte(tc.magic), body...)
@@ -271,7 +281,7 @@ func TestOldRunFormatsRefused(t *testing.T) {
 }
 
 // TestNewerRunFormatRefused: a run file of a format newer than this
-// build reads — a DCDBRUN<n> above 6 — fails every kind of open with an
+// build reads — a DCDBRUN<n> above 7 — fails every kind of open with an
 // error that names its format and says it is newer, and is left as it
 // was; a magic that is no run file's at all says so.
 func TestNewerRunFormatRefused(t *testing.T) {
@@ -279,7 +289,7 @@ func TestNewerRunFormatRefused(t *testing.T) {
 		magic string
 		want  string
 	}{
-		{"DCDBRUN7", "format v7 (DCDBRUN7)"},
+		{"DCDBRUN8", "format v8 (DCDBRUN8)"},
 		{"DCDBRUN9", "format v9 (DCDBRUN9)"},
 		{"DCDBRUN0", "not a DCDB run file"},
 		{"DCDBRUNX", "not a DCDB run file"},

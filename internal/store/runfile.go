@@ -15,28 +15,31 @@ import (
 	"dcdb/internal/fsutil"
 )
 
-// Run-file format v6: block-indexed, compressed, cold-readable — and
+// Run-file format v7: block-indexed, compressed, cold-readable — and
 // the only format written or read. Data comes first so the writer can
 // stream blocks as a merge produces them; the index lives at the tail,
 // closed by a fixed-size footer, so recovery reads O(index) bytes — not
 // the data — and a cold query reads only the pages holding the blocks
 // whose [minTs,maxTs] overlap its window:
 //
-//	magic "DCDBRUN6"
+//	magic "DCDBRUN7"
 //	data   : concatenated blocks (see block.go) in index order, no gaps
 //	index  : minSeq uv | maxSeq-minSeq uv | baseTS zz | baseVer uv |
 //	         period uv | stampPeriod zz | tsWidth u8 | stampWidth u8 |
 //	         tombCount uv | seriesCount uv
 //	         tombs  : tombCount × (sid | cutoff zz), sorted by SID
-//	         series : seriesCount × (sid | count uv | blocks), sorted by SID
-//	           blocks: ⌈count/512⌉ of them, 512 entries each but the last
-//	           block : len<<1 | closesPage uv |
-//	                   crc32(page) u32 — only when closesPage
+//	         heads  : frame of each series' SID head, shared<<4 | n
+//	         steps  : frame of each series' first new level code (when
+//	                  n ≥ 1) minus the previous SID's at that level
+//	         counts : frame of each series' entry count
+//	         lengths: frame of each block's length
 //	         firsts : frame of each series' first block's min - baseTS
 //	         gaps   : frame of each later block's (min - previous max)
 //	                  - period
 //	         spans  : frame of each block of two or more entries'
 //	                  (max-min) - (count-1)·period
+//	         levels : each series' other n-1 new level codes, uv each
+//	         crcs   : crc32 u32 of each page, in page order
 //	         sid    : u8 (shared<<4 | n) | n × level code uv — the SID's
 //	                  first `shared` 16-bit levels repeat the previous SID
 //	                  of the same list (all zero before the first), n
@@ -44,27 +47,33 @@ import (
 //	footer : indexOff u64 | indexLen u32 | crc32(index) u32
 //
 // (uv = uvarint, zz = zigzag uvarint, fixed-width integers big-endian,
-// frame as in block.go; the three bound columns list their blocks in
-// file order.) The index stores only what it cannot derive. A block's
-// offset is the running sum of the lengths before it, its min counts
-// from the previous block's max (the first block of a series from the
-// file-level baseTS, the smallest timestamp in the file); a series'
-// blocks and their counts follow from its count, because the writer
-// cuts every series into blocks of blockEntries, and so do the bound
-// columns' lengths; a series' bounds are those of its blocks.
+// frame as in block.go; the series are sorted by SID, and the columns
+// list their series or blocks in file order.) The index stores only
+// what it cannot derive. A block's offset is the running sum of the
+// lengths before it, its min counts from the previous block's max (the
+// first block of a series from the file-level baseTS, the smallest
+// timestamp in the file); a series' blocks and their counts follow from
+// its count, because the writer cuts every series into blocks of
+// blockEntries, and so do the columns' lengths; a series' bounds are
+// those of its blocks; the pages follow from the lengths (closesPage).
+// What a series and its blocks state is stored column by column, each
+// column packed at the width the file's largest value needs, where
+// varints rounded every field up to whole bytes: a fan-in series' SID
+// is a head of a few bits and a step of one, its count and its block's
+// length a few bits each. Only a SID's further new levels, those after
+// the first that differs from the previous SID, stay varints; they
+// follow the columns, whose heads say how many there are.
 // Monitoring data is periodic, so a block's span and the gap to the
 // block before it are coded as their distance from what the file's
-// period predicts — the sensor's jitter, not its period — and a column
-// packs each at the width the file's largest needs, where varints
-// rounded it up to whole bytes. The blocks in turn are anchored in the
-// index — first timestamp = min, the last one of a block of two or more
-// entries = max, and the line through them is what the line codings
-// store their residuals against; the first write version relative to
-// baseVer, a clock-coded section's first step against stampPeriod (in
-// ticks: the writer's round, see runFileWriter), the width codings'
-// values at tsWidth and stampWidth bits — so a file of many tiny
-// series, the fan-in shape, pays a few bytes per series, and no
-// timestamp twice.
+// period predicts — the sensor's jitter, not its period. The blocks in
+// turn are anchored in the index — first timestamp = min, the last one
+// of a block of two or more entries = max, and the line through them is
+// what the line codings store their residuals against; the first write
+// version relative to baseVer, a clock-coded section's first step
+// against stampPeriod (in ticks: the writer's round, see
+// runFileWriter), the width codings' values at tsWidth and stampWidth
+// bits — so a file of many tiny series, the fan-in shape, pays a few
+// bytes per series, and no timestamp twice.
 //
 // Integrity is layered: the footer CRC covers the index, and every page
 // carries its CRC in the index, so a cold read verifies exactly what it
@@ -73,29 +82,32 @@ import (
 // tiny blocks of a fan-in file share a CRC while a full block keeps its
 // own.
 //
-// Every format before v6 is refused at open by name, with its way out
+// Every format before v7 is refused at open by name, with its way out
 // (errRunFileOld, oldRunRoutes), and its file is left as it is: the
 // builds that read it rewrite it forward or export it. A format newer
-// than v6 is refused by name too (errRunFileNewer).
+// than v7 is refused by name too (errRunFileNewer).
 
-var runMagic = []byte("DCDBRUN6")
+var runMagic = []byte("DCDBRUN7")
 
-// errRunFileOld refuses a format before v6, whose reader is gone;
+// errRunFileOld refuses a format before v7, whose reader is gone;
 // errRunFileNewer one a newer build wrote.
 var (
 	errRunFileOld   = errors.New("run file is in a format this build no longer reads")
-	errRunFileNewer = errors.New("run file is in a format newer than this build reads (v6)")
+	errRunFileNewer = errors.New("run file is in a format newer than this build reads (v7)")
 )
 
-// exportRoute is the way out of v5, the last step out of every old
-// format: no build rewrites v5 as v6, so the readings move as CSV.
-const exportRoute = "export it with a build that reads v5 (dcdbquery -db DIR, to CSV) and load the CSV into a fresh directory " +
-	"with this build's dcdbcsvimport (a dcdbnode directory can instead be started empty and refilled from its replicas by repair); " +
-	"see \"Upgrading v5 run files\" in internal/store/README.md"
+// exportRoute is the way out of format v, the last step out of every
+// old format: no build rewrites v5 or v6 forward, so the readings move
+// as CSV.
+func exportRoute(v int) string {
+	return fmt.Sprintf("export it with a build that reads v%d (dcdbquery -db DIR, to CSV) and load the CSV into a fresh directory "+
+		"with this build's dcdbcsvimport (a dcdbnode directory can instead be started empty and refilled from its replicas by repair); "+
+		"see \"Upgrading v%d run files\" in internal/store/README.md", v, v)
+}
 
 // compactRoute is the step out of v3 and v4 into v5.
-const compactRoute = "open the directory once, writable, with a build that reads v3, v4 and v5, and compact it " +
-	"(an agent data directory: dcdbconfig -db DIR compact); then " + exportRoute
+var compactRoute = "open the directory once, writable, with a build that reads v3, v4 and v5, and compact it " +
+	"(an agent data directory: dcdbconfig -db DIR compact); then " + exportRoute(5)
 
 // oldRunRoutes[v] is the way out of format v: a writable open with each
 // build that rewrites the files one format forward, then compactRoute,
@@ -105,19 +117,17 @@ var oldRunRoutes = [...]string{
 	2: "open the directory once, writable, with a build that still reads v2; then " + compactRoute,
 	3: compactRoute,
 	4: compactRoute,
-	5: exportRoute,
+	5: exportRoute(5),
+	6: exportRoute(6),
 }
 
 const (
 	runMagicLen  = 8
 	runFooterLen = 16
 
-	// Smallest encodings, for validating counts before allocating: a SID
-	// may be its header byte alone, a block's CRC closes a page only, and
-	// its bounds may take no bits of their columns.
-	minTombLen      = 1 + 1                   // sid, cutoff
-	minBlockMetaLen = 1                       // len
-	minSeriesLen    = 1 + 1 + minBlockMetaLen // sid, count, one block
+	// Smallest tombstone, for validating the count before allocating: a
+	// SID may be its header byte alone.
+	minTombLen = 1 + 1 // sid, cutoff
 
 	// pageMin is the length at which a page closes (closesPage).
 	pageMin = 1 << 10
@@ -224,7 +234,7 @@ type runBytes struct {
 	stamped [4]int    // blocks with a stamp section by its coding
 }
 
-// count adds one block with the given flags byte (v6 layout) and stream
+// count adds one block with the given flags byte (v7 layout) and stream
 // sizes.
 func (b *runBytes) count(flags byte, sz blockSizes) {
 	b.streams.ts += sz.ts
@@ -480,16 +490,23 @@ func runFooter(indexOff uint64, indexLen int, indexCRC uint32) ([runFooterLen]by
 	return footer, nil
 }
 
-// appendSID level-codes id against the previous SID of its list.
-func appendSID(b []byte, prev, id core.SensorID) []byte {
-	shared := 0
+// sidLevels is how id is level-coded against prev, the SID before it
+// in its list: it repeats prev's first shared levels, and its levels
+// from end on are zero.
+func sidLevels(prev, id core.SensorID) (shared, end int) {
 	for shared < core.MaxTopicLevels && id.Level(shared) == prev.Level(shared) {
 		shared++
 	}
-	end := core.MaxTopicLevels
+	end = core.MaxTopicLevels
 	for end > shared && id.Level(end-1) == 0 {
 		end--
 	}
+	return shared, end
+}
+
+// appendSID level-codes id against the previous SID of its list.
+func appendSID(b []byte, prev, id core.SensorID) []byte {
+	shared, end := sidLevels(prev, id)
 	b = append(b, byte(shared<<4|(end-shared)))
 	for l := shared; l < end; l++ {
 		b = binary.AppendUvarint(b, uint64(id.Level(l)))
@@ -509,21 +526,26 @@ func predictedSpan(count, period uint64) (uint64, bool) {
 	return (count - 1) * period, true
 }
 
-// The bound columns of an index: what each block's bounds are stored
-// as, in file order, each column one frame.
+// The columns of an index, in the order they are stored: what each
+// series' record and each block's length and bounds are stored as, each
+// column one frame over the file.
 const (
-	colFirst = iota // per series: its first block's min - baseTS
-	colGap          // per later block: (min - the previous block's max) - period
-	colSpan         // per block of two or more entries: (max - min) - (count-1)·period
-	boundCols
+	colHead   = iota // per series: its SID's head, shared<<4 | n
+	colStep          // per series of n ≥ 1: its level shared minus the previous SID's
+	colCount         // per series: its entry count
+	colLength        // per block: its length
+	colFirst         // per series: its first block's min - baseTS
+	colGap           // per later block: (min - the previous block's max) - period
+	colSpan          // per block of two or more entries: (max - min) - (count-1)·period
+	indexCols
 )
 
-var boundColNames = [boundCols]string{"first-gap", "gap", "span"}
+var indexColNames = [indexCols]string{"head", "step", "count", "length", "first-gap", "gap", "span"}
 
 // boundColumns returns the bound columns of series with period, which
 // predictedSpan takes for every block's count; the 64-bit differences,
-// so any pair of bounds round-trips.
-func boundColumns(series []seriesIndex, baseTS int64, period uint64) (cols [boundCols][]int64) {
+// so any pair of bounds round-trips. The other columns are left empty.
+func boundColumns(series []seriesIndex, baseTS int64, period uint64) (cols [indexCols][]int64) {
 	for _, se := range series {
 		for j, m := range se.blocks {
 			if j == 0 {
@@ -621,8 +643,9 @@ func pageCloses(series []seriesIndex) []bool {
 	return closes
 }
 
-// appendRunIndex serialises an index section in format v6. Every block
-// of a page carries the page's CRC; the one that closes it states it.
+// appendRunIndex serialises an index section in format v7. The block
+// that closes a page states the page's CRC, which every block of the
+// page carries.
 func appendRunIndex(b []byte, idx *runIndex) []byte {
 	// The smallest first-block min is the smallest timestamp in the file.
 	baseTS := int64(0)
@@ -651,27 +674,36 @@ func appendRunIndex(b []byte, idx *runIndex) []byte {
 		b = binary.AppendUvarint(b, zigzag(idx.tombs[id]))
 		prev = id
 	}
-	closes := pageCloses(idx.series)
+	cols := boundColumns(idx.series, baseTS, idx.period)
+	var levels []byte
 	prev = core.SensorID{}
 	for _, se := range idx.series {
-		b = appendSID(b, prev, se.id)
-		prev = se.id
-		b = binary.AppendUvarint(b, se.count)
-		for _, m := range se.blocks {
-			closed := closes[0]
-			closes = closes[1:]
-			lc := uint64(m.length) << 1
-			if closed {
-				lc |= 1
-			}
-			b = binary.AppendUvarint(b, lc)
-			if closed {
-				b = binary.BigEndian.AppendUint32(b, m.crc)
+		shared, end := sidLevels(prev, se.id)
+		cols[colHead] = append(cols[colHead], int64(shared<<4|(end-shared)))
+		if end > shared {
+			cols[colStep] = append(cols[colStep], int64(se.id.Level(shared))-int64(prev.Level(shared)))
+			for l := shared + 1; l < end; l++ {
+				levels = binary.AppendUvarint(levels, uint64(se.id.Level(l)))
 			}
 		}
+		prev = se.id
+		cols[colCount] = append(cols[colCount], int64(se.count))
+		for _, m := range se.blocks {
+			cols[colLength] = append(cols[colLength], int64(m.length))
+		}
 	}
-	for _, col := range boundColumns(idx.series, baseTS, idx.period) {
+	for _, col := range cols {
 		b = appendColumn(b, col)
+	}
+	b = append(b, levels...)
+	closes := pageCloses(idx.series)
+	for _, se := range idx.series {
+		for _, m := range se.blocks {
+			if closes[0] {
+				b = binary.BigEndian.AppendUint32(b, m.crc)
+			}
+			closes = closes[1:]
+		}
 	}
 	return b
 }
@@ -717,19 +749,6 @@ func (r *indexReader) u8() byte {
 	return r.b[r.off-1]
 }
 
-func (r *indexReader) u32() uint32 {
-	if r.err != nil {
-		return 0
-	}
-	if r.rest() < 4 {
-		r.fail("truncated at byte %d", r.off)
-		return 0
-	}
-	v := binary.BigEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v
-}
-
 // sid decodes one SID coded against prev.
 func (r *indexReader) sid(prev core.SensorID) core.SensorID {
 	if r.err != nil {
@@ -767,13 +786,16 @@ func addDelta(base int64, d uint64) (int64, bool) {
 
 // parseRunIndex decodes and validates an index section. dataLen is the
 // file offset where the index begins; the blocks must tile the data
-// section exactly, and the pages must follow the page rule. Every count
-// is checked against the bytes that remain before anything is sized
-// from it, every product and bound against overflow. The bound columns
-// follow the series, their lengths derived from the blocks: a one-entry
-// block has no span entry, its one timestamp being its min and its max,
-// so the bounds a cold read rejects blocks by are those the block
-// decodes to.
+// section exactly. Each column is read where it lies, its length
+// derived from the columns before it — the steps' from the heads, the
+// lengths' and the bounds' from the counts — and the pages from the
+// lengths. A column of width 0 holds any number of values in no bytes,
+// so no count is bounded by the index's bytes: the series and block
+// counts are checked against the data section, where every block takes
+// blockMinLen bytes or more, before anything is sized from them. Every
+// product and bound is checked against overflow. A one-entry block has
+// no span entry, its one timestamp being its min and its max, so the
+// bounds a cold read rejects blocks by are those the block decodes to.
 func parseRunIndex(b []byte, dataLen int64) (*runIndex, error) {
 	if dataLen < runMagicLen {
 		return nil, fmt.Errorf("store: run index starts inside the magic")
@@ -820,47 +842,105 @@ func parseRunIndex(b []byte, dataLen int64) (*runIndex, error) {
 			idx.tombs[id], prev = cutoff, id
 		}
 	}
-	if seriesCount > r.rest()/minSeriesLen {
-		return nil, fmt.Errorf("store: run index series count overflows index")
+	maxBlocks := uint64(dataLen-runMagicLen) / blockMinLen
+	if seriesCount > maxBlocks {
+		return nil, fmt.Errorf("store: run index series count overflows data section")
 	}
-	idx.series = make([]seriesIndex, 0, seriesCount)
+	// open opens the next columns in order, of n values each.
+	var cols [indexCols]frameReader
+	rest, opened := b[r.off:], 0
+	open := func(n ...uint64) (err error) {
+		for _, n := range n {
+			if rest, err = cols[opened].open(rest, int(n)); err != nil {
+				return fmt.Errorf("store: run index %s column: %w", indexColNames[opened], err)
+			}
+			opened++
+		}
+		return nil
+	}
+	if err := open(seriesCount); err != nil {
+		return nil, err
+	}
+	// A pass over a copy of the heads: how many series state a step.
+	steps, heads := uint64(0), cols[colHead]
+	for range seriesCount {
+		h := heads.next()
+		if h>>4+h&15 > core.MaxTopicLevels {
+			return nil, fmt.Errorf("store: run index has a malformed sensor id head %#x", h)
+		}
+		if h&15 != 0 {
+			steps++
+		}
+	}
+	if err := open(steps, seriesCount); err != nil {
+		return nil, err
+	}
+	// A pass over a copy of the counts: how many blocks there are, and
+	// how many of them have two entries or more.
+	blocks, spans, counts := uint64(0), uint64(0), cols[colCount]
+	for range seriesCount {
+		n := counts.next()
+		if n == 0 {
+			return nil, fmt.Errorf("store: run index has empty series")
+		}
+		k := (n-1)/blockEntries + 1
+		if k > maxBlocks-blocks {
+			return nil, fmt.Errorf("store: run index block count overflows data section")
+		}
+		blocks, spans = blocks+k, spans+k-1
+		if n-(k-1)*blockEntries > 1 {
+			spans++
+		}
+	}
+	if err := open(blocks, seriesCount, blocks-seriesCount, spans); err != nil {
+		return nil, err
+	}
+	levels := &indexReader{b: rest}
+	read := uint64(0) // blocks whose length was read
+	nextLength := func() uint64 {
+		if read == blocks {
+			return 0
+		}
+		read++
+		return cols[colLength].next()
+	}
+	idx.series = make([]seriesIndex, seriesCount)
 	var prev core.SensorID
 	off := uint64(runMagicLen) // blocks tile the data section in index order
-	// The open page starts at pageStart and holds the pending blocks;
-	// closed says whether the block before this one closed its page.
-	pageStart, closed := off, true
-	var pending []*blockMeta
-	var colLen [boundCols]int // the bound columns' lengths
-	for i := uint64(0); i < seriesCount; i++ {
-		se := seriesIndex{id: r.sid(prev), count: r.uvarint()}
-		if r.err != nil {
-			return nil, r.err
+	pageStart, pages := off, 0
+	next := nextLength()
+	for i := range idx.series {
+		se := &idx.series[i]
+		h := cols[colHead].next()
+		shared, n := int(h>>4), int(h&15)
+		se.id = prev.Prefix(shared)
+		for l := shared; l < shared+n; l++ {
+			var code uint64
+			if l == shared {
+				code = uint64(prev.Level(l)) + cols[colStep].next()
+			} else {
+				code = levels.uvarint()
+			}
+			if code > math.MaxUint16 {
+				return nil, fmt.Errorf("store: run index has a sensor id level code above 0xffff in series %d", i)
+			}
+			se.id = se.id.WithLevel(l, uint16(code))
+		}
+		if levels.err != nil {
+			return nil, levels.err
 		}
 		if i > 0 && prev.Compare(se.id) >= 0 {
 			return nil, fmt.Errorf("store: run index series out of order")
 		}
 		prev = se.id
-		if se.count == 0 {
-			return nil, fmt.Errorf("store: run index has empty series")
-		}
-		blockCount := (se.count-1)/blockEntries + 1
-		if blockCount > r.rest()/minBlockMetaLen {
-			return nil, fmt.Errorf("store: run index block count overflows index")
-		}
-		se.blocks = make([]blockMeta, blockCount)
-		left := se.count
+		se.count = cols[colCount].next()
+		se.blocks = make([]blockMeta, (se.count-1)/blockEntries+1)
+		left, last := se.count, baseTS
 		for j := range se.blocks {
-			lc := r.uvarint()
-			length, closes := lc>>1, lc&1 != 0
+			length := next
+			next = nextLength()
 			count := min(left, blockEntries)
 			left -= count
-			var crc uint32
-			if closes {
-				crc = r.u32()
-			}
-			if r.err != nil {
-				return nil, r.err
-			}
 			// Subtraction form: off+length could wrap for a hostile length.
 			if length > math.MaxUint32 || length > uint64(dataLen)-off {
 				return nil, fmt.Errorf("store: run index block overflows data section")
@@ -868,62 +948,17 @@ func parseRunIndex(b []byte, dataLen int64) (*runIndex, error) {
 			if err := checkBlockCount(count, int(length)); err != nil {
 				return nil, err
 			}
-			if off > runMagicLen && closed != closesPage(pageStart, off, length) {
-				return nil, fmt.Errorf("store: run index pages break the page rule at data byte %d", off)
-			}
-			if closed {
-				pageStart = off
-			}
-			se.blocks[j] = blockMeta{off: off, length: uint32(length), count: uint32(count), pageOff: pageStart}
-			pending = append(pending, &se.blocks[j])
-			off += length
-			if closed = closes; closed {
-				for _, m := range pending {
-					m.pageLen, m.crc = uint32(off-pageStart), crc
-				}
-				pending = pending[:0]
-			}
-			if count > 1 {
-				colLen[colSpan]++
-			}
-		}
-		colLen[colFirst]++
-		colLen[colGap] += len(se.blocks) - 1
-		idx.series = append(idx.series, se)
-	}
-	if off != uint64(dataLen) {
-		return nil, fmt.Errorf("store: run index blocks cover %d of %d data bytes", off-runMagicLen, dataLen-runMagicLen)
-	}
-	if !closed {
-		return nil, fmt.Errorf("store: run index leaves its last page without a CRC")
-	}
-	var cols [boundCols]frameReader
-	rest := b[r.off:]
-	for c := range cols {
-		var err error
-		if rest, err = cols[c].open(rest, colLen[c]); err != nil {
-			return nil, fmt.Errorf("store: run index %s column: %w", boundColNames[c], err)
-		}
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("store: run index has %d trailing bytes", len(rest))
-	}
-	for i := range idx.series {
-		se := &idx.series[i]
-		last := baseTS
-		for j := range se.blocks {
-			m := &se.blocks[j]
 			var gap uint64
 			if j == 0 {
 				gap = cols[colFirst].next()
 			} else {
 				gap = idx.period + cols[colGap].next()
 			}
-			span, ok := predictedSpan(uint64(m.count), idx.period)
+			span, ok := predictedSpan(count, idx.period)
 			if !ok {
 				return nil, fmt.Errorf("store: run index block span prediction overflows")
 			}
-			if m.count > 1 {
+			if count > 1 {
 				span += cols[colSpan].next()
 			}
 			lo, ok1 := addDelta(last, gap)
@@ -931,19 +966,47 @@ func parseRunIndex(b []byte, dataLen int64) (*runIndex, error) {
 			if !ok1 || !ok2 {
 				return nil, fmt.Errorf("store: run index block bounds overflow")
 			}
-			m.min, m.max, last = lo, hi, hi
+			last = hi
+			se.blocks[j] = blockMeta{off: off, length: uint32(length), count: uint32(count), min: lo, max: hi, pageOff: pageStart}
+			if off += length; closesPage(pageStart, off, next) {
+				pageStart = off
+				pages++
+			}
 		}
 		se.min, se.max = se.blocks[0].min, last
 	}
+	if off != uint64(dataLen) {
+		return nil, fmt.Errorf("store: run index blocks cover %d of %d data bytes", off-runMagicLen, dataLen-runMagicLen)
+	}
 	for c := range cols {
 		if err := cols[c].close(); err != nil {
-			return nil, fmt.Errorf("store: run index %s column: %w", boundColNames[c], err)
+			return nil, fmt.Errorf("store: run index %s column: %w", indexColNames[c], err)
+		}
+	}
+	crcs := rest[levels.off:]
+	if len(crcs) < 4*pages {
+		return nil, fmt.Errorf("store: run index holds %d bytes of its %d pages' CRCs", len(crcs), pages)
+	}
+	if len(crcs) > 4*pages {
+		return nil, fmt.Errorf("store: run index has %d trailing bytes", len(crcs)-4*pages)
+	}
+	// The pages, last to first: each ends where the one after it starts.
+	start, end := uint64(dataLen), uint64(dataLen)
+	for i := len(idx.series) - 1; i >= 0; i-- {
+		bs := idx.series[i].blocks
+		for j := len(bs) - 1; j >= 0; j-- {
+			m := &bs[j]
+			if m.pageOff != start {
+				start, end = m.pageOff, start
+				pages--
+			}
+			m.pageLen, m.crc = uint32(end-start), binary.BigEndian.Uint32(crcs[4*pages:])
 		}
 	}
 	return idx, nil
 }
 
-// runFormat accepts the magic of format v6 and refuses any other: an
+// runFormat accepts the magic of format v7 and refuses any other: an
 // older or a newer format by name, anything else as no run file.
 func runFormat(magic []byte) error {
 	if string(magic) == string(runMagic) {
@@ -953,7 +1016,7 @@ func runFormat(magic []byte) error {
 		switch v := int(magic[runMagicLen-1]) - '0'; {
 		case v >= 1 && v < len(oldRunRoutes):
 			return fmt.Errorf("%w: it is format v%d (%s); %s", errRunFileOld, v, magic, oldRunRoutes[v])
-		case v > 6 && v <= 9:
+		case v > 7 && v <= 9:
 			return fmt.Errorf("%w: it is format v%d (%s); open it with the build that wrote it or a newer one", errRunFileNewer, v, magic)
 		}
 	}
